@@ -36,6 +36,7 @@ import (
 	"dkbms"
 	"dkbms/internal/dlog"
 	"dkbms/internal/obs"
+	"dkbms/internal/sched"
 )
 
 func main() {
@@ -66,6 +67,7 @@ func main() {
 
 	sh := &shell{tb: tb, opts: dkbms.QueryOptions{}, out: os.Stdout,
 		slow: obs.NewSlowLog(0, 0)}
+	defer sh.closePool()
 	fmt.Println("dkbms testbed shell — .help for commands")
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -94,6 +96,18 @@ type shell struct {
 	timing bool
 	out    io.Writer
 	slow   *obs.SlowLog // this session's queries, slowest first (.slowlog)
+	// pool is the evaluation worker pool `.opts parallel` attaches to
+	// the testbed (nil until then): Parallel work runs on a pool or
+	// inline, so without one the shell would not use its cores.
+	pool *sched.Pool
+}
+
+func (s *shell) closePool() {
+	if s.pool != nil {
+		s.tb.SetEvalPool(nil)
+		s.pool.Close()
+		s.pool = nil
+	}
 }
 
 func (s *shell) handle(line string) error {
@@ -274,6 +288,10 @@ func (s *shell) setOpts(words []string) error {
 		case "parallel":
 			s.opts.Parallel = true
 			s.opts.Naive = false
+			if s.pool == nil {
+				s.pool = sched.NewPool(0)
+				s.tb.SetEvalPool(s.pool)
+			}
 		case "serial":
 			s.opts.Parallel = false
 		default:

@@ -87,6 +87,36 @@ func TestShellOptsAndTiming(t *testing.T) {
 	}
 }
 
+// TestShellParallelAttachesPool: `.opts parallel` gives the local shell
+// a worker pool (Parallel work runs on a pool or inline), and a
+// parallel query's work goes through it.
+func TestShellParallelAttachesPool(t *testing.T) {
+	sh, buf := newShell(t)
+	defer sh.closePool()
+	drive(t, sh, "parent(a, b).", "parent(b, c).",
+		"anc(X, Y) :- parent(X, Y).", "anc(X, Y) :- parent(X, Z), anc(Z, Y).")
+	if sh.pool != nil {
+		t.Fatal("pool attached before .opts parallel")
+	}
+	drive(t, sh, ".opts parallel nomagic", ".opts parallel")
+	if sh.pool == nil || !sh.opts.Parallel {
+		t.Fatalf("no pool after .opts parallel (opts %+v)", sh.opts)
+	}
+	pool := sh.pool
+	buf.Reset()
+	drive(t, sh, "?- anc(X, Y).")
+	if !strings.Contains(buf.String(), "3 row") {
+		t.Fatalf("parallel query output:\n%s", buf.String())
+	}
+	if pool.Stats().Submitted == 0 {
+		t.Fatal("parallel query never reached the pool")
+	}
+	sh.closePool()
+	if sh.pool != nil {
+		t.Fatal("closePool left the pool attached")
+	}
+}
+
 func TestShellRawSQL(t *testing.T) {
 	sh, buf := newShell(t)
 	drive(t, sh,

@@ -7,6 +7,7 @@ import (
 	"dkbms"
 	"dkbms/internal/rel"
 	"dkbms/internal/rtlib"
+	"dkbms/internal/sched"
 	"dkbms/internal/stored"
 	"dkbms/internal/workload"
 )
@@ -61,6 +62,11 @@ sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).
 	if err != nil {
 		return nil, err
 	}
+	// Parallel work runs on a pool or inline: give it one worker per
+	// core.
+	pool := sched.NewPool(0)
+	defer pool.Close()
+	tb.SetEvalPool(pool)
 	par, parRes, err := evalTime(tb, q, dkbms.QueryOptions{Parallel: true}, cfg.reps())
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package matview
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"dkbms/internal/db"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
+	"dkbms/internal/rtlib"
 	"dkbms/internal/storage"
 )
 
@@ -28,27 +28,30 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 	start := time.Now()
 	tr := obs.NewTrace("maintain")
 
-	// Restrict the commit footprint to tables the program reads.
-	reads := make(map[string]bool, len(v.prog.BasePreds))
-	for _, p := range v.prog.BasePreds {
-		reads[codegen.BaseTable(p)] = true
-	}
+	// Restrict the commit footprint to the base predicates the program
+	// reads.
 	ins := make(map[string][]rel.Tuple)
 	del := make(map[string][]rel.Tuple)
-	for _, td := range ev.Deltas {
-		if !reads[td.Table] {
-			continue
-		}
-		if len(td.Inserted) > 0 {
-			ins[td.Table] = append(ins[td.Table], td.Inserted...)
-		}
-		if len(td.Deleted) > 0 {
-			del[td.Table] = append(del[td.Table], td.Deleted...)
+	for _, p := range v.prog.BasePreds {
+		table := codegen.BaseTable(p)
+		for _, td := range ev.Deltas {
+			if td.Table != table {
+				continue
+			}
+			if len(td.Inserted) > 0 {
+				ins[p] = append(ins[p], td.Inserted...)
+			}
+			if len(td.Deleted) > 0 {
+				del[p] = append(del[p], td.Deleted...)
+			}
 		}
 	}
 
-	m := &maint{d: d, v: v, prefix: fmt.Sprintf("mv%d_", atomic.AddUint64(&viewSeq, 1))}
-	defer m.dropAll()
+	m := &maint{d: d, v: v, temps: rtlib.NewTempTables(d),
+		prefix: fmt.Sprintf("mv%d_", atomic.AddUint64(&viewSeq, 1))}
+	// Best-effort: a failed scratch drop leaks a temp table until the
+	// database closes, nothing worse.
+	defer m.temps.DropAll() //nolint:errcheck
 	if len(del) > 0 {
 		if err := m.dred(del, tr.Root()); err != nil {
 			return nil, err
@@ -76,93 +79,73 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 }
 
 // maint is the working state of one maintenance run: the scratch temp
-// tables it creates (delta tables, pre-state copies) are dropped when
-// the run ends, leaving only the view's accumulators.
+// tables it creates (base deltas, pre-state copies, candidate sets, the
+// fixpoint driver's delta tables) are dropped when the run ends,
+// leaving only the view's accumulators.
 type maint struct {
-	d       *db.DB
-	v       *View
-	prefix  string
-	created []string
-	seq     int
+	d      *db.DB
+	v      *View
+	prefix string
+	temps  *rtlib.TempTables
+	seq    int
 	// deltaTuples counts derived-relation changes applied: tuples
 	// over-deleted plus delta tuples promoted into accumulators.
 	deltaTuples int
 }
 
-func (m *maint) createTable(hint string, schema *rel.Schema) (string, error) {
-	if schema == nil {
-		return "", fmt.Errorf("matview: no schema for scratch table %s", hint)
-	}
+// scratch creates a scratch table holding the given tuples.
+func (m *maint) scratch(hint string, schema *rel.Schema, tuples []rel.Tuple) (string, error) {
 	m.seq++
 	name := fmt.Sprintf("%s%s%d", m.prefix, hint, m.seq)
-	var b strings.Builder
-	fmt.Fprintf(&b, "CREATE TEMP TABLE %s (", name)
-	for i := 0; i < schema.Len(); i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		c := schema.Col(i)
-		fmt.Fprintf(&b, "%s %s", c.Name, c.Type.String())
-	}
-	b.WriteByte(')')
-	if err := m.d.Exec(b.String()); err != nil {
-		return "", err
-	}
-	m.created = append(m.created, name)
-	return name, nil
-}
-
-func (m *maint) dropAll() {
-	for _, t := range m.created {
-		// Best-effort: a failed scratch drop leaks a temp table until
-		// the database closes, nothing worse.
-		m.d.Exec("DROP TABLE " + t) //nolint:errcheck
-	}
-	m.created = nil
-}
-
-// rules iterates every compiled rule of the program (exit and recursive
-// across all evaluation-order nodes). Delta propagation differentiates
-// globally, not per clique: an exit rule of a later node reads derived
-// relations of earlier nodes, so it too must fire on their deltas.
-func (m *maint) rules(f func(r *codegen.RuleSQL) error) error {
-	for ni := range m.v.prog.Nodes {
-		n := &m.v.prog.Nodes[ni]
-		for i := range n.ExitRules {
-			if err := f(&n.ExitRules[i]); err != nil {
-				return err
-			}
-		}
-		for i := range n.RecursiveRules {
-			if err := f(&n.RecursiveRules[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// tableSchema returns the schema of a live table (base-table deltas and
-// pre-state copies reuse the extensional schema).
-func (m *maint) tableSchema(table string) (*rel.Schema, error) {
-	t := m.d.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("matview: base table %s vanished", table)
-	}
-	return t.Schema, nil
-}
-
-// materialize creates a scratch table holding the given tuples.
-func (m *maint) materialize(hint, table string, tuples []rel.Tuple) (string, error) {
-	schema, err := m.tableSchema(table)
-	if err != nil {
-		return "", err
-	}
-	name, err := m.createTable(hint, schema)
-	if err != nil {
+	if err := m.temps.Create(name, schema); err != nil {
 		return "", err
 	}
 	return name, m.d.InsertTuples(name, tuples)
+}
+
+// baseDelta materializes a commit's per-predicate base deltas as the
+// fixpoint's first delta (base-table deltas and pre-state copies reuse
+// the extensional schema) and counts them.
+func (m *maint) baseDelta(hint string, delta map[string][]rel.Tuple) (first map[string]string, n int, err error) {
+	first = make(map[string]string, len(delta))
+	for pred, tuples := range delta {
+		t := m.d.Table(codegen.BaseTable(pred))
+		if t == nil {
+			return nil, 0, fmt.Errorf("matview: base table %s vanished", codegen.BaseTable(pred))
+		}
+		if first[pred], err = m.scratch(hint, t.Schema, tuples); err != nil {
+			return nil, 0, err
+		}
+		n += len(tuples)
+	}
+	return first, n, nil
+}
+
+// fixpoint runs the program's delta rules from a first delta to the
+// fixpoint on rtlib's driver. Delta propagation differentiates
+// globally, not per clique — an exit rule of a later node reads derived
+// relations of earlier nodes, so it too must fire on their deltas —
+// hence every rule of the program and every derived predicate. It
+// returns the number of rounds.
+func (m *maint) fixpoint(sp *obs.Span, tag string, first map[string]string, tableOf, into func(string) string) (int, error) {
+	var ns rtlib.NodeStats
+	fp := &rtlib.Fixpoint{
+		DB: m.d, Temps: m.temps, Prefix: m.prefix + tag,
+		Schemas: m.v.prog.Schemas, Preds: m.v.preds, Rules: m.v.rules,
+		TableOf: tableOf, Into: into, First: first,
+		Span: sp, Stats: &ns,
+	}
+	err := fp.Run()
+	return ns.Iterations, err
+}
+
+// derivedRows sums the sizes of the view's accumulators.
+func (m *maint) derivedRows() int {
+	n := 0
+	for _, p := range m.v.preds {
+		n += m.d.TableRows(m.v.tables[p])
+	}
+	return n
 }
 
 // --- Insert propagation (semi-naive delta rules) ---
@@ -170,153 +153,27 @@ func (m *maint) materialize(hint, table string, tuples []rel.Tuple) (string, err
 // propagate applies base-table insertions: round 1 evaluates every rule
 // once per touched-base FROM position with the delta at that position
 // and full post-state elsewhere; later rounds differentiate derived
-// positions exactly like rtlib's semi-naive loop, with the EXCEPT chain
-// deduplicating across occurrences. Monotonicity makes this sound and
-// complete: lfp(post) = lfp(pre ∪ Δ) and every new derivation uses at
-// least one new tuple in some position.
+// positions exactly as an evaluation's semi-naive loop does — it is the
+// same loop — with the EXCEPT chain deduplicating across occurrences.
+// Monotonicity makes this sound and complete: lfp(post) = lfp(pre ∪ Δ)
+// and every new derivation uses at least one new tuple in some
+// position.
 func (m *maint) propagate(ins map[string][]rel.Tuple, root *obs.Span) error {
 	sp := root.Start("propagate")
 	defer sp.End()
-	base := 0
-	for _, tus := range ins {
-		base += len(tus)
+	first, base, err := m.baseDelta("ins_", ins)
+	if err != nil {
+		return err
 	}
 	sp.SetInt("inserted_base", int64(base))
-
-	dbase := make(map[string]string, len(ins))
-	for table, tuples := range ins {
-		name, err := m.materialize("ins_", table, tuples)
-		if err != nil {
-			return err
-		}
-		dbase[table] = name
-	}
-	prev, next, err := m.deltaPair()
+	before := m.derivedRows()
+	rounds, err := m.fixpoint(sp, "i", first, m.v.tableOf, m.v.tableOf)
 	if err != nil {
 		return err
 	}
-
-	// Round 1: fire every rule at each touched-base position.
-	err = m.rules(func(r *codegen.RuleSQL) error {
-		for fi, f := range r.From {
-			if m.v.derived(f.Pred) {
-				continue
-			}
-			dt, ok := dbase[codegen.BaseTable(f.Pred)]
-			if !ok {
-				continue
-			}
-			if err := m.fire(r, fi, dt, m.v.tableOf, prev); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Later rounds: promote deltas into accumulators, differentiate
-	// derived positions until the delta runs dry.
-	rounds := 0
-	for {
-		counts, total, err := m.deltaCounts(prev)
-		if err != nil {
-			return err
-		}
-		if total == 0 {
-			break
-		}
-		rounds++
-		m.deltaTuples += total
-		for p, t := range prev {
-			if counts[p] == 0 {
-				continue
-			}
-			if err := m.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", m.v.tableOf(p), t)); err != nil {
-				return err
-			}
-		}
-		err = m.rules(func(r *codegen.RuleSQL) error {
-			for fi, f := range r.From {
-				if !m.v.derived(f.Pred) || counts[f.Pred] == 0 {
-					continue
-				}
-				if err := m.fire(r, fi, prev[f.Pred], m.v.tableOf, next); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := m.truncate(prev); err != nil {
-			return err
-		}
-		prev, next = next, prev
-	}
+	m.deltaTuples += m.derivedRows() - before
 	sp.SetInt("rounds", int64(rounds))
 	sp.SetInt("delta_tuples", int64(m.deltaTuples))
-	return nil
-}
-
-// fire evaluates one rule with the delta table at FROM position fi and
-// tableOf everywhere else, inserting genuinely new head tuples (not in
-// the accumulator, not already in this round's delta) into dst[head].
-func (m *maint) fire(r *codegen.RuleSQL, fi int, deltaTable string, tableOf func(string) string, dst map[string]string) error {
-	tables := make([]string, len(r.From))
-	for fj, f := range r.From {
-		if fj == fi {
-			tables[fj] = deltaTable
-		} else {
-			tables[fj] = tableOf(f.Pred)
-		}
-	}
-	stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s EXCEPT SELECT * FROM %s",
-		dst[r.Head], r.SQLWithTables(tables), m.v.tableOf(r.Head), dst[r.Head])
-	if err := m.d.Exec(stmt); err != nil {
-		return fmt.Errorf("matview: delta rule %q: %w", r.Source, err)
-	}
-	return nil
-}
-
-// deltaPair creates two empty per-predicate delta table sets (current
-// and next round), reused across rounds by truncation.
-func (m *maint) deltaPair() (prev, next map[string]string, err error) {
-	prev = make(map[string]string, len(m.v.tables))
-	next = make(map[string]string, len(m.v.tables))
-	for p := range m.v.tables {
-		if prev[p], err = m.createTable("d_", m.v.prog.Schemas[p]); err != nil {
-			return nil, nil, err
-		}
-		if next[p], err = m.createTable("d_", m.v.prog.Schemas[p]); err != nil {
-			return nil, nil, err
-		}
-	}
-	return prev, next, nil
-}
-
-func (m *maint) deltaCounts(delta map[string]string) (map[string]int, int, error) {
-	counts := make(map[string]int, len(delta))
-	total := 0
-	for p, t := range delta {
-		n, err := m.d.QueryCount("SELECT COUNT(*) FROM " + t)
-		if err != nil {
-			return nil, 0, err
-		}
-		counts[p] = int(n)
-		total += int(n)
-	}
-	return counts, total, nil
-}
-
-func (m *maint) truncate(delta map[string]string) error {
-	for _, t := range delta {
-		if err := m.d.Exec("DELETE FROM " + t); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -327,7 +184,9 @@ func (m *maint) truncate(delta map[string]string) error {
 //  1. reconstruct pre-state for each deleted-from base table
 //     (post ∪ deleted — the accumulators are still pre-state);
 //  2. over-delete: propagate deletion candidates through the delta
-//     rules against the pre-state, to a fixpoint;
+//     rules against the pre-state, to a fixpoint — the same driver run
+//     as propagate, resolving predicates to the pre-state and
+//     promoting into candidate tables instead of the accumulators;
 //  3. remove the candidates (except magic seeds, which are axioms of
 //     the program) from the accumulators;
 //  4. re-derive survivors: one-step rule evaluation over the now
@@ -336,132 +195,42 @@ func (m *maint) truncate(delta map[string]string) error {
 func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 	sp := root.Start("dred")
 	defer sp.End()
-	base := 0
-	for _, tus := range del {
-		base += len(tus)
+	first, base, err := m.baseDelta("del_", del)
+	if err != nil {
+		return err
 	}
 	sp.SetInt("deleted_base", int64(base))
 
-	// Pre-state copies and delta tables for the deleted facts.
-	dbase := make(map[string]string, len(del))
+	// Pre-state copies of the deleted-from base tables (which exist:
+	// baseDelta just read their schemas).
 	pre := make(map[string]string, len(del))
-	for table, tuples := range del {
-		dt, err := m.materialize("del_", table, tuples)
+	for pred, tuples := range del {
+		table := codegen.BaseTable(pred)
+		pt, err := m.scratch("pre_", m.d.Table(table).Schema, tuples)
 		if err != nil {
 			return err
 		}
-		dbase[table] = dt
-		pt, err := m.materialize("pre_", table, nil)
-		if err != nil {
+		if err := m.d.Exec("INSERT INTO " + pt + " SELECT * FROM " + table); err != nil {
 			return err
 		}
-		if err := m.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", pt, table)); err != nil {
-			return err
-		}
-		if err := m.d.InsertTuples(pt, tuples); err != nil {
-			return err
-		}
-		pre[table] = pt
+		pre[pred] = pt
 	}
 	preOf := func(pred string) string {
-		if t, ok := m.v.tables[pred]; ok {
-			return t // accumulators are still pre-state here
-		}
-		bt := codegen.BaseTable(pred)
-		if p, ok := pre[bt]; ok {
+		if p, ok := pre[pred]; ok {
 			return p
 		}
-		return bt
+		return m.v.tableOf(pred) // accumulators are still pre-state here
 	}
-
-	// Accumulated deletion candidates per derived predicate, plus the
-	// per-round pair.
-	acc := make(map[string]string, len(m.v.tables))
-	for p := range m.v.tables {
-		t, err := m.createTable("dd_", m.v.prog.Schemas[p])
-		if err != nil {
+	// Accumulated deletion candidates per derived predicate.
+	cand := make(map[string]string, len(m.v.preds))
+	for _, p := range m.v.preds {
+		if cand[p], err = m.scratch("dd_", m.v.prog.Schemas[p], nil); err != nil {
 			return err
 		}
-		acc[p] = t
 	}
-	prev, next, err := m.deltaPair()
-	if err != nil {
+	// Candidates breed candidates, against the pre-state throughout.
+	if _, err := m.fixpoint(sp, "x", first, preOf, func(p string) string { return cand[p] }); err != nil {
 		return err
-	}
-	// fireDel is fire against the pre-state with the candidate chain's
-	// dedup (EXCEPT accumulated candidates EXCEPT this round).
-	fireDel := func(r *codegen.RuleSQL, fi int, deltaTable string, dst map[string]string) error {
-		tables := make([]string, len(r.From))
-		for fj, f := range r.From {
-			if fj == fi {
-				tables[fj] = deltaTable
-			} else {
-				tables[fj] = preOf(f.Pred)
-			}
-		}
-		stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s EXCEPT SELECT * FROM %s",
-			dst[r.Head], r.SQLWithTables(tables), acc[r.Head], dst[r.Head])
-		if err := m.d.Exec(stmt); err != nil {
-			return fmt.Errorf("matview: over-delete rule %q: %w", r.Source, err)
-		}
-		return nil
-	}
-
-	// Round 1: candidates from the deleted base facts.
-	err = m.rules(func(r *codegen.RuleSQL) error {
-		for fi, f := range r.From {
-			if m.v.derived(f.Pred) {
-				continue
-			}
-			dt, ok := dbase[codegen.BaseTable(f.Pred)]
-			if !ok {
-				continue
-			}
-			if err := fireDel(r, fi, dt, prev); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Later rounds: candidates breed candidates through derived
-	// positions, still against the pre-state.
-	for {
-		counts, total, err := m.deltaCounts(prev)
-		if err != nil {
-			return err
-		}
-		if total == 0 {
-			break
-		}
-		for p, t := range prev {
-			if counts[p] == 0 {
-				continue
-			}
-			if err := m.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", acc[p], t)); err != nil {
-				return err
-			}
-		}
-		err = m.rules(func(r *codegen.RuleSQL) error {
-			for fi, f := range r.From {
-				if !m.v.derived(f.Pred) || counts[f.Pred] == 0 {
-					continue
-				}
-				if err := fireDel(r, fi, prev[f.Pred], next); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := m.truncate(prev); err != nil {
-			return err
-		}
-		prev, next = next, prev
 	}
 
 	// Apply: delete the candidates from the accumulators, protecting
@@ -473,10 +242,10 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 		}
 		seeds[s.Pred][s.Tuple.Key()] = true
 	}
-	candidates := make(map[string]map[string]rel.Tuple, len(acc))
+	candidates := make(map[string]map[string]rel.Tuple, len(cand))
 	overDeleted := 0
-	for p, t := range acc {
-		rows, err := m.d.Query("SELECT * FROM " + t)
+	for _, p := range m.v.preds {
+		rows, err := m.d.Query("SELECT * FROM " + cand[p])
 		if err != nil {
 			return err
 		}
@@ -511,10 +280,11 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 	for changed := true; changed; {
 		changed = false
 		rounds++
-		err = m.rules(func(r *codegen.RuleSQL) error {
+		for i := range m.v.rules {
+			r := &m.v.rules[i]
 			cand := candidates[r.Head]
 			if len(cand) == 0 {
-				return nil
+				continue
 			}
 			rows, err := m.d.Query(r.SQL(m.v.tableOf))
 			if err != nil {
@@ -530,17 +300,13 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 				delete(cand, k)
 			}
 			if len(back) == 0 {
-				return nil
+				continue
 			}
 			if err := m.d.InsertTuples(m.v.tableOf(r.Head), back); err != nil {
 				return err
 			}
 			rederived += len(back)
 			changed = true
-			return nil
-		})
-		if err != nil {
-			return err
 		}
 	}
 	m.deltaTuples += rederived

@@ -2,13 +2,17 @@
 // views. A view owns the derived-relation temp tables an evaluation
 // left behind (rtlib's accumulators, transferred via Result.Detach) and
 // refreshes them in place when a commit changes base tables the
-// compiled program reads: insertions propagate through the program's
-// semi-naive delta rules, retractions are handled with
-// Delete-and-Rederive (over-delete along the delta rules, then
-// re-derive the survivors). The plan cache promotes result entries into
-// views and calls Maintain from the single-writer commit path, so a hot
-// query's memo survives writes instead of forcing a full re-derivation
-// stampede.
+// compiled program reads. Insert-maintenance is semi-naive evaluation
+// seeded with a commit's delta instead of the EDB, and the over-delete
+// half of Delete-and-Rederive is the same thing run against the
+// pre-state into candidate tables, so both are runs of rtlib's one
+// fixpoint driver (rtlib.Fixpoint); this package holds only what is
+// specific to views: restricting a commit's footprint to what the
+// program reads, reconstructing the pre-state, removing candidates with
+// seed protection, and re-deriving the survivors. The plan cache
+// promotes result entries into views and calls Maintain from the
+// single-writer commit path, so a hot query's memo survives writes
+// instead of forcing a full re-derivation stampede.
 //
 // The language is pure function-free Horn clauses, so the immediate-
 // consequence operator is monotone and both directions are sound; the
@@ -20,6 +24,7 @@ package matview
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -129,17 +134,30 @@ type View struct {
 	// base predicates fall through to their extensional tables.
 	tables  map[string]string
 	created []string
+	// preds are the derived predicates (sorted) and rules every
+	// compiled rule of the program, exit and recursive across all
+	// evaluation-order nodes: what maintenance differentiates.
+	preds []string
+	rules []codegen.RuleSQL
 
-	maintains   atomic.Int64
-	lastDelta   atomic.Int64
-	lastNs      atomic.Int64
-	lastTrace   atomic.Pointer[obs.Trace]
-	lastApplied atomic.Int64 // over-deletions + promoted delta tuples
+	maintains atomic.Int64
+	lastDelta atomic.Int64
+	lastNs    atomic.Int64
+	lastTrace atomic.Pointer[obs.Trace]
 }
 
 // New wraps a detached evaluation (rtlib Result.Detach) as a view.
 func New(prog *codegen.Program, tables map[string]string, created []string) *View {
-	return &View{prog: prog, tables: tables, created: created}
+	v := &View{prog: prog, tables: tables, created: created}
+	for p := range tables {
+		v.preds = append(v.preds, p)
+	}
+	sort.Strings(v.preds)
+	for i := range prog.Nodes {
+		v.rules = append(v.rules, prog.Nodes[i].ExitRules...)
+		v.rules = append(v.rules, prog.Nodes[i].RecursiveRules...)
+	}
+	return v
 }
 
 // Maintains returns how many commits this view absorbed incrementally.
@@ -163,12 +181,6 @@ func (v *View) tableOf(pred string) string {
 		return t
 	}
 	return codegen.BaseTable(pred)
-}
-
-// derived reports whether the predicate has a view-owned relation.
-func (v *View) derived(pred string) bool {
-	_, ok := v.tables[pred]
-	return ok
 }
 
 // Drop releases the view's temp tables. Safe to call once, from the

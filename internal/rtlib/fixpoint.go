@@ -1,0 +1,436 @@
+package rtlib
+
+import (
+	"context"
+	"fmt"
+	"sort"
+	"strings"
+	"sync"
+	"time"
+
+	"dkbms/internal/codegen"
+	"dkbms/internal/db"
+	"dkbms/internal/obs"
+	"dkbms/internal/rel"
+)
+
+// TempTables creates, registers and tears down the temporary relations
+// of one evaluation or maintenance run. Every temp table in the module
+// is born here, so nothing a run creates can escape its teardown.
+type TempTables struct {
+	d *db.DB
+	// mu guards live: the stratum wavefront evaluates independent nodes
+	// concurrently, and each registers the tables it creates.
+	mu   sync.Mutex
+	live map[string]bool
+}
+
+// NewTempTables returns an empty registry over d.
+func NewTempTables(d *db.DB) *TempTables {
+	return &TempTables{d: d, live: make(map[string]bool)}
+}
+
+// Create creates and registers a temp table.
+func (t *TempTables) Create(name string, schema *rel.Schema) error {
+	if schema == nil {
+		return fmt.Errorf("rtlib: no schema for temp table %s", name)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "CREATE TEMP TABLE %s (", name)
+	for i := 0; i < schema.Len(); i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		c := schema.Col(i)
+		fmt.Fprintf(&b, "%s %s", c.Name, c.Type.String())
+	}
+	b.WriteByte(')')
+	if err := t.d.Exec(b.String()); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	t.live[name] = true
+	t.mu.Unlock()
+	return nil
+}
+
+// drop drops one table and forgets it.
+func (t *TempTables) drop(name string) error {
+	t.mu.Lock()
+	delete(t.live, name)
+	t.mu.Unlock()
+	return t.d.Exec("DROP TABLE " + name)
+}
+
+// names lists the registered tables, sorted.
+func (t *TempTables) names() []string {
+	t.mu.Lock()
+	names := make([]string, 0, len(t.live))
+	for n := range t.live {
+		names = append(names, n)
+	}
+	t.mu.Unlock()
+	sort.Strings(names)
+	return names
+}
+
+// DropAll drops every table still registered (in name order, so page
+// reuse does not depend on map iteration) and returns the first error.
+func (t *TempTables) DropAll() error {
+	var firstErr error
+	for _, n := range t.names() {
+		if err := t.drop(n); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// Fixpoint describes one semi-naive least-fixed-point computation: the
+// paper's LFP routine (§3.3), configured by the data structures its
+// caller loads. Run is the only semi-naive round loop in the module;
+// the fields are exactly what differs between its callers — a clique of
+// the evaluation order list (Evaluate), and a materialized view
+// absorbing a commit's insertions or hunting deletion candidates
+// (matview).
+type Fixpoint struct {
+	DB    *db.DB
+	Temps *TempTables
+	// Ctx, when non-nil, is polled at every round boundary and observed
+	// between tuples by every rule statement.
+	Ctx context.Context
+	// Prefix starts the name of every delta table the run creates.
+	Prefix string
+	// Schemas holds the schema of each predicate in Preds.
+	Schemas map[string]*rel.Schema
+	// Preds are the predicates whose relations grow: each gets a delta
+	// relation per round, and the run ends when all of them are empty.
+	Preds []string
+	// Rules are differentiated: each round fires a rule once per FROM
+	// position whose predicate has a current delta, that position
+	// reading the delta and the others TableOf.
+	Rules []codegen.RuleSQL
+	// TableOf resolves a predicate at a non-delta FROM position.
+	TableOf func(pred string) string
+	// Into names the relation a head predicate's new tuples are
+	// deduplicated against and promoted into.
+	Into func(pred string) string
+	// The first delta is either computed — Exit rules are evaluated
+	// over TableOf into Into, whose contents then are the delta — or
+	// given: First maps predicates (of Preds or not) to caller-owned
+	// relations holding tuples already present in TableOf.
+	Exit  []codegen.RuleSQL
+	First map[string]string
+	// Span, when non-nil, receives one "iteration N" span per round.
+	Span *obs.Span
+	// Stats accumulates the run's rounds and time split.
+	Stats *NodeStats
+
+	// delta is the delta strategy; nil selects sqlExcept, the paper's
+	// mode. Only Evaluate sets another (Options.Parallel).
+	delta deltaStrategy
+}
+
+// deltaStrategy is how a fixpoint run represents the per-round delta
+// and finds the genuinely new tuples among a round's derivations.
+type deltaStrategy interface {
+	// start produces the first delta ("iteration 0").
+	start(fp *Fixpoint, zero *obs.Span) error
+	// current lists the relations holding pred's current delta; none
+	// when the predicate has no delta this round.
+	current(pred string) []string
+	// fire evaluates the round's differentials and keeps, as the
+	// pending delta, the head tuples Into lacks.
+	fire(jobs []differential, it *obs.Span) error
+	// pending sizes pred's pending delta: the termination check.
+	pending(pred string) (int64, error)
+	// advance makes the pending delta current, its tuples now in Into.
+	advance() error
+	// finish drops the delta relations once the fixpoint is reached.
+	finish() error
+}
+
+// differential is one rule with one FROM position reading a delta
+// relation, rendered.
+type differential struct {
+	rule *codegen.RuleSQL
+	sel  string
+}
+
+// Run iterates to the fixpoint.
+func (fp *Fixpoint) Run() error {
+	st := fp.delta
+	if st == nil {
+		st = &sqlExcept{}
+	}
+	ns := fp.Stats
+	zero := fp.Span.Start("iteration 0")
+	if err := st.start(fp, zero); err != nil {
+		return err
+	}
+	zero.End()
+	for {
+		if err := checkCtx(fp.Ctx); err != nil {
+			return err
+		}
+		ns.Iterations++
+		var it *obs.Span
+		if fp.Span != nil {
+			it = fp.Span.Start(fmt.Sprintf("iteration %d", ns.Iterations))
+		}
+		// One differential per rule, FROM position with a delta, and
+		// relation of that delta: the position is linear in the delta,
+		// so the union over its relations is the full differential.
+		var jobs []differential
+		for i := range fp.Rules {
+			r := &fp.Rules[i]
+			for occ := range r.From {
+				for _, d := range st.current(r.From[occ].Pred) {
+					tables := make([]string, len(r.From))
+					for fi, f := range r.From {
+						tables[fi] = fp.TableOf(f.Pred)
+					}
+					tables[occ] = d
+					jobs = append(jobs, differential{r, r.SQLWithTables(tables)})
+				}
+			}
+		}
+		if err := st.fire(jobs, it); err != nil {
+			return err
+		}
+		// Termination: every pending delta empty.
+		done := true
+		tc := it.Start("termcheck")
+		for _, p := range fp.Preds {
+			t0 := time.Now()
+			n, err := st.pending(p)
+			if err != nil {
+				return err
+			}
+			ns.TermCheck += time.Since(t0)
+			if n > 0 {
+				done = false
+			}
+			if it != nil {
+				it.SetInt("delta("+p+")", n)
+				it.SetInt("acc("+p+")", int64(fp.DB.TableRows(fp.Into(p))))
+			}
+		}
+		tc.End()
+		it.End()
+		if done {
+			return st.finish()
+		}
+		if err := st.advance(); err != nil {
+			return err
+		}
+	}
+}
+
+// insertRule executes one rule statement under a "rule <head>" span:
+//
+//	INSERT INTO target <sel> [EXCEPT SELECT * FROM acc] EXCEPT SELECT * FROM target
+//
+// so target gains only tuples neither it nor acc (when given) holds.
+func (fp *Fixpoint) insertRule(r *codegen.RuleSQL, sel, target, acc string, parent *obs.Span) error {
+	var sp *obs.Span
+	if parent != nil {
+		sp = parent.Start("rule " + r.Head)
+		sp.SetString("src", r.Source)
+	}
+	stmt := "INSERT INTO " + target + " " + sel
+	if acc != "" {
+		stmt += " EXCEPT SELECT * FROM " + acc
+	}
+	stmt += " EXCEPT SELECT * FROM " + target
+	t0 := time.Now()
+	if err := fp.DB.ExecTracedCtx(evalCtx(fp.Ctx), stmt, sp); err != nil {
+		return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
+	}
+	sp.End()
+	fp.Stats.Eval += time.Since(t0)
+	return nil
+}
+
+// exitRule evaluates one exit rule over TableOf into its head's Into.
+func (fp *Fixpoint) exitRule(r *codegen.RuleSQL, parent *obs.Span) error {
+	return fp.insertRule(r, r.SQL(fp.TableOf), fp.Into(r.Head), "", parent)
+}
+
+// createTemp creates a temp table on the run's registry, timed.
+func (fp *Fixpoint) createTemp(name, pred string) error {
+	t0 := time.Now()
+	err := fp.Temps.Create(name, fp.Schemas[pred])
+	fp.Stats.TempTable += time.Since(t0)
+	return err
+}
+
+// sqlExcept is the paper-faithful delta strategy: the delta is a temp
+// table per predicate and round, new tuples are found by EXCEPT chains
+// inside each rule's INSERT, and termination is a COUNT(*) per
+// predicate — the embedded-SQL realization whose overheads Tests 5–7
+// measure.
+//
+// A computed first delta is a clique's: dense, and the paper's routine
+// carries every clique predicate's delta through every round, empty or
+// not. A given one (Fixpoint.First) is a commit's: a few tuples spread
+// over a whole program, where most predicates have no delta in a given
+// round. Then the run is sparse — only predicates heading a
+// differential get a pending table, and an empty pending delta is
+// dropped instead of promoted and fired — which changes no answer,
+// only how many empty statements are issued.
+type sqlExcept struct {
+	fp     *Fixpoint
+	sparse bool
+	// cur and next map predicates to their current and pending delta
+	// tables; own is false while cur is the caller's Fixpoint.First.
+	cur, next map[string]string
+	own       bool
+}
+
+func (s *sqlExcept) start(fp *Fixpoint, zero *obs.Span) error {
+	s.fp = fp
+	if fp.First != nil {
+		s.cur, s.sparse = fp.First, true
+		return nil
+	}
+	for i := range fp.Exit {
+		if err := fp.exitRule(&fp.Exit[i], zero); err != nil {
+			return err
+		}
+	}
+	// delta_0 is a copy of the initial relations (seeds included).
+	s.cur, s.own = make(map[string]string, len(fp.Preds)), true
+	for _, p := range fp.Preds {
+		name := fp.Prefix + "delta_" + sanitize(p)
+		if err := fp.createTemp(name, p); err != nil {
+			return err
+		}
+		t0 := time.Now()
+		if err := fp.DB.Exec("INSERT INTO " + name + " SELECT * FROM " + fp.Into(p)); err != nil {
+			return err
+		}
+		fp.Stats.TempTable += time.Since(t0)
+		s.cur[p] = name
+		if zero != nil {
+			zero.SetInt("delta("+p+")", int64(fp.DB.TableRows(name)))
+		}
+	}
+	return nil
+}
+
+func (s *sqlExcept) current(pred string) []string {
+	if t, ok := s.cur[pred]; ok {
+		return []string{t}
+	}
+	return nil
+}
+
+func (s *sqlExcept) fire(jobs []differential, it *obs.Span) error {
+	fp := s.fp
+	heads := make(map[string]bool, len(fp.Preds))
+	for _, j := range jobs {
+		heads[j.rule.Head] = true
+	}
+	s.next = make(map[string]string, len(fp.Preds))
+	for _, p := range fp.Preds {
+		if s.sparse && !heads[p] {
+			continue
+		}
+		name := fmt.Sprintf("%sndelta%d_%s", fp.Prefix, fp.Stats.Iterations, sanitize(p))
+		if err := fp.createTemp(name, p); err != nil {
+			return err
+		}
+		s.next[p] = name
+	}
+	for _, j := range jobs {
+		head := j.rule.Head
+		if err := fp.insertRule(j.rule, j.sel, s.next[head], fp.Into(head), it); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *sqlExcept) pending(pred string) (int64, error) {
+	if t, ok := s.next[pred]; ok {
+		return s.fp.DB.QueryCount("SELECT COUNT(*) FROM " + t)
+	}
+	return 0, nil
+}
+
+// retire drops pred's current delta table, if the run created it.
+func (s *sqlExcept) retire(pred string) error {
+	if t, ok := s.cur[pred]; ok && s.own {
+		return s.fp.Temps.drop(t)
+	}
+	return nil
+}
+
+func (s *sqlExcept) advance() error {
+	fp := s.fp
+	for _, p := range fp.Preds {
+		t0 := time.Now()
+		if t, ok := s.next[p]; ok {
+			if s.sparse && fp.DB.TableRows(t) == 0 {
+				if err := fp.Temps.drop(t); err != nil {
+					return err
+				}
+				delete(s.next, p)
+			} else if err := fp.DB.Exec("INSERT INTO " + fp.Into(p) + " SELECT * FROM " + t); err != nil {
+				return err
+			}
+		}
+		if err := s.retire(p); err != nil {
+			return err
+		}
+		fp.Stats.TempTable += time.Since(t0)
+	}
+	s.cur, s.own = s.next, true
+	return nil
+}
+
+func (s *sqlExcept) finish() error {
+	fp := s.fp
+	for _, p := range fp.Preds {
+		t0 := time.Now()
+		if t, ok := s.next[p]; ok {
+			if err := fp.Temps.drop(t); err != nil {
+				return err
+			}
+		}
+		if err := s.retire(p); err != nil {
+			return err
+		}
+		fp.Stats.TempTable += time.Since(t0)
+	}
+	return nil
+}
+
+// checkCtx polls a run's context (nil = never canceled): the node- and
+// round-boundary cancellation point.
+func checkCtx(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("rtlib: evaluation canceled: %w", err)
+	}
+	return nil
+}
+
+// evalCtx is the context rule statements observe between tuples:
+// the run's, or Background when it has none.
+func evalCtx(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
+	}
+	return ctx
+}
+
+// sanitize maps predicate names injectively onto SQL identifier bodies:
+// the uniform "p" prefix keeps reserved predicates (leading '_') legal
+// and collision-free against user predicates.
+func sanitize(pred string) string {
+	return "p" + pred
+}

@@ -11,29 +11,28 @@ import (
 
 // evalCliqueNaive computes the least fixed point of a clique by naive
 // iteration: R_{k+1} = f(R_k) recomputed from scratch each round,
-// terminating when f adds nothing new. The implementation follows the
-// paper's embedded-SQL realization: fresh temporary tables per
-// iteration, a set-difference termination check, and a full table copy
-// to install each round's result.
-func (ev *evaluator) evalCliqueNaive(node *codegen.Node, seeds map[string][]rel.Tuple, ns *NodeStats, sp *obs.Span) error {
-	for _, p := range node.Preds {
-		if err := ev.createPredTable(p, seeds, ns); err != nil {
-			return err
-		}
-	}
+// terminating when f adds nothing new. It is a different algorithm from
+// the semi-naive driver (Fixpoint.Run) and the paper's comparison
+// baseline, so it keeps its own loop; it follows the paper's
+// embedded-SQL realization: fresh temporary tables per iteration, a
+// set-difference termination check, and a full table copy to install
+// each round's result. fp carries the clique (Exit and Rules are both
+// part of f) and its accumulators, already created and seeded.
+func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
+	ns, sp, d := fp.Stats, fp.Span, fp.DB
 	// Iteration 0 records the seed contents so per-iteration delta
 	// cardinalities sum to the node's final tuple count.
 	if sp != nil {
 		zero := sp.Start("iteration 0")
-		for _, p := range node.Preds {
-			zero.SetInt("delta("+p+")", int64(ev.d.TableRows(ev.tableOf(p))))
+		for _, p := range fp.Preds {
+			zero.SetInt("delta("+p+")", int64(d.TableRows(fp.Into(p))))
 		}
 		zero.End()
 	}
-	rules := append(append([]codegen.RuleSQL(nil), node.ExitRules...), node.RecursiveRules...)
+	rules := append(append([]codegen.RuleSQL(nil), fp.Exit...), fp.Rules...)
 
 	for {
-		if err := ev.checkCtx(); err != nil {
+		if err := checkCtx(fp.Ctx); err != nil {
 			return err
 		}
 		ns.Iterations++
@@ -42,69 +41,43 @@ func (ev *evaluator) evalCliqueNaive(node *codegen.Node, seeds map[string][]rel.
 			itSp = sp.Start(fmt.Sprintf("iteration %d", ns.Iterations))
 		}
 		// new_p := f(R) for each predicate, into fresh tables.
-		newNames := make(map[string]string, len(node.Preds))
-		for _, p := range node.Preds {
-			name := fmt.Sprintf("%snew%d_%s", ev.prefix, ns.Iterations, sanitize(p))
-			t0 := time.Now()
-			if err := ev.createTable(name, ev.prog.Schemas[p]); err != nil {
+		newNames := make(map[string]string, len(fp.Preds))
+		for _, p := range fp.Preds {
+			name := fmt.Sprintf("%snew%d_%s", fp.Prefix, ns.Iterations, sanitize(p))
+			if err := fp.createTemp(name, p); err != nil {
 				return err
 			}
-			ns.TempTable += time.Since(t0)
 			newNames[p] = name
 			// Seeds are part of every f(R) application (they are facts
 			// of the predicate).
-			if err := ev.d.InsertTuples(name, seeds[p]); err != nil {
+			if err := d.InsertTuples(name, seeds[p]); err != nil {
 				return err
 			}
 		}
 		for i := range rules {
 			r := &rules[i]
-			target := newNames[r.Head]
-			var ruleSp *obs.Span
-			if itSp != nil {
-				ruleSp = itSp.Start("rule " + r.Head)
-				ruleSp.SetString("src", r.Source)
+			if err := fp.insertRule(r, r.SQL(fp.TableOf), newNames[r.Head], "", itSp); err != nil {
+				return err
 			}
-			t0 := time.Now()
-			stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s",
-				target, r.SQL(ev.tableOf), target)
-			if err := ev.d.ExecTracedCtx(ev.evalCtx(), stmt, ruleSp); err != nil {
-				return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
-			}
-			ruleSp.End()
-			ns.Eval += time.Since(t0)
 		}
 		// Termination: f(R) added nothing beyond R. The check is the
 		// full set difference the paper calls out as expensive under a
-		// plain SQL interface. Under Parallel the difference is computed
-		// Go-side instead, hash-range partitioned across the pool.
+		// plain SQL interface.
 		grew := false
 		tcSp := itSp.Start("termcheck")
-		for _, p := range node.Preds {
-			var added int
-			if ev.opts.Parallel && ev.parts > 1 {
-				tcSp.SetInt("sched.partitions", int64(ev.parts))
-				n, err := ev.termDiffPartitioned(newNames[p], ev.tableOf(p), ns)
-				if err != nil {
-					return err
-				}
-				added = n
-			} else {
-				t0 := time.Now()
-				diff, err := ev.d.Query(fmt.Sprintf(
-					"SELECT * FROM %s EXCEPT SELECT * FROM %s", newNames[p], ev.tableOf(p)))
-				if err != nil {
-					return err
-				}
-				ns.TermCheck += time.Since(t0)
-				added = len(diff.Tuples)
+		for _, p := range fp.Preds {
+			t0 := time.Now()
+			diff, err := d.Query("SELECT * FROM " + newNames[p] + " EXCEPT SELECT * FROM " + fp.Into(p))
+			if err != nil {
+				return err
 			}
-			if added > 0 {
+			ns.TermCheck += time.Since(t0)
+			if len(diff.Tuples) > 0 {
 				grew = true
 			}
 			if itSp != nil {
-				itSp.SetInt("delta("+p+")", int64(added))
-				itSp.SetInt("acc("+p+")", int64(ev.d.TableRows(newNames[p])))
+				itSp.SetInt("delta("+p+")", int64(len(diff.Tuples)))
+				itSp.SetInt("acc("+p+")", int64(d.TableRows(newNames[p])))
 			}
 		}
 		tcSp.End()
@@ -112,16 +85,16 @@ func (ev *evaluator) evalCliqueNaive(node *codegen.Node, seeds map[string][]rel.
 		// Install the new round: drop old tables, rename-by-copy (the
 		// SQL interface has no rename, as the paper notes — copying is
 		// part of the measured overhead).
-		for _, p := range node.Preds {
+		for _, p := range fp.Preds {
 			t0 := time.Now()
-			old := ev.tableOf(p)
-			if err := ev.d.Exec(fmt.Sprintf("DELETE FROM %s", old)); err != nil {
+			old := fp.Into(p)
+			if err := d.Exec("DELETE FROM " + old); err != nil {
 				return err
 			}
-			if err := ev.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", old, newNames[p])); err != nil {
+			if err := d.Exec("INSERT INTO " + old + " SELECT * FROM " + newNames[p]); err != nil {
 				return err
 			}
-			if err := ev.dropTable(newNames[p]); err != nil {
+			if err := fp.Temps.drop(newNames[p]); err != nil {
 				return err
 			}
 			ns.TempTable += time.Since(t0)
@@ -130,217 +103,6 @@ func (ev *evaluator) evalCliqueNaive(node *codegen.Node, seeds map[string][]rel.
 			return nil
 		}
 	}
-}
-
-// evalCliqueSemiNaive computes the least fixed point with the
-// differential (semi-naive) method: after initializing each predicate
-// with its exit rules, every iteration evaluates each recursive rule
-// once per clique occurrence with that occurrence reading the previous
-// iteration's delta, keeps only tuples not already accumulated, and
-// terminates when every delta is empty.
-func (ev *evaluator) evalCliqueSemiNaive(node *codegen.Node, seeds map[string][]rel.Tuple, ns *NodeStats, sp *obs.Span) error {
-	delta := make(map[string]string, len(node.Preds))
-	for _, p := range node.Preds {
-		if err := ev.createPredTable(p, seeds, ns); err != nil {
-			return err
-		}
-	}
-	// Initialization: exit rules (plus seeds, already inserted) fill
-	// the accumulators; delta_0 is a copy of the initial relations.
-	var zeroSp *obs.Span
-	if sp != nil {
-		zeroSp = sp.Start("iteration 0")
-	}
-	for i := range node.ExitRules {
-		r := &node.ExitRules[i]
-		target := ev.tableOf(r.Head)
-		var ruleSp *obs.Span
-		if zeroSp != nil {
-			ruleSp = zeroSp.Start("rule " + r.Head)
-			ruleSp.SetString("src", r.Source)
-		}
-		t0 := time.Now()
-		stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s",
-			target, r.SQL(ev.tableOf), target)
-		if err := ev.d.ExecTracedCtx(ev.evalCtx(), stmt, ruleSp); err != nil {
-			return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
-		}
-		ruleSp.End()
-		ns.Eval += time.Since(t0)
-	}
-	for _, p := range node.Preds {
-		name := fmt.Sprintf("%sdelta_%s", ev.prefix, sanitize(p))
-		t0 := time.Now()
-		if err := ev.createTable(name, ev.prog.Schemas[p]); err != nil {
-			return err
-		}
-		if err := ev.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", name, ev.tableOf(p))); err != nil {
-			return err
-		}
-		ns.TempTable += time.Since(t0)
-		delta[p] = name
-		if zeroSp != nil {
-			zeroSp.SetInt("delta("+p+")", int64(ev.d.TableRows(name)))
-		}
-	}
-	zeroSp.End()
-
-	for {
-		if err := ev.checkCtx(); err != nil {
-			return err
-		}
-		ns.Iterations++
-		var itSp *obs.Span
-		if sp != nil {
-			itSp = sp.Start(fmt.Sprintf("iteration %d", ns.Iterations))
-		}
-		// Evaluate differentials into fresh delta tables.
-		newDelta := make(map[string]string, len(node.Preds))
-		for _, p := range node.Preds {
-			name := fmt.Sprintf("%sndelta%d_%s", ev.prefix, ns.Iterations, sanitize(p))
-			t0 := time.Now()
-			if err := ev.createTable(name, ev.prog.Schemas[p]); err != nil {
-				return err
-			}
-			ns.TempTable += time.Since(t0)
-			newDelta[p] = name
-		}
-		for i := range node.RecursiveRules {
-			r := &node.RecursiveRules[i]
-			target := newDelta[r.Head]
-			acc := ev.tableOf(r.Head)
-			// One differential per clique occurrence: occurrence j
-			// reads delta, the others the full accumulator.
-			for _, occ := range r.CliqueOccs {
-				tables := make([]string, len(r.From))
-				for fi, f := range r.From {
-					if fi == occ {
-						tables[fi] = delta[f.Pred]
-					} else {
-						tables[fi] = ev.tableOf(f.Pred)
-					}
-				}
-				var ruleSp *obs.Span
-				if itSp != nil {
-					ruleSp = itSp.Start("rule " + r.Head)
-					ruleSp.SetString("src", r.Source)
-				}
-				t0 := time.Now()
-				stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s EXCEPT SELECT * FROM %s",
-					target, r.SQLWithTables(tables), acc, target)
-				if err := ev.d.ExecTracedCtx(ev.evalCtx(), stmt, ruleSp); err != nil {
-					return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
-				}
-				ruleSp.End()
-				ns.Eval += time.Since(t0)
-			}
-		}
-		// Termination check: all deltas empty.
-		done := true
-		tcSp := itSp.Start("termcheck")
-		for _, p := range node.Preds {
-			t0 := time.Now()
-			n, err := ev.d.QueryCount(fmt.Sprintf("SELECT COUNT(*) FROM %s", newDelta[p]))
-			if err != nil {
-				return err
-			}
-			ns.TermCheck += time.Since(t0)
-			if n > 0 {
-				done = false
-			}
-			if itSp != nil {
-				itSp.SetInt("delta("+p+")", n)
-				itSp.SetInt("acc("+p+")", int64(ev.d.TableRows(ev.tableOf(p))))
-			}
-		}
-		tcSp.End()
-		itSp.End()
-		if done {
-			for _, p := range node.Preds {
-				t0 := time.Now()
-				if err := ev.dropTable(newDelta[p]); err != nil {
-					return err
-				}
-				if err := ev.dropTable(delta[p]); err != nil {
-					return err
-				}
-				ns.TempTable += time.Since(t0)
-			}
-			return nil
-		}
-		// Accumulate deltas and advance.
-		for _, p := range node.Preds {
-			t0 := time.Now()
-			if err := ev.d.Exec(fmt.Sprintf("INSERT INTO %s SELECT * FROM %s",
-				ev.tableOf(p), newDelta[p])); err != nil {
-				return err
-			}
-			if err := ev.dropTable(delta[p]); err != nil {
-				return err
-			}
-			ns.TempTable += time.Since(t0)
-			delta[p] = newDelta[p]
-		}
-	}
-}
-
-// termDiffPartitioned counts tuples of newName absent from oldName —
-// the naive termination set difference — Go-side, hash-range
-// partitioned across the pool: partition k indexes only the old tuples
-// whose keys hash to k and probes only the matching new tuples, so the
-// partitions share nothing and run lock-free (the tcop.go hash-probe
-// idea applied to the general LFP path).
-func (ev *evaluator) termDiffPartitioned(newName, oldName string, ns *NodeStats) (int, error) {
-	t0 := time.Now()
-	newRows, err := ev.d.Query("SELECT * FROM " + newName)
-	if err != nil {
-		return 0, err
-	}
-	oldRows, err := ev.d.Query("SELECT * FROM " + oldName)
-	if err != nil {
-		return 0, err
-	}
-	counts := make([]int, ev.parts)
-	ev.runJobs(ev.parts, func(part, _ int) {
-		old := make(map[string]bool)
-		for _, tu := range oldRows.Tuples {
-			if k := tu.Key(); tupleShard(k, ev.parts) == part {
-				old[k] = true
-			}
-		}
-		seen := make(map[string]bool)
-		for _, tu := range newRows.Tuples {
-			k := tu.Key()
-			if tupleShard(k, ev.parts) != part || old[k] || seen[k] {
-				continue
-			}
-			seen[k] = true
-			counts[part]++
-		}
-	})
-	ns.TermCheck += time.Since(t0)
-	added := 0
-	for _, c := range counts {
-		added += c
-	}
-	return added, nil
-}
-
-// cleanup drops every temp table created by the evaluator.
-func (ev *evaluator) cleanup() error {
-	var firstErr error
-	ev.mu.Lock()
-	tables := append([]string(nil), ev.created...)
-	ev.mu.Unlock()
-	for _, t := range tables {
-		if err := ev.dropTable(t); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	ev.mu.Lock()
-	ev.created = nil
-	ev.mu.Unlock()
-	return firstErr
 }
 
 // seedTuplesValid verifies seed arity/type against schemas before any

@@ -3,13 +3,11 @@ package rtlib
 import (
 	"fmt"
 	"hash/fnv"
-	"runtime"
-	"sync"
 	"time"
 
-	"dkbms/internal/codegen"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
+	"dkbms/internal/sched"
 )
 
 // Partitioning thresholds. Below these sizes the serial loop wins: the
@@ -38,58 +36,67 @@ func tupleShard(key string, parts int) int {
 	return int(h.Sum32() % uint32(parts))
 }
 
-// runJobs executes n independent jobs concurrently, bounded by the
-// shared worker pool when the evaluation has one (fair admission across
-// sessions), else by a GOMAXPROCS-slot semaphore so a single evaluation
-// never fans out more goroutines than cores regardless of how many rule
-// differentials an iteration produces. The job's second argument is the
-// pool worker index (-1 for inline/fallback execution).
-func (ev *evaluator) runJobs(n int, job func(i, worker int)) {
-	if n <= 1 {
-		if n == 1 {
-			job(0, -1)
-		}
-		return
-	}
-	if ev.client != nil {
-		g := ev.client.Group()
-		for i := 0; i < n; i++ {
-			i := i
-			g.Go(func(worker int) { job(i, worker) })
-		}
-		g.Wait()
-		return
-	}
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		sem <- struct{}{} // bounding acquire, released by the job
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			job(i, -1)
-		}(i)
-	}
-	wg.Wait()
+// hashPartitioned is the delta strategy behind Options.Parallel — the
+// paper's conclusions 7a and 6b realized on the bounded scheduler: every
+// differential of a round is a read-only SELECT run as a pool task
+// (the engine's buffer pool and indexes are safe for concurrent
+// readers); the new tuples are found against a sharded Go-side index of
+// the accumulated relation — per-partition hash sets, lock-free —
+// instead of SQL set differences, and bulk-installed; and a large delta
+// is split into hash-range partition tables so a single rule's
+// differential divides across workers. It computes the first delta from
+// exit rules only (Fixpoint.First is sqlExcept's). Answers are
+// identical to sqlExcept's.
+type hashPartitioned struct {
+	fp *Fixpoint
+	// client is the evaluation's admission handle on the shared worker
+	// pool (nil: every job runs inline); parts is the hash-range
+	// partition count (1 = no partitioning).
+	client *sched.Client
+	parts  int
+	seeds  map[string][]rel.Tuple
+
+	acc    map[string]*accSet
+	deltas map[string]*deltaRelation
+	// fresh is the pending delta, by shard then predicate.
+	fresh []map[string][]rel.Tuple
 }
 
-// parallelSelects evaluates read-only SELECT statements concurrently on
-// the evaluation's job runner. When sp is non-nil each statement records
-// an operator-tree span under it, labelled by the matching labels entry
-// (the trace serializes concurrent appends) and tagged with the worker
-// that ran it.
-func (ev *evaluator) parallelSelects(sqls, labels []string, ns *NodeStats, sp *obs.Span) ([][]rel.Tuple, error) {
-	results := make([][]rel.Tuple, len(sqls))
-	errs := make([]error, len(sqls))
+// runJobs executes n independent jobs on the shared worker pool (fair
+// admission across sessions), or inline in order when the evaluation
+// has none. The job's second argument is the pool worker index (-1
+// inline).
+func (h *hashPartitioned) runJobs(n int, job func(i, worker int)) {
+	if h.client == nil || n <= 1 {
+		for i := 0; i < n; i++ {
+			job(i, -1)
+		}
+		return
+	}
+	g := h.client.Group()
+	for i := 0; i < n; i++ {
+		i := i
+		g.Go(func(worker int) { job(i, worker) })
+	}
+	g.Wait()
+}
+
+// selects evaluates a round's differentials concurrently on the job
+// runner. When sp is non-nil each records a "rule <head>" span under it
+// holding its operator tree (the trace serializes concurrent appends),
+// tagged with the worker that ran it. results[i] belongs to jobs[i].
+func (h *hashPartitioned) selects(jobs []differential, sp *obs.Span) ([][]rel.Tuple, error) {
+	fp := h.fp
+	results := make([][]rel.Tuple, len(jobs))
+	errs := make([]error, len(jobs))
 	t0 := time.Now()
-	ev.runJobs(len(sqls), func(i, worker int) {
+	h.runJobs(len(jobs), func(i, worker int) {
 		var jobSp *obs.Span
 		if sp != nil {
-			jobSp = sp.Start(labels[i])
+			jobSp = sp.Start("rule " + jobs[i].rule.Head)
 			jobSp.SetInt("sched.worker", int64(worker))
 		}
-		rows, err := ev.d.QueryTracedCtx(ev.evalCtx(), sqls[i], jobSp)
+		rows, err := fp.DB.QueryTracedCtx(evalCtx(fp.Ctx), jobs[i].sel, jobSp)
 		jobSp.End()
 		if err != nil {
 			errs[i] = err
@@ -97,7 +104,7 @@ func (ev *evaluator) parallelSelects(sqls, labels []string, ns *NodeStats, sp *o
 		}
 		results[i] = rows.Tuples
 	})
-	ns.Eval += time.Since(t0)
+	fp.Stats.Eval += time.Since(t0)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -109,10 +116,9 @@ func (ev *evaluator) parallelSelects(sqls, labels []string, ns *NodeStats, sp *o
 // accSet is one predicate's accumulated-tuple index, sharded by hash
 // range: shard k holds exactly the keys tupleShard assigns to k, so a
 // partitioned dedup pass owns its shard exclusively and runs without
-// locks. count is the total across shards.
+// locks.
 type accSet struct {
 	shards []map[string]bool
-	count  int
 }
 
 func newAccSet(parts int) *accSet {
@@ -130,24 +136,28 @@ func (s *accSet) add(key string) bool {
 		return false
 	}
 	m[key] = true
-	s.count++
 	return true
 }
 
-// dedup filters the raw differential results down to genuinely new
-// tuples, updating acc. results[i] belongs to predicate heads[i]. The
-// returned slices are indexed by partition then predicate — partition
-// p's tuples all hash to shard p, which is exactly the layout the
-// partitioned delta tables want. Small batches run serially into
-// partition 0's slot ordering (same hash shards, so correctness is
-// unaffected); large ones fan one task per shard onto the pool, each
-// task probing and updating only its own shard — lock-free.
-func (ev *evaluator) dedup(heads []string, results [][]rel.Tuple, acc map[string]*accSet, ns *NodeStats) []map[string][]rel.Tuple {
-	parts := ev.parts
+// derive runs the differentials, filters their results down to the
+// tuples the accumulators lack, installs those into Into and leaves
+// them in h.fresh, indexed by partition then predicate — partition p's
+// tuples all hash to shard p, which is exactly the layout the
+// partitioned delta tables want. Small batches dedup serially into
+// partition 0's slot (same hash shards, so correctness is unaffected);
+// large ones fan one task per shard onto the pool, each task probing
+// and updating only its own shard — lock-free.
+func (h *hashPartitioned) derive(jobs []differential, sp *obs.Span) error {
+	fp, parts := h.fp, h.parts
+	results, err := h.selects(jobs, sp)
+	if err != nil {
+		return err
+	}
 	out := make([]map[string][]rel.Tuple, parts)
 	for p := range out {
 		out[p] = make(map[string][]rel.Tuple)
 	}
+	h.fresh = out
 	total := 0
 	for _, rows := range results {
 		total += len(rows)
@@ -155,301 +165,197 @@ func (ev *evaluator) dedup(heads []string, results [][]rel.Tuple, acc map[string
 	t0 := time.Now()
 	if parts == 1 || total < dedupThreshold {
 		for i, rows := range results {
-			a := acc[heads[i]]
+			head := jobs[i].rule.Head
+			a := h.acc[head]
 			for _, tu := range rows {
 				if a.add(tu.Key()) {
-					out[0][heads[i]] = append(out[0][heads[i]], tu)
+					out[0][head] = append(out[0][head], tu)
 				}
 			}
 		}
-		ns.TermCheck += time.Since(t0)
-		return out
-	}
-	// Precompute keys and shards once (the partition tasks would
-	// otherwise each re-derive every tuple's key).
-	keys := make([][]string, len(results))
-	shards := make([][]uint8, len(results))
-	ev.runJobs(len(results), func(i, _ int) {
-		keys[i] = make([]string, len(results[i]))
-		shards[i] = make([]uint8, len(results[i]))
-		for j, tu := range results[i] {
-			k := tu.Key()
-			keys[i][j] = k
-			shards[i][j] = uint8(tupleShard(k, parts))
-		}
-	})
-	ev.runJobs(parts, func(p, _ int) {
-		for i, rows := range results {
-			m := acc[heads[i]].shards[p]
-			for j, tu := range rows {
-				if int(shards[i][j]) != p {
-					continue
+	} else {
+		// Precompute keys and shards once (the partition tasks would
+		// otherwise each re-derive every tuple's key).
+		keys := make([][]string, len(results))
+		shards := make([][]uint8, len(results))
+		h.runJobs(len(results), func(i, _ int) {
+			keys[i] = make([]string, len(results[i]))
+			shards[i] = make([]uint8, len(results[i]))
+			for j, tu := range results[i] {
+				k := tu.Key()
+				keys[i][j] = k
+				shards[i][j] = uint8(tupleShard(k, parts))
+			}
+		})
+		h.runJobs(parts, func(p, _ int) {
+			for i, rows := range results {
+				head := jobs[i].rule.Head
+				m := h.acc[head].shards[p]
+				for j, tu := range rows {
+					if int(shards[i][j]) != p {
+						continue
+					}
+					k := keys[i][j]
+					if m[k] {
+						continue
+					}
+					m[k] = true
+					out[p][head] = append(out[p][head], tu)
 				}
-				k := keys[i][j]
-				if m[k] {
-					continue
-				}
-				m[k] = true
-				out[p][heads[i]] = append(out[p][heads[i]], tu)
 			}
-		}
-	})
-	for _, a := range acc {
-		n := 0
-		for _, m := range a.shards {
-			n += len(m)
-		}
-		a.count = n
+		})
 	}
-	ns.TermCheck += time.Since(t0)
-	return out
-}
-
-// deltaRelation materializes one predicate's per-iteration delta in the
-// DBMS, optionally split into hash-range partition tables so each
-// differential SELECT over a large delta becomes parts independent
-// jobs (conclusion 7a taken inside a single rule application).
-type deltaRelation struct {
-	pred   string
-	names  []string // partition tables, created lazily; names[0] first
-	dirty  []bool   // partition holds rows from the previous fill
-	active []string // partitions holding the current delta
-}
-
-// fill installs the iteration's delta tuples (grouped by shard, as
-// dedup returns them) into partition tables. Small deltas collapse into
-// partition 0 — one differential per rule occurrence, as before; large
-// ones occupy one table per non-empty shard.
-func (ev *evaluator) fillDelta(dr *deltaRelation, byShard []map[string][]rel.Tuple, ns *NodeStats) error {
-	total := 0
-	for _, m := range byShard {
-		total += len(m[dr.pred])
-	}
-	split := ev.parts > 1 && total >= partitionThreshold
-	// Clear previously used partitions.
-	t0 := time.Now()
-	for i, d := range dr.dirty {
-		if d {
-			if err := ev.d.Exec("DELETE FROM " + dr.names[i]); err != nil {
-				return err
-			}
-			dr.dirty[i] = false
-		}
-	}
-	ns.TempTable += time.Since(t0)
-	dr.active = dr.active[:0]
-	install := func(part int, tuples []rel.Tuple) error {
-		if len(tuples) == 0 {
-			return nil
-		}
-		for len(dr.names) <= part {
-			name := fmt.Sprintf("%spdelta%d_%s", ev.prefix, len(dr.names), sanitize(dr.pred))
-			t0 := time.Now()
-			if err := ev.createTable(name, ev.prog.Schemas[dr.pred]); err != nil {
-				return err
-			}
-			ns.TempTable += time.Since(t0)
-			dr.names = append(dr.names, name)
-			dr.dirty = append(dr.dirty, false)
-		}
-		if err := ev.d.InsertTuples(dr.names[part], tuples); err != nil {
-			return err
-		}
-		dr.dirty[part] = true
-		dr.active = append(dr.active, dr.names[part])
-		return nil
-	}
-	if !split {
-		var all []rel.Tuple
-		for _, m := range byShard {
-			all = append(all, m[dr.pred]...)
-		}
-		return install(0, all)
-	}
-	for part, m := range byShard {
-		if err := install(part, m[dr.pred]); err != nil {
+	fp.Stats.TermCheck += time.Since(t0)
+	for _, p := range fp.Preds {
+		if err := fp.DB.InsertTuples(fp.Into(p), h.pendingTuples(p)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// evalCliqueSemiNaiveParallel is the paper's conclusion 7a realized on
-// the bounded scheduler: every differential SELECT of an iteration runs
-// concurrently (reads only — the engine's buffer pool and indexes are
-// safe for concurrent readers); large deltas are hash-range partitioned
-// so a single rule's differential splits across workers; and the new
-// tuples are deduplicated against a sharded Go-side accumulator index —
-// per-partition hash sets merged lock-free — instead of the SQL set
-// differences the paper laments (conclusion 6b). Results are identical
-// to the sequential semi-naive loop.
-func (ev *evaluator) evalCliqueSemiNaiveParallel(node *codegen.Node, seeds map[string][]rel.Tuple, ns *NodeStats, sp *obs.Span) error {
-	for _, p := range node.Preds {
-		if err := ev.createPredTable(p, seeds, ns); err != nil {
-			return err
-		}
+// pendingTuples gathers pred's pending delta across shards.
+func (h *hashPartitioned) pendingTuples(pred string) []rel.Tuple {
+	var all []rel.Tuple
+	for _, m := range h.fresh {
+		all = append(all, m[pred]...)
 	}
-	var zeroSp *obs.Span
-	if sp != nil {
-		zeroSp = sp.Start("iteration 0")
-		zeroSp.SetInt("sched.partitions", int64(ev.parts))
-	}
-	initLabels := make([]string, len(node.ExitRules))
-	initHeads := make([]string, len(node.ExitRules))
-	for i := range node.ExitRules {
-		initLabels[i] = "rule " + node.ExitRules[i].Head
-		initHeads[i] = node.ExitRules[i].Head
-	}
-	// Initialization: exit rules, evaluated concurrently as well.
-	initRows, err := ev.parallelSelects(selectsFor(node.ExitRules, func(r *codegen.RuleSQL) []string {
-		tables := make([]string, len(r.From))
-		for i, f := range r.From {
-			tables[i] = ev.tableOf(f.Pred)
-		}
-		return tables
-	}), initLabels, ns, zeroSp)
-	if err != nil {
-		return err
-	}
-	// acc tracks accumulated tuples per predicate, Go-side and sharded,
-	// so deduplication needs no SQL set differences.
-	acc := make(map[string]*accSet, len(node.Preds))
-	for _, p := range node.Preds {
-		acc[p] = newAccSet(ev.parts)
-		for _, tu := range seeds[p] {
-			acc[p].add(tu.Key())
-		}
-	}
-	byShard := ev.dedup(initHeads, initRows, acc, ns)
-	// Install the deduplicated exit-rule tuples (seeds are already in
-	// the predicate tables from createPredTable).
-	for _, p := range node.Preds {
-		var fresh []rel.Tuple
-		for _, m := range byShard {
-			fresh = append(fresh, m[p]...)
-		}
-		if err := ev.d.InsertTuples(ev.tableOf(p), fresh); err != nil {
-			return err
-		}
-		// Seeds are part of the initial delta too.
-		if len(seeds[p]) > 0 {
-			byShard[0][p] = append(byShard[0][p], seeds[p]...)
-		}
-		if zeroSp != nil {
-			zeroSp.SetInt("delta("+p+")", int64(len(fresh)+len(seeds[p])))
-		}
-	}
-	zeroSp.End()
-
-	// Delta relations are still materialized in the DBMS because the
-	// differential SELECTs read them — partitioned by hash range when
-	// large.
-	deltas := make(map[string]*deltaRelation, len(node.Preds))
-	for _, p := range node.Preds {
-		deltas[p] = &deltaRelation{pred: p}
-		if err := ev.fillDelta(deltas[p], byShard, ns); err != nil {
-			return err
-		}
-	}
-
-	type job struct {
-		head string
-		sql  string
-	}
-	for {
-		if err := ev.checkCtx(); err != nil {
-			return err
-		}
-		ns.Iterations++
-		var itSp *obs.Span
-		if sp != nil {
-			itSp = sp.Start(fmt.Sprintf("iteration %d", ns.Iterations))
-		}
-		// One job per (recursive rule, clique occurrence, active delta
-		// partition of that occurrence's predicate): the union over
-		// partitions is the full differential, since the occurrence is
-		// linear in the delta.
-		var jobs []job
-		for i := range node.RecursiveRules {
-			r := &node.RecursiveRules[i]
-			for _, occ := range r.CliqueOccs {
-				for _, part := range deltas[r.From[occ].Pred].active {
-					tables := make([]string, len(r.From))
-					for fi, f := range r.From {
-						if fi == occ {
-							tables[fi] = part
-						} else {
-							tables[fi] = ev.tableOf(f.Pred)
-						}
-					}
-					jobs = append(jobs, job{head: r.Head, sql: r.SQLWithTables(tables)})
-				}
-			}
-		}
-		sqls := make([]string, len(jobs))
-		labels := make([]string, len(jobs))
-		heads := make([]string, len(jobs))
-		for i, j := range jobs {
-			sqls[i] = j.sql
-			labels[i] = "rule " + j.head
-			heads[i] = j.head
-		}
-		results, err := ev.parallelSelects(sqls, labels, ns, itSp)
-		if err != nil {
-			return err
-		}
-		byShard := ev.dedup(heads, results, acc, ns)
-		newCount := make(map[string]int, len(node.Preds))
-		for _, p := range node.Preds {
-			var fresh []rel.Tuple
-			for _, m := range byShard {
-				fresh = append(fresh, m[p]...)
-			}
-			newCount[p] = len(fresh)
-			if err := ev.d.InsertTuples(ev.tableOf(p), fresh); err != nil {
-				return err
-			}
-		}
-		// Termination: all deltas empty (a map-size check; the paper's
-		// expensive SQL set difference is gone, which is conclusion 6b).
-		t0 := time.Now()
-		done := true
-		for _, p := range node.Preds {
-			if newCount[p] > 0 {
-				done = false
-			}
-			if itSp != nil {
-				itSp.SetInt("delta("+p+")", int64(newCount[p]))
-				itSp.SetInt("acc("+p+")", int64(acc[p].count))
-			}
-		}
-		ns.TermCheck += time.Since(t0)
-		itSp.End()
-		if done {
-			for _, p := range node.Preds {
-				t0 := time.Now()
-				for _, name := range deltas[p].names {
-					if err := ev.dropTable(name); err != nil {
-						return err
-					}
-				}
-				ns.TempTable += time.Since(t0)
-			}
-			return nil
-		}
-		for _, p := range node.Preds {
-			if err := ev.fillDelta(deltas[p], byShard, ns); err != nil {
-				return err
-			}
-		}
-	}
+	return all
 }
 
-// selectsFor renders rule SELECTs with a table-choice function.
-func selectsFor(rules []codegen.RuleSQL, tables func(*codegen.RuleSQL) []string) []string {
-	out := make([]string, len(rules))
-	for i := range rules {
-		out[i] = rules[i].SQLWithTables(tables(&rules[i]))
+// deltaRelation materializes one predicate's per-iteration delta in the
+// DBMS — the differential SELECTs read it — optionally split into
+// hash-range partition tables so each differential over a large delta
+// becomes parts independent jobs (conclusion 7a taken inside a single
+// rule application).
+type deltaRelation struct {
+	names  []string // partition tables, created lazily; names[0] first
+	dirty  []bool   // partition holds rows from the previous fill
+	active []string // partitions holding the current delta
+}
+
+// fill installs pred's pending delta into partition tables. Small
+// deltas collapse into partition 0 — one differential per rule
+// occurrence; large ones occupy one table per non-empty shard.
+func (h *hashPartitioned) fill(pred string) error {
+	fp, dr := h.fp, h.deltas[pred]
+	// Clear previously used partitions.
+	t0 := time.Now()
+	for i, d := range dr.dirty {
+		if d {
+			if err := fp.DB.Exec("DELETE FROM " + dr.names[i]); err != nil {
+				return err
+			}
+			dr.dirty[i] = false
+		}
 	}
-	return out
+	fp.Stats.TempTable += time.Since(t0)
+	dr.active = dr.active[:0]
+	install := func(part int, tuples []rel.Tuple) error {
+		if len(tuples) == 0 {
+			return nil
+		}
+		for len(dr.names) <= part {
+			name := fmt.Sprintf("%spdelta%d_%s", fp.Prefix, len(dr.names), sanitize(pred))
+			if err := fp.createTemp(name, pred); err != nil {
+				return err
+			}
+			dr.names = append(dr.names, name)
+			dr.dirty = append(dr.dirty, false)
+		}
+		if err := fp.DB.InsertTuples(dr.names[part], tuples); err != nil {
+			return err
+		}
+		dr.dirty[part] = true
+		dr.active = append(dr.active, dr.names[part])
+		return nil
+	}
+	all := h.pendingTuples(pred)
+	if h.parts == 1 || len(all) < partitionThreshold {
+		return install(0, all)
+	}
+	for part, m := range h.fresh {
+		if err := install(part, m[pred]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (h *hashPartitioned) start(fp *Fixpoint, zero *obs.Span) error {
+	h.fp = fp
+	zero.SetInt("sched.partitions", int64(h.parts))
+	// acc indexes the accumulated tuples per predicate (the seeds are
+	// already in the relations), so deduplication needs no SQL set
+	// differences.
+	h.acc = make(map[string]*accSet, len(fp.Preds))
+	h.deltas = make(map[string]*deltaRelation, len(fp.Preds))
+	for _, p := range fp.Preds {
+		h.acc[p] = newAccSet(h.parts)
+		for _, tu := range h.seeds[p] {
+			h.acc[p].add(tu.Key())
+		}
+		h.deltas[p] = &deltaRelation{}
+	}
+	// Initialization: exit rules, evaluated concurrently as well.
+	jobs := make([]differential, len(fp.Exit))
+	for i := range fp.Exit {
+		jobs[i] = differential{&fp.Exit[i], fp.Exit[i].SQL(fp.TableOf)}
+	}
+	if err := h.derive(jobs, zero); err != nil {
+		return err
+	}
+	// Seeds are part of the first delta too.
+	for _, p := range fp.Preds {
+		h.fresh[0][p] = append(h.fresh[0][p], h.seeds[p]...)
+		if zero != nil {
+			n, _ := h.pending(p)
+			zero.SetInt("delta("+p+")", n)
+		}
+	}
+	return h.advance()
+}
+
+func (h *hashPartitioned) current(pred string) []string {
+	if dr := h.deltas[pred]; dr != nil {
+		return dr.active
+	}
+	return nil
+}
+
+func (h *hashPartitioned) fire(jobs []differential, it *obs.Span) error {
+	return h.derive(jobs, it)
+}
+
+// pending is a slice-length sum: the paper's SQL termination test is
+// gone (conclusion 6b).
+func (h *hashPartitioned) pending(pred string) (int64, error) {
+	n := 0
+	for _, m := range h.fresh {
+		n += len(m[pred])
+	}
+	return int64(n), nil
+}
+
+func (h *hashPartitioned) advance() error {
+	for _, p := range h.fp.Preds {
+		if err := h.fill(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (h *hashPartitioned) finish() error {
+	fp := h.fp
+	for _, p := range fp.Preds {
+		t0 := time.Now()
+		for _, name := range h.deltas[p].names {
+			if err := fp.Temps.drop(name); err != nil {
+				return err
+			}
+		}
+		fp.Stats.TempTable += time.Since(t0)
+	}
+	return nil
 }

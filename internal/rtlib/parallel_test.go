@@ -3,10 +3,8 @@ package rtlib
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dkbms/internal/codegen"
 	"dkbms/internal/db"
@@ -163,9 +161,8 @@ func TestWavefrontNaiveStrategy(t *testing.T) {
 	}
 }
 
-// fanoutProgram has a single clique with many exit rules, so every
-// iteration would spawn one goroutine per rule if the fan-out were
-// unbounded.
+// fanoutProgram has a single clique with many exit rules: one
+// differential per rule in iteration 0, eight jobs at once.
 func fanoutProgram(t *testing.T) *codegen.Program {
 	t.Helper()
 	types := map[string][]rel.Type{}
@@ -178,29 +175,27 @@ func fanoutProgram(t *testing.T) *codegen.Program {
 	return compile(t, "anc", types, srcs...)
 }
 
-// TestFallbackGoroutinesBounded runs 32 concurrent Parallel queries on
-// the pool-less fallback path and checks the peak goroutine count stays
-// near queries*GOMAXPROCS rather than queries*rules (the pre-semaphore
-// behaviour).
-func TestFallbackGoroutinesBounded(t *testing.T) {
-	const queries = 32
-	prev := runtime.GOMAXPROCS(2)
-	defer runtime.GOMAXPROCS(prev)
-
+// TestPoolLessParallelRunsInline: the executor of Parallel work is the
+// shared pool's client or the calling goroutine, nothing else. Without
+// a pool an evaluation with many jobs per round starts no goroutine
+// (sampled from a monitor while it runs, and compared after) and
+// returns the sequential answer.
+func TestPoolLessParallelRunsInline(t *testing.T) {
 	d := db.OpenMemory()
 	defer d.Close()
 	for i := 0; i < 8; i++ {
 		loadEdges(t, d, fmt.Sprintf("e%d", i), "a>b", "b>c", "c>d", "d>e2", "e2>f")
 	}
 	prog := fanoutProgram(t)
+	seq, err := Evaluate(d, prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	base := runtime.NumGoroutine()
 	var peak atomic.Int64
-	stop := make(chan struct{})
-	var mon sync.WaitGroup
-	mon.Add(1)
+	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		defer mon.Done()
+		defer close(done)
 		for {
 			select {
 			case <-stop:
@@ -210,34 +205,23 @@ func TestFallbackGoroutinesBounded(t *testing.T) {
 			if n := int64(runtime.NumGoroutine()); n > peak.Load() {
 				peak.Store(n)
 			}
-			time.Sleep(100 * time.Microsecond)
+			runtime.Gosched()
 		}
 	}()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, queries)
-	for q := 0; q < queries; q++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := Evaluate(d, prog, Options{Parallel: true}); err != nil {
-				errs <- err
-			}
-		}()
+	base := runtime.NumGoroutine() // this goroutine, the monitor, the runtime's
+	var par *Result
+	for i := 0; i < 20 && err == nil; i++ {
+		par, err = Evaluate(d, prog, Options{Parallel: true})
 	}
-	wg.Wait()
 	close(stop)
-	mon.Wait()
-	close(errs)
-	for err := range errs {
+	<-done
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Bound: base + one goroutine per query + GOMAXPROCS select workers
-	// per query + monitor slack. Unbounded fan-out would add 8 rule
-	// goroutines per query instead (base + 32*9).
-	limit := int64(base + queries + queries*2 + 16)
-	if p := peak.Load(); p > limit {
-		t.Fatalf("peak goroutines %d exceeds bound %d (base %d)", p, limit, base)
+	if p := peak.Load(); p > int64(base) {
+		t.Fatalf("pool-less Parallel evaluation ran with %d goroutines alive, %d before it", p, base)
+	}
+	if rowSet(seq.Rows) != rowSet(par.Rows) {
+		t.Fatalf("pool-less Parallel disagrees:\nseq: %s\npar: %s", rowSet(seq.Rows), rowSet(par.Rows))
 	}
 }

@@ -5,24 +5,34 @@
 //
 // Two LFP strategies are implemented, as in the paper:
 //
-//   - naive evaluation: each iteration recomputes f(R) from scratch into
-//     a fresh table and terminates when no new tuple appeared;
-//   - semi-naive evaluation: the differential approach — each recursive
-//     rule is evaluated once per clique occurrence with that occurrence
-//     reading the delta relation, and only genuinely new tuples extend
-//     the result.
+//   - naive evaluation (evalCliqueNaive): each iteration recomputes f(R)
+//     from scratch into a fresh table and terminates when no new tuple
+//     appeared;
+//   - semi-naive evaluation (Fixpoint.Run): the differential approach —
+//     each recursive rule is evaluated once per clique occurrence with
+//     that occurrence reading the delta relation, and only genuinely
+//     new tuples extend the result.
 //
-// Exactly as the paper laments, everything runs over plain SQL: temp
-// tables are created and dropped per iteration, termination checks are
-// set differences, and accumulated relations are copied — the library
-// instruments those costs (Stats) because they are the subject of the
-// paper's Tests 5–7.
+// There is one semi-naive round loop, Fixpoint.Run, configured like the
+// paper's LFP routine by the data structures its caller loads (rules,
+// predicate→relation resolver, promotion target, source of the first
+// delta) and by one of two delta strategies: sqlExcept — temp table per
+// round, EXCEPT chains, COUNT(*) termination — and hashPartitioned —
+// pooled differential SELECTs deduplicated Go-side (Options.Parallel).
+// Evaluate runs it per clique; internal/matview runs it to absorb a
+// commit into a maintained answer. One registry, TempTables, creates
+// and tears down every temporary relation.
+//
+// Exactly as the paper laments, the default path runs over plain SQL:
+// temp tables are created and dropped per iteration, termination checks
+// are set differences, and accumulated relations are copied — the
+// library instruments those costs (Stats) because they are the subject
+// of the paper's Tests 5–7.
 package rtlib
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,8 +76,8 @@ type Options struct {
 	Parallel bool
 	// Pool, when non-nil and Parallel is set, bounds the evaluation's
 	// concurrency on a shared worker pool with fair per-query
-	// admission. Without a pool, parallel work falls back to transient
-	// goroutines capped at GOMAXPROCS per evaluation.
+	// admission. Without a pool, Parallel work runs inline on the
+	// calling goroutine.
 	Pool *sched.Pool
 	// Trace, when non-nil, records an "eval" span tree: one span per
 	// evaluation-order node, per LFP iteration (delta cardinalities,
@@ -125,7 +135,7 @@ func (r *Result) Cleanup() error {
 	if r.ev == nil {
 		return nil
 	}
-	err := r.ev.cleanup()
+	err := r.ev.temps.DropAll()
 	r.ev = nil
 	return err
 }
@@ -143,7 +153,7 @@ func (r *Result) Detach() (tables map[string]string, created []string) {
 	}
 	ev := r.ev
 	r.ev = nil
-	return ev.tables, ev.created
+	return ev.tables, ev.temps.names()
 }
 
 // runSeq distinguishes concurrent evaluations' temp table names within
@@ -151,9 +161,9 @@ func (r *Result) Detach() (tables map[string]string, created []string) {
 // single DB). Incremented atomically: evaluations start concurrently.
 var runSeq uint64
 
-// maxPartitions caps hash-range partitioning of dedup, termination
-// checks and delta tables: beyond ~8 ways the per-partition bookkeeping
-// outweighs the parallelism for the deltas these workloads produce.
+// maxPartitions caps hash-range partitioning of dedup and delta tables:
+// beyond ~8 ways the per-partition bookkeeping outweighs the
+// parallelism for the deltas these workloads produce.
 const maxPartitions = 8
 
 // Evaluate runs a compiled program against the database.
@@ -165,32 +175,22 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 		opts:   opts,
 		prefix: fmt.Sprintf("dkb%d_", seq),
 		tables: make(map[string]string),
-		ctx:    opts.Ctx,
+		temps:  NewTempTables(d),
 		parts:  1,
 	}
-	if opts.Parallel {
-		if opts.Pool != nil {
-			ev.client = opts.Pool.NewClient()
-			defer ev.client.Close()
-			ev.parts = opts.Pool.Workers()
-		} else {
-			ev.parts = runtime.GOMAXPROCS(0)
-		}
-		if ev.parts > maxPartitions {
-			ev.parts = maxPartitions
-		}
-		if ev.parts < 1 {
-			ev.parts = 1
-		}
+	if opts.Parallel && opts.Pool != nil {
+		ev.client = opts.Pool.NewClient()
+		defer ev.client.Close()
+		ev.parts = min(opts.Pool.Workers(), maxPartitions)
 	}
 	res, err := ev.run()
 	if err != nil {
 		// Best-effort teardown on failure.
-		ev.cleanup()
+		ev.temps.DropAll()
 		return nil, err
 	}
 	if !opts.KeepTables {
-		if err := ev.cleanup(); err != nil {
+		if err := ev.temps.DropAll(); err != nil {
 			return nil, err
 		}
 	} else {
@@ -204,52 +204,23 @@ type evaluator struct {
 	prog   *codegen.Program
 	opts   Options
 	prefix string
-	// mu guards tables and created: the stratum wavefront evaluates
-	// independent nodes concurrently, and each registers the temp
-	// tables it creates.
-	mu sync.Mutex
-	// tables maps derived predicates to their temp table names. Base
-	// predicates map to themselves.
-	tables  map[string]string
-	created []string // temp tables to drop at cleanup
-	stats   Stats
-	ctx     context.Context
+	// tables maps derived predicates to their temp table names (base
+	// predicates resolve to their extensional tables); read-only once
+	// evaluation starts.
+	tables map[string]string
+	temps  *TempTables
+	stats  Stats
 	// client is the evaluation's admission handle on the shared worker
 	// pool (nil without one); parts is the hash-range partition count
-	// for dedup/termcheck/delta partitioning (1 = no partitioning).
+	// of the hashPartitioned delta strategy (1 = no partitioning).
 	client *sched.Client
 	parts  int
-}
-
-// checkCtx polls the run's context (nil = never canceled). It is the
-// LFP iteration-boundary cancellation point.
-func (ev *evaluator) checkCtx() error {
-	if ev.ctx == nil {
-		return nil
-	}
-	if err := ev.ctx.Err(); err != nil {
-		return fmt.Errorf("rtlib: evaluation canceled: %w", err)
-	}
-	return nil
-}
-
-// evalCtx returns the run's context for statement-level cancellation
-// (rule INSERT ... SELECTs and differential SELECTs observe it between
-// tuples), or Background when the run has none.
-func (ev *evaluator) evalCtx() context.Context {
-	if ev.ctx == nil {
-		return context.Background()
-	}
-	return ev.ctx
 }
 
 // tableOf resolves a predicate to its current relation name: the temp
 // table for derived predicates, the extensional table otherwise.
 func (ev *evaluator) tableOf(pred string) string {
-	ev.mu.Lock()
-	t, ok := ev.tables[pred]
-	ev.mu.Unlock()
-	if ok {
+	if t, ok := ev.tables[pred]; ok {
 		return t
 	}
 	return codegen.BaseTable(pred)
@@ -271,22 +242,22 @@ func (ev *evaluator) run() (*Result, error) {
 	for _, s := range ev.prog.Seeds {
 		seeds[s.Pred] = append(seeds[s.Pred], s.Tuple)
 	}
-	// Seed-only predicates (no defining rules, e.g. the magic predicate
-	// of a non-recursive bound subgoal) are materialized up front.
-	nodePreds := make(map[string]bool)
+	// Every derived relation is named before evaluation starts, so the
+	// wavefront's concurrent nodes only ever read the map; each node
+	// creates its own when it runs. Seed-only predicates (no defining
+	// rules, e.g. the magic predicate of a non-recursive bound subgoal)
+	// are materialized up front.
 	for _, n := range ev.prog.Nodes {
 		for _, p := range n.Preds {
-			nodePreds[p] = true
+			ev.tables[p] = ev.prefix + sanitize(p)
 		}
 	}
 	var preStats NodeStats
 	for _, s := range ev.prog.Seeds {
-		if nodePreds[s.Pred] {
+		if _, named := ev.tables[s.Pred]; named {
 			continue
 		}
-		if _, made := ev.tables[s.Pred]; made {
-			continue
-		}
+		ev.tables[s.Pred] = ev.prefix + sanitize(s.Pred)
 		if err := ev.createPredTable(s.Pred, seeds, &preStats); err != nil {
 			return nil, err
 		}
@@ -301,7 +272,7 @@ func (ev *evaluator) run() (*Result, error) {
 		}
 	} else {
 		for i := range ev.prog.Nodes {
-			if err := ev.checkCtx(); err != nil {
+			if err := checkCtx(ev.opts.Ctx); err != nil {
 				return nil, err
 			}
 			if err := ev.evalNode(i, seeds, evalSp, -1); err != nil {
@@ -319,9 +290,7 @@ func (ev *evaluator) run() (*Result, error) {
 		ev.stats.TermCheck += ns.TermCheck
 	}
 
-	ev.mu.Lock()
 	qt, ok := ev.tables[ev.prog.QueryPred]
-	ev.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("rtlib: query predicate %s was not evaluated", ev.prog.QueryPred)
 	}
@@ -354,18 +323,35 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 		}
 	}
 	nodeStart := time.Now()
-	var err error
-	if node.Recursive {
-		switch {
-		case ev.opts.Strategy == Naive:
-			err = ev.evalCliqueNaive(node, seeds, ns, sp)
-		case ev.opts.Parallel:
-			err = ev.evalCliqueSemiNaiveParallel(node, seeds, ns, sp)
-		default:
-			err = ev.evalCliqueSemiNaive(node, seeds, ns, sp)
+	for _, p := range node.Preds {
+		if err := ev.createPredTable(p, seeds, ns); err != nil {
+			return err
 		}
-	} else {
-		err = ev.evalNonRecursive(node, seeds, ns, sp)
+	}
+	fp := &Fixpoint{
+		DB: ev.d, Temps: ev.temps, Ctx: ev.opts.Ctx, Prefix: ev.prefix,
+		Schemas: ev.prog.Schemas, Preds: node.Preds,
+		Exit: node.ExitRules, Rules: node.RecursiveRules,
+		TableOf: ev.tableOf, Into: ev.tableOf,
+		Span: sp, Stats: ns,
+	}
+	var err error
+	switch {
+	case !node.Recursive:
+		// Union of the node's rules, deduplicated.
+		for i := range node.ExitRules {
+			if err = fp.exitRule(&node.ExitRules[i], sp); err != nil {
+				break
+			}
+		}
+		ns.Iterations = 1
+	case ev.opts.Strategy == Naive:
+		err = evalCliqueNaive(fp, seeds)
+	default:
+		if ev.opts.Parallel {
+			fp.delta = &hashPartitioned{client: ev.client, parts: ev.parts, seeds: seeds}
+		}
+		err = fp.Run()
 	}
 	if err != nil {
 		return err
@@ -410,7 +396,7 @@ func (ev *evaluator) runWavefront(seeds map[string][]rel.Tuple, evalSp *obs.Span
 			if failed {
 				return
 			}
-			err := ev.checkCtx()
+			err := checkCtx(ev.opts.Ctx)
 			if err == nil {
 				err = ev.evalNode(i, seeds, evalSp, worker)
 			}
@@ -441,88 +427,14 @@ func (ev *evaluator) runWavefront(seeds map[string][]rel.Tuple, evalSp *obs.Span
 	return firstErr
 }
 
-// createPredTable creates the temp table for a derived predicate and
-// registers it, inserting any seeds.
+// createPredTable creates a derived predicate's temp table, inserting
+// any seeds.
 func (ev *evaluator) createPredTable(pred string, seeds map[string][]rel.Tuple, ns *NodeStats) error {
-	name := ev.prefix + sanitize(pred)
+	name := ev.tables[pred]
 	t0 := time.Now()
-	if err := ev.createTable(name, ev.prog.Schemas[pred]); err != nil {
+	if err := ev.temps.Create(name, ev.prog.Schemas[pred]); err != nil {
 		return err
 	}
 	ns.TempTable += time.Since(t0)
-	ev.mu.Lock()
-	ev.tables[pred] = name
-	ev.mu.Unlock()
 	return ev.d.InsertTuples(name, seeds[pred])
-}
-
-func (ev *evaluator) createTable(name string, schema *rel.Schema) error {
-	if schema == nil {
-		return fmt.Errorf("rtlib: no schema for temp table %s", name)
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "CREATE TEMP TABLE %s (", name)
-	for i := 0; i < schema.Len(); i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		c := schema.Col(i)
-		fmt.Fprintf(&b, "%s %s", c.Name, c.Type.String())
-	}
-	b.WriteByte(')')
-	if err := ev.d.Exec(b.String()); err != nil {
-		return err
-	}
-	ev.mu.Lock()
-	ev.created = append(ev.created, name)
-	ev.mu.Unlock()
-	return nil
-}
-
-func (ev *evaluator) dropTable(name string) error {
-	ev.mu.Lock()
-	for i, t := range ev.created {
-		if t == name {
-			ev.created = append(ev.created[:i], ev.created[i+1:]...)
-			break
-		}
-	}
-	ev.mu.Unlock()
-	return ev.d.Exec("DROP TABLE " + name)
-}
-
-// evalNonRecursive evaluates a non-recursive predicate node: union of
-// its rules, deduplicated.
-func (ev *evaluator) evalNonRecursive(node *codegen.Node, seeds map[string][]rel.Tuple, ns *NodeStats, sp *obs.Span) error {
-	for _, p := range node.Preds {
-		if err := ev.createPredTable(p, seeds, ns); err != nil {
-			return err
-		}
-	}
-	for i := range node.ExitRules {
-		r := &node.ExitRules[i]
-		target := ev.tableOf(r.Head)
-		var ruleSp *obs.Span
-		if sp != nil {
-			ruleSp = sp.Start("rule " + r.Head)
-			ruleSp.SetString("src", r.Source)
-		}
-		t0 := time.Now()
-		stmt := fmt.Sprintf("INSERT INTO %s %s EXCEPT SELECT * FROM %s",
-			target, r.SQL(ev.tableOf), target)
-		if err := ev.d.ExecTracedCtx(ev.evalCtx(), stmt, ruleSp); err != nil {
-			return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
-		}
-		ruleSp.End()
-		ns.Eval += time.Since(t0)
-	}
-	ns.Iterations = 1
-	return nil
-}
-
-// sanitize maps predicate names injectively onto SQL identifier bodies:
-// the uniform "p" prefix keeps reserved predicates (leading '_') legal
-// and collision-free against user predicates.
-func sanitize(pred string) string {
-	return "p" + pred
 }

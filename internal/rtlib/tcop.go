@@ -41,55 +41,37 @@ func TC(d *db.DB, pred string, seed *rel.Value) ([]rel.Tuple, error) {
 		return nil, err
 	}
 
-	if seed != nil {
-		// Single-source reachability: worklist over the adjacency map.
+	// reach is single-source reachability: a worklist over the
+	// adjacency map (semi-naive at the tuple level).
+	reach := func(from string) map[string]rel.Value {
 		seen := make(map[string]rel.Value)
-		var stack []rel.Value
-		for _, b := range adj[keyOf(*seed)] {
-			if _, ok := seen[keyOf(b)]; !ok {
-				seen[keyOf(b)] = b
-				stack = append(stack, b)
-			}
-		}
+		stack := []string{from}
 		for len(stack) > 0 {
-			v := stack[len(stack)-1]
+			k := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, b := range adj[keyOf(v)] {
-				if _, ok := seen[keyOf(b)]; !ok {
-					seen[keyOf(b)] = b
-					stack = append(stack, b)
+			for _, b := range adj[k] {
+				bk := keyOf(b)
+				if _, ok := seen[bk]; !ok {
+					seen[bk] = b
+					stack = append(stack, bk)
 				}
 			}
 		}
+		return seen
+	}
+
+	if seed != nil {
+		seen := reach(keyOf(*seed))
 		out := make([]rel.Tuple, 0, len(seen))
 		for _, v := range seen {
 			out = append(out, rel.Tuple{*seed, v})
 		}
 		return out, nil
 	}
-
-	// Full closure: semi-naive at the tuple level, per source node.
+	// Full closure: one reachability pass per source node.
 	var out []rel.Tuple
 	for k, src := range keyVal {
-		seen := make(map[string]rel.Value)
-		var stack []rel.Value
-		for _, b := range adj[k] {
-			if _, ok := seen[keyOf(b)]; !ok {
-				seen[keyOf(b)] = b
-				stack = append(stack, b)
-			}
-		}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, b := range adj[keyOf(v)] {
-				if _, ok := seen[keyOf(b)]; !ok {
-					seen[keyOf(b)] = b
-					stack = append(stack, b)
-				}
-			}
-		}
-		for _, v := range seen {
+		for _, v := range reach(k) {
 			out = append(out, rel.Tuple{src, v})
 		}
 	}

@@ -252,7 +252,104 @@ func TestRandomProgramsAgainstReference(t *testing.T) {
 			}
 		}
 		tb.Close()
+		// Its own source: the programs above stay the ones generated
+		// before this step existed.
+		maintainedAgainstReference(t, rand.New(rand.NewSource(int64(trial))), trial, rules, facts, q)
 	}
+}
+
+// maintainedAgainstReference runs one random program on a pooled
+// ConcurrentTestbed, Parallel off and on (so the parallel delta
+// strategy really runs on a pool), then loads one random fact and
+// retracts one, both on base relations the query depends on: after each
+// commit both memoized answers must be served as maintained — the
+// fixpoint driver absorbing the insert, then finding the deletion
+// candidates — and equal the reference on the updated fact set.
+func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []dlog.Clause, facts map[string][]rel.Tuple, q dlog.Query) {
+	t.Helper()
+	tb := NewMemory()
+	for pred, ts := range facts {
+		if err := tb.AssertTuples(pred, ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range rules {
+		if err := tb.Workspace().AddClause(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewConcurrentWithOptions(tb, ConcurrentOptions{SchedWorkers: 4, MaintenancePolicy: MaintIncremental})
+	defer c.Close()
+
+	// Base predicates the query reaches through the rules, sorted.
+	reach := map[string]bool{q.Goals[0].Pred: true}
+	for grew := true; grew; {
+		grew = false
+		for _, cl := range rules {
+			for _, a := range cl.Body {
+				if reach[cl.Head.Pred] && !reach[a.Pred] {
+					reach[a.Pred], grew = true, true
+				}
+			}
+		}
+	}
+	var bases []string
+	for pred := range facts {
+		if reach[pred] {
+			bases = append(bases, pred)
+		}
+	}
+	sort.Strings(bases)
+
+	now := make(map[string][]rel.Tuple, len(facts))
+	for pred, ts := range facts {
+		now[pred] = append([]rel.Tuple(nil), ts...)
+	}
+	check := func(step string, wantCache string) {
+		t.Helper()
+		want := refAnswer(q, rules, now)
+		for _, par := range []bool{false, true} {
+			res, err := c.Query(q.String(), &QueryOptions{Parallel: par})
+			if err != nil {
+				t.Fatalf("trial %d %s parallel=%v: %v\nprogram:\n%s\nquery: %s",
+					trial, step, par, err, programText(rules), q.String())
+			}
+			if wantCache != "" && res.Cache != wantCache {
+				t.Fatalf("trial %d %s parallel=%v: cache=%q, want %q\nprogram:\n%s\nquery: %s",
+					trial, step, par, res.Cache, wantCache, programText(rules), q.String())
+			}
+			if got := rowSet(res.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
+				t.Fatalf("trial %d %s parallel=%v: engine disagrees with reference\nprogram:\n%s\nquery: %s\n got: %v\nwant: %v",
+					trial, step, par, programText(rules), q.String(), got, want)
+			}
+		}
+	}
+	check("cold", "")
+
+	consts := []string{"a", "b", "c", "d", "g", "h", "k"}
+	pred := bases[r.Intn(len(bases))]
+	var fresh rel.Tuple
+	for dup := true; dup; {
+		fresh = rel.Tuple{rel.NewString(consts[r.Intn(len(consts))]), rel.NewString(consts[r.Intn(len(consts))])}
+		dup = false
+		for _, tu := range now[pred] {
+			dup = dup || tu.Key() == fresh.Key()
+		}
+	}
+	if err := c.Load(fmt.Sprintf("%s(%s, %s).", pred, fresh[0].Str, fresh[1].Str)); err != nil {
+		t.Fatal(err)
+	}
+	now[pred] = append(now[pred], fresh)
+	check("load "+pred+fresh.String(), "maintained")
+
+	pred = bases[r.Intn(len(bases))]
+	i := r.Intn(len(now[pred]))
+	gone := now[pred][i]
+	if n, err := c.RetractSrc(fmt.Sprintf("%s(%s, %s)", pred, gone[0].Str, gone[1].Str)); err != nil || n != 1 {
+		t.Fatalf("trial %d retract %s%s: %d, %v", trial, pred, gone.String(), n, err)
+	}
+	now[pred] = append(now[pred][:i], now[pred][i+1:]...)
+	check("retract "+pred+gone.String(), "maintained")
 }
 
 func programText(rules []dlog.Clause) string {

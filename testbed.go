@@ -69,8 +69,8 @@ type Testbed struct {
 	// retractions). Cached query results are valid only while both
 	// generations stand still; cached plans only depend on ruleGen.
 	dataGen uint64
-	// pool, when set (SetEvalPool), bounds parallel evaluation work on
-	// a shared scheduler instead of per-evaluation goroutines.
+	// pool, when set (SetEvalPool), runs parallel evaluation work on a
+	// shared scheduler; without one it runs inline.
 	pool *sched.Pool
 	// closed is set by Close; every later operation returns ErrClosed.
 	closed bool
@@ -78,8 +78,8 @@ type Testbed struct {
 
 // SetEvalPool attaches a shared evaluation worker pool: queries run
 // with QueryOptions.Parallel submit their differential SELECTs,
-// partitioned dedup/termination work and wavefront nodes to it instead
-// of spawning per-evaluation goroutines. The caller retains ownership
+// partitioned dedup work and wavefront nodes to it; without a pool that
+// work runs inline on the calling goroutine. The caller retains ownership
 // of the pool (ConcurrentTestbed wires and closes its own). Nil
 // detaches.
 func (tb *Testbed) SetEvalPool(p *sched.Pool) { tb.pool = p }
