@@ -125,18 +125,19 @@ func (m *maint) baseDelta(hint string, delta map[string][]rel.Tuple) (first map[
 // fixpoint on rtlib's driver. Delta propagation differentiates
 // globally, not per clique — an exit rule of a later node reads derived
 // relations of earlier nodes, so it too must fire on their deltas —
-// hence every rule of the program and every derived predicate. It
-// returns the number of rounds.
-func (m *maint) fixpoint(sp *obs.Span, tag string, first map[string]string, tableOf, into func(string) string) (int, error) {
+// hence every rule of the program and every derived predicate. The
+// maintenance trace keeps to its phase spans: rule statements run
+// untraced. It returns the number of rounds that derived something (the
+// last round only confirms the fixpoint).
+func (m *maint) fixpoint(tag string, first map[string]string, tableOf, into func(string) string) (int, error) {
 	var ns rtlib.NodeStats
 	fp := &rtlib.Fixpoint{
 		DB: m.d, Temps: m.temps, Prefix: m.prefix + tag,
 		Schemas: m.v.prog.Schemas, Preds: m.v.preds, Rules: m.v.rules,
-		TableOf: tableOf, Into: into, First: first,
-		Span: sp, Stats: &ns,
+		TableOf: tableOf, Into: into, First: first, Stats: &ns,
 	}
 	err := fp.Run()
-	return ns.Iterations, err
+	return ns.Iterations - 1, err
 }
 
 // derivedRows sums the sizes of the view's accumulators.
@@ -167,7 +168,7 @@ func (m *maint) propagate(ins map[string][]rel.Tuple, root *obs.Span) error {
 	}
 	sp.SetInt("inserted_base", int64(base))
 	before := m.derivedRows()
-	rounds, err := m.fixpoint(sp, "i", first, m.v.tableOf, m.v.tableOf)
+	rounds, err := m.fixpoint("i", first, m.v.tableOf, m.v.tableOf)
 	if err != nil {
 		return err
 	}
@@ -229,7 +230,7 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 		}
 	}
 	// Candidates breed candidates, against the pre-state throughout.
-	if _, err := m.fixpoint(sp, "x", first, preOf, func(p string) string { return cand[p] }); err != nil {
+	if _, err := m.fixpoint("x", first, preOf, func(p string) string { return cand[p] }); err != nil {
 		return err
 	}
 

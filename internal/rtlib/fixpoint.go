@@ -115,17 +115,19 @@ type Fixpoint struct {
 	// Into names the relation a head predicate's new tuples are
 	// deduplicated against and promoted into.
 	Into func(pred string) string
-	// The first delta is either computed — Exit rules are evaluated
-	// over TableOf into Into, whose contents then are the delta — or
-	// given: First maps predicates (of Preds or not) to caller-owned
-	// relations holding tuples already present in TableOf.
-	Exit  []codegen.RuleSQL
+	// First, when non-nil, gives the first delta: it maps predicates (of
+	// Preds or not) to caller-owned relations holding tuples already
+	// present in TableOf. When nil the first delta is computed
+	// ("iteration 0") from the exit rules.
 	First map[string]string
 	// Span, when non-nil, receives one "iteration N" span per round.
 	Span *obs.Span
-	// Stats accumulates the run's rounds and time split.
+	// Stats, when non-nil, accumulates the run's rounds and time split.
 	Stats *NodeStats
 
+	// exit rules compute the first delta of a clique: evaluated over
+	// TableOf into Into, whose contents then are the delta.
+	exit []codegen.RuleSQL
 	// delta is the delta strategy; nil selects sqlExcept, the paper's
 	// mode. Only Evaluate sets another (Options.Parallel).
 	delta deltaStrategy
@@ -163,61 +165,20 @@ func (fp *Fixpoint) Run() error {
 	if st == nil {
 		st = &sqlExcept{}
 	}
-	ns := fp.Stats
-	zero := fp.Span.Start("iteration 0")
-	if err := st.start(fp, zero); err != nil {
+	if fp.Stats == nil {
+		fp.Stats = new(NodeStats)
+	}
+	if err := fp.begin(st); err != nil {
 		return err
 	}
-	zero.End()
 	for {
 		if err := checkCtx(fp.Ctx); err != nil {
 			return err
 		}
-		ns.Iterations++
-		var it *obs.Span
-		if fp.Span != nil {
-			it = fp.Span.Start(fmt.Sprintf("iteration %d", ns.Iterations))
-		}
-		// One differential per rule, FROM position with a delta, and
-		// relation of that delta: the position is linear in the delta,
-		// so the union over its relations is the full differential.
-		var jobs []differential
-		for i := range fp.Rules {
-			r := &fp.Rules[i]
-			for occ := range r.From {
-				for _, d := range st.current(r.From[occ].Pred) {
-					tables := make([]string, len(r.From))
-					for fi, f := range r.From {
-						tables[fi] = fp.TableOf(f.Pred)
-					}
-					tables[occ] = d
-					jobs = append(jobs, differential{r, r.SQLWithTables(tables)})
-				}
-			}
-		}
-		if err := st.fire(jobs, it); err != nil {
+		done, err := fp.round(st)
+		if err != nil {
 			return err
 		}
-		// Termination: every pending delta empty.
-		done := true
-		tc := it.Start("termcheck")
-		for _, p := range fp.Preds {
-			t0 := time.Now()
-			n, err := st.pending(p)
-			if err != nil {
-				return err
-			}
-			ns.TermCheck += time.Since(t0)
-			if n > 0 {
-				done = false
-			}
-			if it != nil {
-				it.SetInt("delta("+p+")", n)
-				it.SetInt("acc("+p+")", int64(fp.DB.TableRows(fp.Into(p))))
-			}
-		}
-		tc.End()
-		it.End()
 		if done {
 			return st.finish()
 		}
@@ -225,6 +186,68 @@ func (fp *Fixpoint) Run() error {
 			return err
 		}
 	}
+}
+
+// begin produces the first delta; computing one is "iteration 0".
+func (fp *Fixpoint) begin(st deltaStrategy) error {
+	var zero *obs.Span
+	if fp.First == nil {
+		zero = fp.Span.Start("iteration 0")
+		defer zero.End()
+	}
+	return st.start(fp, zero)
+}
+
+// round fires one round's differentials and reports whether every
+// pending delta came out empty.
+func (fp *Fixpoint) round(st deltaStrategy) (done bool, err error) {
+	ns := fp.Stats
+	ns.Iterations++
+	var it *obs.Span
+	if fp.Span != nil {
+		it = fp.Span.Start(fmt.Sprintf("iteration %d", ns.Iterations))
+		defer it.End()
+	}
+	// One differential per rule, FROM position with a delta, and
+	// relation of that delta: the position is linear in the delta, so
+	// the union over its relations is the full differential.
+	var jobs []differential
+	for i := range fp.Rules {
+		r := &fp.Rules[i]
+		for occ := range r.From {
+			for _, d := range st.current(r.From[occ].Pred) {
+				tables := make([]string, len(r.From))
+				for fi, f := range r.From {
+					tables[fi] = fp.TableOf(f.Pred)
+				}
+				tables[occ] = d
+				jobs = append(jobs, differential{r, r.SQLWithTables(tables)})
+			}
+		}
+	}
+	if err := st.fire(jobs, it); err != nil {
+		return false, err
+	}
+	// Termination: every pending delta empty.
+	done = true
+	tc := it.Start("termcheck")
+	defer tc.End()
+	for _, p := range fp.Preds {
+		t0 := time.Now()
+		n, err := st.pending(p)
+		if err != nil {
+			return false, err
+		}
+		ns.TermCheck += time.Since(t0)
+		if n > 0 {
+			done = false
+		}
+		if it != nil {
+			it.SetInt("delta("+p+")", n)
+			it.SetInt("acc("+p+")", int64(fp.DB.TableRows(fp.Into(p))))
+		}
+	}
+	return done, nil
 }
 
 // insertRule executes one rule statement under a "rule <head>" span:
@@ -271,17 +294,16 @@ func (fp *Fixpoint) createTemp(name, pred string) error {
 // predicate — the embedded-SQL realization whose overheads Tests 5–7
 // measure.
 //
-// A computed first delta is a clique's: dense, and the paper's routine
-// carries every clique predicate's delta through every round, empty or
-// not. A given one (Fixpoint.First) is a commit's: a few tuples spread
-// over a whole program, where most predicates have no delta in a given
-// round. Then the run is sparse — only predicates heading a
-// differential get a pending table, and an empty pending delta is
-// dropped instead of promoted and fired — which changes no answer,
-// only how many empty statements are issued.
+// A predicate has a delta table only while it has delta tuples: a round
+// creates a pending table for each predicate heading one of its
+// differentials, and an empty pending delta is dropped instead of being
+// promoted and fired. While every predicate of a clique keeps deriving
+// — always, for the single-predicate cliques of Tests 5–7 — these are
+// the paper routine's statements one for one; where a predicate runs
+// dry early (a mutual recursion, or a commit's few tuples spread over a
+// whole program) the statements over its empty delta are not issued.
 type sqlExcept struct {
-	fp     *Fixpoint
-	sparse bool
+	fp *Fixpoint
 	// cur and next map predicates to their current and pending delta
 	// tables; own is false while cur is the caller's Fixpoint.First.
 	cur, next map[string]string
@@ -291,11 +313,11 @@ type sqlExcept struct {
 func (s *sqlExcept) start(fp *Fixpoint, zero *obs.Span) error {
 	s.fp = fp
 	if fp.First != nil {
-		s.cur, s.sparse = fp.First, true
+		s.cur = fp.First
 		return nil
 	}
-	for i := range fp.Exit {
-		if err := fp.exitRule(&fp.Exit[i], zero); err != nil {
+	for i := range fp.exit {
+		if err := fp.exitRule(&fp.exit[i], zero); err != nil {
 			return err
 		}
 	}
@@ -334,7 +356,7 @@ func (s *sqlExcept) fire(jobs []differential, it *obs.Span) error {
 	}
 	s.next = make(map[string]string, len(fp.Preds))
 	for _, p := range fp.Preds {
-		if s.sparse && !heads[p] {
+		if !heads[p] {
 			continue
 		}
 		name := fmt.Sprintf("%sndelta%d_%s", fp.Prefix, fp.Stats.Iterations, sanitize(p))
@@ -372,7 +394,7 @@ func (s *sqlExcept) advance() error {
 	for _, p := range fp.Preds {
 		t0 := time.Now()
 		if t, ok := s.next[p]; ok {
-			if s.sparse && fp.DB.TableRows(t) == 0 {
+			if fp.DB.TableRows(t) == 0 {
 				if err := fp.Temps.drop(t); err != nil {
 					return err
 				}

@@ -16,7 +16,7 @@ import (
 // baseline, so it keeps its own loop; it follows the paper's
 // embedded-SQL realization: fresh temporary tables per iteration, a
 // set-difference termination check, and a full table copy to install
-// each round's result. fp carries the clique (Exit and Rules are both
+// each round's result. fp carries the clique (exit and Rules are both
 // part of f) and its accumulators, already created and seeded.
 func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 	ns, sp, d := fp.Stats, fp.Span, fp.DB
@@ -29,7 +29,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 		}
 		zero.End()
 	}
-	rules := append(append([]codegen.RuleSQL(nil), fp.Exit...), fp.Rules...)
+	rules := append(append([]codegen.RuleSQL(nil), fp.exit...), fp.Rules...)
 
 	for {
 		if err := checkCtx(fp.Ctx); err != nil {

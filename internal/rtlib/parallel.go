@@ -298,9 +298,9 @@ func (h *hashPartitioned) start(fp *Fixpoint, zero *obs.Span) error {
 		h.deltas[p] = &deltaRelation{}
 	}
 	// Initialization: exit rules, evaluated concurrently as well.
-	jobs := make([]differential, len(fp.Exit))
-	for i := range fp.Exit {
-		jobs[i] = differential{&fp.Exit[i], fp.Exit[i].SQL(fp.TableOf)}
+	jobs := make([]differential, len(fp.exit))
+	for i := range fp.exit {
+		jobs[i] = differential{&fp.exit[i], fp.exit[i].SQL(fp.TableOf)}
 	}
 	if err := h.derive(jobs, zero); err != nil {
 		return err

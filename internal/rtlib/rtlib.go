@@ -331,7 +331,7 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 	fp := &Fixpoint{
 		DB: ev.d, Temps: ev.temps, Ctx: ev.opts.Ctx, Prefix: ev.prefix,
 		Schemas: ev.prog.Schemas, Preds: node.Preds,
-		Exit: node.ExitRules, Rules: node.RecursiveRules,
+		exit: node.ExitRules, Rules: node.RecursiveRules,
 		TableOf: ev.tableOf, Into: ev.tableOf,
 		Span: sp, Stats: ns,
 	}
