@@ -9,6 +9,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
@@ -97,6 +98,23 @@ type JSONReport struct {
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// Timestamp is the run's completion time (RFC 3339, UTC).
 	Timestamp string `json:"timestamp"`
+	// Commit is the checkout the run measured: git's HEAD, "+dirty"
+	// appended when tracked files differ from it; empty outside a git
+	// checkout.
+	Commit string `json:"commit,omitempty"`
+}
+
+// gitCommit names the working tree's commit for JSONReport.Commit.
+func gitCommit() string {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	commit := strings.TrimSpace(string(head))
+	if exec.Command("git", "diff", "--quiet", "HEAD").Run() != nil {
+		commit += "+dirty"
+	}
+	return commit
 }
 
 // JSON renders the report with its run environment as indented JSON.
@@ -117,6 +135,7 @@ func (r *Report) JSON(cfg Config, elapsed time.Duration) ([]byte, error) {
 		Reps:       cfg.reps(),
 		ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
+		Commit:     gitCommit(),
 	}
 	out, err := json.MarshalIndent(jr, "", "  ")
 	if err != nil {

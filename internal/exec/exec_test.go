@@ -50,7 +50,7 @@ func collect(t *testing.T, op Operator) []rel.Tuple {
 func TestSeqScanSnapshot(t *testing.T) {
 	c := cat(t)
 	tb := newTable(t, c, "e", [][2]int64{{1, 2}, {3, 4}})
-	s := NewSeqScan(tb)
+	s := &SeqScan{Table: tb}
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestIndexScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := collect(t, NewIndexScan(c.Table("e"), idx, rel.Tuple{rel.NewInt(1)}))
+	rows := collect(t, &IndexScan{Table: c.Table("e"), Index: idx, Key: rel.Tuple{rel.NewInt(1)}})
 	if len(rows) != 2 {
 		t.Fatalf("index scan found %d", len(rows))
 	}
@@ -92,7 +92,7 @@ func TestFilterAndProject(t *testing.T) {
 	c := cat(t)
 	tb := newTable(t, c, "e", [][2]int64{{1, 10}, {2, 20}, {3, 30}})
 	f := &Filter{
-		Input: NewSeqScan(tb),
+		Input: &SeqScan{Table: tb},
 		Pred:  Cmp{Op: sql.CmpGt, Left: Col{Ord: 0, Ty: rel.TypeInt}, Right: Const{Val: rel.NewInt(1)}},
 	}
 	p := &Project{
@@ -110,21 +110,25 @@ func TestHashJoin(t *testing.T) {
 	c := cat(t)
 	l := newTable(t, c, "l", [][2]int64{{1, 2}, {3, 4}, {5, 6}})
 	r := newTable(t, c, "r", [][2]int64{{2, 100}, {4, 200}, {9, 300}})
-	j := &HashJoin{
-		Left: NewSeqScan(l), Right: NewSeqScan(r),
-		LeftOrds: []int{1}, RightOrds: []int{0},
-	}
-	rows := collect(t, j)
-	if len(rows) != 2 {
-		t.Fatalf("join rows = %v", rows)
-	}
-	for _, tu := range rows {
-		if tu[1].Int != tu[2].Int {
-			t.Fatalf("join key mismatch: %v", tu)
+	// Either build side: same rows, left columns first.
+	for _, buildLeft := range []bool{false, true} {
+		j := &HashJoin{
+			Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r},
+			LeftOrds: []int{1}, RightOrds: []int{0},
+			BuildLeft: buildLeft,
 		}
-	}
-	if j.Schema().Len() != 4 {
-		t.Fatalf("join schema %v", j.Schema())
+		rows := collect(t, j)
+		if len(rows) != 2 {
+			t.Fatalf("BuildLeft=%v: join rows = %v", buildLeft, rows)
+		}
+		for _, tu := range rows {
+			if tu[1].Int != tu[2].Int || tu[3].Int < 100 {
+				t.Fatalf("BuildLeft=%v: join key or column order wrong: %v", buildLeft, tu)
+			}
+		}
+		if j.Schema().Len() != 4 {
+			t.Fatalf("join schema %v", j.Schema())
+		}
 	}
 }
 
@@ -132,14 +136,17 @@ func TestHashJoinResidual(t *testing.T) {
 	c := cat(t)
 	l := newTable(t, c, "l", [][2]int64{{1, 2}, {3, 2}})
 	r := newTable(t, c, "r", [][2]int64{{2, 100}})
-	j := &HashJoin{
-		Left: NewSeqScan(l), Right: NewSeqScan(r),
-		LeftOrds: []int{1}, RightOrds: []int{0},
-		Residual: Cmp{Op: sql.CmpGt, Left: Col{Ord: 0, Ty: rel.TypeInt}, Right: Const{Val: rel.NewInt(2)}},
-	}
-	rows := collect(t, j)
-	if len(rows) != 1 || rows[0][0].Int != 3 {
-		t.Fatalf("rows = %v", rows)
+	for _, buildLeft := range []bool{false, true} {
+		j := &HashJoin{
+			Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r},
+			LeftOrds: []int{1}, RightOrds: []int{0},
+			BuildLeft: buildLeft,
+			Residual:  Cmp{Op: sql.CmpGt, Left: Col{Ord: 0, Ty: rel.TypeInt}, Right: Const{Val: rel.NewInt(2)}},
+		}
+		rows := collect(t, j)
+		if len(rows) != 1 || rows[0][0].Int != 3 {
+			t.Fatalf("BuildLeft=%v: rows = %v", buildLeft, rows)
+		}
 	}
 }
 
@@ -147,7 +154,7 @@ func TestNLJoinCross(t *testing.T) {
 	c := cat(t)
 	l := newTable(t, c, "l", [][2]int64{{1, 2}, {3, 4}})
 	r := newTable(t, c, "r", [][2]int64{{5, 6}})
-	j := &NLJoin{Left: NewSeqScan(l), Right: NewSeqScan(r), Pred: True{}}
+	j := &NLJoin{Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}, Pred: True{}}
 	rows := collect(t, j)
 	if len(rows) != 2 {
 		t.Fatalf("cross rows = %d", len(rows))
@@ -163,7 +170,7 @@ func TestIndexNLJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := &IndexNLJoin{
-		Left:     NewSeqScan(l),
+		Left:     &SeqScan{Table: l},
 		Right:    c.Table("r"),
 		Index:    idx,
 		LeftOrds: []int{1},
@@ -192,8 +199,8 @@ func TestIndexNLJoinMatchesHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hj := &HashJoin{Left: NewSeqScan(l), Right: NewSeqScan(c.Table("r")), LeftOrds: []int{1}, RightOrds: []int{0}}
-	ij := &IndexNLJoin{Left: NewSeqScan(l), Right: c.Table("r"), Index: idx, LeftOrds: []int{1}}
+	hj := &HashJoin{Left: &SeqScan{Table: l}, Right: &SeqScan{Table: c.Table("r")}, LeftOrds: []int{1}, RightOrds: []int{0}}
+	ij := &IndexNLJoin{Left: &SeqScan{Table: l}, Right: c.Table("r"), Index: idx, LeftOrds: []int{1}}
 	a, b := collect(t, hj), collect(t, ij)
 	if len(a) != len(b) {
 		t.Fatalf("hash join %d rows, index join %d rows", len(a), len(b))
@@ -215,7 +222,7 @@ func TestIndexNLJoinMatchesHashJoin(t *testing.T) {
 func TestDistinctOp(t *testing.T) {
 	c := cat(t)
 	tb := newTable(t, c, "e", [][2]int64{{1, 1}, {1, 1}, {2, 2}})
-	rows := collect(t, &Distinct{Input: NewSeqScan(tb)})
+	rows := collect(t, &Distinct{Input: &SeqScan{Table: tb}})
 	if len(rows) != 2 {
 		t.Fatalf("distinct rows = %v", rows)
 	}
@@ -232,7 +239,7 @@ func TestSetOps(t *testing.T) {
 		{OpUnion, 3}, {OpUnionAll, 5}, {OpExcept, 1}, {OpIntersect, 1},
 	}
 	for _, cse := range cases {
-		op := &SetOpExec{Kind: cse.kind, Left: NewSeqScan(l), Right: NewSeqScan(r)}
+		op := &SetOpExec{Kind: cse.kind, Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}}
 		rows := collect(t, op)
 		if len(rows) != cse.want {
 			t.Errorf("setop %d: %d rows, want %d", cse.kind, len(rows), cse.want)
@@ -243,7 +250,7 @@ func TestSetOps(t *testing.T) {
 func TestCountStarOp(t *testing.T) {
 	c := cat(t)
 	tb := newTable(t, c, "e", [][2]int64{{1, 1}, {2, 2}})
-	rows := collect(t, &CountStar{Input: NewSeqScan(tb)})
+	rows := collect(t, &CountStar{Input: &SeqScan{Table: tb}})
 	if len(rows) != 1 || rows[0][0].Int != 2 {
 		t.Fatalf("count = %v", rows)
 	}
@@ -282,29 +289,6 @@ func TestConjunctsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestShiftOrds(t *testing.T) {
-	p := AndP{Preds: []Pred{
-		Cmp{Op: sql.CmpEq, Left: Col{Ord: 0, Ty: rel.TypeInt}, Right: Col{Ord: 1, Ty: rel.TypeInt}},
-		OrP{
-			Left:  Cmp{Op: sql.CmpGt, Left: Col{Ord: 2, Ty: rel.TypeInt}, Right: Const{Val: rel.NewInt(0)}},
-			Right: NotP{Inner: True{}},
-		},
-	}}
-	shifted := ShiftOrds(p, 10)
-	tu := make(rel.Tuple, 13)
-	for i := range tu {
-		tu[i] = rel.NewInt(int64(i))
-	}
-	// After shift: col10 == col11 fails (10 != 11) so And fails.
-	if shifted.Holds(tu) {
-		t.Fatal("shifted predicate wrong")
-	}
-	tu[11] = rel.NewInt(10)
-	if !shifted.Holds(tu) {
-		t.Fatal("shifted predicate should hold now")
-	}
-}
-
 func TestValuesOp(t *testing.T) {
 	v := &Values{
 		Rows: []rel.Tuple{{rel.NewInt(1)}, {rel.NewInt(2)}},
@@ -337,7 +321,7 @@ func BenchmarkHashJoinVsIndexJoin(b *testing.B) {
 
 	b.Run("hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			j := &HashJoin{Left: NewSeqScan(small), Right: NewSeqScan(big), LeftOrds: []int{1}, RightOrds: []int{0}}
+			j := &HashJoin{Left: &SeqScan{Table: small}, Right: &SeqScan{Table: big}, LeftOrds: []int{1}, RightOrds: []int{0}}
 			if _, err := Collect(j); err != nil {
 				b.Fatal(err)
 			}
@@ -345,7 +329,7 @@ func BenchmarkHashJoinVsIndexJoin(b *testing.B) {
 	})
 	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			j := &IndexNLJoin{Left: NewSeqScan(small), Right: big, Index: idx, LeftOrds: []int{1}}
+			j := &IndexNLJoin{Left: &SeqScan{Table: small}, Right: big, Index: idx, LeftOrds: []int{1}}
 			if _, err := Collect(j); err != nil {
 				b.Fatal(err)
 			}
@@ -357,7 +341,7 @@ func ExampleRun() {
 	c, _ := catalog.Open(storage.NewMemPager(64))
 	tb, _ := c.CreateTable("e", rel.MustSchema(rel.Column{Name: "a", Type: rel.TypeInt}), false)
 	tb.Insert(rel.Tuple{rel.NewInt(7)})
-	_ = Run(NewSeqScan(tb), func(tu rel.Tuple) error {
+	_ = Run(&SeqScan{Table: tb}, func(tu rel.Tuple) error {
 		fmt.Println(tu)
 		return nil
 	})
@@ -373,7 +357,7 @@ func TestInstrumentAttachesIO(t *testing.T) {
 	}
 
 	tr := obs.NewTrace("query")
-	op, flush := Instrument(NewSeqScan(tb), tr.Root())
+	op, flush := Instrument(&SeqScan{Table: tb}, tr.Root())
 	if got := len(collect(t, op)); got != 4 {
 		t.Fatalf("scan rows = %d", got)
 	}
@@ -397,7 +381,7 @@ func TestInstrumentAttachesIO(t *testing.T) {
 
 	// Index-driven access reports descents and point reads.
 	tr2 := obs.NewTrace("query")
-	op2, flush2 := Instrument(NewIndexScan(tb, idx, rel.Tuple{rel.NewInt(2)}), tr2.Root())
+	op2, flush2 := Instrument(&IndexScan{Table: tb, Index: idx, Key: rel.Tuple{rel.NewInt(2)}}, tr2.Root())
 	if got := len(collect(t, op2)); got != 2 {
 		t.Fatalf("idxscan rows = %d", got)
 	}
@@ -416,7 +400,7 @@ func TestInstrumentAttachesIO(t *testing.T) {
 	// IndexNLJoin wraps its outer input and probes the inner index.
 	l := newTable(t, c, "l", [][2]int64{{0, 2}, {0, 3}})
 	tr3 := obs.NewTrace("query")
-	j := &IndexNLJoin{Left: NewSeqScan(l), Right: tb, Index: idx, LeftOrds: []int{1}}
+	j := &IndexNLJoin{Left: &SeqScan{Table: l}, Right: tb, Index: idx, LeftOrds: []int{1}}
 	op3, flush3 := Instrument(j, tr3.Root())
 	if got := len(collect(t, op3)); got != 3 {
 		t.Fatalf("idxjoin rows = %d", got)

@@ -4,8 +4,6 @@
 package exec
 
 import (
-	"fmt"
-
 	"dkbms/internal/rel"
 	"dkbms/internal/sql"
 )
@@ -127,35 +125,4 @@ func AndOf(preds []Pred) Pred {
 	default:
 		return AndP{Preds: preds}
 	}
-}
-
-// ShiftOrds returns a copy of the predicate with every column ordinal
-// shifted by delta. Used when a single-table predicate is re-anchored to
-// a join output whose columns for that table start at delta.
-func ShiftOrds(p Pred, delta int) Pred {
-	switch v := p.(type) {
-	case True:
-		return v
-	case Cmp:
-		return Cmp{Op: v.Op, Left: shiftScalar(v.Left, delta), Right: shiftScalar(v.Right, delta)}
-	case AndP:
-		out := make([]Pred, len(v.Preds))
-		for i, c := range v.Preds {
-			out[i] = ShiftOrds(c, delta)
-		}
-		return AndP{Preds: out}
-	case OrP:
-		return OrP{Left: ShiftOrds(v.Left, delta), Right: ShiftOrds(v.Right, delta)}
-	case NotP:
-		return NotP{Inner: ShiftOrds(v.Inner, delta)}
-	default:
-		panic(fmt.Sprintf("exec: unknown predicate %T", p))
-	}
-}
-
-func shiftScalar(s Scalar, delta int) Scalar {
-	if c, ok := s.(Col); ok {
-		return Col{Ord: c.Ord + delta, Ty: c.Ty}
-	}
-	return s
 }

@@ -21,6 +21,7 @@ type IndexNLJoin struct {
 	LeftOrds []int // ordinals in the left output forming the probe key,
 	// aligned with the index's leading columns
 	Residual Pred // nil/True when absent
+	Est      float64
 
 	cur     rel.Tuple
 	matches []rel.Tuple

@@ -11,6 +11,10 @@ import (
 
 // Operator is a Volcano-style iterator. The contract is Open, then Next
 // until it returns a nil tuple, then Close. Operators are single-use.
+//
+// Scans and joins carry Est, the planner's estimate of the rows the
+// operator emits. Execution ignores it; Instrument reports it beside the
+// actual count.
 type Operator interface {
 	Schema() *rel.Schema
 	Open() error
@@ -73,13 +77,11 @@ func CollectCtx(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 // page by page via the heap iterator.
 type SeqScan struct {
 	Table *catalog.Table
+	Est   float64
 
 	tuples []rel.Tuple
 	pos    int
 }
-
-// NewSeqScan returns a sequential scan of the table.
-func NewSeqScan(t *catalog.Table) *SeqScan { return &SeqScan{Table: t} }
 
 // Schema returns the table schema.
 func (s *SeqScan) Schema() *rel.Schema { return s.Table.Schema }
@@ -121,14 +123,10 @@ type IndexScan struct {
 	Table *catalog.Table
 	Index *catalog.Index
 	Key   rel.Tuple // prefix values for the leading index columns
+	Est   float64
 
 	rids []storage.RID
 	pos  int
-}
-
-// NewIndexScan returns an index-driven scan.
-func NewIndexScan(t *catalog.Table, ix *catalog.Index, key rel.Tuple) *IndexScan {
-	return &IndexScan{Table: t, Index: ix, Key: key}
 }
 
 // Schema returns the table schema.
@@ -235,6 +233,7 @@ func (p *Project) Close() error { return p.Input.Close() }
 type NLJoin struct {
 	Left, Right Operator
 	Pred        Pred
+	Est         float64
 
 	right  []rel.Tuple
 	cur    rel.Tuple
@@ -300,12 +299,16 @@ func (j *NLJoin) Close() error {
 // --- Hash join ---
 
 // HashJoin is an equijoin on LeftOrds = RightOrds with an optional
-// residual predicate over the concatenated tuple. The right (build) side
-// is hashed; the left (probe) side streams.
+// residual predicate over the concatenated tuple. One input is hashed
+// (the build side: the right one, or the left one when BuildLeft is
+// set) and the other streams past it; output tuples are left ++ right
+// either way.
 type HashJoin struct {
 	Left, Right         Operator
 	LeftOrds, RightOrds []int
+	BuildLeft           bool
 	Residual            Pred // True when absent
+	Est                 float64
 
 	table   map[string][]rel.Tuple
 	cur     rel.Tuple
@@ -322,17 +325,26 @@ func (j *HashJoin) Schema() *rel.Schema {
 	return j.schema
 }
 
-// Open builds the hash table from the right input.
+// sides returns the build and probe inputs with their key ordinals.
+func (j *HashJoin) sides() (build, probe Operator, buildOrds, probeOrds []int) {
+	if j.BuildLeft {
+		return j.Left, j.Right, j.LeftOrds, j.RightOrds
+	}
+	return j.Right, j.Left, j.RightOrds, j.LeftOrds
+}
+
+// Open opens the probe input and builds the hash table from the other.
 func (j *HashJoin) Open() error {
 	if j.Residual == nil {
 		j.Residual = True{}
 	}
-	if err := j.Left.Open(); err != nil {
+	build, probe, buildOrds, _ := j.sides()
+	if err := probe.Open(); err != nil {
 		return err
 	}
 	j.table = make(map[string][]rel.Tuple)
-	err := Run(j.Right, func(tu rel.Tuple) error {
-		k := tu.KeyOf(j.RightOrds)
+	err := Run(build, func(tu rel.Tuple) error {
+		k := tu.KeyOf(buildOrds)
 		j.table[k] = append(j.table[k], tu)
 		return nil
 	})
@@ -347,24 +359,28 @@ func (j *HashJoin) Open() error {
 
 // Next returns the next joined tuple.
 func (j *HashJoin) Next() (rel.Tuple, error) {
-	//dkblint:ctxok consumes one left tuple or one bucket match per iteration over finite inputs; the RunCtx drain observes cancellation
+	_, probe, _, probeOrds := j.sides()
+	//dkblint:ctxok consumes one probe tuple or one bucket match per iteration over finite inputs; the RunCtx drain observes cancellation
 	for {
 		for j.mpos < len(j.matches) {
-			rt := j.matches[j.mpos]
+			lt, rt := j.cur, j.matches[j.mpos]
+			if j.BuildLeft {
+				lt, rt = rt, lt
+			}
 			j.mpos++
-			joined := make(rel.Tuple, 0, len(j.cur)+len(rt))
-			joined = append(joined, j.cur...)
+			joined := make(rel.Tuple, 0, len(lt)+len(rt))
+			joined = append(joined, lt...)
 			joined = append(joined, rt...)
 			if j.Residual.Holds(joined) {
 				return joined, nil
 			}
 		}
-		tu, err := j.Left.Next()
+		tu, err := probe.Next()
 		if err != nil || tu == nil {
 			return nil, err
 		}
 		j.cur = tu
-		j.matches = j.table[tu.KeyOf(j.LeftOrds)]
+		j.matches = j.table[tu.KeyOf(probeOrds)]
 		j.mpos = 0
 	}
 }
@@ -372,7 +388,8 @@ func (j *HashJoin) Next() (rel.Tuple, error) {
 // Close closes the probe input and releases the hash table.
 func (j *HashJoin) Close() error {
 	j.table = nil
-	return j.Left.Close()
+	_, probe, _, _ := j.sides()
+	return probe.Close()
 }
 
 // --- Distinct ---

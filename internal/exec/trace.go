@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/index"
@@ -13,8 +14,9 @@ import (
 // Instrument wraps every operator of the tree in a row counter and
 // returns the instrumented tree plus a flush function. After the tree
 // has been drained (or abandoned on error), flush writes one child span
-// per operator under parent — name, rows emitted — mirroring the tree
-// shape, EXPLAIN ANALYZE-style. With a nil parent the tree is returned
+// per operator under parent — name, rows emitted and, on scans and
+// joins, the planner's estimate of them — mirroring the tree shape,
+// EXPLAIN ANALYZE-style. With a nil parent the tree is returned
 // untouched and flush is a no-op, so callers thread an optional span
 // unconditionally.
 func Instrument(op Operator, parent *obs.Span) (Operator, func()) {
@@ -30,6 +32,7 @@ func Instrument(op Operator, parent *obs.Span) (Operator, func()) {
 type opCount struct {
 	name string
 	rows int64
+	est  float64 // planner's estimate of rows; negative when the operator carries none
 	kids []*opCount
 	io   *ioProbe // non-nil on leaf access paths (scans, index probes)
 }
@@ -37,6 +40,9 @@ type opCount struct {
 func (c *opCount) emit(parent *obs.Span) {
 	sp := parent.Start(c.name)
 	sp.SetInt("rows", c.rows)
+	if c.est >= 0 {
+		sp.SetInt("est", int64(math.Round(c.est)))
+	}
 	c.io.emit(sp)
 	for _, k := range c.kids {
 		k.emit(sp)
@@ -112,15 +118,19 @@ func (c *opCount) child() *opCount {
 // operator names as it descends. Unknown operator types are counted
 // under their Go type name with no visible children.
 func wrap(op Operator, c *opCount) Operator {
+	c.est = -1
 	switch o := op.(type) {
 	case *SeqScan:
 		c.name = fmt.Sprintf("scan(%s)", o.Table.Name)
+		c.est = o.Est
 		c.io = &ioProbe{heap: o.Table.Heap}
 	case *IndexScan:
 		c.name = fmt.Sprintf("idxscan(%s.%s)", o.Table.Name, o.Index.Name)
+		c.est = o.Est
 		c.io = &ioProbe{heap: o.Table.Heap, idx: o.Index}
 	case *IndexNLJoin:
 		c.name = fmt.Sprintf("idxjoin(%s.%s)", o.Right.Name, o.Index.Name)
+		c.est = o.Est
 		c.io = &ioProbe{heap: o.Right.Heap, idx: o.Index}
 		o.Left = wrap(o.Left, c.child())
 	case *Filter:
@@ -131,10 +141,12 @@ func wrap(op Operator, c *opCount) Operator {
 		o.Input = wrap(o.Input, c.child())
 	case *NLJoin:
 		c.name = "nljoin"
+		c.est = o.Est
 		o.Left = wrap(o.Left, c.child())
 		o.Right = wrap(o.Right, c.child())
 	case *HashJoin:
 		c.name = "hashjoin"
+		c.est = o.Est
 		o.Left = wrap(o.Left, c.child())
 		o.Right = wrap(o.Right, c.child())
 	case *Distinct:

@@ -3,15 +3,28 @@
 // commercial DBMS would run:
 //
 //   - predicate analysis: split the WHERE clause into per-table
-//     conjuncts (pushed below joins), equijoin conjuncts (drive hash
-//     joins) and residual predicates (applied once their tables are
-//     joined);
+//     conjuncts (pushed below joins), equijoin conjuncts (the edges of
+//     the join graph) and residual predicates (applied once their tables
+//     are joined);
 //   - access-path selection: a table with equality-on-literal conjuncts
 //     matching a B+tree index prefix is read through an IndexScan,
 //     everything else through a SeqScan;
-//   - greedy join ordering on maintained row counts, preferring
-//     equijoin-connected tables (hash join) and falling back to nested
-//     loops for disconnected or non-equi predicates.
+//   - cost-based left-deep join ordering (order.go): every start table
+//     is extended by the cheapest next join, and the cheapest complete
+//     order wins.
+//
+// The cost of a join is the rows it must touch, and the join method
+// falls out of the same cost (P is the running prefix, touch(T) the rows
+// T's access path reads):
+//
+//	method      cost                  estimate source
+//	index join  |P| × fan-out         B+tree entries ÷ distinct keys
+//	hash join   touch(T) + |P|        Table.Rows; exact posting count
+//	                                  under a literal key
+//	cross       touch(T) + |P| × |T|  same
+//
+// Statements are planned per execution, so every LFP round is ordered
+// against the current delta cardinalities.
 package plan
 
 import (
@@ -74,8 +87,9 @@ type symScalar struct {
 	val   rel.Value
 }
 
-// symPred mirrors the sql predicate tree with resolved leaves.
-type symPred interface{ tables(set map[int]bool) }
+// symPred mirrors the sql predicate tree with resolved leaves. tables
+// marks, by FROM position, the tables the predicate mentions.
+type symPred interface{ tables(set []bool) }
 
 type symCmp struct {
 	op          sql.CmpOp
@@ -86,7 +100,7 @@ type symAnd struct{ left, right symPred }
 type symOr struct{ left, right symPred }
 type symNot struct{ inner symPred }
 
-func (c symCmp) tables(set map[int]bool) {
+func (c symCmp) tables(set []bool) {
 	if c.left.isCol {
 		set[c.left.col.table] = true
 	}
@@ -94,15 +108,9 @@ func (c symCmp) tables(set map[int]bool) {
 		set[c.right.col.table] = true
 	}
 }
-func (a symAnd) tables(set map[int]bool) { a.left.tables(set); a.right.tables(set) }
-func (o symOr) tables(set map[int]bool)  { o.left.tables(set); o.right.tables(set) }
-func (n symNot) tables(set map[int]bool) { n.inner.tables(set) }
-
-func tablesOf(p symPred) map[int]bool {
-	set := make(map[int]bool)
-	p.tables(set)
-	return set
-}
+func (a symAnd) tables(set []bool) { a.left.tables(set); a.right.tables(set) }
+func (o symOr) tables(set []bool)  { o.left.tables(set); o.right.tables(set) }
+func (n symNot) tables(set []bool) { n.inner.tables(set) }
 
 // scope resolves names during planning.
 type scope struct {
@@ -208,9 +216,18 @@ func splitConjuncts(p symPred) []symPred {
 	return []symPred{p}
 }
 
-// colMap tracks where each symbolic column currently lives in the plan's
-// output tuple.
-type colMap map[colID]int
+// colMap tracks where each FROM table's columns currently live in the
+// plan's output tuple: every operator emits whole tables side by side,
+// so one base offset per table (-1 until the table is attached) places
+// every column.
+type colMap []int
+
+func (m colMap) ord(c colID) (int, bool) {
+	if m[c.table] < 0 {
+		return 0, false
+	}
+	return m[c.table] + c.col, true
+}
 
 // bind converts a symbolic predicate to a physical one via the map.
 func bind(p symPred, m colMap) (exec.Pred, error) {
@@ -256,11 +273,23 @@ func bind(p symPred, m colMap) (exec.Pred, error) {
 	}
 }
 
+// bindAll binds a conjunction, appending to preds.
+func bindAll(preds []exec.Pred, ps []symPred, m colMap) ([]exec.Pred, error) {
+	for _, p := range ps {
+		bp, err := bind(p, m)
+		if err != nil {
+			return nil, err
+		}
+		preds = append(preds, bp)
+	}
+	return preds, nil
+}
+
 func bindScalar(s symScalar, m colMap) (exec.Scalar, error) {
 	if !s.isCol {
 		return exec.Const{Val: s.val}, nil
 	}
-	ord, ok := m[s.col]
+	ord, ok := m.ord(s.col)
 	if !ok {
 		return nil, fmt.Errorf("plan: column %v not available at this point in the plan", s.col)
 	}
@@ -279,268 +308,165 @@ func equijoin(p symPred) (l, r colID, ok bool) {
 	return c.left.col, c.right.col, true
 }
 
+// residual is a multi-table conjunct that is not an equijoin; it is
+// applied as a filter once the last of its tables is attached.
+type residual struct {
+	pred   symPred
+	tables []bool
+}
+
 func buildSimple(cat TableSource, s *sql.Select) (exec.Operator, error) {
 	if len(s.From) == 0 {
 		return nil, fmt.Errorf("plan: empty FROM")
 	}
 	sc := &scope{}
-	seen := make(map[string]bool)
 	for _, tr := range s.From {
 		t := cat.Table(tr.Table)
 		if t == nil {
 			return nil, fmt.Errorf("plan: no table %s", tr.Table)
 		}
-		if seen[tr.Alias] {
-			return nil, fmt.Errorf("plan: duplicate alias %s", tr.Alias)
+		for _, a := range sc.aliases {
+			if a == tr.Alias {
+				return nil, fmt.Errorf("plan: duplicate alias %s", tr.Alias)
+			}
 		}
-		seen[tr.Alias] = true
 		sc.aliases = append(sc.aliases, tr.Alias)
 		sc.tables = append(sc.tables, t)
 	}
+	n := len(sc.tables)
 
-	// Classify predicates.
-	var tablePreds = make([][]symPred, len(sc.tables))
-	type joinPred struct{ l, r colID }
-	var joinPreds []joinPred
-	var residuals []symPred
+	// Classify predicates: single-table conjuncts are pushed into the
+	// table's access path, cross-table equalities are the join graph's
+	// edges, everything else waits for its tables.
+	g := &joinGraph{tabs: make([]tableInfo, n)}
+	var residuals []residual
 	if s.Where != nil {
 		p, err := sc.pred(s.Where)
 		if err != nil {
 			return nil, err
 		}
 		for _, conj := range splitConjuncts(p) {
-			ts := tablesOf(conj)
-			switch {
-			case len(ts) <= 1:
-				ti := 0
-				for t := range ts {
-					ti = t
-				}
-				tablePreds[ti] = append(tablePreds[ti], conj)
-			default:
-				if l, r, ok := equijoin(conj); ok {
-					joinPreds = append(joinPreds, joinPred{l, r})
-				} else {
-					residuals = append(residuals, conj)
+			set := make([]bool, n)
+			conj.tables(set)
+			only, count := 0, 0
+			for ti, in := range set {
+				if in {
+					only = ti
+					count++
 				}
 			}
-		}
-	}
-
-	// Per-table equality-on-literal columns (for index selection) and
-	// cardinality estimates after local predicates. When an index
-	// covers the literal key the estimate is the exact posting count.
-	eqLits := make([]map[int]rel.Value, len(sc.tables))
-	estimates := make([]int, len(sc.tables))
-	for ti := range sc.tables {
-		t := sc.tables[ti]
-		eqLit := make(map[int]rel.Value)
-		for _, p := range tablePreds[ti] {
-			if c, ok := p.(symCmp); ok && c.op == sql.CmpEq {
-				if c.left.isCol && !c.right.isCol {
-					eqLit[c.left.col.col] = c.right.val
-				} else if c.right.isCol && !c.left.isCol {
-					eqLit[c.right.col.col] = c.left.val
-				}
-			}
-		}
-		eqLits[ti] = eqLit
-		estimates[ti] = t.Rows()
-		if len(eqLit) > 0 {
-			if best := pickIndex(t, eqLit); best != nil {
-				key := indexKey(best, eqLit)
-				estimates[ti] = len(best.LookupPrefix(key))
+			if count <= 1 {
+				g.tabs[only].preds = append(g.tabs[only].preds, conj)
+			} else if l, r, ok := equijoin(conj); ok {
+				g.joins = append(g.joins, joinPred{l, r})
 			} else {
-				// Unindexed literal equality: assume strong filtering.
-				estimates[ti] = t.Rows()/10 + 1
+				residuals = append(residuals, residual{conj, set})
 			}
 		}
 	}
+	for ti, t := range sc.tables {
+		g.tabs[ti].analyze(t)
+	}
 
-	// Access path per table: returns the operator and the table-local
-	// column map.
+	// m places the attached tables in cur's output; local is the same
+	// map for one table alone, binding its own predicates below the
+	// joins.
+	unplaced := make(colMap, 2*n)
+	for i := range unplaced {
+		unplaced[i] = -1
+	}
+	m, local := unplaced[:n], unplaced[n:]
 	access := func(ti int) (exec.Operator, error) {
-		t := sc.tables[ti]
-		local := make(colMap, t.Schema.Len())
-		for c := 0; c < t.Schema.Len(); c++ {
-			local[colID{table: ti, col: c}] = c
-		}
-		eqLit := eqLits[ti]
+		tab := &g.tabs[ti]
 		var op exec.Operator
-		if len(eqLit) > 0 {
-			if best := pickIndex(t, eqLit); best != nil {
-				op = exec.NewIndexScan(t, best, indexKey(best, eqLit))
-			}
+		if tab.scanIndex != nil {
+			op = &exec.IndexScan{Table: tab.t, Index: tab.scanIndex, Key: tab.scanKey, Est: tab.touch}
+		} else {
+			op = &exec.SeqScan{Table: tab.t, Est: tab.touch}
 		}
-		if op == nil {
-			op = exec.NewSeqScan(t)
+		if len(tab.preds) == 0 {
+			return op, nil
 		}
 		// Attach all table predicates (the index may cover only some;
 		// re-checking the covered equalities is cheap and keeps the
 		// planner simple and the executor obviously correct).
-		if len(tablePreds[ti]) > 0 {
-			var preds []exec.Pred
-			for _, p := range tablePreds[ti] {
-				bp, err := bind(p, local)
+		local[ti] = 0
+		preds, err := bindAll(nil, tab.preds, local)
+		local[ti] = -1
+		if err != nil {
+			return nil, err
+		}
+		return &exec.Filter{Input: op, Pred: exec.AndOf(preds)}, nil
+	}
+
+	// Attach the tables in the order of least estimated cost; each step
+	// is re-costed against the running prefix to pick its join method.
+	var cur exec.Operator
+	joined := make([]bool, n)
+	width := 0
+	rows := 0.0
+	order := []int{0} // single-table statements skip the search and its scratch
+	if n > 1 {
+		order = g.order()
+	}
+	for i, ti := range order {
+		tab := &g.tabs[ti]
+		m[ti] = width
+		if i == 0 {
+			op, err := access(ti)
+			if err != nil {
+				return nil, err
+			}
+			cur, rows = op, tab.est
+		} else {
+			st := g.attach(joined, rows, ti)
+			// The equalities connecting ti to the prefix: ordinals in
+			// cur's output paired with column ordinals of ti.
+			var outer, inner []int
+			for _, jp := range g.joins {
+				if o, c, ok := jp.connects(joined, ti); ok {
+					oo, _ := m.ord(o)
+					outer = append(outer, oo)
+					inner = append(inner, c)
+				}
+			}
+			if st.index != nil {
+				key, res, err := indexJoinKey(tab, st.index, st.keyLen, outer, inner, m, width)
 				if err != nil {
 					return nil, err
 				}
-				preds = append(preds, bp)
-			}
-			op = &exec.Filter{Input: op, Pred: exec.AndOf(preds)}
-		}
-		return op, nil
-	}
-
-	// Greedy join order.
-	n := len(sc.tables)
-	joined := make(map[int]bool)
-	// Start with the table estimated smallest after local predicates.
-	start := 0
-	for i := 1; i < n; i++ {
-		if estimates[i] < estimates[start] {
-			start = i
-		}
-	}
-	cur, err := access(start)
-	if err != nil {
-		return nil, err
-	}
-	joined[start] = true
-	m := make(colMap)
-	for c := 0; c < sc.tables[start].Schema.Len(); c++ {
-		m[colID{table: start, col: c}] = c
-	}
-	width := sc.tables[start].Schema.Len()
-
-	usedJoin := make([]bool, len(joinPreds))
-	usedResidual := make([]bool, len(residuals))
-
-	attachResiduals := func() error {
-		var preds []exec.Pred
-		for i, r := range residuals {
-			if usedResidual[i] {
-				continue
-			}
-			ok := true
-			for t := range tablesOf(r) {
-				if !joined[t] {
-					ok = false
-					break
+				cur = &exec.IndexNLJoin{Left: cur, Right: tab.t, Index: st.index, LeftOrds: key, Residual: res, Est: st.rows}
+			} else {
+				right, err := access(ti)
+				if err != nil {
+					return nil, err
+				}
+				if len(outer) > 0 {
+					cur = &exec.HashJoin{Left: cur, Right: right, LeftOrds: outer, RightOrds: inner,
+						BuildLeft: rows < tab.est, Est: st.rows}
+				} else {
+					cur = &exec.NLJoin{Left: cur, Right: right, Pred: exec.True{}, Est: st.rows}
 				}
 			}
-			if !ok {
+			rows = st.rows
+		}
+		width += tab.t.Schema.Len()
+		joined[ti] = true
+
+		// Residuals whose last table just arrived.
+		var preds []exec.Pred
+		for _, r := range residuals {
+			if !r.tables[ti] || !covers(joined, r.tables) {
 				continue
 			}
-			bp, err := bind(r, m)
+			bp, err := bind(r.pred, m)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			preds = append(preds, bp)
-			usedResidual[i] = true
 		}
 		if len(preds) > 0 {
 			cur = &exec.Filter{Input: cur, Pred: exec.AndOf(preds)}
-		}
-		return nil
-	}
-	if err := attachResiduals(); err != nil {
-		return nil, err
-	}
-
-	for len(joined) < n {
-		// Candidate: unjoined table connected by an equijoin.
-		cand := -1
-		for _, jp := range joinPreds {
-			var newT int
-			switch {
-			case joined[jp.l.table] && !joined[jp.r.table]:
-				newT = jp.r.table
-			case joined[jp.r.table] && !joined[jp.l.table]:
-				newT = jp.l.table
-			default:
-				continue
-			}
-			if cand < 0 || estimates[newT] < estimates[cand] {
-				cand = newT
-			}
-		}
-		if cand >= 0 {
-			var lords, rords []int
-			for i, jp := range joinPreds {
-				if usedJoin[i] {
-					continue
-				}
-				var inner, outer colID
-				switch {
-				case joined[jp.l.table] && jp.r.table == cand:
-					inner, outer = jp.l, jp.r
-				case joined[jp.r.table] && jp.l.table == cand:
-					inner, outer = jp.r, jp.l
-				default:
-					continue
-				}
-				lords = append(lords, m[inner])
-				rords = append(rords, outer.col)
-				usedJoin[i] = true
-			}
-			op, err := buildJoin(sc, cand, cur, lords, rords, tablePreds[cand], m, width, access)
-			if err != nil {
-				return nil, err
-			}
-			cur = op
-			for c := 0; c < sc.tables[cand].Schema.Len(); c++ {
-				m[colID{table: cand, col: c}] = width + c
-			}
-			width += sc.tables[cand].Schema.Len()
-			joined[cand] = true
-		} else {
-			// No equijoin available: cross join with the smallest
-			// remaining table; residuals attach right after.
-			small := -1
-			for i := 0; i < n; i++ {
-				if !joined[i] && (small < 0 || estimates[i] < estimates[small]) {
-					small = i
-				}
-			}
-			right, err := access(small)
-			if err != nil {
-				return nil, err
-			}
-			cur = &exec.NLJoin{Left: cur, Right: right, Pred: exec.True{}}
-			for c := 0; c < sc.tables[small].Schema.Len(); c++ {
-				m[colID{table: small, col: c}] = width + c
-			}
-			width += sc.tables[small].Schema.Len()
-			joined[small] = true
-		}
-		if err := attachResiduals(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Join predicates between already-joined tables that the greedy
-	// order didn't consume become filters.
-	var lateJoin []exec.Pred
-	for i, jp := range joinPreds {
-		if usedJoin[i] {
-			continue
-		}
-		lo, lok := m[jp.l]
-		ro, rok := m[jp.r]
-		if !lok || !rok {
-			return nil, fmt.Errorf("plan: unbound join predicate")
-		}
-		lt := sc.tables[jp.l.table].Schema.Col(jp.l.col).Type
-		rt := sc.tables[jp.r.table].Schema.Col(jp.r.col).Type
-		lateJoin = append(lateJoin, exec.Cmp{Op: sql.CmpEq, Left: exec.Col{Ord: lo, Ty: lt}, Right: exec.Col{Ord: ro, Ty: rt}})
-	}
-	if len(lateJoin) > 0 {
-		cur = &exec.Filter{Input: cur, Pred: exec.AndOf(lateJoin)}
-	}
-	for i := range residuals {
-		if !usedResidual[i] {
-			return nil, fmt.Errorf("plan: residual predicate left unattached")
 		}
 	}
 
@@ -563,6 +489,54 @@ func buildSimple(cat TableSource, s *sql.Select) (exec.Operator, error) {
 	return cur, nil
 }
 
+// covers reports whether every table in need is in have.
+func covers(have, need []bool) bool {
+	for ti, in := range need {
+		if in && !have[ti] {
+			return false
+		}
+	}
+	return true
+}
+
+// indexJoinKey lays out an index nested-loop join through the first
+// keyLen columns of idx: the probe-key ordinals in the prefix's output,
+// aligned with those columns, and the residual predicate over the
+// concatenated output — connecting equalities the key does not cover
+// plus the table's single-table predicates. outer/inner are the
+// connecting equalities (prefix ordinal, table column); the table's
+// columns start at ordinal at, where m already places them.
+func indexJoinKey(tab *tableInfo, idx *catalog.Index, keyLen int, outer, inner []int, m colMap, at int) ([]int, exec.Pred, error) {
+	key := make([]int, keyLen)
+	covered := make([]bool, len(inner))
+	for i := range key {
+		for k, c := range inner {
+			if c == idx.Ords[i] {
+				key[i] = outer[k]
+				covered[k] = true
+				break
+			}
+		}
+	}
+	var preds []exec.Pred
+	for k, c := range inner {
+		if covered[k] {
+			continue
+		}
+		ty := tab.t.Schema.Col(c).Type
+		preds = append(preds, exec.Cmp{
+			Op:    sql.CmpEq,
+			Left:  exec.Col{Ord: outer[k], Ty: ty},
+			Right: exec.Col{Ord: at + c, Ty: ty},
+		})
+	}
+	preds, err := bindAll(preds, tab.preds, m)
+	if err != nil {
+		return nil, nil, err
+	}
+	return key, exec.AndOf(preds), nil
+}
+
 // projection resolves the select list. A nil scalar list means the input
 // already has the right shape ('*' over a single table).
 func projection(sc *scope, s *sql.Select, m colMap) ([]exec.Scalar, *rel.Schema, error) {
@@ -577,7 +551,7 @@ func projection(sc *scope, s *sql.Select, m colMap) ([]exec.Scalar, *rel.Schema,
 		for ti, t := range sc.tables {
 			for c := 0; c < t.Schema.Len(); c++ {
 				col := t.Schema.Col(c)
-				exprs = append(exprs, exec.Col{Ord: m[colID{table: ti, col: c}], Ty: col.Type})
+				exprs = append(exprs, exec.Col{Ord: m[ti] + c, Ty: col.Type})
 				cols = append(cols, rel.Column{Name: uniqueName(nameCount, col.Name), Type: col.Type})
 			}
 		}
@@ -623,176 +597,4 @@ func uniqueName(count map[string]int, name string) string {
 		return name
 	}
 	return fmt.Sprintf("%s_%d", name, count[name])
-}
-
-// indexJoinThreshold is the inner-table size above which an index
-// nested-loop join is preferred over building a hash table on the whole
-// inner relation. Below it the hash build is cheap enough that probing
-// overhead is not worth plan complexity.
-const indexJoinThreshold = 64
-
-// buildJoin attaches the candidate table to the current plan. It
-// prefers an index nested-loop join when the inner table is large and
-// carries a B+tree whose leading columns are join columns; otherwise it
-// falls back to a hash join over the candidate's filtered access path.
-//
-// lords are probe-side ordinals in cur's output; rords are the matching
-// column ordinals in the candidate table. tPreds are the candidate's
-// single-table predicates (symbolic); m/width describe cur's output
-// before the join.
-func buildJoin(sc *scope, cand int, cur exec.Operator, lords, rords []int,
-	tPreds []symPred, m colMap, width int,
-	access func(int) (exec.Operator, error)) (exec.Operator, error) {
-
-	t := sc.tables[cand]
-	// Equality-on-literal columns disqualify the index join shortcut:
-	// the filtered access path (possibly its own IndexScan) is already
-	// selective, and the hash build is over the filtered rows only.
-	hasEqLit := false
-	for _, p := range tPreds {
-		if c, ok := p.(symCmp); ok && c.op == sql.CmpEq && (c.left.isCol != c.right.isCol) {
-			hasEqLit = true
-		}
-	}
-	if !hasEqLit && t.Rows() > indexJoinThreshold {
-		if idx, keyLords, residual := matchJoinIndex(t, lords, rords, m, width, tPreds); idx != nil {
-			return &exec.IndexNLJoin{
-				Left:     cur,
-				Right:    t,
-				Index:    idx,
-				LeftOrds: keyLords,
-				Residual: residual,
-			}, nil
-		}
-	}
-	right, err := access(cand)
-	if err != nil {
-		return nil, err
-	}
-	return &exec.HashJoin{Left: cur, Right: right, LeftOrds: lords, RightOrds: rords}, nil
-}
-
-// matchJoinIndex finds the candidate-table index whose leading columns
-// are all join columns, maximizing the covered prefix. It returns the
-// probe-key ordinals (in cur's output) aligned with the index columns,
-// and the residual predicate: uncovered join equalities plus the
-// candidate's single-table predicates, both over the concatenated
-// output.
-func matchJoinIndex(t *catalog.Table, lords, rords []int, m colMap, width int, tPreds []symPred) (*catalog.Index, []int, exec.Pred) {
-	var best *catalog.Index
-	bestLen := 0
-	for _, idx := range t.Indexes {
-		l := 0
-		for _, io := range idx.Ords {
-			found := false
-			for _, ro := range rords {
-				if ro == io {
-					found = true
-					break
-				}
-			}
-			if !found {
-				break
-			}
-			l++
-		}
-		if l > bestLen {
-			best, bestLen = idx, l
-		}
-	}
-	if best == nil {
-		return nil, nil, nil
-	}
-	keyLords := make([]int, bestLen)
-	covered := make([]bool, len(rords))
-	for i := 0; i < bestLen; i++ {
-		for k, ro := range rords {
-			if ro == best.Ords[i] && !covered[k] {
-				keyLords[i] = lords[k]
-				covered[k] = true
-				break
-			}
-		}
-	}
-	var preds []exec.Pred
-	for k, ro := range rords {
-		if covered[k] {
-			continue
-		}
-		ty := t.Schema.Col(ro).Type
-		preds = append(preds, exec.Cmp{
-			Op:    sql.CmpEq,
-			Left:  exec.Col{Ord: lords[k], Ty: ty},
-			Right: exec.Col{Ord: width + ro, Ty: ty},
-		})
-	}
-	// Candidate's single-table predicates, re-anchored to the join
-	// output (its columns start at width).
-	if len(tPreds) > 0 {
-		local := make(colMap)
-		for p := range m {
-			local[p] = m[p]
-		}
-		// The candidate's own columns are not in m yet; bind against a
-		// temporary map extended with them.
-		for c := 0; c < t.Schema.Len(); c++ {
-			// The symbolic predicates reference (candTable, col); we do
-			// not know cand's index here, so recover it from the preds
-			// themselves below.
-			_ = c
-		}
-		for _, sp := range tPreds {
-			ext := make(colMap)
-			for id, o := range local {
-				ext[id] = o
-			}
-			for ti := range tablesOf(sp) {
-				for c := 0; c < t.Schema.Len(); c++ {
-					ext[colID{table: ti, col: c}] = width + c
-				}
-			}
-			bp, err := bind(sp, ext)
-			if err != nil {
-				// Binding can only fail on planner bugs; fall back to
-				// hash join by reporting no index.
-				return nil, nil, nil
-			}
-			preds = append(preds, bp)
-		}
-	}
-	return best, keyLords, exec.AndOf(preds)
-}
-
-// indexKey builds the probe key for pickIndex's chosen index from the
-// literal equality bindings.
-func indexKey(idx *catalog.Index, eqLit map[int]rel.Value) rel.Tuple {
-	key := make(rel.Tuple, 0, len(idx.Ords))
-	for _, o := range idx.Ords {
-		v, ok := eqLit[o]
-		if !ok {
-			break
-		}
-		key = append(key, v)
-	}
-	return key
-}
-
-// pickIndex chooses the index with the longest fully-bound prefix among
-// the equality columns.
-func pickIndex(t *catalog.Table, eqLit map[int]rel.Value) *catalog.Index {
-	var best *catalog.Index
-	bestLen := 0
-	for _, idx := range t.Indexes {
-		l := 0
-		for _, o := range idx.Ords {
-			if _, ok := eqLit[o]; !ok {
-				break
-			}
-			l++
-		}
-		if l > bestLen {
-			best, bestLen = idx, l
-		}
-	}
-	return best
 }

@@ -11,7 +11,7 @@ import (
 	"dkbms/internal/storage"
 )
 
-func setup(t *testing.T) *catalog.Catalog {
+func setup(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	c, err := catalog.Open(storage.NewMemPager(1024))
 	if err != nil {
@@ -20,7 +20,7 @@ func setup(t *testing.T) *catalog.Catalog {
 	return c
 }
 
-func addTable(t *testing.T, c *catalog.Catalog, name string, rows int) *catalog.Table {
+func addTable(t testing.TB, c *catalog.Catalog, name string, rows int) *catalog.Table {
 	t.Helper()
 	tb, err := c.CreateTable(name, rel.MustSchema(
 		rel.Column{Name: "a", Type: rel.TypeInt},
@@ -37,7 +37,7 @@ func addTable(t *testing.T, c *catalog.Catalog, name string, rows int) *catalog.
 	return tb
 }
 
-func build(t *testing.T, c *catalog.Catalog, q string) exec.Operator {
+func build(t testing.TB, c *catalog.Catalog, q string) exec.Operator {
 	t.Helper()
 	st, err := sql.Parse(q)
 	if err != nil {
@@ -83,7 +83,8 @@ func TestPlanUsesIndexScanForLiteralEquality(t *testing.T) {
 	}
 }
 
-func TestPlanPrefersIndexJoinOnLargeIndexedInner(t *testing.T) {
+func TestPlanIndexJoinWhenProbesAreCheaper(t *testing.T) {
+	// 5 probes of fan-out 1 against hashing 500 rows.
 	c := setup(t)
 	addTable(t, c, "small", 5)
 	addTable(t, c, "big", 500)
@@ -101,21 +102,63 @@ func TestPlanHashJoinWhenNoIndex(t *testing.T) {
 	addTable(t, c, "small", 5)
 	addTable(t, c, "big", 500)
 	op := unwrap(build(t, c, "SELECT s.b FROM small s, big g WHERE s.a = g.a"))
+	j, ok := op.(*exec.HashJoin)
+	if !ok {
+		t.Fatalf("expected HashJoin, got %T", op)
+	}
+	// The hash table goes on the smaller input whichever side it is.
+	left := unwrap(j.Left).(*exec.SeqScan).Table
+	if (left.Name == "small") != j.BuildLeft {
+		t.Fatalf("left input %s, BuildLeft=%v: hash table built on the larger input", left.Name, j.BuildLeft)
+	}
+}
+
+func TestPlanHashJoinWhenFanOutIsHigh(t *testing.T) {
+	// big.b has 10 distinct values: 100 probes would fetch 50 rows each,
+	// ten times the 500 + 100 rows of a hash join.
+	c := setup(t)
+	addTable(t, c, "mid", 100)
+	addTable(t, c, "big", 500)
+	if _, err := c.CreateIndex("big_b", "big", []string{"b"}, false); err != nil {
+		t.Fatal(err)
+	}
+	op := unwrap(build(t, c, "SELECT m.a FROM mid m, big g WHERE m.b = g.b"))
 	if _, ok := op.(*exec.HashJoin); !ok {
 		t.Fatalf("expected HashJoin, got %T", op)
 	}
 }
 
-func TestPlanHashJoinForSmallInner(t *testing.T) {
+// TestPlanJoinsThroughTheMagicSet is the plan decision magic sets rest
+// on: in the modified rule's statement the delta's only join edge
+// reaches the base relation on its un-indexed column, so the order must
+// start at the magic set, probe the base relation's index, and hash the
+// delta last — never scan the base relation.
+func TestPlanJoinsThroughTheMagicSet(t *testing.T) {
 	c := setup(t)
-	addTable(t, c, "a1", 10)
-	addTable(t, c, "a2", 20) // below indexJoinThreshold
-	if _, err := c.CreateIndex("a2_a", "a2", []string{"a"}, false); err != nil {
+	addTable(t, c, "parent", 5000)
+	if _, err := c.CreateIndex("parent_a", "parent", []string{"a"}, false); err != nil {
 		t.Fatal(err)
 	}
-	op := unwrap(build(t, c, "SELECT t.b FROM a1 t, a2 u WHERE t.a = u.a"))
-	if _, ok := op.(*exec.HashJoin); !ok {
-		t.Fatalf("expected HashJoin for a small inner, got %T", op)
+	addTable(t, c, "magic", 7)
+	addTable(t, c, "delta", 2)
+	op := unwrap(build(t, c, "SELECT DISTINCT m.a, d.b FROM magic m, parent p, delta d WHERE m.a = p.a AND p.b = d.a"))
+	top, ok := op.(*exec.HashJoin)
+	if !ok {
+		t.Fatalf("expected HashJoin on top, got %T", op)
+	}
+	probe, ok := top.Left.(*exec.IndexNLJoin)
+	if !ok || probe.Right.Name != "parent" {
+		t.Fatalf("expected an index join into parent under the hash join, got %T", top.Left)
+	}
+	if start, ok := probe.Left.(*exec.SeqScan); !ok || start.Table.Name != "magic" {
+		t.Fatalf("expected the order to start at the magic set, got %T", probe.Left)
+	}
+	if d, ok := top.Right.(*exec.SeqScan); !ok || d.Table.Name != "delta" || top.BuildLeft {
+		t.Fatalf("expected the 2-row delta as the hash join's build side")
+	}
+	// Estimates ride on the operators: 7 probes × 1 row, then ≤ 2 rows.
+	if probe.Est != 7 || top.Est != 2 {
+		t.Fatalf("estimates %v / %v, want 7 / 2", probe.Est, top.Est)
 	}
 }
 
@@ -221,8 +264,8 @@ func TestBindTablePred(t *testing.T) {
 }
 
 func TestPlanManyTablesChain(t *testing.T) {
-	// A 5-way chain join must produce a correct plan regardless of
-	// greedy ordering decisions.
+	// A 5-way chain join must produce a correct plan whatever order the
+	// cost model picks.
 	c := setup(t)
 	for i := 0; i < 5; i++ {
 		addTable(t, c, fmt.Sprintf("t%d", i), 30+10*i)
@@ -236,5 +279,36 @@ func TestPlanManyTablesChain(t *testing.T) {
 	// (30+10i)/10 = 3+i such rows. Join count = 1 * 4 * 5 * 6 * 7.
 	if want := 4 * 5 * 6 * 7; len(rows) != want {
 		t.Fatalf("rows = %d, want %d", len(rows), want)
+	}
+}
+
+// BenchmarkBuildSelect times planning alone on the statement shapes an
+// LFP round issues: an exit rule, a delta rule, a magic-modified rule.
+func BenchmarkBuildSelect(b *testing.B) {
+	c := setup(b)
+	addTable(b, c, "d", 0)
+	addTable(b, c, "e", 500)
+	addTable(b, c, "m", 0)
+	if _, err := c.CreateIndex("e_a", "e", []string{"a"}, false); err != nil {
+		b.Fatal(err)
+	}
+	for _, q := range []struct{ name, text string }{
+		{"one", "SELECT DISTINCT e.a, e.b FROM e"},
+		{"two", "SELECT DISTINCT e.a, d.b FROM e, d WHERE e.b = d.a"},
+		{"three", "SELECT DISTINCT e.a, d.b FROM m, e, d WHERE m.a = e.a AND e.b = d.a"},
+	} {
+		st, err := sql.Parse(q.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sel := st.(*sql.Select)
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := BuildSelect(c, sel); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

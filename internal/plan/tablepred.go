@@ -14,9 +14,5 @@ func BindTablePred(t *catalog.Table, e sql.Expr) (exec.Pred, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := make(colMap, t.Schema.Len())
-	for c := 0; c < t.Schema.Len(); c++ {
-		m[colID{table: 0, col: c}] = c
-	}
-	return bind(p, m)
+	return bind(p, colMap{0})
 }
