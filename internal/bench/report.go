@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -104,8 +105,10 @@ type JSONReport struct {
 	Commit string `json:"commit,omitempty"`
 }
 
-// gitCommit names the working tree's commit for JSONReport.Commit.
-func gitCommit() string {
+// gitCommit names the working tree's commit for JSONReport.Commit. It
+// is read once per process, before the first report is written, so the
+// files one run writes do not make each other "dirty".
+var gitCommit = sync.OnceValue(func() string {
 	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
 	if err != nil {
 		return ""
@@ -115,7 +118,7 @@ func gitCommit() string {
 		commit += "+dirty"
 	}
 	return commit
-}
+})
 
 // JSON renders the report with its run environment as indented JSON.
 func (r *Report) JSON(cfg Config, elapsed time.Duration) ([]byte, error) {
