@@ -448,7 +448,8 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 			return storage.RID{}, fmt.Errorf("catalog: type mismatch in %s column %s: %v", t.Name, t.Schema.Col(i).Name, tu[i])
 		}
 	}
-	rid, err := t.Heap.Insert(tu.Encode(nil))
+	var buf [128]byte // the heap copies the record into its page
+	rid, err := t.Heap.Insert(tu.Encode(buf[:0]))
 	if err != nil {
 		return storage.RID{}, err
 	}
@@ -459,6 +460,20 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 	}
 	t.rows++
 	return rid, nil
+}
+
+// InsertRecord adds an already-encoded tuple: a record scanned from a
+// table of the same column types, stored as it is. The table must have
+// no indexes (their keys would need the decoded tuple).
+func (t *Table) InsertRecord(rec []byte) error {
+	if len(t.Indexes) != 0 {
+		return fmt.Errorf("catalog: raw insert into indexed table %s", t.Name)
+	}
+	if _, err := t.Heap.Insert(rec); err != nil {
+		return err
+	}
+	t.rows++
+	return nil
 }
 
 // DeleteRID removes the tuple at rid from the heap and all indexes. The

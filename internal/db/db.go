@@ -302,6 +302,31 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 		defer flush()
 		// Materialize before writing so self-referential inserts
 		// (INSERT INTO t SELECT ... FROM t) read a stable snapshot.
+		if len(t.Indexes) == 0 {
+			// A bare scan's stored records (same types, checked above)
+			// go into an index-less table as they are.
+			var recs []byte // the records back to back
+			var ends []int
+			raw, err := exec.ScanRecords(op, func(rec []byte) error {
+				recs = append(recs, rec...)
+				ends = append(ends, len(recs))
+				return ctx.Err()
+			})
+			if err != nil {
+				return err
+			}
+			if raw {
+				start := 0
+				for _, end := range ends {
+					if err := t.InsertRecord(recs[start:end]); err != nil {
+						return err
+					}
+					atomic.AddInt64(&d.stats.InsertedRows, 1)
+					start = end
+				}
+				return nil
+			}
+		}
 		tuples, err := exec.CollectCtx(ctx, op)
 		if err != nil {
 			return err

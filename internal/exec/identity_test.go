@@ -1,0 +1,161 @@
+package exec
+
+import (
+	"testing"
+
+	"dkbms/internal/catalog"
+	"dkbms/internal/obs"
+	"dkbms/internal/rel"
+)
+
+// Allocation pins for the identity-only paths: tuple keys are built in
+// a reused scratch buffer and probed as m[string(scratch)], and stored
+// records are compared and counted undecoded. Each pin measures the
+// same operator over a small and a ten times larger input and holds
+// the difference, so fixed per-statement costs drop out.
+
+// pairsTable creates name holding (i, i) for i in [from, to).
+func pairsTable(t *testing.T, c *catalog.Catalog, name string, from, to int64) *catalog.Table {
+	t.Helper()
+	pairs := make([][2]int64, 0, to-from)
+	for i := from; i < to; i++ {
+		pairs = append(pairs, [2]int64{i, i})
+	}
+	return newTable(t, c, name, pairs)
+}
+
+func allocsOf(t *testing.T, mk func() Operator) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(20, func() {
+		if err := Run(mk(), func(rel.Tuple) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestExceptAllocsIndependentOfRightSize: EXCEPT and INTERSECT build on
+// the left and stream the right table's stored records, so a right
+// side ten times larger allocates nothing more — traced or not.
+func TestExceptAllocsIndependentOfRightSize(t *testing.T) {
+	c := cat(t)
+	left := pairsTable(t, c, "l", 0, 16)
+	small := pairsTable(t, c, "small", 8, 108)
+	big := pairsTable(t, c, "big", 8, 1008)
+	for _, kind := range []SetOpKind{OpExcept, OpIntersect} {
+		for _, traced := range []bool{false, true} {
+			mk := func(right *catalog.Table) func() Operator {
+				return func() Operator {
+					var sp *obs.Span
+					if traced {
+						sp = obs.NewTrace("q").Root()
+					}
+					op, _ := Instrument(&SetOpExec{Kind: kind, Left: &SeqScan{Table: left}, Right: &SeqScan{Table: right}}, sp)
+					return op
+				}
+			}
+			a, b := allocsOf(t, mk(small)), allocsOf(t, mk(big))
+			if a != b {
+				t.Errorf("%s traced=%v: %.0f allocations against 100 right rows, %.0f against 1000; want equal",
+					setOpName(kind), traced, a, b)
+			}
+		}
+	}
+	// The same right side behind a filter arrives as decoded tuples: the
+	// result is the same, the allocations are not.
+	raw := collect(t, &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: left}, Right: &SeqScan{Table: big}})
+	dec := collect(t, &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: left},
+		Right: &Filter{Input: &SeqScan{Table: big}, Pred: True{}}})
+	if len(raw) != 8 || len(dec) != 8 {
+		t.Fatalf("l EXCEPT big: %d rows reading records, %d reading tuples; want 8", len(raw), len(dec))
+	}
+}
+
+// manyRows is n copies of one row: every probe after the first finds
+// its key.
+func manyRows(n int) *Values {
+	rows := make([]rel.Tuple, n)
+	for i := range rows {
+		rows[i] = rel.Tuple{rel.NewInt(7), rel.NewString("a constant of some length")}
+	}
+	return &Values{Rows: rows, Out: rel.MustSchema(
+		rel.Column{Name: "a", Type: rel.TypeInt}, rel.Column{Name: "b", Type: rel.TypeString})}
+}
+
+// TestProbeHitAllocatesNothing: a Distinct probe that finds its key
+// allocates nothing, and a HashJoin probe that finds its key allocates
+// only the joined tuple it emits.
+func TestProbeHitAllocatesNothing(t *testing.T) {
+	distinct := func(n int) func() Operator {
+		in := manyRows(n)
+		return func() Operator { return &Distinct{Input: in} }
+	}
+	if a, b := allocsOf(t, distinct(100)), allocsOf(t, distinct(1000)); a != b {
+		t.Errorf("distinct: %.0f allocations over 100 duplicates, %.0f over 1000; want equal", a, b)
+	}
+	join := func(n int) func() Operator {
+		probe, build := manyRows(n), manyRows(1)
+		return func() Operator {
+			return &HashJoin{Left: probe, Right: build, LeftOrds: []int{1, 0}, RightOrds: []int{1, 0}}
+		}
+	}
+	if a, b := allocsOf(t, join(100)), allocsOf(t, join(1000)); b-a != 900 {
+		t.Errorf("hashjoin: %.0f allocations for 100 matching probes, %.0f for 1000; want one (the joined tuple) per probe", a, b)
+	}
+}
+
+// TestCountStarAllocsIndependentOfTableSize: COUNT(*) over a bare table
+// counts stored records.
+func TestCountStarAllocsIndependentOfTableSize(t *testing.T) {
+	c := cat(t)
+	small := pairsTable(t, c, "small", 0, 100)
+	big := pairsTable(t, c, "big", 0, 1000)
+	count := func(tb *catalog.Table) func() Operator {
+		return func() Operator { return &CountStar{Input: &SeqScan{Table: tb}} }
+	}
+	a, b := allocsOf(t, count(small)), allocsOf(t, count(big))
+	if a != b {
+		t.Errorf("count(*): %.0f allocations over 100 rows, %.0f over 1000; want equal", a, b)
+	}
+	rows := collect(t, count(big)())
+	if len(rows) != 1 || rows[0][0].Int != 1000 {
+		t.Fatalf("count(*) = %v, want 1000", rows)
+	}
+}
+
+// TestSetOpChainSharesOneBuild: A EXCEPT B EXCEPT C hashes A once — the
+// outer operation takes over the inner one's set — and the inner
+// operation still reports its own row count under tracing.
+func TestSetOpChainSharesOneBuild(t *testing.T) {
+	c := cat(t)
+	a := pairsTable(t, c, "a", 0, 200)
+	b := pairsTable(t, c, "b", 100, 150)
+	d := pairsTable(t, c, "d", 0, 20)
+	chain := func() Operator {
+		inner := &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: a}, Right: &SeqScan{Table: b}}
+		return &SetOpExec{Kind: OpExcept, Left: inner, Right: &SeqScan{Table: d}}
+	}
+	single := func() Operator {
+		return &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: a}, Right: &SeqScan{Table: b}}
+	}
+	if got := len(collect(t, chain())); got != 130 {
+		t.Fatalf("a EXCEPT b EXCEPT d: %d rows, want 130", got)
+	}
+	// A second build would cost at least one key per surviving tuple.
+	if one, two := allocsOf(t, single), allocsOf(t, chain); two-one > 10 {
+		t.Errorf("chain allocates %.0f, single EXCEPT %.0f: the outer operation re-hashed its input", two, one)
+	}
+	tr := obs.NewTrace("q")
+	op, flush := Instrument(chain(), tr.Root())
+	if got := len(collect(t, op)); got != 130 {
+		t.Fatalf("traced chain: %d rows, want 130", got)
+	}
+	flush()
+	outer := tr.Root().Children[0]
+	inner := outer.Children[0]
+	if rows, _ := outer.Int("rows"); rows != 130 {
+		t.Errorf("outer except rows=%d, want 130\n%s", rows, tr.Format())
+	}
+	if rows, _ := inner.Int("rows"); inner.Name != "except" || rows != 150 {
+		t.Errorf("inner %s rows=%d, want except rows=150\n%s", inner.Name, rows, tr.Format())
+	}
+}

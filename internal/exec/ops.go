@@ -71,6 +71,33 @@ func CollectCtx(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 	return out, err
 }
 
+// RecordSource is the optional interface of operators that can stream
+// their rows as stored records instead of decoded tuples. A consumer
+// that only needs tuple identity — a set operation's right input,
+// COUNT(*), INSERT ... SELECT * into an index-less table — asks for it
+// in place of Open/Next/Close: a stored record is the key of the tuple
+// it holds (rel.Tuple.AppendKey), so nothing is decoded. SeqScan
+// implements it; Instrument's wrapper forwards and counts it, so traced
+// and untraced statements take the same path. Records are encoded under
+// the operator's own Schema: a consumer that compares them with keys
+// built under another schema checks TypesCompatible first.
+type RecordSource interface {
+	// ScanRecords calls fn with every row's record; rec aliases a page
+	// buffer and must not be retained. ok is false, with nothing read,
+	// when the operator has no stored records to offer; the caller then
+	// falls back to Open/Next/Close.
+	ScanRecords(fn func(rec []byte) error) (ok bool, err error)
+}
+
+// ScanRecords streams op's rows through fn as stored records if op is
+// a RecordSource that has them (see there); otherwise ok is false.
+func ScanRecords(op Operator, fn func(rec []byte) error) (ok bool, err error) {
+	if src, isSrc := op.(RecordSource); isSrc {
+		return src.ScanRecords(fn)
+	}
+	return false, nil
+}
+
 // --- SeqScan ---
 
 // SeqScan reads every tuple of a table. The scan materializes RIDs lazily
@@ -113,6 +140,12 @@ func (s *SeqScan) Next() (rel.Tuple, error) {
 func (s *SeqScan) Close() error {
 	s.tuples = nil
 	return nil
+}
+
+// ScanRecords streams the table's records in one heap pass — the same
+// pages and records Open reads.
+func (s *SeqScan) ScanRecords(fn func(rec []byte) error) (bool, error) {
+	return true, s.Table.Heap.Scan(func(_ storage.RID, rec []byte) error { return fn(rec) })
 }
 
 // --- IndexScan ---
@@ -310,7 +343,9 @@ type HashJoin struct {
 	Residual            Pred // True when absent
 	Est                 float64
 
-	table   map[string][]rel.Tuple
+	buckets map[string]int // key over the build ordinals → index into table
+	table   [][]rel.Tuple
+	key     []byte // scratch: a probe is buckets[string(key)], no allocation
 	cur     rel.Tuple
 	matches []rel.Tuple
 	mpos    int
@@ -342,10 +377,16 @@ func (j *HashJoin) Open() error {
 	if err := probe.Open(); err != nil {
 		return err
 	}
-	j.table = make(map[string][]rel.Tuple)
+	j.buckets, j.table = make(map[string]int), nil
 	err := Run(build, func(tu rel.Tuple) error {
-		k := tu.KeyOf(buildOrds)
-		j.table[k] = append(j.table[k], tu)
+		j.key = tu.AppendKey(j.key[:0], buildOrds)
+		b, ok := j.buckets[string(j.key)]
+		if !ok {
+			b = len(j.table)
+			j.buckets[string(j.key)] = b
+			j.table = append(j.table, nil)
+		}
+		j.table[b] = append(j.table[b], tu)
 		return nil
 	})
 	if err != nil {
@@ -379,15 +420,17 @@ func (j *HashJoin) Next() (rel.Tuple, error) {
 		if err != nil || tu == nil {
 			return nil, err
 		}
-		j.cur = tu
-		j.matches = j.table[tu.KeyOf(probeOrds)]
-		j.mpos = 0
+		j.cur, j.matches, j.mpos = tu, nil, 0
+		j.key = tu.AppendKey(j.key[:0], probeOrds)
+		if b, ok := j.buckets[string(j.key)]; ok {
+			j.matches = j.table[b]
+		}
 	}
 }
 
 // Close closes the probe input and releases the hash table.
 func (j *HashJoin) Close() error {
-	j.table = nil
+	j.buckets, j.table = nil, nil
 	_, probe, _, _ := j.sides()
 	return probe.Close()
 }
@@ -398,6 +441,7 @@ func (j *HashJoin) Close() error {
 type Distinct struct {
 	Input Operator
 	seen  map[string]struct{}
+	key   []byte // scratch
 }
 
 // Schema returns the input schema.
@@ -417,11 +461,11 @@ func (d *Distinct) Next() (rel.Tuple, error) {
 		if err != nil || tu == nil {
 			return nil, err
 		}
-		k := tu.Key()
-		if _, dup := d.seen[k]; dup {
+		d.key = tu.AppendKey(d.key[:0], nil)
+		if _, dup := d.seen[string(d.key)]; dup {
 			continue
 		}
-		d.seen[k] = struct{}{}
+		d.seen[string(d.key)] = struct{}{}
 		return tu, nil
 	}
 }
@@ -447,11 +491,19 @@ const (
 )
 
 // SetOpExec evaluates Left OP Right. Inputs must be type-compatible.
+//
+// The deduplicating kinds build a tupleSet from the left input — in the
+// LFP round the few derivations of one rule — and stream the right
+// input past it as keys, raw stored records when the right input is a
+// RecordSource. The right input is read whatever the left holds, so a
+// statement costs the same page reads every round. A chain such as
+// A EXCEPT B EXCEPT C builds once: the outer operation takes over the
+// inner one's set (setSource) instead of re-hashing its output.
 type SetOpExec struct {
 	Kind        SetOpKind
 	Left, Right Operator
 
-	out []rel.Tuple
+	out []rel.Tuple // nil entries are tuples a later step removed
 	pos int
 }
 
@@ -460,87 +512,75 @@ func (s *SetOpExec) Schema() *rel.Schema { return s.Left.Schema() }
 
 // Open fully evaluates the set operation (these operators are blocking).
 func (s *SetOpExec) Open() error {
+	s.out, s.pos = nil, 0
+	set, err := s.takeSet()
+	if err != nil {
+		return err
+	}
+	if set != nil {
+		s.out = set.rows
+		return nil
+	}
+	// UNION ALL: a bag, nothing to hash.
+	keep := func(tu rel.Tuple) error { s.out = append(s.out, tu); return nil }
+	if err := Run(s.Left, keep); err != nil {
+		return err
+	}
+	return Run(s.Right, keep)
+}
+
+// takeSet evaluates a deduplicating set operation in place of Open and
+// hands the result over as a set; UNION ALL, whose result is a bag, has
+// none to give.
+func (s *SetOpExec) takeSet() (*tupleSet, error) {
 	if !s.Left.Schema().TypesCompatible(s.Right.Schema()) {
-		return fmt.Errorf("exec: set operation over incompatible schemas %v and %v",
+		return nil, fmt.Errorf("exec: set operation over incompatible schemas %v and %v",
 			s.Left.Schema(), s.Right.Schema())
 	}
-	s.out = s.out[:0]
-	s.pos = 0
+	if s.Kind == OpUnionAll {
+		return nil, nil
+	}
+	set, err := setOf(s.Left)
+	if err != nil {
+		return nil, err
+	}
 	switch s.Kind {
-	case OpUnionAll:
-		err := Run(s.Left, func(tu rel.Tuple) error { s.out = append(s.out, tu); return nil })
-		if err != nil {
-			return err
-		}
-		return Run(s.Right, func(tu rel.Tuple) error { s.out = append(s.out, tu); return nil })
 	case OpUnion:
-		seen := make(map[string]struct{})
-		add := func(tu rel.Tuple) error {
-			k := tu.Key()
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				s.out = append(s.out, tu)
-			}
-			return nil
-		}
-		if err := Run(s.Left, add); err != nil {
-			return err
-		}
-		return Run(s.Right, add)
+		err = Run(s.Right, set.add)
 	case OpExcept:
-		drop := make(map[string]struct{})
-		if err := Run(s.Right, func(tu rel.Tuple) error {
-			drop[tu.Key()] = struct{}{}
-			return nil
-		}); err != nil {
-			return err
-		}
-		seen := make(map[string]struct{})
-		return Run(s.Left, func(tu rel.Tuple) error {
-			k := tu.Key()
-			if _, excluded := drop[k]; excluded {
-				return nil
+		err = set.eachKey(s.Right, func(key []byte) {
+			if i := set.find(key); i >= 0 {
+				set.rows[i] = nil
 			}
-			if _, dup := seen[k]; dup {
-				return nil
-			}
-			seen[k] = struct{}{}
-			s.out = append(s.out, tu)
-			return nil
 		})
 	case OpIntersect:
-		keep := make(map[string]struct{})
-		if err := Run(s.Right, func(tu rel.Tuple) error {
-			keep[tu.Key()] = struct{}{}
-			return nil
-		}); err != nil {
-			return err
-		}
-		seen := make(map[string]struct{})
-		return Run(s.Left, func(tu rel.Tuple) error {
-			k := tu.Key()
-			if _, present := keep[k]; !present {
-				return nil
+		hit := make([]bool, len(set.rows))
+		err = set.eachKey(s.Right, func(key []byte) {
+			if i := set.find(key); i >= 0 {
+				hit[i] = true
 			}
-			if _, dup := seen[k]; dup {
-				return nil
-			}
-			seen[k] = struct{}{}
-			s.out = append(s.out, tu)
-			return nil
 		})
+		for i, h := range hit {
+			if !h {
+				set.rows[i] = nil
+			}
+		}
+	default:
+		err = fmt.Errorf("exec: unknown set operation %d", s.Kind)
 	}
-	return fmt.Errorf("exec: unknown set operation %d", s.Kind)
+	return set, err
 }
 
 // Next returns the next result tuple.
 func (s *SetOpExec) Next() (rel.Tuple, error) {
-	if s.pos >= len(s.out) {
-		return nil, nil
+	for s.pos < len(s.out) {
+		tu := s.out[s.pos]
+		s.pos++
+		if tu != nil {
+			return tu, nil
+		}
 	}
-	tu := s.out[s.pos]
-	s.pos++
-	return tu, nil
+	return nil, nil
 }
 
 // Close releases the materialized result.
@@ -549,48 +589,103 @@ func (s *SetOpExec) Close() error {
 	return nil
 }
 
+// setSource is implemented by operators whose whole result is a
+// tupleSet they can hand over (SetOpExec, and Instrument's wrapper
+// around one). A nil set means "drain me instead".
+type setSource interface {
+	takeSet() (*tupleSet, error)
+}
+
+// setOf evaluates op into a tupleSet.
+func setOf(op Operator) (*tupleSet, error) {
+	if src, ok := op.(setSource); ok {
+		if set, err := src.takeSet(); set != nil || err != nil {
+			return set, err
+		}
+	}
+	set := &tupleSet{pos: make(map[string]int)}
+	return set, Run(op, set.add)
+}
+
+// tupleSet is an insertion-ordered set of tuples of one schema,
+// identified by their keys. Removing a tuple leaves a nil in rows so
+// positions stay valid.
+type tupleSet struct {
+	pos  map[string]int // key → index into rows
+	rows []rel.Tuple
+	key  []byte // scratch
+}
+
+// add inserts tu unless the set holds it.
+func (s *tupleSet) add(tu rel.Tuple) error {
+	s.key = tu.AppendKey(s.key[:0], nil)
+	if i, ok := s.pos[string(s.key)]; !ok {
+		s.pos[string(s.key)] = len(s.rows)
+		s.rows = append(s.rows, tu)
+	} else if s.rows[i] == nil {
+		s.rows[i] = tu
+	}
+	return nil
+}
+
+// find returns the position of the tuple with the given key, or -1.
+func (s *tupleSet) find(key []byte) int {
+	if i, ok := s.pos[string(key)]; ok && s.rows[i] != nil {
+		return i
+	}
+	return -1
+}
+
+// eachKey passes the key of every row of op to fn: the stored records
+// themselves when op has them, the encoding of each tuple otherwise.
+func (s *tupleSet) eachKey(op Operator, fn func(key []byte)) error {
+	raw, err := ScanRecords(op, func(rec []byte) error { fn(rec); return nil })
+	if raw || err != nil {
+		return err
+	}
+	return Run(op, func(tu rel.Tuple) error {
+		s.key = tu.AppendKey(s.key[:0], nil)
+		fn(s.key)
+		return nil
+	})
+}
+
 // --- CountStar ---
 
 var countSchema = rel.MustSchema(rel.Column{Name: "count", Type: rel.TypeInt})
 
-// CountStar counts input tuples and emits a single-row result.
+// CountStar counts input tuples and emits a single-row result. A
+// RecordSource input is counted record by record, undecoded.
 type CountStar struct {
 	Input Operator
+	n     int64
 	done  bool
 }
 
 // Schema returns the single-column count schema.
 func (c *CountStar) Schema() *rel.Schema { return countSchema }
 
-// Open opens the input.
+// Open counts the input.
 func (c *CountStar) Open() error {
-	c.done = false
-	return c.Input.Open()
+	c.n, c.done = 0, false
+	raw, err := ScanRecords(c.Input, func([]byte) error { c.n++; return nil })
+	if raw || err != nil {
+		return err
+	}
+	return Run(c.Input, func(rel.Tuple) error { c.n++; return nil })
 }
 
-// Next counts the input on first call.
+// Next emits the count on first call.
 func (c *CountStar) Next() (rel.Tuple, error) {
 	if c.done {
 		return nil, nil
 	}
-	n := int64(0)
-	//dkblint:ctxok counts a finite Open-materialized input; bounded by input size
-	for {
-		tu, err := c.Input.Next()
-		if err != nil {
-			return nil, err
-		}
-		if tu == nil {
-			break
-		}
-		n++
-	}
 	c.done = true
-	return rel.Tuple{rel.NewInt(n)}, nil
+	return rel.Tuple{rel.NewInt(c.n)}, nil
 }
 
-// Close closes the input.
-func (c *CountStar) Close() error { return c.Input.Close() }
+// Close is a no-op: Open drained the input.
+func (c *CountStar) Close() error { return nil }
 
 // --- Values ---
 

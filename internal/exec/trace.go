@@ -208,3 +208,31 @@ func (w *countedOp) Next() (rel.Tuple, error) {
 
 // Close closes the inner operator.
 func (w *countedOp) Close() error { return w.inner.Close() }
+
+// ScanRecords forwards RecordSource, arming the I/O probe as Open would
+// and counting each record as a row.
+func (w *countedOp) ScanRecords(fn func(rec []byte) error) (bool, error) {
+	w.c.io.arm()
+	return ScanRecords(w.inner, func(rec []byte) error {
+		w.c.rows++
+		return fn(rec)
+	})
+}
+
+// takeSet forwards setSource; the rows of the set handed over are the
+// rows the inner operator would have emitted.
+func (w *countedOp) takeSet() (*tupleSet, error) {
+	src, ok := w.inner.(setSource)
+	if !ok {
+		return nil, nil
+	}
+	set, err := src.takeSet()
+	if set != nil {
+		for _, tu := range set.rows {
+			if tu != nil {
+				w.c.rows++
+			}
+		}
+	}
+	return set, err
+}

@@ -278,6 +278,7 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 	// has no subqueries), to a fixpoint.
 	rederived := 0
 	rounds := 0
+	var key []byte // scratch: probing cand allocates nothing
 	for changed := true; changed; {
 		changed = false
 		rounds++
@@ -293,12 +294,12 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 			}
 			var back []rel.Tuple
 			for _, tu := range rows.Tuples {
-				k := tu.Key()
-				if _, ok := cand[k]; !ok {
+				key = tu.AppendKey(key[:0], nil)
+				if _, ok := cand[string(key)]; !ok {
 					continue
 				}
 				back = append(back, tu)
-				delete(cand, k)
+				delete(cand, string(key))
 			}
 			if len(back) == 0 {
 				continue
@@ -318,7 +319,8 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 
 // deleteMatching removes the rows whose keys appear in victims from a
 // table, in one scan (the dialect's DELETE takes only literal
-// conjunctions, so per-tuple statements would rescan per victim). It
+// conjunctions, so per-tuple statements would rescan per victim); a
+// stored record is its tuple's key, so the scan decodes nothing. It
 // returns how many rows actually left the table — candidates a magic
 // program never materialized simply do not match.
 func deleteMatching(d *db.DB, table string, victims map[string]rel.Tuple) (int, error) {
@@ -331,8 +333,8 @@ func deleteMatching(d *db.DB, table string, victims map[string]rel.Tuple) (int, 
 		tu  rel.Tuple
 	}
 	var hit []victim
-	err := t.Scan(func(rid storage.RID, tu rel.Tuple) error {
-		if _, ok := victims[tu.Key()]; ok {
+	err := t.Heap.Scan(func(rid storage.RID, rec []byte) error {
+		if tu, ok := victims[string(rec)]; ok {
 			hit = append(hit, victim{rid, tu})
 		}
 		return nil

@@ -45,13 +45,17 @@ type TableSource interface {
 }
 
 // BuildSelect plans a (possibly compound) SELECT against the source.
+//
+// UNION, EXCEPT and INTERSECT deduplicate their inputs themselves, so a
+// SELECT DISTINCT feeding one gets no Distinct operator of its own.
 func BuildSelect(cat TableSource, s *sql.Select) (exec.Operator, error) {
-	left, err := buildSimple(cat, s)
+	keepDistinct := func(op sql.SetOp) bool { return op == sql.SetNone || op == sql.SetUnionAll }
+	left, err := buildSimple(cat, s, keepDistinct(s.SetOp))
 	if err != nil {
 		return nil, err
 	}
 	for cur := s; cur.SetOp != sql.SetNone; cur = cur.Next {
-		right, err := buildSimple(cat, cur.Next)
+		right, err := buildSimple(cat, cur.Next, keepDistinct(cur.SetOp))
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +319,9 @@ type residual struct {
 	tables []bool
 }
 
-func buildSimple(cat TableSource, s *sql.Select) (exec.Operator, error) {
+// buildSimple plans one SELECT block; distinct says whether its
+// DISTINCT, if any, needs an operator.
+func buildSimple(cat TableSource, s *sql.Select, distinct bool) (exec.Operator, error) {
 	if len(s.From) == 0 {
 		return nil, fmt.Errorf("plan: empty FROM")
 	}
@@ -483,7 +489,7 @@ func buildSimple(cat TableSource, s *sql.Select) (exec.Operator, error) {
 	if proj != nil {
 		cur = &exec.Project{Input: cur, Exprs: proj, Out: outSchema}
 	}
-	if s.Distinct {
+	if s.Distinct && distinct {
 		cur = &exec.Distinct{Input: cur}
 	}
 	return cur, nil

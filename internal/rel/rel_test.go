@@ -1,8 +1,10 @@
 package rel
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -181,8 +183,9 @@ func TestTupleEncodePropertyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTupleKeyInjective: within one column-type vector, distinct tuples
+// have distinct keys — which is all a key promises (see AppendKey).
 func TestTupleKeyInjective(t *testing.T) {
-	// Property: distinct tuples have distinct keys.
 	f := func(a1 int64, s1 string, a2 int64, s2 string) bool {
 		t1 := Tuple{NewInt(a1), NewString(s1)}
 		t2 := Tuple{NewInt(a2), NewString(s2)}
@@ -192,19 +195,85 @@ func TestTupleKeyInjective(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+	g := func(s1, r1, s2, r2 string) bool {
+		same := s1 == s2 && r1 == r2
+		return (Tuple{NewString(s1), NewString(r1)}.Key() == Tuple{NewString(s2), NewString(r2)}.Key()) == same
+	}
+	if err := quick.Check(g, nil); err != nil {
+		t.Fatal(err)
+	}
 	// Regression: the classic concatenation ambiguity must not collide.
 	t1 := Tuple{NewString("ab"), NewString("c")}
 	t2 := Tuple{NewString("a"), NewString("bc")}
 	if t1.Key() == t2.Key() {
 		t.Fatal("key not injective across string boundaries")
 	}
+	// Strings holding length prefixes or the bytes of an integer.
+	t3 := Tuple{NewString("\x01a"), NewString("")}
+	t4 := Tuple{NewString(""), NewString("\x01a")}
+	if t3.Key() == t4.Key() {
+		t.Fatal("key not injective when a string looks like a length prefix")
+	}
+	// Across type vectors nothing is promised, and this is why: an
+	// 8-byte string after its length byte and a one-byte string before
+	// an int can spell the same bytes.
+	x := Tuple{NewString("\x00\x00\x00\x00\x00\x00\x00")}.Key() // 0x07 + 7 zero bytes
+	y := Tuple{NewInt(7 << 56)}.Key()
+	if x != y {
+		t.Fatalf("expected the documented cross-type collision, got %q vs %q", x, y)
+	}
+}
+
+// TestTupleKeyIsTheStoredRecord: the key over all columns is the bytes
+// Encode writes, so a stored record stands in for its tuple's key.
+func TestTupleKeyIsTheStoredRecord(t *testing.T) {
+	f := func(i int64, s string, j int64) bool {
+		tu := Tuple{NewInt(i), NewString(s), NewInt(j)}
+		return tu.Key() == string(tu.Encode(nil)) &&
+			bytes.Equal(tu.AppendKey([]byte("x"), nil), append([]byte("x"), tu.Encode(nil)...))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestTupleKeyOfMatchesProjection(t *testing.T) {
-	tu := Tuple{NewInt(1), NewString("x"), NewInt(3)}
-	proj := Tuple{tu[2], tu[0]}
-	if tu.KeyOf([]int{2, 0}) != proj.Key() {
-		t.Fatal("KeyOf differs from Key of projection")
+	f := func(i int64, s string, j int64) bool {
+		tu := Tuple{NewInt(i), NewString(s), NewInt(j)}
+		for _, ords := range [][]int{{2, 0}, {1}, {1, 1, 0}, {0, 1, 2}, {}} {
+			proj := make(Tuple, len(ords))
+			for k, o := range ords {
+				proj[k] = tu[o]
+			}
+			if string(tu.AppendKey(nil, ords)) != proj.Key() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendKeyReusesBuffer: with a warm scratch buffer a key costs no
+// allocation, and a map probe with it costs none either.
+func TestAppendKeyReusesBuffer(t *testing.T) {
+	tu := Tuple{NewInt(42), NewString("some constant"), NewInt(-1)}
+	m := map[string]bool{tu.Key(): true}
+	buf := tu.AppendKey(nil, nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = tu.AppendKey(buf[:0], nil)
+		if !m[string(buf)] {
+			t.Fatal("probe missed")
+		}
+		buf = tu.AppendKey(buf[:0], []int{2, 1})
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendKey + probe allocated %.0f times per run, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = tu.Key() }); allocs > 1 {
+		t.Fatalf("Key allocated %.0f times, want at most the string", allocs)
 	}
 }
 
@@ -228,6 +297,16 @@ func TestDecodeErrors(t *testing.T) {
 	ss := MustSchema(Column{"a", TypeString})
 	if _, err := DecodeTuple([]byte{10, 'x'}, ss); err == nil {
 		t.Fatal("short string data accepted")
+	}
+	// A string length past the end of the data — including one that
+	// overflows int — is a short tuple, not a slice-bounds panic.
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	if _, err := DecodeTuple(huge, ss); err == nil || !strings.Contains(err.Error(), "short tuple") {
+		t.Fatalf("2^64-1 string length: err = %v, want short tuple", err)
+	}
+	// A longer spelling of a length Encode would have written shorter.
+	if _, err := DecodeTuple([]byte{0x81, 0x00, 'x'}, ss); err == nil {
+		t.Fatal("non-minimal string length accepted")
 	}
 	// Trailing junk must be rejected.
 	tu := Tuple{NewInt(1)}

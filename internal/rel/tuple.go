@@ -49,65 +49,61 @@ func CompareTuples(a, b Tuple) int {
 	}
 }
 
-// Key returns a string usable as a map key that uniquely identifies the
-// tuple's contents. Used by Distinct, hash joins and set operations.
-// The encoding is injective: integers are length-prefixed decimal and
-// strings are length-prefixed bytes, so no two distinct tuples collide.
-func (t Tuple) Key() string {
-	var b strings.Builder
-	for _, v := range t {
-		switch v.Kind {
-		case TypeInt:
-			fmt.Fprintf(&b, "i%d;", v.Int)
-		case TypeString:
-			fmt.Fprintf(&b, "s%d:%s;", len(v.Str), v.Str)
-		default:
-			b.WriteString("u;")
+// AppendKey appends the tuple's key over the columns at ords (all
+// columns when ords is nil) to buf and returns the extended buffer. The
+// key is the storage encoding itself: TypeInt → 8-byte big-endian
+// int64, TypeString → uvarint length + bytes. It is injective per
+// column-type vector — two tuples whose key columns have the same
+// types have equal keys exactly when the columns are equal — which is
+// all its consumers need: the planner rejects cross-type comparisons
+// and set operations require type-compatible inputs. Across type
+// vectors keys may collide (an 8-byte string and an int), so a key is
+// never compared with one built under a different schema.
+//
+// Hashing consumers keep one scratch buffer and probe with
+// m[string(scratch)], which does not allocate; only an insert does.
+func (t Tuple) AppendKey(buf []byte, ords []int) []byte {
+	if ords == nil {
+		for _, v := range t {
+			buf = v.appendKey(buf)
 		}
+		return buf
 	}
-	return b.String()
-}
-
-// KeyOf returns Key() of a projection of the tuple onto the given
-// ordinals, without materializing the projection.
-func (t Tuple) KeyOf(ords []int) string {
-	var b strings.Builder
 	for _, o := range ords {
-		v := t[o]
-		switch v.Kind {
-		case TypeInt:
-			fmt.Fprintf(&b, "i%d;", v.Int)
-		case TypeString:
-			fmt.Fprintf(&b, "s%d:%s;", len(v.Str), v.Str)
-		default:
-			b.WriteString("u;")
-		}
-	}
-	return b.String()
-}
-
-// Encode serializes the tuple against its schema into buf (appending) and
-// returns the extended buffer. Layout: for each column, TypeInt → 8-byte
-// big-endian int64; TypeString → uvarint length + bytes.
-func (t Tuple) Encode(buf []byte) []byte {
-	var scratch [8]byte
-	for _, v := range t {
-		switch v.Kind {
-		case TypeInt:
-			binary.BigEndian.PutUint64(scratch[:], uint64(v.Int))
-			buf = append(buf, scratch[:]...)
-		case TypeString:
-			buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
-			buf = append(buf, v.Str...)
-		default:
-			// Unknown values are never stored; encode as empty string.
-			buf = binary.AppendUvarint(buf, 0)
-		}
+		buf = t[o].appendKey(buf)
 	}
 	return buf
 }
 
-// DecodeTuple deserializes a tuple of the given schema from data.
+func (v Value) appendKey(buf []byte) []byte {
+	switch v.Kind {
+	case TypeInt:
+		return binary.BigEndian.AppendUint64(buf, uint64(v.Int))
+	case TypeString:
+		return append(binary.AppendUvarint(buf, uint64(len(v.Str))), v.Str...)
+	default:
+		// Unknown values are never stored; encode as empty string.
+		return binary.AppendUvarint(buf, 0)
+	}
+}
+
+// Key returns AppendKey over all columns as a string, for callers that
+// keep the key (a map insert). Probing callers use AppendKey.
+func (t Tuple) Key() string {
+	var a [64]byte
+	return string(t.AppendKey(a[:0], nil))
+}
+
+// Encode serializes the tuple into buf (appending) and returns the
+// extended buffer: the record the slotted-page heap files store, and —
+// being AppendKey over all columns — the tuple's key. DecodeTuple
+// accepts exactly the bytes Encode writes, so a stored record can stand
+// in for the key of the tuple it holds without being decoded.
+func (t Tuple) Encode(buf []byte) []byte { return t.AppendKey(buf, nil) }
+
+// DecodeTuple deserializes a tuple of the given schema from data. The
+// bytes may be untrusted: anything Encode would not have written for
+// this schema is an error, never a panic.
 func DecodeTuple(data []byte, schema *Schema) (Tuple, error) {
 	t := make(Tuple, schema.Len())
 	off := 0
@@ -121,11 +117,13 @@ func DecodeTuple(data []byte, schema *Schema) (Tuple, error) {
 			off += 8
 		case TypeString:
 			n, sz := binary.Uvarint(data[off:])
-			if sz <= 0 {
+			// A multi-byte uvarint ending in a zero group is a longer
+			// spelling of a smaller number; Encode never writes one.
+			if sz <= 0 || (sz > 1 && data[off+sz-1] == 0) {
 				return nil, fmt.Errorf("rel: bad string length at column %d", i)
 			}
 			off += sz
-			if off+int(n) > len(data) {
+			if n > uint64(len(data)-off) {
 				return nil, fmt.Errorf("rel: short tuple: string column %d", i)
 			}
 			t[i] = NewString(string(data[off : off+int(n)]))

@@ -2,7 +2,6 @@ package rtlib
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"dkbms/internal/obs"
@@ -27,13 +26,15 @@ const (
 // tupleShard assigns a tuple key to one of parts hash-range partitions.
 // FNV-1a: cheap, stable, and independent of Go's map hash so partition
 // contents are deterministic across runs.
-func tupleShard(key string, parts int) int {
+func tupleShard(key []byte, parts int) int {
 	if parts <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(parts))
+	h := uint32(2166136261)
+	for _, b := range key {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return int(h % uint32(parts))
 }
 
 // hashPartitioned is the delta strategy behind Options.Parallel — the
@@ -129,13 +130,17 @@ func newAccSet(parts int) *accSet {
 	return s
 }
 
-// add inserts a key (serial use); reports whether it was new.
-func (s *accSet) add(key string) bool {
-	m := s.shards[tupleShard(key, len(s.shards))]
-	if m[key] {
+// add inserts a tuple key (serial use); reports whether it was new.
+// Only a new key allocates.
+func (s *accSet) add(key []byte) bool {
+	return addKey(s.shards[tupleShard(key, len(s.shards))], key)
+}
+
+func addKey(m map[string]bool, key []byte) bool {
+	if m[string(key)] {
 		return false
 	}
-	m[key] = true
+	m[string(key)] = true
 	return true
 }
 
@@ -164,30 +169,32 @@ func (h *hashPartitioned) derive(jobs []differential, sp *obs.Span) error {
 	}
 	t0 := time.Now()
 	if parts == 1 || total < dedupThreshold {
+		var key []byte
 		for i, rows := range results {
 			head := jobs[i].rule.Head
 			a := h.acc[head]
 			for _, tu := range rows {
-				if a.add(tu.Key()) {
+				key = tu.AppendKey(key[:0], nil)
+				if a.add(key) {
 					out[0][head] = append(out[0][head], tu)
 				}
 			}
 		}
 	} else {
-		// Precompute keys and shards once (the partition tasks would
-		// otherwise each re-derive every tuple's key).
-		keys := make([][]string, len(results))
+		// Precompute shards once (the partition tasks would otherwise
+		// each hash every tuple); a task re-encodes only its own
+		// shard's keys, into its own scratch buffer.
 		shards := make([][]uint8, len(results))
 		h.runJobs(len(results), func(i, _ int) {
-			keys[i] = make([]string, len(results[i]))
+			var key []byte
 			shards[i] = make([]uint8, len(results[i]))
 			for j, tu := range results[i] {
-				k := tu.Key()
-				keys[i][j] = k
-				shards[i][j] = uint8(tupleShard(k, parts))
+				key = tu.AppendKey(key[:0], nil)
+				shards[i][j] = uint8(tupleShard(key, parts))
 			}
 		})
 		h.runJobs(parts, func(p, _ int) {
+			var key []byte
 			for i, rows := range results {
 				head := jobs[i].rule.Head
 				m := h.acc[head].shards[p]
@@ -195,12 +202,10 @@ func (h *hashPartitioned) derive(jobs []differential, sp *obs.Span) error {
 					if int(shards[i][j]) != p {
 						continue
 					}
-					k := keys[i][j]
-					if m[k] {
-						continue
+					key = tu.AppendKey(key[:0], nil)
+					if addKey(m, key) {
+						out[p][head] = append(out[p][head], tu)
 					}
-					m[k] = true
-					out[p][head] = append(out[p][head], tu)
 				}
 			}
 		})
@@ -293,7 +298,7 @@ func (h *hashPartitioned) start(fp *Fixpoint, zero *obs.Span) error {
 	for _, p := range fp.Preds {
 		h.acc[p] = newAccSet(h.parts)
 		for _, tu := range h.seeds[p] {
-			h.acc[p].add(tu.Key())
+			h.acc[p].add(tu.AppendKey(nil, nil))
 		}
 		h.deltas[p] = &deltaRelation{}
 	}

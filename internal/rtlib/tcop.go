@@ -28,14 +28,11 @@ func TC(d *db.DB, pred string, seed *rel.Value) ([]rel.Tuple, error) {
 	if t.Schema.Len() != 2 {
 		return nil, fmt.Errorf("rtlib: TC requires a binary relation; %s has %d columns", pred, t.Schema.Len())
 	}
-	// Build the adjacency map in one scan.
-	keyOf := func(v rel.Value) string { return fmt.Sprintf("%d\x00%s", v.Kind, v.String()) }
-	adj := make(map[string][]rel.Value)
-	keyVal := make(map[string]rel.Value)
+	// Build the adjacency map in one scan (a rel.Value is its own map
+	// key: comparable, and equal exactly when type and payload are).
+	adj := make(map[rel.Value][]rel.Value)
 	if err := t.Scan(func(_ storage.RID, tu rel.Tuple) error {
-		k := keyOf(tu[0])
-		adj[k] = append(adj[k], tu[1])
-		keyVal[k] = tu[0]
+		adj[tu[0]] = append(adj[tu[0]], tu[1])
 		return nil
 	}); err != nil {
 		return nil, err
@@ -43,17 +40,16 @@ func TC(d *db.DB, pred string, seed *rel.Value) ([]rel.Tuple, error) {
 
 	// reach is single-source reachability: a worklist over the
 	// adjacency map (semi-naive at the tuple level).
-	reach := func(from string) map[string]rel.Value {
-		seen := make(map[string]rel.Value)
-		stack := []string{from}
+	reach := func(from rel.Value) map[rel.Value]bool {
+		seen := make(map[rel.Value]bool)
+		stack := []rel.Value{from}
 		for len(stack) > 0 {
 			k := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, b := range adj[k] {
-				bk := keyOf(b)
-				if _, ok := seen[bk]; !ok {
-					seen[bk] = b
-					stack = append(stack, bk)
+				if !seen[b] {
+					seen[b] = true
+					stack = append(stack, b)
 				}
 			}
 		}
@@ -61,17 +57,17 @@ func TC(d *db.DB, pred string, seed *rel.Value) ([]rel.Tuple, error) {
 	}
 
 	if seed != nil {
-		seen := reach(keyOf(*seed))
+		seen := reach(*seed)
 		out := make([]rel.Tuple, 0, len(seen))
-		for _, v := range seen {
+		for v := range seen {
 			out = append(out, rel.Tuple{*seed, v})
 		}
 		return out, nil
 	}
 	// Full closure: one reachability pass per source node.
 	var out []rel.Tuple
-	for k, src := range keyVal {
-		for _, v := range reach(k) {
+	for src := range adj {
+		for v := range reach(src) {
 			out = append(out, rel.Tuple{src, v})
 		}
 	}
