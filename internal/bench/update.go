@@ -52,7 +52,10 @@ func fig15(cfg Config) (*Report, error) {
 	chainLen := 9
 	sizes := []int{9, 45, 90, 189}
 	if !cfg.Quick {
-		sizes = append(sizes, 378, 756)
+		// Far enough that a per-update cost linear in R_s would show: a
+		// scan of reachablepreds (~5 rows per stored rule here) costs
+		// milliseconds at the top of this sweep.
+		sizes = append(sizes, 378, 756, 1512, 3024, 6048)
 	}
 	for _, rs := range sizes {
 		nChains := rs / chainLen

@@ -143,9 +143,9 @@ type Rows struct {
 func (d *DB) Exec(stmt string) error { return d.ExecTraced(stmt, nil) }
 
 // ExecTraced is Exec with optional operator-level tracing: when sp is
-// non-nil, an INSERT ... SELECT statement records its operator tree
-// (rows emitted per scan/join/filter) as child spans of sp. A nil sp
-// costs one nil check over Exec.
+// non-nil, an INSERT ... SELECT or DELETE ... WHERE statement records
+// its operator tree (rows emitted per scan/join/filter) as child spans
+// of sp. A nil sp costs one nil check over Exec.
 func (d *DB) ExecTraced(stmt string, sp *obs.Span) error {
 	return d.ExecTracedCtx(context.Background(), stmt, sp)
 }
@@ -174,7 +174,7 @@ func (d *DB) ExecTracedCtx(ctx context.Context, stmt string, sp *obs.Span) error
 	case sql.Insert:
 		return d.execInsert(ctx, s, sp)
 	case sql.Delete:
-		return d.execDelete(s)
+		return d.execDelete(s, sp)
 	default:
 		return fmt.Errorf("db: unhandled statement %T", st)
 	}
@@ -356,7 +356,7 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 	return nil
 }
 
-func (d *DB) execDelete(s sql.Delete) error {
+func (d *DB) execDelete(s sql.Delete, sp *obs.Span) error {
 	atomic.AddInt64(&d.stats.Deletes, 1)
 	t := d.Table(s.Table)
 	if t == nil {
@@ -365,21 +365,21 @@ func (d *DB) execDelete(s sql.Delete) error {
 	if s.Where == nil {
 		return t.Truncate()
 	}
-	// Resolve the predicate against the table schema (single-table
-	// scope), collect victims, then delete.
-	pred, err := plan.BindTablePred(t, s.Where)
+	op, err := plan.BuildDelete(d, s)
 	if err != nil {
 		return err
 	}
+	op, flush := exec.Instrument(op, sp)
+	defer flush()
+	// Collect the victims, then delete: the scan may be iterating a
+	// posting list that DeleteRID edits.
 	type victim struct {
 		rid storage.RID
 		tu  rel.Tuple
 	}
 	var victims []victim
-	err = t.Scan(func(rid storage.RID, tu rel.Tuple) error {
-		if pred.Holds(tu) {
-			victims = append(victims, victim{rid, tu})
-		}
+	err = exec.ScanRows(op, func(rid storage.RID, tu rel.Tuple) error {
+		victims = append(victims, victim{rid, tu})
 		return nil
 	})
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"dkbms/internal/catalog"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
+	"dkbms/internal/sql"
+	"dkbms/internal/storage"
 )
 
 // Allocation pins for the identity-only paths: tuple keys are built in
@@ -157,5 +159,111 @@ func TestSetOpChainSharesOneBuild(t *testing.T) {
 	}
 	if rows, _ := inner.Int("rows"); inner.Name != "except" || rows != 150 {
 		t.Errorf("inner %s rows=%d, want except rows=150\n%s", inner.Name, rows, tr.Format())
+	}
+}
+
+// schemaCounter is a one-row leaf that counts how often its schema is
+// asked for.
+type schemaCounter struct {
+	Values
+	calls *int
+}
+
+func (s *schemaCounter) Schema() *rel.Schema {
+	*s.calls++
+	return s.Values.Schema()
+}
+
+// TestUnionChainResolvesSchemasOnce: a k-way UNION is k operators deep
+// on its left spine and every level needs its left input's schema, so
+// an operator that re-derives it walks the spine again — quadratic in k
+// (stored.ExtractRelevant emits a 2k-way UNION for k predicates). Each
+// leaf is asked once, whatever k is, traced or not.
+func TestUnionChainResolvesSchemasOnce(t *testing.T) {
+	out := rel.MustSchema(rel.Column{Name: "a", Type: rel.TypeInt})
+	for _, k := range []int{20, 2000} {
+		for _, traced := range []bool{false, true} {
+			calls := 0
+			leaf := func(i int) Operator {
+				return &schemaCounter{Values{Rows: []rel.Tuple{{rel.NewInt(int64(i % 7))}}, Out: out}, &calls}
+			}
+			op := leaf(0)
+			for i := 1; i < k; i++ {
+				op = &SetOpExec{Kind: OpUnion, Left: op, Right: leaf(i)}
+			}
+			var flush func()
+			if traced {
+				op, flush = Instrument(op, obs.NewTrace("q").Root())
+			}
+			if got := len(collect(t, op)); got != 7 {
+				t.Fatalf("k=%d: %d rows, want 7", k, got)
+			}
+			if traced {
+				flush()
+			}
+			if calls > k {
+				t.Errorf("k=%d traced=%v: leaf schemas asked for %d times, want at most %d", k, traced, calls, k)
+			}
+		}
+	}
+}
+
+// TestScanRowsAddressesWhatNextYields: a scan, an index scan and a
+// Filter over either hand ScanRows the tuples Open/Next yield, each
+// with the RID it is stored at, and Instrument's wrapper counts them as
+// rows with the access path's physical I/O.
+func TestScanRowsAddressesWhatNextYields(t *testing.T) {
+	c := cat(t)
+	tb := newTable(t, c, "e", [][2]int64{{1, 10}, {2, 20}, {3, 30}, {2, 40}, {2, 20}})
+	idx, err := c.CreateIndex("e_a", "e", []string{"a"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bIs20 := Cmp{Op: sql.CmpEq, Left: Col{Ord: 1, Ty: rel.TypeInt}, Right: Const{Val: rel.NewInt(20)}}
+	for _, tc := range []struct {
+		name string
+		mk   func() Operator
+		span string
+		want int
+	}{
+		{"scan", func() Operator { return &SeqScan{Table: tb} }, "scan(e)", 5},
+		{"idxscan", func() Operator { return &IndexScan{Table: tb, Index: idx, Key: rel.Tuple{rel.NewInt(2)}} }, "idxscan(e.e_a)", 3},
+		{"filter(scan)", func() Operator { return &Filter{Input: &SeqScan{Table: tb}, Pred: bIs20} }, "filter", 2},
+		{"filter(idxscan)", func() Operator {
+			return &Filter{Input: &IndexScan{Table: tb, Index: idx, Key: rel.Tuple{rel.NewInt(2)}}, Pred: bIs20}
+		}, "filter", 2},
+	} {
+		yielded := map[string]int{}
+		for _, tu := range collect(t, tc.mk()) {
+			yielded[tu.Key()]++
+		}
+		tr := obs.NewTrace("q")
+		op, flush := Instrument(tc.mk(), tr.Root())
+		seen := map[storage.RID]bool{}
+		err := ScanRows(op, func(rid storage.RID, tu rel.Tuple) error {
+			stored, err := tb.Get(rid)
+			if err != nil || stored.Key() != tu.Key() || seen[rid] {
+				t.Errorf("%s: %v reported at %s, which holds %v (%v; seen before: %v)", tc.name, tu, rid, stored, err, seen[rid])
+			}
+			seen[rid] = true
+			yielded[tu.Key()]--
+			return nil
+		})
+		flush()
+		if err != nil || len(seen) != tc.want {
+			t.Errorf("%s: %d rows (%v), want %d", tc.name, len(seen), err, tc.want)
+		}
+		for k, n := range yielded {
+			if n != 0 {
+				t.Errorf("%s: ScanRows and Next disagree on %q by %d", tc.name, k, n)
+			}
+		}
+		sp := tr.Root().Find(tc.span)
+		if rows, _ := sp.Int("rows"); sp == nil || int(rows) != tc.want {
+			t.Errorf("%s: traced rows=%d, want %d\n%s", tc.name, rows, tc.want, tr.Format())
+		}
+	}
+	if err := ScanRows(&CountStar{Input: &SeqScan{Table: tb}}, nil); err == nil {
+		t.Error("ScanRows over an operator with no stored rows succeeded")
 	}
 }

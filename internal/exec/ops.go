@@ -98,6 +98,27 @@ func ScanRecords(op Operator, fn func(rec []byte) error) (ok bool, err error) {
 	return false, nil
 }
 
+// RowSource is the optional interface of operators whose rows are the
+// stored tuples of one table — a scan, or a Filter over one — and so
+// have an address. DELETE ... WHERE drains its victims through it in
+// place of Open/Next/Close. Instrument's wrapper forwards and counts it.
+type RowSource interface {
+	// ScanRows calls fn with every row and the RID it is stored at. fn
+	// must not modify the table: an index scan iterates the B+tree's own
+	// posting list.
+	ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error
+}
+
+// ScanRows streams op's rows through fn with their RIDs; op must be a
+// RowSource.
+func ScanRows(op Operator, fn func(rid storage.RID, tu rel.Tuple) error) error {
+	src, ok := op.(RowSource)
+	if !ok {
+		return fmt.Errorf("exec: %T has no stored rows to address", op)
+	}
+	return src.ScanRows(fn)
+}
+
 // --- SeqScan ---
 
 // SeqScan reads every tuple of a table. The scan materializes RIDs lazily
@@ -148,6 +169,11 @@ func (s *SeqScan) ScanRecords(fn func(rec []byte) error) (bool, error) {
 	return true, s.Table.Heap.Scan(func(_ storage.RID, rec []byte) error { return fn(rec) })
 }
 
+// ScanRows streams the table's tuples with their RIDs in one heap pass.
+func (s *SeqScan) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
+	return s.Table.Scan(fn)
+}
+
 // --- IndexScan ---
 
 // IndexScan reads tuples whose index key starts with Key (equality on a
@@ -165,13 +191,26 @@ type IndexScan struct {
 // Schema returns the table schema.
 func (s *IndexScan) Schema() *rel.Schema { return s.Table.Schema }
 
+// lookup descends the index once for the key's posting list.
+func (s *IndexScan) lookup() []storage.RID {
+	if len(s.Key) == len(s.Index.Ords) {
+		return s.Index.Lookup(s.Key)
+	}
+	return s.Index.LookupPrefix(s.Key)
+}
+
+// fetch reads the tuple a posting points at from the heap.
+func (s *IndexScan) fetch(rid storage.RID) (rel.Tuple, error) {
+	tu, err := s.Table.Get(rid)
+	if err != nil {
+		return nil, fmt.Errorf("exec: index %s points at missing record %s: %w", s.Index.Name, rid, err)
+	}
+	return tu, nil
+}
+
 // Open performs the index lookup.
 func (s *IndexScan) Open() error {
-	if len(s.Key) == len(s.Index.Ords) {
-		s.rids = s.Index.Lookup(s.Key)
-	} else {
-		s.rids = s.Index.LookupPrefix(s.Key)
-	}
+	s.rids = s.lookup()
 	s.pos = 0
 	return nil
 }
@@ -183,11 +222,22 @@ func (s *IndexScan) Next() (rel.Tuple, error) {
 	}
 	rid := s.rids[s.pos]
 	s.pos++
-	tu, err := s.Table.Get(rid)
-	if err != nil {
-		return nil, fmt.Errorf("exec: index %s points at missing record %s: %w", s.Index.Name, rid, err)
+	return s.fetch(rid)
+}
+
+// ScanRows streams the matching tuples with their RIDs: the same descent
+// and heap reads as Open and Next.
+func (s *IndexScan) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
+	for _, rid := range s.lookup() {
+		tu, err := s.fetch(rid)
+		if err != nil {
+			return err
+		}
+		if err := fn(rid, tu); err != nil {
+			return err
+		}
 	}
-	return tu, nil
+	return nil
 }
 
 // Close releases the posting list.
@@ -226,6 +276,16 @@ func (f *Filter) Next() (rel.Tuple, error) {
 
 // Close closes the input.
 func (f *Filter) Close() error { return f.Input.Close() }
+
+// ScanRows streams the input's satisfying rows with their RIDs.
+func (f *Filter) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
+	return ScanRows(f.Input, func(rid storage.RID, tu rel.Tuple) error {
+		if !f.Pred.Holds(tu) {
+			return nil
+		}
+		return fn(rid, tu)
+	})
+}
 
 // --- Project ---
 
@@ -503,12 +563,20 @@ type SetOpExec struct {
 	Kind        SetOpKind
 	Left, Right Operator
 
-	out []rel.Tuple // nil entries are tuples a later step removed
-	pos int
+	out    []rel.Tuple // nil entries are tuples a later step removed
+	pos    int
+	schema *rel.Schema
 }
 
-// Schema returns the left input's schema (SQL convention).
-func (s *SetOpExec) Schema() *rel.Schema { return s.Left.Schema() }
+// Schema returns the left input's schema (SQL convention), resolved
+// once: a k-way chain is k operators deep on the left, and every level
+// asks.
+func (s *SetOpExec) Schema() *rel.Schema {
+	if s.schema == nil {
+		s.schema = s.Left.Schema()
+	}
+	return s.schema
+}
 
 // Open fully evaluates the set operation (these operators are blocking).
 func (s *SetOpExec) Open() error {
@@ -533,9 +601,9 @@ func (s *SetOpExec) Open() error {
 // hands the result over as a set; UNION ALL, whose result is a bag, has
 // none to give.
 func (s *SetOpExec) takeSet() (*tupleSet, error) {
-	if !s.Left.Schema().TypesCompatible(s.Right.Schema()) {
+	if !s.Schema().TypesCompatible(s.Right.Schema()) {
 		return nil, fmt.Errorf("exec: set operation over incompatible schemas %v and %v",
-			s.Left.Schema(), s.Right.Schema())
+			s.Schema(), s.Right.Schema())
 	}
 	if s.Kind == OpUnionAll {
 		return nil, nil

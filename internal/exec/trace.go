@@ -219,6 +219,16 @@ func (w *countedOp) ScanRecords(fn func(rec []byte) error) (bool, error) {
 	})
 }
 
+// ScanRows forwards RowSource, arming the I/O probe as Open would and
+// counting each row.
+func (w *countedOp) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
+	w.c.io.arm()
+	return ScanRows(w.inner, func(rid storage.RID, tu rel.Tuple) error {
+		w.c.rows++
+		return fn(rid, tu)
+	})
+}
+
 // takeSet forwards setSource; the rows of the set handed over are the
 // rows the inner operator would have emitted.
 func (w *countedOp) takeSet() (*tupleSet, error) {

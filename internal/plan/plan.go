@@ -1,6 +1,6 @@
-// Package plan turns parsed SQL SELECT statements into physical operator
-// trees. The planner is the classic textbook pipeline the paper's
-// commercial DBMS would run:
+// Package plan turns parsed SQL SELECT statements, and the WHERE clause
+// of DELETE, into physical operator trees. The planner is the classic
+// textbook pipeline the paper's commercial DBMS would run:
 //
 //   - predicate analysis: split the WHERE clause into per-table
 //     conjuncts (pushed below joins), equijoin conjuncts (the edges of
@@ -73,6 +73,18 @@ func BuildSelect(cat TableSource, s *sql.Select) (exec.Operator, error) {
 		left = &exec.SetOpExec{Kind: kind, Left: left, Right: right}
 	}
 	return left, nil
+}
+
+// BuildDelete plans the scan that finds the victims of DELETE FROM t
+// WHERE p: the access path SELECT * FROM t WHERE p reads t through (an
+// IndexScan when literal equalities bind an index prefix, a SeqScan
+// otherwise, the whole predicate re-checked in a Filter above it). The
+// result is an exec.RowSource.
+func BuildDelete(cat TableSource, s sql.Delete) (exec.Operator, error) {
+	return buildSimple(cat, &sql.Select{
+		From:  []sql.TableRef{{Table: s.Table, Alias: s.Table}},
+		Where: s.Where,
+	}, false)
 }
 
 // colID names a column symbolically: table position in FROM, ordinal in

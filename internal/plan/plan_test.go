@@ -233,33 +233,56 @@ func TestPlanResultsIdenticalAcrossJoinStrategies(t *testing.T) {
 	}
 }
 
-func TestBindTablePred(t *testing.T) {
+// TestBuildDelete pins that DELETE's victims are found through the
+// access path SELECT would pick, with their RIDs.
+func TestBuildDelete(t *testing.T) {
 	c := setup(t)
-	tb := addTable(t, c, "e", 10)
-	st, err := sql.Parse("SELECT a FROM e WHERE a >= 3 AND b <> 1")
-	if err != nil {
+	tb := addTable(t, c, "e", 100)
+	if _, err := c.CreateIndex("e_b", "e", []string{"b"}, false); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := BindTablePred(tb, st.(*sql.Select).Where)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	tb.Scan(func(_ storage.RID, tu rel.Tuple) error {
-		if pred.Holds(tu) {
-			n++
+	plan := func(q string) (exec.Operator, error) {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	// a in 3..9 minus b==1 (a=1 excluded already; b = a%10 so b==1 only
-	// at a=1): 7 rows.
-	if n != 7 {
-		t.Fatalf("matched %d", n)
+		return BuildDelete(c, st.(sql.Delete))
 	}
-	// Unknown column errors.
-	st2, _ := sql.Parse("SELECT a FROM e WHERE zz = 3")
-	if _, err := BindTablePred(tb, st2.(*sql.Select).Where); err == nil {
-		t.Fatal("unknown column accepted")
+	for _, tc := range []struct {
+		q       string
+		indexed bool
+		want    int
+	}{
+		{"DELETE FROM e WHERE a >= 3 AND b <> 1", false, 88},
+		{"DELETE FROM e WHERE b = 4 AND a < 50", true, 5},
+		{"DELETE FROM e WHERE 4 = e.b", true, 10},
+		{"DELETE FROM e WHERE b = 4 OR a = 1", false, 11},
+	} {
+		op, err := plan(tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		if _, ok := unwrap(op).(*exec.IndexScan); ok != tc.indexed {
+			t.Errorf("%s: access path %T, want indexed=%v", tc.q, unwrap(op), tc.indexed)
+		}
+		n := 0
+		err = exec.ScanRows(op, func(rid storage.RID, tu rel.Tuple) error {
+			stored, err := tb.Get(rid)
+			if err != nil || stored.Key() != tu.Key() {
+				t.Errorf("%s: row %v reported at %s, which holds %v (%v)", tc.q, tu, rid, stored, err)
+			}
+			n++
+			return nil
+		})
+		if err != nil || n != tc.want {
+			t.Errorf("%s: %d victims (%v), want %d", tc.q, n, err, tc.want)
+		}
+	}
+	if _, err := plan("DELETE FROM e WHERE zz = 3"); err == nil {
+		t.Error("unknown column accepted")
+	}
+	if _, err := plan("DELETE FROM nosuch WHERE a = 3"); err == nil {
+		t.Error("unknown table accepted")
 	}
 }
 

@@ -24,17 +24,46 @@ type token struct {
 	pos  int    // byte offset in the input, for error messages
 }
 
-// keywords recognized by the dialect. Identifiers colliding with these
-// must be avoided by callers (the code generator mangles its names).
-var keywords = map[string]bool{
-	"SELECT": true, "DISTINCT": true, "FROM": true, "WHERE": true,
-	"AND": true, "OR": true, "NOT": true, "AS": true,
-	"CREATE": true, "DROP": true, "TABLE": true, "INDEX": true,
-	"TEMP": true, "ON": true, "IF": true, "EXISTS": true,
-	"INSERT": true, "INTO": true, "VALUES": true, "DELETE": true,
-	"UNION": true, "ALL": true, "EXCEPT": true, "INTERSECT": true,
-	"COUNT": true, "INTEGER": true, "INT": true, "CHAR": true,
-	"VARCHAR": true,
+// keywords recognized by the dialect, each mapped to itself so a match
+// yields the constant as the token text. Identifiers colliding with
+// these must be avoided by callers (the code generator mangles its
+// names).
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, k := range []string{
+		"SELECT", "DISTINCT", "FROM", "WHERE",
+		"AND", "OR", "NOT", "AS",
+		"CREATE", "DROP", "TABLE", "INDEX",
+		"TEMP", "ON", "IF", "EXISTS",
+		"INSERT", "INTO", "VALUES", "DELETE",
+		"UNION", "ALL", "EXCEPT", "INTERSECT",
+		"COUNT", "INTEGER", "INT", "CHAR",
+		"VARCHAR",
+	} {
+		m[k] = k
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword (INTERSECT).
+const maxKeywordLen = 9
+
+// keyword matches word against the keywords ignoring ASCII case,
+// without allocating, and returns the keyword's upper-case constant.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var up [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		up[i] = c
+	}
+	kw, ok := keywords[string(up[:len(word)])]
+	return kw, ok
 }
 
 type lexer struct {
@@ -45,7 +74,9 @@ type lexer struct {
 
 // lex tokenizes src fully, returning the token stream.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Statements run three to seven bytes a token; a denser one grows
+	// the slice once.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/3+1)}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -129,9 +160,8 @@ func (l *lexer) lexWord(start int) {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
-	up := strings.ToUpper(word)
-	if keywords[up] {
-		l.toks = append(l.toks, token{kind: tokKeyword, text: up, pos: start})
+	if kw, ok := keyword(word); ok {
+		l.toks = append(l.toks, token{kind: tokKeyword, text: kw, pos: start})
 	} else {
 		l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToLower(word), pos: start})
 	}

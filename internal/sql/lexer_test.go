@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -33,6 +34,38 @@ func TestLexKeywordsAndIdentifiers(t *testing.T) {
 		if toks[i].kind != w.kind || toks[i].text != w.text {
 			t.Fatalf("token %d = (%d, %q), want (%d, %q)", i, toks[i].kind, toks[i].text, w.kind, w.text)
 		}
+	}
+}
+
+// TestLexKeywordAnyCase pins that every keyword matches in any case and
+// always comes out as its upper-case constant, that a word one byte off
+// a keyword is an identifier, and that lexing words allocates nothing
+// beyond the token slice.
+func TestLexKeywordAnyCase(t *testing.T) {
+	for kw := range keywords {
+		if len(kw) > maxKeywordLen {
+			t.Fatalf("keyword %s longer than maxKeywordLen", kw)
+		}
+		mixed := strings.ToLower(kw[:1]) + kw[1:]
+		for _, src := range []string{kw, strings.ToLower(kw), mixed} {
+			toks := lexKinds(t, src)
+			if toks[0].kind != tokKeyword || toks[0].text != kw {
+				t.Errorf("lex(%q) = (%d, %q), want keyword %s", src, toks[0].kind, toks[0].text, kw)
+			}
+		}
+		for _, src := range []string{kw + "x", kw + "_", "x" + kw} {
+			if toks := lexKinds(t, src); toks[0].kind != tokIdent || toks[0].text != strings.ToLower(src) {
+				t.Errorf("lex(%q) = (%d, %q), want an identifier", src, toks[0].kind, toks[0].text)
+			}
+		}
+	}
+	const q = "select frompredname from reachablepreds where topredname = 'p' and frompredname <> 'q'"
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := lex(q); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 { // the lexer, its token slice and the two literals
+		t.Errorf("lexing %q: %v allocations, want at most 4", q, n)
 	}
 }
 

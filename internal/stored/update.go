@@ -277,19 +277,19 @@ func (m *Manager) refreshReachability(heads map[string]bool, tc map[string]map[s
 	return nil
 }
 
+// insertReach writes the closure edges from one predicate as one bulk
+// insert.
 func (m *Manager) insertReach(from string, to map[string]bool) error {
-	var ts []string
+	ts := make([]string, 0, len(to))
 	for q := range to {
 		ts = append(ts, q)
 	}
 	sort.Strings(ts)
-	for _, q := range ts {
-		if err := m.d.Exec(fmt.Sprintf("INSERT INTO reachablepreds VALUES ('%s', '%s')",
-			sqlEscape(from), sqlEscape(q))); err != nil {
-			return err
-		}
+	rows := make([]rel.Tuple, len(ts))
+	for i, q := range ts {
+		rows[i] = rel.Tuple{rel.NewString(from), rel.NewString(q)}
 	}
-	return nil
+	return m.d.InsertTuples(TabReachablePreds, rows)
 }
 
 // typeCheckComposite runs the semantic checks of §4.3 step 4 over the

@@ -1,10 +1,12 @@
 package dkbms
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"dkbms/internal/obs"
+	"dkbms/internal/rel"
 	"dkbms/internal/workload"
 )
 
@@ -116,5 +118,45 @@ func TestBoundQueryInsensitiveToBaseSize(t *testing.T) {
 	}
 	if small.descents == 0 || small.heapRecs != 0 {
 		t.Fatalf("base relation not reached through its index alone: %+v", small)
+	}
+}
+
+// TestRetractInsensitiveToRelationSize: retracting one fact of a
+// relation indexed on its first column is one descent and one record
+// read, never a scan, whether the relation holds 1 000 facts or 50 000 —
+// DELETE ... WHERE reaches the table through the planner's access path,
+// like the bound query above.
+func TestRetractInsensitiveToRelationSize(t *testing.T) {
+	type io struct{ heapRecs, heapReads, heapDeletes, descents int64 }
+	retractIO := func(facts int) io {
+		tb := NewMemory()
+		defer tb.Close()
+		tuples := make([]rel.Tuple, facts)
+		for i := range tuples {
+			tuples[i] = rel.Tuple{rel.NewString(fmt.Sprintf("n%d", i)), rel.NewString(fmt.Sprintf("m%d", i%7))}
+		}
+		if err := tb.AssertTuples("edge", tuples); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.CreateFactIndex("edge", 0); err != nil {
+			t.Fatal(err)
+		}
+		table := tb.DB().Catalog().Table(BaseTableName("edge"))
+		heap, tree := table.Heap.Stats(), table.Indexes[0].Stats()
+		if n, err := tb.RetractSrc("edge(n17, m3)"); err != nil || n != 1 {
+			t.Fatalf("retract: %d facts, %v", n, err)
+		}
+		if n, err := tb.RetractSrc("edge(n18, nosuch)"); err != nil || n != 0 {
+			t.Fatalf("retract of an absent fact: %d facts, %v", n, err)
+		}
+		h := table.Heap.Stats().Sub(heap)
+		return io{h.RecsScanned, h.Reads, h.Deletes, table.Indexes[0].Stats().Searches - tree.Searches}
+	}
+	small, big := retractIO(1000), retractIO(50000)
+	if small != big {
+		t.Fatalf("retract I/O grew with the relation: 1 000 facts %+v, 50 000 facts %+v", small, big)
+	}
+	if want := (io{heapRecs: 0, heapReads: 2, heapDeletes: 1, descents: small.descents}); small != want || small.descents == 0 {
+		t.Fatalf("fact relation not reached through its index alone: %+v", small)
 	}
 }
