@@ -184,15 +184,14 @@ func buildIndex(t *Table, idx *Index) error {
 		idx.Ords[i] = o
 	}
 	idx.Tree = newIndexTree()
-	return t.Heap.Scan(func(rid storage.RID, rec []byte) error {
-		tu, err := rel.DecodeTuple(rec, t.Schema)
-		if err != nil {
-			return err
-		}
+	return t.Scan(func(rid storage.RID, tu rel.Tuple) error {
 		return idx.Tree.Insert(keyOf(tu, idx.Ords), rid)
 	})
 }
 
+// keyOf projects a tuple onto an index's columns. The key is a view of
+// the tuple's values; the tree copies what it keeps (rel.Tuple.Clone),
+// so an index never pins the block or slab its keys were read from.
 func keyOf(tu rel.Tuple, ords []int) rel.Tuple {
 	k := make(rel.Tuple, len(ords))
 	for i, o := range ords {
@@ -503,15 +502,49 @@ func (t *Table) Truncate() error {
 	return nil
 }
 
-// Scan decodes every tuple. The tuple passed to fn is freshly allocated
-// and may be retained.
-func (t *Table) Scan(fn func(rid storage.RID, tu rel.Tuple) error) error {
-	return t.Heap.Scan(func(rid storage.RID, rec []byte) error {
-		tu, err := rel.DecodeTuple(rec, t.Schema)
-		if err != nil {
-			return fmt.Errorf("catalog: table %s: %w", t.Name, err)
+// ScanBlocks decodes the table a page at a time: fn gets the live rows
+// of each page, in slot order, as one block (rel.Block says what
+// keeping one of its rows keeps alive).
+func (t *Table) ScanBlocks(fn func(b rel.Block) error) error {
+	return t.scanPages(func(_ *storage.Page, b rel.Block) error { return fn(b) })
+}
+
+// scanPages is ScanBlocks that also passes the pinned page each block
+// was decoded from.
+func (t *Table) scanPages(fn func(pg *storage.Page, b rel.Block) error) error {
+	dec := rel.NewBlockDecoder(t.Schema)
+	return t.Heap.ScanPages(func(pg *storage.Page) error {
+		size := 0
+		for s := 0; s < pg.SlotCount(); s++ {
+			size += len(pg.Record(s))
 		}
-		return fn(rid, tu)
+		dec.Begin(pg.LiveRecords(), size)
+		for s := 0; s < pg.SlotCount(); s++ {
+			if rec := pg.Record(s); rec != nil {
+				if err := dec.Add(rec); err != nil {
+					return fmt.Errorf("catalog: table %s: %w", t.Name, err)
+				}
+			}
+		}
+		return fn(pg, dec.Finish())
+	})
+}
+
+// Scan calls fn with every tuple and the RID it is stored at. The tuple
+// is a row of its page's block.
+func (t *Table) Scan(fn func(rid storage.RID, tu rel.Tuple) error) error {
+	return t.scanPages(func(pg *storage.Page, b rel.Block) error {
+		row := 0
+		for s := 0; s < pg.SlotCount(); s++ {
+			if pg.Record(s) == nil {
+				continue
+			}
+			if err := fn(storage.RID{Page: pg.ID, Slot: s}, b.Row(row)); err != nil {
+				return err
+			}
+			row++
+		}
+		return nil
 	})
 }
 
@@ -519,12 +552,24 @@ func (t *Table) Scan(fn func(rid storage.RID, tu rel.Tuple) error) error {
 func (t *Table) Count() (int, error) { return t.Heap.Count() }
 
 // Get decodes the tuple at rid.
-func (t *Table) Get(rid storage.RID) (rel.Tuple, error) {
-	rec, err := t.Heap.Get(rid)
-	if err != nil {
-		return nil, err
+func (t *Table) Get(rid storage.RID) (tu rel.Tuple, err error) {
+	err = t.Heap.Read(rid, func(rec []byte) error {
+		tu, err = rel.DecodeTuple(rec, t.Schema)
+		return err
+	})
+	return tu, err
+}
+
+// AddRows decodes the tuples at rids, in order, into the block dec is
+// building: each record is decoded under its page's pin, and the block
+// gives the rows of one index probe one slab and one string.
+func (t *Table) AddRows(dec *rel.BlockDecoder, rids []storage.RID) error {
+	for _, rid := range rids {
+		if err := t.Heap.Read(rid, dec.Add); err != nil {
+			return fmt.Errorf("record %s: %w", rid, err)
+		}
 	}
-	return rel.DecodeTuple(rec, t.Schema)
+	return nil
 }
 
 // IndexOn returns an index of the table whose columns start with the

@@ -132,7 +132,9 @@ func (d *DB) Close() error { return d.pager.Close() }
 // it for direct bulk loads that bypass SQL parsing).
 func (d *DB) Catalog() *catalog.Catalog { return d.cat }
 
-// Rows is a fully-materialized query result.
+// Rows is a fully-materialized query result. The tuples own their
+// memory (rel.OwnRows): a caller may keep any of them for as long as it
+// likes without keeping the statement's blocks and slabs alive.
 type Rows struct {
 	Schema *rel.Schema
 	Tuples []rel.Tuple
@@ -256,6 +258,7 @@ func (d *DB) runSelect(ctx context.Context, sel *sql.Select, sp *obs.Span) (*Row
 	if err != nil {
 		return nil, err
 	}
+	rel.OwnRows(tuples)
 	return &Rows{Schema: op.Schema(), Tuples: tuples}, nil
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"dkbms/internal/catalog"
@@ -10,11 +11,13 @@ import (
 	"dkbms/internal/storage"
 )
 
-// Allocation pins for the identity-only paths: tuple keys are built in
-// a reused scratch buffer and probed as m[string(scratch)], and stored
-// records are compared and counted undecoded. Each pin measures the
-// same operator over a small and a ten times larger input and holds
-// the difference, so fixed per-statement costs drop out.
+// Allocation pins. A row costs no allocation of its own anywhere in the
+// executor: scans decode a page into one block, Project and the joins
+// cut their output from slabs, identity is a byte-keyed table probed
+// with a reused scratch key, and stored records are compared and
+// counted undecoded. Each pin measures the same operator over a small
+// and a ten times larger input and holds the difference, so fixed
+// per-statement costs drop out.
 
 // pairsTable creates name holding (i, i) for i in [from, to).
 func pairsTable(t *testing.T, c *catalog.Catalog, name string, from, to int64) *catalog.Table {
@@ -100,8 +103,102 @@ func TestProbeHitAllocatesNothing(t *testing.T) {
 			return &HashJoin{Left: probe, Right: build, LeftOrds: []int{1, 0}, RightOrds: []int{1, 0}}
 		}
 	}
-	if a, b := allocsOf(t, join(100)), allocsOf(t, join(1000)); b-a != 900 {
-		t.Errorf("hashjoin: %.0f allocations for 100 matching probes, %.0f for 1000; want one (the joined tuple) per probe", a, b)
+	if a, b := allocsOf(t, join(100)), allocsOf(t, join(1000)); b-a > 900/16 {
+		t.Errorf("hashjoin: %.0f allocations for 100 matching probes, %.0f for 1000; want at most one (a slab chunk) per 16 probes", a, b)
+	}
+}
+
+// mixedTable creates name holding (i, i%7, "s<i>") for i in [0, n).
+func mixedTable(t *testing.T, c *catalog.Catalog, name string, n int) *catalog.Table {
+	t.Helper()
+	tb, err := c.CreateTable(name, rel.MustSchema(
+		rel.Column{Name: "a", Type: rel.TypeInt},
+		rel.Column{Name: "b", Type: rel.TypeInt},
+		rel.Column{Name: "s", Type: rel.TypeString},
+	), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, err := tb.Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewInt(int64(i % 7)), rel.NewString(fmt.Sprintf("s%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tb
+}
+
+// TestAllocsIndependentOfRowCount: every row-producing operator run
+// over 1000 rows allocates within a constant of the same over 100 rows
+// — pages and slab chunks, not rows — traced or not. (One allocation
+// per row would make the difference 900 or more.)
+func TestAllocsIndependentOfRowCount(t *testing.T) {
+	const slack = 60
+	c := cat(t)
+	small, big := mixedTable(t, c, "small", 100), mixedTable(t, c, "big", 1000)
+	smallKeys, bigKeys := mixedTable(t, c, "smallkeys", 100), mixedTable(t, c, "bigkeys", 1000)
+	idx := map[*catalog.Table]*catalog.Index{}
+	for _, tb := range []*catalog.Table{smallKeys, bigKeys} {
+		ix, err := c.CreateIndex(tb.Name+"_a", tb.Name, []string{"a"}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx[tb] = ix
+	}
+	inner := map[*catalog.Table]*catalog.Table{small: smallKeys, big: bigKeys}
+	bIs3 := Cmp{Op: sql.CmpEq, Left: Col{Ord: 1, Ty: rel.TypeInt}, Right: Const{Val: rel.NewInt(3)}}
+	aLtA := Cmp{Op: sql.CmpLe, Left: Col{Ord: 0, Ty: rel.TypeInt}, Right: Col{Ord: 3, Ty: rel.TypeInt}}
+	for _, tc := range []struct {
+		name string
+		mk   func(tb *catalog.Table) Operator
+		rows func(n int) int
+	}{
+		{"scan", func(tb *catalog.Table) Operator { return &SeqScan{Table: tb} }, func(n int) int { return n }},
+		{"filter", func(tb *catalog.Table) Operator { return &Filter{Input: &SeqScan{Table: tb}, Pred: bIs3} },
+			func(n int) int { return (n + 3) / 7 }},
+		{"project", func(tb *catalog.Table) Operator {
+			return &Project{Input: &SeqScan{Table: tb}, Exprs: []Scalar{Col{Ord: 2, Ty: rel.TypeString}, Col{Ord: 0, Ty: rel.TypeInt}},
+				Out: rel.MustSchema(rel.Column{Name: "s", Type: rel.TypeString}, rel.Column{Name: "a", Type: rel.TypeInt})}
+		}, func(n int) int { return n }},
+		{"hashjoin", func(tb *catalog.Table) Operator {
+			return &HashJoin{Left: &SeqScan{Table: tb}, Right: &SeqScan{Table: inner[tb]},
+				LeftOrds: []int{0, 2}, RightOrds: []int{0, 2}, Residual: aLtA}
+		}, func(n int) int { return n }},
+		{"hashjoin, residual fails", func(tb *catalog.Table) Operator {
+			return &HashJoin{Left: &SeqScan{Table: tb}, Right: &SeqScan{Table: inner[tb]},
+				LeftOrds: []int{0}, RightOrds: []int{0}, BuildLeft: true, Residual: NotP{Inner: aLtA}}
+		}, func(n int) int { return 0 }},
+		{"idxjoin", func(tb *catalog.Table) Operator {
+			return &IndexNLJoin{Left: &SeqScan{Table: tb}, Right: inner[tb], Index: idx[inner[tb]], LeftOrds: []int{0}}
+		}, func(n int) int { return n }},
+		{"idxscan", func(tb *catalog.Table) Operator {
+			// Every row of the indexed twin: a prefix scan with an empty key.
+			return &IndexScan{Table: inner[tb], Index: idx[inner[tb]], Key: rel.Tuple{}}
+		}, func(n int) int { return n }},
+		{"except", func(tb *catalog.Table) Operator {
+			return &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: tb},
+				Right: &Filter{Input: &SeqScan{Table: inner[tb]}, Pred: bIs3}}
+		}, func(n int) int { return n - (n+3)/7 }},
+		{"distinct", func(tb *catalog.Table) Operator { return &Distinct{Input: &SeqScan{Table: tb}} }, func(n int) int { return n }},
+	} {
+		for _, traced := range []bool{false, true} {
+			run := func(tb *catalog.Table) func() Operator {
+				return func() Operator {
+					var sp *obs.Span
+					if traced {
+						sp = obs.NewTrace("q").Root()
+					}
+					op, _ := Instrument(tc.mk(tb), sp)
+					return op
+				}
+			}
+			if got, want := len(collect(t, run(big)())), tc.rows(1000); got != want {
+				t.Fatalf("%s traced=%v: %d rows over 1000, want %d", tc.name, traced, got, want)
+			}
+			a, b := allocsOf(t, run(small)), allocsOf(t, run(big))
+			if b-a > slack {
+				t.Errorf("%s traced=%v: %.0f allocations over 100 rows, %.0f over 1000; want within %d", tc.name, traced, a, b, slack)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/rel"
-	"dkbms/internal/storage"
 )
 
 // IndexNLJoin is an index nested-loop join: for each tuple of the outer
@@ -14,6 +13,11 @@ import (
 // number of inner rows proportional to the result, not to the inner
 // table — the property behind the paper's finding that relevant-rule
 // extraction time is independent of the total stored-rule count (Fig 7).
+//
+// The outer input is read a batch at a time — one tuple, then two, four,
+// … up to maxProbeBatch — and the matches of a whole batch are decoded
+// into one block, so the inner rows cost one string per batch, not one
+// per probe, and their values a slab that every batch reuses.
 type IndexNLJoin struct {
 	Left     Operator
 	Right    *catalog.Table
@@ -23,11 +27,25 @@ type IndexNLJoin struct {
 	Residual Pred // nil/True when absent
 	Est      float64
 
-	cur     rel.Tuple
-	matches []rel.Tuple
-	mpos    int
-	schema  *rel.Schema
+	// batch holds the outer tuples being joined; the matches of batch[i]
+	// are the rows of matches before batch[i].end and after those of
+	// batch[i-1]. The next batch's matches overwrite these: they have
+	// been copied into joined tuples by then.
+	batch    []probe
+	matches  rel.Block
+	bi, mi   int32 // the next candidate pairs batch[bi] with matches row mi
+	leftDone bool
+	dec      rel.BlockDecoder
+	out      slab
+	schema   *rel.Schema
 }
+
+type probe struct {
+	outer rel.Tuple
+	end   int32
+}
+
+const maxProbeBatch = 64
 
 // Schema returns the concatenated schema.
 func (j *IndexNLJoin) Schema() *rel.Schema {
@@ -45,51 +63,60 @@ func (j *IndexNLJoin) Open() error {
 	if len(j.LeftOrds) == 0 || len(j.LeftOrds) > len(j.Index.Ords) {
 		return fmt.Errorf("exec: index join key width %d does not fit index %s", len(j.LeftOrds), j.Index.Name)
 	}
-	j.cur = nil
-	j.matches = nil
-	j.mpos = 0
+	j.batch, j.matches, j.bi, j.mi, j.leftDone = nil, rel.Block{}, 0, 0, false
+	j.dec = rel.NewBlockDecoder(j.Right.Schema)
 	return j.Left.Open()
 }
 
 // Next returns the next joined tuple.
 func (j *IndexNLJoin) Next() (rel.Tuple, error) {
-	//dkblint:ctxok consumes one left tuple or one index posting per iteration over finite inputs; the RunCtx drain observes cancellation
+	//dkblint:ctxok consumes one outer batch or one index posting per iteration over finite inputs; the RunCtx drain observes cancellation
 	for {
-		for j.mpos < len(j.matches) {
-			rt := j.matches[j.mpos]
-			j.mpos++
-			joined := make(rel.Tuple, 0, len(j.cur)+len(rt))
-			joined = append(joined, j.cur...)
-			joined = append(joined, rt...)
-			if j.Residual.Holds(joined) {
-				return joined, nil
+		for ; int(j.bi) < len(j.batch); j.bi++ {
+			for p := j.batch[j.bi]; j.mi < p.end; {
+				joined := j.out.concat(p.outer, j.matches.Row(int(j.mi)))
+				j.mi++
+				if j.Residual.Holds(joined) {
+					return j.out.take(len(joined)), nil
+				}
 			}
 		}
-		tu, err := j.Left.Next()
-		if err != nil || tu == nil {
+		if j.leftDone {
+			return nil, nil
+		}
+		if err := j.probeBatch(); err != nil {
 			return nil, err
 		}
-		j.cur = tu
-		key := make(rel.Tuple, len(j.LeftOrds))
-		for i, o := range j.LeftOrds {
-			key[i] = tu[o]
-		}
-		var postings []storage.RID
-		if len(key) == len(j.Index.Ords) {
-			postings = j.Index.Lookup(key)
-		} else {
-			postings = j.Index.LookupPrefix(key)
-		}
-		j.matches = j.matches[:0]
-		for _, rid := range postings {
-			rt, err := j.Right.Get(rid)
-			if err != nil {
-				return nil, fmt.Errorf("exec: index %s points at missing record %s: %w", j.Index.Name, rid, err)
-			}
-			j.matches = append(j.matches, rt)
-		}
-		j.mpos = 0
 	}
+}
+
+// probeBatch reads the next batch of outer tuples, twice as many as the
+// last, and decodes the inner rows their keys find.
+func (j *IndexNLJoin) probeBatch() error {
+	size := min(max(2*len(j.batch), 1), maxProbeBatch)
+	j.batch, j.bi, j.mi = j.batch[:0], 0, 0
+	j.dec.BeginOver(j.matches)
+	for len(j.batch) < size {
+		tu, err := j.Left.Next()
+		if err != nil {
+			return err
+		}
+		if tu == nil {
+			j.leftDone = true
+			break
+		}
+		var buf [4]rel.Value // keys are short: the probe key stays on the stack
+		key := rel.Tuple(buf[:0])
+		for _, o := range j.LeftOrds {
+			key = append(key, tu[o])
+		}
+		if err := j.Right.AddRows(&j.dec, indexLookup(j.Index, key)); err != nil {
+			return fmt.Errorf("exec: index %s points at missing %w", j.Index.Name, err)
+		}
+		j.batch = append(j.batch, probe{tu, int32(j.dec.Rows())})
+	}
+	j.matches = j.dec.Finish()
+	return nil
 }
 
 // Close closes the outer input.

@@ -1,0 +1,155 @@
+package exec
+
+import (
+	"hash/maphash"
+
+	"dkbms/internal/rel"
+)
+
+// Tuple memory of the operators (DESIGN.md §3, "Tuple memory in the
+// executor"): scans emit rows of decoded blocks (rel.Block), and the
+// operators that build tuples — Project and the joins — cut them from a
+// slab; identity (set operations, DISTINCT, the hash join's build side)
+// is one byte-keyed hash table, keyTable. Neither is ever reused or
+// pooled: a tuple stays valid for as long as anyone holds it, and what
+// it keeps alive is its block or slab chunk.
+
+// maxChunkRows bounds a slab chunk, and with it what one kept row of a
+// large result can pin.
+const maxChunkRows = 1024
+
+// slab hands out an operator's output tuples from chunks sized by what
+// the operator has emitted so far: each chunk holds a quarter as many
+// rows as were handed out before it (at least one, at most
+// maxChunkRows). The first rows therefore cost one small allocation
+// each, as a make per row would; from then on the allocations grow with
+// the logarithm of the output, and at most a fifth of what was
+// allocated is never used.
+type slab struct {
+	free []rel.Value // the unused rest of the current chunk
+	rows int         // tuples handed out, all chunks
+}
+
+// peek returns the tuple of the given width that the next take will
+// hand out, without handing it out: a join writes its candidate there
+// and takes it only if the residual holds, so only emitted rows use
+// slab space. The tuple's capacity is its length.
+func (s *slab) peek(width int) rel.Tuple {
+	if s.free == nil || len(s.free) < width {
+		s.free = make([]rel.Value, width*min(max(s.rows/4, 1), maxChunkRows))
+	}
+	return s.free[:width:width]
+}
+
+// take hands out what peek(width) returned.
+func (s *slab) take(width int) rel.Tuple {
+	tu := s.peek(width)
+	s.free = s.free[width:]
+	s.rows++
+	return tu
+}
+
+// concat returns left ++ right in the tuple peek would return.
+func (s *slab) concat(left, right rel.Tuple) rel.Tuple {
+	tu := s.peek(len(left) + len(right))
+	copy(tu[copy(tu, left):], right)
+	return tu
+}
+
+// keyTable maps byte keys (rel.Tuple.AppendKey) to dense entry numbers
+// in insertion order: 0, 1, 2, … The keys lie back to back in one arena
+// and the table is open-addressed, so a probe allocates nothing and an
+// insert only when the arena or the table grows. It replaces
+// map[string]int, which allocates a string per key. The zero keyTable
+// is empty and ready for use.
+type keyTable struct {
+	arena []byte
+	ends  []uint32 // key i is arena[ends[i-1]:ends[i]]
+	slots []keySlot
+}
+
+// keySlot is one open-addressing slot: the entry it holds plus one, and
+// the low half of the key's hash to skip most unequal keys and to
+// rehash without reading the arena. The zero slot is empty.
+type keySlot struct{ hash, entry uint32 }
+
+var keySeed = maphash.MakeSeed()
+
+func hashKey(key []byte) uint32 { return uint32(maphash.Bytes(keySeed, key)) }
+
+// len returns the number of keys.
+func (t *keyTable) len() int { return len(t.ends) }
+
+func (t *keyTable) key(entry uint32) []byte {
+	start := uint32(0)
+	if entry > 0 {
+		start = t.ends[entry-1]
+	}
+	return t.arena[start:t.ends[entry]]
+}
+
+// find returns the entry number of key, or -1.
+func (t *keyTable) find(key []byte) int {
+	if len(t.slots) == 0 {
+		return -1
+	}
+	i, found := t.locate(key, hashKey(key))
+	if !found {
+		return -1
+	}
+	return int(t.slots[i].entry - 1)
+}
+
+// locate returns the slot that holds key, or the empty slot where it
+// would go.
+func (t *keyTable) locate(key []byte, hash uint32) (slot int, found bool) {
+	mask := len(t.slots) - 1
+	i := int(hash) & mask
+	for range t.slots {
+		s := t.slots[i]
+		if s.entry == 0 {
+			return i, false
+		}
+		if s.hash == hash && string(t.key(s.entry-1)) == string(key) {
+			return i, true
+		}
+		i = (i + 1) & mask
+	}
+	panic("exec: keyTable without an empty slot") // add keeps the load under 3/4
+}
+
+// add returns the entry number of key, inserting it if it is new.
+func (t *keyTable) add(key []byte) (entry int, added bool) {
+	if len(t.slots) == 0 {
+		t.slots = make([]keySlot, 8)
+	}
+	hash := hashKey(key)
+	i, found := t.locate(key, hash)
+	if found {
+		return int(t.slots[i].entry - 1), false
+	}
+	if (len(t.ends)+1)*4 > len(t.slots)*3 { // load stays under 3/4
+		t.grow()
+		i, _ = t.locate(key, hash)
+	}
+	t.arena = append(t.arena, key...)
+	t.ends = append(t.ends, uint32(len(t.arena)))
+	t.slots[i] = keySlot{hash: hash, entry: uint32(len(t.ends))}
+	return len(t.ends) - 1, true
+}
+
+func (t *keyTable) grow() {
+	old := t.slots
+	t.slots = make([]keySlot, 2*len(old))
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.entry == 0 {
+			continue
+		}
+		i := int(s.hash) & mask
+		for t.slots[i].entry != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}

@@ -61,8 +61,17 @@ func Collect(op Operator) ([]rel.Tuple, error) {
 }
 
 // CollectCtx drains an operator into a slice, observing the context
-// between tuples like RunCtx.
+// between tuples like RunCtx. A set operation, which has its whole
+// result in hand once evaluated, gives it up instead of being drained
+// into a second slice.
 func CollectCtx(ctx context.Context, op Operator) ([]rel.Tuple, error) {
+	if src, ok := op.(setSource); ok {
+		if set, err := src.takeSet(); err != nil {
+			return nil, err
+		} else if set != nil {
+			return set.live(), ctx.Err()
+		}
+	}
 	var out []rel.Tuple
 	err := RunCtx(ctx, op, func(tu rel.Tuple) error {
 		out = append(out, tu)
@@ -121,14 +130,15 @@ func ScanRows(op Operator, fn func(rid storage.RID, tu rel.Tuple) error) error {
 
 // --- SeqScan ---
 
-// SeqScan reads every tuple of a table. The scan materializes RIDs lazily
-// page by page via the heap iterator.
+// SeqScan reads every tuple of a table, a page at a time: Open decodes
+// each heap page into one block and Next walks the blocks.
 type SeqScan struct {
 	Table *catalog.Table
 	Est   float64
 
-	tuples []rel.Tuple
-	pos    int
+	blocks []rel.Block
+	block  int // blocks[block] is being read
+	row    int // next row of it
 }
 
 // Schema returns the table schema.
@@ -139,27 +149,32 @@ func (s *SeqScan) Schema() *rel.Schema { return s.Table.Schema }
 // writes the same table (INSERT INTO t SELECT ... FROM t) sees the state
 // as of Open.
 func (s *SeqScan) Open() error {
-	s.tuples = s.tuples[:0]
-	s.pos = 0
-	return s.Table.Scan(func(_ storage.RID, tu rel.Tuple) error {
-		s.tuples = append(s.tuples, tu)
+	s.blocks, s.block, s.row = s.blocks[:0], 0, 0
+	return s.Table.ScanBlocks(func(b rel.Block) error {
+		if s.blocks == nil && b.Len() > 0 {
+			// Pages of one table hold about as many rows each.
+			s.blocks = make([]rel.Block, 0, s.Table.Rows()/b.Len()+1)
+		}
+		s.blocks = append(s.blocks, b)
 		return nil
 	})
 }
 
 // Next returns the next tuple or nil.
 func (s *SeqScan) Next() (rel.Tuple, error) {
-	if s.pos >= len(s.tuples) {
-		return nil, nil
+	for s.block < len(s.blocks) {
+		if b := s.blocks[s.block]; s.row < b.Len() {
+			s.row++
+			return b.Row(s.row - 1), nil
+		}
+		s.block, s.row = s.block+1, 0
 	}
-	tu := s.tuples[s.pos]
-	s.pos++
-	return tu, nil
+	return nil, nil
 }
 
 // Close releases the snapshot.
 func (s *SeqScan) Close() error {
-	s.tuples = nil
+	s.blocks = nil
 	return nil
 }
 
@@ -177,72 +192,77 @@ func (s *SeqScan) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
 // --- IndexScan ---
 
 // IndexScan reads tuples whose index key starts with Key (equality on a
-// prefix of the index columns).
+// prefix of the index columns). Open descends the index once and
+// decodes the rows its postings point at into one block.
 type IndexScan struct {
 	Table *catalog.Table
 	Index *catalog.Index
 	Key   rel.Tuple // prefix values for the leading index columns
 	Est   float64
 
-	rids []storage.RID
+	rows rel.Block
 	pos  int
 }
 
 // Schema returns the table schema.
 func (s *IndexScan) Schema() *rel.Schema { return s.Table.Schema }
 
-// lookup descends the index once for the key's posting list.
-func (s *IndexScan) lookup() []storage.RID {
-	if len(s.Key) == len(s.Index.Ords) {
-		return s.Index.Lookup(s.Key)
-	}
-	return s.Index.LookupPrefix(s.Key)
-}
-
-// fetch reads the tuple a posting points at from the heap.
-func (s *IndexScan) fetch(rid storage.RID) (rel.Tuple, error) {
-	tu, err := s.Table.Get(rid)
-	if err != nil {
-		return nil, fmt.Errorf("exec: index %s points at missing record %s: %w", s.Index.Name, rid, err)
-	}
-	return tu, nil
-}
-
-// Open performs the index lookup.
+// Open performs the index lookup and reads the matching tuples from the
+// heap.
 func (s *IndexScan) Open() error {
-	s.rids = s.lookup()
-	s.pos = 0
-	return nil
+	_, err := s.read()
+	return err
 }
 
-// Next fetches the next matching tuple from the heap.
+// read is Open; it also returns where each row is stored.
+func (s *IndexScan) read() ([]storage.RID, error) {
+	rids := indexLookup(s.Index, s.Key)
+	dec := rel.NewBlockDecoder(s.Table.Schema)
+	dec.Begin(len(rids), 0)
+	if err := s.Table.AddRows(&dec, rids); err != nil {
+		return nil, fmt.Errorf("exec: index %s points at missing %w", s.Index.Name, err)
+	}
+	s.rows, s.pos = dec.Finish(), 0
+	return rids, nil
+}
+
+// indexLookup descends the index once for the postings of key, a value
+// for each of the index's leading columns.
+func indexLookup(idx *catalog.Index, key rel.Tuple) []storage.RID {
+	if len(key) == len(idx.Ords) {
+		return idx.Lookup(key)
+	}
+	return idx.LookupPrefix(key)
+}
+
+// Next returns the next matching tuple.
 func (s *IndexScan) Next() (rel.Tuple, error) {
-	if s.pos >= len(s.rids) {
+	if s.pos >= s.rows.Len() {
 		return nil, nil
 	}
-	rid := s.rids[s.pos]
 	s.pos++
-	return s.fetch(rid)
+	return s.rows.Row(s.pos - 1), nil
 }
 
 // ScanRows streams the matching tuples with their RIDs: the same descent
 // and heap reads as Open and Next.
 func (s *IndexScan) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
-	for _, rid := range s.lookup() {
-		tu, err := s.fetch(rid)
-		if err != nil {
-			return err
-		}
-		if err := fn(rid, tu); err != nil {
+	rids, err := s.read()
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	for i, rid := range rids {
+		if err := fn(rid, s.rows.Row(i)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Close releases the posting list.
+// Close releases the rows.
 func (s *IndexScan) Close() error {
-	s.rids = nil
+	s.rows = rel.Block{}
 	return nil
 }
 
@@ -294,6 +314,8 @@ type Project struct {
 	Input Operator
 	Exprs []Scalar
 	Out   *rel.Schema
+
+	out slab
 }
 
 // Schema returns the projection's output schema.
@@ -308,7 +330,7 @@ func (p *Project) Next() (rel.Tuple, error) {
 	if err != nil || tu == nil {
 		return nil, err
 	}
-	out := make(rel.Tuple, len(p.Exprs))
+	out := p.out.take(len(p.Exprs))
 	for i, e := range p.Exprs {
 		out[i] = e.Eval(tu)
 	}
@@ -331,6 +353,7 @@ type NLJoin struct {
 	right  []rel.Tuple
 	cur    rel.Tuple
 	rpos   int
+	out    slab
 	schema *rel.Schema
 }
 
@@ -370,13 +393,10 @@ func (j *NLJoin) Next() (rel.Tuple, error) {
 			j.rpos = 0
 		}
 		for j.rpos < len(j.right) {
-			rt := j.right[j.rpos]
+			joined := j.out.concat(j.cur, j.right[j.rpos])
 			j.rpos++
-			joined := make(rel.Tuple, 0, len(j.cur)+len(rt))
-			joined = append(joined, j.cur...)
-			joined = append(joined, rt...)
 			if j.Pred.Holds(joined) {
-				return joined, nil
+				return j.out.take(len(joined)), nil
 			}
 		}
 		j.cur = nil
@@ -403,13 +423,19 @@ type HashJoin struct {
 	Residual            Pred // True when absent
 	Est                 float64
 
-	buckets map[string]int // key over the build ordinals → index into table
-	table   [][]rel.Tuple
-	key     []byte // scratch: a probe is buckets[string(key)], no allocation
-	cur     rel.Tuple
-	matches []rel.Tuple
-	mpos    int
-	schema  *rel.Schema
+	// The build side: its distinct keys, and per key the chain of rows
+	// that have it, in arrival order (chains by key entry, next by row;
+	// -1 ends a chain).
+	keys   keyTable
+	chains []struct{ first, last int32 }
+	rows   []rel.Tuple
+	next   []int32
+
+	key    []byte // scratch
+	cur    rel.Tuple
+	match  int32 // next build row to pair with cur, or -1
+	out    slab
+	schema *rel.Schema
 }
 
 // Schema returns the concatenated schema.
@@ -437,24 +463,24 @@ func (j *HashJoin) Open() error {
 	if err := probe.Open(); err != nil {
 		return err
 	}
-	j.buckets, j.table = make(map[string]int), nil
+	j.keys, j.chains = keyTable{}, nil
+	n := rowsKnown(build)
+	j.rows, j.next = make([]rel.Tuple, 0, n), make([]int32, 0, n)
 	err := Run(build, func(tu rel.Tuple) error {
+		row := int32(len(j.rows))
+		j.rows, j.next = append(j.rows, tu), append(j.next, -1)
 		j.key = tu.AppendKey(j.key[:0], buildOrds)
-		b, ok := j.buckets[string(j.key)]
-		if !ok {
-			b = len(j.table)
-			j.buckets[string(j.key)] = b
-			j.table = append(j.table, nil)
+		if k, added := j.keys.add(j.key); added {
+			j.chains = append(j.chains, struct{ first, last int32 }{row, row})
+		} else {
+			j.next[j.chains[k].last], j.chains[k].last = row, row
 		}
-		j.table[b] = append(j.table[b], tu)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	j.cur = nil
-	j.matches = nil
-	j.mpos = 0
+	j.cur, j.match = nil, -1
 	return nil
 }
 
@@ -463,36 +489,46 @@ func (j *HashJoin) Next() (rel.Tuple, error) {
 	_, probe, _, probeOrds := j.sides()
 	//dkblint:ctxok consumes one probe tuple or one bucket match per iteration over finite inputs; the RunCtx drain observes cancellation
 	for {
-		for j.mpos < len(j.matches) {
-			lt, rt := j.cur, j.matches[j.mpos]
+		for j.match >= 0 {
+			lt, rt := j.cur, j.rows[j.match]
 			if j.BuildLeft {
 				lt, rt = rt, lt
 			}
-			j.mpos++
-			joined := make(rel.Tuple, 0, len(lt)+len(rt))
-			joined = append(joined, lt...)
-			joined = append(joined, rt...)
+			j.match = j.next[j.match]
+			joined := j.out.concat(lt, rt)
 			if j.Residual.Holds(joined) {
-				return joined, nil
+				return j.out.take(len(joined)), nil
 			}
 		}
 		tu, err := probe.Next()
 		if err != nil || tu == nil {
 			return nil, err
 		}
-		j.cur, j.matches, j.mpos = tu, nil, 0
+		j.cur = tu
 		j.key = tu.AppendKey(j.key[:0], probeOrds)
-		if b, ok := j.buckets[string(j.key)]; ok {
-			j.matches = j.table[b]
+		if k := j.keys.find(j.key); k >= 0 {
+			j.match = j.chains[k].first
 		}
 	}
 }
 
 // Close closes the probe input and releases the hash table.
 func (j *HashJoin) Close() error {
-	j.buckets, j.table = nil, nil
+	j.keys, j.chains, j.rows, j.next = keyTable{}, nil, nil, nil
 	_, probe, _, _ := j.sides()
 	return probe.Close()
+}
+
+// rowsKnown returns how many rows op will emit when that is known
+// before it runs — a bare table scan — and 0 otherwise.
+func rowsKnown(op Operator) int {
+	switch o := op.(type) {
+	case *SeqScan:
+		return o.Table.Rows()
+	case *countedOp:
+		return rowsKnown(o.inner)
+	}
+	return 0
 }
 
 // --- Distinct ---
@@ -500,7 +536,7 @@ func (j *HashJoin) Close() error {
 // Distinct removes duplicate tuples (hash-based).
 type Distinct struct {
 	Input Operator
-	seen  map[string]struct{}
+	seen  keyTable
 	key   []byte // scratch
 }
 
@@ -509,7 +545,7 @@ func (d *Distinct) Schema() *rel.Schema { return d.Input.Schema() }
 
 // Open opens the input and resets the seen set.
 func (d *Distinct) Open() error {
-	d.seen = make(map[string]struct{})
+	d.seen = keyTable{}
 	return d.Input.Open()
 }
 
@@ -522,17 +558,15 @@ func (d *Distinct) Next() (rel.Tuple, error) {
 			return nil, err
 		}
 		d.key = tu.AppendKey(d.key[:0], nil)
-		if _, dup := d.seen[string(d.key)]; dup {
-			continue
+		if _, added := d.seen.add(d.key); added {
+			return tu, nil
 		}
-		d.seen[string(d.key)] = struct{}{}
-		return tu, nil
 	}
 }
 
 // Close closes the input.
 func (d *Distinct) Close() error {
-	d.seen = nil
+	d.seen = keyTable{}
 	return d.Input.Close()
 }
 
@@ -563,7 +597,7 @@ type SetOpExec struct {
 	Kind        SetOpKind
 	Left, Right Operator
 
-	out    []rel.Tuple // nil entries are tuples a later step removed
+	out    []rel.Tuple
 	pos    int
 	schema *rel.Schema
 }
@@ -586,7 +620,7 @@ func (s *SetOpExec) Open() error {
 		return err
 	}
 	if set != nil {
-		s.out = set.rows
+		s.out = set.live()
 		return nil
 	}
 	// UNION ALL: a bag, nothing to hash.
@@ -641,14 +675,11 @@ func (s *SetOpExec) takeSet() (*tupleSet, error) {
 
 // Next returns the next result tuple.
 func (s *SetOpExec) Next() (rel.Tuple, error) {
-	for s.pos < len(s.out) {
-		tu := s.out[s.pos]
-		s.pos++
-		if tu != nil {
-			return tu, nil
-		}
+	if s.pos >= len(s.out) {
+		return nil, nil
 	}
-	return nil, nil
+	s.pos++
+	return s.out[s.pos-1], nil
 }
 
 // Close releases the materialized result.
@@ -671,7 +702,7 @@ func setOf(op Operator) (*tupleSet, error) {
 			return set, err
 		}
 	}
-	set := &tupleSet{pos: make(map[string]int)}
+	set := &tupleSet{}
 	return set, Run(op, set.add)
 }
 
@@ -679,7 +710,7 @@ func setOf(op Operator) (*tupleSet, error) {
 // identified by their keys. Removing a tuple leaves a nil in rows so
 // positions stay valid.
 type tupleSet struct {
-	pos  map[string]int // key → index into rows
+	pos  keyTable // entry i is the key of rows[i]
 	rows []rel.Tuple
 	key  []byte // scratch
 }
@@ -687,8 +718,7 @@ type tupleSet struct {
 // add inserts tu unless the set holds it.
 func (s *tupleSet) add(tu rel.Tuple) error {
 	s.key = tu.AppendKey(s.key[:0], nil)
-	if i, ok := s.pos[string(s.key)]; !ok {
-		s.pos[string(s.key)] = len(s.rows)
+	if i, added := s.pos.add(s.key); added {
 		s.rows = append(s.rows, tu)
 	} else if s.rows[i] == nil {
 		s.rows[i] = tu
@@ -698,10 +728,22 @@ func (s *tupleSet) add(tu rel.Tuple) error {
 
 // find returns the position of the tuple with the given key, or -1.
 func (s *tupleSet) find(key []byte) int {
-	if i, ok := s.pos[string(key)]; ok && s.rows[i] != nil {
+	if i := s.pos.find(key); i >= 0 && s.rows[i] != nil {
 		return i
 	}
 	return -1
+}
+
+// live gives up the set's tuples: rows, closed up over the removed
+// ones. The set is spent.
+func (s *tupleSet) live() []rel.Tuple {
+	out := s.rows[:0]
+	for _, tu := range s.rows {
+		if tu != nil {
+			out = append(out, tu)
+		}
+	}
+	return out
 }
 
 // eachKey passes the key of every row of op to fn: the stored records

@@ -138,9 +138,12 @@ func leafPos(lf *leaf, key rel.Tuple) (int, bool) {
 }
 
 // Insert adds a (key, rid) pair. Duplicate keys accumulate postings; a
-// duplicate (key, rid) pair is rejected.
+// duplicate (key, rid) pair is rejected. The tree keeps its own copy of
+// a key it does not hold yet (rel.Tuple.Clone: values and string bytes),
+// so the caller's tuple — usually a view into a decoded block — is not
+// retained. Stored keys are never modified, which lets a separator
+// share the tuple of the leaf key it was taken from.
 func (t *BTree) Insert(key rel.Tuple, rid storage.RID) error {
-	key = key.Clone()
 	split, sepKey, err := t.insert(t.root, key, rid)
 	if err != nil {
 		return err
@@ -170,7 +173,7 @@ func (t *BTree) insert(n node, key rel.Tuple, rid storage.RID) (node, rel.Tuple,
 		}
 		v.keys = append(v.keys, nil)
 		copy(v.keys[i+1:], v.keys[i:])
-		v.keys[i] = key
+		v.keys[i] = key.Clone()
 		v.rids = append(v.rids, nil)
 		copy(v.rids[i+1:], v.rids[i:])
 		v.rids[i] = []storage.RID{rid}
@@ -194,7 +197,7 @@ func (t *BTree) insert(n node, key rel.Tuple, rid storage.RID) (node, rel.Tuple,
 		v.keys = v.keys[:mid]
 		v.rids = v.rids[:mid]
 		v.next = right
-		return right, right.keys[0].Clone(), nil
+		return right, right.keys[0], nil
 
 	case *inner:
 		i := 0
@@ -256,13 +259,15 @@ func (t *BTree) Delete(key rel.Tuple, rid storage.RID) error {
 }
 
 // Lookup returns the postings for an exact key match (nil if absent).
+// The slice is the tree's own: the caller reads it before the next
+// Insert or Delete and does not modify it.
 func (t *BTree) Lookup(key rel.Tuple) []storage.RID {
 	lf := t.search(key)
 	i, found := leafPos(lf, key)
 	if !found {
 		return nil
 	}
-	return append([]storage.RID(nil), lf.rids[i]...)
+	return lf.rids[i]
 }
 
 // LookupPrefix returns the postings for every key whose leading columns

@@ -333,14 +333,24 @@ func TestPlanAgreesWithBruteForce(t *testing.T) {
 // these are chosen by what the code has to special-case, not by past
 // failures.)
 func TestPlanNamedShapes(t *testing.T) {
+	for _, tc := range namedShapes() {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) { tc.check(t) })
+	}
+}
+
+// namedShape is a shape with the reason it is pinned.
+type namedShape struct {
+	name string
+	shape
+}
+
+func namedShapes() []namedShape {
 	small := tableSpec{name: "small", rows: 4, seed: 1}
 	big := func(indexes ...[]string) tableSpec {
 		return tableSpec{name: "big", rows: 60, seed: 2, indexes: indexes}
 	}
-	for _, tc := range []struct {
-		name string
-		shape
-	}{
+	return []namedShape{
 		{"two equalities on one index column", shape{[]tableSpec{small, big([]string{"a"})},
 			"SELECT * FROM small t0, small t1, big t2 WHERE t0.a = t2.a AND t1.b = t2.a"}},
 		{"index covers a prefix of the join columns", shape{[]tableSpec{small, big([]string{"a", "c"})},
@@ -359,8 +369,5 @@ func TestPlanNamedShapes(t *testing.T) {
 			"SELECT * FROM small t0, none t1, small t2 WHERE t0.a = t2.a"}},
 		{"disconnected pairs", shape{[]tableSpec{small, big([]string{"a"})},
 			"SELECT COUNT(*) FROM small t0, big t1, small t2, big t3 WHERE t0.a = t1.a AND t2.a = t3.a AND t0.b <> t2.b"}},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) { tc.check(t) })
 	}
 }

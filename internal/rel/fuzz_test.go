@@ -44,3 +44,88 @@ func FuzzDecodeTuple(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBlock cuts the input into records at fuzzer-chosen lengths
+// and decodes them twice: one by one through DecodeTuple, and together
+// through a BlockDecoder, in a fresh slab and then over that block's
+// slab. The block has exactly the rows DecodeTuple returns, it fails
+// exactly when one of the records does, it never panics, and each row's
+// capacity is its length, so appending to one row cannot overwrite the
+// next.
+func FuzzDecodeBlock(f *testing.F) {
+	two := append(Tuple{NewInt(-5), NewString("hello")}.Encode(nil), Tuple{NewInt(7), NewString("")}.Encode(nil)...)
+	f.Add(uint8(2), two, []byte{14, 9})
+	f.Add(uint8(3), Tuple{NewString("ab"), NewString("c")}.Encode(nil), []byte{5, 0, 0})
+	f.Add(uint8(5), []byte{}, []byte{0, 0, 0})
+	f.Add(uint8(0), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'x'}, []byte{11})
+	f.Fuzz(func(t *testing.T, which uint8, data, cuts []byte) {
+		schema := fuzzSchemas[int(which)%len(fuzzSchemas)]
+		// Record i is the next cuts[i] bytes (what is left, if fewer); the
+		// bytes after the last cut are not a record.
+		var recs [][]byte
+		for _, c := range cuts {
+			n := min(int(c), len(data))
+			recs = append(recs, data[:n])
+			data = data[n:]
+		}
+		var want []Tuple
+		var wantErr error
+		for _, rec := range recs {
+			tu, err := DecodeTuple(rec, schema)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, tu)
+		}
+
+		dec := NewBlockDecoder(schema)
+		decode := func(begin func()) (Block, error) {
+			begin()
+			for _, rec := range recs {
+				if err := dec.Add(rec); err != nil {
+					return Block{}, err
+				}
+			}
+			return dec.Finish(), nil
+		}
+		fresh, err := decode(func() { dec.Begin(len(recs), len(data)) })
+		for pass, b := range []Block{fresh, {}} {
+			if pass == 1 {
+				// The same records over the first block's slab.
+				b, err = decode(func() { dec.BeginOver(fresh) })
+			}
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("pass %d: block error %v, DecodeTuple error %v", pass, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if b.Len() != len(want) {
+				t.Fatalf("pass %d: block of %d rows from %d records", pass, b.Len(), len(want))
+			}
+			for i, tu := range want {
+				row := b.Row(i)
+				if cap(row) != len(row) {
+					t.Fatalf("pass %d: row %d has len %d, cap %d", pass, i, len(row), cap(row))
+				}
+				if len(row) != len(tu) {
+					t.Fatalf("pass %d: row %d = %v, DecodeTuple %v", pass, i, row, tu)
+				}
+				for c := range tu {
+					// Struct equality: a string value's Int is zero again.
+					if row[c] != tu[c] {
+						t.Fatalf("pass %d: row %d = %#v, DecodeTuple %#v", pass, i, row, tu)
+					}
+				}
+			}
+			if b.Len() > 1 && schema.Len() > 0 {
+				first, next := b.Row(0), b.Row(1)[0]
+				_ = append(first, NewInt(99))
+				if b.Row(1)[0] != next {
+					t.Fatalf("pass %d: appending to row 0 overwrote row 1", pass)
+				}
+			}
+		}
+	})
+}

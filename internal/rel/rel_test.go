@@ -2,6 +2,7 @@ package rel
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -322,5 +323,47 @@ func TestTupleClone(t *testing.T) {
 	b[0] = NewInt(9)
 	if a[0].Int != 1 {
 		t.Fatal("Clone aliases original")
+	}
+}
+
+// TestOwnRowsCopiesExactly: the copies equal the originals, nil rows
+// stay nil, an empty row stays non-nil (a nil tuple ends an operator's
+// output), the copies cannot grow into each other, and the whole result
+// costs two allocations — one slab, one string — however many rows.
+func TestOwnRowsCopiesExactly(t *testing.T) {
+	schema := MustSchema(Column{"a", TypeInt}, Column{"s", TypeString}, Column{"u", TypeString})
+	dec := NewBlockDecoder(schema)
+	const n = 50
+	dec.Begin(n, 0)
+	for i := 0; i < n; i++ {
+		rec := Tuple{NewInt(int64(i)), NewString(strings.Repeat("x", i%5)), NewString(fmt.Sprint("u", i))}.Encode(nil)
+		if err := dec.Add(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block := dec.Finish()
+	rows := []Tuple{nil, {}}
+	for i := 0; i < n; i++ {
+		rows = append(rows, block.Row(i))
+	}
+	orig := append([]Tuple(nil), rows...)
+	OwnRows(rows)
+	if rows[0] != nil || rows[1] == nil || len(rows[1]) != 0 {
+		t.Fatalf("nil row became %v, empty row %v", rows[0], rows[1])
+	}
+	for i := 2; i < len(rows); i++ {
+		if CompareTuples(rows[i], orig[i]) != 0 || cap(rows[i]) != len(rows[i]) {
+			t.Fatalf("row %d: copy %v (cap %d) of %v", i, rows[i], cap(rows[i]), orig[i])
+		}
+		if &rows[i][0] == &orig[i][0] {
+			t.Fatalf("row %d still lies in its block", i)
+		}
+	}
+	if c := (Tuple{NewInt(1), NewString("abc")}).Clone(); c[1].Str != "abc" || c[0].Int != 1 || Tuple(nil).Clone() != nil {
+		t.Fatalf("Clone = %v, Clone(nil) = %v", c, Tuple(nil).Clone())
+	}
+	allocs := testing.AllocsPerRun(10, func() { OwnRows(append([]Tuple(nil), orig...)) })
+	if allocs > 3 { // the copy of orig, the slab, the string
+		t.Errorf("OwnRows of %d rows: %.0f allocations", n, allocs)
 	}
 }

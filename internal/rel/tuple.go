@@ -24,8 +24,52 @@ func (t Tuple) String() string {
 	return b.String()
 }
 
-// Clone returns a deep copy of the tuple.
-func (t Tuple) Clone() Tuple { return append(Tuple(nil), t...) }
+// Clone returns a copy of the tuple that owns its memory: the values
+// and the bytes of its strings are copied, so the copy keeps nothing
+// else alive (see OwnRows).
+func (t Tuple) Clone() Tuple {
+	rows := [1]Tuple{t}
+	OwnRows(rows[:])
+	return rows[0]
+}
+
+// OwnRows replaces every row by a copy, the copies sharing one value
+// slab and one string for their character data, both exactly sized.
+// Tuples an operator emits are views into decoded blocks and output
+// slabs (see Block); whoever keeps rows past their statement calls this
+// first, so the rows pin themselves and nothing larger. Nil rows stay
+// nil.
+func OwnRows(rows []Tuple) {
+	nvals, nchars := 0, 0
+	for _, t := range rows {
+		nvals += len(t)
+		for _, v := range t {
+			nchars += len(v.Str)
+		}
+	}
+	vals := make([]Value, 0, nvals)
+	var b strings.Builder
+	b.Grow(nchars)
+	for _, t := range rows {
+		for _, v := range t {
+			b.WriteString(v.Str)
+		}
+	}
+	chars := b.String()
+	for i, t := range rows {
+		if t == nil {
+			continue
+		}
+		at := len(vals)
+		for _, v := range t {
+			if n := len(v.Str); n > 0 {
+				v.Str, chars = chars[:n], chars[n:]
+			}
+			vals = append(vals, v)
+		}
+		rows[i] = vals[at:len(vals):len(vals)]
+	}
+}
 
 // CompareTuples orders tuples lexicographically; shorter tuples sort
 // before longer ones with an equal prefix.
@@ -103,37 +147,161 @@ func (t Tuple) Encode(buf []byte) []byte { return t.AppendKey(buf, nil) }
 
 // DecodeTuple deserializes a tuple of the given schema from data. The
 // bytes may be untrusted: anything Encode would not have written for
-// this schema is an error, never a panic.
+// this schema is an error, never a panic. The tuple owns its memory
+// (its strings share one allocation). It is the single-record entry
+// point; a scan decodes a page at a time through BlockDecoder.
 func DecodeTuple(data []byte, schema *Schema) (Tuple, error) {
 	t := make(Tuple, schema.Len())
+	var buf [64]byte
+	chars, err := decodeRecord(t, data, schema, buf[:0])
+	if err != nil {
+		return nil, err
+	}
+	if len(chars) > 0 {
+		s := string(chars)
+		for i := range t {
+			t[i].bindString(s)
+		}
+	}
+	return t, nil
+}
+
+// decodeRecord decodes one record into dst, which has schema.Len()
+// elements, appending the record's character data to chars. A string
+// value is left unbound: Int holds where its bytes lie in chars (offset
+// in the high half, length in the low) until bindString points Str at
+// them.
+func decodeRecord(dst []Value, data []byte, schema *Schema, chars []byte) ([]byte, error) {
 	off := 0
-	for i := 0; i < schema.Len(); i++ {
-		switch schema.Col(i).Type {
+	for i, col := range schema.cols {
+		switch col.Type {
 		case TypeInt:
 			if off+8 > len(data) {
-				return nil, fmt.Errorf("rel: short tuple: int column %d", i)
+				return chars, fmt.Errorf("rel: short tuple: int column %d", i)
 			}
-			t[i] = NewInt(int64(binary.BigEndian.Uint64(data[off : off+8])))
+			dst[i] = NewInt(int64(binary.BigEndian.Uint64(data[off : off+8])))
 			off += 8
 		case TypeString:
 			n, sz := binary.Uvarint(data[off:])
 			// A multi-byte uvarint ending in a zero group is a longer
 			// spelling of a smaller number; Encode never writes one.
 			if sz <= 0 || (sz > 1 && data[off+sz-1] == 0) {
-				return nil, fmt.Errorf("rel: bad string length at column %d", i)
+				return chars, fmt.Errorf("rel: bad string length at column %d", i)
 			}
 			off += sz
 			if n > uint64(len(data)-off) {
-				return nil, fmt.Errorf("rel: short tuple: string column %d", i)
+				return chars, fmt.Errorf("rel: short tuple: string column %d", i)
 			}
-			t[i] = NewString(string(data[off : off+int(n)]))
+			dst[i] = Value{Kind: TypeString, Int: int64(len(chars))<<32 | int64(n)}
+			chars = append(chars, data[off:off+int(n)]...)
 			off += int(n)
 		default:
-			return nil, fmt.Errorf("rel: cannot decode unknown-typed column %d", i)
+			return chars, fmt.Errorf("rel: cannot decode unknown-typed column %d", i)
 		}
 	}
 	if off != len(data) {
-		return nil, fmt.Errorf("rel: %d trailing bytes after tuple", len(data)-off)
+		return chars, fmt.Errorf("rel: %d trailing bytes after tuple", len(data)-off)
 	}
-	return t, nil
+	return chars, nil
+}
+
+// bindString completes a string value decodeRecord left unbound: s is
+// the character data its span refers to.
+func (v *Value) bindString(s string) {
+	if v.Kind == TypeString {
+		at, n := v.Int>>32, v.Int&(1<<32-1)
+		v.Str, v.Int = s[at:at+n], 0
+	}
+}
+
+// Block is the rows of one heap page — or of one index probe — decoded
+// together: one value slab and one string holding all their character
+// data, instead of a slice per row and a string per value. Row returns
+// views into the slab; a view's capacity is its length, so appending to
+// one row never reaches the next. A row kept beyond its statement keeps
+// the whole block alive: keepers copy (Tuple.Clone, OwnRows).
+type Block struct {
+	vals  []Value
+	width int32
+	rows  int32
+}
+
+// Len returns the number of rows.
+func (b Block) Len() int { return int(b.rows) }
+
+// Row returns the i-th row.
+func (b Block) Row(i int) Tuple {
+	at, w := i*int(b.width), int(b.width)
+	return b.vals[at : at+w : at+w]
+}
+
+// BlockDecoder decodes the records of one schema into Blocks. Begin
+// (or BeginOver), then Add per record — typically under the pin of
+// the page holding it; the record is not retained — then Finish. A
+// decoder is reused from block to block and keeps its character scratch
+// buffer.
+type BlockDecoder struct {
+	schema  *Schema
+	vals    []Value
+	chars   []byte // scratch: the character data of the block being built
+	rows    int32
+	strings bool // the schema has string columns
+}
+
+// NewBlockDecoder returns a decoder for records of the schema.
+func NewBlockDecoder(schema *Schema) BlockDecoder {
+	d := BlockDecoder{schema: schema}
+	for _, c := range schema.cols {
+		d.strings = d.strings || c.Type == TypeString
+	}
+	return d
+}
+
+// Begin starts a block in a fresh slab sized for rows rows. size is the
+// total length of the records to come when the caller knows it (it
+// bounds their character data and sizes the scratch buffer), else 0.
+func (d *BlockDecoder) Begin(rows, size int) {
+	if d.strings && cap(d.chars) < size {
+		d.chars = make([]byte, 0, size)
+	}
+	d.vals, d.rows, d.chars = make([]Value, 0, rows*d.schema.Len()), 0, d.chars[:0]
+}
+
+// BeginOver starts a block in the slab of old, a block this decoder
+// built whose rows nobody holds any more: the caller copied out the
+// values it needed. (Strings are never overwritten; each block has its
+// own.)
+func (d *BlockDecoder) BeginOver(old Block) {
+	d.vals, d.rows, d.chars = old.vals[:0], 0, d.chars[:0]
+}
+
+// Add decodes one record as the block's next row, under DecodeTuple's
+// contract for untrusted bytes. After an error the block is abandoned.
+func (d *BlockDecoder) Add(rec []byte) error {
+	at, w := len(d.vals), d.schema.Len()
+	if at+w <= cap(d.vals) {
+		d.vals = d.vals[:at+w]
+	} else {
+		d.vals = append(d.vals, make([]Value, w)...)
+	}
+	var err error
+	d.chars, err = decodeRecord(d.vals[at:], rec, d.schema, d.chars)
+	d.rows++
+	return err
+}
+
+// Rows returns the number of rows added since Begin.
+func (d *BlockDecoder) Rows() int { return int(d.rows) }
+
+// Finish returns the block of the rows added since Begin.
+func (d *BlockDecoder) Finish() Block {
+	b := Block{vals: d.vals, width: int32(d.schema.Len()), rows: d.rows}
+	if len(d.chars) > 0 {
+		s := string(d.chars)
+		for i := range b.vals {
+			b.vals[i].bindString(s)
+		}
+	}
+	d.vals = nil
+	return b
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 )
@@ -104,8 +105,12 @@ func OpenHeap(p *Pager, head PageID) *HeapFile {
 // Head returns the head page ID (the persistent identity of the file).
 func (h *HeapFile) Head() PageID { return h.head }
 
-// Insert appends a record and returns its RID.
+// Insert appends a record and returns its RID. A record no page can
+// hold is rejected before the chain is touched.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
+	if len(rec) > MaxRecordSize {
+		return RID{}, fmt.Errorf("storage: record of %d bytes exceeds page capacity", len(rec))
+	}
 	h.stats.inserts.Add(1)
 	// Try the cached page first, then walk the chain from it, extending
 	// at the tail when no page has room.
@@ -147,22 +152,31 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	}
 }
 
-// Get returns a copy of the record at rid, or an error if the slot is
-// dead or out of range.
-func (h *HeapFile) Get(rid RID) ([]byte, error) {
+// Read calls fn with the record at rid while its page is pinned; rec
+// aliases the page buffer and must not be retained. It is an error if
+// the slot is dead or out of range.
+func (h *HeapFile) Read(rid RID, fn func(rec []byte) error) error {
 	h.stats.reads.Add(1)
 	pg, err := h.pager.Fetch(rid.Page)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer h.pager.Unpin(pg)
 	rec := pg.Record(rid.Slot)
 	if rec == nil {
-		return nil, fmt.Errorf("storage: no record at %s", rid)
+		return fmt.Errorf("storage: no record at %s", rid)
 	}
-	out := make([]byte, len(rec))
-	copy(out, rec)
-	return out, nil
+	return fn(rec)
+}
+
+// Get returns a copy of the record at rid.
+func (h *HeapFile) Get(rid RID) ([]byte, error) {
+	var out []byte
+	err := h.Read(rid, func(rec []byte) error {
+		out = bytes.Clone(rec)
+		return nil
+	})
+	return out, err
 }
 
 // Delete removes the record at rid and compacts the page when more than
@@ -185,13 +199,14 @@ func (h *HeapFile) Delete(rid RID) error {
 	return nil
 }
 
-// Scan calls fn for every live record in the file, in chain order. The
-// record slice passed to fn aliases the page buffer and must not be
-// retained. Returning a non-nil error from fn stops the scan.
-func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
+// ScanPages calls fn with every page of the file in chain order, each
+// pinned for the duration of the call. fn reads the page's records
+// through Record; what it takes from them it copies or decodes before
+// it returns. Returning a non-nil error from fn stops the scan.
+func (h *HeapFile) ScanPages(fn func(pg *Page) error) error {
 	h.stats.scans.Add(1)
 	// Accumulate locally and publish once: one pair of atomic adds per
-	// scan instead of one per page/record keeps the hot loop unchanged.
+	// scan instead of one per page keeps the hot loop unchanged.
 	var pages, recs int64
 	defer func() {
 		h.stats.pagesScanned.Add(pages)
@@ -204,22 +219,32 @@ func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
 			return err
 		}
 		pages++
-		for s := 0; s < pg.SlotCount(); s++ {
-			rec := pg.Record(s)
-			if rec == nil {
-				continue
-			}
-			recs++
-			if err := fn(RID{Page: id, Slot: s}, rec); err != nil {
-				h.pager.Unpin(pg)
-				return err
-			}
-		}
+		recs += int64(pg.LiveRecords())
+		err = fn(pg)
 		next := pg.Next()
 		h.pager.Unpin(pg)
+		if err != nil {
+			return err
+		}
 		id = next
 	}
 	return nil
+}
+
+// Scan calls fn for every live record in the file, in chain order. The
+// record slice passed to fn aliases the page buffer and must not be
+// retained. Returning a non-nil error from fn stops the scan.
+func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
+	return h.ScanPages(func(pg *Page) error {
+		for s := 0; s < pg.SlotCount(); s++ {
+			if rec := pg.Record(s); rec != nil {
+				if err := fn(RID{Page: pg.ID, Slot: s}, rec); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // Count returns the number of live records (full scan).

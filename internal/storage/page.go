@@ -27,8 +27,10 @@ const InvalidPageID = PageID(0xFFFFFFFF)
 //
 //	offset 0:  uint32 next page ID (free-list / heap chain link)
 //	offset 4:  uint16 slot count
-//	offset 6:  uint16 free-space pointer (offset of start of record area
-//	           free region, growing upward from the header)
+//	offset 6:  uint16 written as pageHdrSize by Init and never read; the
+//	           page's free space is derived from the slot directory and
+//	           cached beside the buffer (pageSpace), so page images stay
+//	           what they always were
 //	offset 8:  slot directory, 4 bytes per slot:
 //	           uint16 record offset (0xFFFF = dead slot), uint16 length
 //	records grow downward from PageSize.
@@ -39,7 +41,13 @@ const (
 	pageHdrSize      = 8
 	slotSize         = 4
 	deadSlotOffset   = 0xFFFF
+	// maxSlots is how many directory entries fit on a page; a larger
+	// count in the header is corruption.
+	maxSlots = (PageSize - pageHdrSize) / slotSize
 )
+
+// MaxRecordSize is the largest record a page can hold.
+const MaxRecordSize = PageSize - pageHdrSize - slotSize
 
 // Page is a fixed-size byte buffer with slotted-record accessors. It is
 // not safe for concurrent mutation: the buffer pool no longer serializes
@@ -54,6 +62,25 @@ type Page struct {
 	Data  [PageSize]byte
 	Dirty bool
 	pins  atomic.Int32
+
+	space pageSpace
+}
+
+// pageSpace caches, beside the page buffer, what FreeSpace and Insert
+// need from the slot directory, so neither walks it: Insert and Delete
+// keep it current in O(1). It is derived state — nothing of it is
+// stored in Data — and is built by one walk of the directory when the
+// pager reads the page from the store, and again the first time a
+// writer needs it after the page was compacted or lost its lowest
+// record. Only the page's single writer changes it; readers (Record,
+// SlotCount, LiveRecords) never do.
+type pageSpace struct {
+	known bool
+	low   int // lowest offset of any live record; PageSize when none
+	dead  int // dead slots in the directory
+	// firstDead is a lower bound on the number of the first dead slot
+	// (meaningful while dead > 0); Insert reuses that slot.
+	firstDead int
 }
 
 // Init formats the page as an empty slotted page.
@@ -63,7 +90,8 @@ func (p *Page) Init() {
 	}
 	p.SetNext(InvalidPageID)
 	p.setSlotCount(0)
-	p.setFreePtr(pageHdrSize)
+	binary.BigEndian.PutUint16(p.Data[pageHdrFreePtr:], pageHdrSize)
+	p.space = pageSpace{known: true, low: PageSize}
 	p.Dirty = true
 }
 
@@ -87,12 +115,10 @@ func (p *Page) setSlotCount(n int) {
 	binary.BigEndian.PutUint16(p.Data[pageHdrSlotCount:], uint16(n))
 }
 
-func (p *Page) freePtr() int {
-	return int(binary.BigEndian.Uint16(p.Data[pageHdrFreePtr:]))
-}
-
-func (p *Page) setFreePtr(off int) {
-	binary.BigEndian.PutUint16(p.Data[pageHdrFreePtr:], uint16(off))
+// slots is SlotCount bounded by what a page can hold, for walks that
+// must survive a corrupt header.
+func (p *Page) slots() int {
+	return min(p.SlotCount(), maxSlots)
 }
 
 func (p *Page) slot(i int) (off, length int) {
@@ -109,72 +135,80 @@ func (p *Page) setSlot(i, off, length int) {
 	p.Dirty = true
 }
 
-// recordLow returns the lowest offset used by any live record, i.e. the
-// bottom of the record area (records grow downward from PageSize).
-func (p *Page) recordLow() int {
-	low := PageSize
-	for i := 0; i < p.SlotCount(); i++ {
+// spaceInfo returns the page's free-space cache, building it from the
+// slot directory if it is not current.
+func (p *Page) spaceInfo() *pageSpace {
+	sp := &p.space
+	if sp.known {
+		return sp
+	}
+	*sp = pageSpace{known: true, low: PageSize}
+	for i := p.slots() - 1; i >= 0; i-- {
 		off, _ := p.slot(i)
-		if off != deadSlotOffset && off < low {
-			low = off
+		switch {
+		case off == deadSlotOffset:
+			sp.dead++
+			sp.firstDead = i
+		case off < sp.low:
+			sp.low = off
 		}
 	}
-	return low
+	return sp
 }
 
 // FreeSpace returns the bytes available for a new record including its
-// slot directory entry.
-func (p *Page) FreeSpace() int {
-	used := pageHdrSize + p.SlotCount()*slotSize
-	free := p.recordLow() - used - slotSize
-	if free < 0 {
-		return 0
-	}
-	return free
+// slot directory entry. Like Insert it belongs to the page's writer.
+func (p *Page) FreeSpace() int { return max(p.room(), 0) }
+
+// room is the gap between the slot directory, grown by one entry, and
+// the lowest record; negative when not even the entry fits.
+func (p *Page) room() int {
+	return p.spaceInfo().low - (pageHdrSize + p.SlotCount()*slotSize) - slotSize
 }
 
-// HasRoom reports whether a record of n bytes fits on this page.
-func (p *Page) HasRoom(n int) bool { return p.FreeSpace() >= n }
+// HasRoom reports whether a record of n bytes fits on this page. An
+// empty record still needs its directory entry.
+func (p *Page) HasRoom(n int) bool { return p.room() >= n }
 
-// Insert stores a record and returns its slot number. The caller must
-// have checked HasRoom.
+// Insert stores a record and returns its slot number: the first dead
+// slot if there is one, else a new slot. The record goes directly below
+// the lowest live record.
 func (p *Page) Insert(rec []byte) (int, error) {
-	if len(rec) > PageSize-pageHdrSize-slotSize {
+	if len(rec) > MaxRecordSize {
 		return 0, fmt.Errorf("storage: record of %d bytes exceeds page capacity", len(rec))
 	}
 	if !p.HasRoom(len(rec)) {
 		return 0, fmt.Errorf("storage: page %d full", p.ID)
 	}
-	// Compute the record position before touching the slot directory so
-	// the fresh slot's zeroed entry cannot perturb recordLow.
-	newLow := p.recordLow() - len(rec)
-	// Reuse a dead slot if one exists (keeps slot numbers dense enough).
-	slotNo := -1
-	for i := 0; i < p.SlotCount(); i++ {
-		if off, _ := p.slot(i); off == deadSlotOffset {
-			slotNo = i
-			break
+	sp := p.spaceInfo()
+	newLow := sp.low - len(rec)
+	slotNo := p.SlotCount()
+	if sp.dead > 0 {
+		slotNo = sp.firstDead
+		for off, _ := p.slot(slotNo); off != deadSlotOffset; off, _ = p.slot(slotNo) {
+			slotNo++
 		}
-	}
-	if slotNo == -1 {
-		slotNo = p.SlotCount()
+		sp.dead--
+		sp.firstDead = slotNo + 1
+	} else {
 		p.setSlotCount(slotNo + 1)
 	}
 	copy(p.Data[newLow:newLow+len(rec)], rec)
 	p.setSlot(slotNo, newLow, len(rec))
-	p.Dirty = true
+	sp.low = newLow
 	return slotNo, nil
 }
 
 // Record returns the bytes of the record in the given slot, or nil if
-// the slot is dead or out of range. The returned slice aliases the page
-// buffer; callers must copy before the page can be evicted.
+// the slot is dead, out of range or (on a corrupt page) points outside
+// the page. The returned slice aliases the page buffer; callers must
+// copy before the page can be evicted.
 func (p *Page) Record(slotNo int) []byte {
-	if slotNo < 0 || slotNo >= p.SlotCount() {
+	if slotNo < 0 || slotNo >= p.slots() {
 		return nil
 	}
 	off, length := p.slot(slotNo)
-	if off == deadSlotOffset {
+	if off == deadSlotOffset || off+length > PageSize {
 		return nil
 	}
 	return p.Data[off : off+length]
@@ -182,7 +216,7 @@ func (p *Page) Record(slotNo int) []byte {
 
 // Delete marks the slot dead. The space is reclaimed lazily by Compact.
 func (p *Page) Delete(slotNo int) error {
-	if slotNo < 0 || slotNo >= p.SlotCount() {
+	if slotNo < 0 || slotNo >= p.slots() {
 		return fmt.Errorf("storage: delete of invalid slot %d on page %d", slotNo, p.ID)
 	}
 	off, _ := p.slot(slotNo)
@@ -190,14 +224,28 @@ func (p *Page) Delete(slotNo int) error {
 		return fmt.Errorf("storage: double delete of slot %d on page %d", slotNo, p.ID)
 	}
 	p.setSlot(slotNo, deadSlotOffset, 0)
-	p.Dirty = true
+	if sp := &p.space; sp.known {
+		if off == sp.low {
+			// The lowest record went, and which is lowest now takes a
+			// walk: left to the next spaceInfo.
+			sp.known = false
+		} else {
+			if sp.dead == 0 || slotNo < sp.firstDead {
+				sp.firstDead = slotNo
+			}
+			sp.dead++
+		}
+	}
 	return nil
 }
 
 // LiveRecords returns the number of live records on the page.
 func (p *Page) LiveRecords() int {
+	if p.space.known {
+		return p.SlotCount() - p.space.dead
+	}
 	n := 0
-	for i := 0; i < p.SlotCount(); i++ {
+	for i := 0; i < p.slots(); i++ {
 		if off, _ := p.slot(i); off != deadSlotOffset {
 			n++
 		}
@@ -237,5 +285,6 @@ func (p *Page) Compact() {
 		n--
 	}
 	p.setSlotCount(n)
+	p.space.known = false
 	p.Dirty = true
 }

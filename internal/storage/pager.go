@@ -253,6 +253,7 @@ func (p *Pager) Fetch(id PageID) (*Page, error) {
 		if err := p.readPage(id, pg.Data[:]); err != nil {
 			return nil, err
 		}
+		pg.spaceInfo() // while the page is still private to this call
 		//dkblint:locksafe install may evict a dirty victim; its write-back must finish before the frame vanishes (see evictOne)
 		sh.mu.Lock()
 		if fr, ok := sh.frames[id]; ok {

@@ -378,22 +378,6 @@ func TestPagerStats(t *testing.T) {
 	}
 }
 
-func BenchmarkHeapInsert(b *testing.B) {
-	p := NewMemPager(4096)
-	h, err := CreateHeap(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec := bytes.Repeat([]byte("x"), 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.Insert(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkHeapScan(b *testing.B) {
 	p := NewMemPager(4096)
 	h, _ := CreateHeap(p)
