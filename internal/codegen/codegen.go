@@ -30,11 +30,48 @@ import (
 const BridgePrefix = "_b_"
 
 // BaseTable returns the DBMS table holding a base predicate's facts.
-// Every predicate's extensional relation is named edb_<pred> with
-// columns c0..cn-1; bridge predicates alias their original predicate's
-// table.
+// Every predicate's extensional relation is named edb_<pred> (<pred>
+// as Ident spells it) with columns c0..cn-1; bridge predicates alias
+// their original predicate's table.
 func BaseTable(pred string) string {
-	return "edb_" + strings.TrimPrefix(pred, BridgePrefix)
+	return "edb_" + Ident(strings.TrimPrefix(pred, BridgePrefix))
+}
+
+// Ident spells a predicate name as the body of an SQL identifier. SQL
+// text folds identifiers to lower case and admits only [a-z0-9_], while
+// predicate names are case-sensitive, so the spelling must not lean on
+// case. A name already within [a-z0-9_] is its own spelling. Any other
+// gets a leading '0' — which no predicate name starts with, so the two
+// families cannot meet — and then, byte by byte: [a-z0-9] as it is,
+// '_' doubled, an upper-case letter as '_' and its lower case, any
+// other byte as '_' and three decimal digits. parentOf is
+// 0parent_of; the spelling is injective.
+func Ident(pred string) string {
+	plain := true
+	for i := 0; i < len(pred); i++ {
+		if c := pred[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_') {
+			plain = false
+			break
+		}
+	}
+	if plain {
+		return pred
+	}
+	b := make([]byte, 0, len(pred)+8)
+	b = append(b, '0')
+	for i := 0; i < len(pred); i++ {
+		switch c := pred[i]; {
+		case 'a' <= c && c <= 'z' || '0' <= c && c <= '9':
+			b = append(b, c)
+		case c == '_':
+			b = append(b, '_', '_')
+		case 'A' <= c && c <= 'Z':
+			b = append(b, '_', c-'A'+'a')
+		default:
+			b = append(b, '_', '0'+c/100, '0'+c/10%10, '0'+c%10)
+		}
+	}
+	return string(b)
 }
 
 // FromEntry is one relation in a compiled rule's FROM list. Pred is the
@@ -81,28 +118,6 @@ func (r *RuleSQL) SQL(tableOf func(pred string) string) string {
 			b.WriteString(", ")
 		}
 		b.WriteString(tableOf(f.Pred))
-		b.WriteByte(' ')
-		b.WriteString(f.Alias)
-	}
-	if r.Where != "" {
-		b.WriteString(" WHERE ")
-		b.WriteString(r.Where)
-	}
-	return b.String()
-}
-
-// SQLWithTables renders the rule with an explicit table name per FROM
-// position (used by semi-naive differentials).
-func (r *RuleSQL) SQLWithTables(tables []string) string {
-	var b strings.Builder
-	b.WriteString("SELECT DISTINCT ")
-	b.WriteString(r.SelectList)
-	b.WriteString(" FROM ")
-	for i, f := range r.From {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(tables[i])
 		b.WriteByte(' ')
 		b.WriteString(f.Alias)
 	}

@@ -79,16 +79,56 @@ func TestCompileCliqueOccurrences(t *testing.T) {
 	}
 }
 
-func TestSQLWithTables(t *testing.T) {
-	c := dlog.MustParseClause("anc(X, Y) :- parent(X, Z), anc(Z, Y).")
-	rs, err := CompileRule(c, map[string]bool{"anc": true})
-	if err != nil {
-		t.Fatal(err)
+// TestIdent pins the predicate→identifier spelling: names within
+// [a-z0-9_] spell themselves (stored databases keep their table names),
+// every spelling survives SQL's case folding, and no two names share
+// one.
+func TestIdent(t *testing.T) {
+	for name, want := range map[string]string{
+		"parent":        "parent",
+		"same_gen":      "same_gen",
+		"_pm_anc__bf":   "_pm_anc__bf",
+		"parentOf":      "0parent_of",
+		"parent_of":     "parent_of",
+		"parent_Of":     "0parent___of",
+		"p\xe9":         "0p_233",
+		"_pm_reachF__b": "0__pm__reach_f____b",
+	} {
+		if got := Ident(name); got != want {
+			t.Errorf("Ident(%q) = %q, want %q", name, got, want)
+		}
 	}
-	got := rs.SQLWithTables([]string{"edb_parent", "delta_anc"})
-	if !strings.Contains(got, "FROM edb_parent t0, delta_anc t1") {
-		t.Fatalf("table substitution: %q", got)
+	if BaseTable("parentOf") == BaseTable("parentof") || BaseTable(BridgePrefix+"parentOf") != BaseTable("parentOf") {
+		t.Errorf("BaseTable: %q %q %q", BaseTable("parentOf"), BaseTable("parentof"), BaseTable(BridgePrefix+"parentOf"))
 	}
+	// Every name of up to four bytes over an alphabet with one of each
+	// kind of byte: all spellings distinct, all within [a-z0-9_].
+	alphabet := []byte{'a', 'B', 'b', '0', '2', '_', 0xe9}
+	seen := make(map[string]string)
+	var walk func(prefix []byte)
+	walk = func(prefix []byte) {
+		if len(prefix) > 0 {
+			name := string(prefix)
+			id := Ident(name)
+			if other, dup := seen[id]; dup {
+				t.Fatalf("Ident(%q) = Ident(%q) = %q", name, other, id)
+			}
+			seen[id] = name
+			if strings.ToLower(id) != id || strings.Trim(id, "abcdefghijklmnopqrstuvwxyz0123456789_") != "" {
+				t.Fatalf("Ident(%q) = %q leaves [a-z0-9_]", name, id)
+			}
+		}
+		if len(prefix) == 4 {
+			return
+		}
+		for _, c := range alphabet {
+			if len(prefix) == 0 && (c == '0' || c == '2') {
+				continue // predicate names do not start with a digit
+			}
+			walk(append(prefix[:len(prefix):len(prefix)], c))
+		}
+	}
+	walk(nil)
 }
 
 func TestCompileFactRejected(t *testing.T) {

@@ -205,7 +205,11 @@ func (d *DB) QueryTracedCtx(ctx context.Context, stmt string, sp *obs.Span) (*Ro
 	if !ok {
 		return nil, fmt.Errorf("db: Query called with a non-SELECT %T; use Exec", st)
 	}
-	return d.runSelect(ctx, sel, sp)
+	p, err := plan.Prepare(d, sel, nil)
+	if err != nil {
+		return nil, err
+	}
+	return d.runSelect(ctx, p, nil, sp)
 }
 
 // QueryCount evaluates a SELECT COUNT(*) (or any single-int-row query)
@@ -215,6 +219,10 @@ func (d *DB) QueryCount(stmt string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return singleInt(rows)
+}
+
+func singleInt(rows *Rows) (int64, error) {
 	if len(rows.Tuples) != 1 || len(rows.Tuples[0]) != 1 || rows.Tuples[0][0].Kind != rel.TypeInt {
 		return 0, fmt.Errorf("db: QueryCount: result is not a single integer")
 	}
@@ -246,9 +254,10 @@ func (d *DB) InsertTuples(table string, tuples []rel.Tuple) error {
 	return nil
 }
 
-func (d *DB) runSelect(ctx context.Context, sel *sql.Select, sp *obs.Span) (*Rows, error) {
+// runSelect plans and drains one execution of a prepared SELECT.
+func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, sp *obs.Span) (*Rows, error) {
 	atomic.AddInt64(&d.stats.Selects, 1)
-	op, err := plan.BuildSelect(d, sel)
+	op, err := p.Build(d, args)
 	if err != nil {
 		return nil, err
 	}
@@ -272,6 +281,22 @@ func (d *DB) execCreateTable(s sql.CreateTable) error {
 	return err
 }
 
+// CreateTempTable is CREATE TEMP TABLE without the text: the name is
+// taken as written and the schema as given. Counted as one DDL
+// statement, as InsertTuples is counted as an INSERT.
+func (d *DB) CreateTempTable(name string, schema *rel.Schema) error {
+	atomic.AddInt64(&d.stats.DDL, 1)
+	_, err := d.cat.CreateTable(name, schema, true)
+	return err
+}
+
+// DropTable is DROP TABLE without the text, counted as one DDL
+// statement.
+func (d *DB) DropTable(name string) error {
+	atomic.AddInt64(&d.stats.DDL, 1)
+	return d.cat.DropTable(name)
+}
+
 func (d *DB) execDropTable(s sql.DropTable) error {
 	atomic.AddInt64(&d.stats.DDL, 1)
 	if d.cat.Table(s.Name) == nil && s.IfExists {
@@ -287,60 +312,20 @@ func (d *DB) execCreateIndex(s sql.CreateIndex) error {
 }
 
 func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
+	if s.Param != 0 {
+		return fmt.Errorf("db: INSERT INTO $%d: table parameters need Prepare", s.Param)
+	}
 	atomic.AddInt64(&d.stats.Inserts, 1)
 	t := d.Table(s.Table)
 	if t == nil {
 		return fmt.Errorf("db: no table %s", s.Table)
 	}
 	if s.Query != nil {
-		op, err := plan.BuildSelect(d, s.Query)
+		p, err := plan.Prepare(d, s.Query, nil)
 		if err != nil {
 			return err
 		}
-		if !op.Schema().TypesCompatible(t.Schema) {
-			return fmt.Errorf("db: INSERT INTO %s: select schema %v incompatible with table schema %v",
-				s.Table, op.Schema(), t.Schema)
-		}
-		op, flush := exec.Instrument(op, sp)
-		defer flush()
-		// Materialize before writing so self-referential inserts
-		// (INSERT INTO t SELECT ... FROM t) read a stable snapshot.
-		if len(t.Indexes) == 0 {
-			// A bare scan's stored records (same types, checked above)
-			// go into an index-less table as they are.
-			var recs []byte // the records back to back
-			var ends []int
-			raw, err := exec.ScanRecords(op, func(rec []byte) error {
-				recs = append(recs, rec...)
-				ends = append(ends, len(recs))
-				return ctx.Err()
-			})
-			if err != nil {
-				return err
-			}
-			if raw {
-				start := 0
-				for _, end := range ends {
-					if err := t.InsertRecord(recs[start:end]); err != nil {
-						return err
-					}
-					atomic.AddInt64(&d.stats.InsertedRows, 1)
-					start = end
-				}
-				return nil
-			}
-		}
-		tuples, err := exec.CollectCtx(ctx, op)
-		if err != nil {
-			return err
-		}
-		for _, tu := range tuples {
-			if _, err := t.Insert(tu); err != nil {
-				return err
-			}
-			atomic.AddInt64(&d.stats.InsertedRows, 1)
-		}
-		return nil
+		return d.insertSelect(ctx, t, p, nil, sp)
 	}
 	for _, row := range s.Rows {
 		tu := make(rel.Tuple, len(row))
@@ -351,6 +336,64 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 			}
 			tu[i] = lit.Value
 		}
+		if _, err := t.Insert(tu); err != nil {
+			return err
+		}
+		atomic.AddInt64(&d.stats.InsertedRows, 1)
+	}
+	return nil
+}
+
+// insertSelect is the body of INSERT INTO t SELECT ...: one execution
+// of the prepared SELECT, materialized, then written to t.
+func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, sp *obs.Span) error {
+	op, err := p.Build(d, args)
+	if err != nil {
+		return err
+	}
+	if !op.Schema().TypesCompatible(t.Schema) {
+		return fmt.Errorf("db: INSERT INTO %s: select schema %v incompatible with table schema %v",
+			t.Name, op.Schema(), t.Schema)
+	}
+	scan, _ := op.(*exec.SeqScan)
+	op, flush := exec.Instrument(op, sp)
+	defer flush()
+	// Materialize before writing so self-referential inserts
+	// (INSERT INTO t SELECT ... FROM t) read a stable snapshot.
+	if scan != nil && len(t.Indexes) == 0 {
+		// A bare scan's stored records (same types, checked above)
+		// go into an index-less table as they are.
+		n := scan.Table.Rows()
+		ends := make([]int, 0, n)
+		var recs []byte // the records back to back
+		_, err := exec.ScanRecords(op, func(rec []byte) error {
+			if recs == nil {
+				// Records of one table are about one length: the first,
+				// with an eighth to spare, sizes the buffer for all.
+				recs = make([]byte, 0, n*(len(rec)+len(rec)/8+1))
+			}
+			recs = append(recs, rec...)
+			ends = append(ends, len(recs))
+			return ctx.Err()
+		})
+		if err != nil {
+			return err
+		}
+		start := 0
+		for _, end := range ends {
+			if err := t.InsertRecord(recs[start:end]); err != nil {
+				return err
+			}
+			atomic.AddInt64(&d.stats.InsertedRows, 1)
+			start = end
+		}
+		return nil
+	}
+	tuples, err := exec.CollectCtx(ctx, op)
+	if err != nil {
+		return err
+	}
+	for _, tu := range tuples {
 		if _, err := t.Insert(tu); err != nil {
 			return err
 		}

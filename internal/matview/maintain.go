@@ -1,6 +1,7 @@
 package matview
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -47,7 +48,7 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 		}
 	}
 
-	m := &maint{d: d, v: v, temps: rtlib.NewTempTables(d),
+	m := &maint{d: d, v: v, temps: rtlib.NewTempTables(d), stmts: rtlib.NewStatements(d, v.prog.Schemas),
 		prefix: fmt.Sprintf("mv%d_", atomic.AddUint64(&viewSeq, 1))}
 	// Best-effort: a failed scratch drop leaks a temp table until the
 	// database closes, nothing worse.
@@ -63,7 +64,7 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 		}
 	}
 
-	rows, err := d.Query("SELECT * FROM " + v.tableOf(v.prog.QueryPred))
+	rows, err := m.readAll(v.prog.QueryPred, v.tableOf(v.prog.QueryPred))
 	if err != nil {
 		return nil, err
 	}
@@ -81,12 +82,14 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 // maint is the working state of one maintenance run: the scratch temp
 // tables it creates (base deltas, pre-state copies, candidate sets, the
 // fixpoint driver's delta tables) are dropped when the run ends,
-// leaving only the view's accumulators.
+// leaving only the view's accumulators, and the statements it prepares
+// go with it.
 type maint struct {
 	d      *db.DB
 	v      *View
 	prefix string
 	temps  *rtlib.TempTables
+	stmts  *rtlib.Statements
 	seq    int
 	// deltaTuples counts derived-relation changes applied: tuples
 	// over-deleted plus delta tuples promoted into accumulators.
@@ -101,6 +104,15 @@ func (m *maint) scratch(hint string, schema *rel.Schema, tuples []rel.Tuple) (st
 		return "", err
 	}
 	return name, m.d.InsertTuples(name, tuples)
+}
+
+// readAll reads table, a relation of pred.
+func (m *maint) readAll(pred, table string) (*db.Rows, error) {
+	stmt, err := m.stmts.Relation(pred, rtlib.ReadAll)
+	if err != nil {
+		return nil, err
+	}
+	return stmt.Query(context.Background(), nil, table)
 }
 
 // baseDelta materializes a commit's per-predicate base deltas as the
@@ -134,7 +146,7 @@ func (m *maint) fixpoint(tag string, first map[string]string, tableOf, into func
 	fp := &rtlib.Fixpoint{
 		DB: m.d, Temps: m.temps, Prefix: m.prefix + tag,
 		Schemas: m.v.prog.Schemas, Preds: m.v.preds, Rules: m.v.rules,
-		TableOf: tableOf, Into: into, First: first, Stats: &ns,
+		TableOf: tableOf, Into: into, First: first, Stats: &ns, Stmts: m.stmts,
 	}
 	err := fp.Run()
 	return ns.Iterations - 1, err
@@ -211,7 +223,11 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 		if err != nil {
 			return err
 		}
-		if err := m.d.Exec("INSERT INTO " + pt + " SELECT * FROM " + table); err != nil {
+		copyInto, err := m.stmts.Relation(pred, rtlib.CopyInto)
+		if err != nil {
+			return err
+		}
+		if err := copyInto.Exec(context.Background(), nil, pt, table); err != nil {
 			return err
 		}
 		pre[pred] = pt
@@ -246,7 +262,7 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 	candidates := make(map[string]map[string]rel.Tuple, len(cand))
 	overDeleted := 0
 	for _, p := range m.v.preds {
-		rows, err := m.d.Query("SELECT * FROM " + cand[p])
+		rows, err := m.readAll(p, cand[p])
 		if err != nil {
 			return err
 		}
@@ -288,7 +304,11 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 			if len(cand) == 0 {
 				continue
 			}
-			rows, err := m.d.Query(r.SQL(m.v.tableOf))
+			stmt, err := m.stmts.Rule(r, rtlib.RuleSelect)
+			if err != nil {
+				return err
+			}
+			rows, err := stmt.Query(context.Background(), nil, rtlib.Tables(r, m.v.tableOf)...)
 			if err != nil {
 				return fmt.Errorf("matview: re-derive rule %q: %w", r.Source, err)
 			}

@@ -188,7 +188,7 @@ func (v *View) tableOf(pred string) string {
 func (v *View) Drop(d *db.DB) error {
 	var firstErr error
 	for _, t := range v.created {
-		if err := d.Exec("DROP TABLE " + t); err != nil && firstErr == nil {
+		if err := d.DropTable(t); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

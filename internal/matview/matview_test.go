@@ -11,9 +11,9 @@ func TestAutoIncremental(t *testing.T) {
 		delta, rows int
 		want        bool
 	}{
-		{1, 0, true},     // empty view, tiny delta: floor applies
-		{16, 10, true},   // at the floor
-		{17, 10, false},  // past the floor on a small view
+		{1, 0, true},    // empty view, tiny delta: floor applies
+		{16, 10, true},  // at the floor
+		{17, 10, false}, // past the floor on a small view
 		{100, 1000, true} /* 100 <= 250 */, {251, 1000, false},
 		{250, 1000, true}, // exactly at rows/4
 	}

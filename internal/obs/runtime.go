@@ -11,10 +11,10 @@ import (
 // query rates and one window query answers "was that latency spike a
 // GC pause or a reader convoy?".
 const (
-	runtimeGoroutines  = "runtime.goroutines"
-	runtimeHeapInuse   = "runtime.heap_inuse_bytes"
-	runtimeGCCycles    = "runtime.gc_cycles"
-	runtimeGCPauseP99  = "runtime.gc_pause_p99_ns"
+	runtimeGoroutines = "runtime.goroutines"
+	runtimeHeapInuse  = "runtime.heap_inuse_bytes"
+	runtimeGCCycles   = "runtime.gc_cycles"
+	runtimeGCPauseP99 = "runtime.gc_pause_p99_ns"
 	runtimeTotalAlloc = "runtime.heap_allocs_bytes"
 )
 

@@ -24,23 +24,14 @@ type tableInfo struct {
 	touch float64 // rows the access path reads to produce them
 }
 
-// analyze picks the table's access path and estimates its cardinality
-// after the local predicates. When an index covers the literal key the
+// analyze picks the access path of the table just bound and estimates
+// its cardinality after the local predicates, eqLit being the column =
+// literal ones among them. When an index covers the literal key the
 // estimate is the exact posting count.
-func (tab *tableInfo) analyze(t *catalog.Table) {
-	tab.t = t
+func (tab *tableInfo) analyze(eqLit []litEq) {
+	t := tab.t
 	tab.est = float64(t.Rows())
 	tab.touch = tab.est
-	var eqLit []litEq
-	for _, p := range tab.preds {
-		if c, ok := p.(symCmp); ok && c.op == sql.CmpEq {
-			if c.left.isCol && !c.right.isCol {
-				eqLit = append(eqLit, litEq{c.left.col.col, c.right.val})
-			} else if c.right.isCol && !c.left.isCol {
-				eqLit = append(eqLit, litEq{c.right.col.col, c.left.val})
-			}
-		}
-	}
 	if len(eqLit) == 0 {
 		return
 	}
@@ -58,6 +49,22 @@ func (tab *tableInfo) analyze(t *catalog.Table) {
 type litEq struct {
 	col int
 	val rel.Value
+}
+
+// literalEqualities picks the column = literal conjuncts out of one
+// table's predicates.
+func literalEqualities(preds []symPred) []litEq {
+	var eqLit []litEq
+	for _, p := range preds {
+		if c, ok := p.(symCmp); ok && c.op == sql.CmpEq {
+			if c.left.isCol && !c.right.isCol {
+				eqLit = append(eqLit, litEq{c.left.col.col, c.right.val})
+			} else if c.right.isCol && !c.left.isCol {
+				eqLit = append(eqLit, litEq{c.right.col.col, c.left.val})
+			}
+		}
+	}
+	return eqLit
 }
 
 // pickIndex chooses the index with the longest prefix fully bound by

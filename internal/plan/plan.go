@@ -1,17 +1,29 @@
 // Package plan turns parsed SQL SELECT statements, and the WHERE clause
 // of DELETE, into physical operator trees. The planner is the classic
-// textbook pipeline the paper's commercial DBMS would run:
+// textbook pipeline the paper's commercial DBMS would run, in the two
+// halves a precompiled embedded statement has. Prepare runs once per
+// statement and settles what follows from the schemas alone:
 //
-//   - predicate analysis: split the WHERE clause into per-table
-//     conjuncts (pushed below joins), equijoin conjuncts (the edges of
-//     the join graph) and residual predicates (applied once their tables
-//     are joined);
+//   - name resolution against the FROM list, whose positions are named
+//     tables or table parameters with declared schemas;
+//   - predicate analysis: type the WHERE clause and split it into
+//     per-table conjuncts (pushed below joins), equijoin conjuncts (the
+//     edges of the join graph) and residual predicates (applied once
+//     their tables are joined);
+//   - the projection and its output schema.
+//
+// (*Prepared).Build runs at every execution, over the tables standing
+// at the FROM positions then, and settles what follows from their
+// state:
+//
 //   - access-path selection: a table with equality-on-literal conjuncts
 //     matching a B+tree index prefix is read through an IndexScan,
 //     everything else through a SeqScan;
 //   - cost-based left-deep join ordering (order.go): every start table
 //     is extended by the cheapest next join, and the cheapest complete
-//     order wins.
+//     order wins;
+//   - the operators, predicates and projection bound to the column
+//     layout the order produced.
 //
 // The cost of a join is the rows it must touch, and the join method
 // falls out of the same cost (P is the running prefix, touch(T) the rows
@@ -23,8 +35,9 @@
 //	                                  under a literal key
 //	cross       touch(T) + |P| × |T|  same
 //
-// Statements are planned per execution, so every LFP round is ordered
-// against the current delta cardinalities.
+// So a rule statement is prepared once for a fixpoint run and every LFP
+// round of it is ordered against the current delta cardinalities.
+// BuildSelect is Prepare followed by Build: there is one planner path.
 package plan
 
 import (
@@ -44,35 +57,71 @@ type TableSource interface {
 	Table(name string) *catalog.Table
 }
 
+// Prepared is a (possibly compound) SELECT with everything settled that
+// depends only on the schemas of its tables: names resolved, predicates
+// typed and classified, the join graph's edges, the projection and its
+// output schema. It is immutable, and safe for concurrent Build.
+type Prepared struct {
+	blocks []block
+	// setOps[i] combines the blocks up to i with block i+1,
+	// left-associated.
+	setOps []exec.SetOpKind
+	params int
+}
+
+// block is one SELECT block of a Prepared.
+type block struct {
+	from []from
+	// joins are the cross-table equalities of the WHERE clause;
+	// residuals its other conjuncts over more than one table.
+	joins     []joinPred
+	residuals []residual
+
+	countStar bool
+	// proj is the select list (nil: the input already has the shape —
+	// '*' over one table) and out its schema.
+	proj     []symScalar
+	out      *rel.Schema
+	distinct bool
+}
+
+// from is one FROM position: a parameter (param > 0) or a named table,
+// with the schema the block was prepared against.
+type from struct {
+	name   string
+	param  int
+	schema *rel.Schema
+	// preds are the conjuncts over this table alone, eqLit the column =
+	// literal ones among them.
+	preds []symPred
+	eqLit []litEq
+}
+
+// BindError reports a table that cannot stand at a FROM position of a
+// prepared statement: it does not exist, or its schema is not the one
+// the statement was prepared against.
+type BindError struct {
+	// Ref is the position as written: a table name or $n.
+	Ref string
+	// Want is the prepared schema; Got the bound table's, nil when there
+	// is no table.
+	Want, Got *rel.Schema
+}
+
+func (e *BindError) Error() string {
+	if e.Got == nil {
+		return fmt.Sprintf("plan: no table for %s", e.Ref)
+	}
+	return fmt.Sprintf("plan: table bound to %s has schema %v, statement prepared for %v", e.Ref, e.Got, e.Want)
+}
+
 // BuildSelect plans a (possibly compound) SELECT against the source.
-//
-// UNION, EXCEPT and INTERSECT deduplicate their inputs themselves, so a
-// SELECT DISTINCT feeding one gets no Distinct operator of its own.
 func BuildSelect(cat TableSource, s *sql.Select) (exec.Operator, error) {
-	keepDistinct := func(op sql.SetOp) bool { return op == sql.SetNone || op == sql.SetUnionAll }
-	left, err := buildSimple(cat, s, keepDistinct(s.SetOp))
+	p, err := Prepare(cat, s, nil)
 	if err != nil {
 		return nil, err
 	}
-	for cur := s; cur.SetOp != sql.SetNone; cur = cur.Next {
-		right, err := buildSimple(cat, cur.Next, keepDistinct(cur.SetOp))
-		if err != nil {
-			return nil, err
-		}
-		var kind exec.SetOpKind
-		switch cur.SetOp {
-		case sql.SetUnion:
-			kind = exec.OpUnion
-		case sql.SetUnionAll:
-			kind = exec.OpUnionAll
-		case sql.SetExcept:
-			kind = exec.OpExcept
-		case sql.SetIntersect:
-			kind = exec.OpIntersect
-		}
-		left = &exec.SetOpExec{Kind: kind, Left: left, Right: right}
-	}
-	return left, nil
+	return p.Build(cat, nil)
 }
 
 // BuildDelete plans the scan that finds the victims of DELETE FROM t
@@ -81,10 +130,70 @@ func BuildSelect(cat TableSource, s *sql.Select) (exec.Operator, error) {
 // otherwise, the whole predicate re-checked in a Filter above it). The
 // result is an exec.RowSource.
 func BuildDelete(cat TableSource, s sql.Delete) (exec.Operator, error) {
-	return buildSimple(cat, &sql.Select{
+	return BuildSelect(cat, &sql.Select{
 		From:  []sql.TableRef{{Table: s.Table, Alias: s.Table}},
 		Where: s.Where,
-	}, false)
+	})
+}
+
+// Prepare resolves and analyzes a SELECT once, for any number of
+// Builds. params[n-1] is the schema declared for table parameter $n;
+// named tables take their schema from cat.
+//
+// UNION, EXCEPT and INTERSECT deduplicate their inputs themselves, so a
+// SELECT DISTINCT feeding one gets no Distinct operator of its own.
+func Prepare(cat TableSource, s *sql.Select, params []*rel.Schema) (*Prepared, error) {
+	n := 1
+	for cur := s; cur.SetOp != sql.SetNone; cur = cur.Next {
+		n++
+	}
+	p := &Prepared{blocks: make([]block, n), params: len(params)}
+	if n > 1 {
+		p.setOps = make([]exec.SetOpKind, n-1)
+	}
+	keepDistinct := func(op sql.SetOp) bool { return op == sql.SetNone || op == sql.SetUnionAll }
+	distinct := keepDistinct(s.SetOp)
+	for i, cur := 0, s; ; i, cur = i+1, cur.Next {
+		if err := p.blocks[i].prepare(cat, cur, params, distinct); err != nil {
+			return nil, err
+		}
+		switch cur.SetOp {
+		case sql.SetNone:
+			return p, nil
+		case sql.SetUnion:
+			p.setOps[i] = exec.OpUnion
+		case sql.SetUnionAll:
+			p.setOps[i] = exec.OpUnionAll
+		case sql.SetExcept:
+			p.setOps[i] = exec.OpExcept
+		case sql.SetIntersect:
+			p.setOps[i] = exec.OpIntersect
+		}
+		distinct = keepDistinct(cur.SetOp)
+	}
+}
+
+// Build plans one execution against the tables' current state: access
+// paths, join order and methods follow the cardinalities of this
+// moment. args[n-1] is the table bound to parameter $n; named tables
+// are resolved through cat. A table that is missing or whose schema is
+// not the prepared one is a *BindError.
+func (p *Prepared) Build(cat TableSource, args []*catalog.Table) (exec.Operator, error) {
+	if len(args) != p.params {
+		return nil, fmt.Errorf("plan: statement takes %d table parameters, got %d", p.params, len(args))
+	}
+	left, err := p.blocks[0].build(cat, args)
+	if err != nil {
+		return nil, err
+	}
+	for i, kind := range p.setOps {
+		right, err := p.blocks[i+1].build(cat, args)
+		if err != nil {
+			return nil, err
+		}
+		left = &exec.SetOpExec{Kind: kind, Left: left, Right: right}
+	}
+	return left, nil
 }
 
 // colID names a column symbolically: table position in FROM, ordinal in
@@ -128,29 +237,29 @@ func (a symAnd) tables(set []bool) { a.left.tables(set); a.right.tables(set) }
 func (o symOr) tables(set []bool)  { o.left.tables(set); o.right.tables(set) }
 func (n symNot) tables(set []bool) { n.inner.tables(set) }
 
-// scope resolves names during planning.
+// scope resolves names while a block is prepared.
 type scope struct {
 	aliases []string
-	tables  []*catalog.Table
+	schemas []*rel.Schema
 }
 
 func (sc *scope) resolve(c sql.ColRef) (colID, rel.Type, error) {
 	if c.Table != "" {
 		for i, a := range sc.aliases {
 			if a == c.Table {
-				o := sc.tables[i].Schema.Ordinal(c.Column)
+				o := sc.schemas[i].Ordinal(c.Column)
 				if o < 0 {
 					return colID{}, 0, fmt.Errorf("plan: no column %s in %s", c.Column, c.Table)
 				}
-				return colID{table: i, col: o}, sc.tables[i].Schema.Col(o).Type, nil
+				return colID{table: i, col: o}, sc.schemas[i].Col(o).Type, nil
 			}
 		}
 		return colID{}, 0, fmt.Errorf("plan: unknown table alias %s", c.Table)
 	}
 	found := -1
 	ord := -1
-	for i, t := range sc.tables {
-		if o := t.Schema.Ordinal(c.Column); o >= 0 {
+	for i, sch := range sc.schemas {
+		if o := sch.Ordinal(c.Column); o >= 0 {
 			if found >= 0 {
 				return colID{}, 0, fmt.Errorf("plan: ambiguous column %s", c.Column)
 			}
@@ -160,7 +269,7 @@ func (sc *scope) resolve(c sql.ColRef) (colID, rel.Type, error) {
 	if found < 0 {
 		return colID{}, 0, fmt.Errorf("plan: unknown column %s", c.Column)
 	}
-	return colID{table: found, col: ord}, sc.tables[found].Schema.Col(ord).Type, nil
+	return colID{table: found, col: ord}, sc.schemas[found].Col(ord).Type, nil
 }
 
 func (sc *scope) scalar(e sql.Expr) (symScalar, error) {
@@ -331,37 +440,46 @@ type residual struct {
 	tables []bool
 }
 
-// buildSimple plans one SELECT block; distinct says whether its
+// prepare analyzes one SELECT block; distinct says whether its
 // DISTINCT, if any, needs an operator.
-func buildSimple(cat TableSource, s *sql.Select, distinct bool) (exec.Operator, error) {
+func (b *block) prepare(cat TableSource, s *sql.Select, params []*rel.Schema, distinct bool) error {
 	if len(s.From) == 0 {
-		return nil, fmt.Errorf("plan: empty FROM")
+		return fmt.Errorf("plan: empty FROM")
 	}
-	sc := &scope{}
-	for _, tr := range s.From {
-		t := cat.Table(tr.Table)
-		if t == nil {
-			return nil, fmt.Errorf("plan: no table %s", tr.Table)
+	n := len(s.From)
+	b.from = make([]from, n)
+	sc := &scope{aliases: make([]string, 0, n), schemas: make([]*rel.Schema, 0, n)}
+	for i, tr := range s.From {
+		f := from{name: tr.Table, param: tr.Param}
+		switch {
+		case tr.Param > len(params) || tr.Param > 0 && params[tr.Param-1] == nil:
+			return fmt.Errorf("plan: no schema declared for table parameter $%d", tr.Param)
+		case tr.Param > 0:
+			f.schema = params[tr.Param-1]
+		default:
+			t := cat.Table(tr.Table)
+			if t == nil {
+				return fmt.Errorf("plan: no table %s", tr.Table)
+			}
+			f.schema = t.Schema
 		}
 		for _, a := range sc.aliases {
 			if a == tr.Alias {
-				return nil, fmt.Errorf("plan: duplicate alias %s", tr.Alias)
+				return fmt.Errorf("plan: duplicate alias %s", tr.Alias)
 			}
 		}
 		sc.aliases = append(sc.aliases, tr.Alias)
-		sc.tables = append(sc.tables, t)
+		sc.schemas = append(sc.schemas, f.schema)
+		b.from[i] = f
 	}
-	n := len(sc.tables)
 
 	// Classify predicates: single-table conjuncts are pushed into the
 	// table's access path, cross-table equalities are the join graph's
 	// edges, everything else waits for its tables.
-	g := &joinGraph{tabs: make([]tableInfo, n)}
-	var residuals []residual
 	if s.Where != nil {
 		p, err := sc.pred(s.Where)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, conj := range splitConjuncts(p) {
 			set := make([]bool, n)
@@ -374,16 +492,61 @@ func buildSimple(cat TableSource, s *sql.Select, distinct bool) (exec.Operator, 
 				}
 			}
 			if count <= 1 {
-				g.tabs[only].preds = append(g.tabs[only].preds, conj)
+				b.from[only].preds = append(b.from[only].preds, conj)
 			} else if l, r, ok := equijoin(conj); ok {
-				g.joins = append(g.joins, joinPred{l, r})
+				b.joins = append(b.joins, joinPred{l, r})
 			} else {
-				residuals = append(residuals, residual{conj, set})
+				b.residuals = append(b.residuals, residual{conj, set})
 			}
 		}
+		for ti := range b.from {
+			b.from[ti].eqLit = literalEqualities(b.from[ti].preds)
+		}
 	}
-	for ti, t := range sc.tables {
-		g.tabs[ti].analyze(t)
+
+	b.countStar = s.CountStar
+	b.distinct = s.Distinct && distinct
+	if s.CountStar {
+		return nil
+	}
+	var err error
+	b.proj, b.out, err = projection(sc, s)
+	return err
+}
+
+// table resolves the position to the physical table of this execution.
+func (f *from) table(cat TableSource, args []*catalog.Table) (*catalog.Table, error) {
+	var t *catalog.Table
+	if f.param > 0 {
+		t = args[f.param-1]
+	} else {
+		t = cat.Table(f.name)
+	}
+	if t != nil && (t.Schema == f.schema || t.Schema.Equal(f.schema)) {
+		return t, nil
+	}
+	e := &BindError{Ref: f.name, Want: f.schema}
+	if f.param > 0 {
+		e.Ref = fmt.Sprintf("$%d", f.param)
+	}
+	if t != nil {
+		e.Got = t.Schema
+	}
+	return nil, e
+}
+
+// build plans one execution of the block.
+func (b *block) build(cat TableSource, args []*catalog.Table) (exec.Operator, error) {
+	n := len(b.from)
+	g := &joinGraph{tabs: make([]tableInfo, n), joins: b.joins}
+	for ti := range b.from {
+		f := &b.from[ti]
+		t, err := f.table(cat, args)
+		if err != nil {
+			return nil, err
+		}
+		g.tabs[ti] = tableInfo{t: t, preds: f.preds}
+		g.tabs[ti].analyze(f.eqLit)
 	}
 
 	// m places the attached tables in cur's output; local is the same
@@ -473,7 +636,7 @@ func buildSimple(cat TableSource, s *sql.Select, distinct bool) (exec.Operator, 
 
 		// Residuals whose last table just arrived.
 		var preds []exec.Pred
-		for _, r := range residuals {
+		for _, r := range b.residuals {
 			if !r.tables[ti] || !covers(joined, r.tables) {
 				continue
 			}
@@ -489,19 +652,21 @@ func buildSimple(cat TableSource, s *sql.Select, distinct bool) (exec.Operator, 
 	}
 
 	// COUNT(*) replaces the projection.
-	if s.CountStar {
+	if b.countStar {
 		return &exec.CountStar{Input: cur}, nil
 	}
-
-	// Projection.
-	proj, outSchema, err := projection(sc, s, m)
-	if err != nil {
-		return nil, err
+	if b.proj != nil {
+		exprs := make([]exec.Scalar, len(b.proj))
+		for i, ss := range b.proj {
+			phys, err := bindScalar(ss, m)
+			if err != nil {
+				return nil, err
+			}
+			exprs[i] = phys
+		}
+		cur = &exec.Project{Input: cur, Exprs: exprs, Out: b.out}
 	}
-	if proj != nil {
-		cur = &exec.Project{Input: cur, Exprs: proj, Out: outSchema}
-	}
-	if s.Distinct && distinct {
+	if b.distinct {
 		cur = &exec.Distinct{Input: cur}
 	}
 	return cur, nil
@@ -555,43 +720,31 @@ func indexJoinKey(tab *tableInfo, idx *catalog.Index, keyLen int, outer, inner [
 	return key, exec.AndOf(preds), nil
 }
 
-// projection resolves the select list. A nil scalar list means the input
-// already has the right shape ('*' over a single table).
-func projection(sc *scope, s *sql.Select, m colMap) ([]exec.Scalar, *rel.Schema, error) {
+// projection resolves the select list symbolically. A nil scalar list
+// means the input already has the right shape ('*' over a single table).
+func projection(sc *scope, s *sql.Select) ([]symScalar, *rel.Schema, error) {
+	var exprs []symScalar
+	var cols []rel.Column
+	nameCount := make(map[string]int)
 	if len(s.Items) == 0 {
 		// '*': all columns in FROM order.
-		if len(sc.tables) == 1 {
-			return nil, nil, nil // pass through
+		if len(sc.schemas) == 1 {
+			return nil, sc.schemas[0], nil // pass through
 		}
-		var exprs []exec.Scalar
-		var cols []rel.Column
-		nameCount := make(map[string]int)
-		for ti, t := range sc.tables {
-			for c := 0; c < t.Schema.Len(); c++ {
-				col := t.Schema.Col(c)
-				exprs = append(exprs, exec.Col{Ord: m[ti] + c, Ty: col.Type})
+		for ti, sch := range sc.schemas {
+			for c := 0; c < sch.Len(); c++ {
+				col := sch.Col(c)
+				exprs = append(exprs, symScalar{isCol: true, col: colID{table: ti, col: c}, ty: col.Type})
 				cols = append(cols, rel.Column{Name: uniqueName(nameCount, col.Name), Type: col.Type})
 			}
 		}
-		schema, err := rel.NewSchema(cols...)
-		if err != nil {
-			return nil, nil, err
-		}
-		return exprs, schema, nil
 	}
-	var exprs []exec.Scalar
-	var cols []rel.Column
-	nameCount := make(map[string]int)
 	for _, item := range s.Items {
 		ss, err := sc.scalar(item.Expr)
 		if err != nil {
 			return nil, nil, err
 		}
-		phys, err := bindScalar(ss, m)
-		if err != nil {
-			return nil, nil, err
-		}
-		exprs = append(exprs, phys)
+		exprs = append(exprs, ss)
 		name := item.Alias
 		if name == "" {
 			if cr, ok := item.Expr.(sql.ColRef); ok {

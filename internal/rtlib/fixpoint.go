@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -35,17 +34,7 @@ func (t *TempTables) Create(name string, schema *rel.Schema) error {
 	if schema == nil {
 		return fmt.Errorf("rtlib: no schema for temp table %s", name)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "CREATE TEMP TABLE %s (", name)
-	for i := 0; i < schema.Len(); i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		c := schema.Col(i)
-		fmt.Fprintf(&b, "%s %s", c.Name, c.Type.String())
-	}
-	b.WriteByte(')')
-	if err := t.d.Exec(b.String()); err != nil {
+	if err := t.d.CreateTempTable(name, schema); err != nil {
 		return err
 	}
 	t.mu.Lock()
@@ -59,7 +48,7 @@ func (t *TempTables) drop(name string) error {
 	t.mu.Lock()
 	delete(t.live, name)
 	t.mu.Unlock()
-	return t.d.Exec("DROP TABLE " + name)
+	return t.d.DropTable(name)
 }
 
 // names lists the registered tables, sorted.
@@ -124,6 +113,10 @@ type Fixpoint struct {
 	Span *obs.Span
 	// Stats, when non-nil, accumulates the run's rounds and time split.
 	Stats *NodeStats
+	// Stmts, when non-nil, is where the run's statements are prepared —
+	// a caller running several fixpoints over one program shares it.
+	// When nil the run has its own.
+	Stmts *Statements
 
 	// exit rules compute the first delta of a clique: evaluated over
 	// TableOf into Into, whose contents then are the delta.
@@ -136,6 +129,8 @@ type Fixpoint struct {
 // deltaStrategy is how a fixpoint run represents the per-round delta
 // and finds the genuinely new tuples among a round's derivations.
 type deltaStrategy interface {
+	// form is what the strategy executes a rule as.
+	form() RuleForm
 	// start produces the first delta ("iteration 0").
 	start(fp *Fixpoint, zero *obs.Span) error
 	// current lists the relations holding pred's current delta; none
@@ -152,11 +147,31 @@ type deltaStrategy interface {
 	finish() error
 }
 
-// differential is one rule with one FROM position reading a delta
-// relation, rendered.
+// differential is one execution of a rule statement: the rule prepared
+// in the form the delta strategy runs, and the relation bound to each
+// FROM position — for a round's differentials, one of them a delta.
 type differential struct {
-	rule *codegen.RuleSQL
-	sel  string
+	rule   *codegen.RuleSQL
+	stmt   *db.Stmt
+	tables []string
+}
+
+// statements returns where the run prepares.
+func (fp *Fixpoint) statements() *Statements {
+	if fp.Stmts == nil {
+		fp.Stmts = NewStatements(fp.DB, fp.Schemas)
+	}
+	return fp.Stmts
+}
+
+// job binds r, prepared once per run in the given form, to the
+// relations TableOf resolves.
+func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm) (differential, error) {
+	stmt, err := fp.statements().Rule(r, form)
+	if err != nil {
+		return differential{}, err
+	}
+	return differential{r, stmt, Tables(r, fp.TableOf)}, nil
 }
 
 // Run iterates to the fixpoint.
@@ -216,12 +231,12 @@ func (fp *Fixpoint) round(st deltaStrategy) (done bool, err error) {
 		r := &fp.Rules[i]
 		for occ := range r.From {
 			for _, d := range st.current(r.From[occ].Pred) {
-				tables := make([]string, len(r.From))
-				for fi, f := range r.From {
-					tables[fi] = fp.TableOf(f.Pred)
+				j, err := fp.job(r, st.form())
+				if err != nil {
+					return false, err
 				}
-				tables[occ] = d
-				jobs = append(jobs, differential{r, r.SQLWithTables(tables)})
+				j.tables[occ] = d
+				jobs = append(jobs, j)
 			}
 		}
 	}
@@ -251,33 +266,44 @@ func (fp *Fixpoint) round(st deltaStrategy) (done bool, err error) {
 }
 
 // insertRule executes one rule statement under a "rule <head>" span:
-//
-//	INSERT INTO target <sel> [EXCEPT SELECT * FROM acc] EXCEPT SELECT * FROM target
-//
-// so target gains only tuples neither it nor acc (when given) holds.
-func (fp *Fixpoint) insertRule(r *codegen.RuleSQL, sel, target, acc string, parent *obs.Span) error {
+// j is prepared as RuleInsertNew when acc is given and as RuleInsert
+// when it is "", so target gains only tuples neither it nor acc holds.
+func (fp *Fixpoint) insertRule(j differential, target, acc string, parent *obs.Span) error {
 	var sp *obs.Span
 	if parent != nil {
-		sp = parent.Start("rule " + r.Head)
-		sp.SetString("src", r.Source)
+		sp = parent.Start("rule " + j.rule.Head)
+		sp.SetString("src", j.rule.Source)
 	}
-	stmt := "INSERT INTO " + target + " " + sel
+	tables := append(j.tables, target)
 	if acc != "" {
-		stmt += " EXCEPT SELECT * FROM " + acc
+		tables = append(tables, acc)
 	}
-	stmt += " EXCEPT SELECT * FROM " + target
 	t0 := time.Now()
-	if err := fp.DB.ExecTracedCtx(evalCtx(fp.Ctx), stmt, sp); err != nil {
-		return fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
+	if err := j.stmt.Exec(evalCtx(fp.Ctx), sp, tables...); err != nil {
+		return fmt.Errorf("rtlib: rule %q: %w", j.rule.Source, err)
 	}
 	sp.End()
 	fp.Stats.Eval += time.Since(t0)
 	return nil
 }
 
-// exitRule evaluates one exit rule over TableOf into its head's Into.
-func (fp *Fixpoint) exitRule(r *codegen.RuleSQL, parent *obs.Span) error {
-	return fp.insertRule(r, r.SQL(fp.TableOf), fp.Into(r.Head), "", parent)
+// insertAll evaluates r over TableOf into target: an exit rule into its
+// head's relation, or any rule in a naive round.
+func (fp *Fixpoint) insertAll(r *codegen.RuleSQL, target string, parent *obs.Span) error {
+	j, err := fp.job(r, RuleInsert)
+	if err != nil {
+		return err
+	}
+	return fp.insertRule(j, target, "", parent)
+}
+
+// copyRows appends from's rows to into, both relations of pred.
+func (fp *Fixpoint) copyRows(pred, into, from string) error {
+	stmt, err := fp.statements().Relation(pred, CopyInto)
+	if err != nil {
+		return err
+	}
+	return stmt.Exec(evalCtx(fp.Ctx), nil, into, from)
 }
 
 // createTemp creates a temp table on the run's registry, timed.
@@ -317,7 +343,8 @@ func (s *sqlExcept) start(fp *Fixpoint, zero *obs.Span) error {
 		return nil
 	}
 	for i := range fp.exit {
-		if err := fp.exitRule(&fp.exit[i], zero); err != nil {
+		r := &fp.exit[i]
+		if err := fp.insertAll(r, fp.Into(r.Head), zero); err != nil {
 			return err
 		}
 	}
@@ -329,7 +356,7 @@ func (s *sqlExcept) start(fp *Fixpoint, zero *obs.Span) error {
 			return err
 		}
 		t0 := time.Now()
-		if err := fp.DB.Exec("INSERT INTO " + name + " SELECT * FROM " + fp.Into(p)); err != nil {
+		if err := fp.copyRows(p, name, fp.Into(p)); err != nil {
 			return err
 		}
 		fp.Stats.TempTable += time.Since(t0)
@@ -340,6 +367,8 @@ func (s *sqlExcept) start(fp *Fixpoint, zero *obs.Span) error {
 	}
 	return nil
 }
+
+func (s *sqlExcept) form() RuleForm { return RuleInsertNew }
 
 func (s *sqlExcept) current(pred string) []string {
 	if t, ok := s.cur[pred]; ok {
@@ -367,7 +396,7 @@ func (s *sqlExcept) fire(jobs []differential, it *obs.Span) error {
 	}
 	for _, j := range jobs {
 		head := j.rule.Head
-		if err := fp.insertRule(j.rule, j.sel, s.next[head], fp.Into(head), it); err != nil {
+		if err := fp.insertRule(j, s.next[head], fp.Into(head), it); err != nil {
 			return err
 		}
 	}
@@ -375,10 +404,15 @@ func (s *sqlExcept) fire(jobs []differential, it *obs.Span) error {
 }
 
 func (s *sqlExcept) pending(pred string) (int64, error) {
-	if t, ok := s.next[pred]; ok {
-		return s.fp.DB.QueryCount("SELECT COUNT(*) FROM " + t)
+	t, ok := s.next[pred]
+	if !ok {
+		return 0, nil
 	}
-	return 0, nil
+	stmt, err := s.fp.statements().Relation(pred, CountAll)
+	if err != nil {
+		return 0, err
+	}
+	return stmt.QueryCount(evalCtx(s.fp.Ctx), nil, t)
 }
 
 // retire drops pred's current delta table, if the run created it.
@@ -399,7 +433,7 @@ func (s *sqlExcept) advance() error {
 					return err
 				}
 				delete(s.next, p)
-			} else if err := fp.DB.Exec("INSERT INTO " + fp.Into(p) + " SELECT * FROM " + t); err != nil {
+			} else if err := fp.copyRows(p, fp.Into(p), t); err != nil {
 				return err
 			}
 		}
@@ -452,7 +486,8 @@ func evalCtx(ctx context.Context) context.Context {
 
 // sanitize maps predicate names injectively onto SQL identifier bodies:
 // the uniform "p" prefix keeps reserved predicates (leading '_') legal
-// and collision-free against user predicates.
+// and collision-free against user predicates, and codegen.Ident keeps
+// names that differ only in case apart under SQL's case folding.
 func sanitize(pred string) string {
-	return "p" + pred
+	return "p" + codegen.Ident(pred)
 }

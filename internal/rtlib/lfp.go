@@ -56,7 +56,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 		}
 		for i := range rules {
 			r := &rules[i]
-			if err := fp.insertRule(r, r.SQL(fp.TableOf), newNames[r.Head], "", itSp); err != nil {
+			if err := fp.insertAll(r, newNames[r.Head], itSp); err != nil {
 				return err
 			}
 		}
@@ -67,7 +67,11 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 		tcSp := itSp.Start("termcheck")
 		for _, p := range fp.Preds {
 			t0 := time.Now()
-			diff, err := d.Query("SELECT * FROM " + newNames[p] + " EXCEPT SELECT * FROM " + fp.Into(p))
+			missing, err := fp.statements().Relation(p, readMissing)
+			if err != nil {
+				return err
+			}
+			diff, err := missing.Query(evalCtx(fp.Ctx), nil, newNames[p], fp.Into(p))
 			if err != nil {
 				return err
 			}
@@ -91,7 +95,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 			if err := d.Exec("DELETE FROM " + old); err != nil {
 				return err
 			}
-			if err := d.Exec("INSERT INTO " + old + " SELECT * FROM " + newNames[p]); err != nil {
+			if err := fp.copyRows(p, old, newNames[p]); err != nil {
 				return err
 			}
 			if err := fp.Temps.drop(newNames[p]); err != nil {

@@ -97,7 +97,7 @@ func (h *hashPartitioned) selects(jobs []differential, sp *obs.Span) ([][]rel.Tu
 			jobSp = sp.Start("rule " + jobs[i].rule.Head)
 			jobSp.SetInt("sched.worker", int64(worker))
 		}
-		rows, err := fp.DB.QueryTracedCtx(evalCtx(fp.Ctx), jobs[i].sel, jobSp)
+		rows, err := jobs[i].stmt.Query(evalCtx(fp.Ctx), jobSp, jobs[i].tables...)
 		jobSp.End()
 		if err != nil {
 			errs[i] = err
@@ -305,7 +305,10 @@ func (h *hashPartitioned) start(fp *Fixpoint, zero *obs.Span) error {
 	// Initialization: exit rules, evaluated concurrently as well.
 	jobs := make([]differential, len(fp.exit))
 	for i := range fp.exit {
-		jobs[i] = differential{&fp.exit[i], fp.exit[i].SQL(fp.TableOf)}
+		var err error
+		if jobs[i], err = fp.job(&fp.exit[i], RuleSelect); err != nil {
+			return err
+		}
 	}
 	if err := h.derive(jobs, zero); err != nil {
 		return err
@@ -320,6 +323,8 @@ func (h *hashPartitioned) start(fp *Fixpoint, zero *obs.Span) error {
 	}
 	return h.advance()
 }
+
+func (h *hashPartitioned) form() RuleForm { return RuleSelect }
 
 func (h *hashPartitioned) current(pred string) []string {
 	if dr := h.deltas[pred]; dr != nil {

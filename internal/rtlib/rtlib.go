@@ -21,7 +21,9 @@
 // pooled differential SELECTs deduplicated Go-side (Options.Parallel).
 // Evaluate runs it per clique; internal/matview runs it to absorb a
 // commit into a maintained answer. One registry, TempTables, creates
-// and tears down every temporary relation.
+// and tears down every temporary relation, and one Statements per run
+// prepares its rule statements once, tables as parameters, for every
+// round to rebind (the paper's precompiled embedded SQL).
 //
 // Exactly as the paper laments, the default path runs over plain SQL:
 // temp tables are created and dropped per iteration, termination checks
@@ -294,7 +296,11 @@ func (ev *evaluator) run() (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("rtlib: query predicate %s was not evaluated", ev.prog.QueryPred)
 	}
-	rows, err := ev.d.Query("SELECT * FROM " + qt)
+	answer, err := ev.d.Prepare(roleSQL[ReadAll].text, ev.prog.Schemas[ev.prog.QueryPred])
+	if err != nil {
+		return nil, err
+	}
+	rows, err := answer.Query(evalCtx(ev.opts.Ctx), nil, qt)
 	if err != nil {
 		return nil, err
 	}
@@ -340,7 +346,8 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 	case !node.Recursive:
 		// Union of the node's rules, deduplicated.
 		for i := range node.ExitRules {
-			if err = fp.exitRule(&node.ExitRules[i], sp); err != nil {
+			r := &node.ExitRules[i]
+			if err = fp.insertAll(r, fp.Into(r.Head), sp); err != nil {
 				break
 			}
 		}

@@ -13,8 +13,13 @@
 //
 // Predicates are boolean combinations (AND/OR/NOT, parentheses) of
 // comparisons between column references and literals. Identifiers are
-// case-insensitive (folded to lower case); keywords are recognized in
-// any case.
+// ASCII and case-insensitive (folded to lower case); keywords are
+// recognized in any case.
+//
+// A table position — an entry of FROM, the target of INSERT INTO — may
+// be a parameter $1, $2, ... in place of a name: the statement is then
+// only good for preparing (db.Prepare), and each execution binds the
+// parameters to tables. Nothing else can be a parameter.
 package sql
 
 import (
@@ -56,6 +61,7 @@ type DropIndex struct {
 // Insert is INSERT INTO table VALUES ... or INSERT INTO table SELECT ...
 type Insert struct {
 	Table string
+	Param int        // n when the target is $n (Table is then ""); else 0
 	Rows  []([]Expr) // literal rows; nil when Select is set
 	Query *Select    // nil for VALUES form
 }
@@ -102,7 +108,8 @@ type SelectItem struct {
 // TableRef names a table in FROM, optionally aliased.
 type TableRef struct {
 	Table string
-	Alias string // defaults to Table
+	Param int    // n when the position is $n (Table is then ""); else 0
+	Alias string // defaults to Table, or to "$n"
 }
 
 func (CreateTable) stmt() {}

@@ -3,7 +3,6 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 // tokenKind classifies lexical tokens.
@@ -15,6 +14,7 @@ const (
 	tokKeyword
 	tokInt
 	tokString
+	tokParam  // $n, a table parameter; text is n in decimal
 	tokSymbol // punctuation and operators
 )
 
@@ -97,8 +97,12 @@ func lex(src string) ([]token, error) {
 		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 			l.pos++
 			l.lexNumber(start)
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			l.lexWord(start)
+		case c == '$':
+			if err := l.lexParam(start); err != nil {
+				return nil, err
+			}
 		default:
 			sym, err := l.lexSymbol()
 			if err != nil {
@@ -155,8 +159,22 @@ func (l *lexer) lexNumber(start int) {
 	l.toks = append(l.toks, token{kind: tokInt, text: l.src[start:l.pos], pos: start})
 }
 
+// lexParam lexes $n, n a decimal number from 1.
+func (l *lexer) lexParam(start int) error {
+	l.pos++
+	for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
+		l.pos++
+	}
+	n := l.src[start+1 : l.pos]
+	if n == "" || n[0] == '0' {
+		return fmt.Errorf("sql: '$' without a parameter number at offset %d", start)
+	}
+	l.toks = append(l.toks, token{kind: tokParam, text: n, pos: start})
+	return nil
+}
+
 func (l *lexer) lexWord(start int) {
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
@@ -186,10 +204,11 @@ func (l *lexer) lexSymbol() (string, error) {
 	return "", fmt.Errorf("sql: unexpected character %q at offset %d", c, l.pos)
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// Identifiers are ASCII: a letter or '_', then letters, digits and '_'.
+func isIdentStart(c byte) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || '0' <= c && c <= '9'
 }

@@ -114,7 +114,7 @@ func (p *parser) create() (Statement, error) {
 			if err != nil {
 				return nil, err
 			}
-			tt := p.next()
+			tt := p.cur()
 			if tt.kind != tokKeyword {
 				return nil, p.errf("expected column type, found %q", tt.text)
 			}
@@ -122,6 +122,7 @@ func (p *parser) create() (Statement, error) {
 			if err != nil {
 				return nil, p.errf("bad column type %q", tt.text)
 			}
+			p.i++
 			// CHAR(20)-style length specifiers are accepted and ignored.
 			if p.accept(tokSymbol, "(") {
 				if _, err := p.expect(tokInt, ""); err != nil {
@@ -207,15 +208,35 @@ func (p *parser) drop() (Statement, error) {
 	}
 }
 
+// maxParam bounds $n: parameters index a slice the caller supplies.
+const maxParam = 1 << 10
+
+// tablePosition parses a table name or a table parameter $n.
+func (p *parser) tablePosition() (name string, param int, err error) {
+	if t := p.cur(); t.kind == tokParam {
+		n, err := strconv.Atoi(t.text)
+		if err != nil || n > maxParam {
+			return "", 0, p.errf("parameter $%s out of range", t.text)
+		}
+		p.i++
+		return "", n, nil
+	}
+	t, err := p.expect(tokIdent, "")
+	return t.text, 0, err
+}
+
 func (p *parser) insert() (Statement, error) {
 	if _, err := p.expect(tokKeyword, "INTO"); err != nil {
 		return nil, err
 	}
-	table, err := p.expect(tokIdent, "")
+	table, param, err := p.tablePosition()
 	if err != nil {
 		return nil, err
 	}
 	if p.accept(tokKeyword, "VALUES") {
+		if param != 0 {
+			return nil, p.errf("INSERT INTO $%d VALUES: a parameter target takes a SELECT", param)
+		}
 		var rows [][]Expr
 		for {
 			if _, err := p.expect(tokSymbol, "("); err != nil {
@@ -242,16 +263,16 @@ func (p *parser) insert() (Statement, error) {
 			}
 			break
 		}
-		return Insert{Table: table.text, Rows: rows}, nil
+		return Insert{Table: table, Rows: rows}, nil
 	}
 	if p.at(tokKeyword, "SELECT") {
 		sel, err := p.selectStmt()
 		if err != nil {
 			return nil, err
 		}
-		return Insert{Table: table.text, Query: sel}, nil
+		return Insert{Table: table, Param: param, Query: sel}, nil
 	}
-	return nil, p.errf("expected VALUES or SELECT after INSERT INTO %s", table.text)
+	return nil, p.errf("expected VALUES or SELECT after INSERT INTO")
 }
 
 func (p *parser) deleteStmt() (Statement, error) {
@@ -380,11 +401,14 @@ func (p *parser) selectItem() (SelectItem, error) {
 }
 
 func (p *parser) tableRef() (TableRef, error) {
-	name, err := p.expect(tokIdent, "")
+	name, param, err := p.tablePosition()
 	if err != nil {
 		return TableRef{}, err
 	}
-	tr := TableRef{Table: name.text, Alias: name.text}
+	tr := TableRef{Table: name, Param: param, Alias: name}
+	if param != 0 {
+		tr.Alias = "$" + strconv.Itoa(param)
+	}
 	if p.accept(tokKeyword, "AS") {
 		a, err := p.expect(tokIdent, "")
 		if err != nil {

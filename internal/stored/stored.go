@@ -251,42 +251,24 @@ func (m *Manager) FactCount(pred string) int {
 // BaseTypes reads the extensional data dictionary for the given
 // predicates (the paper's t_readdict operation, Test 2).
 func (m *Manager) BaseTypes(preds []string) (map[string][]rel.Type, error) {
-	atomic.AddInt64(&m.stats.ReadDictCalls, 1)
-	out := make(map[string][]rel.Type)
-	for _, p := range preds {
-		rows, err := m.d.Query(fmt.Sprintf(
-			"SELECT colno, coltype FROM edbcols WHERE predname = '%s'", sqlEscape(p)))
-		if err != nil {
-			return nil, err
-		}
-		if len(rows.Tuples) == 0 {
-			continue
-		}
-		types := make([]rel.Type, len(rows.Tuples))
-		for _, tu := range rows.Tuples {
-			colno := int(tu[0].Int)
-			ty, err := rel.ParseType(tu[1].Str)
-			if err != nil {
-				return nil, fmt.Errorf("stored: dictionary corruption for %s: %w", p, err)
-			}
-			if colno < 0 || colno >= len(types) {
-				return nil, fmt.Errorf("stored: dictionary corruption for %s: column %d", p, colno)
-			}
-			types[colno] = ty
-		}
-		out[p] = types
-	}
-	return out, nil
+	return m.readDict(TabEDBCols, preds)
 }
 
 // DerivedTypes reads the intensional data dictionary for the given
 // predicates.
 func (m *Manager) DerivedTypes(preds []string) (map[string][]rel.Type, error) {
+	return m.readDict(TabIDBCols, preds)
+}
+
+// readDict reads the column types of preds from one of the two column
+// dictionaries, a statement per predicate; predicates without entries
+// are left out.
+func (m *Manager) readDict(cols string, preds []string) (map[string][]rel.Type, error) {
 	atomic.AddInt64(&m.stats.ReadDictCalls, 1)
 	out := make(map[string][]rel.Type)
 	for _, p := range preds {
 		rows, err := m.d.Query(fmt.Sprintf(
-			"SELECT colno, coltype FROM idbcols WHERE predname = '%s'", sqlEscape(p)))
+			"SELECT colno, coltype FROM %s WHERE predname = '%s'", cols, sqlEscape(p)))
 		if err != nil {
 			return nil, err
 		}

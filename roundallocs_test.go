@@ -1,0 +1,122 @@
+package dkbms
+
+import (
+	"math"
+	"runtime"
+	"strings"
+	"testing"
+
+	"dkbms/internal/workload"
+)
+
+// leafToRoot is the Test 6 workload (ancestor over a full binary tree)
+// asked from the last leaf upward, with the child column indexed: the
+// magic set is the leaf alone, every semi-naive round derives exactly
+// one tuple — the next ancestor up — through one index probe, and the
+// run takes as many rounds as the tree is deep. So between two depths
+// only the number of rounds differs, not the work of a round.
+func leafToRoot(t *testing.T, depth int) (run func() int) {
+	t.Helper()
+	tb := NewMemory()
+	t.Cleanup(func() { tb.Close() })
+	if err := tb.AssertTuples("parent", workload.FullBinaryTree(depth)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.CreateFactIndex("parent", 1); err != nil {
+		t.Fatal(err)
+	}
+	tb.MustLoad(`
+ancestor(X, Y) :- parent(X, Y).
+ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
+`)
+	q := "?- ancestor(X, " + workload.TreeNode(workload.TreeNodes(depth)) + ")."
+	return func() int {
+		res, err := tb.Query(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != depth-1 {
+			t.Fatalf("depth %d: %d ancestors", depth, len(res.Rows))
+		}
+		return int(res.Iterations())
+	}
+}
+
+// sqlFrontEndAllocs counts the objects allocated under a frame of
+// internal/sql — lexer, parser — while run executes. Objects of up to
+// 16 bytes are left out: the runtime packs the pointer-free ones of
+// them several to a block and samples the block, so their count is not
+// repeatable; the token slice, the statement and every expression node
+// are larger.
+func sqlFrontEndAllocs(run func()) int64 {
+	old := runtime.MemProfileRate
+	runtime.MemProfileRate = 1
+	defer func() { runtime.MemProfileRate = old }()
+	count := func() (n int64) {
+		// The profile is as of the last collection but one.
+		runtime.GC()
+		runtime.GC()
+		recs := make([]runtime.MemProfileRecord, 1024)
+		for {
+			got, ok := runtime.MemProfile(recs, true)
+			if ok {
+				recs = recs[:got]
+				break
+			}
+			recs = make([]runtime.MemProfileRecord, 2*got)
+		}
+		for i := range recs {
+			if recs[i].AllocBytes <= 16*recs[i].AllocObjects {
+				continue
+			}
+			frames := runtime.CallersFrames(recs[i].Stack())
+			for {
+				f, more := frames.Next()
+				if strings.HasPrefix(f.Function, "dkbms/internal/sql.") {
+					n += recs[i].AllocObjects
+					break
+				}
+				if !more {
+					break
+				}
+			}
+		}
+		return n
+	}
+	before := count()
+	run()
+	return count() - before
+}
+
+// TestRoundAllocsExcludeParse pins what a semi-naive round allocates
+// and that none of it is the SQL front end's: rule statements are
+// parsed and bound once per run, so a run four rounds longer allocates
+// four rounds' plans and operators more and not one token.
+func TestRoundAllocsExcludeParse(t *testing.T) {
+	const shallow, deep = 8, 12
+	runs := map[int]func() int{shallow: leafToRoot(t, shallow), deep: leafToRoot(t, deep)}
+	rounds := map[int]int{shallow: runs[shallow](), deep: runs[deep]()}
+	if rounds[deep]-rounds[shallow] != deep-shallow {
+		t.Fatalf("rounds %v: want one more per level", rounds)
+	}
+	allocs := make(map[int]float64)
+	parse := make(map[int]int64)
+	for depth, run := range runs {
+		run := run
+		allocs[depth] = testing.AllocsPerRun(10, func() { run() })
+		parse[depth] = sqlFrontEndAllocs(func() { run() })
+	}
+	// A round here is a CREATE and a DROP of a delta table, the rule
+	// statement, the COUNT(*) and the promotion, each planned and run:
+	// 273 objects (397 when each was also rendered, lexed, parsed and
+	// bound). The runtime's own allocations move a run by one or two.
+	const perRound = 273
+	if got := (allocs[deep] - allocs[shallow]) / (deep - shallow); math.Abs(got-perRound) > 1 && !raceEnabled {
+		t.Errorf("a round allocates %.2f objects (%.0f over %d rounds, %.0f over %d), pinned %d",
+			got, allocs[shallow], rounds[shallow], allocs[deep], rounds[deep], perRound)
+	}
+	if parse[shallow] == 0 || parse[shallow] != parse[deep] {
+		t.Errorf("internal/sql allocates %d objects in a run of %d rounds, %d in one of %d: want equal, the statements being parsed once",
+			parse[shallow], rounds[shallow], parse[deep], rounds[deep])
+	}
+}

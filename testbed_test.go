@@ -443,6 +443,78 @@ func TestPersistentTestbed(t *testing.T) {
 	sameRows(t, res.Rows, "(mary)", "(bob)", "(ann)", "(tom)", "(lea)")
 }
 
+// TestMixedCasePredicates: predicate names are case-sensitive, SQL
+// identifiers are not, and the tables behind parentOf, parentof and the
+// derived reachFrom (and its magic predicates) must stay apart and
+// findable. Before names were spelled case-safe (codegen.Ident), Load
+// of parentOf panicked and a query over reachFrom failed with "no
+// table". Memory and file-backed (reopened), every evaluation mode.
+func TestMixedCasePredicates(t *testing.T) {
+	const kb = `
+parentOf(john, mary). parentOf(mary, ann). parentOf(ann, tom).
+parentof(zed, zoe).
+reachFrom(X, Y) :- parentOf(X, Y).
+reachFrom(X, Y) :- parentOf(X, Z), reachFrom(Z, Y).
+reachfrom(X, Y) :- parentof(X, Y).
+`
+	check := func(t *testing.T, tb *Testbed) {
+		t.Helper()
+		for _, mode := range allModes {
+			for _, tc := range []struct {
+				q    string
+				want []string
+			}{
+				{"?- reachFrom(john, W).", []string{"(mary)", "(ann)", "(tom)"}},
+				{"?- reachFrom(A, tom).", []string{"(john)", "(mary)", "(ann)"}},
+				{"?- reachfrom(A, B).", []string{"(zed, zoe)"}},
+				{"?- parentOf(mary, W).", []string{"(ann)"}},
+				{"?- parentof(A, B).", []string{"(zed, zoe)"}},
+			} {
+				opts := mode.opts
+				res, err := tb.Query(tc.q, &opts)
+				if err != nil {
+					t.Fatalf("%s %s: %v", mode.name, tc.q, err)
+				}
+				sameRows(t, res.Rows, tc.want...)
+			}
+		}
+	}
+	t.Run("memory", func(t *testing.T) {
+		tb := NewMemory()
+		defer tb.Close()
+		tb.MustLoad(kb)
+		check(t, tb)
+	})
+	t.Run("file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "kb.db")
+		tb, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.MustLoad(kb)
+		if _, err := tb.Update(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, tb)
+		if err := tb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if tb, err = Open(path); err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		check(t, tb)
+		if n, err := tb.RetractSrc("parentOf(ann, tom)"); err != nil || n != 1 {
+			t.Fatalf("retract: %d, %v", n, err)
+		}
+		res, err := tb.Query("?- reachFrom(john, W).", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, res.Rows, "(mary)", "(ann)")
+	})
+}
+
 func TestAdaptiveOptimization(t *testing.T) {
 	tb := familyTB(t)
 	bound, err := tb.Query("?- ancestor(john, W).", &QueryOptions{Adaptive: true})
