@@ -92,12 +92,6 @@ func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 	return NewConcurrentWithOptions(tb, ConcurrentOptions{})
 }
 
-// NewConcurrentWithCache is NewConcurrent with an explicit plan-cache
-// capacity (entries; <= 0 selects DefaultPlanCacheEntries).
-func NewConcurrentWithCache(tb *Testbed, planEntries int) *ConcurrentTestbed {
-	return NewConcurrentWithOptions(tb, ConcurrentOptions{PlanCacheEntries: planEntries})
-}
-
 // NewConcurrentWithOptions is NewConcurrent with explicit tuning.
 func NewConcurrentWithOptions(tb *Testbed, opts ConcurrentOptions) *ConcurrentTestbed {
 	planEntries := opts.PlanCacheEntries
@@ -493,7 +487,16 @@ func (c *ConcurrentTestbed) QueryContext(ctx context.Context, src string, opts *
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	qid := opts.QueryID
+	return c.read(ctx, newPlanKey(src, opts), nil, opts.Trace, opts.QueryID)
+}
+
+// read is the one read path: every served query, by text or prepared,
+// pins a snapshot, takes its program (and a current memoized answer, if
+// there is one) from the plan cache, and otherwise evaluates and
+// publishes the answer for the next reader. q is the parsed form of
+// key.src when the caller holds one (a prepared statement), nil to parse
+// on a miss; qid 0 mints a query ID.
+func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, q *dlog.Query, trace bool, qid uint64) (*QueryResult, error) {
 	if qid == 0 {
 		qid = obs.NewQueryID()
 	}
@@ -502,52 +505,36 @@ func (c *ConcurrentTestbed) QueryContext(ctx context.Context, src string, opts *
 		return nil, err
 	}
 	defer s.Release()
-	key := planKey{src: src, opts: *opts}
-	key.opts.Trace = false // the trace flag does not change the plan
-	key.opts.QueryID = 0   // neither does the per-request ID
-	compiled, cached, maintained := c.plans.lookup(key, s)
-	if cached != nil && !opts.Trace {
-		out := shareResult(cached)
-		out.Cache = "result"
-		if maintained {
-			out.Cache = "maintained"
-		}
-		out.Snapshot = s.Gen
-		out.QueryID = qid
-		return out, nil
-	}
-	cacheStatus := "miss"
-	if compiled != nil {
-		cacheStatus = "plan"
-	}
 	var tr *obs.Trace
-	if opts.Trace {
+	if trace {
 		tr = obs.NewTrace("query")
 		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
 		tr.Root().SetInt("query_id", int64(qid))
 	}
-	vdb, vst := c.view(s)
-	if compiled == nil {
-		q, err := dlog.ParseQuery(src)
-		if err != nil {
-			return nil, parseErr(err)
+	compiled, memo, status, err := c.program(s, key, q, tr)
+	if err != nil {
+		return nil, err
+	}
+	if memo != nil {
+		if !trace {
+			out := shareResult(memo)
+			out.Cache, out.Snapshot, out.QueryID = status, s.Gen, qid
+			return out, nil
 		}
-		if compiled, err = c.tb.compileWith(s.WS(), vdb, vst, q, opts, tr); err != nil {
-			return nil, err
-		}
+		status = "plan" // a traced run re-evaluates the current answer
 	}
 	// A maintainable answer keeps its evaluation's derived relations:
 	// the view layer refreshes them (and the memo) through commits.
 	// Traced runs never publish answers, so they keep nothing.
-	policy := c.resolvePolicy(opts)
-	keep := policy != MaintRederive && !opts.Trace
-	res, rres, err := c.tb.evaluateKeep(ctx, vdb, compiled, opts, tr, keep)
+	policy := c.resolvePolicy(&key.opts)
+	keep := policy != MaintRederive && !trace
+	vdb, _ := c.view(s)
+	res, rres, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr, keep)
 	if err != nil {
 		return nil, err
 	}
 	res.Snapshot = s.Gen
-	res.QueryID = 0 // cached answers are query-neutral; the copy below carries the ID
-	if opts.Trace {
+	if trace {
 		c.plans.store(key, s, compiled, nil, nil, policy)
 	} else {
 		var view *matview.View
@@ -557,44 +544,38 @@ func (c *ConcurrentTestbed) QueryContext(ctx context.Context, src string, opts *
 		}
 		c.plans.store(key, s, compiled, res, view, policy)
 	}
+	// The stored answer is query-neutral; the caller's copy carries the ID.
 	out := shareResult(res)
-	out.Cache = cacheStatus
-	out.QueryID = qid
+	out.Cache, out.QueryID = status, qid
 	return out, nil
 }
 
-// RunQuery is Query for a pre-parsed query (uncached).
-func (c *ConcurrentTestbed) RunQuery(q dlog.Query, opts *QueryOptions) (*QueryResult, error) {
-	if opts == nil {
-		opts = &QueryOptions{}
+// program returns the evaluation program for key as seen from the
+// pinned snapshot — the plan cache's, or on a miss a fresh compilation,
+// the only place a served query's text is parsed and compiled — with
+// the memoized answer when one is current, and the plan-cache outcome
+// QueryResult.Cache reports. A fresh compilation is not stored: read
+// stores it with its answer, Prepare without one.
+func (c *ConcurrentTestbed) program(s *snapshot.Snapshot, key planKey, q *dlog.Query, tr *obs.Trace) (*core.Compiled, *QueryResult, string, error) {
+	compiled, memo, maintained := c.plans.lookup(key, s)
+	switch {
+	case memo != nil && maintained:
+		return compiled, memo, "maintained", nil
+	case memo != nil:
+		return compiled, memo, "result", nil
+	case compiled != nil:
+		return compiled, nil, "plan", nil
 	}
-	qid := opts.QueryID
-	if qid == 0 {
-		qid = obs.NewQueryID()
-	}
-	s, err := c.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Release()
-	var tr *obs.Trace
-	if opts.Trace {
-		tr = obs.NewTrace("query")
-		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
-		tr.Root().SetInt("query_id", int64(qid))
+	if q == nil {
+		parsed, err := dlog.ParseQuery(key.src)
+		if err != nil {
+			return nil, nil, "", parseErr(err)
+		}
+		q = &parsed
 	}
 	vdb, vst := c.view(s)
-	compiled, err := c.tb.compileWith(s.WS(), vdb, vst, q, opts, tr)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.tb.evaluateWith(context.Background(), vdb, compiled, opts, tr)
-	if err != nil {
-		return nil, err
-	}
-	res.Snapshot = s.Gen
-	res.QueryID = qid
-	return res, nil
+	compiled, err := c.tb.compile(s.WS(), vdb, vst, *q, &key.opts, tr)
+	return compiled, nil, "miss", err
 }
 
 // shareResult returns a caller-private view of a cached result: the
@@ -680,118 +661,62 @@ func (c *ConcurrentTestbed) EngineMetrics() []obs.Metric {
 }
 
 // Generation returns the rule-base generation of the published
-// snapshot. Prepared queries compiled at an older generation recompile
-// on their next run; the server reports it so clients can correlate
-// results with D/KB versions.
+// snapshot. Programs compiled at an older generation recompile on their
+// next run; the server reports it so clients can correlate results with
+// D/KB versions.
 func (c *ConcurrentTestbed) Generation() uint64 {
 	return c.snaps.Current().RuleGen
 }
 
 // --- Prepared queries ---
 
-// Prepare compiles a query for repeated execution. The returned
-// ConcurrentPrepared is safe for concurrent use; the server keys them
-// per session.
+// Prepare parses and compiles a query for repeated execution, so syntax
+// and semantic errors surface here rather than at the first Run. The
+// compiled program goes to the shared plan cache (a text some session
+// already queried compiles nothing, and its lookup counts as the hit it
+// is); the returned statement is the key to it, safe for concurrent use.
+// The server keeps them per session.
 func (c *ConcurrentTestbed) Prepare(src string, opts *QueryOptions) (*ConcurrentPrepared, error) {
 	q, err := dlog.ParseQuery(src)
 	if err != nil {
-		return nil, err
+		return nil, parseErr(err)
 	}
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	cp := &ConcurrentPrepared{c: c, q: q, opts: *opts}
+	cp := &ConcurrentPrepared{c: c, key: newPlanKey(src, opts), q: q, trace: opts.Trace}
 	s, err := c.acquire()
 	if err != nil {
 		return nil, err
 	}
 	defer s.Release()
-	if _, err := cp.ensure(s); err != nil {
+	compiled, _, status, err := c.program(s, cp.key, &cp.q, nil)
+	if err != nil {
 		return nil, err
+	}
+	if status == "miss" {
+		c.plans.store(cp.key, s, compiled, nil, nil, MaintDefault)
 	}
 	return cp, nil
 }
 
-// ConcurrentPrepared is a prepared query bound to a ConcurrentTestbed.
-// Each run evaluates against a pinned snapshot, so a run either sees
-// the D/KB entirely before or entirely after any concurrent update —
-// and recompiles transparently when the rule base moved.
+// ConcurrentPrepared is a prepared query bound to a ConcurrentTestbed:
+// a plan-cache key plus the parsed query, holding no program of its
+// own. A Run is a Query that never re-parses — served from the memoized
+// or maintained answer when one is current, recompiled transparently
+// when the rule base moved or the cache evicted its entry — and like
+// Query sees the D/KB entirely before or entirely after any concurrent
+// update.
 type ConcurrentPrepared struct {
-	c    *ConcurrentTestbed
-	q    dlog.Query
-	opts QueryOptions
-
-	mu         sync.Mutex
-	compiled   *core.Compiled
-	gen        uint64 // rule-base generation compiled at
-	recompiles int
+	c     *ConcurrentTestbed
+	key   planKey
+	q     dlog.Query
+	trace bool // prepared with QueryOptions.Trace: every Run is traced
 }
 
-// ensure (re)compiles against the pinned snapshot when the cached
-// program predates its rule-base generation.
-func (cp *ConcurrentPrepared) ensure(s *snapshot.Snapshot) (*core.Compiled, error) {
-	//dkblint:locksafe per-statement singleflight: compiling under the lock guarantees one compile per rule-base generation
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.compiled != nil && cp.gen == s.RuleGen {
-		return cp.compiled, nil
-	}
-	vdb, vst := cp.c.view(s)
-	compiled, err := cp.c.tb.compileWith(s.WS(), vdb, vst, cp.q, &cp.opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	cp.compiled, cp.gen = compiled, s.RuleGen
-	cp.recompiles++
-	return compiled, nil
-}
-
-// Run executes the prepared query against a pinned snapshot.
-func (cp *ConcurrentPrepared) Run() (*QueryResult, error) {
-	return cp.RunWithQueryID(0)
-}
-
-// RunWithQueryID is Run under an explicit query ID (0 mints one); the
-// server threads each EXECP request's wire-propagated ID through here.
-func (cp *ConcurrentPrepared) RunWithQueryID(qid uint64) (*QueryResult, error) {
-	if qid == 0 {
-		qid = obs.NewQueryID()
-	}
-	s, err := cp.c.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Release()
-	compiled, err := cp.ensure(s)
-	if err != nil {
-		return nil, err
-	}
-	var tr *obs.Trace
-	if cp.opts.Trace {
-		tr = obs.NewTrace("query")
-		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
-		tr.Root().SetInt("query_id", int64(qid))
-	}
-	vdb := cp.c.tb.db.WithResolver(s)
-	res, err := cp.c.tb.evaluateWith(context.Background(), vdb, compiled, &cp.opts, tr)
-	if err != nil {
-		return nil, err
-	}
-	res.Snapshot = s.Gen
-	res.QueryID = qid
-	return res, nil
-}
-
-// Stale reports whether the next Run will recompile.
-func (cp *ConcurrentPrepared) Stale() bool {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.compiled == nil || cp.gen != cp.c.snaps.Current().RuleGen
-}
-
-// Recompiles returns the number of compilations performed so far.
-func (cp *ConcurrentPrepared) Recompiles() int {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.recompiles
+// Run executes the prepared query against a pinned snapshot, under ctx
+// (see QueryContext) and the given query ID (0 mints one; the server
+// threads each EXECP request's wire-propagated ID through here).
+func (cp *ConcurrentPrepared) Run(ctx context.Context, qid uint64) (*QueryResult, error) {
+	return cp.c.read(ctx, cp.key, &cp.q, cp.trace, qid)
 }

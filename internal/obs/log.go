@@ -67,7 +67,6 @@ type Logger struct {
 	w      io.Writer
 	level  Level
 	json   bool
-	noTime bool
 	fields []Attr
 }
 
@@ -79,28 +78,6 @@ func NewLogger(w io.Writer) *Logger {
 // NewJSONLogger returns a JSON-lines logger at LevelInfo writing to w.
 func NewJSONLogger(w io.Writer) *Logger {
 	return &Logger{mu: &sync.Mutex{}, w: w, json: true}
-}
-
-// NewLogfLogger adapts a printf-style sink (e.g. log.Printf, or the
-// server's legacy Options.Logf) into a Logger. Each record is rendered
-// in text form, without a timestamp (printf sinks usually add their
-// own), and handed to fn as a single %s argument.
-func NewLogfLogger(fn func(format string, args ...any)) *Logger {
-	if fn == nil {
-		return nil
-	}
-	return &Logger{mu: &sync.Mutex{}, w: logfWriter{fn: fn}, noTime: true}
-}
-
-// logfWriter forwards each rendered line (newline stripped) to a
-// printf-style function.
-type logfWriter struct {
-	fn func(format string, args ...any)
-}
-
-func (w logfWriter) Write(p []byte) (int, error) {
-	w.fn("%s", strings.TrimSuffix(string(p), "\n"))
-	return len(p), nil
 }
 
 // SetLevel sets the minimum level that is written.
@@ -204,10 +181,8 @@ func (l *Logger) log(lv Level, msg string, kv []any) {
 
 func (l *Logger) renderText(now time.Time, lv Level, msg string, kv []any) []byte {
 	var b strings.Builder
-	if !l.noTime {
-		b.WriteString(now.UTC().Format("2006-01-02T15:04:05.000Z"))
-		b.WriteByte(' ')
-	}
+	b.WriteString(now.UTC().Format("2006-01-02T15:04:05.000Z"))
+	b.WriteByte(' ')
 	b.WriteString(strings.ToUpper(lv.String()))
 	b.WriteByte(' ')
 	b.WriteString(msg)

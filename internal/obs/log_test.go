@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -96,20 +95,6 @@ func TestLoggerNilSafe(t *testing.T) {
 	l.With("a", 2).Error("still nothing")
 	if l.Enabled(LevelError) {
 		t.Error("nil logger claims to be enabled")
-	}
-}
-
-func TestNewLogfLogger(t *testing.T) {
-	var got []string
-	l := NewLogfLogger(func(format string, args ...any) {
-		got = append(got, fmt.Sprintf(format, args...))
-	})
-	l.Info("drain", "sessions", 4)
-	if len(got) != 1 || got[0] != "INFO drain sessions=4" {
-		t.Errorf("Logf shim output = %q, want timestamp-free line", got)
-	}
-	if NewLogfLogger(nil) != nil {
-		t.Error("NewLogfLogger(nil) must be a nil (discarding) logger")
 	}
 }
 

@@ -18,7 +18,6 @@ package server
 import (
 	"context"
 	"errors"
-	"log"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -40,13 +39,8 @@ type Options struct {
 	IOTimeout time.Duration
 	// Logger receives structured connection-level diagnostics, annotated
 	// per session with the remote address, session id and request
-	// sequence number. nil falls back to Logf; if that is also nil,
-	// diagnostics are discarded.
+	// sequence number. nil discards them.
 	Logger *obs.Logger
-	// Logf is the legacy printf-style diagnostic sink, kept as a
-	// compatibility shim: when Logger is nil it is adapted through
-	// obs.NewLogfLogger. nil discards.
-	Logf func(format string, args ...any)
 	// SlowLogSize is the slow-query ring capacity; 0 selects
 	// obs.DefaultSlowLogSize.
 	SlowLogSize int
@@ -97,14 +91,10 @@ func New(tb *dkbms.ConcurrentTestbed, opts Options) *Server {
 	if opts.IOTimeout == 0 {
 		opts.IOTimeout = DefaultIOTimeout
 	}
-	logger := opts.Logger
-	if logger == nil {
-		logger = obs.NewLogfLogger(opts.Logf) // nil Logf → nil logger
-	}
 	s := &Server{
 		tb:       tb,
 		opts:     opts,
-		log:      logger,
+		log:      opts.Logger,
 		slow:     obs.NewSlowLog(opts.SlowLogSize, opts.SlowThreshold),
 		sessions: make(map[*session]struct{}),
 	}
@@ -308,6 +298,3 @@ func (s *Server) Stats() Stats {
 	return s.stats.snapshot(s.tb.Generation(), s.tb.PlanStats(), s.tb.PagerStats(),
 		s.tb.SnapshotStats(), s.tb.SchedStats(), s.tb.MatViewStats())
 }
-
-// Logf is a ready-made Options.Logf writing through the standard logger.
-func Logf(format string, args ...any) { log.Printf(format, args...) }

@@ -472,8 +472,14 @@ func TestTypedErrorsOverWire(t *testing.T) {
 	if _, err := c.Query("?- broken(", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrParse) {
 		t.Errorf("Query syntax error over wire: %v", err)
 	}
+	if _, err := c.Prepare("?- broken(", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrParse) {
+		t.Errorf("Prepare syntax error over wire: %v", err)
+	}
 	if _, err := c.Query("?- nosuch(X).", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrUnknownPredicate) {
 		t.Errorf("unknown predicate over wire: %v", err)
+	}
+	if _, err := c.Prepare("?- nosuch(X).", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrUnknownPredicate) {
+		t.Errorf("Prepare of an unknown predicate over wire: %v", err)
 	}
 	if err := c.Load("p(X)."); !errors.Is(err, dkbms.ErrSemantic) {
 		t.Errorf("non-ground fact over wire: %v", err)
@@ -765,6 +771,11 @@ func TestQueryIDOverWire(t *testing.T) {
 	}
 	if e := byID[qid]; e.Query != "?- ancestor(c0, W)." {
 		t.Fatalf("slowlog entry for %#x = %+v", qid, e)
+	}
+	// EXECP takes the QUERY read path: the statement's text was queried
+	// above, so its executions are served from that memoized answer.
+	if e := byID[pqid]; e.Cache != "result" {
+		t.Fatalf("slowlog entry for prepared execution %#x: cache %q, want \"result\"", pqid, e.Cache)
 	}
 }
 

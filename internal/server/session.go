@@ -28,10 +28,10 @@ type session struct {
 	// in-flight evaluation at its next LFP iteration boundary.
 	ctx context.Context
 
-	// prepared maps session-local ids to prepared queries. Entries are
-	// keyed to the rule-base generation through ConcurrentPrepared, which
-	// recompiles transparently when the generation moves; the source text
-	// rides along so EXECP traffic lands in the slow log legibly.
+	// prepared maps session-local ids to prepared queries: keys into the
+	// shared plan cache, which recompiles transparently when the rule
+	// base moves. The source text rides along so EXECP traffic lands in
+	// the slow log legibly.
 	prepared map[uint64]preparedQuery
 	nextID   uint64
 }
@@ -148,21 +148,11 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 		if err != nil {
 			return errFrame(err)
 		}
-		// Adopt the client's query ID or mint one, so every execution is
-		// identifiable across the result echo, the structured log and the
-		// slow-query ring.
 		opts := m.Opts.ToOptions()
-		if opts.QueryID == 0 {
-			opts.QueryID = obs.NewQueryID()
-		}
-		s.srv.stats.queries.Inc()
-		start := time.Now()
-		res, err := s.srv.tb.QueryContext(s.ctx, m.Src, opts)
-		s.recordSlow(m.Src, start, res, err, opts.QueryID)
-		if err != nil {
-			return errFrame(err)
-		}
-		return wire.MsgResult, encodeResult(res)
+		return s.runQuery(m.Src, opts.QueryID, func(ctx context.Context, qid uint64) (*dkbms.QueryResult, error) {
+			opts.QueryID = qid
+			return s.srv.tb.QueryContext(ctx, m.Src, opts)
+		})
 
 	case wire.MsgPrepare:
 		m, err := wire.DecodePrepare(payload)
@@ -190,18 +180,7 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 		if !ok {
 			return errFrame(fmt.Errorf("server: no prepared query %d in this session", m.ID))
 		}
-		qid := m.QueryID
-		if qid == 0 {
-			qid = obs.NewQueryID()
-		}
-		s.srv.stats.queries.Inc()
-		start := time.Now()
-		res, err := pq.cp.RunWithQueryID(qid)
-		s.recordSlow(pq.src, start, res, err, qid)
-		if err != nil {
-			return errFrame(err)
-		}
-		return wire.MsgResult, encodeResult(res)
+		return s.runQuery(pq.src, m.QueryID, pq.cp.Run)
 
 	case wire.MsgRetract:
 		m, err := wire.DecodeRetract(payload)
@@ -243,6 +222,24 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 	default:
 		return errFrame(fmt.Errorf("server: unknown request type %v", t))
 	}
+}
+
+// runQuery serves one QUERY or EXECP execution. It adopts the client's
+// query ID or mints one, so every execution is identifiable across the
+// result echo, the structured log and the slow-query ring; run evaluates
+// under the serve context, so shutdown cancels either kind.
+func (s *session) runQuery(src string, qid uint64, run func(context.Context, uint64) (*dkbms.QueryResult, error)) (wire.MsgType, []byte) {
+	if qid == 0 {
+		qid = obs.NewQueryID()
+	}
+	s.srv.stats.queries.Inc()
+	start := time.Now()
+	res, err := run(s.ctx, qid)
+	s.recordSlow(src, start, res, err, qid)
+	if err != nil {
+		return errFrame(err)
+	}
+	return wire.MsgResult, encodeResult(res)
 }
 
 // recordSlow enters one query execution into the server's slow-query

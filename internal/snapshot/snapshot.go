@@ -4,7 +4,8 @@
 //
 // The design replaces the reader/writer lock the ConcurrentTestbed
 // originally used (readers convoyed behind every LOAD/RETRACT; see
-// BENCH_server_scaling.json) with copy-on-write at table granularity:
+// scripts/bench_baseline/BENCH_server_scaling.json) with copy-on-write
+// at table granularity:
 //
 //   - A Snapshot is a frozen view: the generation pair that keys the
 //     plan/result cache (RuleGen, DataGen), the workspace rule set at

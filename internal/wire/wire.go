@@ -804,8 +804,7 @@ type ServerStats struct {
 	// counts admitted-but-unstarted tasks at snapshot time;
 	// SchedSubmitted and SchedStolen count tasks submitted over the
 	// pool's lifetime and tasks a waiting query ran inline instead of a
-	// worker. Trailing fields: absent from old peers' payloads, decoded
-	// as zero.
+	// worker.
 	SchedWorkers   int64
 	SchedQueued    int64
 	SchedSubmitted int64
@@ -814,105 +813,64 @@ type ServerStats struct {
 	// plan cache; ViewsMaintained and ViewsRederives count memos
 	// refreshed incrementally and memos dropped for re-derivation;
 	// ViewsDeltaTuples and ViewsMaintainTime aggregate the derived-delta
-	// sizes and wall-clock cost of all maintenance runs. Trailing
-	// fields: absent from pre-matview peers' payloads, decoded as zero.
+	// sizes and wall-clock cost of all maintenance runs.
 	ViewsLive         int64
 	ViewsMaintained   int64
 	ViewsRederives    int64
 	ViewsDeltaTuples  int64
 	ViewsMaintainTime time.Duration
 	// Queries counts QUERY+EXECP requests served (the telemetry ring's
-	// query.count counter). Trailing field: absent from pre-telemetry
-	// peers' payloads, decoded as zero.
+	// query.count counter).
 	Queries int64
 }
 
-// Encode renders the payload. The snapshot fields trail the original
-// layout so peers from before snapshot isolation still parse the
-// prefix.
-func (m ServerStats) Encode() []byte {
-	var buf []byte
-	for _, v := range []int64{
-		m.ActiveSessions, m.TotalSessions, m.InFlight, m.Requests,
-		m.Errors, m.BytesIn, m.BytesOut, int64(m.P50), int64(m.P99),
-		m.PlanResultHits, m.PlanHits, m.PlanMisses,
-		m.PoolHits, m.PoolMisses, m.PoolEvictions,
-	} {
-		buf = binary.AppendVarint(buf, v)
-	}
-	buf = binary.AppendUvarint(buf, m.Generation)
-	buf = binary.AppendUvarint(buf, m.SnapshotGen)
-	buf = binary.AppendVarint(buf, m.SnapshotReaders)
-	buf = binary.AppendVarint(buf, m.ReclaimBacklog)
-	buf = binary.AppendVarint(buf, int64(m.WriterStall))
-	for _, v := range []int64{m.SchedWorkers, m.SchedQueued, m.SchedSubmitted, m.SchedStolen} {
-		buf = binary.AppendVarint(buf, v)
-	}
-	for _, v := range []int64{m.ViewsLive, m.ViewsMaintained, m.ViewsRederives,
-		m.ViewsDeltaTuples, int64(m.ViewsMaintainTime)} {
-		buf = binary.AppendVarint(buf, v)
-	}
-	buf = binary.AppendVarint(buf, m.Queries)
-	return buf
-}
-
-// DecodeServerStats parses a STATSREPLY payload. The trailing snapshot
-// fields are optional: a payload ending at Generation (an older server)
-// decodes with them zeroed.
-func DecodeServerStats(p []byte) (ServerStats, error) {
-	var m ServerStats
-	var err error
-	buf := p
-	fields := []*int64{
+// fields lists the payload in wire order; Encode and DecodeServerStats
+// both walk it, so the two cannot disagree. Counters and durations
+// (*int64) travel as varints, the two generations (*uint64) as uvarints.
+func (m *ServerStats) fields() []any {
+	return []any{
 		&m.ActiveSessions, &m.TotalSessions, &m.InFlight, &m.Requests,
 		&m.Errors, &m.BytesIn, &m.BytesOut, (*int64)(&m.P50), (*int64)(&m.P99),
 		&m.PlanResultHits, &m.PlanHits, &m.PlanMisses,
 		&m.PoolHits, &m.PoolMisses, &m.PoolEvictions,
+		&m.Generation, &m.SnapshotGen,
+		&m.SnapshotReaders, &m.ReclaimBacklog, (*int64)(&m.WriterStall),
+		&m.SchedWorkers, &m.SchedQueued, &m.SchedSubmitted, &m.SchedStolen,
+		&m.ViewsLive, &m.ViewsMaintained, &m.ViewsRederives,
+		&m.ViewsDeltaTuples, (*int64)(&m.ViewsMaintainTime),
+		&m.Queries,
 	}
-	for _, f := range fields {
-		if *f, buf, err = readVarint(buf); err != nil {
-			return ServerStats{}, err
+}
+
+// Encode renders the payload.
+func (m ServerStats) Encode() []byte {
+	var buf []byte
+	for _, f := range m.fields() {
+		switch f := f.(type) {
+		case *int64:
+			buf = binary.AppendVarint(buf, *f)
+		case *uint64:
+			buf = binary.AppendUvarint(buf, *f)
 		}
 	}
-	if m.Generation, buf, err = readUvarint(buf); err != nil {
-		return ServerStats{}, err
-	}
-	if len(buf) == 0 {
-		return m, nil
-	}
-	if m.SnapshotGen, buf, err = readUvarint(buf); err != nil {
-		return ServerStats{}, err
-	}
-	for _, f := range []*int64{&m.SnapshotReaders, &m.ReclaimBacklog, (*int64)(&m.WriterStall)} {
-		if *f, buf, err = readVarint(buf); err != nil {
+	return buf
+}
+
+// DecodeServerStats parses a STATSREPLY payload. Every field is
+// required: a payload that ends early is an error.
+func DecodeServerStats(p []byte) (ServerStats, error) {
+	var m ServerStats
+	for _, f := range m.fields() {
+		var err error
+		switch f := f.(type) {
+		case *int64:
+			*f, p, err = readVarint(p)
+		case *uint64:
+			*f, p, err = readUvarint(p)
+		}
+		if err != nil {
 			return ServerStats{}, err
 		}
-	}
-	if len(buf) == 0 {
-		// Pre-scheduler peer: scheduler fields stay zero.
-		return m, nil
-	}
-	for _, f := range []*int64{&m.SchedWorkers, &m.SchedQueued, &m.SchedSubmitted, &m.SchedStolen} {
-		if *f, buf, err = readVarint(buf); err != nil {
-			return ServerStats{}, err
-		}
-	}
-	if len(buf) == 0 {
-		// Pre-matview peer: view-maintenance fields stay zero.
-		return m, nil
-	}
-	for _, f := range []*int64{&m.ViewsLive, &m.ViewsMaintained, &m.ViewsRederives,
-		&m.ViewsDeltaTuples, (*int64)(&m.ViewsMaintainTime)} {
-		if *f, buf, err = readVarint(buf); err != nil {
-			return ServerStats{}, err
-		}
-	}
-	if len(buf) == 0 {
-		// Pre-telemetry peer: query counter stays zero.
-		return m, nil
-	}
-	if m.Queries, buf, err = readVarint(buf); err != nil {
-		return ServerStats{}, err
 	}
 	return m, nil
 }

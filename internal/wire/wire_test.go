@@ -285,7 +285,8 @@ func TestServerStatsRoundTrip(t *testing.T) {
 		P50: 150 * time.Microsecond, P99: 3 * time.Millisecond,
 		PlanResultHits: 40, PlanHits: 9, PlanMisses: 3,
 		PoolHits: 1 << 20, PoolMisses: 512, PoolEvictions: 77,
-		Generation:   17,
+		Generation: 17, SnapshotGen: 23, SnapshotReaders: 1,
+		ReclaimBacklog: 2, WriterStall: time.Millisecond,
 		SchedWorkers: 4, SchedQueued: 2, SchedSubmitted: 999, SchedStolen: 31,
 		ViewsLive: 2, ViewsMaintained: 55, ViewsRederives: 4,
 		ViewsDeltaTuples: 310, ViewsMaintainTime: 9 * time.Millisecond,
@@ -297,36 +298,6 @@ func TestServerStatsRoundTrip(t *testing.T) {
 	}
 	if out != in {
 		t.Fatalf("got %+v, want %+v", out, in)
-	}
-}
-
-// TestServerStatsOldPeer: payloads from servers built before the
-// scheduler fields, and before the view-maintenance fields, must still
-// decode with the absent trailing fields zero.
-func TestServerStatsOldPeer(t *testing.T) {
-	in := ServerStats{
-		Requests: 7, Generation: 3,
-		SnapshotReaders: 1, ReclaimBacklog: 2, WriterStall: time.Millisecond,
-	}
-	// With the four sched fields, five view fields and the query counter
-	// zero, Encode appends exactly ten single-byte varints; dropping
-	// suffixes reproduces the older peers' frames.
-	full := in.Encode()
-	for _, tc := range []struct {
-		name string
-		cut  int
-	}{
-		{"pre-scheduler", 10},
-		{"pre-matview", 6},
-		{"pre-telemetry", 1},
-	} {
-		out, err := DecodeServerStats(full[:len(full)-tc.cut])
-		if err != nil {
-			t.Fatalf("%s payload rejected: %v", tc.name, err)
-		}
-		if out != in {
-			t.Fatalf("%s: got %+v, want %+v", tc.name, out, in)
-		}
 	}
 }
 
@@ -370,6 +341,14 @@ func TestDecodeCorrupt(t *testing.T) {
 		}
 		if _, err := DecodeServerStats(p); err == nil {
 			t.Errorf("DecodeServerStats(%v) accepted", p)
+		}
+	}
+	// A STATSREPLY carries every field: one that stops short of the last
+	// is truncated, whichever field it stops at.
+	stats := ServerStats{Requests: 7, Generation: 3, Queries: 5}.Encode()
+	for cut := 1; cut <= len(stats); cut++ {
+		if _, err := DecodeServerStats(stats[:len(stats)-cut]); err == nil {
+			t.Errorf("DecodeServerStats accepted a payload %d bytes short", cut)
 		}
 	}
 }

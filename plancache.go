@@ -25,6 +25,14 @@ type planKey struct {
 	opts QueryOptions
 }
 
+// newPlanKey keys a request. The trace flag and the per-request query
+// ID do not change the plan, so traced and untraced runs share one.
+func newPlanKey(src string, opts *QueryOptions) planKey {
+	key := planKey{src: src, opts: *opts}
+	key.opts.Trace, key.opts.QueryID = false, 0
+	return key
+}
+
 // planEntry is one cached compilation. The compiled program is valid
 // while the rule-base generation matches (rule changes alter the
 // generated program). The memoized result carries a per-table validity

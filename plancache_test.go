@@ -14,7 +14,12 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 
 func newCachedTestbed(t *testing.T) *ConcurrentTestbed {
 	t.Helper()
-	c := NewConcurrent(NewMemory())
+	return newCachedTestbedWith(t, ConcurrentOptions{})
+}
+
+func newCachedTestbedWith(t *testing.T, opts ConcurrentOptions) *ConcurrentTestbed {
+	t.Helper()
+	c := NewConcurrentWithOptions(NewMemory(), opts)
 	t.Cleanup(func() { c.Close() })
 	if err := c.Load(planCacheProgram); err != nil {
 		t.Fatal(err)
@@ -147,11 +152,7 @@ func TestPlanCacheLoadInvalidates(t *testing.T) {
 // TestPlanCacheLRUBound: the cache never exceeds its capacity and evicts
 // the least recently used query.
 func TestPlanCacheLRUBound(t *testing.T) {
-	c := NewConcurrentWithCache(NewMemory(), 2)
-	t.Cleanup(func() { c.Close() })
-	if err := c.Load(planCacheProgram); err != nil {
-		t.Fatal(err)
-	}
+	c := newCachedTestbedWith(t, ConcurrentOptions{PlanCacheEntries: 2})
 	queries := []string{"?- ancestor(a, X).", "?- ancestor(b, X).", "?- parent(a, X)."}
 	for _, q := range queries {
 		queryRows(t, c, q)

@@ -31,7 +31,7 @@ func (tb *Testbed) Prepare(src string, opts *QueryOptions) (*Prepared, error) {
 	}
 	q, err := dlog.ParseQuery(src)
 	if err != nil {
-		return nil, err
+		return nil, parseErr(err)
 	}
 	if opts == nil {
 		opts = &QueryOptions{}

@@ -405,11 +405,11 @@ func (tb *Testbed) RunQueryContext(ctx context.Context, q dlog.Query, opts *Quer
 		tr = obs.NewTrace("query")
 		tr.Root().SetInt("query_id", int64(qid))
 	}
-	compiled, err := tb.compile(q, opts, tr)
+	compiled, err := tb.compile(tb.ws, tb.db, tb.st, q, opts, tr)
 	if err != nil {
 		return nil, err
 	}
-	res, err := tb.evaluate(ctx, compiled, opts, tr)
+	res, _, err := tb.evaluate(ctx, tb.db, compiled, opts, tr, false)
 	if err != nil {
 		return nil, err
 	}
@@ -421,19 +421,15 @@ func (tb *Testbed) RunQueryContext(ctx context.Context, q dlog.Query, opts *Quer
 // evaluation program (used by benchmarks that measure t_c and t_e
 // separately, and by the precompiled-query cache).
 func (tb *Testbed) Compile(q dlog.Query, opts *QueryOptions) (*core.Compiled, error) {
-	return tb.compile(q, opts, nil)
+	return tb.compile(tb.ws, tb.db, tb.st, q, opts, nil)
 }
 
-func (tb *Testbed) compile(q dlog.Query, opts *QueryOptions, tr *obs.Trace) (*core.Compiled, error) {
-	return tb.compileWith(tb.ws, tb.db, tb.st, q, opts, tr)
-}
-
-// compileWith is compile against an explicit workspace, database and
-// rule source — the ConcurrentTestbed passes a pinned snapshot's frozen
-// workspace and resolver-bound views here, so the whole Knowledge
-// Manager pipeline (rule extraction, dictionary reads, schema lookups)
-// sees one consistent engine state.
-func (tb *Testbed) compileWith(ws *core.Workspace, d *db.DB, st *stored.Manager, q dlog.Query, opts *QueryOptions, tr *obs.Trace) (*core.Compiled, error) {
+// compile runs the Knowledge Manager pipeline against an explicit
+// workspace, database and rule source: the testbed's own, or — from a
+// ConcurrentTestbed — a pinned snapshot's frozen workspace and
+// resolver-bound views, so that rule extraction, dictionary reads and
+// schema lookups all see one consistent engine state.
+func (tb *Testbed) compile(ws *core.Workspace, d *db.DB, st *stored.Manager, q dlog.Query, opts *QueryOptions, tr *obs.Trace) (*core.Compiled, error) {
 	if tb.closed {
 		return nil, ErrClosed
 	}
@@ -465,27 +461,18 @@ func (tb *Testbed) EvaluateContext(ctx context.Context, compiled *core.Compiled,
 	if opts != nil && opts.Trace {
 		tr = obs.NewTrace("query")
 	}
-	return tb.evaluate(ctx, compiled, opts, tr)
-}
-
-func (tb *Testbed) evaluate(ctx context.Context, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace) (*QueryResult, error) {
-	return tb.evaluateWith(ctx, tb.db, compiled, opts, tr)
-}
-
-// evaluateWith is evaluate against an explicit database — normally a
-// snapshot-bound view, so the run-time library reads frozen base-table
-// versions while its session-private temp tables still land in the
-// live catalog.
-func (tb *Testbed) evaluateWith(ctx context.Context, d *db.DB, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace) (*QueryResult, error) {
-	res, _, err := tb.evaluateKeep(ctx, d, compiled, opts, tr, false)
+	res, _, err := tb.evaluate(ctx, tb.db, compiled, opts, tr, false)
 	return res, err
 }
 
-// evaluateKeep is evaluateWith with control over temp-table retention:
-// with keep set, the rtlib result retains the evaluation's derived
-// relations (Result.Detach hands them to the materialized-view layer)
-// and is returned alongside the query result.
-func (tb *Testbed) evaluateKeep(ctx context.Context, d *db.DB, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace, keep bool) (*QueryResult, *rtlib.Result, error) {
+// evaluate runs a compiled program against an explicit database: the
+// testbed's own, or a snapshot-bound view, so that the run-time library
+// reads frozen base-table versions while its session-private temp tables
+// still land in the live catalog. With keep set, the rtlib result
+// retains the evaluation's derived relations (Result.Detach hands them
+// to the materialized-view layer) and is returned alongside the query
+// result.
+func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace, keep bool) (*QueryResult, *rtlib.Result, error) {
 	if tb.closed {
 		return nil, nil, ErrClosed
 	}
