@@ -19,6 +19,8 @@
 //
 // Baselines are quick-scale runs committed to the repo; refresh them
 // with -update after an intentional perf change (or on new hardware).
+// Gating all experiments also fails on an orphan: a baseline file no
+// registered experiment owns, which would otherwise never be gated.
 package main
 
 import (
@@ -64,6 +66,17 @@ func main() {
 	cfg.Reps = *reps
 
 	failed := false
+	if *expFlag == "all" && !*update {
+		orphans, err := orphanBaselines(*baselineDir, runners)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+			os.Exit(2)
+		}
+		for _, name := range orphans {
+			fmt.Printf("%-18s ORPHAN no registered experiment gates this baseline (delete it)\n", name)
+			failed = true
+		}
+	}
 	for _, r := range runners {
 		start := time.Now()
 		rep, err := r.Run(cfg)
@@ -71,7 +84,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", r.ID, err)
 			os.Exit(1)
 		}
-		path := filepath.Join(*baselineDir, "BENCH_"+strings.ReplaceAll(r.ID, "-", "_")+".json")
+		path := baselinePath(*baselineDir, r.ID)
 
 		if *update {
 			out, err := rep.JSON(cfg, time.Since(start))
@@ -106,6 +119,31 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchgate: FAILED (intentional change? refresh with: go run ./cmd/benchgate -update)")
 		os.Exit(1)
 	}
+}
+
+// baselinePath is where experiment id's baseline lives under dir.
+func baselinePath(dir, id string) string {
+	return filepath.Join(dir, "BENCH_"+strings.ReplaceAll(id, "-", "_")+".json")
+}
+
+// orphanBaselines lists, by file name, the baselines under dir that no
+// runner owns.
+func orphanBaselines(dir string, runners []bench.Runner) ([]string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return nil, err
+	}
+	owned := make(map[string]bool, len(runners))
+	for _, r := range runners {
+		owned[baselinePath(dir, r.ID)] = true
+	}
+	var orphans []string
+	for _, p := range paths {
+		if !owned[p] {
+			orphans = append(orphans, filepath.Base(p))
+		}
+	}
+	return orphans, nil
 }
 
 func readBaseline(path string) (*bench.JSONReport, error) {

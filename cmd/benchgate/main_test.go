@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -91,5 +94,32 @@ func TestCompareSkipsNonNumeric(t *testing.T) {
 	cur := report(cols, [][]string{{"q1", "99.0"}})
 	if got := compare(base, cur, 2.0, 0); len(got) != 0 {
 		t.Errorf("n/a cell judged: %v", got)
+	}
+}
+
+// TestOrphanBaselines: a baseline file whose experiment is no longer
+// registered is reported, so gating all of them cannot skip it silently.
+func TestOrphanBaselines(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_fig7.json", "BENCH_ablation_tcop.json", "BENCH_ablation_gone.json", "notes.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runners := []bench.Runner{{ID: "fig7"}, {ID: "ablation-tcop"}, {ID: "fig8"}}
+	got, err := orphanBaselines(dir, runners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"BENCH_ablation_gone.json"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("orphans %v, want %v", got, want)
+	}
+	// The committed baselines have no orphan.
+	got, err = orphanBaselines("../../scripts/bench_baseline", bench.Runners())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Errorf("committed orphan baselines: %v", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"dkbms"
 	"dkbms/internal/rel"
 	"dkbms/internal/rtlib"
-	"dkbms/internal/sched"
 	"dkbms/internal/stored"
 	"dkbms/internal/workload"
 )
@@ -18,71 +17,6 @@ func init() {
 	register("ablation-adaptive", "adaptive optimization switch vs fixed on/off", ablationAdaptive)
 	register("ablation-tcop", "specialized TC operator vs SQL-interface LFP loop", ablationTCOp)
 	register("ablation-storage", "compiled rule storage on/off: query-side extraction cost", ablationStorage)
-	register("ablation-parallel", "parallel vs sequential differential evaluation", ablationParallel)
-}
-
-// ablationParallel measures the paper's conclusion 7a (parallel
-// evaluation of each recursive equation's right-hand side) on a clique
-// with several differentials per iteration (same-generation: three).
-func ablationParallel(cfg Config) (*Report, error) {
-	rep := &Report{
-		ID:    "ablation-parallel",
-		Title: "t_e: sequential vs parallel differential evaluation",
-		Paper: "(paper conclusion 7a: evaluate each recursive equation's RHS in parallel)",
-		Cols:  []string{"workload", "sequential(ms)", "parallel(ms)", "speedup"},
-	}
-	depth := cfg.pick(9, 6)
-	tb := dkbms.NewMemory()
-	defer tb.Close()
-	tree := workload.FullBinaryTree(depth)
-	up := make([]rel.Tuple, len(tree))
-	for i, e := range tree {
-		up[i] = rel.Tuple{e[1], e[0]}
-	}
-	if err := tb.AssertTuples("up", up); err != nil {
-		return nil, err
-	}
-	if err := tb.CreateFactIndex("up", 0); err != nil {
-		return nil, err
-	}
-	if err := tb.AssertTuples("flat", []rel.Tuple{
-		{rel.NewString(workload.TreeNode(1)), rel.NewString(workload.TreeNode(1))},
-	}); err != nil {
-		return nil, err
-	}
-	if err := tb.Load(`
-down(X, Y) :- up(Y, X).
-sg(X, Y) :- flat(X, Y).
-sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).
-`); err != nil {
-		return nil, err
-	}
-	q := fmt.Sprintf("?- sg(%s, W).", workload.TreeNode((1<<depth)-2))
-	seq, seqRes, err := evalTime(tb, q, dkbms.QueryOptions{}, cfg.reps())
-	if err != nil {
-		return nil, err
-	}
-	// Parallel work runs on a pool or inline: give it one worker per
-	// core.
-	pool := sched.NewPool(0)
-	defer pool.Close()
-	tb.SetEvalPool(pool)
-	par, parRes, err := evalTime(tb, q, dkbms.QueryOptions{Parallel: true}, cfg.reps())
-	if err != nil {
-		return nil, err
-	}
-	if len(seqRes.Rows) != len(parRes.Rows) {
-		return nil, fmt.Errorf("ablation-parallel: answers differ: %d vs %d rows",
-			len(seqRes.Rows), len(parRes.Rows))
-	}
-	rep.Rows = append(rep.Rows, []string{
-		fmt.Sprintf("same-generation d=%d", depth),
-		ms(seq), ms(par), fmt.Sprintf("%.1fx", ratio(seq, par)),
-	})
-	rep.Notes = append(rep.Notes,
-		"the parallel path also replaces SQL set-difference dedup with in-memory keys (conclusion 6b), so gains exceed pure rule-level parallelism",
-		"answers verified identical")
-	return rep, nil
 }
 
 // ablationIndex removes the B+tree indexes on rulesource/reachablepreds

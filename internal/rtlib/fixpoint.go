@@ -121,35 +121,15 @@ type Fixpoint struct {
 	// exit rules compute the first delta of a clique: evaluated over
 	// TableOf into Into, whose contents then are the delta.
 	exit []codegen.RuleSQL
-	// delta is the delta strategy; nil selects sqlExcept, the paper's
-	// mode. Only Evaluate sets another (Options.Parallel).
-	delta deltaStrategy
-}
-
-// deltaStrategy is how a fixpoint run represents the per-round delta
-// and finds the genuinely new tuples among a round's derivations.
-type deltaStrategy interface {
-	// form is what the strategy executes a rule as.
-	form() RuleForm
-	// start produces the first delta ("iteration 0").
-	start(fp *Fixpoint, zero *obs.Span) error
-	// current lists the relations holding pred's current delta; none
-	// when the predicate has no delta this round.
-	current(pred string) []string
-	// fire evaluates the round's differentials and keeps, as the
-	// pending delta, the head tuples Into lacks.
-	fire(jobs []differential, it *obs.Span) error
-	// pending sizes pred's pending delta: the termination check.
-	pending(pred string) (int64, error)
-	// advance makes the pending delta current, its tuples now in Into.
-	advance() error
-	// finish drops the delta relations once the fixpoint is reached.
-	finish() error
+	// cur and next map predicates to their current and pending delta
+	// tables; own is false while cur is the caller's First.
+	cur, next map[string]string
+	own       bool
 }
 
 // differential is one execution of a rule statement: the rule prepared
-// in the form the delta strategy runs, and the relation bound to each
-// FROM position — for a round's differentials, one of them a delta.
+// in one form and the relation bound to each FROM position — for a
+// round's differentials, one of them a delta.
 type differential struct {
 	rule   *codegen.RuleSQL
 	stmt   *db.Stmt
@@ -174,48 +154,81 @@ func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm) (differential, error)
 	return differential{r, stmt, Tables(r, fp.TableOf)}, nil
 }
 
-// Run iterates to the fixpoint.
+// Run iterates to the fixpoint: the paper's routine, statement for
+// statement what Tests 5–7 measure. The delta is a temp table per
+// predicate and round, new tuples are found by EXCEPT chains inside
+// each rule's INSERT, and termination is a COUNT(*) per predicate.
+//
+// A predicate has a delta table only while it has delta tuples: a round
+// creates a pending table for each predicate heading one of its
+// differentials, and an empty pending delta is dropped instead of being
+// promoted and fired. While every predicate of a clique keeps deriving
+// — always, for the single-predicate cliques of Tests 5–7 — these are
+// the paper routine's statements one for one; where a predicate runs
+// dry early (a mutual recursion, or a commit's few tuples spread over a
+// whole program) the statements over its empty delta are not issued.
 func (fp *Fixpoint) Run() error {
-	st := fp.delta
-	if st == nil {
-		st = &sqlExcept{}
-	}
 	if fp.Stats == nil {
 		fp.Stats = new(NodeStats)
 	}
-	if err := fp.begin(st); err != nil {
+	if err := fp.begin(); err != nil {
 		return err
 	}
 	for {
 		if err := checkCtx(fp.Ctx); err != nil {
 			return err
 		}
-		done, err := fp.round(st)
+		done, err := fp.round()
 		if err != nil {
 			return err
 		}
 		if done {
-			return st.finish()
+			return fp.finish()
 		}
-		if err := st.advance(); err != nil {
+		if err := fp.advance(); err != nil {
 			return err
 		}
 	}
 }
 
-// begin produces the first delta; computing one is "iteration 0".
-func (fp *Fixpoint) begin(st deltaStrategy) error {
-	var zero *obs.Span
-	if fp.First == nil {
-		zero = fp.Span.Start("iteration 0")
-		defer zero.End()
+// begin produces the first delta: the caller's First, or — computing
+// one is "iteration 0" — the exit rules evaluated into Into, whose
+// contents (seeds included) are copied into delta_0.
+func (fp *Fixpoint) begin() error {
+	if fp.First != nil {
+		fp.cur, fp.own = fp.First, false
+		return nil
 	}
-	return st.start(fp, zero)
+	zero := fp.Span.Start("iteration 0")
+	defer zero.End()
+	for i := range fp.exit {
+		r := &fp.exit[i]
+		if err := fp.insertAll(r, fp.Into(r.Head), zero); err != nil {
+			return err
+		}
+	}
+	fp.cur, fp.own = make(map[string]string, len(fp.Preds)), true
+	for _, p := range fp.Preds {
+		name := fp.Prefix + "delta_" + sanitize(p)
+		if err := fp.createTemp(name, p); err != nil {
+			return err
+		}
+		t0 := time.Now()
+		if err := fp.copyRows(p, name, fp.Into(p)); err != nil {
+			return err
+		}
+		fp.Stats.TempTable += time.Since(t0)
+		fp.cur[p] = name
+		if zero != nil {
+			zero.SetInt("delta("+p+")", int64(fp.DB.TableRows(name)))
+		}
+	}
+	return nil
 }
 
-// round fires one round's differentials and reports whether every
-// pending delta came out empty.
-func (fp *Fixpoint) round(st deltaStrategy) (done bool, err error) {
+// round fires one round's differentials into fresh pending delta tables
+// and reports whether every pending delta came out empty.
+func (fp *Fixpoint) round() (done bool, err error) {
 	ns := fp.Stats
 	ns.Iterations++
 	var it *obs.Span
@@ -223,25 +236,42 @@ func (fp *Fixpoint) round(st deltaStrategy) (done bool, err error) {
 		it = fp.Span.Start(fmt.Sprintf("iteration %d", ns.Iterations))
 		defer it.End()
 	}
-	// One differential per rule, FROM position with a delta, and
-	// relation of that delta: the position is linear in the delta, so
-	// the union over its relations is the full differential.
+	// One differential per rule and FROM position with a current delta,
+	// that position reading the delta.
 	var jobs []differential
+	heads := make(map[string]bool, len(fp.Preds))
 	for i := range fp.Rules {
 		r := &fp.Rules[i]
 		for occ := range r.From {
-			for _, d := range st.current(r.From[occ].Pred) {
-				j, err := fp.job(r, st.form())
-				if err != nil {
-					return false, err
-				}
-				j.tables[occ] = d
-				jobs = append(jobs, j)
+			d, ok := fp.cur[r.From[occ].Pred]
+			if !ok {
+				continue
 			}
+			j, err := fp.job(r, RuleInsertNew)
+			if err != nil {
+				return false, err
+			}
+			j.tables[occ] = d
+			jobs = append(jobs, j)
+			heads[r.Head] = true
 		}
 	}
-	if err := st.fire(jobs, it); err != nil {
-		return false, err
+	fp.next = make(map[string]string, len(fp.Preds))
+	for _, p := range fp.Preds {
+		if !heads[p] {
+			continue
+		}
+		name := fmt.Sprintf("%sndelta%d_%s", fp.Prefix, ns.Iterations, sanitize(p))
+		if err := fp.createTemp(name, p); err != nil {
+			return false, err
+		}
+		fp.next[p] = name
+	}
+	for _, j := range jobs {
+		head := j.rule.Head
+		if err := fp.insertRule(j, fp.next[head], fp.Into(head), it); err != nil {
+			return false, err
+		}
 	}
 	// Termination: every pending delta empty.
 	done = true
@@ -249,7 +279,7 @@ func (fp *Fixpoint) round(st deltaStrategy) (done bool, err error) {
 	defer tc.End()
 	for _, p := range fp.Preds {
 		t0 := time.Now()
-		n, err := st.pending(p)
+		n, err := fp.pending(p)
 		if err != nil {
 			return false, err
 		}
@@ -263,6 +293,19 @@ func (fp *Fixpoint) round(st deltaStrategy) (done bool, err error) {
 		}
 	}
 	return done, nil
+}
+
+// pending sizes pred's pending delta with a COUNT(*).
+func (fp *Fixpoint) pending(pred string) (int64, error) {
+	t, ok := fp.next[pred]
+	if !ok {
+		return 0, nil
+	}
+	stmt, err := fp.statements().Relation(pred, CountAll)
+	if err != nil {
+		return 0, err
+	}
+	return stmt.QueryCount(evalCtx(fp.Ctx), nil, t)
 }
 
 // insertRule executes one rule statement under a "rule <head>" span:
@@ -314,148 +357,48 @@ func (fp *Fixpoint) createTemp(name, pred string) error {
 	return err
 }
 
-// sqlExcept is the paper-faithful delta strategy: the delta is a temp
-// table per predicate and round, new tuples are found by EXCEPT chains
-// inside each rule's INSERT, and termination is a COUNT(*) per
-// predicate — the embedded-SQL realization whose overheads Tests 5–7
-// measure.
-//
-// A predicate has a delta table only while it has delta tuples: a round
-// creates a pending table for each predicate heading one of its
-// differentials, and an empty pending delta is dropped instead of being
-// promoted and fired. While every predicate of a clique keeps deriving
-// — always, for the single-predicate cliques of Tests 5–7 — these are
-// the paper routine's statements one for one; where a predicate runs
-// dry early (a mutual recursion, or a commit's few tuples spread over a
-// whole program) the statements over its empty delta are not issued.
-type sqlExcept struct {
-	fp *Fixpoint
-	// cur and next map predicates to their current and pending delta
-	// tables; own is false while cur is the caller's Fixpoint.First.
-	cur, next map[string]string
-	own       bool
-}
-
-func (s *sqlExcept) start(fp *Fixpoint, zero *obs.Span) error {
-	s.fp = fp
-	if fp.First != nil {
-		s.cur = fp.First
-		return nil
-	}
-	for i := range fp.exit {
-		r := &fp.exit[i]
-		if err := fp.insertAll(r, fp.Into(r.Head), zero); err != nil {
-			return err
-		}
-	}
-	// delta_0 is a copy of the initial relations (seeds included).
-	s.cur, s.own = make(map[string]string, len(fp.Preds)), true
-	for _, p := range fp.Preds {
-		name := fp.Prefix + "delta_" + sanitize(p)
-		if err := fp.createTemp(name, p); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		if err := fp.copyRows(p, name, fp.Into(p)); err != nil {
-			return err
-		}
-		fp.Stats.TempTable += time.Since(t0)
-		s.cur[p] = name
-		if zero != nil {
-			zero.SetInt("delta("+p+")", int64(fp.DB.TableRows(name)))
-		}
-	}
-	return nil
-}
-
-func (s *sqlExcept) form() RuleForm { return RuleInsertNew }
-
-func (s *sqlExcept) current(pred string) []string {
-	if t, ok := s.cur[pred]; ok {
-		return []string{t}
-	}
-	return nil
-}
-
-func (s *sqlExcept) fire(jobs []differential, it *obs.Span) error {
-	fp := s.fp
-	heads := make(map[string]bool, len(fp.Preds))
-	for _, j := range jobs {
-		heads[j.rule.Head] = true
-	}
-	s.next = make(map[string]string, len(fp.Preds))
-	for _, p := range fp.Preds {
-		if !heads[p] {
-			continue
-		}
-		name := fmt.Sprintf("%sndelta%d_%s", fp.Prefix, fp.Stats.Iterations, sanitize(p))
-		if err := fp.createTemp(name, p); err != nil {
-			return err
-		}
-		s.next[p] = name
-	}
-	for _, j := range jobs {
-		head := j.rule.Head
-		if err := fp.insertRule(j, s.next[head], fp.Into(head), it); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s *sqlExcept) pending(pred string) (int64, error) {
-	t, ok := s.next[pred]
-	if !ok {
-		return 0, nil
-	}
-	stmt, err := s.fp.statements().Relation(pred, CountAll)
-	if err != nil {
-		return 0, err
-	}
-	return stmt.QueryCount(evalCtx(s.fp.Ctx), nil, t)
-}
-
 // retire drops pred's current delta table, if the run created it.
-func (s *sqlExcept) retire(pred string) error {
-	if t, ok := s.cur[pred]; ok && s.own {
-		return s.fp.Temps.drop(t)
+func (fp *Fixpoint) retire(pred string) error {
+	if t, ok := fp.cur[pred]; ok && fp.own {
+		return fp.Temps.drop(t)
 	}
 	return nil
 }
 
-func (s *sqlExcept) advance() error {
-	fp := s.fp
+// advance promotes each non-empty pending delta into Into and makes the
+// pending deltas current; an empty one is dropped instead.
+func (fp *Fixpoint) advance() error {
 	for _, p := range fp.Preds {
 		t0 := time.Now()
-		if t, ok := s.next[p]; ok {
+		if t, ok := fp.next[p]; ok {
 			if fp.DB.TableRows(t) == 0 {
 				if err := fp.Temps.drop(t); err != nil {
 					return err
 				}
-				delete(s.next, p)
+				delete(fp.next, p)
 			} else if err := fp.copyRows(p, fp.Into(p), t); err != nil {
 				return err
 			}
 		}
-		if err := s.retire(p); err != nil {
+		if err := fp.retire(p); err != nil {
 			return err
 		}
 		fp.Stats.TempTable += time.Since(t0)
 	}
-	s.cur, s.own = s.next, true
+	fp.cur, fp.own = fp.next, true
 	return nil
 }
 
-func (s *sqlExcept) finish() error {
-	fp := s.fp
+// finish drops the delta tables once the fixpoint is reached.
+func (fp *Fixpoint) finish() error {
 	for _, p := range fp.Preds {
 		t0 := time.Now()
-		if t, ok := s.next[p]; ok {
+		if t, ok := fp.next[p]; ok {
 			if err := fp.Temps.drop(t); err != nil {
 				return err
 			}
 		}
-		if err := s.retire(p); err != nil {
+		if err := fp.retire(p); err != nil {
 			return err
 		}
 		fp.Stats.TempTable += time.Since(t0)

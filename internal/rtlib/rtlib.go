@@ -13,19 +13,19 @@
 //     that occurrence reading the delta relation, and only genuinely
 //     new tuples extend the result.
 //
-// There is one semi-naive round loop, Fixpoint.Run, configured like the
+// There is one semi-naive round loop, Fixpoint.Run — temp table per
+// round, EXCEPT chains, COUNT(*) termination — configured like the
 // paper's LFP routine by the data structures its caller loads (rules,
 // predicate→relation resolver, promotion target, source of the first
-// delta) and by one of two delta strategies: sqlExcept — temp table per
-// round, EXCEPT chains, COUNT(*) termination — and hashPartitioned —
-// pooled differential SELECTs deduplicated Go-side (Options.Parallel).
-// Evaluate runs it per clique; internal/matview runs it to absorb a
-// commit into a maintained answer. One registry, TempTables, creates
-// and tears down every temporary relation, and one Statements per run
-// prepares its rule statements once, tables as parameters, for every
-// round to rebind (the paper's precompiled embedded SQL).
+// delta). Evaluate runs it per clique, in evaluation order or, under
+// Options.Parallel with a pool, as a dependency wavefront of independent
+// cliques; internal/matview runs it to absorb a commit into a
+// maintained answer. One registry, TempTables, creates and tears down
+// every temporary relation, and one Statements per run prepares its
+// rule statements once, tables as parameters, for every round to rebind
+// (the paper's precompiled embedded SQL).
 //
-// Exactly as the paper laments, the default path runs over plain SQL:
+// Exactly as the paper laments, every path runs over plain SQL:
 // temp tables are created and dropped per iteration, termination checks
 // are set differences, and accumulated relations are copied — the
 // library instruments those costs (Stats) because they are the subject
@@ -70,11 +70,10 @@ type Options struct {
 	// KeepTables, when set, skips the final cleanup so callers can
 	// inspect derived relations; Cleanup must then be called manually.
 	KeepTables bool
-	// Parallel evaluates each iteration's recursive-rule differentials
-	// concurrently (the paper's conclusion 7a), hash-partitions large
-	// dedup and termination checks across workers, and evaluates
-	// independent evaluation-order nodes as a dependency wavefront.
-	// The answer is identical to the sequential loop.
+	// Parallel, with a Pool, evaluates independent evaluation-order nodes
+	// as a dependency wavefront (runWavefront) on the pool. Every clique
+	// still runs Fixpoint.Run, so the statements issued and the answer
+	// are the sequential loop's.
 	Parallel bool
 	// Pool, when non-nil and Parallel is set, bounds the evaluation's
 	// concurrency on a shared worker pool with fair per-query
@@ -163,11 +162,6 @@ func (r *Result) Detach() (tables map[string]string, created []string) {
 // single DB). Incremented atomically: evaluations start concurrently.
 var runSeq uint64
 
-// maxPartitions caps hash-range partitioning of dedup and delta tables:
-// beyond ~8 ways the per-partition bookkeeping outweighs the
-// parallelism for the deltas these workloads produce.
-const maxPartitions = 8
-
 // Evaluate runs a compiled program against the database.
 func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 	seq := atomic.AddUint64(&runSeq, 1)
@@ -178,12 +172,10 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 		prefix: fmt.Sprintf("dkb%d_", seq),
 		tables: make(map[string]string),
 		temps:  NewTempTables(d),
-		parts:  1,
 	}
 	if opts.Parallel && opts.Pool != nil {
 		ev.client = opts.Pool.NewClient()
 		defer ev.client.Close()
-		ev.parts = min(opts.Pool.Workers(), maxPartitions)
 	}
 	res, err := ev.run()
 	if err != nil {
@@ -213,10 +205,8 @@ type evaluator struct {
 	temps  *TempTables
 	stats  Stats
 	// client is the evaluation's admission handle on the shared worker
-	// pool (nil without one); parts is the hash-range partition count
-	// of the hashPartitioned delta strategy (1 = no partitioning).
+	// pool (nil without one).
 	client *sched.Client
-	parts  int
 }
 
 // tableOf resolves a predicate to its current relation name: the temp
@@ -355,9 +345,6 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 	case ev.opts.Strategy == Naive:
 		err = evalCliqueNaive(fp, seeds)
 	default:
-		if ev.opts.Parallel {
-			fp.delta = &hashPartitioned{client: ev.client, parts: ev.parts, seeds: seeds}
-		}
 		err = fp.Run()
 	}
 	if err != nil {

@@ -1,9 +1,8 @@
 // Package sched is the bounded evaluation scheduler: a fixed-size
 // worker pool shared by every session of a server process, onto which
-// the run-time library (internal/rtlib) submits its parallel work —
-// per-rule differential SELECTs, hash-range partitions of dedup and
-// termination checks, and whole evaluation-order nodes of the stratum
-// wavefront.
+// the run-time library (internal/rtlib) submits its parallel work:
+// whole evaluation-order nodes of the stratum wavefront, independent
+// cliques evaluated concurrently.
 //
 // The paper's conclusion 7a observes that "during each iteration, the
 // right hand side of each recursive equation may be evaluated in
@@ -15,8 +14,8 @@
 //   - every evaluation registers a Client; each Client owns a FIFO of
 //     pending tasks;
 //   - workers scan the clients round-robin, taking at most one task per
-//     client per visit, so a giant recursion queueing hundreds of
-//     differentials cannot starve a point query that queued two;
+//     client per visit, so a program queueing many independent cliques
+//     cannot starve a point query that queued two;
 //   - waiting is working: Group.Wait executes its own group's unstarted
 //     tasks inline ("help-first" stealing). A task that fans out nested
 //     subtasks therefore never deadlocks the pool — even a pool of one
@@ -277,8 +276,8 @@ func (g *Group) finish() {
 // Wait blocks until every forked task has finished — by working, not
 // idling: any task no worker has started yet is reclaimed and run
 // inline on the calling goroutine. This is what makes nested fan-out
-// (a wavefront node task forking its differential SELECTs) deadlock-
-// free at any pool size.
+// (a task that forks and waits on a group of its own) deadlock-free at
+// any pool size.
 func (g *Group) Wait() {
 	g.mu.Lock()
 	for {

@@ -279,8 +279,8 @@ func TestRandomProgramsAgainstReference(t *testing.T) {
 }
 
 // maintainedAgainstReference runs one random program on a pooled
-// ConcurrentTestbed, Parallel off and on (so the parallel delta
-// strategy really runs on a pool), by text and through a prepared
+// ConcurrentTestbed, Parallel off and on (so independent cliques really
+// run as a wavefront on the pool), by text and through a prepared
 // statement, then loads one random fact and retracts one, both on base
 // relations the query depends on: after each commit both memoized
 // answers must be served as maintained on either route — the fixpoint

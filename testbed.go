@@ -77,11 +77,10 @@ type Testbed struct {
 }
 
 // SetEvalPool attaches a shared evaluation worker pool: queries run
-// with QueryOptions.Parallel submit their differential SELECTs,
-// partitioned dedup work and wavefront nodes to it; without a pool that
-// work runs inline on the calling goroutine. The caller retains ownership
-// of the pool (ConcurrentTestbed wires and closes its own). Nil
-// detaches.
+// with QueryOptions.Parallel submit their independent evaluation-order
+// nodes to it as a wavefront; without a pool they run in order on the
+// calling goroutine. The caller retains ownership of the pool
+// (ConcurrentTestbed wires and closes its own). Nil detaches.
 func (tb *Testbed) SetEvalPool(p *sched.Pool) { tb.pool = p }
 
 // NewMemory opens a testbed over an in-memory database.
@@ -298,11 +297,11 @@ type QueryOptions struct {
 	// whether to apply magic sets (the paper's proposed-but-not-
 	// implemented dynamic strategy; see DESIGN.md extensions).
 	Adaptive bool
-	// Parallel evaluates the query on the shared scheduler pool (paper
-	// conclusion 7a): independent PCG nodes run as a dependency
-	// wavefront, each LFP iteration's differentials run concurrently,
-	// and duplicate elimination/termination checking moves from SQL set
-	// differences to hash-partitioned Go-side sets (conclusion 6b).
+	// Parallel evaluates independent PCG nodes as a dependency wavefront
+	// on the shared scheduler pool (paper conclusion 7a at clique
+	// granularity). Each clique runs the sequential LFP routine, so the
+	// statements and the answer are those of a sequential evaluation;
+	// without a pool attached the evaluation is sequential.
 	Parallel bool
 	// Trace records the query's execution as a span tree — compilation
 	// phases, evaluation nodes, LFP iterations with delta cardinalities,
