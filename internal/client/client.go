@@ -18,6 +18,9 @@ import (
 type Client struct {
 	mu   sync.Mutex // serializes request/response exchanges
 	conn net.Conn
+	// buf holds the frame of the exchange in progress: the request, then
+	// its reply, which is decoded before the next exchange reuses buf.
+	buf []byte
 }
 
 // Dial connects to a dkbd server at addr ("host:port").
@@ -37,53 +40,57 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 // Close closes the connection. In-flight calls fail.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// roundTrip sends one request and reads its response, translating a
-// server ERROR frame into a Go error.
-func (c *Client) roundTrip(t wire.MsgType, payload []byte, want wire.MsgType) ([]byte, error) {
+// roundTrip sends one request and decodes its response with decode
+// while it holds c.mu, so the reply's bytes in c.buf are decoded before
+// another exchange overwrites them. A server ERROR frame becomes a Go
+// error.
+func roundTrip[T any](c *Client, t wire.MsgType, payload []byte, want wire.MsgType, decode func([]byte) (T, error)) (T, error) {
+	var zero T
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := wire.WriteFrame(c.conn, t, payload); err != nil {
-		return nil, err
+	c.buf = append(wire.Frame(c.buf, t), payload...)
+	if _, err := wire.WriteFrame(c.conn, c.buf); err != nil {
+		return zero, err
 	}
-	rt, rp, _, err := wire.ReadFrame(c.conn)
+	rt, rp, _, err := wire.ReadFrame(c.conn, c.buf)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
+	c.buf = wire.Reuse(rp)
 	if rt == wire.MsgError {
 		e, derr := wire.DecodeError(rp)
 		if derr != nil {
-			return nil, fmt.Errorf("client: undecodable server error: %v", derr)
+			return zero, fmt.Errorf("client: undecodable server error: %v", derr)
 		}
 		// The code byte maps the failure back onto the dkbms sentinels,
 		// so errors.Is(err, dkbms.ErrParse) etc. work through the wire.
-		return nil, e.Err()
+		return zero, e.Err()
 	}
 	if rt != want {
-		return nil, fmt.Errorf("client: server sent %v, want %v", rt, want)
+		return zero, fmt.Errorf("client: server sent %v, want %v", rt, want)
 	}
-	return rp, nil
+	return decode(rp)
 }
+
+// noPayload decodes the empty PONG and OK replies.
+func noPayload([]byte) (struct{}, error) { return struct{}{}, nil }
 
 // Ping checks liveness.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(wire.MsgPing, nil, wire.MsgPong)
+	_, err := roundTrip(c, wire.MsgPing, nil, wire.MsgPong, noPayload)
 	return err
 }
 
 // Load sends Horn-clause source (facts and rules) to the server's
 // workspace D/KB.
 func (c *Client) Load(src string) error {
-	_, err := c.roundTrip(wire.MsgLoad, wire.Load{Src: src}.Encode(), wire.MsgOK)
+	_, err := roundTrip(c, wire.MsgLoad, wire.Load{Src: src}.Encode(), wire.MsgOK, noPayload)
 	return err
 }
 
 // Query evaluates one query ("?- p(X, y).") on the server.
 func (c *Client) Query(src string, opts wire.QueryOpts) (*wire.Result, error) {
-	rp, err := c.roundTrip(wire.MsgQuery, wire.Query{Src: src, Opts: opts}.Encode(), wire.MsgResult)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeResult(rp)
+	return roundTrip(c, wire.MsgQuery, wire.Query{Src: src, Opts: opts}.Encode(), wire.MsgResult, wire.DecodeResult)
 }
 
 // Stmt is a server-side prepared query, private to this client's session.
@@ -98,11 +105,7 @@ type Stmt struct {
 
 // Prepare compiles a query on the server for repeated execution.
 func (c *Client) Prepare(src string, opts wire.QueryOpts) (*Stmt, error) {
-	rp, err := c.roundTrip(wire.MsgPrepare, wire.Prepare{Src: src, Opts: opts}.Encode(), wire.MsgPrepared)
-	if err != nil {
-		return nil, err
-	}
-	p, err := wire.DecodePrepared(rp)
+	p, err := roundTrip(c, wire.MsgPrepare, wire.Prepare{Src: src, Opts: opts}.Encode(), wire.MsgPrepared, wire.DecodePrepared)
 	if err != nil {
 		return nil, err
 	}
@@ -117,51 +120,28 @@ func (s *Stmt) Exec() (*wire.Result, error) {
 // ExecWithQueryID is Exec under an explicit query ID (0 lets the server
 // mint one); the reply echoes the ID the execution ran under.
 func (s *Stmt) ExecWithQueryID(qid uint64) (*wire.Result, error) {
-	rp, err := s.c.roundTrip(wire.MsgExecP, wire.ExecP{ID: s.ID, QueryID: qid}.Encode(), wire.MsgResult)
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeResult(rp)
+	return roundTrip(s.c, wire.MsgExecP, wire.ExecP{ID: s.ID, QueryID: qid}.Encode(), wire.MsgResult, wire.DecodeResult)
 }
 
 // Retract removes base facts matching pattern (e.g. "parent(john, X)")
 // and reports how many were deleted.
 func (c *Client) Retract(pattern string) (int64, error) {
-	rp, err := c.roundTrip(wire.MsgRetract, wire.Retract{Pattern: pattern}.Encode(), wire.MsgRetracted)
-	if err != nil {
-		return 0, err
-	}
-	r, err := wire.DecodeRetracted(rp)
-	if err != nil {
-		return 0, err
-	}
-	return r.N, nil
+	r, err := roundTrip(c, wire.MsgRetract, wire.Retract{Pattern: pattern}.Encode(), wire.MsgRetracted, wire.DecodeRetracted)
+	return r.N, err
 }
 
 // Stats fetches the server's activity counters.
 func (c *Client) Stats() (wire.ServerStats, error) {
-	rp, err := c.roundTrip(wire.MsgStats, nil, wire.MsgStatsReply)
-	if err != nil {
-		return wire.ServerStats{}, err
-	}
-	return wire.DecodeServerStats(rp)
+	return roundTrip(c, wire.MsgStats, nil, wire.MsgStatsReply, wire.DecodeServerStats)
 }
 
 // Slowlog fetches the server's slow-query log (slowest first).
 func (c *Client) Slowlog() (wire.Slowlog, error) {
-	rp, err := c.roundTrip(wire.MsgSlowlog, nil, wire.MsgSlowlogReply)
-	if err != nil {
-		return wire.Slowlog{}, err
-	}
-	return wire.DecodeSlowlog(rp)
+	return roundTrip(c, wire.MsgSlowlog, nil, wire.MsgSlowlogReply, wire.DecodeSlowlog)
 }
 
 // Views fetches the server's live maintained materialized views, most
 // recently used first.
 func (c *Client) Views() (wire.Views, error) {
-	rp, err := c.roundTrip(wire.MsgViews, nil, wire.MsgViewsReply)
-	if err != nil {
-		return wire.Views{}, err
-	}
-	return wire.DecodeViews(rp)
+	return roundTrip(c, wire.MsgViews, nil, wire.MsgViewsReply, wire.DecodeViews)
 }

@@ -305,3 +305,90 @@ func (d *BlockDecoder) Finish() Block {
 	d.vals = nil
 	return b
 }
+
+// AppendRows appends rows to buf as one encoded block, the form rows
+// travel in off the heap page (a RESULT frame carries one): the column
+// count and a type byte per column, taken from the first row; the row
+// count; then each row's record (Encode) behind its uvarint length. Every
+// row must have the first row's types, as the rows of one relation do.
+func AppendRows(buf []byte, rows []Tuple) []byte {
+	var first Tuple
+	if len(rows) > 0 {
+		first = rows[0]
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(first)))
+	for _, v := range first {
+		buf = append(buf, byte(v.Kind))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	for _, t := range rows {
+		// Encode behind a one-byte length, and move the record up when,
+		// at 128 bytes or more, its length takes more.
+		at := len(buf)
+		buf = t.Encode(append(buf, 0))
+		n := len(buf) - at - 1
+		var l [binary.MaxVarintLen64]byte
+		k := binary.PutUvarint(l[:], uint64(n))
+		if k > 1 {
+			buf = append(buf, l[1:k]...)
+			copy(buf[at+k:], buf[at+1:at+1+n])
+		}
+		copy(buf[at:], l[:k])
+	}
+	return buf
+}
+
+// DecodeRows decodes the block AppendRows wrote at the front of data
+// through one BlockDecoder. It returns the rows — views into one value
+// slab and one string, aliasing nothing of data — and the bytes after the
+// block. The bytes may be untrusted: anything AppendRows would not have
+// written is an error, and a header claiming more rows × columns than
+// data can hold is refused before the slab is allocated, since a record
+// takes at least its length byte and a byte per column.
+func DecodeRows(data []byte) ([]Tuple, []byte, error) {
+	ncols, data, err := readUvarint(data)
+	if err != nil || ncols > uint64(len(data)) {
+		return nil, nil, fmt.Errorf("rel: bad column count in row block")
+	}
+	schema := &Schema{cols: make([]Column, ncols)}
+	for i, t := range data[:ncols] {
+		if Type(t) != TypeInt && Type(t) != TypeString {
+			return nil, nil, fmt.Errorf("rel: unknown type %d for column %d of row block", t, i)
+		}
+		schema.cols[i].Type = Type(t)
+	}
+	nrows, data, err := readUvarint(data[ncols:])
+	// AppendRows takes the types from the first row: no rows, no columns.
+	if err != nil || (nrows == 0 && ncols != 0) || nrows > uint64(len(data))/(ncols+1) {
+		return nil, nil, fmt.Errorf("rel: bad row count in row block of %d columns", ncols)
+	}
+	dec := NewBlockDecoder(schema)
+	dec.Begin(int(nrows), len(data))
+	for i := uint64(0); i < nrows; i++ {
+		n, rest, err := readUvarint(data)
+		if err != nil || n > uint64(len(rest)) {
+			return nil, nil, fmt.Errorf("rel: bad length of record %d in row block", i)
+		}
+		if err := dec.Add(rest[:n]); err != nil {
+			return nil, nil, err
+		}
+		data = rest[n:]
+	}
+	b := dec.Finish()
+	rows := make([]Tuple, b.Len())
+	for i := range rows {
+		rows[i] = b.Row(i)
+	}
+	return rows, data, nil
+}
+
+// readUvarint reads a uvarint as binary.AppendUvarint writes it: a
+// multi-byte uvarint ending in a zero group is a longer spelling of a
+// smaller number, which no encoder writes.
+func readUvarint(data []byte) (uint64, []byte, error) {
+	n, sz := binary.Uvarint(data)
+	if sz <= 0 || (sz > 1 && data[sz-1] == 0) {
+		return 0, nil, fmt.Errorf("rel: bad uvarint")
+	}
+	return n, data[sz:], nil
+}

@@ -34,6 +34,12 @@ type session struct {
 	// the slow log legibly.
 	prepared map[uint64]preparedQuery
 	nextID   uint64
+
+	// rd reads requests, in is the buffer they are read into and out the
+	// one replies are built in, header included. Both buffers are reused
+	// from request to request; wire.Reuse drops one a large frame grew.
+	rd      armedReader
+	in, out []byte
 }
 
 // preparedQuery is one prepared-statement table entry.
@@ -44,13 +50,15 @@ type preparedQuery struct {
 
 func newSession(srv *Server, conn net.Conn) *session {
 	id := srv.nextID.Add(1)
-	return &session{
+	s := &session{
 		srv:      srv,
 		conn:     conn,
 		id:       id,
 		log:      srv.log.With("session", int64(id), "addr", conn.RemoteAddr().String()),
 		prepared: make(map[uint64]preparedQuery),
 	}
+	s.rd.s = s
+	return s
 }
 
 // interruptIdleRead wakes the session if it is blocked waiting for the
@@ -76,7 +84,8 @@ func (s *session) serve(ctx context.Context) {
 		// indefinitely); once the header starts arriving, the rest of the
 		// frame must show up within IOTimeout.
 		s.conn.SetReadDeadline(time.Time{})
-		t, payload, n, err := wire.ReadFrame(&armedReader{s: s})
+		s.rd.armed = false
+		t, payload, n, err := wire.ReadFrame(&s.rd, s.in)
 		if err != nil {
 			if ctx.Err() == nil && err != io.EOF {
 				s.log.Warn("read failed", "seq", s.seq, "err", err)
@@ -88,13 +97,16 @@ func (s *session) serve(ctx context.Context) {
 
 		start := time.Now()
 		s.srv.stats.inFlight.Add(1)
-		respType, respPayload := s.handle(t, payload)
+		frame := s.handle(t, payload)
+		s.in = wire.Reuse(payload)
 		s.srv.stats.inFlight.Add(-1)
 
 		if s.srv.opts.IOTimeout > 0 {
 			s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.IOTimeout))
 		}
-		wn, werr := wire.WriteFrame(s.conn, respType, respPayload)
+		respType := wire.MsgType(frame[4])
+		wn, werr := wire.WriteFrame(s.conn, frame)
+		s.out = wire.Reuse(frame)
 		s.srv.stats.bytesOut.Add(int64(wn))
 		s.srv.stats.observe(time.Since(start), respType == wire.MsgError)
 		if werr != nil {
@@ -127,26 +139,27 @@ func (r *armedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// handle dispatches one request and returns the response frame.
-func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) {
+// handle dispatches one request and returns the reply frame, built in
+// s.out.
+func (s *session) handle(t wire.MsgType, payload []byte) []byte {
 	switch t {
 	case wire.MsgPing:
-		return wire.MsgPong, nil
+		return s.reply(wire.MsgPong, nil)
 
 	case wire.MsgLoad:
 		m, err := wire.DecodeLoad(payload)
 		if err != nil {
-			return errFrame(err)
+			return s.errReply(err)
 		}
 		if err := s.srv.tb.Load(m.Src); err != nil {
-			return errFrame(err)
+			return s.errReply(err)
 		}
-		return wire.MsgOK, nil
+		return s.reply(wire.MsgOK, nil)
 
 	case wire.MsgQuery:
 		m, err := wire.DecodeQuery(payload)
 		if err != nil {
-			return errFrame(err)
+			return s.errReply(err)
 		}
 		opts := m.Opts.ToOptions()
 		return s.runQuery(m.Src, opts.QueryID, func(ctx context.Context, qid uint64) (*dkbms.QueryResult, error) {
@@ -157,52 +170,52 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 	case wire.MsgPrepare:
 		m, err := wire.DecodePrepare(payload)
 		if err != nil {
-			return errFrame(err)
+			return s.errReply(err)
 		}
 		if len(s.prepared) >= maxPreparedPerSession {
-			return errFrame(fmt.Errorf("server: session holds %d prepared queries; close some or reconnect", len(s.prepared)))
+			return s.errReply(fmt.Errorf("server: session holds %d prepared queries; close some or reconnect", len(s.prepared)))
 		}
 		cp, err := s.srv.tb.Prepare(m.Src, m.Opts.ToOptions())
 		if err != nil {
-			return errFrame(err)
+			return s.errReply(err)
 		}
 		s.nextID++
 		id := s.nextID
 		s.prepared[id] = preparedQuery{cp: cp, src: m.Src}
-		return wire.MsgPrepared, wire.Prepared{ID: id, Generation: s.srv.tb.Generation()}.Encode()
+		return s.reply(wire.MsgPrepared, wire.Prepared{ID: id, Generation: s.srv.tb.Generation()}.Encode())
 
 	case wire.MsgExecP:
 		m, err := wire.DecodeExecP(payload)
 		if err != nil {
-			return errFrame(err)
+			return s.errReply(err)
 		}
 		pq, ok := s.prepared[m.ID]
 		if !ok {
-			return errFrame(fmt.Errorf("server: no prepared query %d in this session", m.ID))
+			return s.errReply(fmt.Errorf("server: no prepared query %d in this session", m.ID))
 		}
 		return s.runQuery(pq.src, m.QueryID, pq.cp.Run)
 
 	case wire.MsgRetract:
 		m, err := wire.DecodeRetract(payload)
 		if err != nil {
-			return errFrame(err)
+			return s.errReply(err)
 		}
 		n, err := s.srv.tb.RetractSrc(m.Pattern)
 		if err != nil {
-			return errFrame(err)
+			return s.errReply(err)
 		}
-		return wire.MsgRetracted, wire.Retracted{N: int64(n)}.Encode()
+		return s.reply(wire.MsgRetracted, wire.Retracted{N: int64(n)}.Encode())
 
 	case wire.MsgStats:
-		return wire.MsgStatsReply, s.srv.Stats().Encode()
+		return s.reply(wire.MsgStatsReply, s.srv.Stats().Encode())
 
 	case wire.MsgSlowlog:
-		return wire.MsgSlowlogReply, wire.Slowlog{
+		return s.reply(wire.MsgSlowlogReply, wire.Slowlog{
 			ThresholdNs: int64(s.srv.slow.Threshold()),
 			Capacity:    int64(s.srv.slow.Capacity()),
 			Recorded:    s.srv.slow.Recorded(),
 			Entries:     s.srv.slow.Snapshot(),
-		}.Encode()
+		}.Encode())
 
 	case wire.MsgViews:
 		views := s.srv.tb.Views()
@@ -217,10 +230,10 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 				LastMaintain:    v.LastDuration,
 			})
 		}
-		return wire.MsgViewsReply, m.Encode()
+		return s.reply(wire.MsgViewsReply, m.Encode())
 
 	default:
-		return errFrame(fmt.Errorf("server: unknown request type %v", t))
+		return s.errReply(fmt.Errorf("server: unknown request type %v", t))
 	}
 }
 
@@ -228,7 +241,7 @@ func (s *session) handle(t wire.MsgType, payload []byte) (wire.MsgType, []byte) 
 // query ID or mints one, so every execution is identifiable across the
 // result echo, the structured log and the slow-query ring; run evaluates
 // under the serve context, so shutdown cancels either kind.
-func (s *session) runQuery(src string, qid uint64, run func(context.Context, uint64) (*dkbms.QueryResult, error)) (wire.MsgType, []byte) {
+func (s *session) runQuery(src string, qid uint64, run func(context.Context, uint64) (*dkbms.QueryResult, error)) []byte {
 	if qid == 0 {
 		qid = obs.NewQueryID()
 	}
@@ -237,9 +250,9 @@ func (s *session) runQuery(src string, qid uint64, run func(context.Context, uin
 	res, err := run(s.ctx, qid)
 	s.recordSlow(src, start, res, err, qid)
 	if err != nil {
-		return errFrame(err)
+		return s.errReply(err)
 	}
-	return wire.MsgResult, encodeResult(res)
+	return s.resultFrame(res)
 }
 
 // recordSlow enters one query execution into the server's slow-query
@@ -270,11 +283,19 @@ func (s *session) recordSlow(src string, start time.Time, res *dkbms.QueryResult
 	}
 }
 
-func errFrame(err error) (wire.MsgType, []byte) {
-	return wire.MsgError, wire.Error{Code: wire.CodeFor(err), Msg: err.Error()}.Encode()
+// reply builds in s.out the frame of a reply whose payload is encoded.
+func (s *session) reply(t wire.MsgType, payload []byte) []byte {
+	return append(wire.Frame(s.out, t), payload...)
 }
 
-func encodeResult(res *dkbms.QueryResult) []byte {
+func (s *session) errReply(err error) []byte {
+	return s.reply(wire.MsgError, wire.Error{Code: wire.CodeFor(err), Msg: err.Error()}.Encode())
+}
+
+// resultFrame encodes a RESULT frame straight into s.out: once the
+// buffer has grown to the answer, a memo hit is encoded without
+// allocating.
+func (s *session) resultFrame(res *dkbms.QueryResult) []byte {
 	return wire.Result{
 		Vars:      res.Vars,
 		Rows:      res.Rows,
@@ -282,5 +303,5 @@ func encodeResult(res *dkbms.QueryResult) []byte {
 		Strategy:  res.Strategy.String(),
 		Trace:     res.Trace.Root(),
 		QueryID:   res.QueryID,
-	}.Encode()
+	}.Append(wire.Frame(s.out, wire.MsgResult))
 }

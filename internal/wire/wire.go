@@ -5,12 +5,21 @@
 //
 //	uint32 big-endian payload length | uint8 message type | payload
 //
-// and payloads use the same compact primitives as the storage layer:
-// uvarint-prefixed strings, varint integers, and tagged values. The
-// protocol is deliberately small — seven request types mirroring the
+// and payloads are built from uvarint-prefixed strings and varint
+// integers. A RESULT's rows travel as one rel.AppendRows block — the
+// column types once, then each row's record in the storage encoding
+// behind its length — which the client decodes a block at a time through
+// rel.BlockDecoder, the decoder heap pages use. The
+// protocol is deliberately small — request types mirroring the
 // testbed's public operations (PING, LOAD, QUERY, PREPARE, EXECP,
-// RETRACT, STATS) and their replies — so that a session is a strict
-// request/response alternation over one TCP connection.
+// RETRACT, STATS, SLOWLOG, VIEWS) and their replies — so that a session
+// is a strict request/response alternation over one TCP connection.
+//
+// Each end of a connection builds and reads frames in buffers it owns:
+// Frame begins a frame in one, WriteFrame completes its header and
+// writes it, ReadFrame reads into one, and Reuse hands a buffer back for
+// the next frame. Decoders copy what they keep, so a payload may be
+// overwritten once it is decoded.
 package wire
 
 import (
@@ -105,38 +114,66 @@ func (t MsgType) String() string {
 	}
 }
 
-// WriteFrame writes one frame. It returns the number of bytes written
-// (the server's traffic counters use it).
-func WriteFrame(w io.Writer, t MsgType, payload []byte) (int, error) {
-	if len(payload) > MaxFrameSize {
-		return 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", len(payload), MaxFrameSize)
-	}
-	hdr := make([]byte, 5, 5+len(payload))
-	binary.BigEndian.PutUint32(hdr, uint32(len(payload)))
-	hdr[4] = byte(t)
-	return w.Write(append(hdr, payload...))
+// Frame begins a frame of type t in buf's storage: it returns buf[:0]
+// followed by the 5-byte header WriteFrame completes. Append the payload
+// to it.
+func Frame(buf []byte, t MsgType) []byte {
+	return append(buf[:0], 0, 0, 0, 0, byte(t))
 }
 
-// ReadFrame reads one frame, returning its type, payload and total size
-// on the wire. io.EOF is returned unwrapped on a clean close before the
-// first header byte.
-func ReadFrame(r io.Reader) (MsgType, []byte, int, error) {
-	var hdr [5]byte
+// WriteFrame completes the header of a frame begun with Frame and writes
+// the frame. It returns the number of bytes written (the server's
+// traffic counters use it).
+func WriteFrame(w io.Writer, frame []byte) (int, error) {
+	n := len(frame) - 5
+	if n > MaxFrameSize {
+		return 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFrameSize)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return w.Write(frame)
+}
+
+// ReadFrame reads one frame into buf's storage, allocating only when
+// the frame does not fit, and returns its type, payload and total size
+// on the wire. The payload is buf's storage: decode it before reading
+// the next frame into buf. io.EOF is returned unwrapped on a clean close
+// before the first header byte.
+func ReadFrame(r io.Reader, buf []byte) (MsgType, []byte, int, error) {
+	if cap(buf) < 5 {
+		buf = make([]byte, 5)
+	}
+	hdr := buf[:5]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return 0, nil, 0, err // clean EOF between frames
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		return 0, nil, 0, fmt.Errorf("wire: truncated frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n, t := binary.BigEndian.Uint32(hdr), MsgType(hdr[4])
 	if n > MaxFrameSize {
 		return 0, nil, 0, fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFrameSize)
 	}
-	payload := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, 0, fmt.Errorf("wire: truncated frame payload: %w", err)
 	}
-	return MsgType(hdr[4]), payload, 5 + int(n), nil
+	return t, payload, 5 + int(n), nil
+}
+
+// maxReused is the largest frame buffer Reuse keeps.
+const maxReused = 64 << 10
+
+// Reuse returns buf emptied for the next frame, or nil once a frame grew
+// it past 64 KiB, so that one large answer does not pin its memory for
+// the life of the connection.
+func Reuse(buf []byte) []byte {
+	if cap(buf) > maxReused {
+		return nil
+	}
+	return buf[:0]
 }
 
 // --- Encoding primitives ---
@@ -147,62 +184,31 @@ func appendString(buf []byte, s string) []byte {
 }
 
 func readString(buf []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf)-sz) {
+	n, rest, err := readUvarint(buf)
+	if err != nil || n > uint64(len(rest)) {
 		return "", nil, fmt.Errorf("wire: corrupt string field")
 	}
-	return string(buf[sz : sz+int(n)]), buf[sz+int(n):], nil
+	return string(rest[:n]), rest[n:], nil
 }
 
+// readUvarint reads a uvarint as binary.AppendUvarint writes it. A
+// multi-byte uvarint ending in a zero group is a longer spelling of a
+// smaller number, which no encoder writes.
 func readUvarint(buf []byte) (uint64, []byte, error) {
 	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
+	if sz <= 0 || sz > 1 && buf[sz-1] == 0 {
 		return 0, nil, fmt.Errorf("wire: corrupt uvarint field")
 	}
 	return n, buf[sz:], nil
 }
 
+// readVarint reads a varint, which is a zig-zagged uvarint.
 func readVarint(buf []byte) (int64, []byte, error) {
 	n, sz := binary.Varint(buf)
-	if sz <= 0 {
+	if sz <= 0 || sz > 1 && buf[sz-1] == 0 {
 		return 0, nil, fmt.Errorf("wire: corrupt varint field")
 	}
 	return n, buf[sz:], nil
-}
-
-func appendValue(buf []byte, v rel.Value) []byte {
-	buf = append(buf, byte(v.Kind))
-	switch v.Kind {
-	case rel.TypeInt:
-		buf = binary.AppendVarint(buf, v.Int)
-	case rel.TypeString:
-		buf = appendString(buf, v.Str)
-	}
-	return buf
-}
-
-func readValue(buf []byte) (rel.Value, []byte, error) {
-	if len(buf) < 1 {
-		return rel.Value{}, nil, fmt.Errorf("wire: corrupt value field")
-	}
-	kind := rel.Type(buf[0])
-	buf = buf[1:]
-	switch kind {
-	case rel.TypeInt:
-		n, rest, err := readVarint(buf)
-		if err != nil {
-			return rel.Value{}, nil, err
-		}
-		return rel.NewInt(n), rest, nil
-	case rel.TypeString:
-		s, rest, err := readString(buf)
-		if err != nil {
-			return rel.Value{}, nil, err
-		}
-		return rel.NewString(s), rest, nil
-	default:
-		return rel.Value{}, nil, fmt.Errorf("wire: unknown value kind %d", kind)
-	}
 }
 
 // --- Query options ---
@@ -230,11 +236,9 @@ const (
 	optAdaptive
 	optParallel
 	optTrace
-	// optQueryID marks a query-ID uvarint trailing the source string.
-	// Decode-tolerant in both directions: ID-less frames are
-	// byte-identical to the old encoding, and a server from before query
-	// IDs ignores the unknown bit and the trailing bytes (it just mints
-	// no echo).
+	// optQueryID marks a query-ID uvarint trailing the source string. It
+	// is set exactly when the ID is non-zero, so an ID-less QUERY ends at
+	// its source.
 	optQueryID
 )
 
@@ -368,7 +372,7 @@ func DecodePrepare(p []byte) (Prepare, error) {
 type ExecP struct {
 	ID uint64
 	// QueryID tags this execution (0 = none; the server mints one).
-	// Trailing field: absent from old peers' payloads, decoded as zero.
+	// Trailing field, omitted when 0.
 	QueryID uint64
 }
 
@@ -381,8 +385,8 @@ func (m ExecP) Encode() []byte {
 	return buf
 }
 
-// DecodeExecP parses an EXECP payload. The trailing query ID is
-// optional: an old peer's payload ends at the statement id.
+// DecodeExecP parses an EXECP payload. A payload that ends at the
+// statement id has query ID 0.
 func DecodeExecP(p []byte) (ExecP, error) {
 	id, rest, err := readUvarint(p)
 	if err != nil {
@@ -561,7 +565,13 @@ const (
 )
 
 // Encode renders the payload.
-func (m Result) Encode() []byte {
+func (m Result) Encode() []byte { return m.Append(nil) }
+
+// Append appends the payload to buf: the flags, strategy and vars; the
+// rows as one rel.AppendRows block, records in the storage encoding
+// under the first row's column types; then the query ID and the trace
+// when the flags say so.
+func (m Result) Append(buf []byte) []byte {
 	var flags byte
 	if m.Optimized {
 		flags |= resultOptimized
@@ -572,19 +582,12 @@ func (m Result) Encode() []byte {
 	if m.QueryID != 0 {
 		flags |= resultQueryID
 	}
-	buf := []byte{flags}
-	buf = appendString(buf, m.Strategy)
+	buf = appendString(append(buf, flags), m.Strategy)
 	buf = binary.AppendUvarint(buf, uint64(len(m.Vars)))
 	for _, v := range m.Vars {
 		buf = appendString(buf, v)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(m.Rows)))
-	for _, tu := range m.Rows {
-		buf = binary.AppendUvarint(buf, uint64(len(tu)))
-		for _, v := range tu {
-			buf = appendValue(buf, v)
-		}
-	}
+	buf = rel.AppendRows(buf, m.Rows)
 	if m.QueryID != 0 {
 		buf = binary.AppendUvarint(buf, m.QueryID)
 	}
@@ -666,6 +669,9 @@ func readSpan(buf []byte, depth int, nodes *int) (*obs.Span, []byte, error) {
 		}
 		tag := buf[0]
 		buf = buf[1:]
+		if tag > 1 {
+			return nil, nil, fmt.Errorf("wire: corrupt trace attr tag %d", tag)
+		}
 		if tag == 1 {
 			a.IsStr = true
 			if a.Str, buf, err = readString(buf); err != nil {
@@ -695,10 +701,15 @@ func readSpan(buf []byte, depth int, nodes *int) (*obs.Span, []byte, error) {
 	return s, buf, nil
 }
 
-// DecodeResult parses a RESULT payload.
+// DecodeResult parses a RESULT payload. Its rows come from
+// rel.DecodeRows: views into one value slab and one string, aliasing
+// nothing of p.
 func DecodeResult(p []byte) (*Result, error) {
 	if len(p) < 1 {
 		return nil, fmt.Errorf("wire: empty RESULT payload")
+	}
+	if p[0]&^(resultOptimized|resultTrace|resultQueryID) != 0 {
+		return nil, fmt.Errorf("wire: unknown RESULT flags %#x", p[0])
 	}
 	m := &Result{Optimized: p[0]&resultOptimized != 0}
 	var err error
@@ -719,41 +730,25 @@ func DecodeResult(p []byte) (*Result, error) {
 			return nil, err
 		}
 	}
-	nrows, buf, err := readUvarint(buf)
-	if err != nil {
+	if m.Rows, buf, err = rel.DecodeRows(buf); err != nil {
 		return nil, err
-	}
-	if nrows > uint64(len(buf))+1 {
-		return nil, fmt.Errorf("wire: corrupt RESULT row count")
-	}
-	m.Rows = make([]rel.Tuple, 0, nrows)
-	for i := uint64(0); i < nrows; i++ {
-		arity, rest, err := readUvarint(buf)
-		if err != nil {
-			return nil, err
-		}
-		buf = rest
-		if arity > uint64(len(buf))+1 {
-			return nil, fmt.Errorf("wire: corrupt RESULT arity")
-		}
-		tu := make(rel.Tuple, arity)
-		for j := range tu {
-			if tu[j], buf, err = readValue(buf); err != nil {
-				return nil, err
-			}
-		}
-		m.Rows = append(m.Rows, tu)
 	}
 	if p[0]&resultQueryID != 0 {
 		if m.QueryID, buf, err = readUvarint(buf); err != nil {
 			return nil, err
 		}
+		if m.QueryID == 0 {
+			return nil, fmt.Errorf("wire: RESULT flags a zero query ID")
+		}
 	}
 	if p[0]&resultTrace != 0 {
 		var nodes int
-		if m.Trace, _, err = readSpan(buf, 0, &nodes); err != nil {
+		if m.Trace, buf, err = readSpan(buf, 0, &nodes); err != nil {
 			return nil, err
 		}
+	}
+	if len(buf) > 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after RESULT", len(buf))
 	}
 	return m, nil
 }

@@ -2,9 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -17,46 +19,58 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello")
-	wn, err := WriteFrame(&buf, MsgQuery, payload)
+	frame := append(Frame(make([]byte, 3, 64), MsgQuery), payload...)
+	wn, err := WriteFrame(&buf, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wn != 5+len(payload) {
 		t.Fatalf("wrote %d bytes, want %d", wn, 5+len(payload))
 	}
-	ty, got, rn, err := ReadFrame(&buf)
+	// The frame reads back into the buffer it was built in.
+	ty, got, rn, err := ReadFrame(&buf, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ty != MsgQuery || string(got) != "hello" || rn != wn {
 		t.Fatalf("read %v %q (%d bytes)", ty, got, rn)
 	}
+	if &got[0] != &frame[0] {
+		t.Fatal("a payload that fits was not read into the caller's buffer")
+	}
 	// Clean EOF between frames is io.EOF, undecorated.
-	if _, _, _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, _, err := ReadFrame(&buf, nil); err != io.EOF {
 		t.Fatalf("EOF read: %v", err)
+	}
+	// A buffer past 64 KiB is dropped, a smaller one kept and emptied.
+	if Reuse(make([]byte, 10, maxReused+1)) != nil {
+		t.Fatal("Reuse kept a buffer larger than 64 KiB")
+	}
+	if b := Reuse(frame); len(b) != 0 || cap(b) != cap(frame) {
+		t.Fatalf("Reuse(%d-byte buffer) = len %d cap %d", cap(frame), len(b), cap(b))
 	}
 }
 
 func TestFrameLimit(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, MsgLoad, make([]byte, MaxFrameSize+1)); err == nil {
+	if _, err := WriteFrame(&buf, append(Frame(nil, MsgLoad), make([]byte, MaxFrameSize+1)...)); err == nil {
 		t.Fatal("oversized write accepted")
 	}
 	// An adversarial header with a huge length must be refused without
 	// allocating the payload.
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, byte(MsgLoad)})
-	if _, _, _, err := ReadFrame(&buf); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if _, _, _, err := ReadFrame(&buf, nil); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized read: %v", err)
 	}
 }
 
 func TestTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, MsgPing, []byte("abc")); err != nil {
+	if _, err := WriteFrame(&buf, append(Frame(nil, MsgPing), "abc"...)); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-2]
-	_, _, _, err := ReadFrame(bytes.NewReader(trunc))
+	_, _, _, err := ReadFrame(bytes.NewReader(trunc), nil)
 	if err == nil || err == io.EOF {
 		t.Fatalf("truncated read: %v", err)
 	}
@@ -133,6 +147,85 @@ func TestResultRoundTrip(t *testing.T) {
 	empty, err := DecodeResult(Result{Strategy: "naive"}.Encode())
 	if err != nil || len(empty.Rows) != 0 || len(empty.Vars) != 0 {
 		t.Fatalf("empty result: %+v %v", empty, err)
+	}
+
+	// Rows of every shape the storage encoding has, with and without
+	// Vars (benchmark/callers.go encodes a Result of rows alone). Each
+	// decoded row is a view whose capacity is its length, and nothing of
+	// it aliases the payload.
+	long := strings.Repeat("é", 100) // 200 bytes: a two-byte length
+	for _, rows := range [][]rel.Tuple{
+		{{rel.NewInt(1 << 40), rel.NewString("")}, {rel.NewInt(-1), rel.NewString(long)}},
+		{{rel.NewString(long)}, {rel.NewString("a")}, {rel.NewString("")}},
+		{{rel.NewInt(0)}},
+		{{}, {}, {}},
+	} {
+		p := Result{Rows: rows, Strategy: "naive"}.Encode()
+		out, err := DecodeResult(p)
+		if err != nil {
+			t.Fatalf("%v: %v", rows, err)
+		}
+		for i := range p {
+			p[i] = 0xFF
+		}
+		if len(out.Rows) != len(rows) {
+			t.Fatalf("%v decoded as %v", rows, out.Rows)
+		}
+		for i, row := range out.Rows {
+			if cap(row) != len(row) || rel.CompareTuples(row, rows[i]) != 0 {
+				t.Fatalf("row %d = %v (cap %d), want %v", i, row, cap(row), rows[i])
+			}
+		}
+	}
+}
+
+// TestResultHeaderBound sends RESULT headers that claim far more rows ×
+// columns than their bytes can hold: each is refused before a value slab
+// is allocated for the claim.
+func TestResultHeaderBound(t *testing.T) {
+	pad := func(p []byte) []byte { return append(p, make([]byte, 16-len(p))...) }
+	var claims [][]byte
+	// 2^20 columns, 2^20 rows.
+	claims = append(claims, pad(binary.AppendUvarint(binary.AppendUvarint([]byte{0, 0, 0}, 1<<20), 1<<20)))
+	// One int column, 2^20 rows.
+	claims = append(claims, pad(binary.AppendUvarint([]byte{0, 0, 0, 1, byte(rel.TypeInt)}, 1<<20)))
+	// Zero-width rows, 2^20 of them.
+	claims = append(claims, pad(binary.AppendUvarint([]byte{0, 0, 0, 0}, 1<<20)))
+	for _, p := range claims {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeResult(p)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("DecodeResult(%x) accepted", p)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+			t.Fatalf("DecodeResult(%x) allocated %d bytes before failing", p, grew)
+		}
+	}
+}
+
+// TestDecodeResultAllocs pins the decode of a one-column RESULT to a
+// number of objects that does not grow with its rows: one value slab
+// and one string per reply, not a tuple per row and a string per value.
+func TestDecodeResultAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	allocs := func(n int) float64 {
+		rows := make([]rel.Tuple, n)
+		for i := range rows {
+			rows[i] = rel.Tuple{rel.NewString(fmt.Sprintf("c%d", i))}
+		}
+		p := Result{Vars: []string{"X"}, Rows: rows, Strategy: "semi-naive"}.Encode()
+		return testing.AllocsPerRun(50, func() {
+			if _, err := DecodeResult(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(510); few != many {
+		t.Fatalf("decoding 10 rows allocates %v objects, 510 rows %v", few, many)
 	}
 }
 
@@ -328,6 +421,11 @@ func TestViewsRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeErr adapts a decoder to the one shape TestDecodeCorrupt drives.
+func decodeErr[T any](decode func([]byte) (T, error)) func([]byte) error {
+	return func(p []byte) error { _, err := decode(p); return err }
+}
+
 func TestDecodeCorrupt(t *testing.T) {
 	// None of the decoders may panic or succeed on truncated payloads.
 	corrupt := [][]byte{nil, {}, {0xFF}, {0x05, 'a'}}
@@ -343,13 +441,58 @@ func TestDecodeCorrupt(t *testing.T) {
 			t.Errorf("DecodeServerStats(%v) accepted", p)
 		}
 	}
-	// A STATSREPLY carries every field: one that stops short of the last
-	// is truncated, whichever field it stops at.
-	stats := ServerStats{Requests: 7, Generation: 3, Queries: 5}.Encode()
-	for cut := 1; cut <= len(stats); cut++ {
-		if _, err := DecodeServerStats(stats[:len(stats)-cut]); err == nil {
-			t.Errorf("DecodeServerStats accepted a payload %d bytes short", cut)
+
+	// Every message carries every field it declares, so each proper
+	// prefix of a valid payload is truncated, whichever field it stops
+	// in. DecodeExecP is exempt: ExecP's query ID is omitted when it is
+	// 0, so its payload cut before the ID is the valid encoding of the
+	// same statement id without one.
+	tr := &obs.Span{Name: "query", Duration: time.Millisecond, Attrs: []obs.Attr{{Key: "n", Int: 300}, {Key: "s", IsStr: true, Str: "v"}},
+		Children: []*obs.Span{{Name: "eval", Offset: time.Microsecond}}}
+	res := Result{
+		Vars:     []string{"X", "S"},
+		Rows:     []rel.Tuple{{rel.NewInt(1), rel.NewString("")}, {rel.NewInt(-2), rel.NewString(strings.Repeat("y", 200))}},
+		Strategy: "semi-naive",
+	}
+	withTrace, withID, withBoth := res, res, res
+	withTrace.Trace, withID.QueryID = tr, 0xdeadbeef
+	withBoth.Trace, withBoth.QueryID = tr, 0xdeadbeef
+	slow := Slowlog{ThresholdNs: 5, Capacity: 8, Recorded: 2, Entries: []obs.SlowQuery{
+		{Query: "?- a(X).", Latency: time.Millisecond, Cache: "miss", Rows: 3, QueryID: 9, Trace: tr},
+		{Query: "?- b(", Err: "parse error"},
+	}}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"RESULT", res.Encode(), decodeErr(DecodeResult)},
+		{"RESULT+trace", withTrace.Encode(), decodeErr(DecodeResult)},
+		{"RESULT+query ID", withID.Encode(), decodeErr(DecodeResult)},
+		{"RESULT+query ID+trace", withBoth.Encode(), decodeErr(DecodeResult)},
+		{"RESULT with no rows", Result{Vars: []string{"X"}, Strategy: "naive"}.Encode(), decodeErr(DecodeResult)},
+		{"QUERY", Query{Src: "?- a(X).", Opts: QueryOpts{Naive: true}}.Encode(), decodeErr(DecodeQuery)},
+		{"QUERY+query ID", Query{Src: "?- a(X).", Opts: QueryOpts{QueryID: 1 << 40}}.Encode(), decodeErr(DecodeQuery)},
+		{"PREPARE", Prepare{Src: "?- b(Y).", Opts: QueryOpts{Trace: true}}.Encode(), decodeErr(DecodePrepare)},
+		{"PREPARED", Prepared{ID: 300, Generation: 70000}.Encode(), decodeErr(DecodePrepared)},
+		{"ERROR", Error{Code: CodeParse, Msg: "boom"}.Encode(), decodeErr(DecodeError)},
+		{"RETRACTED", Retracted{N: -300}.Encode(), decodeErr(DecodeRetracted)},
+		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Policy: "auto", Rows: 300, LastMaintain: time.Second}}}.Encode(), decodeErr(DecodeViews)},
+		{"SLOWLOG", slow.Encode(), decodeErr(DecodeSlowlog)},
+		{"STATSREPLY", ServerStats{Requests: 7, Generation: 3, Queries: 5}.Encode(), decodeErr(DecodeServerStats)},
+	} {
+		if err := c.decode(c.payload); err != nil {
+			t.Errorf("%s: the whole payload fails: %v", c.name, err)
 		}
+		for n := 0; n < len(c.payload); n++ {
+			if c.decode(c.payload[:n]) == nil {
+				t.Errorf("%s: accepted the first %d of %d bytes", c.name, n, len(c.payload))
+			}
+		}
+	}
+	// A RESULT ends at its last field.
+	if _, err := DecodeResult(append(res.Encode(), 0)); err == nil {
+		t.Error("DecodeResult accepted a trailing byte")
 	}
 }
 
@@ -423,8 +566,8 @@ func TestDecodeSlowlogCorrupt(t *testing.T) {
 }
 
 // TestQueryIDRoundTrip drives the wire-propagated query ID through the
-// QUERY, EXECP and RESULT frames, and checks the ID-less encodings stay
-// byte-identical to the pre-telemetry layout (old peers decode them).
+// QUERY, EXECP and RESULT frames, and checks an ID-less frame carries no
+// ID bytes or bits.
 func TestQueryIDRoundTrip(t *testing.T) {
 	const qid = 0xdeadbeefcafe
 
@@ -439,15 +582,14 @@ func TestQueryIDRoundTrip(t *testing.T) {
 		t.Fatalf("ID-less QUERY grew: flags=%x len=%d", plain[0], len(plain))
 	}
 
-	// EXECP: the ID is a decode-tolerant trailing field.
+	// EXECP: the ID is a trailing field, omitted when 0.
 	e, err := DecodeExecP(ExecP{ID: 9, QueryID: qid}.Encode())
 	if err != nil || e.ID != 9 || e.QueryID != qid {
 		t.Fatalf("execp with id: %+v %v", e, err)
 	}
-	// An old peer's payload ends at the statement id.
 	old, err := DecodeExecP(ExecP{ID: 9}.Encode())
 	if err != nil || old.ID != 9 || old.QueryID != 0 {
-		t.Fatalf("old-peer execp: %+v %v", old, err)
+		t.Fatalf("ID-less execp: %+v %v", old, err)
 	}
 	if len(ExecP{ID: 9}.Encode()) != 1 {
 		t.Fatalf("ID-less EXECP grew: %d bytes", len(ExecP{ID: 9}.Encode()))
