@@ -1,6 +1,7 @@
 package dkbms_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -8,9 +9,9 @@ import (
 )
 
 // TestClosedTestbed is the regression test for the Close contract:
-// every operation on a closed testbed — including running a Prepared
-// built before the close — fails with ErrClosed rather than reaching
-// the flushed database.
+// every operation on a closed testbed — including running a prepared
+// statement built before the close — fails with ErrClosed rather than
+// reaching the flushed database.
 func TestClosedTestbed(t *testing.T) {
 	tb := dkbms.NewMemory()
 	tb.MustLoad(`
@@ -18,31 +19,34 @@ func TestClosedTestbed(t *testing.T) {
 		ancestor(X, Y) :- parent(X, Y).
 		ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 	`)
-	prep, err := tb.Prepare("?- ancestor(john, W).", nil)
+	c := dkbms.NewConcurrent(tb)
+	prep, err := c.Prepare("?- ancestor(john, W).", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prep.Run(); err != nil {
+	if _, err := prep.Run(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
-	}
-	if !tb.Closed() {
-		t.Fatal("Closed() = false after Close")
 	}
 
 	checks := []struct {
 		name string
 		err  error
 	}{
-		{"Close", tb.Close()},
-		{"Load", tb.Load("parent(ann, sue).")},
-		{"Query", func() error { _, err := tb.Query("?- ancestor(john, W).", nil); return err }()},
-		{"Prepare", func() error { _, err := tb.Prepare("?- ancestor(john, W).", nil); return err }()},
-		{"Prepared.Run", func() error { _, err := prep.Run(); return err }()},
-		{"Update", func() error { _, err := tb.Update(); return err }()},
-		{"Retract", func() error { _, err := tb.RetractSrc("parent(john, X)"); return err }()},
+		{"Close", c.Close()},
+		{"Testbed.Close", tb.Close()},
+		{"Load", c.Load("parent(ann, sue).")},
+		{"Testbed.Load", tb.Load("parent(ann, sue).")},
+		{"Query", func() error { _, err := c.Query("?- ancestor(john, W).", nil); return err }()},
+		{"Testbed.Query", func() error { _, err := tb.Query("?- ancestor(john, W).", nil); return err }()},
+		{"Prepare", func() error { _, err := c.Prepare("?- ancestor(john, W).", nil); return err }()},
+		{"ConcurrentPrepared.Run", func() error { _, err := prep.Run(context.Background(), 0); return err }()},
+		{"Update", func() error { _, err := c.Update(); return err }()},
+		{"Testbed.Update", func() error { _, err := tb.Update(); return err }()},
+		{"Retract", func() error { _, err := c.RetractSrc("parent(john, X)"); return err }()},
+		{"Testbed.Retract", func() error { _, err := tb.RetractSrc("parent(john, X)"); return err }()},
 		{"CreateFactIndex", tb.CreateFactIndex("parent", 0)},
 	}
 	for _, c := range checks {

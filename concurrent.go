@@ -32,7 +32,7 @@ import (
 //     at one commit boundary. Pinning is an atomic pointer load plus a
 //     reference count — readers never take a lock a writer holds, so a
 //     long LOAD or RETRACT no longer convoys the whole read side;
-//   - Load, Assert, Retract and Update serialize on a commit mutex,
+//   - Load, Retract and Update serialize on a commit mutex,
 //     copy only the tables they touch (copy-on-write at table
 //     granularity), apply themselves to the copies, and publish the
 //     successor snapshot atomically. In-flight queries keep reading the
@@ -52,7 +52,7 @@ import (
 //
 // The zero value is not usable; wrap an open Testbed with NewConcurrent.
 type ConcurrentTestbed struct {
-	// commitMu serializes the write path (footprint analysis, table
+	// commitMu serializes the write path (planning, table
 	// copies, the update itself, snapshot publication) and Close. The
 	// read path never takes it.
 	commitMu sync.Mutex
@@ -250,184 +250,61 @@ func (c *ConcurrentTestbed) publishEvent(buildCost time.Duration, ev *matview.Ev
 		tables[name] = t
 	}
 	prev := c.snaps.Current()
-	s := c.snaps.Publish(tables, c.tb.ruleGen, c.tb.dataGen, c.tb.ws, buildCost)
+	s := c.snaps.Publish(tables, c.tb.ruleGen, c.tb.ws, buildCost)
 	c.plans.Invalidate(prev, s, ev)
+}
+
+// commit runs one write as a copy-on-write commit. It plans the write
+// under commitMu, so what the plan read still holds when it applies;
+// clones the workspace when rules move; shadows the plan's tables and
+// applies; and publishes the event the plan implies. A plan that mutates
+// nothing publishes nothing. A failed apply publishes with no event: a
+// partial write may have moved tables the planned deltas no longer
+// describe.
+func (c *ConcurrentTestbed) commit(plan func() (write, error)) (write, error) {
+	//dkblint:locksafe single-writer commit protocol: writers serialize on commitMu through copy-and-publish I/O; readers never take it
+	c.commitMu.Lock()
+	defer c.commitMu.Unlock()
+	if c.closed.Load() {
+		return write{}, ErrClosed
+	}
+	w, err := plan()
+	if err != nil || w.apply == nil {
+		return w, err
+	}
+	if w.rules {
+		// Pinned snapshots hold the current workspace; mutate a clone.
+		c.tb.ws = c.tb.ws.Clone()
+		c.tb.ruleGen++
+	}
+	cost, err := c.shadow(w.tables)
+	if err == nil {
+		err = w.apply()
+	}
+	if err != nil {
+		c.publish(cost)
+		return w, err
+	}
+	ev := &matview.Event{Kind: matview.EventCommit, Deltas: w.deltas}
+	if w.rules {
+		ev = &matview.Event{Kind: matview.EventRuleGen}
+	}
+	c.publishEvent(cost, ev)
+	return w, nil
 }
 
 // Load enters a Horn-clause program as one commit: the fact relations
 // it appends to are copied, rules go to a fresh workspace clone, and
 // the result is published as the next snapshot.
 func (c *ConcurrentTestbed) Load(src string) error {
-	//dkblint:locksafe single-writer commit protocol: writers serialize on commitMu through copy-and-publish I/O; readers never take it
-	c.commitMu.Lock()
-	defer c.commitMu.Unlock()
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	prog, err := dlog.ParseProgram(src)
-	if err != nil {
-		return parseErr(err)
-	}
-	if len(prog.Queries) > 0 {
-		return fmt.Errorf("%w: Load input contains a query; use Query", ErrSemantic)
-	}
-	// Commit footprint: one table per fact predicate, the extensional
-	// dictionary when a new relation will be created, a workspace clone
-	// when rules will be added.
-	cat := c.tb.db.Catalog()
-	var tables []string
-	seen := make(map[string]int) // table -> 1 + index into deltas (0 = unseen)
-	var deltas []matview.TableDelta
-	hasRules, newTable := false, false
-	for _, cl := range prog.Clauses {
-		if !cl.IsFact() {
-			hasRules = true
-			continue
-		}
-		t := BaseTableName(cl.Head.Pred)
-		if seen[t] == 0 {
-			if cat.Table(t) != nil {
-				tables = append(tables, t)
-				deltas = append(deltas, matview.TableDelta{Table: t})
-				seen[t] = len(deltas)
-			} else {
-				// A fresh relation bumps the rule generation, which
-				// already re-derives every memo; no delta needed.
-				newTable = true
-				seen[t] = -1
-			}
-		}
-		if di := seen[t]; di > 0 {
-			tu := make(rel.Tuple, len(cl.Head.Args))
-			for i, a := range cl.Head.Args {
-				tu[i] = a.Val
-			}
-			deltas[di-1].Inserted = append(deltas[di-1].Inserted, tu)
-		}
-	}
-	if newTable {
-		tables = append(tables, stored.TabEDBRels, stored.TabEDBCols)
-	}
-	if len(tables) == 0 && !hasRules && !newTable {
-		// An empty program mutates nothing; skip the publish.
-		return c.tb.Load(src)
-	}
-	if hasRules {
-		// Pinned snapshots hold the current workspace; mutate a clone.
-		c.tb.ws = c.tb.ws.Clone()
-	}
-	cost, err := c.shadow(tables)
-	if err != nil {
-		c.publish(cost)
-		return err
-	}
-	err = c.tb.Load(src)
-	if err != nil {
-		// A partially applied program: the deltas above may overstate
-		// what landed, so invalidate conservatively.
-		c.publish(cost)
-		return err
-	}
-	c.publishEvent(cost, loadEvent(hasRules || newTable, deltas))
-	return nil
+	_, err := c.commit(func() (write, error) { return c.tb.planLoad(src) })
+	return err
 }
 
-// loadEvent types a Load commit: rule or relation changes invalidate at
-// the rule-generation level, pure fact appends carry their deltas.
-func loadEvent(ruleChange bool, deltas []matview.TableDelta) *matview.Event {
-	if ruleChange {
-		return &matview.Event{Kind: matview.EventRuleGen}
-	}
-	return &matview.Event{Kind: matview.EventCommit, Deltas: deltas}
-}
-
-// Assert adds one ground fact as one commit.
-func (c *ConcurrentTestbed) Assert(fact dlog.Atom) error {
-	//dkblint:locksafe single-writer commit protocol: writers serialize on commitMu through copy-and-publish I/O; readers never take it
-	c.commitMu.Lock()
-	defer c.commitMu.Unlock()
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	if !fact.IsGround() {
-		return fmt.Errorf("%w: fact %s is not ground", ErrSemantic, fact.String())
-	}
-	table := BaseTableName(fact.Pred)
-	tables := []string{table}
-	newTable := c.tb.db.Catalog().Table(table) == nil
-	if newTable {
-		tables = []string{stored.TabEDBRels, stored.TabEDBCols}
-	}
-	cost, err := c.shadow(tables)
-	if err != nil {
-		c.publish(cost)
-		return err
-	}
-	err = c.tb.Assert(fact)
-	if err != nil {
-		c.publish(cost)
-		return err
-	}
-	if newTable {
-		// Relation creation bumps the rule generation; every memo
-		// re-derives.
-		c.publishEvent(cost, &matview.Event{Kind: matview.EventRuleGen})
-		return nil
-	}
-	tu := make(rel.Tuple, len(fact.Args))
-	for i, a := range fact.Args {
-		tu[i] = a.Val
-	}
-	c.publishEvent(cost, &matview.Event{Kind: matview.EventCommit,
-		Deltas: []matview.TableDelta{{Table: table, Inserted: []rel.Tuple{tu}}}})
-	return nil
-}
-
-// Retract deletes matching facts as one commit. A retract that cannot
-// match anything (no relation, or no matching rows) runs without
-// copying or publishing, so memoized answers survive no-op retractions.
+// Retract deletes matching facts as one commit. A retract that matches
+// nothing copies and publishes nothing, so memoized answers survive it.
 func (c *ConcurrentTestbed) Retract(pattern dlog.Atom) (int, error) {
-	//dkblint:locksafe single-writer commit protocol: writers serialize on commitMu through copy-and-publish I/O; readers never take it
-	c.commitMu.Lock()
-	defer c.commitMu.Unlock()
-	if c.closed.Load() {
-		return 0, ErrClosed
-	}
-	table, where := retractFilter(pattern)
-	t := c.tb.db.Catalog().Table(table)
-	if t == nil || t.Schema.Len() != pattern.Arity() {
-		// No relation (removes nothing) or an arity error: either way
-		// the testbed call mutates nothing.
-		return c.tb.Retract(pattern)
-	}
-	// Read the matching rows up front: a no-op retract skips the commit
-	// entirely, and the matched set is exactly the fact delta the
-	// maintained views propagate (the read and the delete are atomic
-	// under commitMu).
-	stmt := "SELECT * FROM " + table
-	if where != "" {
-		stmt += " WHERE " + where
-	}
-	matched, err := c.tb.db.Query(stmt)
-	if err != nil {
-		return 0, err
-	}
-	if len(matched.Tuples) == 0 {
-		return c.tb.Retract(pattern)
-	}
-	cost, err := c.shadow([]string{table})
-	if err != nil {
-		c.publish(cost)
-		return 0, err
-	}
-	removed, rerr := c.tb.Retract(pattern)
-	if rerr != nil {
-		c.publish(cost)
-		return removed, rerr
-	}
-	c.publishEvent(cost, &matview.Event{Kind: matview.EventCommit,
-		Deltas: []matview.TableDelta{{Table: table, Deleted: matched.Tuples}}})
-	return removed, nil
+	return retracted(c.commit(func() (write, error) { return c.tb.planRetract(pattern) }))
 }
 
 // RetractSrc is Retract for a source-syntax pattern.
@@ -443,28 +320,9 @@ func (c *ConcurrentTestbed) RetractSrc(src string) (int, error) {
 // rule-storage relations are copied, the workspace is cloned (Update
 // clears it), and the result is published as the next snapshot.
 func (c *ConcurrentTestbed) Update() (stored.UpdateStats, error) {
-	//dkblint:locksafe single-writer commit protocol: writers serialize on commitMu through copy-and-publish I/O; readers never take it
-	c.commitMu.Lock()
-	defer c.commitMu.Unlock()
-	if c.closed.Load() {
-		return stored.UpdateStats{}, ErrClosed
-	}
-	c.tb.ws = c.tb.ws.Clone()
-	cost, err := c.shadow([]string{
-		stored.TabRuleSource, stored.TabReachablePreds,
-		stored.TabIDBRels, stored.TabIDBCols,
-	})
-	if err != nil {
-		c.publish(cost)
-		return stored.UpdateStats{}, err
-	}
-	st, uerr := c.tb.Update()
-	if uerr != nil {
-		c.publish(cost)
-		return st, uerr
-	}
-	c.publishEvent(cost, &matview.Event{Kind: matview.EventRuleGen})
-	return st, nil
+	var st stored.UpdateStats
+	_, err := c.commit(func() (write, error) { return c.tb.planUpdate(&st) })
+	return st, err
 }
 
 // --- Read path: pinned-snapshot queries ---

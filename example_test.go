@@ -1,6 +1,7 @@
 package dkbms_test
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -69,24 +70,38 @@ func ExampleTestbed_Update() {
 	// Output: 1 1
 }
 
-// ExampleTestbed_Prepare caches compilation across executions.
-func ExampleTestbed_Prepare() {
-	tb := dkbms.NewMemory()
-	defer tb.Close()
-	tb.MustLoad(`
+// ExampleConcurrentTestbed_Prepare prepares a query once and runs it
+// three times: the first run reuses Prepare's compiled program, the
+// second is answered from the memoized result, and after a fact load the
+// third reads the answer view maintenance kept current.
+func ExampleConcurrentTestbed_Prepare() {
+	c := dkbms.NewConcurrent(dkbms.NewMemory())
+	defer c.Close()
+	if err := c.Load(`
 		parent(a, b).
 		anc(X, Y) :- parent(X, Y).
 		anc(X, Y) :- parent(X, Z), anc(Z, Y).
-	`)
-	p, err := tb.Prepare("?- anc(a, W).", nil)
+	`); err != nil {
+		panic(err)
+	}
+	p, err := c.Prepare("?- anc(a, W).", nil)
 	if err != nil {
 		panic(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := p.Run(); err != nil {
+		if i == 2 {
+			if err := c.Load("parent(b, c)."); err != nil {
+				panic(err)
+			}
+		}
+		res, err := p.Run(context.Background(), 0)
+		if err != nil {
 			panic(err)
 		}
+		fmt.Println(res.Cache, len(res.Rows))
 	}
-	fmt.Println(p.Recompiles)
-	// Output: 1
+	// Output:
+	// plan 1
+	// result 1
+	// maintained 2
 }

@@ -779,6 +779,36 @@ func TestQueryIDOverWire(t *testing.T) {
 	}
 }
 
+// TestPrepareWithQueryIDOverWire: options carrying a query ID prepare a
+// statement like any others. The ID tags executions, so it is not sent
+// with the PREPARE; each EXECP carries its own.
+func TestPrepareWithQueryIDOverWire(t *testing.T) {
+	tb := dkbms.NewConcurrent(dkbms.NewMemory())
+	defer tb.Close()
+	if err := tb.Load(baseProgram); err != nil {
+		t.Fatal(err)
+	}
+	addr, cancel, done := startServer(t, tb, server.Options{})
+	defer func() { cancel(); <-done }()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	stmt, err := c.Prepare("?- ancestor(c0, W).", wire.QueryOpts{Parallel: true, QueryID: 0x99})
+	if err != nil {
+		t.Fatalf("prepare with a query ID: %v", err)
+	}
+	res, err := stmt.ExecWithQueryID(0x55)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.QueryID != 0x55 || len(res.Rows) != 9 {
+		t.Fatalf("execp: id %#x, %d rows; want 0x55, 9 rows", res.QueryID, len(res.Rows))
+	}
+}
+
 // TestTimeSeriesPinnedDeltas: with deterministic sample boundaries
 // around a burst of N queries, the windowed query.count delta is
 // exactly N.

@@ -7,10 +7,11 @@
 // scripts/bench_baseline/BENCH_server_scaling.json) with copy-on-write
 // at table granularity:
 //
-//   - A Snapshot is a frozen view: the generation pair that keys the
-//     plan/result cache (RuleGen, DataGen), the workspace rule set at
-//     commit time, and a per-table version vector mapping base-table
-//     names to immutable *catalog.Table versions.
+//   - A Snapshot is a frozen view: the rule generation that keys the
+//     plan cache's compiled programs (RuleGen), the workspace rule set
+//     at commit time, and a per-table version vector mapping base-table
+//     names to immutable *catalog.Table versions, against which memoized
+//     answers are validated.
 //   - Readers pin the current snapshot with Store.Acquire — an atomic
 //     pointer load plus a pin-count increment, never a lock shared with
 //     writers — evaluate entirely against it, and Release it when done.
@@ -84,12 +85,9 @@ type Snapshot struct {
 	// Gen is the commit sequence number: it increases by one per
 	// Publish and stamps every table version created by that commit.
 	Gen uint64
-	// RuleGen and DataGen are the plan-cache generation pair at commit
-	// time: RuleGen keys compiled programs, DataGen counts extensional
-	// changes (kept for telemetry; result validity uses the per-table
-	// vector instead).
+	// RuleGen is the rule-base generation at commit time: it keys
+	// compiled programs (result validity uses the per-table vector).
 	RuleGen uint64
-	DataGen uint64
 
 	ws       *core.Workspace
 	versions map[string]*Version
@@ -228,12 +226,12 @@ func (st *Store) Current() *Snapshot { return st.current.Load() }
 
 // Publish installs the successor snapshot built from the given live
 // tables (name → current physical table, as the commit left them) and
-// generations. Tables whose physical identity is unchanged carry their
+// rule generation. Tables whose physical identity is unchanged carry their
 // version forward; replaced or dropped versions are marked superseded
 // and reclaimed once their referencing snapshots drain. buildCost is
 // the writer time spent preparing the commit (table copies), surfaced
 // as the writer-stall telemetry. Single writer only.
-func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen, dataGen uint64, ws *core.Workspace, buildCost time.Duration) *Snapshot {
+func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen uint64, ws *core.Workspace, buildCost time.Duration) *Snapshot {
 	prev := st.current.Load()
 	gen := uint64(1)
 	if prev != nil {
@@ -242,7 +240,6 @@ func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen, dataGen uint
 	next := &Snapshot{
 		Gen:      gen,
 		RuleGen:  ruleGen,
-		DataGen:  dataGen,
 		ws:       ws,
 		versions: make(map[string]*Version, len(tables)),
 		store:    st,
@@ -320,10 +317,9 @@ func (st *Store) Shutdown() {
 
 // Stats is a point-in-time snapshot of the store's telemetry.
 type Stats struct {
-	// Gen, RuleGen and DataGen identify the published snapshot.
+	// Gen and RuleGen identify the published snapshot.
 	Gen     uint64
 	RuleGen uint64
-	DataGen uint64
 	// OldestPinnedGen is the generation of the oldest snapshot still
 	// held by a reader (== Gen when no retired snapshot survives).
 	OldestPinnedGen uint64
@@ -361,7 +357,7 @@ func (st *Store) Stats() Stats {
 		WriterStall:     time.Duration(st.stallNs.Load()),
 	}
 	if cur := st.current.Load(); cur != nil {
-		out.Gen, out.RuleGen, out.DataGen = cur.Gen, cur.RuleGen, cur.DataGen
+		out.Gen, out.RuleGen = cur.Gen, cur.RuleGen
 		out.OldestPinnedGen = cur.Gen
 	}
 	st.mu.Lock()

@@ -64,7 +64,7 @@ func rowCount(t *testing.T, tb *catalog.Table) int {
 func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 	p, c := testCatalog(t, "edb_a", "edb_b")
 	st := NewStore("edb_")
-	st.Publish(liveTables(c), 1, 1, core.NewWorkspace(), 0)
+	st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
 
 	s1 := st.Acquire()
 	oldA, ok := s1.ResolveTable("edb_a")
@@ -83,7 +83,7 @@ func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 	if _, err := newA.Insert(rel.Tuple{rel.NewInt(7), rel.NewInt(8)}); err != nil {
 		t.Fatal(err)
 	}
-	st.Publish(liveTables(c), 1, 2, core.NewWorkspace(), 0)
+	st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
 
 	// The pinned snapshot still reads the one-row original.
 	if got := rowCount(t, oldA); got != 1 {
@@ -143,7 +143,7 @@ func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 func TestSnapshotAuthority(t *testing.T) {
 	_, c := testCatalog(t, "edb_a")
 	st := NewStore("edb_")
-	st.Publish(liveTables(c), 1, 1, core.NewWorkspace(), 0)
+	st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
 	s := st.Acquire()
 	defer s.Release()
 
@@ -168,7 +168,7 @@ func TestSnapshotAuthority(t *testing.T) {
 func TestSnapshotChurnNoLeak(t *testing.T) {
 	_, c := testCatalog(t, "edb_a", "edb_b")
 	st := NewStore("edb_")
-	st.Publish(liveTables(c), 1, 1, core.NewWorkspace(), 0)
+	st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -208,7 +208,7 @@ func TestSnapshotChurnNoLeak(t *testing.T) {
 		if _, err := c.Table(name).Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewInt(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
-		st.Publish(liveTables(c), 1, uint64(i+2), core.NewWorkspace(), 0)
+		st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
 	}
 	close(stop)
 	wg.Wait()
@@ -239,12 +239,12 @@ func TestSnapshotGenerationsMonotonic(t *testing.T) {
 	_, c := testCatalog(t, "edb_a")
 	st := NewStore("edb_")
 	for i := 1; i <= 3; i++ {
-		s := st.Publish(liveTables(c), uint64(i), uint64(i), core.NewWorkspace(), 0)
+		s := st.Publish(liveTables(c), uint64(i), core.NewWorkspace(), 0)
 		if s.Gen != uint64(i) {
 			t.Fatalf("publish %d got gen %d", i, s.Gen)
 		}
-		if s.RuleGen != uint64(i) || s.DataGen != uint64(i) {
-			t.Fatalf("generation pair not carried: %d/%d", s.RuleGen, s.DataGen)
+		if s.RuleGen != uint64(i) {
+			t.Fatalf("rule generation not carried: %d", s.RuleGen)
 		}
 	}
 	s := st.Acquire()

@@ -178,6 +178,11 @@ func (m *Manager) InsertFacts(pred string, tuples []rel.Tuple) error {
 	return nil
 }
 
+// NewFactFootprint lists the existing relations InsertFacts writes when
+// it creates a predicate's relation: the extensional dictionary. A
+// copy-on-write commit shadows them first.
+var NewFactFootprint = []string{TabEDBRels, TabEDBCols}
+
 // ensureFactTable creates (or fetches) the extensional relation of a
 // predicate and its dictionary rows.
 func (m *Manager) ensureFactTable(pred string, types []rel.Type) (*catalog.Table, error) {

@@ -478,3 +478,51 @@ func TestBulkUpdateIOLinearInRules(t *testing.T) {
 		t.Errorf("reachablepreds I/O of a bulk update: 20 chains %+v, 40 chains %+v, 200 chains %+v; want 9 steps of %+v above the first and no scan", a, b, c, step)
 	}
 }
+
+// TestDeclaredFootprints measures the footprints the package declares:
+// the existing relations whose heap insert or delete counters move are
+// exactly UpdateFootprint during an Update that adds a recursive
+// predicate, and exactly NewFactFootprint during the first InsertFacts
+// of a predicate.
+func TestDeclaredFootprints(t *testing.T) {
+	d, m := open(t, Options{})
+	written := func(write func() error) string {
+		t.Helper()
+		before := map[string]tableIO{}
+		for _, name := range d.Catalog().Tables() {
+			before[name] = ioOf(d, name)
+		}
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for name, io := range before {
+			if dt := ioOf(d, name).sub(io); dt.inserts != 0 || dt.deletes != 0 {
+				out = append(out, name)
+			}
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	declared := func(tables []string) string {
+		sorted := append([]string(nil), tables...)
+		sort.Strings(sorted)
+		return strings.Join(sorted, ",")
+	}
+	got := written(func() error {
+		return m.InsertFacts("parent", []rel.Tuple{{rel.NewString("a"), rel.NewString("b")}})
+	})
+	if want := declared(NewFactFootprint); got != want {
+		t.Errorf("first InsertFacts wrote %s, NewFactFootprint declares %s", got, want)
+	}
+	got = written(func() error {
+		_, err := m.Update([]dlog.Clause{
+			clause("ancestor(X, Y) :- parent(X, Y)."),
+			clause("ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y)."),
+		})
+		return err
+	})
+	if want := declared(UpdateFootprint); got != want {
+		t.Errorf("Update wrote %s, UpdateFootprint declares %s", got, want)
+	}
+}

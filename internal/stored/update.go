@@ -32,6 +32,11 @@ type UpdateStats struct {
 	TCEdges int
 }
 
+// UpdateFootprint lists the relations Update writes: the intensional
+// dictionary, the rule source and its compiled closure. A copy-on-write
+// commit shadows them first.
+var UpdateFootprint = []string{TabRuleSource, TabReachablePreds, TabIDBRels, TabIDBCols}
+
 // Update commits workspace rules into the stored D/KB (paper §4.3):
 //
 //  1. extract from the stored D/KB the rules relevant to the new ones,

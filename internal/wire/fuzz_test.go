@@ -38,3 +38,37 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeRequest feeds the request decoders untrusted bytes: the
+// first byte is the message type (LOAD, QUERY, PREPARE, EXECP or
+// RETRACT; any other type is skipped) and the rest is the payload. No
+// input panics a decoder, and whatever one accepts re-encodes to the
+// same bytes — so a decoder accepts no trailing byte, unknown option bit
+// or zero query ID. The seed corpus under testdata/fuzz has one payload
+// per request form.
+func FuzzDecodeRequest(f *testing.F) {
+	decoders := map[MsgType]func([]byte) ([]byte, error){
+		MsgLoad:    func(p []byte) ([]byte, error) { m, err := DecodeLoad(p); return m.Encode(), err },
+		MsgQuery:   func(p []byte) ([]byte, error) { m, err := DecodeQuery(p); return m.Encode(), err },
+		MsgPrepare: func(p []byte) ([]byte, error) { m, err := DecodePrepare(p); return m.Encode(), err },
+		MsgExecP:   func(p []byte) ([]byte, error) { m, err := DecodeExecP(p); return m.Encode(), err },
+		MsgRetract: func(p []byte) ([]byte, error) { m, err := DecodeRetract(p); return m.Encode(), err },
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || decoders[MsgType(data[0])] == nil {
+			return
+		}
+		payload := data[1:]
+		p := bytes.Clone(payload)
+		enc, err := decoders[MsgType(data[0])](p)
+		if err != nil {
+			return
+		}
+		for i := range p {
+			p[i] = ^p[i]
+		}
+		if !bytes.Equal(enc, payload) {
+			t.Fatalf("%s: re-encoding %x gave %x", MsgType(data[0]), payload, enc)
+		}
+	})
+}

@@ -240,6 +240,8 @@ const (
 	// is set exactly when the ID is non-zero, so an ID-less QUERY ends at
 	// its source.
 	optQueryID
+
+	optKnown = optNaive | optNoOptimize | optAdaptive | optParallel | optTrace | optQueryID
 )
 
 // FromOptions converts root-API query options to their wire form. A
@@ -313,8 +315,20 @@ func (m Load) Encode() []byte { return appendString(nil, m.Src) }
 
 // DecodeLoad parses a LOAD payload.
 func DecodeLoad(p []byte) (Load, error) {
-	src, _, err := readString(p)
+	src, rest, err := readString(p)
+	if err == nil {
+		err = trailing(rest, MsgLoad)
+	}
 	return Load{Src: src}, err
+}
+
+// trailing rejects bytes left over after a payload's last field, so that
+// every accepted payload re-encodes to the same bytes.
+func trailing(rest []byte, t MsgType) error {
+	if len(rest) > 0 {
+		return fmt.Errorf("wire: %d trailing bytes after %s", len(rest), t)
+	}
+	return nil
 }
 
 // Query is the QUERY request: compile and evaluate a query.
@@ -335,8 +349,17 @@ func (m Query) Encode() []byte {
 
 // DecodeQuery parses a QUERY payload.
 func DecodeQuery(p []byte) (Query, error) {
+	return decodeQuery(p, MsgQuery, optKnown)
+}
+
+// decodeQuery parses the QUERY payload layout, which PREPARE shares;
+// allowed is the set of option bits message t may carry.
+func decodeQuery(p []byte, t MsgType, allowed byte) (Query, error) {
 	if len(p) < 1 {
-		return Query{}, fmt.Errorf("wire: empty QUERY payload")
+		return Query{}, fmt.Errorf("wire: empty %s payload", t)
+	}
+	if p[0]&^allowed != 0 {
+		return Query{}, fmt.Errorf("wire: unknown %s options %#x", t, p[0])
 	}
 	src, rest, err := readString(p[1:])
 	m := Query{Src: src, Opts: decodeOpts(p[0])}
@@ -344,27 +367,32 @@ func DecodeQuery(p []byte) (Query, error) {
 		return m, err
 	}
 	if p[0]&optQueryID != 0 {
-		if m.Opts.QueryID, _, err = readUvarint(rest); err != nil {
+		if m.Opts.QueryID, rest, err = readUvarint(rest); err != nil {
 			return m, err
 		}
+		if m.Opts.QueryID == 0 {
+			return m, fmt.Errorf("wire: %s flags a zero query ID", t)
+		}
 	}
-	return m, nil
+	return m, trailing(rest, t)
 }
 
 // Prepare is the PREPARE request: compile a query for repeated EXECP.
+// A query ID tags one execution, so it travels with each EXECP, not
+// here: Opts.QueryID is not sent.
 type Prepare struct {
 	Src  string
 	Opts QueryOpts
 }
 
-// Encode renders the payload.
+// Encode renders the payload: the option byte and the source.
 func (m Prepare) Encode() []byte {
-	return appendString([]byte{m.Opts.encode()}, m.Src)
+	return appendString([]byte{m.Opts.encode() &^ optQueryID}, m.Src)
 }
 
-// DecodePrepare parses a PREPARE payload.
+// DecodePrepare parses a PREPARE payload, which carries no query ID.
 func DecodePrepare(p []byte) (Prepare, error) {
-	q, err := DecodeQuery(p)
+	q, err := decodeQuery(p, MsgPrepare, optKnown&^optQueryID)
 	return Prepare{Src: q.Src, Opts: q.Opts}, err
 }
 
@@ -386,7 +414,7 @@ func (m ExecP) Encode() []byte {
 }
 
 // DecodeExecP parses an EXECP payload. A payload that ends at the
-// statement id has query ID 0.
+// statement id has query ID 0; a query ID that is sent is not 0.
 func DecodeExecP(p []byte) (ExecP, error) {
 	id, rest, err := readUvarint(p)
 	if err != nil {
@@ -394,11 +422,14 @@ func DecodeExecP(p []byte) (ExecP, error) {
 	}
 	m := ExecP{ID: id}
 	if len(rest) > 0 {
-		if m.QueryID, _, err = readUvarint(rest); err != nil {
+		if m.QueryID, rest, err = readUvarint(rest); err != nil {
 			return m, err
 		}
+		if m.QueryID == 0 {
+			return m, fmt.Errorf("wire: EXECP sends a zero query ID")
+		}
 	}
-	return m, nil
+	return m, trailing(rest, MsgExecP)
 }
 
 // Retract is the RETRACT request: delete facts matching a pattern atom.
@@ -409,7 +440,10 @@ func (m Retract) Encode() []byte { return appendString(nil, m.Pattern) }
 
 // DecodeRetract parses a RETRACT payload.
 func DecodeRetract(p []byte) (Retract, error) {
-	pat, _, err := readString(p)
+	pat, rest, err := readString(p)
+	if err == nil {
+		err = trailing(rest, MsgRetract)
+	}
 	return Retract{Pattern: pat}, err
 }
 
@@ -747,8 +781,8 @@ func DecodeResult(p []byte) (*Result, error) {
 			return nil, err
 		}
 	}
-	if len(buf) > 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after RESULT", len(buf))
+	if err := trailing(buf, MsgResult); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -474,6 +474,8 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"QUERY", Query{Src: "?- a(X).", Opts: QueryOpts{Naive: true}}.Encode(), decodeErr(DecodeQuery)},
 		{"QUERY+query ID", Query{Src: "?- a(X).", Opts: QueryOpts{QueryID: 1 << 40}}.Encode(), decodeErr(DecodeQuery)},
 		{"PREPARE", Prepare{Src: "?- b(Y).", Opts: QueryOpts{Trace: true}}.Encode(), decodeErr(DecodePrepare)},
+		{"LOAD", Load{Src: "a(1)."}.Encode(), decodeErr(DecodeLoad)},
+		{"RETRACT", Retract{Pattern: "a(1, X)"}.Encode(), decodeErr(DecodeRetract)},
 		{"PREPARED", Prepared{ID: 300, Generation: 70000}.Encode(), decodeErr(DecodePrepared)},
 		{"ERROR", Error{Code: CodeParse, Msg: "boom"}.Encode(), decodeErr(DecodeError)},
 		{"RETRACTED", Retracted{N: -300}.Encode(), decodeErr(DecodeRetracted)},
@@ -490,9 +492,40 @@ func TestDecodeCorrupt(t *testing.T) {
 			}
 		}
 	}
-	// A RESULT ends at its last field.
-	if _, err := DecodeResult(append(res.Encode(), 0)); err == nil {
-		t.Error("DecodeResult accepted a trailing byte")
+	// Every request and a RESULT end at their last field.
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"RESULT", res.Encode(), decodeErr(DecodeResult)},
+		{"LOAD", Load{Src: "a(1)."}.Encode(), decodeErr(DecodeLoad)},
+		{"QUERY", Query{Src: "?- a(X)."}.Encode(), decodeErr(DecodeQuery)},
+		{"QUERY+query ID", Query{Src: "?- a(X).", Opts: QueryOpts{QueryID: 5}}.Encode(), decodeErr(DecodeQuery)},
+		{"PREPARE", Prepare{Src: "?- b(Y)."}.Encode(), decodeErr(DecodePrepare)},
+		{"EXECP", ExecP{ID: 3}.Encode(), decodeErr(DecodeExecP)},
+		{"EXECP+query ID", ExecP{ID: 3, QueryID: 5}.Encode(), decodeErr(DecodeExecP)},
+		{"RETRACT", Retract{Pattern: "a(1, X)"}.Encode(), decodeErr(DecodeRetract)},
+	} {
+		if c.decode(append(c.payload, 0)) == nil {
+			t.Errorf("%s: accepted a trailing byte", c.name)
+		}
+	}
+	// An option bit no encoder sets, and a query ID flagged but 0.
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"QUERY with an unknown option", append([]byte{0x80}, Load{Src: "?- a(X)."}.Encode()...), decodeErr(DecodeQuery)},
+		{"PREPARE with an unknown option", append([]byte{0x40}, Load{Src: "?- a(X)."}.Encode()...), decodeErr(DecodePrepare)},
+		{"QUERY flagging a zero query ID", append(append([]byte{optQueryID}, Load{Src: "?- a(X)."}.Encode()...), 0), decodeErr(DecodeQuery)},
+		{"PREPARE with a query ID", Query{Src: "?- a(X).", Opts: QueryOpts{QueryID: 5}}.Encode(), decodeErr(DecodePrepare)},
+		{"EXECP sending a zero query ID", []byte{3, 0}, decodeErr(DecodeExecP)},
+	} {
+		if c.decode(c.payload) == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }
 
@@ -580,6 +613,12 @@ func TestQueryIDRoundTrip(t *testing.T) {
 	plain := Query{Src: "?- a(X)."}.Encode()
 	if plain[0] != 0 || len(plain) != 1+1+len("?- a(X).") {
 		t.Fatalf("ID-less QUERY grew: flags=%x len=%d", plain[0], len(plain))
+	}
+
+	// PREPARE: the ID belongs to each EXECP, so a prepare sends none.
+	p, err := DecodePrepare(Prepare{Src: "?- a(X).", Opts: QueryOpts{Trace: true, QueryID: 7}}.Encode())
+	if err != nil || p.Opts != (QueryOpts{Trace: true}) || p.Src != "?- a(X)." {
+		t.Fatalf("prepare with id: %+v %v", p, err)
 	}
 
 	// EXECP: the ID is a trailing field, omitted when 0.

@@ -122,10 +122,11 @@ func TestBoundQueryInsensitiveToBaseSize(t *testing.T) {
 }
 
 // TestRetractInsensitiveToRelationSize: retracting one fact of a
-// relation indexed on its first column is one descent and one record
-// read, never a scan, whether the relation holds 1 000 facts or 50 000 —
-// DELETE ... WHERE reaches the table through the planner's access path,
-// like the bound query above.
+// relation indexed on its first column reads one record twice — once
+// where the retract's plan reads the rows it matches, once where its
+// DELETE reaches them — and an absent fact once, never a scan, whether
+// the relation holds 1 000 facts or 50 000: both statements reach the
+// table through the planner's access path, like the bound query above.
 func TestRetractInsensitiveToRelationSize(t *testing.T) {
 	type io struct{ heapRecs, heapReads, heapDeletes, descents int64 }
 	retractIO := func(facts int) io {
@@ -156,7 +157,7 @@ func TestRetractInsensitiveToRelationSize(t *testing.T) {
 	if small != big {
 		t.Fatalf("retract I/O grew with the relation: 1 000 facts %+v, 50 000 facts %+v", small, big)
 	}
-	if want := (io{heapRecs: 0, heapReads: 2, heapDeletes: 1, descents: small.descents}); small != want || small.descents == 0 {
+	if want := (io{heapRecs: 0, heapReads: 3, heapDeletes: 1, descents: small.descents}); small != want || small.descents == 0 {
 		t.Fatalf("fact relation not reached through its index alone: %+v", small)
 	}
 }

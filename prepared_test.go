@@ -2,140 +2,113 @@ package dkbms
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 )
 
-func TestPreparedQueryReuse(t *testing.T) {
-	tb := familyTB(t)
-	p, err := tb.Prepare("?- ancestor(john, W).", nil)
+// familyStmt prepares ?- ancestor(john, W). over the family D/KB on a
+// ConcurrentTestbed.
+func familyStmt(t *testing.T) (*ConcurrentTestbed, *ConcurrentPrepared) {
+	t.Helper()
+	c := NewConcurrent(NewMemory())
+	t.Cleanup(func() { c.Close() })
+	if err := c.Load(familyKB); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := c.Prepare("?- ancestor(john, W).", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Recompiles != 1 {
-		t.Fatalf("Recompiles = %d after Prepare", p.Recompiles)
+	return c, stmt
+}
+
+const familyAnswer = "ann;bob;lea;mary;tom"
+
+func TestPreparedQueryReuse(t *testing.T) {
+	c, stmt := familyStmt(t)
+	runPrepared(t, stmt, "plan", familyAnswer)
+	for i := 0; i < 2; i++ {
+		runPrepared(t, stmt, "result", familyAnswer)
 	}
-	for i := 0; i < 3; i++ {
-		res, err := p.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, res.Rows, "(mary)", "(bob)", "(ann)", "(tom)", "(lea)")
-	}
-	if p.Recompiles != 1 {
-		t.Fatalf("Recompiles = %d after repeated Run", p.Recompiles)
-	}
-	if p.Stale() {
-		t.Fatal("fresh prepared query reports stale")
+	if st := c.PlanStats(); st.Misses != 1 {
+		t.Fatalf("compilations = %d after repeated runs, want 1", st.Misses)
 	}
 }
 
 func TestPreparedSeesNewFacts(t *testing.T) {
-	// Appending facts to an existing relation must NOT invalidate the
+	// Appending facts to an existing relation must NOT recompile the
 	// program but MUST be visible to the next Run.
-	tb := familyTB(t)
-	p, err := tb.Prepare("?- ancestor(john, W).", nil)
-	if err != nil {
+	c, stmt := familyStmt(t)
+	runPrepared(t, stmt, "plan", familyAnswer)
+	if err := c.Load("parent(lea, zoe)."); err != nil {
 		t.Fatal(err)
 	}
-	tb.MustLoad("parent(lea, zoe).")
-	if p.Stale() {
-		t.Fatal("fact append invalidated the prepared query")
-	}
-	res, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, res.Rows, "(mary)", "(bob)", "(ann)", "(tom)", "(lea)", "(zoe)")
-	if p.Recompiles != 1 {
-		t.Fatalf("Recompiles = %d", p.Recompiles)
+	runPrepared(t, stmt, "maintained", familyAnswer+";zoe")
+	if st := c.PlanStats(); st.Misses != 1 {
+		t.Fatalf("compilations = %d after a fact append, want 1", st.Misses)
 	}
 }
 
 func TestPreparedInvalidatedByRuleChange(t *testing.T) {
-	tb := familyTB(t)
-	p, err := tb.Prepare("?- ancestor(john, W).", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, stmt := familyStmt(t)
+	runPrepared(t, stmt, "plan", familyAnswer)
 	// A new rule extends ancestor through marriage.
-	tb.MustLoad(`
+	if err := c.Load(`
 married(john, jane).
 married(jane, john).
 ancestor(X, Y) :- married(X, Z), parent(Z, Y).
-`)
-	if !p.Stale() {
-		t.Fatal("rule addition did not invalidate")
+`); err != nil {
+		t.Fatal(err)
 	}
-	res, err := p.Run()
+	res, err := stmt.Run(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Recompiles != 2 {
-		t.Fatalf("Recompiles = %d", p.Recompiles)
-	}
 	// john's descendants unchanged (jane has no separate children) but
 	// the program recompiled against 3 rules.
-	if res.Compile.RelevantRules != 3 {
-		t.Fatalf("R_r = %d", res.Compile.RelevantRules)
+	if res.Cache != "miss" || rowsKey(res) != familyAnswer || res.Compile.RelevantRules != 3 {
+		t.Fatalf("after the rule load: cache %q, rows %s, R_r = %d", res.Cache, rowsKey(res), res.Compile.RelevantRules)
 	}
 }
 
 func TestPreparedInvalidatedByUpdate(t *testing.T) {
-	tb := familyTB(t)
-	p, err := tb.Prepare("?- ancestor(john, W).", nil)
-	if err != nil {
+	c, stmt := familyStmt(t)
+	runPrepared(t, stmt, "plan", familyAnswer)
+	if _, err := c.Update(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tb.Update(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Stale() {
-		t.Fatal("Update did not invalidate")
-	}
-	res, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, res.Rows, "(mary)", "(bob)", "(ann)", "(tom)", "(lea)")
+	runPrepared(t, stmt, "miss", familyAnswer)
 }
 
 func TestPreparedInvalidatedByNewFactRelation(t *testing.T) {
 	// Creating a fact relation for a predicate that also has rules
 	// changes the compiled program (mixed normalization) — must
-	// invalidate.
-	tb := NewMemory()
-	defer tb.Close()
-	tb.MustLoad(`
+	// recompile.
+	c := NewConcurrent(NewMemory())
+	defer c.Close()
+	if err := c.Load(`
 friend(ann, carl).
 knows(X, Y) :- friend(X, Y).
-`)
-	p, err := tb.Prepare("?- knows(ann, W).", nil)
+`); err != nil {
+		t.Fatal(err)
+	}
+	stmt, err := c.Prepare("?- knows(ann, W).", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRowsP(t, p, "(carl)")
-	tb.MustLoad("knows(ann, bob).") // first fact for knows: new relation
-	if !p.Stale() {
-		t.Fatal("new fact relation did not invalidate")
-	}
-	sameRowsP(t, p, "(carl)", "(bob)")
-}
-
-func sameRowsP(t *testing.T, p *Prepared, want ...string) {
-	t.Helper()
-	res, err := p.Run()
-	if err != nil {
+	runPrepared(t, stmt, "plan", "carl")
+	if err := c.Load("knows(ann, bob)."); err != nil { // first fact for knows: new relation
 		t.Fatal(err)
 	}
-	sameRows(t, res.Rows, want...)
+	runPrepared(t, stmt, "miss", "bob;carl")
 }
 
 func TestPreparedParseError(t *testing.T) {
-	tb := familyTB(t)
-	if _, err := tb.Prepare("?- nonsense(", nil); err == nil {
-		t.Fatal("bad query accepted")
+	c, _ := familyStmt(t)
+	if _, err := c.Prepare("?- nonsense(", nil); !errors.Is(err, ErrParse) {
+		t.Fatalf("bad query: err = %v, want ErrParse", err)
 	}
 }
 

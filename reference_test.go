@@ -259,7 +259,7 @@ func TestRandomProgramsAgainstReference(t *testing.T) {
 			}
 			for _, mode := range allModes {
 				opts := mode.opts
-				res, err := tb.RunQuery(q, &opts)
+				res, err := tb.Query(q.String(), &opts)
 				if err != nil {
 					t.Fatalf("trial %d %s indexed=%v: %v\nprogram:\n%s\nquery: %s",
 						trial, mode.name, indexed, err, programText(rules), q.String())
@@ -448,7 +448,7 @@ func TestMixedCaseProgramAgainstReference(t *testing.T) {
 	}
 	for _, mode := range allModes {
 		opts := mode.opts
-		res, err := tb.RunQuery(q, &opts)
+		res, err := tb.Query(q.String(), &opts)
 		if err != nil {
 			t.Fatalf("%s: %v\nprogram:\n%s\nquery: %s", mode.name, err, programText(rules), q.String())
 		}
@@ -511,7 +511,7 @@ func TestRandomChainUpdatesAgainstReference(t *testing.T) {
 			Args: []dlog.Term{dlog.V("A"), dlog.V("B")},
 		}}}
 		want := refAnswer(q, committed, facts)
-		res, err := tb.RunQuery(q, nil)
+		res, err := tb.Query(q.String(), nil)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}

@@ -39,6 +39,7 @@ import (
 	"dkbms/internal/core"
 	"dkbms/internal/db"
 	"dkbms/internal/dlog"
+	"dkbms/internal/matview"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
 	"dkbms/internal/rtlib"
@@ -46,8 +47,8 @@ import (
 	"dkbms/internal/stored"
 )
 
-// ErrClosed is returned by every Testbed (and Prepared) operation
-// attempted after Close.
+// ErrClosed is returned by every Testbed operation attempted after
+// Close.
 var ErrClosed = errors.New("dkbms: testbed is closed")
 
 // Testbed is one D/KBMS instance: a workspace D/KB, a DBMS, and a
@@ -62,13 +63,10 @@ type Testbed struct {
 	ws *core.Workspace
 	db *db.DB
 	st *stored.Manager
-	// ruleGen counts rule-base changes; prepared queries recompile when
-	// it moves past the generation they were compiled at.
+	// ruleGen counts the rule-base changes ConcurrentTestbed commits; its
+	// plan cache keeps a compiled program while the generation stands
+	// still.
 	ruleGen uint64
-	// dataGen counts extensional-data changes (fact inserts and
-	// retractions). Cached query results are valid only while both
-	// generations stand still; cached plans only depend on ruleGen.
-	dataGen uint64
 	// pool, when set (SetEvalPool), runs parallel evaluation work on a
 	// shared scheduler; without one it runs inline.
 	pool *sched.Pool
@@ -118,9 +116,6 @@ func (tb *Testbed) Close() error {
 	return tb.db.Close()
 }
 
-// Closed reports whether Close has been called.
-func (tb *Testbed) Closed() bool { return tb.closed }
-
 // DB exposes the underlying DBMS (for direct SQL, ad-hoc inspection and
 // the benchmark harness).
 func (tb *Testbed) DB() *db.DB { return tb.db }
@@ -131,34 +126,108 @@ func (tb *Testbed) Stored() *stored.Manager { return tb.st }
 // Workspace exposes the workspace D/KB.
 func (tb *Testbed) Workspace() *core.Workspace { return tb.ws }
 
+// --- Write path: each write planned once, then applied ---
+
+// write is one planned mutation of the testbed, made from a single parse
+// while no other writer runs: what it will change, read before anything
+// changes, and the function that changes it. A Testbed applies it as
+// planned; ConcurrentTestbed.commit first shadows its tables and clones
+// the workspace, and afterwards publishes the event it implies.
+type write struct {
+	// tables are the non-temp tables apply mutates; shadowing skips the
+	// ones that do not exist yet.
+	tables []string
+	// rules is set when the rule generation moves: rules are added or
+	// committed, or a fact relation is created (which can change the
+	// mixed rules/facts normalization of compiled programs).
+	rules bool
+	// deltas are the exact fact deltas, one entry per table: the tuples
+	// apply inserts and the rows a retract matched.
+	deltas []matview.TableDelta
+	// apply performs the write; nil when the write mutates nothing.
+	apply func() error
+}
+
+// run applies a planned write, if planning succeeded and the write
+// mutates anything.
+func run(w write, err error) error {
+	if err != nil || w.apply == nil {
+		return err
+	}
+	return w.apply()
+}
+
 // Load parses a Horn-clause program and enters it into the workspace
-// D/KB. Facts are materialized immediately into extensional relations;
-// rules stay in the workspace until Update commits them to the stored
-// D/KB. Queries are not allowed in Load input.
-func (tb *Testbed) Load(src string) error {
+// D/KB. Facts are materialized immediately into extensional relations,
+// the first fact of a predicate creating its relation (and no index —
+// see CreateFactIndex); rules stay in the workspace until Update commits
+// them to the stored D/KB. Queries are not allowed in Load input.
+func (tb *Testbed) Load(src string) error { return run(tb.planLoad(src)) }
+
+// planLoad plans a Load: each fact's tuple is built once, into its
+// relation's delta, and the clauses apply in program order.
+func (tb *Testbed) planLoad(src string) (write, error) {
 	if tb.closed {
-		return ErrClosed
+		return write{}, ErrClosed
 	}
 	prog, err := dlog.ParseProgram(src)
 	if err != nil {
-		return parseErr(err)
+		return write{}, parseErr(err)
 	}
 	if len(prog.Queries) > 0 {
-		return fmt.Errorf("%w: Load input contains a query; use Query", ErrSemantic)
+		return write{}, fmt.Errorf("%w: Load input contains a query; use Query", ErrSemantic)
 	}
-	for _, c := range prog.Clauses {
-		if c.IsFact() {
-			if err := tb.Assert(c.Head); err != nil {
-				return err
-			}
+	if len(prog.Clauses) == 0 {
+		return write{}, nil
+	}
+	var w write
+	facts := make([]rel.Tuple, 0, len(prog.Clauses))
+	delta := make(map[string]int) // table -> 1 + its index in w.deltas
+	created := false
+	for _, cl := range prog.Clauses {
+		if !cl.IsFact() {
+			w.rules = true
 			continue
 		}
-		if err := tb.ws.AddClause(c); err != nil {
-			return semanticErr(err)
+		tu := make(rel.Tuple, len(cl.Head.Args))
+		for i, a := range cl.Head.Args {
+			tu[i] = a.Val
 		}
-		tb.ruleGen++
+		facts = append(facts, tu)
+		table := BaseTableName(cl.Head.Pred)
+		if delta[table] == 0 {
+			w.deltas = append(w.deltas, matview.TableDelta{Table: table})
+			delta[table] = len(w.deltas)
+			if tb.db.HasTable(table) {
+				w.tables = append(w.tables, table)
+			} else {
+				created = true
+			}
+		}
+		d := &w.deltas[delta[table]-1]
+		d.Inserted = append(d.Inserted, tu)
 	}
-	return nil
+	if created {
+		w.rules = true
+		w.tables = append(w.tables, stored.NewFactFootprint...)
+	}
+	w.apply = func() error {
+		f := facts
+		for _, cl := range prog.Clauses {
+			if !cl.IsFact() {
+				if err := tb.ws.AddClause(cl); err != nil {
+					return semanticErr(err)
+				}
+				continue
+			}
+			if err := tb.st.InsertFacts(cl.Head.Pred, f[:1]); err != nil {
+				return err
+			}
+			f = f[1:]
+		}
+		return nil
+	}
+	return w, nil
 }
 
 // MustLoad is Load panicking on error, for examples and tests.
@@ -168,33 +237,13 @@ func (tb *Testbed) MustLoad(src string) {
 	}
 }
 
-// Assert adds one ground fact to the extensional database, creating the
-// predicate's relation (and no index — see CreateFactIndex) on first
-// use.
-func (tb *Testbed) Assert(fact dlog.Atom) error {
-	if !fact.IsGround() {
-		return fmt.Errorf("%w: fact %s is not ground", ErrSemantic, fact.String())
-	}
-	tu := make(rel.Tuple, len(fact.Args))
-	for i, t := range fact.Args {
-		tu[i] = t.Val
-	}
-	return tb.AssertTuples(fact.Pred, []rel.Tuple{tu})
-}
-
 // AssertTuples bulk-loads facts for one predicate (the workload
-// generators and the loader use this).
+// generators and the loader use this), creating its relation on first
+// use. Only the plain Testbed has it, so it has no plan to publish.
 func (tb *Testbed) AssertTuples(pred string, tuples []rel.Tuple) error {
 	if tb.closed {
 		return ErrClosed
 	}
-	// Creating a new fact relation can change compiled programs (mixed
-	// rules/facts normalization), so it bumps the rule generation;
-	// appending to an existing relation does not.
-	if !tb.db.HasTable(BaseTableName(pred)) {
-		tb.ruleGen++
-	}
-	tb.dataGen++
 	return tb.st.InsertFacts(pred, tuples)
 }
 
@@ -215,32 +264,54 @@ func (tb *Testbed) CreateFactIndex(pred string, cols ...int) error {
 // live in the workspace until committed, and the stored rule base is
 // append-only as in the paper.
 func (tb *Testbed) Retract(pattern dlog.Atom) (int, error) {
+	w, err := tb.planRetract(pattern)
+	return retracted(w, run(w, err))
+}
+
+// planRetract plans a Retract: the rows the pattern matches are read
+// once, and are both the delta and the count of the DELETE that removes
+// them. A pattern that matches nothing mutates nothing.
+func (tb *Testbed) planRetract(pattern dlog.Atom) (write, error) {
 	if tb.closed {
-		return 0, ErrClosed
+		return write{}, ErrClosed
 	}
 	table := BaseTableName(pattern.Pred)
 	t := tb.db.Catalog().Table(table)
 	if t == nil {
-		return 0, nil
+		return write{}, nil
 	}
 	if t.Schema.Len() != pattern.Arity() {
-		return 0, fmt.Errorf("%w: retract %s: predicate has arity %d, pattern has %d",
+		return write{}, fmt.Errorf("%w: retract %s: predicate has arity %d, pattern has %d",
 			ErrSemantic, pattern.String(), t.Schema.Len(), pattern.Arity())
 	}
-	_, where := retractFilter(pattern)
-	stmt := "DELETE FROM " + table
-	if where != "" {
-		stmt += " WHERE " + where
+	var where []string
+	for i, a := range pattern.Args {
+		if !a.IsVar() {
+			where = append(where, fmt.Sprintf("c%d = %s", i, a.Val.SQL()))
+		}
 	}
-	before := t.Rows()
-	if err := tb.db.Exec(stmt); err != nil {
+	filter := ""
+	if len(where) > 0 {
+		filter = " WHERE " + strings.Join(where, " AND ")
+	}
+	matched, err := tb.db.Query("SELECT * FROM " + table + filter)
+	if err != nil || len(matched.Tuples) == 0 {
+		return write{}, err
+	}
+	return write{
+		tables: []string{table},
+		deltas: []matview.TableDelta{{Table: table, Deleted: matched.Tuples}},
+		apply:  func() error { return tb.db.Exec("DELETE FROM " + table + filter) },
+	}, nil
+}
+
+// retracted reports how many facts an applied retract removed: the rows
+// its plan matched.
+func retracted(w write, err error) (int, error) {
+	if err != nil || len(w.deltas) == 0 {
 		return 0, err
 	}
-	n := before - t.Rows()
-	if n > 0 {
-		tb.dataGen++
-	}
-	return n, nil
+	return len(w.deltas[0].Deleted), nil
 }
 
 // RetractSrc is Retract for a source-syntax pattern ("parent(john, X)."
@@ -270,20 +341,29 @@ func parseRetract(src string) (dlog.Atom, error) {
 	return c.Head, nil
 }
 
-// retractFilter returns the extensional table and the SQL predicate
-// (empty = match everything) selecting the facts a retract pattern
-// removes. Retract and the concurrent commit path (which pre-counts
-// matches to skip copy-on-write for no-op retractions) share it.
-func retractFilter(pattern dlog.Atom) (table, where string) {
-	table = BaseTableName(pattern.Pred)
-	var parts []string
-	for i, a := range pattern.Args {
-		if a.IsVar() {
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("c%d = %s", i, a.Val.SQL()))
+// Update commits the workspace rules into the stored D/KB (paper §4.3),
+// incrementally maintaining the compiled rule storage structures, and
+// clears the workspace. It returns the update-time breakdown.
+func (tb *Testbed) Update() (stored.UpdateStats, error) {
+	var st stored.UpdateStats
+	err := run(tb.planUpdate(&st))
+	return st, err
+}
+
+// planUpdate plans an Update, whose breakdown apply leaves in st. The
+// stored manager declares the tables it writes; the rule generation
+// always moves.
+func (tb *Testbed) planUpdate(st *stored.UpdateStats) (write, error) {
+	if tb.closed {
+		return write{}, ErrClosed
 	}
-	return table, strings.Join(parts, " AND ")
+	return write{tables: stored.UpdateFootprint, rules: true, apply: func() error {
+		var err error
+		if *st, err = tb.st.Update(tb.ws.Rules()); err == nil {
+			tb.ws.Clear()
+		}
+		return err
+	}}, nil
 }
 
 // QueryOptions tune query compilation and evaluation.
@@ -382,16 +462,6 @@ func (tb *Testbed) QueryContext(ctx context.Context, src string, opts *QueryOpti
 	if err != nil {
 		return nil, parseErr(err)
 	}
-	return tb.RunQueryContext(ctx, q, opts)
-}
-
-// RunQuery is Query for a pre-parsed query.
-func (tb *Testbed) RunQuery(q dlog.Query, opts *QueryOptions) (*QueryResult, error) {
-	return tb.RunQueryContext(context.Background(), q, opts)
-}
-
-// RunQueryContext is QueryContext for a pre-parsed query.
-func (tb *Testbed) RunQueryContext(ctx context.Context, q dlog.Query, opts *QueryOptions) (*QueryResult, error) {
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
@@ -449,7 +519,7 @@ func (tb *Testbed) compile(ws *core.Workspace, d *db.DB, st *stored.Manager, q d
 
 // Evaluate runs a compiled program. When opts.Trace is set the result
 // carries an evaluation-only trace (compilation happened elsewhere —
-// e.g. in Prepare).
+// e.g. in Compile).
 func (tb *Testbed) Evaluate(compiled *core.Compiled, opts *QueryOptions) (*QueryResult, error) {
 	return tb.EvaluateContext(context.Background(), compiled, opts)
 }
@@ -509,22 +579,6 @@ func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compil
 		Trace:     tr,
 		QueryID:   opts.QueryID,
 	}, res, nil
-}
-
-// Update commits the workspace rules into the stored D/KB (paper §4.3),
-// incrementally maintaining the compiled rule storage structures, and
-// clears the workspace. It returns the update-time breakdown.
-func (tb *Testbed) Update() (stored.UpdateStats, error) {
-	if tb.closed {
-		return stored.UpdateStats{}, ErrClosed
-	}
-	st, err := tb.st.Update(tb.ws.Rules())
-	if err != nil {
-		return st, err
-	}
-	tb.ws.Clear()
-	tb.ruleGen++
-	return st, nil
 }
 
 // adaptiveOptimize implements the paper's proposed dynamic optimization

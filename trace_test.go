@@ -281,16 +281,13 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := tb.RetractSrc("also broken("); !errors.Is(err, ErrParse) {
 		t.Errorf("Retract syntax error: %v", err)
 	}
-	if _, err := tb.Prepare("?- broken(", nil); !errors.Is(err, ErrParse) {
-		t.Errorf("Prepare syntax error: %v", err)
-	}
 	ctb := NewConcurrent(NewMemory())
 	defer ctb.Close()
 	if _, err := ctb.Prepare("?- broken(", nil); !errors.Is(err, ErrParse) {
-		t.Errorf("concurrent Prepare syntax error: %v", err)
+		t.Errorf("Prepare syntax error: %v", err)
 	}
 	if _, err := ctb.Prepare("?- nosuch(X).", nil); !errors.Is(err, ErrUnknownPredicate) {
-		t.Errorf("concurrent Prepare of an unknown predicate: %v", err)
+		t.Errorf("Prepare of an unknown predicate: %v", err)
 	}
 	if _, err := tb.Query("?- nosuch(X).", nil); !errors.Is(err, ErrUnknownPredicate) {
 		t.Errorf("unknown predicate: %v", err)
