@@ -209,7 +209,7 @@ func (d *DB) QueryTracedCtx(ctx context.Context, stmt string, sp *obs.Span) (*Ro
 	if err != nil {
 		return nil, err
 	}
-	return d.runSelect(ctx, p, nil, sp)
+	return d.runSelect(ctx, p, nil, nil, sp)
 }
 
 // QueryCount evaluates a SELECT COUNT(*) (or any single-int-row query)
@@ -255,9 +255,9 @@ func (d *DB) InsertTuples(table string, tuples []rel.Tuple) error {
 }
 
 // runSelect plans and drains one execution of a prepared SELECT.
-func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, sp *obs.Span) (*Rows, error) {
+func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) (*Rows, error) {
 	atomic.AddInt64(&d.stats.Selects, 1)
-	op, err := p.Build(d, args)
+	op, err := p.Build(d, args, vals)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +325,7 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 		if err != nil {
 			return err
 		}
-		return d.insertSelect(ctx, t, p, nil, sp)
+		return d.insertSelect(ctx, t, p, nil, nil, sp)
 	}
 	for _, row := range s.Rows {
 		tu := make(rel.Tuple, len(row))
@@ -346,8 +346,8 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 
 // insertSelect is the body of INSERT INTO t SELECT ...: one execution
 // of the prepared SELECT, materialized, then written to t.
-func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, sp *obs.Span) error {
-	op, err := p.Build(d, args)
+func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) error {
+	op, err := p.Build(d, args, vals)
 	if err != nil {
 		return err
 	}

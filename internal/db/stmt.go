@@ -17,9 +17,11 @@ import (
 // moment — the testbed's analog of the paper's precompiled embedded
 // SQL. Table positions (FROM entries, the INSERT target) may be
 // parameters $1..$n, each with a declared schema; an execution names
-// the table standing at each. A Stmt is immutable and safe for
-// concurrent use; executions are counted and traced exactly as the
-// same statement run through Exec or Query.
+// the table standing at each. Literals compared with a column may be
+// value parameters ?1..?m, typed by that column; an execution supplies
+// their values. A Stmt is immutable and safe for concurrent use;
+// executions are counted and traced exactly as the same statement run
+// through Exec or Query with the values written in as literals.
 type Stmt struct {
 	d      *DB
 	params []*rel.Schema
@@ -33,7 +35,8 @@ type Stmt struct {
 
 // Prepare parses a SELECT or an INSERT ... SELECT and resolves it
 // against the schemas of its tables: params[n-1] for table parameter
-// $n, the current catalog for named tables.
+// $n, the current catalog for named tables. Only a statement prepared
+// here takes value parameters.
 func (d *DB) Prepare(stmt string, params ...*rel.Schema) (*Stmt, error) {
 	st, err := sql.Parse(stmt)
 	if err != nil {
@@ -57,6 +60,22 @@ func (d *DB) Prepare(stmt string, params ...*rel.Schema) (*Stmt, error) {
 	return s, nil
 }
 
+// On returns the statement executing on v, which is the database s was
+// prepared on or a WithResolver view of it: its named tables then
+// resolve through v, so a statement prepared once on a database reads
+// any snapshot a view binds. On panics if v is another database.
+func (s *Stmt) On(v *DB) *Stmt {
+	if v == s.d {
+		return s
+	}
+	if v.cat != s.d.cat {
+		panic("db: Stmt.On: a view of another database")
+	}
+	on := *s
+	on.d = v
+	return &on
+}
+
 // maxStackArgs is how many bound tables an execution keeps on its stack;
 // rule bodies have a handful of literals.
 const maxStackArgs = 8
@@ -74,9 +93,9 @@ func (s *Stmt) bind(buf []*catalog.Table, tables []string) ([]*catalog.Table, er
 	return buf, nil
 }
 
-// Query executes a prepared SELECT with tables[n-1] bound to $n. ctx
-// and sp are as in QueryTracedCtx.
-func (s *Stmt) Query(ctx context.Context, sp *obs.Span, tables ...string) (*Rows, error) {
+// Query executes a prepared SELECT with vals[m-1] bound to ?m and
+// tables[n-1] to $n. ctx and sp are as in QueryTracedCtx.
+func (s *Stmt) Query(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) (*Rows, error) {
 	if s.insert {
 		return nil, fmt.Errorf("db: Query called on a prepared INSERT; use Exec")
 	}
@@ -85,21 +104,21 @@ func (s *Stmt) Query(ctx context.Context, sp *obs.Span, tables ...string) (*Rows
 	if err != nil {
 		return nil, err
 	}
-	return s.d.runSelect(ctx, s.sel, args, sp)
+	return s.d.runSelect(ctx, s.sel, args, vals, sp)
 }
 
 // QueryCount executes a prepared SELECT COUNT(*) and returns the count.
-func (s *Stmt) QueryCount(ctx context.Context, sp *obs.Span, tables ...string) (int64, error) {
-	rows, err := s.Query(ctx, sp, tables...)
+func (s *Stmt) QueryCount(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) (int64, error) {
+	rows, err := s.Query(ctx, sp, vals, tables...)
 	if err != nil {
 		return 0, err
 	}
 	return singleInt(rows)
 }
 
-// Exec executes a prepared INSERT ... SELECT with tables[n-1] bound to
-// $n. ctx and sp are as in ExecTracedCtx.
-func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, tables ...string) error {
+// Exec executes a prepared INSERT ... SELECT with vals[m-1] bound to ?m
+// and tables[n-1] to $n. ctx and sp are as in ExecTracedCtx.
+func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) error {
 	if !s.insert {
 		return fmt.Errorf("db: Exec called on a prepared SELECT; use Query")
 	}
@@ -122,5 +141,5 @@ func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, tables ...string) error {
 	if t == nil {
 		return fmt.Errorf("db: no table %s", name)
 	}
-	return s.d.insertSelect(ctx, t, s.sel, args, sp)
+	return s.d.insertSelect(ctx, t, s.sel, args, vals, sp)
 }

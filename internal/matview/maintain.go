@@ -112,7 +112,7 @@ func (m *maint) readAll(pred, table string) (*db.Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return stmt.Query(context.Background(), nil, table)
+	return stmt.Query(context.Background(), nil, nil, table)
 }
 
 // baseDelta materializes a commit's per-predicate base deltas as the
@@ -227,7 +227,7 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 		if err != nil {
 			return err
 		}
-		if err := copyInto.Exec(context.Background(), nil, pt, table); err != nil {
+		if err := copyInto.Exec(context.Background(), nil, nil, pt, table); err != nil {
 			return err
 		}
 		pre[pred] = pt
@@ -308,7 +308,7 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 			if err != nil {
 				return err
 			}
-			rows, err := stmt.Query(context.Background(), nil, rtlib.Tables(r, m.v.tableOf)...)
+			rows, err := stmt.Query(context.Background(), nil, nil, rtlib.Tables(r, m.v.tableOf)...)
 			if err != nil {
 				return fmt.Errorf("matview: re-derive rule %q: %w", r.Source, err)
 			}

@@ -76,8 +76,13 @@ func (sh shape) catalog(t *testing.T) *catalog.Catalog {
 }
 
 // check plans and runs the shape's query and compares the multiset of
-// result rows with the brute-force reference.
-func (sh shape) check(t *testing.T) {
+// result rows with the brute-force reference. Then the value-parameter
+// axis: the same query with literals compared with a column turned into
+// ?1..?k (each with even odds, rng choosing), prepared once and built
+// with those literals as values, must be planned exactly as the literal
+// query — order, access paths, methods, estimates, bound predicates —
+// and return its rows.
+func (sh shape) check(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	c := sh.catalog(t)
 	st, err := sql.Parse(sh.query)
@@ -89,16 +94,9 @@ func (sh shape) check(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plan: %v\n%s", err, sh)
 	}
-	rows, err := exec.Collect(op)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, sh)
-	}
-	got := make([]string, len(rows))
-	for i, tu := range rows {
-		got[i] = tu.String()
-	}
+	plan := planString(op)
+	got := sortedRows(t, op, sh)
 	want := bruteForce(t, c, sel)
-	sort.Strings(got)
 	sort.Strings(want)
 	for i := 0; i < len(got) || i < len(want); i++ {
 		if i >= len(got) || i >= len(want) || got[i] != want[i] {
@@ -106,6 +104,79 @@ func (sh shape) check(t *testing.T) {
 				len(got), len(want), i, got[min(i, len(got)):min(i+3, len(got))], want[min(i, len(want)):min(i+3, len(want))], sh)
 		}
 	}
+
+	param := *sel
+	var vals []rel.Value
+	param.Where = withValueParams(sel.Where, rng, &vals)
+	p, err := Prepare(c, &param, nil)
+	if err != nil {
+		t.Fatalf("prepare with %d value parameters: %v\n%s", len(vals), err, sh)
+	}
+	op, err = p.Build(c, nil, vals)
+	if err != nil {
+		t.Fatalf("build with values %v: %v\n%s", vals, err, sh)
+	}
+	if pp := planString(op); pp != plan {
+		t.Fatalf("bound to %v, WHERE %s plans\n%s\nthe literal query plans\n%s\n%s", vals, sql.FormatExpr(param.Where), pp, plan, sh)
+	}
+	if pGot := sortedRows(t, op, sh); fmt.Sprint(pGot) != fmt.Sprint(got) {
+		t.Fatalf("bound to %v, WHERE %s returned %d rows, the literal query %d\n%s", vals, sql.FormatExpr(param.Where), len(pGot), len(got), sh)
+	}
+}
+
+// withValueParams copies a WHERE clause with each literal compared with
+// a column replaced, with even odds, by the next value parameter, whose
+// value it appends to vals.
+func withValueParams(e sql.Expr, rng *rand.Rand, vals *[]rel.Value) sql.Expr {
+	switch v := e.(type) {
+	case sql.And:
+		return sql.And{Left: withValueParams(v.Left, rng, vals), Right: withValueParams(v.Right, rng, vals)}
+	case sql.Or:
+		return sql.Or{Left: withValueParams(v.Left, rng, vals), Right: withValueParams(v.Right, rng, vals)}
+	case sql.Not:
+		return sql.Not{Inner: withValueParams(v.Inner, rng, vals)}
+	case sql.Compare:
+		param := func(side sql.Expr, other sql.Expr) sql.Expr {
+			lit, isLit := side.(sql.Literal)
+			if _, isCol := other.(sql.ColRef); !isLit || !isCol || rng.Intn(2) == 0 {
+				return side
+			}
+			*vals = append(*vals, lit.Value)
+			return sql.ValueParam{N: len(*vals)}
+		}
+		v.Left, v.Right = param(v.Left, v.Right), param(v.Right, v.Left)
+		return v
+	}
+	return e
+}
+
+// planString renders a plan with everything Build decided: the
+// operators and their order, tables and indexes, estimates, probe keys
+// and bound predicates.
+func planString(op exec.Operator) string {
+	switch v := op.(type) {
+	case *exec.Project:
+		return fmt.Sprintf("project%v(%s)", v.Exprs, planString(v.Input))
+	case *exec.Filter:
+		return fmt.Sprintf("filter[%v](%s)", v.Pred, planString(v.Input))
+	case *exec.Distinct:
+		return "distinct(" + planString(v.Input) + ")"
+	case *exec.CountStar:
+		return "count(" + planString(v.Input) + ")"
+	case *exec.SeqScan:
+		return fmt.Sprintf("seq %s est=%g", v.Table.Name, v.Est)
+	case *exec.IndexScan:
+		return fmt.Sprintf("index %s[%s] key=%v est=%g", v.Table.Name, v.Index.Name, v.Key, v.Est)
+	case *exec.HashJoin:
+		return fmt.Sprintf("hash%v%v left=%v est=%g(%s, %s)", v.LeftOrds, v.RightOrds, v.BuildLeft, v.Est, planString(v.Left), planString(v.Right))
+	case *exec.NLJoin:
+		return fmt.Sprintf("cross est=%g(%s, %s)", v.Est, planString(v.Left), planString(v.Right))
+	case *exec.IndexNLJoin:
+		return fmt.Sprintf("probe %s[%s]%v [%v] est=%g(%s)", v.Right.Name, v.Index.Name, v.LeftOrds, v.Residual, v.Est, planString(v.Left))
+	case *exec.SetOpExec:
+		return fmt.Sprintf("setop%d(%s, %s)", v.Kind, planString(v.Left), planString(v.Right))
+	}
+	return fmt.Sprintf("%T", op)
 }
 
 // bruteForce evaluates a simple SELECT as the definition reads: the
@@ -323,7 +394,8 @@ func TestPlanAgreesWithBruteForce(t *testing.T) {
 		cases = 60
 	}
 	for seed := int64(1); seed <= int64(cases); seed++ {
-		randomShape(rand.New(rand.NewSource(seed))).check(t)
+		rng := rand.New(rand.NewSource(seed))
+		randomShape(rng).check(t, rng)
 	}
 }
 
@@ -335,7 +407,7 @@ func TestPlanAgreesWithBruteForce(t *testing.T) {
 func TestPlanNamedShapes(t *testing.T) {
 	for _, tc := range namedShapes() {
 		tc := tc
-		t.Run(tc.name, func(t *testing.T) { tc.check(t) })
+		t.Run(tc.name, func(t *testing.T) { tc.check(t, rand.New(rand.NewSource(1))) })
 	}
 }
 

@@ -16,7 +16,8 @@ type tableInfo struct {
 	preds []symPred
 
 	// scanIndex/scanKey are the IndexScan serving the literal
-	// equalities among preds; nil means SeqScan.
+	// equalities among preds, with this execution's values; nil means
+	// SeqScan.
 	scanIndex *catalog.Index
 	scanKey   rel.Tuple
 
@@ -26,16 +27,17 @@ type tableInfo struct {
 
 // analyze picks the access path of the table just bound and estimates
 // its cardinality after the local predicates, eqLit being the column =
-// literal ones among them. When an index covers the literal key the
-// estimate is the exact posting count.
-func (tab *tableInfo) analyze(eqLit []litEq) {
+// literal ones among them and vals the values of their parameters.
+// When an index covers the literal key the estimate is the exact posting
+// count.
+func (tab *tableInfo) analyze(eqLit []litEq, vals []rel.Value) {
 	t := tab.t
 	tab.est = float64(t.Rows())
 	tab.touch = tab.est
 	if len(eqLit) == 0 {
 		return
 	}
-	if idx, key := pickIndex(t, eqLit); idx != nil {
+	if idx, key := pickIndex(t, eqLit, vals); idx != nil {
 		tab.scanIndex, tab.scanKey = idx, key
 		tab.est = float64(len(idx.LookupPrefix(key)))
 		tab.touch = tab.est
@@ -45,22 +47,23 @@ func (tab *tableInfo) analyze(eqLit []litEq) {
 	}
 }
 
-// litEq is a column = literal conjunct of one table.
+// litEq is a column = literal conjunct of one table; the literal is a
+// value parameter's when lit.param is set.
 type litEq struct {
 	col int
-	val rel.Value
+	lit symScalar
 }
 
-// literalEqualities picks the column = literal conjuncts out of one
-// table's predicates.
+// literalEqualities picks the column = literal and column = ?n
+// conjuncts out of one table's predicates.
 func literalEqualities(preds []symPred) []litEq {
 	var eqLit []litEq
 	for _, p := range preds {
 		if c, ok := p.(symCmp); ok && c.op == sql.CmpEq {
 			if c.left.isCol && !c.right.isCol {
-				eqLit = append(eqLit, litEq{c.left.col.col, c.right.val})
+				eqLit = append(eqLit, litEq{c.left.col.col, c.right})
 			} else if c.right.isCol && !c.left.isCol {
-				eqLit = append(eqLit, litEq{c.right.col.col, c.left.val})
+				eqLit = append(eqLit, litEq{c.right.col.col, c.left})
 			}
 		}
 	}
@@ -68,8 +71,8 @@ func literalEqualities(preds []symPred) []litEq {
 }
 
 // pickIndex chooses the index with the longest prefix fully bound by
-// the literal equalities and builds its probe key.
-func pickIndex(t *catalog.Table, eqLit []litEq) (*catalog.Index, rel.Tuple) {
+// the literal equalities and builds its probe key from their values.
+func pickIndex(t *catalog.Table, eqLit []litEq, vals []rel.Value) (*catalog.Index, rel.Tuple) {
 	var best *catalog.Index
 	var bestKey rel.Tuple
 	for _, idx := range t.Indexes {
@@ -78,7 +81,7 @@ func pickIndex(t *catalog.Table, eqLit []litEq) (*catalog.Index, rel.Tuple) {
 		for _, o := range idx.Ords {
 			for _, e := range eqLit {
 				if e.col == o {
-					key = append(key, e.val)
+					key = append(key, e.lit.value(vals))
 					continue cols
 				}
 			}

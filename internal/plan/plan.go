@@ -6,19 +6,21 @@
 //
 //   - name resolution against the FROM list, whose positions are named
 //     tables or table parameters with declared schemas;
-//   - predicate analysis: type the WHERE clause and split it into
-//     per-table conjuncts (pushed below joins), equijoin conjuncts (the
-//     edges of the join graph) and residual predicates (applied once
-//     their tables are joined);
+//   - predicate analysis: type the WHERE clause — a value parameter ?n
+//     takes the type of the column it is compared with — and split it
+//     into per-table conjuncts (pushed below joins), equijoin conjuncts
+//     (the edges of the join graph) and residual predicates (applied
+//     once their tables are joined);
 //   - the projection and its output schema.
 //
 // (*Prepared).Build runs at every execution, over the tables standing
-// at the FROM positions then, and settles what follows from their
-// state:
+// at the FROM positions then and the values bound to ?1..?n, and
+// settles what follows from their state:
 //
 //   - access-path selection: a table with equality-on-literal conjuncts
-//     matching a B+tree index prefix is read through an IndexScan,
-//     everything else through a SeqScan;
+//     (column = ?n among them, with its bound value) matching a B+tree
+//     index prefix is read through an IndexScan, everything else through
+//     a SeqScan;
 //   - cost-based left-deep join ordering (order.go): every start table
 //     is extended by the cheapest next join, and the cheapest complete
 //     order wins;
@@ -67,6 +69,8 @@ type Prepared struct {
 	// left-associated.
 	setOps []exec.SetOpKind
 	params int
+	// values[n-1] is the type of value parameter ?n.
+	values []rel.Type
 }
 
 // block is one SELECT block of a Prepared.
@@ -92,7 +96,7 @@ type from struct {
 	param  int
 	schema *rel.Schema
 	// preds are the conjuncts over this table alone, eqLit the column =
-	// literal ones among them.
+	// literal (or value parameter) ones among them.
 	preds []symPred
 	eqLit []litEq
 }
@@ -115,13 +119,14 @@ func (e *BindError) Error() string {
 	return fmt.Sprintf("plan: table bound to %s has schema %v, statement prepared for %v", e.Ref, e.Got, e.Want)
 }
 
-// BuildSelect plans a (possibly compound) SELECT against the source.
+// BuildSelect plans a (possibly compound) SELECT against the source. It
+// binds no parameters: a statement with any only prepares.
 func BuildSelect(cat TableSource, s *sql.Select) (exec.Operator, error) {
 	p, err := Prepare(cat, s, nil)
 	if err != nil {
 		return nil, err
 	}
-	return p.Build(cat, nil)
+	return p.Build(cat, nil, nil)
 }
 
 // BuildDelete plans the scan that finds the victims of DELETE FROM t
@@ -138,7 +143,9 @@ func BuildDelete(cat TableSource, s sql.Delete) (exec.Operator, error) {
 
 // Prepare resolves and analyzes a SELECT once, for any number of
 // Builds. params[n-1] is the schema declared for table parameter $n;
-// named tables take their schema from cat.
+// named tables take their schema from cat. Value parameters are typed by
+// the columns they are compared with: one compared with no column, typed
+// two ways, or missing from ?1..?n is an error.
 //
 // UNION, EXCEPT and INTERSECT deduplicate their inputs themselves, so a
 // SELECT DISTINCT feeding one gets no Distinct operator of its own.
@@ -154,11 +161,16 @@ func Prepare(cat TableSource, s *sql.Select, params []*rel.Schema) (*Prepared, e
 	keepDistinct := func(op sql.SetOp) bool { return op == sql.SetNone || op == sql.SetUnionAll }
 	distinct := keepDistinct(s.SetOp)
 	for i, cur := 0, s; ; i, cur = i+1, cur.Next {
-		if err := p.blocks[i].prepare(cat, cur, params, distinct); err != nil {
+		if err := p.blocks[i].prepare(cat, cur, params, &p.values, distinct); err != nil {
 			return nil, err
 		}
 		switch cur.SetOp {
 		case sql.SetNone:
+			for n, ty := range p.values {
+				if ty == rel.TypeUnknown {
+					return nil, fmt.Errorf("plan: value parameter ?%d is not compared with a column", n+1)
+				}
+			}
 			return p, nil
 		case sql.SetUnion:
 			p.setOps[i] = exec.OpUnion
@@ -177,17 +189,27 @@ func Prepare(cat TableSource, s *sql.Select, params []*rel.Schema) (*Prepared, e
 // paths, join order and methods follow the cardinalities of this
 // moment. args[n-1] is the table bound to parameter $n; named tables
 // are resolved through cat. A table that is missing or whose schema is
-// not the prepared one is a *BindError.
-func (p *Prepared) Build(cat TableSource, args []*catalog.Table) (exec.Operator, error) {
+// not the prepared one is a *BindError. vals[n-1] is the value bound to
+// ?n, of the type Prepare gave it: a literal in every predicate it
+// stands in and, under an equality, in the index probe key.
+func (p *Prepared) Build(cat TableSource, args []*catalog.Table, vals []rel.Value) (exec.Operator, error) {
 	if len(args) != p.params {
 		return nil, fmt.Errorf("plan: statement takes %d table parameters, got %d", p.params, len(args))
 	}
-	left, err := p.blocks[0].build(cat, args)
+	if len(vals) != len(p.values) {
+		return nil, fmt.Errorf("plan: statement takes %d value parameters, got %d", len(p.values), len(vals))
+	}
+	for i, v := range vals {
+		if v.Kind != p.values[i] {
+			return nil, fmt.Errorf("plan: value parameter ?%d is %v, bound to %v", i+1, p.values[i], v.Kind)
+		}
+	}
+	left, err := p.blocks[0].build(cat, args, vals)
 	if err != nil {
 		return nil, err
 	}
 	for i, kind := range p.setOps {
-		right, err := p.blocks[i+1].build(cat, args)
+		right, err := p.blocks[i+1].build(cat, args, vals)
 		if err != nil {
 			return nil, err
 		}
@@ -204,12 +226,22 @@ type colID struct {
 	col   int
 }
 
-// symScalar is a column or literal leaf.
+// symScalar is a column, literal or value-parameter leaf; param is n
+// for ?n, else 0.
 type symScalar struct {
 	isCol bool
 	col   colID
 	ty    rel.Type
 	val   rel.Value
+	param int
+}
+
+// value is a non-column leaf's value in one execution.
+func (s symScalar) value(vals []rel.Value) rel.Value {
+	if s.param > 0 {
+		return vals[s.param-1]
+	}
+	return s.val
 }
 
 // symPred mirrors the sql predicate tree with resolved leaves. tables
@@ -237,10 +269,12 @@ func (a symAnd) tables(set []bool) { a.left.tables(set); a.right.tables(set) }
 func (o symOr) tables(set []bool)  { o.left.tables(set); o.right.tables(set) }
 func (n symNot) tables(set []bool) { n.inner.tables(set) }
 
-// scope resolves names while a block is prepared.
+// scope resolves names while a block is prepared. values is the
+// statement's value-parameter types, shared by its blocks.
 type scope struct {
 	aliases []string
 	schemas []*rel.Schema
+	values  *[]rel.Type
 }
 
 func (sc *scope) resolve(c sql.ColRef) (colID, rel.Type, error) {
@@ -282,9 +316,33 @@ func (sc *scope) scalar(e sql.Expr) (symScalar, error) {
 		return symScalar{isCol: true, col: id, ty: ty}, nil
 	case sql.Literal:
 		return symScalar{val: v.Value, ty: v.Value.Kind}, nil
+	case sql.ValueParam:
+		return symScalar{param: v.N}, nil
 	default:
 		return symScalar{}, fmt.Errorf("plan: unsupported scalar %T", e)
 	}
+}
+
+// typeParam gives the value parameter of a comparison the type of the
+// column on the other side.
+func (sc *scope) typeParam(param, other *symScalar) error {
+	if !other.isCol {
+		return fmt.Errorf("plan: value parameter ?%d is not compared with a column", param.param)
+	}
+	vals := *sc.values
+	for len(vals) < param.param {
+		vals = append(vals, rel.TypeUnknown)
+	}
+	*sc.values = vals
+	switch ty := vals[param.param-1]; ty {
+	case rel.TypeUnknown:
+		vals[param.param-1] = other.ty
+	case other.ty:
+	default:
+		return fmt.Errorf("plan: value parameter ?%d compared with %v and with %v", param.param, ty, other.ty)
+	}
+	param.ty = other.ty
+	return nil
 }
 
 func (sc *scope) pred(e sql.Expr) (symPred, error) {
@@ -295,6 +353,14 @@ func (sc *scope) pred(e sql.Expr) (symPred, error) {
 			return nil, err
 		}
 		r, err := sc.scalar(v.Right)
+		if err != nil {
+			return nil, err
+		}
+		if l.param > 0 {
+			err = sc.typeParam(&l, &r)
+		} else if r.param > 0 {
+			err = sc.typeParam(&r, &l)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -354,41 +420,42 @@ func (m colMap) ord(c colID) (int, bool) {
 	return m[c.table] + c.col, true
 }
 
-// bind converts a symbolic predicate to a physical one via the map.
-func bind(p symPred, m colMap) (exec.Pred, error) {
+// bind converts a symbolic predicate to a physical one via the map,
+// vals standing in for the value parameters.
+func bind(p symPred, m colMap, vals []rel.Value) (exec.Pred, error) {
 	switch v := p.(type) {
 	case symCmp:
-		l, err := bindScalar(v.left, m)
+		l, err := bindScalar(v.left, m, vals)
 		if err != nil {
 			return nil, err
 		}
-		r, err := bindScalar(v.right, m)
+		r, err := bindScalar(v.right, m, vals)
 		if err != nil {
 			return nil, err
 		}
 		return exec.Cmp{Op: v.op, Left: l, Right: r}, nil
 	case symAnd:
-		l, err := bind(v.left, m)
+		l, err := bind(v.left, m, vals)
 		if err != nil {
 			return nil, err
 		}
-		r, err := bind(v.right, m)
+		r, err := bind(v.right, m, vals)
 		if err != nil {
 			return nil, err
 		}
 		return exec.AndP{Preds: []exec.Pred{l, r}}, nil
 	case symOr:
-		l, err := bind(v.left, m)
+		l, err := bind(v.left, m, vals)
 		if err != nil {
 			return nil, err
 		}
-		r, err := bind(v.right, m)
+		r, err := bind(v.right, m, vals)
 		if err != nil {
 			return nil, err
 		}
 		return exec.OrP{Left: l, Right: r}, nil
 	case symNot:
-		in, err := bind(v.inner, m)
+		in, err := bind(v.inner, m, vals)
 		if err != nil {
 			return nil, err
 		}
@@ -399,9 +466,9 @@ func bind(p symPred, m colMap) (exec.Pred, error) {
 }
 
 // bindAll binds a conjunction, appending to preds.
-func bindAll(preds []exec.Pred, ps []symPred, m colMap) ([]exec.Pred, error) {
+func bindAll(preds []exec.Pred, ps []symPred, m colMap, vals []rel.Value) ([]exec.Pred, error) {
 	for _, p := range ps {
-		bp, err := bind(p, m)
+		bp, err := bind(p, m, vals)
 		if err != nil {
 			return nil, err
 		}
@@ -410,9 +477,9 @@ func bindAll(preds []exec.Pred, ps []symPred, m colMap) ([]exec.Pred, error) {
 	return preds, nil
 }
 
-func bindScalar(s symScalar, m colMap) (exec.Scalar, error) {
+func bindScalar(s symScalar, m colMap, vals []rel.Value) (exec.Scalar, error) {
 	if !s.isCol {
-		return exec.Const{Val: s.val}, nil
+		return exec.Const{Val: s.value(vals)}, nil
 	}
 	ord, ok := m.ord(s.col)
 	if !ok {
@@ -440,15 +507,16 @@ type residual struct {
 	tables []bool
 }
 
-// prepare analyzes one SELECT block; distinct says whether its
-// DISTINCT, if any, needs an operator.
-func (b *block) prepare(cat TableSource, s *sql.Select, params []*rel.Schema, distinct bool) error {
+// prepare analyzes one SELECT block, typing the value parameters it
+// compares into values; distinct says whether its DISTINCT, if any,
+// needs an operator.
+func (b *block) prepare(cat TableSource, s *sql.Select, params []*rel.Schema, values *[]rel.Type, distinct bool) error {
 	if len(s.From) == 0 {
 		return fmt.Errorf("plan: empty FROM")
 	}
 	n := len(s.From)
 	b.from = make([]from, n)
-	sc := &scope{aliases: make([]string, 0, n), schemas: make([]*rel.Schema, 0, n)}
+	sc := &scope{aliases: make([]string, 0, n), schemas: make([]*rel.Schema, 0, n), values: values}
 	for i, tr := range s.From {
 		f := from{name: tr.Table, param: tr.Param}
 		switch {
@@ -536,7 +604,7 @@ func (f *from) table(cat TableSource, args []*catalog.Table) (*catalog.Table, er
 }
 
 // build plans one execution of the block.
-func (b *block) build(cat TableSource, args []*catalog.Table) (exec.Operator, error) {
+func (b *block) build(cat TableSource, args []*catalog.Table, vals []rel.Value) (exec.Operator, error) {
 	n := len(b.from)
 	g := &joinGraph{tabs: make([]tableInfo, n), joins: b.joins}
 	for ti := range b.from {
@@ -546,7 +614,7 @@ func (b *block) build(cat TableSource, args []*catalog.Table) (exec.Operator, er
 			return nil, err
 		}
 		g.tabs[ti] = tableInfo{t: t, preds: f.preds}
-		g.tabs[ti].analyze(f.eqLit)
+		g.tabs[ti].analyze(f.eqLit, vals)
 	}
 
 	// m places the attached tables in cur's output; local is the same
@@ -572,7 +640,7 @@ func (b *block) build(cat TableSource, args []*catalog.Table) (exec.Operator, er
 		// re-checking the covered equalities is cheap and keeps the
 		// planner simple and the executor obviously correct).
 		local[ti] = 0
-		preds, err := bindAll(nil, tab.preds, local)
+		preds, err := bindAll(nil, tab.preds, local, vals)
 		local[ti] = -1
 		if err != nil {
 			return nil, err
@@ -612,7 +680,7 @@ func (b *block) build(cat TableSource, args []*catalog.Table) (exec.Operator, er
 				}
 			}
 			if st.index != nil {
-				key, res, err := indexJoinKey(tab, st.index, st.keyLen, outer, inner, m, width)
+				key, res, err := indexJoinKey(tab, st.index, st.keyLen, outer, inner, m, width, vals)
 				if err != nil {
 					return nil, err
 				}
@@ -640,7 +708,7 @@ func (b *block) build(cat TableSource, args []*catalog.Table) (exec.Operator, er
 			if !r.tables[ti] || !covers(joined, r.tables) {
 				continue
 			}
-			bp, err := bind(r.pred, m)
+			bp, err := bind(r.pred, m, vals)
 			if err != nil {
 				return nil, err
 			}
@@ -658,7 +726,7 @@ func (b *block) build(cat TableSource, args []*catalog.Table) (exec.Operator, er
 	if b.proj != nil {
 		exprs := make([]exec.Scalar, len(b.proj))
 		for i, ss := range b.proj {
-			phys, err := bindScalar(ss, m)
+			phys, err := bindScalar(ss, m, vals)
 			if err != nil {
 				return nil, err
 			}
@@ -689,7 +757,7 @@ func covers(have, need []bool) bool {
 // plus the table's single-table predicates. outer/inner are the
 // connecting equalities (prefix ordinal, table column); the table's
 // columns start at ordinal at, where m already places them.
-func indexJoinKey(tab *tableInfo, idx *catalog.Index, keyLen int, outer, inner []int, m colMap, at int) ([]int, exec.Pred, error) {
+func indexJoinKey(tab *tableInfo, idx *catalog.Index, keyLen int, outer, inner []int, m colMap, at int, vals []rel.Value) ([]int, exec.Pred, error) {
 	key := make([]int, keyLen)
 	covered := make([]bool, len(inner))
 	for i := range key {
@@ -713,7 +781,7 @@ func indexJoinKey(tab *tableInfo, idx *catalog.Index, keyLen int, outer, inner [
 			Right: exec.Col{Ord: at + c, Ty: ty},
 		})
 	}
-	preds, err := bindAll(preds, tab.preds, m)
+	preds, err := bindAll(preds, tab.preds, m, vals)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -743,6 +811,9 @@ func projection(sc *scope, s *sql.Select) ([]symScalar, *rel.Schema, error) {
 		ss, err := sc.scalar(item.Expr)
 		if err != nil {
 			return nil, nil, err
+		}
+		if ss.param > 0 {
+			return nil, nil, fmt.Errorf("plan: value parameter ?%d is not compared with a column", ss.param)
 		}
 		exprs = append(exprs, ss)
 		name := item.Alias

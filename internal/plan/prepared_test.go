@@ -69,7 +69,7 @@ func (sh shape) checkPrepared(t *testing.T) (orders map[string]bool) {
 			bound.From[i] = sql.TableRef{Table: named.From[at(i)].Table, Alias: tr.Alias}
 			args[i] = c.Table(bound.From[i].Table)
 		}
-		op, err := p.Build(c, args)
+		op, err := p.Build(c, args, nil)
 		if err != nil {
 			t.Fatalf("build: %v\n%s", err, sh)
 		}
@@ -146,7 +146,7 @@ func TestPreparedOrdersPerBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, args := range [][]*catalog.Table{{small, big}, {big, small}} {
-		op, err := p.Build(c, args)
+		op, err := p.Build(c, args, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestPreparedBindErrors(t *testing.T) {
 	}
 	wantBind := func(what string, args []*catalog.Table, ref string, missing bool) {
 		t.Helper()
-		_, err := p.Build(c, args)
+		_, err := p.Build(c, args, nil)
 		var be *BindError
 		if !errors.As(err, &be) {
 			t.Fatalf("%s: error %v, want a *BindError", what, err)
@@ -192,12 +192,12 @@ func TestPreparedBindErrors(t *testing.T) {
 			t.Errorf("%s: %+v", what, be)
 		}
 	}
-	if op, err := p.Build(c, []*catalog.Table{ab}); err != nil || len(sortedRows(t, op, "good bind")) != 3 {
+	if op, err := p.Build(c, []*catalog.Table{ab}, nil); err != nil || len(sortedRows(t, op, "good bind")) != 3 {
 		t.Fatalf("good bind: %v", err)
 	}
 	wantBind("wrong schema", []*catalog.Table{other}, "$1", false)
 	wantBind("missing", []*catalog.Table{nil}, "$1", true)
-	if _, err := p.Build(c, nil); err == nil {
+	if _, err := p.Build(c, nil, nil); err == nil {
 		t.Error("Build without arguments succeeded")
 	}
 	if err := c.DropTable("ab"); err != nil {
@@ -237,7 +237,7 @@ func TestPreparedConcurrentBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(args []*catalog.Table) (int, error) {
-		op, err := p.Build(c, args)
+		op, err := p.Build(c, args, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -265,4 +265,111 @@ func TestPreparedConcurrentBuild(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestPreparedValueParams: a value parameter is typed by the column it
+// is compared with, in every block of a compound; what cannot be typed
+// that way fails Prepare, and a value of another type or count fails
+// Build. Under an equality it picks the index and the exact posting
+// count from the bound value, as the literal does.
+func TestPreparedValueParams(t *testing.T) {
+	c := setup(t)
+	addTable(t, c, "e", 100)
+	if _, err := c.CreateIndex("e_b", "e", []string{"b"}, false); err != nil {
+		t.Fatal(err)
+	}
+	prepare := func(q string) (*Prepared, error) {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Prepare(c, st.(*sql.Select), nil)
+	}
+	for _, q := range []string{
+		"SELECT a FROM e WHERE ?1 = 3",                                    // compared with no column
+		"SELECT a FROM e WHERE ?1 = ?1",                                   // nor here
+		"SELECT ?1 FROM e WHERE a = ?1",                                   // in the select list
+		"SELECT a FROM e WHERE b = ?2",                                    // ?1 missing
+		"SELECT a FROM e WHERE b = ?1 UNION SELECT a FROM e WHERE b = ?3", // ?2 missing
+	} {
+		if _, err := prepare(q); err == nil {
+			t.Errorf("Prepare(%q) succeeded", q)
+		}
+	}
+	s := rel.MustSchema(rel.Column{Name: "s", Type: rel.TypeString})
+	if _, err := c.CreateTable("strs", s, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prepare("SELECT a FROM e, strs WHERE e.a = ?1 AND strs.s = ?1"); err == nil {
+		t.Error("Prepare accepted ?1 typed both INTEGER and CHAR")
+	}
+
+	p, err := prepare("SELECT a FROM e WHERE b = ?1 AND a < ?2 UNION SELECT a FROM e WHERE ?1 = b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]rel.Value{nil, {rel.NewInt(1)}, {rel.NewInt(1), rel.NewString("x")}} {
+		if _, err := p.Build(c, nil, bad); err == nil {
+			t.Errorf("Build bound %v", bad)
+		}
+	}
+	op, err := p.Build(c, nil, []rel.Value{rel.NewInt(7), rel.NewInt(50)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedRows(t, op, "union"); len(got) != 10 {
+		t.Errorf("b = 7: %d rows, want 10: %v", len(got), got)
+	}
+	if _, err := BuildSelect(c, &sql.Select{From: []sql.TableRef{{Table: "e", Alias: "e"}},
+		Where: sql.Compare{Op: sql.CmpEq, Left: sql.ColRef{Column: "b"}, Right: sql.ValueParam{N: 1}}}); err == nil {
+		t.Error("BuildSelect bound a value parameter")
+	}
+
+	one, err := prepare("SELECT a FROM e WHERE b = ?1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int64{3, 42} {
+		op, err := one.Build(c, nil, []rel.Value{rel.NewInt(v)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit := build(t, c, fmt.Sprintf("SELECT a FROM e WHERE b = %d", v))
+		if planString(op) != planString(lit) {
+			t.Errorf("b = ?1 bound to %d plans %s, the literal %s", v, planString(op), planString(lit))
+		}
+		if scan, ok := unwrap(op).(*exec.IndexScan); !ok || scan.Est != float64(len(sortedRows(t, lit, v))) {
+			t.Errorf("b = ?1 bound to %d: %s, want an IndexScan with the exact posting count", v, planString(op))
+		}
+	}
+}
+
+// TestValueParamBuildAllocsAsLiteral: binding ?1 allocates what the
+// literal it stands for does — the value goes into the Const and the
+// probe key the literal would have gone into — so neither a statement
+// with value parameters nor one without pays for the slot per Build.
+func TestValueParamBuildAllocsAsLiteral(t *testing.T) {
+	c := setup(t)
+	addTable(t, c, "e", 50)
+	if _, err := c.CreateIndex("e_b", "e", []string{"b"}, false); err != nil {
+		t.Fatal(err)
+	}
+	prep := func(q string) *Prepared {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Prepare(c, st.(*sql.Select), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	lit, param := prep("SELECT a FROM e WHERE b = 4"), prep("SELECT a FROM e WHERE b = ?1")
+	vals := []rel.Value{rel.NewInt(4)}
+	litAllocs := testing.AllocsPerRun(50, func() { lit.Build(c, nil, nil) })
+	paramAllocs := testing.AllocsPerRun(50, func() { param.Build(c, nil, vals) })
+	if litAllocs != paramAllocs {
+		t.Errorf("Build allocates %.0f objects for a literal, %.0f for the same statement with ?1", litAllocs, paramAllocs)
+	}
 }

@@ -305,7 +305,7 @@ func (fp *Fixpoint) pending(pred string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return stmt.QueryCount(evalCtx(fp.Ctx), nil, t)
+	return stmt.QueryCount(evalCtx(fp.Ctx), nil, nil, t)
 }
 
 // insertRule executes one rule statement under a "rule <head>" span:
@@ -322,7 +322,7 @@ func (fp *Fixpoint) insertRule(j differential, target, acc string, parent *obs.S
 		tables = append(tables, acc)
 	}
 	t0 := time.Now()
-	if err := j.stmt.Exec(evalCtx(fp.Ctx), sp, tables...); err != nil {
+	if err := j.stmt.Exec(evalCtx(fp.Ctx), sp, nil, tables...); err != nil {
 		return fmt.Errorf("rtlib: rule %q: %w", j.rule.Source, err)
 	}
 	sp.End()
@@ -346,7 +346,7 @@ func (fp *Fixpoint) copyRows(pred, into, from string) error {
 	if err != nil {
 		return err
 	}
-	return stmt.Exec(evalCtx(fp.Ctx), nil, into, from)
+	return stmt.Exec(evalCtx(fp.Ctx), nil, nil, into, from)
 }
 
 // createTemp creates a temp table on the run's registry, timed.

@@ -71,7 +71,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 			if err != nil {
 				return err
 			}
-			diff, err := missing.Query(evalCtx(fp.Ctx), nil, newNames[p], fp.Into(p))
+			diff, err := missing.Query(evalCtx(fp.Ctx), nil, nil, newNames[p], fp.Into(p))
 			if err != nil {
 				return err
 			}

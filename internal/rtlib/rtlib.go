@@ -290,7 +290,7 @@ func (ev *evaluator) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := answer.Query(evalCtx(ev.opts.Ctx), nil, qt)
+	rows, err := answer.Query(evalCtx(ev.opts.Ctx), nil, nil, qt)
 	if err != nil {
 		return nil, err
 	}

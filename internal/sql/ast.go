@@ -17,12 +17,16 @@
 // recognized in any case.
 //
 // A table position — an entry of FROM, the target of INSERT INTO — may
-// be a parameter $1, $2, ... in place of a name: the statement is then
-// only good for preparing (db.Prepare), and each execution binds the
-// parameters to tables. Nothing else can be a parameter.
+// be a parameter $1, $2, ... in place of a name, and an operand of a
+// comparison or the select list may be a value parameter ?1, ?2, ... in
+// place of a literal: the statement is then only good for preparing
+// (db.Prepare), and each execution binds the table parameters to tables
+// and the value parameters to values. $n is never a value and ?n never
+// a table.
 package sql
 
 import (
+	"strconv"
 	"strings"
 
 	"dkbms/internal/rel"
@@ -134,6 +138,12 @@ type Literal struct {
 	Value rel.Value
 }
 
+// ValueParam is the value parameter ?N, a literal supplied by each
+// execution of a prepared statement.
+type ValueParam struct {
+	N int
+}
+
 // CmpOp is a comparison operator.
 type CmpOp int
 
@@ -182,12 +192,13 @@ type Or struct{ Left, Right Expr }
 // Not is a negation.
 type Not struct{ Inner Expr }
 
-func (ColRef) expr()  {}
-func (Literal) expr() {}
-func (Compare) expr() {}
-func (And) expr()     {}
-func (Or) expr()      {}
-func (Not) expr()     {}
+func (ColRef) expr()     {}
+func (Literal) expr()    {}
+func (ValueParam) expr() {}
+func (Compare) expr()    {}
+func (And) expr()        {}
+func (Or) expr()         {}
+func (Not) expr()        {}
 
 // String renders a column reference.
 func (c ColRef) String() string {
@@ -211,6 +222,8 @@ func formatExpr(b *strings.Builder, e Expr) {
 		b.WriteString(v.String())
 	case Literal:
 		b.WriteString(v.Value.SQL())
+	case ValueParam:
+		b.WriteString("?" + strconv.Itoa(v.N))
 	case Compare:
 		formatExpr(b, v.Left)
 		b.WriteByte(' ')

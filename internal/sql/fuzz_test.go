@@ -10,7 +10,8 @@ import (
 // render writes a parsed statement back as SQL text. It exists for
 // FuzzParse: the parser is the only reader of the dialect, so the
 // property that holds it to the AST is that what it accepted, written
-// out from the AST alone, parses to the same AST.
+// out from the AST alone, parses to the same AST. Table parameters are
+// written here, value parameters (?n) by FormatExpr.
 func render(st Statement) string {
 	var b strings.Builder
 	position := func(table string, param int) {
@@ -120,10 +121,11 @@ func render(st Statement) string {
 // from the shell's .sql command and from every caller that renders a
 // name into a statement: it never panics, and a statement it accepts,
 // rendered from its AST, parses to an equal AST. The seed corpus under
-// testdata/fuzz holds every statement form, table parameters where they
-// are legal and where they are not, and the inputs of TestParseErrors.
+// testdata/fuzz holds every statement form, table and value parameters
+// where they are legal and where they are not, and the inputs of
+// TestParseErrors.
 func FuzzParse(f *testing.F) {
-	f.Add("SELECT DISTINCT t0.c0, 'it''s' AS s FROM edb_parent t0, $2 AS t1 WHERE (t0.c1 = t1.c0 AND NOT t1.c1 <> -7) OR t0.c0 >= 'a'")
+	f.Add("SELECT DISTINCT t0.c0, 'it''s' AS s FROM edb_parent t0, $2 AS t1 WHERE (t0.c1 = t1.c0 AND NOT t1.c1 <> ?1) OR t0.c0 >= 'a'")
 	f.Fuzz(func(t *testing.T, src string) {
 		st, err := Parse(src)
 		if err != nil {

@@ -15,6 +15,7 @@ const (
 	tokInt
 	tokString
 	tokParam  // $n, a table parameter; text is n in decimal
+	tokValue  // ?n, a value parameter; text is n in decimal
 	tokSymbol // punctuation and operators
 )
 
@@ -100,7 +101,11 @@ func lex(src string) ([]token, error) {
 		case isIdentStart(c):
 			l.lexWord(start)
 		case c == '$':
-			if err := l.lexParam(start); err != nil {
+			if err := l.lexParam(start, tokParam); err != nil {
+				return nil, err
+			}
+		case c == '?':
+			if err := l.lexParam(start, tokValue); err != nil {
 				return nil, err
 			}
 		default:
@@ -159,17 +164,17 @@ func (l *lexer) lexNumber(start int) {
 	l.toks = append(l.toks, token{kind: tokInt, text: l.src[start:l.pos], pos: start})
 }
 
-// lexParam lexes $n, n a decimal number from 1.
-func (l *lexer) lexParam(start int) error {
+// lexParam lexes $n or ?n, n a decimal number from 1.
+func (l *lexer) lexParam(start int, kind tokenKind) error {
 	l.pos++
 	for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
 		l.pos++
 	}
 	n := l.src[start+1 : l.pos]
 	if n == "" || n[0] == '0' {
-		return fmt.Errorf("sql: '$' without a parameter number at offset %d", start)
+		return fmt.Errorf("sql: %q without a parameter number at offset %d", l.src[start], start)
 	}
-	l.toks = append(l.toks, token{kind: tokParam, text: n, pos: start})
+	l.toks = append(l.toks, token{kind: kind, text: n, pos: start})
 	return nil
 }
 

@@ -208,18 +208,26 @@ func (p *parser) drop() (Statement, error) {
 	}
 }
 
-// maxParam bounds $n: parameters index a slice the caller supplies.
-const maxParam = 1 << 10
+// MaxParam bounds $n and ?n: parameters index a slice the caller
+// supplies.
+const MaxParam = 1 << 10
+
+// param consumes the current token, a $n or ?n, and returns n.
+func (p *parser) param(sigil string) (int, error) {
+	t := p.cur()
+	n, err := strconv.Atoi(t.text)
+	if err != nil || n > MaxParam {
+		return 0, p.errf("parameter %s%s out of range", sigil, t.text)
+	}
+	p.i++
+	return n, nil
+}
 
 // tablePosition parses a table name or a table parameter $n.
 func (p *parser) tablePosition() (name string, param int, err error) {
-	if t := p.cur(); t.kind == tokParam {
-		n, err := strconv.Atoi(t.text)
-		if err != nil || n > maxParam {
-			return "", 0, p.errf("parameter $%s out of range", t.text)
-		}
-		p.i++
-		return "", n, nil
+	if p.at(tokParam, "") {
+		n, err := p.param("$")
+		return "", n, err
 	}
 	t, err := p.expect(tokIdent, "")
 	return t.text, 0, err
@@ -511,10 +519,16 @@ func (p *parser) comparison() (Expr, error) {
 	return Compare{Op: op, Left: left, Right: right}, nil
 }
 
-// operand parses a column reference or a literal.
+// operand parses a column reference, a literal or a value parameter.
 func (p *parser) operand() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
+	case tokValue:
+		n, err := p.param("?")
+		if err != nil {
+			return nil, err
+		}
+		return ValueParam{N: n}, nil
 	case tokInt:
 		p.next()
 		n, err := strconv.ParseInt(t.text, 10, 64)

@@ -217,6 +217,46 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseValueParams: ?n stands where a literal may, in WHERE and in
+// the select list, of any block of a compound; it is refused at a table
+// position, out of range and without a number, and $n is refused where a
+// value is expected.
+func TestParseValueParams(t *testing.T) {
+	s := mustParse(t, "SELECT rs.ruletext FROM reachablepreds rp, rulesource rs WHERE rp.frompredname = ?1 AND rs.headpredname = rp.topredname UNION SELECT ruletext FROM rulesource WHERE ?2 = headpredname").(*Select)
+	first := s.Where.(And).Left.(Compare)
+	if first.Right != (ValueParam{N: 1}) {
+		t.Fatalf("first block: %#v", first)
+	}
+	if s.Next.Where.(Compare).Left != (ValueParam{N: 2}) {
+		t.Fatalf("second block: %#v", s.Next.Where)
+	}
+	if got := FormatExpr(s.Next.Where); got != "?2 = headpredname" {
+		t.Fatalf("formatted as %q", got)
+	}
+	if max := mustParse(t, "SELECT a FROM t WHERE a = ?1024").(*Select); max.Where.(Compare).Right != (ValueParam{N: 1024}) {
+		t.Fatalf("?1024: %#v", max.Where)
+	}
+	for _, src := range []string{
+		"SELECT a FROM t WHERE a = ?0",
+		"SELECT a FROM t WHERE a = ?01",
+		"SELECT a FROM t WHERE a = ?1025",
+		"SELECT a FROM t WHERE a = ?99999999999999999999",
+		"SELECT a FROM t WHERE a = ?",
+		"SELECT a FROM t WHERE a = ? 1",
+		"SELECT a FROM ?1",
+		"SELECT a FROM t, ?1 u",
+		"INSERT INTO ?1 SELECT a FROM t",
+		"INSERT INTO t VALUES (?1)",
+		"DELETE FROM ?1",
+		"SELECT a FROM t WHERE a = $1",
+		"SELECT $1 FROM t",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) unexpectedly succeeded", src)
+		}
+	}
+}
+
 func TestFormatExprRoundTrip(t *testing.T) {
 	src := "SELECT a FROM t WHERE (t.a = 1 AND b <> 'x') OR NOT c < 3"
 	s := mustParse(t, src).(*Select)

@@ -16,12 +16,23 @@
 // Updates from the workspace maintain reachablepreds incrementally
 // (§4.3): only the portion of the closure affected by the new rules is
 // recomputed.
+//
+// Like the paper's Stored D/KB Manager, a fixed embedded-SQL program,
+// the manager's reads are statements prepared once with the predicate
+// names as value parameters: Open prepares the dictionary and
+// reachability reads, and the extraction over n predicates is prepared
+// the first time a frontier of n is asked for and kept (up to memoWidth
+// predicates, wider than any compile's frontier). Compiling a query
+// parses no SQL.
 package stored
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"dkbms/internal/catalog"
@@ -29,6 +40,7 @@ import (
 	"dkbms/internal/db"
 	"dkbms/internal/dlog"
 	"dkbms/internal/rel"
+	"dkbms/internal/sql"
 )
 
 // System relation names.
@@ -69,6 +81,92 @@ type Manager struct {
 	// and the pointer is shared with every WithDB view so all traffic
 	// lands in one place. Racing readers go through StatsSnapshot.
 	stats *Stats
+
+	// stmts are the read statements, prepared on the database Open was
+	// given and shared with every WithDB view, which runs them on its
+	// own database.
+	stmts *statements
+}
+
+// statements are the manager's prepared reads. Each takes predicate
+// names as value parameters.
+type statements struct {
+	d *db.DB // the database they are prepared on; views never prepare
+	// compiled extraction also follows reachablepreds (!NoCompiledRules).
+	compiled bool
+
+	// edbCols and idbCols read one predicate's column types from a
+	// column dictionary.
+	edbCols, idbCols *db.Stmt
+	// reachFrom reads the predicates one predicate reaches, reachTo the
+	// predicates reaching it.
+	reachFrom, reachTo *db.Stmt
+
+	// extract[n-1] extracts the rules relevant to n predicates,
+	// prepared on first use; compiles on concurrent views share it.
+	mu      sync.Mutex
+	extract [memoWidth]*db.Stmt
+}
+
+// memoWidth is the widest extraction statement the memo keeps; a wider
+// one is prepared for its call. The widest frontier a compile asks for
+// in the benchmark workloads and the dkbbench experiments is 20
+// predicates (Table 4 at R_r = 20, Fig 10 at P_r = 20); an Update's
+// run from 1 to thousands, each width seen about once. A statement
+// holds about 1.7 KiB per predicate, so a memo of every width up to 32
+// stays under 1 MiB.
+const memoWidth = 32
+
+// prepareStatements prepares the manager's fixed reads on d.
+func prepareStatements(d *db.DB, opts Options) (*statements, error) {
+	s := &statements{d: d, compiled: !opts.NoCompiledRules}
+	for _, st := range []struct {
+		to   **db.Stmt
+		text string
+	}{
+		{&s.edbCols, "SELECT colno, coltype FROM edbcols WHERE predname = ?1"},
+		{&s.idbCols, "SELECT colno, coltype FROM idbcols WHERE predname = ?1"},
+		{&s.reachFrom, "SELECT topredname FROM reachablepreds WHERE frompredname = ?1"},
+		{&s.reachTo, "SELECT frompredname FROM reachablepreds WHERE topredname = ?1"},
+	} {
+		var err error
+		if *st.to, err = d.Prepare(st.text); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// extraction returns the statement extracting the rules relevant to n
+// predicates, ?k standing for the k-th: for each, the rules defining it
+// and, with compiled storage, the rules of every predicate it reaches,
+// all in one UNION. Up to memoWidth predicates it is kept.
+func (s *statements) extraction(n int) (*db.Stmt, error) {
+	memo := n <= memoWidth
+	if memo {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if st := s.extract[n-1]; st != nil {
+			return st, nil
+		}
+	}
+	var b strings.Builder
+	for k := 1; k <= n; k++ {
+		if k > 1 {
+			b.WriteString(" UNION ")
+		}
+		v := "?" + strconv.Itoa(k)
+		b.WriteString("SELECT ruleid, ruletext FROM rulesource WHERE headpredname = " + v)
+		if s.compiled {
+			b.WriteString(" UNION SELECT rs.ruleid, rs.ruletext FROM reachablepreds rp, rulesource rs " +
+				"WHERE rp.frompredname = " + v + " AND rs.headpredname = rp.topredname")
+		}
+	}
+	st, err := s.d.Prepare(b.String())
+	if err == nil && memo {
+		s.extract[n-1] = st
+	}
+	return st, err
 }
 
 // Stats are cumulative counters.
@@ -88,13 +186,14 @@ func (m *Manager) StatsSnapshot() Stats {
 	}
 }
 
-// WithDB returns a read-only view of the manager bound to d — normally
-// a snapshot-bound view of the same database — for the compile path
-// (ExtractRelevant, BaseTypes, DerivedTypes). The view shares the
-// traffic counters with the original; the rule-id allocator stays
-// behind (views never update).
+// WithDB returns a read-only view of the manager bound to d — a
+// WithResolver view of the manager's database, normally snapshot-bound
+// — for the compile path (ExtractRelevant, BaseTypes, DerivedTypes).
+// The view shares the traffic counters and the prepared statements with
+// the original and runs the statements on d; the rule-id allocator
+// stays behind (views never update).
 func (m *Manager) WithDB(d *db.DB) *Manager {
-	return &Manager{d: d, opts: m.opts, stats: m.stats}
+	return &Manager{d: d, opts: m.opts, stats: m.stats, stmts: m.stmts}
 }
 
 // Open binds a manager to the database, creating the system relations
@@ -143,6 +242,9 @@ func Open(d *db.DB, opts Options) (*Manager, error) {
 		return nil, err
 	}
 	m.nextRuleID = n + 1
+	if m.stmts, err = prepareStatements(d, opts); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
@@ -256,24 +358,24 @@ func (m *Manager) FactCount(pred string) int {
 // BaseTypes reads the extensional data dictionary for the given
 // predicates (the paper's t_readdict operation, Test 2).
 func (m *Manager) BaseTypes(preds []string) (map[string][]rel.Type, error) {
-	return m.readDict(TabEDBCols, preds)
+	return m.readDict(m.stmts.edbCols, preds)
 }
 
 // DerivedTypes reads the intensional data dictionary for the given
 // predicates.
 func (m *Manager) DerivedTypes(preds []string) (map[string][]rel.Type, error) {
-	return m.readDict(TabIDBCols, preds)
+	return m.readDict(m.stmts.idbCols, preds)
 }
 
-// readDict reads the column types of preds from one of the two column
-// dictionaries, a statement per predicate; predicates without entries
-// are left out.
-func (m *Manager) readDict(cols string, preds []string) (map[string][]rel.Type, error) {
+// readDict reads the column types of preds with one of the two column
+// dictionaries' statements, an execution per predicate; predicates
+// without entries are left out.
+func (m *Manager) readDict(cols *db.Stmt, preds []string) (map[string][]rel.Type, error) {
 	atomic.AddInt64(&m.stats.ReadDictCalls, 1)
 	out := make(map[string][]rel.Type)
+	cols = cols.On(m.d)
 	for _, p := range preds {
-		rows, err := m.d.Query(fmt.Sprintf(
-			"SELECT colno, coltype FROM %s WHERE predname = '%s'", cols, sqlEscape(p)))
+		rows, err := cols.Query(context.Background(), nil, []rel.Value{rel.NewString(p)})
 		if err != nil {
 			return nil, err
 		}
@@ -302,33 +404,44 @@ func (m *Manager) readDict(cols string, preds []string) (map[string][]rel.Type, 
 // ExtractRelevant returns the stored rules needed to solve the given
 // predicates. With compiled rule storage this is a single indexed query
 // joining reachablepreds with rulesource (paper §4.1); without it, only
-// directly-defining rules are returned and the compiler iterates.
+// directly-defining rules are returned and the compiler iterates. It is
+// one statement for up to sql.MaxParam predicates, one per that many
+// beyond.
 func (m *Manager) ExtractRelevant(preds []string) ([]dlog.Clause, error) {
 	atomic.AddInt64(&m.stats.ExtractCalls, 1)
 	if len(preds) == 0 {
 		return nil, nil
 	}
-	var parts []string
-	for _, p := range preds {
-		e := sqlEscape(p)
-		parts = append(parts, fmt.Sprintf(
-			"SELECT ruleid, ruletext FROM rulesource WHERE headpredname = '%s'", e))
-		if !m.opts.NoCompiledRules {
-			parts = append(parts, fmt.Sprintf(
-				"SELECT rs.ruleid, rs.ruletext FROM reachablepreds rp, rulesource rs "+
-					"WHERE rp.frompredname = '%s' AND rs.headpredname = rp.topredname", e))
+	var tuples []rel.Tuple
+	vals := make([]rel.Value, min(len(preds), sql.MaxParam))
+	for rest := preds; len(rest) > 0; {
+		chunk := rest[:min(len(rest), sql.MaxParam)]
+		rest = rest[len(chunk):]
+		st, err := m.stmts.extraction(len(chunk))
+		if err != nil {
+			return nil, err
+		}
+		for i, p := range chunk {
+			vals[i] = rel.NewString(p)
+		}
+		rows, err := st.On(m.d).Query(context.Background(), nil, vals[:len(chunk)])
+		if err != nil {
+			return nil, err
+		}
+		if tuples == nil {
+			tuples = rows.Tuples
+		} else {
+			tuples = append(tuples, rows.Tuples...)
 		}
 	}
-	rows, err := m.d.Query(strings.Join(parts, " UNION "))
-	if err != nil {
-		return nil, err
-	}
-	// Deterministic order by rule id.
-	sort.Slice(rows.Tuples, func(i, j int) bool {
-		return rows.Tuples[i][0].Int < rows.Tuples[j][0].Int
-	})
-	out := make([]dlog.Clause, 0, len(rows.Tuples))
-	for _, tu := range rows.Tuples {
+	// Deterministic order by rule id; a rule relevant to two chunks is
+	// kept once.
+	sort.Slice(tuples, func(i, j int) bool { return tuples[i][0].Int < tuples[j][0].Int })
+	out := make([]dlog.Clause, 0, len(tuples))
+	for i, tu := range tuples {
+		if i > 0 && tu[0].Int == tuples[i-1][0].Int {
+			continue
+		}
 		c, err := dlog.ParseClause(tu[1].Str)
 		if err != nil {
 			return nil, fmt.Errorf("stored: corrupt rule %d: %w", tu[0].Int, err)

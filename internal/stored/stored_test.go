@@ -9,6 +9,7 @@ import (
 	"dkbms/internal/db"
 	"dkbms/internal/dlog"
 	"dkbms/internal/rel"
+	"dkbms/internal/sql"
 )
 
 func open(t *testing.T, opts Options) (*db.DB, *Manager) {
@@ -185,6 +186,54 @@ func TestExtractRelevantWithoutCompiledStorage(t *testing.T) {
 	}
 	if len(rules2) != 1 {
 		t.Fatalf("second hop returned %d rules", len(rules2))
+	}
+}
+
+// TestExtractRelevantStatements: ExtractRelevant is one SELECT for a
+// frontier of up to sql.MaxParam predicates, whether its statement is
+// kept (a compile's widest frontier, 20, as Table 4 at R_r = 20 asks)
+// or prepared for the call (past memoWidth), and one per sql.MaxParam
+// beyond, where a rule relevant to both chunks comes back once.
+func TestExtractRelevantStatements(t *testing.T) {
+	for _, opts := range []Options{{}, {NoCompiledRules: true}} {
+		_, m := open(t, opts)
+		m.InsertFact("e", rel.Tuple{rel.NewString("a"), rel.NewString("b")})
+		commitRules(t, m,
+			"a(X, Y) :- b(X, Y).",
+			"b(X, Y) :- e(X, Y).",
+			"z(X, Y) :- e(X, Y).", // irrelevant to every frontier
+		)
+		for _, n := range []int{1, 3, 20, memoWidth + 1, sql.MaxParam, sql.MaxParam + 1} {
+			// a first and b last: b's rule is reached through a as well
+			// (with compiled storage), and past sql.MaxParam from the
+			// other chunk.
+			preds := []string{"a"}
+			for len(preds) < n-1 {
+				preds = append(preds, fmt.Sprintf("base%d", len(preds)))
+			}
+			want := []dlog.Clause{clause("a(X, Y) :- b(X, Y)."), clause("b(X, Y) :- e(X, Y).")}
+			switch {
+			case n > 1:
+				preds = append(preds, "b")
+			case opts.NoCompiledRules:
+				want = want[:1]
+			}
+			before := m.DB().StatsSnapshot().Selects
+			rules, err := m.ExtractRelevant(preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			selects, wantSelects := m.DB().StatsSnapshot().Selects-before, int64(1)
+			if n > sql.MaxParam {
+				wantSelects = 2
+			}
+			if selects != wantSelects {
+				t.Errorf("%+v, %d predicates: %d SELECTs, want %d", opts, n, selects, wantSelects)
+			}
+			if ruleSet(rules) != ruleSet(want) {
+				t.Errorf("%+v, %d predicates: extracted\n%s\nwant\n%s", opts, n, ruleSet(rules), ruleSet(want))
+			}
+		}
 	}
 }
 

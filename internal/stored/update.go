@@ -1,6 +1,7 @@
 package stored
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -212,8 +213,7 @@ func (m *Manager) refreshReachability(heads map[string]bool, tc map[string]map[s
 	// Upstream predicates: frompred rows pointing at any updated head.
 	upstream := make(map[string]bool)
 	for h := range heads {
-		rows, err := m.d.Query(fmt.Sprintf(
-			"SELECT frompredname FROM reachablepreds WHERE topredname = '%s'", sqlEscape(h)))
+		rows, err := m.stmts.reachTo.Query(context.Background(), nil, []rel.Value{rel.NewString(h)})
 		if err != nil {
 			return err
 		}
@@ -249,8 +249,7 @@ func (m *Manager) refreshReachability(heads map[string]bool, tc map[string]map[s
 	}
 	sort.Strings(ups)
 	for _, p := range ups {
-		rows, err := m.d.Query(fmt.Sprintf(
-			"SELECT topredname FROM reachablepreds WHERE frompredname = '%s'", sqlEscape(p)))
+		rows, err := m.stmts.reachFrom.Query(context.Background(), nil, []rel.Value{rel.NewString(p)})
 		if err != nil {
 			return err
 		}

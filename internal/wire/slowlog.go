@@ -85,6 +85,9 @@ func DecodeSlowlog(p []byte) (Slowlog, error) {
 		}
 		m.Entries = append(m.Entries, e)
 	}
+	if err := trailing(buf, MsgSlowlogReply); err != nil {
+		return Slowlog{}, err
+	}
 	return m, nil
 }
 
@@ -121,8 +124,8 @@ func readSlowQuery(buf []byte) (obs.SlowQuery, []byte, error) {
 	if e.Err, buf, err = readString(buf); err != nil {
 		return e, nil, err
 	}
-	if len(buf) < 1 {
-		return e, nil, fmt.Errorf("wire: truncated slow-query record")
+	if len(buf) < 1 || buf[0] > 1 {
+		return e, nil, fmt.Errorf("wire: corrupt slow-query record trace flag")
 	}
 	hasTrace := buf[0] == 1
 	buf = buf[1:]

@@ -73,5 +73,8 @@ func DecodeViews(p []byte) (Views, error) {
 		v.LastMaintain = time.Duration(ns)
 		m.Views = append(m.Views, v)
 	}
+	if err := trailing(buf, MsgViewsReply); err != nil {
+		return Views{}, err
+	}
 	return m, nil
 }

@@ -501,7 +501,10 @@ func DecodeError(p []byte) (Error, error) {
 	if len(p) < 1 {
 		return Error{}, fmt.Errorf("wire: empty ERROR payload")
 	}
-	msg, _, err := readString(p[1:])
+	msg, rest, err := readString(p[1:])
+	if err == nil {
+		err = trailing(rest, MsgError)
+	}
 	return Error{Code: ErrCode(p[0]), Msg: msg}, err
 }
 
@@ -555,7 +558,10 @@ func DecodePrepared(p []byte) (Prepared, error) {
 	if err != nil {
 		return Prepared{}, err
 	}
-	gen, _, err := readUvarint(rest)
+	gen, rest, err := readUvarint(rest)
+	if err == nil {
+		err = trailing(rest, MsgPrepared)
+	}
 	return Prepared{ID: id, Generation: gen}, err
 }
 
@@ -567,7 +573,10 @@ func (m Retracted) Encode() []byte { return binary.AppendVarint(nil, m.N) }
 
 // DecodeRetracted parses a RETRACTED payload.
 func DecodeRetracted(p []byte) (Retracted, error) {
-	n, _, err := readVarint(p)
+	n, rest, err := readVarint(p)
+	if err == nil {
+		err = trailing(rest, MsgRetracted)
+	}
 	return Retracted{N: n}, err
 }
 
@@ -886,7 +895,8 @@ func (m ServerStats) Encode() []byte {
 }
 
 // DecodeServerStats parses a STATSREPLY payload. Every field is
-// required: a payload that ends early is an error.
+// required: a payload that ends early, or goes on after the last field,
+// is an error.
 func DecodeServerStats(p []byte) (ServerStats, error) {
 	var m ServerStats
 	for _, f := range m.fields() {
@@ -900,6 +910,9 @@ func DecodeServerStats(p []byte) (ServerStats, error) {
 		if err != nil {
 			return ServerStats{}, err
 		}
+	}
+	if err := trailing(p, MsgStatsReply); err != nil {
+		return ServerStats{}, err
 	}
 	return m, nil
 }

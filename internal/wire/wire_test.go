@@ -492,7 +492,7 @@ func TestDecodeCorrupt(t *testing.T) {
 			}
 		}
 	}
-	// Every request and a RESULT end at their last field.
+	// Every request and every reply end at their last field.
 	for _, c := range []struct {
 		name    string
 		payload []byte
@@ -506,12 +506,21 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"EXECP", ExecP{ID: 3}.Encode(), decodeErr(DecodeExecP)},
 		{"EXECP+query ID", ExecP{ID: 3, QueryID: 5}.Encode(), decodeErr(DecodeExecP)},
 		{"RETRACT", Retract{Pattern: "a(1, X)"}.Encode(), decodeErr(DecodeRetract)},
+		{"PREPARED", Prepared{ID: 300, Generation: 7}.Encode(), decodeErr(DecodePrepared)},
+		{"ERROR", Error{Code: CodeParse, Msg: "boom"}.Encode(), decodeErr(DecodeError)},
+		{"RETRACTED", Retracted{N: 3}.Encode(), decodeErr(DecodeRetracted)},
+		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Policy: "auto"}}}.Encode(), decodeErr(DecodeViews)},
+		{"SLOWLOG", slow.Encode(), decodeErr(DecodeSlowlog)},
+		{"STATSREPLY", ServerStats{Requests: 7}.Encode(), decodeErr(DecodeServerStats)},
 	} {
 		if c.decode(append(c.payload, 0)) == nil {
 			t.Errorf("%s: accepted a trailing byte", c.name)
 		}
 	}
-	// An option bit no encoder sets, and a query ID flagged but 0.
+	// An option bit no encoder sets, a query ID flagged but 0, and a
+	// slow-query trace flag that is neither 0 nor 1.
+	badFlag := Slowlog{Entries: []obs.SlowQuery{{Query: "?- a(X)."}}}.Encode()
+	badFlag[len(badFlag)-1] = 2
 	for _, c := range []struct {
 		name    string
 		payload []byte
@@ -522,6 +531,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"QUERY flagging a zero query ID", append(append([]byte{optQueryID}, Load{Src: "?- a(X)."}.Encode()...), 0), decodeErr(DecodeQuery)},
 		{"PREPARE with a query ID", Query{Src: "?- a(X).", Opts: QueryOpts{QueryID: 5}}.Encode(), decodeErr(DecodePrepare)},
 		{"EXECP sending a zero query ID", []byte{3, 0}, decodeErr(DecodeExecP)},
+		{"SLOWLOG with a trace flag of 2", badFlag, decodeErr(DecodeSlowlog)},
 	} {
 		if c.decode(c.payload) == nil {
 			t.Errorf("%s: accepted", c.name)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dkbms/internal/dlog"
 	"dkbms/internal/workload"
 )
 
@@ -118,5 +119,58 @@ func TestRoundAllocsExcludeParse(t *testing.T) {
 	if parse[shallow] == 0 || parse[shallow] != parse[deep] {
 		t.Errorf("internal/sql allocates %d objects in a run of %d rounds, %d in one of %d: want equal, the statements being parsed once",
 			parse[shallow], rounds[shallow], parse[deep], rounds[deep])
+	}
+}
+
+// TestCompileParsesNoSQL pins the Knowledge Manager's read path to its
+// prepared statements: once the manager is open and an extraction of
+// each frontier width has been prepared, compiling a stored-rule query —
+// on the live database and through a pinned snapshot's views — and
+// reading both dictionaries allocate nothing in the SQL front end.
+func TestCompileParsesNoSQL(t *testing.T) {
+	tb := NewMemory()
+	t.Cleanup(func() { tb.Close() })
+	if err := tb.AssertTuples("parent", workload.FullBinaryTree(5)); err != nil {
+		t.Fatal(err)
+	}
+	tb.MustLoad(`
+ancestor(X, Y) :- parent(X, Y).
+ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
+`)
+	if _, err := tb.Update(); err != nil {
+		t.Fatal(err)
+	}
+	c := NewConcurrent(tb)
+	compile := func(node int) {
+		q, err := dlog.ParseQuery("?- ancestor(" + workload.TreeNode(node) + ", W).")
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := tb.Compile(q, nil)
+		if err != nil || compiled.Stats.RelevantRules != 2 {
+			t.Fatalf("compile: %v, %+v", err, compiled)
+		}
+		s, err := c.acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Release()
+		vdb, vst := c.view(s)
+		if _, err := tb.compile(s.WS(), vdb, vst, q, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compile(1) // prepares the extraction of each width the compile asks for
+	parse := sqlFrontEndAllocs(func() {
+		compile(2)
+		if _, err := tb.Stored().BaseTypes([]string{"parent"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.Stored().DerivedTypes([]string{"ancestor"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if parse != 0 {
+		t.Errorf("a compile and two dictionary reads allocate %d objects in internal/sql, want 0", parse)
 	}
 }
