@@ -263,11 +263,10 @@ func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Ta
 	}
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
-	tuples, err := exec.CollectCtx(ctx, op)
+	tuples, err := exec.CollectOwned(ctx, op)
 	if err != nil {
 		return nil, err
 	}
-	rel.OwnRows(tuples)
 	return &Rows{Schema: op.Schema(), Tuples: tuples}, nil
 }
 
@@ -345,7 +344,10 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 }
 
 // insertSelect is the body of INSERT INTO t SELECT ...: one execution
-// of the prepared SELECT, materialized, then written to t.
+// of the prepared SELECT, written to t. Into an index-less table a
+// source that has stored records — a table scan, a deduplicating set
+// operation — hands them over, and each goes to the heap as it is;
+// any other source is materialized and its tuples encoded.
 func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) error {
 	op, err := p.Build(d, args, vals)
 	if err != nil {
@@ -358,37 +360,13 @@ func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepare
 	scan, _ := op.(*exec.SeqScan)
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
-	// Materialize before writing so self-referential inserts
-	// (INSERT INTO t SELECT ... FROM t) read a stable snapshot.
-	if scan != nil && len(t.Indexes) == 0 {
-		// A bare scan's stored records (same types, checked above)
-		// go into an index-less table as they are.
-		n := scan.Table.Rows()
-		ends := make([]int, 0, n)
-		var recs []byte // the records back to back
-		_, err := exec.ScanRecords(op, func(rec []byte) error {
-			if recs == nil {
-				// Records of one table are about one length: the first,
-				// with an eighth to spare, sizes the buffer for all.
-				recs = make([]byte, 0, n*(len(rec)+len(rec)/8+1))
-			}
-			recs = append(recs, rec...)
-			ends = append(ends, len(recs))
-			return ctx.Err()
-		})
-		if err != nil {
+	if len(t.Indexes) == 0 {
+		if ok, err := d.insertRecords(ctx, t, op, scan); ok || err != nil {
 			return err
 		}
-		start := 0
-		for _, end := range ends {
-			if err := t.InsertRecord(recs[start:end]); err != nil {
-				return err
-			}
-			atomic.AddInt64(&d.stats.InsertedRows, 1)
-			start = end
-		}
-		return nil
 	}
+	// Materialize before writing so self-referential inserts
+	// (INSERT INTO t SELECT ... FROM t) read a stable snapshot.
 	tuples, err := exec.CollectCtx(ctx, op)
 	if err != nil {
 		return err
@@ -399,6 +377,59 @@ func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepare
 		}
 		atomic.AddInt64(&d.stats.InsertedRows, 1)
 	}
+	return nil
+}
+
+// insertRecords writes the stored records of op (see exec.RecordSource;
+// the types were checked by the caller) into the index-less table t; ok
+// is false, with nothing read, when op has none. A set operation has
+// its whole result in hand before the first record arrives; scan, when
+// op is a bare scan of t itself, would read the pages being written, so
+// its records are copied out first. ctx is observed up to the first
+// write: a cancelled INSERT writes nothing.
+func (d *DB) insertRecords(ctx context.Context, t *catalog.Table, op exec.Operator, scan *exec.SeqScan) (ok bool, err error) {
+	if scan == nil || scan.Table.Heap != t.Heap {
+		before := t.Rows()
+		return exec.ScanRecords(op, func(rec []byte) error {
+			if t.Rows() == before {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			return d.insertRecord(t, rec)
+		})
+	}
+	n := scan.Table.Rows()
+	ends := make([]int, 0, n)
+	var recs []byte // the records back to back
+	if _, err := exec.ScanRecords(op, func(rec []byte) error {
+		if recs == nil {
+			// Records of one table are about one length: the first,
+			// with an eighth to spare, sizes the buffer for all.
+			recs = make([]byte, 0, n*(len(rec)+len(rec)/8+1))
+		}
+		recs = append(recs, rec...)
+		ends = append(ends, len(recs))
+		return ctx.Err()
+	}); err != nil {
+		return true, err
+	}
+	start := 0
+	for _, end := range ends {
+		if err := d.insertRecord(t, recs[start:end]); err != nil {
+			return true, err
+		}
+		start = end
+	}
+	return true, nil
+}
+
+// insertRecord writes one record into the index-less table t.
+func (d *DB) insertRecord(t *catalog.Table, rec []byte) error {
+	if err := t.InsertRecord(rec); err != nil {
+		return err
+	}
+	atomic.AddInt64(&d.stats.InsertedRows, 1)
 	return nil
 }
 

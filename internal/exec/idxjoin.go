@@ -26,6 +26,9 @@ type IndexNLJoin struct {
 	// aligned with the index's leading columns
 	Residual Pred // nil/True when absent
 	Est      float64
+	// Borrowed is set by the planner under a Project: every joined row
+	// is written into the same buffer (see Project.Borrowed).
+	Borrowed bool
 
 	// batch holds the outer tuples being joined; the matches of batch[i]
 	// are the rows of matches before batch[i].end and after those of
@@ -77,7 +80,7 @@ func (j *IndexNLJoin) Next() (rel.Tuple, error) {
 				joined := j.out.concat(p.outer, j.matches.Row(int(j.mi)))
 				j.mi++
 				if j.Residual.Holds(joined) {
-					return j.out.take(len(joined)), nil
+					return j.out.next(len(joined), j.Borrowed), nil
 				}
 			}
 		}

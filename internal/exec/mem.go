@@ -12,7 +12,10 @@ import (
 // slab; identity (set operations, DISTINCT, the hash join's build side)
 // is one byte-keyed hash table, keyTable. Neither is ever reused or
 // pooled: a tuple stays valid for as long as anyone holds it, and what
-// it keeps alive is its block or slab chunk.
+// it keeps alive is its block or slab chunk. The one exception is a
+// producer the planner marks Borrowed, whose consumer copies each row
+// before it asks for the next: it writes every row into the same peek
+// space of its slab.
 
 // maxChunkRows bounds a slab chunk, and with it what one kept row of a
 // large result can pin.
@@ -47,6 +50,16 @@ func (s *slab) take(width int) rel.Tuple {
 	s.free = s.free[width:]
 	s.rows++
 	return tu
+}
+
+// next returns the tuple peek(width) returns, handed out unless the
+// producer is borrowed: then the next row is written over it, and one
+// chunk serves the whole execution.
+func (s *slab) next(width int, borrowed bool) rel.Tuple {
+	if borrowed {
+		return s.peek(width)
+	}
+	return s.take(width)
 }
 
 // concat returns left ++ right in the tuple peek would return.

@@ -65,31 +65,53 @@ func Collect(op Operator) ([]rel.Tuple, error) {
 // result in hand once evaluated, gives it up instead of being drained
 // into a second slice.
 func CollectCtx(ctx context.Context, op Operator) ([]rel.Tuple, error) {
+	rows, _, err := drain(ctx, op)
+	return rows, err
+}
+
+// CollectOwned is CollectCtx for a caller that keeps the rows past the
+// statement: they own their memory (rel.OwnRows). A set operation's
+// result is decoded into a block of its own and kept as it is; any
+// other result is copied.
+func CollectOwned(ctx context.Context, op Operator) ([]rel.Tuple, error) {
+	rows, owned, err := drain(ctx, op)
+	if err == nil && !owned {
+		rel.OwnRows(rows)
+	}
+	return rows, err
+}
+
+// drain is CollectCtx; owned reports rows decoded from a set.
+func drain(ctx context.Context, op Operator) (rows []rel.Tuple, owned bool, err error) {
 	if src, ok := op.(setSource); ok {
 		if set, err := src.takeSet(); err != nil {
-			return nil, err
+			return nil, false, err
 		} else if set != nil {
-			return set.live(), ctx.Err()
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
+			rows, err := set.live()
+			return rows, true, err
 		}
 	}
-	var out []rel.Tuple
-	err := RunCtx(ctx, op, func(tu rel.Tuple) error {
-		out = append(out, tu)
+	err = RunCtx(ctx, op, func(tu rel.Tuple) error {
+		rows = append(rows, tu)
 		return nil
 	})
-	return out, err
+	return rows, false, err
 }
 
 // RecordSource is the optional interface of operators that can stream
 // their rows as stored records instead of decoded tuples. A consumer
 // that only needs tuple identity — a set operation's right input,
-// COUNT(*), INSERT ... SELECT * into an index-less table — asks for it
+// COUNT(*), INSERT ... SELECT into an index-less table — asks for it
 // in place of Open/Next/Close: a stored record is the key of the tuple
-// it holds (rel.Tuple.AppendKey), so nothing is decoded. SeqScan
-// implements it; Instrument's wrapper forwards and counts it, so traced
-// and untraced statements take the same path. Records are encoded under
-// the operator's own Schema: a consumer that compares them with keys
-// built under another schema checks TypesCompatible first.
+// it holds (rel.Tuple.AppendKey), so nothing is decoded. SeqScan and
+// the deduplicating SetOpExec implement it; Instrument's wrapper
+// forwards and counts it, so traced and untraced statements take the
+// same path. Records are encoded under the operator's own Schema: a
+// consumer that compares them with keys built under another schema
+// checks TypesCompatible first.
 type RecordSource interface {
 	// ScanRecords calls fn with every row's record; rec aliases a page
 	// buffer and must not be retained. ok is false, with nothing read,
@@ -314,6 +336,10 @@ type Project struct {
 	Input Operator
 	Exprs []Scalar
 	Out   *rel.Schema
+	// Borrowed is set by the planner when the consumer copies each row
+	// before it asks for the next (a deduplicating set operation): every
+	// row is then written into the same buffer.
+	Borrowed bool
 
 	out slab
 }
@@ -330,7 +356,7 @@ func (p *Project) Next() (rel.Tuple, error) {
 	if err != nil || tu == nil {
 		return nil, err
 	}
-	out := p.out.take(len(p.Exprs))
+	out := p.out.next(len(p.Exprs), p.Borrowed)
 	for i, e := range p.Exprs {
 		out[i] = e.Eval(tu)
 	}
@@ -349,6 +375,9 @@ type NLJoin struct {
 	Left, Right Operator
 	Pred        Pred
 	Est         float64
+	// Borrowed is set by the planner under a Project: every joined row
+	// is written into the same buffer (see Project.Borrowed).
+	Borrowed bool
 
 	right  []rel.Tuple
 	cur    rel.Tuple
@@ -396,7 +425,7 @@ func (j *NLJoin) Next() (rel.Tuple, error) {
 			joined := j.out.concat(j.cur, j.right[j.rpos])
 			j.rpos++
 			if j.Pred.Holds(joined) {
-				return j.out.take(len(joined)), nil
+				return j.out.next(len(joined), j.Borrowed), nil
 			}
 		}
 		j.cur = nil
@@ -422,6 +451,9 @@ type HashJoin struct {
 	BuildLeft           bool
 	Residual            Pred // True when absent
 	Est                 float64
+	// Borrowed is set by the planner under a Project: every joined row
+	// is written into the same buffer (see Project.Borrowed).
+	Borrowed bool
 
 	// The build side: its distinct keys, and per key the chain of rows
 	// that have it, in arrival order (chains by key entry, next by row;
@@ -497,7 +529,7 @@ func (j *HashJoin) Next() (rel.Tuple, error) {
 			j.match = j.next[j.match]
 			joined := j.out.concat(lt, rt)
 			if j.Residual.Holds(joined) {
-				return j.out.take(len(joined)), nil
+				return j.out.next(len(joined), j.Borrowed), nil
 			}
 		}
 		tu, err := probe.Next()
@@ -592,7 +624,9 @@ const (
 // RecordSource. The right input is read whatever the left holds, so a
 // statement costs the same page reads every round. A chain such as
 // A EXCEPT B EXCEPT C builds once: the outer operation takes over the
-// inner one's set (setSource) instead of re-hashing its output.
+// inner one's set (setSource) instead of re-hashing its output. The
+// set holds stored records, so a deduplicating SetOpExec is itself a
+// RecordSource: INSERT ... EXCEPT writes them to the heap as they are.
 type SetOpExec struct {
 	Kind        SetOpKind
 	Left, Right Operator
@@ -620,8 +654,8 @@ func (s *SetOpExec) Open() error {
 		return err
 	}
 	if set != nil {
-		s.out = set.live()
-		return nil
+		s.out, err = set.live()
+		return err
 	}
 	// UNION ALL: a bag, nothing to hash.
 	keep := func(tu rel.Tuple) error { s.out = append(s.out, tu); return nil }
@@ -631,18 +665,32 @@ func (s *SetOpExec) Open() error {
 	return Run(s.Right, keep)
 }
 
+// ScanRecords evaluates a deduplicating set operation and streams its
+// result as the set's records. UNION ALL has none.
+func (s *SetOpExec) ScanRecords(fn func(rec []byte) error) (bool, error) {
+	if s.Kind == OpUnionAll {
+		return false, nil
+	}
+	set, err := s.takeSet()
+	if err != nil {
+		return true, err
+	}
+	return true, set.records(fn)
+}
+
 // takeSet evaluates a deduplicating set operation in place of Open and
 // hands the result over as a set; UNION ALL, whose result is a bag, has
 // none to give.
 func (s *SetOpExec) takeSet() (*tupleSet, error) {
-	if !s.Schema().TypesCompatible(s.Right.Schema()) {
+	schema := s.Schema()
+	if !schema.TypesCompatible(s.Right.Schema()) {
 		return nil, fmt.Errorf("exec: set operation over incompatible schemas %v and %v",
-			s.Schema(), s.Right.Schema())
+			schema, s.Right.Schema())
 	}
 	if s.Kind == OpUnionAll {
 		return nil, nil
 	}
-	set, err := setOf(s.Left)
+	set, err := setOf(s.Left, schema)
 	if err != nil {
 		return nil, err
 	}
@@ -652,11 +700,11 @@ func (s *SetOpExec) takeSet() (*tupleSet, error) {
 	case OpExcept:
 		err = set.eachKey(s.Right, func(key []byte) {
 			if i := set.find(key); i >= 0 {
-				set.rows[i] = nil
+				set.remove(i)
 			}
 		})
 	case OpIntersect:
-		hit := make([]bool, len(set.rows))
+		hit := make([]bool, set.keys.len())
 		err = set.eachKey(s.Right, func(key []byte) {
 			if i := set.find(key); i >= 0 {
 				hit[i] = true
@@ -664,7 +712,7 @@ func (s *SetOpExec) takeSet() (*tupleSet, error) {
 		})
 		for i, h := range hit {
 			if !h {
-				set.rows[i] = nil
+				set.remove(i)
 			}
 		}
 	default:
@@ -695,55 +743,95 @@ type setSource interface {
 	takeSet() (*tupleSet, error)
 }
 
-// setOf evaluates op into a tupleSet.
-func setOf(op Operator) (*tupleSet, error) {
+// setOf evaluates op, whose schema is schema, into a tupleSet.
+func setOf(op Operator, schema *rel.Schema) (*tupleSet, error) {
 	if src, ok := op.(setSource); ok {
 		if set, err := src.takeSet(); set != nil || err != nil {
 			return set, err
 		}
 	}
-	set := &tupleSet{}
+	set := &tupleSet{schema: schema}
 	return set, Run(op, set.add)
 }
 
-// tupleSet is an insertion-ordered set of tuples of one schema,
-// identified by their keys. Removing a tuple leaves a nil in rows so
-// positions stay valid.
+// tupleSet is an insertion-ordered set of tuples of one schema, held as
+// stored records: entry i of keys is the i-th tuple's key
+// (rel.Tuple.AppendKey), which is the record the heap stores. Adding a
+// tuple copies it into the key arena and nowhere else. Removing one
+// marks its entry, so positions stay valid.
 type tupleSet struct {
-	pos  keyTable // entry i is the key of rows[i]
-	rows []rel.Tuple
-	key  []byte // scratch
+	schema  *rel.Schema
+	keys    keyTable
+	removed []bool // by entry
+	n       int    // entries not removed
+	key     []byte // scratch
 }
 
 // add inserts tu unless the set holds it.
 func (s *tupleSet) add(tu rel.Tuple) error {
 	s.key = tu.AppendKey(s.key[:0], nil)
-	if i, added := s.pos.add(s.key); added {
-		s.rows = append(s.rows, tu)
-	} else if s.rows[i] == nil {
-		s.rows[i] = tu
+	if i, added := s.keys.add(s.key); added {
+		s.removed = append(s.removed, false)
+		s.n++
+	} else if s.removed[i] {
+		s.removed[i] = false
+		s.n++
 	}
 	return nil
 }
 
 // find returns the position of the tuple with the given key, or -1.
 func (s *tupleSet) find(key []byte) int {
-	if i := s.pos.find(key); i >= 0 && s.rows[i] != nil {
+	if i := s.keys.find(key); i >= 0 && !s.removed[i] {
 		return i
 	}
 	return -1
 }
 
-// live gives up the set's tuples: rows, closed up over the removed
-// ones. The set is spent.
-func (s *tupleSet) live() []rel.Tuple {
-	out := s.rows[:0]
-	for _, tu := range s.rows {
-		if tu != nil {
-			out = append(out, tu)
+// remove removes the tuple at position i.
+func (s *tupleSet) remove(i int) {
+	if !s.removed[i] {
+		s.removed[i] = true
+		s.n--
+	}
+}
+
+// records calls fn with the record of every tuple the set holds, in
+// insertion order. rec aliases the set's arena.
+func (s *tupleSet) records(fn func(rec []byte) error) error {
+	for i, gone := range s.removed {
+		if gone {
+			continue
+		}
+		if err := fn(s.keys.key(uint32(i))); err != nil {
+			return err
 		}
 	}
-	return out
+	return nil
+}
+
+// live decodes the set's tuples, in insertion order, into one block
+// that belongs to the caller: one value slab and one string, exactly
+// sized, as rel.OwnRows would leave them. A record that does not decode
+// under the set's schema — a tuple added with a value of another type —
+// is an error.
+func (s *tupleSet) live() ([]rel.Tuple, error) {
+	if s.n == 0 {
+		return nil, nil
+	}
+	size := 0
+	s.records(func(rec []byte) error { size += len(rec); return nil })
+	dec := rel.NewBlockDecoder(s.schema)
+	dec.Begin(s.n, size)
+	if err := s.records(dec.Add); err != nil {
+		return nil, fmt.Errorf("exec: set of %v: %w", s.schema, err)
+	}
+	b := dec.Finish()
+	rows := make([]rel.Tuple, b.Len())
+	for i := range rows {
+		rows[i] = b.Row(i)
+	}
+	return rows, nil
 }
 
 // eachKey passes the key of every row of op to fn: the stored records

@@ -238,11 +238,7 @@ func (w *countedOp) takeSet() (*tupleSet, error) {
 	}
 	set, err := src.takeSet()
 	if set != nil {
-		for _, tu := range set.rows {
-			if tu != nil {
-				w.c.rows++
-			}
-		}
+		w.c.rows += int64(set.n)
 	}
 	return set, err
 }

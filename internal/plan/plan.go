@@ -204,18 +204,45 @@ func (p *Prepared) Build(cat TableSource, args []*catalog.Table, vals []rel.Valu
 			return nil, fmt.Errorf("plan: value parameter ?%d is %v, bound to %v", i+1, p.values[i], v.Kind)
 		}
 	}
-	left, err := p.blocks[0].build(cat, args, vals)
+	// A block feeding a deduplicating set operation lends it its rows:
+	// the set copies each into its key arena before asking for the next.
+	dedup := func(i int) bool { return i < len(p.setOps) && p.setOps[i] != exec.OpUnionAll }
+	left, err := p.blocks[0].build(cat, args, vals, dedup(0))
 	if err != nil {
 		return nil, err
 	}
 	for i, kind := range p.setOps {
-		right, err := p.blocks[i+1].build(cat, args, vals)
+		right, err := p.blocks[i+1].build(cat, args, vals, dedup(i))
 		if err != nil {
 			return nil, err
 		}
 		left = &exec.SetOpExec{Kind: kind, Left: left, Right: right}
 	}
 	return left, nil
+}
+
+// borrow marks op as Borrowed, its consumer copying each row before it
+// asks for the next (DESIGN.md §3, "Tuple memory in the executor"): a
+// join under a Project, through the Filter of its residuals, or a
+// Project, through a Distinct, under a deduplicating set operation.
+// Producers whose rows a consumer keeps — a hash join's build side, an
+// index join's outer batch, a nested-loop join's right side, UNION
+// ALL's bag, a statement's result — are never passed here.
+func borrow(op exec.Operator) {
+	switch o := op.(type) {
+	case *exec.Filter:
+		borrow(o.Input)
+	case *exec.Distinct:
+		borrow(o.Input)
+	case *exec.HashJoin:
+		o.Borrowed = true
+	case *exec.IndexNLJoin:
+		o.Borrowed = true
+	case *exec.NLJoin:
+		o.Borrowed = true
+	case *exec.Project:
+		o.Borrowed = true
+	}
 }
 
 // colID names a column symbolically: table position in FROM, ordinal in
@@ -603,8 +630,9 @@ func (f *from) table(cat TableSource, args []*catalog.Table) (*catalog.Table, er
 	return nil, e
 }
 
-// build plans one execution of the block.
-func (b *block) build(cat TableSource, args []*catalog.Table, vals []rel.Value) (exec.Operator, error) {
+// build plans one execution of the block; lend says the block's
+// consumer copies each row before it asks for the next.
+func (b *block) build(cat TableSource, args []*catalog.Table, vals []rel.Value, lend bool) (exec.Operator, error) {
 	n := len(b.from)
 	g := &joinGraph{tabs: make([]tableInfo, n), joins: b.joins}
 	for ti := range b.from {
@@ -732,10 +760,16 @@ func (b *block) build(cat TableSource, args []*catalog.Table, vals []rel.Value) 
 			}
 			exprs[i] = phys
 		}
+		if n > 1 {
+			borrow(cur) // the join: Project copies what it reads
+		}
 		cur = &exec.Project{Input: cur, Exprs: exprs, Out: b.out}
 	}
 	if b.distinct {
 		cur = &exec.Distinct{Input: cur}
+	}
+	if lend {
+		borrow(cur)
 	}
 	return cur, nil
 }
@@ -825,6 +859,13 @@ func projection(sc *scope, s *sql.Select) ([]symScalar, *rel.Schema, error) {
 			}
 		}
 		cols = append(cols, rel.Column{Name: uniqueName(nameCount, name), Type: ss.ty})
+	}
+	// A projected row is keyed, and a set's kept, as stored records:
+	// every value must have a type the storage encoding carries.
+	for _, col := range cols {
+		if col.Type != rel.TypeInt && col.Type != rel.TypeString {
+			return nil, nil, fmt.Errorf("plan: select item %s has no storable type (%v)", col.Name, col.Type)
+		}
 	}
 	schema, err := rel.NewSchema(cols...)
 	if err != nil {

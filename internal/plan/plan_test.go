@@ -335,3 +335,56 @@ func BenchmarkBuildSelect(b *testing.B) {
 		})
 	}
 }
+
+// TestProjectionIsTyped: every value a Project emits has the type the
+// storage encoding carries — the set it may feed keeps rows as stored
+// records, and a value of no type would be keyed as an empty string
+// that does not decode. Columns carry their table's type and literals
+// the lexer's; a value parameter in the select list, and a column of
+// no storable type, are refused at Prepare.
+func TestProjectionIsTyped(t *testing.T) {
+	c := setup(t)
+	addTable(t, c, "t", 4)
+	if _, err := c.CreateTable("s", rel.MustSchema(
+		rel.Column{Name: "n", Type: rel.TypeString},
+		rel.Column{Name: "u", Type: rel.TypeUnknown},
+	), false); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT a, 7, 'x' FROM t",
+		"SELECT * FROM t x, t y WHERE x.a = y.b",
+		"SELECT t.b, s.n, 'k' AS tag FROM t, s",
+		"SELECT a, 1 FROM t WHERE b = 2 EXCEPT SELECT b, a FROM t",
+	} {
+		var walk func(op exec.Operator)
+		walk = func(op exec.Operator) {
+			switch o := op.(type) {
+			case *exec.Project:
+				for i, e := range o.Exprs {
+					ty := o.Out.Col(i).Type
+					if ty != rel.TypeInt && ty != rel.TypeString {
+						t.Errorf("%s: output column %d has type %v", q, i, ty)
+					}
+					if k, ok := e.(exec.Const); ok && k.Val.Kind != ty {
+						t.Errorf("%s: constant %v under a %v column", q, k.Val, ty)
+					}
+				}
+				walk(o.Input)
+			case *exec.SetOpExec:
+				walk(o.Left)
+				walk(o.Right)
+			}
+		}
+		walk(build(t, c, q))
+	}
+	for _, q := range []string{"SELECT u FROM s", "SELECT n, u FROM s", "SELECT * FROM s x, s y"} {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Prepare(c, st.(*sql.Select), nil); err == nil {
+			t.Errorf("%s: prepared a projection of an untyped column", q)
+		}
+	}
+}
