@@ -6,9 +6,8 @@
 //	directives  //dkblint: comments are known, well-formed and justified
 //	gofanout    no unbounded `go` launches inside loops
 //	lockorder   the global lock-acquisition order is acyclic; no lock is
-//	            held across a blocking call (interprocedural)
-//	lockscope   no storage or network I/O under latches; locks released
-//	opcodecheck wire opcodes are dispatched exhaustively with codecs
+//	            held across a blocking call; every lock is released on
+//	            every path (interprocedural)
 //	pinleak     page pins, snapshot pins, scheduler clients and task
 //	            groups are released on all paths (interprocedural)
 //
@@ -37,8 +36,6 @@ import (
 	"dkbms/internal/lint/gofanout"
 	"dkbms/internal/lint/lintkit"
 	"dkbms/internal/lint/lockorder"
-	"dkbms/internal/lint/lockscope"
-	"dkbms/internal/lint/opcodecheck"
 	"dkbms/internal/lint/pinleak"
 )
 
@@ -49,8 +46,6 @@ var Analyzers = []*lintkit.Analyzer{
 	directives.Analyzer,
 	gofanout.Analyzer,
 	lockorder.Analyzer,
-	lockscope.Analyzer,
-	opcodecheck.Analyzer,
 	pinleak.Analyzer,
 }
 
@@ -156,15 +151,8 @@ func printStats(cache *lintkit.Cache, pkgs []*lintkit.Package) {
 }
 
 func printDirectives(w *os.File) {
-	fmt.Fprintf(w, "//dkblint: directive registry (grammar: //dkblint:<name>, //dkblint:<name>=<value>, //dkblint:<name> <justification>):\n")
+	fmt.Fprintf(w, "//dkblint: directive registry (grammar: //dkblint:<name> <justification>):\n")
 	for _, d := range lintkit.Directives {
-		form := "//dkblint:" + d.Name
-		switch {
-		case d.Valued:
-			form += "=<value>"
-		case d.NeedsJustification:
-			form += " <justification>"
-		}
-		fmt.Fprintf(w, "  %-36s %-11s %s\n", form, d.Analyzer, d.Doc)
+		fmt.Fprintf(w, "  %-36s %-11s %s\n", "//dkblint:"+d.Name+" <justification>", d.Analyzer, d.Doc)
 	}
 }

@@ -140,7 +140,12 @@ func (s *shell) handle(line string) error {
 			s.tb.Stored().RuleCount(), s.tb.Stored().ReachableEdges())
 		return nil
 	case strings.HasPrefix(line, ".opts "):
-		return s.setOpts(strings.Fields(strings.TrimPrefix(line, ".opts ")))
+		err := setOpts(s.out, &s.opts, strings.Fields(strings.TrimPrefix(line, ".opts ")))
+		if s.opts.Parallel && s.pool == nil {
+			s.pool = sched.NewPool(0)
+			s.tb.SetEvalPool(s.pool)
+		}
+		return err
 	case strings.HasPrefix(line, ".timing"):
 		s.timing = strings.Contains(line, "on")
 		return nil
@@ -269,38 +274,36 @@ func (s *shell) recordSlow(src string, start time.Time, res *dkbms.QueryResult, 
 	s.slow.Record(e)
 }
 
-func (s *shell) setOpts(words []string) error {
+// setOpts applies the words of an .opts command to o, local or remote,
+// and prints the resulting settings.
+func setOpts(out io.Writer, o *dkbms.QueryOptions, words []string) error {
 	for _, w := range words {
 		switch w {
 		case "naive":
-			s.opts.Naive = true
+			o.Naive = true
 		case "seminaive", "semi-naive":
-			s.opts.Naive = false
+			o.Naive = false
 		case "magic":
-			s.opts.NoOptimize = false
-			s.opts.Adaptive = false
+			o.NoOptimize = false
+			o.Adaptive = false
 		case "nomagic":
-			s.opts.NoOptimize = true
-			s.opts.Adaptive = false
+			o.NoOptimize = true
+			o.Adaptive = false
 		case "adaptive":
-			s.opts.Adaptive = true
-			s.opts.NoOptimize = false
+			o.Adaptive = true
+			o.NoOptimize = false
 		case "parallel":
-			s.opts.Parallel = true
-			s.opts.Naive = false
-			if s.pool == nil {
-				s.pool = sched.NewPool(0)
-				s.tb.SetEvalPool(s.pool)
-			}
+			o.Parallel = true
+			o.Naive = false
 		case "serial":
-			s.opts.Parallel = false
+			o.Parallel = false
 		default:
 			return fmt.Errorf("unknown option %q", w)
 		}
 	}
-	fmt.Fprintf(s.out, "strategy=%v magic=%v adaptive=%v parallel=%v\n",
-		map[bool]string{true: "naive", false: "semi-naive"}[s.opts.Naive],
-		!s.opts.NoOptimize, s.opts.Adaptive, s.opts.Parallel)
+	fmt.Fprintf(out, "strategy=%v magic=%v adaptive=%v parallel=%v\n",
+		map[bool]string{true: "naive", false: "semi-naive"}[o.Naive],
+		!o.NoOptimize, o.Adaptive, o.Parallel)
 	return nil
 }
 

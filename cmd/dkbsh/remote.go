@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"dkbms"
 	"dkbms/internal/client"
 	"dkbms/internal/obs"
 	"dkbms/internal/wire"
@@ -52,7 +53,7 @@ func runRemote(addr string) error {
 
 type remoteShell struct {
 	c     *client.Client
-	opts  wire.QueryOpts
+	opts  dkbms.QueryOptions
 	out   io.Writer
 	stmts map[uint64]*client.Stmt
 }
@@ -77,7 +78,7 @@ func (s *remoteShell) handle(line string) error {
 		fmt.Fprintf(s.out, "retracted %d facts\n", n)
 		return nil
 	case strings.HasPrefix(line, ".prepare "):
-		stmt, err := s.c.Prepare(strings.TrimSpace(strings.TrimPrefix(line, ".prepare ")), s.opts)
+		stmt, err := s.c.Prepare(strings.TrimSpace(strings.TrimPrefix(line, ".prepare ")), wire.FromOptions(&s.opts))
 		if err != nil {
 			return err
 		}
@@ -154,13 +155,13 @@ func (s *remoteShell) handle(line string) error {
 		printSlowlog(s.out, time.Duration(sl.ThresholdNs), int(sl.Capacity), sl.Recorded, sl.Entries)
 		return nil
 	case strings.HasPrefix(line, ".opts "):
-		return s.setOpts(strings.Fields(strings.TrimPrefix(line, ".opts ")))
+		return setOpts(s.out, &s.opts, strings.Fields(strings.TrimPrefix(line, ".opts ")))
 	case strings.HasPrefix(line, ".trace "):
 		// Same query path with the TRACE bit set: the server evaluates
 		// with tracing and ships the span tree back in the RESULT frame,
 		// tagged with the query ID it ran (and was slow-logged) under.
 		outFile, q := parseTraceArgs(strings.TrimPrefix(line, ".trace "))
-		opts := s.opts
+		opts := wire.FromOptions(&s.opts)
 		opts.Trace = true
 		res, err := s.c.Query(q, opts)
 		if err != nil {
@@ -178,7 +179,7 @@ func (s *remoteShell) handle(line string) error {
 	case strings.HasPrefix(line, "."):
 		return fmt.Errorf("unknown command %q (.help)", line)
 	case strings.HasPrefix(line, "?-"):
-		res, err := s.c.Query(line, s.opts)
+		res, err := s.c.Query(line, wire.FromOptions(&s.opts))
 		if err != nil {
 			return err
 		}
@@ -218,37 +219,6 @@ func (s *remoteShell) printResult(res *wire.Result) {
 		// under the echoed ID; /debug/trace?id=... addresses it.
 		fmt.Fprintf(s.out, "query id %s\n", obs.FormatQueryID(res.QueryID))
 	}
-}
-
-func (s *remoteShell) setOpts(words []string) error {
-	for _, w := range words {
-		switch w {
-		case "naive":
-			s.opts.Naive = true
-		case "seminaive", "semi-naive":
-			s.opts.Naive = false
-		case "magic":
-			s.opts.NoOptimize = false
-			s.opts.Adaptive = false
-		case "nomagic":
-			s.opts.NoOptimize = true
-			s.opts.Adaptive = false
-		case "adaptive":
-			s.opts.Adaptive = true
-			s.opts.NoOptimize = false
-		case "parallel":
-			s.opts.Parallel = true
-			s.opts.Naive = false
-		case "serial":
-			s.opts.Parallel = false
-		default:
-			return fmt.Errorf("unknown option %q", w)
-		}
-	}
-	fmt.Fprintf(s.out, "strategy=%v magic=%v adaptive=%v parallel=%v\n",
-		map[bool]string{true: "naive", false: "semi-naive"}[s.opts.Naive],
-		!s.opts.NoOptimize, s.opts.Adaptive, s.opts.Parallel)
-	return nil
 }
 
 func (s *remoteShell) help() {

@@ -67,9 +67,6 @@ type ConcurrentTestbed struct {
 	// closed is set by Close before the reader drain; readers check it
 	// after pinning so a query admitted during shutdown backs out.
 	closed atomic.Bool
-	// defaultPolicy is the maintenance policy for queries that leave
-	// QueryOptions.Maintenance at MaintDefault.
-	defaultPolicy MaintenancePolicy
 }
 
 // ConcurrentOptions tune a ConcurrentTestbed.
@@ -80,9 +77,8 @@ type ConcurrentOptions struct {
 	// SchedWorkers sizes the shared evaluation worker pool (<= 0
 	// selects GOMAXPROCS).
 	SchedWorkers int
-	// MaintenancePolicy is the default materialized-view maintenance
-	// policy for queries that do not set QueryOptions.Maintenance
-	// (MaintDefault selects MaintAuto).
+	// MaintenancePolicy is how memoized answers are kept when commits
+	// touch tables they read (MaintDefault selects MaintAuto).
 	MaintenancePolicy MaintenancePolicy
 }
 
@@ -99,11 +95,10 @@ func NewConcurrentWithOptions(tb *Testbed, opts ConcurrentOptions) *ConcurrentTe
 		planEntries = DefaultPlanCacheEntries
 	}
 	c := &ConcurrentTestbed{
-		tb:            tb,
-		snaps:         snapshot.NewStore(BaseTableName("")),
-		plans:         newPlanCache(planEntries),
-		sched:         sched.NewPool(opts.SchedWorkers),
-		defaultPolicy: opts.MaintenancePolicy,
+		tb:    tb,
+		snaps: snapshot.NewStore(BaseTableName("")),
+		plans: newPlanCache(planEntries, opts.MaintenancePolicy),
+		sched: sched.NewPool(opts.SchedWorkers),
 	}
 	// Wire view maintenance: refreshes run against the live database
 	// (the writer maintains after publishing), in parallel across views
@@ -113,19 +108,6 @@ func NewConcurrentWithOptions(tb *Testbed, opts ConcurrentOptions) *ConcurrentTe
 	tb.SetEvalPool(c.sched)
 	c.publish(0) // the initial snapshot: the testbed state as wrapped
 	return c
-}
-
-// resolvePolicy maps a query's requested maintenance policy through the
-// testbed default down to the hard default, MaintAuto.
-func (c *ConcurrentTestbed) resolvePolicy(opts *QueryOptions) MaintenancePolicy {
-	p := opts.Maintenance
-	if p == MaintDefault {
-		p = c.defaultPolicy
-	}
-	if p == MaintDefault {
-		p = MaintAuto
-	}
-	return p
 }
 
 // SchedStats snapshots the shared evaluation pool's counters.
@@ -384,8 +366,7 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, q *dlog.Query
 	// A maintainable answer keeps its evaluation's derived relations:
 	// the view layer refreshes them (and the memo) through commits.
 	// Traced runs never publish answers, so they keep nothing.
-	policy := c.resolvePolicy(&key.opts)
-	keep := policy != MaintRederive && !trace
+	keep := c.plans.policy != MaintRederive && !trace
 	vdb, _ := c.view(s)
 	res, rres, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr, keep)
 	if err != nil {
@@ -393,14 +374,14 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, q *dlog.Query
 	}
 	res.Snapshot = s.Gen
 	if trace {
-		c.plans.store(key, s, compiled, nil, nil, policy)
+		c.plans.store(key, s, compiled, nil, nil)
 	} else {
 		var view *matview.View
 		if rres != nil && keep {
 			tables, created := rres.Detach()
 			view = matview.New(compiled.Program, tables, created)
 		}
-		c.plans.store(key, s, compiled, res, view, policy)
+		c.plans.store(key, s, compiled, res, view)
 	}
 	// The stored answer is query-neutral; the caller's copy carries the ID.
 	out := shareResult(res)
@@ -553,7 +534,7 @@ func (c *ConcurrentTestbed) Prepare(src string, opts *QueryOptions) (*Concurrent
 		return nil, err
 	}
 	if status == "miss" {
-		c.plans.store(cp.key, s, compiled, nil, nil, MaintDefault)
+		c.plans.store(cp.key, s, compiled, nil, nil)
 	}
 	return cp, nil
 }

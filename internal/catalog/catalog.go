@@ -67,7 +67,8 @@ type Index struct {
 //     build / register sequence atomic against other DDL.
 //   - mu guards the name→table/index maps only, and is held just long
 //     enough to read or swap map entries. No storage I/O ever happens
-//     under it (dkblint's lockscope analyzer enforces this), so name
+//     under it (dkblint's lockorder analyzer reports file I/O reached
+//     from any region that holds it), so name
 //     resolution never waits on disk latency behind a concurrent
 //     CREATE/DROP — a regression the original single-mutex layout had.
 //

@@ -46,6 +46,7 @@ func (c *Client) Close() error { return c.conn.Close() }
 // error.
 func roundTrip[T any](c *Client, t wire.MsgType, payload []byte, want wire.MsgType, decode func([]byte) (T, error)) (T, error) {
 	var zero T
+	//dkblint:locksafe the connection carries one exchange at a time: c.mu serializes this client's callers across their round trip by design
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.buf = append(wire.Frame(c.buf, t), payload...)

@@ -90,7 +90,7 @@ func run(pass *lintkit.Pass) error {
 				return true
 			}
 			if waived == nil {
-				waived = waivedLinesFor(pass, node)
+				waived = lintkit.WaivedLines(pass.Fset, node.File, "ctxok")
 			}
 			if _, ok := waived[pass.Fset.Position(loop.Pos()).Line]; ok {
 				return true
@@ -155,13 +155,4 @@ func isCtxCall(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	return fn.Name() == "Done" || fn.Name() == "Err"
-}
-
-func waivedLinesFor(pass *lintkit.Pass, node *lintkit.FuncNode) map[int]string {
-	for _, f := range node.Pkg.Files {
-		if f.FileStart <= node.Decl.Pos() && node.Decl.Pos() <= f.FileEnd {
-			return lintkit.WaivedLines(pass.Fset, f, "ctxok")
-		}
-	}
-	return map[int]string{}
 }

@@ -5,10 +5,8 @@
 // both a finding, so the directive surface stays closed:
 //
 //   - unknown directive names are rejected, with the registry listed;
-//   - waiver directives (bounded, locksafe, pinsafe, ctxok) must carry
-//     a justification after the name;
-//   - valued directives (payload=Name) must carry their value, and
-//     flag directives must not.
+//   - every directive is a waiver (bounded, locksafe, pinsafe, ctxok)
+//     and must carry a justification after the name.
 //
 // The registry lives in lintkit (shared with every analyzer and with
 // `dkblint -directives`), so adding a directive is one table entry.
@@ -30,17 +28,10 @@ var Analyzer = &lintkit.Analyzer{
 func run(pass *lintkit.Pass) error {
 	for _, file := range pass.Pkg.Files {
 		for _, d := range lintkit.FileDirectives(pass.Fset, file) {
-			spec := lintkit.DirectiveSpecFor(d.Name)
-			if spec == nil {
-				pass.Reportf(d.Pos, "unknown directive //dkblint:%s (known: %s)", d.Name, knownNames())
-				continue
-			}
 			switch {
-			case spec.Valued && d.Value == "":
-				pass.Reportf(d.Pos, "directive //dkblint:%s requires a value (//dkblint:%s=<value>)", d.Name, d.Name)
-			case !spec.Valued && d.Value != "":
-				pass.Reportf(d.Pos, "directive //dkblint:%s does not take a value", d.Name)
-			case spec.NeedsJustification && d.Arg == "":
+			case lintkit.DirectiveSpecFor(d.Name) == nil:
+				pass.Reportf(d.Pos, "unknown directive //dkblint:%s (known: %s)", d.Name, knownNames())
+			case d.Arg == "":
 				pass.Reportf(d.Pos, "waiver //dkblint:%s requires a justification (//dkblint:%s <why this is safe>)", d.Name, d.Name)
 			}
 		}

@@ -26,11 +26,4 @@ func bareWaiver(t *T, work func()) {
 //dkblint:bounded // want "waiver //dkblint:bounded requires a justification"
 func bareBounded() {}
 
-//dkblint:payload // want "directive //dkblint:payload requires a value"
-const MsgOdd = 1
-
-//dkblint:nopayload=X // want "directive //dkblint:nopayload does not take a value"
-const MsgFlag = 2
-
-//dkblint:payload=ServerStats
-const MsgStats = 3
+const fanout = 4 //dkblint:bounded=4 // want "unknown directive //dkblint:bounded=4"

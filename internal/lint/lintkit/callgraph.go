@@ -38,6 +38,7 @@ type CallGraph struct {
 type FuncNode struct {
 	Fn   *types.Func
 	Decl *ast.FuncDecl
+	File *ast.File // the file declaring Decl, for its waiver directives
 	Pkg  *Package
 	// Calls lists the node's resolved call sites in source order. One
 	// *ast.CallExpr appears once per CHA candidate.
@@ -85,7 +86,7 @@ func BuildCallGraph(fset *token.FileSet, all []*Package) *CallGraph {
 				if !ok {
 					continue
 				}
-				g.nodes[fn] = &FuncNode{Fn: fn, Decl: fd, Pkg: pkg}
+				g.nodes[fn] = &FuncNode{Fn: fn, Decl: fd, File: file, Pkg: pkg}
 			}
 		}
 	}
@@ -131,7 +132,7 @@ func BuildCallGraph(fset *token.FileSet, all []*Package) *CallGraph {
 // resolveCalls records the statically-resolvable call sites of a node.
 func (g *CallGraph) resolveCalls(node *FuncNode) {
 	info := node.Pkg.Info
-	walkSkipFuncLit(node.Decl.Body, func(n ast.Node) {
+	WalkSkipFuncLit(node.Decl.Body, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
@@ -226,10 +227,11 @@ func isDynamicCall(info *types.Info, call *ast.CallExpr) bool {
 	}
 }
 
-// walkSkipFuncLit visits every node of body except the bodies of
-// nested function literals.
-func walkSkipFuncLit(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
+// WalkSkipFuncLit visits every node of n except function literals and
+// their bodies: a closure runs when it is invoked, not where it is
+// written.
+func WalkSkipFuncLit(n ast.Node, visit func(ast.Node)) {
+	ast.Inspect(n, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}

@@ -6,24 +6,20 @@ import (
 	"strings"
 )
 
-// Directive is one parsed //dkblint:... comment. The suite's directive
-// grammar, shared by every analyzer:
+// Directive is one parsed //dkblint:... comment. Every directive is a
+// waiver, and the suite's grammar is
 //
-//	//dkblint:<name>                 (flag directive)
-//	//dkblint:<name>=<value>         (valued directive, e.g. payload=ServerStats)
-//	//dkblint:<name> <justification> (waiver with its reason)
+//	//dkblint:<name> <justification>
 //
-// Waiver directives (bounded, locksafe, pinsafe, ctxok) cover the
-// directive's own line and the line below it, so both end-of-line and
-// standalone-comment placements work. The directives analyzer rejects
-// unknown names and waivers with no justification, so a misspelled
-// waiver fails the build instead of silently not waiving.
+// A waiver covers its own line and the line below it, so both
+// end-of-line and standalone-comment placements work. The directives
+// analyzer rejects unknown names and waivers with no justification, so
+// a misspelled waiver fails the build instead of silently not waiving.
 type Directive struct {
-	Name  string
-	Value string // after '=', for valued directives
-	Arg   string // trailing justification text
-	Pos   token.Pos
-	Line  int
+	Name string
+	Arg  string // the justification
+	Pos  token.Pos
+	Line int
 }
 
 // DirectiveSpec describes one known directive for the registry (and
@@ -31,28 +27,20 @@ type Directive struct {
 type DirectiveSpec struct {
 	Name     string
 	Analyzer string
-	// Valued directives take `=<value>`; waivers take a trailing
-	// justification, which NeedsJustification makes mandatory.
-	Valued             bool
-	NeedsJustification bool
-	Doc                string
+	Doc      string
 }
 
 // Directives is the registry of every directive the suite understands,
 // in listing order.
 var Directives = []DirectiveSpec{
-	{Name: "bounded", Analyzer: "gofanout", NeedsJustification: true,
+	{Name: "bounded", Analyzer: "gofanout",
 		Doc: "waive a `go` launch inside a loop whose fan-out is intrinsically fixed"},
-	{Name: "locksafe", Analyzer: "lockorder", NeedsJustification: true,
-		Doc: "waive lock-order and blocking findings for the lock acquired on this or the next line"},
-	{Name: "pinsafe", Analyzer: "pinleak", NeedsJustification: true,
+	{Name: "locksafe", Analyzer: "lockorder",
+		Doc: "waive the held-across-a-blocking-call finding for the lock acquired on this or the next line"},
+	{Name: "pinsafe", Analyzer: "pinleak",
 		Doc: "waive the release obligation of the pin/ticket acquired on this or the next line"},
-	{Name: "ctxok", Analyzer: "ctxflow", NeedsJustification: true,
+	{Name: "ctxok", Analyzer: "ctxflow",
 		Doc: "waive an unbounded loop on this or the next line that terminates by other means"},
-	{Name: "nopayload", Analyzer: "opcodecheck",
-		Doc: "declare a wire opcode as payload-less"},
-	{Name: "payload", Analyzer: "opcodecheck", Valued: true,
-		Doc: "declare a wire opcode's irregular payload type name (payload=Name)"},
 }
 
 // DirectiveSpecFor returns the registry entry for name, or nil.
@@ -72,22 +60,15 @@ func ParseDirective(text string) (Directive, bool) {
 	if !ok {
 		return Directive{}, false
 	}
-	d := Directive{}
-	// Name runs to the first whitespace; a '=' inside it splits a value.
-	head := rest
+	// The name runs to the first whitespace.
+	d := Directive{Name: rest}
 	if i := strings.IndexAny(rest, " \t"); i >= 0 {
-		head = rest[:i]
-		d.Arg = strings.TrimSpace(rest[i+1:])
+		d.Name, d.Arg = rest[:i], strings.TrimSpace(rest[i+1:])
 	}
 	// An embedded "//" starts a trailing comment (fixture `// want`
 	// annotations ride there); it is not part of the justification.
 	if i := strings.Index(d.Arg, "//"); i >= 0 {
 		d.Arg = strings.TrimSpace(d.Arg[:i])
-	}
-	if eq := strings.IndexByte(head, '='); eq >= 0 {
-		d.Name, d.Value = head[:eq], head[eq+1:]
-	} else {
-		d.Name = head
 	}
 	return d, true
 }

@@ -11,7 +11,7 @@
 //     -deps` and type-checks the result from source with go/types,
 //     skipping function bodies of dependency packages for speed;
 //   - a statement-level control-flow graph builder (cfg.go) used by the
-//     flow-sensitive analyzers (pinpair, lockscope);
+//     flow-sensitive analyzers (lockorder, pinleak);
 //   - a fixture runner (fixture.go) in the spirit of analysistest: a
 //     testdata/src tree of small packages annotated with `// want`
 //     comments.

@@ -6,8 +6,8 @@ import (
 )
 
 // MutexOp is one Lock/RLock/Unlock/RUnlock call on a sync.Mutex or
-// sync.RWMutex, decoded for the lock analyzers (lockscope's pairing
-// checks, lockorder's acquisition-order graph).
+// sync.RWMutex, decoded for lockorder's release pairing and
+// acquisition-order graph.
 type MutexOp struct {
 	Call *ast.CallExpr
 	Op   string // Lock, RLock, Unlock, RUnlock

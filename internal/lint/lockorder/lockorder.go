@@ -1,7 +1,7 @@
-// Package lockorder is the suite's interprocedural deadlock analyzer.
-// It tracks Lock/RLock acquisitions of every struct-field and
-// package-level sync.Mutex/RWMutex through the module call graph and
-// enforces two rules:
+// Package lockorder is the suite's lock analyzer. It tracks Lock/RLock
+// acquisitions of every struct-field and package-level
+// sync.Mutex/RWMutex through the module call graph and enforces three
+// rules:
 //
 //  1. The global lock-acquisition order must be acyclic. Every "lock B
 //     acquired (directly or through any call chain) while lock A is
@@ -12,11 +12,17 @@
 //     schedule has produced one yet.
 //
 //  2. No blocking operation is reached while a lock is held: file and
-//     network I/O (os / net), time.Sleep, sync.WaitGroup.Wait,
+//     network I/O (os / net), connection I/O through wire.WriteFrame and
+//     wire.ReadFrame (whose io.Writer/io.Reader the call graph cannot
+//     follow to the socket), time.Sleep, sync.WaitGroup.Wait,
 //     sched.Group.Wait (which runs queued evaluation tasks inline) and
 //     channel operations, found directly in the held region or through
 //     any resolved call chain. sync.Cond.Wait is exempt — it releases
 //     the mutex it waits on.
+//
+//  3. Every Lock/RLock, of a lock class or of a local mutex, is
+//     released on every path out of its function, explicitly or by a
+//     defer in the function itself.
 //
 // Locks that are *designed* to be held across I/O — the engine's commit
 // mutex serializes whole copy-on-write commits, the catalog's ddlMu
@@ -24,9 +30,10 @@
 // buffer-pool shard latch sanctions page read/write-back under it — are
 // waived at the acquisition site with `//dkblint:locksafe <reason>`;
 // the justification is mandatory (the directives analyzer rejects bare
-// waivers). A waiver suppresses findings anchored at that acquisition
-// but leaves its edges in the graph, so a cycle through a waived edge
-// is still reported at the cycle's other witnesses.
+// waivers). A waiver covers rule 2 only. The waived region's edges stay
+// in the graph and a cycle through them is reported at every witness,
+// waived or not, so a waived shard latch still may not re-enter the
+// pager or take Pager.flMu.
 //
 // Soundness limits (see DESIGN.md §14): calls through function values
 // and code inside function literals are invisible to the call graph;
@@ -55,7 +62,7 @@ const GraphKey = "lockorder.graph"
 // Analyzer is the lockorder pass.
 var Analyzer = &lintkit.Analyzer{
 	Name:   "lockorder",
-	Doc:    "the global lock-acquisition order is acyclic and no lock is held across a blocking call (waive with //dkblint:locksafe <reason>)",
+	Doc:    "the global lock-acquisition order is acyclic, no lock is held across a blocking call (waive with //dkblint:locksafe <reason>), and every lock is released on every path",
 	Run:    run,
 	Module: true,
 }
@@ -76,10 +83,8 @@ type edge struct {
 	from, to string
 	// pos anchors the report: the acquisition of `from` whose held
 	// region reaches the acquisition of `to`.
-	pos    token.Pos
-	at     token.Pos // where `to` is acquired or the call chain starts
-	via    []string  // call chain labels, empty for a direct acquisition
-	waived bool
+	pos token.Pos
+	via []string // call chain labels, empty for a direct acquisition
 }
 
 // blockInfo is one function's may-block summary: what it can block on
@@ -151,7 +156,7 @@ func run(pass *lintkit.Pass) error {
 	lockSet := map[string]bool{}
 	blockingSites := 0
 	for _, node := range cg.Funcs() {
-		es, blocked := scanFunc(pass, node, cg, mayAcquire, mayBlock, directBlock)
+		es, blocked := scanFunc(pass, node, mayAcquire, mayBlock)
 		edges = append(edges, es...)
 		blockingSites += blocked
 		for id := range directAcq[node.Fn] {
@@ -169,17 +174,11 @@ func run(pass *lintkit.Pass) error {
 	dedup := map[key]*edge{}
 	var order []key
 	for i := range edges {
-		e := &edges[i]
-		k := key{e.from, e.to}
-		if prev, ok := dedup[k]; ok {
-			// A waived witness must not mask an unwaived one.
-			if prev.waived && !e.waived {
-				dedup[k] = e
-			}
-			continue
+		k := key{edges[i].from, edges[i].to}
+		if _, ok := dedup[k]; !ok {
+			dedup[k] = &edges[i]
+			order = append(order, k)
 		}
-		dedup[k] = e
-		order = append(order, k)
 	}
 
 	// Cycle detection over the deduplicated edge set.
@@ -191,7 +190,7 @@ func run(pass *lintkit.Pass) error {
 	for _, k := range order {
 		e := dedup[k]
 		inCycle := k.from == k.to || (scc[k.from] == scc[k.to] && sccSize(scc, scc[k.from]) > 1)
-		if !inCycle || e.waived {
+		if !inCycle {
 			continue
 		}
 		cyc := cyclePath(k, adj, scc)
@@ -223,7 +222,7 @@ func directFacts(node *lintkit.FuncNode) (map[string]bool, *blockInfo) {
 			blk = &blockInfo{desc: desc}
 		}
 	}
-	walkSkipFuncLit(node.Decl.Body, func(n ast.Node) {
+	lintkit.WalkSkipFuncLit(node.Decl.Body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if op := lintkit.AsMutexOp(info, n); op != nil {
@@ -254,19 +253,19 @@ func directFacts(node *lintkit.FuncNode) (map[string]bool, *blockInfo) {
 	return acq, blk
 }
 
-// scanFunc walks every held region of a function: explicit classed
-// acquisitions, their release scope (deferred releases extend to the
-// function end), and the order/blocking facts inside.
-func scanFunc(pass *lintkit.Pass, node *lintkit.FuncNode, cg *lintkit.CallGraph,
-	mayAcquire map[*types.Func]map[string][]string, mayBlock map[*types.Func]*blockInfo,
-	directBlock map[*types.Func]*blockInfo) ([]edge, int) {
+// scanFunc checks every acquisition of a function: that it is released
+// on every path out, and, for a lock class, the order and blocking facts
+// of its held region (a deferred release extends it to the function
+// end).
+func scanFunc(pass *lintkit.Pass, node *lintkit.FuncNode,
+	mayAcquire map[*types.Func]map[string][]string, mayBlock map[*types.Func]*blockInfo) ([]edge, int) {
 
 	info := node.Pkg.Info
 	cfg := lintkit.BuildCFG(node.Decl.Body)
 	if cfg.Unsupported {
 		return nil, 0
 	}
-	waived := waivedLinesFor(pass, node)
+	waived := lintkit.WaivedLines(pass.Fset, node.File, "locksafe")
 
 	type acquire struct {
 		op   *lintkit.MutexOp
@@ -275,16 +274,12 @@ func scanFunc(pass *lintkit.Pass, node *lintkit.FuncNode, cg *lintkit.CallGraph,
 	var acquires []acquire
 	cfg.VisitFrom(nil, nil, func(s ast.Stmt) {
 		for _, h := range lintkit.Headline(s) {
-			ast.Inspect(h, func(m ast.Node) bool {
-				if _, ok := m.(*ast.FuncLit); ok {
-					return false
-				}
+			lintkit.WalkSkipFuncLit(h, func(m ast.Node) {
 				if call, ok := m.(*ast.CallExpr); ok {
-					if op := lintkit.AsMutexOp(info, call); op != nil && op.Acquires() && op.ClassID() != "" {
+					if op := lintkit.AsMutexOp(info, call); op != nil && op.Acquires() {
 						acquires = append(acquires, acquire{op: op, stmt: s})
 					}
 				}
-				return true
 			})
 		}
 	})
@@ -292,50 +287,54 @@ func scanFunc(pass *lintkit.Pass, node *lintkit.FuncNode, cg *lintkit.CallGraph,
 	var edges []edge
 	blockedSites := 0
 	for _, a := range acquires {
-		id := a.op.ClassID()
-		line := pass.Fset.Position(a.op.Call.Pos()).Line
-		_, isWaived := waived[line]
-
 		want := lintkit.UnlockFor(a.op.Op)
 		isRelease := func(n ast.Node) bool {
 			found := false
-			ast.Inspect(n, func(m ast.Node) bool {
-				if _, ok := m.(*ast.FuncLit); ok {
-					return false
-				}
+			lintkit.WalkSkipFuncLit(n, func(m ast.Node) {
 				if call, ok := m.(*ast.CallExpr); ok {
 					if op := lintkit.AsMutexOp(info, call); op != nil && op.Op == want && op.Recv == a.op.Recv {
 						found = true
-						return false
 					}
 				}
-				return true
 			})
 			return found
 		}
-		deferred := false
-		ast.Inspect(node.Decl.Body, func(n ast.Node) bool {
-			if d, ok := n.(*ast.DeferStmt); ok {
-				if isRelease(d.Call) {
-					deferred = true
-				} else if fl, ok := d.Call.Fun.(*ast.FuncLit); ok && isRelease(fl.Body) {
-					deferred = true
+		releases := func(s ast.Stmt) bool {
+			for _, h := range lintkit.Headline(s) {
+				if isRelease(h) {
+					return true
 				}
 			}
-			return true
-		})
-		var stop func(ast.Stmt) bool
-		if !deferred {
-			stop = func(s ast.Stmt) bool {
-				for _, h := range lintkit.Headline(s) {
-					if isRelease(h) {
-						return true
-					}
+			return false
+		}
+		// Only the function's own defers count: one inside a function
+		// literal runs when the literal returns.
+		deferred := false
+		lintkit.WalkSkipFuncLit(node.Decl.Body, func(n ast.Node) {
+			if d, ok := n.(*ast.DeferStmt); ok {
+				var released ast.Node = d.Call
+				if fl, ok := d.Call.Fun.(*ast.FuncLit); ok {
+					released = fl.Body
 				}
-				return false
+				deferred = deferred || isRelease(released)
+			}
+		})
+		stop := releases
+		if deferred {
+			stop = nil
+		} else if leakAt, found := cfg.ReachesExitWithout(a.stmt, releases, nil, nil); found {
+			if leakAt == a.stmt {
+				pass.Reportf(a.op.Call.Pos(), "%s.%s is still held when the loop re-acquires it", a.op.Recv, a.op.Op)
+			} else {
+				pass.Reportf(a.op.Call.Pos(), "%s.%s is not released on every path out of %s (missing %s or defer)",
+					a.op.Recv, a.op.Op, node.Decl.Name.Name, want)
 			}
 		}
 
+		id := a.op.ClassID()
+		if id == "" {
+			continue // a local mutex has no class: release pairing only
+		}
 		var blocked *blockInfo
 		var blockedAt token.Pos
 		noteBlock := func(pos token.Pos, b *blockInfo) {
@@ -348,7 +347,6 @@ func scanFunc(pass *lintkit.Pass, node *lintkit.FuncNode, cg *lintkit.CallGraph,
 			case *ast.DeferStmt, *ast.GoStmt:
 				// Deferred work runs after the release path decides;
 				// go-routines run concurrently, not under this hold.
-				_ = s
 				return
 			case *ast.SendStmt:
 				noteBlock(s.Pos(), &blockInfo{desc: "a channel send"})
@@ -358,51 +356,42 @@ func scanFunc(pass *lintkit.Pass, node *lintkit.FuncNode, cg *lintkit.CallGraph,
 				}
 			}
 			for _, h := range lintkit.Headline(s) {
-				ast.Inspect(h, func(m ast.Node) bool {
-					if _, ok := m.(*ast.FuncLit); ok {
-						return false
-					}
+				lintkit.WalkSkipFuncLit(h, func(m ast.Node) {
 					switch m := m.(type) {
 					case *ast.UnaryExpr:
 						if m.Op == token.ARROW {
 							noteBlock(m.Pos(), &blockInfo{desc: "a channel receive"})
 						}
 					case *ast.CallExpr:
-						op := lintkit.AsMutexOp(info, m)
-						if op != nil {
-							if op.Acquires() {
-								if to := op.ClassID(); to != "" && !(to == id && m == a.op.Call) {
-									edges = append(edges, edge{from: id, to: to, pos: a.op.Call.Pos(), at: m.Pos(), waived: isWaived})
-								}
+						if op := lintkit.AsMutexOp(info, m); op != nil {
+							if to := op.ClassID(); op.Acquires() && to != "" && m != a.op.Call {
+								edges = append(edges, edge{from: id, to: to, pos: a.op.Call.Pos()})
 							}
-							return true
+							return
 						}
 						callee := lintkit.Callee(info, m)
 						if callee == nil || isCondWait(callee) {
-							return true
+							return
 						}
 						if desc := blockingCallee(callee); desc != "" {
 							noteBlock(m.Pos(), &blockInfo{desc: desc})
 						}
 						label := calleeLabel(callee)
-						if acqs, ok := mayAcquire[callee]; ok {
-							for to, chain := range acqs {
-								edges = append(edges, edge{from: id, to: to, pos: a.op.Call.Pos(), at: m.Pos(),
-									via: append([]string{label}, chain...), waived: isWaived})
-							}
+						for to, chain := range mayAcquire[callee] {
+							edges = append(edges, edge{from: id, to: to, pos: a.op.Call.Pos(),
+								via: append([]string{label}, chain...)})
 						}
 						if b, ok := mayBlock[callee]; ok {
 							noteBlock(m.Pos(), &blockInfo{desc: b.desc, chain: append([]string{label}, b.chain...)})
 						}
 					}
-					return true
 				})
 			}
 		})
 
 		if blocked != nil {
 			blockedSites++
-			if !isWaived {
+			if _, isWaived := waived[pass.Fset.Position(a.op.Call.Pos()).Line]; !isWaived {
 				via := ""
 				if len(blocked.chain) > 0 {
 					via = " (via " + strings.Join(blocked.chain, " → ") + ")"
@@ -413,17 +402,6 @@ func scanFunc(pass *lintkit.Pass, node *lintkit.FuncNode, cg *lintkit.CallGraph,
 		}
 	}
 	return edges, blockedSites
-}
-
-// waivedLinesFor returns the locksafe-waived lines of the file holding
-// the node's declaration.
-func waivedLinesFor(pass *lintkit.Pass, node *lintkit.FuncNode) map[int]string {
-	for _, f := range node.Pkg.Files {
-		if f.FileStart <= node.Decl.Pos() && node.Decl.Pos() <= f.FileEnd {
-			return lintkit.WaivedLines(pass.Fset, f, "locksafe")
-		}
-	}
-	return nil
 }
 
 // blockingCallee classifies a callee as a known blocking operation.
@@ -454,13 +432,13 @@ func blockingCallee(fn *types.Func) string {
 	case path == "sync" && recv == "WaitGroup" && name == "Wait":
 		return "sync.WaitGroup.Wait"
 	}
-	if lintkit.PkgName(fn) == "sched" {
-		switch {
-		case recv == "Group" && name == "Wait":
-			return "sched.Group.Wait (runs queued evaluation tasks inline)"
-		case recv == "Pool" && name == "Close":
-			return "sched.Pool.Close (joins the workers)"
-		}
+	switch pkg := lintkit.PkgName(fn); {
+	case pkg == "sched" && recv == "Group" && name == "Wait":
+		return "sched.Group.Wait (runs queued evaluation tasks inline)"
+	case pkg == "sched" && recv == "Pool" && name == "Close":
+		return "sched.Pool.Close (joins the workers)"
+	case pkg == "wire" && (name == "WriteFrame" || name == "ReadFrame"):
+		return "connection I/O (wire." + name + ")"
 	}
 	return ""
 }
@@ -487,18 +465,6 @@ func selectHasDefault(s *ast.SelectStmt) bool {
 		}
 	}
 	return false
-}
-
-func walkSkipFuncLit(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }
 
 // --- cycle machinery ---

@@ -1,6 +1,6 @@
-// Waiver fixtures: //dkblint:locksafe suppresses findings anchored at
-// the waived acquisition, and only there — the edge stays in the graph,
-// so the cycle still surfaces at its unwaived witness.
+// Waiver fixtures: //dkblint:locksafe suppresses the held-across-a-
+// blocking-call finding at the waived acquisition, and nothing else —
+// a cycle is reported at every witness, waived or not.
 package waived
 
 import (
@@ -26,11 +26,11 @@ type B struct{ mu sync.Mutex }
 var a A
 var b B
 
-// The A→B witness is waived; the B→A witness is not, so exactly one
-// side of the cycle is reported.
+// The A→B witness is waived and the B→A witness is not; both sides of
+// the cycle are reported.
 func AB() {
 	//dkblint:locksafe init-order only; BA is the audited path
-	a.mu.Lock()
+	a.mu.Lock() // want "lock-order cycle: waived\\.B\\.mu acquired while waived\\.A\\.mu is held"
 	b.mu.Lock()
 	b.mu.Unlock()
 	a.mu.Unlock()

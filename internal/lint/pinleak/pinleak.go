@@ -352,7 +352,7 @@ func (e *ev) returnsOwned(node *lintkit.FuncNode) *kind {
 	var found *kind
 	// Only the declared body: a closure returning a resource does not
 	// make its encloser an owner source.
-	walkSkipFuncLit(node.Decl.Body, func(n ast.Node) {
+	lintkit.WalkSkipFuncLit(node.Decl.Body, func(n ast.Node) {
 		if found != nil {
 			return
 		}
@@ -377,7 +377,7 @@ func (e *ev) returnsOwned(node *lintkit.FuncNode) *kind {
 			return
 		}
 		isObj := func(x *ast.Ident) bool { return objOf(info, x) == obj }
-		walkSkipFuncLit(node.Decl.Body, func(m ast.Node) {
+		lintkit.WalkSkipFuncLit(node.Decl.Body, func(m ast.Node) {
 			if ret, ok := m.(*ast.ReturnStmt); ok && returnsObj(ret, isObj) {
 				found = k
 			}
@@ -393,7 +393,7 @@ func (e *ev) checkBody(node *lintkit.FuncNode, body *ast.BlockStmt) {
 	info := node.Pkg.Info
 	var cfg *lintkit.CFG
 
-	inspectOwnLevel(body, func(n ast.Node) {
+	lintkit.WalkSkipFuncLit(body, func(n ast.Node) {
 		// Bare source call as a statement: acquired and dropped.
 		if es, ok := n.(*ast.ExprStmt); ok {
 			if call, ok := es.X.(*ast.CallExpr); ok {
@@ -536,7 +536,7 @@ func (e *ev) checkAcquire(node *lintkit.FuncNode, body *ast.BlockStmt, cfg *lint
 
 	// A deferred release in this body covers every path out of it.
 	deferSatisfied := false
-	inspectOwnLevel(body, func(n ast.Node) {
+	lintkit.WalkSkipFuncLit(body, func(n ast.Node) {
 		d, ok := n.(*ast.DeferStmt)
 		if !ok {
 			return
@@ -600,21 +600,16 @@ func (e *ev) checkAcquire(node *lintkit.FuncNode, body *ast.BlockStmt, cfg *lint
 	}
 }
 
-// isWaived reports whether a pinsafe directive covers pos in the file
-// declaring node.
+// isWaived reports whether a pinsafe directive covers pos, a position
+// in node's body.
 func (e *ev) isWaived(node *lintkit.FuncNode, pos token.Pos) bool {
-	for _, f := range node.Pkg.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			w, ok := e.waived[f]
-			if !ok {
-				w = lintkit.WaivedLines(e.pass.Fset, f, "pinsafe")
-				e.waived[f] = w
-			}
-			_, hit := w[e.pass.Fset.Position(pos).Line]
-			return hit
-		}
+	w, ok := e.waived[node.File]
+	if !ok {
+		w = lintkit.WaivedLines(e.pass.Fset, node.File, "pinsafe")
+		e.waived[node.File] = w
 	}
-	return false
+	_, hit := w[e.pass.Fset.Position(pos).Line]
+	return hit
 }
 
 // --- small helpers ---
@@ -664,31 +659,4 @@ func calleeName(info *types.Info, call *ast.CallExpr) string {
 func isNilIdent(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "nil"
-}
-
-// inspectOwnLevel visits the nodes of body without descending into
-// nested function literals (they are separate bodies with their own
-// flow graphs).
-func inspectOwnLevel(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok && fl.Body != body {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
-}
-
-func walkSkipFuncLit(body *ast.BlockStmt, visit func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			visit(n)
-		}
-		return true
-	})
 }

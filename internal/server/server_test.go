@@ -185,6 +185,45 @@ func TestServerBasic(t *testing.T) {
 	}
 }
 
+// TestEveryRequestDispatched sends every request opcode, each with an
+// empty payload. A named opcode must reach its own arm of the dispatch
+// (an answer or a decode error); one with no String name lies past the
+// last request and must get the "unknown request type" error.
+func TestEveryRequestDispatched(t *testing.T) {
+	tb := dkbms.NewConcurrent(dkbms.NewMemory())
+	defer tb.Close()
+	addr, cancel, done := startServer(t, tb, server.Options{SampleInterval: -1})
+	defer func() { cancel(); <-done }()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for op := wire.MsgType(1); op < wire.MsgPong; op++ {
+		if _, err := wire.WriteFrame(conn, wire.Frame(nil, op)); err != nil {
+			t.Fatal(err)
+		}
+		rt, payload, _, err := wire.ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		unknown := false
+		if rt == wire.MsgError {
+			e, err := wire.DecodeError(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unknown = strings.Contains(e.Msg, "unknown request type")
+		}
+		switch named := !strings.HasPrefix(op.String(), "MsgType("); {
+		case named && unknown:
+			t.Errorf("request %v has no dispatch arm", op)
+		case !named && !unknown:
+			t.Errorf("opcode %d past the last request got %v, not the unknown-type error", op, rt)
+		}
+	}
+}
+
 // TestServerStress runs 32 concurrent sessions mixing queries, prepared
 // execution and occasional loads, then checks the final state against a
 // single-threaded testbed.

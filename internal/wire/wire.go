@@ -41,33 +41,35 @@ const MaxFrameSize = 16 << 20
 // MsgType identifies a frame's message.
 type MsgType uint8
 
-// Request messages. dkblint's opcodecheck pass enforces that every
-// constant here is handled by the server dispatch switch and follows
-// the payload convention MsgFoo → type Foo + DecodeFoo; the directives
-// declare the exceptions.
+// Request messages. Each block ends in an unexported sentinel: the
+// package's tests require a String name and a codec table entry for
+// every opcode below it, and the server's tests send every request
+// opcode and fail on an "unknown request type" reply.
 const (
-	MsgPing MsgType = iota + 1 //dkblint:nopayload
+	MsgPing MsgType = iota + 1
 	MsgLoad
 	MsgQuery
 	MsgPrepare
 	MsgExecP
 	MsgRetract
-	MsgStats   //dkblint:nopayload
-	MsgSlowlog //dkblint:nopayload
-	MsgViews   //dkblint:nopayload
+	MsgStats
+	MsgSlowlog
+	MsgViews
+	msgRequestEnd
 )
 
 // Response messages.
 const (
-	MsgPong MsgType = iota + 0x10 //dkblint:nopayload
-	MsgOK                         //dkblint:nopayload
+	MsgPong MsgType = iota + 0x10
+	MsgOK
 	MsgError
 	MsgResult
 	MsgPrepared
 	MsgRetracted
-	MsgStatsReply   //dkblint:payload=ServerStats
-	MsgSlowlogReply //dkblint:payload=Slowlog
-	MsgViewsReply   //dkblint:payload=Views
+	MsgStatsReply
+	MsgSlowlogReply
+	MsgViewsReply
+	msgReplyEnd
 )
 
 // String names the message type.

@@ -160,16 +160,15 @@ func TestMatViewAutoFallback(t *testing.T) {
 		t.Fatalf("fallback not counted: %+v", st)
 	}
 
-	// Pinned to MaintIncremental the same commit shape is maintained.
-	ci := snapshotChain(t)
-	opts := &QueryOptions{Maintenance: MaintIncremental}
-	if _, err := ci.Query(q, opts); err != nil {
+	// A testbed kept under MaintIncremental maintains the same commit.
+	ci := snapshotChainWith(t, MaintIncremental)
+	if _, err := ci.Query(q, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ci.Load(src.String()); err != nil {
 		t.Fatal(err)
 	}
-	res, err = ci.Query(q, opts)
+	res, err = ci.Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +180,12 @@ func TestMatViewAutoFallback(t *testing.T) {
 	}
 }
 
-// TestMatViewRederivePolicy: pinned to MaintRederive no view is kept at
+// TestMatViewRederivePolicy: under MaintRederive no view is kept at
 // all — commits drop the memo and Views() stays empty.
 func TestMatViewRederivePolicy(t *testing.T) {
-	c := snapshotChain(t)
+	c := snapshotChainWith(t, MaintRederive)
 	const q = "?- ancestor(c0, X)."
-	opts := &QueryOptions{Maintenance: MaintRederive}
-	if _, err := c.Query(q, opts); err != nil {
+	if _, err := c.Query(q, nil); err != nil {
 		t.Fatal(err)
 	}
 	if views := c.Views(); len(views) != 0 {
@@ -196,7 +194,7 @@ func TestMatViewRederivePolicy(t *testing.T) {
 	if err := c.Load("parent(c15, c16)."); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(q, opts)
+	res, err := c.Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +245,9 @@ func TestMatViewViewsAccessor(t *testing.T) {
 // program must reuse the entry's dependency list instead of recomputing
 // it per store (the old code re-derived depTables on every overwrite).
 func TestMatViewDepsReuse(t *testing.T) {
-	c := snapshotChain(t)
+	c := snapshotChainWith(t, MaintRederive)
 	const q = "?- ancestor(c0, X)."
-	opts := &QueryOptions{Maintenance: MaintRederive}
-	if _, err := c.Query(q, opts); err != nil {
+	if _, err := c.Query(q, nil); err != nil {
 		t.Fatal(err)
 	}
 	grab := func() (*planEntry, *string) {
@@ -274,7 +271,7 @@ func TestMatViewDepsReuse(t *testing.T) {
 	}
 	// Re-evaluation stores a fresh result against the same compiled
 	// program: deps must be the very same backing array.
-	if _, err := c.Query(q, opts); err != nil {
+	if _, err := c.Query(q, nil); err != nil {
 		t.Fatal(err)
 	}
 	e2, deps2 := grab()

@@ -55,12 +55,10 @@ type planEntry struct {
 	result    *QueryResult
 	resultVec map[string]uint64
 	// view, when non-nil, owns the evaluation's derived relations so
-	// commits can maintain result in place instead of dropping it;
-	// policy is the resolved maintenance policy it was stored under.
+	// commits can maintain result in place instead of dropping it.
 	// maintained marks a result refreshed by maintenance (served as
 	// Cache "maintained" rather than "result").
 	view       *matview.View
-	policy     MaintenancePolicy
 	maintained bool
 
 	prev, next *planEntry
@@ -92,10 +90,13 @@ type PlanCacheStats struct {
 type planCache struct {
 	mu       sync.Mutex
 	capacity int
-	entries  map[planKey]*planEntry
-	head     *planEntry // most recently used
-	tail     *planEntry // least recently used
-	stats    PlanCacheStats
+	// policy is how every entry's memo is kept through commits; it is
+	// set at construction and never changes.
+	policy  MaintenancePolicy
+	entries map[planKey]*planEntry
+	head    *planEntry // most recently used
+	tail    *planEntry // least recently used
+	stats   PlanCacheStats
 
 	// db is the live database view maintenance runs against; pool,
 	// when non-nil, parallelizes maintenance across views. Both are
@@ -112,12 +113,16 @@ type planCache struct {
 	condemned []*matview.View
 }
 
-func newPlanCache(capacity int) *planCache {
+func newPlanCache(capacity int, policy MaintenancePolicy) *planCache {
 	if capacity <= 0 {
 		capacity = DefaultPlanCacheEntries
 	}
+	if policy == MaintDefault {
+		policy = MaintAuto
+	}
 	return &planCache{
 		capacity: capacity,
+		policy:   policy,
 		entries:  make(map[planKey]*planEntry, capacity),
 	}
 }
@@ -207,7 +212,7 @@ func vecCurrent(vec map[string]uint64, snap *snapshot.Snapshot) bool {
 // Racing stores for one key (readers pinned to different snapshots)
 // need no ordering: a result stored with an older dependency vector
 // simply fails validation for newer snapshots at lookup time.
-func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.Compiled, result *QueryResult, view *matview.View, policy MaintenancePolicy) {
+func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.Compiled, result *QueryResult, view *matview.View) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
@@ -237,7 +242,7 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 		if result != nil {
 			e.result, e.resultVec, e.maintained = result, vec, false
 			pc.condemnLocked(e.view)
-			e.view, e.policy = view, policy
+			e.view = view
 		}
 		pc.touch(e)
 		return
@@ -246,7 +251,7 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 	e = &planEntry{key: key, compiled: compiled, ruleGen: snap.RuleGen, deps: deps,
 		result: result, resultVec: vec}
 	if result != nil {
-		e.view, e.policy = view, policy
+		e.view = view
 	} else if view != nil {
 		// A traced run must not adopt a view it has no result for.
 		pc.condemnLocked(view)
@@ -284,7 +289,7 @@ func (pc *planCache) condemnLocked(v *matview.View) {
 // Entries whose compiled program predates next's rule generation are
 // dropped. Entries whose memo went stale with exactly this commit
 // (valid against prev, stale against next) are maintained in place when
-// the event carries fact deltas and the entry's policy allows it;
+// the event carries fact deltas and the cache's policy allows it;
 // otherwise the memo is dropped and the plan kept. Maintenance runs
 // after the cache mutex is released — concurrent readers keep hitting
 // the plan — and each refreshed answer installs only if the entry still
@@ -300,7 +305,6 @@ func (pc *planCache) Invalidate(prev, next *snapshot.Snapshot, ev *matview.Event
 	var jobs []job
 	flush := ev != nil && ev.Kind == matview.EventFlush
 	commit := ev != nil && ev.Kind == matview.EventCommit
-	//dkblint:locksafe released before maintenance runs, Group.Wait and drainCondemned (explicit Unlock below, not deferred)
 	pc.mu.Lock()
 	for _, e := range pc.entries {
 		if flush || e.ruleGen != next.RuleGen {
@@ -314,9 +318,9 @@ func (pc *planCache) Invalidate(prev, next *snapshot.Snapshot, ev *matview.Event
 		// The memo went stale with this commit. Maintain it when the
 		// commit is an exact fact delta, the entry owns a view, and the
 		// delta is worth it; otherwise drop the memo, keep the plan.
-		ok := commit && e.view != nil && e.policy != MaintRederive &&
+		ok := commit && e.view != nil && pc.policy != MaintRederive &&
 			prev != nil && vecCurrent(e.resultVec, prev)
-		if ok && e.policy == MaintAuto {
+		if ok && pc.policy == MaintAuto {
 			ok = matview.AutoIncremental(ev.RelevantSize(e.deps), len(e.result.Rows))
 		}
 		if !ok {
@@ -407,7 +411,7 @@ func (pc *planCache) views() []MaterializedView {
 		}
 		out = append(out, MaterializedView{
 			Query:           e.key.src,
-			Policy:          e.policy,
+			Policy:          pc.policy,
 			Rows:            len(e.result.Rows),
 			Maintains:       e.view.Maintains(),
 			LastDeltaTuples: e.view.LastDeltaTuples(),

@@ -36,16 +36,12 @@ func queryRows(t *testing.T, c *ConcurrentTestbed, src string) int {
 	return len(res.Rows)
 }
 
-// queryRowsRederive queries with the memo pinned to MaintRederive, so a
-// commit drops the stale answer instead of maintaining it through the
-// change — the classic invalidation behavior these tests assert.
-func queryRowsRederive(t *testing.T, c *ConcurrentTestbed, src string) int {
+// newRederiveTestbed pins the testbed to MaintRederive, so a commit
+// drops a stale answer instead of maintaining it through the change —
+// the classic invalidation behavior the tests using it assert.
+func newRederiveTestbed(t *testing.T) *ConcurrentTestbed {
 	t.Helper()
-	res, err := c.Query(src, &QueryOptions{Maintenance: MaintRederive})
-	if err != nil {
-		t.Fatalf("query %q: %v", src, err)
-	}
-	return len(res.Rows)
+	return newCachedTestbedWith(t, ConcurrentOptions{MaintenancePolicy: MaintRederive})
 }
 
 // TestPlanCacheResultHit: an identical repeated query on an unchanged
@@ -83,16 +79,16 @@ func TestPlanCacheResultHit(t *testing.T) {
 // the next identical query keeps the compiled plan but re-evaluates —
 // and must see the shrunken answer, not the memoized one.
 func TestPlanCacheRetractInvalidates(t *testing.T) {
-	c := newCachedTestbed(t)
+	c := newRederiveTestbed(t)
 	const q = "?- ancestor(a, X)."
-	if n := queryRowsRederive(t, c, q); n != 2 {
+	if n := queryRows(t, c, q); n != 2 {
 		t.Fatalf("before retract: %d rows, want 2", n)
 	}
 	n, err := c.RetractSrc("parent(b, c)")
 	if err != nil || n != 1 {
 		t.Fatalf("retract: %d, %v", n, err)
 	}
-	if n := queryRowsRederive(t, c, q); n != 1 {
+	if n := queryRows(t, c, q); n != 1 {
 		t.Fatalf("after retract: %d rows, want 1 (stale cached answer served?)", n)
 	}
 	st := c.PlanStats()
@@ -104,7 +100,7 @@ func TestPlanCacheRetractInvalidates(t *testing.T) {
 	if n, err := c.RetractSrc("parent(z, z)"); err != nil || n != 0 {
 		t.Fatalf("no-op retract: %d, %v", n, err)
 	}
-	if n := queryRowsRederive(t, c, q); n != 1 {
+	if n := queryRows(t, c, q); n != 1 {
 		t.Fatalf("after no-op retract: %d rows, want 1", n)
 	}
 	if st := c.PlanStats(); st.ResultHits != 1 {
@@ -115,9 +111,9 @@ func TestPlanCacheRetractInvalidates(t *testing.T) {
 // TestPlanCacheLoadInvalidates: a LOAD of facts re-evaluates cached
 // plans; a LOAD that changes rules recompiles them.
 func TestPlanCacheLoadInvalidates(t *testing.T) {
-	c := newCachedTestbed(t)
+	c := newRederiveTestbed(t)
 	const q = "?- ancestor(a, X)."
-	if n := queryRowsRederive(t, c, q); n != 2 {
+	if n := queryRows(t, c, q); n != 2 {
 		t.Fatalf("cold query: %d rows, want 2", n)
 	}
 
@@ -125,7 +121,7 @@ func TestPlanCacheLoadInvalidates(t *testing.T) {
 	if err := c.Load("parent(c, d)."); err != nil {
 		t.Fatal(err)
 	}
-	if n := queryRowsRederive(t, c, q); n != 3 {
+	if n := queryRows(t, c, q); n != 3 {
 		t.Fatalf("after fact load: %d rows, want 3", n)
 	}
 	st := c.PlanStats()
@@ -137,7 +133,7 @@ func TestPlanCacheLoadInvalidates(t *testing.T) {
 	if err := c.Load("forebear(X, Y) :- ancestor(X, Y)."); err != nil {
 		t.Fatal(err)
 	}
-	if n := queryRowsRederive(t, c, q); n != 3 {
+	if n := queryRows(t, c, q); n != 3 {
 		t.Fatalf("after rule load: %d rows, want 3", n)
 	}
 	st = c.PlanStats()

@@ -12,7 +12,14 @@ import (
 // a parent chain c0..c15 plus the recursive ancestor rules.
 func snapshotChain(t *testing.T) *ConcurrentTestbed {
 	t.Helper()
-	c := NewConcurrent(NewMemory())
+	return snapshotChainWith(t, MaintDefault)
+}
+
+// snapshotChainWith is snapshotChain kept under the given maintenance
+// policy.
+func snapshotChainWith(t *testing.T, policy MaintenancePolicy) *ConcurrentTestbed {
+	t.Helper()
+	c := NewConcurrentWithOptions(NewMemory(), ConcurrentOptions{MaintenancePolicy: policy})
 	t.Cleanup(func() { c.Close() })
 	var src strings.Builder
 	for i := 0; i < 15; i++ {

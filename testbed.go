@@ -394,12 +394,6 @@ type QueryOptions struct {
 	// slow-query ring, and travels over the wire so client and server
 	// agree on the ID. 0 (the default) mints a fresh ID per query.
 	QueryID uint64
-	// Maintenance selects how a ConcurrentTestbed keeps this query's
-	// memoized answer when commits touch tables it reads: re-derive
-	// from scratch, maintain incrementally through the commit's fact
-	// deltas, or decide per commit by delta size (MaintAuto, the
-	// default). Ignored on the plain Testbed path, which has no cache.
-	Maintenance MaintenancePolicy
 }
 
 // QueryResult is the answer to a D/KB query plus its cost breakdown.

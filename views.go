@@ -13,8 +13,7 @@ type MaintenancePolicy int
 
 // Maintenance policies.
 const (
-	// MaintDefault defers to ConcurrentOptions.MaintenancePolicy (and,
-	// failing that, to MaintAuto).
+	// MaintDefault selects MaintAuto.
 	MaintDefault MaintenancePolicy = iota
 	// MaintRederive drops the stale memo; the next identical query
 	// re-derives from scratch (the pre-view behavior).
@@ -47,7 +46,7 @@ func (p MaintenancePolicy) String() string {
 
 // ParseMaintenancePolicy parses a policy name as accepted by the dkbd
 // -maint-policy flag ("rederive", "incremental", "auto"; "default"
-// defers to the server default).
+// selects auto).
 func ParseMaintenancePolicy(s string) (MaintenancePolicy, error) {
 	switch s {
 	case "", "default":
@@ -67,7 +66,7 @@ func ParseMaintenancePolicy(s string) (MaintenancePolicy, error) {
 type MaterializedView struct {
 	// Query is the cached query's source text.
 	Query string
-	// Policy is the maintenance policy the view was stored under.
+	// Policy is the testbed's maintenance policy.
 	Policy MaintenancePolicy
 	// Rows is the current size of the memoized answer.
 	Rows int
