@@ -8,7 +8,7 @@
 //	dkbd                          # in-memory D/KB on :7407
 //	dkbd -db family.db -addr :9000
 //	dkbd -load family.dl          # preload a program at startup
-//	dkbd -debug-addr 127.0.0.1:7408   # HTTP /metrics /timeseries /slowlog /healthz /debug/{trace,pprof}
+//	dkbd -debug-addr 127.0.0.1:7408   # HTTP /metrics /metrics.json /timeseries /slowlog /healthz /debug/{trace,pprof}
 //	dkbd -log-level debug -log-format json
 //	dkbd -slow-threshold 10ms     # only retain queries at or above 10ms
 //	dkbd -sample-interval 500ms -sample-window 1200   # 10 min of 0.5s samples
@@ -24,6 +24,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -42,16 +44,16 @@ func main() {
 	flag.StringVar(&cfg.dbPath, "db", "", "database file (empty = in-memory)")
 	flag.StringVar(&cfg.load, "load", "", "Horn-clause program to load at startup")
 	flag.IntVar(&cfg.maxConns, "maxconns", server.DefaultMaxConns, "max simultaneous sessions")
-	flag.DurationVar(&cfg.ioTimeout, "iotimeout", server.DefaultIOTimeout, "per-request I/O deadline (negative disables)")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "HTTP debug listen address serving /metrics /slowlog /healthz /debug/pprof (empty = disabled)")
+	flag.DurationVar(&cfg.ioTimeout, "iotimeout", server.DefaultIOTimeout, "per-request I/O deadline (negative = no deadline)")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "HTTP debug listen address serving /metrics /metrics.json /timeseries /debug/trace /slowlog /healthz /debug/pprof (empty = disabled)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug|info|warn|error")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format: text|json")
 	flag.IntVar(&cfg.slowSize, "slowlog-size", 0, "slow-query ring capacity (0 = default)")
 	flag.DurationVar(&cfg.slowThreshold, "slow-threshold", 0, "minimum latency to enter the slow-query log (0 retains every query)")
 	flag.IntVar(&cfg.schedWorkers, "sched-workers", 0, "evaluation pool workers shared by all sessions (0 = GOMAXPROCS)")
 	flag.StringVar(&cfg.maintPolicy, "maint-policy", "auto", "materialized-view maintenance policy for cached answers: auto|incremental|rederive")
-	flag.DurationVar(&cfg.sampleInterval, "sample-interval", obs.DefaultSampleInterval, "retained-telemetry sampling period for /timeseries (negative disables)")
-	flag.IntVar(&cfg.sampleWindow, "sample-window", obs.DefaultSampleWindow, "retained-telemetry ring capacity in samples (negative disables)")
+	flag.DurationVar(&cfg.sampleInterval, "sample-interval", obs.DefaultSampleInterval, "retained-telemetry sampling period for /timeseries (> 0)")
+	flag.IntVar(&cfg.sampleWindow, "sample-window", obs.DefaultSampleWindow, "retained-telemetry ring capacity in samples (> 0)")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -75,24 +77,33 @@ type config struct {
 }
 
 // buildLogger turns the -log-level/-log-format flags into the server's
-// structured logger, writing to stderr.
-func buildLogger(level, format string) (*obs.Logger, error) {
-	var l *obs.Logger
+// structured logger, writing to w.
+func buildLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
+		return nil, fmt.Errorf("unknown -log-level %q (debug|info|warn|error)", level)
+	}
+	opts := &slog.HandlerOptions{Level: lv}
 	switch format {
-	case "text", "":
-		l = obs.NewLogger(os.Stderr)
+	case "text":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		l = obs.NewJSONLogger(os.Stderr)
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("unknown -log-format %q (text|json)", format)
 	}
-	return l.SetLevel(obs.ParseLevel(level)), nil
 }
 
 func run(cfg config) error {
-	logger, err := buildLogger(cfg.logLevel, cfg.logFormat)
+	logger, err := buildLogger(os.Stderr, cfg.logLevel, cfg.logFormat)
 	if err != nil {
 		return err
+	}
+	if cfg.sampleInterval <= 0 {
+		return fmt.Errorf("-sample-interval %v is not positive", cfg.sampleInterval)
+	}
+	if cfg.sampleWindow <= 0 {
+		return fmt.Errorf("-sample-window %d is not positive", cfg.sampleWindow)
 	}
 
 	var tb *dkbms.Testbed

@@ -101,32 +101,12 @@ func (s *remoteShell) handle(line string) error {
 		}
 		s.printResult(res)
 		return nil
-	case line == ".stats":
-		st, err := s.c.Stats()
+	case line == ".stats" || strings.HasPrefix(line, ".stats "):
+		ms, err := s.c.Stats()
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(s.out, "sessions %d active / %d total, in-flight %d\n",
-			st.ActiveSessions, st.TotalSessions, st.InFlight)
-		fmt.Fprintf(s.out, "requests %d (%d errors), p50 %v, p99 %v\n",
-			st.Requests, st.Errors, st.P50, st.P99)
-		planLookups := st.PlanResultHits + st.PlanHits + st.PlanMisses
-		fmt.Fprintf(s.out, "plan cache: %d result hits, %d plan hits, %d misses (hit rate %s)\n",
-			st.PlanResultHits, st.PlanHits, st.PlanMisses,
-			rate(st.PlanResultHits+st.PlanHits, planLookups))
-		fmt.Fprintf(s.out, "buffer pool: %d hits, %d misses, %d evictions (hit rate %s)\n",
-			st.PoolHits, st.PoolMisses, st.PoolEvictions,
-			rate(st.PoolHits, st.PoolHits+st.PoolMisses))
-		fmt.Fprintf(s.out, "traffic in %d B, out %d B; rule-base generation %d\n",
-			st.BytesIn, st.BytesOut, st.Generation)
-		fmt.Fprintf(s.out, "snapshots: generation %d, %d active readers, %d versions awaiting reclaim, writer stall %v\n",
-			st.SnapshotGen, st.SnapshotReaders, st.ReclaimBacklog, st.WriterStall)
-		fmt.Fprintf(s.out, "scheduler: %d workers, %d queued, %d submitted, %d stolen inline\n",
-			st.SchedWorkers, st.SchedQueued, st.SchedSubmitted, st.SchedStolen)
-		fmt.Fprintf(s.out, "views: %d live, %d maintained, %d re-derived, %d delta tuples, %v maintaining\n",
-			st.ViewsLive, st.ViewsMaintained, st.ViewsRederives,
-			st.ViewsDeltaTuples, st.ViewsMaintainTime)
-		fmt.Fprintf(s.out, "queries served %d\n", st.Queries)
+		printMetrics(s.out, ms, strings.TrimSpace(strings.TrimPrefix(line, ".stats")))
 		return nil
 	case line == ".views":
 		vs, err := s.c.Views()
@@ -190,12 +170,27 @@ func (s *remoteShell) handle(line string) error {
 	}
 }
 
-// rate formats part/whole as a percentage, "n/a" when nothing counted.
-func rate(part, whole int64) string {
-	if whole <= 0 {
-		return "n/a"
+// printMetrics prints the server's registry snapshot one metric per
+// line, keeping the names that start with prefix. A value whose name
+// ends in _ns prints as a duration, and a histogram prints its count
+// and its p50 and p99 bucket bounds, the numbers dkbtop shows.
+func printMetrics(w io.Writer, ms []obs.Metric, prefix string) {
+	for _, m := range ms {
+		if !strings.HasPrefix(m.Name, prefix) {
+			continue
+		}
+		v := func(n int64) string {
+			if strings.HasSuffix(m.Name, "_ns") {
+				return time.Duration(n).String()
+			}
+			return strconv.FormatInt(n, 10)
+		}
+		if m.Kind == obs.KindHistogram {
+			fmt.Fprintf(w, "%-36s %d observed, p50 %s, p99 %s\n", m.Name, m.Value, v(m.P50), v(m.P99))
+		} else {
+			fmt.Fprintf(w, "%-36s %s\n", m.Name, v(m.Value))
+		}
 	}
-	return fmt.Sprintf("%.0f%%", 100*float64(part)/float64(whole))
 }
 
 func (s *remoteShell) printResult(res *wire.Result) {
@@ -229,7 +224,7 @@ commands (remote session):
   .retract PAT    retract matching base facts, e.g. .retract parent(john, X)
   .prepare Q      compile a query server-side; returns an id
   .exec ID        run a prepared query
-  .stats          server activity counters
+  .stats [PREFIX] server metrics, one per line (e.g. .stats server.)
   .slowlog        server slow-query log (slowest first)
   .views          live maintained materialized views (most recent first)
   .trace [-o FILE] Q   run a query with server-side tracing; print the span

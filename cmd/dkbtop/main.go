@@ -12,9 +12,9 @@
 //	dkbtop -addr 127.0.0.1:7408 -interval 500ms
 //	dkbtop -addr 127.0.0.1:7408 -n 1       # one snapshot, then exit (scripts)
 //
-// dkbtop is read-only: it touches nothing but the debug endpoints. The
-// /timeseries ring is optional — against an old server, or one started
-// with sampling disabled, rates fall back to poll-to-poll deltas.
+// dkbtop is read-only: it touches nothing but the debug endpoints.
+// Rates are the server's own windowed rates from the /timeseries ring,
+// which every dkbd keeps.
 package main
 
 import (
@@ -52,20 +52,15 @@ func run(out io.Writer, baseURL string, interval time.Duration, n int) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	var prev *sample
-	prevAt := time.Now()
 	for i := 0; ; i++ {
 		cur, err := fetch(baseURL)
-		now := time.Now()
 		if err != nil {
 			return err
 		}
-		frame := render(prev, cur, now.Sub(prevAt))
 		if n != 1 {
 			fmt.Fprint(out, "\x1b[2J\x1b[H") // clear screen, home cursor
 		}
-		fmt.Fprint(out, frame)
-		prev, prevAt = cur, now
+		fmt.Fprint(out, render(cur))
 		if n > 0 && i+1 >= n {
 			return nil
 		}
@@ -81,7 +76,7 @@ func run(out io.Writer, baseURL string, interval time.Duration, n int) error {
 type sample struct {
 	metrics map[string]obs.Metric
 	slow    obs.SlowLogSnapshot
-	ts      *obs.TimeSeriesSnapshot // nil when the server has no ring
+	ts      obs.TimeSeriesSnapshot
 }
 
 // get returns the value of a metric, 0 when absent.
@@ -90,18 +85,15 @@ func (s *sample) get(name string) int64 { return s.metrics[name].Value }
 // metric returns the full metric (for histogram percentiles).
 func (s *sample) metric(name string) obs.Metric { return s.metrics[name] }
 
-// stat returns one series from the time-series ring, false when the ring
-// is absent or the series unknown.
-func (s *sample) stat(name string) (obs.SeriesStat, bool) {
-	if s.ts == nil {
-		return obs.SeriesStat{}, false
-	}
+// stat returns one series from the time-series ring, the zero stat when
+// the series is unknown.
+func (s *sample) stat(name string) obs.SeriesStat {
 	for _, st := range s.ts.Series {
 		if st.Name == name {
-			return st, true
+			return st
 		}
 	}
-	return obs.SeriesStat{}, false
+	return obs.SeriesStat{}
 }
 
 // fetch polls /metrics.json, /slowlog and /timeseries.
@@ -117,11 +109,8 @@ func fetch(baseURL string) (*sample, error) {
 	if err := getJSON(baseURL+"/slowlog", &s.slow); err != nil {
 		return nil, err
 	}
-	// The ring is optional: pre-telemetry servers have no /timeseries, and
-	// `dkbd -sample-interval -1` 404s it. Degrade to poll-to-poll rates.
-	var ts obs.TimeSeriesSnapshot
-	if err := getJSON(baseURL+"/timeseries?points="+fmt.Sprint(sparkWidth), &ts); err == nil {
-		s.ts = &ts
+	if err := getJSON(baseURL+"/timeseries?points="+fmt.Sprint(sparkWidth), &s.ts); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -139,27 +128,15 @@ func getJSON(url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// render draws one dashboard frame from the current sample, using the
-// previous one (nil on the first frame) for rates. It is a pure function
-// of its inputs, so the display logic is testable without a server.
-func render(prev, cur *sample, elapsed time.Duration) string {
+// render draws one dashboard frame from a sample. Rates are the
+// server's windowed rates over its retained ring, steady from the first
+// frame. It is a pure function of its input, so the display logic is
+// testable without a server.
+func render(cur *sample) string {
 	var b strings.Builder
 
-	// Rates come from the server's retained ring when it has one — a
-	// windowed rate over many samples, steady from the first frame — and
-	// otherwise from the delta between this poll and the previous one.
-	rate := func(name string) float64 {
-		if st, ok := cur.stat(name); ok {
-			return st.Rate
-		}
-		if prev != nil && elapsed > 0 {
-			return float64(cur.get(name)-prev.get(name)) / elapsed.Seconds()
-		}
-		return 0
-	}
-
 	reqs := cur.get("server.requests")
-	reqRate := rate("server.requests")
+	reqRate := cur.stat("server.requests").Rate
 	lat := cur.metric("server.request_latency_ns")
 	fmt.Fprintf(&b, "dkbd  requests %d (%.1f/s)  errors %d  sessions %d/%d active  in-flight %d\n",
 		reqs, reqRate, cur.get("server.errors"),
@@ -176,20 +153,20 @@ func render(prev, cur *sample, elapsed time.Duration) string {
 		cur.get("plan.entries"), cur.get("dkb.generation"))
 
 	// Snapshot store: commit rate, copy-on-write stall, reclamation lag.
-	commitRate := rate("snapshot.commits")
+	commitRate := cur.stat("snapshot.commits").Rate
 	fmt.Fprintf(&b, "snap  gen %d  readers %d  commits %d (%.1f/s)  copied %d  backlog %d  stall %v\n",
 		cur.get("snapshot.gen"), cur.get("snapshot.active_readers"),
 		cur.get("snapshot.commits"), commitRate, cur.get("snapshot.copied_tables"),
 		cur.get("snapshot.reclaim_backlog"), time.Duration(cur.get("snapshot.writer_stall_ns")))
 
 	// Shared evaluation pool: task throughput and inline-steal share.
-	taskRate := rate("sched.completed")
+	taskRate := cur.stat("sched.completed").Rate
 	fmt.Fprintf(&b, "sched %d workers  %d clients  queued %d  done %d (%.1f/s)  stolen %d\n",
 		cur.get("sched.workers"), cur.get("sched.clients"), cur.get("sched.queued"),
 		cur.get("sched.completed"), taskRate, cur.get("sched.stolen"))
 
 	// Materialized views: maintenance throughput vs forced re-derivations.
-	maintRate := rate("matview.maintained")
+	maintRate := cur.stat("matview.maintained").Rate
 	fmt.Fprintf(&b, "views %d live  maintained %d (%.1f/s)  rederived %d  delta %d tuples  spent %v\n",
 		cur.get("matview.live"), cur.get("matview.maintained"), maintRate,
 		cur.get("matview.rederives"), cur.get("matview.delta_tuples"),
@@ -197,18 +174,16 @@ func render(prev, cur *sample, elapsed time.Duration) string {
 
 	// Sparklines over the server's time-series ring: throughput shape,
 	// cache health and reclamation lag at a glance.
-	if cur.ts != nil {
-		fmt.Fprintf(&b, "\nring  %v × %d samples (window %v)\n",
-			time.Duration(cur.ts.IntervalNs), cur.ts.Capacity, time.Duration(cur.ts.WindowNs))
-		req, _ := cur.stat("server.requests")
-		com, _ := cur.stat("snapshot.commits")
-		hit, _ := cur.stat("pool.hit_rate_pct")
-		back, _ := cur.stat("snapshot.reclaim_backlog")
-		fmt.Fprintf(&b, "      req/s    %s %.1f/s\n", spark(deltas(req.Points)), req.Rate)
-		fmt.Fprintf(&b, "      commit/s %s %.1f/s\n", spark(deltas(com.Points)), com.Rate)
-		fmt.Fprintf(&b, "      pool-hit %s %d%%\n", spark(hit.Points), hit.Last)
-		fmt.Fprintf(&b, "      backlog  %s %d\n", spark(back.Points), back.Last)
-	}
+	fmt.Fprintf(&b, "\nring  %v × %d samples (window %v)\n",
+		time.Duration(cur.ts.IntervalNs), cur.ts.Capacity, time.Duration(cur.ts.WindowNs))
+	req := cur.stat("server.requests")
+	com := cur.stat("snapshot.commits")
+	hit := cur.stat("pool.hit_rate_pct")
+	back := cur.stat("snapshot.reclaim_backlog")
+	fmt.Fprintf(&b, "      req/s    %s %.1f/s\n", spark(deltas(req.Points)), req.Rate)
+	fmt.Fprintf(&b, "      commit/s %s %.1f/s\n", spark(deltas(com.Points)), com.Rate)
+	fmt.Fprintf(&b, "      pool-hit %s %d%%\n", spark(hit.Points), hit.Last)
+	fmt.Fprintf(&b, "      backlog  %s %d\n", spark(back.Points), back.Last)
 
 	// Busiest tables by heap traffic (reads + scanned records), top 5.
 	type tableRow struct {

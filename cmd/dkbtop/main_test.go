@@ -1,13 +1,23 @@
 package main
 
 import (
+	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"dkbms"
+	"dkbms/internal/client"
 	"dkbms/internal/obs"
+	"dkbms/internal/server"
+	"dkbms/internal/wire"
 )
 
 func sampleFrom(metrics []obs.Metric, slow obs.SlowLogSnapshot) *sample {
@@ -19,12 +29,9 @@ func sampleFrom(metrics []obs.Metric, slow obs.SlowLogSnapshot) *sample {
 }
 
 func TestRender(t *testing.T) {
-	prev := sampleFrom([]obs.Metric{
-		{Name: "server.requests", Kind: "gauge", Value: 100},
-	}, obs.SlowLogSnapshot{})
 	cur := sampleFrom([]obs.Metric{
-		{Name: "server.requests", Kind: "gauge", Value: 150},
-		{Name: "server.errors", Kind: "gauge", Value: 2},
+		{Name: "server.requests", Kind: "counter", Value: 150},
+		{Name: "server.errors", Kind: "counter", Value: 2},
 		{Name: "server.sessions_active", Kind: "gauge", Value: 3},
 		{Name: "server.sessions_total", Kind: "gauge", Value: 7},
 		{Name: "server.request_latency_ns", Kind: "histogram", Value: 150,
@@ -58,7 +65,8 @@ func TestRender(t *testing.T) {
 		},
 	})
 
-	out := render(prev, cur, 10*time.Second)
+	cur.ts.Series = []obs.SeriesStat{{Name: "server.requests", Kind: "counter", Last: 150, Rate: 5}}
+	out := render(cur)
 
 	for _, w := range []string{
 		"requests 150 (5.0/s)",
@@ -92,20 +100,20 @@ func TestRender(t *testing.T) {
 		t.Errorf("table ordering wrong:\n%s", out)
 	}
 
-	// First frame: no previous sample, rate renders as 0.
-	first := render(nil, cur, 0)
-	if !strings.Contains(first, "(0.0/s)") {
-		t.Errorf("first frame rate:\n%s", first)
+	// A series the ring has not sampled yet renders a zero rate.
+	cur.ts.Series = nil
+	if first := render(cur); !strings.Contains(first, "requests 150 (0.0/s)") {
+		t.Errorf("unsampled rate:\n%s", first)
 	}
 }
 
 func TestRenderWithRing(t *testing.T) {
-	// With a /timeseries ring present, rates come from the ring's windowed
-	// rate (not poll deltas) and the sparkline block renders.
+	// Rates come from the ring's windowed rate and the sparkline block
+	// renders.
 	cur := sampleFrom([]obs.Metric{
 		{Name: "server.requests", Kind: "counter", Value: 150},
 	}, obs.SlowLogSnapshot{})
-	cur.ts = &obs.TimeSeriesSnapshot{
+	cur.ts = obs.TimeSeriesSnapshot{
 		IntervalNs: int64(time.Second),
 		Capacity:   600,
 		WindowNs:   int64(10 * time.Minute),
@@ -121,14 +129,10 @@ func TestRenderWithRing(t *testing.T) {
 		},
 	}
 
-	// prev says the poll-to-poll rate would be 5/s; the ring must win.
-	prev := sampleFrom([]obs.Metric{
-		{Name: "server.requests", Kind: "counter", Value: 100},
-	}, obs.SlowLogSnapshot{})
-	out := render(prev, cur, 10*time.Second)
+	out := render(cur)
 
 	for _, w := range []string{
-		"requests 150 (12.5/s)", // ring rate, not (5.0/s)
+		"requests 150 (12.5/s)",
 		"ring  1s × 600 samples (window 10m0s)",
 		"req/s",
 		"commit/s",
@@ -143,12 +147,6 @@ func TestRenderWithRing(t *testing.T) {
 	}
 	if !strings.ContainsAny(out, "▁▂▃▄▅▆▇█") {
 		t.Errorf("no sparkline blocks in frame:\n%s", out)
-	}
-
-	// Without the ring, the same samples fall back to poll deltas.
-	cur.ts = nil
-	if out := render(prev, cur, 10*time.Second); !strings.Contains(out, "(5.0/s)") {
-		t.Errorf("fallback rate missing:\n%s", out)
 	}
 }
 
@@ -197,8 +195,10 @@ func TestRunOnceAgainstFakeServer(t *testing.T) {
 			w.Write([]byte(`[{"name":"server.requests","kind":"gauge","value":9}]`))
 		case "/slowlog":
 			w.Write([]byte(`{"threshold_ns":0,"capacity":128,"recorded":0,"entries":[]}`))
+		case "/timeseries":
+			w.Write([]byte(`{"interval_ns":1000000000,"capacity":600,"samples":3,"window_ns":2000000000,` +
+				`"series":[{"name":"server.requests","kind":"counter","last":9,"first":5,"delta":4,"rate":2}]}`))
 		default:
-			// No /timeseries: dkbtop must tolerate a ring-less server.
 			http.NotFound(w, r)
 		}
 	}))
@@ -209,10 +209,119 @@ func TestRunOnceAgainstFakeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "requests 9") || !strings.Contains(out, "(none)") {
+	if !strings.Contains(out, "requests 9 (2.0/s)") || !strings.Contains(out, "(none)") {
 		t.Errorf("single-shot output:\n%s", out)
 	}
 	if strings.Contains(out, "\x1b[2J") {
 		t.Errorf("-n 1 output must not clear the screen:\n%s", out)
 	}
+}
+
+// TestRenderRealServer renders one frame from a real server's debug
+// handler after a load and a few queries. Every metric name render
+// reads must be in that server's snapshot (get, metric) or its ring
+// (stat): this is the dashboard's side of the metric contract, so a
+// renamed or deleted metric fails here instead of rendering as 0.
+func TestRenderRealServer(t *testing.T) {
+	tb := dkbms.NewConcurrent(dkbms.NewMemory())
+	defer tb.Close()
+	srv := server.New(tb, server.Options{SampleInterval: time.Hour})
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, lis) }()
+	defer func() { cancel(); <-done }()
+	c, err := client.Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Load("parent(a, b). parent(b, c). ancestor(X, Y) :- parent(X, Y). ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y)."); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Query("?- ancestor(a, X).", wire.QueryOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.TimeSeries().SampleNow()
+	hs := httptest.NewServer(srv.DebugHandler())
+	defer hs.Close()
+
+	cur, err := fetch(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := render(cur)
+	// The session counts a request once its reply is written, so the
+	// last query may or may not be in the count yet.
+	for _, w := range []string{"dkbd  requests ", "lat   p50 ", "TABLE", "edb_parent", "SLOW QUERIES (3 recorded)"} {
+		if !strings.Contains(out, w) {
+			t.Errorf("frame missing %q:\n%s", w, out)
+		}
+	}
+	if strings.Contains(out, "p50 0s") {
+		t.Errorf("no request latency in the frame:\n%s", out)
+	}
+
+	reads := renderReads(t)
+	if len(reads["get"]) < 20 || len(reads["stat"]) < 4 {
+		t.Fatalf("found only %v in render", reads)
+	}
+	for method, names := range reads {
+		for _, name := range names {
+			var ok bool
+			if method == "stat" {
+				for _, st := range cur.ts.Series {
+					ok = ok || st.Name == name
+				}
+			} else {
+				_, ok = cur.metrics[name]
+			}
+			if !ok {
+				t.Errorf("render reads %s(%q), which the server does not serve", method, name)
+			}
+		}
+	}
+}
+
+// renderReads parses main.go and returns the constant metric names
+// render passes to the sample's get, metric and stat methods.
+func renderReads(t *testing.T) map[string][]string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := map[string][]string{}
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "render" {
+			continue
+		}
+		ast.Inspect(fn, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 1 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			lit, isLit := call.Args[0].(*ast.BasicLit)
+			if !ok || !isLit || lit.Kind != token.STRING {
+				return true
+			}
+			switch m := sel.Sel.Name; m {
+			case "get", "metric", "stat":
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reads[m] = append(reads[m], name)
+			}
+			return true
+		})
+	}
+	return reads
 }

@@ -80,8 +80,8 @@ func mixedRW(cfg Config) (*Report, error) {
 			tb.Close()
 			return nil, err
 		}
-		lats, writes, stats, err := driveMixed(tb, pt.clients, perClient, pt.writePct, pt.target)
-		snap := tb.SnapshotStats()
+		lats, writes, err := driveMixed(tb, pt.clients, perClient, pt.writePct, pt.target)
+		snap, plan := tb.SnapshotStats(), tb.PlanStats()
 		tb.Close()
 		if err != nil {
 			return nil, err
@@ -107,8 +107,8 @@ func mixedRW(cfg Config) (*Report, error) {
 			fmt.Sprintf("%d", snap.Commits),
 			fmt.Sprintf("%d", snap.CopiedTables),
 			ms(snap.WriterStall),
-			fmt.Sprintf("%d", stats.PlanResultHits),
-			fmt.Sprintf("%d", stats.PlanHits),
+			fmt.Sprintf("%d", plan.ResultHits),
+			fmt.Sprintf("%d", plan.PlanHits),
 		})
 	}
 	if baselineP99 > 0 && coldWorstP99 > 0 {
@@ -130,8 +130,8 @@ func mixedRW(cfg Config) (*Report, error) {
 // frames appending a fresh fact to the target relation ("hot" = the
 // queried parent relation, "cold" = the unrelated audit relation) and
 // the rest are QUERY frames for the ancestor closure. It returns the
-// read latencies, the write count, and the server's final stats.
-func driveMixed(tb *dkbms.ConcurrentTestbed, nClients, perClient, writePct int, target string) ([]time.Duration, int, server.Stats, error) {
+// read latencies and the write count.
+func driveMixed(tb *dkbms.ConcurrentTestbed, nClients, perClient, writePct int, target string) ([]time.Duration, int, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srv := server.New(tb, server.Options{MaxConns: nClients + 1})
@@ -142,14 +142,14 @@ func driveMixed(tb *dkbms.ConcurrentTestbed, nClients, perClient, writePct int, 
 	select {
 	case addr = <-ready:
 	case err := <-done:
-		return nil, 0, server.Stats{}, err
+		return nil, 0, err
 	}
 
 	clients := make([]*client.Client, nClients)
 	for i := range clients {
 		c, err := client.Dial(addr.String())
 		if err != nil {
-			return nil, 0, server.Stats{}, err
+			return nil, 0, err
 		}
 		defer c.Close()
 		clients[i] = c
@@ -159,7 +159,7 @@ func driveMixed(tb *dkbms.ConcurrentTestbed, nClients, perClient, writePct int, 
 	// One untimed warm-up so every row measures the steady state, not
 	// the first request's cold compile + LFP evaluation.
 	if _, err := clients[0].Query(query, wire.QueryOpts{}); err != nil {
-		return nil, 0, server.Stats{}, err
+		return nil, 0, err
 	}
 	every := 0 // a write every Nth request
 	if writePct > 0 {
@@ -207,12 +207,11 @@ func driveMixed(tb *dkbms.ConcurrentTestbed, nClients, perClient, writePct int, 
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		return nil, 0, server.Stats{}, err
+		return nil, 0, err
 	}
-	stats := srv.Stats()
 	cancel()
 	if err := <-done; err != nil {
-		return nil, 0, server.Stats{}, err
+		return nil, 0, err
 	}
 	var lats []time.Duration
 	writes := 0
@@ -220,7 +219,7 @@ func driveMixed(tb *dkbms.ConcurrentTestbed, nClients, perClient, writePct int, 
 		lats = append(lats, perLat[i]...)
 		writes += perWrites[i]
 	}
-	return lats, writes, stats, nil
+	return lats, writes, nil
 }
 
 // latPercentiles returns p50 and p99 over the samples (0, 0 when empty).

@@ -61,6 +61,7 @@ func serverScaling(cfg Config) (*Report, error) {
 			return nil, err
 		}
 		elapsed, stats, err := driveClients(tb, nClients, perClient)
+		plan, pool := tb.PlanStats(), tb.PagerStats()
 		tb.Close()
 		if err != nil {
 			return nil, err
@@ -77,10 +78,10 @@ func serverScaling(cfg Config) (*Report, error) {
 			fmt.Sprintf("%.0f", rps),
 			us(stats.P50),
 			us(stats.P99),
-			fmt.Sprintf("%d", stats.PlanResultHits),
-			fmt.Sprintf("%d", stats.PlanMisses),
-			fmt.Sprintf("%d", stats.PoolHits),
-			fmt.Sprintf("%d", stats.PoolMisses),
+			fmt.Sprintf("%d", plan.ResultHits),
+			fmt.Sprintf("%d", plan.Misses),
+			fmt.Sprintf("%d", pool.Hits),
+			fmt.Sprintf("%d", pool.Misses),
 		})
 	}
 	if oneClient > 0 && len(clientCounts) > 1 {
@@ -96,7 +97,7 @@ func serverScaling(cfg Config) (*Report, error) {
 // driveClients serves tb on a loopback port, runs nClients sessions each
 // issuing perClient QUERY requests for the same query text, and returns
 // the wall time for the whole volley plus the server's final stats.
-func driveClients(tb *dkbms.ConcurrentTestbed, nClients, perClient int) (time.Duration, server.Stats, error) {
+func driveClients(tb *dkbms.ConcurrentTestbed, nClients, perClient int) (time.Duration, wire.ServerStats, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srv := server.New(tb, server.Options{MaxConns: nClients + 1})
@@ -107,14 +108,14 @@ func driveClients(tb *dkbms.ConcurrentTestbed, nClients, perClient int) (time.Du
 	select {
 	case addr = <-ready:
 	case err := <-done:
-		return 0, server.Stats{}, err
+		return 0, wire.ServerStats{}, err
 	}
 
 	clients := make([]*client.Client, nClients)
 	for i := range clients {
 		c, err := client.Dial(addr.String())
 		if err != nil {
-			return 0, server.Stats{}, err
+			return 0, wire.ServerStats{}, err
 		}
 		defer c.Close()
 		clients[i] = c
@@ -141,12 +142,12 @@ func driveClients(tb *dkbms.ConcurrentTestbed, nClients, perClient int) (time.Du
 	elapsed := time.Since(start)
 	close(errs)
 	for err := range errs {
-		return 0, server.Stats{}, err
+		return 0, wire.ServerStats{}, err
 	}
 	stats := srv.Stats()
 	cancel()
 	if err := <-done; err != nil {
-		return 0, server.Stats{}, err
+		return 0, wire.ServerStats{}, err
 	}
 	return elapsed, stats, nil
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"dkbms/internal/obs"
 	"dkbms/internal/wire"
 )
 
@@ -131,9 +132,10 @@ func (c *Client) Retract(pattern string) (int64, error) {
 	return r.N, err
 }
 
-// Stats fetches the server's activity counters.
-func (c *Client) Stats() (wire.ServerStats, error) {
-	return roundTrip(c, wire.MsgStats, nil, wire.MsgStatsReply, wire.DecodeServerStats)
+// Stats fetches the server's metrics-registry snapshot, sorted by name:
+// the same metrics /metrics and /metrics.json serve.
+func (c *Client) Stats() ([]obs.Metric, error) {
+	return roundTrip(c, wire.MsgStats, nil, wire.MsgStatsReply, wire.DecodeMetrics)
 }
 
 // Slowlog fetches the server's slow-query log (slowest first).

@@ -96,7 +96,8 @@ func TestRegistryCountersGauges(t *testing.T) {
 	if g.Load() != 3 {
 		t.Fatalf("gauge = %d, want 3", g.Load())
 	}
-	r.GaugeFunc("cb", func() int64 { return 42 })
+	r.Func("cb", KindGauge, func() int64 { return 42 })
+	r.Func("hits", KindCounter, func() int64 { return 7 })
 
 	snap := r.Snapshot()
 	byName := map[string]Metric{}
@@ -106,9 +107,19 @@ func TestRegistryCountersGauges(t *testing.T) {
 	if byName["requests"].Value != 3 || byName["requests"].Kind != "counter" {
 		t.Fatalf("snapshot requests = %+v", byName["requests"])
 	}
-	if byName["cb"].Value != 42 {
+	if byName["cb"].Value != 42 || byName["cb"].Kind != KindGauge {
 		t.Fatalf("snapshot cb = %+v", byName["cb"])
 	}
+	// A callback carries the kind it was registered with.
+	if byName["hits"].Value != 7 || byName["hits"].Kind != KindCounter {
+		t.Fatalf("snapshot hits = %+v", byName["hits"])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a histogram callback was accepted")
+		}
+	}()
+	r.Func("h", KindHistogram, func() int64 { return 0 })
 }
 
 func TestHistogramQuantiles(t *testing.T) {

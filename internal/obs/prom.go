@@ -29,7 +29,7 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 // sample in it.
 type promFamily struct {
 	name string
-	kind string // "counter", "gauge" or "histogram"
+	kind Kind
 	rows []promRow
 }
 
@@ -62,7 +62,7 @@ func writePrometheus(w io.Writer, metrics []Metric) error {
 	for _, name := range order {
 		f := families[name]
 		switch f.kind {
-		case "histogram":
+		case KindHistogram:
 			// Summary exposition: quantiles from the exponential buckets.
 			fmt.Fprintf(&b, "# TYPE %s summary\n", name)
 			for _, row := range f.rows {
@@ -71,7 +71,7 @@ func writePrometheus(w io.Writer, metrics []Metric) error {
 				fmt.Fprintf(&b, "%s_sum%s %d\n", name, row.labels, row.m.Sum)
 				fmt.Fprintf(&b, "%s_count%s %d\n", name, row.labels, row.m.Value)
 			}
-		case "counter":
+		case KindCounter:
 			fmt.Fprintf(&b, "# TYPE %s counter\n", name)
 			for _, row := range f.rows {
 				fmt.Fprintf(&b, "%s%s %d\n", name, row.labels, row.m.Value)

@@ -12,8 +12,8 @@ import (
 )
 
 // Registry is a process-wide metrics surface: named counters, gauges
-// and histograms with atomic fast paths, plus callback gauges for
-// adapting existing snapshot-style stats (plan cache, buffer pool).
+// and histograms with atomic fast paths, plus callbacks for adapting
+// existing snapshot-style stats (plan cache, buffer pool).
 // Registration is idempotent — asking for an existing name returns the
 // existing metric — so packages can grab their metrics at use sites
 // without coordination.
@@ -22,9 +22,30 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	funcs      map[string]func() int64
+	funcs      map[string]valueFunc
 	collectors map[string]func() []Metric
 }
+
+// valueFunc is one Func registration: a callback and the kind of value
+// it reads.
+type valueFunc struct {
+	kind Kind
+	fn   func() int64
+}
+
+// Kind says what a metric's value is. It decides how /metrics declares
+// the family and how readers take a rate of it.
+type Kind string
+
+// Metric kinds.
+const (
+	// KindCounter is a monotonic count (requests, hits, bytes).
+	KindCounter Kind = "counter"
+	// KindGauge is a level that moves both ways (sessions, entries).
+	KindGauge Kind = "gauge"
+	// KindHistogram is a distribution: Value counts the observations.
+	KindHistogram Kind = "histogram"
+)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -32,7 +53,7 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		funcs:      make(map[string]func() int64),
+		funcs:      make(map[string]valueFunc),
 		collectors: make(map[string]func() []Metric),
 	}
 }
@@ -119,23 +140,27 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a callback evaluated at snapshot time, adapting
+// Func registers a callback evaluated at snapshot time, adapting
 // existing stats structs (plan cache, pager shards) into the registry
-// without double bookkeeping. Re-registering a name replaces the
-// callback.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
+// without double bookkeeping. kind is KindCounter for a monotonic count
+// and KindGauge for a level; a callback cannot be a histogram.
+// Re-registering a name replaces the callback.
+func (r *Registry) Func(name string, kind Kind, fn func() int64) {
+	if kind != KindCounter && kind != KindGauge {
+		panic("obs: Func " + name + " of kind " + string(kind))
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.funcs[name] = fn
+	r.funcs[name] = valueFunc{kind, fn}
 }
 
 // CollectorFunc registers a callback contributing a whole batch of
 // metrics to every snapshot. Collectors serve dynamic metric sets whose
 // names are not known at registration time — per-table heap counters,
-// per-shard buffer-pool stats — where one GaugeFunc per name cannot
-// keep up with tables being created and dropped. Like GaugeFuncs,
-// collectors run outside the registry lock at snapshot time, so they
-// may take other locks (the catalog's, the pager shards').
+// per-shard buffer-pool stats — where one Func per name cannot keep up
+// with tables being created and dropped. Like Funcs, collectors run
+// outside the registry lock at snapshot time, so they may take other
+// locks (the catalog's, the pager shards').
 // Re-registering a name replaces the callback.
 func (r *Registry) CollectorFunc(name string, fn func() []Metric) {
 	r.mu.Lock()
@@ -269,7 +294,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Metric is one entry of a registry snapshot.
 type Metric struct {
 	Name string `json:"name"`
-	Kind string `json:"kind"` // "counter", "gauge" or "histogram"
+	Kind Kind   `json:"kind"`
 	// Value is the counter/gauge value; for histograms the count.
 	Value int64 `json:"value"`
 	// Sum, P50 and P99 are histogram-only.
@@ -294,21 +319,21 @@ func (r *Registry) sample() []SamplePoint {
 	r.mu.Lock()
 	out := make([]SamplePoint, 0, len(r.counters)+len(r.gauges)+len(r.histograms)+len(r.funcs))
 	for name, c := range r.counters {
-		out = append(out, SamplePoint{Metric: Metric{Name: name, Kind: "counter", Value: c.Load()}})
+		out = append(out, SamplePoint{Metric: Metric{Name: name, Kind: KindCounter, Value: c.Load()}})
 	}
 	for name, g := range r.gauges {
-		out = append(out, SamplePoint{Metric: Metric{Name: name, Kind: "gauge", Value: g.Load()}})
+		out = append(out, SamplePoint{Metric: Metric{Name: name, Kind: KindGauge, Value: g.Load()}})
 	}
 	for name, h := range r.histograms {
 		out = append(out, SamplePoint{Metric: Metric{
-			Name: name, Kind: "histogram",
+			Name: name, Kind: KindHistogram,
 			Value: h.Count(), Sum: h.Sum(),
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 		}, Buckets: h.bucketCounts()})
 	}
-	funcs := make(map[string]func() int64, len(r.funcs))
-	for name, fn := range r.funcs {
-		funcs[name] = fn
+	funcs := make(map[string]valueFunc, len(r.funcs))
+	for name, f := range r.funcs {
+		funcs[name] = f
 	}
 	collectors := make([]func() []Metric, 0, len(r.collectors))
 	for _, fn := range r.collectors {
@@ -317,8 +342,8 @@ func (r *Registry) sample() []SamplePoint {
 	r.mu.Unlock()
 	// Callbacks run outside the registry lock: they may take other locks
 	// (the plan cache's, the pager's).
-	for name, fn := range funcs {
-		out = append(out, SamplePoint{Metric: Metric{Name: name, Kind: "gauge", Value: fn()}})
+	for name, f := range funcs {
+		out = append(out, SamplePoint{Metric: Metric{Name: name, Kind: f.kind, Value: f.fn()}})
 	}
 	for _, fn := range collectors {
 		for _, m := range fn() {
@@ -329,7 +354,7 @@ func (r *Registry) sample() []SamplePoint {
 	return out
 }
 
-// Snapshot returns every metric, sorted by name, with callback gauges
+// Snapshot returns every metric, sorted by name, with callbacks
 // evaluated now.
 func (r *Registry) Snapshot() []Metric {
 	pts := r.sample()

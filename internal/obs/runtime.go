@@ -44,31 +44,31 @@ func RegisterRuntimeMetrics(r *Registry) {
 		copy(local, samples)
 		metrics.Read(local)
 		out := make([]Metric, 0, len(local))
-		add := func(name, kind string, v int64) {
+		add := func(name string, kind Kind, v int64) {
 			out = append(out, Metric{Name: name, Kind: kind, Value: v})
 		}
 		for _, s := range local {
 			switch s.Name {
 			case "/sched/goroutines:goroutines":
 				if s.Value.Kind() == metrics.KindUint64 {
-					add(runtimeGoroutines, "gauge", int64(s.Value.Uint64()))
+					add(runtimeGoroutines, KindGauge, int64(s.Value.Uint64()))
 				}
 			case "/memory/classes/heap/objects:bytes":
 				if s.Value.Kind() == metrics.KindUint64 {
-					add(runtimeHeapInuse, "gauge", int64(s.Value.Uint64()))
+					add(runtimeHeapInuse, KindGauge, int64(s.Value.Uint64()))
 				}
 			case "/gc/cycles/total:gc-cycles":
 				if s.Value.Kind() == metrics.KindUint64 {
-					add(runtimeGCCycles, "counter", int64(s.Value.Uint64()))
+					add(runtimeGCCycles, KindCounter, int64(s.Value.Uint64()))
 				}
 			case "/gc/heap/allocs:bytes":
 				if s.Value.Kind() == metrics.KindUint64 {
-					add(runtimeTotalAlloc, "counter", int64(s.Value.Uint64()))
+					add(runtimeTotalAlloc, KindCounter, int64(s.Value.Uint64()))
 				}
 			case "/gc/pauses:seconds":
 				if s.Value.Kind() == metrics.KindFloat64Histogram {
 					if h := s.Value.Float64Histogram(); h != nil {
-						add(runtimeGCPauseP99, "gauge", float64HistQuantile(h, 0.99))
+						add(runtimeGCPauseP99, KindGauge, float64HistQuantile(h, 0.99))
 					}
 				}
 			}

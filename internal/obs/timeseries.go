@@ -21,12 +21,6 @@ import (
 // store; readers load slots with atomic loads and never block the
 // sampler. The sampler itself is a single goroutine (plus SampleNow for
 // deterministic tests), so samples are strictly ordered in time.
-//
-// A nil *TimeSeries disables retention entirely — every method is
-// nil-safe and NewTimeSeries returns nil for a nil registry, a
-// non-positive interval or a non-positive slot count — so a server with
-// sampling off runs zero background goroutines and adds zero
-// allocations anywhere.
 type TimeSeries struct {
 	reg      *Registry
 	interval time.Duration
@@ -56,12 +50,15 @@ const (
 )
 
 // NewTimeSeries builds a ring sampling reg every interval, retaining
-// slots samples. Returns nil (sampling disabled, all methods no-ops)
-// when reg is nil, interval <= 0 or slots <= 0. The returned ring does
-// not sample until Start (or SampleNow) is called.
+// slots samples; interval <= 0 selects DefaultSampleInterval and
+// slots <= 0 DefaultSampleWindow. The returned ring does not sample
+// until Start (or SampleNow) is called.
 func NewTimeSeries(reg *Registry, interval time.Duration, slots int) *TimeSeries {
-	if reg == nil || interval <= 0 || slots <= 0 {
-		return nil
+	if interval <= 0 {
+		interval = DefaultSampleInterval
+	}
+	if slots <= 0 {
+		slots = DefaultSampleWindow
 	}
 	return &TimeSeries{
 		reg:      reg,
@@ -72,36 +69,21 @@ func NewTimeSeries(reg *Registry, interval time.Duration, slots int) *TimeSeries
 	}
 }
 
-// Interval returns the sampling interval (0 on a nil ring).
-func (ts *TimeSeries) Interval() time.Duration {
-	if ts == nil {
-		return 0
-	}
-	return ts.interval
-}
+// Interval returns the sampling interval.
+func (ts *TimeSeries) Interval() time.Duration { return ts.interval }
 
-// Capacity returns the ring size (0 on a nil ring).
-func (ts *TimeSeries) Capacity() int {
-	if ts == nil {
-		return 0
-	}
-	return len(ts.slots)
-}
+// Capacity returns the ring size.
+func (ts *TimeSeries) Capacity() int { return len(ts.slots) }
 
 // Samples returns how many samples have ever been taken (old ones
 // beyond Capacity have been overwritten).
-func (ts *TimeSeries) Samples() int64 {
-	if ts == nil {
-		return 0
-	}
-	return int64(ts.cursor.Load())
-}
+func (ts *TimeSeries) Samples() int64 { return int64(ts.cursor.Load()) }
 
-// Start launches the background sampler. Idempotent and nil-safe; the
-// first sample is taken immediately so a freshly started server has a
-// baseline before the first tick.
+// Start launches the background sampler. Idempotent; the first sample
+// is taken immediately so a freshly started server has a baseline
+// before the first tick.
 func (ts *TimeSeries) Start() {
-	if ts == nil || !ts.started.CompareAndSwap(false, true) {
+	if !ts.started.CompareAndSwap(false, true) {
 		return
 	}
 	ts.SampleNow()
@@ -109,12 +91,9 @@ func (ts *TimeSeries) Start() {
 }
 
 // Stop halts the background sampler and waits for it to exit — no
-// sample lands after Stop returns. Idempotent and nil-safe. Retained
-// samples stay readable after Stop.
+// sample lands after Stop returns. Idempotent. Retained samples stay
+// readable after Stop.
 func (ts *TimeSeries) Stop() {
-	if ts == nil {
-		return
-	}
 	ts.stopOnce.Do(func() { close(ts.stop) })
 	if ts.started.Load() {
 		<-ts.done
@@ -138,9 +117,6 @@ func (ts *TimeSeries) run() {
 // SampleNow takes one sample synchronously — the ticker's body, also
 // called directly by tests that need deterministic sample boundaries.
 func (ts *TimeSeries) SampleNow() {
-	if ts == nil {
-		return
-	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	s := &Sample{At: time.Now(), Points: ts.reg.sample()}
@@ -154,9 +130,6 @@ func (ts *TimeSeries) SampleNow() {
 // worst make that slot appear newer, which the timestamp ordering check
 // discards.
 func (ts *TimeSeries) retained() []*Sample {
-	if ts == nil {
-		return nil
-	}
 	cur := ts.cursor.Load()
 	n := uint64(len(ts.slots))
 	out := make([]*Sample, 0, len(ts.slots))
@@ -189,7 +162,7 @@ func (ts *TimeSeries) retained() []*Sample {
 // SeriesStat is one metric's windowed statistics.
 type SeriesStat struct {
 	Name string `json:"name"`
-	Kind string `json:"kind"`
+	Kind Kind   `json:"kind"`
 	// Last is the newest sampled value (counter/gauge value; histogram
 	// observation count), First the oldest in the window.
 	Last  int64 `json:"last"`
@@ -226,8 +199,7 @@ type TimeSeriesSnapshot struct {
 
 // Window computes per-metric statistics over the trailing window d
 // (d <= 0 means the whole retained ring), attaching up to points raw
-// values per series when points > 0. Nil-safe: a nil ring returns an
-// empty snapshot.
+// values per series when points > 0.
 func (ts *TimeSeries) Window(d time.Duration, points int) TimeSeriesSnapshot {
 	snap := TimeSeriesSnapshot{
 		IntervalNs: int64(ts.Interval()),
@@ -270,7 +242,7 @@ func (ts *TimeSeries) Window(d time.Duration, points int) TimeSeriesSnapshot {
 			if span > 0 {
 				st.Rate = float64(st.Delta) / span.Seconds()
 			}
-			if p.Kind == "histogram" {
+			if p.Kind == KindHistogram {
 				st.P50, st.P99 = windowedQuantiles(f.Buckets, p.Buckets)
 			}
 		}

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -208,39 +207,24 @@ func TestTimeSeriesBackgroundSampler(t *testing.T) {
 	}
 }
 
-// TestTimeSeriesDisabled is the sampling-off guard: a disabled ring is
-// nil, runs zero goroutines, and every method is a no-op.
-func TestTimeSeriesDisabled(t *testing.T) {
-	if ts := NewTimeSeries(nil, time.Second, 10); ts != nil {
-		t.Fatalf("nil registry must disable the ring")
+// TestTimeSeriesDefaults: a non-positive interval or slot count selects
+// the default; retention cannot be switched off.
+func TestTimeSeriesDefaults(t *testing.T) {
+	for _, c := range []struct {
+		interval time.Duration
+		slots    int
+	}{{0, 0}, {-time.Second, -1}} {
+		ts := NewTimeSeries(NewRegistry(), c.interval, c.slots)
+		if ts.Interval() != DefaultSampleInterval || ts.Capacity() != DefaultSampleWindow {
+			t.Errorf("NewTimeSeries(%v, %d): interval %v, capacity %d", c.interval, c.slots, ts.Interval(), ts.Capacity())
+		}
 	}
-	if ts := NewTimeSeries(NewRegistry(), 0, 10); ts != nil {
-		t.Fatalf("zero interval must disable the ring")
+	ts := NewTimeSeries(NewRegistry(), time.Millisecond, 3)
+	if ts.Interval() != time.Millisecond || ts.Capacity() != 3 || ts.Samples() != 0 {
+		t.Fatalf("interval %v, capacity %d, samples %d", ts.Interval(), ts.Capacity(), ts.Samples())
 	}
-	if ts := NewTimeSeries(NewRegistry(), time.Second, 0); ts != nil {
-		t.Fatalf("zero slots must disable the ring")
-	}
-	before := runtime.NumGoroutine()
-	var ts *TimeSeries
-	ts.Start()
-	ts.SampleNow()
-	ts.Stop()
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("disabled ring spawned goroutines: %d -> %d", before, got)
-	}
-	if ts.Capacity() != 0 || ts.Samples() != 0 || ts.Interval() != 0 {
-		t.Fatalf("nil ring reports non-zero configuration")
-	}
-	snap := ts.Window(time.Minute, 5)
-	if len(snap.Series) != 0 {
-		t.Fatalf("nil ring window has series: %+v", snap)
-	}
-	if _, ok := ts.Stat("x", 0); ok {
-		t.Fatalf("nil ring Stat returned a value")
-	}
-	allocs := testing.AllocsPerRun(100, func() { ts.SampleNow() })
-	if allocs != 0 {
-		t.Fatalf("disabled SampleNow allocates %.0f", allocs)
+	if snap := ts.Window(time.Minute, 5); len(snap.Series) != 0 {
+		t.Fatalf("an unsampled ring has series: %+v", snap)
 	}
 }
 

@@ -43,10 +43,6 @@ func (s *Server) DebugHandler() http.Handler {
 		}
 	})
 	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
-		if s.ts == nil {
-			http.Error(w, "time-series sampling disabled (-sample-interval < 0)", http.StatusNotFound)
-			return
-		}
 		var window time.Duration
 		if v := r.URL.Query().Get("window"); v != "" {
 			d, err := time.ParseDuration(v)

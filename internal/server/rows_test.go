@@ -101,12 +101,8 @@ func TestRemoteRowsMatchLocal(t *testing.T) {
 			}
 		}
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(3 * len(rowsQueries)); st.PlanResultHits < want {
-		t.Fatalf("%d memo hits, want at least %d", st.PlanResultHits, want)
+	if got, want := stats(t, c)["plan.result_hits"], int64(3*len(rowsQueries)); got < want {
+		t.Fatalf("%d memo hits, want at least %d", got, want)
 	}
 }
 

@@ -18,6 +18,7 @@ package server
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,7 @@ import (
 
 	"dkbms"
 	"dkbms/internal/obs"
+	"dkbms/internal/wire"
 )
 
 // Options tune a server.
@@ -35,12 +37,12 @@ type Options struct {
 	// IOTimeout bounds single reads of a request body (after its first
 	// byte) and single response writes; it guards sessions against
 	// stalled peers, not against long evaluations. 0 selects
-	// DefaultIOTimeout; negative disables deadlines.
+	// DefaultIOTimeout; a negative value disables deadlines.
 	IOTimeout time.Duration
 	// Logger receives structured connection-level diagnostics, annotated
 	// per session with the remote address, session id and request
 	// sequence number. nil discards them.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// SlowLogSize is the slow-query ring capacity; 0 selects
 	// obs.DefaultSlowLogSize.
 	SlowLogSize int
@@ -50,12 +52,11 @@ type Options struct {
 	SlowThreshold time.Duration
 	// SampleInterval is the retained-telemetry sampling period: every
 	// interval the time-series ring snapshots the whole metrics registry
-	// so /timeseries (and dkbtop's sparklines) can serve windowed rates
-	// and quantiles. 0 selects obs.DefaultSampleInterval; negative
-	// disables retention entirely (no sampler goroutine runs).
+	// so /timeseries (and dkbtop's rates and sparklines) can serve
+	// windowed rates and quantiles. <= 0 selects obs.DefaultSampleInterval.
 	SampleInterval time.Duration
-	// SampleWindow is the ring capacity in samples. 0 selects
-	// obs.DefaultSampleWindow; negative disables retention.
+	// SampleWindow is the ring capacity in samples. <= 0 selects
+	// obs.DefaultSampleWindow.
 	SampleWindow int
 }
 
@@ -69,13 +70,18 @@ const (
 type Server struct {
 	tb   *dkbms.ConcurrentTestbed
 	opts Options
-	log  *obs.Logger  // nil discards (obs loggers are nil-safe)
+	log  *slog.Logger
 	slow *obs.SlowLog // slow-query ring, served by SLOWLOG and /slowlog
 
-	stats  counters
 	reg    *obs.Registry
-	ts     *obs.TimeSeries // retained telemetry; nil when sampling is disabled
+	ts     *obs.TimeSeries // retained telemetry
 	nextID atomic.Uint64   // session ids
+
+	// The server's own telemetry lives in reg as these instruments; STATS,
+	// /metrics, the time-series ring and Stats all read them there.
+	sessionsActive, inFlight                                    *obs.Gauge
+	sessionsTotal, requests, errors, bytesIn, bytesOut, queries *obs.Counter
+	latency                                                     *obs.Histogram
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -91,6 +97,9 @@ func New(tb *dkbms.ConcurrentTestbed, opts Options) *Server {
 	if opts.IOTimeout == 0 {
 		opts.IOTimeout = DefaultIOTimeout
 	}
+	if opts.Logger == nil {
+		opts.Logger = slog.New(discard{})
+	}
 	s := &Server{
 		tb:       tb,
 		opts:     opts,
@@ -99,45 +108,45 @@ func New(tb *dkbms.ConcurrentTestbed, opts Options) *Server {
 		sessions: make(map[*session]struct{}),
 	}
 	s.initRegistry()
-	interval, window := opts.SampleInterval, opts.SampleWindow
-	if interval == 0 {
-		interval = obs.DefaultSampleInterval
-	}
-	if window == 0 {
-		window = obs.DefaultSampleWindow
-	}
-	// A negative interval or window leaves s.ts nil: every read serves
-	// the disabled shape and Serve starts no sampler goroutine.
-	s.ts = obs.NewTimeSeries(s.reg, interval, window)
+	s.ts = obs.NewTimeSeries(s.reg, opts.SampleInterval, opts.SampleWindow)
 	return s
 }
 
-// initRegistry builds the server's metrics registry: the request
+// discard is the slog handler of a server built without a Logger.
+type discard struct{}
+
+func (discard) Enabled(context.Context, slog.Level) bool  { return false }
+func (discard) Handle(context.Context, slog.Record) error { return nil }
+func (d discard) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discard) WithGroup(string) slog.Handler           { return d }
+
+// initRegistry builds the server's metrics registry: the server's own
 // counters and the latency histogram live there directly; the plan
 // cache, buffer pool, rule-base generation and snapshot store are read
-// through gauge callbacks at snapshot time (callbacks run outside the
+// through callbacks at snapshot time (callbacks run outside the
 // registry lock, so pinning an engine snapshot inside them is safe).
 func (s *Server) initRegistry() {
 	r := obs.NewRegistry()
 	s.reg = r
-	s.stats.lat = r.Histogram("server.request_latency_ns")
-	s.stats.queries = r.Counter("query.count")
+	s.sessionsActive = r.Gauge("server.sessions_active")
+	s.sessionsTotal = r.Counter("server.sessions_total")
+	s.inFlight = r.Gauge("server.in_flight")
+	s.requests = r.Counter("server.requests")
+	s.errors = r.Counter("server.errors")
+	s.bytesIn = r.Counter("server.bytes_in")
+	s.bytesOut = r.Counter("server.bytes_out")
+	s.latency = r.Histogram("server.request_latency_ns")
+	s.queries = r.Counter("query.count")
 	obs.RegisterRuntimeMetrics(r)
-	gauge := func(name string, fn func() int64) { r.GaugeFunc(name, fn) }
-	gauge("server.sessions_active", s.stats.activeSessions.Load)
-	gauge("server.sessions_total", s.stats.totalSessions.Load)
-	gauge("server.in_flight", s.stats.inFlight.Load)
-	gauge("server.requests", s.stats.requests.Load)
-	gauge("server.errors", s.stats.errors.Load)
-	gauge("server.bytes_in", s.stats.bytesIn.Load)
-	gauge("server.bytes_out", s.stats.bytesOut.Load)
-	gauge("plan.result_hits", func() int64 { return s.tb.PlanStats().ResultHits })
-	gauge("plan.hits", func() int64 { return s.tb.PlanStats().PlanHits })
-	gauge("plan.misses", func() int64 { return s.tb.PlanStats().Misses })
+	counter := func(name string, fn func() int64) { r.Func(name, obs.KindCounter, fn) }
+	gauge := func(name string, fn func() int64) { r.Func(name, obs.KindGauge, fn) }
+	counter("plan.result_hits", func() int64 { return s.tb.PlanStats().ResultHits })
+	counter("plan.hits", func() int64 { return s.tb.PlanStats().PlanHits })
+	counter("plan.misses", func() int64 { return s.tb.PlanStats().Misses })
 	gauge("plan.entries", func() int64 { return s.tb.PlanStats().Entries })
-	gauge("pool.hits", func() int64 { return s.tb.PagerStats().Hits })
-	gauge("pool.misses", func() int64 { return s.tb.PagerStats().Misses })
-	gauge("pool.evictions", func() int64 { return s.tb.PagerStats().Evictions })
+	counter("pool.hits", func() int64 { return s.tb.PagerStats().Hits })
+	counter("pool.misses", func() int64 { return s.tb.PagerStats().Misses })
+	counter("pool.evictions", func() int64 { return s.tb.PagerStats().Evictions })
 	gauge("pool.hit_rate_pct", func() int64 {
 		st := s.tb.PagerStats()
 		if st.Hits+st.Misses == 0 {
@@ -151,23 +160,23 @@ func (s *Server) initRegistry() {
 	gauge("snapshot.retired", func() int64 { return s.tb.SnapshotStats().RetiredSnapshots })
 	gauge("snapshot.live_versions", func() int64 { return s.tb.SnapshotStats().LiveVersions })
 	gauge("snapshot.reclaim_backlog", func() int64 { return s.tb.SnapshotStats().ReclaimBacklog })
-	gauge("snapshot.reclaimed_tables", func() int64 { return s.tb.SnapshotStats().ReclaimedTables })
-	gauge("snapshot.reclaim_errors", func() int64 { return s.tb.SnapshotStats().ReclaimErrors })
-	gauge("snapshot.commits", func() int64 { return s.tb.SnapshotStats().Commits })
-	gauge("snapshot.copied_tables", func() int64 { return s.tb.SnapshotStats().CopiedTables })
-	gauge("snapshot.writer_stall_ns", func() int64 { return int64(s.tb.SnapshotStats().WriterStall) })
-	gauge("slowlog.recorded", s.slow.Recorded)
+	counter("snapshot.reclaimed_tables", func() int64 { return s.tb.SnapshotStats().ReclaimedTables })
+	counter("snapshot.reclaim_errors", func() int64 { return s.tb.SnapshotStats().ReclaimErrors })
+	counter("snapshot.commits", func() int64 { return s.tb.SnapshotStats().Commits })
+	counter("snapshot.copied_tables", func() int64 { return s.tb.SnapshotStats().CopiedTables })
+	counter("snapshot.writer_stall_ns", func() int64 { return int64(s.tb.SnapshotStats().WriterStall) })
+	counter("slowlog.recorded", s.slow.Recorded)
 	gauge("sched.workers", func() int64 { return int64(s.tb.SchedStats().Workers) })
 	gauge("sched.clients", func() int64 { return int64(s.tb.SchedStats().Clients) })
 	gauge("sched.queued", func() int64 { return int64(s.tb.SchedStats().Queued) })
-	gauge("sched.submitted", func() int64 { return s.tb.SchedStats().Submitted })
-	gauge("sched.completed", func() int64 { return s.tb.SchedStats().Completed })
-	gauge("sched.stolen", func() int64 { return s.tb.SchedStats().Stolen })
+	counter("sched.submitted", func() int64 { return s.tb.SchedStats().Submitted })
+	counter("sched.completed", func() int64 { return s.tb.SchedStats().Completed })
+	counter("sched.stolen", func() int64 { return s.tb.SchedStats().Stolen })
 	gauge("matview.live", func() int64 { return s.tb.MatViewStats().Live })
-	gauge("matview.maintained", func() int64 { return s.tb.MatViewStats().Maintained })
-	gauge("matview.rederives", func() int64 { return s.tb.MatViewStats().Rederives })
-	gauge("matview.delta_tuples", func() int64 { return s.tb.MatViewStats().DeltaTuples })
-	gauge("matview.maintain_ns", func() int64 { return int64(s.tb.MatViewStats().MaintainTime) })
+	counter("matview.maintained", func() int64 { return s.tb.MatViewStats().Maintained })
+	counter("matview.rederives", func() int64 { return s.tb.MatViewStats().Rederives })
+	counter("matview.delta_tuples", func() int64 { return s.tb.MatViewStats().DeltaTuples })
+	counter("matview.maintain_ns", func() int64 { return int64(s.tb.MatViewStats().MaintainTime) })
 	// The engine floor — per-table heap traffic, per-index tree shape,
 	// per-shard pool counters — is a dynamic metric set following the
 	// live schema, contributed through a collector.
@@ -182,8 +191,7 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // SLOWLOG and over HTTP by the /slowlog debug endpoint).
 func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
 
-// TimeSeries exposes the retained-telemetry ring (nil when sampling is
-// disabled; the obs methods are nil-safe).
+// TimeSeries exposes the retained-telemetry ring.
 func (s *Server) TimeSeries() *obs.TimeSeries { return s.ts }
 
 // ListenAndServe listens on addr ("host:port") and serves until ctx is
@@ -257,8 +265,8 @@ func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 // track registers a live session; if the server is already draining the
 // session is told to finish after its current request.
 func (s *Server) track(sess *session) {
-	s.stats.activeSessions.Add(1)
-	s.stats.totalSessions.Add(1)
+	s.sessionsActive.Add(1)
+	s.sessionsTotal.Inc()
 	s.mu.Lock()
 	s.sessions[sess] = struct{}{}
 	draining := s.draining
@@ -269,7 +277,7 @@ func (s *Server) track(sess *session) {
 }
 
 func (s *Server) untrack(sess *session) {
-	s.stats.activeSessions.Add(-1)
+	s.sessionsActive.Add(-1)
 	s.mu.Lock()
 	delete(s.sessions, sess)
 	s.mu.Unlock()
@@ -291,10 +299,18 @@ func (s *Server) beginDrain() {
 	}
 }
 
-// Stats returns a snapshot of the server counters, including request
-// latency percentiles over the recent window, the shared plan cache's
-// hit counters and the buffer pool's aggregated shard counters.
-func (s *Server) Stats() Stats {
-	return s.stats.snapshot(s.tb.Generation(), s.tb.PlanStats(), s.tb.PagerStats(),
-		s.tb.SnapshotStats(), s.tb.SchedStats(), s.tb.MatViewStats())
+// Stats reads the server's own traffic from its registry instruments.
+// The latency percentiles are bucket bounds of the request-latency
+// histogram over the server's lifetime, the numbers /metrics, dkbtop
+// and STATS report.
+func (s *Server) Stats() wire.ServerStats {
+	return wire.ServerStats{
+		TotalSessions: s.sessionsTotal.Load(),
+		Requests:      s.requests.Load(),
+		Errors:        s.errors.Load(),
+		BytesIn:       s.bytesIn.Load(),
+		BytesOut:      s.bytesOut.Load(),
+		P50:           time.Duration(s.latency.Quantile(0.50)),
+		P99:           time.Duration(s.latency.Quantile(0.99)),
+	}
 }

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -167,21 +169,85 @@ func TestServerBasic(t *testing.T) {
 		}
 	}
 
-	st, err := c.Stats()
+	st := stats(t, c)
+	if st["server.requests"] < 8 || st["server.errors"] < 1 || st["server.sessions_active"] != 1 {
+		t.Fatalf("implausible stats: %v", st)
+	}
+	if st["server.bytes_in"] == 0 || st["server.bytes_out"] == 0 {
+		t.Fatalf("traffic counters empty: %v", st)
+	}
+	if st["plan.result_hits"] < 2 || st["plan.misses"] == 0 {
+		t.Fatalf("plan-cache counters missing from stats: %v", st)
+	}
+	if st["pool.hits"] == 0 {
+		t.Fatalf("buffer-pool counters missing from stats: %v", st)
+	}
+}
+
+// stats fetches the server's STATS reply as metric values by name.
+func stats(t *testing.T, c *client.Client) map[string]int64 {
+	t.Helper()
+	ms, err := c.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Requests < 8 || st.Errors < 1 || st.ActiveSessions != 1 {
-		t.Fatalf("implausible stats: %+v", st)
+	out := make(map[string]int64, len(ms))
+	for _, m := range ms {
+		out[m.Name] = m.Value
 	}
-	if st.BytesIn == 0 || st.BytesOut == 0 {
-		t.Fatalf("traffic counters empty: %+v", st)
+	return out
+}
+
+// TestStatsReplyIsTheRegistry: STATS serves the server's metrics
+// registry, so a client sees exactly the names the registry snapshot
+// holds, the engine collectors' per-table and per-shard series
+// included, and the latency histogram with its percentiles.
+func TestStatsReplyIsTheRegistry(t *testing.T) {
+	tb := dkbms.NewConcurrent(dkbms.NewMemory())
+	defer tb.Close()
+	srv := server.New(tb, server.Options{})
+	addr, cancel, done := startServerWith(t, srv)
+	defer func() { cancel(); <-done }()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.PlanResultHits < 2 || st.PlanMisses == 0 {
-		t.Fatalf("plan-cache counters missing from stats: %+v", st)
+	defer c.Close()
+	if err := c.Load(baseProgram); err != nil {
+		t.Fatal(err)
 	}
-	if st.PoolHits == 0 {
-		t.Fatalf("buffer-pool counters missing from stats: %+v", st)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Query("?- ancestor(c0, X).", wire.QueryOpts{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(ms []obs.Metric) []string {
+		out := make([]string, len(ms))
+		for i, m := range ms {
+			out[i] = m.Name
+		}
+		return out
+	}
+	want := names(srv.Registry().Snapshot())
+	if !slices.Equal(names(got), want) {
+		t.Fatalf("STATS names differ from the registry's:\nSTATS:    %v\nregistry: %v", names(got), want)
+	}
+	var table, shard bool
+	for _, m := range got {
+		table = table || strings.HasPrefix(m.Name, "table.")
+		shard = shard || strings.HasPrefix(m.Name, "pool.shard.")
+		if m.Name == "server.request_latency_ns" &&
+			(m.Kind != obs.KindHistogram || m.Value < 4 || m.P50 <= 0 || m.P99 < m.P50 || m.Sum <= 0) {
+			t.Errorf("latency histogram over the wire: %+v", m)
+		}
+	}
+	if !table || !shard {
+		t.Fatalf("collector series missing from STATS (table=%v shard=%v)", table, shard)
 	}
 }
 
@@ -192,7 +258,7 @@ func TestServerBasic(t *testing.T) {
 func TestEveryRequestDispatched(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
-	addr, cancel, done := startServer(t, tb, server.Options{SampleInterval: -1})
+	addr, cancel, done := startServer(t, tb, server.Options{})
 	defer func() { cancel(); <-done }()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -337,15 +403,12 @@ func TestServerStress(t *testing.T) {
 		t.Fatalf("final state diverges from single-threaded reference:\nserver:\n%s\nreference:\n%s", got, exp)
 	}
 
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	st := stats(t, c)
+	if st["server.sessions_total"] < workers {
+		t.Fatalf("server saw %d sessions, want >= %d", st["server.sessions_total"], workers)
 	}
-	if st.TotalSessions < workers {
-		t.Fatalf("server saw %d sessions, want >= %d", st.TotalSessions, workers)
-	}
-	if st.Errors != 0 {
-		t.Fatalf("server recorded %d request errors during stress", st.Errors)
+	if st["server.errors"] != 0 {
+		t.Fatalf("server recorded %d request errors during stress", st["server.errors"])
 	}
 }
 
@@ -640,8 +703,15 @@ func TestDebugEndpoints(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/metrics = %d", code)
 	}
+	// Every family declares its kind: the server's own counters and the
+	// engine's monotonic callbacks are counters, levels are gauges.
 	for _, want := range []string{
 		"# TYPE dkb_query_count counter",
+		"# TYPE dkb_server_requests counter",
+		"# TYPE dkb_plan_misses counter",
+		"# TYPE dkb_snapshot_commits counter",
+		"# TYPE dkb_server_sessions_active gauge",
+		"# TYPE dkb_plan_entries gauge",
 		"# TYPE dkb_server_request_latency_ns summary",
 		"dkb_runtime_goroutines",
 	} {
@@ -695,7 +765,7 @@ func TestSessionStructuredLogging(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
 	var buf syncBuffer
-	logger := obs.NewLogger(&buf).SetLevel(obs.LevelDebug)
+	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
 	addr, cancel, done := startServer(t, tb, server.Options{Logger: logger})
 
 	c, err := client.Dial(addr)
@@ -891,12 +961,8 @@ func TestTimeSeriesPinnedDeltas(t *testing.T) {
 	}
 
 	// The STATS reply carries the same counter.
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Queries != n {
-		t.Fatalf("stats.Queries = %d, want %d", stats.Queries, n)
+	if got := stats(t, c)["query.count"]; got != n {
+		t.Fatalf("STATS query.count = %d, want %d", got, n)
 	}
 }
 
@@ -1009,14 +1075,14 @@ func TestTimeSeriesAndTraceEndpoints(t *testing.T) {
 	}
 }
 
-// TestSamplingDisabled: a negative sample interval runs no sampler
-// goroutine and /timeseries reports 404.
-func TestSamplingDisabled(t *testing.T) {
+// TestSamplingAlwaysOn: a negative sample interval or window selects
+// the default, so every server serves /timeseries.
+func TestSamplingAlwaysOn(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
-	srv := server.New(tb, server.Options{SampleInterval: -1})
-	if srv.TimeSeries() != nil {
-		t.Fatal("sampling not disabled")
+	srv := server.New(tb, server.Options{SampleInterval: -1, SampleWindow: -1})
+	if ts := srv.TimeSeries(); ts.Interval() != obs.DefaultSampleInterval || ts.Capacity() != obs.DefaultSampleWindow {
+		t.Fatalf("ring %v x %d, want the defaults", ts.Interval(), ts.Capacity())
 	}
 	hs := httptest.NewServer(srv.DebugHandler())
 	defer hs.Close()
@@ -1025,7 +1091,7 @@ func TestSamplingDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/timeseries = %d, want 404", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/timeseries = %d, want 200", resp.StatusCode)
 	}
 }

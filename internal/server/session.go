@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"time"
 
@@ -21,9 +22,9 @@ const maxPreparedPerSession = 1024
 type session struct {
 	srv  *Server
 	conn net.Conn
-	id   uint64      // server-unique session id
-	log  *obs.Logger // child logger carrying session id + remote addr
-	seq  uint64      // requests served so far (the request sequence number)
+	id   uint64       // server-unique session id
+	log  *slog.Logger // child logger carrying session id + remote addr
+	seq  uint64       // requests served so far (the request sequence number)
 	// ctx is the serve context: shutdown cancels it, which aborts any
 	// in-flight evaluation at its next LFP iteration boundary.
 	ctx context.Context
@@ -92,14 +93,14 @@ func (s *session) serve(ctx context.Context) {
 			}
 			return
 		}
-		s.srv.stats.bytesIn.Add(int64(n))
+		s.srv.bytesIn.Add(int64(n))
 		s.seq++
 
 		start := time.Now()
-		s.srv.stats.inFlight.Add(1)
+		s.srv.inFlight.Add(1)
 		frame := s.handle(t, payload)
 		s.in = wire.Reuse(payload)
-		s.srv.stats.inFlight.Add(-1)
+		s.srv.inFlight.Add(-1)
 
 		if s.srv.opts.IOTimeout > 0 {
 			s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.IOTimeout))
@@ -107,13 +108,17 @@ func (s *session) serve(ctx context.Context) {
 		respType := wire.MsgType(frame[4])
 		wn, werr := wire.WriteFrame(s.conn, frame)
 		s.out = wire.Reuse(frame)
-		s.srv.stats.bytesOut.Add(int64(wn))
-		s.srv.stats.observe(time.Since(start), respType == wire.MsgError)
+		s.srv.bytesOut.Add(int64(wn))
+		s.srv.requests.Inc()
+		if respType == wire.MsgError {
+			s.srv.errors.Inc()
+		}
+		s.srv.latency.ObserveDuration(time.Since(start))
 		if werr != nil {
 			s.log.Warn("write failed", "seq", s.seq, "type", t.String(), "err", werr)
 			return
 		}
-		if s.log.Enabled(obs.LevelDebug) {
+		if s.log.Enabled(ctx, slog.LevelDebug) {
 			s.log.Debug("request served", "seq", s.seq, "type", t.String(),
 				"reply", respType.String(), "ms", time.Since(start))
 		}
@@ -207,7 +212,7 @@ func (s *session) handle(t wire.MsgType, payload []byte) []byte {
 		return s.reply(wire.MsgRetracted, wire.Retracted{N: int64(n)}.Encode())
 
 	case wire.MsgStats:
-		return s.reply(wire.MsgStatsReply, s.srv.Stats().Encode())
+		return s.reply(wire.MsgStatsReply, wire.Metrics(s.srv.reg.Snapshot()).Encode())
 
 	case wire.MsgSlowlog:
 		return s.reply(wire.MsgSlowlogReply, wire.Slowlog{
@@ -245,7 +250,7 @@ func (s *session) runQuery(src string, qid uint64, run func(context.Context, uin
 	if qid == 0 {
 		qid = obs.NewQueryID()
 	}
-	s.srv.stats.queries.Inc()
+	s.srv.queries.Inc()
 	start := time.Now()
 	res, err := run(s.ctx, qid)
 	s.recordSlow(src, start, res, err, qid)
@@ -277,7 +282,7 @@ func (s *session) recordSlow(src string, start time.Time, res *dkbms.QueryResult
 		e.Snapshot = res.Snapshot
 	}
 	s.srv.slow.Record(e)
-	if s.log.Enabled(obs.LevelDebug) {
+	if s.log.Enabled(s.ctx, slog.LevelDebug) {
 		s.log.Debug("query done", "query_id", obs.FormatQueryID(qid),
 			"ms", e.Latency, "cache", e.Cache, "err", e.Err)
 	}

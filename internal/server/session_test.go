@@ -61,7 +61,7 @@ func TestSessionDropsLargeBuffer(t *testing.T) {
 	if err := tb.Load(facts.String()); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(tb, Options{SampleInterval: -1})
+	srv := New(tb, Options{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ var replyCodecs = map[MsgType]roundTrip{
 	},
 	MsgPrepared:     func(p []byte) ([]byte, error) { m, err := DecodePrepared(p); return m.Encode(), err },
 	MsgRetracted:    func(p []byte) ([]byte, error) { m, err := DecodeRetracted(p); return m.Encode(), err },
-	MsgStatsReply:   func(p []byte) ([]byte, error) { m, err := DecodeServerStats(p); return m.Encode(), err },
+	MsgStatsReply:   func(p []byte) ([]byte, error) { m, err := DecodeMetrics(p); return m.Encode(), err },
 	MsgSlowlogReply: func(p []byte) ([]byte, error) { m, err := DecodeSlowlog(p); return m.Encode(), err },
 	MsgViewsReply:   func(p []byte) ([]byte, error) { m, err := DecodeViews(p); return m.Encode(), err },
 }
@@ -133,5 +133,6 @@ func FuzzDecodeRequest(f *testing.F) { fuzzCodecs(f, requestCodecs) }
 // FuzzDecodeReply fuzzes the reply decoders (ERROR, RESULT, PREPARED,
 // RETRACTED, STATSREPLY, SLOWLOGREPLY, VIEWSREPLY). The seed corpus
 // under testdata/fuzz has one payload per reply form other than
-// RESULT's, which FuzzDecodeResult seeds.
+// RESULT's, which FuzzDecodeResult seeds; the STATSREPLY seed is a
+// served registry snapshot, engine collectors and histograms included.
 func FuzzDecodeReply(f *testing.F) { fuzzCodecs(f, replyCodecs) }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"dkbms"
@@ -798,123 +799,80 @@ func DecodeResult(p []byte) (*Result, error) {
 	return m, nil
 }
 
-// ServerStats is the STATSREPLY payload: a snapshot of server-side
-// counters.
-type ServerStats struct {
-	// ActiveSessions is the number of currently connected sessions;
-	// TotalSessions counts every session ever accepted.
-	ActiveSessions int64
-	TotalSessions  int64
-	// InFlight is the number of requests being served right now.
-	InFlight int64
-	// Requests and Errors count completed requests and error replies.
-	Requests int64
-	Errors   int64
-	// BytesIn and BytesOut count wire traffic, frames included.
-	BytesIn  int64
-	BytesOut int64
-	// P50 and P99 are request-latency percentiles over a recent window.
-	P50 time.Duration
-	P99 time.Duration
-	// PlanResultHits, PlanHits and PlanMisses are the shared plan
-	// cache's counters: queries answered from the memoized result,
-	// queries that reused a compiled program but re-evaluated, and full
-	// compilations.
-	PlanResultHits int64
-	PlanHits       int64
-	PlanMisses     int64
-	// PoolHits, PoolMisses and PoolEvictions are the buffer pool's
-	// counters aggregated across its shards.
-	PoolHits      int64
-	PoolMisses    int64
-	PoolEvictions int64
-	// Generation is the rule-base generation at snapshot time.
-	Generation uint64
-	// SnapshotGen is the published engine-snapshot generation (the
-	// commit sequence number queries pin); SnapshotReaders counts
-	// queries currently holding a pinned snapshot.
-	SnapshotGen     uint64
-	SnapshotReaders int64
-	// ReclaimBacklog counts superseded table versions still kept
-	// readable by pinned snapshots; WriterStall is the cumulative
-	// writer time spent building copy-on-write table copies.
-	ReclaimBacklog int64
-	WriterStall    time.Duration
-	// SchedWorkers is the shared evaluation pool's size; SchedQueued
-	// counts admitted-but-unstarted tasks at snapshot time;
-	// SchedSubmitted and SchedStolen count tasks submitted over the
-	// pool's lifetime and tasks a waiting query ran inline instead of a
-	// worker.
-	SchedWorkers   int64
-	SchedQueued    int64
-	SchedSubmitted int64
-	SchedStolen    int64
-	// ViewsLive is the number of maintained materialized views in the
-	// plan cache; ViewsMaintained and ViewsRederives count memos
-	// refreshed incrementally and memos dropped for re-derivation;
-	// ViewsDeltaTuples and ViewsMaintainTime aggregate the derived-delta
-	// sizes and wall-clock cost of all maintenance runs.
-	ViewsLive         int64
-	ViewsMaintained   int64
-	ViewsRederives    int64
-	ViewsDeltaTuples  int64
-	ViewsMaintainTime time.Duration
-	// Queries counts QUERY+EXECP requests served (the telemetry ring's
-	// query.count counter).
-	Queries int64
-}
+// Metrics is the STATSREPLY payload: the server's metrics-registry
+// snapshot, sorted by name. Each metric travels as its name, a kind
+// byte and its value; a histogram adds its sum, p50 and p99.
+type Metrics []obs.Metric
 
-// fields lists the payload in wire order; Encode and DecodeServerStats
-// both walk it, so the two cannot disagree. Counters and durations
-// (*int64) travel as varints, the two generations (*uint64) as uvarints.
-func (m *ServerStats) fields() []any {
-	return []any{
-		&m.ActiveSessions, &m.TotalSessions, &m.InFlight, &m.Requests,
-		&m.Errors, &m.BytesIn, &m.BytesOut, (*int64)(&m.P50), (*int64)(&m.P99),
-		&m.PlanResultHits, &m.PlanHits, &m.PlanMisses,
-		&m.PoolHits, &m.PoolMisses, &m.PoolEvictions,
-		&m.Generation, &m.SnapshotGen,
-		&m.SnapshotReaders, &m.ReclaimBacklog, (*int64)(&m.WriterStall),
-		&m.SchedWorkers, &m.SchedQueued, &m.SchedSubmitted, &m.SchedStolen,
-		&m.ViewsLive, &m.ViewsMaintained, &m.ViewsRederives,
-		&m.ViewsDeltaTuples, (*int64)(&m.ViewsMaintainTime),
-		&m.Queries,
-	}
-}
+// metricKinds numbers the metric kinds on the wire.
+var metricKinds = []obs.Kind{obs.KindCounter, obs.KindGauge, obs.KindHistogram}
 
-// Encode renders the payload.
-func (m ServerStats) Encode() []byte {
-	var buf []byte
-	for _, f := range m.fields() {
-		switch f := f.(type) {
-		case *int64:
-			buf = binary.AppendVarint(buf, *f)
-		case *uint64:
-			buf = binary.AppendUvarint(buf, *f)
+// Encode renders the payload. A kind outside metricKinds encodes as
+// 0xff, which DecodeMetrics refuses.
+func (m Metrics) Encode() []byte {
+	buf := binary.AppendUvarint(nil, uint64(len(m)))
+	for _, x := range m {
+		buf = appendString(buf, x.Name)
+		buf = append(buf, byte(slices.Index(metricKinds, x.Kind)))
+		buf = binary.AppendVarint(buf, x.Value)
+		if x.Kind == obs.KindHistogram {
+			buf = binary.AppendVarint(buf, x.Sum)
+			buf = binary.AppendVarint(buf, x.P50)
+			buf = binary.AppendVarint(buf, x.P99)
 		}
 	}
 	return buf
 }
 
-// DecodeServerStats parses a STATSREPLY payload. Every field is
-// required: a payload that ends early, or goes on after the last field,
-// is an error.
-func DecodeServerStats(p []byte) (ServerStats, error) {
-	var m ServerStats
-	for _, f := range m.fields() {
-		var err error
-		switch f := f.(type) {
-		case *int64:
-			*f, p, err = readVarint(p)
-		case *uint64:
-			*f, p, err = readUvarint(p)
+// DecodeMetrics parses a STATSREPLY payload. A metric takes at least
+// three bytes (name length, kind, value), so a count the payload cannot
+// hold is refused before anything is allocated.
+func DecodeMetrics(p []byte) (Metrics, error) {
+	n, buf, err := readUvarint(p)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(buf))/3 {
+		return nil, fmt.Errorf("wire: corrupt STATSREPLY metric count %d", n)
+	}
+	m := make(Metrics, n)
+	for i := range m {
+		x := &m[i]
+		if x.Name, buf, err = readString(buf); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return ServerStats{}, err
+		if len(buf) < 1 || int(buf[0]) >= len(metricKinds) {
+			return nil, fmt.Errorf("wire: corrupt STATSREPLY metric kind")
+		}
+		x.Kind, buf = metricKinds[buf[0]], buf[1:]
+		fields := []*int64{&x.Value}
+		if x.Kind == obs.KindHistogram {
+			fields = append(fields, &x.Sum, &x.P50, &x.P99)
+		}
+		for _, f := range fields {
+			if *f, buf, err = readVarint(buf); err != nil {
+				return nil, err
+			}
 		}
 	}
-	if err := trailing(p, MsgStatsReply); err != nil {
-		return ServerStats{}, err
+	if err := trailing(buf, MsgStatsReply); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// ServerStats is the server's own traffic, read from its registry
+// instruments by server.Server.Stats: sessions accepted, requests and
+// error replies served, wire bytes in and out, and the request-latency
+// p50 and p99, which are bucket bounds of the server.request_latency_ns
+// histogram. It is not a wire message: the end-to-end benchmark reads
+// it from an in-process server.
+type ServerStats struct {
+	TotalSessions int64
+	Requests      int64
+	Errors        int64
+	BytesIn       int64
+	BytesOut      int64
+	P50           time.Duration
+	P99           time.Duration
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -371,26 +372,24 @@ func TestTraceDepthGuard(t *testing.T) {
 	}
 }
 
-func TestServerStatsRoundTrip(t *testing.T) {
-	in := ServerStats{
-		ActiveSessions: 3, TotalSessions: 100, InFlight: 2,
-		Requests: 12345, Errors: 6, BytesIn: 1 << 30, BytesOut: 1 << 31,
-		P50: 150 * time.Microsecond, P99: 3 * time.Millisecond,
-		PlanResultHits: 40, PlanHits: 9, PlanMisses: 3,
-		PoolHits: 1 << 20, PoolMisses: 512, PoolEvictions: 77,
-		Generation: 17, SnapshotGen: 23, SnapshotReaders: 1,
-		ReclaimBacklog: 2, WriterStall: time.Millisecond,
-		SchedWorkers: 4, SchedQueued: 2, SchedSubmitted: 999, SchedStolen: 31,
-		ViewsLive: 2, ViewsMaintained: 55, ViewsRederives: 4,
-		ViewsDeltaTuples: 310, ViewsMaintainTime: 9 * time.Millisecond,
-		Queries: 4242,
-	}
-	out, err := DecodeServerStats(in.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
-		t.Fatalf("got %+v, want %+v", out, in)
+// statsSample is a STATSREPLY payload with one metric of each kind,
+// negative and empty values included.
+var statsSample = Metrics{
+	{Name: "", Kind: obs.KindGauge, Value: -3},
+	{Name: "server.request_latency_ns", Kind: obs.KindHistogram, Value: 12, Sum: 1 << 40, P50: 1 << 15, P99: 1 << 22},
+	{Name: "server.requests", Kind: obs.KindCounter, Value: 12345},
+	{Name: "table.f_parent.rows", Kind: obs.KindGauge, Value: 300},
+}
+
+func TestMetricsRoundTrip(t *testing.T) {
+	for _, in := range []Metrics{statsSample, {}} {
+		out, err := DecodeMetrics(in.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(out, in) {
+			t.Fatalf("got %+v, want %+v", out, in)
+		}
 	}
 }
 
@@ -437,8 +436,8 @@ func TestDecodeCorrupt(t *testing.T) {
 		if _, err := DecodeResult(p); err == nil {
 			t.Errorf("DecodeResult(%v) accepted", p)
 		}
-		if _, err := DecodeServerStats(p); err == nil {
-			t.Errorf("DecodeServerStats(%v) accepted", p)
+		if _, err := DecodeMetrics(p); err == nil {
+			t.Errorf("DecodeMetrics(%v) accepted", p)
 		}
 	}
 
@@ -481,7 +480,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"RETRACTED", Retracted{N: -300}.Encode(), decodeErr(DecodeRetracted)},
 		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Policy: "auto", Rows: 300, LastMaintain: time.Second}}}.Encode(), decodeErr(DecodeViews)},
 		{"SLOWLOG", slow.Encode(), decodeErr(DecodeSlowlog)},
-		{"STATSREPLY", ServerStats{Requests: 7, Generation: 3, Queries: 5}.Encode(), decodeErr(DecodeServerStats)},
+		{"STATSREPLY", statsSample.Encode(), decodeErr(DecodeMetrics)},
 	} {
 		if err := c.decode(c.payload); err != nil {
 			t.Errorf("%s: the whole payload fails: %v", c.name, err)
@@ -511,16 +510,20 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"RETRACTED", Retracted{N: 3}.Encode(), decodeErr(DecodeRetracted)},
 		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Policy: "auto"}}}.Encode(), decodeErr(DecodeViews)},
 		{"SLOWLOG", slow.Encode(), decodeErr(DecodeSlowlog)},
-		{"STATSREPLY", ServerStats{Requests: 7}.Encode(), decodeErr(DecodeServerStats)},
+		{"STATSREPLY", statsSample.Encode(), decodeErr(DecodeMetrics)},
 	} {
 		if c.decode(append(c.payload, 0)) == nil {
 			t.Errorf("%s: accepted a trailing byte", c.name)
 		}
 	}
-	// An option bit no encoder sets, a query ID flagged but 0, and a
-	// slow-query trace flag that is neither 0 nor 1.
+	// An option bit no encoder sets, a query ID flagged but 0, a
+	// slow-query trace flag that is neither 0 nor 1, a metric kind byte
+	// past the known kinds, and a metric count no payload can hold (a
+	// decoder that sized its slice by the count would panic on it).
 	badFlag := Slowlog{Entries: []obs.SlowQuery{{Query: "?- a(X)."}}}.Encode()
 	badFlag[len(badFlag)-1] = 2
+	badKind := Metrics{{Name: "x", Kind: obs.KindCounter, Value: 1}}.Encode()
+	badKind[3] = byte(len(metricKinds))
 	for _, c := range []struct {
 		name    string
 		payload []byte
@@ -532,6 +535,9 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"PREPARE with a query ID", Query{Src: "?- a(X).", Opts: QueryOpts{QueryID: 5}}.Encode(), decodeErr(DecodePrepare)},
 		{"EXECP sending a zero query ID", []byte{3, 0}, decodeErr(DecodeExecP)},
 		{"SLOWLOG with a trace flag of 2", badFlag, decodeErr(DecodeSlowlog)},
+		{"STATSREPLY with an unknown metric kind", badKind, decodeErr(DecodeMetrics)},
+		{"STATSREPLY with a kind no encoder numbers", Metrics{{Name: "x", Kind: "summary"}}.Encode(), decodeErr(DecodeMetrics)},
+		{"STATSREPLY counting 2^64-1 metrics", append(binary.AppendUvarint(nil, 1<<64-1), statsSample.Encode()[1:]...), decodeErr(DecodeMetrics)},
 	} {
 		if c.decode(c.payload) == nil {
 			t.Errorf("%s: accepted", c.name)
