@@ -28,7 +28,7 @@ func runRemote(addr string) error {
 		return err
 	}
 
-	sh := &remoteShell{c: c, out: os.Stdout, stmts: make(map[uint64]*client.Stmt)}
+	sh := &remoteShell{c: c, out: os.Stdout}
 	fmt.Printf("dkbms testbed shell — connected to %s (.help for commands)\n", addr)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -52,10 +52,9 @@ func runRemote(addr string) error {
 }
 
 type remoteShell struct {
-	c     *client.Client
-	opts  dkbms.QueryOptions
-	out   io.Writer
-	stmts map[uint64]*client.Stmt
+	c    *client.Client
+	opts dkbms.QueryOptions
+	out  io.Writer
 }
 
 func (s *remoteShell) handle(line string) error {
@@ -76,30 +75,6 @@ func (s *remoteShell) handle(line string) error {
 			return err
 		}
 		fmt.Fprintf(s.out, "retracted %d facts\n", n)
-		return nil
-	case strings.HasPrefix(line, ".prepare "):
-		stmt, err := s.c.Prepare(strings.TrimSpace(strings.TrimPrefix(line, ".prepare ")), wire.FromOptions(&s.opts))
-		if err != nil {
-			return err
-		}
-		s.stmts[stmt.ID] = stmt
-		fmt.Fprintf(s.out, "prepared #%d (rule-base generation %d); run with .exec %d\n",
-			stmt.ID, stmt.Generation, stmt.ID)
-		return nil
-	case strings.HasPrefix(line, ".exec "):
-		id, err := strconv.ParseUint(strings.TrimSpace(strings.TrimPrefix(line, ".exec ")), 10, 64)
-		if err != nil {
-			return err
-		}
-		stmt, ok := s.stmts[id]
-		if !ok {
-			return fmt.Errorf("no prepared query #%d (.prepare first)", id)
-		}
-		res, err := stmt.Exec()
-		if err != nil {
-			return err
-		}
-		s.printResult(res)
 		return nil
 	case line == ".stats" || strings.HasPrefix(line, ".stats "):
 		ms, err := s.c.Stats()
@@ -141,7 +116,7 @@ func (s *remoteShell) handle(line string) error {
 		// with tracing and ships the span tree back in the RESULT frame,
 		// tagged with the query ID it ran (and was slow-logged) under.
 		outFile, q := parseTraceArgs(strings.TrimPrefix(line, ".trace "))
-		opts := wire.FromOptions(&s.opts)
+		opts := s.opts
 		opts.Trace = true
 		res, err := s.c.Query(q, opts)
 		if err != nil {
@@ -159,7 +134,7 @@ func (s *remoteShell) handle(line string) error {
 	case strings.HasPrefix(line, "."):
 		return fmt.Errorf("unknown command %q (.help)", line)
 	case strings.HasPrefix(line, "?-"):
-		res, err := s.c.Query(line, wire.FromOptions(&s.opts))
+		res, err := s.c.Query(line, s.opts)
 		if err != nil {
 			return err
 		}
@@ -222,8 +197,6 @@ queries:   ?- ancestor(john, W).
 commands (remote session):
   .load FILE      load a Horn-clause program into the server
   .retract PAT    retract matching base facts, e.g. .retract parent(john, X)
-  .prepare Q      compile a query server-side; returns an id
-  .exec ID        run a prepared query
   .stats [PREFIX] server metrics, one per line (e.g. .stats server.)
   .slowlog        server slow-query log (slowest first)
   .views          live maintained materialized views (most recent first)

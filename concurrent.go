@@ -327,16 +327,14 @@ func (c *ConcurrentTestbed) QueryContext(ctx context.Context, src string, opts *
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	return c.read(ctx, newPlanKey(src, opts), nil, opts.Trace, opts.QueryID)
+	return c.read(ctx, newPlanKey(src, opts), opts.Trace, opts.QueryID)
 }
 
-// read is the one read path: every served query, by text or prepared,
-// pins a snapshot, takes its program (and a current memoized answer, if
-// there is one) from the plan cache, and otherwise evaluates and
-// publishes the answer for the next reader. q is the parsed form of
-// key.src when the caller holds one (a prepared statement), nil to parse
-// on a miss; qid 0 mints a query ID.
-func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, q *dlog.Query, trace bool, qid uint64) (*QueryResult, error) {
+// read is the read path behind QueryContext: it pins a snapshot, takes
+// the query's program (and a current memoized answer, if there is one)
+// from the plan cache, and otherwise evaluates and publishes the answer
+// for the next reader. qid 0 mints a query ID.
+func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, qid uint64) (*QueryResult, error) {
 	if qid == 0 {
 		qid = obs.NewQueryID()
 	}
@@ -351,7 +349,7 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, q *dlog.Query
 		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
 		tr.Root().SetInt("query_id", int64(qid))
 	}
-	compiled, memo, status, err := c.program(s, key, q, tr)
+	compiled, memo, status, err := c.program(s, key, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -394,8 +392,8 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, q *dlog.Query
 // the only place a served query's text is parsed and compiled — with
 // the memoized answer when one is current, and the plan-cache outcome
 // QueryResult.Cache reports. A fresh compilation is not stored: read
-// stores it with its answer, Prepare without one.
-func (c *ConcurrentTestbed) program(s *snapshot.Snapshot, key planKey, q *dlog.Query, tr *obs.Trace) (*core.Compiled, *QueryResult, string, error) {
+// stores it with its answer.
+func (c *ConcurrentTestbed) program(s *snapshot.Snapshot, key planKey, tr *obs.Trace) (*core.Compiled, *QueryResult, string, error) {
 	compiled, memo, maintained := c.plans.lookup(key, s)
 	switch {
 	case memo != nil && maintained:
@@ -405,15 +403,12 @@ func (c *ConcurrentTestbed) program(s *snapshot.Snapshot, key planKey, q *dlog.Q
 	case compiled != nil:
 		return compiled, nil, "plan", nil
 	}
-	if q == nil {
-		parsed, err := dlog.ParseQuery(key.src)
-		if err != nil {
-			return nil, nil, "", parseErr(err)
-		}
-		q = &parsed
+	q, err := dlog.ParseQuery(key.src)
+	if err != nil {
+		return nil, nil, "", parseErr(err)
 	}
 	vdb, vst := c.view(s)
-	compiled, err := c.tb.compile(s.WS(), vdb, vst, *q, &key.opts, tr)
+	compiled, err = c.tb.compile(s.WS(), vdb, vst, q, &key.opts, tr)
 	return compiled, nil, "miss", err
 }
 
@@ -505,57 +500,4 @@ func (c *ConcurrentTestbed) EngineMetrics() []obs.Metric {
 // D/KB versions.
 func (c *ConcurrentTestbed) Generation() uint64 {
 	return c.snaps.Current().RuleGen
-}
-
-// --- Prepared queries ---
-
-// Prepare parses and compiles a query for repeated execution, so syntax
-// and semantic errors surface here rather than at the first Run. The
-// compiled program goes to the shared plan cache (a text some session
-// already queried compiles nothing, and its lookup counts as the hit it
-// is); the returned statement is the key to it, safe for concurrent use.
-// The server keeps them per session.
-func (c *ConcurrentTestbed) Prepare(src string, opts *QueryOptions) (*ConcurrentPrepared, error) {
-	q, err := dlog.ParseQuery(src)
-	if err != nil {
-		return nil, parseErr(err)
-	}
-	if opts == nil {
-		opts = &QueryOptions{}
-	}
-	cp := &ConcurrentPrepared{c: c, key: newPlanKey(src, opts), q: q, trace: opts.Trace}
-	s, err := c.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Release()
-	compiled, _, status, err := c.program(s, cp.key, &cp.q, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status == "miss" {
-		c.plans.store(cp.key, s, compiled, nil, nil)
-	}
-	return cp, nil
-}
-
-// ConcurrentPrepared is a prepared query bound to a ConcurrentTestbed:
-// a plan-cache key plus the parsed query, holding no program of its
-// own. A Run is a Query that never re-parses — served from the memoized
-// or maintained answer when one is current, recompiled transparently
-// when the rule base moved or the cache evicted its entry — and like
-// Query sees the D/KB entirely before or entirely after any concurrent
-// update.
-type ConcurrentPrepared struct {
-	c     *ConcurrentTestbed
-	key   planKey
-	q     dlog.Query
-	trace bool // prepared with QueryOptions.Trace: every Run is traced
-}
-
-// Run executes the prepared query against a pinned snapshot, under ctx
-// (see QueryContext) and the given query ID (0 mints one; the server
-// threads each EXECP request's wire-propagated ID through here).
-func (cp *ConcurrentPrepared) Run(ctx context.Context, qid uint64) (*QueryResult, error) {
-	return cp.c.read(ctx, cp.key, &cp.q, cp.trace, qid)
 }

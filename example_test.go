@@ -1,7 +1,6 @@
 package dkbms_test
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -70,11 +69,11 @@ func ExampleTestbed_Update() {
 	// Output: 1 1
 }
 
-// ExampleConcurrentTestbed_Prepare prepares a query once and runs it
-// three times: the first run reuses Prepare's compiled program, the
-// second is answered from the memoized result, and after a fact load the
-// third reads the answer view maintenance kept current.
-func ExampleConcurrentTestbed_Prepare() {
+// ExampleConcurrentTestbed_Query sends one query text three times: the
+// shared plan cache compiles it on the first, answers the second from
+// the memoized result, and after a fact load serves the third from the
+// answer view maintenance kept current.
+func ExampleConcurrentTestbed_Query() {
 	c := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer c.Close()
 	if err := c.Load(`
@@ -84,24 +83,20 @@ func ExampleConcurrentTestbed_Prepare() {
 	`); err != nil {
 		panic(err)
 	}
-	p, err := c.Prepare("?- anc(a, W).", nil)
-	if err != nil {
-		panic(err)
-	}
 	for i := 0; i < 3; i++ {
 		if i == 2 {
 			if err := c.Load("parent(b, c)."); err != nil {
 				panic(err)
 			}
 		}
-		res, err := p.Run(context.Background(), 0)
+		res, err := c.Query("?- anc(a, W).", nil)
 		if err != nil {
 			panic(err)
 		}
 		fmt.Println(res.Cache, len(res.Rows))
 	}
 	// Output:
-	// plan 1
+	// miss 1
 	// result 1
 	// maintained 2
 }

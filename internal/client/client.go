@@ -90,39 +90,12 @@ func (c *Client) Load(src string) error {
 	return err
 }
 
-// Query evaluates one query ("?- p(X, y).") on the server.
+// Query evaluates one query ("?- p(X, y).") on the server. The server
+// compiles a query text once and reuses the program, and while the
+// tables it reads stand still its answer, for every session that sends
+// the same text and options.
 func (c *Client) Query(src string, opts wire.QueryOpts) (*wire.Result, error) {
 	return roundTrip(c, wire.MsgQuery, wire.Query{Src: src, Opts: opts}.Encode(), wire.MsgResult, wire.DecodeResult)
-}
-
-// Stmt is a server-side prepared query, private to this client's session.
-type Stmt struct {
-	c *Client
-	// ID is the session-local prepared-statement id.
-	ID uint64
-	// Generation is the server rule-base generation at prepare time. The
-	// server recompiles transparently when it moves.
-	Generation uint64
-}
-
-// Prepare compiles a query on the server for repeated execution.
-func (c *Client) Prepare(src string, opts wire.QueryOpts) (*Stmt, error) {
-	p, err := roundTrip(c, wire.MsgPrepare, wire.Prepare{Src: src, Opts: opts}.Encode(), wire.MsgPrepared, wire.DecodePrepared)
-	if err != nil {
-		return nil, err
-	}
-	return &Stmt{c: c, ID: p.ID, Generation: p.Generation}, nil
-}
-
-// Exec runs the prepared query against the current D/KB state.
-func (s *Stmt) Exec() (*wire.Result, error) {
-	return s.ExecWithQueryID(0)
-}
-
-// ExecWithQueryID is Exec under an explicit query ID (0 lets the server
-// mint one); the reply echoes the ID the execution ran under.
-func (s *Stmt) ExecWithQueryID(qid uint64) (*wire.Result, error) {
-	return roundTrip(s.c, wire.MsgExecP, wire.ExecP{ID: s.ID, QueryID: qid}.Encode(), wire.MsgResult, wire.DecodeResult)
 }
 
 // Retract removes base facts matching pattern (e.g. "parent(john, X)")

@@ -3,12 +3,13 @@
 // protocol (internal/wire).
 //
 // Each accepted connection becomes a session goroutine running a strict
-// request/response loop. Read-only traffic (QUERY, EXECP, STATS, PING)
-// runs concurrently across sessions, each query pinned to an immutable
-// engine snapshot; LOAD and RETRACT serialize on the single-writer
-// commit path and publish new snapshots without blocking readers. A
-// connection-limit semaphore is
-// acquired before Accept, so excess clients queue in the listen backlog
+// request/response loop. Read-only traffic (QUERY, STATS, SLOWLOG,
+// VIEWS, PING) runs concurrently across sessions, each query pinned to
+// an immutable engine snapshot and served through the shared plan
+// cache; LOAD and RETRACT serialize on the single-writer commit path
+// and publish new snapshots without blocking readers. A
+// connection-limit semaphore is acquired before Accept, so excess
+// clients queue in the listen backlog
 // (backpressure) instead of being half-served. Shutdown is graceful: on
 // context cancel the listener closes immediately (new connections are
 // refused), in-flight requests complete and write their responses, and

@@ -121,27 +121,23 @@ func TestServerBasic(t *testing.T) {
 		t.Fatalf("remote result diverges from local:\nremote:\n%s\nlocal:\n%s", got, exp)
 	}
 
-	// Prepared queries survive rule-base changes via recompilation.
-	stmt, err := c.Prepare("?- ancestor(X, c9).", wire.QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := stmt.Exec()
+	// A repeated query sees the facts loaded since its first run.
+	r1, err := c.Query("?- ancestor(X, c9).", wire.QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r1.Rows) != 9 {
-		t.Fatalf("prepared exec: %d rows, want 9", len(r1.Rows))
+		t.Fatalf("first query: %d rows, want 9", len(r1.Rows))
 	}
 	if err := c.Load("parent(pre, c0)."); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := stmt.Exec()
+	r2, err := c.Query("?- ancestor(X, c9).", wire.QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r2.Rows) != 10 {
-		t.Fatalf("prepared exec after load: %d rows, want 10", len(r2.Rows))
+		t.Fatalf("query after load: %d rows, want 10", len(r2.Rows))
 	}
 
 	// Retraction round-trips with a count.
@@ -290,8 +286,8 @@ func TestEveryRequestDispatched(t *testing.T) {
 	}
 }
 
-// TestServerStress runs 32 concurrent sessions mixing queries, prepared
-// execution and occasional loads, then checks the final state against a
+// TestServerStress runs 32 concurrent sessions mixing queries and
+// occasional loads, then checks the final state against a
 // single-threaded testbed.
 func TestServerStress(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
@@ -321,11 +317,6 @@ func TestServerStress(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			stmt, err := c.Prepare("?- ancestor(c0, X).", wire.QueryOpts{})
-			if err != nil {
-				errs <- fmt.Errorf("worker %d: prepare: %w", w, err)
-				return
-			}
 			for i := 0; i < iters; i++ {
 				switch {
 				// A few writers extend the chain below c9; everyone else
@@ -340,7 +331,7 @@ func TestServerStress(t *testing.T) {
 					loadedMu.Lock()
 					loaded = append(loaded, fact)
 					loadedMu.Unlock()
-				case i%2 == 0:
+				default:
 					res, err := c.Query("?- ancestor(c0, X).", wire.QueryOpts{})
 					if err != nil {
 						errs <- fmt.Errorf("worker %d: query: %w", w, err)
@@ -348,16 +339,6 @@ func TestServerStress(t *testing.T) {
 					}
 					if len(res.Rows) < 9 {
 						errs <- fmt.Errorf("worker %d: query saw %d rows, want >= 9", w, len(res.Rows))
-						return
-					}
-				default:
-					res, err := stmt.Exec()
-					if err != nil {
-						errs <- fmt.Errorf("worker %d: exec: %w", w, err)
-						return
-					}
-					if len(res.Rows) < 9 {
-						errs <- fmt.Errorf("worker %d: exec saw %d rows, want >= 9", w, len(res.Rows))
 						return
 					}
 				}
@@ -574,14 +555,8 @@ func TestTypedErrorsOverWire(t *testing.T) {
 	if _, err := c.Query("?- broken(", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrParse) {
 		t.Errorf("Query syntax error over wire: %v", err)
 	}
-	if _, err := c.Prepare("?- broken(", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrParse) {
-		t.Errorf("Prepare syntax error over wire: %v", err)
-	}
 	if _, err := c.Query("?- nosuch(X).", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrUnknownPredicate) {
 		t.Errorf("unknown predicate over wire: %v", err)
-	}
-	if _, err := c.Prepare("?- nosuch(X).", wire.QueryOpts{}); !errors.Is(err, dkbms.ErrUnknownPredicate) {
-		t.Errorf("Prepare of an unknown predicate over wire: %v", err)
 	}
 	if err := c.Load("p(X)."); !errors.Is(err, dkbms.ErrSemantic) {
 		t.Errorf("non-ground fact over wire: %v", err)
@@ -842,29 +817,7 @@ func TestQueryIDOverWire(t *testing.T) {
 		t.Fatalf("minted id = %#x", res2.QueryID)
 	}
 
-	// Prepared execution propagates the ID too.
-	stmt, err := c.Prepare("?- ancestor(c0, W).", wire.QueryOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pqid = 0x777
-	res3, err := stmt.ExecWithQueryID(pqid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.QueryID != pqid {
-		t.Fatalf("execp echoed id = %#x, want %#x", res3.QueryID, pqid)
-	}
-	// An ID-less Exec gets a server-minted one.
-	res4, err := stmt.Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res4.QueryID == 0 {
-		t.Fatal("execp without id not minted")
-	}
-
-	// Every execution above is filed in the slow log under its ID.
+	// Both queries are filed in the slow log under their IDs.
 	sl, err := c.Slowlog()
 	if err != nil {
 		t.Fatal(err)
@@ -873,48 +826,13 @@ func TestQueryIDOverWire(t *testing.T) {
 	for _, e := range sl.Entries {
 		byID[e.QueryID] = e
 	}
-	for _, want := range []uint64{qid, res2.QueryID, pqid, res4.QueryID} {
+	for _, want := range []uint64{qid, res2.QueryID} {
 		if _, ok := byID[want]; !ok {
 			t.Fatalf("slowlog has no entry for id %#x (entries: %+v)", want, sl.Entries)
 		}
 	}
 	if e := byID[qid]; e.Query != "?- ancestor(c0, W)." {
 		t.Fatalf("slowlog entry for %#x = %+v", qid, e)
-	}
-	// EXECP takes the QUERY read path: the statement's text was queried
-	// above, so its executions are served from that memoized answer.
-	if e := byID[pqid]; e.Cache != "result" {
-		t.Fatalf("slowlog entry for prepared execution %#x: cache %q, want \"result\"", pqid, e.Cache)
-	}
-}
-
-// TestPrepareWithQueryIDOverWire: options carrying a query ID prepare a
-// statement like any others. The ID tags executions, so it is not sent
-// with the PREPARE; each EXECP carries its own.
-func TestPrepareWithQueryIDOverWire(t *testing.T) {
-	tb := dkbms.NewConcurrent(dkbms.NewMemory())
-	defer tb.Close()
-	if err := tb.Load(baseProgram); err != nil {
-		t.Fatal(err)
-	}
-	addr, cancel, done := startServer(t, tb, server.Options{})
-	defer func() { cancel(); <-done }()
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	stmt, err := c.Prepare("?- ancestor(c0, W).", wire.QueryOpts{Parallel: true, QueryID: 0x99})
-	if err != nil {
-		t.Fatalf("prepare with a query ID: %v", err)
-	}
-	res, err := stmt.ExecWithQueryID(0x55)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.QueryID != 0x55 || len(res.Rows) != 9 {
-		t.Fatalf("execp: id %#x, %d rows; want 0x55, 9 rows", res.QueryID, len(res.Rows))
 	}
 }
 

@@ -13,12 +13,8 @@ import (
 	"dkbms/internal/wire"
 )
 
-// maxPreparedPerSession caps a session's prepared-statement table so a
-// misbehaving client cannot grow server memory without bound.
-const maxPreparedPerSession = 1024
-
 // session is one connected client: a strict request/response loop over
-// a single connection, with a private prepared-statement table.
+// a single connection.
 type session struct {
 	srv  *Server
 	conn net.Conn
@@ -29,13 +25,6 @@ type session struct {
 	// in-flight evaluation at its next LFP iteration boundary.
 	ctx context.Context
 
-	// prepared maps session-local ids to prepared queries: keys into the
-	// shared plan cache, which recompiles transparently when the rule
-	// base moves. The source text rides along so EXECP traffic lands in
-	// the slow log legibly.
-	prepared map[uint64]preparedQuery
-	nextID   uint64
-
 	// rd reads requests, in is the buffer they are read into and out the
 	// one replies are built in, header included. Both buffers are reused
 	// from request to request; wire.Reuse drops one a large frame grew.
@@ -43,20 +32,13 @@ type session struct {
 	in, out []byte
 }
 
-// preparedQuery is one prepared-statement table entry.
-type preparedQuery struct {
-	cp  *dkbms.ConcurrentPrepared
-	src string
-}
-
 func newSession(srv *Server, conn net.Conn) *session {
 	id := srv.nextID.Add(1)
 	s := &session{
-		srv:      srv,
-		conn:     conn,
-		id:       id,
-		log:      srv.log.With("session", int64(id), "addr", conn.RemoteAddr().String()),
-		prepared: make(map[uint64]preparedQuery),
+		srv:  srv,
+		conn: conn,
+		id:   id,
+		log:  srv.log.With("session", int64(id), "addr", conn.RemoteAddr().String()),
 	}
 	s.rd.s = s
 	return s
@@ -166,39 +148,7 @@ func (s *session) handle(t wire.MsgType, payload []byte) []byte {
 		if err != nil {
 			return s.errReply(err)
 		}
-		opts := m.Opts.ToOptions()
-		return s.runQuery(m.Src, opts.QueryID, func(ctx context.Context, qid uint64) (*dkbms.QueryResult, error) {
-			opts.QueryID = qid
-			return s.srv.tb.QueryContext(ctx, m.Src, opts)
-		})
-
-	case wire.MsgPrepare:
-		m, err := wire.DecodePrepare(payload)
-		if err != nil {
-			return s.errReply(err)
-		}
-		if len(s.prepared) >= maxPreparedPerSession {
-			return s.errReply(fmt.Errorf("server: session holds %d prepared queries; close some or reconnect", len(s.prepared)))
-		}
-		cp, err := s.srv.tb.Prepare(m.Src, m.Opts.ToOptions())
-		if err != nil {
-			return s.errReply(err)
-		}
-		s.nextID++
-		id := s.nextID
-		s.prepared[id] = preparedQuery{cp: cp, src: m.Src}
-		return s.reply(wire.MsgPrepared, wire.Prepared{ID: id, Generation: s.srv.tb.Generation()}.Encode())
-
-	case wire.MsgExecP:
-		m, err := wire.DecodeExecP(payload)
-		if err != nil {
-			return s.errReply(err)
-		}
-		pq, ok := s.prepared[m.ID]
-		if !ok {
-			return s.errReply(fmt.Errorf("server: no prepared query %d in this session", m.ID))
-		}
-		return s.runQuery(pq.src, m.QueryID, pq.cp.Run)
+		return s.runQuery(m.Src, &m.Opts)
 
 	case wire.MsgRetract:
 		m, err := wire.DecodeRetract(payload)
@@ -242,18 +192,18 @@ func (s *session) handle(t wire.MsgType, payload []byte) []byte {
 	}
 }
 
-// runQuery serves one QUERY or EXECP execution. It adopts the client's
-// query ID or mints one, so every execution is identifiable across the
-// result echo, the structured log and the slow-query ring; run evaluates
-// under the serve context, so shutdown cancels either kind.
-func (s *session) runQuery(src string, qid uint64, run func(context.Context, uint64) (*dkbms.QueryResult, error)) []byte {
-	if qid == 0 {
-		qid = obs.NewQueryID()
+// runQuery serves one QUERY. It adopts the client's query ID or mints
+// one, so every query is identifiable across the result echo, the
+// structured log and the slow-query ring, and evaluates under the serve
+// context, so shutdown cancels it.
+func (s *session) runQuery(src string, opts *dkbms.QueryOptions) []byte {
+	if opts.QueryID == 0 {
+		opts.QueryID = obs.NewQueryID()
 	}
 	s.srv.queries.Inc()
 	start := time.Now()
-	res, err := run(s.ctx, qid)
-	s.recordSlow(src, start, res, err, qid)
+	res, err := s.srv.tb.QueryContext(s.ctx, src, opts)
+	s.recordSlow(src, start, res, err, opts.QueryID)
 	if err != nil {
 		return s.errReply(err)
 	}

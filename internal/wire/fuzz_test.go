@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
-	"runtime"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,21 +15,15 @@ import (
 // payload's length, so a header claiming more rows × columns than the
 // bytes can hold fails before the value slab is allocated. The seed
 // corpus under testdata/fuzz covers int and string columns, empty and
-// two-byte-length strings, zero rows, zero-width rows, a trace and a
-// query ID.
+// two-byte-length strings, zero rows, zero-width rows, a trace, a query
+// ID, and a trace chain whose every span claims more children than the
+// payload holds.
 func FuzzDecodeResult(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := bytes.Clone(data)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		m, err := DecodeResult(p)
-		runtime.ReadMemStats(&after)
-		// Rows cost a 32-byte value per column and a 24-byte slice
-		// header, a record at least a byte per column plus its length
-		// byte; the character data is copied twice at most.
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+64<<10 {
-			t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
-		}
+		var m *Result
+		var err error
+		decodeBounded(t, len(data), func() { m, err = DecodeResult(p) })
 		if err != nil {
 			return
 		}
@@ -38,6 +34,17 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("Encode(DecodeResult(%x)) = %x", data, enc)
 		}
 	})
+}
+
+// decodeBounded runs decode and fails t if it allocated more than a
+// decoder may for n payload bytes. Rows cost a 32-byte value per column
+// and a 24-byte slice header, a record at least a byte per column plus
+// its length byte, and character data is copied twice at most, so 64
+// bytes per payload byte and 64 KiB to spare bound every payload.
+func decodeBounded(t *testing.T, n int, decode func()) {
+	if grew := allocated(decode); grew > 64*uint64(n)+64<<10 {
+		t.Fatalf("decoding %d bytes allocated %d", n, grew)
+	}
 }
 
 // A roundTrip decodes one opcode's payload and re-encodes what it
@@ -51,8 +58,6 @@ var requestCodecs = map[MsgType]roundTrip{
 	MsgPing:    nil,
 	MsgLoad:    func(p []byte) ([]byte, error) { m, err := DecodeLoad(p); return m.Encode(), err },
 	MsgQuery:   func(p []byte) ([]byte, error) { m, err := DecodeQuery(p); return m.Encode(), err },
-	MsgPrepare: func(p []byte) ([]byte, error) { m, err := DecodePrepare(p); return m.Encode(), err },
-	MsgExecP:   func(p []byte) ([]byte, error) { m, err := DecodeExecP(p); return m.Encode(), err },
 	MsgRetract: func(p []byte) ([]byte, error) { m, err := DecodeRetract(p); return m.Encode(), err },
 	MsgStats:   nil,
 	MsgSlowlog: nil,
@@ -70,7 +75,6 @@ var replyCodecs = map[MsgType]roundTrip{
 		}
 		return m.Encode(), nil
 	},
-	MsgPrepared:     func(p []byte) ([]byte, error) { m, err := DecodePrepared(p); return m.Encode(), err },
 	MsgRetracted:    func(p []byte) ([]byte, error) { m, err := DecodeRetracted(p); return m.Encode(), err },
 	MsgStatsReply:   func(p []byte) ([]byte, error) { m, err := DecodeMetrics(p); return m.Encode(), err },
 	MsgSlowlogReply: func(p []byte) ([]byte, error) { m, err := DecodeSlowlog(p); return m.Encode(), err },
@@ -101,10 +105,10 @@ func TestOpcodeTables(t *testing.T) {
 
 // fuzzCodecs feeds a codec table untrusted bytes: the first byte is the
 // message type (one with no payload codec is skipped) and the rest is
-// the payload. No input panics a decoder, and whatever one accepts
-// re-encodes to the same bytes — so a decoder accepts no trailing byte,
-// unknown option bit, zero query ID or flag value an encoder does not
-// write.
+// the payload. No input panics a decoder or makes it allocate past
+// decodeBounded's bound, and whatever one accepts re-encodes to the same
+// bytes — so a decoder accepts no trailing byte, unknown option bit,
+// zero query ID or flag value an encoder does not write.
 func fuzzCodecs(f *testing.F, codecs map[MsgType]roundTrip) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || codecs[MsgType(data[0])] == nil {
@@ -112,7 +116,9 @@ func fuzzCodecs(f *testing.F, codecs map[MsgType]roundTrip) {
 		}
 		payload := data[1:]
 		p := bytes.Clone(payload)
-		enc, err := codecs[MsgType(data[0])](p)
+		var enc []byte
+		var err error
+		decodeBounded(t, len(payload), func() { enc, err = codecs[MsgType(data[0])](p) })
 		if err != nil {
 			return
 		}
@@ -125,14 +131,73 @@ func fuzzCodecs(f *testing.F, codecs map[MsgType]roundTrip) {
 	})
 }
 
-// FuzzDecodeRequest fuzzes the request decoders (LOAD, QUERY, PREPARE,
-// EXECP, RETRACT). The seed corpus under testdata/fuzz has one payload
-// per request form.
+// FuzzDecodeRequest fuzzes the request decoders (LOAD, QUERY, RETRACT).
+// The seed corpus under testdata/fuzz has one payload per request form.
 func FuzzDecodeRequest(f *testing.F) { fuzzCodecs(f, requestCodecs) }
 
-// FuzzDecodeReply fuzzes the reply decoders (ERROR, RESULT, PREPARED,
-// RETRACTED, STATSREPLY, SLOWLOGREPLY, VIEWSREPLY). The seed corpus
-// under testdata/fuzz has one payload per reply form other than
-// RESULT's, which FuzzDecodeResult seeds; the STATSREPLY seed is a
-// served registry snapshot, engine collectors and histograms included.
+// FuzzDecodeReply fuzzes the reply decoders (ERROR, RESULT, RETRACTED,
+// STATSREPLY, SLOWLOGREPLY, VIEWSREPLY). The seed corpus under
+// testdata/fuzz has one payload per reply form other than RESULT's,
+// which FuzzDecodeResult seeds; the STATSREPLY seed is a served registry
+// snapshot, engine collectors and histograms included.
 func FuzzDecodeReply(f *testing.F) { fuzzCodecs(f, replyCodecs) }
+
+// TestFuzzSeedsDecode holds the committed FuzzDecodeRequest and
+// FuzzDecodeReply seeds to the codec tables: each seed's first byte
+// names an opcode with a codec, and its payload decodes and re-encodes
+// to the same bytes. A fuzzer skips or rejects a seed whose opcode was
+// renumbered without a word, so such a seed fails here instead. Every
+// payload-carrying opcode has a seed, but RESULT, which FuzzDecodeResult
+// seeds.
+func TestFuzzSeedsDecode(t *testing.T) {
+	for _, b := range []struct {
+		fuzzer string
+		codecs map[MsgType]roundTrip
+	}{{"FuzzDecodeRequest", requestCodecs}, {"FuzzDecodeReply", replyCodecs}} {
+		paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", b.fuzzer, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeded := make(map[MsgType]bool)
+		for _, path := range paths {
+			data := readSeed(t, path)
+			if len(data) == 0 || b.codecs[MsgType(data[0])] == nil {
+				t.Errorf("%s: the first byte names no opcode with a codec", path)
+				continue
+			}
+			op, payload := MsgType(data[0]), data[1:]
+			enc, err := b.codecs[op](bytes.Clone(payload))
+			if err != nil {
+				t.Errorf("%s: the %v payload does not decode: %v", path, op, err)
+				continue
+			}
+			if !bytes.Equal(enc, payload) {
+				t.Errorf("%s: the %v payload re-encodes as %x", path, op, enc)
+			}
+			seeded[op] = true
+		}
+		for op, codec := range b.codecs {
+			if codec != nil && op != MsgResult && !seeded[op] {
+				t.Errorf("%s has no seed for %v", b.fuzzer, op)
+			}
+		}
+	}
+}
+
+// readSeed parses a corpus file holding one []byte value, in the format
+// go test -fuzz writes.
+func readSeed(t *testing.T, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, value, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+	lit, ok := strings.CutPrefix(value, "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	s, err := strconv.Unquote(lit)
+	if header != "go test fuzz v1" || !ok || !ok2 || err != nil {
+		t.Fatalf("%s: not a one-[]byte corpus file", path)
+	}
+	return []byte(s)
+}

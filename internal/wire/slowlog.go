@@ -21,10 +21,6 @@ type Slowlog struct {
 	Entries []obs.SlowQuery
 }
 
-// maxSlowlogEntries bounds the decoded entry count (the ring itself is
-// small; this only guards against corrupt frames).
-const maxSlowlogEntries = 1 << 16
-
 // Encode renders the payload.
 func (m Slowlog) Encode() []byte {
 	buf := binary.AppendVarint(nil, m.ThresholdNs)
@@ -56,7 +52,10 @@ func appendSlowQuery(buf []byte, e obs.SlowQuery) []byte {
 	return buf
 }
 
-// DecodeSlowlog parses a SLOWLOGREPLY payload.
+// DecodeSlowlog parses a SLOWLOGREPLY payload. A record takes at least
+// ten bytes (three strings' lengths, six integers and the trace flag), so
+// an entry count the payload cannot hold is refused before anything is
+// allocated.
 func DecodeSlowlog(p []byte) (Slowlog, error) {
 	var m Slowlog
 	var err error
@@ -74,7 +73,7 @@ func DecodeSlowlog(p []byte) (Slowlog, error) {
 	if err != nil {
 		return Slowlog{}, err
 	}
-	if n > maxSlowlogEntries || n > uint64(len(buf))+1 {
+	if n > uint64(len(buf))/10 {
 		return Slowlog{}, fmt.Errorf("wire: corrupt SLOWLOGREPLY entry count %d", n)
 	}
 	m.Entries = make([]obs.SlowQuery, 0, n)

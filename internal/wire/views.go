@@ -27,10 +27,6 @@ type Views struct {
 	Views []ViewInfo
 }
 
-// maxViewEntries bounds the decoded view count (the plan cache is
-// small; this only guards against corrupt frames).
-const maxViewEntries = 1 << 16
-
 // Encode renders the payload.
 func (m Views) Encode() []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(m.Views)))
@@ -45,14 +41,16 @@ func (m Views) Encode() []byte {
 	return buf
 }
 
-// DecodeViews parses a VIEWSREPLY payload.
+// DecodeViews parses a VIEWSREPLY payload. A view takes at least six
+// bytes (two strings' lengths and four integers), so a view count the
+// payload cannot hold is refused before anything is allocated.
 func DecodeViews(p []byte) (Views, error) {
 	var m Views
 	n, buf, err := readUvarint(p)
 	if err != nil {
 		return Views{}, err
 	}
-	if n > maxViewEntries || n > uint64(len(buf))+1 {
+	if n > uint64(len(buf))/6 {
 		return Views{}, fmt.Errorf("wire: corrupt VIEWSREPLY view count %d", n)
 	}
 	m.Views = make([]ViewInfo, 0, n)

@@ -11,8 +11,8 @@
 // behind its length — which the client decodes a block at a time through
 // rel.BlockDecoder, the decoder heap pages use. The
 // protocol is deliberately small — request types mirroring the
-// testbed's public operations (PING, LOAD, QUERY, PREPARE, EXECP,
-// RETRACT, STATS, SLOWLOG, VIEWS) and their replies — so that a session
+// testbed's public operations (PING, LOAD, QUERY, RETRACT, STATS,
+// SLOWLOG, VIEWS) and their replies — so that a session
 // is a strict request/response alternation over one TCP connection.
 //
 // Each end of a connection builds and reads frames in buffers it owns:
@@ -50,8 +50,6 @@ const (
 	MsgPing MsgType = iota + 1
 	MsgLoad
 	MsgQuery
-	MsgPrepare
-	MsgExecP
 	MsgRetract
 	MsgStats
 	MsgSlowlog
@@ -65,7 +63,6 @@ const (
 	MsgOK
 	MsgError
 	MsgResult
-	MsgPrepared
 	MsgRetracted
 	MsgStatsReply
 	MsgSlowlogReply
@@ -82,10 +79,6 @@ func (t MsgType) String() string {
 		return "LOAD"
 	case MsgQuery:
 		return "QUERY"
-	case MsgPrepare:
-		return "PREPARE"
-	case MsgExecP:
-		return "EXECP"
 	case MsgRetract:
 		return "RETRACT"
 	case MsgStats:
@@ -102,8 +95,6 @@ func (t MsgType) String() string {
 		return "ERROR"
 	case MsgResult:
 		return "RESULT"
-	case MsgPrepared:
-		return "PREPARED"
 	case MsgRetracted:
 		return "RETRACTED"
 	case MsgStatsReply:
@@ -216,22 +207,10 @@ func readVarint(buf []byte) (int64, []byte, error) {
 
 // --- Query options ---
 
-// QueryOpts is the wire form of dkbms.QueryOptions. Keep the two
-// structs in sync through FromOptions/ToOptions — they are the single
-// conversion point between the wire and the root API.
-type QueryOpts struct {
-	Naive      bool
-	NoOptimize bool
-	Adaptive   bool
-	Parallel   bool
-	// Trace requests the query's span tree in the RESULT frame.
-	Trace bool
-	// QueryID tags the request with a client-minted query ID (see
-	// obs.NewQueryID); the server stamps it into its log, trace and
-	// slow-query ring and echoes it in the RESULT frame. 0 (no ID) lets
-	// the server mint one — its echo tells the client what it was.
-	QueryID uint64
-}
+// QueryOpts are the options a QUERY carries: the root API's own
+// struct, whose bools travel as bits of the option byte and whose
+// QueryID trails the source.
+type QueryOpts = dkbms.QueryOptions
 
 const (
 	optNaive = 1 << iota
@@ -247,35 +226,7 @@ const (
 	optKnown = optNaive | optNoOptimize | optAdaptive | optParallel | optTrace | optQueryID
 )
 
-// FromOptions converts root-API query options to their wire form. A
-// nil input is the zero QueryOpts (the defaults).
-func FromOptions(o *dkbms.QueryOptions) QueryOpts {
-	if o == nil {
-		return QueryOpts{}
-	}
-	return QueryOpts{
-		Naive:      o.Naive,
-		NoOptimize: o.NoOptimize,
-		Adaptive:   o.Adaptive,
-		Parallel:   o.Parallel,
-		Trace:      o.Trace,
-		QueryID:    o.QueryID,
-	}
-}
-
-// ToOptions converts wire options back to the root-API form.
-func (o QueryOpts) ToOptions() *dkbms.QueryOptions {
-	return &dkbms.QueryOptions{
-		Naive:      o.Naive,
-		NoOptimize: o.NoOptimize,
-		Adaptive:   o.Adaptive,
-		Parallel:   o.Parallel,
-		Trace:      o.Trace,
-		QueryID:    o.QueryID,
-	}
-}
-
-func (o QueryOpts) encode() byte {
+func encodeOpts(o QueryOpts) byte {
 	var b byte
 	if o.Naive {
 		b |= optNaive
@@ -343,7 +294,7 @@ type Query struct {
 // Encode renders the payload: the option byte, the source, then (when
 // the optQueryID bit is set) the query-ID uvarint.
 func (m Query) Encode() []byte {
-	buf := appendString([]byte{m.Opts.encode()}, m.Src)
+	buf := appendString([]byte{encodeOpts(m.Opts)}, m.Src)
 	if m.Opts.QueryID != 0 {
 		buf = binary.AppendUvarint(buf, m.Opts.QueryID)
 	}
@@ -352,17 +303,11 @@ func (m Query) Encode() []byte {
 
 // DecodeQuery parses a QUERY payload.
 func DecodeQuery(p []byte) (Query, error) {
-	return decodeQuery(p, MsgQuery, optKnown)
-}
-
-// decodeQuery parses the QUERY payload layout, which PREPARE shares;
-// allowed is the set of option bits message t may carry.
-func decodeQuery(p []byte, t MsgType, allowed byte) (Query, error) {
 	if len(p) < 1 {
-		return Query{}, fmt.Errorf("wire: empty %s payload", t)
+		return Query{}, fmt.Errorf("wire: empty QUERY payload")
 	}
-	if p[0]&^allowed != 0 {
-		return Query{}, fmt.Errorf("wire: unknown %s options %#x", t, p[0])
+	if p[0]&^optKnown != 0 {
+		return Query{}, fmt.Errorf("wire: unknown QUERY options %#x", p[0])
 	}
 	src, rest, err := readString(p[1:])
 	m := Query{Src: src, Opts: decodeOpts(p[0])}
@@ -374,65 +319,10 @@ func decodeQuery(p []byte, t MsgType, allowed byte) (Query, error) {
 			return m, err
 		}
 		if m.Opts.QueryID == 0 {
-			return m, fmt.Errorf("wire: %s flags a zero query ID", t)
+			return m, fmt.Errorf("wire: QUERY flags a zero query ID")
 		}
 	}
-	return m, trailing(rest, t)
-}
-
-// Prepare is the PREPARE request: compile a query for repeated EXECP.
-// A query ID tags one execution, so it travels with each EXECP, not
-// here: Opts.QueryID is not sent.
-type Prepare struct {
-	Src  string
-	Opts QueryOpts
-}
-
-// Encode renders the payload: the option byte and the source.
-func (m Prepare) Encode() []byte {
-	return appendString([]byte{m.Opts.encode() &^ optQueryID}, m.Src)
-}
-
-// DecodePrepare parses a PREPARE payload, which carries no query ID.
-func DecodePrepare(p []byte) (Prepare, error) {
-	q, err := decodeQuery(p, MsgPrepare, optKnown&^optQueryID)
-	return Prepare{Src: q.Src, Opts: q.Opts}, err
-}
-
-// ExecP is the EXECP request: run a prepared query by session-local id.
-type ExecP struct {
-	ID uint64
-	// QueryID tags this execution (0 = none; the server mints one).
-	// Trailing field, omitted when 0.
-	QueryID uint64
-}
-
-// Encode renders the payload.
-func (m ExecP) Encode() []byte {
-	buf := binary.AppendUvarint(nil, m.ID)
-	if m.QueryID != 0 {
-		buf = binary.AppendUvarint(buf, m.QueryID)
-	}
-	return buf
-}
-
-// DecodeExecP parses an EXECP payload. A payload that ends at the
-// statement id has query ID 0; a query ID that is sent is not 0.
-func DecodeExecP(p []byte) (ExecP, error) {
-	id, rest, err := readUvarint(p)
-	if err != nil {
-		return ExecP{}, err
-	}
-	m := ExecP{ID: id}
-	if len(rest) > 0 {
-		if m.QueryID, rest, err = readUvarint(rest); err != nil {
-			return m, err
-		}
-		if m.QueryID == 0 {
-			return m, fmt.Errorf("wire: EXECP sends a zero query ID")
-		}
-	}
-	return m, trailing(rest, MsgExecP)
+	return m, trailing(rest, MsgQuery)
 }
 
 // Retract is the RETRACT request: delete facts matching a pattern atom.
@@ -542,32 +432,6 @@ type codedError struct {
 func (e *codedError) Error() string { return e.msg }
 func (e *codedError) Unwrap() error { return e.sentinel }
 
-// Prepared is the PREPARED reply: the session-local id of a prepared
-// query and the rule-base generation it was compiled at.
-type Prepared struct {
-	ID         uint64
-	Generation uint64
-}
-
-// Encode renders the payload.
-func (m Prepared) Encode() []byte {
-	buf := binary.AppendUvarint(nil, m.ID)
-	return binary.AppendUvarint(buf, m.Generation)
-}
-
-// DecodePrepared parses a PREPARED payload.
-func DecodePrepared(p []byte) (Prepared, error) {
-	id, rest, err := readUvarint(p)
-	if err != nil {
-		return Prepared{}, err
-	}
-	gen, rest, err := readUvarint(rest)
-	if err == nil {
-		err = trailing(rest, MsgPrepared)
-	}
-	return Prepared{ID: id, Generation: gen}, err
-}
-
 // Retracted is the RETRACTED reply: how many facts were removed.
 type Retracted struct{ N int64 }
 
@@ -646,10 +510,16 @@ func (m Result) Append(buf []byte) []byte {
 // Span-tree wire limits: a decoded trace may not nest deeper than
 // maxSpanDepth or carry more than maxSpanNodes spans, bounding the
 // recursion and allocation a hostile peer can force (the frame length
-// itself is already bounded by MaxFrameSize).
+// itself is already bounded by MaxFrameSize). A span takes at least
+// minSpanBytes on the wire (empty name, zero duration and offset, no
+// attributes, no children) and an attribute at least minAttrBytes
+// (empty key, int tag, zero), so counts the bytes left cannot hold are
+// refused before anything is allocated.
 const (
 	maxSpanDepth = 64
 	maxSpanNodes = 1 << 20
+	minSpanBytes = 5
+	minAttrBytes = 3
 )
 
 func appendSpan(buf []byte, s *obs.Span) []byte {
@@ -701,7 +571,7 @@ func readSpan(buf []byte, depth int, nodes *int) (*obs.Span, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if nattrs > uint64(len(buf)) {
+	if nattrs > uint64(len(buf)/minAttrBytes) {
 		return nil, nil, fmt.Errorf("wire: corrupt trace attr count")
 	}
 	s.Attrs = make([]obs.Attr, nattrs)
@@ -733,10 +603,12 @@ func readSpan(buf []byte, depth int, nodes *int) (*obs.Span, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if nkids > uint64(len(buf)) {
+	if nkids > uint64(len(buf)/minSpanBytes) {
 		return nil, nil, fmt.Errorf("wire: corrupt trace child count")
 	}
-	s.Children = make([]*obs.Span, 0, nkids)
+	// Children grow as they decode: every level of a chain claims against
+	// the same bytes, so sizing each level by its claim would multiply
+	// them by the depth.
 	for i := uint64(0); i < nkids; i++ {
 		var c *obs.Span
 		if c, buf, err = readSpan(buf, depth+1, nodes); err != nil {

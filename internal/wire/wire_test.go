@@ -84,17 +84,9 @@ func TestMessageRoundTrips(t *testing.T) {
 	if err != nil || q.Src != "?- a(X)." || q.Opts != opts {
 		t.Fatalf("query round trip: %+v %v", q, err)
 	}
-	p, err := DecodePrepare(Prepare{Src: "?- b(Y).", Opts: opts}.Encode())
-	if err != nil || p.Src != "?- b(Y)." || p.Opts != opts {
-		t.Fatalf("prepare round trip: %+v %v", p, err)
-	}
 	l, err := DecodeLoad(Load{Src: "a(1)."}.Encode())
 	if err != nil || l.Src != "a(1)." {
 		t.Fatalf("load round trip: %+v %v", l, err)
-	}
-	e, err := DecodeExecP(ExecP{ID: 42}.Encode())
-	if err != nil || e.ID != 42 {
-		t.Fatalf("execp round trip: %+v %v", e, err)
 	}
 	r, err := DecodeRetract(Retract{Pattern: "a(1, X)"}.Encode())
 	if err != nil || r.Pattern != "a(1, X)" {
@@ -107,10 +99,6 @@ func TestMessageRoundTrips(t *testing.T) {
 	ee, err := DecodeError(Error{Msg: "boom"}.Encode())
 	if err != nil || ee.Msg != "boom" {
 		t.Fatalf("error round trip: %+v %v", ee, err)
-	}
-	pr, err := DecodePrepared(Prepared{ID: 7, Generation: 9}.Encode())
-	if err != nil || pr.ID != 7 || pr.Generation != 9 {
-		t.Fatalf("prepared round trip: %+v %v", pr, err)
 	}
 }
 
@@ -181,8 +169,8 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 // TestResultHeaderBound sends RESULT headers that claim far more rows ×
-// columns than their bytes can hold: each is refused before a value slab
-// is allocated for the claim.
+// columns, or trace spans, than their bytes can hold: each is refused
+// before anything is allocated for the claim.
 func TestResultHeaderBound(t *testing.T) {
 	pad := func(p []byte) []byte { return append(p, make([]byte, 16-len(p))...) }
 	var claims [][]byte
@@ -192,18 +180,41 @@ func TestResultHeaderBound(t *testing.T) {
 	claims = append(claims, pad(binary.AppendUvarint([]byte{0, 0, 0, 1, byte(rel.TypeInt)}, 1<<20)))
 	// Zero-width rows, 2^20 of them.
 	claims = append(claims, pad(binary.AppendUvarint([]byte{0, 0, 0, 0}, 1<<20)))
+	// A trace 60 spans deep, every span claiming 2^16 children, in 66 KB.
+	claims = append(claims, traceChain(60, 1<<16))
 	for _, p := range claims {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		_, err := DecodeResult(p)
-		runtime.ReadMemStats(&after)
+		var err error
+		grew := allocated(func() { _, err = DecodeResult(p) })
 		if err == nil {
 			t.Fatalf("DecodeResult(%x) accepted", p)
 		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		if grew >= 64<<10 {
 			t.Fatalf("DecodeResult(%x) allocated %d bytes before failing", p, grew)
 		}
 	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// traceChain is a RESULT payload whose trace is a chain levels spans
+// deep in which every span claims kids children, followed by kids zero
+// bytes, so the bytes left at every level cover the claim counted as
+// bytes but not as spans.
+func traceChain(levels int, kids uint64) []byte {
+	p := Result{}.Encode()
+	p[0] |= resultTrace
+	for i := 0; i < levels; i++ {
+		p = append(p, 0, 0, 0, 0) // name, duration, offset, attribute count
+		p = binary.AppendUvarint(p, kids)
+	}
+	return append(p, make([]byte, kids)...)
 }
 
 // TestDecodeResultAllocs pins the decode of a one-column RESULT to a
@@ -230,35 +241,26 @@ func TestDecodeResultAllocs(t *testing.T) {
 	}
 }
 
-// TestQueryOptsRoundTrip drives every combination of the option bools
-// through both conversion paths: root API ↔ wire struct, and wire
-// struct ↔ option byte. If a field is added to one side but not the
-// other, some combination here diverges.
+// TestQueryOptsRoundTrip drives every combination of the options, a
+// query ID or none included, through a QUERY frame. If a field is added
+// to QueryOptions without its option bit, some combination here
+// diverges.
 func TestQueryOptsRoundTrip(t *testing.T) {
-	for bits := 0; bits < 1<<5; bits++ {
-		o := &dkbms.QueryOptions{
+	for bits := 0; bits < 1<<6; bits++ {
+		o := QueryOpts{
 			Naive:      bits&1 != 0,
 			NoOptimize: bits&2 != 0,
 			Adaptive:   bits&4 != 0,
 			Parallel:   bits&8 != 0,
 			Trace:      bits&16 != 0,
 		}
-		w := FromOptions(o)
-		back := w.ToOptions()
-		if *back != *o {
-			t.Errorf("bits %05b: FromOptions/ToOptions: got %+v, want %+v", bits, *back, *o)
+		if bits&32 != 0 {
+			o.QueryID = 1 << 40
 		}
-		if got := decodeOpts(w.encode()); got != w {
-			t.Errorf("bits %05b: encode/decodeOpts: got %+v, want %+v", bits, got, w)
+		q, err := DecodeQuery(Query{Src: "?- p(X).", Opts: o}.Encode())
+		if err != nil || q.Opts != o || q.Src != "?- p(X)." {
+			t.Errorf("bits %06b: query frame: %+v %v, want %+v", bits, q, err, o)
 		}
-		// The full QUERY frame must carry the bits too.
-		q, err := DecodeQuery(Query{Src: "?- p(X).", Opts: w}.Encode())
-		if err != nil || q.Opts != w {
-			t.Errorf("bits %05b: query frame: %+v %v", bits, q.Opts, err)
-		}
-	}
-	if FromOptions(nil) != (QueryOpts{}) {
-		t.Errorf("FromOptions(nil) = %+v, want zero", FromOptions(nil))
 	}
 }
 
@@ -443,9 +445,7 @@ func TestDecodeCorrupt(t *testing.T) {
 
 	// Every message carries every field it declares, so each proper
 	// prefix of a valid payload is truncated, whichever field it stops
-	// in. DecodeExecP is exempt: ExecP's query ID is omitted when it is
-	// 0, so its payload cut before the ID is the valid encoding of the
-	// same statement id without one.
+	// in.
 	tr := &obs.Span{Name: "query", Duration: time.Millisecond, Attrs: []obs.Attr{{Key: "n", Int: 300}, {Key: "s", IsStr: true, Str: "v"}},
 		Children: []*obs.Span{{Name: "eval", Offset: time.Microsecond}}}
 	res := Result{
@@ -472,10 +472,8 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"RESULT with no rows", Result{Vars: []string{"X"}, Strategy: "naive"}.Encode(), decodeErr(DecodeResult)},
 		{"QUERY", Query{Src: "?- a(X).", Opts: QueryOpts{Naive: true}}.Encode(), decodeErr(DecodeQuery)},
 		{"QUERY+query ID", Query{Src: "?- a(X).", Opts: QueryOpts{QueryID: 1 << 40}}.Encode(), decodeErr(DecodeQuery)},
-		{"PREPARE", Prepare{Src: "?- b(Y).", Opts: QueryOpts{Trace: true}}.Encode(), decodeErr(DecodePrepare)},
 		{"LOAD", Load{Src: "a(1)."}.Encode(), decodeErr(DecodeLoad)},
 		{"RETRACT", Retract{Pattern: "a(1, X)"}.Encode(), decodeErr(DecodeRetract)},
-		{"PREPARED", Prepared{ID: 300, Generation: 70000}.Encode(), decodeErr(DecodePrepared)},
 		{"ERROR", Error{Code: CodeParse, Msg: "boom"}.Encode(), decodeErr(DecodeError)},
 		{"RETRACTED", Retracted{N: -300}.Encode(), decodeErr(DecodeRetracted)},
 		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Policy: "auto", Rows: 300, LastMaintain: time.Second}}}.Encode(), decodeErr(DecodeViews)},
@@ -501,11 +499,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"LOAD", Load{Src: "a(1)."}.Encode(), decodeErr(DecodeLoad)},
 		{"QUERY", Query{Src: "?- a(X)."}.Encode(), decodeErr(DecodeQuery)},
 		{"QUERY+query ID", Query{Src: "?- a(X).", Opts: QueryOpts{QueryID: 5}}.Encode(), decodeErr(DecodeQuery)},
-		{"PREPARE", Prepare{Src: "?- b(Y)."}.Encode(), decodeErr(DecodePrepare)},
-		{"EXECP", ExecP{ID: 3}.Encode(), decodeErr(DecodeExecP)},
-		{"EXECP+query ID", ExecP{ID: 3, QueryID: 5}.Encode(), decodeErr(DecodeExecP)},
 		{"RETRACT", Retract{Pattern: "a(1, X)"}.Encode(), decodeErr(DecodeRetract)},
-		{"PREPARED", Prepared{ID: 300, Generation: 7}.Encode(), decodeErr(DecodePrepared)},
 		{"ERROR", Error{Code: CodeParse, Msg: "boom"}.Encode(), decodeErr(DecodeError)},
 		{"RETRACTED", Retracted{N: 3}.Encode(), decodeErr(DecodeRetracted)},
 		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Policy: "auto"}}}.Encode(), decodeErr(DecodeViews)},
@@ -530,10 +524,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		decode  func([]byte) error
 	}{
 		{"QUERY with an unknown option", append([]byte{0x80}, Load{Src: "?- a(X)."}.Encode()...), decodeErr(DecodeQuery)},
-		{"PREPARE with an unknown option", append([]byte{0x40}, Load{Src: "?- a(X)."}.Encode()...), decodeErr(DecodePrepare)},
 		{"QUERY flagging a zero query ID", append(append([]byte{optQueryID}, Load{Src: "?- a(X)."}.Encode()...), 0), decodeErr(DecodeQuery)},
-		{"PREPARE with a query ID", Query{Src: "?- a(X).", Opts: QueryOpts{QueryID: 5}}.Encode(), decodeErr(DecodePrepare)},
-		{"EXECP sending a zero query ID", []byte{3, 0}, decodeErr(DecodeExecP)},
 		{"SLOWLOG with a trace flag of 2", badFlag, decodeErr(DecodeSlowlog)},
 		{"STATSREPLY with an unknown metric kind", badKind, decodeErr(DecodeMetrics)},
 		{"STATSREPLY with a kind no encoder numbers", Metrics{{Name: "x", Kind: "summary"}}.Encode(), decodeErr(DecodeMetrics)},
@@ -541,6 +532,27 @@ func TestDecodeCorrupt(t *testing.T) {
 	} {
 		if c.decode(c.payload) == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	// A 64 KiB payload of zeros behind an entry count of 2^16: the bytes
+	// cannot hold that many records or views, so the count is refused
+	// before the entries are allocated.
+	zeros := make([]byte, 64<<10)
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"SLOWLOG counting 2^16 entries in 64 KiB", append(binary.AppendUvarint([]byte{0, 0, 0}, 1<<16), zeros...), decodeErr(DecodeSlowlog)},
+		{"VIEWS counting 2^16 views in 64 KiB", append(binary.AppendUvarint(nil, 1<<16), zeros...), decodeErr(DecodeViews)},
+	} {
+		var err error
+		grew := allocated(func() { err = c.decode(c.payload) })
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if grew >= 64<<10 {
+			t.Errorf("%s: allocated %d bytes before failing", c.name, grew)
 		}
 	}
 }
@@ -615,7 +627,7 @@ func TestDecodeSlowlogCorrupt(t *testing.T) {
 }
 
 // TestQueryIDRoundTrip drives the wire-propagated query ID through the
-// QUERY, EXECP and RESULT frames, and checks an ID-less frame carries no
+// QUERY and RESULT frames, and checks an ID-less frame carries no
 // ID bytes or bits.
 func TestQueryIDRoundTrip(t *testing.T) {
 	const qid = 0xdeadbeefcafe
@@ -629,25 +641,6 @@ func TestQueryIDRoundTrip(t *testing.T) {
 	plain := Query{Src: "?- a(X)."}.Encode()
 	if plain[0] != 0 || len(plain) != 1+1+len("?- a(X).") {
 		t.Fatalf("ID-less QUERY grew: flags=%x len=%d", plain[0], len(plain))
-	}
-
-	// PREPARE: the ID belongs to each EXECP, so a prepare sends none.
-	p, err := DecodePrepare(Prepare{Src: "?- a(X).", Opts: QueryOpts{Trace: true, QueryID: 7}}.Encode())
-	if err != nil || p.Opts != (QueryOpts{Trace: true}) || p.Src != "?- a(X)." {
-		t.Fatalf("prepare with id: %+v %v", p, err)
-	}
-
-	// EXECP: the ID is a trailing field, omitted when 0.
-	e, err := DecodeExecP(ExecP{ID: 9, QueryID: qid}.Encode())
-	if err != nil || e.ID != 9 || e.QueryID != qid {
-		t.Fatalf("execp with id: %+v %v", e, err)
-	}
-	old, err := DecodeExecP(ExecP{ID: 9}.Encode())
-	if err != nil || old.ID != 9 || old.QueryID != 0 {
-		t.Fatalf("ID-less execp: %+v %v", old, err)
-	}
-	if len(ExecP{ID: 9}.Encode()) != 1 {
-		t.Fatalf("ID-less EXECP grew: %d bytes", len(ExecP{ID: 9}.Encode()))
 	}
 
 	// RESULT: the server echoes the ID behind a flags bit.

@@ -1,59 +1,61 @@
 package dkbms
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
 )
 
-// familyStmt prepares ?- ancestor(john, W). over the family D/KB on a
-// ConcurrentTestbed.
-func familyStmt(t *testing.T) (*ConcurrentTestbed, *ConcurrentPrepared) {
+// The tests here follow a query text the shared plan cache prepares once
+// (the paper's precompiled query): compiled on its first run, served from
+// the memo or maintained while facts move, recompiled only when the rules
+// change.
+
+// familyTestbed is a ConcurrentTestbed over the family D/KB.
+func familyTestbed(t *testing.T) *ConcurrentTestbed {
 	t.Helper()
 	c := NewConcurrent(NewMemory())
 	t.Cleanup(func() { c.Close() })
 	if err := c.Load(familyKB); err != nil {
 		t.Fatal(err)
 	}
-	stmt, err := c.Prepare("?- ancestor(john, W).", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, stmt
+	return c
 }
 
-const familyAnswer = "ann;bob;lea;mary;tom"
+const (
+	familyQuery  = "?- ancestor(john, W)."
+	familyAnswer = "ann;bob;lea;mary;tom"
+)
 
 func TestPreparedQueryReuse(t *testing.T) {
-	c, stmt := familyStmt(t)
-	runPrepared(t, stmt, "plan", familyAnswer)
+	c := familyTestbed(t)
+	queryCache(t, c, familyQuery, "miss", familyAnswer)
 	for i := 0; i < 2; i++ {
-		runPrepared(t, stmt, "result", familyAnswer)
+		queryCache(t, c, familyQuery, "result", familyAnswer)
 	}
 	if st := c.PlanStats(); st.Misses != 1 {
-		t.Fatalf("compilations = %d after repeated runs, want 1", st.Misses)
+		t.Fatalf("compilations = %d after repeated queries, want 1", st.Misses)
 	}
 }
 
 func TestPreparedSeesNewFacts(t *testing.T) {
 	// Appending facts to an existing relation must NOT recompile the
-	// program but MUST be visible to the next Run.
-	c, stmt := familyStmt(t)
-	runPrepared(t, stmt, "plan", familyAnswer)
+	// program but MUST be visible to the next query.
+	c := familyTestbed(t)
+	queryCache(t, c, familyQuery, "miss", familyAnswer)
 	if err := c.Load("parent(lea, zoe)."); err != nil {
 		t.Fatal(err)
 	}
-	runPrepared(t, stmt, "maintained", familyAnswer+";zoe")
+	queryCache(t, c, familyQuery, "maintained", familyAnswer+";zoe")
 	if st := c.PlanStats(); st.Misses != 1 {
 		t.Fatalf("compilations = %d after a fact append, want 1", st.Misses)
 	}
 }
 
 func TestPreparedInvalidatedByRuleChange(t *testing.T) {
-	c, stmt := familyStmt(t)
-	runPrepared(t, stmt, "plan", familyAnswer)
+	c := familyTestbed(t)
+	queryCache(t, c, familyQuery, "miss", familyAnswer)
 	// A new rule extends ancestor through marriage.
 	if err := c.Load(`
 married(john, jane).
@@ -62,24 +64,21 @@ ancestor(X, Y) :- married(X, Z), parent(Z, Y).
 `); err != nil {
 		t.Fatal(err)
 	}
-	res, err := stmt.Run(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := queryCache(t, c, familyQuery, "miss", familyAnswer)
 	// john's descendants unchanged (jane has no separate children) but
 	// the program recompiled against 3 rules.
-	if res.Cache != "miss" || rowsKey(res) != familyAnswer || res.Compile.RelevantRules != 3 {
-		t.Fatalf("after the rule load: cache %q, rows %s, R_r = %d", res.Cache, rowsKey(res), res.Compile.RelevantRules)
+	if res.Compile.RelevantRules != 3 {
+		t.Fatalf("after the rule load: R_r = %d, want 3", res.Compile.RelevantRules)
 	}
 }
 
 func TestPreparedInvalidatedByUpdate(t *testing.T) {
-	c, stmt := familyStmt(t)
-	runPrepared(t, stmt, "plan", familyAnswer)
+	c := familyTestbed(t)
+	queryCache(t, c, familyQuery, "miss", familyAnswer)
 	if _, err := c.Update(); err != nil {
 		t.Fatal(err)
 	}
-	runPrepared(t, stmt, "miss", familyAnswer)
+	queryCache(t, c, familyQuery, "miss", familyAnswer)
 }
 
 func TestPreparedInvalidatedByNewFactRelation(t *testing.T) {
@@ -94,99 +93,88 @@ knows(X, Y) :- friend(X, Y).
 `); err != nil {
 		t.Fatal(err)
 	}
-	stmt, err := c.Prepare("?- knows(ann, W).", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runPrepared(t, stmt, "plan", "carl")
+	const q = "?- knows(ann, W)."
+	queryCache(t, c, q, "miss", "carl")
 	if err := c.Load("knows(ann, bob)."); err != nil { // first fact for knows: new relation
 		t.Fatal(err)
 	}
-	runPrepared(t, stmt, "miss", "bob;carl")
+	queryCache(t, c, q, "miss", "bob;carl")
 }
 
 func TestPreparedParseError(t *testing.T) {
-	c, _ := familyStmt(t)
-	if _, err := c.Prepare("?- nonsense(", nil); !errors.Is(err, ErrParse) {
+	c := familyTestbed(t)
+	if _, err := c.Query("?- nonsense(", nil); !errors.Is(err, ErrParse) {
 		t.Fatalf("bad query: err = %v, want ErrParse", err)
+	}
+	if st := c.PlanStats(); st.Entries != 0 {
+		t.Fatalf("a text that does not parse was cached: %+v", st)
 	}
 }
 
-// runPrepared runs a ConcurrentPrepared and checks how the plan cache
-// served it and what it answered.
-func runPrepared(t *testing.T, stmt *ConcurrentPrepared, wantCache, wantRows string) {
+// queryCache queries src and checks how the plan cache served it and
+// what it answered.
+func queryCache(t *testing.T, c *ConcurrentTestbed, src, wantCache, wantRows string) *QueryResult {
 	t.Helper()
-	res, err := stmt.Run(context.Background(), 0)
+	res, err := c.Query(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cache != wantCache {
-		t.Fatalf("cache = %q, want %q", res.Cache, wantCache)
+		t.Fatalf("%s: cache = %q, want %q", src, res.Cache, wantCache)
 	}
 	if got := rowsKey(res); got != wantRows {
-		t.Fatalf("rows = %s, want %s", got, wantRows)
+		t.Fatalf("%s: rows = %s, want %s", src, got, wantRows)
 	}
+	return res
 }
 
-// TestConcurrentPreparedCache: a prepared statement holds no program of
-// its own — its runs are memoized, invalidated and recompiled by the
-// shared plan cache exactly as the same text queried directly.
-func TestConcurrentPreparedCache(t *testing.T) {
+// TestConcurrentQueryCache: a query text is compiled once, its answer
+// memoized, and a rule change costs one recompile before the answer is
+// memoized again.
+func TestConcurrentQueryCache(t *testing.T) {
 	c := newCachedTestbed(t)
-	stmt, err := c.Prepare("?- ancestor(a, X).", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const q = "?- ancestor(a, X)."
+	queryCache(t, c, q, "miss", "b;c")
 	if st := c.PlanStats(); st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("after Prepare: %+v, want the one compilation cached", st)
+		t.Fatalf("after the first query: %+v, want the one compilation cached", st)
 	}
-	// Unchanged D/KB: Prepare's program, then the first run's answer.
-	runPrepared(t, stmt, "plan", "b;c")
-	runPrepared(t, stmt, "result", "b;c")
-	if res, err := c.Query("?- ancestor(a, X).", nil); err != nil || res.Cache != "result" {
-		t.Fatalf("the statement's text queried directly: cache %q, %v", res.Cache, err)
-	}
+	queryCache(t, c, q, "result", "b;c")
 	// A rule change outdates the program: one recompile, then memoized.
 	if err := c.Load("ancestor(X, Y) :- parent(Y, X)."); err != nil {
 		t.Fatal(err)
 	}
-	runPrepared(t, stmt, "miss", "a;b;c")
-	runPrepared(t, stmt, "result", "a;b;c")
+	queryCache(t, c, q, "miss", "a;b;c")
+	queryCache(t, c, q, "result", "a;b;c")
 	if st := c.PlanStats(); st.Misses != 2 {
 		t.Fatalf("after the rule load: %+v, want 2 misses", st)
 	}
 }
 
-// TestConcurrentPreparedEvicted: when the LRU evicts a statement's
-// entry, its next run recompiles and still answers correctly.
-func TestConcurrentPreparedEvicted(t *testing.T) {
+// TestConcurrentQueryEvicted: when the LRU evicts a text's entry, its
+// next query recompiles and still answers correctly.
+func TestConcurrentQueryEvicted(t *testing.T) {
 	c := newCachedTestbedWith(t, ConcurrentOptions{PlanCacheEntries: 2})
-	stmt, err := c.Prepare("?- ancestor(a, X).", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const q = "?- ancestor(a, X)."
+	queryCache(t, c, q, "miss", "b;c")
 	queryRows(t, c, "?- ancestor(b, X).")
 	queryRows(t, c, "?- parent(a, X).")
 	misses := c.PlanStats().Misses
-	runPrepared(t, stmt, "miss", "b;c")
-	runPrepared(t, stmt, "result", "b;c")
+	queryCache(t, c, q, "miss", "b;c")
+	queryCache(t, c, q, "result", "b;c")
 	if got := c.PlanStats().Misses; got != misses+1 {
-		t.Fatalf("evicted statement: misses %d -> %d, want one recompile", misses, got)
+		t.Fatalf("evicted text: misses %d -> %d, want one recompile", misses, got)
 	}
 }
 
-// TestConcurrentPreparedStorm shares one statement among 8 goroutines
-// while a writer loads and retracts edges of the relation it reads.
-// Every answer — memoized, maintained or evaluated — must be the closure
-// at the snapshot it reports; the single writer records that closure
+// TestConcurrentQueryStorm has 8 goroutines query one text while a
+// writer loads and retracts edges of the relation it reads. Every
+// answer — memoized, maintained or evaluated — must be the closure at
+// the snapshot it reports; the single writer records that closure
 // commit by commit. Run with -race.
-func TestConcurrentPreparedStorm(t *testing.T) {
+func TestConcurrentQueryStorm(t *testing.T) {
 	const readers, rounds = 8, 40
+	const q = "?- ancestor(a, X)."
 	c := newCachedTestbedWith(t, ConcurrentOptions{MaintenancePolicy: MaintIncremental})
-	stmt, err := c.Prepare("?- ancestor(a, X).", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Written by the writer goroutine only, read after it has stopped.
 	wantAt := map[uint64]string{c.SnapshotStats().Gen: "b;c"}
 	done := make(chan struct{})
@@ -221,10 +209,10 @@ func TestConcurrentPreparedStorm(t *testing.T) {
 			for stop := false; !stop; {
 				select {
 				case <-done:
-					stop = true // one last run, against the final state
+					stop = true // one last query, against the final state
 				default:
 				}
-				res, err := stmt.Run(context.Background(), 0)
+				res, err := c.Query(q, nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -1,7 +1,6 @@
 package dkbms
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -280,12 +279,12 @@ func TestRandomProgramsAgainstReference(t *testing.T) {
 
 // maintainedAgainstReference runs one random program on a pooled
 // ConcurrentTestbed, Parallel off and on (so independent cliques really
-// run as a wavefront on the pool), by text and through a prepared
-// statement, then loads one random fact and retracts one, both on base
-// relations the query depends on: after each commit both memoized
-// answers must be served as maintained on either route — the fixpoint
-// driver absorbing the insert, then finding the deletion candidates —
-// and equal the reference on the updated fact set.
+// run as a wavefront on the pool), cold and re-queried, then loads one
+// random fact and retracts one, both on base relations the query
+// depends on: after each commit both memoized answers must be served as
+// maintained — the fixpoint driver absorbing the insert, then finding
+// the deletion candidates — and equal the reference on the updated fact
+// set.
 func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []dlog.Clause, facts map[string][]rel.Tuple, q dlog.Query) {
 	t.Helper()
 	tb := NewMemory()
@@ -326,55 +325,33 @@ func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []d
 	for pred, ts := range facts {
 		now[pred] = append([]rel.Tuple(nil), ts...)
 	}
-	// Each answer is asked for by text and, once prepared below, through
-	// the statement: the two routes must agree with the reference and
-	// with each other on how the plan cache served them.
-	type route struct {
-		name string
-		run  func() (*QueryResult, error)
-	}
-	stmts := make(map[bool]*ConcurrentPrepared)
 	check := func(step string, wantCache string) {
 		t.Helper()
 		want := refAnswer(q, rules, now)
 		for _, par := range []bool{false, true} {
-			routes := []route{{"query", func() (*QueryResult, error) { return c.Query(q.String(), &QueryOptions{Parallel: par}) }}}
-			if stmt := stmts[par]; stmt != nil {
-				routes = append(routes, route{"prepared", func() (*QueryResult, error) { return stmt.Run(context.Background(), 0) }})
+			res, err := c.Query(q.String(), &QueryOptions{Parallel: par})
+			if err != nil {
+				t.Fatalf("trial %d %s parallel=%v: %v\nprogram:\n%s\nquery: %s",
+					trial, step, par, err, programText(rules), q.String())
 			}
-			for _, route := range routes {
-				res, err := route.run()
-				if err != nil {
-					t.Fatalf("trial %d %s %s parallel=%v: %v\nprogram:\n%s\nquery: %s",
-						trial, step, route.name, par, err, programText(rules), q.String())
-				}
-				if wantCache != "" && res.Cache != wantCache {
-					t.Fatalf("trial %d %s %s parallel=%v: cache=%q, want %q\nprogram:\n%s\nquery: %s",
-						trial, step, route.name, par, res.Cache, wantCache, programText(rules), q.String())
-				}
-				if got := rowSet(res.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
-					t.Fatalf("trial %d %s %s parallel=%v: engine disagrees with reference\nprogram:\n%s\nquery: %s\n got: %v\nwant: %v",
-						trial, step, route.name, par, programText(rules), q.String(), got, want)
-				}
+			if wantCache != "" && res.Cache != wantCache {
+				t.Fatalf("trial %d %s parallel=%v: cache=%q, want %q\nprogram:\n%s\nquery: %s",
+					trial, step, par, res.Cache, wantCache, programText(rules), q.String())
+			}
+			if got := rowSet(res.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
+				t.Fatalf("trial %d %s parallel=%v: engine disagrees with reference\nprogram:\n%s\nquery: %s\n got: %v\nwant: %v",
+					trial, step, par, programText(rules), q.String(), got, want)
 			}
 		}
 	}
 	check("cold", "")
 
-	// Preparing a text some reader already queried compiles nothing.
+	// Re-querying the same text compiles nothing and serves the memo.
 	misses := c.PlanStats().Misses
-	for _, par := range []bool{false, true} {
-		stmt, err := c.Prepare(q.String(), &QueryOptions{Parallel: par})
-		if err != nil {
-			t.Fatalf("trial %d prepare parallel=%v: %v\nprogram:\n%s\nquery: %s",
-				trial, par, err, programText(rules), q.String())
-		}
-		stmts[par] = stmt
-	}
+	check("requery", "result")
 	if got := c.PlanStats().Misses; got != misses {
-		t.Fatalf("trial %d: preparing an already-queried text compiled (misses %d -> %d)", trial, misses, got)
+		t.Fatalf("trial %d: re-querying the same text compiled (misses %d -> %d)", trial, misses, got)
 	}
-	check("prepared", "result")
 
 	consts := []string{"a", "b", "c", "d", "g", "h", "k"}
 	pred := bases[r.Intn(len(bases))]

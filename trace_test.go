@@ -252,14 +252,6 @@ func TestConcurrentQueryContextCancel(t *testing.T) {
 	if _, err := ctb.QueryContext(ctx, "?- ancestor(a, W).", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled concurrent query: %v", err)
 	}
-	// A prepared run observes its context like a text query does.
-	stmt, err := ctb.Prepare("?- ancestor(a, W).", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stmt.Run(ctx, 0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled prepared run: %v", err)
-	}
 	if res, err := ctb.Query("?- ancestor(a, W).", nil); err != nil || len(res.Rows) != 1 {
 		t.Fatalf("concurrent testbed unusable after cancel: %v", err)
 	}
@@ -283,11 +275,11 @@ func TestTypedErrors(t *testing.T) {
 	}
 	ctb := NewConcurrent(NewMemory())
 	defer ctb.Close()
-	if _, err := ctb.Prepare("?- broken(", nil); !errors.Is(err, ErrParse) {
-		t.Errorf("Prepare syntax error: %v", err)
+	if _, err := ctb.Query("?- broken(", nil); !errors.Is(err, ErrParse) {
+		t.Errorf("concurrent Query syntax error: %v", err)
 	}
-	if _, err := ctb.Prepare("?- nosuch(X).", nil); !errors.Is(err, ErrUnknownPredicate) {
-		t.Errorf("Prepare of an unknown predicate: %v", err)
+	if _, err := ctb.Query("?- nosuch(X).", nil); !errors.Is(err, ErrUnknownPredicate) {
+		t.Errorf("concurrent Query of an unknown predicate: %v", err)
 	}
 	if _, err := tb.Query("?- nosuch(X).", nil); !errors.Is(err, ErrUnknownPredicate) {
 		t.Errorf("unknown predicate: %v", err)
