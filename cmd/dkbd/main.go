@@ -51,7 +51,6 @@ func main() {
 	flag.IntVar(&cfg.slowSize, "slowlog-size", 0, "slow-query ring capacity (0 = default)")
 	flag.DurationVar(&cfg.slowThreshold, "slow-threshold", 0, "minimum latency to enter the slow-query log (0 retains every query)")
 	flag.IntVar(&cfg.schedWorkers, "sched-workers", 0, "evaluation pool workers shared by all sessions (0 = GOMAXPROCS)")
-	flag.StringVar(&cfg.maintPolicy, "maint-policy", "auto", "materialized-view maintenance policy for cached answers: auto|incremental|rederive")
 	flag.DurationVar(&cfg.sampleInterval, "sample-interval", obs.DefaultSampleInterval, "retained-telemetry sampling period for /timeseries (> 0)")
 	flag.IntVar(&cfg.sampleWindow, "sample-window", obs.DefaultSampleWindow, "retained-telemetry ring capacity in samples (> 0)")
 	flag.Parse()
@@ -71,7 +70,6 @@ type config struct {
 	slowSize            int
 	slowThreshold       time.Duration
 	schedWorkers        int
-	maintPolicy         string
 	sampleInterval      time.Duration
 	sampleWindow        int
 }
@@ -115,14 +113,7 @@ func run(cfg config) error {
 			return err
 		}
 	}
-	policy, err := dkbms.ParseMaintenancePolicy(cfg.maintPolicy)
-	if err != nil {
-		return fmt.Errorf("-maint-policy: %w", err)
-	}
-	ctb := dkbms.NewConcurrentWithOptions(tb, dkbms.ConcurrentOptions{
-		SchedWorkers:      cfg.schedWorkers,
-		MaintenancePolicy: policy,
-	})
+	ctb := dkbms.NewConcurrentWithOptions(tb, dkbms.ConcurrentOptions{SchedWorkers: cfg.schedWorkers})
 	defer ctb.Close()
 
 	if cfg.load != "" {

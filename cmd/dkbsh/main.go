@@ -18,7 +18,7 @@
 //	.update                                  commit workspace rules to the stored D/KB
 //	.rules                                   show workspace rules
 //	.stored                                  stored D/KB summary
-//	.opts naive|seminaive|magic|nomagic|adaptive   evaluation options
+//	.opts naive|seminaive|magic|nomagic|parallel|serial   evaluation options
 //	.timing on|off                           print compile/eval breakdowns
 //	.sql SELECT ...                          raw SQL against the DBMS
 //	.help / .quit
@@ -285,25 +285,19 @@ func setOpts(out io.Writer, o *dkbms.QueryOptions, words []string) error {
 			o.Naive = false
 		case "magic":
 			o.NoOptimize = false
-			o.Adaptive = false
 		case "nomagic":
 			o.NoOptimize = true
-			o.Adaptive = false
-		case "adaptive":
-			o.Adaptive = true
-			o.NoOptimize = false
 		case "parallel":
 			o.Parallel = true
-			o.Naive = false
 		case "serial":
 			o.Parallel = false
 		default:
 			return fmt.Errorf("unknown option %q", w)
 		}
 	}
-	fmt.Fprintf(out, "strategy=%v magic=%v adaptive=%v parallel=%v\n",
+	fmt.Fprintf(out, "strategy=%v magic=%v parallel=%v\n",
 		map[bool]string{true: "naive", false: "semi-naive"}[o.Naive],
-		!o.NoOptimize, o.Adaptive, o.Parallel)
+		!o.NoOptimize, o.Parallel)
 	return nil
 }
 
@@ -356,7 +350,7 @@ commands:
   .update         commit workspace rules to the stored D/KB
   .rules          list workspace rules
   .stored         stored D/KB summary
-  .opts WORDS     naive|seminaive  magic|nomagic|adaptive  parallel|serial
+  .opts WORDS     naive|seminaive  magic|nomagic  parallel|serial
   .timing on|off  print compile/eval breakdowns per query
   .explain Q      show the compiled evaluation program for a query
   .trace [-o FILE] Q   run a query traced; print the span tree, or export

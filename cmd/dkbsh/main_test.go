@@ -68,9 +68,12 @@ func TestShellOptsAndTiming(t *testing.T) {
 	if !sh.opts.Naive || !sh.opts.NoOptimize {
 		t.Fatalf("opts = %+v", sh.opts)
 	}
-	drive(t, sh, ".opts seminaive adaptive")
-	if sh.opts.Naive || !sh.opts.Adaptive {
+	drive(t, sh, ".opts seminaive magic")
+	if sh.opts.Naive || sh.opts.NoOptimize {
 		t.Fatalf("opts = %+v", sh.opts)
+	}
+	if err := sh.handle(".opts adaptive"); err == nil {
+		t.Fatal("the deleted adaptive option accepted")
 	}
 	if err := sh.handle(".opts bogus"); err == nil {
 		t.Fatal("bogus option accepted")
@@ -114,6 +117,32 @@ func TestShellParallelAttachesPool(t *testing.T) {
 	sh.closePool()
 	if sh.pool != nil {
 		t.Fatal("closePool left the pool attached")
+	}
+}
+
+// TestShellNaiveParallel: `.opts naive parallel` keeps both options, and
+// a query over two independent cliques runs naive on the pool.
+func TestShellNaiveParallel(t *testing.T) {
+	sh, buf := newShell(t)
+	defer sh.closePool()
+	drive(t, sh, "e(p, q).", "e(q, r).", "f(p, q).", "f(q, r).",
+		"a(X, Y) :- e(X, Y).", "a(X, Y) :- e(X, Z), a(Z, Y).",
+		"b(X, Y) :- f(X, Y).", "b(X, Y) :- f(X, Z), b(Z, Y).",
+		"both(X, Y) :- a(X, Y), b(X, Y).",
+		".opts naive parallel")
+	if !sh.opts.Naive || !sh.opts.Parallel {
+		t.Fatalf("opts = %+v, want naive and parallel", sh.opts)
+	}
+	if !strings.Contains(buf.String(), "strategy=naive magic=true parallel=true") {
+		t.Fatalf(".opts output:\n%s", buf.String())
+	}
+	buf.Reset()
+	drive(t, sh, "?- both(X, Y).")
+	if out := buf.String(); !strings.Contains(out, "3 rows [naive]") {
+		t.Fatalf("naive parallel query output:\n%s", out)
+	}
+	if sh.pool.Stats().Submitted == 0 {
+		t.Fatal("naive parallel query never reached the pool")
 	}
 }
 

@@ -93,8 +93,8 @@ func (s *remoteShell) handle(line string) error {
 			return nil
 		}
 		for _, v := range vs.Views {
-			fmt.Fprintf(s.out, "%-40q %-11s %6d rows, %d maintains",
-				v.Query, v.Policy, v.Rows, v.Maintains)
+			fmt.Fprintf(s.out, "%-40q %6d rows, %d maintains",
+				v.Query, v.Rows, v.Maintains)
 			if v.Maintains > 0 {
 				fmt.Fprintf(s.out, " (last: %d delta tuples in %v)",
 					v.LastDeltaTuples, v.LastMaintain)
@@ -202,7 +202,7 @@ commands (remote session):
   .views          live maintained materialized views (most recent first)
   .trace [-o FILE] Q   run a query with server-side tracing; print the span
                        tree, or export Chrome/Perfetto trace-event JSON with -o
-  .opts WORDS     naive|seminaive  magic|nomagic|adaptive  parallel|serial
+  .opts WORDS     naive|seminaive  magic|nomagic  parallel|serial
   .quit
 `)
 }

@@ -71,15 +71,9 @@ type ConcurrentTestbed struct {
 
 // ConcurrentOptions tune a ConcurrentTestbed.
 type ConcurrentOptions struct {
-	// PlanCacheEntries is the shared plan-cache capacity (<= 0 selects
-	// DefaultPlanCacheEntries).
-	PlanCacheEntries int
 	// SchedWorkers sizes the shared evaluation worker pool (<= 0
 	// selects GOMAXPROCS).
 	SchedWorkers int
-	// MaintenancePolicy is how memoized answers are kept when commits
-	// touch tables they read (MaintDefault selects MaintAuto).
-	MaintenancePolicy MaintenancePolicy
 }
 
 // NewConcurrent wraps a testbed for concurrent use. The caller must not
@@ -90,14 +84,10 @@ func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 
 // NewConcurrentWithOptions is NewConcurrent with explicit tuning.
 func NewConcurrentWithOptions(tb *Testbed, opts ConcurrentOptions) *ConcurrentTestbed {
-	planEntries := opts.PlanCacheEntries
-	if planEntries <= 0 {
-		planEntries = DefaultPlanCacheEntries
-	}
 	c := &ConcurrentTestbed{
 		tb:    tb,
 		snaps: snapshot.NewStore(BaseTableName("")),
-		plans: newPlanCache(planEntries, opts.MaintenancePolicy),
+		plans: newPlanCache(),
 		sched: sched.NewPool(opts.SchedWorkers),
 	}
 	// Wire view maintenance: refreshes run against the live database
@@ -219,7 +209,7 @@ func (c *ConcurrentTestbed) publish(buildCost time.Duration) {
 // state (every non-temp table) and the current generations, then
 // reconciles the plan cache against the typed invalidation event:
 // memoized answers whose programs read the committed fact deltas are
-// maintained in place (policy permitting), everything staler is
+// maintained in place (below the cost crossover), everything staler is
 // dropped. It runs on every commit exit path. Caller holds commitMu.
 func (c *ConcurrentTestbed) publishEvent(buildCost time.Duration, ev *matview.Event) {
 	cat := c.tb.db.Catalog()
@@ -318,8 +308,11 @@ func (c *ConcurrentTestbed) Query(src string, opts *QueryOptions) (*QueryResult,
 	return c.QueryContext(context.Background(), src, opts)
 }
 
-// QueryContext is Query under a context: cancellation is observed at
-// LFP iteration boundaries (see Testbed.QueryContext). Traced queries
+// QueryContext is Query under a context: cancellation (or deadline
+// expiry) is checked between compilation and evaluation and at every
+// LFP iteration boundary, aborting the query with an error wrapping
+// ctx.Err(), so a long recursive evaluation stops within one iteration
+// of the cancel. Traced queries
 // (opts.Trace) share compiled plans with untraced ones but bypass the
 // memoized-answer path in both directions, so a returned trace always
 // describes an evaluation that actually ran.
@@ -361,12 +354,11 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 		}
 		status = "plan" // a traced run re-evaluates the current answer
 	}
-	// A maintainable answer keeps its evaluation's derived relations:
-	// the view layer refreshes them (and the memo) through commits.
-	// Traced runs never publish answers, so they keep nothing.
-	keep := c.plans.policy != MaintRederive && !trace
+	// An untraced answer keeps its evaluation's derived relations: the
+	// view layer refreshes them (and the memo) through commits. Traced
+	// runs never publish answers, so they keep nothing.
 	vdb, _ := c.view(s)
-	res, rres, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr, keep)
+	res, rres, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr, !trace)
 	if err != nil {
 		return nil, err
 	}
@@ -374,12 +366,8 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 	if trace {
 		c.plans.store(key, s, compiled, nil, nil)
 	} else {
-		var view *matview.View
-		if rres != nil && keep {
-			tables, created := rres.Detach()
-			view = matview.New(compiled.Program, tables, created)
-		}
-		c.plans.store(key, s, compiled, res, view)
+		tables, created := rres.Detach()
+		c.plans.store(key, s, compiled, res, matview.New(compiled.Program, tables, created))
 	}
 	// The stored answer is query-neutral; the caller's copy carries the ID.
 	out := shareResult(res)

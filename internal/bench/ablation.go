@@ -14,7 +14,6 @@ import (
 func init() {
 	register("ablation-index", "system-relation indexes on/off: extraction time vs R_s", ablationIndex)
 	register("ablation-join", "fact-relation index on/off: LFP join strategy in t_e", ablationJoin)
-	register("ablation-adaptive", "adaptive optimization switch vs fixed on/off", ablationAdaptive)
 	register("ablation-tcop", "specialized TC operator vs SQL-interface LFP loop", ablationTCOp)
 	register("ablation-storage", "compiled rule storage on/off: query-side extraction cost", ablationStorage)
 }
@@ -90,58 +89,6 @@ func ablationJoin(cfg Config) (*Report, error) {
 		rep.Rows = append(rep.Rows, []string{
 			fmt.Sprint(len(workload.FullBinaryTree(depth))),
 			ms(times[0]), ms(times[1]), fmt.Sprintf("%.1fx", ratio(times[1], times[0])),
-		})
-	}
-	return rep, nil
-}
-
-// ablationAdaptive evaluates the paper's proposed dynamic optimization
-// switch: at low selectivity it should behave like magic-on, at full
-// selectivity like magic-off, never being the worst of the three.
-func ablationAdaptive(cfg Config) (*Report, error) {
-	rep := &Report{
-		ID:    "ablation-adaptive",
-		Title: "adaptive optimization switch vs fixed strategies",
-		Paper: "(paper §6: 'tune the optimizer to adapt the optimization strategy dynamically')",
-		Cols:  []string{"query", "selectivity", "plain(ms)", "magic(ms)", "adaptive(ms)", "adaptive chose"},
-	}
-	// Kept moderate: the plain configurations at high selectivity cost
-	// O(n^3) tuple work through the SQL interface.
-	n := cfg.pick(150, 60)
-	tb, err := listStore(n, true)
-	if err != nil {
-		return nil, err
-	}
-	defer tb.Close()
-	cases := []struct {
-		name string
-		q    string
-		sel  string
-	}{
-		{"bound low-sel", queryAt(fmt.Sprintf("l0_%d", n-n/20)), "0.05"},
-		{"bound high-sel", queryAt("l0_0"), "1.00"},
-		{"unbound", "?- ancestor(A, D).", "1.00"},
-	}
-	for _, c := range cases {
-		plain, _, err := evalTime(tb, c.q, dkbms.QueryOptions{NoOptimize: true}, cfg.reps())
-		if err != nil {
-			return nil, err
-		}
-		magic, magicRes, err := evalTime(tb, c.q, dkbms.QueryOptions{}, cfg.reps())
-		if err != nil {
-			return nil, err
-		}
-		adaptive, adRes, err := evalTime(tb, c.q, dkbms.QueryOptions{Adaptive: true}, cfg.reps())
-		if err != nil {
-			return nil, err
-		}
-		chose := "plain"
-		if adRes.Optimized {
-			chose = "magic"
-		}
-		_ = magicRes
-		rep.Rows = append(rep.Rows, []string{
-			c.name, c.sel, ms(plain), ms(magic), ms(adaptive), chose,
 		})
 	}
 	return rep, nil

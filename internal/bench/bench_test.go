@@ -60,7 +60,7 @@ func TestRegistry(t *testing.T) {
 	for _, want := range []string{
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
 		"table4", "table5", "table8",
-		"ablation-index", "ablation-join", "ablation-adaptive", "ablation-tcop", "ablation-storage",
+		"ablation-index", "ablation-join", "ablation-tcop", "ablation-storage",
 		"parallel-speedup",
 	} {
 		if !seen[want] {

@@ -105,12 +105,12 @@ func (e *Event) RelevantSize(deps []string) int {
 	return n
 }
 
-// AutoIncremental is the Auto-policy cost heuristic: maintain
-// incrementally while the relevant base delta stays below a quarter of
-// the memoized answer (with a floor of 16 tuples so small views still
-// take the incremental path for single-fact commits). Past that
-// crossover the semi-naive delta rounds approach the cost of a fresh
-// evaluation and re-deriving wins.
+// AutoIncremental is the maintenance cost model, which decides per view
+// and per commit: maintain incrementally while the relevant base delta
+// stays below a quarter of the memoized answer (with a floor of 16
+// tuples so small views still take the incremental path for single-fact
+// commits). Past that crossover the semi-naive delta rounds approach
+// the cost of a fresh evaluation and re-deriving wins.
 func AutoIncremental(deltaTuples, viewRows int) bool {
 	limit := viewRows / 4
 	if limit < 16 {
@@ -213,8 +213,9 @@ type Stats struct {
 	Live int64
 	// Maintained counts commits absorbed incrementally (per view).
 	Maintained int64
-	// Rederives counts stale views dropped for full re-derivation
-	// (policy Rederive, Auto past the crossover, or coarse events).
+	// Rederives counts stale views dropped for full re-derivation (a
+	// delta past the AutoIncremental crossover, or a commit with no exact
+	// fact delta).
 	Rederives int64
 	// DeltaTuples is the cumulative derived-delta volume maintained.
 	DeltaTuples int64

@@ -178,7 +178,6 @@ func (s *session) handle(t wire.MsgType, payload []byte) []byte {
 		for _, v := range views {
 			m.Views = append(m.Views, wire.ViewInfo{
 				Query:           v.Query,
-				Policy:          v.Policy.String(),
 				Rows:            int64(v.Rows),
 				Maintains:       v.Maintains,
 				LastDeltaTuples: v.LastDeltaTuples,

@@ -8,10 +8,8 @@ import (
 
 // ViewInfo is one maintained materialized view in a VIEWSREPLY payload.
 type ViewInfo struct {
-	// Query is the cached query's source text; Policy the maintenance
-	// policy name it was stored under ("auto", "incremental").
-	Query  string
-	Policy string
+	// Query is the cached query's source text.
+	Query string
 	// Rows is the memoized answer's current size; Maintains counts
 	// commits absorbed incrementally; LastDeltaTuples and LastMaintain
 	// describe the most recent maintenance run.
@@ -32,7 +30,6 @@ func (m Views) Encode() []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(m.Views)))
 	for _, v := range m.Views {
 		buf = appendString(buf, v.Query)
-		buf = appendString(buf, v.Policy)
 		buf = binary.AppendVarint(buf, v.Rows)
 		buf = binary.AppendVarint(buf, v.Maintains)
 		buf = binary.AppendVarint(buf, v.LastDeltaTuples)
@@ -41,8 +38,8 @@ func (m Views) Encode() []byte {
 	return buf
 }
 
-// DecodeViews parses a VIEWSREPLY payload. A view takes at least six
-// bytes (two strings' lengths and four integers), so a view count the
+// DecodeViews parses a VIEWSREPLY payload. A view takes at least five
+// bytes (a string's length and four integers), so a view count the
 // payload cannot hold is refused before anything is allocated.
 func DecodeViews(p []byte) (Views, error) {
 	var m Views
@@ -50,16 +47,13 @@ func DecodeViews(p []byte) (Views, error) {
 	if err != nil {
 		return Views{}, err
 	}
-	if n > uint64(len(buf))/6 {
+	if n > uint64(len(buf))/5 {
 		return Views{}, fmt.Errorf("wire: corrupt VIEWSREPLY view count %d", n)
 	}
 	m.Views = make([]ViewInfo, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var v ViewInfo
 		if v.Query, buf, err = readString(buf); err != nil {
-			return Views{}, err
-		}
-		if v.Policy, buf, err = readString(buf); err != nil {
 			return Views{}, err
 		}
 		var ns int64

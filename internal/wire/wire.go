@@ -215,7 +215,6 @@ type QueryOpts = dkbms.QueryOptions
 const (
 	optNaive = 1 << iota
 	optNoOptimize
-	optAdaptive
 	optParallel
 	optTrace
 	// optQueryID marks a query-ID uvarint trailing the source string. It
@@ -223,7 +222,7 @@ const (
 	// its source.
 	optQueryID
 
-	optKnown = optNaive | optNoOptimize | optAdaptive | optParallel | optTrace | optQueryID
+	optKnown = optNaive | optNoOptimize | optParallel | optTrace | optQueryID
 )
 
 func encodeOpts(o QueryOpts) byte {
@@ -233,9 +232,6 @@ func encodeOpts(o QueryOpts) byte {
 	}
 	if o.NoOptimize {
 		b |= optNoOptimize
-	}
-	if o.Adaptive {
-		b |= optAdaptive
 	}
 	if o.Parallel {
 		b |= optParallel
@@ -253,7 +249,6 @@ func decodeOpts(b byte) QueryOpts {
 	return QueryOpts{
 		Naive:      b&optNaive != 0,
 		NoOptimize: b&optNoOptimize != 0,
-		Adaptive:   b&optAdaptive != 0,
 		Parallel:   b&optParallel != 0,
 		Trace:      b&optTrace != 0,
 	}

@@ -246,20 +246,19 @@ func TestDecodeResultAllocs(t *testing.T) {
 // to QueryOptions without its option bit, some combination here
 // diverges.
 func TestQueryOptsRoundTrip(t *testing.T) {
-	for bits := 0; bits < 1<<6; bits++ {
+	for bits := 0; bits < 1<<5; bits++ {
 		o := QueryOpts{
 			Naive:      bits&1 != 0,
 			NoOptimize: bits&2 != 0,
-			Adaptive:   bits&4 != 0,
-			Parallel:   bits&8 != 0,
-			Trace:      bits&16 != 0,
+			Parallel:   bits&4 != 0,
+			Trace:      bits&8 != 0,
 		}
-		if bits&32 != 0 {
+		if bits&16 != 0 {
 			o.QueryID = 1 << 40
 		}
 		q, err := DecodeQuery(Query{Src: "?- p(X).", Opts: o}.Encode())
 		if err != nil || q.Opts != o || q.Src != "?- p(X)." {
-			t.Errorf("bits %06b: query frame: %+v %v, want %+v", bits, q, err, o)
+			t.Errorf("bits %05b: query frame: %+v %v, want %+v", bits, q, err, o)
 		}
 	}
 }
@@ -397,9 +396,9 @@ func TestMetricsRoundTrip(t *testing.T) {
 
 func TestViewsRoundTrip(t *testing.T) {
 	in := Views{Views: []ViewInfo{
-		{Query: "?- ancestor(c0, X).", Policy: "auto", Rows: 16,
+		{Query: "?- ancestor(c0, X).", Rows: 16,
 			Maintains: 12, LastDeltaTuples: 3, LastMaintain: 480 * time.Microsecond},
-		{Query: "?- same_gen(a, X).", Policy: "incremental", Rows: 1022},
+		{Query: "?- same_gen(a, X).", Rows: 1022},
 	}}
 	out, err := DecodeViews(in.Encode())
 	if err != nil {
@@ -476,7 +475,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"RETRACT", Retract{Pattern: "a(1, X)"}.Encode(), decodeErr(DecodeRetract)},
 		{"ERROR", Error{Code: CodeParse, Msg: "boom"}.Encode(), decodeErr(DecodeError)},
 		{"RETRACTED", Retracted{N: -300}.Encode(), decodeErr(DecodeRetracted)},
-		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Policy: "auto", Rows: 300, LastMaintain: time.Second}}}.Encode(), decodeErr(DecodeViews)},
+		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Rows: 300, LastMaintain: time.Second}}}.Encode(), decodeErr(DecodeViews)},
 		{"SLOWLOG", slow.Encode(), decodeErr(DecodeSlowlog)},
 		{"STATSREPLY", statsSample.Encode(), decodeErr(DecodeMetrics)},
 	} {
@@ -502,7 +501,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"RETRACT", Retract{Pattern: "a(1, X)"}.Encode(), decodeErr(DecodeRetract)},
 		{"ERROR", Error{Code: CodeParse, Msg: "boom"}.Encode(), decodeErr(DecodeError)},
 		{"RETRACTED", Retracted{N: 3}.Encode(), decodeErr(DecodeRetracted)},
-		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Policy: "auto"}}}.Encode(), decodeErr(DecodeViews)},
+		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X)."}}}.Encode(), decodeErr(DecodeViews)},
 		{"SLOWLOG", slow.Encode(), decodeErr(DecodeSlowlog)},
 		{"STATSREPLY", statsSample.Encode(), decodeErr(DecodeMetrics)},
 	} {
@@ -524,6 +523,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		decode  func([]byte) error
 	}{
 		{"QUERY with an unknown option", append([]byte{0x80}, Load{Src: "?- a(X)."}.Encode()...), decodeErr(DecodeQuery)},
+		{"QUERY with the lowest unassigned option", append([]byte{optQueryID << 1}, Load{Src: "?- a(X)."}.Encode()...), decodeErr(DecodeQuery)},
 		{"QUERY flagging a zero query ID", append(append([]byte{optQueryID}, Load{Src: "?- a(X)."}.Encode()...), 0), decodeErr(DecodeQuery)},
 		{"SLOWLOG with a trace flag of 2", badFlag, decodeErr(DecodeSlowlog)},
 		{"STATSREPLY with an unknown metric kind", badKind, decodeErr(DecodeMetrics)},

@@ -1,8 +1,6 @@
 package dkbms
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -129,82 +127,45 @@ func TestMatViewMixedCommit(t *testing.T) {
 	}
 }
 
-// TestMatViewAutoFallback: past the cost crossover (delta > rows/4,
-// floor 16) the Auto policy drops the memo and re-derives instead of
-// propagating a huge delta; MaintIncremental keeps maintaining anyway.
+// TestMatViewAutoFallback pins the cost crossover (delta > rows/4,
+// floor 16) on the 15-row chain: a 16-fact commit is maintained, a
+// 17-fact commit drops the memo and re-derives instead of propagating
+// the delta. Either way the answer is the cold re-derivation's.
 func TestMatViewAutoFallback(t *testing.T) {
-	c := snapshotChain(t)
 	const q = "?- ancestor(c0, X)."
-	if _, err := c.Query(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	// 17 new edges off one node: relevant delta 17 > max(16, 15/4).
-	var src strings.Builder
-	for i := 0; i < 17; i++ {
-		fmt.Fprintf(&src, "parent(c1, f%d).\n", i)
-	}
-	if err := c.Load(src.String()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != "plan" {
-		t.Fatalf("big delta under Auto: cache=%q, want \"plan\" (re-derive)", res.Cache)
-	}
-	if len(res.Rows) != 32 {
-		t.Fatalf("re-derived answer has %d rows, want 32", len(res.Rows))
-	}
-	if st := c.MatViewStats(); st.Rederives == 0 {
-		t.Fatalf("fallback not counted: %+v", st)
-	}
-
-	// A testbed kept under MaintIncremental maintains the same commit.
-	ci := snapshotChainWith(t, MaintIncremental)
-	if _, err := ci.Query(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := ci.Load(src.String()); err != nil {
-		t.Fatal(err)
-	}
-	res, err = ci.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != "maintained" {
-		t.Fatalf("big delta under Incremental: cache=%q, want \"maintained\"", res.Cache)
-	}
-	if len(res.Rows) != 32 {
-		t.Fatalf("incremental answer has %d rows, want 32", len(res.Rows))
-	}
-}
-
-// TestMatViewRederivePolicy: under MaintRederive no view is kept at
-// all — commits drop the memo and Views() stays empty.
-func TestMatViewRederivePolicy(t *testing.T) {
-	c := snapshotChainWith(t, MaintRederive)
-	const q = "?- ancestor(c0, X)."
-	if _, err := c.Query(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	if views := c.Views(); len(views) != 0 {
-		t.Fatalf("MaintRederive kept a view: %+v", views)
-	}
-	if err := c.Load("parent(c15, c16)."); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != "plan" {
-		t.Fatalf("rederive policy: cache=%q, want \"plan\"", res.Cache)
+	for _, tc := range []struct {
+		facts                 int
+		cache                 string
+		maintained, rederives int64
+	}{{16, "maintained", 1, 0}, {17, "plan", 0, 1}} {
+		c := snapshotChain(t)
+		if _, err := c.Query(q, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Load(fanOut("c1", tc.facts)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Query(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cache != tc.cache {
+			t.Fatalf("%d-fact commit: cache=%q, want %q", tc.facts, res.Cache, tc.cache)
+		}
+		if len(res.Rows) != 15+tc.facts {
+			t.Fatalf("%d-fact commit: %d rows, want %d", tc.facts, len(res.Rows), 15+tc.facts)
+		}
+		if st := c.MatViewStats(); st.Maintained != tc.maintained || st.Rederives != tc.rederives {
+			t.Fatalf("%d-fact commit counted as %+v", tc.facts, st)
+		}
+		if got, want := rowsKey(res), coldKey(t, c, q); got != want {
+			t.Fatalf("%d-fact commit diverged from cold re-derivation:\n got %s\nwant %s", tc.facts, got, want)
+		}
 	}
 }
 
 // TestMatViewViewsAccessor: Views() reports the live maintained views
-// with their policy, size and maintenance counters.
+// with their size and maintenance counters.
 func TestMatViewViewsAccessor(t *testing.T) {
 	c := snapshotChain(t)
 	const q = "?- ancestor(c0, X)."
@@ -221,9 +182,6 @@ func TestMatViewViewsAccessor(t *testing.T) {
 	v := views[0]
 	if v.Query != q {
 		t.Fatalf("view query %q, want %q", v.Query, q)
-	}
-	if v.Policy != MaintAuto {
-		t.Fatalf("view policy %v, want auto", v.Policy)
 	}
 	if v.Rows != 16 || v.Maintains != 1 {
 		t.Fatalf("view state %+v, want 16 rows / 1 maintain", v)
@@ -245,7 +203,7 @@ func TestMatViewViewsAccessor(t *testing.T) {
 // program must reuse the entry's dependency list instead of recomputing
 // it per store (the old code re-derived depTables on every overwrite).
 func TestMatViewDepsReuse(t *testing.T) {
-	c := snapshotChainWith(t, MaintRederive)
+	c := snapshotChain(t)
 	const q = "?- ancestor(c0, X)."
 	if _, err := c.Query(q, nil); err != nil {
 		t.Fatal(err)
@@ -265,8 +223,8 @@ func TestMatViewDepsReuse(t *testing.T) {
 		return nil, nil
 	}
 	e1, deps1 := grab()
-	// Drop the memo (fact commit under MaintRederive), keep plan + deps.
-	if err := c.Load("parent(c15, c16)."); err != nil {
+	// Drop the memo (a fact commit past the crossover), keep plan + deps.
+	if err := c.Load(fanOut("c1", 17)); err != nil {
 		t.Fatal(err)
 	}
 	// Re-evaluation stores a fresh result against the same compiled

@@ -12,10 +12,10 @@ import (
 	"dkbms/internal/snapshot"
 )
 
-// DefaultPlanCacheEntries bounds the shared plan cache of a
-// ConcurrentTestbed. Each entry holds one compiled evaluation program
-// and, while the tables it reads stand still, its memoized answer.
-const DefaultPlanCacheEntries = 128
+// planCacheEntries bounds the shared plan cache of a ConcurrentTestbed.
+// Each entry holds one compiled evaluation program and, while the tables
+// it reads stand still, its memoized answer.
+const planCacheEntries = 128
 
 // planKey identifies a cacheable query: its source text plus the
 // compilation/evaluation options (QueryOptions is a comparable struct,
@@ -90,13 +90,10 @@ type PlanCacheStats struct {
 type planCache struct {
 	mu       sync.Mutex
 	capacity int
-	// policy is how every entry's memo is kept through commits; it is
-	// set at construction and never changes.
-	policy  MaintenancePolicy
-	entries map[planKey]*planEntry
-	head    *planEntry // most recently used
-	tail    *planEntry // least recently used
-	stats   PlanCacheStats
+	entries  map[planKey]*planEntry
+	head     *planEntry // most recently used
+	tail     *planEntry // least recently used
+	stats    PlanCacheStats
 
 	// db is the live database view maintenance runs against; pool,
 	// when non-nil, parallelizes maintenance across views. Both are
@@ -113,17 +110,10 @@ type planCache struct {
 	condemned []*matview.View
 }
 
-func newPlanCache(capacity int, policy MaintenancePolicy) *planCache {
-	if capacity <= 0 {
-		capacity = DefaultPlanCacheEntries
-	}
-	if policy == MaintDefault {
-		policy = MaintAuto
-	}
+func newPlanCache() *planCache {
 	return &planCache{
-		capacity: capacity,
-		policy:   policy,
-		entries:  make(map[planKey]*planEntry, capacity),
+		capacity: planCacheEntries,
+		entries:  make(map[planKey]*planEntry, planCacheEntries),
 	}
 }
 
@@ -289,8 +279,9 @@ func (pc *planCache) condemnLocked(v *matview.View) {
 // Entries whose compiled program predates next's rule generation are
 // dropped. Entries whose memo went stale with exactly this commit
 // (valid against prev, stale against next) are maintained in place when
-// the event carries fact deltas and the cache's policy allows it;
-// otherwise the memo is dropped and the plan kept. Maintenance runs
+// the event carries fact deltas below the cost crossover
+// (matview.AutoIncremental); otherwise the memo is dropped and the plan
+// kept. Maintenance runs
 // after the cache mutex is released — concurrent readers keep hitting
 // the plan — and each refreshed answer installs only if the entry still
 // holds the same view (a racing reader may have replaced it). Condemned
@@ -317,12 +308,10 @@ func (pc *planCache) Invalidate(prev, next *snapshot.Snapshot, ev *matview.Event
 		}
 		// The memo went stale with this commit. Maintain it when the
 		// commit is an exact fact delta, the entry owns a view, and the
-		// delta is worth it; otherwise drop the memo, keep the plan.
-		ok := commit && e.view != nil && pc.policy != MaintRederive &&
-			prev != nil && vecCurrent(e.resultVec, prev)
-		if ok && pc.policy == MaintAuto {
-			ok = matview.AutoIncremental(ev.RelevantSize(e.deps), len(e.result.Rows))
-		}
+		// delta is below the cost crossover; otherwise drop the memo,
+		// keep the plan.
+		ok := commit && e.view != nil && prev != nil && vecCurrent(e.resultVec, prev) &&
+			matview.AutoIncremental(ev.RelevantSize(e.deps), len(e.result.Rows))
 		if !ok {
 			if e.view != nil {
 				pc.mv.Rederives.Add(1)
@@ -411,7 +400,6 @@ func (pc *planCache) views() []MaterializedView {
 		}
 		out = append(out, MaterializedView{
 			Query:           e.key.src,
-			Policy:          pc.policy,
 			Rows:            len(e.result.Rows),
 			Maintains:       e.view.Maintains(),
 			LastDeltaTuples: e.view.LastDeltaTuples(),

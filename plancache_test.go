@@ -1,6 +1,8 @@
 package dkbms
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -14,12 +16,7 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 
 func newCachedTestbed(t *testing.T) *ConcurrentTestbed {
 	t.Helper()
-	return newCachedTestbedWith(t, ConcurrentOptions{})
-}
-
-func newCachedTestbedWith(t *testing.T, opts ConcurrentOptions) *ConcurrentTestbed {
-	t.Helper()
-	c := NewConcurrentWithOptions(NewMemory(), opts)
+	c := NewConcurrent(NewMemory())
 	t.Cleanup(func() { c.Close() })
 	if err := c.Load(planCacheProgram); err != nil {
 		t.Fatal(err)
@@ -36,12 +33,16 @@ func queryRows(t *testing.T, c *ConcurrentTestbed, src string) int {
 	return len(res.Rows)
 }
 
-// newRederiveTestbed pins the testbed to MaintRederive, so a commit
-// drops a stale answer instead of maintaining it through the change —
-// the classic invalidation behavior the tests using it assert.
-func newRederiveTestbed(t *testing.T) *ConcurrentTestbed {
-	t.Helper()
-	return newCachedTestbedWith(t, ConcurrentOptions{MaintenancePolicy: MaintRederive})
+// fanOut is a LOAD of n parent facts from one node to fresh nodes
+// f0..f(n-1). Past 16 facts its commit is beyond the maintenance
+// crossover (matview.AutoIncremental) for any answer under 68 rows, so
+// it drops a stale memo instead of maintaining it.
+func fanOut(from string, n int) string {
+	var src strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "parent(%s, f%d).\n", from, i)
+	}
+	return src.String()
 }
 
 // TestPlanCacheResultHit: an identical repeated query on an unchanged
@@ -75,17 +76,21 @@ func TestPlanCacheResultHit(t *testing.T) {
 	}
 }
 
-// TestPlanCacheRetractInvalidates: RETRACT moves the data generation, so
-// the next identical query keeps the compiled plan but re-evaluates —
-// and must see the shrunken answer, not the memoized one.
+// TestPlanCacheRetractInvalidates: a RETRACT past the maintenance
+// crossover moves the data generation and drops the memo, so the next
+// identical query keeps the compiled plan but re-evaluates — and must
+// see the shrunken answer, not the memoized one.
 func TestPlanCacheRetractInvalidates(t *testing.T) {
-	c := newRederiveTestbed(t)
-	const q = "?- ancestor(a, X)."
-	if n := queryRows(t, c, q); n != 2 {
-		t.Fatalf("before retract: %d rows, want 2", n)
+	c := newCachedTestbed(t)
+	if err := c.Load(fanOut("b", 17)); err != nil {
+		t.Fatal(err)
 	}
-	n, err := c.RetractSrc("parent(b, c)")
-	if err != nil || n != 1 {
+	const q = "?- ancestor(a, X)."
+	if n := queryRows(t, c, q); n != 19 {
+		t.Fatalf("before retract: %d rows, want 19", n)
+	}
+	n, err := c.RetractSrc("parent(b, X)")
+	if err != nil || n != 18 {
 		t.Fatalf("retract: %d, %v", n, err)
 	}
 	if n := queryRows(t, c, q); n != 1 {
@@ -108,21 +113,22 @@ func TestPlanCacheRetractInvalidates(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLoadInvalidates: a LOAD of facts re-evaluates cached
-// plans; a LOAD that changes rules recompiles them.
+// TestPlanCacheLoadInvalidates: a LOAD of facts past the maintenance
+// crossover re-evaluates cached plans; a LOAD that changes rules
+// recompiles them.
 func TestPlanCacheLoadInvalidates(t *testing.T) {
-	c := newRederiveTestbed(t)
+	c := newCachedTestbed(t)
 	const q = "?- ancestor(a, X)."
 	if n := queryRows(t, c, q); n != 2 {
 		t.Fatalf("cold query: %d rows, want 2", n)
 	}
 
 	// Facts only: the plan survives, the memoized answer does not.
-	if err := c.Load("parent(c, d)."); err != nil {
+	if err := c.Load(fanOut("c", 17)); err != nil {
 		t.Fatal(err)
 	}
-	if n := queryRows(t, c, q); n != 3 {
-		t.Fatalf("after fact load: %d rows, want 3", n)
+	if n := queryRows(t, c, q); n != 19 {
+		t.Fatalf("after fact load: %d rows, want 19", n)
 	}
 	st := c.PlanStats()
 	if st.PlanHits != 1 || st.Misses != 1 {
@@ -133,8 +139,8 @@ func TestPlanCacheLoadInvalidates(t *testing.T) {
 	if err := c.Load("forebear(X, Y) :- ancestor(X, Y)."); err != nil {
 		t.Fatal(err)
 	}
-	if n := queryRows(t, c, q); n != 3 {
-		t.Fatalf("after rule load: %d rows, want 3", n)
+	if n := queryRows(t, c, q); n != 19 {
+		t.Fatalf("after rule load: %d rows, want 19", n)
 	}
 	st = c.PlanStats()
 	if st.Invalidations == 0 {
@@ -148,7 +154,8 @@ func TestPlanCacheLoadInvalidates(t *testing.T) {
 // TestPlanCacheLRUBound: the cache never exceeds its capacity and evicts
 // the least recently used query.
 func TestPlanCacheLRUBound(t *testing.T) {
-	c := newCachedTestbedWith(t, ConcurrentOptions{PlanCacheEntries: 2})
+	c := newCachedTestbed(t)
+	c.plans.capacity = 2
 	queries := []string{"?- ancestor(a, X).", "?- ancestor(b, X).", "?- parent(a, X)."}
 	for _, q := range queries {
 		queryRows(t, c, q)

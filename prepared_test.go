@@ -153,7 +153,8 @@ func TestConcurrentQueryCache(t *testing.T) {
 // TestConcurrentQueryEvicted: when the LRU evicts a text's entry, its
 // next query recompiles and still answers correctly.
 func TestConcurrentQueryEvicted(t *testing.T) {
-	c := newCachedTestbedWith(t, ConcurrentOptions{PlanCacheEntries: 2})
+	c := newCachedTestbed(t)
+	c.plans.capacity = 2
 	const q = "?- ancestor(a, X)."
 	queryCache(t, c, q, "miss", "b;c")
 	queryRows(t, c, "?- ancestor(b, X).")
@@ -174,7 +175,7 @@ func TestConcurrentQueryEvicted(t *testing.T) {
 func TestConcurrentQueryStorm(t *testing.T) {
 	const readers, rounds = 8, 40
 	const q = "?- ancestor(a, X)."
-	c := newCachedTestbedWith(t, ConcurrentOptions{MaintenancePolicy: MaintIncremental})
+	c := newCachedTestbed(t)
 	// Written by the writer goroutine only, read after it has stopped.
 	wantAt := map[uint64]string{c.SnapshotStats().Gen: "b;c"}
 	done := make(chan struct{})

@@ -12,14 +12,7 @@ import (
 // a parent chain c0..c15 plus the recursive ancestor rules.
 func snapshotChain(t *testing.T) *ConcurrentTestbed {
 	t.Helper()
-	return snapshotChainWith(t, MaintDefault)
-}
-
-// snapshotChainWith is snapshotChain kept under the given maintenance
-// policy.
-func snapshotChainWith(t *testing.T, policy MaintenancePolicy) *ConcurrentTestbed {
-	t.Helper()
-	c := NewConcurrentWithOptions(NewMemory(), ConcurrentOptions{MaintenancePolicy: policy})
+	c := NewConcurrent(NewMemory())
 	t.Cleanup(func() { c.Close() })
 	var src strings.Builder
 	for i := 0; i < 15; i++ {
@@ -178,9 +171,9 @@ func TestSnapshotReadersDoNotBlockWriters(t *testing.T) {
 	if res.Cache != "result" {
 		t.Fatalf("unrelated write evicted the memoized answer (cache=%q)", res.Cache)
 	}
-	// A write to the read table no longer re-evaluates: the default Auto
-	// maintenance policy folds the one-fact delta into the memoized
-	// answer, so the next repeat serves the maintained result.
+	// A write to the read table does not re-evaluate: a one-fact delta is
+	// below the maintenance crossover, so it is folded into the memoized
+	// answer and the next repeat serves the maintained result.
 	if err := c.Load("parent(c15, c16)."); err != nil {
 		t.Fatal(err)
 	}

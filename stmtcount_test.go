@@ -95,7 +95,7 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 		t.Fatal(err)
 	}
 	mtb.MustLoad(rules)
-	c := NewConcurrentWithOptions(mtb, ConcurrentOptions{MaintenancePolicy: MaintIncremental})
+	c := NewConcurrent(mtb)
 	defer c.Close()
 	const q = "?- ancestor(t1, W)."
 	if _, err := c.Query(q, nil); err != nil {

@@ -370,13 +370,11 @@ func (tb *Testbed) planUpdate(st *stored.UpdateStats) (write, error) {
 type QueryOptions struct {
 	// Naive selects naive LFP evaluation (default is semi-naive).
 	Naive bool
-	// NoOptimize disables the magic-sets rewriting (default applies it
-	// when the query carries constant bindings).
+	// NoOptimize disables the magic-sets rewriting. By default it applies
+	// whenever the query or a relevant rule carries a constant binding,
+	// and is the identity otherwise — the paper's §6 dynamic on/off
+	// decision, made by the optimizer itself.
 	NoOptimize bool
-	// Adaptive consults the optimizer's selectivity heuristic to decide
-	// whether to apply magic sets (the paper's proposed-but-not-
-	// implemented dynamic strategy; see DESIGN.md extensions).
-	Adaptive bool
 	// Parallel evaluates independent PCG nodes as a dependency wavefront
 	// on the shared scheduler pool (paper conclusion 7a at clique
 	// granularity). Each clique runs the sequential LFP routine, so the
@@ -441,17 +439,10 @@ func (r *QueryResult) Iterations() int64 {
 
 // Query compiles and evaluates a Horn-clause query ("?- goal, goal.")
 // against the workspace and stored D/KBs. opts may be nil for defaults
-// (semi-naive, magic sets on).
+// (semi-naive, magic sets on). Cancellation is ConcurrentTestbed's:
+// its QueryContext aborts an evaluation at the next LFP iteration
+// boundary.
 func (tb *Testbed) Query(src string, opts *QueryOptions) (*QueryResult, error) {
-	return tb.QueryContext(context.Background(), src, opts)
-}
-
-// QueryContext is Query under a context: cancellation (or deadline
-// expiry) is checked between compilation and evaluation and at every
-// LFP iteration boundary, aborting the query with an error wrapping
-// ctx.Err(). Long recursive evaluations therefore stop within one
-// iteration of the cancel.
-func (tb *Testbed) QueryContext(ctx context.Context, src string, opts *QueryOptions) (*QueryResult, error) {
 	q, err := dlog.ParseQuery(src)
 	if err != nil {
 		return nil, parseErr(err)
@@ -472,7 +463,7 @@ func (tb *Testbed) QueryContext(ctx context.Context, src string, opts *QueryOpti
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := tb.evaluate(ctx, tb.db, compiled, opts, tr, false)
+	res, _, err := tb.evaluate(context.TODO(), tb.db, compiled, opts, tr, false)
 	if err != nil {
 		return nil, err
 	}
@@ -482,7 +473,7 @@ func (tb *Testbed) QueryContext(ctx context.Context, src string, opts *QueryOpti
 
 // Compile runs only the Knowledge Manager pipeline, returning the
 // evaluation program (used by benchmarks that measure t_c and t_e
-// separately, and by the precompiled-query cache).
+// separately, and by the shell's .explain).
 func (tb *Testbed) Compile(q dlog.Query, opts *QueryOptions) (*core.Compiled, error) {
 	return tb.compile(tb.ws, tb.db, tb.st, q, opts, nil)
 }
@@ -499,12 +490,8 @@ func (tb *Testbed) compile(ws *core.Workspace, d *db.DB, st *stored.Manager, q d
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	optimize := !opts.NoOptimize
-	if opts.Adaptive {
-		optimize = tb.adaptiveOptimize(q)
-	}
 	cp := &core.Compiler{WS: ws, DB: d, Stored: st}
-	compiled, err := cp.Compile(q, core.CompileOptions{Optimize: optimize, Trace: tr})
+	compiled, err := cp.Compile(q, core.CompileOptions{Optimize: !opts.NoOptimize, Trace: tr})
 	if err != nil {
 		return nil, semanticErr(err)
 	}
@@ -515,16 +502,11 @@ func (tb *Testbed) compile(ws *core.Workspace, d *db.DB, st *stored.Manager, q d
 // carries an evaluation-only trace (compilation happened elsewhere —
 // e.g. in Compile).
 func (tb *Testbed) Evaluate(compiled *core.Compiled, opts *QueryOptions) (*QueryResult, error) {
-	return tb.EvaluateContext(context.Background(), compiled, opts)
-}
-
-// EvaluateContext is Evaluate under a context (see QueryContext).
-func (tb *Testbed) EvaluateContext(ctx context.Context, compiled *core.Compiled, opts *QueryOptions) (*QueryResult, error) {
 	var tr *obs.Trace
 	if opts != nil && opts.Trace {
 		tr = obs.NewTrace("query")
 	}
-	res, _, err := tb.evaluate(ctx, tb.db, compiled, opts, tr, false)
+	res, _, err := tb.evaluate(context.TODO(), tb.db, compiled, opts, tr, false)
 	return res, err
 }
 
@@ -573,22 +555,6 @@ func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compil
 		Trace:     tr,
 		QueryID:   opts.QueryID,
 	}, res, nil
-}
-
-// adaptiveOptimize implements the paper's proposed dynamic optimization
-// switch: apply magic sets only when the query looks selective — i.e.
-// it carries at least one constant binding. (A full implementation
-// would estimate D_rel/D_tot; the testbed uses the binding heuristic
-// and exposes both manual modes for the crossover experiments.)
-func (tb *Testbed) adaptiveOptimize(q dlog.Query) bool {
-	for _, g := range q.Goals {
-		for _, t := range g.Args {
-			if !t.IsVar() {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Format renders a query result as an aligned text table (the shell and

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dkbms/internal/dlog"
 	"dkbms/internal/rel"
 )
 
@@ -515,22 +516,56 @@ reachfrom(X, Y) :- parentof(X, Y).
 	})
 }
 
-func TestAdaptiveOptimization(t *testing.T) {
+// TestDefaultMagicDecision: by default magic sets apply exactly when a
+// constant binds something — in the query or in a relevant rule's body —
+// and a constant-free program compiles to what NoOptimize compiles.
+func TestDefaultMagicDecision(t *testing.T) {
 	tb := familyTB(t)
-	bound, err := tb.Query("?- ancestor(john, W).", &QueryOptions{Adaptive: true})
+	tb.MustLoad("special(X) :- ancestor(mary, X).")
+	noMagic := &QueryOptions{NoOptimize: true}
+
+	bound, err := tb.Query("?- ancestor(john, W).", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bound.Optimized {
-		t.Fatal("adaptive should optimize a bound query")
+		t.Fatal("a bound query was not optimized")
 	}
-	free, err := tb.Query("?- ancestor(A, D).", &QueryOptions{Adaptive: true})
+
+	free, err := dlog.ParseQuery("?- ancestor(A, D).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if free.Optimized {
-		t.Fatal("adaptive should not optimize an unbound query")
+	def, err := tb.Compile(free, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	plain, err := tb.Compile(free, noMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Optimized {
+		t.Fatal("a constant-free program was optimized")
+	}
+	if got, want := def.Program.Explain(), plain.Program.Explain(); got != want {
+		t.Fatalf("constant-free program differs from NoOptimize's:\n got %s\nwant %s", got, want)
+	}
+
+	// The query names no constant; the rule it reaches does.
+	const q = "?- special(X)."
+	magic, err := tb.Query(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !magic.Optimized {
+		t.Fatal("a constant in a rule body did not optimize")
+	}
+	want, err := tb.Query(q, noMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, magic.Rows, rowSet(want.Rows)...)
+	sameRows(t, magic.Rows, "(ann)", "(tom)")
 }
 
 func TestNaiveMatchesSemiNaiveStats(t *testing.T) {
