@@ -35,6 +35,9 @@ func (it *indexTree) LookupPrefix(prefix rel.Tuple) []storage.RID {
 	return it.t.LookupPrefix(prefix)
 }
 
+// CountPrefix returns the number of postings LookupPrefix returns.
+func (it *indexTree) CountPrefix(prefix rel.Tuple) int { return it.t.CountPrefix(prefix) }
+
 // Len returns the number of entries.
 func (it *indexTree) Len() int { return it.t.Len() }
 
@@ -48,6 +51,10 @@ func (ix *Index) Lookup(key rel.Tuple) []storage.RID { return ix.Tree.Lookup(key
 func (ix *Index) LookupPrefix(prefix rel.Tuple) []storage.RID {
 	return ix.Tree.LookupPrefix(prefix)
 }
+
+// CountPrefix returns the number of postings LookupPrefix returns,
+// allocating nothing.
+func (ix *Index) CountPrefix(prefix rel.Tuple) int { return ix.Tree.CountPrefix(prefix) }
 
 // Entries returns the number of entries in the index.
 func (ix *Index) Entries() int { return ix.Tree.Len() }

@@ -499,6 +499,10 @@ func (cp *Compiler) collectBaseTypes(g *pcg.Graph, reach map[string]bool) (map[s
 		missing = append(missing, p)
 	}
 	if cp.Stored != nil && len(missing) > 0 {
+		// In name order, not reach's: the dictionary statement keeps its
+		// last execution's plan, so the order of its executions decides
+		// which of them re-bind it.
+		sort.Strings(missing)
 		extra, err := cp.Stored.BaseTypes(missing)
 		if err != nil {
 			return nil, err

@@ -57,6 +57,12 @@ type Stats struct {
 	InsertedRows int64
 	Deletes      int64
 	DDL          int64
+	// Builds counts executions of a SELECT, alone or under an INSERT,
+	// whose operator tree was constructed; Reuses those of a prepared
+	// statement that re-bound the tree its last execution kept
+	// (plan.Prepared.Acquire).
+	Builds int64
+	Reuses int64
 }
 
 // StatsSnapshot returns the statement counters read with atomic loads,
@@ -68,6 +74,8 @@ func (d *DB) StatsSnapshot() Stats {
 		InsertedRows: atomic.LoadInt64(&d.stats.InsertedRows),
 		Deletes:      atomic.LoadInt64(&d.stats.Deletes),
 		DDL:          atomic.LoadInt64(&d.stats.DDL),
+		Builds:       atomic.LoadInt64(&d.stats.Builds),
+		Reuses:       atomic.LoadInt64(&d.stats.Reuses),
 	}
 }
 
@@ -209,7 +217,7 @@ func (d *DB) QueryTracedCtx(ctx context.Context, stmt string, sp *obs.Span) (*Ro
 	if err != nil {
 		return nil, err
 	}
-	return d.runSelect(ctx, p, nil, nil, sp)
+	return d.runSelect(ctx, p, nil, nil, sp, false)
 }
 
 // QueryCount evaluates a SELECT COUNT(*) (or any single-int-row query)
@@ -254,13 +262,40 @@ func (d *DB) InsertTuples(table string, tuples []rel.Tuple) error {
 	return nil
 }
 
-// runSelect plans and drains one execution of a prepared SELECT.
-func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) (*Rows, error) {
+// operators plans one execution of p. A prepared statement's untraced
+// execution (reuse) takes the tree its last execution kept, re-bound
+// when the planner decides as it did then; hand t back with p.Release
+// after the drain. A traced execution, whose tree Instrument rewrites,
+// and an ad-hoc statement, which runs once, construct theirs, and t is
+// nil.
+func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) (op exec.Operator, t *plan.Tree, err error) {
+	if !reuse || sp != nil {
+		if op, err = p.Build(d, args, vals); err == nil {
+			atomic.AddInt64(&d.stats.Builds, 1)
+		}
+		return op, nil, err
+	}
+	t, reused, err := p.Acquire(d, args, vals)
+	if err != nil {
+		return nil, nil, err
+	}
+	if reused {
+		atomic.AddInt64(&d.stats.Reuses, 1)
+	} else {
+		atomic.AddInt64(&d.stats.Builds, 1)
+	}
+	return t.Root, t, nil
+}
+
+// runSelect plans and drains one execution of a prepared SELECT; reuse
+// is as in operators.
+func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) (*Rows, error) {
 	atomic.AddInt64(&d.stats.Selects, 1)
-	op, err := p.Build(d, args, vals)
+	op, t, err := d.operators(p, args, vals, sp, reuse)
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release(t)
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
 	tuples, err := exec.CollectOwned(ctx, op)
@@ -324,7 +359,7 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 		if err != nil {
 			return err
 		}
-		return d.insertSelect(ctx, t, p, nil, nil, sp)
+		return d.insertSelect(ctx, t, p, nil, nil, sp, false)
 	}
 	for _, row := range s.Rows {
 		tu := make(rel.Tuple, len(row))
@@ -347,12 +382,14 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 // of the prepared SELECT, written to t. Into an index-less table a
 // source that has stored records — a table scan, a deduplicating set
 // operation — hands them over, and each goes to the heap as it is;
-// any other source is materialized and its tuples encoded.
-func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) error {
-	op, err := p.Build(d, args, vals)
+// any other source is materialized and its tuples encoded. reuse is as
+// in operators.
+func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) error {
+	op, tree, err := d.operators(p, args, vals, sp, reuse)
 	if err != nil {
 		return err
 	}
+	defer p.Release(tree)
 	if !op.Schema().TypesCompatible(t.Schema) {
 		return fmt.Errorf("db: INSERT INTO %s: select schema %v incompatible with table schema %v",
 			t.Name, op.Schema(), t.Schema)

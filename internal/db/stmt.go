@@ -15,13 +15,16 @@ import (
 // Stmt is a prepared SELECT or INSERT ... SELECT: parsed and bound to
 // schemas once, planned per execution against the tables' state of that
 // moment — the testbed's analog of the paper's precompiled embedded
-// SQL. Table positions (FROM entries, the INSERT target) may be
-// parameters $1..$n, each with a declared schema; an execution names
-// the table standing at each. Literals compared with a column may be
-// value parameters ?1..?m, typed by that column; an execution supplies
-// their values. A Stmt is immutable and safe for concurrent use;
-// executions are counted and traced exactly as the same statement run
-// through Exec or Query with the values written in as literals.
+// SQL. An untraced execution whose planning decides as the last one's
+// did re-binds that execution's operator tree instead of constructing
+// one (plan.Prepared.Acquire). Table positions (FROM entries, the
+// INSERT target) may be parameters $1..$n, each with a declared schema;
+// an execution names the table standing at each. Literals compared with
+// a column may be value parameters ?1..?m, typed by that column; an
+// execution supplies their values. A Stmt is safe for concurrent use,
+// also across the views On returns, which share its plan; executions
+// are counted and traced exactly as the same statement run through Exec
+// or Query with the values written in as literals.
 type Stmt struct {
 	d      *DB
 	params []*rel.Schema
@@ -104,7 +107,7 @@ func (s *Stmt) Query(ctx context.Context, sp *obs.Span, vals []rel.Value, tables
 	if err != nil {
 		return nil, err
 	}
-	return s.d.runSelect(ctx, s.sel, args, vals, sp)
+	return s.d.runSelect(ctx, s.sel, args, vals, sp, true)
 }
 
 // QueryCount executes a prepared SELECT COUNT(*) and returns the count.
@@ -141,5 +144,5 @@ func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, vals []rel.Value, tables 
 	if t == nil {
 		return fmt.Errorf("db: no table %s", name)
 	}
-	return s.d.insertSelect(ctx, t, s.sel, args, vals, sp)
+	return s.d.insertSelect(ctx, t, s.sel, args, vals, sp, true)
 }

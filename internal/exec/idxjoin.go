@@ -122,5 +122,8 @@ func (j *IndexNLJoin) probeBatch() error {
 	return nil
 }
 
-// Close closes the outer input.
-func (j *IndexNLJoin) Close() error { return j.Left.Close() }
+// Close closes the outer input and releases the batch and its matches.
+func (j *IndexNLJoin) Close() error {
+	j.batch, j.matches, j.dec = nil, rel.Block{}, rel.BlockDecoder{}
+	return j.Left.Close()
+}

@@ -10,12 +10,16 @@ import (
 // executor"): scans emit rows of decoded blocks (rel.Block), and the
 // operators that build tuples — Project and the joins — cut them from a
 // slab; identity (set operations, DISTINCT, the hash join's build side)
-// is one byte-keyed hash table, keyTable. Neither is ever reused or
-// pooled: a tuple stays valid for as long as anyone holds it, and what
-// it keeps alive is its block or slab chunk. The one exception is a
-// producer the planner marks Borrowed, whose consumer copies each row
-// before it asks for the next: it writes every row into the same peek
-// space of its slab.
+// is one byte-keyed hash table, keyTable. Neither is ever pooled, and
+// no value a slab handed out is written again: a tuple stays valid for
+// as long as anyone holds it, and what it keeps alive is its block or
+// slab chunk. An operator re-opened after Close — a prepared
+// statement's kept tree, at its next execution — goes on taking from
+// the rest of its slab's current chunk, which is safe because take
+// never hands out a value twice; so a closed operator pins at most that
+// one chunk. The one exception is a producer the planner marks
+// Borrowed, whose consumer copies each row before it asks for the next:
+// it writes every row into the same peek space of its slab.
 
 // maxChunkRows bounds a slab chunk, and with it what one kept row of a
 // large result can pin.

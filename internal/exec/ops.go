@@ -10,7 +10,12 @@ import (
 )
 
 // Operator is a Volcano-style iterator. The contract is Open, then Next
-// until it returns a nil tuple, then Close. Operators are single-use.
+// until it returns a nil tuple, then Close. An operator is re-openable
+// after Close: Open starts a new pass, over whatever tables the
+// operator names by then — the planner re-binds a kept tree's tables
+// between executions — and Close releases the rows the pass read, so a
+// closed operator pins none of them. Only the output slab of an
+// operator that builds tuples carries over (see mem.go).
 //
 // Scans and joins carry Est, the planner's estimate of the rows the
 // operator emits. Execution ignores it; Instrument reports it beside the
@@ -194,9 +199,11 @@ func (s *SeqScan) Next() (rel.Tuple, error) {
 	return nil, nil
 }
 
-// Close releases the snapshot.
+// Close releases the snapshot's blocks, keeping the empty list for the
+// next Open.
 func (s *SeqScan) Close() error {
-	s.blocks = nil
+	clear(s.blocks)
+	s.blocks = s.blocks[:0]
 	return nil
 }
 
@@ -432,9 +439,10 @@ func (j *NLJoin) Next() (rel.Tuple, error) {
 	}
 }
 
-// Close closes the left input (the right is already drained).
+// Close closes the left input (the right is already drained) and
+// releases the right rows.
 func (j *NLJoin) Close() error {
-	j.right = nil
+	j.right, j.cur = nil, nil
 	return j.Left.Close()
 }
 
@@ -546,7 +554,7 @@ func (j *HashJoin) Next() (rel.Tuple, error) {
 
 // Close closes the probe input and releases the hash table.
 func (j *HashJoin) Close() error {
-	j.keys, j.chains, j.rows, j.next = keyTable{}, nil, nil, nil
+	j.keys, j.chains, j.rows, j.next, j.cur = keyTable{}, nil, nil, nil, nil
 	_, probe, _, _ := j.sides()
 	return probe.Close()
 }

@@ -281,6 +281,17 @@ func (t *BTree) LookupPrefix(prefix rel.Tuple) []storage.RID {
 	return out
 }
 
+// CountPrefix returns how many postings LookupPrefix(prefix) returns,
+// without collecting them.
+func (t *BTree) CountPrefix(prefix rel.Tuple) int {
+	n := 0
+	t.AscendPrefix(prefix, func(_ rel.Tuple, rids []storage.RID) bool {
+		n += len(rids)
+		return true
+	})
+	return n
+}
+
 // AscendPrefix visits keys with the given prefix in order. fn returning
 // false stops the iteration. An empty prefix visits all keys.
 func (t *BTree) AscendPrefix(prefix rel.Tuple, fn func(key rel.Tuple, rids []storage.RID) bool) {

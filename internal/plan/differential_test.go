@@ -2,76 +2,29 @@ package plan
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"dkbms/internal/catalog"
-	"dkbms/internal/exec"
+	"dkbms/internal/plan/plantest"
 	"dkbms/internal/rel"
 	"dkbms/internal/sql"
 	"dkbms/internal/storage"
 )
 
 // A shape is one differential case: physical tables and a SELECT over
-// them. Every table has int columns a, b, c and a string column s; rows
-// are drawn from a small domain (seeded per table) so that joins match.
-type shape struct {
-	tables []tableSpec
-	query  string
-}
+// them (plantest.Shape, whose generator the db package's tests share).
+type shape plantest.Shape
 
-type tableSpec struct {
-	name    string
-	rows    int
-	seed    int64
-	indexes [][]string
-}
+type tableSpec = plantest.Table
 
-var shapeCols = []string{"a", "b", "c", "s"}
-
-func (sh shape) String() string {
-	var b strings.Builder
-	for _, t := range sh.tables {
-		fmt.Fprintf(&b, "{name: %q, rows: %d, seed: %d, indexes: %#v}\n", t.name, t.rows, t.seed, t.indexes)
-	}
-	b.WriteString(sh.query)
-	return b.String()
-}
+func (sh shape) String() string { return plantest.Shape(sh).String() }
 
 func (sh shape) catalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	c := setup(t)
-	for _, ts := range sh.tables {
-		tb, err := c.CreateTable(ts.name, rel.MustSchema(
-			rel.Column{Name: "a", Type: rel.TypeInt},
-			rel.Column{Name: "b", Type: rel.TypeInt},
-			rel.Column{Name: "c", Type: rel.TypeInt},
-			rel.Column{Name: "s", Type: rel.TypeString},
-		), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(ts.seed))
-		for i := 0; i < ts.rows; i++ {
-			tu := rel.Tuple{
-				rel.NewInt(int64(rng.Intn(4))),
-				rel.NewInt(int64(rng.Intn(6))),
-				rel.NewInt(int64(rng.Intn(ts.rows + 1))),
-				rel.NewString(fmt.Sprintf("x%d", rng.Intn(3))),
-			}
-			if _, err := tb.Insert(tu); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, cols := range ts.indexes {
-			if _, err := c.CreateIndex(fmt.Sprintf("%s_ix%d", ts.name, i), ts.name, cols, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	plantest.Shape(sh).Create(t, c)
 	return c
 }
 
@@ -85,7 +38,7 @@ func (sh shape) catalog(t *testing.T) *catalog.Catalog {
 func (sh shape) check(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	c := sh.catalog(t)
-	st, err := sql.Parse(sh.query)
+	st, err := sql.Parse(sh.Query)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sh)
 	}
@@ -94,7 +47,7 @@ func (sh shape) check(t *testing.T, rng *rand.Rand) {
 	if err != nil {
 		t.Fatalf("plan: %v\n%s", err, sh)
 	}
-	plan := planString(op)
+	plan := plantest.Render(op)
 	got := sortedRows(t, op, sh)
 	want := bruteForce(t, c, sel)
 	sort.Strings(want)
@@ -116,7 +69,7 @@ func (sh shape) check(t *testing.T, rng *rand.Rand) {
 	if err != nil {
 		t.Fatalf("build with values %v: %v\n%s", vals, err, sh)
 	}
-	if pp := planString(op); pp != plan {
+	if pp := plantest.Render(op); pp != plan {
 		t.Fatalf("bound to %v, WHERE %s plans\n%s\nthe literal query plans\n%s\n%s", vals, sql.FormatExpr(param.Where), pp, plan, sh)
 	}
 	if pGot := sortedRows(t, op, sh); fmt.Sprint(pGot) != fmt.Sprint(got) {
@@ -148,35 +101,6 @@ func withValueParams(e sql.Expr, rng *rand.Rand, vals *[]rel.Value) sql.Expr {
 		return v
 	}
 	return e
-}
-
-// planString renders a plan with everything Build decided: the
-// operators and their order, tables and indexes, estimates, probe keys
-// and bound predicates.
-func planString(op exec.Operator) string {
-	switch v := op.(type) {
-	case *exec.Project:
-		return fmt.Sprintf("project%v(%s)", v.Exprs, planString(v.Input))
-	case *exec.Filter:
-		return fmt.Sprintf("filter[%v](%s)", v.Pred, planString(v.Input))
-	case *exec.Distinct:
-		return "distinct(" + planString(v.Input) + ")"
-	case *exec.CountStar:
-		return "count(" + planString(v.Input) + ")"
-	case *exec.SeqScan:
-		return fmt.Sprintf("seq %s est=%g", v.Table.Name, v.Est)
-	case *exec.IndexScan:
-		return fmt.Sprintf("index %s[%s] key=%v est=%g", v.Table.Name, v.Index.Name, v.Key, v.Est)
-	case *exec.HashJoin:
-		return fmt.Sprintf("hash%v%v left=%v est=%g(%s, %s)", v.LeftOrds, v.RightOrds, v.BuildLeft, v.Est, planString(v.Left), planString(v.Right))
-	case *exec.NLJoin:
-		return fmt.Sprintf("cross est=%g(%s, %s)", v.Est, planString(v.Left), planString(v.Right))
-	case *exec.IndexNLJoin:
-		return fmt.Sprintf("probe %s[%s]%v [%v] est=%g(%s)", v.Right.Name, v.Index.Name, v.LeftOrds, v.Residual, v.Est, planString(v.Left))
-	case *exec.SetOpExec:
-		return fmt.Sprintf("setop%d(%s, %s)", v.Kind, planString(v.Left), planString(v.Right))
-	}
-	return fmt.Sprintf("%T", op)
 }
 
 // bruteForce evaluates a simple SELECT as the definition reads: the
@@ -282,108 +206,8 @@ func bruteForce(t *testing.T, c *catalog.Catalog, sel *sql.Select) []string {
 	return out
 }
 
-// randomShape draws 1–5 FROM entries over 1–3 physical tables (so
-// aliases of one table self-join), random sizes and indexes, literal
-// predicates, and an equijoin graph that is a chain, a chain with extra
-// and multi-column edges, or missing edges (cross products); now and
-// then a non-equi or disjunctive cross-table residual.
-func randomShape(rng *rand.Rand) shape {
-	var sh shape
-	n := 1 + rng.Intn(5)
-	// Keep the reference's cross product near 50 000 rows.
-	maxRows := int(math.Min(60, math.Pow(50000, 1/float64(n))))
-	for i, np := 0, 1+rng.Intn(3); i < np; i++ {
-		ts := tableSpec{name: fmt.Sprintf("r%d", i), rows: rng.Intn(maxRows + 1), seed: rng.Int63()}
-		for k := rng.Intn(3); k > 0; k-- {
-			cols := []string{shapeCols[rng.Intn(4)]}
-			if other := shapeCols[rng.Intn(4)]; other != cols[0] && rng.Intn(2) == 0 {
-				cols = append(cols, other)
-			}
-			ts.indexes = append(ts.indexes, cols)
-		}
-		sh.tables = append(sh.tables, ts)
-	}
-	var from, where []string
-	col := func(ti int, c string) string { return fmt.Sprintf("t%d.%s", ti, c) }
-	lit := func(c string) string {
-		if c == "s" {
-			return fmt.Sprintf("'x%d'", rng.Intn(3))
-		}
-		return fmt.Sprint(rng.Intn(5))
-	}
-	ops := []string{"=", "=", "=", "<>", "<", "<=", ">", ">="}
-	for ti := 0; ti < n; ti++ {
-		from = append(from, fmt.Sprintf("%s t%d", sh.tables[rng.Intn(len(sh.tables))].name, ti))
-		if rng.Intn(3) == 0 {
-			c := shapeCols[rng.Intn(4)]
-			switch rng.Intn(5) {
-			case 0: // literal on the left
-				where = append(where, fmt.Sprintf("%s = %s", lit(c), col(ti, c)))
-			case 1: // two columns of one table
-				where = append(where, fmt.Sprintf("%s = %s", col(ti, "a"), col(ti, "b")))
-			default:
-				where = append(where, fmt.Sprintf("%s %s %s", col(ti, c), ops[rng.Intn(len(ops))], lit(c)))
-			}
-		}
-	}
-	edge := func(x, y int) {
-		c := shapeCols[rng.Intn(4)]
-		d := c
-		if c != "s" {
-			d = shapeCols[rng.Intn(3)]
-		}
-		where = append(where, fmt.Sprintf("%s = %s", col(x, c), col(y, d)))
-	}
-	connect := rng.Intn(4) // 0: leave some tables unconnected
-	for ti := 1; ti < n; ti++ {
-		if connect == 0 && rng.Intn(2) == 0 {
-			continue
-		}
-		other := rng.Intn(ti)
-		edge(other, ti)
-		if rng.Intn(3) == 0 { // multi-column join
-			edge(other, ti)
-		}
-	}
-	if n > 1 {
-		for k := rng.Intn(3); k > 0; k-- {
-			x, y := rng.Intn(n), rng.Intn(n)
-			if x == y {
-				continue
-			}
-			switch rng.Intn(3) {
-			case 0:
-				edge(x, y) // extra edge: cycles, edges between joined tables
-			case 1:
-				where = append(where, fmt.Sprintf("%s < %s", col(x, "a"), col(y, "b")))
-			default:
-				where = append(where, fmt.Sprintf("((%s = %s AND %s > %s) OR NOT %s = %s)",
-					col(x, "b"), col(y, "b"), col(y, "c"), lit("c"), col(x, "a"), lit("a")))
-			}
-		}
-	}
-	rng.Shuffle(len(where), func(i, j int) { where[i], where[j] = where[j], where[i] })
-
-	items := "*"
-	switch rng.Intn(4) {
-	case 0:
-		items = "COUNT(*)"
-	case 1, 2:
-		var list []string
-		for k := 1 + rng.Intn(3); k > 0; k-- {
-			list = append(list, col(rng.Intn(n), shapeCols[rng.Intn(4)]))
-		}
-		items = strings.Join(list, ", ")
-		if rng.Intn(2) == 0 {
-			items = "DISTINCT " + items
-		}
-	}
-	sh.query = fmt.Sprintf("SELECT %s FROM %s", items, strings.Join(from, ", "))
-	if len(where) > 0 {
-		sh.query += " WHERE " + strings.Join(where, " AND ")
-	}
-	return sh
-}
+// randomShape draws a shape from plantest.Random.
+func randomShape(rng *rand.Rand) shape { return shape(plantest.Random(rng)) }
 
 // TestPlanAgreesWithBruteForce is the planner's differential property:
 // whatever order, access paths and join methods the cost model picks,
@@ -418,9 +242,9 @@ type namedShape struct {
 }
 
 func namedShapes() []namedShape {
-	small := tableSpec{name: "small", rows: 4, seed: 1}
+	small := tableSpec{Name: "small", Rows: 4, Seed: 1}
 	big := func(indexes ...[]string) tableSpec {
-		return tableSpec{name: "big", rows: 60, seed: 2, indexes: indexes}
+		return tableSpec{Name: "big", Rows: 60, Seed: 2, Indexes: indexes}
 	}
 	return []namedShape{
 		{"two equalities on one index column", shape{[]tableSpec{small, big([]string{"a"})},
@@ -437,7 +261,7 @@ func namedShapes() []namedShape {
 			"SELECT DISTINCT t0.a, t1.c FROM big t0, big t1 WHERE t0.c = t1.b AND t0.a = 1"}},
 		{"cycle: the last edge joins two attached tables", shape{[]tableSpec{small, big([]string{"a"})},
 			"SELECT COUNT(*) FROM small t0, big t1, big t2 WHERE t0.a = t1.a AND t1.b = t2.b AND t0.a = t2.a"}},
-		{"cross product with an empty table", shape{[]tableSpec{small, {name: "none"}},
+		{"cross product with an empty table", shape{[]tableSpec{small, {Name: "none"}},
 			"SELECT * FROM small t0, none t1, small t2 WHERE t0.a = t2.a"}},
 		{"disconnected pairs", shape{[]tableSpec{small, big([]string{"a"})},
 			"SELECT COUNT(*) FROM small t0, big t1, small t2, big t3 WHERE t0.a = t1.a AND t2.a = t3.a AND t0.b <> t2.b"}},

@@ -8,38 +8,49 @@ import (
 	"dkbms/internal/sql"
 )
 
-// tableInfo is what the cost model knows about one FROM table: its
-// single-table conjuncts, the access path they select, and the
-// cardinalities that path implies.
+// tableInfo is what the cost model knows about one FROM table: the
+// access path its single-table conjuncts select, the cardinalities that
+// path implies, and the join that attaches it.
 type tableInfo struct {
-	t     *catalog.Table
-	preds []symPred
+	t *catalog.Table
 
-	// scanIndex/scanKey are the IndexScan serving the literal
-	// equalities among preds, with this execution's values; nil means
-	// SeqScan.
+	// scanIndex/scanKey are the IndexScan serving the table's literal
+	// equalities, with this execution's values; nil means SeqScan.
+	// scanKey's array is reused by the next execution's analyze.
 	scanIndex *catalog.Index
 	scanKey   rel.Tuple
 
 	est   float64 // rows left after preds
 	touch float64 // rows the access path reads to produce them
+
+	// via is the step attaching the table to the tables before it in
+	// the join order; zero for the first.
+	via step
 }
 
 // analyze picks the access path of the table just bound and estimates
 // its cardinality after the local predicates, eqLit being the column =
 // literal ones among them and vals the values of their parameters.
 // When an index covers the literal key the estimate is the exact posting
-// count.
+// count. It allocates only when the probe key outgrows the array the
+// last execution left.
 func (tab *tableInfo) analyze(eqLit []litEq, vals []rel.Value) {
 	t := tab.t
 	tab.est = float64(t.Rows())
 	tab.touch = tab.est
+	tab.scanIndex, tab.scanKey = nil, tab.scanKey[:0]
 	if len(eqLit) == 0 {
 		return
 	}
-	if idx, key := pickIndex(t, eqLit, vals); idx != nil {
-		tab.scanIndex, tab.scanKey = idx, key
-		tab.est = float64(len(idx.LookupPrefix(key)))
+	if idx, n := pickIndex(t, eqLit); idx != nil {
+		if cap(tab.scanKey) < n {
+			tab.scanKey = make(rel.Tuple, 0, n)
+		}
+		for _, o := range idx.Ords[:n] {
+			tab.scanKey = append(tab.scanKey, eqLit[litFor(eqLit, o)].lit.value(vals))
+		}
+		tab.scanIndex = idx
+		tab.est = float64(idx.CountPrefix(tab.scanKey))
 		tab.touch = tab.est
 	} else {
 		// Unindexed literal equality: assume strong filtering.
@@ -71,27 +82,33 @@ func literalEqualities(preds []symPred) []litEq {
 }
 
 // pickIndex chooses the index with the longest prefix fully bound by
-// the literal equalities and builds its probe key from their values.
-func pickIndex(t *catalog.Table, eqLit []litEq, vals []rel.Value) (*catalog.Index, rel.Tuple) {
-	var best *catalog.Index
-	var bestKey rel.Tuple
+// the literal equalities, first in t.Indexes on ties, and returns it
+// with that prefix's length.
+func pickIndex(t *catalog.Table, eqLit []litEq) (best *catalog.Index, bestLen int) {
 	for _, idx := range t.Indexes {
-		var key rel.Tuple
-	cols:
+		n := 0
 		for _, o := range idx.Ords {
-			for _, e := range eqLit {
-				if e.col == o {
-					key = append(key, e.lit.value(vals))
-					continue cols
-				}
+			if litFor(eqLit, o) < 0 {
+				break
 			}
-			break
+			n++
 		}
-		if len(key) > len(bestKey) {
-			best, bestKey = idx, key
+		if n > bestLen {
+			best, bestLen = idx, n
 		}
 	}
-	return best, bestKey
+	return best, bestLen
+}
+
+// litFor returns the position of the first literal equality on column
+// col, or -1.
+func litFor(eqLit []litEq, col int) int {
+	for i, e := range eqLit {
+		if e.col == col {
+			return i
+		}
+	}
+	return -1
 }
 
 // joinPred is a cross-table column equality, an edge of the join graph.
@@ -119,11 +136,14 @@ type joinGraph struct {
 // prefix: the rows the join touches, the rows it emits, and the method
 // those follow from — an index nested-loop join through the first
 // keyLen columns of index when index is non-nil, otherwise a hash join
-// (or, with no connecting equality, a cross product).
+// (hashing the prefix when buildLeft is set) or, with no connecting
+// equality, a cross product.
 type step struct {
 	cost, rows float64
 	index      *catalog.Index
 	keyLen     int
+	cross      bool
+	buildLeft  bool
 }
 
 // attach costs joining table ti to a prefix of p estimated rows over
@@ -149,7 +169,7 @@ func (g *joinGraph) attach(joined []bool, p float64, ti int) step {
 		}
 	}
 	if !connected {
-		return step{cost: tab.touch + p*tab.est, rows: p * tab.est}
+		return step{cost: tab.touch + p*tab.est, rows: p * tab.est, cross: true}
 	}
 	hash := step{cost: tab.touch + p, rows: math.Min(p, tab.est)}
 	// The index whose leading columns are join columns, longest prefix
@@ -210,20 +230,17 @@ func fanOut(idx *catalog.Index, keyLen int) float64 {
 	return float64(st.Entries) / keys
 }
 
-// order returns the left-deep join order of least total cost: every
-// table is tried as the start, each start is extended by the cheapest
-// next step, and the cheapest complete order wins (first in FROM order
-// on ties). Rule bodies have a handful of literals, so the n starts × n
-// steps × n candidates enumeration needs no cap.
-func (g *joinGraph) order() []int {
+// order writes into best the left-deep join order of least total cost:
+// every table is tried as the start, each start is extended by the
+// cheapest next step, and the cheapest complete order wins (first in
+// FROM order on ties). Rule bodies have a handful of literals, so the n
+// starts × n steps × n candidates enumeration needs no cap. ord (of
+// capacity n) and joined are scratch.
+func (g *joinGraph) order(best, ord []int, joined []bool) {
 	n := len(g.tabs)
-	best, bestCost := make([]int, n), math.Inf(1)
-	ord := make([]int, 0, n)
-	joined := make([]bool, n)
+	bestCost := math.Inf(1)
 	for start := range g.tabs {
-		for ti := range joined {
-			joined[ti] = false
-		}
+		clear(joined)
 		ord = append(ord[:0], start)
 		joined[start] = true
 		cost, p := g.tabs[start].touch, g.tabs[start].est
@@ -247,5 +264,4 @@ func (g *joinGraph) order() []int {
 			bestCost = cost
 		}
 	}
-	return best
 }

@@ -13,9 +13,9 @@
 //     once their tables are joined);
 //   - the projection and its output schema.
 //
-// (*Prepared).Build runs at every execution, over the tables standing
-// at the FROM positions then and the values bound to ?1..?n, and
-// settles what follows from their state:
+// Every execution then decides, over the tables standing at the FROM
+// positions then and the values bound to ?1..?n, what follows from
+// their state:
 //
 //   - access-path selection: a table with equality-on-literal conjuncts
 //     (column = ?n among them, with its bound value) matching a B+tree
@@ -23,9 +23,15 @@
 //     a SeqScan;
 //   - cost-based left-deep join ordering (order.go): every start table
 //     is extended by the cheapest next join, and the cheapest complete
-//     order wins;
-//   - the operators, predicates and projection bound to the column
-//     layout the order produced.
+//     order wins, each step with its join method.
+//
+// and constructs the operators, predicates and projection bound to the
+// column layout the order produced. Deciding allocates nothing, so an
+// execution whose decisions — join order, access paths, join methods,
+// bound values — are those of the statement's last execution does not
+// construct: (*Prepared).Acquire re-binds the operator tree that
+// execution handed back to the new tables, indexes and estimates, and
+// the tree equals the one (*Prepared).Build would construct.
 //
 // The cost of a join is the rows it must touch, and the join method
 // falls out of the same cost (P is the running prefix, touch(T) the rows
@@ -38,12 +44,15 @@
 //	cross       touch(T) + |P| × |T|  same
 //
 // So a rule statement is prepared once for a fixpoint run and every LFP
-// round of it is ordered against the current delta cardinalities.
+// round of it is ordered against the current delta cardinalities, and
+// constructed again only in the rounds where that changes a decision.
 // BuildSelect is Prepare followed by Build: there is one planner path.
 package plan
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/exec"
@@ -62,7 +71,10 @@ type TableSource interface {
 // Prepared is a (possibly compound) SELECT with everything settled that
 // depends only on the schemas of its tables: names resolved, predicates
 // typed and classified, the join graph's edges, the projection and its
-// output schema. It is immutable, and safe for concurrent Build.
+// output schema. All of that is immutable. Its one mutable part is the
+// operator tree it keeps between executions through Acquire, which one
+// execution at a time takes under an atomic flag: Build and Acquire are
+// safe for concurrent use.
 type Prepared struct {
 	blocks []block
 	// setOps[i] combines the blocks up to i with block i+1,
@@ -71,7 +83,47 @@ type Prepared struct {
 	params int
 	// values[n-1] is the type of value parameter ?n.
 	values []rel.Type
+
+	// tree is the operator tree the statement keeps between executions
+	// through Acquire; busy is set while one holds it.
+	busy atomic.Bool
+	tree Tree
 }
+
+// Tree is the operator tree of one execution of a Prepared, with the
+// decisions it was constructed from and the scratch they are made in.
+type Tree struct {
+	// Root is the statement's operator tree.
+	Root exec.Operator
+
+	blocks []blockTree
+	// vals are the values Root was constructed with (kept trees only).
+	vals []rel.Value
+}
+
+// blockTree is one block's part of a Tree: the operators constructed
+// for it, and the decisions they were constructed from with the scratch
+// those are made in, which is the scratch Build needs anyway. A
+// single-table block's scratch is part of the struct.
+type blockTree struct {
+	root exec.Operator
+	// tabs are the FROM positions' tables and per-table decisions.
+	tabs []tableInfo
+	// ints holds, n = len(tabs) each: the join order decided, the order
+	// root was constructed with, order's search scratch, and
+	// construct's two column maps.
+	ints   []int
+	joined []bool
+
+	tab1    [1]tableInfo
+	ints1   [5]int
+	joined1 [1]bool
+}
+
+// order is the join order decided; built the one root was constructed
+// with.
+func (bt *blockTree) order() []int { return bt.ints[:len(bt.tabs)] }
+func (bt *blockTree) built() []int { n := len(bt.tabs); return bt.ints[n : 2*n] }
 
 // block is one SELECT block of a Prepared.
 type block struct {
@@ -193,32 +245,108 @@ func Prepare(cat TableSource, s *sql.Select, params []*rel.Schema) (*Prepared, e
 // ?n, of the type Prepare gave it: a literal in every predicate it
 // stands in and, under an equality, in the index probe key.
 func (p *Prepared) Build(cat TableSource, args []*catalog.Table, vals []rel.Value) (exec.Operator, error) {
+	var t Tree
+	if _, err := p.plan(&t, cat, args, vals); err != nil {
+		return nil, err
+	}
+	return t.Root, nil
+}
+
+// Acquire plans one execution as Build does, into the tree the
+// statement keeps between executions. When this execution decides
+// exactly as the last one did — join order, access paths, join methods
+// and the values bound — the tree is not constructed again but re-bound
+// to this execution's tables, indexes and estimates, and reused reports
+// it. The caller drains t.Root and then hands t back with Release, also
+// after an error. An execution that finds the kept tree held by a
+// concurrent one plans a tree of its own, which is not kept.
+func (p *Prepared) Acquire(cat TableSource, args []*catalog.Table, vals []rel.Value) (t *Tree, reused bool, err error) {
+	t = &p.tree
+	if !p.busy.CompareAndSwap(false, true) {
+		t = new(Tree)
+	}
+	if reused, err = p.plan(t, cat, args, vals); err != nil {
+		p.Release(t)
+		return nil, false, err
+	}
+	return t, reused, nil
+}
+
+// Release hands back a tree Acquire returned, its operators closed, for
+// the statement's next execution to re-bind. A nil t is ignored.
+func (p *Prepared) Release(t *Tree) {
+	if t == &p.tree {
+		p.busy.Store(false)
+	}
+}
+
+// scratch sizes t's per-block scratch to the statement's FROM lists.
+func (p *Prepared) scratch(t *Tree) {
+	t.blocks = make([]blockTree, len(p.blocks))
+	for i := range t.blocks {
+		bt := &t.blocks[i]
+		if n := len(p.blocks[i].from); n == 1 {
+			bt.tabs, bt.ints, bt.joined = bt.tab1[:], bt.ints1[:], bt.joined1[:]
+		} else {
+			bt.tabs, bt.ints, bt.joined = make([]tableInfo, n), make([]int, 5*n), make([]bool, n)
+		}
+	}
+}
+
+// plan settles one execution in t. Every block decides; when t.Root was
+// constructed from the same decisions, its operators are re-bound and
+// reused is true, otherwise t.Root is constructed anew.
+func (p *Prepared) plan(t *Tree, cat TableSource, args []*catalog.Table, vals []rel.Value) (reused bool, err error) {
 	if len(args) != p.params {
-		return nil, fmt.Errorf("plan: statement takes %d table parameters, got %d", p.params, len(args))
+		return false, fmt.Errorf("plan: statement takes %d table parameters, got %d", p.params, len(args))
 	}
 	if len(vals) != len(p.values) {
-		return nil, fmt.Errorf("plan: statement takes %d value parameters, got %d", len(p.values), len(vals))
+		return false, fmt.Errorf("plan: statement takes %d value parameters, got %d", len(p.values), len(vals))
 	}
 	for i, v := range vals {
 		if v.Kind != p.values[i] {
-			return nil, fmt.Errorf("plan: value parameter ?%d is %v, bound to %v", i+1, p.values[i], v.Kind)
+			return false, fmt.Errorf("plan: value parameter ?%d is %v, bound to %v", i+1, p.values[i], v.Kind)
 		}
 	}
+	if t.blocks == nil {
+		p.scratch(t)
+	}
+	same := t.Root != nil && slices.Equal(t.vals, vals)
+	for i := range p.blocks {
+		bt := &t.blocks[i]
+		if err := p.blocks[i].decide(bt, cat, args, vals); err != nil {
+			return false, err
+		}
+		same = same && slices.Equal(bt.order(), bt.built())
+	}
+	for i := range t.blocks {
+		bt := &t.blocks[i]
+		same = same && bt.rebind(bt.root, len(bt.tabs)-1)
+	}
+	if same {
+		return true, nil
+	}
+
+	t.Root = nil
 	// A block feeding a deduplicating set operation lends it its rows:
 	// the set copies each into its key arena before asking for the next.
 	dedup := func(i int) bool { return i < len(p.setOps) && p.setOps[i] != exec.OpUnionAll }
-	left, err := p.blocks[0].build(cat, args, vals, dedup(0))
-	if err != nil {
-		return nil, err
-	}
-	for i, kind := range p.setOps {
-		right, err := p.blocks[i+1].build(cat, args, vals, dedup(i))
-		if err != nil {
-			return nil, err
+	for i := range p.blocks {
+		bt := &t.blocks[i]
+		if bt.root, err = p.blocks[i].construct(bt, vals, dedup(max(i-1, 0))); err != nil {
+			return false, err
 		}
-		left = &exec.SetOpExec{Kind: kind, Left: left, Right: right}
+		copy(bt.built(), bt.order())
 	}
-	return left, nil
+	root := t.blocks[0].root
+	for i, kind := range p.setOps {
+		root = &exec.SetOpExec{Kind: kind, Left: root, Right: t.blocks[i+1].root}
+	}
+	if t == &p.tree {
+		t.vals = append(t.vals[:0], vals...)
+	}
+	t.Root = root
+	return false, nil
 }
 
 // borrow marks op as Borrowed, its consumer copying each row before it
@@ -630,77 +758,158 @@ func (f *from) table(cat TableSource, args []*catalog.Table) (*catalog.Table, er
 	return nil, e
 }
 
-// build plans one execution of the block; lend says the block's
-// consumer copies each row before it asks for the next.
-func (b *block) build(cat TableSource, args []*catalog.Table, vals []rel.Value, lend bool) (exec.Operator, error) {
-	n := len(b.from)
-	g := &joinGraph{tabs: make([]tableInfo, n), joins: b.joins}
+// decide settles one execution of the block in bt: the table at each
+// FROM position, its access path and estimates, the join order, and the
+// step attaching each table after the first — each re-costed against
+// the running prefix to pick its join method. It allocates nothing but
+// a *BindError, or a probe key longer than the last execution's.
+func (b *block) decide(bt *blockTree, cat TableSource, args []*catalog.Table, vals []rel.Value) error {
+	g := joinGraph{tabs: bt.tabs, joins: b.joins}
+	order := bt.order()
 	for ti := range b.from {
 		f := &b.from[ti]
 		t, err := f.table(cat, args)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		g.tabs[ti] = tableInfo{t: t, preds: f.preds}
+		g.tabs[ti].t = t
 		g.tabs[ti].analyze(f.eqLit, vals)
 	}
+	if n := len(b.from); n > 1 { // a single table skips the search: order is [0]
+		g.order(order, bt.ints[2*n:3*n:3*n], bt.joined)
+	}
+	clear(bt.joined)
+	rows := 0.0
+	for i, ti := range order {
+		tab := &g.tabs[ti]
+		if i == 0 {
+			tab.via, rows = step{}, tab.est
+		} else {
+			tab.via = g.attach(bt.joined, rows, ti)
+			tab.via.buildLeft = rows < tab.est
+			rows = tab.via.rows
+		}
+		bt.joined[ti] = true
+	}
+	return nil
+}
 
+// rebind points the operators of a tree constructed from the decisions
+// in bt — op being the part that attaches the tables up to order
+// position i — at this execution's tables, indexes, probe keys and
+// estimates. It reports false when an operator is not the one bt's
+// decisions construct: another access path or join method, or an index
+// keyed on other columns. The order was compared by the caller.
+func (bt *blockTree) rebind(op exec.Operator, i int) bool {
+	if i < 0 {
+		return false
+	}
+	tab := &bt.tabs[bt.order()[i]]
+	st := &tab.via
+	switch o := op.(type) {
+	case *exec.Project:
+		return bt.rebind(o.Input, i)
+	case *exec.Distinct:
+		return bt.rebind(o.Input, i)
+	case *exec.CountStar:
+		return bt.rebind(o.Input, i)
+	case *exec.Filter: // a table's predicates, or residuals over the prefix
+		return bt.rebind(o.Input, i)
+	case *exec.SeqScan:
+		if tab.scanIndex != nil {
+			return false
+		}
+		o.Table, o.Est = tab.t, tab.touch
+		return true
+	case *exec.IndexScan:
+		if len(o.Key) != len(tab.scanKey) || !sameKey(o.Index, tab.scanIndex, len(o.Key)) {
+			return false
+		}
+		o.Table, o.Index, o.Key, o.Est = tab.t, tab.scanIndex, tab.scanKey, tab.touch
+		return true
+	case *exec.IndexNLJoin:
+		if len(o.LeftOrds) != st.keyLen || !sameKey(o.Index, st.index, st.keyLen) {
+			return false
+		}
+		o.Right, o.Index, o.Est = tab.t, st.index, st.rows
+		return bt.rebind(o.Left, i-1)
+	case *exec.HashJoin:
+		if st.index != nil || st.cross || o.BuildLeft != st.buildLeft {
+			return false
+		}
+		o.Est = st.rows
+		return bt.rebind(o.Left, i-1) && bt.rebind(o.Right, i)
+	case *exec.NLJoin:
+		if st.index != nil || !st.cross {
+			return false
+		}
+		o.Est = st.rows
+		return bt.rebind(o.Left, i-1) && bt.rebind(o.Right, i)
+	}
+	return false
+}
+
+// sameKey reports whether indexes a and b, either possibly nil, both
+// exist and lead with the same n columns.
+func sameKey(a, b *catalog.Index, n int) bool {
+	return a != nil && b != nil && (a == b || slices.Equal(a.Ords[:n], b.Ords[:n]))
+}
+
+// construct builds the block's operators from the decisions in bt; lend
+// says the block's consumer copies each row before it asks for the
+// next.
+func (b *block) construct(bt *blockTree, vals []rel.Value, lend bool) (exec.Operator, error) {
+	n := len(b.from)
 	// m places the attached tables in cur's output; local is the same
 	// map for one table alone, binding its own predicates below the
 	// joins.
-	unplaced := make(colMap, 2*n)
-	for i := range unplaced {
-		unplaced[i] = -1
+	m, local := colMap(bt.ints[3*n:4*n]), colMap(bt.ints[4*n:])
+	for ti := range m {
+		m[ti], local[ti] = -1, -1
 	}
-	m, local := unplaced[:n], unplaced[n:]
 	access := func(ti int) (exec.Operator, error) {
-		tab := &g.tabs[ti]
+		tab, preds := &bt.tabs[ti], b.from[ti].preds
 		var op exec.Operator
 		if tab.scanIndex != nil {
 			op = &exec.IndexScan{Table: tab.t, Index: tab.scanIndex, Key: tab.scanKey, Est: tab.touch}
 		} else {
 			op = &exec.SeqScan{Table: tab.t, Est: tab.touch}
 		}
-		if len(tab.preds) == 0 {
+		if len(preds) == 0 {
 			return op, nil
 		}
 		// Attach all table predicates (the index may cover only some;
 		// re-checking the covered equalities is cheap and keeps the
 		// planner simple and the executor obviously correct).
 		local[ti] = 0
-		preds, err := bindAll(nil, tab.preds, local, vals)
+		bound, err := bindAll(nil, preds, local, vals)
 		local[ti] = -1
 		if err != nil {
 			return nil, err
 		}
-		return &exec.Filter{Input: op, Pred: exec.AndOf(preds)}, nil
+		return &exec.Filter{Input: op, Pred: exec.AndOf(bound)}, nil
 	}
 
-	// Attach the tables in the order of least estimated cost; each step
-	// is re-costed against the running prefix to pick its join method.
+	// Attach the tables in the order decided, each by its step's method.
 	var cur exec.Operator
-	joined := make([]bool, n)
+	joined := bt.joined
+	clear(joined)
 	width := 0
-	rows := 0.0
-	order := []int{0} // single-table statements skip the search and its scratch
-	if n > 1 {
-		order = g.order()
-	}
-	for i, ti := range order {
-		tab := &g.tabs[ti]
+	for i, ti := range bt.order() {
+		tab := &bt.tabs[ti]
 		m[ti] = width
 		if i == 0 {
 			op, err := access(ti)
 			if err != nil {
 				return nil, err
 			}
-			cur, rows = op, tab.est
+			cur = op
 		} else {
-			st := g.attach(joined, rows, ti)
+			st := &tab.via
 			// The equalities connecting ti to the prefix: ordinals in
 			// cur's output paired with column ordinals of ti.
 			var outer, inner []int
-			for _, jp := range g.joins {
+			for _, jp := range b.joins {
 				if o, c, ok := jp.connects(joined, ti); ok {
 					oo, _ := m.ord(o)
 					outer = append(outer, oo)
@@ -708,7 +917,7 @@ func (b *block) build(cat TableSource, args []*catalog.Table, vals []rel.Value, 
 				}
 			}
 			if st.index != nil {
-				key, res, err := indexJoinKey(tab, st.index, st.keyLen, outer, inner, m, width, vals)
+				key, res, err := indexJoinKey(tab.t, b.from[ti].preds, st.index, st.keyLen, outer, inner, m, width, vals)
 				if err != nil {
 					return nil, err
 				}
@@ -720,12 +929,11 @@ func (b *block) build(cat TableSource, args []*catalog.Table, vals []rel.Value, 
 				}
 				if len(outer) > 0 {
 					cur = &exec.HashJoin{Left: cur, Right: right, LeftOrds: outer, RightOrds: inner,
-						BuildLeft: rows < tab.est, Est: st.rows}
+						BuildLeft: st.buildLeft, Est: st.rows}
 				} else {
 					cur = &exec.NLJoin{Left: cur, Right: right, Pred: exec.True{}, Est: st.rows}
 				}
 			}
-			rows = st.rows
 		}
 		width += tab.t.Schema.Len()
 		joined[ti] = true
@@ -788,10 +996,10 @@ func covers(have, need []bool) bool {
 // keyLen columns of idx: the probe-key ordinals in the prefix's output,
 // aligned with those columns, and the residual predicate over the
 // concatenated output — connecting equalities the key does not cover
-// plus the table's single-table predicates. outer/inner are the
+// plus tabPreds, the table's single-table predicates. outer/inner are the
 // connecting equalities (prefix ordinal, table column); the table's
 // columns start at ordinal at, where m already places them.
-func indexJoinKey(tab *tableInfo, idx *catalog.Index, keyLen int, outer, inner []int, m colMap, at int, vals []rel.Value) ([]int, exec.Pred, error) {
+func indexJoinKey(t *catalog.Table, tabPreds []symPred, idx *catalog.Index, keyLen int, outer, inner []int, m colMap, at int, vals []rel.Value) ([]int, exec.Pred, error) {
 	key := make([]int, keyLen)
 	covered := make([]bool, len(inner))
 	for i := range key {
@@ -808,14 +1016,14 @@ func indexJoinKey(tab *tableInfo, idx *catalog.Index, keyLen int, outer, inner [
 		if covered[k] {
 			continue
 		}
-		ty := tab.t.Schema.Col(c).Type
+		ty := t.Schema.Col(c).Type
 		preds = append(preds, exec.Cmp{
 			Op:    sql.CmpEq,
 			Left:  exec.Col{Ord: outer[k], Ty: ty},
 			Right: exec.Col{Ord: at + c, Ty: ty},
 		})
 	}
-	preds, err := bindAll(preds, tab.preds, m, vals)
+	preds, err := bindAll(preds, tabPreds, m, vals)
 	if err != nil {
 		return nil, nil, err
 	}

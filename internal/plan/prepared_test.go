@@ -10,6 +10,7 @@ import (
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/exec"
+	"dkbms/internal/plan/plantest"
 	"dkbms/internal/rel"
 	"dkbms/internal/sql"
 )
@@ -39,7 +40,7 @@ func sortedRows(t *testing.T, op exec.Operator, sh any) []string {
 func (sh shape) checkPrepared(t *testing.T) (orders map[string]bool) {
 	t.Helper()
 	c := sh.catalog(t)
-	st, err := sql.Parse(sh.query)
+	st, err := sql.Parse(sh.Query)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, sh)
 	}
@@ -335,11 +336,11 @@ func TestPreparedValueParams(t *testing.T) {
 			t.Fatal(err)
 		}
 		lit := build(t, c, fmt.Sprintf("SELECT a FROM e WHERE b = %d", v))
-		if planString(op) != planString(lit) {
-			t.Errorf("b = ?1 bound to %d plans %s, the literal %s", v, planString(op), planString(lit))
+		if plantest.Render(op) != plantest.Render(lit) {
+			t.Errorf("b = ?1 bound to %d plans %s, the literal %s", v, plantest.Render(op), plantest.Render(lit))
 		}
 		if scan, ok := unwrap(op).(*exec.IndexScan); !ok || scan.Est != float64(len(sortedRows(t, lit, v))) {
-			t.Errorf("b = ?1 bound to %d: %s, want an IndexScan with the exact posting count", v, planString(op))
+			t.Errorf("b = ?1 bound to %d: %s, want an IndexScan with the exact posting count", v, plantest.Render(op))
 		}
 	}
 }

@@ -32,7 +32,7 @@ func TestTuplesSurviveTheStatement(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		c := sh.catalog(t)
-		st, err := sql.Parse(sh.query)
+		st, err := sql.Parse(sh.Query)
 		if err != nil {
 			t.Fatalf("%v\n%s", err, sh.shape)
 		}
@@ -52,7 +52,7 @@ func TestTuplesSurviveTheStatement(t *testing.T) {
 		want := bruteForce(t, c, sel)
 
 		for i := 0; i < 40; i++ {
-			churn(t, c.Table(sh.tables[i%len(sh.tables)].name), i)
+			churn(t, c.Table(sh.Tables[i%len(sh.Tables)].Name), i)
 			if i%10 == 0 {
 				run()
 			}

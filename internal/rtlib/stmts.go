@@ -13,10 +13,14 @@ import (
 // run, each once: the run's rules and its per-predicate copy, count and
 // read statements, with every table position a parameter, so the
 // rounds of the run — and a rule's differentials within a round —
-// rebind one statement instead of rendering and parsing a new one. This
-// is the paper's object program: embedded SQL precompiled once, then
-// driven by the LFP loop. A Statements lives as long as the run that
-// made it and no longer; nothing is kept on the compiled program. The
+// rebind one statement instead of rendering and parsing a new one, and
+// each statement keeps the operator tree of its last execution, which
+// the next re-binds when the planner decides as before
+// (plan.Prepared.Acquire). This is the paper's object program: embedded
+// SQL precompiled once, then driven by the LFP loop. A Statements lives
+// as long as the run that made it and no longer — with it go the kept
+// trees, each pinning its last execution's tables and at most a slab
+// chunk per operator — and nothing is kept on the compiled program. The
 // cache itself is not for concurrent use (prepare, then fan out); the
 // statements it hands out are.
 type Statements struct {

@@ -92,7 +92,7 @@ func sqlFrontEndAllocs(run func()) int64 {
 // TestRoundAllocsExcludeParse pins what a semi-naive round allocates
 // and that none of it is the SQL front end's: rule statements are
 // parsed and bound once per run, so a run four rounds longer allocates
-// four rounds' plans and operators more and not one token.
+// four rounds' executions more and not one token.
 func TestRoundAllocsExcludeParse(t *testing.T) {
 	const shallow, deep = 8, 12
 	runs := map[int]func() int{shallow: leafToRoot(t, shallow), deep: leafToRoot(t, deep)}
@@ -108,16 +108,24 @@ func TestRoundAllocsExcludeParse(t *testing.T) {
 		parse[depth] = sqlFrontEndAllocs(func() { run() })
 	}
 	// A round here is a CREATE and a DROP of a delta table, the rule
-	// statement, the COUNT(*) and the promotion, each planned and run:
-	// 254 objects. It was 272 = 254 + 14 + 4 while every row a join or
-	// a projection emitted was handed out of its slab (the first rows of
-	// an execution take a chunk each: 18 a round, against 4 now that a
-	// borrowed producer writes all its rows into one chunk) and while
-	// the EXCEPT's set kept its rows and INSERT collected and re-encoded
-	// them (4 more). 397 when each statement was also rendered, lexed,
-	// parsed and bound. The runtime's own allocations move a run by one
-	// or two.
-	const perRound = 254
+	// statement, the COUNT(*) and the promotion, each run on the
+	// operator tree its statement kept from the round before, re-bound
+	// to this round's tables (no round changes a decision): 204 objects.
+	// It was 254 while every execution constructed its tree: 204 = 254 −
+	// 12 − 6 − 28 − 4. Build itself allocates 12 fewer (it counts an
+	// index scan's rows instead of listing them, builds one probe key,
+	// and takes one scratch slice per kind, none for a single table);
+	// keeping the tree keeps its scratch (6); re-binding keeps the
+	// operators, predicates and projections (28); and closed scans keep
+	// their emptied block lists (4). Before that, 272 = 254 +
+	// 14 + 4 while every row a join or a projection emitted was handed
+	// out of its slab (the first rows of an execution take a chunk each:
+	// 18 a round, against 4 once a borrowed producer wrote all its rows
+	// into one chunk) and while the EXCEPT's set kept its rows and
+	// INSERT collected and re-encoded them (4 more); 397 when each
+	// statement was also rendered, lexed, parsed and bound. The
+	// runtime's own allocations move a run by one or two.
+	const perRound = 204
 	if got := (allocs[deep] - allocs[shallow]) / (deep - shallow); math.Abs(got-perRound) > 1 && !raceEnabled {
 		t.Errorf("a round allocates %.2f objects (%.0f over %d rounds, %.0f over %d), pinned %d",
 			got, allocs[shallow], rounds[shallow], allocs[deep], rounds[deep], perRound)
