@@ -11,8 +11,10 @@ package catalog
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"dkbms/internal/rel"
 	"dkbms/internal/storage"
@@ -503,38 +505,96 @@ func (t *Table) Truncate() error {
 	return nil
 }
 
-// ScanBlocks decodes the table a page at a time: fn gets the live rows
-// of each page, in slot order, as one block (rel.Block says what
-// keeping one of its rows keeps alive).
-func (t *Table) ScanBlocks(fn func(b rel.Block) error) error {
-	return t.scanPages(func(_ *storage.Page, b rel.Block) error { return fn(b) })
+// DecodeBlocks decodes the table a page at a time through dec, a
+// decoder of the table's schema, and returns the live rows of each
+// page, in slot order, as one block (rel.Block says what keeping one of
+// its rows keeps alive). old are the blocks a previous call returned,
+// whose rows nobody reads any more: page i is decoded over old[i] when
+// that block's slab fits it (rel.BlockDecoder.BeginReusing), the blocks
+// are returned in old's list, and old's blocks past the table's pages
+// are released, as is a list far longer than the table.
+func (t *Table) DecodeBlocks(dec *rel.BlockDecoder, old []rel.Block) ([]rel.Block, error) {
+	blocks := old[:0]
+	err := t.scanPages(dec, old, func(_ *storage.Page, b rel.Block) error {
+		if cap(blocks) == 0 && b.Len() > 0 {
+			// Pages of one table hold about as many rows each.
+			blocks = make([]rel.Block, 0, t.Rows()/b.Len()+1)
+		}
+		// Page i is written over old[i] after it was decoded over it.
+		blocks = append(blocks, b)
+		return nil
+	})
+	if len(blocks) < len(old) {
+		clear(old[len(blocks):])
+	}
+	if size := int(unsafe.Sizeof(rel.Block{})); rel.Outgrown(cap(blocks)*size, len(blocks)*size) {
+		blocks = slices.Clone(blocks)
+	}
+	return blocks, err
 }
 
-// scanPages is ScanBlocks that also passes the pinned page each block
-// was decoded from.
-func (t *Table) scanPages(fn func(pg *storage.Page, b rel.Block) error) error {
+// DecodeAll decodes the whole table, in the order DecodeBlocks reads it,
+// into one block of its own: one value slab sized by the maintained row
+// count and one string, as rel.OwnRows leaves rows. It reads the pages
+// DecodeBlocks reads.
+func (t *Table) DecodeAll() (rel.Block, error) {
 	dec := rel.NewBlockDecoder(t.Schema)
+	dec.Begin(t.rows, 0)
+	err := t.Heap.ScanPages(func(pg *storage.Page) error {
+		dec.Grow(recordBytes(pg))
+		return t.decodePage(&dec, pg)
+	})
+	if err != nil {
+		return rel.Block{}, err
+	}
+	return dec.Finish(), nil
+}
+
+// scanPages decodes each page through dec into a block, over old[i] for
+// page i where there is one, and passes fn the pinned page with it.
+func (t *Table) scanPages(dec *rel.BlockDecoder, old []rel.Block, fn func(pg *storage.Page, b rel.Block) error) error {
+	i := 0
 	return t.Heap.ScanPages(func(pg *storage.Page) error {
-		size := 0
-		for s := 0; s < pg.SlotCount(); s++ {
-			size += len(pg.Record(s))
+		var prev rel.Block
+		if i < len(old) {
+			prev = old[i]
 		}
-		dec.Begin(pg.LiveRecords(), size)
-		for s := 0; s < pg.SlotCount(); s++ {
-			if rec := pg.Record(s); rec != nil {
-				if err := dec.Add(rec); err != nil {
-					return fmt.Errorf("catalog: table %s: %w", t.Name, err)
-				}
-			}
+		i++
+		dec.BeginReusing(prev, pg.LiveRecords(), recordBytes(pg))
+		if err := t.decodePage(dec, pg); err != nil {
+			return err
 		}
 		return fn(pg, dec.Finish())
 	})
 }
 
+// recordBytes returns the length of the page's live records together.
+func recordBytes(pg *storage.Page) int {
+	size := 0
+	for s := 0; s < pg.SlotCount(); s++ {
+		size += len(pg.Record(s))
+	}
+	return size
+}
+
+// decodePage adds the page's live records, in slot order, to the block
+// dec is building.
+func (t *Table) decodePage(dec *rel.BlockDecoder, pg *storage.Page) error {
+	for s := 0; s < pg.SlotCount(); s++ {
+		if rec := pg.Record(s); rec != nil {
+			if err := dec.Add(rec); err != nil {
+				return fmt.Errorf("catalog: table %s: %w", t.Name, err)
+			}
+		}
+	}
+	return nil
+}
+
 // Scan calls fn with every tuple and the RID it is stored at. The tuple
 // is a row of its page's block.
 func (t *Table) Scan(fn func(rid storage.RID, tu rel.Tuple) error) error {
-	return t.scanPages(func(pg *storage.Page, b rel.Block) error {
+	dec := rel.NewBlockDecoder(t.Schema)
+	return t.scanPages(&dec, nil, func(pg *storage.Page, b rel.Block) error {
 		row := 0
 		for s := 0; s < pg.SlotCount(); s++ {
 			if pg.Record(s) == nil {

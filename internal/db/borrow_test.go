@@ -100,7 +100,10 @@ func borrowWalk(t *testing.T, stmt string, op exec.Operator, copies bool, seen m
 // would reuse one buffer if it were marked Borrowed — so every kept row
 // would read as the last one written — and many rows through it. Its
 // plan must mark nothing under that consumer, and its answer, run as
-// text and prepared, must be the brute-force one.
+// text and prepared, must be the brute-force one. The prepared statement
+// then runs a second time, on its kept tree, after rows were added to
+// every table: its answer is the new brute-force one, and the rows the
+// first execution returned still read as the old.
 func TestBorrowedRowsNeverKept(t *testing.T) {
 	type edge struct{ s, d int64 }
 	r := rand.New(rand.NewSource(7))
@@ -207,13 +210,43 @@ func TestBorrowedRowsNeverKept(t *testing.T) {
 			t.Errorf("%s: the plan has no %s: %v", tc.stmt, tc.shape, seen)
 		}
 		text := rowStrings(mustQuery(t, d, tc.stmt))
-		rows, err := mustPrepare(t, d, tc.stmt).Query(context.Background(), nil, nil)
+		stmt := mustPrepare(t, d, tc.stmt)
+		first, err := stmt.Query(context.Background(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prepared := rowStrings(rows)
+		prepared := rowStrings(first)
 		if w := strings.Join(want, " "); strings.Join(text, " ") != w || strings.Join(prepared, " ") != w {
 			t.Errorf("%s:\ntext     %v\nprepared %v\nwant     %v", tc.stmt, text, prepared, want)
+		}
+
+		// A few more rows a table: the planner decides as before, and the
+		// second execution runs over the first one's working memory.
+		for _, tab := range []struct {
+			name  string
+			es    *[]edge
+			width int
+		}{{"a", &a, 10}, {"b", &b, 10}, {"x", &x, 100}} {
+			for _, e := range gen(len(*tab.es)/8+1, tab.width) {
+				mustExec(t, d, fmt.Sprintf("INSERT INTO %s VALUES (%d, %d)", tab.name, e.s, e.d))
+				*tab.es = append(*tab.es, e)
+			}
+		}
+		want2 := tc.want()
+		sort.Strings(want2)
+		reuses := d.StatsSnapshot().Reuses
+		second, err := stmt.Query(context.Background(), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.StatsSnapshot().Reuses == reuses {
+			t.Errorf("%s: the second execution did not re-bind the kept tree", tc.stmt)
+		}
+		if got, w := strings.Join(rowStrings(second), " "), strings.Join(want2, " "); got != w {
+			t.Errorf("%s, second execution:\ngot  %v\nwant %v", tc.stmt, got, w)
+		}
+		if got, w := strings.Join(rowStrings(first), " "), strings.Join(want, " "); got != w {
+			t.Errorf("%s: the first execution's rows became\n%v\nafter the second, were\n%v", tc.stmt, got, w)
 		}
 	}
 }

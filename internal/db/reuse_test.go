@@ -21,8 +21,9 @@ import (
 // renders it beside a tree Build constructs over the same tables, and
 // hands it back; the two renderings — operators, tables, indexes, probe
 // keys, BuildLeft, estimates, bound predicates — must be identical. When
-// rows is set both trees are drained and must return the same rows.
-func checkKept(t *testing.T, d *DB, p *plan.Prepared, args []*catalog.Table, rows bool, what string) (reused bool) {
+// rows is set both trees are drained, and got and want are the rows the
+// kept and the fresh tree return.
+func checkKept(t *testing.T, d *DB, p *plan.Prepared, args []*catalog.Table, rows bool, what string) (reused bool, got, want []rel.Tuple) {
 	t.Helper()
 	tr, reused, err := p.Acquire(d, args, nil)
 	if err != nil {
@@ -37,26 +38,24 @@ func checkKept(t *testing.T, d *DB, p *plan.Prepared, args []*catalog.Table, row
 		t.Fatalf("re-bound=%v: the kept tree\n%s\nis not the fresh one\n%s\n%s", reused, got, want, what)
 	}
 	if rows {
-		got, err := exec.CollectOwned(context.Background(), tr.Root)
-		if err != nil {
+		if got, err = exec.CollectOwned(context.Background(), tr.Root); err != nil {
 			t.Fatal(err)
 		}
-		want, err := exec.CollectOwned(context.Background(), fresh)
-		if err != nil {
+		if want, err = exec.CollectOwned(context.Background(), fresh); err != nil {
 			t.Fatal(err)
-		}
-		if g, w := rowStrings(&Rows{Tuples: got}), rowStrings(&Rows{Tuples: want}); strings.Join(g, "|") != strings.Join(w, "|") {
-			t.Fatalf("the kept tree returned %v, the fresh one %v\n%s", g, w, what)
 		}
 	}
-	return reused
+	return reused, got, want
 }
 
 // TestReusedPlanEqualsFresh: every operator tree a prepared statement
 // keeps and re-binds is the tree Build would construct against the same
 // tables. Over the planner's differential generator (plantest.Random),
 // each statement with every FROM position a parameter runs six times
-// while its tables swap positions and grow; over a semi-naive LFP run,
+// while its tables swap positions and grow, and the rows every execution
+// returned are compared with the fresh tree's only after all six — a
+// returned row the kept tree's later executions wrote over shows; over a
+// semi-naive LFP run,
 // every statement execution of every round is checked just before it
 // runs — it then re-binds the checked tree — and the answer is the
 // transitive closure. The differentiated rule reads its delta through a
@@ -87,19 +86,28 @@ func TestReusedPlanEqualsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prepare: %v\n%s", err, sh)
 		}
-		for round := 0; round < 6; round++ {
+		var got [6][]rel.Tuple
+		var want [6]string
+		for round := range got {
 			args := make([]*catalog.Table, n)
 			for i := range args {
 				args[i] = d.Table(named[(i+round/2)%n].Table)
 			}
-			if checkKept(t, d, p, args, true, sh.String()) {
+			kept, rows, fresh := checkKept(t, d, p, args, true, sh.String())
+			if kept {
 				reused++
 			}
+			got[round], want[round] = rows, strings.Join(rowStrings(&Rows{Tuples: fresh}), "|")
 			grow := d.Table(sh.Tables[round%len(sh.Tables)].Name)
 			for k := 0; k < 3; k++ {
 				if _, err := grow.Insert(rel.Tuple{rel.NewInt(int64(k)), rel.NewInt(int64(round)), rel.NewInt(int64(k)), rel.NewString("x1")}); err != nil {
 					t.Fatal(err)
 				}
+			}
+		}
+		for round := range got {
+			if g := strings.Join(rowStrings(&Rows{Tuples: got[round]}), "|"); g != want[round] {
+				t.Fatalf("execution %d: the kept tree returned %s, the fresh one %s\n%s", round+1, g, want[round], sh)
 			}
 		}
 	}

@@ -17,7 +17,8 @@ import (
 // The outer input is read a batch at a time — one tuple, then two, four,
 // … up to maxProbeBatch — and the matches of a whole batch are decoded
 // into one block, so the inner rows cost one string per batch, not one
-// per probe, and their values a slab that every batch reuses.
+// per probe, and their values a slab that every batch, and the next
+// execution, reuses.
 type IndexNLJoin struct {
 	Left     Operator
 	Right    *catalog.Table
@@ -39,8 +40,10 @@ type IndexNLJoin struct {
 	bi, mi   int32 // the next candidate pairs batch[bi] with matches row mi
 	leftDone bool
 	dec      rel.BlockDecoder
-	out      slab
-	schema   *rel.Schema
+	// peak is the most values one batch's matches took this execution.
+	peak   int
+	out    slab
+	schema *rel.Schema
 }
 
 type probe struct {
@@ -66,8 +69,9 @@ func (j *IndexNLJoin) Open() error {
 	if len(j.LeftOrds) == 0 || len(j.LeftOrds) > len(j.Index.Ords) {
 		return fmt.Errorf("exec: index join key width %d does not fit index %s", len(j.LeftOrds), j.Index.Name)
 	}
-	j.batch, j.matches, j.bi, j.mi, j.leftDone = nil, rel.Block{}, 0, 0, false
-	j.dec = rel.NewBlockDecoder(j.Right.Schema)
+	j.batch, j.bi, j.mi, j.leftDone, j.peak = j.batch[:0], 0, 0, false, 0
+	decoderFor(&j.dec, j.Right.Schema)
+	j.out.rewind()
 	return j.Left.Open()
 }
 
@@ -119,11 +123,16 @@ func (j *IndexNLJoin) probeBatch() error {
 		j.batch = append(j.batch, probe{tu, int32(j.dec.Rows())})
 	}
 	j.matches = j.dec.Finish()
+	j.peak = max(j.peak, j.matches.Len()*j.Right.Schema.Len())
 	return nil
 }
 
-// Close closes the outer input and releases the batch and its matches.
+// Close closes the outer input and trims the matches' slab and the
+// output slab; the batch holds at most maxProbeBatch outer rows.
 func (j *IndexNLJoin) Close() error {
-	j.batch, j.matches, j.dec = nil, rel.Block{}, rel.BlockDecoder{}
+	if rel.Outgrown(j.matches.Cap()*rel.ValueSize, j.peak*rel.ValueSize) {
+		j.matches = rel.Block{}
+	}
+	j.out.trim()
 	return j.Left.Close()
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"hash/maphash"
+	"slices"
+	"unsafe"
 
 	"dkbms/internal/rel"
 )
@@ -10,31 +12,62 @@ import (
 // executor"): scans emit rows of decoded blocks (rel.Block), and the
 // operators that build tuples — Project and the joins — cut them from a
 // slab; identity (set operations, DISTINCT, the hash join's build side)
-// is one byte-keyed hash table, keyTable. Neither is ever pooled, and
-// no value a slab handed out is written again: a tuple stays valid for
-// as long as anyone holds it, and what it keeps alive is its block or
-// slab chunk. An operator re-opened after Close — a prepared
-// statement's kept tree, at its next execution — goes on taking from
-// the rest of its slab's current chunk, which is safe because take
-// never hands out a value twice; so a closed operator pins at most that
-// one chunk. The one exception is a producer the planner marks
-// Borrowed, whose consumer copies each row before it asks for the next:
-// it writes every row into the same peek space of its slab.
+// is one byte-keyed hash table, keyTable. Nothing is pooled between
+// trees, but a tree keeps its working memory from one execution to the
+// next: a prepared statement's kept tree, re-opened, decodes its pages
+// over the last execution's blocks, resets its key tables and sets, and
+// rewinds its slabs to their first chunk. So a row read inside a tree
+// is valid until that tree's next execution, and no longer; every row
+// that leaves a statement is copied before it does (CollectOwned, or an
+// INSERT's write to a page). What a closed operator keeps is the memory
+// its last pass used: a buffer Outgrown by that pass (rel.Outgrown,
+// more than four times its use plus 1 KiB) is released at Close. A
+// producer the planner marks Borrowed, whose consumer copies each row
+// before it asks for the next, writes every row into the same peek
+// space of its slab.
 
 // maxChunkRows bounds a slab chunk, and with it what one kept row of a
 // large result can pin.
 const maxChunkRows = 1024
 
 // slab hands out an operator's output tuples from chunks sized by what
-// the operator has emitted so far: each chunk holds a quarter as many
-// rows as were handed out before it (at least one, at most
-// maxChunkRows). The first rows therefore cost one small allocation
-// each, as a make per row would; from then on the allocations grow with
-// the logarithm of the output, and at most a fifth of what was
-// allocated is never used.
+// the operator has emitted so far in the execution: each chunk holds a
+// quarter as many rows as were handed out before it (at least one, at
+// most maxChunkRows). The first rows therefore cost one small
+// allocation each, as a make per row would; from then on the
+// allocations grow with the logarithm of the output, and at most a
+// fifth of what was allocated is never used. The chunks are kept:
+// rewind starts the next execution over the first of them, and only
+// rows beyond what they hold allocate.
 type slab struct {
-	free []rel.Value // the unused rest of the current chunk
-	rows int         // tuples handed out, all chunks
+	chunks [][]rel.Value
+	free   []rel.Value // the unused rest of the current chunk
+	cut    int32       // chunks[cut] is the next chunk to cut from
+	rows   int32       // tuples handed out this execution, all chunks
+}
+
+// rewind starts a new execution over the slab's first chunk: every
+// tuple it handed out before may be written over.
+func (s *slab) rewind() { s.cut, s.free, s.rows = 0, nil, 0 }
+
+// trim releases the chunks the execution did not reach when they are
+// Outgrown by those it did, and the list of chunks when it is Outgrown
+// by the chunks left.
+func (s *slab) trim() {
+	used, kept := 0, 0
+	for i, c := range s.chunks {
+		if i < int(s.cut) {
+			used += len(c)
+		}
+		kept += len(c)
+	}
+	if rel.Outgrown(kept*rel.ValueSize, used*rel.ValueSize) {
+		clear(s.chunks[s.cut:])
+		s.chunks = s.chunks[:s.cut]
+	}
+	if trim(s.chunks) == nil {
+		s.chunks = slices.Clone(s.chunks)
+	}
 }
 
 // peek returns the tuple of the given width that the next take will
@@ -42,10 +75,25 @@ type slab struct {
 // and takes it only if the residual holds, so only emitted rows use
 // slab space. The tuple's capacity is its length.
 func (s *slab) peek(width int) rel.Tuple {
-	if s.free == nil || len(s.free) < width {
-		s.free = make([]rel.Value, width*min(max(s.rows/4, 1), maxChunkRows))
+	if len(s.free) < width {
+		s.refill(width)
 	}
 	return s.free[:width:width]
+}
+
+// refill makes the next kept chunk that holds a row of the width the
+// current one, or a new chunk when none is left.
+func (s *slab) refill(width int) {
+	for _, c := range s.chunks[s.cut:] {
+		s.cut++
+		if len(c) >= width {
+			s.free = c
+			return
+		}
+	}
+	s.free = make([]rel.Value, width*min(max(int(s.rows)/4, 1), maxChunkRows))
+	s.chunks = append(s.chunks, s.free)
+	s.cut++
 }
 
 // take hands out what peek(width) returned.
@@ -73,6 +121,18 @@ func (s *slab) concat(left, right rel.Tuple) rel.Tuple {
 	return tu
 }
 
+// trim returns buf, which an execution filled to its length, or nil
+// when buf is Outgrown by that: what an operator keeps for its next
+// execution after Close.
+func trim[T any](buf []T) []T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
+	if rel.Outgrown(cap(buf)*size, len(buf)*size) {
+		return nil
+	}
+	return buf
+}
+
 // keyTable maps byte keys (rel.Tuple.AppendKey) to dense entry numbers
 // in insertion order: 0, 1, 2, … The keys lie back to back in one arena
 // and the table is open-addressed, so a probe allocates nothing and an
@@ -96,6 +156,24 @@ func hashKey(key []byte) uint32 { return uint32(maphash.Bytes(keySeed, key)) }
 
 // len returns the number of keys.
 func (t *keyTable) len() int { return len(t.ends) }
+
+// reset empties the table for the next execution, keeping its arena,
+// ends and slots.
+func (t *keyTable) reset() {
+	t.arena, t.ends = t.arena[:0], t.ends[:0]
+	clear(t.slots)
+}
+
+// trim releases the table, leaving the empty zero keyTable, when any of
+// its parts is Outgrown by the keys it holds: what the table keeps for
+// its next execution after Close. The slots those keys need are at most
+// twice what add's load factor asks.
+func (t *keyTable) trim() {
+	slot := int(unsafe.Sizeof(keySlot{}))
+	if trim(t.arena) == nil || trim(t.ends) == nil || rel.Outgrown(len(t.slots)*slot, 2*len(t.ends)*slot*4/3) {
+		*t = keyTable{}
+	}
+}
 
 func (t *keyTable) key(entry uint32) []byte {
 	start := uint32(0)

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/rel"
@@ -13,9 +14,12 @@ import (
 // until it returns a nil tuple, then Close. An operator is re-openable
 // after Close: Open starts a new pass, over whatever tables the
 // operator names by then — the planner re-binds a kept tree's tables
-// between executions — and Close releases the rows the pass read, so a
-// closed operator pins none of them. Only the output slab of an
-// operator that builds tuples carries over (see mem.go).
+// between executions. A pass's rows are valid until the operator's next
+// Open, which may write the next pass's rows over them: a closed
+// operator keeps the working memory its last pass used (scan blocks,
+// key tables, sets, slabs) for the next to reuse, and releases what that
+// pass outgrew (see mem.go). Whoever keeps a row past the statement
+// copies it (CollectOwned).
 //
 // Scans and joins carry Est, the planner's estimate of the rows the
 // operator emits. Execution ignores it; Instrument reports it beside the
@@ -68,7 +72,8 @@ func Collect(op Operator) ([]rel.Tuple, error) {
 // CollectCtx drains an operator into a slice, observing the context
 // between tuples like RunCtx. A set operation, which has its whole
 // result in hand once evaluated, gives it up instead of being drained
-// into a second slice.
+// into a second slice, and a bare table scan decodes its table into one
+// block instead of a block per page.
 func CollectCtx(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 	rows, _, err := drain(ctx, op)
 	return rows, err
@@ -76,8 +81,8 @@ func CollectCtx(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 
 // CollectOwned is CollectCtx for a caller that keeps the rows past the
 // statement: they own their memory (rel.OwnRows). A set operation's
-// result is decoded into a block of its own and kept as it is; any
-// other result is copied.
+// result and a bare scan's table are decoded into a block of their own
+// and kept as they are; any other result is copied.
 func CollectOwned(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 	rows, owned, err := drain(ctx, op)
 	if err == nil && !owned {
@@ -86,8 +91,16 @@ func CollectOwned(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 	return rows, err
 }
 
-// drain is CollectCtx; owned reports rows decoded from a set.
+// drain is CollectCtx; owned reports rows decoded into a block of their
+// own.
 func drain(ctx context.Context, op Operator) (rows []rel.Tuple, owned bool, err error) {
+	if scan, ok := op.(*SeqScan); ok {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+		b, err := scan.Table.DecodeAll()
+		return blockRows(b), true, err
+	}
 	if src, ok := op.(setSource); ok {
 		if set, err := src.takeSet(); err != nil {
 			return nil, false, err
@@ -96,6 +109,7 @@ func drain(ctx context.Context, op Operator) (rows []rel.Tuple, owned bool, err 
 				return nil, false, err
 			}
 			rows, err := set.live()
+			set.trim()
 			return rows, true, err
 		}
 	}
@@ -158,14 +172,16 @@ func ScanRows(op Operator, fn func(rid storage.RID, tu rel.Tuple) error) error {
 // --- SeqScan ---
 
 // SeqScan reads every tuple of a table, a page at a time: Open decodes
-// each heap page into one block and Next walks the blocks.
+// each heap page into one block and Next walks the blocks. A re-opened
+// scan decodes page i over its last execution's block i.
 type SeqScan struct {
 	Table *catalog.Table
 	Est   float64
 
 	blocks []rel.Block
-	block  int // blocks[block] is being read
-	row    int // next row of it
+	block  int32 // blocks[block] is being read
+	row    int32 // next row of it
+	dec    rel.BlockDecoder
 }
 
 // Schema returns the table schema.
@@ -176,36 +192,46 @@ func (s *SeqScan) Schema() *rel.Schema { return s.Table.Schema }
 // writes the same table (INSERT INTO t SELECT ... FROM t) sees the state
 // as of Open.
 func (s *SeqScan) Open() error {
-	s.blocks, s.block, s.row = s.blocks[:0], 0, 0
-	return s.Table.ScanBlocks(func(b rel.Block) error {
-		if s.blocks == nil && b.Len() > 0 {
-			// Pages of one table hold about as many rows each.
-			s.blocks = make([]rel.Block, 0, s.Table.Rows()/b.Len()+1)
-		}
-		s.blocks = append(s.blocks, b)
+	s.block, s.row = 0, 0
+	decoderFor(&s.dec, s.Table.Schema)
+	var err error
+	s.blocks, err = s.Table.DecodeBlocks(&s.dec, s.blocks)
+	return err
+}
+
+// decoderFor makes dec a decoder of schema, keeping it when it is one.
+func decoderFor(dec *rel.BlockDecoder, schema *rel.Schema) {
+	if dec.Schema() != schema {
+		*dec = rel.NewBlockDecoder(schema)
+	}
+}
+
+// blockRows returns the rows of b, nil when it has none.
+func blockRows(b rel.Block) []rel.Tuple {
+	if b.Len() == 0 {
 		return nil
-	})
+	}
+	rows := make([]rel.Tuple, b.Len())
+	for i := range rows {
+		rows[i] = b.Row(i)
+	}
+	return rows
 }
 
 // Next returns the next tuple or nil.
 func (s *SeqScan) Next() (rel.Tuple, error) {
-	for s.block < len(s.blocks) {
-		if b := s.blocks[s.block]; s.row < b.Len() {
+	for int(s.block) < len(s.blocks) {
+		if b := s.blocks[s.block]; int(s.row) < b.Len() {
 			s.row++
-			return b.Row(s.row - 1), nil
+			return b.Row(int(s.row) - 1), nil
 		}
 		s.block, s.row = s.block+1, 0
 	}
 	return nil, nil
 }
 
-// Close releases the snapshot's blocks, keeping the empty list for the
-// next Open.
-func (s *SeqScan) Close() error {
-	clear(s.blocks)
-	s.blocks = s.blocks[:0]
-	return nil
-}
+// Close keeps the blocks for the next Open to decode over.
+func (s *SeqScan) Close() error { return nil }
 
 // ScanRecords streams the table's records in one heap pass — the same
 // pages and records Open reads.
@@ -222,7 +248,8 @@ func (s *SeqScan) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
 
 // IndexScan reads tuples whose index key starts with Key (equality on a
 // prefix of the index columns). Open descends the index once and
-// decodes the rows its postings point at into one block.
+// decodes the rows its postings point at into one block, over the last
+// execution's when that fits them.
 type IndexScan struct {
 	Table *catalog.Table
 	Index *catalog.Index
@@ -231,6 +258,7 @@ type IndexScan struct {
 
 	rows rel.Block
 	pos  int
+	dec  rel.BlockDecoder
 }
 
 // Schema returns the table schema.
@@ -246,12 +274,12 @@ func (s *IndexScan) Open() error {
 // read is Open; it also returns where each row is stored.
 func (s *IndexScan) read() ([]storage.RID, error) {
 	rids := indexLookup(s.Index, s.Key)
-	dec := rel.NewBlockDecoder(s.Table.Schema)
-	dec.Begin(len(rids), 0)
-	if err := s.Table.AddRows(&dec, rids); err != nil {
+	decoderFor(&s.dec, s.Table.Schema)
+	s.dec.BeginReusing(s.rows, len(rids), 0)
+	if err := s.Table.AddRows(&s.dec, rids); err != nil {
 		return nil, fmt.Errorf("exec: index %s points at missing %w", s.Index.Name, err)
 	}
-	s.rows, s.pos = dec.Finish(), 0
+	s.rows, s.pos = s.dec.Finish(), 0
 	return rids, nil
 }
 
@@ -289,11 +317,8 @@ func (s *IndexScan) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error
 	return nil
 }
 
-// Close releases the rows.
-func (s *IndexScan) Close() error {
-	s.rows = rel.Block{}
-	return nil
-}
+// Close keeps the rows' block for the next Open to decode over.
+func (s *IndexScan) Close() error { return nil }
 
 // --- Filter ---
 
@@ -354,8 +379,11 @@ type Project struct {
 // Schema returns the projection's output schema.
 func (p *Project) Schema() *rel.Schema { return p.Out }
 
-// Open opens the input.
-func (p *Project) Open() error { return p.Input.Open() }
+// Open opens the input and rewinds the slab.
+func (p *Project) Open() error {
+	p.out.rewind()
+	return p.Input.Open()
+}
 
 // Next computes the next projected tuple.
 func (p *Project) Next() (rel.Tuple, error) {
@@ -370,8 +398,11 @@ func (p *Project) Next() (rel.Tuple, error) {
 	return out, nil
 }
 
-// Close closes the input.
-func (p *Project) Close() error { return p.Input.Close() }
+// Close closes the input and trims the slab.
+func (p *Project) Close() error {
+	p.out.trim()
+	return p.Input.Close()
+}
 
 // --- Nested-loop join (cross product with residual predicate) ---
 
@@ -406,14 +437,12 @@ func (j *NLJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
-	var err error
-	j.right, err = Collect(j.Right)
-	if err != nil {
-		return err
-	}
-	j.cur = nil
-	j.rpos = 0
-	return nil
+	j.out.rewind()
+	j.right, j.cur, j.rpos = j.right[:0], nil, 0
+	return Run(j.Right, func(tu rel.Tuple) error {
+		j.right = append(j.right, tu)
+		return nil
+	})
 }
 
 // Next returns the next joined tuple.
@@ -439,10 +468,11 @@ func (j *NLJoin) Next() (rel.Tuple, error) {
 	}
 }
 
-// Close closes the left input (the right is already drained) and
-// releases the right rows.
+// Close closes the left input (the right is already drained) and trims
+// the right rows' list and the slab.
 func (j *NLJoin) Close() error {
-	j.right, j.cur = nil, nil
+	j.right = trim(j.right)
+	j.out.trim()
 	return j.Left.Close()
 }
 
@@ -503,9 +533,11 @@ func (j *HashJoin) Open() error {
 	if err := probe.Open(); err != nil {
 		return err
 	}
-	j.keys, j.chains = keyTable{}, nil
+	j.out.rewind()
+	j.keys.reset()
 	n := rowsKnown(build)
-	j.rows, j.next = make([]rel.Tuple, 0, n), make([]int32, 0, n)
+	j.chains = j.chains[:0]
+	j.rows, j.next = slices.Grow(j.rows[:0], n), slices.Grow(j.next[:0], n)
 	err := Run(build, func(tu rel.Tuple) error {
 		row := int32(len(j.rows))
 		j.rows, j.next = append(j.rows, tu), append(j.next, -1)
@@ -552,9 +584,11 @@ func (j *HashJoin) Next() (rel.Tuple, error) {
 	}
 }
 
-// Close closes the probe input and releases the hash table.
+// Close closes the probe input and trims the hash table and the slab.
 func (j *HashJoin) Close() error {
-	j.keys, j.chains, j.rows, j.next, j.cur = keyTable{}, nil, nil, nil, nil
+	j.keys.trim()
+	j.chains, j.rows, j.next = trim(j.chains), trim(j.rows), trim(j.next)
+	j.out.trim()
 	_, probe, _, _ := j.sides()
 	return probe.Close()
 }
@@ -585,7 +619,7 @@ func (d *Distinct) Schema() *rel.Schema { return d.Input.Schema() }
 
 // Open opens the input and resets the seen set.
 func (d *Distinct) Open() error {
-	d.seen = keyTable{}
+	d.seen.reset()
 	return d.Input.Open()
 }
 
@@ -604,9 +638,9 @@ func (d *Distinct) Next() (rel.Tuple, error) {
 	}
 }
 
-// Close closes the input.
+// Close closes the input and trims the seen set.
 func (d *Distinct) Close() error {
-	d.seen = keyTable{}
+	d.seen.trim()
 	return d.Input.Close()
 }
 
@@ -635,10 +669,13 @@ const (
 // inner one's set (setSource) instead of re-hashing its output. The
 // set holds stored records, so a deduplicating SetOpExec is itself a
 // RecordSource: INSERT ... EXCEPT writes them to the heap as they are.
+// The set is the operator's own, reset by each execution; whoever reads
+// an execution's result last trims it.
 type SetOpExec struct {
 	Kind        SetOpKind
 	Left, Right Operator
 
+	set    *tupleSet
 	out    []rel.Tuple
 	pos    int
 	schema *rel.Schema
@@ -656,16 +693,18 @@ func (s *SetOpExec) Schema() *rel.Schema {
 
 // Open fully evaluates the set operation (these operators are blocking).
 func (s *SetOpExec) Open() error {
-	s.out, s.pos = nil, 0
+	s.pos = 0
 	set, err := s.takeSet()
 	if err != nil {
 		return err
 	}
 	if set != nil {
 		s.out, err = set.live()
+		set.trim()
 		return err
 	}
 	// UNION ALL: a bag, nothing to hash.
+	s.out = s.out[:0]
 	keep := func(tu rel.Tuple) error { s.out = append(s.out, tu); return nil }
 	if err := Run(s.Left, keep); err != nil {
 		return err
@@ -683,7 +722,9 @@ func (s *SetOpExec) ScanRecords(fn func(rec []byte) error) (bool, error) {
 	if err != nil {
 		return true, err
 	}
-	return true, set.records(fn)
+	err = set.records(fn)
+	set.trim()
+	return true, err
 }
 
 // takeSet evaluates a deduplicating set operation in place of Open and
@@ -698,31 +739,15 @@ func (s *SetOpExec) takeSet() (*tupleSet, error) {
 	if s.Kind == OpUnionAll {
 		return nil, nil
 	}
-	set, err := setOf(s.Left, schema)
+	set, err := s.setOf(schema)
 	if err != nil {
 		return nil, err
 	}
 	switch s.Kind {
 	case OpUnion:
 		err = Run(s.Right, set.add)
-	case OpExcept:
-		err = set.eachKey(s.Right, func(key []byte) {
-			if i := set.find(key); i >= 0 {
-				set.remove(i)
-			}
-		})
-	case OpIntersect:
-		hit := make([]bool, set.keys.len())
-		err = set.eachKey(s.Right, func(key []byte) {
-			if i := set.find(key); i >= 0 {
-				hit[i] = true
-			}
-		})
-		for i, h := range hit {
-			if !h {
-				set.remove(i)
-			}
-		}
+	case OpExcept, OpIntersect:
+		err = set.subtract(s.Right, s.Kind == OpIntersect)
 	default:
 		err = fmt.Errorf("exec: unknown set operation %d", s.Kind)
 	}
@@ -738,9 +763,9 @@ func (s *SetOpExec) Next() (rel.Tuple, error) {
 	return s.out[s.pos-1], nil
 }
 
-// Close releases the materialized result.
+// Close trims the materialized result's list.
 func (s *SetOpExec) Close() error {
-	s.out = nil
+	s.out = trim(s.out)
 	return nil
 }
 
@@ -751,15 +776,20 @@ type setSource interface {
 	takeSet() (*tupleSet, error)
 }
 
-// setOf evaluates op, whose schema is schema, into a tupleSet.
-func setOf(op Operator, schema *rel.Schema) (*tupleSet, error) {
-	if src, ok := op.(setSource); ok {
+// setOf evaluates the left input, whose schema is schema, into a
+// tupleSet: the set of a chained set operation, taken over, or else the
+// operator's own, reset.
+func (s *SetOpExec) setOf(schema *rel.Schema) (*tupleSet, error) {
+	if src, ok := s.Left.(setSource); ok {
 		if set, err := src.takeSet(); set != nil || err != nil {
 			return set, err
 		}
 	}
-	set := &tupleSet{schema: schema}
-	return set, Run(op, set.add)
+	if s.set == nil {
+		s.set = new(tupleSet)
+	}
+	s.set.reset(schema)
+	return s.set, Run(s.Left, s.set.add)
 }
 
 // tupleSet is an insertion-ordered set of tuples of one schema, held as
@@ -773,6 +803,31 @@ type tupleSet struct {
 	removed []bool // by entry
 	n       int    // entries not removed
 	key     []byte // scratch
+	// hit marks, by entry, the keys an INTERSECT's right input found
+	// (intersect); probe is the set's probeKey, made once for every
+	// execution.
+	hit       []bool
+	intersect bool
+	probe     func(key []byte) error
+}
+
+// reset empties the set for an execution over tuples of schema,
+// keeping its memory.
+func (s *tupleSet) reset(schema *rel.Schema) {
+	s.schema = schema
+	s.keys.reset()
+	s.removed, s.n = s.removed[:0], 0
+}
+
+// trim releases the set, leaving it empty, when its keys or removed
+// marks are Outgrown by what it holds: called once its result has been
+// read.
+func (s *tupleSet) trim() {
+	s.keys.trim()
+	s.removed = trim(s.removed)
+	if s.keys.len() != len(s.removed) {
+		s.keys, s.removed, s.n = keyTable{}, nil, 0
+	}
 }
 
 // add inserts tu unless the set holds it.
@@ -834,25 +889,52 @@ func (s *tupleSet) live() ([]rel.Tuple, error) {
 	if err := s.records(dec.Add); err != nil {
 		return nil, fmt.Errorf("exec: set of %v: %w", s.schema, err)
 	}
-	b := dec.Finish()
-	rows := make([]rel.Tuple, b.Len())
-	for i := range rows {
-		rows[i] = b.Row(i)
+	return blockRows(dec.Finish()), nil
+}
+
+// subtract removes from the set the tuples the rows of op have — or,
+// with intersect, those they do not have — reading op's keys.
+func (s *tupleSet) subtract(op Operator, intersect bool) error {
+	if s.probe == nil {
+		s.probe = s.probeKey
 	}
-	return rows, nil
+	s.intersect = intersect
+	if intersect {
+		s.hit = append(s.hit[:0], make([]bool, s.keys.len())...)
+	}
+	err := s.eachKey(op, s.probe)
+	if intersect {
+		for i, h := range s.hit {
+			if !h {
+				s.remove(i)
+			}
+		}
+		s.hit = trim(s.hit)
+	}
+	return err
+}
+
+// probeKey is subtract's step per key: remove the tuple the set holds
+// under it, or mark it hit.
+func (s *tupleSet) probeKey(key []byte) error {
+	if i := s.find(key); i >= 0 && s.intersect {
+		s.hit[i] = true
+	} else if i >= 0 {
+		s.remove(i)
+	}
+	return nil
 }
 
 // eachKey passes the key of every row of op to fn: the stored records
 // themselves when op has them, the encoding of each tuple otherwise.
-func (s *tupleSet) eachKey(op Operator, fn func(key []byte)) error {
-	raw, err := ScanRecords(op, func(rec []byte) error { fn(rec); return nil })
+func (s *tupleSet) eachKey(op Operator, fn func(key []byte) error) error {
+	raw, err := ScanRecords(op, fn)
 	if raw || err != nil {
 		return err
 	}
 	return Run(op, func(tu rel.Tuple) error {
 		s.key = tu.AppendKey(s.key[:0], nil)
-		fn(s.key)
-		return nil
+		return fn(s.key)
 	})
 }
 

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"dkbms/internal/catalog"
@@ -40,75 +42,87 @@ func rebindTables(op Operator, tabs map[*catalog.Table]*catalog.Table, idxs map[
 	}
 }
 
-// released reports what a closed operator still holds of the rows its
-// pass read, "" when nothing.
-func released(op Operator) string {
+// outgrown reports a buffer a closed operator keeps beyond what its
+// last pass used (rel.Outgrown), "" when there is none.
+func outgrown(op Operator) string {
+	values := func(n int) int { return n * rel.ValueSize }
+	chunks := func(s *slab) string {
+		used, kept := 0, 0
+		for i, c := range s.chunks {
+			if i < int(s.cut) {
+				used += len(c)
+			}
+			kept += len(c)
+		}
+		if rel.Outgrown(values(kept), values(used)) || rel.Outgrown(24*cap(s.chunks), 24*len(s.chunks)) {
+			return "slab chunks"
+		}
+		return ""
+	}
+	keys := func(t *keyTable) bool {
+		return rel.Outgrown(cap(t.arena), len(t.arena)) || rel.Outgrown(4*cap(t.ends), 4*len(t.ends)) ||
+			rel.Outgrown(8*len(t.slots), 8*2*len(t.ends)*4/3)
+	}
+	list := func(n, c, size int) bool { return rel.Outgrown(c*size, n*size) }
 	switch o := op.(type) {
 	case *SeqScan:
-		if len(o.blocks) > 0 {
-			return "SeqScan blocks"
+		for _, b := range o.blocks {
+			if rel.Outgrown(values(b.Cap()), values(b.Len()*o.Table.Schema.Len())) {
+				return "SeqScan block"
+			}
+		}
+		for _, b := range o.blocks[len(o.blocks):cap(o.blocks)] {
+			if b.Cap() > 0 {
+				return "SeqScan block of no page"
+			}
 		}
 	case *IndexScan:
-		if o.rows.Len() > 0 {
+		if rel.Outgrown(values(o.rows.Cap()), values(o.rows.Len()*o.Table.Schema.Len())) {
 			return "IndexScan rows"
 		}
 	case *IndexNLJoin:
-		if o.batch != nil || o.matches.Len() > 0 {
-			return "IndexNLJoin batch"
+		if rel.Outgrown(values(o.matches.Cap()), values(o.peak)) {
+			return "IndexNLJoin matches"
 		}
+		return chunks(&o.out)
+	case *Project:
+		return chunks(&o.out)
 	case *NLJoin:
-		if o.right != nil || o.cur != nil {
+		if list(len(o.right), cap(o.right), 24) {
 			return "NLJoin right rows"
 		}
+		return chunks(&o.out)
 	case *HashJoin:
-		if o.rows != nil || o.cur != nil || o.keys.len() > 0 {
+		if keys(&o.keys) || list(len(o.rows), cap(o.rows), 24) || list(len(o.next), cap(o.next), 4) {
 			return "HashJoin build side"
 		}
+		return chunks(&o.out)
 	case *Distinct:
-		if o.seen.len() > 0 {
+		if keys(&o.seen) {
 			return "Distinct keys"
 		}
 	case *SetOpExec:
-		if o.out != nil {
-			return "SetOpExec result"
+		if list(len(o.out), cap(o.out), 24) {
+			return "SetOpExec result list"
+		}
+		if set := o.set; set != nil && (keys(&set.keys) || list(len(set.removed), cap(set.removed), 1) || list(len(set.hit), cap(set.hit), 1)) {
+			return "SetOpExec set"
 		}
 	}
 	return ""
 }
 
-// TestOperatorsReopen holds every operator kind to the re-open
-// contract: opened, drained and closed twice, its tables re-bound in
-// between, each pass returns exactly the rows a freshly built operator
-// returns over the same tables; Close releases the pass's rows; and the
-// rows of the first pass are intact after the second, whatever slab
-// space the operator carried over.
-func TestOperatorsReopen(t *testing.T) {
-	c := cat(t)
-	gen := func(k, n int64) (l, r *catalog.Table, idx *catalog.Index) {
-		var lp, rp [][2]int64
-		for i := int64(0); i < n; i++ {
-			lp = append(lp, [2]int64{i % 5, (i * k) % 7})
-			rp = append(rp, [2]int64{(i * 3) % 7, i + k})
-		}
-		l = newTable(t, c, fmt.Sprintf("l%d", k), lp)
-		r = newTable(t, c, fmt.Sprintf("r%d", k), rp)
-		idx, err := c.CreateIndex(fmt.Sprintf("r%d_a", k), r.Name, []string{"a"}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return l, r, idx
-	}
-	l1, r1, idx1 := gen(1, 40)
-	l2, r2, idx2 := gen(2, 70)
-	tabs := map[*catalog.Table]*catalog.Table{l1: l2, r1: r2}
-	idxs := map[*catalog.Index]*catalog.Index{idx1: idx2}
+// reopenCase builds one operator tree of every kind over two tables
+// and an index of the second.
+type reopenCase struct {
+	name  string
+	build func(l, r *catalog.Table, idx *catalog.Index) Operator
+}
 
+func reopenCases() []reopenCase {
 	one := rel.MustSchema(rel.Column{Name: "b", Type: rel.TypeInt})
 	gt := Cmp{Op: sql.CmpGt, Left: Col{Ord: 0, Ty: rel.TypeInt}, Right: Const{Val: rel.NewInt(1)}}
-	cases := []struct {
-		name  string
-		build func(l, r *catalog.Table, idx *catalog.Index) Operator
-	}{
+	cases := []reopenCase{
 		{"seqscan", func(l, r *catalog.Table, idx *catalog.Index) Operator { return &SeqScan{Table: l} }},
 		{"indexscan", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &IndexScan{Table: r, Index: idx, Key: rel.Tuple{rel.NewInt(3)}}
@@ -141,60 +155,162 @@ func TestOperatorsReopen(t *testing.T) {
 			return &Values{Rows: []rel.Tuple{{rel.NewInt(1)}, {rel.NewInt(2)}}, Out: one}
 		}},
 	}
-	for kind, name := range map[SetOpKind]string{OpUnion: "union", OpUnionAll: "union all", OpExcept: "except", OpIntersect: "intersect"} {
-		cases = append(cases, struct {
-			name  string
-			build func(l, r *catalog.Table, idx *catalog.Index) Operator
-		}{name, func(l, r *catalog.Table, idx *catalog.Index) Operator {
-			return &SetOpExec{Kind: kind, Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}}
+	for _, k := range []struct {
+		kind SetOpKind
+		name string
+	}{{OpUnion, "union"}, {OpUnionAll, "union all"}, {OpExcept, "except"}, {OpIntersect, "intersect"}} {
+		cases = append(cases, reopenCase{k.name, func(l, r *catalog.Table, idx *catalog.Index) Operator {
+			return &SetOpExec{Kind: k.kind, Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}}
+		}})
+		// A chain: the outer operation takes over the inner one's set.
+		cases = append(cases, reopenCase{k.name + " chained", func(l, r *catalog.Table, idx *catalog.Index) Operator {
+			inner := &SetOpExec{Kind: k.kind, Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}}
+			return &SetOpExec{Kind: OpExcept, Left: inner, Right: &Filter{Input: &SeqScan{Table: r}, Pred: gt}}
 		}})
 	}
+	return cases
+}
 
-	render := func(rows []rel.Tuple) string { return fmt.Sprint(rows) }
-	for _, tc := range cases {
+// reopenTables creates, for k, tables l<k> and r<k> of n rows and the
+// index r<k>_a on r's first column.
+func reopenTables(t *testing.T, c *catalog.Catalog, k, n int64) (l, r *catalog.Table, idx *catalog.Index) {
+	t.Helper()
+	var lp, rp [][2]int64
+	for i := int64(0); i < n; i++ {
+		lp = append(lp, [2]int64{i % 5, (i * k) % 7})
+		rp = append(rp, [2]int64{(i * 3) % 7, i + k})
+	}
+	l = newTable(t, c, fmt.Sprintf("l%d", k), lp)
+	r = newTable(t, c, fmt.Sprintf("r%d", k), rp)
+	idx, err := c.CreateIndex(fmt.Sprintf("r%d_a", k), r.Name, []string{"a"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, r, idx
+}
+
+// walk calls fn on op and every operator below it.
+func walk(op Operator, fn func(Operator)) {
+	fn(op)
+	switch o := op.(type) {
+	case *Filter:
+		walk(o.Input, fn)
+	case *Project:
+		walk(o.Input, fn)
+	case *Distinct:
+		walk(o.Input, fn)
+	case *CountStar:
+		walk(o.Input, fn)
+	case *IndexNLJoin:
+		walk(o.Left, fn)
+	case *NLJoin:
+		walk(o.Left, fn)
+		walk(o.Right, fn)
+	case *HashJoin:
+		walk(o.Left, fn)
+		walk(o.Right, fn)
+	case *SetOpExec:
+		walk(o.Left, fn)
+		walk(o.Right, fn)
+	}
+}
+
+// TestOperatorsReopen holds every operator kind to the re-open
+// contract: opened, drained and closed twice, its tables re-bound in
+// between, each pass returns exactly the rows a freshly built operator
+// returns over the same tables, read before the next pass starts (it
+// may write over them); and a closed operator keeps no buffer its last
+// pass outgrew.
+func TestOperatorsReopen(t *testing.T) {
+	c := cat(t)
+	l1, r1, idx1 := reopenTables(t, c, 1, 40)
+	l2, r2, idx2 := reopenTables(t, c, 2, 70)
+	tabs := map[*catalog.Table]*catalog.Table{l1: l2, r1: r2}
+	idxs := map[*catalog.Index]*catalog.Index{idx1: idx2}
+
+	// pass drains op through Open/Next/Close and renders its rows as
+	// they come.
+	pass := func(op Operator) string {
+		var rows []string
+		if err := Run(op, func(tu rel.Tuple) error { rows = append(rows, tu.String()); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(rows)
+	}
+	for _, tc := range reopenCases() {
+		check := func(op Operator) {
+			walk(op, func(op Operator) {
+				if what := outgrown(op); what != "" {
+					t.Errorf("%s: closed, keeps its %s beyond what its pass used", tc.name, what)
+				}
+			})
+		}
 		op := tc.build(l1, r1, idx1)
-		first := collect(t, op)
-		want1 := render(collect(t, tc.build(l1, r1, idx1)))
-		if got := render(first); got != want1 {
-			t.Errorf("%s, first pass: %s, fresh %s", tc.name, got, want1)
+		if got, want := pass(op), pass(tc.build(l1, r1, idx1)); got != want {
+			t.Errorf("%s, first pass: %s, fresh %s", tc.name, got, want)
 		}
-		var walk func(op Operator)
-		walk = func(op Operator) {
-			if what := released(op); what != "" {
-				t.Errorf("%s: closed, still holds its %s", tc.name, what)
-			}
-			switch o := op.(type) {
-			case *Filter:
-				walk(o.Input)
-			case *Project:
-				walk(o.Input)
-			case *Distinct:
-				walk(o.Input)
-			case *CountStar:
-				walk(o.Input)
-			case *IndexNLJoin:
-				walk(o.Left)
-			case *NLJoin:
-				walk(o.Left)
-				walk(o.Right)
-			case *HashJoin:
-				walk(o.Left)
-				walk(o.Right)
-			case *SetOpExec:
-				walk(o.Left)
-				walk(o.Right)
-			}
-		}
-		walk(op)
-
+		check(op)
 		rebindTables(op, tabs, idxs)
-		second := render(collect(t, op))
-		if want2 := render(collect(t, tc.build(l2, r2, idx2))); second != want2 {
-			t.Errorf("%s, re-bound pass: %s, fresh %s", tc.name, second, want2)
+		if got, want := pass(op), pass(tc.build(l2, r2, idx2)); got != want {
+			t.Errorf("%s, re-bound pass: %s, fresh %s", tc.name, got, want)
 		}
-		walk(op)
-		if got := render(first); got != want1 {
-			t.Errorf("%s: the first pass's rows became %s after the second, were %s", tc.name, got, want1)
+		check(op)
+	}
+}
+
+// TestKeptTreeMemoryBounded: between executions a kept tree retains, in
+// each buffer, at most four times what its last execution used plus
+// 1 KiB (rel.Outgrown, DESIGN.md §3). Every operator kind runs over
+// tables of 1 000 rows, is re-bound to tables of 12, and runs again: the
+// heap it then retains must be within that bound of what a tree that
+// only ever ran over the small tables retains, 16 buffers' slack
+// included. Without the release rule the big pass's blocks, key tables,
+// slabs and lists stay, tens to hundreds of KiB per tree. Each tree is
+// measured three times and the least taken: a process's first
+// collections free memory of its own.
+func TestKeptTreeMemoryBounded(t *testing.T) {
+	c := cat(t)
+	lBig, rBig, idxBig := reopenTables(t, c, 3, 1000)
+	l, r, idx := reopenTables(t, c, 4, 12)
+	tabs := map[*catalog.Table]*catalog.Table{lBig: l, rBig: r}
+	idxs := map[*catalog.Index]*catalog.Index{idxBig: idx}
+	run := func(op Operator) {
+		if _, err := Collect(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// retained returns the heap the tree run returns keeps alive.
+	retained := func(run func() Operator) int64 {
+		least := int64(math.MaxInt64)
+		for range 3 {
+			op := run()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			runtime.KeepAlive(op)
+			op = nil
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			least = min(least, int64(before.HeapAlloc)-int64(after.HeapAlloc))
+		}
+		return least
+	}
+	for _, tc := range reopenCases() {
+		kept := retained(func() Operator {
+			op := tc.build(lBig, rBig, idxBig)
+			run(op)
+			rebindTables(op, tabs, idxs)
+			run(op)
+			return op
+		})
+		fresh := retained(func() Operator {
+			op := tc.build(l, r, idx)
+			run(op)
+			return op
+		})
+		if bound := 4*fresh + 16<<10; kept > bound {
+			t.Errorf("%s: after a pass over %d rows and one over %d, the tree retains %d bytes; one that only ran over %d retains %d, bound %d",
+				tc.name, lBig.Rows(), l.Rows(), kept, l.Rows(), fresh, bound)
 		}
 	}
 }

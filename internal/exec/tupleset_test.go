@@ -17,22 +17,24 @@ import (
 // whose length takes two bytes to encode — so sequences revisit tuples.
 // After every operation the set finds what the reference holds, and a
 // read returns, in insertion order, exactly the surviving tuples from
-// live() and their keys from records().
+// live() and their keys from records(). Then the reuse pass: the same
+// set is trimmed and reset, as a kept operator tree's next execution
+// does, and replays a second sequence — the program's second half
+// first — against a fresh reference.
 func FuzzTupleSet(f *testing.F) {
 	schema := rel.MustSchema(
 		rel.Column{Name: "n", Type: rel.TypeInt},
 		rel.Column{Name: "s", Type: rel.TypeString},
 	)
 	f.Add([]byte{0, 0, 0, 9, 0, 0x1a, 3, 0, 1, 9, 3, 0, 0, 9, 3, 0})
-	f.Fuzz(func(t *testing.T, prog []byte) {
-		type entry struct {
-			key  string
-			tu   rel.Tuple
-			live bool
-		}
+	type entry struct {
+		key  string
+		tu   rel.Tuple
+		live bool
+	}
+	replay := func(t *testing.T, set *tupleSet, prog []byte) {
 		var ref []entry
 		at := map[string]int{}
-		set := &tupleSet{schema: schema}
 		for i := 0; i+1 < len(prog) && i < 2000; i += 2 {
 			op, arg := prog[i], prog[i+1]
 			var str string
@@ -104,5 +106,13 @@ func FuzzTupleSet(f *testing.F) {
 				}
 			}
 		}
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		set := &tupleSet{schema: schema}
+		replay(t, set, prog)
+		set.trim()
+		set.reset(schema)
+		half := len(prog) / 4 * 2
+		replay(t, set, append(slices.Clone(prog[half:]), prog[:half]...))
 	})
 }

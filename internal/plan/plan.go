@@ -258,8 +258,11 @@ func (p *Prepared) Build(cat TableSource, args []*catalog.Table, vals []rel.Valu
 // and the values bound — the tree is not constructed again but re-bound
 // to this execution's tables, indexes and estimates, and reused reports
 // it. The caller drains t.Root and then hands t back with Release, also
-// after an error. An execution that finds the kept tree held by a
-// concurrent one plans a tree of its own, which is not kept.
+// after an error; the rows it keeps it copies first (exec.CollectOwned),
+// since the next execution that re-binds the tree writes over what its
+// operators read (exec.Operator). An execution that finds the kept
+// tree held by a concurrent one plans a tree of its own, which is not
+// kept.
 func (p *Prepared) Acquire(cat TableSource, args []*catalog.Table, vals []rel.Value) (t *Tree, reused bool, err error) {
 	t = &p.tree
 	if !p.busy.CompareAndSwap(false, true) {

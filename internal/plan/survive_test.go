@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -13,14 +14,15 @@ import (
 	"dkbms/internal/storage"
 )
 
-// TestTuplesSurviveTheStatement: the tuples a statement returns are
-// views into decoded blocks and operator slabs, and nothing ever
-// overwrites those — not the operator after it is closed, not later
-// statements, not changes to the pages the rows were read from. Every
-// shape of the differential tests (SELECT * over joins, projections,
-// DISTINCT, COUNT) is run, its rows are kept as tuples, a hundred and
-// more further statements read, delete from and insert into the same
-// tables, and only then are the kept rows compared with the reference.
+// TestTuplesSurviveTheStatement: the rows a statement returns own their
+// memory (exec.CollectOwned, as db returns every result), while the
+// rows read inside its kept operator tree are written over by the
+// tree's next execution. Every shape of the differential tests (SELECT
+// * over joins, projections, DISTINCT, COUNT) is prepared and run
+// through its kept tree, its returned rows are kept, a hundred and more
+// further statements read, delete from and insert into the same tables
+// — among them four more executions of the same tree — and only then
+// are the kept rows compared with the reference.
 func TestTuplesSurviveTheStatement(t *testing.T) {
 	shapes := namedShapes()
 	cases := 120
@@ -37,12 +39,17 @@ func TestTuplesSurviveTheStatement(t *testing.T) {
 			t.Fatalf("%v\n%s", err, sh.shape)
 		}
 		sel := st.(*sql.Select)
+		p, err := Prepare(c, sel, nil)
+		if err != nil {
+			t.Fatalf("prepare: %v\n%s", err, sh.shape)
+		}
 		run := func() []rel.Tuple {
-			op, err := BuildSelect(c, sel)
+			tr, _, err := p.Acquire(c, nil, nil)
 			if err != nil {
 				t.Fatalf("plan: %v\n%s", err, sh.shape)
 			}
-			rows, err := exec.Collect(op) // opens, drains and closes op
+			defer p.Release(tr)
+			rows, err := exec.CollectOwned(context.Background(), tr.Root)
 			if err != nil {
 				t.Fatalf("run: %v\n%s", err, sh.shape)
 			}

@@ -3,7 +3,9 @@ package rel
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
+	"unsafe"
 )
 
 // Tuple is one row: a slice of values. Tuples are positional; names live
@@ -219,7 +221,9 @@ func (v *Value) bindString(s string) {
 // data, instead of a slice per row and a string per value. Row returns
 // views into the slab; a view's capacity is its length, so appending to
 // one row never reaches the next. A row kept beyond its statement keeps
-// the whole block alive: keepers copy (Tuple.Clone, OwnRows).
+// the whole block alive, and a kept operator tree decodes its next
+// execution's rows over its blocks (BeginReusing): keepers copy
+// (Tuple.Clone, OwnRows).
 type Block struct {
 	vals  []Value
 	width int32
@@ -235,11 +239,24 @@ func (b Block) Row(i int) Tuple {
 	return b.vals[at : at+w : at+w]
 }
 
+// Cap returns how many values the block's slab holds, used or not.
+func (b Block) Cap() int { return cap(b.vals) }
+
+// ValueSize is the size of a Value in bytes, the unit of a slab.
+const ValueSize = int(unsafe.Sizeof(Value{}))
+
+// Outgrown reports whether a buffer kept for reuse from one execution
+// of an operator tree to the next, of capacity bytes, is far larger
+// than what the execution that last filled it used, used bytes: more
+// than four times that plus 1 KiB. Its keeper then releases it instead
+// of keeping it (DESIGN.md §3, "Tuple memory in the executor").
+func Outgrown(capacity, used int) bool { return capacity > 4*used+1024 }
+
 // BlockDecoder decodes the records of one schema into Blocks. Begin
-// (or BeginOver), then Add per record — typically under the pin of
-// the page holding it; the record is not retained — then Finish. A
-// decoder is reused from block to block and keeps its character scratch
-// buffer.
+// (or BeginOver, or BeginReusing), then Add per record — typically
+// under the pin of the page holding it; the record is not retained —
+// then Finish. A decoder is reused from block to block and keeps its
+// character scratch buffer.
 type BlockDecoder struct {
 	schema  *Schema
 	vals    []Value
@@ -257,22 +274,53 @@ func NewBlockDecoder(schema *Schema) BlockDecoder {
 	return d
 }
 
+// Schema returns the schema the decoder decodes.
+func (d *BlockDecoder) Schema() *Schema { return d.schema }
+
 // Begin starts a block in a fresh slab sized for rows rows. size is the
 // total length of the records to come when the caller knows it (it
 // bounds their character data and sizes the scratch buffer), else 0.
 func (d *BlockDecoder) Begin(rows, size int) {
+	d.reserve(size)
+	d.vals, d.rows = make([]Value, 0, rows*d.schema.Len()), 0
+}
+
+// BeginOver starts a block in the slab of old, a block of this schema
+// whose rows nobody reads any more. (Strings are never overwritten;
+// each block has its own.)
+func (d *BlockDecoder) BeginOver(old Block) {
+	d.vals, d.rows, d.chars = old.vals[:0], 0, d.chars[:0]
+}
+
+// BeginReusing starts a block of rows rows whose records are size bytes
+// long: over old (BeginOver) when old's slab holds them and is not
+// Outgrown by them, else in a fresh slab of exactly their size (Begin)
+// rather than growing old's row by row.
+func (d *BlockDecoder) BeginReusing(old Block, rows, size int) {
+	need := rows * d.schema.Len()
+	if need > cap(old.vals) || Outgrown(cap(old.vals)*ValueSize, need*ValueSize) {
+		d.Begin(rows, size)
+		return
+	}
+	d.BeginOver(old)
+	d.reserve(size)
+}
+
+// reserve empties the character scratch, making room for size bytes.
+func (d *BlockDecoder) reserve(size int) {
 	if d.strings && cap(d.chars) < size {
 		d.chars = make([]byte, 0, size)
 	}
-	d.vals, d.rows, d.chars = make([]Value, 0, rows*d.schema.Len()), 0, d.chars[:0]
+	d.chars = d.chars[:0]
 }
 
-// BeginOver starts a block in the slab of old, a block this decoder
-// built whose rows nobody holds any more: the caller copied out the
-// values it needed. (Strings are never overwritten; each block has its
-// own.)
-func (d *BlockDecoder) BeginOver(old Block) {
-	d.vals, d.rows, d.chars = old.vals[:0], 0, d.chars[:0]
+// Grow makes room in the block being built for size more bytes of
+// records, as Begin's size does for the first: a block of many pages
+// grows its character scratch a page at a time.
+func (d *BlockDecoder) Grow(size int) {
+	if d.strings {
+		d.chars = slices.Grow(d.chars, size)
+	}
 }
 
 // Add decodes one record as the block's next row, under DecodeTuple's

@@ -17,11 +17,16 @@ import (
 // each statement keeps the operator tree of its last execution, which
 // the next re-binds when the planner decides as before
 // (plan.Prepared.Acquire). This is the paper's object program: embedded
-// SQL precompiled once, then driven by the LFP loop. A Statements lives
-// as long as the run that made it and no longer — with it go the kept
-// trees, each pinning its last execution's tables and at most a slab
-// chunk per operator — and nothing is kept on the compiled program. The
-// cache itself is not for concurrent use (prepare, then fan out); the
+// SQL precompiled once, then driven by the LFP loop. A kept tree also
+// keeps its working memory: the next execution decodes its pages over
+// the last one's blocks and reuses its key tables, sets and slabs, so
+// the rows a tree reads are valid until its next execution, and every
+// row the run is handed (Query's results, INSERT's writes) is a copy. A
+// Statements lives as long as the run that made it and no longer — with
+// it go the kept trees, each pinning its last execution's tables and
+// the memory that execution used (rel.Outgrown bounds what it keeps
+// beyond that) — and nothing is kept on the compiled program. The cache
+// itself is not for concurrent use (prepare, then fan out); the
 // statements it hands out are.
 type Statements struct {
 	d       *db.DB
