@@ -50,7 +50,6 @@ func main() {
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format: text|json")
 	flag.IntVar(&cfg.slowSize, "slowlog-size", 0, "slow-query ring capacity (0 = default)")
 	flag.DurationVar(&cfg.slowThreshold, "slow-threshold", 0, "minimum latency to enter the slow-query log (0 retains every query)")
-	flag.IntVar(&cfg.schedWorkers, "sched-workers", 0, "evaluation pool workers shared by all sessions (0 = GOMAXPROCS)")
 	flag.DurationVar(&cfg.sampleInterval, "sample-interval", obs.DefaultSampleInterval, "retained-telemetry sampling period for /timeseries (> 0)")
 	flag.IntVar(&cfg.sampleWindow, "sample-window", obs.DefaultSampleWindow, "retained-telemetry ring capacity in samples (> 0)")
 	flag.Parse()
@@ -69,7 +68,6 @@ type config struct {
 	logLevel, logFormat string
 	slowSize            int
 	slowThreshold       time.Duration
-	schedWorkers        int
 	sampleInterval      time.Duration
 	sampleWindow        int
 }
@@ -113,7 +111,7 @@ func run(cfg config) error {
 			return err
 		}
 	}
-	ctb := dkbms.NewConcurrentWithOptions(tb, dkbms.ConcurrentOptions{SchedWorkers: cfg.schedWorkers})
+	ctb := dkbms.NewConcurrent(tb)
 	defer ctb.Close()
 
 	if cfg.load != "" {

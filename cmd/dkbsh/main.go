@@ -36,7 +36,6 @@ import (
 	"dkbms"
 	"dkbms/internal/dlog"
 	"dkbms/internal/obs"
-	"dkbms/internal/sched"
 )
 
 func main() {
@@ -67,7 +66,6 @@ func main() {
 
 	sh := &shell{tb: tb, opts: dkbms.QueryOptions{}, out: os.Stdout,
 		slow: obs.NewSlowLog(0, 0)}
-	defer sh.closePool()
 	fmt.Println("dkbms testbed shell — .help for commands")
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -96,18 +94,6 @@ type shell struct {
 	timing bool
 	out    io.Writer
 	slow   *obs.SlowLog // this session's queries, slowest first (.slowlog)
-	// pool is the evaluation worker pool `.opts parallel` attaches to
-	// the testbed (nil until then): Parallel work runs on a pool or
-	// inline, so without one the shell would not use its cores.
-	pool *sched.Pool
-}
-
-func (s *shell) closePool() {
-	if s.pool != nil {
-		s.tb.SetEvalPool(nil)
-		s.pool.Close()
-		s.pool = nil
-	}
 }
 
 func (s *shell) handle(line string) error {
@@ -140,12 +126,7 @@ func (s *shell) handle(line string) error {
 			s.tb.Stored().RuleCount(), s.tb.Stored().ReachableEdges())
 		return nil
 	case strings.HasPrefix(line, ".opts "):
-		err := setOpts(s.out, &s.opts, strings.Fields(strings.TrimPrefix(line, ".opts ")))
-		if s.opts.Parallel && s.pool == nil {
-			s.pool = sched.NewPool(0)
-			s.tb.SetEvalPool(s.pool)
-		}
-		return err
+		return setOpts(s.out, &s.opts, strings.Fields(strings.TrimPrefix(line, ".opts ")))
 	case strings.HasPrefix(line, ".timing"):
 		s.timing = strings.Contains(line, "on")
 		return nil

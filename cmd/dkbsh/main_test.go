@@ -90,33 +90,28 @@ func TestShellOptsAndTiming(t *testing.T) {
 	}
 }
 
-// TestShellParallelAttachesPool: `.opts parallel` gives the local shell
-// a worker pool (Parallel work runs on a pool or inline), and a
-// parallel query's work goes through it.
-func TestShellParallelAttachesPool(t *testing.T) {
+// TestShellParallelUsesTestbedPool: the local shell's parallel queries
+// run on its testbed's own evaluation pool, which nothing has to
+// attach, and only `.opts parallel` sends work there.
+func TestShellParallelUsesTestbedPool(t *testing.T) {
 	sh, buf := newShell(t)
-	defer sh.closePool()
 	drive(t, sh, "parent(a, b).", "parent(b, c).",
-		"anc(X, Y) :- parent(X, Y).", "anc(X, Y) :- parent(X, Z), anc(Z, Y).")
-	if sh.pool != nil {
-		t.Fatal("pool attached before .opts parallel")
+		"anc(X, Y) :- parent(X, Y).", "anc(X, Y) :- parent(X, Z), anc(Z, Y).",
+		"?- anc(X, Y).")
+	if n := sh.tb.SchedStats().Submitted; n != 0 {
+		t.Fatalf("a sequential query submitted %d tasks to the pool", n)
 	}
 	drive(t, sh, ".opts parallel nomagic", ".opts parallel")
-	if sh.pool == nil || !sh.opts.Parallel {
-		t.Fatalf("no pool after .opts parallel (opts %+v)", sh.opts)
+	if !sh.opts.Parallel {
+		t.Fatalf("opts = %+v, want parallel", sh.opts)
 	}
-	pool := sh.pool
 	buf.Reset()
 	drive(t, sh, "?- anc(X, Y).")
 	if !strings.Contains(buf.String(), "3 row") {
 		t.Fatalf("parallel query output:\n%s", buf.String())
 	}
-	if pool.Stats().Submitted == 0 {
+	if sh.tb.SchedStats().Submitted == 0 {
 		t.Fatal("parallel query never reached the pool")
-	}
-	sh.closePool()
-	if sh.pool != nil {
-		t.Fatal("closePool left the pool attached")
 	}
 }
 
@@ -124,7 +119,6 @@ func TestShellParallelAttachesPool(t *testing.T) {
 // a query over two independent cliques runs naive on the pool.
 func TestShellNaiveParallel(t *testing.T) {
 	sh, buf := newShell(t)
-	defer sh.closePool()
 	drive(t, sh, "e(p, q).", "e(q, r).", "f(p, q).", "f(q, r).",
 		"a(X, Y) :- e(X, Y).", "a(X, Y) :- e(X, Z), a(Z, Y).",
 		"b(X, Y) :- f(X, Y).", "b(X, Y) :- f(X, Z), b(Z, Y).",
@@ -141,7 +135,7 @@ func TestShellNaiveParallel(t *testing.T) {
 	if out := buf.String(); !strings.Contains(out, "3 rows [naive]") {
 		t.Fatalf("naive parallel query output:\n%s", out)
 	}
-	if sh.pool.Stats().Submitted == 0 {
+	if sh.tb.SchedStats().Submitted == 0 {
 		t.Fatal("naive parallel query never reached the pool")
 	}
 }

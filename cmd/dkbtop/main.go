@@ -159,10 +159,10 @@ func render(cur *sample) string {
 		cur.get("snapshot.commits"), commitRate, cur.get("snapshot.copied_tables"),
 		cur.get("snapshot.reclaim_backlog"), time.Duration(cur.get("snapshot.writer_stall_ns")))
 
-	// Shared evaluation pool: task throughput and inline-steal share.
+	// Evaluation pool: slots in use, task throughput and inline-steal share.
 	taskRate := cur.stat("sched.completed").Rate
-	fmt.Fprintf(&b, "sched %d workers  %d clients  queued %d  done %d (%.1f/s)  stolen %d\n",
-		cur.get("sched.workers"), cur.get("sched.clients"), cur.get("sched.queued"),
+	fmt.Fprintf(&b, "sched %d/%d slots running  done %d (%.1f/s)  stolen %d\n",
+		cur.get("sched.running"), cur.get("sched.slots"),
 		cur.get("sched.completed"), taskRate, cur.get("sched.stolen"))
 
 	// Materialized views: maintenance throughput vs forced re-derivations.

@@ -42,9 +42,8 @@ func TestRender(t *testing.T) {
 		{Name: "plan.misses", Kind: "gauge", Value: 50},
 		{Name: "plan.entries", Kind: "gauge", Value: 12},
 		{Name: "dkb.generation", Kind: "gauge", Value: 4},
-		{Name: "sched.workers", Kind: "gauge", Value: 4},
-		{Name: "sched.clients", Kind: "gauge", Value: 2},
-		{Name: "sched.queued", Kind: "gauge", Value: 1},
+		{Name: "sched.slots", Kind: "gauge", Value: 4},
+		{Name: "sched.running", Kind: "gauge", Value: 2},
 		{Name: "sched.completed", Kind: "gauge", Value: 640},
 		{Name: "sched.stolen", Kind: "gauge", Value: 33},
 		{Name: "matview.live", Kind: "gauge", Value: 2},
@@ -77,7 +76,7 @@ func TestRender(t *testing.T) {
 		"pool 93% hit",
 		"plan 50% hit",
 		"gen 4",
-		"sched 4 workers",
+		"sched 2/4 slots running",
 		"done 640",
 		"stolen 33",
 		"views 2 live",

@@ -59,50 +59,30 @@ type ConcurrentTestbed struct {
 	tb       *Testbed
 	snaps    *snapshot.Store
 	plans    *planCache
-	// sched is the shared evaluation worker pool: every session's
-	// parallel query submits its work here, so total evaluation
-	// goroutines stay bounded by the pool size regardless of how many
-	// sessions run recursions concurrently.
-	sched *sched.Pool
 	// closed is set by Close before the reader drain; readers check it
 	// after pinning so a query admitted during shutdown backs out.
 	closed atomic.Bool
 }
 
-// ConcurrentOptions tune a ConcurrentTestbed.
-type ConcurrentOptions struct {
-	// SchedWorkers sizes the shared evaluation worker pool (<= 0
-	// selects GOMAXPROCS).
-	SchedWorkers int
-}
-
 // NewConcurrent wraps a testbed for concurrent use. The caller must not
-// use the wrapped testbed directly afterwards (see Testbed).
+// use the wrapped testbed directly afterwards (see Testbed). Every
+// session's parallel work runs on the testbed's evaluation pool, so
+// evaluation goroutines stay bounded however many sessions recurse at
+// once.
 func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
-	return NewConcurrentWithOptions(tb, ConcurrentOptions{})
-}
-
-// NewConcurrentWithOptions is NewConcurrent with explicit tuning.
-func NewConcurrentWithOptions(tb *Testbed, opts ConcurrentOptions) *ConcurrentTestbed {
 	c := &ConcurrentTestbed{
 		tb:    tb,
 		snaps: snapshot.NewStore(BaseTableName("")),
-		plans: newPlanCache(),
-		sched: sched.NewPool(opts.SchedWorkers),
+		plans: newPlanCache(tb.db, tb.pool),
 	}
-	// Wire view maintenance: refreshes run against the live database
-	// (the writer maintains after publishing), in parallel across views
-	// on the shared pool.
-	c.plans.db = tb.db
-	c.plans.pool = c.sched
-	tb.SetEvalPool(c.sched)
 	c.publish(0) // the initial snapshot: the testbed state as wrapped
 	return c
 }
 
-// SchedStats snapshots the shared evaluation pool's counters.
+// SchedStats snapshots the counters of the wrapped testbed's
+// evaluation pool.
 func (c *ConcurrentTestbed) SchedStats() sched.Stats {
-	return c.sched.Stats()
+	return c.tb.SchedStats()
 }
 
 // Testbed returns the wrapped testbed for single-goroutine phases
@@ -140,12 +120,7 @@ func (c *ConcurrentTestbed) Close() error {
 	// admitted ones (and the version reclamation their releases
 	// trigger) before closing the pager under them.
 	c.snaps.Shutdown()
-	err := c.tb.Close()
-	// Stop the evaluation workers after the reader drain: a draining
-	// query's Group.Wait would still complete its tasks inline, but an
-	// idle pool past this point is pure overhead.
-	c.sched.Close()
-	return err
+	return c.tb.Close()
 }
 
 // acquire pins the current snapshot for one read operation. The closed

@@ -435,8 +435,6 @@ func blockingCallee(fn *types.Func) string {
 	switch pkg := lintkit.PkgName(fn); {
 	case pkg == "sched" && recv == "Group" && name == "Wait":
 		return "sched.Group.Wait (runs queued evaluation tasks inline)"
-	case pkg == "sched" && recv == "Pool" && name == "Close":
-		return "sched.Pool.Close (joins the workers)"
 	case pkg == "wire" && (name == "WriteFrame" || name == "ReadFrame"):
 		return "connection I/O (wire." + name + ")"
 	}

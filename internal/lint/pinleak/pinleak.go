@@ -4,16 +4,15 @@
 //
 //	page      storage.Pager.Fetch/Allocate/AllocateReusable → Pager.Unpin(pg)
 //	snapshot  snapshot.Store.Acquire                        → Snapshot.Release()
-//	client    sched.Pool.NewClient                          → Client.Close()
-//	group     sched.Client.Group                            → Group.Wait()
+//	group     sched.Pool.Group                              → Group.Wait()
 //
 // Each acquisition must reach its release on every control-flow path
 // out of the acquiring function — early error returns included — unless
 // ownership demonstrably transfers. A `defer` of the release satisfies
 // all paths, panics included. A leaked page pin wedges a frame in its
 // shard forever; a leaked snapshot pin blocks epoch reclamation and
-// pins every superseded version chain in memory; a leaked client or
-// un-waited group strands scheduler queue slots.
+// pins every superseded version chain in memory; an un-waited group
+// leaves the tasks no slot took unrun.
 //
 // Unlike pinpair, the analysis crosses function boundaries:
 //
@@ -50,7 +49,7 @@ import (
 // Analyzer is the pinleak pass.
 var Analyzer = &lintkit.Analyzer{
 	Name:   "pinleak",
-	Doc:    "every page pin, snapshot pin, scheduler client and task group is released on all paths (waive with //dkblint:pinsafe <reason>)",
+	Doc:    "every page pin, snapshot pin and task group is released on all paths (waive with //dkblint:pinsafe <reason>)",
 	Run:    run,
 	Module: true,
 }
@@ -99,15 +98,8 @@ var kinds = []*kind{
 		resPkg:     "snapshot", resTyp: "Snapshot",
 	},
 	{
-		id: "client", noun: "scheduler client from",
-		srcPkg: "sched", srcTyp: "Pool",
-		srcMethods: map[string]bool{"NewClient": true},
-		recvMethod: "Close",
-		resPkg:     "sched", resTyp: "Client",
-	},
-	{
 		id: "group", noun: "task group from",
-		srcPkg: "sched", srcTyp: "Client",
+		srcPkg: "sched", srcTyp: "Pool",
 		srcMethods: map[string]bool{"Group": true},
 		recvMethod: "Wait",
 		resPkg:     "sched", resTyp: "Group",

@@ -3,12 +3,7 @@ package sched
 
 type Pool struct{}
 
-func (p *Pool) NewClient() *Client { return &Client{} }
-
-type Client struct{}
-
-func (c *Client) Close()        {}
-func (c *Client) Group() *Group { return &Group{} }
+func (p *Pool) Group() *Group { return &Group{} }
 
 type Group struct{}
 

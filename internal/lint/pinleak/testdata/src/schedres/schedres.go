@@ -1,34 +1,24 @@
-// Scheduler-resource fixtures: clients and task groups carry the same
-// must-release obligation as pins.
+// Scheduler-resource fixtures: a task group carries the same
+// must-release obligation as a pin.
 package schedres
 
 import "sched"
 
-func goodClient(p *sched.Pool) {
-	c := p.NewClient()
-	defer c.Close()
-	g := c.Group()
+func goodGroup(p *sched.Pool) {
+	g := p.Group()
 	g.Go(func() {})
 	g.Wait()
 }
 
-func badClient(p *sched.Pool, n int) {
-	c := p.NewClient() // want "not released on the path"
-	if n > 0 {
-		return // client leaks its queue slot
-	}
-	c.Close()
-}
-
-func badGroup(c *sched.Client, cond bool) {
-	g := c.Group() // want "not released on the path"
+func badGroup(p *sched.Pool, cond bool) {
+	g := p.Group() // want "not released on the path"
 	g.Go(func() {})
 	if cond {
-		return // un-waited group strands its tickets
+		return // un-waited group leaves its queued tasks unrun
 	}
 	g.Wait()
 }
 
-func badSnapshotless(p *sched.Pool) {
-	p.NewClient() // want "discarded without Client.Close"
+func discardedGroup(p *sched.Pool) {
+	p.Group() // want "discarded without Group.Wait"
 }

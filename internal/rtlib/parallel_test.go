@@ -47,7 +47,6 @@ func TestWavefrontMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			pool := sched.NewPool(workers)
-			defer pool.Close()
 			par, err := Evaluate(d, prog, Options{Parallel: true, Pool: pool})
 			if err != nil {
 				t.Fatal(err)
@@ -76,7 +75,6 @@ func TestWavefrontNaiveStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := sched.NewPool(2)
-	defer pool.Close()
 	par, err := Evaluate(d, prog, Options{Strategy: Naive, Parallel: true, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +85,7 @@ func TestWavefrontNaiveStrategy(t *testing.T) {
 }
 
 // TestPoolLessParallelRunsInline: the executor of Parallel work is the
-// shared pool's client or the calling goroutine, nothing else. Without
+// pool's slots or the calling goroutine, nothing else. Without
 // a pool an evaluation whose independent cliques a pool would run as a
 // wavefront starts no goroutine (sampled from a monitor while it runs,
 // and compared after) and returns the sequential answer.

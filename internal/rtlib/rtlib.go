@@ -76,9 +76,9 @@ type Options struct {
 	// are the sequential loop's.
 	Parallel bool
 	// Pool, when non-nil and Parallel is set, bounds the evaluation's
-	// concurrency on a shared worker pool with fair per-query
-	// admission. Without a pool, Parallel work runs inline on the
-	// calling goroutine.
+	// concurrency: the testbed's task pool, shared by every evaluation
+	// on it. Without a pool, Parallel work runs inline on the calling
+	// goroutine.
 	Pool *sched.Pool
 	// Trace, when non-nil, records an "eval" span tree: one span per
 	// evaluation-order node, per LFP iteration (delta cardinalities,
@@ -173,10 +173,6 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 		tables: make(map[string]string),
 		temps:  NewTempTables(d),
 	}
-	if opts.Parallel && opts.Pool != nil {
-		ev.client = opts.Pool.NewClient()
-		defer ev.client.Close()
-	}
 	res, err := ev.run()
 	if err != nil {
 		// Best-effort teardown on failure.
@@ -204,9 +200,6 @@ type evaluator struct {
 	tables map[string]string
 	temps  *TempTables
 	stats  Stats
-	// client is the evaluation's admission handle on the shared worker
-	// pool (nil without one).
-	client *sched.Client
 }
 
 // tableOf resolves a predicate to its current relation name: the temp
@@ -258,7 +251,7 @@ func (ev *evaluator) run() (*Result, error) {
 
 	evalSp := ev.opts.Trace.Start("eval")
 	ev.stats.Nodes = make([]NodeStats, len(ev.prog.Nodes))
-	if ev.client != nil && len(ev.prog.Nodes) > 1 {
+	if ev.opts.Parallel && ev.opts.Pool != nil && len(ev.prog.Nodes) > 1 {
 		if err := ev.runWavefront(seeds, evalSp); err != nil {
 			return nil, err
 		}
@@ -271,9 +264,6 @@ func (ev *evaluator) run() (*Result, error) {
 				return nil, err
 			}
 		}
-	}
-	if ev.client != nil {
-		evalSp.SetInt("sched.admitted", ev.client.Admitted())
 	}
 	for i := range ev.stats.Nodes {
 		ns := &ev.stats.Nodes[i]
@@ -301,9 +291,9 @@ func (ev *evaluator) run() (*Result, error) {
 }
 
 // evalNode evaluates evaluation-order node i and records its stats at
-// index i. worker is the pool worker running it (-1 when sequential or
-// inline), recorded on the node's span.
-func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.Span, worker int) error {
+// index i. slot is the pool slot running it (-1 when sequential or
+// inline), recorded on the node's span as its worker track.
+func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.Span, slot int) error {
 	node := &ev.prog.Nodes[i]
 	ns := &ev.stats.Nodes[i]
 	ns.Preds = node.Preds
@@ -314,8 +304,8 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 		if node.Recursive {
 			sp.SetString("kind", "recursive")
 		}
-		if worker >= 0 {
-			sp.SetInt("sched.worker", int64(worker))
+		if slot >= 0 {
+			sp.SetInt("sched.worker", int64(slot))
 		}
 	}
 	nodeStart := time.Now()
@@ -361,7 +351,7 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 }
 
 // runWavefront evaluates the evaluation-order list as a dependency
-// wavefront on the shared pool: a node is forked as soon as every node
+// wavefront on the testbed's pool: a node is forked as soon as every node
 // it reads has finished, so independent cliques — separate recursions
 // with no path between them, or a query over several disjoint rule
 // families — evaluate concurrently. Program.Nodes is topologically
@@ -380,10 +370,10 @@ func (ev *evaluator) runWavefront(seeds map[string][]rel.Tuple, evalSp *obs.Span
 	}
 	var mu sync.Mutex // guards remaining and firstErr
 	var firstErr error
-	g := ev.client.Group()
+	g := ev.opts.Pool.Group()
 	var launch func(i int)
 	launch = func(i int) {
-		g.Go(func(worker int) {
+		g.Go(func(slot int) {
 			mu.Lock()
 			failed := firstErr != nil
 			mu.Unlock()
@@ -392,7 +382,7 @@ func (ev *evaluator) runWavefront(seeds map[string][]rel.Tuple, evalSp *obs.Span
 			}
 			err := checkCtx(ev.opts.Ctx)
 			if err == nil {
-				err = ev.evalNode(i, seeds, evalSp, worker)
+				err = ev.evalNode(i, seeds, evalSp, slot)
 			}
 			mu.Lock()
 			defer mu.Unlock()

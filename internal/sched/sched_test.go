@@ -10,12 +10,8 @@ import (
 
 func TestGroupRunsEveryTask(t *testing.T) {
 	p := NewPool(4)
-	defer p.Close()
-	c := p.NewClient()
-	defer c.Close()
-
 	var n atomic.Int64
-	g := c.Group()
+	g := p.Group()
 	for i := 0; i < 100; i++ {
 		g.Go(func(int) { n.Add(1) })
 	}
@@ -23,35 +19,30 @@ func TestGroupRunsEveryTask(t *testing.T) {
 	if n.Load() != 100 {
 		t.Fatalf("ran %d of 100 tasks", n.Load())
 	}
-	if got := c.Admitted(); got != 100 {
-		t.Fatalf("admitted = %d, want 100", got)
-	}
 	st := p.Stats()
 	if st.Completed != 100 || st.Submitted != 100 {
 		t.Fatalf("stats = %+v, want 100 submitted/completed", st)
 	}
+	if st.Running != 0 {
+		t.Fatalf("%d slots still taken after Wait returned", st.Running)
+	}
 }
 
 func TestWaitHelpsInline(t *testing.T) {
-	// A pool of one worker, wedged on a task that blocks until the
-	// group under test finishes. Wait must run the group's tasks
-	// itself or this deadlocks.
+	// A pool of one slot, wedged on a task that blocks until the group
+	// under test finishes. Wait must run the group's tasks itself or this
+	// deadlocks.
 	p := NewPool(1)
-	defer p.Close()
-	blocker := p.NewClient()
-	defer blocker.Close()
 	release := make(chan struct{})
-	bg := blocker.Group()
+	bg := p.Group()
 	bg.Go(func(int) { <-release })
 
-	c := p.NewClient()
-	defer c.Close()
 	var n atomic.Int64
-	g := c.Group()
+	g := p.Group()
 	for i := 0; i < 10; i++ {
-		g.Go(func(worker int) {
-			if worker != -1 {
-				t.Errorf("task ran on worker %d; the only worker is wedged", worker)
+		g.Go(func(slot int) {
+			if slot != -1 {
+				t.Errorf("task ran on slot %d; the only slot is wedged", slot)
 			}
 			n.Add(1)
 		})
@@ -76,14 +67,13 @@ func TestWaitHelpsInline(t *testing.T) {
 func TestNestedGroupsAnyPoolSize(t *testing.T) {
 	// Tasks that fork nested groups and wait on them: the deadlock
 	// shape help-first stealing exists to prevent.
-	for _, workers := range []int{1, 2, 8} {
-		p := NewPool(workers)
-		c := p.NewClient()
+	for _, slots := range []int{1, 2, 8} {
+		p := NewPool(slots)
 		var n atomic.Int64
-		g := c.Group()
+		g := p.Group()
 		for i := 0; i < 8; i++ {
 			g.Go(func(int) {
-				sub := c.Group()
+				sub := p.Group()
 				for j := 0; j < 8; j++ {
 					sub.Go(func(int) { n.Add(1) })
 				}
@@ -92,29 +82,24 @@ func TestNestedGroupsAnyPoolSize(t *testing.T) {
 		}
 		g.Wait()
 		if n.Load() != 64 {
-			t.Fatalf("workers=%d: ran %d of 64 nested tasks", workers, n.Load())
+			t.Fatalf("slots=%d: ran %d of 64 nested tasks", slots, n.Load())
 		}
-		c.Close()
-		p.Close()
 	}
 }
 
 func TestGoroutinesBoundedByPoolSize(t *testing.T) {
 	base := runtime.NumGoroutine()
 	p := NewPool(3)
-	defer p.Close()
 
 	// 16 concurrent "sessions", each forking 32 tasks. Without a pool
-	// that is 512 goroutines; with it, 3 workers plus the waiters.
+	// that is 512 goroutines; with it, 3 slots plus the waiters.
 	var wg sync.WaitGroup
 	var peak atomic.Int64
 	for s := 0; s < 16; s++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := p.NewClient()
-			defer c.Close()
-			g := c.Group()
+			g := p.Group()
 			for i := 0; i < 32; i++ {
 				g.Go(func(int) {
 					if n := int64(runtime.NumGoroutine()); n > peak.Load() {
@@ -126,68 +111,97 @@ func TestGoroutinesBoundedByPoolSize(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// base + 16 session goroutines + 3 workers + slack; far under 512.
+	// base + 16 session goroutines + 3 slots + slack; far under 512.
 	if limit := int64(base + 16 + 3 + 10); peak.Load() > limit {
 		t.Fatalf("peak goroutines %d exceeds pool bound %d", peak.Load(), limit)
 	}
 }
 
-func TestFairRoundRobinAdmission(t *testing.T) {
-	// One worker, two clients: a flood of tasks from the first must not
-	// starve the second. With round-robin admission the second client's
-	// single task runs after at most a couple of flood tasks.
+// TestFloodDoesNotDelayOtherGroup: one evaluation holding every slot and
+// queueing a flood of tasks must not hold up another's. The other
+// group's Wait runs its task at once, inline, before any flood task
+// has run.
+func TestFloodDoesNotDelayOtherGroup(t *testing.T) {
 	p := NewPool(1)
-	defer p.Close()
-	flood := p.NewClient()
-	point := p.NewClient()
-	defer flood.Close()
-	defer point.Close()
-
 	gate := make(chan struct{})
 	var floodRuns atomic.Int64
-	fg := flood.Group()
-	fg.Go(func(int) { <-gate }) // wedge the worker while we queue
+	fg := p.Group()
+	fg.Go(func(int) { <-gate }) // the flood takes the only slot
 	for i := 0; i < 64; i++ {
-		fg.Go(func(int) { floodRuns.Add(1); time.Sleep(time.Millisecond) })
+		fg.Go(func(int) { floodRuns.Add(1) })
 	}
-	var before int64
-	pg := point.Group()
-	pg.Go(func(int) { before = floodRuns.Load() })
-	close(gate)
 
-	// Only the worker may run these (Wait on pg would steal and defeat
-	// the point of the test), so poll for completion.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Completed < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	var before int64 = -1
+	pg := p.Group()
+	pg.Go(func(int) { before = floodRuns.Load() })
 	pg.Wait()
-	if before > 2 {
-		t.Fatalf("point query waited behind %d flood tasks; round-robin should admit it after at most ~1", before)
+	if before != 0 {
+		t.Fatalf("point task ran after %d flood tasks, want 0", before)
 	}
+	close(gate)
 	fg.Wait()
+	if floodRuns.Load() != 64 {
+		t.Fatalf("ran %d of 64 flood tasks", floodRuns.Load())
+	}
 }
 
-func TestCloseCompletesQueuedWorkInline(t *testing.T) {
-	p := NewPool(2)
-	c := p.NewClient()
-	g := c.Group()
-	var n atomic.Int64
-	for i := 0; i < 50; i++ {
-		g.Go(func(int) { n.Add(1) })
+// TestSlotRunsItsGroupsQueue: a slot's goroutine that finishes a task
+// runs the tasks its group queued meanwhile before it gives the slot
+// back, so a burst keeps the slots it won busy without the waiter.
+func TestSlotRunsItsGroupsQueue(t *testing.T) {
+	p := NewPool(1)
+	gate := make(chan struct{})
+	var ran [3]atomic.Int64
+	g := p.Group()
+	g.Go(func(slot int) { <-gate; ran[0].Store(int64(slot) + 1) })
+	g.Go(func(slot int) { ran[1].Store(int64(slot) + 1) }) // queued: no free slot
+	g.Go(func(slot int) { ran[2].Store(int64(slot) + 1) })
+	close(gate)
+	// Poll instead of calling Wait, which would run the queued tasks
+	// inline itself.
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats().Completed < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	p.Close() // workers gone; tickets may be stranded
-	g.Wait()  // must finish everything inline
-	if n.Load() != 50 {
-		t.Fatalf("ran %d of 50 tasks after Close", n.Load())
+	g.Wait()
+	for i := range ran {
+		if got := ran[i].Load() - 1; got != 0 {
+			t.Errorf("task %d ran on slot %d, want slot 0", i, got)
+		}
 	}
-	c.Close()
+	if st := p.Stats(); st.Stolen != 0 || st.Running != 0 {
+		t.Fatalf("stats = %+v, want nothing stolen and the slot free", st)
+	}
+}
+
+// TestIdlePoolHoldsNoGoroutine: the pool starts no goroutine of its
+// own, and every goroutine a group starts has exited once the slot
+// count shows its slot free.
+func TestIdlePoolHoldsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	p := NewPool(8)
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("NewPool started %d goroutines", n-base)
+	}
+	g := p.Group()
+	for i := 0; i < 32; i++ {
+		g.Go(func(int) {})
+	}
+	g.Wait()
+	if r := p.Stats().Running; r != 0 {
+		t.Fatalf("%d slots taken after Wait returned", r)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines left after the group finished", n-base)
+	}
 }
 
 func TestNewPoolDefaultsToGOMAXPROCS(t *testing.T) {
-	p := NewPool(0)
-	defer p.Close()
-	if got, want := p.Workers(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("Workers() = %d, want GOMAXPROCS = %d", got, want)
+	if got, want := NewPool(0).Stats().Slots, runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Slots = %d, want GOMAXPROCS = %d", got, want)
 	}
 }

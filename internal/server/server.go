@@ -167,9 +167,8 @@ func (s *Server) initRegistry() {
 	counter("snapshot.copied_tables", func() int64 { return s.tb.SnapshotStats().CopiedTables })
 	counter("snapshot.writer_stall_ns", func() int64 { return int64(s.tb.SnapshotStats().WriterStall) })
 	counter("slowlog.recorded", s.slow.Recorded)
-	gauge("sched.workers", func() int64 { return int64(s.tb.SchedStats().Workers) })
-	gauge("sched.clients", func() int64 { return int64(s.tb.SchedStats().Clients) })
-	gauge("sched.queued", func() int64 { return int64(s.tb.SchedStats().Queued) })
+	gauge("sched.slots", func() int64 { return int64(s.tb.SchedStats().Slots) })
+	gauge("sched.running", func() int64 { return int64(s.tb.SchedStats().Running) })
 	counter("sched.submitted", func() int64 { return s.tb.SchedStats().Submitted })
 	counter("sched.completed", func() int64 { return s.tb.SchedStats().Completed })
 	counter("sched.stolen", func() int64 { return s.tb.SchedStats().Stolen })

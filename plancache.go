@@ -95,10 +95,8 @@ type planCache struct {
 	tail     *planEntry // least recently used
 	stats    PlanCacheStats
 
-	// db is the live database view maintenance runs against; pool,
-	// when non-nil, parallelizes maintenance across views. Both are
-	// set once at wiring time (NewConcurrentWithOptions), before any
-	// concurrent use.
+	// db is the live database view maintenance runs against; pool, the
+	// testbed's evaluation pool, parallelizes maintenance across views.
 	db   *db.DB
 	pool *sched.Pool
 	// mv aggregates maintenance telemetry across the cache's views.
@@ -110,10 +108,12 @@ type planCache struct {
 	condemned []*matview.View
 }
 
-func newPlanCache() *planCache {
+func newPlanCache(d *db.DB, pool *sched.Pool) *planCache {
 	return &planCache{
 		capacity: planCacheEntries,
 		entries:  make(map[planKey]*planEntry, planCacheEntries),
+		db:       d,
+		pool:     pool,
 	}
 }
 
@@ -355,17 +355,15 @@ func (pc *planCache) Invalidate(prev, next *snapshot.Snapshot, ev *matview.Event
 		pc.mv.DeltaTuples.Add(j.view.LastDeltaTuples())
 		pc.mv.MaintainNs.Add(int64(j.view.LastDuration()))
 	}
-	if len(jobs) > 1 && pc.pool != nil {
+	if len(jobs) > 1 {
 		// Independent views touch disjoint temp tables; propagate their
-		// deltas in parallel on the shared evaluation pool.
-		cl := pc.pool.NewClient()
-		g := cl.Group()
+		// deltas in parallel on the testbed's evaluation pool.
+		g := pc.pool.Group()
 		for _, j := range jobs {
 			j := j
 			g.Go(func(int) { run(j) })
 		}
 		g.Wait()
-		cl.Close()
 	} else {
 		for _, j := range jobs {
 			run(j)

@@ -298,7 +298,7 @@ func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []d
 			t.Fatal(err)
 		}
 	}
-	c := NewConcurrentWithOptions(tb, ConcurrentOptions{SchedWorkers: 4})
+	c := NewConcurrent(tb)
 	defer c.Close()
 
 	// Base predicates the query reaches through the rules, sorted.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dkbms/internal/db"
-	"dkbms/internal/sched"
 	"dkbms/internal/workload"
 )
 
@@ -57,9 +56,6 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 		t.Fatal(err)
 	}
 	tb.MustLoad(rules)
-	pool := sched.NewPool(2)
-	defer pool.Close()
-	tb.SetEvalPool(pool)
 	for _, tc := range []struct {
 		name, query string
 		opts        QueryOptions

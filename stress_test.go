@@ -11,12 +11,12 @@ import (
 )
 
 // TestSharedPoolStress is the scheduler's contention test: many
-// sessions run Parallel recursive queries against one small shared
+// sessions run Parallel recursive queries against the testbed's one
 // evaluation pool while a writer streams live updates. Every answer
 // must be the exact closure (the writer only adds edges *into* c0,
 // which never change the closure from c0), no evaluation temp tables
 // may leak, and the total goroutine count must stay bounded by
-// sessions + pool size — not sessions × rules.
+// sessions + pool slots — not sessions × rules.
 func TestSharedPoolStress(t *testing.T) {
 	const (
 		sessions   = 8
@@ -24,7 +24,7 @@ func TestSharedPoolStress(t *testing.T) {
 		chainLen   = 12
 	)
 	tb := NewMemory()
-	c := NewConcurrentWithOptions(tb, ConcurrentOptions{SchedWorkers: 2})
+	c := NewConcurrent(tb)
 	defer c.Close()
 
 	var src strings.Builder
@@ -137,17 +137,17 @@ func TestSharedPoolStress(t *testing.T) {
 		}
 	}
 
-	// Goroutines: one per session + pool workers + writer + monitor +
+	// Goroutines: one per session + pool slots + writer + monitor +
 	// runtime slack. Unbounded per-rule fan-out would instead add
 	// sessions × rules on top.
 	st := c.SchedStats()
-	if st.Workers != 2 {
-		t.Fatalf("pool workers = %d, want 2", st.Workers)
+	if st.Slots != runtime.GOMAXPROCS(0) {
+		t.Fatalf("pool slots = %d, want GOMAXPROCS = %d", st.Slots, runtime.GOMAXPROCS(0))
 	}
 	if st.Submitted == 0 {
 		t.Fatal("parallel queries never reached the shared pool")
 	}
-	limit := int64(baseGoroutines + sessions + st.Workers + 12)
+	limit := int64(baseGoroutines + sessions + st.Slots + 12)
 	if p := peak.Load(); p > limit {
 		t.Fatalf("peak goroutines %d exceeds bound %d (base %d)", p, limit, baseGoroutines)
 	}

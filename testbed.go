@@ -67,19 +67,19 @@ type Testbed struct {
 	// plan cache keeps a compiled program while the generation stands
 	// still.
 	ruleGen uint64
-	// pool, when set (SetEvalPool), runs parallel evaluation work on a
-	// shared scheduler; without one it runs inline.
+	// pool bounds the testbed's evaluation concurrency: the wavefront of
+	// every QueryOptions.Parallel query and the parallel view maintenance
+	// of a ConcurrentTestbed's commits. It keeps no goroutines, so it
+	// needs no closing.
 	pool *sched.Pool
 	// closed is set by Close; every later operation returns ErrClosed.
 	closed bool
 }
 
-// SetEvalPool attaches a shared evaluation worker pool: queries run
-// with QueryOptions.Parallel submit their independent evaluation-order
-// nodes to it as a wavefront; without a pool they run in order on the
-// calling goroutine. The caller retains ownership of the pool
-// (ConcurrentTestbed wires and closes its own). Nil detaches.
-func (tb *Testbed) SetEvalPool(p *sched.Pool) { tb.pool = p }
+// newTestbed wraps an open database whose stored D/KB is bootstrapped.
+func newTestbed(d *db.DB, st *stored.Manager) *Testbed {
+	return &Testbed{ws: core.NewWorkspace(), db: d, st: st, pool: sched.NewPool(0)}
+}
 
 // NewMemory opens a testbed over an in-memory database.
 func NewMemory() *Testbed {
@@ -89,7 +89,7 @@ func NewMemory() *Testbed {
 		// A fresh in-memory database cannot fail to bootstrap.
 		panic(fmt.Sprintf("dkbms: bootstrap stored D/KB: %v", err))
 	}
-	return &Testbed{ws: core.NewWorkspace(), db: d, st: st}
+	return newTestbed(d, st)
 }
 
 // Open opens (creating if needed) a file-backed testbed.
@@ -103,7 +103,7 @@ func Open(path string) (*Testbed, error) {
 		d.Close()
 		return nil, err
 	}
-	return &Testbed{ws: core.NewWorkspace(), db: d, st: st}, nil
+	return newTestbed(d, st), nil
 }
 
 // Close shuts the testbed down, flushing the database. A second Close,
@@ -125,6 +125,9 @@ func (tb *Testbed) Stored() *stored.Manager { return tb.st }
 
 // Workspace exposes the workspace D/KB.
 func (tb *Testbed) Workspace() *core.Workspace { return tb.ws }
+
+// SchedStats snapshots the counters of the testbed's evaluation pool.
+func (tb *Testbed) SchedStats() sched.Stats { return tb.pool.Stats() }
 
 // --- Write path: each write planned once, then applied ---
 
@@ -376,10 +379,9 @@ type QueryOptions struct {
 	// decision, made by the optimizer itself.
 	NoOptimize bool
 	// Parallel evaluates independent PCG nodes as a dependency wavefront
-	// on the shared scheduler pool (paper conclusion 7a at clique
+	// on the testbed's evaluation pool (paper conclusion 7a at clique
 	// granularity). Each clique runs the sequential LFP routine, so the
-	// statements and the answer are those of a sequential evaluation;
-	// without a pool attached the evaluation is sequential.
+	// statements and the answer are those of a sequential evaluation.
 	Parallel bool
 	// Trace records the query's execution as a span tree — compilation
 	// phases, evaluation nodes, LFP iterations with delta cardinalities,
