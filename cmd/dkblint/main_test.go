@@ -44,7 +44,7 @@ func TestModuleClean(t *testing.T) {
 	if !ok {
 		t.Fatal("no lock-order graph in the cache after a module run")
 	}
-	const wantLocks = 17
+	const wantLocks = 18
 	if len(g.Locks) != wantLocks {
 		t.Errorf("lock-order graph has %d lock classes, want %d; update this pin when adding or removing a lock:\n%v",
 			len(g.Locks), wantLocks, g.Locks)

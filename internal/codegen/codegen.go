@@ -15,6 +15,7 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dkbms/internal/dlog"
@@ -89,7 +90,9 @@ type FromEntry struct {
 //	SELECT DISTINCT <SelectList> FROM <From...> [WHERE <Where>]
 //
 // with table names left symbolic so the runtime can substitute delta
-// tables per differential.
+// tables per differential, and each body constant a value parameter, so
+// that rules differing only in their constants — the rules magic sets
+// rewrite a query's bindings into — are one statement.
 type RuleSQL struct {
 	// Head is the defined predicate.
 	Head string
@@ -100,15 +103,31 @@ type RuleSQL struct {
 	// From lists the body relations in order.
 	From []FromEntry
 	// Where is the conjunction of constant and variable-equality
-	// conditions ("" when the body imposes none).
+	// conditions ("" when the body imposes none), the k-th constant
+	// written as ?k.
 	Where string
+	// Values[k-1] is the body constant ?k stands for.
+	Values []rel.Value
 	// CliqueOccs indexes From entries whose predicate belongs to the
 	// same clique as Head (the occurrences semi-naive differentiates).
 	CliqueOccs []int
 }
 
-// SQL renders the rule with the given predicate→table mapping.
+// SQL renders the rule with the given predicate→table mapping, its
+// constants written in as literals: the text EXPLAIN shows, which runs
+// as it reads.
 func (r *RuleSQL) SQL(tableOf func(pred string) string) string {
+	return r.render(tableOf, true)
+}
+
+// ParamSQL renders the rule as SQL does but with each body constant its
+// value parameter ?k, to be prepared and executed with Values.
+func (r *RuleSQL) ParamSQL(tableOf func(pred string) string) string {
+	return r.render(tableOf, false)
+}
+
+// render writes the rule's text, its constants as literals or as ?k.
+func (r *RuleSQL) render(tableOf func(pred string) string, literals bool) string {
 	var b strings.Builder
 	b.WriteString("SELECT DISTINCT ")
 	b.WriteString(r.SelectList)
@@ -123,7 +142,23 @@ func (r *RuleSQL) SQL(tableOf func(pred string) string) string {
 	}
 	if r.Where != "" {
 		b.WriteString(" WHERE ")
-		b.WriteString(r.Where)
+		where := r.Where
+		for literals {
+			// Where has a '?' only where a parameter stands.
+			q := strings.IndexByte(where, '?')
+			if q < 0 {
+				break
+			}
+			end := q + 1
+			for end < len(where) && '0' <= where[end] && where[end] <= '9' {
+				end++
+			}
+			k, _ := strconv.Atoi(where[q+1 : end])
+			b.WriteString(where[:q])
+			b.WriteString(r.Values[k-1].SQL())
+			where = where[end:]
+		}
+		b.WriteString(where)
 	}
 	return b.String()
 }
@@ -277,7 +312,8 @@ func CompileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
 					firstOcc[t.Var] = pos{ai, gi}
 				}
 			} else {
-				conds = append(conds, fmt.Sprintf("%s = %s", ref, t.Val.SQL()))
+				rs.Values = append(rs.Values, t.Val)
+				conds = append(conds, fmt.Sprintf("%s = ?%d", ref, len(rs.Values)))
 			}
 		}
 	}

@@ -239,3 +239,46 @@ func TestExplain(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainWritesLiterals: a bound query's rules are prepared with
+// each body constant a value parameter, but EXPLAIN still shows them
+// written in — byte for byte the text it showed while rules were
+// prepared with literals — so the shown text runs as it reads. A
+// string constant that itself reads "?1" stays a literal.
+func TestExplainWritesLiterals(t *testing.T) {
+	rules := []dlog.Clause{
+		dlog.MustParseClause("anc(X, Y) :- parent(X, Y)."),
+		dlog.MustParseClause("anc(X, Y) :- parent(X, Z), anc(Z, Y)."),
+		dlog.MustParseClause(`named(X, 7) :- anc(john, X), age(X, 7), nick(X, "o'brien ?1").`),
+	}
+	g := pcg.Build(rules)
+	a, err := pcg.Analyze(g, "named")
+	if err != nil {
+		t.Fatal(err)
+	}
+	types := map[string][]rel.Type{
+		"anc":   {rel.TypeString, rel.TypeString},
+		"named": {rel.TypeString, rel.TypeInt},
+	}
+	prog, err := Generate(a.Order, types, a.BasePreds, "named")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Seeds = []SeedFact{{Pred: "anc", Tuple: rel.Tuple{rel.NewString("a"), rel.NewString("b")}}}
+	const want = "query predicate: named\nseeds:\n  anc(a, b)\nnode 1 (clique): anc\n" +
+		"  exit  anc(X, Y) :- parent(X, Y).\n        SELECT DISTINCT t0.c0, t0.c1 FROM edb_parent t0\n" +
+		"  rec   anc(X, Y) :- parent(X, Z), anc(Z, Y).\n        SELECT DISTINCT t0.c0, t1.c1 FROM edb_parent t0, <anc> t1 WHERE t1.c0 = t0.c1\n" +
+		"node 2 (predicate): named\n" +
+		"  exit  named(X, 7) :- anc(john, X), age(X, 7), nick(X, \"o'brien ?1\").\n" +
+		"        SELECT DISTINCT t0.c1, 7 FROM <anc> t0, edb_age t1, edb_nick t2 WHERE t0.c0 = 'john' AND t1.c0 = t0.c1 AND t1.c1 = 7 AND t2.c0 = t0.c1 AND t2.c1 = 'o''brien ?1'\n"
+	if got := prog.Explain(); got != want {
+		t.Errorf("Explain:\n%s\nwant\n%s", got, want)
+	}
+	r := prog.Nodes[1].ExitRules[0]
+	if got, want := r.ParamSQL(ident), "SELECT DISTINCT t0.c1, 7 FROM anc t0, age t1, nick t2 WHERE t0.c0 = ?1 AND t1.c0 = t0.c1 AND t1.c1 = ?2 AND t2.c0 = t0.c1 AND t2.c1 = ?3"; got != want {
+		t.Errorf("prepared text %q, want %q", got, want)
+	}
+	if got := rel.Tuple(r.Values).String(); got != "(john, 7, o'brien ?1)" {
+		t.Errorf("values %s", got)
+	}
+}

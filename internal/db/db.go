@@ -40,9 +40,11 @@ type DB struct {
 	cat   *catalog.Catalog
 	res   TableResolver
 
-	// stats counts statement traffic for the measurement harness. It is
-	// a pointer so resolver views accumulate into the same counters.
+	// stats counts statement traffic for the measurement harness, and
+	// stmts keeps the statements prepared on the database (Prepare).
+	// They are pointers so resolver views share them.
 	stats *Stats
+	stmts *stmtCache
 }
 
 // Stats are cumulative statement counters. Counters are updated
@@ -63,6 +65,9 @@ type Stats struct {
 	// (plan.Prepared.Acquire).
 	Builds int64
 	Reuses int64
+	// Parses counts statement texts parsed: every Exec and Query, and
+	// every Prepare whose plan was not cached.
+	Parses int64
 }
 
 // StatsSnapshot returns the statement counters read with atomic loads,
@@ -76,15 +81,17 @@ func (d *DB) StatsSnapshot() Stats {
 		DDL:          atomic.LoadInt64(&d.stats.DDL),
 		Builds:       atomic.LoadInt64(&d.stats.Builds),
 		Reuses:       atomic.LoadInt64(&d.stats.Reuses),
+		Parses:       atomic.LoadInt64(&d.stats.Parses),
 	}
 }
 
 // WithResolver returns a view of the database whose base-table name
 // resolution goes through r first. The view shares everything else —
-// pager, catalog, counters — with the receiver; it is how a query
-// evaluates against a pinned snapshot while the live catalog moves.
+// pager, catalog, counters, prepared statements — with the receiver;
+// it is how a query evaluates against a pinned snapshot while the live
+// catalog moves.
 func (d *DB) WithResolver(r TableResolver) *DB {
-	return &DB{pager: d.pager, cat: d.cat, res: r, stats: d.stats}
+	return &DB{pager: d.pager, cat: d.cat, res: r, stats: d.stats, stmts: d.stmts}
 }
 
 // Table resolves a table name: through the view's resolver when it is
@@ -118,7 +125,7 @@ func OpenWithPool(path string, poolPages int) (*DB, error) {
 		pager.Close()
 		return nil, err
 	}
-	return &DB{pager: pager, cat: cat, stats: &Stats{}}, nil
+	return &DB{pager: pager, cat: cat, stats: &Stats{}, stmts: newStmtCache()}, nil
 }
 
 // OpenMemory opens a fresh in-memory database.
@@ -130,7 +137,7 @@ func OpenMemory() *DB {
 		// programming error.
 		panic(fmt.Sprintf("db: init memory database: %v", err))
 	}
-	return &DB{pager: pager, cat: cat, stats: &Stats{}}
+	return &DB{pager: pager, cat: cat, stats: &Stats{}, stmts: newStmtCache()}
 }
 
 // Close flushes and closes the database.
@@ -165,7 +172,7 @@ func (d *DB) ExecTraced(stmt string, sp *obs.Span) error {
 // ctx.Err() when it is cancelled. Other statement forms do bounded work
 // and ignore ctx.
 func (d *DB) ExecTracedCtx(ctx context.Context, stmt string, sp *obs.Span) error {
-	st, err := sql.Parse(stmt)
+	st, err := d.parse(stmt)
 	if err != nil {
 		return err
 	}
@@ -205,7 +212,7 @@ func (d *DB) QueryTraced(stmt string, sp *obs.Span) (*Rows, error) {
 // is cancelled, so a long scan or join stops mid-statement instead of
 // running to completion.
 func (d *DB) QueryTracedCtx(ctx context.Context, stmt string, sp *obs.Span) (*Rows, error) {
-	st, err := sql.Parse(stmt)
+	st, err := d.parse(stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -218,6 +225,12 @@ func (d *DB) QueryTracedCtx(ctx context.Context, stmt string, sp *obs.Span) (*Ro
 		return nil, err
 	}
 	return d.runSelect(ctx, p, nil, nil, sp, false)
+}
+
+// parse parses one statement text, counted.
+func (d *DB) parse(stmt string) (sql.Statement, error) {
+	atomic.AddInt64(&d.stats.Parses, 1)
+	return sql.Parse(stmt)
 }
 
 // QueryCount evaluates a SELECT COUNT(*) (or any single-int-row query)

@@ -12,23 +12,35 @@ import (
 	"dkbms/internal/sql"
 )
 
-// Stmt is a prepared SELECT or INSERT ... SELECT: parsed and bound to
-// schemas once, planned per execution against the tables' state of that
-// moment — the testbed's analog of the paper's precompiled embedded
-// SQL. An untraced execution whose planning decides as the last one's
-// did re-binds that execution's operator tree instead of constructing
-// one (plan.Prepared.Acquire). Table positions (FROM entries, the
-// INSERT target) may be parameters $1..$n, each with a declared schema;
-// an execution names the table standing at each. Literals compared with
-// a column may be value parameters ?1..?m, typed by that column; an
-// execution supplies their values. A Stmt is safe for concurrent use,
-// also across the views On returns, which share its plan; executions
-// are counted and traced exactly as the same statement run through Exec
-// or Query with the values written in as literals.
+// Stmt is a handle on a prepared SELECT or INSERT ... SELECT: parsed
+// and bound to schemas once, planned per execution against the tables'
+// state of that moment — the testbed's analog of the paper's
+// precompiled embedded SQL. An untraced execution whose planning decides
+// as the last one's did re-binds that execution's operator tree instead
+// of constructing one (plan.Prepared.Acquire); the tree is the
+// handle's, so every Prepare returns a handle with a tree of its own
+// over a plan it may share (see Prepare). Table positions (FROM
+// entries, the INSERT target) may be parameters $1..$n, each with a
+// declared schema; an execution names the table standing at each.
+// Literals compared with a column may be value parameters ?1..?m, typed
+// by that column; an execution supplies their values. A Stmt is safe
+// for concurrent use, also across the views On returns, which share its
+// plan and its kept tree; executions are counted and traced exactly as
+// the same statement run through Exec or Query with the values written
+// in as literals.
 type Stmt struct {
-	d      *DB
+	d *DB
+	*prepared
+	// sel is the SELECT with the operator tree the handle keeps.
+	sel *plan.Prepared
+}
+
+// prepared is what Prepare settles for one statement text and parameter
+// schemas, immutable and shared by every handle on it.
+type prepared struct {
+	key    string
 	params []*rel.Schema
-	sel    *plan.Prepared
+	query  *plan.Analyzed
 	// insert marks INSERT ... SELECT; the target is into, or parameter
 	// $intoParam when that is positive.
 	insert    bool
@@ -38,29 +50,66 @@ type Stmt struct {
 
 // Prepare parses a SELECT or an INSERT ... SELECT and resolves it
 // against the schemas of its tables: params[n-1] for table parameter
-// $n, the current catalog for named tables. Only a statement prepared
-// here takes value parameters.
+// $n, the root database's catalog for named tables. Only a statement
+// prepared here takes value parameters.
+//
+// A statement all of whose tables are parameters — every statement the
+// run-time library issues — is prepared once per database: the plan is
+// kept, keyed by the text and the parameters' schemas compared by
+// structure, and a later Prepare of the same returns a new handle on it
+// without parsing. The cache keeps no table and no view, only schemas
+// and the plan, and holds at most MaxCachedStmts statements, emptied
+// when full. A statement naming a table is prepared anew each time: the
+// table a name stands for may be dropped and created with another
+// schema.
 func (d *DB) Prepare(stmt string, params ...*rel.Schema) (*Stmt, error) {
-	st, err := sql.Parse(stmt)
+	key := stmtKey(stmt, params)
+	if p := d.stmts.load(key); p != nil {
+		return d.handle(p), nil
+	}
+	p, cache, err := d.prepare(stmt, params)
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{d: d, params: params}
+	p.key = key
+	if cache {
+		p = d.stmts.store(key, p)
+	}
+	return d.handle(p), nil
+}
+
+// Key identifies the statement s is a handle on: its text and its
+// parameters' schemas by structure. Handles with one key execute alike.
+func (s *Stmt) Key() string { return s.key }
+
+// handle returns a new handle on p, with no tree kept yet.
+func (d *DB) handle(p *prepared) *Stmt {
+	return &Stmt{d: d, prepared: p, sel: &plan.Prepared{Analyzed: p.query}}
+}
+
+// prepare parses and analyzes stmt on the root database; cache reports
+// that every table of it is a parameter.
+func (d *DB) prepare(stmt string, params []*rel.Schema) (p *prepared, cache bool, err error) {
+	st, err := d.parse(stmt)
+	if err != nil {
+		return nil, false, err
+	}
+	p = &prepared{params: params}
 	sel, _ := st.(*sql.Select)
 	if ins, ok := st.(sql.Insert); ok && ins.Query != nil {
 		if ins.Param > len(params) || ins.Param > 0 && params[ins.Param-1] == nil {
-			return nil, fmt.Errorf("db: no schema declared for table parameter $%d", ins.Param)
+			return nil, false, fmt.Errorf("db: no schema declared for table parameter $%d", ins.Param)
 		}
-		s.insert, s.into, s.intoParam = true, ins.Table, ins.Param
+		p.insert, p.into, p.intoParam = true, ins.Table, ins.Param
 		sel = ins.Query
 	}
 	if sel == nil {
-		return nil, fmt.Errorf("db: Prepare takes a SELECT or an INSERT ... SELECT, got %T", st)
+		return nil, false, fmt.Errorf("db: Prepare takes a SELECT or an INSERT ... SELECT, got %T", st)
 	}
-	if s.sel, err = plan.Prepare(d, sel, params); err != nil {
-		return nil, err
+	if p.query, err = plan.Analyze(d.cat, sel, params); err != nil {
+		return nil, false, err
 	}
-	return s, nil
+	return p, !p.query.NamesTables() && (!p.insert || p.intoParam > 0), nil
 }
 
 // On returns the statement executing on v, which is the database s was

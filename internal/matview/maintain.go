@@ -308,7 +308,7 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 			if err != nil {
 				return err
 			}
-			rows, err := stmt.Query(context.Background(), nil, nil, rtlib.Tables(r, m.v.tableOf)...)
+			rows, err := stmt.Query(context.Background(), nil, r.Values, rtlib.Tables(r, m.v.tableOf)...)
 			if err != nil {
 				return fmt.Errorf("matview: re-derive rule %q: %w", r.Source, err)
 			}

@@ -1,7 +1,7 @@
 // Package plan turns parsed SQL SELECT statements, and the WHERE clause
 // of DELETE, into physical operator trees. The planner is the classic
 // textbook pipeline the paper's commercial DBMS would run, in the two
-// halves a precompiled embedded statement has. Prepare runs once per
+// halves a precompiled embedded statement has. Analyze runs once per
 // statement and settles what follows from the schemas alone:
 //
 //   - name resolution against the FROM list, whose positions are named
@@ -31,7 +31,9 @@
 // bound values — are those of the statement's last execution does not
 // construct: (*Prepared).Acquire re-binds the operator tree that
 // execution handed back to the new tables, indexes and estimates, and
-// the tree equals the one (*Prepared).Build would construct.
+// the tree equals the one (*Analyzed).Build would construct. What
+// Analyze settles is immutable, so any number of Prepared — each an
+// Analyzed with the tree its holder keeps — share one.
 //
 // The cost of a join is the rows it must touch, and the join method
 // falls out of the same cost (P is the running prefix, touch(T) the rows
@@ -43,10 +45,10 @@
 //	                                  under a literal key
 //	cross       touch(T) + |P| × |T|  same
 //
-// So a rule statement is prepared once for a fixpoint run and every LFP
-// round of it is ordered against the current delta cardinalities, and
+// So a rule statement is analyzed once per database and every LFP round
+// of a run is ordered against the current delta cardinalities, and
 // constructed again only in the rounds where that changes a decision.
-// BuildSelect is Prepare followed by Build: there is one planner path.
+// BuildSelect is Analyze followed by Build: there is one planner path.
 package plan
 
 import (
@@ -68,14 +70,12 @@ type TableSource interface {
 	Table(name string) *catalog.Table
 }
 
-// Prepared is a (possibly compound) SELECT with everything settled that
+// Analyzed is a (possibly compound) SELECT with everything settled that
 // depends only on the schemas of its tables: names resolved, predicates
 // typed and classified, the join graph's edges, the projection and its
-// output schema. All of that is immutable. Its one mutable part is the
-// operator tree it keeps between executions through Acquire, which one
-// execution at a time takes under an atomic flag: Build and Acquire are
-// safe for concurrent use.
-type Prepared struct {
+// output schema. It is immutable, so one Analyzed serves any number of
+// concurrent Builds and of Prepared handles.
+type Analyzed struct {
 	blocks []block
 	// setOps[i] combines the blocks up to i with block i+1,
 	// left-associated.
@@ -83,14 +83,22 @@ type Prepared struct {
 	params int
 	// values[n-1] is the type of value parameter ?n.
 	values []rel.Type
+}
 
-	// tree is the operator tree the statement keeps between executions
-	// through Acquire; busy is set while one holds it.
+// Prepared is an Analyzed with the operator tree its holder keeps
+// between executions through Acquire, which one execution at a time
+// takes under an atomic flag: Build and Acquire are safe for concurrent
+// use. Handles over one Analyzed keep a tree each.
+type Prepared struct {
+	*Analyzed
+
+	// tree is the operator tree kept between executions through
+	// Acquire; busy is set while one holds it.
 	busy atomic.Bool
 	tree Tree
 }
 
-// Tree is the operator tree of one execution of a Prepared, with the
+// Tree is the operator tree of one execution of an Analyzed, with the
 // decisions it was constructed from and the scratch they are made in.
 type Tree struct {
 	// Root is the statement's operator tree.
@@ -125,7 +133,7 @@ type blockTree struct {
 func (bt *blockTree) order() []int { return bt.ints[:len(bt.tabs)] }
 func (bt *blockTree) built() []int { n := len(bt.tabs); return bt.ints[n : 2*n] }
 
-// block is one SELECT block of a Prepared.
+// block is one SELECT block of an Analyzed.
 type block struct {
 	from []from
 	// joins are the cross-table equalities of the WHERE clause;
@@ -174,7 +182,7 @@ func (e *BindError) Error() string {
 // BuildSelect plans a (possibly compound) SELECT against the source. It
 // binds no parameters: a statement with any only prepares.
 func BuildSelect(cat TableSource, s *sql.Select) (exec.Operator, error) {
-	p, err := Prepare(cat, s, nil)
+	p, err := Analyze(cat, s, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +201,16 @@ func BuildDelete(cat TableSource, s sql.Delete) (exec.Operator, error) {
 	})
 }
 
-// Prepare resolves and analyzes a SELECT once, for any number of
+// Prepare is Analyze with a tree kept for Acquire.
+func Prepare(cat TableSource, s *sql.Select, params []*rel.Schema) (*Prepared, error) {
+	a, err := Analyze(cat, s, params)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{Analyzed: a}, nil
+}
+
+// Analyze resolves and analyzes a SELECT once, for any number of
 // Builds. params[n-1] is the schema declared for table parameter $n;
 // named tables take their schema from cat. Value parameters are typed by
 // the columns they are compared with: one compared with no column, typed
@@ -201,12 +218,12 @@ func BuildDelete(cat TableSource, s sql.Delete) (exec.Operator, error) {
 //
 // UNION, EXCEPT and INTERSECT deduplicate their inputs themselves, so a
 // SELECT DISTINCT feeding one gets no Distinct operator of its own.
-func Prepare(cat TableSource, s *sql.Select, params []*rel.Schema) (*Prepared, error) {
+func Analyze(cat TableSource, s *sql.Select, params []*rel.Schema) (*Analyzed, error) {
 	n := 1
 	for cur := s; cur.SetOp != sql.SetNone; cur = cur.Next {
 		n++
 	}
-	p := &Prepared{blocks: make([]block, n), params: len(params)}
+	p := &Analyzed{blocks: make([]block, n), params: len(params)}
 	if n > 1 {
 		p.setOps = make([]exec.SetOpKind, n-1)
 	}
@@ -237,23 +254,36 @@ func Prepare(cat TableSource, s *sql.Select, params []*rel.Schema) (*Prepared, e
 	}
 }
 
+// NamesTables reports whether a FROM position of p is a named table
+// rather than a parameter.
+func (p *Analyzed) NamesTables() bool {
+	for i := range p.blocks {
+		for _, f := range p.blocks[i].from {
+			if f.param == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Build plans one execution against the tables' current state: access
 // paths, join order and methods follow the cardinalities of this
 // moment. args[n-1] is the table bound to parameter $n; named tables
 // are resolved through cat. A table that is missing or whose schema is
 // not the prepared one is a *BindError. vals[n-1] is the value bound to
-// ?n, of the type Prepare gave it: a literal in every predicate it
+// ?n, of the type Analyze gave it: a literal in every predicate it
 // stands in and, under an equality, in the index probe key.
-func (p *Prepared) Build(cat TableSource, args []*catalog.Table, vals []rel.Value) (exec.Operator, error) {
+func (p *Analyzed) Build(cat TableSource, args []*catalog.Table, vals []rel.Value) (exec.Operator, error) {
 	var t Tree
-	if _, err := p.plan(&t, cat, args, vals); err != nil {
+	if _, err := p.plan(&t, false, cat, args, vals); err != nil {
 		return nil, err
 	}
 	return t.Root, nil
 }
 
-// Acquire plans one execution as Build does, into the tree the
-// statement keeps between executions. When this execution decides
+// Acquire plans one execution as Build does, into the tree p keeps
+// between executions. When this execution decides
 // exactly as the last one did — join order, access paths, join methods
 // and the values bound — the tree is not constructed again but re-bound
 // to this execution's tables, indexes and estimates, and reused reports
@@ -268,7 +298,7 @@ func (p *Prepared) Acquire(cat TableSource, args []*catalog.Table, vals []rel.Va
 	if !p.busy.CompareAndSwap(false, true) {
 		t = new(Tree)
 	}
-	if reused, err = p.plan(t, cat, args, vals); err != nil {
+	if reused, err = p.plan(t, t == &p.tree, cat, args, vals); err != nil {
 		p.Release(t)
 		return nil, false, err
 	}
@@ -276,7 +306,7 @@ func (p *Prepared) Acquire(cat TableSource, args []*catalog.Table, vals []rel.Va
 }
 
 // Release hands back a tree Acquire returned, its operators closed, for
-// the statement's next execution to re-bind. A nil t is ignored.
+// p's next execution to re-bind. A nil t is ignored.
 func (p *Prepared) Release(t *Tree) {
 	if t == &p.tree {
 		p.busy.Store(false)
@@ -284,7 +314,7 @@ func (p *Prepared) Release(t *Tree) {
 }
 
 // scratch sizes t's per-block scratch to the statement's FROM lists.
-func (p *Prepared) scratch(t *Tree) {
+func (p *Analyzed) scratch(t *Tree) {
 	t.blocks = make([]blockTree, len(p.blocks))
 	for i := range t.blocks {
 		bt := &t.blocks[i]
@@ -296,10 +326,11 @@ func (p *Prepared) scratch(t *Tree) {
 	}
 }
 
-// plan settles one execution in t. Every block decides; when t.Root was
-// constructed from the same decisions, its operators are re-bound and
-// reused is true, otherwise t.Root is constructed anew.
-func (p *Prepared) plan(t *Tree, cat TableSource, args []*catalog.Table, vals []rel.Value) (reused bool, err error) {
+// plan settles one execution in t, a kept tree when keep is set. Every
+// block decides; when t.Root was constructed from the same decisions,
+// its operators are re-bound and reused is true, otherwise t.Root is
+// constructed anew.
+func (p *Analyzed) plan(t *Tree, keep bool, cat TableSource, args []*catalog.Table, vals []rel.Value) (reused bool, err error) {
 	if len(args) != p.params {
 		return false, fmt.Errorf("plan: statement takes %d table parameters, got %d", p.params, len(args))
 	}
@@ -345,7 +376,7 @@ func (p *Prepared) plan(t *Tree, cat TableSource, args []*catalog.Table, vals []
 	for i, kind := range p.setOps {
 		root = &exec.SetOpExec{Kind: kind, Left: root, Right: t.blocks[i+1].root}
 	}
-	if t == &p.tree {
+	if keep {
 		t.vals = append(t.vals[:0], vals...)
 	}
 	t.Root = root

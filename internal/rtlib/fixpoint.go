@@ -113,9 +113,8 @@ type Fixpoint struct {
 	Span *obs.Span
 	// Stats, when non-nil, accumulates the run's rounds and time split.
 	Stats *NodeStats
-	// Stmts, when non-nil, is where the run's statements are prepared —
-	// a caller running several fixpoints over one program shares it.
-	// When nil the run has its own.
+	// Stmts holds the run's statements; a caller running several
+	// fixpoints shares one among them.
 	Stmts *Statements
 
 	// exit rules compute the first delta of a clique: evaluated over
@@ -136,18 +135,10 @@ type differential struct {
 	tables []string
 }
 
-// statements returns where the run prepares.
-func (fp *Fixpoint) statements() *Statements {
-	if fp.Stmts == nil {
-		fp.Stmts = NewStatements(fp.DB, fp.Schemas)
-	}
-	return fp.Stmts
-}
-
-// job binds r, prepared once per run in the given form, to the
-// relations TableOf resolves.
+// job binds r, prepared in the given form, to the relations TableOf
+// resolves.
 func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm) (differential, error) {
-	stmt, err := fp.statements().Rule(r, form)
+	stmt, err := fp.Stmts.Rule(r, form)
 	if err != nil {
 		return differential{}, err
 	}
@@ -301,7 +292,7 @@ func (fp *Fixpoint) pending(pred string) (int64, error) {
 	if !ok {
 		return 0, nil
 	}
-	stmt, err := fp.statements().Relation(pred, CountAll)
+	stmt, err := fp.Stmts.Relation(pred, CountAll)
 	if err != nil {
 		return 0, err
 	}
@@ -322,7 +313,7 @@ func (fp *Fixpoint) insertRule(j differential, target, acc string, parent *obs.S
 		tables = append(tables, acc)
 	}
 	t0 := time.Now()
-	if err := j.stmt.Exec(evalCtx(fp.Ctx), sp, nil, tables...); err != nil {
+	if err := j.stmt.Exec(evalCtx(fp.Ctx), sp, j.rule.Values, tables...); err != nil {
 		return fmt.Errorf("rtlib: rule %q: %w", j.rule.Source, err)
 	}
 	sp.End()
@@ -342,7 +333,7 @@ func (fp *Fixpoint) insertAll(r *codegen.RuleSQL, target string, parent *obs.Spa
 
 // copyRows appends from's rows to into, both relations of pred.
 func (fp *Fixpoint) copyRows(pred, into, from string) error {
-	stmt, err := fp.statements().Relation(pred, CopyInto)
+	stmt, err := fp.Stmts.Relation(pred, CopyInto)
 	if err != nil {
 		return err
 	}

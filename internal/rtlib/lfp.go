@@ -67,7 +67,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 		tcSp := itSp.Start("termcheck")
 		for _, p := range fp.Preds {
 			t0 := time.Now()
-			missing, err := fp.statements().Relation(p, readMissing)
+			missing, err := fp.Stmts.Relation(p, readMissing)
 			if err != nil {
 				return err
 			}

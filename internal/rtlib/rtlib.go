@@ -21,9 +21,10 @@
 // Options.Parallel with a pool, as a dependency wavefront of independent
 // cliques; internal/matview runs it to absorb a commit into a
 // maintained answer. One registry, TempTables, creates and tears down
-// every temporary relation, and one Statements per run prepares its
-// rule statements once, tables as parameters, for every round to rebind
-// (the paper's precompiled embedded SQL).
+// every temporary relation, and one Statements per run holds its
+// statements, prepared once per database with tables and body constants
+// as parameters, for every round to rebind (the paper's precompiled
+// embedded SQL).
 //
 // Exactly as the paper laments, every path runs over plain SQL:
 // temp tables are created and dropped per iteration, termination checks
@@ -172,6 +173,7 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 		prefix: fmt.Sprintf("dkb%d_", seq),
 		tables: make(map[string]string),
 		temps:  NewTempTables(d),
+		stmts:  NewStatements(d, prog.Schemas),
 	}
 	res, err := ev.run()
 	if err != nil {
@@ -199,7 +201,9 @@ type evaluator struct {
 	// evaluation starts.
 	tables map[string]string
 	temps  *TempTables
-	stats  Stats
+	// stmts is the run's statements, shared by all its nodes.
+	stmts *Statements
+	stats Stats
 }
 
 // tableOf resolves a predicate to its current relation name: the temp
@@ -276,7 +280,7 @@ func (ev *evaluator) run() (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("rtlib: query predicate %s was not evaluated", ev.prog.QueryPred)
 	}
-	answer, err := ev.d.Prepare(roleSQL[ReadAll].text, ev.prog.Schemas[ev.prog.QueryPred])
+	answer, err := ev.stmts.Relation(ev.prog.QueryPred, ReadAll)
 	if err != nil {
 		return nil, err
 	}
@@ -319,7 +323,7 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 		Schemas: ev.prog.Schemas, Preds: node.Preds,
 		exit: node.ExitRules, Rules: node.RecursiveRules,
 		TableOf: ev.tableOf, Into: ev.tableOf,
-		Span: sp, Stats: ns,
+		Span: sp, Stats: ns, Stmts: ev.stmts,
 	}
 	var err error
 	switch {

@@ -3,40 +3,54 @@ package rtlib
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"dkbms/internal/codegen"
 	"dkbms/internal/db"
 	"dkbms/internal/rel"
 )
 
-// Statements prepares the statements of one evaluation or maintenance
-// run, each once: the run's rules and its per-predicate copy, count and
-// read statements, with every table position a parameter, so the
-// rounds of the run — and a rule's differentials within a round —
-// rebind one statement instead of rendering and parsing a new one, and
-// each statement keeps the operator tree of its last execution, which
-// the next re-binds when the planner decides as before
-// (plan.Prepared.Acquire). This is the paper's object program: embedded
-// SQL precompiled once, then driven by the LFP loop. A kept tree also
-// keeps its working memory: the next execution decodes its pages over
-// the last one's blocks and reuses its key tables, sets and slabs, so
-// the rows a tree reads are valid until its next execution, and every
-// row the run is handed (Query's results, INSERT's writes) is a copy. A
-// Statements lives as long as the run that made it and no longer — with
-// it go the kept trees, each pinning its last execution's tables and
-// the memory that execution used (rel.Outgrown bounds what it keeps
-// beyond that) — and nothing is kept on the compiled program. The cache
-// itself is not for concurrent use (prepare, then fan out); the
-// statements it hands out are.
+// Statements holds the statements of one evaluation or maintenance run:
+// the run's rules and its per-predicate copy, count and read
+// statements, with every table position a parameter and every body
+// constant a value parameter. A statement is prepared once per database
+// (db.Prepare keeps its plan, keyed by text and parameter schemas), so
+// a run parses nothing that an earlier run — of this program or of any
+// other whose rules read alike, as every magic-set program for
+// ancestor(c, Y) does whatever c is — already prepared. The run holds
+// one handle per distinct statement, however many of its nodes and
+// rules use it, and each handle keeps the operator tree of its last
+// execution, which the next re-binds when the planner decides as
+// before (plan.Prepared.Acquire); so the rounds of the run — and a
+// rule's differentials within a round — rebind one statement instead of
+// rendering and parsing a new one. This is the paper's object program:
+// embedded SQL precompiled once, then driven by the LFP loop. A kept
+// tree also keeps its working memory: the next execution decodes its
+// pages over the last one's blocks and reuses its key tables, sets and
+// slabs, so the rows a tree reads are valid until its next execution,
+// and every row the run is handed (Query's results, INSERT's writes) is
+// a copy. A Statements lives as long as the run that made it and no
+// longer — with it go the handles and their kept trees, each pinning
+// its last execution's tables and the memory that execution used
+// (rel.Outgrown bounds what it keeps beyond that) — and nothing is kept
+// on the compiled program. A Statements is safe for concurrent use, as
+// the statements it hands out are.
 type Statements struct {
 	d       *db.DB
 	schemas map[string]*rel.Schema
-	stmts   map[stmtKey]*db.Stmt
+
+	// mu guards the maps: a wavefront's concurrent nodes prepare through
+	// one Statements.
+	mu sync.Mutex
+	// uses maps each use to its handle, and keys each statement's
+	// db.Stmt.Key to the handle every use of it shares.
+	uses map[useKey]*db.Stmt
+	keys map[string]*db.Stmt
 }
 
-// stmtKey identifies a statement of the run: a rule in one form, or a
-// predicate's relation in one role.
-type stmtKey struct {
+// useKey identifies a use of a statement in the run: a rule in one
+// form, or a predicate's relation in one role.
+type useKey struct {
 	form uint8
 	rule *codegen.RuleSQL
 	pred string
@@ -45,7 +59,7 @@ type stmtKey struct {
 // NewStatements returns an empty set over d. schemas holds the derived
 // predicates' schemas; a base predicate has its extensional table's.
 func NewStatements(d *db.DB, schemas map[string]*rel.Schema) *Statements {
-	return &Statements{d: d, schemas: schemas, stmts: make(map[stmtKey]*db.Stmt)}
+	return &Statements{d: d, schemas: schemas, uses: make(map[useKey]*db.Stmt), keys: make(map[string]*db.Stmt)}
 }
 
 // schema is the schema every relation standing for pred has.
@@ -59,8 +73,35 @@ func (s *Statements) schema(pred string) (*rel.Schema, error) {
 	return nil, fmt.Errorf("rtlib: no relation for predicate %s", pred)
 }
 
+// lookup returns the handle of a use already prepared, or nil.
+func (s *Statements) lookup(key useKey) *db.Stmt {
+	s.mu.Lock()
+	st := s.uses[key]
+	s.mu.Unlock()
+	return st
+}
+
+// keep records st as the handle of a use and returns the handle the use
+// has: the one the run holds on st's statement if it holds one, or the
+// one a concurrent node recorded first.
+func (s *Statements) keep(key useKey, st *db.Stmt) *db.Stmt {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if have := s.uses[key]; have != nil {
+		return have
+	}
+	if have := s.keys[st.Key()]; have != nil {
+		st = have
+	} else {
+		s.keys[st.Key()] = st
+	}
+	s.uses[key] = st
+	return st
+}
+
 // RuleForm is the statement a compiled rule is prepared as. With n FROM
-// positions, $1..$n are those positions in order.
+// positions, $1..$n are those positions in order, and the rule's body
+// constants are its value parameters (codegen.RuleSQL.Values).
 type RuleForm uint8
 
 // The forms. A run uses each of its rules in one of them.
@@ -81,8 +122,8 @@ const (
 
 // Rule returns r prepared in the given form.
 func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
-	key := stmtKey{form: uint8(form), rule: r}
-	if st, ok := s.stmts[key]; ok {
+	key := useKey{form: uint8(form), rule: r}
+	if st := s.lookup(key); st != nil {
 		return st, nil
 	}
 	n := len(r.From)
@@ -95,7 +136,7 @@ func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 		params[i] = sch
 	}
 	pos := 0
-	text := r.SQL(func(string) string { pos++; return "$" + strconv.Itoa(pos) })
+	text := r.ParamSQL(func(string) string { pos++; return "$" + strconv.Itoa(pos) })
 	if form != RuleSelect {
 		head, err := s.schema(r.Head)
 		if err != nil {
@@ -113,8 +154,7 @@ func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
 	}
-	s.stmts[key] = st
-	return st, nil
+	return s.keep(key, st), nil
 }
 
 // Role is what a statement over a predicate's relations does.
@@ -145,21 +185,20 @@ var roleSQL = [...]struct {
 // Relation returns the statement of the given role over relations of
 // pred.
 func (s *Statements) Relation(pred string, role Role) (*db.Stmt, error) {
-	key := stmtKey{form: uint8(role), pred: pred}
-	if st, ok := s.stmts[key]; ok {
+	key := useKey{form: uint8(role), pred: pred}
+	if st := s.lookup(key); st != nil {
 		return st, nil
 	}
 	sch, err := s.schema(pred)
 	if err != nil {
 		return nil, err
 	}
-	params := [2]*rel.Schema{sch, sch}
+	params := []*rel.Schema{sch, sch}
 	st, err := s.d.Prepare(roleSQL[role].text, params[:roleSQL[role].params]...)
 	if err != nil {
 		return nil, err
 	}
-	s.stmts[key] = st
-	return st, nil
+	return s.keep(key, st), nil
 }
 
 // Tables lists the relation standing at each FROM position of r.
