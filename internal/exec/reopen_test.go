@@ -267,7 +267,10 @@ func TestOperatorsReopen(t *testing.T) {
 // included. Without the release rule the big pass's blocks, key tables,
 // slabs and lists stay, tens to hundreds of KiB per tree. Each tree is
 // measured three times and the least taken: a process's first
-// collections free memory of its own.
+// collections free memory of its own. A reading below zero (the
+// collection freed more of the process's own memory than the tree
+// held) is a failed measurement, not a small tree: it is taken again,
+// up to ten times.
 func TestKeptTreeMemoryBounded(t *testing.T) {
 	c := cat(t)
 	lBig, rBig, idxBig := reopenTables(t, c, 3, 1000)
@@ -279,10 +282,9 @@ func TestKeptTreeMemoryBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// retained returns the heap the tree run returns keeps alive.
-	retained := func(run func() Operator) int64 {
-		least := int64(math.MaxInt64)
-		for range 3 {
+	// measure returns the heap the tree run returns keeps alive.
+	measure := func(name string, run func() Operator) int64 {
+		for range 10 {
 			op := run()
 			var before, after runtime.MemStats
 			runtime.GC()
@@ -291,19 +293,30 @@ func TestKeptTreeMemoryBounded(t *testing.T) {
 			op = nil
 			runtime.GC()
 			runtime.ReadMemStats(&after)
-			least = min(least, int64(before.HeapAlloc)-int64(after.HeapAlloc))
+			if held := int64(before.HeapAlloc) - int64(after.HeapAlloc); held >= 0 {
+				return held
+			}
+		}
+		t.Fatalf("%s: could not measure the heap a tree retains: every one of 10 readings came out below zero", name)
+		return 0
+	}
+	// retained is the least of three measurements.
+	retained := func(name string, run func() Operator) int64 {
+		least := int64(math.MaxInt64)
+		for range 3 {
+			least = min(least, measure(name, run))
 		}
 		return least
 	}
 	for _, tc := range reopenCases() {
-		kept := retained(func() Operator {
+		kept := retained(tc.name, func() Operator {
 			op := tc.build(lBig, rBig, idxBig)
 			run(op)
 			rebindTables(op, tabs, idxs)
 			run(op)
 			return op
 		})
-		fresh := retained(func() Operator {
+		fresh := retained(tc.name, func() Operator {
 			op := tc.build(l, r, idx)
 			run(op)
 			return op

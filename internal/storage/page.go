@@ -49,17 +49,23 @@ const (
 // MaxRecordSize is the largest record a page can hold.
 const MaxRecordSize = PageSize - pageHdrSize - slotSize
 
-// Page is a fixed-size byte buffer with slotted-record accessors. It is
-// not safe for concurrent mutation: the buffer pool no longer serializes
-// page access behind one latch — concurrent readers may share a pinned
-// page, but anyone mutating a page must hold a pin and be the only
-// writer (the engine's upper layers guarantee this: updates run
+// Page is a small header (ID, pins, dirty flag, free-space cache) beside
+// a separately allocated PageSize-byte buffer, with slotted-record
+// accessors. Keeping the buffer out of the header makes it an exact
+// 4 KiB allocation — header and buffer take 4 160 bytes, where an
+// embedded array would put each Page in the 4 864-byte size class — and
+// lets an in-memory pager keep each page once: its store is the pages
+// themselves (see Pager.mem).
+//
+// A Page is not safe for concurrent mutation: concurrent readers may
+// share a pinned page, but anyone mutating a page must hold a pin and be
+// the only writer (the engine's upper layers guarantee this: updates run
 // exclusively, and concurrent queries only write session-private temp
 // tables). The pin count is atomic so Unpin is lock-free and eviction
 // can test it under the owning shard's latch alone.
 type Page struct {
 	ID    PageID
-	Data  [PageSize]byte
+	Data  *[PageSize]byte
 	Dirty bool
 	pins  atomic.Int32
 
@@ -70,9 +76,10 @@ type Page struct {
 // need from the slot directory, so neither walks it: Insert and Delete
 // keep it current in O(1). It is derived state — nothing of it is
 // stored in Data — and is built by one walk of the directory when the
-// pager reads the page from the store, and again the first time a
-// writer needs it after the page was compacted or lost its lowest
-// record. Only the page's single writer changes it; readers (Record,
+// pager reads the page from its file (an in-memory page keeps its cache
+// across eviction, since its bytes never leave it), and again the first
+// time a writer needs it after the page was compacted or lost its
+// lowest record. Only the page's single writer changes it; readers (Record,
 // SlotCount, LiveRecords) never do.
 type pageSpace struct {
 	known bool
@@ -83,10 +90,13 @@ type pageSpace struct {
 	firstDead int
 }
 
-// Init formats the page as an empty slotted page.
+// Init formats the page as an empty slotted page, allocating its buffer
+// if it has none and zeroing it in place otherwise.
 func (p *Page) Init() {
-	for i := range p.Data {
-		p.Data[i] = 0
+	if p.Data == nil {
+		p.Data = new([PageSize]byte)
+	} else {
+		*p.Data = [PageSize]byte{}
 	}
 	p.SetNext(InvalidPageID)
 	p.setSlotCount(0)

@@ -180,8 +180,8 @@ func (pp *pagePair) apply(op, arg byte) {
 		pp.pg.Compact()
 		pp.check("compact")
 	case 3:
-		re := &Page{ID: pp.pg.ID}
-		re.Data = pp.pg.Data
+		re := &Page{ID: pp.pg.ID, Data: new([PageSize]byte)}
+		*re.Data = *pp.pg.Data
 		if arg%2 == 0 {
 			re.spaceInfo() // as Fetch does; odd args leave it to the first writer
 		}
@@ -192,7 +192,7 @@ func (pp *pagePair) apply(op, arg byte) {
 
 func (pp *pagePair) check(what string) {
 	pp.t.Helper()
-	if pp.pg.Data != pp.ref.Data {
+	if *pp.pg.Data != pp.ref.Data {
 		pp.t.Fatalf("step %d (%s): page bytes differ from the reference", pp.step, what)
 	}
 	if got, want := pp.pg.LiveRecords(), pp.ref.liveRecords(); got != want {
@@ -258,7 +258,7 @@ func FuzzPageOps(f *testing.F) {
 			pp.apply(data[i], data[i+1])
 		}
 
-		var pg Page
+		pg := Page{Data: new([PageSize]byte)}
 		copy(pg.Data[:], data)
 		pg.spaceInfo()
 		pg.FreeSpace()

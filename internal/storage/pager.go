@@ -24,11 +24,14 @@ import (
 type Pager struct {
 	file *os.File // nil for in-memory databases
 
-	// mem is the in-memory backing store when file == nil. The outer
-	// slice is guarded by memMu (Allocate appends may relocate it);
-	// the inner page buffers are only touched by readPage/writePage
-	// under the owning shard's latch.
-	mem   [][]byte
+	// mem is the in-memory backing store when file == nil: every page
+	// ever allocated, indexed by ID. The frames are the store — a
+	// resident page is the same *Page as mem[id], so a page exists once
+	// and write-back only clears Dirty; a miss re-installs mem[id]. The
+	// slice is guarded by memMu only because Allocate's append may
+	// relocate it under a concurrent miss; the pages themselves follow
+	// the pin and shard-latch rules of any frame.
+	mem   []*Page
 	memMu sync.RWMutex
 
 	// pageCount is read lock-free by Fetch's bounds check; Allocate
@@ -61,7 +64,7 @@ type shard struct {
 	lruTail  *frame // least recently used
 	stats    PagerStats
 	// evictGen counts eviction write-backs in this stripe. Fetch's
-	// latch-free miss read snapshots it to detect a write-back that
+	// latch-free file read snapshots it to detect a write-back that
 	// overlapped the read (see Fetch).
 	evictGen uint64
 }
@@ -190,12 +193,16 @@ func (p *Pager) PageCount() PageID {
 
 // Allocate creates a new zero page and returns it pinned.
 func (p *Pager) Allocate() (*Page, error) {
+	pg := &Page{}
+	pg.Init()
+	pg.pins.Store(1)
 	//dkblint:locksafe file growth must be atomic with the page-count publish; allocMu is a leaf lock no reader path takes
 	p.allocMu.Lock()
 	id := PageID(p.pageCount.Load())
+	pg.ID = id
 	if p.file == nil {
 		p.memMu.Lock()
-		p.mem = append(p.mem, make([]byte, PageSize))
+		p.mem = append(p.mem, pg)
 		p.memMu.Unlock()
 	} else {
 		if err := p.file.Truncate((int64(id) + 1) * PageSize); err != nil {
@@ -208,9 +215,6 @@ func (p *Pager) Allocate() (*Page, error) {
 	p.pageCount.Store(uint32(id) + 1)
 	p.allocMu.Unlock()
 
-	pg := &Page{ID: id}
-	pg.Init()
-	pg.pins.Store(1)
 	sh := p.shardOf(id)
 	//dkblint:locksafe install may evict a dirty victim; its write-back must finish before the frame vanishes (see evictOne)
 	sh.mu.Lock()
@@ -221,7 +225,10 @@ func (p *Pager) Allocate() (*Page, error) {
 
 // Fetch returns the page pinned; the caller must Unpin it.
 //
-// The miss path reads the page from the backing store with the shard
+// In memory a miss re-installs the page's one *Page from the store
+// under the shard latch: nothing is read or copied, so nothing can tear.
+//
+// A file-backed miss reads the page into a new buffer with the shard
 // latch released, so a slow disk read never blocks hits on the same
 // stripe. Correctness of the latch-free read: the only writer of a
 // page's on-disk bytes while readers are active is eviction write-back,
@@ -246,10 +253,19 @@ func (p *Pager) Fetch(id PageID) (*Page, error) {
 		return fr.page, nil
 	}
 	sh.stats.Misses++
+	if p.file == nil {
+		p.memMu.RLock()
+		pg := p.mem[id]
+		p.memMu.RUnlock()
+		pg.pins.Store(1)
+		sh.install(p, pg)
+		sh.mu.Unlock()
+		return pg, nil
+	}
 	for {
 		gen := sh.evictGen
 		sh.mu.Unlock()
-		pg := &Page{ID: id}
+		pg := &Page{ID: id, Data: new([PageSize]byte)}
 		if err := p.readPage(id, pg.Data[:]); err != nil {
 			return nil, err
 		}
@@ -327,13 +343,8 @@ func (sh *shard) evictOne(p *Pager) bool {
 	return false
 }
 
+// readPage reads a page from the file into buf.
 func (p *Pager) readPage(id PageID, buf []byte) error {
-	if p.file == nil {
-		p.memMu.RLock()
-		copy(buf, p.mem[id])
-		p.memMu.RUnlock()
-		return nil
-	}
 	_, err := p.file.ReadAt(buf, int64(id)*PageSize)
 	if err != nil && err != io.EOF {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
@@ -341,17 +352,15 @@ func (p *Pager) readPage(id PageID, buf []byte) error {
 	return nil
 }
 
+// writePage writes a dirty page back and counts the write. In memory the
+// page is its own store, so the write only marks it clean; it is still
+// counted, so an in-memory pager's counters equal a file pager's.
 func (p *Pager) writePage(stats *PagerStats, pg *Page) error {
 	stats.Writes++
-	if p.file == nil {
-		p.memMu.RLock()
-		copy(p.mem[pg.ID], pg.Data[:])
-		p.memMu.RUnlock()
-		pg.Dirty = false
-		return nil
-	}
-	if _, err := p.file.WriteAt(pg.Data[:], int64(pg.ID)*PageSize); err != nil {
-		return fmt.Errorf("storage: write page %d: %w", pg.ID, err)
+	if p.file != nil {
+		if _, err := p.file.WriteAt(pg.Data[:], int64(pg.ID)*PageSize); err != nil {
+			return fmt.Errorf("storage: write page %d: %w", pg.ID, err)
+		}
 	}
 	pg.Dirty = false
 	return nil
