@@ -1,7 +1,6 @@
 // Command dkblint runs the D/KB testbed's domain analyzer suite over Go
 // packages:
 //
-//	atomicfield variables touched by sync/atomic are atomic everywhere
 //	ctxflow     unbounded query-path loops observe ctx.Done/ctx.Err
 //	directives  //dkblint: comments are known, well-formed and justified
 //	gofanout    no unbounded `go` launches inside loops
@@ -30,7 +29,6 @@ import (
 	"go/token"
 	"os"
 
-	"dkbms/internal/lint/atomicfield"
 	"dkbms/internal/lint/ctxflow"
 	"dkbms/internal/lint/directives"
 	"dkbms/internal/lint/gofanout"
@@ -41,7 +39,6 @@ import (
 
 // Analyzers is the dkblint suite, in report order.
 var Analyzers = []*lintkit.Analyzer{
-	atomicfield.Analyzer,
 	ctxflow.Analyzer,
 	directives.Analyzer,
 	gofanout.Analyzer,

@@ -2,6 +2,7 @@ package main
 
 import (
 	"go/token"
+	"go/types"
 	"testing"
 
 	"dkbms/internal/lint/lintkit"
@@ -13,7 +14,11 @@ import (
 // fixtures prove the checks fire; this proves the code obeys them.)
 // It also pins the shape of the module's lock-order graph: a new lock
 // class appearing — or one vanishing — should be a conscious decision,
-// reviewed here, not an accident.
+// reviewed here, not an accident. It also fails on any call to a
+// package-level sync/atomic function (atomic.AddInt64 and the like): a
+// variable passed to one can be touched plainly elsewhere, while the
+// methods of an atomic type (atomic.Int64, ...) are the only access the
+// compiler allows to it.
 func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -30,6 +35,18 @@ func TestModuleClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+	for _, p := range pkgs {
+		if !p.Target || p.Info == nil {
+			continue
+		}
+		for id, obj := range p.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+				t.Errorf("%s: atomic.%s: use a sync/atomic type (atomic.Int64, ...) and its methods instead",
+					fset.Position(id.Pos()), fn.Name())
+			}
+		}
 	}
 
 	cg := cache.BuiltCallGraph()

@@ -89,7 +89,7 @@ func TestCommitFootprintPinned(t *testing.T) {
 			if res.Cache != tc.cache {
 				t.Errorf("next memoized query: cache %q, want %q", res.Cache, tc.cache)
 			}
-			if n := c.Testbed().Stored().FactCount("parent"); n > rows[BaseTableName("parent")]+1 {
+			if n := c.tb.Stored().FactCount("parent"); n > rows[BaseTableName("parent")]+1 {
 				t.Errorf("parent has %d facts after the write, had %d", n, rows[BaseTableName("parent")])
 			}
 		})

@@ -65,7 +65,9 @@ type ConcurrentTestbed struct {
 }
 
 // NewConcurrent wraps a testbed for concurrent use. The caller must not
-// use the wrapped testbed directly afterwards (see Testbed). Every
+// use the wrapped testbed directly afterwards, except in a phase with
+// no concurrent readers followed by Resync: a direct mutation bypasses
+// snapshot publication and stays invisible to queries until then. Every
 // session's parallel work runs on the testbed's evaluation pool, so
 // evaluation goroutines stay bounded however many sessions recurse at
 // once.
@@ -84,12 +86,6 @@ func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 func (c *ConcurrentTestbed) SchedStats() sched.Stats {
 	return c.tb.SchedStats()
 }
-
-// Testbed returns the wrapped testbed for single-goroutine phases
-// (setup, teardown, benchmarks). Direct mutations bypass snapshot
-// publication: they are invisible to queries (and racy against any
-// concurrent reader) until Resync republishes the live state.
-func (c *ConcurrentTestbed) Testbed() *Testbed { return c.tb }
 
 // Resync republishes the engine snapshot from the live testbed state
 // and emits a flush invalidation event, dropping every cached plan,

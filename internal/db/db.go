@@ -43,15 +43,22 @@ type DB struct {
 	// stats counts statement traffic for the measurement harness, and
 	// stmts keeps the statements prepared on the database (Prepare).
 	// They are pointers so resolver views share them.
-	stats *Stats
+	stats *counters
 	stmts *stmtCache
 }
 
-// Stats are cumulative statement counters. Counters are updated
-// atomically: read-only statements may run concurrently (the run-time
-// library's parallel rule evaluation and the server's concurrent
-// sessions do). Readers that may race an in-flight statement must use
-// DB.StatsSnapshot rather than loading the fields directly.
+// counters are the live statement counters behind Stats. Read-only
+// statements may run concurrently (the run-time library's parallel rule
+// evaluation and the server's concurrent sessions do), so each is an
+// atomic.
+type counters struct {
+	selects, inserts, insertedRows, deletes, ddl atomic.Int64
+	builds, reuses, parses                       atomic.Int64
+}
+
+// Stats are cumulative statement counters, as read by
+// DB.StatsSnapshot. A Stats is a plain copy: the live counters are
+// unexported, so a snapshot is the only way to read them.
 type Stats struct {
 	Selects int64
 	Inserts int64
@@ -70,18 +77,19 @@ type Stats struct {
 	Parses int64
 }
 
-// StatsSnapshot returns the statement counters read with atomic loads,
-// safe to call while statements execute on other goroutines.
+// StatsSnapshot returns the statement counters, safe to call while
+// statements execute on other goroutines.
 func (d *DB) StatsSnapshot() Stats {
+	c := d.stats
 	return Stats{
-		Selects:      atomic.LoadInt64(&d.stats.Selects),
-		Inserts:      atomic.LoadInt64(&d.stats.Inserts),
-		InsertedRows: atomic.LoadInt64(&d.stats.InsertedRows),
-		Deletes:      atomic.LoadInt64(&d.stats.Deletes),
-		DDL:          atomic.LoadInt64(&d.stats.DDL),
-		Builds:       atomic.LoadInt64(&d.stats.Builds),
-		Reuses:       atomic.LoadInt64(&d.stats.Reuses),
-		Parses:       atomic.LoadInt64(&d.stats.Parses),
+		Selects:      c.selects.Load(),
+		Inserts:      c.inserts.Load(),
+		InsertedRows: c.insertedRows.Load(),
+		Deletes:      c.deletes.Load(),
+		DDL:          c.ddl.Load(),
+		Builds:       c.builds.Load(),
+		Reuses:       c.reuses.Load(),
+		Parses:       c.parses.Load(),
 	}
 }
 
@@ -125,7 +133,7 @@ func OpenWithPool(path string, poolPages int) (*DB, error) {
 		pager.Close()
 		return nil, err
 	}
-	return &DB{pager: pager, cat: cat, stats: &Stats{}, stmts: newStmtCache()}, nil
+	return &DB{pager: pager, cat: cat, stats: new(counters), stmts: newStmtCache()}, nil
 }
 
 // OpenMemory opens a fresh in-memory database.
@@ -137,7 +145,7 @@ func OpenMemory() *DB {
 		// programming error.
 		panic(fmt.Sprintf("db: init memory database: %v", err))
 	}
-	return &DB{pager: pager, cat: cat, stats: &Stats{}, stmts: newStmtCache()}
+	return &DB{pager: pager, cat: cat, stats: new(counters), stmts: newStmtCache()}
 }
 
 // Close flushes and closes the database.
@@ -186,7 +194,7 @@ func (d *DB) ExecTracedCtx(ctx context.Context, stmt string, sp *obs.Span) error
 	case sql.CreateIndex:
 		return d.execCreateIndex(s)
 	case sql.DropIndex:
-		atomic.AddInt64(&d.stats.DDL, 1)
+		d.stats.ddl.Add(1)
 		return d.cat.DropIndex(s.Name)
 	case sql.Insert:
 		return d.execInsert(ctx, s, sp)
@@ -229,7 +237,7 @@ func (d *DB) QueryTracedCtx(ctx context.Context, stmt string, sp *obs.Span) (*Ro
 
 // parse parses one statement text, counted.
 func (d *DB) parse(stmt string) (sql.Statement, error) {
-	atomic.AddInt64(&d.stats.Parses, 1)
+	d.stats.parses.Add(1)
 	return sql.Parse(stmt)
 }
 
@@ -261,7 +269,7 @@ func (d *DB) InsertTuples(table string, tuples []rel.Tuple) error {
 	if len(tuples) == 0 {
 		return nil
 	}
-	atomic.AddInt64(&d.stats.Inserts, 1)
+	d.stats.inserts.Add(1)
 	t := d.Table(table)
 	if t == nil {
 		return fmt.Errorf("db: no table %s", table)
@@ -270,7 +278,7 @@ func (d *DB) InsertTuples(table string, tuples []rel.Tuple) error {
 		if _, err := t.Insert(tu); err != nil {
 			return err
 		}
-		atomic.AddInt64(&d.stats.InsertedRows, 1)
+		d.stats.insertedRows.Add(1)
 	}
 	return nil
 }
@@ -284,7 +292,7 @@ func (d *DB) InsertTuples(table string, tuples []rel.Tuple) error {
 func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) (op exec.Operator, t *plan.Tree, err error) {
 	if !reuse || sp != nil {
 		if op, err = p.Build(d, args, vals); err == nil {
-			atomic.AddInt64(&d.stats.Builds, 1)
+			d.stats.builds.Add(1)
 		}
 		return op, nil, err
 	}
@@ -293,9 +301,9 @@ func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value
 		return nil, nil, err
 	}
 	if reused {
-		atomic.AddInt64(&d.stats.Reuses, 1)
+		d.stats.reuses.Add(1)
 	} else {
-		atomic.AddInt64(&d.stats.Builds, 1)
+		d.stats.builds.Add(1)
 	}
 	return t.Root, t, nil
 }
@@ -303,7 +311,7 @@ func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value
 // runSelect plans and drains one execution of a prepared SELECT; reuse
 // is as in operators.
 func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) (*Rows, error) {
-	atomic.AddInt64(&d.stats.Selects, 1)
+	d.stats.selects.Add(1)
 	op, t, err := d.operators(p, args, vals, sp, reuse)
 	if err != nil {
 		return nil, err
@@ -319,7 +327,7 @@ func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Ta
 }
 
 func (d *DB) execCreateTable(s sql.CreateTable) error {
-	atomic.AddInt64(&d.stats.DDL, 1)
+	d.stats.ddl.Add(1)
 	schema, err := rel.NewSchema(s.Columns...)
 	if err != nil {
 		return err
@@ -332,7 +340,7 @@ func (d *DB) execCreateTable(s sql.CreateTable) error {
 // taken as written and the schema as given. Counted as one DDL
 // statement, as InsertTuples is counted as an INSERT.
 func (d *DB) CreateTempTable(name string, schema *rel.Schema) error {
-	atomic.AddInt64(&d.stats.DDL, 1)
+	d.stats.ddl.Add(1)
 	_, err := d.cat.CreateTable(name, schema, true)
 	return err
 }
@@ -340,12 +348,12 @@ func (d *DB) CreateTempTable(name string, schema *rel.Schema) error {
 // DropTable is DROP TABLE without the text, counted as one DDL
 // statement.
 func (d *DB) DropTable(name string) error {
-	atomic.AddInt64(&d.stats.DDL, 1)
+	d.stats.ddl.Add(1)
 	return d.cat.DropTable(name)
 }
 
 func (d *DB) execDropTable(s sql.DropTable) error {
-	atomic.AddInt64(&d.stats.DDL, 1)
+	d.stats.ddl.Add(1)
 	if d.cat.Table(s.Name) == nil && s.IfExists {
 		return nil
 	}
@@ -353,7 +361,7 @@ func (d *DB) execDropTable(s sql.DropTable) error {
 }
 
 func (d *DB) execCreateIndex(s sql.CreateIndex) error {
-	atomic.AddInt64(&d.stats.DDL, 1)
+	d.stats.ddl.Add(1)
 	_, err := d.cat.CreateIndex(s.Name, s.Table, s.Columns, false)
 	return err
 }
@@ -362,7 +370,7 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 	if s.Param != 0 {
 		return fmt.Errorf("db: INSERT INTO $%d: table parameters need Prepare", s.Param)
 	}
-	atomic.AddInt64(&d.stats.Inserts, 1)
+	d.stats.inserts.Add(1)
 	t := d.Table(s.Table)
 	if t == nil {
 		return fmt.Errorf("db: no table %s", s.Table)
@@ -386,7 +394,7 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 		if _, err := t.Insert(tu); err != nil {
 			return err
 		}
-		atomic.AddInt64(&d.stats.InsertedRows, 1)
+		d.stats.insertedRows.Add(1)
 	}
 	return nil
 }
@@ -425,7 +433,7 @@ func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepare
 		if _, err := t.Insert(tu); err != nil {
 			return err
 		}
-		atomic.AddInt64(&d.stats.InsertedRows, 1)
+		d.stats.insertedRows.Add(1)
 	}
 	return nil
 }
@@ -479,12 +487,12 @@ func (d *DB) insertRecord(t *catalog.Table, rec []byte) error {
 	if err := t.InsertRecord(rec); err != nil {
 		return err
 	}
-	atomic.AddInt64(&d.stats.InsertedRows, 1)
+	d.stats.insertedRows.Add(1)
 	return nil
 }
 
 func (d *DB) execDelete(s sql.Delete, sp *obs.Span) error {
-	atomic.AddInt64(&d.stats.Deletes, 1)
+	d.stats.deletes.Add(1)
 	t := d.Table(s.Table)
 	if t == nil {
 		return fmt.Errorf("db: no table %s", s.Table)

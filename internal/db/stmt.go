@@ -3,7 +3,6 @@ package db
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/obs"
@@ -179,7 +178,7 @@ func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, vals []rel.Value, tables 
 	if err != nil {
 		return err
 	}
-	atomic.AddInt64(&s.d.stats.Inserts, 1)
+	s.d.stats.inserts.Add(1)
 	name := s.into
 	var t *catalog.Table
 	if s.intoParam > 0 {

@@ -1,8 +1,8 @@
 package exec
 
 import (
-	"fmt"
 	"math"
+	"reflect"
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/index"
@@ -116,20 +116,23 @@ func (c *opCount) child() *opCount {
 
 // wrap rebuilds the operator tree with counting decorators, recording
 // operator names as it descends. Unknown operator types are counted
-// under their Go type name with no visible children.
+// under their Go type name with no visible children. Names are built
+// without fmt: its printer cache is a sync.Pool, which the race
+// detector empties at random, so a formatted name would make a traced
+// tree's allocation count vary under -race.
 func wrap(op Operator, c *opCount) Operator {
 	c.est = -1
 	switch o := op.(type) {
 	case *SeqScan:
-		c.name = fmt.Sprintf("scan(%s)", o.Table.Name)
+		c.name = "scan(" + o.Table.Name + ")"
 		c.est = o.Est
 		c.io = &ioProbe{heap: o.Table.Heap}
 	case *IndexScan:
-		c.name = fmt.Sprintf("idxscan(%s.%s)", o.Table.Name, o.Index.Name)
+		c.name = "idxscan(" + o.Table.Name + "." + o.Index.Name + ")"
 		c.est = o.Est
 		c.io = &ioProbe{heap: o.Table.Heap, idx: o.Index}
 	case *IndexNLJoin:
-		c.name = fmt.Sprintf("idxjoin(%s.%s)", o.Right.Name, o.Index.Name)
+		c.name = "idxjoin(" + o.Right.Name + "." + o.Index.Name + ")"
 		c.est = o.Est
 		c.io = &ioProbe{heap: o.Right.Heap, idx: o.Index}
 		o.Left = wrap(o.Left, c.child())
@@ -162,7 +165,7 @@ func wrap(op Operator, c *opCount) Operator {
 	case *Values:
 		c.name = "values"
 	default:
-		c.name = fmt.Sprintf("%T", op)
+		c.name = reflect.TypeOf(op).String()
 	}
 	return &countedOp{inner: op, c: c}
 }

@@ -72,8 +72,8 @@ type Pass struct {
 	Fset     *token.FileSet
 	Pkg      *Package
 	// All lists every target package of the run, so analyzers that need
-	// module-wide facts (atomicfield's atomic-access census) can collect
-	// them without a separate facts protocol.
+	// module-wide facts (the call graph) can collect them without a
+	// separate facts protocol.
 	All []*Package
 	// Cache is shared by every pass of one Run call: expensive
 	// module-wide structures (the call graph) are built once and reused

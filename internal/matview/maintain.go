@@ -3,7 +3,6 @@ package matview
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"dkbms/internal/codegen"
@@ -49,7 +48,7 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 	}
 
 	m := &maint{d: d, v: v, temps: rtlib.NewTempTables(d), stmts: rtlib.NewStatements(d, v.prog.Schemas),
-		prefix: fmt.Sprintf("mv%d_", atomic.AddUint64(&viewSeq, 1))}
+		prefix: fmt.Sprintf("mv%d_", viewSeq.Add(1))}
 	// Best-effort: a failed scratch drop leaks a temp table until the
 	// database closes, nothing worse.
 	defer m.temps.DropAll() //nolint:errcheck

@@ -121,7 +121,7 @@ func AutoIncremental(deltaTuples, viewRows int) bool {
 
 // viewSeq distinguishes concurrent maintenance runs' temp table names
 // within one process.
-var viewSeq uint64
+var viewSeq atomic.Uint64
 
 // View is one maintained materialized view: the compiled program plus
 // ownership of the derived-relation temp tables its evaluation

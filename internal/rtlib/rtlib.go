@@ -17,14 +17,13 @@
 // round, EXCEPT chains, COUNT(*) termination — configured like the
 // paper's LFP routine by the data structures its caller loads (rules,
 // predicate→relation resolver, promotion target, source of the first
-// delta). Evaluate runs it per clique, in evaluation order or, under
-// Options.Parallel with a pool, as a dependency wavefront of independent
-// cliques; internal/matview runs it to absorb a commit into a
-// maintained answer. One registry, TempTables, creates and tears down
-// every temporary relation, and one Statements per run holds its
-// statements, prepared once per database with tables and body constants
-// as parameters, for every round to rebind (the paper's precompiled
-// embedded SQL).
+// delta). Evaluate runs it per clique, in evaluation order or, given
+// an Options.Pool, as a dependency wavefront of independent cliques;
+// internal/matview runs it to absorb a commit into a maintained answer.
+// One registry, TempTables, creates and tears down every temporary
+// relation, and one Statements per run holds its statements, prepared
+// once per database with tables and body constants as parameters, for
+// every round to rebind (the paper's precompiled embedded SQL).
 //
 // Exactly as the paper laments, every path runs over plain SQL:
 // temp tables are created and dropped per iteration, termination checks
@@ -71,15 +70,12 @@ type Options struct {
 	// KeepTables, when set, skips the final cleanup so callers can
 	// inspect derived relations; Cleanup must then be called manually.
 	KeepTables bool
-	// Parallel, with a Pool, evaluates independent evaluation-order nodes
-	// as a dependency wavefront (runWavefront) on the pool. Every clique
-	// still runs Fixpoint.Run, so the statements issued and the answer
-	// are the sequential loop's.
-	Parallel bool
-	// Pool, when non-nil and Parallel is set, bounds the evaluation's
-	// concurrency: the testbed's task pool, shared by every evaluation
-	// on it. Without a pool, Parallel work runs inline on the calling
-	// goroutine.
+	// Pool, when non-nil, evaluates independent evaluation-order nodes
+	// as a dependency wavefront (runWavefront) on the pool — normally
+	// the testbed's, shared by every evaluation on it, which bounds the
+	// concurrency. Every clique still runs Fixpoint.Run, so the
+	// statements issued and the answer are the sequential loop's. Nil
+	// runs the nodes in evaluation order on the calling goroutine.
 	Pool *sched.Pool
 	// Trace, when non-nil, records an "eval" span tree: one span per
 	// evaluation-order node, per LFP iteration (delta cardinalities,
@@ -160,12 +156,12 @@ func (r *Result) Detach() (tables map[string]string, created []string) {
 
 // runSeq distinguishes concurrent evaluations' temp table names within
 // one process (the shell, the benches and the server's sessions reuse a
-// single DB). Incremented atomically: evaluations start concurrently.
-var runSeq uint64
+// single DB); evaluations start concurrently.
+var runSeq atomic.Uint64
 
 // Evaluate runs a compiled program against the database.
 func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
-	seq := atomic.AddUint64(&runSeq, 1)
+	seq := runSeq.Add(1)
 	ev := &evaluator{
 		d:      d,
 		prog:   prog,
@@ -255,7 +251,7 @@ func (ev *evaluator) run() (*Result, error) {
 
 	evalSp := ev.opts.Trace.Start("eval")
 	ev.stats.Nodes = make([]NodeStats, len(ev.prog.Nodes))
-	if ev.opts.Parallel && ev.opts.Pool != nil && len(ev.prog.Nodes) > 1 {
+	if ev.opts.Pool != nil && len(ev.prog.Nodes) > 1 {
 		if err := ev.runWavefront(seeds, evalSp); err != nil {
 			return nil, err
 		}

@@ -75,12 +75,11 @@ type Manager struct {
 	// built by WithDB never touch it.
 	nextRuleID int64
 
-	// stats counts manager traffic for the experiment harness. The
-	// counters are updated atomically — rule extraction and dictionary
-	// reads happen on the compile path, which concurrent sessions share —
-	// and the pointer is shared with every WithDB view so all traffic
-	// lands in one place. Racing readers go through StatsSnapshot.
-	stats *Stats
+	// stats counts manager traffic for the experiment harness. Rule
+	// extraction and dictionary reads happen on the compile path, which
+	// concurrent sessions share, so the pointer is shared with every
+	// WithDB view and all traffic lands in one place.
+	stats *counters
 
 	// stmts are the read statements, prepared on the database Open was
 	// given and shared with every WithDB view, which runs them on its
@@ -169,7 +168,13 @@ func (s *statements) extraction(n int) (*db.Stmt, error) {
 	return st, err
 }
 
-// Stats are cumulative counters.
+// counters are the live manager counters behind Stats; views share them
+// and may run on concurrent sessions.
+type counters struct {
+	extractCalls, extractedRules, readDictCalls atomic.Int64
+}
+
+// Stats are cumulative counters, as read by StatsSnapshot.
 type Stats struct {
 	ExtractCalls int64
 	// ExtractedRules counts rules returned by ExtractRelevant.
@@ -177,12 +182,13 @@ type Stats struct {
 	ReadDictCalls  int64
 }
 
-// StatsSnapshot returns the counters read with atomic loads.
+// StatsSnapshot returns the counters, safe to call while views run
+// on other goroutines.
 func (m *Manager) StatsSnapshot() Stats {
 	return Stats{
-		ExtractCalls:   atomic.LoadInt64(&m.stats.ExtractCalls),
-		ExtractedRules: atomic.LoadInt64(&m.stats.ExtractedRules),
-		ReadDictCalls:  atomic.LoadInt64(&m.stats.ReadDictCalls),
+		ExtractCalls:   m.stats.extractCalls.Load(),
+		ExtractedRules: m.stats.extractedRules.Load(),
+		ReadDictCalls:  m.stats.readDictCalls.Load(),
 	}
 }
 
@@ -199,7 +205,7 @@ func (m *Manager) WithDB(d *db.DB) *Manager {
 // Open binds a manager to the database, creating the system relations
 // on first use.
 func Open(d *db.DB, opts Options) (*Manager, error) {
-	m := &Manager{d: d, opts: opts, stats: &Stats{}}
+	m := &Manager{d: d, opts: opts, stats: new(counters)}
 	type tdef struct {
 		name, ddl string
 		indexes   []string
@@ -371,7 +377,7 @@ func (m *Manager) DerivedTypes(preds []string) (map[string][]rel.Type, error) {
 // dictionaries' statements, an execution per predicate; predicates
 // without entries are left out.
 func (m *Manager) readDict(cols *db.Stmt, preds []string) (map[string][]rel.Type, error) {
-	atomic.AddInt64(&m.stats.ReadDictCalls, 1)
+	m.stats.readDictCalls.Add(1)
 	out := make(map[string][]rel.Type)
 	cols = cols.On(m.d)
 	for _, p := range preds {
@@ -408,7 +414,7 @@ func (m *Manager) readDict(cols *db.Stmt, preds []string) (map[string][]rel.Type
 // one statement for up to sql.MaxParam predicates, one per that many
 // beyond.
 func (m *Manager) ExtractRelevant(preds []string) ([]dlog.Clause, error) {
-	atomic.AddInt64(&m.stats.ExtractCalls, 1)
+	m.stats.extractCalls.Add(1)
 	if len(preds) == 0 {
 		return nil, nil
 	}
@@ -448,7 +454,7 @@ func (m *Manager) ExtractRelevant(preds []string) ([]dlog.Clause, error) {
 		}
 		out = append(out, c)
 	}
-	atomic.AddInt64(&m.stats.ExtractedRules, int64(len(out)))
+	m.stats.extractedRules.Add(int64(len(out)))
 	return out, nil
 }
 

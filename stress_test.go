@@ -131,7 +131,7 @@ func TestSharedPoolStress(t *testing.T) {
 	c.Resync()
 
 	// No evaluation temp tables may survive the storm.
-	for _, name := range c.Testbed().DB().Catalog().Tables() {
+	for _, name := range tb.DB().Catalog().Tables() {
 		if strings.HasPrefix(name, "dkb") {
 			t.Fatalf("leaked evaluation temp table %q", name)
 		}

@@ -535,11 +535,14 @@ func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compil
 	if opts.Naive {
 		strategy = rtlib.Naive
 	}
+	var pool *sched.Pool
+	if opts.Parallel {
+		pool = tb.pool
+	}
 	res, err := rtlib.Evaluate(d, compiled.Program, rtlib.Options{
 		Strategy:   strategy,
 		KeepTables: keep,
-		Parallel:   opts.Parallel,
-		Pool:       tb.pool,
+		Pool:       pool,
 		Trace:      tr,
 		Ctx:        ctx,
 	})
