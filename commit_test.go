@@ -52,6 +52,7 @@ func TestCommitFootprintPinned(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				queryRows(t, c, memo)
 			}
+			adoptView(t, c, memo, "parent(zz1, zz2)")
 			s, err := c.acquire()
 			if err != nil {
 				t.Fatal(err)

@@ -313,9 +313,11 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
 		tr.Root().SetInt("query_id", int64(qid))
 	}
-	compiled, memo, status, err := c.program(s, key, tr)
-	if err != nil {
-		return nil, err
+	compiled, memo, status, keep := c.plans.lookup(key, s)
+	if compiled == nil {
+		if compiled, err = c.compile(s, key, tr); err != nil {
+			return nil, err
+		}
 	}
 	if memo != nil {
 		if !trace {
@@ -325,20 +327,26 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 		}
 		status = "plan" // a traced run re-evaluates the current answer
 	}
-	// An untraced answer keeps its evaluation's derived relations: the
-	// view layer refreshes them (and the memo) through commits. Traced
-	// runs never publish answers, so they keep nothing.
+	// An untraced answer keeps its evaluation's derived relations only
+	// once a commit has moved the memo's inputs: the view layer then
+	// refreshes them (and the memo) through later commits. A memo whose
+	// inputs stand still keeps only its rows. Traced runs never publish
+	// answers, so they keep nothing.
+	keep = keep && !trace
 	vdb, _ := c.view(s)
-	res, rres, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr, !trace)
+	res, rres, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr, keep)
 	if err != nil {
 		return nil, err
 	}
 	res.Snapshot = s.Gen
-	if trace {
+	switch {
+	case trace:
 		c.plans.store(key, s, compiled, nil, nil)
-	} else {
+	case keep:
 		tables, created := rres.Detach()
 		c.plans.store(key, s, compiled, res, matview.New(compiled.Program, tables, created))
+	default:
+		c.plans.store(key, s, compiled, res, nil)
 	}
 	// The stored answer is query-neutral; the caller's copy carries the ID.
 	out := shareResult(res)
@@ -346,29 +354,17 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 	return out, nil
 }
 
-// program returns the evaluation program for key as seen from the
-// pinned snapshot — the plan cache's, or on a miss a fresh compilation,
-// the only place a served query's text is parsed and compiled — with
-// the memoized answer when one is current, and the plan-cache outcome
-// QueryResult.Cache reports. A fresh compilation is not stored: read
-// stores it with its answer.
-func (c *ConcurrentTestbed) program(s *snapshot.Snapshot, key planKey, tr *obs.Trace) (*core.Compiled, *QueryResult, string, error) {
-	compiled, memo, maintained := c.plans.lookup(key, s)
-	switch {
-	case memo != nil && maintained:
-		return compiled, memo, "maintained", nil
-	case memo != nil:
-		return compiled, memo, "result", nil
-	case compiled != nil:
-		return compiled, nil, "plan", nil
-	}
+// compile parses and compiles key's query text against the pinned
+// snapshot — the only place a served query's text is parsed and
+// compiled. The compilation is not stored: read stores it with its
+// answer.
+func (c *ConcurrentTestbed) compile(s *snapshot.Snapshot, key planKey, tr *obs.Trace) (*core.Compiled, error) {
 	q, err := dlog.ParseQuery(key.src)
 	if err != nil {
-		return nil, nil, "", parseErr(err)
+		return nil, parseErr(err)
 	}
 	vdb, vst := c.view(s)
-	compiled, err = c.tb.compile(s.WS(), vdb, vst, q, &key.opts, tr)
-	return compiled, nil, "miss", err
+	return c.tb.compile(s.WS(), vdb, vst, q, &key.opts, tr)
 }
 
 // shareResult returns a caller-private view of a cached result: the

@@ -69,10 +69,12 @@ func ExampleTestbed_Update() {
 	// Output: 1 1
 }
 
-// ExampleConcurrentTestbed_Query sends one query text three times: the
-// shared plan cache compiles it on the first, answers the second from
-// the memoized result, and after a fact load serves the third from the
-// answer view maintenance kept current.
+// ExampleConcurrentTestbed_Query sends one query text four times: the
+// shared plan cache compiles it on the first and answers the second
+// from the memoized result. A fact load moves the memo's input, so the
+// third re-evaluates the kept plan, and keeps its derived relations as
+// a view; after a second load, the fourth is served from the answer
+// view maintenance kept current.
 func ExampleConcurrentTestbed_Query() {
 	c := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer c.Close()
@@ -83,9 +85,9 @@ func ExampleConcurrentTestbed_Query() {
 	`); err != nil {
 		panic(err)
 	}
-	for i := 0; i < 3; i++ {
-		if i == 2 {
-			if err := c.Load("parent(b, c)."); err != nil {
+	for _, facts := range []string{"", "", "parent(b, c).", "parent(c, d)."} {
+		if facts != "" {
+			if err := c.Load(facts); err != nil {
 				panic(err)
 			}
 		}
@@ -98,5 +100,6 @@ func ExampleConcurrentTestbed_Query() {
 	// Output:
 	// miss 1
 	// result 1
-	// maintained 2
+	// plan 2
+	// maintained 3
 }

@@ -96,7 +96,9 @@ func incrMaint(cfg Config) (*Report, error) {
 	// batch measures one batch size on a fresh served testbed c and a
 	// fresh plain one tb: a warm read and one verified cycle on each,
 	// then the timed cycles, the maintenance counters covering those
-	// only.
+	// only. The verified cycle's load is the first commit to move the
+	// served memo's inputs, so its re-read keeps the view that every
+	// timed commit maintains.
 	batch := func(c *dkbms.ConcurrentTestbed, tb *dkbms.Testbed, k int) ([2]time.Duration, []string, error) {
 		var took [2]time.Duration
 		for _, load := range []func(string) error{c.Load, tb.Load} {

@@ -55,11 +55,16 @@ type planEntry struct {
 	result    *QueryResult
 	resultVec map[string]uint64
 	// view, when non-nil, owns the evaluation's derived relations so
-	// commits can maintain result in place instead of dropping it.
-	// maintained marks a result refreshed by maintenance (served as
-	// Cache "maintained" rather than "result").
+	// commits can maintain result in place instead of dropping it; only
+	// an entry whose inputs have moved (below) adopts one. maintained
+	// marks a result refreshed by maintenance (served as Cache
+	// "maintained" rather than "result").
 	view       *matview.View
 	maintained bool
+	// moved is set when a commit moves a table the cached memo read.
+	// Only then does a re-evaluation keep its derived relations as a
+	// view: a memo whose inputs stand still never needs maintenance.
+	moved bool
 
 	prev, next *planEntry
 }
@@ -149,33 +154,39 @@ func assertDeps(deps []string, compiled *core.Compiled) {
 }
 
 // lookup returns the cached compilation for the key as seen from the
-// given snapshot: (compiled, result, maintained) on a full result hit —
-// every base table the program reads is at the generation the answer
-// was computed against, maintained reporting whether that answer was
-// last refreshed by view maintenance — (compiled, nil, false) when only
-// the plan is reusable, (nil, nil, false) on a miss. Hit counters are
+// given snapshot, with the outcome QueryResult.Cache reports: the
+// memoized answer on a full result hit — every base table the program
+// reads is at the generation the answer was computed against —
+// reported "maintained" when view maintenance last refreshed it and
+// "result" otherwise; a nil answer and "plan" when only the program is
+// reusable; nothing and "miss" on a miss. keep reports whether a
+// re-evaluation should keep its derived relations as a view (the
+// entry's inputs have moved while it was cached). Hit counters are
 // updated here; the miss counter is charged in store, so a lookup/store
 // pair counts once.
-func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot) (*core.Compiled, *QueryResult, bool) {
+func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot) (compiled *core.Compiled, memo *QueryResult, status string, keep bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
 	if !ok {
-		return nil, nil, false
+		return nil, nil, "miss", false
 	}
 	if e.ruleGen != snap.RuleGen {
 		// The rule base moved: the compiled program is stale.
 		pc.dropLocked(e)
 		pc.stats.Invalidations++
-		return nil, nil, false
+		return nil, nil, "miss", false
 	}
 	pc.touch(e)
 	if e.result != nil && vecCurrent(e.resultVec, snap) {
 		pc.stats.ResultHits++
-		return e.compiled, e.result, e.maintained
+		if e.maintained {
+			return e.compiled, e.result, "maintained", e.moved
+		}
+		return e.compiled, e.result, "result", e.moved
 	}
 	pc.stats.PlanHits++
-	return e.compiled, nil, false
+	return e.compiled, nil, "plan", e.moved
 }
 
 // vecCurrent reports whether every dependency in the vector is at the
@@ -195,9 +206,10 @@ func vecCurrent(vec map[string]uint64, snap *snapshot.Snapshot) bool {
 // given snapshot, evicting the least recently used entry beyond
 // capacity. A nil result stores the plan without touching any memoized
 // answer or view (traced runs share plans with untraced queries but
-// never publish their answers). A non-nil view transfers ownership of
-// the evaluation's derived relations; whatever view the entry held
-// before is condemned for the writer to tear down.
+// never publish their answers), and comes with a nil view. A non-nil
+// view transfers ownership of the evaluation's derived relations;
+// whatever view the entry held before is condemned for the writer to
+// tear down.
 //
 // Racing stores for one key (readers pinned to different snapshots)
 // need no ordering: a result stored with an older dependency vector
@@ -239,13 +251,7 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 	}
 	pc.stats.Misses++
 	e = &planEntry{key: key, compiled: compiled, ruleGen: snap.RuleGen, deps: deps,
-		result: result, resultVec: vec}
-	if result != nil {
-		e.view = view
-	} else if view != nil {
-		// A traced run must not adopt a view it has no result for.
-		pc.condemnLocked(view)
-	}
+		result: result, resultVec: vec, view: view}
 	pc.entries[key] = e
 	pc.pushFront(e)
 	for len(pc.entries) > pc.capacity {
@@ -277,9 +283,11 @@ func (pc *planCache) condemnLocked(v *matview.View) {
 // drops stale memos like EventRuleGen does.
 //
 // Entries whose compiled program predates next's rule generation are
-// dropped. Entries whose memo went stale with exactly this commit
-// (valid against prev, stale against next) are maintained in place when
-// the event carries fact deltas below the cost crossover
+// dropped. Entries whose memo went stale with this commit are flagged
+// as moved, so that their next evaluation keeps a view. Those that own
+// a view already and went stale with exactly this commit (valid against
+// prev, stale against next) are maintained in place when the event
+// carries fact deltas below the cost crossover
 // (matview.AutoIncremental); otherwise the memo is dropped and the plan
 // kept. Maintenance runs
 // after the cache mutex is released — concurrent readers keep hitting
@@ -306,6 +314,7 @@ func (pc *planCache) Invalidate(prev, next *snapshot.Snapshot, ev *matview.Event
 		if e.result == nil || vecCurrent(e.resultVec, next) {
 			continue // no memo, or untouched by this commit
 		}
+		e.moved = true
 		// The memo went stale with this commit. Maintain it when the
 		// commit is an exact fact delta, the entry owns a view, and the
 		// delta is below the cost crossover; otherwise drop the memo,

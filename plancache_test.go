@@ -174,6 +174,110 @@ func TestPlanCacheLRUBound(t *testing.T) {
 	}
 }
 
+// TestPlanCacheViewPolicy: a memo keeps its evaluation's derived
+// relations as a view only after a commit has moved a table it read
+// while it was cached. Repeats on inputs that never move, a commit to a
+// table the program does not read and traced runs adopt nothing; a
+// dropped entry (eviction, Resync) forgets that its inputs ever moved.
+func TestPlanCacheViewPolicy(t *testing.T) {
+	const q = "?- ancestor(a, X)."
+	// entry reports q's cache entry: whether it is cached, whether its
+	// inputs have moved, and whether it owns a view.
+	entry := func(c *ConcurrentTestbed) (cached, moved, view bool) {
+		c.plans.mu.Lock()
+		defer c.plans.mu.Unlock()
+		e, ok := c.plans.entries[newPlanKey(q, &QueryOptions{})]
+		if !ok {
+			return false, false, false
+		}
+		return true, e.moved, e.view != nil
+	}
+	want := func(t *testing.T, c *ConcurrentTestbed, step string, moved, view bool) {
+		t.Helper()
+		cached, m, v := entry(c)
+		if !cached || m != moved || v != view {
+			t.Fatalf("%s: cached=%v moved=%v view=%v, want cached moved=%v view=%v", step, cached, m, v, moved, view)
+		}
+		live := int64(0)
+		if view {
+			live = 1
+		}
+		if st := c.MatViewStats(); st.Live != live {
+			t.Fatalf("%s: %d live views, want %d", step, st.Live, live)
+		}
+	}
+	// moveInputs flags q's entry: a commit moves the table its memo read.
+	moveInputs := func(t *testing.T, c *ConcurrentTestbed) {
+		t.Helper()
+		queryCache(t, c, q, "miss", "b;c")
+		if err := c.Load("parent(c, d)."); err != nil {
+			t.Fatal(err)
+		}
+		want(t, c, "after a commit to parent", true, false)
+	}
+
+	t.Run("static repeats", func(t *testing.T) {
+		c := newCachedTestbed(t)
+		queryCache(t, c, q, "miss", "b;c")
+		for i := 0; i < 3; i++ {
+			queryCache(t, c, q, "result", "b;c")
+		}
+		want(t, c, "repeats", false, false)
+	})
+	t.Run("unrelated commit", func(t *testing.T) {
+		c := newCachedTestbed(t)
+		// The relation exists before the query: creating one would move
+		// the rule generation and recompile.
+		if err := c.Load("likes(a, b)."); err != nil {
+			t.Fatal(err)
+		}
+		queryCache(t, c, q, "miss", "b;c")
+		if err := c.Load("likes(b, c)."); err != nil {
+			t.Fatal(err)
+		}
+		queryCache(t, c, q, "result", "b;c")
+		want(t, c, "commit to likes", false, false)
+	})
+	t.Run("traced", func(t *testing.T) {
+		c := newCachedTestbed(t)
+		moveInputs(t, c)
+		tables := len(c.tb.db.Catalog().Tables())
+		for i := 0; i < 2; i++ {
+			res, err := c.Query(q, &QueryOptions{Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cache != "plan" || rowsKey(res) != "b;c;d" {
+				t.Fatalf("traced run: cache=%q rows=%s, want plan/b;c;d", res.Cache, rowsKey(res))
+			}
+			want(t, c, "traced run", true, false)
+			if n := len(c.tb.db.Catalog().Tables()); n != tables {
+				t.Fatalf("traced run: %d catalog tables, had %d: its derived relations were kept", n, tables)
+			}
+		}
+		queryCache(t, c, q, "plan", "b;c;d")
+		want(t, c, "untraced run", true, true)
+	})
+	t.Run("eviction", func(t *testing.T) {
+		c := newCachedTestbed(t)
+		c.plans.capacity = 1
+		moveInputs(t, c)
+		queryRows(t, c, "?- parent(a, X).")
+		if cached, _, _ := entry(c); cached {
+			t.Fatal("capacity 1 cache kept the older entry")
+		}
+		queryCache(t, c, q, "miss", "b;c;d")
+		want(t, c, "re-cached after eviction", false, false)
+	})
+	t.Run("resync", func(t *testing.T) {
+		c := newCachedTestbed(t)
+		moveInputs(t, c)
+		c.Resync()
+		queryCache(t, c, q, "miss", "b;c;d")
+		want(t, c, "re-cached after Resync", false, false)
+	})
+}
+
 // TestPlanCacheConcurrent drives queries and invalidating updates from
 // many goroutines; with -race it checks the lookup/store/purge paths,
 // and every answer must be consistent with some committed D/KB state

@@ -44,6 +44,7 @@ func TestPreparedSeesNewFacts(t *testing.T) {
 	// program but MUST be visible to the next query.
 	c := familyTestbed(t)
 	queryCache(t, c, familyQuery, "miss", familyAnswer)
+	adoptView(t, c, familyQuery, "parent(zz1, zz2)")
 	if err := c.Load("parent(lea, zoe)."); err != nil {
 		t.Fatal(err)
 	}

@@ -353,6 +353,8 @@ func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []d
 		t.Fatalf("trial %d: re-querying the same text compiled (misses %d -> %d)", trial, misses, got)
 	}
 
+	adoptView(t, c, q.String(), bases[0]+"(zz1, zz2)", &QueryOptions{}, &QueryOptions{Parallel: true})
+
 	consts := []string{"a", "b", "c", "d", "g", "h", "k"}
 	pred := bases[r.Intn(len(bases))]
 	var fresh rel.Tuple

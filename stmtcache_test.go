@@ -184,6 +184,7 @@ func TestCachedStmtPinsNoSnapshot(t *testing.T) {
 	if c.tb.db.CachedStatements() == 0 {
 		t.Fatal("the read left no statement prepared")
 	}
+	adoptView(t, c, familyQuery, "parent(zz1, zz2)")
 	before := c.SnapshotStats()
 	if err := c.Load("parent(lea, zoe)."); err != nil {
 		t.Fatal(err)

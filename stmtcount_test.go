@@ -97,6 +97,7 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 	if _, err := c.Query(q, nil); err != nil {
 		t.Fatal(err)
 	}
+	adoptView(t, c, q, "parent(zz1, zz2)")
 	maintained := func(rows int) {
 		t.Helper()
 		res, err := c.Query(q, nil)

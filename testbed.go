@@ -416,8 +416,10 @@ type QueryResult struct {
 	// ConcurrentTestbed: "result" (answered from the memoized result),
 	// "maintained" (answered from a memoized result that view
 	// maintenance kept current through commits), "plan" (compiled
-	// program reused, re-evaluated) or "miss" (full compile). Empty on
-	// the plain Testbed path, which has no cache.
+	// program reused, re-evaluated — as after the first commit that
+	// moves a memo's inputs, which adopts a view for the next ones) or
+	// "miss" (full compile). Empty on the plain Testbed path, which has
+	// no cache.
 	Cache string
 	// Snapshot is the generation of the pinned snapshot the query ran
 	// against when it went through a ConcurrentTestbed (0 on the plain
