@@ -96,3 +96,62 @@ func TestCommitFootprintPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestEngineCountersNeverDecrease: a commit replaces the relation it
+// writes by a copy with a fresh heap and fresh index trees, and an
+// unqualified DELETE truncates them; neither may send a counter of
+// EngineMetrics backwards, since a registry counter is a running total.
+// Every index also reports the bytes it holds.
+func TestEngineCountersNeverDecrease(t *testing.T) {
+	tb := NewMemory()
+	tb.MustLoad("p(a, b). p(b, c).")
+	if err := tb.CreateFactIndex("p", 0); err != nil {
+		t.Fatal(err)
+	}
+	c := NewConcurrent(tb)
+	defer c.Close()
+	const ix = "index.edb_p_ix_c0."
+	read := func() (counters map[string]int64, bytes int64) {
+		counters = map[string]int64{}
+		for _, m := range c.EngineMetrics() {
+			switch {
+			case m.Kind == "counter":
+				counters[m.Name] = m.Value
+			case m.Name == ix+"bytes":
+				bytes = m.Value
+			}
+		}
+		return counters, bytes
+	}
+	query := func() {
+		t.Helper()
+		if _, err := c.Query("?- p(a, X).", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query()
+	before, bytes := read()
+	if before[ix+"searches"] == 0 || bytes == 0 {
+		t.Fatalf("the query did not probe the index, or it holds no bytes: searches %d, bytes %d", before[ix+"searches"], bytes)
+	}
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"commit of p(c, d)", func() error { return c.Load("p(c, d).") }},
+		{"DELETE FROM edb_p", func() error { _, err := c.RetractSrc("p(X, Y)."); return err }},
+		{"commit after the DELETE", func() error { return c.Load("p(a, e).") }},
+	} {
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		after, _ := read()
+		for name, v := range before {
+			if after[name] < v {
+				t.Errorf("%s: %s went from %d to %d", w.name, name, v, after[name])
+			}
+		}
+		query()
+		before, _ = read()
+	}
+}

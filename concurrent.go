@@ -398,10 +398,12 @@ func (c *ConcurrentTestbed) PagerStats() storage.PagerStats {
 }
 
 // EngineMetrics snapshots the engine floor as registry metrics: a row
-// gauge and heap-traffic counters per table, shape and search counters
-// per index, and the buffer-pool counters per shard. It reads the
-// pinned snapshot's frozen table versions, so the non-atomic structural
-// fields (index height, key counts) read cleanly while writers commit.
+// gauge and heap-traffic counters per table, shape, byte and search
+// gauges and counters per index, and the buffer-pool counters per shard.
+// A table's and an index's counters run on across the commits that copy
+// them and the DELETEs that truncate them. It reads the pinned
+// snapshot's frozen table versions, so the non-atomic structural fields
+// (index height, key counts, bytes) read cleanly while writers commit.
 // The server registers this as a metrics-registry collector; the set of
 // names follows the published snapshot as tables are created and
 // dropped.
@@ -431,6 +433,7 @@ func (c *ConcurrentTestbed) EngineMetrics() []obs.Metric {
 			out = append(out,
 				obs.Metric{Name: ipre + "height", Kind: "gauge", Value: ts.Height},
 				obs.Metric{Name: ipre + "entries", Kind: "gauge", Value: ts.Entries},
+				obs.Metric{Name: ipre + "bytes", Kind: "gauge", Value: ts.Bytes},
 				obs.Metric{Name: ipre + "searches", Kind: "counter", Value: ts.Searches},
 				obs.Metric{Name: ipre + "depth_total", Kind: "counter", Value: ts.DepthTotal},
 				obs.Metric{Name: ipre + "splits", Kind: "counter", Value: ts.Splits},

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"dkbms/internal/index"
 	"dkbms/internal/rel"
 	"dkbms/internal/storage"
 )
@@ -49,14 +50,19 @@ type Index struct {
 	Table string
 	Cols  []string
 	Ords  []int // column ordinals in the table schema
-	Tree  *indexTree
-	Temp  bool
+	// Tree maps the AppendKey encoding of a row's Ords columns to the
+	// RIDs it is stored at. Table.Insert, DeleteRID and Truncate keep
+	// it in step with the heap; readers probe it with tuples.
+	Tree *index.BTree
+	Temp bool
 
 	rid storage.RID
 }
 
-// indexTree is defined in tree.go as a thin wrapper to avoid leaking the
-// index package through the catalog API surface.
+// Stats snapshots the index tree's shape (height, keys, entries, bytes)
+// and traffic (searches, summed search depth, splits). The structural
+// fields need the same exclusion as tuple traffic when writers are live.
+func (ix *Index) Stats() index.TreeStats { return ix.Tree.Stats() }
 
 // Catalog is the schema manager for one database.
 //
@@ -174,33 +180,33 @@ func (c *Catalog) load() error {
 	return nil
 }
 
-// buildIndex resolves column ordinals and builds the index tree from
-// the table heap. It performs heap I/O and must not be called with c.mu
-// held; registration into the catalog maps is the caller's job.
+// buildIndex resolves column ordinals and types and builds the index
+// tree from the table heap. It performs heap I/O and must not be called
+// with c.mu held; registration into the catalog maps is the caller's
+// job.
 func buildIndex(t *Table, idx *Index) error {
 	idx.Ords = make([]int, len(idx.Cols))
+	kinds := make([]rel.Type, len(idx.Cols))
 	for i, col := range idx.Cols {
 		o := t.Schema.Ordinal(col)
 		if o < 0 {
 			return fmt.Errorf("catalog: index %s: no column %s in table %s", idx.Name, col, t.Name)
 		}
-		idx.Ords[i] = o
+		idx.Ords[i], kinds[i] = o, t.Schema.Col(o).Type
 	}
-	idx.Tree = newIndexTree()
-	return t.Scan(func(rid storage.RID, tu rel.Tuple) error {
-		return idx.Tree.Insert(keyOf(tu, idx.Ords), rid)
-	})
+	idx.Tree = index.New(kinds)
+	return fillIndex(t, idx)
 }
 
-// keyOf projects a tuple onto an index's columns. The key is a view of
-// the tuple's values; the tree copies what it keeps (rel.Tuple.Clone),
-// so an index never pins the block or slab its keys were read from.
-func keyOf(tu rel.Tuple, ords []int) rel.Tuple {
-	k := make(rel.Tuple, len(ords))
-	for i, o := range ords {
-		k[i] = tu[o]
-	}
-	return k
+// fillIndex inserts every row of t into idx's tree and trims the tree's
+// slabs to what the rows need.
+func fillIndex(t *Table, idx *Index) error {
+	var buf [128]byte // the tree copies the key into its leaf
+	err := t.Scan(func(rid storage.RID, tu rel.Tuple) error {
+		return idx.Tree.Insert(tu.AppendKey(buf[:0], idx.Ords), rid)
+	})
+	idx.Tree.Trim()
+	return err
 }
 
 // Table returns the named table, or nil.
@@ -370,7 +376,9 @@ func (c *Catalog) dropIndexDDL(name string) error {
 // ShadowTable replaces a table with a physically separate clone — the
 // copy-on-write step of the snapshot commit path. The clone gets a
 // fresh heap holding a raw copy of every record and freshly built
-// index trees; the original table object is returned unchanged and
+// index trees; they count their traffic, the copy's included, in the
+// original's counters, so a table's counters never restart at a commit.
+// The original table object is returned unchanged and
 // stays fully readable (snapshots holding it keep scanning its heap
 // and probing its indexes), but is no longer reachable by name. The
 // caller owns the original's heap pages from here on: they are freed
@@ -395,6 +403,7 @@ func (c *Catalog) ShadowTable(name string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	h.ShareStats(t.Heap)
 	cleanup := func(err error) (*Table, error) {
 		h.Drop() // compensate: don't leak the fresh heap's pages
 		return nil, err
@@ -410,8 +419,8 @@ func (c *Catalog) ShadowTable(name string) (*Table, error) {
 	for _, idx := range t.Indexes {
 		// Index catalog records reference the table by name, so the
 		// persisted record (and its rid) carries over unchanged.
-		ni := &Index{Name: idx.Name, Table: idx.Table, Cols: idx.Cols, Temp: idx.Temp, rid: idx.rid}
-		if err := buildIndex(nt, ni); err != nil {
+		ni := &Index{Name: idx.Name, Table: idx.Table, Cols: idx.Cols, Ords: idx.Ords, Tree: idx.Tree.Empty(), Temp: idx.Temp, rid: idx.rid}
+		if err := fillIndex(nt, ni); err != nil {
 			return cleanup(err)
 		}
 		newIdx = append(newIdx, ni)
@@ -450,13 +459,13 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 			return storage.RID{}, fmt.Errorf("catalog: type mismatch in %s column %s: %v", t.Name, t.Schema.Col(i).Name, tu[i])
 		}
 	}
-	var buf [128]byte // the heap copies the record into its page
+	var buf [128]byte // the heap and the trees copy what they keep
 	rid, err := t.Heap.Insert(tu.Encode(buf[:0]))
 	if err != nil {
 		return storage.RID{}, err
 	}
 	for _, idx := range t.Indexes {
-		if err := idx.Tree.Insert(keyOf(tu, idx.Ords), rid); err != nil {
+		if err := idx.Tree.Insert(tu.AppendKey(buf[:0], idx.Ords), rid); err != nil {
 			return storage.RID{}, err
 		}
 	}
@@ -481,8 +490,9 @@ func (t *Table) InsertRecord(rec []byte) error {
 // DeleteRID removes the tuple at rid from the heap and all indexes. The
 // caller supplies the decoded tuple (executors always have it in hand).
 func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
+	var buf [128]byte
 	for _, idx := range t.Indexes {
-		if err := idx.Tree.Delete(keyOf(tu, idx.Ords), rid); err != nil {
+		if err := idx.Tree.Delete(tu.AppendKey(buf[:0], idx.Ords), rid); err != nil {
 			return err
 		}
 	}
@@ -493,13 +503,14 @@ func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
 	return nil
 }
 
-// Truncate removes all tuples and clears all indexes.
+// Truncate removes all tuples and clears all indexes; the heap and the
+// indexes' counters run on.
 func (t *Table) Truncate() error {
 	if err := t.Heap.Truncate(); err != nil {
 		return err
 	}
 	for _, idx := range t.Indexes {
-		idx.Tree = newIndexTree()
+		idx.Tree = idx.Tree.Empty()
 	}
 	t.rows = 0
 	return nil

@@ -3,6 +3,7 @@ package catalog
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dkbms/internal/rel"
@@ -94,7 +95,7 @@ func TestIndexMaintenance(t *testing.T) {
 	if idx == nil {
 		t.Fatal("index not registered")
 	}
-	got := idx.Lookup(rel.Tuple{rel.NewString("p3")})
+	got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")})
 	if len(got) != 5 {
 		t.Fatalf("index lookup found %d, want 5", len(got))
 	}
@@ -102,14 +103,14 @@ func TestIndexMaintenance(t *testing.T) {
 	if err := tb.DeleteRID(rids[3], tuples[3]); err != nil { // p3,c3
 		t.Fatal(err)
 	}
-	if got := idx.Lookup(rel.Tuple{rel.NewString("p3")}); len(got) != 4 {
+	if got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")}); len(got) != 4 {
 		t.Fatalf("after delete, index has %d, want 4", len(got))
 	}
 	// Truncate clears the index.
 	if err := tb.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.Lookup(rel.Tuple{rel.NewString("p3")}); len(got) != 0 {
+	if got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")}); len(got) != 0 {
 		t.Fatalf("after truncate, index has %d entries", len(got))
 	}
 }
@@ -126,7 +127,7 @@ func TestIndexOnExistingData(t *testing.T) {
 	if _, err := c.CreateIndex("e_src", "e", []string{"src"}, false); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.Index("e_src").Entries(); n != 30 {
+	if n := c.Index("e_src").Tree.Len(); n != 30 {
 		t.Fatalf("built index has %d entries, want 30", n)
 	}
 }
@@ -215,7 +216,7 @@ func TestPersistence(t *testing.T) {
 	if idx == nil {
 		t.Fatal("index lost across reopen")
 	}
-	rids := idx.Lookup(rel.Tuple{rel.NewInt(42)})
+	rids := idx.Tree.Lookup(rel.Tuple{rel.NewInt(42)})
 	if len(rids) != 1 {
 		t.Fatalf("rebuilt index lookup = %v", rids)
 	}
@@ -260,4 +261,57 @@ func TestDropTableDropsIndexes(t *testing.T) {
 	if c.Index("e_src") != nil {
 		t.Fatal("index survived table drop")
 	}
+}
+
+// TestIndexBytesPerEntry holds the parent index of the point_bigedb
+// benchmark's forest — 24 heap-numbered binary trees of depth 12 over
+// genealogy-length names, about 49 000 distinct parents of two children
+// each — to at most 100 bytes of measured heap per distinct key, and
+// TreeStats.Bytes to within 10 % of what was measured.
+func TestIndexBytesPerEntry(t *testing.T) {
+	c := memCatalog(t)
+	tb, err := c.CreateTable("parent", edgeSchema(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trees, depth = 24, 12
+	for k := 0; k < trees; k++ {
+		prefix := fmt.Sprintf("genealogy_family%02d_person_", k)
+		for i := 2; i < 1<<depth; i++ {
+			edge := rel.Tuple{rel.NewString(fmt.Sprintf("%s%d", prefix, i/2)), rel.NewString(fmt.Sprintf("%s%d", prefix, i))}
+			if _, err := tb.Insert(edge); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := liveHeap()
+	idx, err := c.CreateIndex("parent_src", "parent", []string{"src"}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := liveHeap() - before
+	runtime.KeepAlive(c) // its pages are not the index's
+	st := idx.Stats()
+	if want := int64(trees * (1<<(depth-1) - 1)); st.Keys != want {
+		t.Fatalf("index holds %d keys, want %d", st.Keys, want)
+	}
+	perKey := float64(measured) / float64(st.Keys)
+	t.Logf("%d keys, %d entries: %d bytes measured (%.1f per key), %d accounted", st.Keys, st.Entries, measured, perKey, st.Bytes)
+	if perKey > 100 {
+		t.Errorf("index costs %.1f bytes of heap per distinct key, want at most 100", perKey)
+	}
+	if ratio := float64(st.Bytes) / float64(measured); ratio < 0.9 || ratio > 1.1 {
+		t.Errorf("TreeStats.Bytes = %d, %.2f× the %d bytes measured; want within 10 %%", st.Bytes, ratio, measured)
+	}
+	if err := idx.Tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after a collection.
+func liveHeap() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

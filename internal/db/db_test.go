@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -464,5 +465,45 @@ func TestQueryCancellation(t *testing.T) {
 	}
 	if n := d.TableRows("copy2"); n != 0 {
 		t.Fatalf("cancelled INSERT ... SELECT wrote %d rows", n)
+	}
+}
+
+// TestInsertSelectThroughOwnIndex writes a table through statements that
+// read it through its own index — an index scan for the literal, an
+// index join for the column equality — while they add postings under
+// the very keys they read. The tree's Lookup slice is valid only until
+// the next insert shifts the leaf's slab, so the reads must be done
+// before the writes start: the table must end as it does when the same
+// statements run with the index dropped.
+func TestInsertSelectThroughOwnIndex(t *testing.T) {
+	run := func(indexed bool) []string {
+		d := OpenMemory()
+		mustExec(t, d, "CREATE TABLE t (c0 INTEGER, c1 INTEGER, c2 CHAR)")
+		if indexed {
+			mustExec(t, d, "CREATE INDEX t_c0 ON t (c0)")
+		}
+		var vals []string
+		for i := 0; i < 300; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, 'r%d')", i%100, i%5, i))
+		}
+		mustExec(t, d, "INSERT INTO t VALUES "+strings.Join(vals, ", "))
+		for _, k := range []int{7, 8, 7, 50, 7, 99, 2} {
+			mustExec(t, d,
+				fmt.Sprintf("INSERT INTO t SELECT * FROM t WHERE c0 = %d", k),
+				fmt.Sprintf("INSERT INTO t SELECT a.c0, b.c1, b.c2 FROM t a, t b WHERE a.c0 = %d AND b.c0 = a.c1", k))
+		}
+		if indexed {
+			if st := d.Catalog().Index("t_c0").Stats(); st.Searches == 0 || st.Splits == 0 {
+				t.Fatalf("the statements did not read through a splitting index: %+v", st)
+			}
+		}
+		return rowStrings(mustQuery(t, d, "SELECT * FROM t"))
+	}
+	got, want := run(true), run(false)
+	if !slices.Equal(got, want) {
+		t.Fatalf("through the index the table ends with %d rows, without it %d", len(got), len(want))
+	}
+	if len(want) < 400 {
+		t.Fatalf("only %d rows: the statements wrote too little to move the slabs", len(want))
 	}
 }

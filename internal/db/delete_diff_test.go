@@ -219,8 +219,8 @@ func checkDelTable(t *testing.T, ctx string, d *DB, pre, survivors []delRow) {
 		t.Fatalf("%s: heap holds %d records (%v), model %d", ctx, n, err, len(survivors))
 	}
 	for _, idx := range tab.Indexes {
-		if idx.Entries() != len(survivors) {
-			t.Fatalf("%s: index %s holds %d entries, model %d", ctx, idx.Name, idx.Entries(), len(survivors))
+		if idx.Tree.Len() != len(survivors) {
+			t.Fatalf("%s: index %s holds %d entries, model %d", ctx, idx.Name, idx.Tree.Len(), len(survivors))
 		}
 		keyOf := func(r delRow) rel.Tuple {
 			tu := r.tuple()
@@ -236,7 +236,7 @@ func checkDelTable(t *testing.T, ctx string, d *DB, pre, survivors []delRow) {
 		}
 		for _, r := range pre {
 			key := keyOf(r)
-			rids := idx.Lookup(key)
+			rids := idx.Tree.Lookup(key)
 			if len(rids) != carry[key.Key()] {
 				t.Fatalf("%s: index %s key %v: %d postings, %d surviving rows carry it", ctx, idx.Name, key, len(rids), carry[key.Key()])
 			}

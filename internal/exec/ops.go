@@ -287,9 +287,9 @@ func (s *IndexScan) read() ([]storage.RID, error) {
 // for each of the index's leading columns.
 func indexLookup(idx *catalog.Index, key rel.Tuple) []storage.RID {
 	if len(key) == len(idx.Ords) {
-		return idx.Lookup(key)
+		return idx.Tree.Lookup(key)
 	}
-	return idx.LookupPrefix(key)
+	return idx.Tree.LookupPrefix(key)
 }
 
 // Next returns the next matching tuple.

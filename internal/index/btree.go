@@ -5,16 +5,40 @@
 // stored predicates (Fig 9) both come from indexes on the join columns of
 // the system relations — so the index is a first-class substrate here.
 //
-// Keys are composite tuples compared lexicographically; duplicates are
-// supported via RID postings lists in the leaves. Leaves are chained for
-// range scans. The tree is memory-resident and rebuilt from the heap file
-// when a database is reopened (the catalog records index definitions, not
-// index pages), which keeps the on-disk format to heap pages only.
+// A key is the rel.Tuple.AppendKey encoding of a row's indexed columns:
+// an int column is its big-endian int64, a string column a uvarint
+// length and its bytes. The tree orders keys column by column under the
+// column types New is given, which is the order rel.CompareTuples gives
+// the decoded keys; a probe is a tuple of values for the leading columns,
+// encoded the same way, and a probe whose types are not the columns'
+// matches nothing.
+//
+// A leaf holds its keys back to back in one byte slab and its postings —
+// the RIDs stored under each key, in insertion order — back to back in
+// one RID slab, with a pair of uint32 end offsets per key; an inner node
+// holds its separators as strings. An entry costs its key's bytes, 8
+// bytes of offsets and 16 bytes per posting, plus the slabs' spare
+// capacity: about 80 bytes for a 30-byte key with two postings
+// (TestIndexBytesPerEntry in internal/catalog). TreeStats.Bytes is that
+// account, kept as the tree changes. Leaves are chained for range scans.
+//
+// Lookup returns a sub-slice of a leaf's RID slab without copying it. It
+// is valid until the next Insert or Delete on the tree, either of which
+// may shift the slab under it, and is never written to.
+//
+// The tree is memory-resident and rebuilt from the heap file when a
+// database is reopened (the catalog records index definitions, not index
+// pages), which keeps the on-disk format to heap pages only.
 package index
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"dkbms/internal/rel"
 	"dkbms/internal/storage"
@@ -25,71 +49,138 @@ import (
 // tuples) while exercising splits in tests.
 const degree = 64
 
-// BTree is a B+tree mapping composite keys to RID postings.
+// BTree is a B+tree mapping encoded composite keys to RID postings.
 type BTree struct {
+	kinds  []rel.Type // the indexed columns' types, in key order
 	root   node
 	height int
-	size   int // number of (key, rid) pairs, counting duplicates
-	keys   int // number of distinct keys
+	size   int   // number of (key, rid) pairs, counting duplicates
+	keys   int   // number of distinct keys
+	bytes  int64 // heap held by the nodes: nodeBytes over all of them
 
-	// Traffic counters. searches/depthSum are atomics because lookups run
-	// concurrently (the server admits parallel readers over one tree);
-	// splits only moves under write exclusivity but is atomic too so a
-	// metrics snapshot taken mid-write reads cleanly.
+	stats *counters
+}
+
+// counters are a tree's traffic counters. searches/depthSum are atomics
+// because lookups run concurrently (the server admits parallel readers
+// over one tree); splits only moves under write exclusivity but is
+// atomic too so a metrics snapshot taken mid-write reads cleanly. A tree
+// made by Empty shares its predecessor's, so an index's counters run on
+// across the copy-on-write rebuilds and truncations that replace its
+// tree.
+type counters struct {
 	searches atomic.Int64
 	depthSum atomic.Int64
 	splits   atomic.Int64
 }
 
 // TreeStats is a snapshot of a tree's shape and traffic: structural
-// fields (height, distinct keys, total entries) plus cumulative search
-// count, summed search depth (descents visit DepthTotal/Searches nodes
-// on average) and node splits.
+// fields (height, distinct keys, total entries, heap bytes held) plus
+// cumulative search count, summed search depth (descents visit
+// DepthTotal/Searches nodes on average) and node splits.
 type TreeStats struct {
 	Height     int64 `json:"height"`
 	Keys       int64 `json:"keys"`
 	Entries    int64 `json:"entries"`
+	Bytes      int64 `json:"bytes"`
 	Searches   int64 `json:"searches"`
 	DepthTotal int64 `json:"depth_total"`
 	Splits     int64 `json:"splits"`
 }
 
 // Stats snapshots the tree. The structural fields (Height, Keys,
-// Entries) are maintained by writers without synchronization, so a
-// snapshot concurrent with writes needs the same exclusion as tuple
+// Entries, Bytes) are maintained by writers without synchronization, so
+// a snapshot concurrent with writes needs the same exclusion as tuple
 // traffic (the server's testbed lock); the counters are atomic.
 func (t *BTree) Stats() TreeStats {
 	return TreeStats{
 		Height:     int64(t.height),
 		Keys:       int64(t.keys),
 		Entries:    int64(t.size),
-		Searches:   t.searches.Load(),
-		DepthTotal: t.depthSum.Load(),
-		Splits:     t.splits.Load(),
+		Bytes:      t.bytes,
+		Searches:   t.stats.searches.Load(),
+		DepthTotal: t.stats.depthSum.Load(),
+		Splits:     t.stats.splits.Load(),
 	}
 }
 
 type node interface{ isNode() }
 
+// leaf holds entries in key order. Entry i's key is
+// keys[ends[i-1].key:ends[i].key] and its postings are
+// rids[ends[i-1].rid:ends[i].rid], both starting at 0 for entry 0.
 type leaf struct {
-	keys []rel.Tuple
-	rids [][]storage.RID
+	keys []byte
+	rids []storage.RID
+	ends []end
 	next *leaf
 	prev *leaf
 }
 
+// end is where one leaf entry's key bytes and postings end.
+type end struct{ key, rid uint32 }
+
 type inner struct {
 	// keys[i] is the smallest key in children[i+1]'s subtree.
-	keys     []rel.Tuple
+	keys     []string
 	children []node
 }
 
 func (*leaf) isNode()  {}
 func (*inner) isNode() {}
 
-// New returns an empty tree.
-func New() *BTree {
-	return &BTree{root: &leaf{}, height: 1}
+// Node sizes for the byte account: a node's header plus its slices'
+// capacity, and a separator's bytes.
+const (
+	leafSize  = int64(unsafe.Sizeof(leaf{}))
+	innerSize = int64(unsafe.Sizeof(inner{}))
+	ridSize   = int64(unsafe.Sizeof(storage.RID{}))
+	endSize   = int64(unsafe.Sizeof(end{}))
+	sepSize   = int64(unsafe.Sizeof(""))
+	childSize = int64(unsafe.Sizeof(node(nil)))
+)
+
+func (lf *leaf) nodeBytes() int64 {
+	return leafSize + int64(cap(lf.keys)) + int64(cap(lf.rids))*ridSize + int64(cap(lf.ends))*endSize
+}
+
+func (in *inner) nodeBytes() int64 {
+	n := innerSize + int64(cap(in.keys))*sepSize + int64(cap(in.children))*childSize
+	for _, s := range in.keys {
+		n += int64(len(s))
+	}
+	return n
+}
+
+// start is where entry i's key bytes and postings begin.
+func (lf *leaf) start(i int) end {
+	if i == 0 {
+		return end{}
+	}
+	return lf.ends[i-1]
+}
+
+func (lf *leaf) key(i int) []byte { return lf.keys[lf.start(i).key:lf.ends[i].key] }
+
+// postings returns entry i's RIDs, capped so an append cannot reach the
+// next entry's.
+func (lf *leaf) postings(i int) []storage.RID {
+	s, e := lf.start(i).rid, lf.ends[i].rid
+	return lf.rids[s:e:e]
+}
+
+// New returns an empty tree whose keys encode columns of the given
+// types, in order. The tree keeps kinds.
+func New(kinds []rel.Type) *BTree { return newTree(kinds, new(counters)) }
+
+// Empty returns an empty tree over the same column types that counts its
+// searches, descents and splits in t's counters: the tree that replaces
+// t in its index.
+func (t *BTree) Empty() *BTree { return newTree(t.kinds, t.stats) }
+
+func newTree(kinds []rel.Type, stats *counters) *BTree {
+	root := &leaf{}
+	return &BTree{kinds: kinds, root: root, height: 1, bytes: root.nodeBytes(), stats: stats}
 }
 
 // Len returns the number of (key, rid) entries, counting duplicates.
@@ -101,181 +192,337 @@ func (t *BTree) DistinctKeys() int { return t.keys }
 // Height returns the tree height (1 = a single leaf).
 func (t *BTree) Height() int { return t.height }
 
+// compareKeys orders the encoded keys a and b column by column under
+// kinds. When one runs out first — a probe on fewer columns — the
+// shorter sorts first, as rel.CompareTuples orders tuples.
+func compareKeys(kinds []rel.Type, a, b []byte) int {
+	for _, k := range kinds {
+		if len(a) == 0 || len(b) == 0 {
+			break
+		}
+		if k == rel.TypeInt {
+			if c := cmp.Compare(int64(binary.BigEndian.Uint64(a)), int64(binary.BigEndian.Uint64(b))); c != 0 {
+				return c
+			}
+			a, b = a[8:], b[8:]
+			continue
+		}
+		// A length below 128 is its one uvarint byte.
+		na, sa := int(a[0]), 1
+		if na >= 0x80 {
+			na, sa = stringLen(a)
+		}
+		nb, sb := int(b[0]), 1
+		if nb >= 0x80 {
+			nb, sb = stringLen(b)
+		}
+		if c := bytes.Compare(a[sa:sa+na], b[sb:sb+nb]); c != 0 {
+			return c
+		}
+		a, b = a[sa+na:], b[sb+nb:]
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// stringLen returns the length of the string column at the front of a
+// well-formed key and the bytes its uvarint takes.
+func stringLen(key []byte) (n, sz int) {
+	v, sz := binary.Uvarint(key)
+	return int(v), sz
+}
+
+// sep views a separator as bytes for compareKeys, which only reads them.
+func sep(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
+// wellFormed reports whether key is exactly the encoding of one value
+// of each of the tree's column types, as AppendKey writes it.
+func (t *BTree) wellFormed(key []byte) bool {
+	for _, k := range t.kinds {
+		if k == rel.TypeInt {
+			if len(key) < 8 {
+				return false
+			}
+			key = key[8:]
+			continue
+		}
+		n, sz := binary.Uvarint(key)
+		// A multi-byte uvarint ending in a zero group is a longer
+		// spelling of a smaller number; AppendKey never writes one.
+		if sz <= 0 || (sz > 1 && key[sz-1] == 0) || n > uint64(len(key)-sz) {
+			return false
+		}
+		key = key[sz+int(n):]
+	}
+	return len(key) == 0
+}
+
+// decode returns the tuple a well-formed key encodes.
+func (t *BTree) decode(key []byte) rel.Tuple {
+	tu := make(rel.Tuple, len(t.kinds))
+	for i, k := range t.kinds {
+		if k == rel.TypeInt {
+			tu[i] = rel.NewInt(int64(binary.BigEndian.Uint64(key)))
+			key = key[8:]
+			continue
+		}
+		n, sz := stringLen(key)
+		tu[i] = rel.NewString(string(key[sz : sz+n]))
+		key = key[sz+n:]
+	}
+	return tu
+}
+
+// probe appends the encoding of key, values for the tree's leading
+// columns, to buf. ok is false, and the probe nil, when key has more
+// values than the tree has columns or a value's type is not its
+// column's: such a probe matches nothing, and descends (counted, as
+// every probe is) to the leftmost leaf.
+func (t *BTree) probe(buf []byte, key rel.Tuple) (enc []byte, ok bool) {
+	if len(key) > len(t.kinds) {
+		return nil, false
+	}
+	for i, v := range key {
+		if v.Kind != t.kinds[i] {
+			return nil, false
+		}
+	}
+	return key.AppendKey(buf, nil), true
+}
+
 // search finds the leaf that key belongs to.
-func (t *BTree) search(key rel.Tuple) *leaf {
-	t.searches.Add(1)
+func (t *BTree) search(key []byte) *leaf {
+	t.stats.searches.Add(1)
 	n := t.root
-	depth := int64(0)
-	for {
-		depth++
+	for depth := int64(1); ; depth++ {
 		switch v := n.(type) {
 		case *leaf:
-			t.depthSum.Add(depth)
+			t.stats.depthSum.Add(depth)
 			return v
 		case *inner:
-			i := 0
-			for i < len(v.keys) && rel.CompareTuples(key, v.keys[i]) >= 0 {
-				i++
-			}
-			n = v.children[i]
+			n = v.children[t.childFor(v, key)]
 		}
 	}
 }
 
-// leafPos returns the position of key within lf, and whether it is
-// present.
-func leafPos(lf *leaf, key rel.Tuple) (int, bool) {
-	lo, hi := 0, len(lf.keys)
+// childFor returns which child of in holds key: the number of
+// separators at or below it.
+func (t *BTree) childFor(in *inner, key []byte) int {
+	lo, hi := 0, len(in.keys)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if rel.CompareTuples(lf.keys[mid], key) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if compareKeys(t.kinds, key, sep(in.keys[mid])) >= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(lf.keys) && rel.CompareTuples(lf.keys[lo], key) == 0
+	return lo
 }
 
-// Insert adds a (key, rid) pair. Duplicate keys accumulate postings; a
-// duplicate (key, rid) pair is rejected. The tree keeps its own copy of
-// a key it does not hold yet (rel.Tuple.Clone: values and string bytes),
-// so the caller's tuple — usually a view into a decoded block — is not
-// retained. Stored keys are never modified, which lets a separator
-// share the tuple of the leaf key it was taken from.
-func (t *BTree) Insert(key rel.Tuple, rid storage.RID) error {
+// leafPos returns the position of key within lf, and whether it is
+// present.
+func (t *BTree) leafPos(lf *leaf, key []byte) (int, bool) {
+	lo, hi := 0, len(lf.ends)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if compareKeys(t.kinds, lf.key(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	// Keys are canonical: equal keys are equal bytes.
+	return lo, lo < len(lf.ends) && bytes.Equal(lf.key(lo), key)
+}
+
+// Insert adds a (key, rid) pair, key being the AppendKey encoding of a
+// row's indexed columns. Duplicate keys accumulate postings; a
+// duplicate (key, rid) pair is rejected. The tree copies the key's bytes
+// into a leaf, so the caller's buffer is not retained.
+func (t *BTree) Insert(key []byte, rid storage.RID) error {
+	if !t.wellFormed(key) {
+		return fmt.Errorf("index: insert of a key that does not encode %v", t.kinds)
+	}
 	split, sepKey, err := t.insert(t.root, key, rid)
 	if err != nil {
 		return err
 	}
 	if split != nil {
-		t.root = &inner{keys: []rel.Tuple{sepKey}, children: []node{t.root, split}}
+		root := &inner{keys: []string{sepKey}, children: []node{t.root, split}}
+		t.root = root
 		t.height++
+		t.bytes += root.nodeBytes()
 	}
 	return nil
 }
 
 // insert descends into n; if n splits, returns the new right sibling and
 // the separator key.
-func (t *BTree) insert(n node, key rel.Tuple, rid storage.RID) (node, rel.Tuple, error) {
+func (t *BTree) insert(n node, key []byte, rid storage.RID) (node, string, error) {
 	switch v := n.(type) {
 	case *leaf:
-		i, found := leafPos(v, key)
-		if found {
-			for _, r := range v.rids[i] {
-				if r == rid {
-					return nil, nil, fmt.Errorf("index: duplicate entry %v -> %s", key, rid)
-				}
-			}
-			v.rids[i] = append(v.rids[i], rid)
-			t.size++
-			return nil, nil, nil
-		}
-		v.keys = append(v.keys, nil)
-		copy(v.keys[i+1:], v.keys[i:])
-		v.keys[i] = key.Clone()
-		v.rids = append(v.rids, nil)
-		copy(v.rids[i+1:], v.rids[i:])
-		v.rids[i] = []storage.RID{rid}
-		t.size++
-		t.keys++
-		if len(v.keys) <= degree {
-			return nil, nil, nil
-		}
-		// Split leaf.
-		t.splits.Add(1)
-		mid := len(v.keys) / 2
-		right := &leaf{
-			keys: append([]rel.Tuple(nil), v.keys[mid:]...),
-			rids: append([][]storage.RID(nil), v.rids[mid:]...),
-			next: v.next,
-			prev: v,
-		}
-		if v.next != nil {
-			v.next.prev = right
-		}
-		v.keys = v.keys[:mid]
-		v.rids = v.rids[:mid]
-		v.next = right
-		return right, right.keys[0], nil
-
+		return t.insertLeaf(v, key, rid)
 	case *inner:
-		i := 0
-		for i < len(v.keys) && rel.CompareTuples(key, v.keys[i]) >= 0 {
-			i++
-		}
+		i := t.childFor(v, key)
 		split, sepKey, err := t.insert(v.children[i], key, rid)
 		if err != nil || split == nil {
-			return nil, nil, err
+			return nil, "", err
 		}
-		v.keys = append(v.keys, nil)
-		copy(v.keys[i+1:], v.keys[i:])
-		v.keys[i] = sepKey
-		v.children = append(v.children, nil)
-		copy(v.children[i+2:], v.children[i+1:])
-		v.children[i+1] = split
+		before := v.nodeBytes()
+		v.keys = slices.Insert(v.keys, i, sepKey)
+		v.children = slices.Insert(v.children, i+1, split)
 		if len(v.keys) <= degree {
-			return nil, nil, nil
+			t.bytes += v.nodeBytes() - before
+			return nil, "", nil
 		}
 		// Split inner: middle key moves up.
-		t.splits.Add(1)
+		t.stats.splits.Add(1)
 		mid := len(v.keys) / 2
 		upKey := v.keys[mid]
 		right := &inner{
-			keys:     append([]rel.Tuple(nil), v.keys[mid+1:]...),
-			children: append([]node(nil), v.children[mid+1:]...),
+			keys:     slices.Clone(v.keys[mid+1:]),
+			children: slices.Clone(v.children[mid+1:]),
 		}
 		v.keys = v.keys[:mid]
 		v.children = v.children[:mid+1]
+		t.bytes += v.nodeBytes() - before + right.nodeBytes()
 		return right, upKey, nil
 	}
-	return nil, nil, fmt.Errorf("index: unknown node type %T", n)
+	return nil, "", fmt.Errorf("index: unknown node type %T", n)
 }
 
-// Delete removes a (key, rid) pair. It returns an error if the pair is
-// absent. Underfull nodes are tolerated (no rebalancing): the testbed's
-// delete traffic is table truncation and temp-table teardown, which drop
-// whole indexes; point deletes only need correctness, and lookups remain
-// O(log n) since keys stay ordered.
-func (t *BTree) Delete(key rel.Tuple, rid storage.RID) error {
-	lf := t.search(key)
-	i, found := leafPos(lf, key)
-	if !found {
-		return fmt.Errorf("index: delete of absent key %v", key)
-	}
-	for j, r := range lf.rids[i] {
-		if r == rid {
-			lf.rids[i] = append(lf.rids[i][:j], lf.rids[i][j+1:]...)
-			t.size--
-			if len(lf.rids[i]) == 0 {
-				lf.keys = append(lf.keys[:i], lf.keys[i+1:]...)
-				lf.rids = append(lf.rids[:i], lf.rids[i+1:]...)
-				t.keys--
-			}
-			return nil
+// insertLeaf adds (key, rid) to lf; if lf splits, returns the new right
+// sibling and the separator key.
+func (t *BTree) insertLeaf(lf *leaf, key []byte, rid storage.RID) (node, string, error) {
+	before := lf.nodeBytes()
+	i, found := t.leafPos(lf, key)
+	if found {
+		if slices.Contains(lf.postings(i), rid) {
+			return nil, "", fmt.Errorf("index: duplicate entry %v -> %s", t.decode(key), rid)
 		}
+		lf.rids = slices.Insert(lf.rids, int(lf.ends[i].rid), rid)
+		for j := i; j < len(lf.ends); j++ {
+			lf.ends[j].rid++
+		}
+		t.size++
+		t.bytes += lf.nodeBytes() - before
+		return nil, "", nil
 	}
-	return fmt.Errorf("index: delete of absent rid %s under key %v", rid, key)
+	s := lf.start(i)
+	lf.keys = slices.Insert(lf.keys, int(s.key), key...)
+	lf.rids = slices.Insert(lf.rids, int(s.rid), rid)
+	lf.ends = slices.Insert(lf.ends, i, s)
+	for j := i; j < len(lf.ends); j++ {
+		lf.ends[j].key += uint32(len(key))
+		lf.ends[j].rid++
+	}
+	t.size++
+	t.keys++
+	if len(lf.ends) <= degree {
+		t.bytes += lf.nodeBytes() - before
+		return nil, "", nil
+	}
+	t.stats.splits.Add(1)
+	right := lf.split(len(lf.ends) / 2)
+	t.bytes += lf.nodeBytes() - before + right.nodeBytes()
+	return right, string(right.key(0)), nil
+}
+
+// split moves entries mid onwards to a new right sibling, chained after
+// lf, and returns it.
+func (lf *leaf) split(mid int) *leaf {
+	at := lf.ends[mid-1]
+	right := &leaf{
+		keys: slices.Clone(lf.keys[at.key:]),
+		rids: slices.Clone(lf.rids[at.rid:]),
+		ends: slices.Clone(lf.ends[mid:]),
+		next: lf.next,
+		prev: lf,
+	}
+	for j := range right.ends {
+		right.ends[j].key -= at.key
+		right.ends[j].rid -= at.rid
+	}
+	if lf.next != nil {
+		lf.next.prev = right
+	}
+	lf.next = right
+	lf.keys, lf.rids, lf.ends = lf.keys[:at.key], lf.rids[:at.rid], lf.ends[:mid]
+	return right
+}
+
+// Trim reallocates every leaf's slabs to their length, returning the
+// spare capacity the appends of a bulk fill leave behind (up to half of
+// each slab): the catalog calls it once an index is built from its heap.
+// Later inserts grow the slabs again as they need.
+func (t *BTree) Trim() {
+	for lf := t.leftmost(); lf != nil; lf = lf.next {
+		before := lf.nodeBytes()
+		lf.keys, lf.rids, lf.ends = slices.Clone(lf.keys), slices.Clone(lf.rids), slices.Clone(lf.ends)
+		t.bytes += lf.nodeBytes() - before
+	}
+}
+
+// Delete removes a (key, rid) pair, key encoded as for Insert. It
+// returns an error if the pair is absent. Underfull nodes are tolerated
+// (no rebalancing): the testbed's delete traffic is table truncation and
+// temp-table teardown, which drop whole indexes; point deletes only need
+// correctness, and lookups remain O(log n) since keys stay ordered.
+func (t *BTree) Delete(key []byte, rid storage.RID) error {
+	if !t.wellFormed(key) {
+		return fmt.Errorf("index: delete of a key that does not encode %v", t.kinds)
+	}
+	lf := t.search(key)
+	i, found := t.leafPos(lf, key)
+	if !found {
+		return fmt.Errorf("index: delete of absent key %v", t.decode(key))
+	}
+	s, e := lf.start(i), lf.ends[i]
+	p := slices.Index(lf.rids[s.rid:e.rid], rid)
+	if p < 0 {
+		return fmt.Errorf("index: delete of absent rid %s under key %v", rid, t.decode(key))
+	}
+	lf.rids = slices.Delete(lf.rids, int(s.rid)+p, int(s.rid)+p+1)
+	for j := i; j < len(lf.ends); j++ {
+		lf.ends[j].rid--
+	}
+	t.size--
+	if lf.ends[i].rid == s.rid {
+		n := e.key - s.key
+		lf.keys = slices.Delete(lf.keys, int(s.key), int(e.key))
+		lf.ends = slices.Delete(lf.ends, i, i+1)
+		for j := i; j < len(lf.ends); j++ {
+			lf.ends[j].key -= n
+		}
+		t.keys--
+	}
+	return nil
 }
 
 // Lookup returns the postings for an exact key match (nil if absent).
 // The slice is the tree's own: the caller reads it before the next
 // Insert or Delete and does not modify it.
 func (t *BTree) Lookup(key rel.Tuple) []storage.RID {
-	lf := t.search(key)
-	i, found := leafPos(lf, key)
+	var buf [64]byte
+	enc, ok := t.probe(buf[:0], key)
+	lf := t.search(enc)
+	if !ok {
+		return nil
+	}
+	i, found := t.leafPos(lf, enc)
 	if !found {
 		return nil
 	}
-	return lf.rids[i]
+	return lf.postings(i)
 }
 
 // LookupPrefix returns the postings for every key whose leading columns
-// equal prefix. Used for indexes queried on a prefix of their columns.
+// equal prefix, in a slice of its own. Used for indexes queried on a
+// prefix of their columns.
 func (t *BTree) LookupPrefix(prefix rel.Tuple) []storage.RID {
 	var out []storage.RID
-	t.AscendPrefix(prefix, func(_ rel.Tuple, rids []storage.RID) bool {
-		out = append(out, rids...)
+	t.eachPrefix(prefix, func(lf *leaf, i int) bool {
+		out = append(out, lf.postings(i)...)
 		return true
 	})
 	return out
@@ -285,60 +532,77 @@ func (t *BTree) LookupPrefix(prefix rel.Tuple) []storage.RID {
 // without collecting them.
 func (t *BTree) CountPrefix(prefix rel.Tuple) int {
 	n := 0
-	t.AscendPrefix(prefix, func(_ rel.Tuple, rids []storage.RID) bool {
-		n += len(rids)
+	t.eachPrefix(prefix, func(lf *leaf, i int) bool {
+		n += len(lf.postings(i))
 		return true
 	})
 	return n
 }
 
-// AscendPrefix visits keys with the given prefix in order. fn returning
-// false stops the iteration. An empty prefix visits all keys.
+// AscendPrefix visits keys with the given prefix in order, each decoded
+// into a tuple of its own. fn returning false stops the iteration. An
+// empty prefix visits all keys.
 func (t *BTree) AscendPrefix(prefix rel.Tuple, fn func(key rel.Tuple, rids []storage.RID) bool) {
-	lf := t.search(prefix)
-	i, _ := leafPos(lf, prefix)
-	for lf != nil {
-		for ; i < len(lf.keys); i++ {
-			k := lf.keys[i]
-			if len(prefix) > 0 {
-				if len(k) < len(prefix) {
-					return
-				}
-				if rel.CompareTuples(k[:len(prefix)], prefix) != 0 {
-					return
-				}
-			}
-			if !fn(k, lf.rids[i]) {
+	t.eachPrefix(prefix, func(lf *leaf, i int) bool {
+		return fn(t.decode(lf.key(i)), lf.postings(i))
+	})
+}
+
+// eachPrefix calls fn with the leaf and position of every entry whose
+// key starts with prefix, in key order, until fn returns false. Encoded
+// keys are self-delimiting and canonical, so a key's leading columns
+// equal prefix exactly when its bytes start with prefix's.
+func (t *BTree) eachPrefix(prefix rel.Tuple, fn func(lf *leaf, i int) bool) {
+	var buf [64]byte
+	enc, ok := t.probe(buf[:0], prefix)
+	lf := t.search(enc)
+	if !ok {
+		return
+	}
+	i, _ := t.leafPos(lf, enc)
+	for ; lf != nil; lf, i = lf.next, 0 {
+		for ; i < len(lf.ends); i++ {
+			if !bytes.HasPrefix(lf.key(i), enc) || !fn(lf, i) {
 				return
 			}
 		}
-		lf = lf.next
-		i = 0
 	}
 }
 
-// AscendRange visits keys k with lo <= k < hi in order. A nil lo starts
-// at the smallest key; a nil hi runs to the end.
+// AscendRange visits keys k with lo <= k < hi in order, each decoded
+// into a tuple of its own. A nil lo starts at the smallest key; a nil hi
+// runs to the end.
 func (t *BTree) AscendRange(lo, hi rel.Tuple, fn func(key rel.Tuple, rids []storage.RID) bool) {
+	var lbuf, hbuf [64]byte
 	var lf *leaf
 	var i int
 	if lo == nil {
 		lf = t.leftmost()
 	} else {
-		lf = t.search(lo)
-		i, _ = leafPos(lf, lo)
+		enc, ok := t.probe(lbuf[:0], lo)
+		lf = t.search(enc)
+		if !ok {
+			return
+		}
+		i, _ = t.leafPos(lf, enc)
 	}
-	for lf != nil {
-		for ; i < len(lf.keys); i++ {
-			if hi != nil && rel.CompareTuples(lf.keys[i], hi) >= 0 {
+	var stop []byte
+	if hi != nil {
+		var ok bool
+		if stop, ok = t.probe(hbuf[:0], hi); !ok {
+			return
+		}
+	}
+	for ; lf != nil; lf, i = lf.next, 0 {
+		for ; i < len(lf.ends); i++ {
+			k := lf.key(i)
+			if hi != nil && compareKeys(t.kinds, k, stop) >= 0 {
 				return
 			}
-			if !fn(lf.keys[i], lf.rids[i]) {
+			if !fn(t.decode(k), lf.postings(i)) {
 				return
 			}
 		}
-		lf = lf.next
-		i = 0
 	}
 }
 
@@ -354,16 +618,19 @@ func (t *BTree) leftmost() *leaf {
 	}
 }
 
-// Validate checks structural invariants (ordering, separator bounds,
-// leaf chaining) and returns the first violation found. Test support.
+// Validate checks structural invariants (well-formed keys, ordering,
+// separator bounds, leaf offsets and chaining, the counts and the byte
+// account) and returns the first violation found. Test support.
 func (t *BTree) Validate() error {
 	var prevLeaf *leaf
-	var prevKey rel.Tuple
+	var prevKey []byte
 	count, distinct := 0, 0
-	var walk func(n node, lo, hi rel.Tuple) error
-	walk = func(n node, lo, hi rel.Tuple) error {
+	var held int64
+	var walk func(n node, lo, hi []byte) error
+	walk = func(n node, lo, hi []byte) error {
 		switch v := n.(type) {
 		case *leaf:
+			held += v.nodeBytes()
 			if v.prev != prevLeaf {
 				return fmt.Errorf("index: broken leaf back-link")
 			}
@@ -371,39 +638,47 @@ func (t *BTree) Validate() error {
 				return fmt.Errorf("index: broken leaf chain")
 			}
 			prevLeaf = v
-			for i, k := range v.keys {
-				if prevKey != nil && rel.CompareTuples(prevKey, k) >= 0 {
-					return fmt.Errorf("index: keys out of order at %v", k)
+			if len(v.ends) > degree {
+				return fmt.Errorf("index: leaf of %d keys", len(v.ends))
+			}
+			for i, e := range v.ends {
+				s := v.start(i)
+				if e.key < s.key || int(e.key) > len(v.keys) || e.rid <= s.rid || int(e.rid) > len(v.rids) {
+					return fmt.Errorf("index: leaf entry %d ends at %+v after %+v, slabs of %d and %d", i, e, s, len(v.keys), len(v.rids))
 				}
-				if lo != nil && rel.CompareTuples(k, lo) < 0 {
-					return fmt.Errorf("index: key %v below subtree bound %v", k, lo)
+				k := v.key(i)
+				if !t.wellFormed(k) {
+					return fmt.Errorf("index: malformed key %x", k)
 				}
-				if hi != nil && rel.CompareTuples(k, hi) >= 0 {
-					return fmt.Errorf("index: key %v above subtree bound %v", k, hi)
+				if prevKey != nil && compareKeys(t.kinds, prevKey, k) >= 0 {
+					return fmt.Errorf("index: keys out of order at %v", t.decode(k))
 				}
-				if len(v.rids[i]) == 0 {
-					return fmt.Errorf("index: empty postings for key %v", k)
+				if lo != nil && compareKeys(t.kinds, k, lo) < 0 {
+					return fmt.Errorf("index: key %v below subtree bound %v", t.decode(k), t.decode(lo))
+				}
+				if hi != nil && compareKeys(t.kinds, k, hi) >= 0 {
+					return fmt.Errorf("index: key %v above subtree bound %v", t.decode(k), t.decode(hi))
 				}
 				prevKey = k
 				distinct++
-				count += len(v.rids[i])
+				count += int(e.rid - s.rid)
+			}
+			if last := v.start(len(v.ends)); int(last.key) != len(v.keys) || int(last.rid) != len(v.rids) {
+				return fmt.Errorf("index: leaf slabs of %d and %d past the last entry's end %+v", len(v.keys), len(v.rids), last)
 			}
 			return nil
 		case *inner:
+			held += v.nodeBytes()
 			if len(v.children) != len(v.keys)+1 {
 				return fmt.Errorf("index: inner node with %d keys, %d children", len(v.keys), len(v.children))
 			}
 			for i, c := range v.children {
-				var cl, ch rel.Tuple
+				cl, ch := lo, hi
 				if i > 0 {
-					cl = v.keys[i-1]
-				} else {
-					cl = lo
+					cl = sep(v.keys[i-1])
 				}
 				if i < len(v.keys) {
-					ch = v.keys[i]
-				} else {
-					ch = hi
+					ch = sep(v.keys[i])
 				}
 				if err := walk(c, cl, ch); err != nil {
 					return err
@@ -418,6 +693,9 @@ func (t *BTree) Validate() error {
 	}
 	if count != t.size || distinct != t.keys {
 		return fmt.Errorf("index: size mismatch: counted %d/%d, recorded %d/%d", count, distinct, t.size, t.keys)
+	}
+	if held != t.bytes {
+		return fmt.Errorf("index: nodes hold %d bytes, account says %d", held, t.bytes)
 	}
 	if prevLeaf != nil && prevLeaf.next != nil {
 		return fmt.Errorf("index: leaf chain extends past rightmost leaf")

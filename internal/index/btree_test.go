@@ -18,14 +18,26 @@ func intKey(vs ...int64) rel.Tuple {
 	return t
 }
 
+// ints returns the column types of an n-column int key.
+func ints(n int) []rel.Type {
+	kinds := make([]rel.Type, n)
+	for i := range kinds {
+		kinds[i] = rel.TypeInt
+	}
+	return kinds
+}
+
+// enc encodes a key tuple as the catalog does.
+func enc(k rel.Tuple) []byte { return k.AppendKey(nil, nil) }
+
 func ridFor(i int) storage.RID {
 	return storage.RID{Page: storage.PageID(i / 100), Slot: i % 100}
 }
 
 func TestBTreeInsertLookup(t *testing.T) {
-	tr := New()
+	tr := New(ints(1))
 	for i := 0; i < 1000; i++ {
-		if err := tr.Insert(intKey(int64(i)), ridFor(i)); err != nil {
+		if err := tr.Insert(enc(intKey(int64(i))), ridFor(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,10 +62,10 @@ func TestBTreeInsertLookup(t *testing.T) {
 }
 
 func TestBTreeDuplicatePostings(t *testing.T) {
-	tr := New()
+	tr := New(ints(1))
 	key := intKey(7)
 	for i := 0; i < 50; i++ {
-		if err := tr.Insert(key, ridFor(i)); err != nil {
+		if err := tr.Insert(enc(key), ridFor(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,20 +76,20 @@ func TestBTreeDuplicatePostings(t *testing.T) {
 		t.Fatalf("postings = %d", len(got))
 	}
 	// Exact duplicate (key, rid) rejected.
-	if err := tr.Insert(key, ridFor(3)); err == nil {
+	if err := tr.Insert(enc(key), ridFor(3)); err == nil {
 		t.Fatal("duplicate (key,rid) accepted")
 	}
 }
 
 func TestBTreeDelete(t *testing.T) {
-	tr := New()
+	tr := New(ints(1))
 	for i := 0; i < 500; i++ {
-		if err := tr.Insert(intKey(int64(i%100)), ridFor(i)); err != nil {
+		if err := tr.Insert(enc(intKey(int64(i%100))), ridFor(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 500; i += 2 {
-		if err := tr.Delete(intKey(int64(i%100)), ridFor(i)); err != nil {
+		if err := tr.Delete(enc(intKey(int64(i%100))), ridFor(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,20 +99,20 @@ func TestBTreeDelete(t *testing.T) {
 	if tr.Len() != 250 {
 		t.Fatalf("len after deletes = %d", tr.Len())
 	}
-	if err := tr.Delete(intKey(0), ridFor(0)); err == nil {
+	if err := tr.Delete(enc(intKey(0)), ridFor(0)); err == nil {
 		t.Fatal("double delete accepted")
 	}
-	if err := tr.Delete(intKey(9999), ridFor(0)); err == nil {
+	if err := tr.Delete(enc(intKey(9999)), ridFor(0)); err == nil {
 		t.Fatal("delete of absent key accepted")
 	}
 }
 
 func TestBTreeCompositePrefix(t *testing.T) {
-	tr := New()
+	tr := New(ints(2))
 	n := 0
 	for a := int64(0); a < 10; a++ {
 		for b := int64(0); b < 20; b++ {
-			if err := tr.Insert(intKey(a, b), ridFor(n)); err != nil {
+			if err := tr.Insert(enc(intKey(a, b)), ridFor(n)); err != nil {
 				t.Fatal(err)
 			}
 			n++
@@ -130,9 +142,9 @@ func TestBTreeCompositePrefix(t *testing.T) {
 }
 
 func TestBTreeAscendRange(t *testing.T) {
-	tr := New()
+	tr := New(ints(1))
 	for i := 0; i < 100; i++ {
-		if err := tr.Insert(intKey(int64(i)), ridFor(i)); err != nil {
+		if err := tr.Insert(enc(intKey(int64(i))), ridFor(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,10 +171,10 @@ func TestBTreeAscendRange(t *testing.T) {
 }
 
 func TestBTreeStringKeys(t *testing.T) {
-	tr := New()
+	tr := New([]rel.Type{rel.TypeString})
 	words := []string{"delta", "alpha", "echo", "bravo", "charlie"}
 	for i, w := range words {
-		if err := tr.Insert(rel.Tuple{rel.NewString(w)}, ridFor(i)); err != nil {
+		if err := tr.Insert(enc(rel.Tuple{rel.NewString(w)}), ridFor(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +195,7 @@ func TestBTreeStringKeys(t *testing.T) {
 func TestBTreeRandomizedAgainstModel(t *testing.T) {
 	// Model-based test: tree must agree with a map[key][]rid model under
 	// random inserts and deletes, and stay structurally valid throughout.
-	tr := New()
+	tr := New(ints(2))
 	model := make(map[string][]storage.RID)
 	keyOf := make(map[string]rel.Tuple)
 	r := rand.New(rand.NewSource(7))
@@ -194,7 +206,7 @@ func TestBTreeRandomizedAgainstModel(t *testing.T) {
 		if r.Intn(3) > 0 || len(model[ks]) == 0 {
 			rid := ridFor(nextRID)
 			nextRID++
-			if err := tr.Insert(k, rid); err != nil {
+			if err := tr.Insert(enc(k), rid); err != nil {
 				t.Fatal(err)
 			}
 			model[ks] = append(model[ks], rid)
@@ -202,7 +214,7 @@ func TestBTreeRandomizedAgainstModel(t *testing.T) {
 		} else {
 			rids := model[ks]
 			rid := rids[r.Intn(len(rids))]
-			if err := tr.Delete(k, rid); err != nil {
+			if err := tr.Delete(enc(k), rid); err != nil {
 				t.Fatal(err)
 			}
 			for j, x := range rids {
@@ -246,9 +258,9 @@ func TestBTreeRandomizedAgainstModel(t *testing.T) {
 }
 
 func TestBTreeDescendingInsertOrder(t *testing.T) {
-	tr := New()
+	tr := New(ints(1))
 	for i := 999; i >= 0; i-- {
-		if err := tr.Insert(intKey(int64(i)), ridFor(i)); err != nil {
+		if err := tr.Insert(enc(intKey(int64(i))), ridFor(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,17 +281,17 @@ func TestBTreeDescendingInsertOrder(t *testing.T) {
 }
 
 func BenchmarkBTreeInsert(b *testing.B) {
-	tr := New()
+	tr := New(ints(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = tr.Insert(intKey(int64(i)), ridFor(i))
+		_ = tr.Insert(enc(intKey(int64(i))), ridFor(i))
 	}
 }
 
 func BenchmarkBTreeLookup(b *testing.B) {
-	tr := New()
+	tr := New(ints(1))
 	for i := 0; i < 100000; i++ {
-		_ = tr.Insert(intKey(int64(i)), ridFor(i))
+		_ = tr.Insert(enc(intKey(int64(i))), ridFor(i))
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -289,9 +301,9 @@ func BenchmarkBTreeLookup(b *testing.B) {
 }
 
 func ExampleBTree() {
-	tr := New()
-	_ = tr.Insert(rel.Tuple{rel.NewString("ann"), rel.NewInt(1)}, storage.RID{Page: 0, Slot: 0})
-	_ = tr.Insert(rel.Tuple{rel.NewString("bob"), rel.NewInt(2)}, storage.RID{Page: 0, Slot: 1})
+	tr := New([]rel.Type{rel.TypeString, rel.TypeInt})
+	_ = tr.Insert(enc(rel.Tuple{rel.NewString("ann"), rel.NewInt(1)}), storage.RID{Page: 0, Slot: 0})
+	_ = tr.Insert(enc(rel.Tuple{rel.NewString("bob"), rel.NewInt(2)}), storage.RID{Page: 0, Slot: 1})
 	tr.AscendPrefix(rel.Tuple{rel.NewString("ann")}, func(k rel.Tuple, rids []storage.RID) bool {
 		fmt.Println(k, len(rids))
 		return true
@@ -300,13 +312,13 @@ func ExampleBTree() {
 }
 
 func TestTreeStats(t *testing.T) {
-	tr := New()
+	tr := New(ints(1))
 	if st := tr.Stats(); st.Height != 1 || st.Entries != 0 || st.Splits != 0 {
 		t.Fatalf("empty tree stats = %+v", st)
 	}
 	// Enough keys to force splits (degree is 64).
 	for i := 0; i < 200; i++ {
-		if err := tr.Insert(rel.Tuple{rel.NewInt(int64(i))}, storage.RID{Page: storage.PageID(i)}); err != nil {
+		if err := tr.Insert(enc(rel.Tuple{rel.NewInt(int64(i))}), storage.RID{Page: storage.PageID(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,5 +338,32 @@ func TestTreeStats(t *testing.T) {
 	// Each lookup descends Height nodes.
 	if got := st.DepthTotal - base.DepthTotal; got != 2*base.Height {
 		t.Fatalf("depth delta = %d, want %d", got, 2*base.Height)
+	}
+}
+
+// TestLookupAllocs pins the probes at no allocation: Lookup returns the
+// leaf's own postings and encodes its probe on the stack, and
+// CountPrefix reads the slabs in place.
+func TestLookupAllocs(t *testing.T) {
+	tr := New([]rel.Type{rel.TypeString, rel.TypeInt})
+	for i := 0; i < 1000; i++ {
+		k := rel.Tuple{rel.NewString(fmt.Sprintf("genealogy_person_%d", i%300)), rel.NewInt(int64(i))}
+		if err := tr.Insert(enc(k), ridFor(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := rel.Tuple{rel.NewString("genealogy_person_17"), rel.NewInt(317)}
+	prefix := key[:1]
+	if got := tr.Lookup(key); len(got) != 1 || got[0] != ridFor(317) {
+		t.Fatalf("Lookup(%v) = %v", key, got)
+	}
+	if got := tr.CountPrefix(prefix); got != 4 {
+		t.Fatalf("CountPrefix(%v) = %d, want 4", prefix, got)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.Lookup(key) }); n != 0 {
+		t.Errorf("Lookup allocates %.1f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.CountPrefix(prefix) }); n != 0 {
+		t.Errorf("CountPrefix allocates %.1f objects, want 0", n)
 	}
 }

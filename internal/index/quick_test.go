@@ -14,7 +14,7 @@ import (
 // validates, and iteration yields keys in sorted order.
 func TestQuickInsertedKeysRetrievable(t *testing.T) {
 	f := func(keys []int64, seed int64) bool {
-		tr := New()
+		tr := New(ints(1))
 		r := rand.New(rand.NewSource(seed))
 		inserted := make(map[int64][]storage.RID)
 		for i, k := range keys {
@@ -28,7 +28,7 @@ func TestQuickInsertedKeysRetrievable(t *testing.T) {
 			if dup {
 				continue
 			}
-			if err := tr.Insert(intKey(k), rid); err != nil {
+			if err := tr.Insert(enc(intKey(k)), rid); err != nil {
 				return false
 			}
 			inserted[k] = append(inserted[k], rid)
@@ -66,7 +66,7 @@ func TestQuickInsertedKeysRetrievable(t *testing.T) {
 // leaves an empty, valid tree.
 func TestQuickDeleteRestoresAbsence(t *testing.T) {
 	f := func(keys []int16) bool {
-		tr := New()
+		tr := New(ints(1))
 		seen := map[int16]bool{}
 		var distinct []int16
 		for _, k := range keys {
@@ -76,12 +76,12 @@ func TestQuickDeleteRestoresAbsence(t *testing.T) {
 			}
 		}
 		for i, k := range distinct {
-			if err := tr.Insert(intKey(int64(k)), ridFor(i)); err != nil {
+			if err := tr.Insert(enc(intKey(int64(k))), ridFor(i)); err != nil {
 				return false
 			}
 		}
 		for i, k := range distinct {
-			if err := tr.Delete(intKey(int64(k)), ridFor(i)); err != nil {
+			if err := tr.Delete(enc(intKey(int64(k))), ridFor(i)); err != nil {
 				return false
 			}
 		}
@@ -99,14 +99,14 @@ func TestQuickRangeMatchesFilter(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		tr := New()
+		tr := New(ints(1))
 		seen := map[int16]bool{}
 		for i, k := range keys {
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
-			if err := tr.Insert(intKey(int64(k)), ridFor(i)); err != nil {
+			if err := tr.Insert(enc(intKey(int64(k))), ridFor(i)); err != nil {
 				return false
 			}
 		}

@@ -50,7 +50,7 @@ func (tab *tableInfo) analyze(eqLit []litEq, vals []rel.Value) {
 			tab.scanKey = append(tab.scanKey, eqLit[litFor(eqLit, o)].lit.value(vals))
 		}
 		tab.scanIndex = idx
-		tab.est = float64(idx.CountPrefix(tab.scanKey))
+		tab.est = float64(idx.Tree.CountPrefix(tab.scanKey))
 		tab.touch = tab.est
 	} else {
 		// Unindexed literal equality: assume strong filtering.

@@ -25,10 +25,12 @@ type HeapFile struct {
 	// insert, so bulk loads do not rescan the chain.
 	lastWithRoom PageID
 
-	// stats counts physical traffic on this file. The fields are atomics
+	// stats counts physical traffic on this file: own, or the counters
+	// of the file it replaces (ShareStats). The fields are atomics
 	// because scans run concurrently (the server admits parallel readers)
 	// while a metrics collector may snapshot at any moment.
-	stats heapCounters
+	stats *heapCounters
+	own   heapCounters
 }
 
 // heapCounters is the live (atomic) form of HeapStats.
@@ -83,6 +85,13 @@ func (s HeapStats) Sub(prev HeapStats) HeapStats {
 	}
 }
 
+// ShareStats makes h count its traffic in prev's counters from now on,
+// so a table whose heap is replaced by a copy (a copy-on-write commit)
+// keeps counting where it stood. The counters live in the first file of
+// the line, which stays reachable through them: a few words, not its
+// pages.
+func (h *HeapFile) ShareStats(prev *HeapFile) { h.stats = prev.stats }
+
 // Pager returns the pager backing this file (shared by all files of one
 // database; used to correlate heap traffic with buffer-pool traffic).
 func (h *HeapFile) Pager() *Pager { return h.pager }
@@ -94,12 +103,14 @@ func CreateHeap(p *Pager) (*HeapFile, error) {
 		return nil, err
 	}
 	defer p.Unpin(pg)
-	return &HeapFile{pager: p, head: pg.ID, lastWithRoom: pg.ID}, nil
+	return OpenHeap(p, pg.ID), nil
 }
 
 // OpenHeap reopens an existing heap file by its head page ID.
 func OpenHeap(p *Pager, head PageID) *HeapFile {
-	return &HeapFile{pager: p, head: head, lastWithRoom: head}
+	h := &HeapFile{pager: p, head: head, lastWithRoom: head}
+	h.stats = &h.own
+	return h
 }
 
 // Head returns the head page ID (the persistent identity of the file).
