@@ -399,7 +399,9 @@ func (c *ConcurrentTestbed) PagerStats() storage.PagerStats {
 
 // EngineMetrics snapshots the engine floor as registry metrics: a row
 // gauge and heap-traffic counters per table, shape, byte and search
-// gauges and counters per index, and the buffer-pool counters per shard.
+// gauges and counters per index, the buffer-pool counters per shard, and
+// the temp region's size and free pages (pool.temp_pages, which is the
+// temp tables' high-water mark, and pool.temp_free_pages).
 // A table's and an index's counters run on across the commits that copy
 // them and the DELETEs that truncate them. It reads the pinned
 // snapshot's frozen table versions, so the non-atomic structural fields
@@ -449,7 +451,11 @@ func (c *ConcurrentTestbed) EngineMetrics() []obs.Metric {
 			obs.Metric{Name: pre + "writes", Kind: "counter", Value: st.Writes},
 		)
 	}
-	return out
+	pages, free := c.tb.db.TempPages()
+	return append(out,
+		obs.Metric{Name: "pool.temp_pages", Kind: "gauge", Value: int64(pages)},
+		obs.Metric{Name: "pool.temp_free_pages", Kind: "gauge", Value: int64(free)},
+	)
 }
 
 // Generation returns the rule-base generation of the published

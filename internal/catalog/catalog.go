@@ -250,7 +250,11 @@ func (c *Catalog) CreateTable(name string, schema *rel.Schema, temp bool) (*Tabl
 		// Stable under ddlMu: only DDL adds or removes map entries.
 		return nil, fmt.Errorf("catalog: table %s already exists", name)
 	}
-	h, err := storage.CreateHeap(c.pager)
+	create := storage.CreateHeap
+	if temp {
+		create = storage.CreateTempHeap
+	}
+	h, err := create(c.pager)
 	if err != nil {
 		return nil, err
 	}
@@ -442,6 +446,76 @@ func (c *Catalog) ShadowTable(name string) (*Table, error) {
 	}
 	c.mu.Unlock()
 	return t, nil
+}
+
+// Census counts a database's pages outside the temp region by owner.
+// Taken when no commit is in flight and no superseded table version
+// awaits reclamation (a database just opened, say), the owners and
+// Unreached partition the pages.
+type Census struct {
+	Pages     int // the pages outside the temp region: the file's, on disk
+	Super     int // the superblock
+	Catalog   int // the catalog heap's chain
+	Tables    int // the chains of the stored tables
+	Free      int // the free list
+	Unreached int // the pages none of them reaches
+}
+
+// Owned returns the pages the catalog and the stored tables hold.
+func (cs Census) Owned() int { return cs.Super + cs.Catalog + cs.Tables }
+
+// Census walks the superblock, the catalog chain, every stored table's
+// chain and the free list, and counts the pages each reaches and the
+// pages none reaches. A page reached twice, or a chain that leaves the
+// file, is an error: two owners would overwrite each other.
+func (c *Catalog) Census() (Census, error) {
+	//dkblint:locksafe DDL serializes on ddlMu off the query path; heap/index I/O must be atomic with the catalog mutation
+	c.ddlMu.Lock()
+	defer c.ddlMu.Unlock()
+	c.mu.RLock()
+	var tables []*Table
+	for _, t := range c.tables {
+		if !t.Temp {
+			tables = append(tables, t)
+		}
+	}
+	c.mu.RUnlock()
+
+	cs := Census{Pages: int(c.pager.PageCount())}
+	owner := make([]string, cs.Pages)
+	reach := func(what string, n *int) func(storage.PageID) error {
+		return func(id storage.PageID) error {
+			if int(id) >= cs.Pages {
+				return fmt.Errorf("catalog: %s reaches page %d, outside the %d pages of the file", what, id, cs.Pages)
+			}
+			if owner[id] != "" {
+				return fmt.Errorf("catalog: page %d is reached by %s and by %s", id, owner[id], what)
+			}
+			owner[id] = what
+			*n++
+			return nil
+		}
+	}
+	if err := reach("the superblock", &cs.Super)(0); err != nil {
+		return cs, err
+	}
+	if err := c.pager.WalkChain(c.heap.Head(), reach("the catalog", &cs.Catalog)); err != nil {
+		return cs, err
+	}
+	for _, t := range tables {
+		if err := c.pager.WalkChain(t.Heap.Head(), reach("table "+t.Name, &cs.Tables)); err != nil {
+			return cs, err
+		}
+	}
+	if err := c.pager.WalkFree(reach("the free list", &cs.Free)); err != nil {
+		return cs, err
+	}
+	for _, o := range owner {
+		if o == "" {
+			cs.Unreached++
+		}
+	}
+	return cs, nil
 }
 
 // Flush persists all dirty pages.

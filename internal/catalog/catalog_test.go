@@ -315,3 +315,99 @@ func liveHeap() int64 {
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
 }
+
+// TestCensus: a temp table's pages are not the file's, a stored table's
+// are, a dropped one's go to the free list, and a page that leaves
+// every chain is unreached. A page on two chains is an error.
+func TestCensus(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "census.db")
+	p, err := storage.OpenPager(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	census := func(want Census) {
+		t.Helper()
+		got, err := c.Census()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("census %+v, want %+v", got, want)
+		}
+	}
+	census(Census{Pages: 2, Super: 1, Catalog: 1})
+	fill := func(tb *Table) {
+		t.Helper()
+		for i := 0; i < 600; i++ { // three pages of rows and more
+			if _, err := tb.Insert(rel.Tuple{rel.NewString(fmt.Sprintf("parent%d", i)), rel.NewString(fmt.Sprintf("child%d", i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tmp, err := c.CreateTable("tmp", edgeSchema(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(tmp)
+	census(Census{Pages: 2, Super: 1, Catalog: 1})
+	if n := p.TempPages(); n < 3 {
+		t.Fatalf("a temp table of three pages of rows holds %d temp pages", n)
+	}
+	stored, err := c.CreateTable("stored", edgeSchema(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(stored)
+	grown, err := c.Census()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.Tables < 3 || grown.Pages != grown.Owned() || grown.Unreached != 0 {
+		t.Fatalf("a stored table of three pages of rows: %+v", grown)
+	}
+	if err := c.DropTable("tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := p.TempFreePages(), p.TempPages(); got != want {
+		t.Fatalf("no temp table lives, yet %d of %d temp pages are free", got, want)
+	}
+	if err := c.DropTable("stored"); err != nil {
+		t.Fatal(err)
+	}
+	census(Census{Pages: grown.Pages, Super: 1, Catalog: 1, Free: grown.Tables})
+
+	// A table whose head page is also on the free list: two owners.
+	twice, err := c.CreateTable("twice", edgeSchema(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.FreeChain(twice.Heap.Head()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Census(); err == nil {
+		t.Fatal("a page on a table's chain and on the free list passed the census")
+	}
+	// A chain nothing reaches any more: the pages are unreached.
+	c.mu.Lock()
+	delete(c.tables, "twice")
+	c.mu.Unlock()
+	pg, err := p.AllocateReusable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(pg)
+	cs, err := c.Census()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Unreached != 1 {
+		t.Fatalf("a page taken off the free list and owned by nothing: %+v", cs)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -546,5 +546,12 @@ func (d *DB) Flush() error { return d.pager.Flush() }
 // PagerStats returns a snapshot of the buffer-pool counters.
 func (d *DB) PagerStats() storage.PagerStats { return d.pager.Stats() }
 
+// TempPages returns the size of the pager's temp region, which is the
+// most temp-table pages ever live at once, and how many of them are
+// free.
+func (d *DB) TempPages() (pages, free int) {
+	return d.pager.TempPages(), d.pager.TempFreePages()
+}
+
 // PagerShardStats returns the buffer-pool counters per stripe.
 func (d *DB) PagerShardStats() []storage.PagerStats { return d.pager.ShardStats() }

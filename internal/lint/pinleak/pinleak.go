@@ -2,9 +2,9 @@
 // It generalizes the old pinpair pass (buffer-pool page pins) to every
 // counted resource the engine hands out and owns by protocol:
 //
-//	page      storage.Pager.Fetch/Allocate/AllocateReusable → Pager.Unpin(pg)
-//	snapshot  snapshot.Store.Acquire                        → Snapshot.Release()
-//	group     sched.Pool.Group                              → Group.Wait()
+//	page      storage.Pager.Fetch/Allocate/AllocateReusable/AllocateTemp → Pager.Unpin(pg)
+//	snapshot  snapshot.Store.Acquire                                     → Snapshot.Release()
+//	group     sched.Pool.Group                                           → Group.Wait()
 //
 // Each acquisition must reach its release on every control-flow path
 // out of the acquiring function — early error returns included — unless
@@ -86,7 +86,7 @@ var kinds = []*kind{
 	{
 		id: "page", noun: "page pinned by",
 		srcPkg: "storage", srcTyp: "Pager",
-		srcMethods: map[string]bool{"Fetch": true, "Allocate": true, "AllocateReusable": true},
+		srcMethods: map[string]bool{"Fetch": true, "Allocate": true, "AllocateReusable": true, "AllocateTemp": true},
 		byArg:      true, relPkg: "storage", relTyp: "Pager", relMethod: "Unpin",
 		resPkg: "storage", resTyp: "Page",
 	},

@@ -73,6 +73,8 @@ func TestPromNameMapping(t *testing.T) {
 		{"table.f_parent.heap_recs_scanned", "dkb_table_heap_recs_scanned", `{table="f_parent"}`},
 		{"index.ix_a_c0.depth_total", "dkb_index_depth_total", `{index="ix_a_c0"}`},
 		{"pool.shard.00.misses", "dkb_pool_shard_misses", `{shard="00"}`},
+		{"pool.temp_pages", "dkb_pool_temp_pages", ""},
+		{"pool.temp_free_pages", "dkb_pool_temp_free_pages", ""},
 		{"runtime.gc_pause_p99_ns", "dkb_runtime_gc_pause_p99_ns", ""},
 	}
 	for _, c := range cases {

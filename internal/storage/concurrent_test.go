@@ -274,3 +274,83 @@ func TestPagerLatchFreeMissRead(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTempHeapsConcurrent runs temp heaps on many goroutines at once
+// beside a file heap, through a tiny pool: each goroutine creates a temp
+// heap, fills it past a page, reads every record back and drops it, so
+// the temp region grows, its free list is popped and pushed, and its
+// pages are evicted and re-installed under one another's traffic. Every
+// heap reads back exactly its own records, the file never grows for a
+// temp page, and at the end every temp page is free.
+func TestTempHeapsConcurrent(t *testing.T) {
+	p, err := OpenPager(t.TempDir()+"/temp.db", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.EnsureSuperblock(); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := CreateHeap(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filePages := p.PageCount()
+
+	const workers, rounds, recs = 6, 20, 60
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				h, err := CreateTempHeap(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < recs; i++ {
+					rec := bytes.Repeat([]byte{byte(w)}, 100+i)
+					if _, err := h.Insert(rec); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				n := 0
+				err = h.Scan(func(rid RID, rec []byte) error {
+					if rid.Page < TempBase {
+						return fmt.Errorf("temp heap record at file page %d", rid.Page)
+					}
+					if len(rec) != 100+n || rec[0] != byte(w) {
+						return fmt.Errorf("worker %d round %d: record %d is %d bytes of %d", w, r, n, len(rec), rec[0])
+					}
+					n++
+					return nil
+				})
+				if err == nil && n != recs {
+					err = fmt.Errorf("worker %d round %d: %d records, want %d", w, r, n, recs)
+				}
+				if err == nil {
+					err = h.Drop()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	// The file heap takes traffic meanwhile: two pages of records.
+	for i := 0; i < 100; i++ {
+		if _, err := stored.Insert(bytes.Repeat([]byte("s"), 60)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if got, want := p.TempFreePages(), p.TempPages(); got != want || want == 0 {
+		t.Errorf("every temp heap dropped, yet %d of %d temp pages are free", got, want)
+	}
+	if got := p.PageCount(); got != filePages+1 {
+		t.Errorf("the file went from %d to %d pages for a second page of file records", filePages, got)
+	}
+}

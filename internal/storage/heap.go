@@ -106,6 +106,17 @@ func CreateHeap(p *Pager) (*HeapFile, error) {
 	return OpenHeap(p, pg.ID), nil
 }
 
+// CreateTempHeap allocates a new empty heap file in the temp region. It
+// and every page it grows by live in memory and never reach the file.
+func CreateTempHeap(p *Pager) (*HeapFile, error) {
+	pg, err := p.AllocateTemp()
+	if err != nil {
+		return nil, err
+	}
+	defer p.Unpin(pg)
+	return OpenHeap(p, pg.ID), nil
+}
+
 // OpenHeap reopens an existing heap file by its head page ID.
 func OpenHeap(p *Pager, head PageID) *HeapFile {
 	h := &HeapFile{pager: p, head: head, lastWithRoom: head}
@@ -142,8 +153,8 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		}
 		next := pg.Next()
 		if next == InvalidPageID {
-			// Extend the chain.
-			np, err := h.pager.AllocateReusable()
+			// Extend the chain from its own region.
+			np, err := h.grow()
 			if err != nil {
 				h.pager.Unpin(pg)
 				return RID{}, err
@@ -161,6 +172,14 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		h.pager.Unpin(pg)
 		id = next
 	}
+}
+
+// grow allocates a page for the chain in the region its head is in.
+func (h *HeapFile) grow() (*Page, error) {
+	if h.head >= TempBase {
+		return h.pager.AllocateTemp()
+	}
+	return h.pager.AllocateReusable()
 }
 
 // Read calls fn with the record at rid while its page is pinned; rec

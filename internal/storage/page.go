@@ -17,7 +17,8 @@ import (
 // database practice and keeps the slot directory arithmetic simple.
 const PageSize = 4096
 
-// PageID identifies a page within a single file, starting at 0.
+// PageID identifies a page within a single file, starting at 0, or,
+// from TempBase up, a page of the pager's in-memory temp region.
 type PageID uint32
 
 // InvalidPageID marks "no page" in page-header links.

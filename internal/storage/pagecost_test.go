@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -96,12 +98,16 @@ func TestInMemoryPageCost(t *testing.T) {
 // FuzzPagerOps runs a byte string as a sequence of (operation, argument)
 // pairs against an in-memory pager and a file-backed one with the same
 // tiny pool: Allocate, AllocateReusable, Fetch, insert or delete a
-// record on a pinned page, Unpin, FreeChain, Flush. After every step
-// both report the same PagerStats and every pinned page holds the same
-// bytes on both sides — a page written, evicted and fetched again
-// included, which in memory is the page itself and on file a read.
-// At the end the file, closed and reopened, holds the bytes of every
-// in-memory page.
+// record on a pinned page, Unpin, FreeChain, Flush, and on the temp
+// region AllocateTemp (which may hang the page on the last temp chain),
+// an insert on a pinned temp page and FreeChain of a temp chain. After
+// every step both report the same PagerStats and temp-region sizes,
+// every pinned page holds the same bytes on both sides — a page
+// written, evicted and fetched again included, which in memory is the
+// page itself and on file a read — and the file is exactly as long as
+// its own pages: a temp page never extends it. At the end the file,
+// closed and reopened, holds the bytes of every in-memory page outside
+// the temp region, and no temp page.
 func FuzzPagerOps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 3, 40, 3, 200, 5, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 1, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -129,9 +135,14 @@ func FuzzPagerOps(f *testing.F) {
 		type pair struct{ m, f *Page }
 		var (
 			pinned []pair
-			owned  []PageID // allocated, not freed; never 0, the superblock
-			step   int
-			what   string
+			// owned are the heads of the chains allocated and not freed
+			// (never 0, the superblock); chain maps each to its pages.
+			owned     []PageID
+			chain     = map[PageID][]PageID{}
+			filePages = PageID(1) // the superblock
+			lastTemp  pair        // the temp page allocated last
+			step      int
+			what      string
 		)
 		check := func() {
 			t.Helper()
@@ -142,6 +153,18 @@ func FuzzPagerOps(f *testing.F) {
 				if pp.m.ID != pp.f.ID || *pp.m.Data != *pp.f.Data {
 					t.Fatalf("step %d (%s): page %d in memory and page %d on file hold different bytes", step, what, pp.m.ID, pp.f.ID)
 				}
+			}
+			if mem.TempPages() != file.TempPages() || mem.TempFreePages() != file.TempFreePages() {
+				t.Fatalf("step %d (%s): temp region of %d pages, %d free, in memory; %d, %d free, on file", step, what,
+					mem.TempPages(), mem.TempFreePages(), file.TempPages(), file.TempFreePages())
+			}
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mem.PageCount() != filePages || file.PageCount() != filePages || st.Size() != int64(filePages)*PageSize {
+				t.Fatalf("step %d (%s): %d pages allocated outside the temp region; %d in memory, %d on file, a file of %d bytes",
+					step, what, filePages, mem.PageCount(), file.PageCount(), st.Size())
 			}
 		}
 		// both runs one call on each pager; their errors must agree.
@@ -162,9 +185,44 @@ func FuzzPagerOps(f *testing.F) {
 			}
 			return false
 		}
+		// freeable reports whether no page of owned chain k is pinned.
+		freeable := func(k int) bool { return !slices.ContainsFunc(chain[owned[k]], isPinned) }
+		insert := func(pp pair, arg int) {
+			rec := bytes.Repeat([]byte{byte(step)}, arg*7%400)
+			what = fmt.Sprintf("insert %d bytes on page %d", len(rec), pp.m.ID)
+			ms, merr := pp.m.Insert(rec)
+			fs, ferr := pp.f.Insert(rec)
+			if ms != fs || (merr == nil) != (ferr == nil) {
+				t.Fatalf("step %d (%s): in memory slot %d, %v; on file slot %d, %v", step, what, ms, merr, fs, ferr)
+			}
+		}
+		var (
+			temps     []pair // the pinned temp pages, for op 9
+			tempFrees []int  // the freeable owned temp chains, for op 10
+		)
 		for i := 1; i+1 < len(data) && i < 600; i += 2 {
-			op, arg := data[i]%8, int(data[i+1])
+			// Ops 0–7 act on either region and keep the meaning they had
+			// before the temp region existed; 8–10 act on the temp region.
+			op, arg := data[i]%11, int(data[i+1])
 			step++
+			temps, tempFrees = temps[:0], tempFrees[:0]
+			for _, pp := range pinned {
+				if pp.m.ID >= TempBase {
+					temps = append(temps, pp)
+				}
+			}
+			for k, head := range owned {
+				if head >= TempBase && freeable(k) {
+					tempFrees = append(tempFrees, k)
+				}
+			}
+			free := -1 // the owned chain ops 6 and 10 free
+			switch {
+			case op == 6 && len(owned) > 0 && freeable(arg%len(owned)):
+				free = arg % len(owned)
+			case op == 10 && len(tempFrees) > 0:
+				free = tempFrees[arg%len(tempFrees)]
+			}
 			switch {
 			case op == 0 || op == 1:
 				what = "Allocate"
@@ -175,6 +233,8 @@ func FuzzPagerOps(f *testing.F) {
 				if pp, ok := both(alloc); ok {
 					pinned = append(pinned, pp)
 					owned = append(owned, pp.m.ID)
+					chain[pp.m.ID] = []PageID{pp.m.ID}
+					filePages = max(filePages, pp.m.ID+1)
 				}
 			case op == 2 && len(owned) > 0:
 				id := owned[arg%len(owned)]
@@ -183,14 +243,7 @@ func FuzzPagerOps(f *testing.F) {
 					pinned = append(pinned, pp)
 				}
 			case op == 3 && len(pinned) > 0:
-				pp := pinned[arg%len(pinned)]
-				rec := bytes.Repeat([]byte{byte(step)}, arg*7%400)
-				what = fmt.Sprintf("insert %d bytes on page %d", len(rec), pp.m.ID)
-				ms, merr := pp.m.Insert(rec)
-				fs, ferr := pp.f.Insert(rec)
-				if ms != fs || (merr == nil) != (ferr == nil) {
-					t.Fatalf("step %d (%s): in memory slot %d, %v; on file slot %d, %v", step, what, ms, merr, fs, ferr)
-				}
+				insert(pinned[arg%len(pinned)], arg)
 			case op == 4 && len(pinned) > 0:
 				pp := pinned[arg%len(pinned)]
 				slot := arg % (pp.m.SlotCount() + 1)
@@ -205,14 +258,43 @@ func FuzzPagerOps(f *testing.F) {
 				mem.Unpin(pinned[k].m)
 				file.Unpin(pinned[k].f)
 				pinned = append(pinned[:k], pinned[k+1:]...)
-			case op == 6 && len(owned) > 0 && !isPinned(owned[arg%len(owned)]):
-				// Every owned page is a chain of one: nothing here links
-				// pages, and Init leaves Next invalid.
-				k := arg % len(owned)
-				id := owned[k]
-				what = fmt.Sprintf("FreeChain %d", id)
+			case free >= 0:
+				// Only temp chains have more than one page: op 8 links
+				// them, and Init leaves Next invalid.
+				id := owned[free]
+				what = fmt.Sprintf("FreeChain %d (%d pages)", id, len(chain[id]))
 				both(func(p *Pager) (*Page, error) { return nil, p.FreeChain(id) })
-				owned = append(owned[:k], owned[k+1:]...)
+				owned = append(owned[:free], owned[free+1:]...)
+				delete(chain, id)
+			case op == 8:
+				what = "AllocateTemp"
+				pp, ok := both((*Pager).AllocateTemp)
+				if !ok {
+					break
+				}
+				pinned = append(pinned, pp)
+				// An odd argument hangs the page on the chain of the temp
+				// page allocated last, while that page is pinned and its
+				// chain is owned.
+				head := pp.m.ID
+				if arg%2 == 1 && lastTemp.m != nil && isPinned(lastTemp.m.ID) {
+					for _, h := range owned {
+						if c := chain[h]; c[len(c)-1] == lastTemp.m.ID {
+							head = h
+						}
+					}
+				}
+				if head == pp.m.ID {
+					owned = append(owned, head)
+				} else {
+					what += fmt.Sprintf(" on the chain of %d", head)
+					lastTemp.m.SetNext(pp.m.ID)
+					lastTemp.f.SetNext(pp.f.ID)
+				}
+				chain[head] = append(chain[head], pp.m.ID)
+				lastTemp = pp
+			case op == 9 && len(temps) > 0:
+				insert(temps[arg%len(temps)], arg)
 			case op == 7:
 				what = "Flush"
 				both(func(p *Pager) (*Page, error) { return nil, p.Flush() })
@@ -238,6 +320,10 @@ func FuzzPagerOps(f *testing.F) {
 		defer re.Close()
 		if got := re.PageCount(); got != pages {
 			t.Fatalf("the file reopens with %d pages, memory has %d", got, pages)
+		}
+		if pg, err := re.Fetch(TempBase); err == nil {
+			re.Unpin(pg)
+			t.Fatalf("the reopened file has a temp page")
 		}
 		for id := PageID(0); id < pages; id++ {
 			m, err := mem.Fetch(id)

@@ -11,7 +11,8 @@ import (
 // Pager provides page-granular access to a backing store — either a file
 // on disk or an anonymous in-memory store — through a sharded buffer
 // pool. All tables and indexes of one database share one Pager
-// (single-file database layout).
+// (single-file database layout); temp tables' pages live in its
+// in-memory temp region (TempBase) in both modes.
 //
 // Concurrency model: pages are striped across lock-striped shards by
 // PageID, each shard owning its own frame table, LRU list and traffic
@@ -19,8 +20,8 @@ import (
 // contend on a common latch. Pin counts are atomics: Unpin is lock-free,
 // and eviction (which runs under the owning shard's latch) only removes
 // frames whose pin count is zero. Page growth (Allocate) serializes on a
-// dedicated allocation latch; free-list transactions serialize on flMu
-// as before.
+// dedicated allocation latch; free-list transactions, and the temp
+// region's growth (AllocateTemp), serialize on flMu.
 type Pager struct {
 	file *os.File // nil for in-memory databases
 
@@ -33,6 +34,12 @@ type Pager struct {
 	// the pin and shard-latch rules of any frame.
 	mem   []*Page
 	memMu sync.RWMutex
+
+	// temp is the temp region's store in both modes, page TempBase+i at
+	// temp[i], kept like mem and guarded by memMu with it. tempCount is
+	// its size, read lock-free by Fetch's bounds check like pageCount.
+	temp      []*Page
+	tempCount atomic.Uint32
 
 	// pageCount is read lock-free by Fetch's bounds check; Allocate
 	// publishes it only after the backing store has grown.
@@ -47,8 +54,12 @@ type Pager struct {
 	// flMu serializes whole free-list transactions (pop in
 	// AllocateReusable, push in FreeChain), which span several page
 	// fetches and so cannot rely on the shard latches alone. Always
-	// acquired before any shard latch.
-	flMu sync.Mutex
+	// acquired before any shard latch. It also guards the temp region's
+	// free list, which lives here rather than on the superblock: tempFree
+	// is its head and tempFreeN its length.
+	flMu      sync.Mutex
+	tempFree  PageID
+	tempFreeN int
 
 	shards []shard
 	mask   uint32 // len(shards)-1; shards is a power of two
@@ -163,7 +174,7 @@ func newPager(poolPages int) *Pager {
 	for n < maxShards && (n*2)*minShardPages <= poolPages {
 		n *= 2
 	}
-	p := &Pager{shards: make([]shard, n), mask: uint32(n - 1)}
+	p := &Pager{shards: make([]shard, n), mask: uint32(n - 1), tempFree: InvalidPageID}
 	base, extra := poolPages/n, poolPages%n
 	for i := range p.shards {
 		cap := base
@@ -186,9 +197,30 @@ func (p *Pager) shardOf(id PageID) *shard {
 // Shards returns the stripe count (diagnostics and tests).
 func (p *Pager) Shards() int { return len(p.shards) }
 
-// PageCount returns the number of allocated pages.
+// PageCount returns the number of allocated pages outside the temp
+// region: the pages of the file, for a file-backed pager.
 func (p *Pager) PageCount() PageID {
 	return PageID(p.pageCount.Load())
+}
+
+// TempBase is the first page ID of the temp region. Temp heaps take
+// their pages from there (AllocateTemp), and the region lives in memory
+// in both modes: a temp page never extends, reads or writes the file,
+// so a database file holds only the superblock, the catalog, the stored
+// tables and their free list. The pool caches temp pages like any
+// other, and counts their traffic in the same counters.
+const TempBase = PageID(1 << 31)
+
+// TempPages returns the temp region's size: the most temp pages ever
+// allocated at once.
+func (p *Pager) TempPages() int { return int(p.tempCount.Load()) }
+
+// TempFreePages returns the number of pages on the temp region's free
+// list. It equals TempPages when no temp heap lives.
+func (p *Pager) TempFreePages() int {
+	p.flMu.Lock()
+	defer p.flMu.Unlock()
+	return p.tempFreeN
 }
 
 // Allocate creates a new zero page and returns it pinned.
@@ -214,19 +246,72 @@ func (p *Pager) Allocate() (*Page, error) {
 	// a concurrent Fetch that passes the bounds check can always read.
 	p.pageCount.Store(uint32(id) + 1)
 	p.allocMu.Unlock()
+	p.installNew(pg)
+	return pg, nil
+}
 
-	sh := p.shardOf(id)
+// AllocateTemp returns a pinned, freshly initialized page of the temp
+// region, preferring the temp free list over growing the region.
+func (p *Pager) AllocateTemp() (*Page, error) {
+	//dkblint:locksafe free-list transactions are multi-page read-modify-writes; flMu must span the chain's page fetches
+	p.flMu.Lock()
+	defer p.flMu.Unlock()
+	if head := p.tempFree; head != InvalidPageID {
+		pg, err := p.Fetch(head)
+		if err != nil {
+			return nil, err
+		}
+		p.tempFree = pg.Next()
+		p.tempFreeN--
+		pg.Init() // keeps ID, clears contents
+		return pg, nil
+	}
+	pg := &Page{}
+	pg.Init()
+	pg.pins.Store(1)
+	p.memMu.Lock()
+	pg.ID = TempBase + PageID(len(p.temp))
+	p.temp = append(p.temp, pg)
+	p.tempCount.Store(uint32(len(p.temp)))
+	p.memMu.Unlock()
+	p.installNew(pg)
+	return pg, nil
+}
+
+// installNew places a freshly allocated, pinned page in its shard.
+func (p *Pager) installNew(pg *Page) {
+	sh := p.shardOf(pg.ID)
 	//dkblint:locksafe install may evict a dirty victim; its write-back must finish before the frame vanishes (see evictOne)
 	sh.mu.Lock()
 	sh.install(p, pg)
 	sh.mu.Unlock()
-	return pg, nil
+}
+
+// allocated reports whether id names an allocated page of either
+// region.
+func (p *Pager) allocated(id PageID) bool {
+	if id >= TempBase {
+		return uint32(id-TempBase) < p.tempCount.Load()
+	}
+	return uint32(id) < p.pageCount.Load()
+}
+
+// stored returns the one *Page of an in-memory store: a temp page, or
+// any page of an in-memory pager.
+func (p *Pager) stored(id PageID) *Page {
+	p.memMu.RLock()
+	defer p.memMu.RUnlock()
+	if id >= TempBase {
+		return p.temp[id-TempBase]
+	}
+	return p.mem[id]
 }
 
 // Fetch returns the page pinned; the caller must Unpin it.
 //
-// In memory a miss re-installs the page's one *Page from the store
-// under the shard latch: nothing is read or copied, so nothing can tear.
+// In memory, and for a temp page in both modes, a miss re-installs the
+// page's one *Page from the store under the shard latch: nothing is
+// read or copied, so nothing can tear.
 //
 // A file-backed miss reads the page into a new buffer with the shard
 // latch released, so a slow disk read never blocks hits on the same
@@ -239,8 +324,8 @@ func (p *Pager) Allocate() (*Page, error) {
 // Fetch of the same page that installs first wins — the re-check turns
 // our miss into a hit on its frame.
 func (p *Pager) Fetch(id PageID) (*Page, error) {
-	if uint32(id) >= p.pageCount.Load() {
-		return nil, fmt.Errorf("storage: fetch of unallocated page %d (have %d)", id, p.PageCount())
+	if !p.allocated(id) {
+		return nil, fmt.Errorf("storage: fetch of unallocated page %d (have %d, and %d temp)", id, p.PageCount(), p.TempPages())
 	}
 	sh := p.shardOf(id)
 	//dkblint:locksafe eviction write-back must finish before the victim frame vanishes; the common miss path reads with the latch released
@@ -253,10 +338,8 @@ func (p *Pager) Fetch(id PageID) (*Page, error) {
 		return fr.page, nil
 	}
 	sh.stats.Misses++
-	if p.file == nil {
-		p.memMu.RLock()
-		pg := p.mem[id]
-		p.memMu.RUnlock()
+	if p.file == nil || id >= TempBase {
+		pg := p.stored(id)
 		pg.pins.Store(1)
 		sh.install(p, pg)
 		sh.mu.Unlock()
@@ -352,12 +435,13 @@ func (p *Pager) readPage(id PageID, buf []byte) error {
 	return nil
 }
 
-// writePage writes a dirty page back and counts the write. In memory the
-// page is its own store, so the write only marks it clean; it is still
-// counted, so an in-memory pager's counters equal a file pager's.
+// writePage writes a dirty page back and counts the write. In memory,
+// and for a temp page, the page is its own store, so the write only
+// marks it clean; it is still counted, so an in-memory pager's counters
+// equal a file pager's.
 func (p *Pager) writePage(stats *PagerStats, pg *Page) error {
 	stats.Writes++
-	if p.file != nil {
+	if p.file != nil && pg.ID < TempBase {
 		if _, err := p.file.WriteAt(pg.Data[:], int64(pg.ID)*PageSize); err != nil {
 			return fmt.Errorf("storage: write page %d: %w", pg.ID, err)
 		}

@@ -135,10 +135,17 @@ func (p *Pager) AllocateReusable() (*Page, error) {
 	return pg, nil
 }
 
-// FreeChain pushes every page of a heap chain onto the free list. On a
-// bare pager (no superblock) the pages simply leak; only full databases
-// recycle pages.
+// FreeChain pushes every page of a heap chain onto its region's free
+// list: a temp chain onto the temp region's, in memory, any other onto
+// the file's. On a bare pager (no superblock) a chain outside the temp
+// region simply leaks; only full databases recycle file pages.
 func (p *Pager) FreeChain(head PageID) error {
+	if head == InvalidPageID {
+		return nil
+	}
+	if head >= TempBase {
+		return p.freeTempChain(head)
+	}
 	if !p.superblockPresent() {
 		return nil
 	}
@@ -169,27 +176,66 @@ func (p *Pager) FreeChain(head PageID) error {
 	return nil
 }
 
-// FreePages counts the pages currently on the free list (diagnostics).
+// freeTempChain pushes every page of a temp chain onto the temp free
+// list.
+func (p *Pager) freeTempChain(head PageID) error {
+	//dkblint:locksafe free-list transactions are multi-page read-modify-writes; flMu must span the chain's page fetches
+	p.flMu.Lock()
+	defer p.flMu.Unlock()
+	for id := head; id != InvalidPageID; {
+		pg, err := p.Fetch(id)
+		if err != nil {
+			return err
+		}
+		next := pg.Next()
+		pg.Init()
+		pg.SetNext(p.tempFree)
+		p.tempFree = id
+		p.tempFreeN++
+		p.Unpin(pg)
+		id = next
+	}
+	return nil
+}
+
+// FreePages counts the pages currently on the file's free list
+// (diagnostics).
 func (p *Pager) FreePages() (int, error) {
+	n := 0
+	err := p.WalkFree(func(PageID) error { n++; return nil })
+	return n, err
+}
+
+// WalkFree calls fn with every page on the file's free list, head
+// first. A bare pager (no superblock) has no free list.
+func (p *Pager) WalkFree(fn func(id PageID) error) error {
 	if !p.superblockPresent() {
-		return 0, nil
+		return nil
 	}
 	//dkblint:locksafe free-list transactions are multi-page read-modify-writes; flMu must span the chain's page fetches
 	p.flMu.Lock()
 	defer p.flMu.Unlock()
-	id, err := p.freeHead()
+	head, err := p.freeHead()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	n := 0
-	for id != InvalidPageID {
+	return p.WalkChain(head, fn)
+}
+
+// WalkChain calls fn with every page of the chain that starts at head,
+// in chain order. An error from fn stops the walk.
+func (p *Pager) WalkChain(head PageID, fn func(id PageID) error) error {
+	for id := head; id != InvalidPageID; {
 		pg, err := p.Fetch(id)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		id = pg.Next()
+		next := pg.Next()
 		p.Unpin(pg)
-		n++
+		if err := fn(id); err != nil {
+			return err
+		}
+		id = next
 	}
-	return n, nil
+	return nil
 }
