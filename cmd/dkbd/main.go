@@ -8,10 +8,13 @@
 //	dkbd                          # in-memory D/KB on :7407
 //	dkbd -db family.db -addr :9000
 //	dkbd -load family.dl          # preload a program at startup
-//	dkbd -debug-addr 127.0.0.1:7408   # HTTP /metrics /metrics.json /timeseries /slowlog /healthz /debug/{trace,pprof}
+//	dkbd -debug-addr 127.0.0.1:7408   # HTTP /metrics /metrics.json /slowlog /healthz /debug/{trace,pprof}
 //	dkbd -log-level debug -log-format json
 //	dkbd -slow-threshold 10ms     # only retain queries at or above 10ms
-//	dkbd -sample-interval 500ms -sample-window 1200   # 10 min of 0.5s samples
+//
+// The debug endpoints serve current values; dkbd keeps no history of
+// its metrics. dkbtop takes rates from its own successive polls, and a
+// Prometheus scraper of /metrics keeps history across longer spans.
 //
 // dkbd shuts down gracefully on SIGINT/SIGTERM: the listener closes at
 // once, in-flight requests finish and receive their responses, then the
@@ -34,7 +37,6 @@ import (
 	"time"
 
 	"dkbms"
-	"dkbms/internal/obs"
 	"dkbms/internal/server"
 )
 
@@ -45,13 +47,11 @@ func main() {
 	flag.StringVar(&cfg.load, "load", "", "Horn-clause program to load at startup")
 	flag.IntVar(&cfg.maxConns, "maxconns", server.DefaultMaxConns, "max simultaneous sessions")
 	flag.DurationVar(&cfg.ioTimeout, "iotimeout", server.DefaultIOTimeout, "per-request I/O deadline (negative = no deadline)")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "HTTP debug listen address serving /metrics /metrics.json /timeseries /debug/trace /slowlog /healthz /debug/pprof (empty = disabled)")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "HTTP debug listen address serving /metrics /metrics.json /debug/trace /slowlog /healthz /debug/pprof (empty = disabled)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug|info|warn|error")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format: text|json")
 	flag.IntVar(&cfg.slowSize, "slowlog-size", 0, "slow-query ring capacity (0 = default)")
 	flag.DurationVar(&cfg.slowThreshold, "slow-threshold", 0, "minimum latency to enter the slow-query log (0 retains every query)")
-	flag.DurationVar(&cfg.sampleInterval, "sample-interval", obs.DefaultSampleInterval, "retained-telemetry sampling period for /timeseries (> 0)")
-	flag.IntVar(&cfg.sampleWindow, "sample-window", obs.DefaultSampleWindow, "retained-telemetry ring capacity in samples (> 0)")
 	flag.Parse()
 
 	if err := run(cfg); err != nil {
@@ -68,8 +68,6 @@ type config struct {
 	logLevel, logFormat string
 	slowSize            int
 	slowThreshold       time.Duration
-	sampleInterval      time.Duration
-	sampleWindow        int
 }
 
 // buildLogger turns the -log-level/-log-format flags into the server's
@@ -94,12 +92,6 @@ func run(cfg config) error {
 	logger, err := buildLogger(os.Stderr, cfg.logLevel, cfg.logFormat)
 	if err != nil {
 		return err
-	}
-	if cfg.sampleInterval <= 0 {
-		return fmt.Errorf("-sample-interval %v is not positive", cfg.sampleInterval)
-	}
-	if cfg.sampleWindow <= 0 {
-		return fmt.Errorf("-sample-window %d is not positive", cfg.sampleWindow)
 	}
 
 	var tb *dkbms.Testbed
@@ -129,13 +121,11 @@ func run(cfg config) error {
 	defer stop()
 
 	srv := server.New(ctb, server.Options{
-		MaxConns:       cfg.maxConns,
-		IOTimeout:      cfg.ioTimeout,
-		Logger:         logger,
-		SlowLogSize:    cfg.slowSize,
-		SlowThreshold:  cfg.slowThreshold,
-		SampleInterval: cfg.sampleInterval,
-		SampleWindow:   cfg.sampleWindow,
+		MaxConns:      cfg.maxConns,
+		IOTimeout:     cfg.ioTimeout,
+		Logger:        logger,
+		SlowLogSize:   cfg.slowSize,
+		SlowThreshold: cfg.slowThreshold,
 	})
 
 	// The debug HTTP server is shut down after the TCP side drains, with
@@ -155,7 +145,7 @@ func run(cfg config) error {
 				dbg.Close()
 			}
 		}
-		fmt.Printf("dkbd: debug endpoints on http://%s/{metrics,metrics.json,timeseries,slowlog,healthz,debug/trace,debug/pprof}\n", cfg.debugAddr)
+		fmt.Printf("dkbd: debug endpoints on http://%s/{metrics,metrics.json,slowlog,healthz,debug/trace,debug/pprof}\n", cfg.debugAddr)
 	}
 
 	ready := make(chan net.Addr, 1)

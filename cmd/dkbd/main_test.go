@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestBuildLogger: -log-format picks a text or JSON slog handler,
@@ -43,11 +42,10 @@ func TestBuildLogger(t *testing.T) {
 // TestRunRejectsBadFlags: flags that name no valid setting stop dkbd
 // before it opens a D/KB or a port.
 func TestRunRejectsBadFlags(t *testing.T) {
-	ok := config{logLevel: "info", logFormat: "text", sampleInterval: time.Second, sampleWindow: 600}
+	ok := config{logLevel: "info", logFormat: "text"}
 	for name, mod := range map[string]func(*config){
-		"log level":       func(c *config) { c.logLevel = "loud" },
-		"zero interval":   func(c *config) { c.sampleInterval = 0 },
-		"negative window": func(c *config) { c.sampleWindow = -1 },
+		"log level":  func(c *config) { c.logLevel = "loud" },
+		"log format": func(c *config) { c.logFormat = "yaml" },
 	} {
 		cfg := ok
 		mod(&cfg)

@@ -1,10 +1,9 @@
 // Command dkbtop is a live terminal monitor for a running dkbd server,
 // in the spirit of top(1): it polls the server's debug HTTP endpoints
-// (/metrics.json, /timeseries and /slowlog, enabled with
-// `dkbd -debug-addr`) and redraws a one-screen dashboard every interval
-// — request throughput and latency percentiles, session and cache
-// activity, sparklines over the server's retained time-series ring, the
-// busiest tables, and the slowest queries.
+// (/metrics.json and /slowlog, enabled with `dkbd -debug-addr`) and
+// redraws a one-screen dashboard every interval — request throughput
+// and latency percentiles, session and cache activity, sparklines over
+// its recent polls, the busiest tables, and the slowest queries.
 //
 // Usage:
 //
@@ -13,8 +12,11 @@
 //	dkbtop -addr 127.0.0.1:7408 -n 1       # one snapshot, then exit (scripts)
 //
 // dkbtop is read-only: it touches nothing but the debug endpoints.
-// Rates are the server's own windowed rates from the /timeseries ring,
-// which every dkbd keeps.
+// The server keeps no metric history, so dkbtop keeps its own: the last
+// sparkWidth+1 polls. Rates are the change of a counter between the last
+// two polls over the time between them, so the first frame prints none,
+// and the history starts when dkbtop does. History across a longer span
+// belongs to a Prometheus scraper of /metrics.
 package main
 
 import (
@@ -52,15 +54,20 @@ func run(out io.Writer, baseURL string, interval time.Duration, n int) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
+	var h history
 	for i := 0; ; i++ {
 		cur, err := fetch(baseURL)
 		if err != nil {
 			return err
 		}
+		h = append(h, cur)
+		if len(h) > sparkWidth+1 {
+			h = h[len(h)-sparkWidth-1:]
+		}
 		if n != 1 {
 			fmt.Fprint(out, "\x1b[2J\x1b[H") // clear screen, home cursor
 		}
-		fmt.Fprint(out, render(cur))
+		fmt.Fprint(out, render(h))
 		if n > 0 && i+1 >= n {
 			return nil
 		}
@@ -72,47 +79,77 @@ func run(out io.Writer, baseURL string, interval time.Duration, n int) error {
 	}
 }
 
-// sample is one poll of the server's debug endpoints.
-type sample struct {
+// poll is one fetch of the server's debug endpoints.
+type poll struct {
+	at      time.Time
 	metrics map[string]obs.Metric
 	slow    obs.SlowLogSnapshot
-	ts      obs.TimeSeriesSnapshot
 }
 
 // get returns the value of a metric, 0 when absent.
-func (s *sample) get(name string) int64 { return s.metrics[name].Value }
+func (p *poll) get(name string) int64 { return p.metrics[name].Value }
 
 // metric returns the full metric (for histogram percentiles).
-func (s *sample) metric(name string) obs.Metric { return s.metrics[name] }
+func (p *poll) metric(name string) obs.Metric { return p.metrics[name] }
 
-// stat returns one series from the time-series ring, the zero stat when
-// the series is unknown.
-func (s *sample) stat(name string) obs.SeriesStat {
-	for _, st := range s.ts.Series {
-		if st.Name == name {
-			return st
-		}
+// history is dkbtop's telemetry: its recent polls, oldest first, never
+// empty when rendered.
+type history []*poll
+
+// last returns the newest poll.
+func (h history) last() *poll { return h[len(h)-1] }
+
+// rate is a counter's increase per second between the last two polls,
+// false before there are two.
+func (h history) rate(name string) (float64, bool) {
+	if len(h) < 2 {
+		return 0, false
 	}
-	return obs.SeriesStat{}
+	prev, cur := h[len(h)-2], h.last()
+	dt := cur.at.Sub(prev.at).Seconds()
+	if dt <= 0 {
+		return 0, false
+	}
+	return float64(max(cur.get(name)-prev.get(name), 0)) / dt, true
 }
 
-// fetch polls /metrics.json, /slowlog and /timeseries.
-func fetch(baseURL string) (*sample, error) {
+// withRate formats a counter as "150 (5.0/s)", or "150" before there
+// is a rate.
+func (h history) withRate(name string) string {
+	v := h.last().get(name)
+	if r, ok := h.rate(name); ok {
+		return fmt.Sprintf("%d (%.1f/s)", v, r)
+	}
+	return fmt.Sprint(v)
+}
+
+// trend is what a sparkline draws for a metric: a counter's increase
+// from each poll to the next, a gauge's value at every poll.
+func (h history) trend(name string) []int64 {
+	vals := make([]int64, len(h))
+	for i, p := range h {
+		vals[i] = p.get(name)
+	}
+	if h.last().metric(name).Kind == obs.KindCounter {
+		return deltas(vals)
+	}
+	return vals
+}
+
+// fetch polls /metrics.json and /slowlog.
+func fetch(baseURL string) (*poll, error) {
 	var list []obs.Metric
 	if err := getJSON(baseURL+"/metrics.json", &list); err != nil {
 		return nil, err
 	}
-	s := &sample{metrics: make(map[string]obs.Metric, len(list))}
+	p := &poll{at: time.Now(), metrics: make(map[string]obs.Metric, len(list))}
 	for _, m := range list {
-		s.metrics[m.Name] = m
+		p.metrics[m.Name] = m
 	}
-	if err := getJSON(baseURL+"/slowlog", &s.slow); err != nil {
+	if err := getJSON(baseURL+"/slowlog", &p.slow); err != nil {
 		return nil, err
 	}
-	if err := getJSON(baseURL+"/timeseries?points="+fmt.Sprint(sparkWidth), &s.ts); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return p, nil
 }
 
 func getJSON(url string, v any) error {
@@ -128,18 +165,17 @@ func getJSON(url string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// render draws one dashboard frame from a sample. Rates are the
-// server's windowed rates over its retained ring, steady from the first
-// frame. It is a pure function of its input, so the display logic is
-// testable without a server.
-func render(cur *sample) string {
+// render draws one dashboard frame from the poll history: current
+// values from the newest poll, rates and sparklines from the polls
+// before it (none on the first frame). It is a pure function of its
+// input, so the display logic is testable without a server.
+func render(h history) string {
 	var b strings.Builder
+	cur := h.last()
 
-	reqs := cur.get("server.requests")
-	reqRate := cur.stat("server.requests").Rate
 	lat := cur.metric("server.request_latency_ns")
-	fmt.Fprintf(&b, "dkbd  requests %d (%.1f/s)  errors %d  sessions %d/%d active  in-flight %d\n",
-		reqs, reqRate, cur.get("server.errors"),
+	fmt.Fprintf(&b, "dkbd  requests %s  errors %d  sessions %d/%d active  in-flight %d\n",
+		h.withRate("server.requests"), cur.get("server.errors"),
 		cur.get("server.sessions_active"), cur.get("server.sessions_total"),
 		cur.get("server.in_flight"))
 	fmt.Fprintf(&b, "lat   p50 %v  p99 %v  (over %d requests)\n",
@@ -153,37 +189,33 @@ func render(cur *sample) string {
 		cur.get("plan.entries"), cur.get("dkb.generation"))
 
 	// Snapshot store: commit rate, copy-on-write stall, reclamation lag.
-	commitRate := cur.stat("snapshot.commits").Rate
-	fmt.Fprintf(&b, "snap  gen %d  readers %d  commits %d (%.1f/s)  copied %d  backlog %d  stall %v\n",
+	fmt.Fprintf(&b, "snap  gen %d  readers %d  commits %s  copied %d  backlog %d  stall %v\n",
 		cur.get("snapshot.gen"), cur.get("snapshot.active_readers"),
-		cur.get("snapshot.commits"), commitRate, cur.get("snapshot.copied_tables"),
+		h.withRate("snapshot.commits"), cur.get("snapshot.copied_tables"),
 		cur.get("snapshot.reclaim_backlog"), time.Duration(cur.get("snapshot.writer_stall_ns")))
 
 	// Evaluation pool: slots in use, task throughput and inline-steal share.
-	taskRate := cur.stat("sched.completed").Rate
-	fmt.Fprintf(&b, "sched %d/%d slots running  done %d (%.1f/s)  stolen %d\n",
+	fmt.Fprintf(&b, "sched %d/%d slots running  done %s  stolen %d\n",
 		cur.get("sched.running"), cur.get("sched.slots"),
-		cur.get("sched.completed"), taskRate, cur.get("sched.stolen"))
+		h.withRate("sched.completed"), cur.get("sched.stolen"))
 
 	// Materialized views: maintenance throughput vs forced re-derivations.
-	maintRate := cur.stat("matview.maintained").Rate
-	fmt.Fprintf(&b, "views %d live  maintained %d (%.1f/s)  rederived %d  delta %d tuples  spent %v\n",
-		cur.get("matview.live"), cur.get("matview.maintained"), maintRate,
+	fmt.Fprintf(&b, "views %d live  maintained %s  rederived %d  delta %d tuples  spent %v\n",
+		cur.get("matview.live"), h.withRate("matview.maintained"),
 		cur.get("matview.rederives"), cur.get("matview.delta_tuples"),
 		time.Duration(cur.get("matview.maintain_ns")))
 
-	// Sparklines over the server's time-series ring: throughput shape,
-	// cache health and reclamation lag at a glance.
-	fmt.Fprintf(&b, "\nring  %v × %d samples (window %v)\n",
-		time.Duration(cur.ts.IntervalNs), cur.ts.Capacity, time.Duration(cur.ts.WindowNs))
-	req := cur.stat("server.requests")
-	com := cur.stat("snapshot.commits")
-	hit := cur.stat("pool.hit_rate_pct")
-	back := cur.stat("snapshot.reclaim_backlog")
-	fmt.Fprintf(&b, "      req/s    %s %.1f/s\n", spark(deltas(req.Points)), req.Rate)
-	fmt.Fprintf(&b, "      commit/s %s %.1f/s\n", spark(deltas(com.Points)), com.Rate)
-	fmt.Fprintf(&b, "      pool-hit %s %d%%\n", spark(hit.Points), hit.Last)
-	fmt.Fprintf(&b, "      backlog  %s %d\n", spark(back.Points), back.Last)
+	// Sparklines over the polls so far: throughput shape, cache health
+	// and reclamation lag at a glance.
+	if len(h) > 1 {
+		reqRate, _ := h.rate("server.requests")
+		comRate, _ := h.rate("snapshot.commits")
+		fmt.Fprintf(&b, "\ntrend %d polls over %v\n", len(h), cur.at.Sub(h[0].at).Round(time.Millisecond))
+		fmt.Fprintf(&b, "      req/s    %s %.1f/s\n", spark(h.trend("server.requests")), reqRate)
+		fmt.Fprintf(&b, "      commit/s %s %.1f/s\n", spark(h.trend("snapshot.commits")), comRate)
+		fmt.Fprintf(&b, "      pool-hit %s %d%%\n", spark(h.trend("pool.hit_rate_pct")), cur.get("pool.hit_rate_pct"))
+		fmt.Fprintf(&b, "      backlog  %s %d\n", spark(h.trend("snapshot.reclaim_backlog")), cur.get("snapshot.reclaim_backlog"))
+	}
 
 	// Busiest tables by heap traffic (reads + scanned records), top 5.
 	type tableRow struct {
@@ -246,7 +278,8 @@ func render(cur *sample) string {
 	return b.String()
 }
 
-// sparkWidth is how many ring points the sparklines ask for and draw.
+// sparkWidth bounds the history: dkbtop keeps the last sparkWidth+1
+// polls, so a counter's sparkline draws sparkWidth increments.
 const sparkWidth = 30
 
 // sparkBlocks are the eighth-block runes a sparkline is drawn with.
@@ -272,7 +305,7 @@ func spark(vals []int64) string {
 	return b.String()
 }
 
-// deltas turns a counter's cumulative points into per-interval
+// deltas turns a counter's value at each poll into per-poll
 // increments, clamped at zero across restarts.
 func deltas(points []int64) []int64 {
 	if len(points) < 2 {

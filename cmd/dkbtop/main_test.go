@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,55 +22,67 @@ import (
 	"dkbms/internal/wire"
 )
 
-func sampleFrom(metrics []obs.Metric, slow obs.SlowLogSnapshot) *sample {
-	s := &sample{metrics: make(map[string]obs.Metric, len(metrics)), slow: slow}
+// pollAt builds a poll taken at second sec from metrics, with an empty
+// slow log.
+func pollAt(sec int, metrics ...obs.Metric) *poll {
+	p := &poll{at: time.Unix(int64(sec), 0), metrics: make(map[string]obs.Metric, len(metrics))}
 	for _, m := range metrics {
-		s.metrics[m.Name] = m
+		p.metrics[m.Name] = m
 	}
-	return s
+	return p
 }
 
 func TestRender(t *testing.T) {
-	cur := sampleFrom([]obs.Metric{
+	cur := pollAt(10, []obs.Metric{
 		{Name: "server.requests", Kind: "counter", Value: 150},
 		{Name: "server.errors", Kind: "counter", Value: 2},
 		{Name: "server.sessions_active", Kind: "gauge", Value: 3},
-		{Name: "server.sessions_total", Kind: "gauge", Value: 7},
+		{Name: "server.sessions_total", Kind: "counter", Value: 7},
 		{Name: "server.request_latency_ns", Kind: "histogram", Value: 150,
 			P50: int64(2 * time.Millisecond), P99: int64(30 * time.Millisecond)},
 		{Name: "pool.hit_rate_pct", Kind: "gauge", Value: 93},
-		{Name: "plan.result_hits", Kind: "gauge", Value: 40},
-		{Name: "plan.hits", Kind: "gauge", Value: 10},
-		{Name: "plan.misses", Kind: "gauge", Value: 50},
+		{Name: "plan.result_hits", Kind: "counter", Value: 40},
+		{Name: "plan.hits", Kind: "counter", Value: 10},
+		{Name: "plan.misses", Kind: "counter", Value: 50},
 		{Name: "plan.entries", Kind: "gauge", Value: 12},
 		{Name: "dkb.generation", Kind: "gauge", Value: 4},
+		{Name: "snapshot.commits", Kind: "counter", Value: 9},
 		{Name: "sched.slots", Kind: "gauge", Value: 4},
 		{Name: "sched.running", Kind: "gauge", Value: 2},
-		{Name: "sched.completed", Kind: "gauge", Value: 640},
-		{Name: "sched.stolen", Kind: "gauge", Value: 33},
+		{Name: "sched.completed", Kind: "counter", Value: 640},
+		{Name: "sched.stolen", Kind: "counter", Value: 33},
 		{Name: "matview.live", Kind: "gauge", Value: 2},
-		{Name: "matview.maintained", Kind: "gauge", Value: 90},
-		{Name: "matview.rederives", Kind: "gauge", Value: 6},
-		{Name: "matview.delta_tuples", Kind: "gauge", Value: 410},
-		{Name: "matview.maintain_ns", Kind: "gauge", Value: int64(3 * time.Millisecond)},
+		{Name: "matview.maintained", Kind: "counter", Value: 90},
+		{Name: "matview.rederives", Kind: "counter", Value: 6},
+		{Name: "matview.delta_tuples", Kind: "counter", Value: 410},
+		{Name: "matview.maintain_ns", Kind: "counter", Value: int64(3 * time.Millisecond)},
 		{Name: "table.parent_2.rows", Kind: "gauge", Value: 1022},
 		{Name: "table.parent_2.heap_reads", Kind: "counter", Value: 7},
 		{Name: "table.parent_2.heap_recs_scanned", Kind: "counter", Value: 5000},
 		{Name: "table.parent_2.heap_scans", Kind: "counter", Value: 11},
 		{Name: "table.quiet_2.rows", Kind: "gauge", Value: 3},
-	}, obs.SlowLogSnapshot{
+	}...)
+	cur.slow = obs.SlowLogSnapshot{
 		Recorded: 2,
 		Entries: []obs.SlowQuery{
 			{Query: "?- ancestor(c0,\n  W).", Latency: 42 * time.Millisecond, Rows: 8194, Cache: "miss"},
 			{Query: "?- nosuch(X).", Latency: time.Millisecond, Err: "unknown predicate"},
 		},
-	})
-
-	cur.ts.Series = []obs.SeriesStat{{Name: "server.requests", Kind: "counter", Last: 150, Rate: 5}}
-	out := render(cur)
+	}
+	// Ten seconds earlier every counter with a rate stood lower.
+	prev := pollAt(0,
+		obs.Metric{Name: "server.requests", Kind: "counter", Value: 100},
+		obs.Metric{Name: "snapshot.commits", Kind: "counter", Value: 4},
+		obs.Metric{Name: "sched.completed", Kind: "counter", Value: 600},
+		obs.Metric{Name: "matview.maintained", Kind: "counter", Value: 89},
+	)
+	out := render(history{prev, cur})
 
 	for _, w := range []string{
 		"requests 150 (5.0/s)",
+		"commits 9 (0.5/s)",
+		"done 640 (4.0/s)",
+		"maintained 90 (0.1/s)",
 		"errors 2",
 		"sessions 3/7 active",
 		"p50 2ms",
@@ -77,11 +91,11 @@ func TestRender(t *testing.T) {
 		"plan 50% hit",
 		"gen 4",
 		"sched 2/4 slots running",
-		"done 640",
 		"stolen 33",
 		"views 2 live",
 		"rederived 6",
 		"delta 410 tuples",
+		"trend 2 polls over 10s",
 		"parent_2",
 		"1022",
 		"SLOW QUERIES (2 recorded)",
@@ -98,54 +112,62 @@ func TestRender(t *testing.T) {
 	if strings.Index(out, "parent_2") > strings.Index(out, "quiet_2") {
 		t.Errorf("table ordering wrong:\n%s", out)
 	}
+}
 
-	// A series the ring has not sampled yet renders a zero rate.
-	cur.ts.Series = nil
-	if first := render(cur); !strings.Contains(first, "requests 150 (0.0/s)") {
-		t.Errorf("unsampled rate:\n%s", first)
+// TestRenderFirstPoll: with one poll there is no interval to take a
+// rate over, so the frame prints counts and no rate or sparkline.
+func TestRenderFirstPoll(t *testing.T) {
+	out := render(history{pollAt(0,
+		obs.Metric{Name: "server.requests", Kind: "counter", Value: 150},
+		obs.Metric{Name: "snapshot.commits", Kind: "counter", Value: 9},
+		obs.Metric{Name: "server.request_latency_ns", Kind: "histogram", Value: 150, P50: int64(time.Millisecond)},
+	)})
+	for _, w := range []string{"requests 150  errors", "commits 9  copied", "p50 1ms", "SLOW QUERIES (0 recorded)"} {
+		if !strings.Contains(out, w) {
+			t.Errorf("first frame missing %q:\n%s", w, out)
+		}
+	}
+	if strings.Contains(out, "/s") {
+		t.Errorf("first frame prints a rate:\n%s", out)
 	}
 }
 
-func TestRenderWithRing(t *testing.T) {
-	// Rates come from the ring's windowed rate and the sparkline block
-	// renders.
-	cur := sampleFrom([]obs.Metric{
-		{Name: "server.requests", Kind: "counter", Value: 150},
-	}, obs.SlowLogSnapshot{})
-	cur.ts = obs.TimeSeriesSnapshot{
-		IntervalNs: int64(time.Second),
-		Capacity:   600,
-		WindowNs:   int64(10 * time.Minute),
-		Series: []obs.SeriesStat{
-			{Name: "server.requests", Kind: "counter", Last: 150, Rate: 12.5,
-				Points: []int64{100, 120, 150}},
-			{Name: "snapshot.commits", Kind: "counter", Last: 4, Rate: 0.2,
-				Points: []int64{2, 3, 4}},
-			{Name: "pool.hit_rate_pct", Kind: "gauge", Last: 93,
-				Points: []int64{90, 91, 93}},
-			{Name: "snapshot.reclaim_backlog", Kind: "gauge", Last: 2,
-				Points: []int64{0, 1, 2}},
-		},
+// TestRenderTrend: the sparklines draw a counter's increase from poll
+// to poll and a gauge's value at every poll; the printed rate is the
+// last two polls' increase over the time between them.
+func TestRenderTrend(t *testing.T) {
+	var h history
+	for i, v := range [][4]int64{
+		// requests, commits, pool hit %, reclaim backlog
+		{100, 2, 90, 0},
+		{120, 3, 91, 1},
+		{150, 4, 93, 2},
+	} {
+		h = append(h, pollAt(2*i,
+			obs.Metric{Name: "server.requests", Kind: obs.KindCounter, Value: v[0]},
+			obs.Metric{Name: "snapshot.commits", Kind: obs.KindCounter, Value: v[1]},
+			obs.Metric{Name: "pool.hit_rate_pct", Kind: obs.KindGauge, Value: v[2]},
+			obs.Metric{Name: "snapshot.reclaim_backlog", Kind: obs.KindGauge, Value: v[3]},
+		))
 	}
-
-	out := render(cur)
-
+	out := render(h)
 	for _, w := range []string{
-		"requests 150 (12.5/s)",
-		"ring  1s × 600 samples (window 10m0s)",
-		"req/s",
-		"commit/s",
-		"0.2/s",
-		"pool-hit",
-		"93%",
-		"backlog",
+		"requests 150 (15.0/s)", // (150-120)/2s, not (150-100)/4s
+		"trend 3 polls over 4s",
+		"req/s    ▅█ 15.0/s", // deltas 20, 30
+		"commit/s ██ 0.5/s",  // deltas 1, 1
+		"pool-hit ▇▇█ 93%",   // values 90, 91, 93
+		"backlog  ▁▄█ 2",     // values 0, 1, 2
 	} {
 		if !strings.Contains(out, w) {
-			t.Errorf("ring frame missing %q:\n%s", w, out)
+			t.Errorf("frame missing %q:\n%s", w, out)
 		}
 	}
-	if !strings.ContainsAny(out, "▁▂▃▄▅▆▇█") {
-		t.Errorf("no sparkline blocks in frame:\n%s", out)
+
+	// A counter that went down (the server restarted) rates zero.
+	h = append(h, pollAt(6, obs.Metric{Name: "server.requests", Kind: obs.KindCounter, Value: 10}))
+	if r, ok := h.rate("server.requests"); !ok || r != 0 {
+		t.Errorf("rate across a restart = %v, %v", r, ok)
 	}
 }
 
@@ -187,16 +209,23 @@ func TestOneLine(t *testing.T) {
 	}
 }
 
+// TestRunOnceAgainstFakeServer: dkbtop reads only /metrics.json and
+// /slowlog. A single-shot run prints one frame with no rate and does
+// not clear the screen; a second poll brings the rate.
 func TestRunOnceAgainstFakeServer(t *testing.T) {
+	var mu sync.Mutex
+	var paths []string
+	var polls int64
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		paths = append(paths, r.URL.Path)
 		switch r.URL.Path {
 		case "/metrics.json":
-			w.Write([]byte(`[{"name":"server.requests","kind":"gauge","value":9}]`))
+			polls++
+			fmt.Fprintf(w, `[{"name":"server.requests","kind":"counter","value":%d}]`, 9*polls)
 		case "/slowlog":
 			w.Write([]byte(`{"threshold_ns":0,"capacity":128,"recorded":0,"entries":[]}`))
-		case "/timeseries":
-			w.Write([]byte(`{"interval_ns":1000000000,"capacity":600,"samples":3,"window_ns":2000000000,` +
-				`"series":[{"name":"server.requests","kind":"counter","last":9,"first":5,"delta":4,"rate":2}]}`))
 		default:
 			http.NotFound(w, r)
 		}
@@ -208,23 +237,42 @@ func TestRunOnceAgainstFakeServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "requests 9 (2.0/s)") || !strings.Contains(out, "(none)") {
+	if !strings.Contains(out, "requests 9  errors") || !strings.Contains(out, "(none)") || strings.Contains(out, "/s") {
 		t.Errorf("single-shot output:\n%s", out)
 	}
 	if strings.Contains(out, "\x1b[2J") {
 		t.Errorf("-n 1 output must not clear the screen:\n%s", out)
 	}
+
+	b.Reset()
+	mu.Lock()
+	polls = 0
+	mu.Unlock()
+	if err := run(&b, hs.URL, time.Millisecond, 2); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); !strings.Contains(out, "requests 18 (") || !strings.Contains(out, "req/s") {
+		t.Errorf("second frame has no rate:\n%s", out)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, p := range paths {
+		if p != "/metrics.json" && p != "/slowlog" {
+			t.Errorf("dkbtop requested %s", p)
+		}
+	}
 }
 
-// TestRenderRealServer renders one frame from a real server's debug
-// handler after a load and a few queries. Every metric name render
-// reads must be in that server's snapshot (get, metric) or its ring
-// (stat): this is the dashboard's side of the metric contract, so a
-// renamed or deleted metric fails here instead of rendering as 0.
+// TestRenderRealServer renders a frame from two polls of a real
+// server's debug handler, with a load and a few queries before the
+// first and more queries between them. Every metric name render reads
+// must be in that server's snapshot: this is the dashboard's side of
+// the metric contract, so a renamed or deleted metric fails here
+// instead of rendering as 0.
 func TestRenderRealServer(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
-	srv := server.New(tb, server.Options{SampleInterval: time.Hour})
+	srv := server.New(tb, server.Options{})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -241,23 +289,30 @@ func TestRenderRealServer(t *testing.T) {
 	if err := c.Load("parent(a, b). parent(b, c). ancestor(X, Y) :- parent(X, Y). ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y)."); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := c.Query("?- ancestor(a, X).", wire.QueryOpts{}); err != nil {
-			t.Fatal(err)
+	query := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := c.Query("?- ancestor(a, X).", wire.QueryOpts{}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	srv.TimeSeries().SampleNow()
 	hs := httptest.NewServer(srv.DebugHandler())
 	defer hs.Close()
 
-	cur, err := fetch(hs.URL)
-	if err != nil {
-		t.Fatal(err)
+	var h history
+	for _, n := range []int{3, 2} {
+		query(n)
+		p, err := fetch(hs.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h = append(h, p)
 	}
-	out := render(cur)
+	out := render(h)
 	// The session counts a request once its reply is written, so the
 	// last query may or may not be in the count yet.
-	for _, w := range []string{"dkbd  requests ", "lat   p50 ", "TABLE", "edb_parent", "SLOW QUERIES (3 recorded)"} {
+	for _, w := range []string{"dkbd  requests ", "/s)", "lat   p50 ", "req/s", "TABLE", "edb_parent", "SLOW QUERIES (5 recorded)"} {
 		if !strings.Contains(out, w) {
 			t.Errorf("frame missing %q:\n%s", w, out)
 		}
@@ -267,35 +322,26 @@ func TestRenderRealServer(t *testing.T) {
 	}
 
 	reads := renderReads(t)
-	if len(reads["get"]) < 20 || len(reads["stat"]) < 4 {
+	if len(reads) < 25 {
 		t.Fatalf("found only %v in render", reads)
 	}
-	for method, names := range reads {
-		for _, name := range names {
-			var ok bool
-			if method == "stat" {
-				for _, st := range cur.ts.Series {
-					ok = ok || st.Name == name
-				}
-			} else {
-				_, ok = cur.metrics[name]
-			}
-			if !ok {
-				t.Errorf("render reads %s(%q), which the server does not serve", method, name)
-			}
+	for _, name := range reads {
+		if _, ok := h.last().metrics[name]; !ok {
+			t.Errorf("render reads %q, which the server does not serve", name)
 		}
 	}
 }
 
 // renderReads parses main.go and returns the constant metric names
-// render passes to the sample's get, metric and stat methods.
-func renderReads(t *testing.T) map[string][]string {
+// render passes to a poll's get and metric methods and the history's
+// rate, withRate and trend methods.
+func renderReads(t *testing.T) []string {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads := map[string][]string{}
+	var reads []string
 	for _, d := range f.Decls {
 		fn, ok := d.(*ast.FuncDecl)
 		if !ok || fn.Name.Name != "render" {
@@ -311,13 +357,13 @@ func renderReads(t *testing.T) map[string][]string {
 			if !ok || !isLit || lit.Kind != token.STRING {
 				return true
 			}
-			switch m := sel.Sel.Name; m {
-			case "get", "metric", "stat":
+			switch sel.Sel.Name {
+			case "get", "metric", "rate", "withRate", "trend":
 				name, err := strconv.Unquote(lit.Value)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reads[m] = append(reads[m], name)
+				reads = append(reads, name)
 			}
 			return true
 		})

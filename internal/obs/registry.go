@@ -241,44 +241,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return math.MaxInt64
 }
 
-// bucketCounts copies the raw bucket counters (the time-series sampler
-// stores them so windowed quantiles can be computed from bucket deltas).
-func (h *Histogram) bucketCounts() []int64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]int64, len(h.buckets))
-	for i := range h.buckets {
-		out[i] = h.buckets[i].Load()
-	}
-	return out
-}
-
-// quantileFromBuckets is Histogram.Quantile over an explicit bucket
-// vector — the bucket-delta form the time-series window uses. Buckets
-// follow the Histogram layout: bucket i counts values of bit length i.
-func quantileFromBuckets(buckets []int64, q float64) int64 {
-	var total int64
-	for _, b := range buckets {
-		total += b
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total-1))
-	var seen int64
-	for i, b := range buckets {
-		seen += b
-		if seen > rank {
-			if i >= 62 {
-				return math.MaxInt64
-			}
-			return 1 << uint(i+1)
-		}
-	}
-	return math.MaxInt64
-}
-
 // Histogram returns (registering on first use) the named histogram.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
@@ -303,33 +265,23 @@ type Metric struct {
 	P99 int64 `json:"p99,omitempty"`
 }
 
-// SamplePoint is one metric's state at one sampling instant: the
-// snapshot Metric plus, for histograms, the raw bucket counts the
-// time-series ring stores so windowed quantiles can be computed from
-// bucket deltas.
-type SamplePoint struct {
-	Metric
-	Buckets []int64 `json:"-"`
-}
-
-// sample returns every metric (sorted by name, callbacks evaluated now)
-// with histogram bucket counts attached — the time-series sampler's
-// read path. Snapshot derives from it.
-func (r *Registry) sample() []SamplePoint {
+// Snapshot returns every metric, sorted by name, with callbacks
+// evaluated now.
+func (r *Registry) Snapshot() []Metric {
 	r.mu.Lock()
-	out := make([]SamplePoint, 0, len(r.counters)+len(r.gauges)+len(r.histograms)+len(r.funcs))
+	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.histograms)+len(r.funcs))
 	for name, c := range r.counters {
-		out = append(out, SamplePoint{Metric: Metric{Name: name, Kind: KindCounter, Value: c.Load()}})
+		out = append(out, Metric{Name: name, Kind: KindCounter, Value: c.Load()})
 	}
 	for name, g := range r.gauges {
-		out = append(out, SamplePoint{Metric: Metric{Name: name, Kind: KindGauge, Value: g.Load()}})
+		out = append(out, Metric{Name: name, Kind: KindGauge, Value: g.Load()})
 	}
 	for name, h := range r.histograms {
-		out = append(out, SamplePoint{Metric: Metric{
+		out = append(out, Metric{
 			Name: name, Kind: KindHistogram,
 			Value: h.Count(), Sum: h.Sum(),
 			P50: h.Quantile(0.50), P99: h.Quantile(0.99),
-		}, Buckets: h.bucketCounts()})
+		})
 	}
 	funcs := make(map[string]valueFunc, len(r.funcs))
 	for name, f := range r.funcs {
@@ -343,25 +295,12 @@ func (r *Registry) sample() []SamplePoint {
 	// Callbacks run outside the registry lock: they may take other locks
 	// (the plan cache's, the pager's).
 	for name, f := range funcs {
-		out = append(out, SamplePoint{Metric: Metric{Name: name, Kind: f.kind, Value: f.fn()}})
+		out = append(out, Metric{Name: name, Kind: f.kind, Value: f.fn()})
 	}
 	for _, fn := range collectors {
-		for _, m := range fn() {
-			out = append(out, SamplePoint{Metric: m})
-		}
+		out = append(out, fn()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Snapshot returns every metric, sorted by name, with callbacks
-// evaluated now.
-func (r *Registry) Snapshot() []Metric {
-	pts := r.sample()
-	out := make([]Metric, len(pts))
-	for i, p := range pts {
-		out[i] = p.Metric
-	}
 	return out
 }
 

@@ -6,10 +6,10 @@ import (
 )
 
 // Runtime metric names contributed by RegisterRuntimeMetrics. Process
-// health rides in the same registry as the engine counters, so the
-// time-series ring retains goroutine counts and GC pauses alongside
-// query rates and one window query answers "was that latency spike a
-// GC pause or a reader convoy?".
+// health rides in the same registry as the engine counters, so one
+// snapshot (or one Prometheus scrape) holds goroutine counts and GC
+// pauses alongside query rates, and a reader comparing two of them can
+// answer "was that latency spike a GC pause or a reader convoy?".
 const (
 	runtimeGoroutines = "runtime.goroutines"
 	runtimeHeapInuse  = "runtime.heap_inuse_bytes"

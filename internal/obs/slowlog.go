@@ -48,9 +48,9 @@ type SlowQuery struct {
 // lock-free read path. Record stores each over-threshold entry into the
 // next ring slot with two atomic operations (a cursor add and a pointer
 // store); Snapshot reads the slots with atomic loads and never blocks a
-// writer. Entries below the latency threshold cost one atomic load and
-// a compare — no allocation — which keeps the hot query path clean when
-// the threshold filters almost everything out.
+// writer. Entries below the latency threshold cost one compare and no
+// allocation, which keeps the hot query path clean when the threshold
+// filters almost everything out.
 //
 // Retention policy: the ring keeps the most recent Capacity
 // over-threshold queries; Snapshot reports them slowest-first. With a
@@ -62,7 +62,7 @@ type SlowQuery struct {
 type SlowLog struct {
 	slots     []atomic.Pointer[SlowQuery]
 	cursor    atomic.Uint64 // next slot to write (monotonic)
-	threshold atomic.Int64  // minimum retained latency, nanoseconds
+	threshold time.Duration // minimum retained latency, fixed by NewSlowLog
 }
 
 // DefaultSlowLogSize is the ring capacity selected by NewSlowLog when
@@ -75,25 +75,15 @@ func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 	if capacity <= 0 {
 		capacity = DefaultSlowLogSize
 	}
-	l := &SlowLog{slots: make([]atomic.Pointer[SlowQuery], capacity)}
-	l.threshold.Store(int64(threshold))
-	return l
+	return &SlowLog{slots: make([]atomic.Pointer[SlowQuery], capacity), threshold: threshold}
 }
 
-// Threshold returns the current retention threshold.
+// Threshold returns the retention threshold.
 func (l *SlowLog) Threshold() time.Duration {
 	if l == nil {
 		return 0
 	}
-	return time.Duration(l.threshold.Load())
-}
-
-// SetThreshold changes the retention threshold for future records.
-func (l *SlowLog) SetThreshold(d time.Duration) {
-	if l == nil {
-		return
-	}
-	l.threshold.Store(int64(d))
+	return l.threshold
 }
 
 // Capacity returns the ring size.
@@ -120,7 +110,7 @@ func (l *SlowLog) Record(q SlowQuery) bool {
 	if l == nil {
 		return false
 	}
-	if int64(q.Latency) < l.threshold.Load() {
+	if q.Latency < l.threshold {
 		return false
 	}
 	e := q // private copy; callers may reuse their struct

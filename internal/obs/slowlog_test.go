@@ -22,9 +22,9 @@ func TestSlowLogThresholdFilters(t *testing.T) {
 	if l.Recorded() != 1 {
 		t.Errorf("Recorded() = %d, want 1", l.Recorded())
 	}
-	l.SetThreshold(0)
+	l = NewSlowLog(8, 0)
 	if l.Threshold() != 0 {
-		t.Errorf("Threshold() = %v after SetThreshold(0)", l.Threshold())
+		t.Errorf("Threshold() = %v for NewSlowLog(8, 0)", l.Threshold())
 	}
 	if !l.Record(SlowQuery{Query: "fast", Latency: time.Millisecond}) {
 		t.Error("zero threshold must retain everything")
@@ -116,7 +116,6 @@ func TestSlowLogNil(t *testing.T) {
 	if l.Snapshot() != nil || l.Capacity() != 0 || l.Recorded() != 0 || l.Threshold() != 0 {
 		t.Error("nil SlowLog accessors must return zero values")
 	}
-	l.SetThreshold(time.Second) // must not panic
 }
 
 func TestSlowLogWriteJSON(t *testing.T) {

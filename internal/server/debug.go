@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"time"
 
 	"dkbms/internal/obs"
 )
@@ -15,14 +13,15 @@ import (
 //
 //	/metrics       metrics-registry snapshot, Prometheus text exposition
 //	/metrics.json  the same snapshot as a JSON array
-//	/timeseries    windowed rates/deltas/quantiles from the retained ring
-//	               (?window=30s trims the window, ?points=60 attaches raw
-//	               samples per series)
 //	/debug/trace   Chrome/Perfetto trace-event JSON for one retained
 //	               query (?id=q<hex> from a RESULT echo or the slow log)
 //	/slowlog       slow-query ring snapshot (JSON object)
 //	/healthz       liveness probe ("ok", 200)
 //	/debug/pprof/  Go runtime profiles
+//
+// Both metrics endpoints serve current values only; the server keeps no
+// history of them. A reader takes rates from two polls (dkbtop) or
+// keeps its own history (a Prometheus scraper of /metrics).
 //
 // The pprof handlers are registered explicitly on a private mux (not via
 // the net/http/pprof import side effect on DefaultServeMux), so serving
@@ -39,30 +38,6 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := s.reg.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, r *http.Request) {
-		var window time.Duration
-		if v := r.URL.Query().Get("window"); v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil {
-				http.Error(w, "bad ?window= duration: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			window = d
-		}
-		points := 0
-		if v := r.URL.Query().Get("points"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				http.Error(w, "bad ?points= count", http.StatusBadRequest)
-				return
-			}
-			points = n
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.ts.WriteJSON(w, window, points); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -51,14 +51,6 @@ type Options struct {
 	// the slow log. 0 retains every query (the ring then holds the most
 	// recent SlowLogSize queries).
 	SlowThreshold time.Duration
-	// SampleInterval is the retained-telemetry sampling period: every
-	// interval the time-series ring snapshots the whole metrics registry
-	// so /timeseries (and dkbtop's rates and sparklines) can serve
-	// windowed rates and quantiles. <= 0 selects obs.DefaultSampleInterval.
-	SampleInterval time.Duration
-	// SampleWindow is the ring capacity in samples. <= 0 selects
-	// obs.DefaultSampleWindow.
-	SampleWindow int
 }
 
 // Default option values.
@@ -75,11 +67,12 @@ type Server struct {
 	slow *obs.SlowLog // slow-query ring, served by SLOWLOG and /slowlog
 
 	reg    *obs.Registry
-	ts     *obs.TimeSeries // retained telemetry
-	nextID atomic.Uint64   // session ids
+	nextID atomic.Uint64 // session ids
 
 	// The server's own telemetry lives in reg as these instruments; STATS,
-	// /metrics, the time-series ring and Stats all read them there.
+	// /metrics and Stats all read them there. The server keeps no history
+	// of them: a reader that wants rates polls twice (dkbtop) or scrapes
+	// /metrics (Prometheus).
 	sessionsActive, inFlight                                    *obs.Gauge
 	sessionsTotal, requests, errors, bytesIn, bytesOut, queries *obs.Counter
 	latency                                                     *obs.Histogram
@@ -109,7 +102,6 @@ func New(tb *dkbms.ConcurrentTestbed, opts Options) *Server {
 		sessions: make(map[*session]struct{}),
 	}
 	s.initRegistry()
-	s.ts = obs.NewTimeSeries(s.reg, opts.SampleInterval, opts.SampleWindow)
 	return s
 }
 
@@ -191,9 +183,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // SLOWLOG and over HTTP by the /slowlog debug endpoint).
 func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
 
-// TimeSeries exposes the retained-telemetry ring.
-func (s *Server) TimeSeries() *obs.TimeSeries { return s.ts }
-
 // ListenAndServe listens on addr ("host:port") and serves until ctx is
 // cancelled. The listener's actual address (useful with ":0") is sent on
 // ready, if non-nil, once accepting.
@@ -218,11 +207,6 @@ func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
 		s.beginDrain()
 	})
 	defer stop()
-
-	// Retained telemetry samples for the server's lifetime; Stop waits
-	// for the sampler goroutine, so none outlives Serve.
-	s.ts.Start()
-	defer s.ts.Stop()
 
 	sem := make(chan struct{}, s.opts.MaxConns)
 	var wg sync.WaitGroup

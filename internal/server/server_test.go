@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -245,6 +246,9 @@ func TestStatsReplyIsTheRegistry(t *testing.T) {
 	if !table || !shard {
 		t.Fatalf("collector series missing from STATS (table=%v shard=%v)", table, shard)
 	}
+	if n := stats(t, c)["query.count"]; n != 3 {
+		t.Fatalf("STATS query.count = %d after 3 queries", n)
+	}
 }
 
 // TestEveryRequestDispatched sends every request opcode, each with an
@@ -434,6 +438,47 @@ func TestGracefulShutdown(t *testing.T) {
 			t.Fatal("new session served after shutdown")
 		}
 	}
+}
+
+// TestIdleServeStartsNoGoroutine: Serve runs on the goroutine that
+// calls it and starts none of its own while no client is connected.
+// Each session is one goroutine, and every one is gone once Serve
+// returns.
+func TestIdleServeStartsNoGoroutine(t *testing.T) {
+	tb := dkbms.NewConcurrent(dkbms.NewMemory())
+	defer tb.Close()
+	settle := func(want int, what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() != want && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n != want {
+			t.Fatalf("%s: %d goroutines, want %d", what, n, want)
+		}
+	}
+	base := runtime.NumGoroutine()
+	addr, cancel, done := startServer(t, tb, server.Options{})
+	defer cancel()
+	settle(base+1, "idle Serve")
+
+	for i := 1; i <= 3; i++ {
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Ping(); err != nil {
+			t.Fatal(err)
+		}
+		settle(base+1+i, fmt.Sprintf("%d sessions", i))
+	}
+
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	settle(base, "after Serve returned")
 }
 
 // TestMaxConnsBackpressure checks that over-limit clients queue rather
@@ -836,54 +881,6 @@ func TestQueryIDOverWire(t *testing.T) {
 	}
 }
 
-// TestTimeSeriesPinnedDeltas: with deterministic sample boundaries
-// around a burst of N queries, the windowed query.count delta is
-// exactly N.
-func TestTimeSeriesPinnedDeltas(t *testing.T) {
-	tb := dkbms.NewConcurrent(dkbms.NewMemory())
-	defer tb.Close()
-	if err := tb.Load(baseProgram); err != nil {
-		t.Fatal(err)
-	}
-	// A huge interval keeps the background ticker quiet so the only ring
-	// samples are the pinned SampleNow calls below (plus Start's).
-	srv := server.New(tb, server.Options{SampleInterval: time.Hour})
-	addr, cancel, done := startServerWith(t, srv)
-	defer func() { cancel(); <-done }()
-
-	ts := srv.TimeSeries()
-	ts.SampleNow()
-
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	const n = 10
-	for i := 0; i < n; i++ {
-		if _, err := c.Query("?- ancestor(c0, W).", wire.QueryOpts{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts.SampleNow()
-
-	st, ok := ts.Stat("query.count", 0)
-	if !ok {
-		t.Fatal("query.count not sampled")
-	}
-	if st.Delta != n {
-		t.Fatalf("windowed query.count delta = %d, want %d", st.Delta, n)
-	}
-	if st.Rate <= 0 {
-		t.Fatalf("rate = %v", st.Rate)
-	}
-
-	// The STATS reply carries the same counter.
-	if got := stats(t, c)["query.count"]; got != n {
-		t.Fatalf("STATS query.count = %d, want %d", got, n)
-	}
-}
-
 // startServerWith is startServer for a pre-built server (tests that
 // need the server handle itself).
 func startServerWith(t *testing.T, srv *server.Server) (string, context.CancelFunc, chan error) {
@@ -902,16 +899,16 @@ func startServerWith(t *testing.T, srv *server.Server) (string, context.CancelFu
 	}
 }
 
-// TestTimeSeriesAndTraceEndpoints drives /timeseries and /debug/trace:
-// windowed series appear after traffic, and a traced query's span tree
-// exports as Chrome trace-event JSON addressable by its query ID.
-func TestTimeSeriesAndTraceEndpoints(t *testing.T) {
+// TestTraceEndpointExportsRetainedQuery drives /debug/trace: a traced
+// query's span tree exports as Chrome trace-event JSON addressable by
+// its query ID; an unknown ID is 404 and a malformed one 400.
+func TestTraceEndpointExportsRetainedQuery(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
 	if err := tb.Load(baseProgram); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(tb, server.Options{SampleInterval: time.Hour})
+	srv := server.New(tb, server.Options{})
 	addr, cancel, done := startServerWith(t, srv)
 	defer func() { cancel(); <-done }()
 	hs := httptest.NewServer(srv.DebugHandler())
@@ -930,7 +927,6 @@ func TestTimeSeriesAndTraceEndpoints(t *testing.T) {
 	if res.Trace == nil || res.QueryID != qid {
 		t.Fatalf("traced result: trace=%v id=%#x", res.Trace, res.QueryID)
 	}
-	srv.TimeSeries().SampleNow()
 
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -946,28 +942,7 @@ func TestTimeSeriesAndTraceEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body)
 	}
 
-	code, body := get("/timeseries?points=16")
-	if code != 200 {
-		t.Fatalf("/timeseries = %d %s", code, body)
-	}
-	var snap obs.TimeSeriesSnapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/timeseries not JSON: %v", err)
-	}
-	var found bool
-	for _, s := range snap.Series {
-		if s.Name == "query.count" && s.Last >= 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("/timeseries lacks query.count: %s", body)
-	}
-	if code, body := get("/timeseries?window=bogus"); code != http.StatusBadRequest {
-		t.Fatalf("bad window = %d %s", code, body)
-	}
-
-	code, body = get("/debug/trace?id=" + obs.FormatQueryID(qid))
+	code, body := get("/debug/trace?id=" + obs.FormatQueryID(qid))
 	if code != 200 {
 		t.Fatalf("/debug/trace = %d %s", code, body)
 	}
@@ -990,26 +965,5 @@ func TestTimeSeriesAndTraceEndpoints(t *testing.T) {
 	}
 	if code, _ := get("/debug/trace?id=nonsense!"); code != http.StatusBadRequest {
 		t.Fatalf("bad id = %d", code)
-	}
-}
-
-// TestSamplingAlwaysOn: a negative sample interval or window selects
-// the default, so every server serves /timeseries.
-func TestSamplingAlwaysOn(t *testing.T) {
-	tb := dkbms.NewConcurrent(dkbms.NewMemory())
-	defer tb.Close()
-	srv := server.New(tb, server.Options{SampleInterval: -1, SampleWindow: -1})
-	if ts := srv.TimeSeries(); ts.Interval() != obs.DefaultSampleInterval || ts.Capacity() != obs.DefaultSampleWindow {
-		t.Fatalf("ring %v x %d, want the defaults", ts.Interval(), ts.Capacity())
-	}
-	hs := httptest.NewServer(srv.DebugHandler())
-	defer hs.Close()
-	resp, err := http.Get(hs.URL + "/timeseries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/timeseries = %d, want 200", resp.StatusCode)
 	}
 }
