@@ -158,7 +158,7 @@ func (s *shell) query(line string) error {
 	fmt.Fprint(s.out, res.Format())
 	fmt.Fprintf(s.out, "%d rows", len(res.Rows))
 	if res.Optimized {
-		fmt.Fprint(s.out, " (magic sets)")
+		fmt.Fprint(s.out, " (optimized)")
 	}
 	fmt.Fprintf(s.out, " [%s]\n", res.Strategy)
 	if s.timing {
@@ -196,7 +196,7 @@ func (s *shell) trace(arg string) error {
 	fmt.Fprint(s.out, res.Format())
 	fmt.Fprintf(s.out, "%d rows", len(res.Rows))
 	if res.Optimized {
-		fmt.Fprint(s.out, " (magic sets)")
+		fmt.Fprint(s.out, " (optimized)")
 	}
 	fmt.Fprintf(s.out, " [%s]\n", res.Strategy)
 	fmt.Fprintf(s.out, "query id %s\n", obs.FormatQueryID(res.QueryID))
@@ -291,8 +291,8 @@ func (s *shell) explain(q string) error {
 	if err != nil {
 		return err
 	}
-	if compiled.Optimized {
-		fmt.Fprintln(s.out, "magic-sets rewriting applied")
+	if compiled.Rewrite != "" {
+		fmt.Fprintf(s.out, "rewrite: %s\n", compiled.Rewrite)
 	}
 	fmt.Fprint(s.out, compiled.Program.Explain())
 	return nil

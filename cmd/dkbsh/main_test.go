@@ -197,10 +197,16 @@ func TestShellExplain(t *testing.T) {
 		".explain ?- anc(a, W).",
 	)
 	out := buf.String()
-	for _, want := range []string{"magic-sets rewriting applied", "clique", "SELECT DISTINCT", "edb_parent"} {
+	for _, want := range []string{"rewrite: factoring", "clique", "SELECT DISTINCT", "edb_parent"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain output missing %q:\n%s", want, out)
 		}
+	}
+	// The pass-through adornment keeps generalized magic sets.
+	buf.Reset()
+	drive(t, sh, ".explain ?- anc(W, b).")
+	if out := buf.String(); !strings.HasPrefix(out, "rewrite: magic sets\n") {
+		t.Fatalf("explain header is not the magic-sets rewrite:\n%s", out)
 	}
 	if err := sh.handle(".explain ?- nosuch(X)."); err == nil {
 		t.Fatal("explain of bad query accepted")

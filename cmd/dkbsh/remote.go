@@ -181,7 +181,7 @@ func (s *remoteShell) printResult(res *wire.Result) {
 	}
 	fmt.Fprintf(s.out, "%d rows", len(res.Rows))
 	if res.Optimized {
-		fmt.Fprint(s.out, " (magic sets)")
+		fmt.Fprint(s.out, " (optimized)")
 	}
 	fmt.Fprintf(s.out, " [%s]\n", res.Strategy)
 	if res.QueryID != 0 {

@@ -35,7 +35,7 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 
 	fmt.Printf("\ncompiled in %v, evaluated in %v", res.Compile.Total, res.Eval.Elapsed)
 	if res.Optimized {
-		fmt.Print(" (magic-sets rewriting applied)")
+		fmt.Print(" (optimized)")
 	}
 	fmt.Println()
 

@@ -3,7 +3,8 @@
 // Horn-clause query into an executable evaluation program:
 //
 //	parse → gather relevant rules (workspace + stored D/KB) →
-//	[magic-sets optimization] → PCG/clique analysis → evaluation order →
+//	[factoring or magic-sets optimization] → PCG/clique analysis →
+//	evaluation order →
 //	semantic checks (definedness, type inference) → code generation.
 //
 // The compiled Program is executed by internal/rtlib against the DBMS.
@@ -187,7 +188,7 @@ type CompileStats struct {
 	// ReadDict: time to read the intensional/extensional dictionaries
 	// (base-relation types).
 	ReadDict time.Duration
-	// Rewrite: magic-sets optimization time.
+	// Rewrite: optimization time (factoring or magic sets).
 	Rewrite time.Duration
 	// EvalOrder: PCG construction, clique finding, topological sort.
 	EvalOrder time.Duration
@@ -211,15 +212,23 @@ type Compiled struct {
 	// Vars are the query's output variable names, in answer-column
 	// order.
 	Vars []string
-	// Optimized reports whether magic-sets rewriting was applied.
+	// Optimized reports whether magic sets or factoring was applied.
 	Optimized bool
+	// Rewrite names the rewrite applied (magic.GeneralizedMagic or
+	// magic.Factoring), empty when none was.
+	Rewrite string
 }
 
 // CompileOptions control compilation.
 type CompileOptions struct {
-	// Optimize applies generalized magic sets when the query carries
-	// constant bindings.
+	// Optimize applies factoring when the program is a bound linear
+	// recursion it handles (magic.Factor), and otherwise generalized
+	// magic sets when the query carries constant bindings.
 	Optimize bool
+	// ForceMagic skips factoring, so that Optimize always applies
+	// generalized magic sets: the paper's experiments measure that
+	// rewrite.
+	ForceMagic bool
 	// Trace, when non-nil, receives a "compile" span whose children are
 	// the per-phase timings of CompileStats (setup, extract, read-dict,
 	// magic rewrite, eval-order, typecheck, codegen).
@@ -229,7 +238,7 @@ type CompileOptions struct {
 // emitCompileSpans renders already-measured CompileStats as a span tree
 // — the compiler keeps its own timers (the paper's Test 3 reports
 // them), so the trace mirrors them rather than double-timing.
-func emitCompileSpans(tr *obs.Trace, stats CompileStats, optimized bool) {
+func emitCompileSpans(tr *obs.Trace, stats CompileStats, rewrite string) {
 	if tr == nil {
 		return
 	}
@@ -237,8 +246,8 @@ func emitCompileSpans(tr *obs.Trace, stats CompileStats, optimized bool) {
 	sp.SetDuration(stats.Total)
 	sp.SetInt("relevant_rules", int64(stats.RelevantRules))
 	sp.SetInt("relevant_preds", int64(stats.RelevantPreds))
-	if optimized {
-		sp.SetString("magic", "applied")
+	if rewrite != "" {
+		sp.SetString("rewrite", rewrite)
 	}
 	phases := []struct {
 		name string
@@ -347,14 +356,22 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 	// the facts behind a bridge predicate (paper §1.1).
 	relevant, g = normalizeMixed(relevant, g, baseTypes)
 
-	// --- Optional magic-sets rewriting.
+	// --- Optional rewriting: factoring where it applies, generalized
+	// magic sets otherwise.
 	queryPred := dlog.QueryPred
 	var seeds []codegen.SeedFact
 	seedOnly := make(map[string][]rel.Type)
-	optimized := false
+	rewrite := ""
 	t0 = time.Now()
 	if opts.Optimize {
-		res, err := magic.Rewrite(relevant, dlog.QueryPred, func(p string) bool { return g.IsDerived(p) })
+		var res *magic.Result
+		var err error
+		if !opts.ForceMagic {
+			res = magic.Factor(relevant, dlog.QueryPred, g.IsDerived)
+		}
+		if res == nil {
+			res, err = magic.Rewrite(relevant, dlog.QueryPred, g.IsDerived)
+		}
 		switch {
 		case err == magic.ErrNoBindings:
 			// Identity rewrite: fall through unoptimized.
@@ -363,7 +380,7 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 		default:
 			relevant = res.Rules
 			queryPred = res.QueryPred
-			optimized = true
+			rewrite = res.Rewrite
 			for _, s := range res.Seeds {
 				tu := make(rel.Tuple, len(s.Args))
 				for i, t := range s.Args {
@@ -466,8 +483,8 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 	stats.CodeGen = time.Since(t0)
 
 	stats.Total = time.Since(total)
-	emitCompileSpans(opts.Trace, stats, optimized)
-	return &Compiled{Program: prog, Stats: stats, Vars: vars, Optimized: optimized}, nil
+	emitCompileSpans(opts.Trace, stats, rewrite)
+	return &Compiled{Program: prog, Stats: stats, Vars: vars, Optimized: rewrite != "", Rewrite: rewrite}, nil
 }
 
 // collectBaseTypes resolves extensional predicate schemas: workspace

@@ -6,6 +6,8 @@ import (
 
 	"dkbms/internal/db"
 	"dkbms/internal/dlog"
+	"dkbms/internal/magic"
+	"dkbms/internal/obs"
 	"dkbms/internal/rel"
 	"dkbms/internal/stored"
 )
@@ -169,6 +171,50 @@ func TestCompileWithMagic(t *testing.T) {
 	}
 	if unopt.Optimized {
 		t.Fatal("unbound query claimed optimization")
+	}
+}
+
+// TestRewriteIsVisible: a compile reports which rewrite ran, in
+// Compiled.Rewrite and on its trace's compile span — factoring for a
+// bound right-linear closure, generalized magic sets when that is forced
+// or for the pass-through adornment factoring declines, none for an
+// unbound query.
+func TestRewriteIsVisible(t *testing.T) {
+	w := ws(t,
+		"parent(john, mary).",
+		"ancestor(X, Y) :- parent(X, Y).",
+		"ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).",
+	)
+	cp := compileEnv(t, w)
+	for _, tc := range []struct {
+		query string
+		opts  CompileOptions
+		want  string
+	}{
+		{"?- ancestor(john, W).", CompileOptions{Optimize: true}, magic.Factoring},
+		{"?- ancestor(john, W).", CompileOptions{Optimize: true, ForceMagic: true}, magic.GeneralizedMagic},
+		{"?- ancestor(W, mary).", CompileOptions{Optimize: true}, magic.GeneralizedMagic},
+		{"?- ancestor(A, B).", CompileOptions{Optimize: true}, ""},
+		{"?- ancestor(john, W).", CompileOptions{}, ""},
+	} {
+		tr := obs.NewTrace("query")
+		tc.opts.Trace = tr
+		compiled, err := cp.Compile(query(t, tc.query), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if compiled.Rewrite != tc.want || compiled.Optimized != (tc.want != "") {
+			t.Errorf("%s %+v: rewrite %q optimized %v, want %q", tc.query, tc.opts, compiled.Rewrite, compiled.Optimized, tc.want)
+		}
+		span := ""
+		for _, a := range tr.Root().Find("compile").Attrs {
+			if a.Key == "rewrite" {
+				span = a.Str
+			}
+		}
+		if span != tc.want {
+			t.Errorf("%s %+v: compile span rewrite=%q, want %q", tc.query, tc.opts, span, tc.want)
+		}
 	}
 }
 

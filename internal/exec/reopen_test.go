@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
@@ -265,15 +264,21 @@ func TestOperatorsReopen(t *testing.T) {
 // heap it then retains must be within that bound of what a tree that
 // only ever ran over the small tables retains, 16 buffers' slack
 // included. Without the release rule the big pass's blocks, key tables,
-// slabs and lists stay, tens to hundreds of KiB per tree. Each tree is
-// measured three times and the least taken: a process's first
-// collections free memory of its own. A reading below zero (the
-// collection freed more of the process's own memory than the tree
-// held) is a failed measurement, not a small tree: it is taken again,
-// up to ten times.
+// slabs and lists stay, tens of KiB per tree. Each reading measures
+// keptTrees identical trees at once and divides: what a collection
+// frees of the process's own memory is then noise against the bytes the
+// trees hold. The big left table's join column holds 1 000 distinct
+// values, so that each join reads 1 000 rows a side but emits about as
+// many rows as it reads, and 200 big passes stay cheap.
 func TestKeptTreeMemoryBounded(t *testing.T) {
+	const keptTrees = 200
 	c := cat(t)
-	lBig, rBig, idxBig := reopenTables(t, c, 3, 1000)
+	_, rBig, idxBig := reopenTables(t, c, 3, 1000)
+	wide := make([][2]int64, 1000)
+	for i := range wide {
+		wide[i] = [2]int64{int64(i % 5), int64(i)}
+	}
+	lBig := newTable(t, c, "lwide", wide)
 	l, r, idx := reopenTables(t, c, 4, 12)
 	tabs := map[*catalog.Table]*catalog.Table{lBig: l, rBig: r}
 	idxs := map[*catalog.Index]*catalog.Index{idxBig: idx}
@@ -282,31 +287,25 @@ func TestKeptTreeMemoryBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// measure returns the heap the tree run returns keeps alive.
-	measure := func(name string, run func() Operator) int64 {
-		for range 10 {
-			op := run()
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			runtime.KeepAlive(op)
-			op = nil
-			runtime.GC()
-			runtime.ReadMemStats(&after)
-			if held := int64(before.HeapAlloc) - int64(after.HeapAlloc); held >= 0 {
-				return held
-			}
-		}
-		t.Fatalf("%s: could not measure the heap a tree retains: every one of 10 readings came out below zero", name)
-		return 0
-	}
-	// retained is the least of three measurements.
+	// retained returns the heap each of keptTrees trees that run returns
+	// keeps alive.
 	retained := func(name string, run func() Operator) int64 {
-		least := int64(math.MaxInt64)
-		for range 3 {
-			least = min(least, measure(name, run))
+		trees := make([]Operator, keptTrees)
+		for i := range trees {
+			trees[i] = run()
 		}
-		return least
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		clear(trees)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(trees)
+		held := int64(before.HeapAlloc) - int64(after.HeapAlloc)
+		if held <= 0 {
+			t.Fatalf("%s: could not measure the heap %d trees retain: the reading came out at %d bytes", name, keptTrees, held)
+		}
+		return held / keptTrees
 	}
 	for _, tc := range reopenCases() {
 		kept := retained(tc.name, func() Operator {
@@ -321,6 +320,7 @@ func TestKeptTreeMemoryBounded(t *testing.T) {
 			run(op)
 			return op
 		})
+		t.Logf("%s: kept %d fresh %d", tc.name, kept, fresh)
 		if bound := 4*fresh + 16<<10; kept > bound {
 			t.Errorf("%s: after a pass over %d rows and one over %d, the tree retains %d bytes; one that only ran over %d retains %d, bound %d",
 				tc.name, lBig.Rows(), l.Rows(), kept, l.Rows(), fresh, bound)

@@ -1,6 +1,7 @@
 // Package magic implements the testbed's Optimizer: the generalized
 // magic-sets rewriting of Beeri & Ramakrishnan that the paper's
-// Knowledge Manager applies to the rules relevant to a query (§3.2.5).
+// Knowledge Manager applies to the rules relevant to a query (§3.2.5),
+// and factoring (Factor), which replaces it on bound linear recursions.
 //
 // The rewrite adorns derived predicates with bound/free patterns
 // propagated from the query constants using the left-to-right sideways
@@ -45,8 +46,12 @@ type Result struct {
 	// QueryPred is the adorned name of the query predicate to evaluate.
 	QueryPred string
 	// Adornments records the adornment string chosen for each original
-	// predicate occurrence (diagnostics; keyed by adorned name).
+	// predicate occurrence (diagnostics; keyed by adorned name; nil from
+	// Factor).
 	Adornments map[string]string
+	// Rewrite names the rewrite that produced the program:
+	// GeneralizedMagic or Factoring.
+	Rewrite string
 }
 
 // AdornedName returns the rewritten name of pred under an adornment.
@@ -76,7 +81,7 @@ func Rewrite(rules []dlog.Clause, queryPred string, isDerived func(string) bool)
 
 	// The query predicate starts all-free: its arguments are the output
 	// variables. Bindings enter through constants in rule bodies.
-	res := &Result{Adornments: make(map[string]string)}
+	res := &Result{Adornments: make(map[string]string), Rewrite: GeneralizedMagic}
 
 	type adorned struct {
 		pred string

@@ -449,7 +449,7 @@ type Result struct {
 	Vars []string
 	// Rows are the answer tuples.
 	Rows []rel.Tuple
-	// Optimized reports whether magic sets were applied.
+	// Optimized reports whether magic sets or factoring was applied.
 	Optimized bool
 	// Strategy is the LFP strategy used ("semi-naive" or "naive").
 	Strategy string

@@ -12,8 +12,8 @@ import (
 
 // tracedForestQuery evaluates the bound magic query ancestor(n, W), n
 // the first node four levels from the bottom of tree 1 (14 descendants),
-// over a forest indexed on parent's first column, and returns the trace
-// root.
+// over a forest indexed on parent's first column, with generalized magic
+// sets forced (queryMagic), and returns the evaluation's trace root.
 func tracedForestQuery(t *testing.T, trees, depth int) *obs.Span {
 	t.Helper()
 	tb := NewMemory()
@@ -29,10 +29,7 @@ ancestor(X, Y) :- parent(X, Y).
 ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 `)
 	level := depth - 3 // the root is level 1
-	res, err := tb.Query("?- ancestor("+workload.ForestNode(1, 1<<(level-1))+", W).", &QueryOptions{Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := queryMagic(t, tb, "?- ancestor("+workload.ForestNode(1, 1<<(level-1))+", W).", &QueryOptions{Trace: true})
 	if want := workload.SubtreeEdges(depth, level); len(res.Rows) != want {
 		t.Fatalf("%d answers, want %d", len(res.Rows), want)
 	}

@@ -353,19 +353,34 @@ func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []d
 		t.Fatalf("trial %d: re-querying the same text compiled (misses %d -> %d)", trial, misses, got)
 	}
 
-	adoptView(t, c, q.String(), bases[0]+"(zz1, zz2)", &QueryOptions{}, &QueryOptions{Parallel: true})
+	// atom renders pred(tu) as source text; every column is a string.
+	atom := func(pred string, tu rel.Tuple) string {
+		args := make([]string, len(tu))
+		for i, v := range tu {
+			args[i] = v.Str
+		}
+		return pred + "(" + strings.Join(args, ", ") + ")"
+	}
+	zz := make(rel.Tuple, len(facts[bases[0]][0]))
+	for i := range zz {
+		zz[i] = rel.NewString(fmt.Sprintf("zz%d", i+1))
+	}
+	adoptView(t, c, q.String(), atom(bases[0], zz), &QueryOptions{}, &QueryOptions{Parallel: true})
 
 	consts := []string{"a", "b", "c", "d", "g", "h", "k"}
 	pred := bases[r.Intn(len(bases))]
 	var fresh rel.Tuple
 	for dup := true; dup; {
-		fresh = rel.Tuple{rel.NewString(consts[r.Intn(len(consts))]), rel.NewString(consts[r.Intn(len(consts))])}
+		fresh = make(rel.Tuple, len(now[pred][0]))
+		for i := range fresh {
+			fresh[i] = rel.NewString(consts[r.Intn(len(consts))])
+		}
 		dup = false
 		for _, tu := range now[pred] {
 			dup = dup || tu.Key() == fresh.Key()
 		}
 	}
-	if err := c.Load(fmt.Sprintf("%s(%s, %s).", pred, fresh[0].Str, fresh[1].Str)); err != nil {
+	if err := c.Load(atom(pred, fresh) + "."); err != nil {
 		t.Fatal(err)
 	}
 	now[pred] = append(now[pred], fresh)
@@ -374,7 +389,7 @@ func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []d
 	pred = bases[r.Intn(len(bases))]
 	i := r.Intn(len(now[pred]))
 	gone := now[pred][i]
-	if n, err := c.RetractSrc(fmt.Sprintf("%s(%s, %s)", pred, gone[0].Str, gone[1].Str)); err != nil || n != 1 {
+	if n, err := c.RetractSrc(atom(pred, gone)); err != nil || n != 1 {
 		t.Fatalf("trial %d retract %s%s: %d, %v", trial, pred, gone.String(), n, err)
 	}
 	now[pred] = append(now[pred][:i], now[pred][i+1:]...)

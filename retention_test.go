@@ -86,23 +86,41 @@ func TestResultsDoNotPinBlocks(t *testing.T) {
 	runtime.KeepAlive(tb)
 }
 
-// TestRetainedBytesBounded: a served D/KB that never changes keeps the
-// answers of its cached queries, not their evaluations' accumulators.
-// A right-linear closure over a 200-edge chain, queried from 64
-// different bound constants, runs magic programs whose accumulators
-// grow with the square of the chain: kept as materialized views they
-// retained 13.5 MiB for 10 784 answer rows (go1.24 linux/amd64). No
-// commit ever moves the chain, so no query keeps a view, and the cache
-// retains its answers within 3 MiB. The first commit to the chain then
-// has each memo re-evaluated ("plan"), the re-evaluation keeps a view,
-// and the commit after that is maintained — both against the closure.
+// TestRetainedBytesBounded: a served D/KB keeps the answers of its
+// cached queries and, once commits move their inputs, views linear in
+// those answers. A right-linear closure over a chain, queried from 64
+// different bound constants, is factored: a reachability set from the
+// constant and one answer join, each at most the answer's rows plus one
+// (under generalized magic sets the accumulators grew with the square
+// of the chain: 13.54 MiB at 200 edges after one commit, 60.46 MiB at
+// 400, go1.24 linux/amd64).
+//
+// Static half: no commit moves the chain, so no query keeps a view, and
+// the cache retains its answers within 3 MiB. Written half: one commit
+// to the chain has each memo re-evaluated ("plan") and keep a view; with
+// all 64 views the cache still retains within 3 MiB, and the 400-edge
+// chain at most 2.2× what the 200-edge chain does. The commit after that
+// is maintained, against the closure.
 func TestRetainedBytesBounded(t *testing.T) {
 	if raceEnabled {
-		// One goroutine, nothing to race; its 64 quadratic closures take
-		// about a minute under the detector. CI's allocation pins run it.
+		// One goroutine, nothing to race; its 128 closures take long
+		// under the detector. CI's allocation pins run it.
 		t.Skip("single-goroutine heap measurement; runs without -race")
 	}
-	const edges, queries = 200, 64
+	written := make(map[int]int64)
+	for _, edges := range []int{200, 400} {
+		written[edges] = retainedByChain(t, edges)
+	}
+	if ratio := float64(written[400]) / float64(written[200]); ratio > 2.2 {
+		t.Errorf("after a commit, the 400-edge chain's cache retains %.2f× the 200-edge chain's (%d and %d bytes), more than 2.2×",
+			ratio, written[400], written[200])
+	}
+}
+
+// retainedByChain runs both halves of TestRetainedBytesBounded on one
+// chain of the given length and returns the written half's bytes.
+func retainedByChain(t *testing.T, edges int) int64 {
+	const queries, limit = 64, 3 << 20
 	node := func(i int) string { return fmt.Sprintf("n%d", i) }
 	tb := NewMemory()
 	chain := make([]rel.Tuple, edges)
@@ -124,53 +142,76 @@ func TestRetainedBytesBounded(t *testing.T) {
 		sort.Strings(keys)
 		return strings.Join(keys, ";")
 	}
-	query := func(k int) *QueryResult {
+	// queryAll poses all 64 texts against a chain that ends at last,
+	// each answered with the given cache outcome, and returns the answer
+	// rows.
+	queryAll := func(last int, cache string) int {
 		t.Helper()
-		res, err := c.Query(fmt.Sprintf("?- r(%s, Y).", node(k)), nil)
-		if err != nil {
-			t.Fatal(err)
+		rows := 0
+		for k := 0; k < queries; k++ {
+			res, err := c.Query(fmt.Sprintf("?- r(%s, Y).", node(k)), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rowsKey(res), closure(k, last); got != want {
+				t.Fatalf("r(%s, Y): %d rows, not the chain's closure (%d rows)", node(k), len(res.Rows), last-k)
+			}
+			if res.Cache != cache {
+				t.Fatalf("r(%s, Y): cache=%q, want %q", node(k), res.Cache, cache)
+			}
+			rows += len(res.Rows)
 		}
-		return res
+		return rows
+	}
+	// held is the heap retained since base. A reading below zero (the
+	// collection freed more of the process's own memory than the cache
+	// holds) is a failed measurement: it is taken again, up to ten
+	// times.
+	held := func(base uint64) int64 {
+		t.Helper()
+		for range 10 {
+			if n := int64(liveHeap()) - int64(base); n >= 0 {
+				return n
+			}
+		}
+		t.Fatalf("could not measure the heap the cache retains: every one of 10 readings came out below zero")
+		return 0
 	}
 
 	base := liveHeap()
-	rows := 0
-	for k := 0; k < queries; k++ {
-		res := query(k)
-		if got, want := rowsKey(res), closure(k, edges); got != want {
-			t.Fatalf("r(%s, Y): %d rows, not the chain's closure (%d rows)", node(k), len(res.Rows), edges-k)
-		}
-		rows += len(res.Rows)
-	}
-	// A reading below zero (the collection freed more of the process's
-	// own memory than the cache holds) is a failed measurement: it is
-	// taken again, up to ten times.
-	held := int64(-1)
-	for i := 0; i < 10 && held < 0; i++ {
-		held = int64(liveHeap()) - int64(base)
-	}
-	if held < 0 {
-		t.Fatalf("could not measure the heap the cache retains: every one of 10 readings came out below zero")
-	}
-	t.Logf("%d cached queries retain %.2f MiB for %d answer rows", queries, float64(held)/(1<<20), rows)
-	const limit = 3 << 20
-	if held > limit {
-		t.Errorf("%d cached queries on a static D/KB retain %d bytes, more than %d", queries, held, limit)
+	rows := queryAll(edges, "miss")
+	static := held(base)
+	t.Logf("%d edges: %d cached queries retain %.2f MiB for %d answer rows", edges, queries, float64(static)/(1<<20), rows)
+	if static > limit {
+		t.Errorf("%d edges: %d cached queries on a static D/KB retain %d bytes, more than %d", edges, queries, static, limit)
 	}
 	if st := c.MatViewStats(); st.Live != 0 {
-		t.Errorf("a static D/KB holds %d materialized views, want 0", st.Live)
+		t.Errorf("%d edges: a static D/KB holds %d materialized views, want 0", edges, st.Live)
 	}
 
-	for i, cache := range []string{"plan", "maintained"} {
-		if err := c.Load(fmt.Sprintf("e(%s, %s).", node(edges+i), node(edges+i+1))); err != nil {
-			t.Fatal(err)
-		}
-		res := query(0)
-		if res.Cache != cache {
-			t.Errorf("commit %d to the chain: cache=%q, want %q", i+1, res.Cache, cache)
-		}
-		if got, want := rowsKey(res), closure(0, edges+i+1); got != want {
-			t.Fatalf("commit %d to the chain: %d rows, not the chain's closure (%d rows)", i+1, len(res.Rows), edges+i+1)
-		}
+	if err := c.Load(fmt.Sprintf("e(%s, %s).", node(edges), node(edges+1))); err != nil {
+		t.Fatal(err)
 	}
+	rows = queryAll(edges+1, "plan")
+	written := held(base)
+	t.Logf("%d edges: after a commit, %d cached queries with %d views retain %.2f MiB for %d answer rows",
+		edges, queries, c.MatViewStats().Live, float64(written)/(1<<20), rows)
+	if written > limit {
+		t.Errorf("%d edges: after a commit to the chain, %d cached queries retain %d bytes, more than %d", edges, queries, written, limit)
+	}
+
+	if err := c.Load(fmt.Sprintf("e(%s, %s).", node(edges+1), node(edges+2))); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Query(fmt.Sprintf("?- r(%s, Y).", node(0)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cache != "maintained" {
+		t.Errorf("%d edges, second commit to the chain: cache=%q, want \"maintained\"", edges, res.Cache)
+	}
+	if got, want := rowsKey(res), closure(0, edges+2); got != want {
+		t.Fatalf("%d edges, second commit to the chain: %d rows, not the chain's closure (%d rows)", edges, len(res.Rows), edges+2)
+	}
+	return written
 }

@@ -373,10 +373,14 @@ func (tb *Testbed) planUpdate(st *stored.UpdateStats) (write, error) {
 type QueryOptions struct {
 	// Naive selects naive LFP evaluation (default is semi-naive).
 	Naive bool
-	// NoOptimize disables the magic-sets rewriting. By default it applies
-	// whenever the query or a relevant rule carries a constant binding,
-	// and is the identity otherwise — the paper's §6 dynamic on/off
-	// decision, made by the optimizer itself.
+	// NoOptimize disables the Optimizer's rewriting: magic sets or
+	// factoring. By default it applies whenever the query or a relevant
+	// rule carries a constant binding, and is the identity otherwise —
+	// the paper's §6 dynamic on/off decision, made by the optimizer
+	// itself. A bound query on a linear recursion is factored (a
+	// reachability set from the constant plus one answer join, both
+	// linear in the answer); every other bound program gets generalized
+	// magic sets.
 	NoOptimize bool
 	// Parallel evaluates independent PCG nodes as a dependency wavefront
 	// on the testbed's evaluation pool (paper conclusion 7a at clique
@@ -405,7 +409,7 @@ type QueryResult struct {
 	// Compile and Evaluate are the paper's t_c and t_e breakdowns.
 	Compile core.CompileStats
 	Eval    rtlib.Stats
-	// Optimized reports whether magic sets were applied.
+	// Optimized reports whether magic sets or factoring was applied.
 	Optimized bool
 	// Strategy is the LFP strategy used.
 	Strategy rtlib.Strategy
