@@ -291,14 +291,27 @@ func (c *ConcurrentTestbed) QueryContext(ctx context.Context, src string, opts *
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	return c.read(ctx, newPlanKey(src, opts), opts.Trace, opts.QueryID)
+	return c.read(ctx, newPlanKey(src, opts), opts.Trace, opts.QueryID, false)
+}
+
+// QueryShared is QueryContext for a caller that only reads the answer,
+// as a server session encoding it does: the result's Rows are the
+// memoized answer's own slice, shared with every other reader, where
+// QueryContext hands out a copy. The caller must not modify Rows or
+// its tuples.
+func (c *ConcurrentTestbed) QueryShared(ctx context.Context, src string, opts *QueryOptions) (*QueryResult, error) {
+	if opts == nil {
+		opts = &QueryOptions{}
+	}
+	return c.read(ctx, newPlanKey(src, opts), opts.Trace, opts.QueryID, true)
 }
 
 // read is the read path behind QueryContext: it pins a snapshot, takes
 // the query's program (and a current memoized answer, if there is one)
 // from the plan cache, and otherwise evaluates and publishes the answer
-// for the next reader. qid 0 mints a query ID.
-func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, qid uint64) (*QueryResult, error) {
+// for the next reader. qid 0 mints a query ID; shared is as in
+// shareResult.
+func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, qid uint64, shared bool) (*QueryResult, error) {
 	if qid == 0 {
 		qid = obs.NewQueryID()
 	}
@@ -321,7 +334,7 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 	}
 	if memo != nil {
 		if !trace {
-			out := shareResult(memo)
+			out := shareResult(memo, shared)
 			out.Cache, out.Snapshot, out.QueryID = status, s.Gen, qid
 			return out, nil
 		}
@@ -349,7 +362,7 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 		c.plans.store(key, s, compiled, res, nil)
 	}
 	// The stored answer is query-neutral; the caller's copy carries the ID.
-	out := shareResult(res)
+	out := shareResult(res, shared)
 	out.Cache, out.QueryID = status, qid
 	return out, nil
 }
@@ -367,13 +380,16 @@ func (c *ConcurrentTestbed) compile(s *snapshot.Snapshot, key planKey, tr *obs.T
 	return c.tb.compile(s.WS(), vdb, vst, q, &key.opts, tr)
 }
 
-// shareResult returns a caller-private view of a cached result: the
-// struct and row slice are copied so callers may append to or reorder
-// Rows, while the tuples themselves (treated as immutable everywhere)
-// stay shared.
-func shareResult(res *QueryResult) *QueryResult {
+// shareResult returns a caller's view of a cached result: the struct is
+// copied, so the caller's outcome, snapshot and query ID are its own,
+// and so is the row slice, so callers may append to or reorder Rows,
+// unless the caller only reads them (shared). The tuples themselves
+// (treated as immutable everywhere) stay shared.
+func shareResult(res *QueryResult, shared bool) *QueryResult {
 	out := *res
-	out.Rows = append([]rel.Tuple(nil), res.Rows...)
+	if !shared {
+		out.Rows = append([]rel.Tuple(nil), res.Rows...)
+	}
 	return &out
 }
 

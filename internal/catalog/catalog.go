@@ -9,6 +9,7 @@
 package catalog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -379,8 +380,11 @@ func (c *Catalog) dropIndexDDL(name string) error {
 
 // ShadowTable replaces a table with a physically separate clone — the
 // copy-on-write step of the snapshot commit path. The clone gets a
-// fresh heap holding a raw copy of every record and freshly built
-// index trees; they count their traffic, the copy's included, in the
+// fresh heap holding a raw copy of every live record, copied record by
+// record so dead slots are left behind, and for each index a clone of
+// its tree with every posting moved to where the copy put the record
+// (index.BTree.Clone): nothing is decoded and no key re-derived. Heap
+// and trees count their traffic, the copy's included, in the
 // original's counters, so a table's counters never restart at a commit.
 // The original table object is returned unchanged and
 // stays fully readable (snapshots holding it keep scanning its heap
@@ -412,24 +416,17 @@ func (c *Catalog) ShadowTable(name string) (*Table, error) {
 		h.Drop() // compensate: don't leak the fresh heap's pages
 		return nil, err
 	}
-	if err := t.Heap.Scan(func(_ storage.RID, rec []byte) error {
-		_, err := h.Insert(rec)
-		return err
-	}); err != nil {
+	moved, err := copyHeap(h, t)
+	if err != nil {
 		return cleanup(err)
 	}
 	nt := &Table{Name: name, Schema: t.Schema, Heap: h, rows: t.rows}
-	newIdx := make([]*Index, 0, len(t.Indexes))
-	for _, idx := range t.Indexes {
+	nt.Indexes = make([]*Index, len(t.Indexes))
+	for i, idx := range t.Indexes {
 		// Index catalog records reference the table by name, so the
 		// persisted record (and its rid) carries over unchanged.
-		ni := &Index{Name: idx.Name, Table: idx.Table, Cols: idx.Cols, Ords: idx.Ords, Tree: idx.Tree.Empty(), Temp: idx.Temp, rid: idx.rid}
-		if err := fillIndex(nt, ni); err != nil {
-			return cleanup(err)
-		}
-		newIdx = append(newIdx, ni)
+		nt.Indexes[i] = &Index{Name: idx.Name, Table: idx.Table, Cols: idx.Cols, Ords: idx.Ords, Tree: idx.Tree.Clone(moved.to), Temp: idx.Temp, rid: idx.rid}
 	}
-	nt.Indexes = newIdx
 	// Rewrite the table's catalog record: it embeds the heap head page.
 	if err := c.heap.Delete(t.rid); err != nil {
 		return cleanup(err)
@@ -446,6 +443,48 @@ func (c *Catalog) ShadowTable(name string) (*Table, error) {
 	}
 	c.mu.Unlock()
 	return t, nil
+}
+
+// ridMap records where copyHeap put each record of the heap it copied:
+// the record at slot s of a page that starts at at in rids went to
+// rids[at+s]. A dead slot's entry is the zero RID, which no posting
+// names.
+type ridMap struct {
+	pages []pageAt // by page ID
+	rids  []storage.RID
+}
+
+type pageAt struct {
+	page storage.PageID
+	at   int
+}
+
+// copyHeap inserts every live record of t's heap into h, in chain and
+// slot order, and returns where each went.
+func copyHeap(h *storage.HeapFile, t *Table) (*ridMap, error) {
+	m := &ridMap{rids: make([]storage.RID, 0, t.rows)}
+	err := t.Heap.ScanPages(func(pg *storage.Page) error {
+		m.pages = append(m.pages, pageAt{pg.ID, len(m.rids)})
+		for s := 0; s < pg.SlotCount(); s++ {
+			var rid storage.RID
+			if rec := pg.Record(s); rec != nil {
+				var err error
+				if rid, err = h.Insert(rec); err != nil {
+					return err
+				}
+			}
+			m.rids = append(m.rids, rid)
+		}
+		return nil
+	})
+	slices.SortFunc(m.pages, func(a, b pageAt) int { return cmp.Compare(a.page, b.page) })
+	return m, err
+}
+
+// to returns where the record at rid went.
+func (m *ridMap) to(rid storage.RID) storage.RID {
+	i, _ := slices.BinarySearchFunc(m.pages, rid.Page, func(p pageAt, id storage.PageID) int { return cmp.Compare(p.page, id) })
+	return m.rids[m.pages[i].at+rid.Slot]
 }
 
 // Census counts a database's pages outside the temp region by owner.
@@ -630,6 +669,19 @@ func (t *Table) DecodeAll() (rel.Block, error) {
 		return t.decodePage(&dec, pg)
 	})
 	if err != nil {
+		return rel.Block{}, err
+	}
+	return dec.Finish(), nil
+}
+
+// DecodePage decodes the live records of pg, a page of the table's heap
+// the caller has pinned, in slot order, through dec into one block:
+// over kept, a block whose rows nobody reads any more, when its slab
+// holds them (rel.BlockDecoder.BeginWithin), else into a block sized to
+// the page.
+func (t *Table) DecodePage(dec *rel.BlockDecoder, kept rel.Block, pg *storage.Page) (rel.Block, error) {
+	dec.BeginWithin(kept, pg.LiveRecords(), recordBytes(pg))
+	if err := t.decodePage(dec, pg); err != nil {
 		return rel.Block{}, err
 	}
 	return dec.Finish(), nil

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"dkbms/internal/rel"
@@ -112,6 +114,98 @@ func TestIndexMaintenance(t *testing.T) {
 	}
 	if got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")}); len(got) != 0 {
 		t.Fatalf("after truncate, index has %d entries", len(got))
+	}
+}
+
+// indexAnswers returns every key of idx with the rows its postings
+// point at in t's heap, each key's rows sorted: what the index answers,
+// whatever order its postings are in.
+func indexAnswers(t *testing.T, tb *Table, idx *Index) map[string][]string {
+	t.Helper()
+	if err := idx.Tree.Validate(); err != nil {
+		t.Fatalf("index %s: %v", idx.Name, err)
+	}
+	out := make(map[string][]string)
+	var err error
+	idx.Tree.AscendPrefix(nil, func(key rel.Tuple, rids []storage.RID) bool {
+		for _, rid := range rids {
+			var tu rel.Tuple
+			if tu, err = tb.Get(rid); err != nil {
+				return false
+			}
+			out[key.String()] = append(out[key.String()], tu.String())
+		}
+		slices.Sort(out[key.String()])
+		return true
+	})
+	if err != nil {
+		t.Fatalf("index %s: %v", idx.Name, err)
+	}
+	return out
+}
+
+// TestShadowTableClonesIndexes: after a copy-on-write commit's
+// ShadowTable over a table of several pages with dead slots, every
+// index of the new version answers as an index built from scratch over
+// the new heap does, and the old version answers as before.
+func TestShadowTableClonesIndexes(t *testing.T) {
+	c := memCatalog(t)
+	tb, err := c.CreateTable("e", edgeSchema(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cols := range [][]string{{"src"}, {"dst", "src"}} {
+		if _, err := c.CreateIndex("e_"+strings.Join(cols, "_"), "e", cols, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var rids []storage.RID
+	var rows []rel.Tuple
+	for i := 0; i < 1500; i++ {
+		tu := rel.Tuple{rel.NewString(fmt.Sprint("p", i%40)), rel.NewString(fmt.Sprint("c", i%97))}
+		rid, err := tb.Insert(tu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids, rows = append(rids, rid), append(rows, tu)
+	}
+	for i := 0; i < len(rids); i += 3 {
+		if err := tb.DeleteRID(rids[i], rows[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := make(map[string]map[string][]string)
+	for _, idx := range tb.Indexes {
+		old[idx.Name] = indexAnswers(t, tb, idx)
+	}
+
+	if prev, err := c.ShadowTable("e"); err != nil || prev != tb {
+		t.Fatalf("ShadowTable returned %p, %v; want the old version %p", prev, err, tb)
+	}
+	nt := c.Table("e")
+	if nt == tb || nt.Heap.Head() == tb.Heap.Head() || nt.Rows() != tb.Rows() {
+		t.Fatalf("new version %p on page %d with %d rows, old %p on page %d with %d", nt, nt.Heap.Head(), nt.Rows(), tb, tb.Heap.Head(), tb.Rows())
+	}
+	for _, idx := range slices.Clone(nt.Indexes) {
+		fresh, err := c.CreateIndex("fresh_"+idx.Name, "e", idx.Cols, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := indexAnswers(t, nt, idx), indexAnswers(t, nt, fresh)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("index %s of the new version answers\n%v\na fresh one\n%v", idx.Name, got, want)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(old[idx.Name]) {
+			t.Errorf("index %s of the new version answers\n%v\nthe old one answered\n%v", idx.Name, got, old[idx.Name])
+		}
+		if c.Index(idx.Name) != idx || idx.Tree == tb.Indexes[slices.Index(nt.Indexes, idx)].Tree {
+			t.Errorf("index %s: the catalog does not name the new version's own tree", idx.Name)
+		}
+	}
+	for _, idx := range tb.Indexes {
+		if got := indexAnswers(t, tb, idx); fmt.Sprint(got) != fmt.Sprint(old[idx.Name]) {
+			t.Errorf("index %s of the old version answers\n%v\nafter the shadow, was\n%v", idx.Name, got, old[idx.Name])
+		}
 	}
 }
 

@@ -25,27 +25,41 @@ func borrowed(op exec.Operator) bool {
 		return o.Borrowed
 	case *exec.NLJoin:
 		return o.Borrowed
+	case *exec.SeqScan:
+		return o.Borrowed
 	}
 	return false
 }
 
-// isJoin reports whether op, under the Filter of its residuals, is a
-// join: a producer that builds its rows in a buffer.
-func isJoin(op exec.Operator) bool {
+// lendable reports whether op, under the Filter of its predicates, is a
+// producer that could lend its rows: a join, which builds them in a
+// buffer, or a table scan, which decodes them into a block.
+func lendable(op exec.Operator) bool {
 	if f, ok := op.(*exec.Filter); ok {
 		op = f.Input
 	}
 	switch op.(type) {
-	case *exec.HashJoin, *exec.IndexNLJoin, *exec.NLJoin:
+	case *exec.HashJoin, *exec.IndexNLJoin, *exec.NLJoin, *exec.SeqScan:
 		return true
 	}
 	return false
 }
 
+// lentScan reports whether op, under the Filter of its predicates, is a
+// table scan marked Borrowed.
+func lentScan(op exec.Operator) bool {
+	if f, ok := op.(*exec.Filter); ok {
+		op = f.Input
+	}
+	scan, ok := op.(*exec.SeqScan)
+	return ok && scan.Borrowed
+}
+
 // borrowWalk checks op's tree: a Borrowed producer is allowed only where
-// its consumer copies each row before it asks for the next (copies).
-// Every consumer that keeps rows passes false: a hash join's build side
-// (and, conservatively, its probe side), an index join's outer input,
+// its consumer copies each row before it asks for the next (copies): a
+// Project's input, a hash join's probe side, a deduplicating set
+// operation's inputs, COUNT(*)'s input. Every consumer that keeps rows
+// passes false: a hash join's build side, an index join's outer input,
 // both inputs of a nested-loop join, UNION ALL's inputs, and the
 // statement's result. It records the consumers it met in seen.
 func borrowWalk(t *testing.T, stmt string, op exec.Operator, copies bool, seen map[string]int) {
@@ -58,23 +72,29 @@ func borrowWalk(t *testing.T, stmt string, op exec.Operator, copies bool, seen m
 	}
 	switch o := op.(type) {
 	case *exec.Project:
+		if lentScan(o.Input) {
+			seen["lent project input"]++
+		}
 		borrowWalk(t, stmt, o.Input, true, seen)
 	case *exec.Filter:
 		borrowWalk(t, stmt, o.Input, copies, seen)
 	case *exec.Distinct:
 		borrowWalk(t, stmt, o.Input, copies, seen)
 	case *exec.HashJoin:
-		build := o.Right
+		build, probe := o.Right, o.Left
 		if o.BuildLeft {
-			build = o.Left
+			build, probe = probe, build
 		}
-		if isJoin(build) {
+		if lendable(build) {
 			seen["hash build side"]++
 		}
-		borrowWalk(t, stmt, o.Left, false, seen)
-		borrowWalk(t, stmt, o.Right, false, seen)
+		if lentScan(probe) {
+			seen["lent probe side"]++
+		}
+		borrowWalk(t, stmt, build, false, seen)
+		borrowWalk(t, stmt, probe, true, seen)
 	case *exec.IndexNLJoin:
-		if isJoin(o.Left) {
+		if lendable(o.Left) {
 			seen["index join outer side"]++
 		}
 		borrowWalk(t, stmt, o.Left, false, seen)
@@ -98,12 +118,16 @@ func borrowWalk(t *testing.T, stmt string, op exec.Operator, copies bool, seen m
 // to a consumer that copies each row before asking for the next. Each
 // statement below has a consumer that keeps rows over a producer that
 // would reuse one buffer if it were marked Borrowed — so every kept row
-// would read as the last one written — and many rows through it. Its
-// plan must mark nothing under that consumer, and its answer, run as
-// text and prepared, must be the brute-force one. The prepared statement
-// then runs a second time, on its kept tree, after rows were added to
-// every table: its answer is the new brute-force one, and the rows the
-// first execution returned still read as the old.
+// would read as the last one written, or a scan's rows as the last page
+// decoded — and many rows through it, from tables whose rows lie on
+// three heap pages or more. Its plan must mark nothing under that
+// consumer, and its answer, run as text and prepared, must be the
+// brute-force one; so must the answers of the lent scans, a hash join's
+// probe side and a Project's input, whose rows cross page boundaries.
+// The prepared statement then runs a second time, on its kept tree,
+// after rows were added to every table: its answer is the new
+// brute-force one, and the rows the first execution returned still read
+// as the old.
 func TestBorrowedRowsNeverKept(t *testing.T) {
 	type edge struct{ s, d int64 }
 	r := rand.New(rand.NewSource(7))
@@ -123,9 +147,25 @@ func TestBorrowedRowsNeverKept(t *testing.T) {
 		"CREATE TABLE b (s INTEGER, d INTEGER)",
 		"CREATE TABLE x (s INTEGER, d INTEGER)",
 		"CREATE INDEX x_s ON x (s)")
+	// Filler rows after each row, deleted once all are in, spread a
+	// table's rows over three pages or more: a page holds fewer than 256
+	// records of two integers.
+	filler := rel.Tuple{rel.NewInt(-1), rel.NewInt(-1)}
 	for name, es := range map[string][]edge{"a": a, "b": b, "x": x} {
+		tab := d.Table(name)
 		for _, e := range es {
-			mustExec(t, d, fmt.Sprintf("INSERT INTO %s VALUES (%d, %d)", name, e.s, e.d))
+			if _, err := tab.Insert(rel.Tuple{rel.NewInt(e.s), rel.NewInt(e.d)}); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 3*256/len(es); k++ {
+				if _, err := tab.Insert(filler); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		mustExec(t, d, "DELETE FROM "+name+" WHERE s < 0")
+		if n := heapPages(t, tab); n < 3 {
+			t.Fatalf("table %s lies on %d heap pages, want 3 or more", name, n)
 		}
 	}
 	row := func(vs ...int64) string {
@@ -175,7 +215,20 @@ func TestBorrowedRowsNeverKept(t *testing.T) {
 				pairs(a, b, func(l, r edge) bool { return l.d == r.s }, func(l, r edge) string { return row(l.s, r.d) }),
 				pairs(a, b, func(l, r edge) bool { return l.s == r.d }, func(l, r edge) string { return row(r.s, l.d) })...)
 		}},
-		// The lending case: the EXCEPT copies what it reads.
+		// The lending cases. The join copies each probe row, the
+		// projection each input row, the EXCEPT what it reads.
+		{"lent probe side", "SELECT p.s, a.d FROM b p, a WHERE p.d = a.s", func() []string {
+			return pairs(b, a, func(l, r edge) bool { return l.d == r.s }, func(l, r edge) string { return row(l.s, r.d) })
+		}},
+		{"lent project input", "SELECT d, s FROM x WHERE d > 40", func() []string {
+			var out []string
+			for _, e := range x {
+				if e.d > 40 {
+					out = append(out, row(e.d, e.s))
+				}
+			}
+			return out
+		}},
 		{"borrowed", "SELECT a.s, p.d FROM a, b p WHERE a.d = p.s EXCEPT SELECT * FROM a", func() []string {
 			in := map[string]bool{}
 			for _, e := range a {

@@ -405,6 +405,13 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 // operation — hands them over, and each goes to the heap as it is;
 // any other source is materialized and its tuples encoded. reuse is as
 // in operators.
+//
+// The statement reads the state its SELECT starts from, a
+// statement-level snapshot: every row is in hand before the first
+// write, in a set operation's set, in insertRecords' copy of t's own
+// records, or collected below. No scan provides it by itself — a lent
+// one reads a page per Next — so a self-referential INSERT would
+// otherwise read its own writes.
 func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) error {
 	op, tree, err := d.operators(p, args, vals, sp, reuse)
 	if err != nil {

@@ -201,6 +201,35 @@ func TestInsertSelect(t *testing.T) {
 	if n := d.TableRows("anc"); n != 10 {
 		t.Fatalf("anc rows after self-insert = %d", n)
 	}
+
+	// So does one whose scans are lent — a Project's input, a hash
+	// join's probe side — and read a page per Next, over a table of
+	// several pages, indexed or not.
+	for _, stmt := range []string{
+		"INSERT INTO big SELECT k, v FROM big",
+		"INSERT INTO big SELECT x.k, y.v FROM big x, big y WHERE x.k = y.k AND y.v <= 0",
+	} {
+		for _, indexed := range []bool{false, true} {
+			mustExec(t, d, "CREATE TABLE big (k INTEGER, v INTEGER)")
+			if indexed {
+				mustExec(t, d, "CREATE INDEX big_v ON big (v)")
+			}
+			tab := d.Table("big")
+			for i := 0; i < 1000; i++ {
+				if _, err := tab.Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewInt(int64(-i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := heapPages(t, tab); n < 3 {
+				t.Fatalf("big lies on %d heap pages, want 3 or more", n)
+			}
+			mustExec(t, d, stmt)
+			if n := d.TableRows("big"); n != 2000 {
+				t.Errorf("%s, indexed=%v: %d rows after the self-insert, want 2000", stmt, indexed, n)
+			}
+			mustExec(t, d, "DROP TABLE big")
+		}
+	}
 }
 
 func TestInsertSelectTypeMismatch(t *testing.T) {

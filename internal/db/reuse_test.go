@@ -51,10 +51,12 @@ func checkKept(t *testing.T, d *DB, p *plan.Prepared, args []*catalog.Table, row
 // TestReusedPlanEqualsFresh: every operator tree a prepared statement
 // keeps and re-binds is the tree Build would construct against the same
 // tables. Over the planner's differential generator (plantest.Random),
-// each statement with every FROM position a parameter runs six times
-// while its tables swap positions and grow, and the rows every execution
-// returned are compared with the fresh tree's only after all six — a
-// returned row the kept tree's later executions wrote over shows; over a
+// its tables' rows spread over three heap pages or more, each statement
+// with every FROM position a parameter runs six times while its tables
+// swap positions and grow, and the rows every execution returned are
+// compared with the fresh tree's only after all six — a returned row
+// the kept tree's later executions wrote over, or a lent scan's page
+// decoded over rows a consumer kept, shows; over a
 // semi-naive LFP run,
 // every statement execution of every round is checked just before it
 // runs — it then re-binds the checked tree — and the answer is the
@@ -67,8 +69,16 @@ func TestReusedPlanEqualsFresh(t *testing.T) {
 	}
 	for seed := int64(1); seed <= int64(cases); seed++ {
 		sh := plantest.Random(rand.New(rand.NewSource(seed)))
+		for i := range sh.Tables {
+			sh.Tables[i].Pages = 3
+		}
 		d := OpenMemory()
 		sh.Create(t, d.Catalog())
+		for _, ts := range sh.Tables {
+			if n := heapPages(t, d.Table(ts.Name)); ts.Rows > 0 && n < 3 {
+				t.Fatalf("table %s of %d rows lies on %d heap pages, want 3 or more", ts.Name, ts.Rows, n)
+			}
+		}
 		st, err := sql.Parse(sh.Query)
 		if err != nil {
 			t.Fatalf("%v\n%s", err, sh)
@@ -199,6 +209,16 @@ func lfpRebinds(t *testing.T, indexed bool) {
 	if got := rowStrings(mustQuery(t, d, "SELECT * FROM anc")); strings.Join(got, "|") != strings.Join(want, "|") || rounds != 5 {
 		t.Errorf("%d rounds derived %d ancestor pairs, want 5 rounds and %d", rounds, len(got), len(want))
 	}
+}
+
+// heapPages returns the number of pages in tab's heap chain.
+func heapPages(t *testing.T, tab *catalog.Table) int {
+	t.Helper()
+	before := tab.Heap.Stats()
+	if _, err := tab.Heap.Count(); err != nil {
+		t.Fatal(err)
+	}
+	return int(tab.Heap.Stats().Sub(before).PagesScanned)
 }
 
 // pinned is a TableResolver binding base-table names to fixed table

@@ -171,29 +171,59 @@ func ScanRows(op Operator, fn func(rid storage.RID, tu rel.Tuple) error) error {
 
 // --- SeqScan ---
 
-// SeqScan reads every tuple of a table, a page at a time: Open decodes
-// each heap page into one block and Next walks the blocks. A re-opened
-// scan decodes page i over its last execution's block i.
+// SeqScan reads every tuple of a table, a page at a time. Unlent, Open
+// decodes each heap page into one block and Next walks the blocks; a
+// re-opened scan decodes page i over its last execution's block i. A
+// scan the planner lends (Borrowed) decodes nothing in Open: Next
+// decodes one page at a time, pinned only while it is decoded, into a
+// single block that every page and every execution of the kept tree
+// reuses, so a row is valid until the scan's next Next. Either way the
+// heap counts one scan per execution and each page and its live records
+// as they are read.
 type SeqScan struct {
 	Table *catalog.Table
 	Est   float64
+	// Borrowed is set by the planner when the consumer finishes with
+	// each row before it asks for the next: a Project's input, a hash
+	// join's probe side, a deduplicating set operation's block.
+	Borrowed bool
 
-	blocks []rel.Block
-	block  int32 // blocks[block] is being read
-	row    int32 // next row of it
+	blocks []rel.Block // unlent
+	lent   *lentPass   // lent, from the first Open on
+	block  int32       // blocks[block] is being read
+	row    int32       // next row of it, or of the lent block
 	dec    rel.BlockDecoder
+}
+
+// lentPass is what a lent scan keeps: its pass over the heap and the
+// one block it decodes every page into.
+type lentPass struct {
+	pages storage.PageCursor
+	block rel.Block
 }
 
 // Schema returns the table schema.
 func (s *SeqScan) Schema() *rel.Schema { return s.Table.Schema }
 
-// Open materializes the snapshot of the table. Materializing up front
-// gives statement-level snapshot semantics: a statement that reads and
-// writes the same table (INSERT INTO t SELECT ... FROM t) sees the state
-// as of Open.
+// Open starts a pass over the table: an unlent scan decodes every page
+// now, a lent one leaves its first page to the first Next.
 func (s *SeqScan) Open() error {
 	s.block, s.row = 0, 0
 	decoderFor(&s.dec, s.Table.Schema)
+	if s.Borrowed {
+		if s.lent == nil {
+			s.lent = new(lentPass)
+		}
+		l := s.lent
+		// The block holds the largest page read so far; a table that
+		// leaves it Outgrown lets it go. Its rows are the last
+		// execution's: read as done.
+		if rel.Outgrown(l.block.Cap()*rel.ValueSize, s.Table.Rows()*s.Table.Schema.Len()*rel.ValueSize) {
+			l.block = rel.Block{}
+		}
+		l.pages, s.row = s.Table.Heap.Pages(), int32(l.block.Len())
+		return nil
+	}
 	var err error
 	s.blocks, err = s.Table.DecodeBlocks(&s.dec, s.blocks)
 	return err
@@ -220,6 +250,9 @@ func blockRows(b rel.Block) []rel.Tuple {
 
 // Next returns the next tuple or nil.
 func (s *SeqScan) Next() (rel.Tuple, error) {
+	if s.Borrowed {
+		return s.nextLent()
+	}
 	for int(s.block) < len(s.blocks) {
 		if b := s.blocks[s.block]; int(s.row) < b.Len() {
 			s.row++
@@ -228,6 +261,25 @@ func (s *SeqScan) Next() (rel.Tuple, error) {
 		s.block, s.row = s.block+1, 0
 	}
 	return nil, nil
+}
+
+// nextLent is Next of a lent scan: past the last row of its block it
+// decodes the next page over it.
+func (s *SeqScan) nextLent() (rel.Tuple, error) {
+	for int(s.row) >= s.lent.block.Len() {
+		if more, err := s.lent.pages.Next(s.decodePage); !more || err != nil {
+			return nil, err
+		}
+	}
+	s.row++
+	return s.lent.block.Row(int(s.row) - 1), nil
+}
+
+// decodePage decodes a lent scan's page over its block.
+func (s *SeqScan) decodePage(pg *storage.Page) (err error) {
+	s.lent.block, err = s.Table.DecodePage(&s.dec, s.lent.block, pg)
+	s.row = 0
+	return err
 }
 
 // Close keeps the blocks for the next Open to decode over.

@@ -65,6 +65,9 @@ func outgrown(op Operator) string {
 	list := func(n, c, size int) bool { return rel.Outgrown(c*size, n*size) }
 	switch o := op.(type) {
 	case *SeqScan:
+		if l := o.lent; l != nil && rel.Outgrown(values(l.block.Cap()), values(o.Table.Rows()*o.Table.Schema.Len())) {
+			return "lent SeqScan block"
+		}
 		for _, b := range o.blocks {
 			if rel.Outgrown(values(b.Cap()), values(b.Len()*o.Table.Schema.Len())) {
 				return "SeqScan block"
@@ -152,6 +155,18 @@ func reopenCases() []reopenCase {
 		}},
 		{"values", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &Values{Rows: []rel.Tuple{{rel.NewInt(1)}, {rel.NewInt(2)}}, Out: one}
+		}},
+		// Lent scans, as the planner lends them: a page at a time into
+		// one block.
+		{"lent seqscan", func(l, r *catalog.Table, idx *catalog.Index) Operator { return &SeqScan{Table: l, Borrowed: true} }},
+		{"lent project", func(l, r *catalog.Table, idx *catalog.Index) Operator {
+			return &Project{Input: &Filter{Input: &SeqScan{Table: l, Borrowed: true}, Pred: gt}, Exprs: []Scalar{Col{Ord: 1, Ty: rel.TypeInt}}, Out: one}
+		}},
+		{"lent hashjoin probe", func(l, r *catalog.Table, idx *catalog.Index) Operator {
+			return &HashJoin{Left: &SeqScan{Table: l, Borrowed: true}, Right: &SeqScan{Table: r}, LeftOrds: []int{1}, RightOrds: []int{0}}
+		}},
+		{"lent except", func(l, r *catalog.Table, idx *catalog.Index) Operator {
+			return &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: l, Borrowed: true}, Right: &SeqScan{Table: r}}
 		}},
 	}
 	for _, k := range []struct {
@@ -313,6 +328,11 @@ func TestKeptTreeMemoryBounded(t *testing.T) {
 			run(op)
 			rebindTables(op, tabs, idxs)
 			run(op)
+			walk(op, func(op Operator) {
+				if what := outgrown(op); what != "" {
+					t.Fatalf("%s: after a pass over %d rows and one over %d, keeps its %s", tc.name, lBig.Rows(), l.Rows(), what)
+				}
+			})
 			return op
 		})
 		fresh := retained(tc.name, func() Operator {

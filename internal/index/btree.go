@@ -178,6 +178,42 @@ func New(kinds []rel.Type) *BTree { return newTree(kinds, new(counters)) }
 // t in its index.
 func (t *BTree) Empty() *BTree { return newTree(t.kinds, t.stats) }
 
+// Clone returns a copy of t, node for node, whose every posting is
+// remap's of t's, in t's order: the tree that replaces t in its index
+// when the table's rows move to other RIDs. It counts its traffic in
+// t's counters, as Empty's tree does, and its leaves' slabs are sized
+// to their contents, as after Trim. t is only read, so readers may
+// probe it meanwhile; separators, which no tree writes, are shared.
+func (t *BTree) Clone(remap func(storage.RID) storage.RID) *BTree {
+	c := &BTree{kinds: t.kinds, height: t.height, size: t.size, keys: t.keys, stats: t.stats}
+	var last *leaf
+	c.root = c.cloneNode(t.root, remap, &last)
+	return c
+}
+
+// cloneNode copies n into c, chaining the leaves it copies after *last.
+func (c *BTree) cloneNode(n node, remap func(storage.RID) storage.RID, last **leaf) node {
+	if v, ok := n.(*leaf); ok {
+		lf := &leaf{keys: slices.Clone(v.keys), rids: make([]storage.RID, len(v.rids)), ends: slices.Clone(v.ends), prev: *last}
+		for i, rid := range v.rids {
+			lf.rids[i] = remap(rid)
+		}
+		if *last != nil {
+			(*last).next = lf
+		}
+		*last = lf
+		c.bytes += lf.nodeBytes()
+		return lf
+	}
+	v := n.(*inner)
+	in := &inner{keys: slices.Clone(v.keys), children: make([]node, len(v.children))}
+	for i, child := range v.children {
+		in.children[i] = c.cloneNode(child, remap, last)
+	}
+	c.bytes += in.nodeBytes()
+	return in
+}
+
 func newTree(kinds []rel.Type, stats *counters) *BTree {
 	root := &leaf{}
 	return &BTree{kinds: kinds, root: root, height: 1, bytes: root.nodeBytes(), stats: stats}

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -365,5 +366,88 @@ func TestLookupAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { tr.CountPrefix(prefix) }); n != 0 {
 		t.Errorf("CountPrefix allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestCloneRemaps: a clone of a tree that splits, and lost entries to
+// deletes, is a valid tree whose every key has the source's postings,
+// remapped, in the source's order; and inserts and deletes on the clone
+// leave every answer of the source as it was.
+func TestCloneRemaps(t *testing.T) {
+	tr := New([]rel.Type{rel.TypeInt, rel.TypeString})
+	key := func(i int) []byte {
+		return enc(rel.Tuple{rel.NewInt(int64(i % 300)), rel.NewString(fmt.Sprint("k", i%7))})
+	}
+	rid := func(i int) storage.RID { return storage.RID{Page: storage.PageID(i / 50), Slot: i % 50} }
+	for i := 0; i < 2000; i++ {
+		if err := tr.Insert(key(i), rid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i += 3 {
+		if err := tr.Delete(key(i), rid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remap := func(r storage.RID) storage.RID { return storage.RID{Page: 1000 - r.Page, Slot: 2 * r.Slot} }
+	before := tr.Stats()
+	walk := treeWalk(tr, nil, nil)
+	c := tr.Clone(remap)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := treeWalk(c, nil, nil)
+	if len(got) != len(walk) || c.Len() != tr.Len() || c.DistinctKeys() != tr.DistinctKeys() || c.Height() != tr.Height() {
+		t.Fatalf("clone holds %d keys, %d entries, height %d; source %d, %d, %d", len(got), c.Len(), c.Height(), len(walk), tr.Len(), tr.Height())
+	}
+	for i, v := range walk {
+		want := make([]storage.RID, len(v.rids))
+		for j, r := range v.rids {
+			want[j] = remap(r)
+		}
+		if got[i].key != v.key || !slices.Equal(got[i].rids, want) {
+			t.Fatalf("clone key %s has %v, want %s with %v", got[i].key, got[i].rids, v.key, want)
+		}
+	}
+	if s := c.Stats(); s.Searches != before.Searches || s.Splits != before.Splits {
+		t.Errorf("clone counts %+v, not its source's %+v", s, before)
+	}
+
+	// Write the clone hard: new keys that split its leaves, then delete
+	// the postings it took over under keys below 150.
+	for i := 2000; i < 3000; i++ {
+		if err := c.Insert(key(i), rid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		if i%3 != 0 && i%300 < 150 {
+			if err := c.Delete(key(i), remap(rid(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatalf("source after writes to the clone: %v", err)
+	}
+	if after := treeWalk(tr, nil, nil); !sameVisits(after, walk) {
+		t.Fatal("writes to the clone changed the source's postings")
+	}
+	for i := 0; i < 300; i++ {
+		for s := 0; s < 7; s++ {
+			k := rel.Tuple{rel.NewInt(int64(i)), rel.NewString(fmt.Sprint("k", s))}
+			var want []storage.RID
+			for _, v := range walk {
+				if v.key == k.String() {
+					want = v.rids
+				}
+			}
+			if got := tr.Lookup(k); !slices.Equal(got, want) {
+				t.Fatalf("source Lookup(%v) = %v after writes to the clone, was %v", k, got, want)
+			}
+		}
 	}
 }

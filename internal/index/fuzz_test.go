@@ -126,22 +126,29 @@ func sameVisits(a, b []visit) bool {
 	return slices.EqualFunc(a, b, func(x, y visit) bool { return x.key == y.key && slices.Equal(x.rids, y.rids) })
 }
 
-// FuzzBTreeOps runs a sequence of inserts, deletes and bulk inserts over
-// (int, string) keys against a sorted reference and, after every step,
-// checks the structure (Validate), the counts, the probes (Lookup,
-// LookupPrefix, CountPrefix, each one counted search of Height nodes,
-// a probe of the wrong types matching nothing) and the ordered walks
-// (AscendRange, whole and bounded). Each step is four bytes: the
-// operation, the int and string of its key, and a RID.
+// FuzzBTreeOps runs a sequence of inserts, deletes, bulk inserts and
+// clones over (int, string) keys against a sorted reference and, after
+// every step, checks the structure (Validate), the counts, the probes
+// (Lookup, LookupPrefix, CountPrefix, each one counted search of Height
+// nodes, a probe of the wrong types matching nothing) and the ordered
+// walks (AscendRange, whole and bounded). A clone replaces the tree,
+// its postings remapped, and the steps go on over it; the tree it was
+// cloned from must read as it did, whatever the later steps write.
+// Each step is four bytes: the operation, the int and string of its
+// key, and a RID.
 func FuzzBTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 4, 1, 1, 2, 3})
 	f.Add([]byte{3, 0x80, 1, 0, 3, 0x81, 9, 1, 1, 0x80, 1, 0, 0, 0x82, 12, 7})
 	f.Add([]byte{3, 10, 0, 0, 3, 10, 8, 0, 3, 10, 9, 0, 2, 10, 10, 0})
+	f.Add([]byte{3, 10, 0, 1, 4, 3, 0, 5, 0, 12, 0, 6, 1, 10, 0, 0, 3, 40, 0, 2, 4, 1, 0, 1, 1, 11, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := New([]rel.Type{rel.TypeInt, rel.TypeString})
 		var m btreeModel
+		// The tree last cloned from, and what it held then.
+		var src *BTree
+		var srcWalk []visit
 		for step := 0; len(data) >= 4; step, data = step+1, data[4:] {
-			op, k, rid := data[0]%4, fuzzKey(data[1], data[2]), fuzzRID(data[3])
+			op, k, rid := data[0]%5, fuzzKey(data[1], data[2]), fuzzRID(data[3])
 			switch op {
 			case 0: // insert
 				if fresh, err := m.insert(k, rid), tr.Insert(enc(k), rid); fresh != (err == nil) {
@@ -165,8 +172,27 @@ func FuzzBTreeOps(f *testing.F) {
 						t.Fatalf("step %d: bulk Insert(%v, %s) = %v, model says new = %v", step, kj, rid, err, fresh)
 					}
 				}
+			case 4: // clone-and-continue, under a permutation of the RIDs
+				remap := func(r storage.RID) storage.RID {
+					return storage.RID{Page: r.Page ^ storage.PageID(data[1]&31), Slot: (r.Slot + int(data[3])) & 7}
+				}
+				src, srcWalk = tr, treeWalk(tr, nil, nil)
+				tr = tr.Clone(remap)
+				for _, rids := range m.rids {
+					for j := range rids {
+						rids[j] = remap(rids[j])
+					}
+				}
 			}
 			checkTree(t, step, tr, &m, k)
+			if src != nil {
+				if err := src.Validate(); err != nil {
+					t.Fatalf("step %d: the tree cloned from: %v", step, err)
+				}
+				if got := treeWalk(src, nil, nil); !sameVisits(got, srcWalk) {
+					t.Fatalf("step %d: the tree cloned from reads %v, held %v", step, got, srcWalk)
+				}
+			}
 		}
 	})
 }

@@ -385,17 +385,21 @@ func (p *Analyzed) plan(t *Tree, keep bool, cat TableSource, args []*catalog.Tab
 
 // borrow marks op as Borrowed, its consumer copying each row before it
 // asks for the next (DESIGN.md §3, "Tuple memory in the executor"): a
-// join under a Project, through the Filter of its residuals, or a
-// Project, through a Distinct, under a deduplicating set operation.
-// Producers whose rows a consumer keeps — a hash join's build side, an
-// index join's outer batch, a nested-loop join's right side, UNION
-// ALL's bag, a statement's result — are never passed here.
+// scan or join under a Project or on a hash join's probe side, through
+// the Filter of its predicates, or a Project or scan, through a
+// Distinct, under a deduplicating set operation. A lent scan decodes a
+// page at a time into one block. Producers whose rows a consumer keeps
+// — a hash join's build side, an index join's outer batch, a
+// nested-loop join's right side, UNION ALL's bag, a statement's result
+// — are never passed here.
 func borrow(op exec.Operator) {
 	switch o := op.(type) {
 	case *exec.Filter:
 		borrow(o.Input)
 	case *exec.Distinct:
 		borrow(o.Input)
+	case *exec.SeqScan:
+		o.Borrowed = true
 	case *exec.HashJoin:
 		o.Borrowed = true
 	case *exec.IndexNLJoin:
@@ -962,6 +966,12 @@ func (b *block) construct(bt *blockTree, vals []rel.Value, lend bool) (exec.Oper
 					return nil, err
 				}
 				if len(outer) > 0 {
+					// The probe side: the join copies each row it reads.
+					if st.buildLeft {
+						borrow(right)
+					} else {
+						borrow(cur)
+					}
 					cur = &exec.HashJoin{Left: cur, Right: right, LeftOrds: outer, RightOrds: inner,
 						BuildLeft: st.buildLeft, Est: st.rows}
 				} else {
@@ -1002,9 +1012,7 @@ func (b *block) construct(bt *blockTree, vals []rel.Value, lend bool) (exec.Oper
 			}
 			exprs[i] = phys
 		}
-		if n > 1 {
-			borrow(cur) // the join: Project copies what it reads
-		}
+		borrow(cur) // the scan or join: Project copies what it reads
 		cur = &exec.Project{Input: cur, Exprs: exprs, Out: b.out}
 	}
 	if b.distinct {

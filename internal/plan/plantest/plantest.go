@@ -14,6 +14,7 @@ import (
 	"dkbms/internal/catalog"
 	"dkbms/internal/exec"
 	"dkbms/internal/rel"
+	"dkbms/internal/storage"
 )
 
 // A Shape is one differential case: physical tables and a SELECT over
@@ -25,13 +26,20 @@ type Shape struct {
 }
 
 // Table is one physical table of a Shape: its name, size, the seed of
-// its rows, and the columns of each index on it.
+// its rows, and the columns of each index on it. Pages, when set,
+// spreads the rows over at least that many heap pages: filler rows go
+// in between them and are deleted before the indexes are built, so a
+// scan crosses page boundaries, some pages left empty.
 type Table struct {
 	Name    string
 	Rows    int
 	Seed    int64
 	Indexes [][]string
+	Pages   int
 }
+
+// pageRows is more rows of a shape table than one heap page holds.
+const pageRows = 4096 / 24
 
 // Cols are the columns of every shape table.
 var Cols = []string{"a", "b", "c", "s"}
@@ -39,7 +47,7 @@ var Cols = []string{"a", "b", "c", "s"}
 func (sh Shape) String() string {
 	var b strings.Builder
 	for _, t := range sh.Tables {
-		fmt.Fprintf(&b, "{name: %q, rows: %d, seed: %d, indexes: %#v}\n", t.Name, t.Rows, t.Seed, t.Indexes)
+		fmt.Fprintf(&b, "{name: %q, rows: %d, seed: %d, indexes: %#v, pages: %d}\n", t.Name, t.Rows, t.Seed, t.Indexes, t.Pages)
 	}
 	b.WriteString(sh.Query)
 	return b.String()
@@ -59,6 +67,8 @@ func (sh Shape) Create(t testing.TB, c *catalog.Catalog) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(ts.Seed))
+		filler := rel.Tuple{rel.NewInt(-1), rel.NewInt(-1), rel.NewInt(-1), rel.NewString("")}
+		var fillers []storage.RID
 		for i := 0; i < ts.Rows; i++ {
 			tu := rel.Tuple{
 				rel.NewInt(int64(rng.Intn(4))),
@@ -67,6 +77,18 @@ func (sh Shape) Create(t testing.TB, c *catalog.Catalog) {
 				rel.NewString(fmt.Sprintf("x%d", rng.Intn(3))),
 			}
 			if _, err := tb.Insert(tu); err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < ts.Pages*pageRows/ts.Rows; k++ {
+				rid, err := tb.Insert(filler)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fillers = append(fillers, rid)
+			}
+		}
+		for _, rid := range fillers {
+			if err := tb.DeleteRID(rid, filler); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -253,7 +253,7 @@ const ValueSize = int(unsafe.Sizeof(Value{}))
 func Outgrown(capacity, used int) bool { return capacity > 4*used+1024 }
 
 // BlockDecoder decodes the records of one schema into Blocks. Begin
-// (or BeginOver, or BeginReusing), then Add per record — typically
+// (or BeginOver, BeginReusing, BeginWithin), then Add per record — typically
 // under the pin of the page holding it; the record is not retained —
 // then Finish. A decoder is reused from block to block and keeps its
 // character scratch buffer.
@@ -297,8 +297,21 @@ func (d *BlockDecoder) BeginOver(old Block) {
 // Outgrown by them, else in a fresh slab of exactly their size (Begin)
 // rather than growing old's row by row.
 func (d *BlockDecoder) BeginReusing(old Block, rows, size int) {
-	need := rows * d.schema.Len()
-	if need > cap(old.vals) || Outgrown(cap(old.vals)*ValueSize, need*ValueSize) {
+	if Outgrown(cap(old.vals)*ValueSize, rows*d.schema.Len()*ValueSize) {
+		d.Begin(rows, size)
+		return
+	}
+	d.BeginWithin(old, rows, size)
+}
+
+// BeginWithin starts a block of rows rows whose records are size bytes
+// long over old (BeginOver) when old's slab holds them, however much
+// larger it is, else in a fresh slab of exactly their size (Begin);
+// the character scratch has room for size bytes either way. A scan
+// that decodes a table a page at a time into one kept block grows that
+// block to the largest page.
+func (d *BlockDecoder) BeginWithin(old Block, rows, size int) {
+	if rows*d.schema.Len() > cap(old.vals) {
 		d.Begin(rows, size)
 		return
 	}

@@ -194,14 +194,15 @@ func (s *session) handle(t wire.MsgType, payload []byte) []byte {
 // runQuery serves one QUERY. It adopts the client's query ID or mints
 // one, so every query is identifiable across the result echo, the
 // structured log and the slow-query ring, and evaluates under the serve
-// context, so shutdown cancels it.
+// context, so shutdown cancels it. The session only encodes the rows,
+// so it reads a memoized answer's own (QueryShared).
 func (s *session) runQuery(src string, opts *dkbms.QueryOptions) []byte {
 	if opts.QueryID == 0 {
 		opts.QueryID = obs.NewQueryID()
 	}
 	s.srv.queries.Inc()
 	start := time.Now()
-	res, err := s.srv.tb.QueryContext(s.ctx, src, opts)
+	res, err := s.srv.tb.QueryShared(s.ctx, src, opts)
 	s.recordSlow(src, start, res, err, opts.QueryID)
 	if err != nil {
 		return s.errReply(err)

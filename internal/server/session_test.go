@@ -49,6 +49,42 @@ func TestResultFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestSessionHitAllocs pins a session's whole memo hit, from the cache
+// lookup to the encoded RESULT frame: the session reads the memo's own
+// rows (ConcurrentTestbed.QueryShared) instead of a copy of them, so a
+// hit allocates one object fewer than a QueryContext hit does.
+func TestSessionHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	tb := dkbms.NewConcurrent(dkbms.NewMemory())
+	defer tb.Close()
+	if err := tb.Load(chainProgram); err != nil {
+		t.Fatal(err)
+	}
+	s := &session{srv: New(tb, Options{}), ctx: context.Background()}
+	s.log = s.srv.log
+	const q = "?- ancestor(c0, X)."
+	var opts dkbms.QueryOptions
+	hit := func() {
+		opts = dkbms.QueryOptions{}
+		s.out = s.runQuery(q, &opts)
+	}
+	hit()
+	hit()
+	hits := tb.PlanStats().ResultHits
+	if n := testing.AllocsPerRun(100, hit); n != 2 {
+		t.Errorf("a session's memo hit allocates %v objects, want 2", n)
+	}
+	if got := tb.PlanStats().ResultHits - hits; got != 101 {
+		t.Errorf("%d of 101 runs were memo hits", got)
+	}
+	got, err := wire.DecodeResult(s.out[5:])
+	if err != nil || len(got.Rows) != 4 {
+		t.Fatalf("decoded %+v, %v", got, err)
+	}
+}
+
 // TestSessionDropsLargeBuffer sends a reply of more than 1 MiB and checks
 // the session does not keep the buffer it was built in.
 func TestSessionDropsLargeBuffer(t *testing.T) {

@@ -230,35 +230,57 @@ func (h *HeapFile) Delete(rid RID) error {
 }
 
 // ScanPages calls fn with every page of the file in chain order, each
-// pinned for the duration of the call. fn reads the page's records
-// through Record; what it takes from them it copies or decodes before
-// it returns. Returning a non-nil error from fn stops the scan.
+// pinned for the duration of the call: one pass of a PageCursor. fn
+// reads the page's records through Record; what it takes from them it
+// copies or decodes before it returns. Returning a non-nil error from
+// fn stops the scan.
 func (h *HeapFile) ScanPages(fn func(pg *Page) error) error {
-	h.stats.scans.Add(1)
-	// Accumulate locally and publish once: one pair of atomic adds per
-	// scan instead of one per page keeps the hot loop unchanged.
-	var pages, recs int64
-	defer func() {
-		h.stats.pagesScanned.Add(pages)
-		h.stats.recsScanned.Add(recs)
-	}()
-	id := h.head
-	for id != InvalidPageID {
-		pg, err := h.pager.Fetch(id)
-		if err != nil {
+	c := h.Pages()
+	for {
+		if more, err := c.Next(fn); !more || err != nil {
 			return err
 		}
-		pages++
-		recs += int64(pg.LiveRecords())
-		err = fn(pg)
-		next := pg.Next()
-		h.pager.Unpin(pg)
-		if err != nil {
-			return err
-		}
-		id = next
 	}
-	return nil
+}
+
+// PageCursor reads a heap file's chain a page at a time, on demand: a
+// scan pass whose consumer asks for each page once it is done with the
+// last. It counts one scan when it is made, then each page and its live
+// records as it reads them, and pins a page only for the call that
+// reads it.
+type PageCursor struct {
+	h    *HeapFile
+	next PageID
+}
+
+// Pages starts a scan pass over the file.
+func (h *HeapFile) Pages() PageCursor {
+	h.stats.scans.Add(1)
+	return PageCursor{h: h, next: h.head}
+}
+
+// Next calls fn with the pass's next page, pinned for the duration of
+// the call, and moves past it. more is false, and fn not called, once
+// the chain is done; after an error the pass is over.
+func (c *PageCursor) Next(fn func(pg *Page) error) (more bool, err error) {
+	if c.next == InvalidPageID {
+		return false, nil
+	}
+	pg, err := c.h.pager.Fetch(c.next)
+	if err != nil {
+		c.next = InvalidPageID
+		return false, err
+	}
+	c.h.stats.pagesScanned.Add(1)
+	c.h.stats.recsScanned.Add(int64(pg.LiveRecords()))
+	err = fn(pg)
+	c.next = pg.Next()
+	c.h.pager.Unpin(pg)
+	if err != nil {
+		c.next = InvalidPageID
+		return false, err
+	}
+	return true, nil
 }
 
 // Scan calls fn for every live record in the file, in chain order. The
