@@ -65,17 +65,15 @@ type ConcurrentTestbed struct {
 }
 
 // NewConcurrent wraps a testbed for concurrent use. The caller must not
-// use the wrapped testbed directly afterwards, except in a phase with
-// no concurrent readers followed by Resync: a direct mutation bypasses
-// snapshot publication and stays invisible to queries until then. Every
-// session's parallel work runs on the testbed's evaluation pool, so
-// evaluation goroutines stay bounded however many sessions recurse at
-// once.
+// use the wrapped testbed directly afterwards: a direct mutation
+// bypasses snapshot publication and the plan cache. Every session's
+// parallel work runs on the testbed's evaluation pool, so evaluation
+// goroutines stay bounded however many sessions recurse at once.
 func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 	c := &ConcurrentTestbed{
 		tb:    tb,
 		snaps: snapshot.NewStore(BaseTableName("")),
-		plans: newPlanCache(tb.db, tb.pool),
+		plans: newPlanCache(tb.db),
 	}
 	c.publish(0) // the initial snapshot: the testbed state as wrapped
 	return c
@@ -85,22 +83,6 @@ func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 // evaluation pool.
 func (c *ConcurrentTestbed) SchedStats() sched.Stats {
 	return c.tb.SchedStats()
-}
-
-// Resync republishes the engine snapshot from the live testbed state
-// and emits a flush invalidation event, dropping every cached plan,
-// result and maintained view (out-of-band mutation moves no
-// generations, so nothing cached can be trusted). Call it after
-// mutating the wrapped testbed directly in a phase with no concurrent
-// readers.
-func (c *ConcurrentTestbed) Resync() {
-	//dkblint:locksafe single-writer commit protocol: writers serialize on commitMu through publication I/O; readers never take it
-	c.commitMu.Lock()
-	defer c.commitMu.Unlock()
-	if c.closed.Load() {
-		return
-	}
-	c.publishEvent(0, &matview.Event{Kind: matview.EventFlush})
 }
 
 // Close shuts the testbed down after all in-flight queries drain and
@@ -407,17 +389,16 @@ func (c *ConcurrentTestbed) SnapshotStats() snapshot.Stats {
 	return c.snaps.Stats()
 }
 
-// PagerStats snapshots the underlying buffer pool's counters,
-// aggregated across its shards.
+// PagerStats snapshots the underlying buffer pool's counters.
 func (c *ConcurrentTestbed) PagerStats() storage.PagerStats {
 	return c.tb.db.PagerStats()
 }
 
 // EngineMetrics snapshots the engine floor as registry metrics: a row
 // gauge and heap-traffic counters per table, shape, byte and search
-// gauges and counters per index, the buffer-pool counters per shard, and
-// the temp region's size and free pages (pool.temp_pages, which is the
-// temp tables' high-water mark, and pool.temp_free_pages).
+// gauges and counters per index, and the temp region's size and free
+// pages (pool.temp_pages, which is the temp tables' high-water mark,
+// and pool.temp_free_pages).
 // A table's and an index's counters run on across the commits that copy
 // them and the DELETEs that truncate them. It reads the pinned
 // snapshot's frozen table versions, so the non-atomic structural fields
@@ -457,15 +438,6 @@ func (c *ConcurrentTestbed) EngineMetrics() []obs.Metric {
 				obs.Metric{Name: ipre + "splits", Kind: "counter", Value: ts.Splits},
 			)
 		}
-	}
-	for i, st := range c.tb.db.PagerShardStats() {
-		pre := fmt.Sprintf("pool.shard.%02d.", i)
-		out = append(out,
-			obs.Metric{Name: pre + "hits", Kind: "counter", Value: st.Hits},
-			obs.Metric{Name: pre + "misses", Kind: "counter", Value: st.Misses},
-			obs.Metric{Name: pre + "evictions", Kind: "counter", Value: st.Evictions},
-			obs.Metric{Name: pre + "writes", Kind: "counter", Value: st.Writes},
-		)
 	}
 	pages, free := c.tb.db.TempPages()
 	return append(out,

@@ -261,7 +261,7 @@ func TestTempRegionGauges(t *testing.T) {
 	if pages, free = gauges(); free >= pages {
 		t.Errorf("a live view holds no temp page: pool.temp_free_pages %d of %d", free, pages)
 	}
-	c.Resync() // drops every view
+	dropViews(t, c)
 	if pages, free = gauges(); free != pages {
 		t.Errorf("after the views are dropped, pool.temp_free_pages is %d of %d", free, pages)
 	}

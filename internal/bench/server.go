@@ -25,8 +25,8 @@ func init() {
 // exercises the whole shared read path: the first request compiles and
 // evaluates the LFP, and every identical repeat hits the server-wide
 // plan cache (memoized answer while the D/KB stands still) over the
-// sharded buffer pool. Read QPS should therefore climb with the client
-// count until the available cores saturate, instead of flatlining on a
+// buffer pool. Read QPS should therefore climb with the client count
+// until the available cores saturate, instead of flatlining on a
 // per-request recompile + re-evaluation.
 func serverScaling(cfg Config) (*Report, error) {
 	// Shared D/KB: a parent chain plus the recursive ancestor rules, so

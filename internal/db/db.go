@@ -559,6 +559,3 @@ func (d *DB) PagerStats() storage.PagerStats { return d.pager.Stats() }
 func (d *DB) TempPages() (pages, free int) {
 	return d.pager.TempPages(), d.pager.TempFreePages()
 }
-
-// PagerShardStats returns the buffer-pool counters per stripe.
-func (d *DB) PagerShardStats() []storage.PagerStats { return d.pager.ShardStats() }

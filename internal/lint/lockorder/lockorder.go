@@ -27,12 +27,12 @@
 // Locks that are *designed* to be held across I/O — the engine's commit
 // mutex serializes whole copy-on-write commits, the catalog's ddlMu
 // serializes whole DDL operations including their heap I/O, and the
-// buffer-pool shard latch sanctions page read/write-back under it — are
-// waived at the acquisition site with `//dkblint:locksafe <reason>`;
-// the justification is mandatory (the directives analyzer rejects bare
-// waivers). A waiver covers rule 2 only. The waived region's edges stay
+// buffer pool's latch (storage.Pager.mu) sanctions page write-back
+// under it — are waived at the acquisition site with
+// `//dkblint:locksafe <reason>`; the justification is mandatory (the
+// directives analyzer rejects bare waivers). A waiver covers rule 2 only. The waived region's edges stay
 // in the graph and a cycle through them is reported at every witness,
-// waived or not, so a waived shard latch still may not re-enter the
+// waived or not, so a waived pool latch still may not re-enter the
 // pager or take Pager.flMu.
 //
 // Soundness limits (see DESIGN.md §14): calls through function values

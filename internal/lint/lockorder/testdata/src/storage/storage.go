@@ -1,5 +1,5 @@
-// Package storage is a stand-in for the buffer pool: Fetch takes a
-// shard latch, page write-back writes the file under the latch (waived,
+// Package storage is a stand-in for the buffer pool: Fetch takes the
+// pool latch, page write-back writes the file under the latch (waived,
 // as at the real pager's write-back sites), and the free list's flMu is
 // ordered before the latch. A waiver covers the write-back only: a
 // waived latch that re-enters the pager or takes flMu is still a cycle.
@@ -18,24 +18,17 @@ type Page struct {
 }
 
 type Pager struct {
-	f      *os.File
-	flMu   sync.Mutex
-	shards []shard
-}
-
-type shard struct {
+	f    *os.File
+	flMu sync.Mutex
 	mu   sync.Mutex
 	hits int64
 }
 
-func (p *Pager) shardOf(id PageID) *shard { return &p.shards[int(id)%len(p.shards)] }
-
-// Fetch pins a page under its shard latch.
+// Fetch pins a page under the pool latch.
 func (p *Pager) Fetch(id PageID) (*Page, error) {
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.hits++
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.hits++
 	return &Page{ID: id}, nil
 }
 
@@ -44,61 +37,58 @@ func (p *Pager) writePage(pg *Page) error {
 	return err
 }
 
-// Shard methods run under their shard's latch: write-back is sanctioned
+// The evict helpers run under the pool latch: write-back is sanctioned
 // there, re-entering the pager is not.
-func (sh *shard) evictOK(p *Pager, pg *Page) { p.writePage(pg) }
+func (p *Pager) evictOK(pg *Page) { p.writePage(pg) }
 
-func (sh *shard) evictBad(p *Pager, pg *Page) {
+func (p *Pager) evictBad(pg *Page) {
 	p.writePage(pg)
 	p.Fetch(pg.ID + 1)
 }
 
 func (p *Pager) evict(pg *Page, refetch bool) {
-	sh := p.shardOf(pg.ID)
 	//dkblint:locksafe write-back must finish before the victim frame is reused
-	sh.mu.Lock() // want "lock-order cycle: storage\\.shard\\.mu acquired via shard\\.evictBad → Pager\\.Fetch while storage\\.shard\\.mu is held; cycle storage\\.shard\\.mu → storage\\.shard\\.mu"
-	defer sh.mu.Unlock()
+	p.mu.Lock() // want "lock-order cycle: storage\\.Pager\\.mu acquired via Pager\\.evictBad → Pager\\.Fetch while storage\\.Pager\\.mu is held; cycle storage\\.Pager\\.mu → storage\\.Pager\\.mu"
+	defer p.mu.Unlock()
 	if refetch {
-		sh.evictBad(p, pg)
+		p.evictBad(pg)
 		return
 	}
-	sh.evictOK(p, pg)
+	p.evictOK(pg)
 }
 
 // Allocate takes the free list, then a page: flMu → latch.
 func (p *Pager) Allocate() (*Page, error) {
-	p.flMu.Lock() // want "lock-order cycle: storage\\.shard\\.mu acquired via Pager\\.Fetch while storage\\.Pager\\.flMu is held"
+	p.flMu.Lock() // want "lock-order cycle: storage\\.Pager\\.mu acquired via Pager\\.Fetch while storage\\.Pager\\.flMu is held"
 	defer p.flMu.Unlock()
 	return p.Fetch(0)
 }
 
 // badUnderLatch inverts that order.
-func (p *Pager) badUnderLatch(id PageID) {
-	sh := p.shardOf(id)
-	sh.mu.Lock() // want "lock-order cycle: storage\\.Pager\\.flMu acquired while storage\\.shard\\.mu is held"
+func (p *Pager) badUnderLatch() {
+	p.mu.Lock() // want "lock-order cycle: storage\\.Pager\\.flMu acquired while storage\\.Pager\\.mu is held"
 	p.flMu.Lock()
 	p.flMu.Unlock()
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
-func (p *Pager) statsOK() int64 {
+// hitsOf takes the latch once per page, releasing it between pages.
+func (p *Pager) hitsOf(ids []PageID) int64 {
 	var total int64
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		total += sh.hits
-		sh.mu.Unlock()
+	for range ids {
+		p.mu.Lock()
+		total += p.hits
+		p.mu.Unlock()
 	}
 	return total
 }
 
 func (p *Pager) badForgot(c bool) {
-	sh := p.shardOf(0)
-	sh.mu.Lock() // want "sh\\.mu\\.Lock is not released on every path out of badForgot \\(missing Unlock or defer\\)"
+	p.mu.Lock() // want "p\\.mu\\.Lock is not released on every path out of badForgot \\(missing Unlock or defer\\)"
 	if c {
 		return
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 }
 
 type HeapFile struct{ f *os.File }

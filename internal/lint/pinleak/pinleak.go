@@ -9,8 +9,8 @@
 // Each acquisition must reach its release on every control-flow path
 // out of the acquiring function — early error returns included — unless
 // ownership demonstrably transfers. A `defer` of the release satisfies
-// all paths, panics included. A leaked page pin wedges a frame in its
-// shard forever; a leaked snapshot pin blocks epoch reclamation and
+// all paths, panics included. A leaked page pin wedges a frame in the
+// buffer pool forever; a leaked snapshot pin blocks epoch reclamation and
 // pins every superseded version chain in memory; an un-waited group
 // leaves the tasks no slot took unrun.
 //

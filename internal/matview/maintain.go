@@ -7,7 +7,6 @@ import (
 
 	"dkbms/internal/codegen"
 	"dkbms/internal/db"
-	"dkbms/internal/obs"
 	"dkbms/internal/rel"
 	"dkbms/internal/rtlib"
 	"dkbms/internal/storage"
@@ -26,7 +25,6 @@ import (
 // drop it.
 func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 	start := time.Now()
-	tr := obs.NewTrace("maintain")
 
 	// Restrict the commit footprint to the base predicates the program
 	// reads.
@@ -53,12 +51,12 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 	// database closes, nothing worse.
 	defer m.temps.DropAll() //nolint:errcheck
 	if len(del) > 0 {
-		if err := m.dred(del, tr.Root()); err != nil {
+		if err := m.dred(del); err != nil {
 			return nil, err
 		}
 	}
 	if len(ins) > 0 {
-		if err := m.propagate(ins, tr.Root()); err != nil {
+		if err := m.propagate(ins); err != nil {
 			return nil, err
 		}
 	}
@@ -67,14 +65,9 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	elapsed := time.Since(start)
-	tr.Root().SetInt("delta_tuples", int64(m.deltaTuples))
-	tr.Root().SetInt("maintain_us", elapsed.Microseconds())
-	tr.Finish()
 	v.maintains.Add(1)
 	v.lastDelta.Store(int64(m.deltaTuples))
-	v.lastNs.Store(int64(elapsed))
-	v.lastTrace.Store(tr)
+	v.lastNs.Store(int64(time.Since(start)))
 	return rows.Tuples, nil
 }
 
@@ -116,39 +109,34 @@ func (m *maint) readAll(pred, table string) (*db.Rows, error) {
 
 // baseDelta materializes a commit's per-predicate base deltas as the
 // fixpoint's first delta (base-table deltas and pre-state copies reuse
-// the extensional schema) and counts them.
-func (m *maint) baseDelta(hint string, delta map[string][]rel.Tuple) (first map[string]string, n int, err error) {
+// the extensional schema).
+func (m *maint) baseDelta(hint string, delta map[string][]rel.Tuple) (first map[string]string, err error) {
 	first = make(map[string]string, len(delta))
 	for pred, tuples := range delta {
 		t := m.d.Table(codegen.BaseTable(pred))
 		if t == nil {
-			return nil, 0, fmt.Errorf("matview: base table %s vanished", codegen.BaseTable(pred))
+			return nil, fmt.Errorf("matview: base table %s vanished", codegen.BaseTable(pred))
 		}
 		if first[pred], err = m.scratch(hint, t.Schema, tuples); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		n += len(tuples)
 	}
-	return first, n, nil
+	return first, nil
 }
 
 // fixpoint runs the program's delta rules from a first delta to the
 // fixpoint on rtlib's driver. Delta propagation differentiates
 // globally, not per clique — an exit rule of a later node reads derived
 // relations of earlier nodes, so it too must fire on their deltas —
-// hence every rule of the program and every derived predicate. The
-// maintenance trace keeps to its phase spans: rule statements run
-// untraced. It returns the number of rounds that derived something (the
-// last round only confirms the fixpoint).
-func (m *maint) fixpoint(tag string, first map[string]string, tableOf, into func(string) string) (int, error) {
-	var ns rtlib.NodeStats
+// hence every rule of the program and every derived predicate. Rule
+// statements run untraced.
+func (m *maint) fixpoint(tag string, first map[string]string, tableOf, into func(string) string) error {
 	fp := &rtlib.Fixpoint{
 		DB: m.d, Temps: m.temps, Prefix: m.prefix + tag,
 		Schemas: m.v.prog.Schemas, Preds: m.v.preds, Rules: m.v.rules,
-		TableOf: tableOf, Into: into, First: first, Stats: &ns, Stmts: m.stmts,
+		TableOf: tableOf, Into: into, First: first, Stmts: m.stmts,
 	}
-	err := fp.Run()
-	return ns.Iterations - 1, err
+	return fp.Run()
 }
 
 // derivedRows sums the sizes of the view's accumulators.
@@ -170,22 +158,16 @@ func (m *maint) derivedRows() int {
 // Monotonicity makes this sound and complete: lfp(post) = lfp(pre ∪ Δ)
 // and every new derivation uses at least one new tuple in some
 // position.
-func (m *maint) propagate(ins map[string][]rel.Tuple, root *obs.Span) error {
-	sp := root.Start("propagate")
-	defer sp.End()
-	first, base, err := m.baseDelta("ins_", ins)
+func (m *maint) propagate(ins map[string][]rel.Tuple) error {
+	first, err := m.baseDelta("ins_", ins)
 	if err != nil {
 		return err
 	}
-	sp.SetInt("inserted_base", int64(base))
 	before := m.derivedRows()
-	rounds, err := m.fixpoint("i", first, m.v.tableOf, m.v.tableOf)
-	if err != nil {
+	if err := m.fixpoint("i", first, m.v.tableOf, m.v.tableOf); err != nil {
 		return err
 	}
 	m.deltaTuples += m.derivedRows() - before
-	sp.SetInt("rounds", int64(rounds))
-	sp.SetInt("delta_tuples", int64(m.deltaTuples))
 	return nil
 }
 
@@ -204,14 +186,11 @@ func (m *maint) propagate(ins map[string][]rel.Tuple, root *obs.Span) error {
 //  4. re-derive survivors: one-step rule evaluation over the now
 //     post-state relations, re-inserting any candidate that is still
 //     derivable, to a fixpoint.
-func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
-	sp := root.Start("dred")
-	defer sp.End()
-	first, base, err := m.baseDelta("del_", del)
+func (m *maint) dred(del map[string][]rel.Tuple) error {
+	first, err := m.baseDelta("del_", del)
 	if err != nil {
 		return err
 	}
-	sp.SetInt("deleted_base", int64(base))
 
 	// Pre-state copies of the deleted-from base tables (which exist:
 	// baseDelta just read their schemas).
@@ -245,7 +224,7 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 		}
 	}
 	// Candidates breed candidates, against the pre-state throughout.
-	if _, err := m.fixpoint("x", first, preOf, func(p string) string { return cand[p] }); err != nil {
+	if err := m.fixpoint("x", first, preOf, func(p string) string { return cand[p] }); err != nil {
 		return err
 	}
 
@@ -286,17 +265,14 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 		}
 	}
 	m.deltaTuples += overDeleted
-	sp.SetInt("overdeleted", int64(overDeleted))
 
 	// Re-derive survivors: one-step consequences over the post-state,
 	// intersected with the candidate sets (Go-side — the SQL dialect
 	// has no subqueries), to a fixpoint.
 	rederived := 0
-	rounds := 0
 	var key []byte // scratch: probing cand allocates nothing
 	for changed := true; changed; {
 		changed = false
-		rounds++
 		for i := range m.v.rules {
 			r := &m.v.rules[i]
 			cand := candidates[r.Head]
@@ -331,8 +307,6 @@ func (m *maint) dred(del map[string][]rel.Tuple, root *obs.Span) error {
 		}
 	}
 	m.deltaTuples += rederived
-	sp.SetInt("rederived", int64(rederived))
-	sp.SetInt("rounds", int64(rounds))
 	return nil
 }
 

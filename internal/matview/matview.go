@@ -30,7 +30,6 @@ import (
 
 	"dkbms/internal/codegen"
 	"dkbms/internal/db"
-	"dkbms/internal/obs"
 	"dkbms/internal/rel"
 )
 
@@ -39,13 +38,10 @@ type EventKind int
 
 // Invalidation event kinds.
 const (
-	// EventFlush drops every cached plan, memo and view (out-of-band
-	// mutation: generations did not move, nothing can be trusted).
-	EventFlush EventKind = iota
 	// EventCommit is a fact-level commit whose exact per-table deltas
 	// are in Event.Deltas — the only kind views can be maintained
 	// through.
-	EventCommit
+	EventCommit EventKind = iota
 	// EventRuleGen is a rule-base change (Load with rules, Update,
 	// relation creation): compiled programs are stale, memos re-derive.
 	EventRuleGen
@@ -54,8 +50,6 @@ const (
 // String names the kind.
 func (k EventKind) String() string {
 	switch k {
-	case EventFlush:
-		return "flush"
 	case EventCommit:
 		return "commit"
 	case EventRuleGen:
@@ -143,7 +137,6 @@ type View struct {
 	maintains atomic.Int64
 	lastDelta atomic.Int64
 	lastNs    atomic.Int64
-	lastTrace atomic.Pointer[obs.Trace]
 }
 
 // New wraps a detached evaluation (rtlib Result.Detach) as a view.
@@ -169,10 +162,6 @@ func (v *View) LastDeltaTuples() int64 { return v.lastDelta.Load() }
 
 // LastDuration returns the wall-clock cost of the last maintenance run.
 func (v *View) LastDuration() time.Duration { return time.Duration(v.lastNs.Load()) }
-
-// LastTrace returns the span tree recorded by the last maintenance run
-// (delta sizes and phase timings), or nil before the first one.
-func (v *View) LastTrace() *obs.Trace { return v.lastTrace.Load() }
 
 // tableOf resolves a predicate to the view's accumulator or the live
 // extensional table.

@@ -46,7 +46,7 @@ func TestEventSizes(t *testing.T) {
 
 func TestEventKindString(t *testing.T) {
 	for k, want := range map[EventKind]string{
-		EventFlush: "flush", EventCommit: "commit", EventRuleGen: "rulegen",
+		EventCommit: "commit", EventRuleGen: "rulegen",
 		EventKind(9): "eventkind(9)",
 	} {
 		if got := k.String(); got != want {

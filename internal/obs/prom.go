@@ -13,7 +13,6 @@ import (
 //	server.requests          -> dkb_server_requests
 //	table.f_parent.rows      -> dkb_table_rows{table="f_parent"}
 //	index.ix_p_c0.height     -> dkb_index_height{index="ix_p_c0"}
-//	pool.shard.03.hits       -> dkb_pool_shard_hits{shard="03"}
 //
 // so per-table and per-index series share one metric family with a
 // label instead of exploding the family namespace, which is what makes
@@ -88,8 +87,8 @@ func writePrometheus(w io.Writer, metrics []Metric) error {
 }
 
 // promName maps a dotted registry name to (family, rendered labels),
-// extracting the dynamic middle component of per-table, per-index and
-// per-shard series into a label.
+// extracting the dynamic middle component of per-table and per-index
+// series into a label.
 func promName(name string) (string, string) {
 	if rest, ok := strings.CutPrefix(name, "table."); ok {
 		if table, field, ok := cutLast(rest); ok {
@@ -99,11 +98,6 @@ func promName(name string) (string, string) {
 	if rest, ok := strings.CutPrefix(name, "index."); ok {
 		if index, field, ok := cutLast(rest); ok {
 			return "dkb_index_" + mangle(field), promLabels("index", index)
-		}
-	}
-	if rest, ok := strings.CutPrefix(name, "pool.shard."); ok {
-		if shard, field, ok := cutLast(rest); ok {
-			return "dkb_pool_shard_" + mangle(field), promLabels("shard", shard)
 		}
 	}
 	return "dkb_" + mangle(name), ""

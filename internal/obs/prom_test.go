@@ -19,7 +19,7 @@ func TestPrometheusExposition(t *testing.T) {
 			{Name: "table.f_parent.heap_reads", Kind: "counter", Value: 90},
 			{Name: "table.other.rows", Kind: "gauge", Value: 5},
 			{Name: "index.ix_parent_c0.height", Kind: "gauge", Value: 2},
-			{Name: "pool.shard.03.hits", Kind: "counter", Value: 44},
+			{Name: "pool.temp_pages", Kind: "gauge", Value: 44},
 		}
 	})
 	var buf bytes.Buffer
@@ -42,7 +42,7 @@ func TestPrometheusExposition(t *testing.T) {
 		`dkb_table_rows{table="other"} 5`,
 		`dkb_table_heap_reads{table="f_parent"} 90`,
 		`dkb_index_height{index="ix_parent_c0"} 2`,
-		`dkb_pool_shard_hits{shard="03"} 44`,
+		"dkb_pool_temp_pages 44\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q in:\n%s", want, out)
@@ -72,7 +72,7 @@ func TestPromNameMapping(t *testing.T) {
 		{"server.requests", "dkb_server_requests", ""},
 		{"table.f_parent.heap_recs_scanned", "dkb_table_heap_recs_scanned", `{table="f_parent"}`},
 		{"index.ix_a_c0.depth_total", "dkb_index_depth_total", `{index="ix_a_c0"}`},
-		{"pool.shard.00.misses", "dkb_pool_shard_misses", `{shard="00"}`},
+		{"pool.writes", "dkb_pool_writes", ""},
 		{"pool.temp_pages", "dkb_pool_temp_pages", ""},
 		{"pool.temp_free_pages", "dkb_pool_temp_free_pages", ""},
 		{"runtime.gc_pause_p99_ns", "dkb_runtime_gc_pause_p99_ns", ""},

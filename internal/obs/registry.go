@@ -58,14 +58,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// defaultRegistry is the process-wide registry handed out by Default.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry (dkbd exposes it over
-// -debug-addr). Libraries default to it; tests that need isolation
-// construct their own with NewRegistry.
-func Default() *Registry { return defaultRegistry }
-
 // Counter is a monotonically increasing int64. The zero value is ready
 // to use; Add/Load are atomic, so the hot path is one atomic add.
 type Counter struct{ v atomic.Int64 }
@@ -141,7 +133,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Func registers a callback evaluated at snapshot time, adapting
-// existing stats structs (plan cache, pager shards) into the registry
+// existing stats structs (plan cache, buffer pool) into the registry
 // without double bookkeeping. kind is KindCounter for a monotonic count
 // and KindGauge for a level; a callback cannot be a histogram.
 // Re-registering a name replaces the callback.
@@ -157,10 +149,10 @@ func (r *Registry) Func(name string, kind Kind, fn func() int64) {
 // CollectorFunc registers a callback contributing a whole batch of
 // metrics to every snapshot. Collectors serve dynamic metric sets whose
 // names are not known at registration time — per-table heap counters,
-// per-shard buffer-pool stats — where one Func per name cannot keep up
-// with tables being created and dropped. Like Funcs, collectors run
-// outside the registry lock at snapshot time, so they may take other
-// locks (the catalog's, the pager shards').
+// per-index tree shape — where one Func per name cannot keep up with
+// tables being created and dropped. Like Funcs, collectors run outside
+// the registry lock at snapshot time, so they may take other locks (the
+// catalog's, the pool latch).
 // Re-registering a name replaces the callback.
 func (r *Registry) CollectorFunc(name string, fn func() []Metric) {
 	r.mu.Lock()

@@ -1,7 +1,7 @@
 // Package sched bounds evaluation concurrency: a worker-less task pool,
 // one per testbed, onto which the run-time library (internal/rtlib)
 // forks the nodes of its stratum wavefront (independent cliques
-// evaluated concurrently) and the plan cache forks view maintenance.
+// evaluated concurrently).
 //
 // The paper's conclusion 7a observes that "during each iteration, the
 // right hand side of each recursive equation may be evaluated in

@@ -140,6 +140,7 @@ func (s *Server) initRegistry() {
 	counter("pool.hits", func() int64 { return s.tb.PagerStats().Hits })
 	counter("pool.misses", func() int64 { return s.tb.PagerStats().Misses })
 	counter("pool.evictions", func() int64 { return s.tb.PagerStats().Evictions })
+	counter("pool.writes", func() int64 { return s.tb.PagerStats().Writes })
 	gauge("pool.hit_rate_pct", func() int64 {
 		st := s.tb.PagerStats()
 		if st.Hits+st.Misses == 0 {
@@ -170,7 +171,7 @@ func (s *Server) initRegistry() {
 	counter("matview.delta_tuples", func() int64 { return s.tb.MatViewStats().DeltaTuples })
 	counter("matview.maintain_ns", func() int64 { return int64(s.tb.MatViewStats().MaintainTime) })
 	// The engine floor — per-table heap traffic, per-index tree shape,
-	// per-shard pool counters — is a dynamic metric set following the
+	// the temp region's pages — is a dynamic metric set following the
 	// live schema, contributed through a collector.
 	r.CollectorFunc("engine", s.tb.EngineMetrics)
 }

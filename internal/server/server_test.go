@@ -197,7 +197,7 @@ func stats(t *testing.T, c *client.Client) map[string]int64 {
 
 // TestStatsReplyIsTheRegistry: STATS serves the server's metrics
 // registry, so a client sees exactly the names the registry snapshot
-// holds, the engine collectors' per-table and per-shard series
+// holds, the engine collectors' per-table and temp-region series
 // included, and the latency histogram with its percentiles.
 func TestStatsReplyIsTheRegistry(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
@@ -234,17 +234,17 @@ func TestStatsReplyIsTheRegistry(t *testing.T) {
 	if !slices.Equal(names(got), want) {
 		t.Fatalf("STATS names differ from the registry's:\nSTATS:    %v\nregistry: %v", names(got), want)
 	}
-	var table, shard bool
+	var table, temp bool
 	for _, m := range got {
 		table = table || strings.HasPrefix(m.Name, "table.")
-		shard = shard || strings.HasPrefix(m.Name, "pool.shard.")
+		temp = temp || m.Name == "pool.temp_pages"
 		if m.Name == "server.request_latency_ns" &&
 			(m.Kind != obs.KindHistogram || m.Value < 4 || m.P50 <= 0 || m.P99 < m.P50 || m.Sum <= 0) {
 			t.Errorf("latency histogram over the wire: %+v", m)
 		}
 	}
-	if !table || !shard {
-		t.Fatalf("collector series missing from STATS (table=%v shard=%v)", table, shard)
+	if !table || !temp {
+		t.Fatalf("collector series missing from STATS (table=%v temp=%v)", table, temp)
 	}
 	if n := stats(t, c)["query.count"]; n != 3 {
 		t.Fatalf("STATS query.count = %d after 3 queries", n)
@@ -730,6 +730,7 @@ func TestDebugEndpoints(t *testing.T) {
 		"# TYPE dkb_server_requests counter",
 		"# TYPE dkb_plan_misses counter",
 		"# TYPE dkb_snapshot_commits counter",
+		"# TYPE dkb_pool_writes counter",
 		"# TYPE dkb_server_sessions_active gauge",
 		"# TYPE dkb_plan_entries gauge",
 		"# TYPE dkb_server_request_latency_ns summary",
@@ -748,20 +749,20 @@ func TestDebugEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &metrics); err != nil {
 		t.Fatalf("/metrics.json is not JSON: %v", err)
 	}
-	var hasTable, hasShard, hasRate bool
+	var hasTable, hasTemp, hasRate bool
 	for _, m := range metrics {
 		if strings.HasPrefix(m.Name, "table.") {
 			hasTable = true
 		}
-		if strings.HasPrefix(m.Name, "pool.shard.") {
-			hasShard = true
+		if m.Name == "pool.temp_pages" {
+			hasTemp = true
 		}
 		if m.Name == "pool.hit_rate_pct" {
 			hasRate = true
 		}
 	}
-	if !hasTable || !hasShard || !hasRate {
-		t.Fatalf("engine metrics missing (table=%v shard=%v rate=%v)", hasTable, hasShard, hasRate)
+	if !hasTable || !hasTemp || !hasRate {
+		t.Fatalf("engine metrics missing (table=%v temp=%v rate=%v)", hasTable, hasTemp, hasRate)
 	}
 
 	code, body = get("/slowlog")

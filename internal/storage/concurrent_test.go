@@ -15,18 +15,15 @@ func stressMarker(id PageID) []byte {
 	return []byte(fmt.Sprintf("page-%08d", id))
 }
 
-// TestPagerConcurrentStress hammers a tiny pool (2 shards x 4 frames)
-// with concurrent Fetch/Unpin/Allocate from many goroutines, so the
-// working set is far larger than the pool and eviction with write-back
-// runs constantly under load. Run with -race, it exercises the sharded
-// latches, the atomic pin counts and the grow-then-publish ordering in
-// Allocate; content checks catch any page served from the wrong frame
-// or lost across eviction.
+// TestPagerConcurrentStress hammers a tiny pool (8 frames) with
+// concurrent Fetch/Unpin/Allocate from many goroutines, so the working
+// set is far larger than the pool and eviction with write-back runs
+// constantly under load. Run with -race, it exercises the pool latch,
+// the atomic pin counts and the grow-then-publish ordering in Allocate;
+// content checks catch any page served from the wrong frame or lost
+// across eviction.
 func TestPagerConcurrentStress(t *testing.T) {
 	p := NewMemPager(8)
-	if p.Shards() < 2 {
-		t.Fatalf("want a striped pool for this test, got %d shard(s)", p.Shards())
-	}
 
 	// Seed a working set three times the pool size.
 	var ids []PageID
@@ -175,7 +172,7 @@ func TestPagerConcurrentSamePage(t *testing.T) {
 }
 
 // TestPagerLatchFreeMissRead targets the miss path's latch-free read:
-// Fetch drops the shard latch around the backing-store read and retries
+// Fetch drops the pool latch around the backing-store read and retries
 // when an eviction write-back overlaps it (the evictGen recheck). A
 // file-backed pool one quarter the working-set size keeps cold misses
 // and dirty evictions running concurrently. Each page's record is a

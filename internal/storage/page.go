@@ -1,6 +1,6 @@
 // Package storage implements the testbed's page-based storage engine:
 // fixed-size slotted pages, heap files addressed by record ID, and a
-// sharded buffer pool with per-shard LRU eviction. The paper's DBMS
+// buffer pool with LRU eviction. The paper's DBMS
 // layer is a commercial relational system; this package supplies the
 // equivalent storage substrate so that the engine above it has realistic
 // cost structure (page-at-a-time I/O, slot indirection, free-space
@@ -63,7 +63,7 @@ const MaxRecordSize = PageSize - pageHdrSize - slotSize
 // the only writer (the engine's upper layers guarantee this: updates run
 // exclusively, and concurrent queries only write session-private temp
 // tables). The pin count is atomic so Unpin is lock-free and eviction
-// can test it under the owning shard's latch alone.
+// can test it under the pool latch alone.
 type Page struct {
 	ID    PageID
 	Data  *[PageSize]byte

@@ -114,7 +114,7 @@ func FuzzPagerOps(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		pool := 4 << (data[0] % 2) // one shard or two
+		pool := 4 << (data[0] % 2) // 4 or 8 frames
 		mem := NewMemPager(pool)
 		path := t.TempDir() + "/pager.db"
 		file, err := OpenPager(path, pool)

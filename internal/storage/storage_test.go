@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 )
 
@@ -165,6 +166,53 @@ func TestPagerEviction(t *testing.T) {
 			t.Fatalf("page %d content lost across eviction", id)
 		}
 		p.Unpin(pg)
+	}
+}
+
+// TestPoolEvictsLeastRecentlyUsed: the pool keeps one LRU list over all
+// its frames, so a miss on a full pool evicts the page touched longest
+// ago, whatever its ID.
+func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
+	const frames = 8
+	p := NewMemPager(frames)
+	for i := 0; i < frames; i++ {
+		pg, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(pg)
+	}
+	touch := func(id PageID) {
+		t.Helper()
+		pg, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(pg)
+	}
+	order := []PageID{3, 0, 7, 1, 5, 2, 6, 4} // 3 is least recently used
+	for _, id := range order {
+		touch(id)
+	}
+	pg, err := p.Allocate() // one new page on a full pool
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(pg)
+	before := p.Stats()
+	if before.Evictions != 1 {
+		t.Fatalf("%d evictions for one new page on a full pool, want 1", before.Evictions)
+	}
+	for _, id := range order[1:] {
+		touch(id)
+	}
+	if st := p.Stats(); st.Hits-before.Hits != frames-1 || st.Misses != before.Misses {
+		t.Fatalf("re-touching the %d pages after the LRU one: %d hits, %d misses; want every one resident",
+			frames-1, st.Hits-before.Hits, st.Misses-before.Misses)
+	}
+	touch(order[0])
+	if st := p.Stats(); st.Misses != before.Misses+1 {
+		t.Fatalf("page %d (least recently used) was still resident", order[0])
 	}
 }
 
@@ -425,6 +473,9 @@ func TestHeapStats(t *testing.T) {
 	if st != want {
 		t.Fatalf("Stats() = %+v, want %+v", st, want)
 	}
+	if p.Stats().Hits == 0 {
+		t.Fatal("expected buffer-pool hits after scanning resident pages")
+	}
 	// Sub yields the traffic between two snapshots.
 	if _, err := h.Insert([]byte("more")); err != nil {
 		t.Fatal(err)
@@ -438,28 +489,35 @@ func TestHeapStats(t *testing.T) {
 	}
 }
 
-func TestPagerShardStats(t *testing.T) {
-	p := NewMemPager(64)
-	h, _ := CreateHeap(p)
-	for i := 0; i < 100; i++ {
-		h.Insert([]byte("record-payload-to-fill-pages-quickly"))
+// BenchmarkFetchParallel measures pool hits (Fetch then Unpin of a
+// resident page) from GOMAXPROCS goroutines over 512 resident pages,
+// each goroutine walking them from its own offset. Run it at -cpu 1,2
+// to see what the pool latch costs under contention.
+func BenchmarkFetchParallel(b *testing.B) {
+	const pages = 512
+	p := NewMemPager(DefaultPoolPages)
+	for i := 0; i < pages; i++ {
+		pg, err := p.Allocate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Unpin(pg)
 	}
-	h.Scan(func(RID, []byte) error { return nil })
-	per := p.ShardStats()
-	if len(per) != p.Shards() {
-		t.Fatalf("ShardStats has %d entries, want %d", len(per), p.Shards())
-	}
-	var sum PagerStats
-	for _, s := range per {
-		sum.Hits += s.Hits
-		sum.Misses += s.Misses
-		sum.Evictions += s.Evictions
-		sum.Writes += s.Writes
-	}
-	if sum != p.Stats() {
-		t.Fatalf("shard sum %+v != aggregate %+v", sum, p.Stats())
-	}
-	if sum.Hits == 0 {
-		t.Fatal("expected buffer-pool hits after scanning resident pages")
+	var next atomic.Uint32
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := PageID(next.Add(97) % pages)
+		for pb.Next() {
+			pg, err := p.Fetch(id)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			p.Unpin(pg)
+			id = (id + 1) % pages
+		}
+	})
+	if st := p.Stats(); st.Misses != 0 {
+		b.Fatalf("%d misses on a resident set", st.Misses)
 	}
 }

@@ -5,17 +5,26 @@ import (
 	"testing"
 )
 
-// coldKey re-derives the query from scratch (bypassing any memo by
-// flushing the cache) and canonicalizes the answer. Used as ground
-// truth against maintained results.
+// coldKey re-derives the query from scratch (a traced query bypasses
+// the memo) and canonicalizes the answer. Used as ground truth against
+// maintained results.
 func coldKey(t *testing.T, c *ConcurrentTestbed, q string) string {
 	t.Helper()
-	c.Resync()
-	res, err := c.Query(q, nil)
+	res, err := c.Query(q, &QueryOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rowsKey(res)
+}
+
+// dropViews commits a rule. A rule commit outdates every compiled
+// program, so it drops every cached plan, memo and view, and tears the
+// views' tables down.
+func dropViews(t *testing.T, c *ConcurrentTestbed) {
+	t.Helper()
+	if err := c.Load("child(X, Y) :- parent(Y, X)."); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // adoptView makes q's memo keep a maintained view, so that the next
@@ -235,13 +244,13 @@ func TestMatViewViewsAccessor(t *testing.T) {
 	if v.LastDeltaTuples == 0 {
 		t.Fatalf("view recorded no delta: %+v", v)
 	}
-	// Resync flushes every view.
-	c.Resync()
+	// A rule commit drops every view.
+	dropViews(t, c)
 	if views := c.Views(); len(views) != 0 {
-		t.Fatalf("Resync left %d views live", len(views))
+		t.Fatalf("a rule commit left %d views live", len(views))
 	}
 	if st := c.MatViewStats(); st.Live != 0 {
-		t.Fatalf("Live gauge after flush: %+v", st)
+		t.Fatalf("Live gauge after a rule commit: %+v", st)
 	}
 }
 

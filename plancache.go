@@ -8,7 +8,6 @@ import (
 	"dkbms/internal/core"
 	"dkbms/internal/db"
 	"dkbms/internal/matview"
-	"dkbms/internal/sched"
 	"dkbms/internal/snapshot"
 )
 
@@ -81,7 +80,7 @@ type PlanCacheStats struct {
 	// Misses counts full compilations.
 	Misses int64
 	// Invalidations counts entries dropped because a rule-base change
-	// outdated their compiled program (or an explicit flush).
+	// outdated their compiled program.
 	Invalidations int64
 	// Entries is the current cache population.
 	Entries int64
@@ -100,10 +99,8 @@ type planCache struct {
 	tail     *planEntry // least recently used
 	stats    PlanCacheStats
 
-	// db is the live database view maintenance runs against; pool, the
-	// testbed's evaluation pool, parallelizes maintenance across views.
-	db   *db.DB
-	pool *sched.Pool
+	// db is the live database view maintenance runs against.
+	db *db.DB
 	// mv aggregates maintenance telemetry across the cache's views.
 	mv matview.Counters
 	// condemned are views whose entries were replaced or evicted by
@@ -113,12 +110,11 @@ type planCache struct {
 	condemned []*matview.View
 }
 
-func newPlanCache(d *db.DB, pool *sched.Pool) *planCache {
+func newPlanCache(d *db.DB) *planCache {
 	return &planCache{
 		capacity: planCacheEntries,
 		entries:  make(map[planKey]*planEntry, planCacheEntries),
 		db:       d,
-		pool:     pool,
 	}
 }
 
@@ -289,9 +285,9 @@ func (pc *planCache) condemnLocked(v *matview.View) {
 // prev, stale against next) are maintained in place when the event
 // carries fact deltas below the cost crossover
 // (matview.AutoIncremental); otherwise the memo is dropped and the plan
-// kept. Maintenance runs
-// after the cache mutex is released — concurrent readers keep hitting
-// the plan — and each refreshed answer installs only if the entry still
+// kept. Maintenance runs view by view on the committing goroutine, after
+// the cache mutex is released — concurrent readers keep hitting the
+// plan — and each refreshed answer installs only if the entry still
 // holds the same view (a racing reader may have replaced it). Condemned
 // views' tables are torn down at the end: only here is it safe, because
 // no maintenance can be running without commitMu.
@@ -302,11 +298,10 @@ func (pc *planCache) Invalidate(prev, next *snapshot.Snapshot, ev *matview.Event
 		result *QueryResult
 	}
 	var jobs []job
-	flush := ev != nil && ev.Kind == matview.EventFlush
 	commit := ev != nil && ev.Kind == matview.EventCommit
 	pc.mu.Lock()
 	for _, e := range pc.entries {
-		if flush || e.ruleGen != next.RuleGen {
+		if e.ruleGen != next.RuleGen {
 			pc.dropLocked(e)
 			pc.stats.Invalidations++
 			continue
@@ -364,19 +359,8 @@ func (pc *planCache) Invalidate(prev, next *snapshot.Snapshot, ev *matview.Event
 		pc.mv.DeltaTuples.Add(j.view.LastDeltaTuples())
 		pc.mv.MaintainNs.Add(int64(j.view.LastDuration()))
 	}
-	if len(jobs) > 1 {
-		// Independent views touch disjoint temp tables; propagate their
-		// deltas in parallel on the testbed's evaluation pool.
-		g := pc.pool.Group()
-		for _, j := range jobs {
-			j := j
-			g.Go(func(int) { run(j) })
-		}
-		g.Wait()
-	} else {
-		for _, j := range jobs {
-			run(j)
-		}
+	for _, j := range jobs {
+		run(j)
 	}
 	pc.drainCondemned()
 }

@@ -178,7 +178,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 // relations as a view only after a commit has moved a table it read
 // while it was cached. Repeats on inputs that never move, a commit to a
 // table the program does not read and traced runs adopt nothing; a
-// dropped entry (eviction, Resync) forgets that its inputs ever moved.
+// dropped entry (eviction) forgets that its inputs ever moved.
 func TestPlanCacheViewPolicy(t *testing.T) {
 	const q = "?- ancestor(a, X)."
 	// entry reports q's cache entry: whether it is cached, whether its
@@ -268,13 +268,6 @@ func TestPlanCacheViewPolicy(t *testing.T) {
 		}
 		queryCache(t, c, q, "miss", "b;c;d")
 		want(t, c, "re-cached after eviction", false, false)
-	})
-	t.Run("resync", func(t *testing.T) {
-		c := newCachedTestbed(t)
-		moveInputs(t, c)
-		c.Resync()
-		queryCache(t, c, q, "miss", "b;c;d")
-		want(t, c, "re-cached after Resync", false, false)
 	})
 }
 

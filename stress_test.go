@@ -126,9 +126,10 @@ func TestSharedPoolStress(t *testing.T) {
 	}
 
 	// Live maintained views intentionally hold their accumulator temp
-	// tables; flush them (and drain any condemned views) so the leak
-	// check below sees only genuinely leaked evaluation tables.
-	c.Resync()
+	// tables; drop them (and drain any condemned views) by a rule commit
+	// so the leak check below sees only genuinely leaked evaluation
+	// tables.
+	dropViews(t, c)
 
 	// No evaluation temp tables may survive the storm.
 	for _, name := range tb.DB().Catalog().Tables() {

@@ -68,8 +68,7 @@ type Testbed struct {
 	// still.
 	ruleGen uint64
 	// pool bounds the testbed's evaluation concurrency: the wavefront of
-	// every QueryOptions.Parallel query and the parallel view maintenance
-	// of a ConcurrentTestbed's commits. It keeps no goroutines, so it
+	// every QueryOptions.Parallel query. It keeps no goroutines, so it
 	// needs no closing.
 	pool *sched.Pool
 	// closed is set by Close; every later operation returns ErrClosed.
