@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,20 +18,21 @@ import (
 	"dkbms/internal/sql"
 )
 
-// checkKept acquires the tree p's next execution over args takes,
-// renders it beside a tree Build constructs over the same tables, and
-// hands it back; the two renderings — operators, tables, indexes, probe
-// keys, BuildLeft, estimates, bound predicates — must be identical. When
-// rows is set both trees are drained, and got and want are the rows the
-// kept and the fresh tree return.
-func checkKept(t *testing.T, d *DB, p *plan.Prepared, args []*catalog.Table, rows bool, what string) (reused bool, got, want []rel.Tuple) {
+// checkKept acquires the tree p's next execution over args and vals
+// takes, renders it beside a tree Build constructs over the same tables
+// and values, and hands it back; the two renderings — operators,
+// tables, indexes, probe keys, BuildLeft, estimates, bound predicates
+// and the values their parameters read — must be identical. When rows
+// is set both trees are drained, and got and want are the rows the kept
+// and the fresh tree return.
+func checkKept(t *testing.T, d *DB, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, rows bool, what string) (reused bool, got, want []rel.Tuple) {
 	t.Helper()
-	tr, reused, err := p.Acquire(d, args, nil)
+	tr, reused, err := p.Acquire(d, args, vals)
 	if err != nil {
 		t.Fatalf("acquire: %v\n%s", err, what)
 	}
 	defer p.Release(tr)
-	fresh, err := p.Build(d, args, nil)
+	fresh, err := p.Build(d, args, vals)
 	if err != nil {
 		t.Fatalf("build: %v\n%s", err, what)
 	}
@@ -56,12 +58,13 @@ func checkKept(t *testing.T, d *DB, p *plan.Prepared, args []*catalog.Table, row
 // swap positions and grow, and the rows every execution returned are
 // compared with the fresh tree's only after all six — a returned row
 // the kept tree's later executions wrote over, or a lent scan's page
-// decoded over rows a consumer kept, shows; over a
-// semi-naive LFP run,
-// every statement execution of every round is checked just before it
-// runs — it then re-binds the checked tree — and the answer is the
-// transitive closure. The differentiated rule reads its delta through a
-// Filter, so a scan left bound to a dropped delta shows.
+// decoded over rows a consumer kept, shows; the same shapes with every
+// literal a value parameter ?n run six times with the values changing
+// (valueRebinds); over a semi-naive LFP run, every statement execution
+// of every round is checked just before it runs — it then re-binds the
+// checked tree — and the answer is the transitive closure. The
+// differentiated rule reads its delta through a Filter, so a scan left
+// bound to a dropped delta shows.
 func TestReusedPlanEqualsFresh(t *testing.T) {
 	cases, reused := 150, 0
 	if testing.Short() {
@@ -103,7 +106,7 @@ func TestReusedPlanEqualsFresh(t *testing.T) {
 			for i := range args {
 				args[i] = d.Table(named[(i+round/2)%n].Table)
 			}
-			kept, rows, fresh := checkKept(t, d, p, args, true, sh.String())
+			kept, rows, fresh := checkKept(t, d, p, args, nil, true, sh.String())
 			if kept {
 				reused++
 			}
@@ -124,10 +127,100 @@ func TestReusedPlanEqualsFresh(t *testing.T) {
 	if reused < 3*cases { // 609 of 900 at the default count
 		t.Errorf("only %d of %d executions re-bound their kept tree", reused, 6*cases)
 	}
+	t.Run("values", func(t *testing.T) { valueRebinds(t, cases) })
 
 	for _, indexed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("lfp indexed=%v", indexed), func(t *testing.T) { lfpRebinds(t, indexed) })
 	}
+}
+
+// valueRebinds runs the generator's shapes with each literal of the
+// WHERE clause a value parameter ?n, six times over the same tables:
+// first with the literals' own values, then with values drawn from the
+// columns' domains, so that most executions re-bind the kept tree to
+// other values. Each execution is checked by checkKept, and the rows
+// every execution returned are compared with the fresh tree's after
+// all six: a parameter that kept the value it was constructed with, or
+// read the caller's slice, shows.
+func valueRebinds(t *testing.T, cases int) {
+	rebound := 0
+	for seed := int64(1); seed <= int64(cases); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sh := plantest.Random(rng)
+		for i := range sh.Tables {
+			sh.Tables[i].Pages = 3
+		}
+		st, err := sql.Parse(sh.Query)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, sh)
+		}
+		sel := *st.(*sql.Select)
+		var lits []rel.Value
+		if sel.Where != nil {
+			sel.Where = parameterize(sel.Where, &lits)
+		}
+		if len(lits) == 0 {
+			continue
+		}
+		d := OpenMemory()
+		sh.Create(t, d.Catalog())
+		p, err := plan.Prepare(d, &sel, nil)
+		if err != nil {
+			t.Fatalf("prepare: %v\n%s", err, sh)
+		}
+		var got [6][]rel.Tuple
+		var want [6]string
+		var last []rel.Value
+		for round := range got {
+			vals := slices.Clone(lits)
+			for i := range vals {
+				if round > 0 && vals[i].Kind == rel.TypeString {
+					vals[i] = rel.NewString(fmt.Sprintf("x%d", rng.Intn(3)))
+				} else if round > 0 {
+					vals[i] = rel.NewInt(int64(rng.Intn(6)))
+				}
+			}
+			what := fmt.Sprintf("%s\nvalues %v", sh, vals)
+			kept, rows, fresh := checkKept(t, d, p, nil, vals, true, what)
+			if kept && !slices.Equal(vals, last) {
+				rebound++
+			}
+			last = vals
+			got[round], want[round] = rows, strings.Join(rowStrings(&Rows{Tuples: fresh}), "|")
+		}
+		for round := range got {
+			if g := strings.Join(rowStrings(&Rows{Tuples: got[round]}), "|"); g != want[round] {
+				t.Fatalf("execution %d: the kept tree returned %s, the fresh one %s\n%s", round+1, g, want[round], sh)
+			}
+		}
+	}
+	t.Logf("%d executions re-bound their kept tree to other values", rebound)
+	if rebound < cases {
+		t.Errorf("only %d executions re-bound their kept tree to other values", rebound)
+	}
+}
+
+// parameterize replaces each literal of e, left to right, with the
+// next value parameter, appending the literal to lits.
+func parameterize(e sql.Expr, lits *[]rel.Value) sql.Expr {
+	switch v := e.(type) {
+	case sql.Literal:
+		*lits = append(*lits, v.Value)
+		return sql.ValueParam{N: len(*lits)}
+	case sql.Compare:
+		v.Left, v.Right = parameterize(v.Left, lits), parameterize(v.Right, lits)
+		return v
+	case sql.And:
+		v.Left, v.Right = parameterize(v.Left, lits), parameterize(v.Right, lits)
+		return v
+	case sql.Or:
+		v.Left, v.Right = parameterize(v.Left, lits), parameterize(v.Right, lits)
+		return v
+	case sql.Not:
+		v.Inner = parameterize(v.Inner, lits)
+		return v
+	}
+	return e
 }
 
 // lfpRebinds runs ancestor over a 63-node binary tree, semi-naive, with
@@ -158,7 +251,7 @@ func lfpRebinds(t *testing.T, indexed bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkKept(t, d, st.sel, args, false, strings.Join(tables, ", "))
+		checkKept(t, d, st.sel, args, nil, false, strings.Join(tables, ", "))
 		if st.insert {
 			err = st.Exec(ctx, nil, nil, tables...)
 		} else {

@@ -15,10 +15,13 @@ import (
 // and bound to schemas once, planned per execution against the tables'
 // state of that moment — the testbed's analog of the paper's
 // precompiled embedded SQL. An untraced execution whose planning decides
-// as the last one's did re-binds that execution's operator tree instead
-// of constructing one (plan.Prepared.Acquire); the tree is the
-// handle's, so every Prepare returns a handle with a tree of its own
-// over a plan it may share (see Prepare). Table positions (FROM
+// as the last one's did re-binds that execution's operator tree — to
+// its tables and its ?n values — instead of constructing one
+// (plan.Prepared.Acquire). The handle holds the tree while it is in
+// use; the statement owns it: a handle's first execution takes the tree
+// parked on the statement by a handle before it, and Park leaves it
+// there again, shed of its tables and working memory, for the next (see
+// Prepare). Table positions (FROM
 // entries, the INSERT target) may be parameters $1..$n, each with a
 // declared schema; an execution names the table standing at each.
 // Literals compared with a column may be value parameters ?1..?m, typed
@@ -35,11 +38,17 @@ type Stmt struct {
 }
 
 // prepared is what Prepare settles for one statement text and parameter
-// schemas, immutable and shared by every handle on it.
+// schemas, shared by every handle on it and immutable but for the
+// parked tree.
 type prepared struct {
-	key    string
 	params []*rel.Schema
 	query  *plan.Analyzed
+	// slot is where handles park the statement's operator tree between
+	// runs (Stmt.Park).
+	slot plan.TreeSlot
+	// next is the cached entry of the same text with other parameter
+	// schemas (stmtCache).
+	next *prepared
 	// insert marks INSERT ... SELECT; the target is into, or parameter
 	// $intoParam when that is positive.
 	insert    bool
@@ -54,37 +63,57 @@ type prepared struct {
 //
 // A statement all of whose tables are parameters — every statement the
 // run-time library issues — is prepared once per database: the plan is
-// kept, keyed by the text and the parameters' schemas compared by
+// kept, found by the text and the parameters' schemas compared by
 // structure, and a later Prepare of the same returns a new handle on it
-// without parsing. The cache keeps no table and no view, only schemas
-// and the plan, and holds at most MaxCachedStmts statements, emptied
-// when full. A statement naming a table is prepared anew each time: the
-// table a name stands for may be dropped and created with another
-// schema.
+// without parsing or rendering a key. The cache keeps no table and no
+// view, only schemas, the plan and the statement's parked operator tree
+// (shed of every table, Stmt.Park), and holds at most MaxCachedStmts
+// statements, emptied when full. A statement naming a table is
+// prepared anew each time: the table a name stands for may be dropped
+// and created with another schema.
 func (d *DB) Prepare(stmt string, params ...*rel.Schema) (*Stmt, error) {
-	key := stmtKey(stmt, params)
-	if p := d.stmts.load(key); p != nil {
+	if p := d.stmts.load(stmt, params); p != nil {
 		return d.handle(p), nil
 	}
 	p, cache, err := d.prepare(stmt, params)
 	if err != nil {
 		return nil, err
 	}
-	p.key = key
 	if cache {
-		p = d.stmts.store(key, p)
+		p = d.stmts.store(stmt, p)
 	}
 	return d.handle(p), nil
 }
 
-// Key identifies the statement s is a handle on: its text and its
-// parameters' schemas by structure. Handles with one key execute alike.
-func (s *Stmt) Key() string { return s.key }
+// StmtID identifies a prepared statement: handles with one StmtID are
+// on one statement, prepared once, and share its parked tree.
+type StmtID struct{ p *prepared }
 
-// handle returns a new handle on p, with no tree kept yet.
+// ID identifies the statement s is a handle on. Prepares of one text
+// with parameter schemas equal by structure return handles with one ID
+// while the statement is cached.
+func (s *Stmt) ID() StmtID { return StmtID{s.prepared} }
+
+// handle returns a new handle on p, with no tree kept yet: its first
+// execution takes the one parked on p, if any. The handle and the
+// plan.Prepared it keeps the tree in are one allocation.
 func (d *DB) handle(p *prepared) *Stmt {
-	return &Stmt{d: d, prepared: p, sel: &plan.Prepared{Analyzed: p.query}}
+	h := &struct {
+		Stmt
+		sel plan.Prepared
+	}{Stmt: Stmt{d: d, prepared: p}, sel: plan.Prepared{Analyzed: p.query, Slot: &p.slot}}
+	h.Stmt.sel = &h.sel
+	return &h.Stmt
 }
+
+// Park ends the handle's hold on the statement's operator tree: shed of
+// its tables, indexes, probe keys, values and working memory
+// (plan.Prepared.Park), the tree is parked on the statement for the
+// next handle's first execution, unless one is parked there already. A
+// caller parks a handle when it is done with it — the run-time library
+// when a run ends — and may still use it: its next execution then
+// starts as a first one. Views On s share the tree and park it with s.
+func (s *Stmt) Park() { s.sel.Park() }
 
 // prepare parses and analyzes stmt on the root database; cache reports
 // that every table of it is a parameter.

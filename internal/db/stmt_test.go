@@ -342,3 +342,40 @@ func TestTypedDDL(t *testing.T) {
 		t.Errorf("DDL counted %d, want 4", got)
 	}
 }
+
+// TestPrepareHitAllocs: a Prepare the statement cache answers renders
+// no key — it finds the entry by text and compares the parameter
+// schemas by structure — and allocates only the handle it returns, one
+// object holding the Stmt and the plan.Prepared its tree is kept in.
+// The text is cached under two lists of parameter schemas, and the
+// hit's schemas are equal to the cached ones without being the same
+// objects.
+func TestPrepareHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	d := OpenMemory()
+	const text = "INSERT INTO $3 SELECT DISTINCT p.par, e.chd FROM $1 p, $2 e WHERE p.chd = e.par EXCEPT SELECT * FROM $3"
+	other := rel.MustSchema(rel.Column{Name: "par", Type: rel.TypeInt}, rel.Column{Name: "chd", Type: rel.TypeInt})
+	mustPrepare(t, d, text, other, other, other)
+	mustPrepare(t, d, text, parentSchema, parentSchema, parentSchema)
+	same := rel.MustSchema(rel.Column{Name: "par", Type: rel.TypeString}, rel.Column{Name: "chd", Type: rel.TypeString})
+	params := []*rel.Schema{same, same, same}
+	parses := d.StatsSnapshot().Parses
+	var st *Stmt
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if st, err = d.Prepare(text, params...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("a cached Prepare allocates %.0f objects, want 1: its handle", allocs)
+	}
+	if n := d.StatsSnapshot().Parses - parses; n != 0 {
+		t.Errorf("cached Prepares parsed %d statements", n)
+	}
+	if want := mustPrepare(t, d, text, parentSchema, parentSchema, parentSchema); st.ID() != want.ID() || d.CachedStatements() != 2 {
+		t.Errorf("the hit is on another statement than the text's for (par, chd), or %d statements are cached, want 2", d.CachedStatements())
+	}
+}

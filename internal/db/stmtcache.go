@@ -1,7 +1,6 @@
 package db
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +9,8 @@ import (
 
 // MaxCachedStmts bounds the statements a database keeps prepared. The
 // plan of a two-table differential — INSERT, join, two EXCEPTs — holds
-// about 2 KiB, so a cache full of them holds about half a MiB. An
+// about 2 KiB, and the shed operator tree parked with it (Stmt.Park)
+// 1–2 KiB more, so a cache full of them holds about 1 MiB. An
 // evaluation prepares a handful of distinct statements and the
 // run-time library's forms repeat across programs, so a workload fills
 // the cache only by compiling that many distinct rule shapes.
@@ -23,8 +23,9 @@ type stmtCache struct {
 	gen atomic.Pointer[stmtGen]
 }
 
-// stmtGen is one generation: stmtKey → *prepared, and how many entries
-// have been admitted to it.
+// stmtGen is one generation: statement text → the *prepared entries of
+// that text, one per list of parameter schemas, chained through next;
+// and how many entries have been admitted to it.
 type stmtGen struct {
 	m sync.Map
 	n atomic.Int64
@@ -36,40 +37,66 @@ func newStmtCache() *stmtCache {
 	return c
 }
 
-// stmtKey identifies a statement: its text and its parameters' schemas
-// by structure.
-func stmtKey(text string, params []*rel.Schema) string {
-	var b strings.Builder
-	b.Grow(len(text) + 24*len(params))
-	b.WriteString(text)
-	for _, p := range params {
-		b.WriteByte(0)
-		if p != nil {
-			b.WriteString(p.String())
-		}
+// load returns the statement cached for text and params, or nil. It
+// renders nothing: the entry is found by text, and its parameter
+// schemas are compared by structure.
+func (c *stmtCache) load(text string, params []*rel.Schema) *prepared {
+	v, ok := c.gen.Load().m.Load(text)
+	if !ok {
+		return nil
 	}
-	return b.String()
+	return find(v.(*prepared), params)
 }
 
-// load returns the statement cached under key, or nil.
-func (c *stmtCache) load(key string) *prepared {
-	if p, ok := c.gen.Load().m.Load(key); ok {
-		return p.(*prepared)
+// find returns the entry of the chain at head whose parameter schemas
+// are params by structure, or nil.
+func find(head *prepared, params []*rel.Schema) *prepared {
+	for p := head; p != nil; p = p.next {
+		if sameSchemas(p.params, params) {
+			return p
+		}
 	}
 	return nil
 }
 
-// store caches p under key and returns the statement cached there: p,
-// or the one a concurrent Prepare stored first. A generation admits
-// MaxCachedStmts entries; the store that finds it full starts the next.
-func (c *stmtCache) store(key string, p *prepared) *prepared {
+// sameSchemas reports whether a and b declare the same schemas.
+func sameSchemas(a, b []*rel.Schema) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, s := range a {
+		if s != b[i] && (s == nil || b[i] == nil || !s.Equal(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// store caches p under text and returns the statement cached for p's
+// text and parameter schemas: p, or the one a concurrent Prepare stored
+// first. A generation admits MaxCachedStmts entries; the store that
+// finds it full starts the next.
+func (c *stmtCache) store(text string, p *prepared) *prepared {
 	for {
 		g := c.gen.Load()
-		if g.n.Add(1) <= MaxCachedStmts {
-			got, _ := g.m.LoadOrStore(key, p)
-			return got.(*prepared)
+		if g.n.Add(1) > MaxCachedStmts {
+			c.gen.CompareAndSwap(g, new(stmtGen))
+			continue
 		}
-		c.gen.CompareAndSwap(g, new(stmtGen))
+		for {
+			v, loaded := g.m.LoadOrStore(text, p)
+			if !loaded {
+				return p
+			}
+			head := v.(*prepared)
+			if have := find(head, p.params); have != nil {
+				return have
+			}
+			p.next = head
+			if g.m.CompareAndSwap(text, head, p) {
+				return p
+			}
+		}
 	}
 }
 
@@ -77,6 +104,11 @@ func (c *stmtCache) store(key string, p *prepared) *prepared {
 // prepared, at most MaxCachedStmts.
 func (d *DB) CachedStatements() int {
 	n := 0
-	d.stmts.gen.Load().m.Range(func(any, any) bool { n++; return true })
+	d.stmts.gen.Load().m.Range(func(_, v any) bool {
+		for p := v.(*prepared); p != nil; p = p.next {
+			n++
+		}
+		return true
+	})
 	return n
 }

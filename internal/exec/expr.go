@@ -4,6 +4,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"dkbms/internal/rel"
 	"dkbms/internal/sql"
 )
@@ -37,6 +39,23 @@ func (c Const) Eval(rel.Tuple) rel.Value { return c.Val }
 
 // Type returns the literal's type.
 func (c Const) Type() rel.Type { return c.Val.Kind }
+
+// Param is a value parameter ?n: it reads the value the current
+// execution binds from the tree's own array of them, which the planner
+// overwrites in place when it re-binds the tree for the next execution.
+type Param struct {
+	Val *rel.Value
+}
+
+// Eval returns the value bound to the parameter.
+func (p Param) Eval(rel.Tuple) rel.Value { return *p.Val }
+
+// Type returns the parameter's type.
+func (p Param) Type() rel.Type { return p.Val.Kind }
+
+// String renders the parameter as the Const of its bound value prints,
+// so a plan bound to values prints as the plan of its literal text.
+func (p Param) String() string { return fmt.Sprint(Const{Val: *p.Val}) }
 
 // Pred is a resolved boolean predicate.
 type Pred interface {

@@ -121,6 +121,49 @@ func (s *slab) concat(left, right rel.Tuple) rel.Tuple {
 	return tu
 }
 
+// Shed empties a closed tree for parking between the runs of its
+// statement: every operator of it lets go of the working memory it
+// kept (scan blocks, decoders, key tables, sets, slabs, kept rows) and
+// of the tables, indexes and probe keys it was bound to. What remains
+// is the operators, their predicates and their decisions; before the
+// tree is opened again the planner re-binds its tables, indexes and
+// keys, and the next pass allocates its memory as a new tree's first
+// pass does.
+func Shed(op Operator) {
+	switch o := op.(type) {
+	case *SeqScan:
+		o.Table, o.blocks, o.lent, o.dec = nil, nil, nil, rel.BlockDecoder{}
+	case *IndexScan:
+		o.Table, o.Index, o.Key, o.rows, o.dec = nil, nil, nil, rel.Block{}, rel.BlockDecoder{}
+	case *IndexNLJoin:
+		o.Right, o.Index = nil, nil
+		o.batch, o.matches, o.dec, o.out = nil, rel.Block{}, rel.BlockDecoder{}, slab{}
+		Shed(o.Left)
+	case *Filter:
+		Shed(o.Input)
+	case *Project:
+		o.out = slab{}
+		Shed(o.Input)
+	case *NLJoin:
+		o.right, o.cur, o.out = nil, nil, slab{}
+		Shed(o.Left)
+		Shed(o.Right)
+	case *HashJoin:
+		o.keys, o.chains, o.rows, o.next, o.key, o.cur, o.out = keyTable{}, nil, nil, nil, nil, nil, slab{}
+		Shed(o.Left)
+		Shed(o.Right)
+	case *Distinct:
+		o.seen, o.key = keyTable{}, nil
+		Shed(o.Input)
+	case *SetOpExec:
+		o.set, o.out = nil, nil
+		Shed(o.Left)
+		Shed(o.Right)
+	case *CountStar:
+		Shed(o.Input)
+	}
+}
+
 // trim returns buf, which an execution filled to its length, or nil
 // when buf is Outgrown by that: what an operator keeps for its next
 // execution after Close.

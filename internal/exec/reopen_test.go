@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -345,5 +346,115 @@ func TestKeptTreeMemoryBounded(t *testing.T) {
 			t.Errorf("%s: after a pass over %d rows and one over %d, the tree retains %d bytes; one that only ran over %d retains %d, bound %d",
 				tc.name, lBig.Rows(), l.Rows(), kept, l.Rows(), fresh, bound)
 		}
+	}
+}
+
+// held lists what operator op still holds, by field path: a non-empty
+// buffer — any slice, outside the operator's configuration (a
+// projection's expressions, a join's key ordinals, a Values list) — or
+// a pointer to a table, an index or anything else but a schema. Inputs
+// and predicates are not entered: walk visits the inputs, and
+// predicates are the statement's.
+func held(op Operator) []string {
+	var out []string
+	config := map[string]bool{"Exprs": true, "LeftOrds": true, "RightOrds": true}
+	operator := reflect.TypeOf((*Operator)(nil)).Elem()
+	pred := reflect.TypeOf((*Pred)(nil)).Elem()
+	schema := reflect.TypeOf((*rel.Schema)(nil))
+	values := reflect.TypeOf(Values{})
+	var visit func(v reflect.Value, path string)
+	visit = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				f := v.Type().Field(i)
+				if f.Type == operator || f.Type == pred || config[f.Name] || v.Type() == values && f.Name == "Rows" {
+					continue
+				}
+				visit(v.Field(i), path+"."+f.Name)
+			}
+		case reflect.Slice:
+			if v.Cap() > 0 {
+				out = append(out, fmt.Sprintf("%s (%d of %s)", path, v.Cap(), v.Type()))
+			}
+		case reflect.Pointer:
+			if !v.IsNil() && v.Type() != schema {
+				out = append(out, fmt.Sprintf("%s (%s)", path, v.Type()))
+			}
+		}
+	}
+	visit(reflect.ValueOf(op).Elem(), reflect.TypeOf(op).Elem().Name())
+	return out
+}
+
+// bindLike points every table, index and probe key of op at those of
+// ref, a tree of the same shape: what the planner's re-bind does for a
+// parked tree.
+func bindLike(op, ref Operator) {
+	switch o := op.(type) {
+	case *SeqScan:
+		o.Table = ref.(*SeqScan).Table
+	case *IndexScan:
+		r := ref.(*IndexScan)
+		o.Table, o.Index, o.Key = r.Table, r.Index, r.Key
+	case *IndexNLJoin:
+		r := ref.(*IndexNLJoin)
+		o.Right, o.Index = r.Right, r.Index
+		bindLike(o.Left, r.Left)
+	case *Filter:
+		bindLike(o.Input, ref.(*Filter).Input)
+	case *Project:
+		bindLike(o.Input, ref.(*Project).Input)
+	case *Distinct:
+		bindLike(o.Input, ref.(*Distinct).Input)
+	case *CountStar:
+		bindLike(o.Input, ref.(*CountStar).Input)
+	case *NLJoin:
+		bindLike(o.Left, ref.(*NLJoin).Left)
+		bindLike(o.Right, ref.(*NLJoin).Right)
+	case *HashJoin:
+		bindLike(o.Left, ref.(*HashJoin).Left)
+		bindLike(o.Right, ref.(*HashJoin).Right)
+	case *SetOpExec:
+		bindLike(o.Left, ref.(*SetOpExec).Left)
+		bindLike(o.Right, ref.(*SetOpExec).Right)
+	}
+}
+
+// TestShedTreesHoldNothing: a tree shed for parking between the runs
+// of its statement (Shed) holds, in every operator of every kind, no
+// buffer — scan block, decoder, key table, set, slab, kept row or list
+// — and no table, index or probe key: only operators, predicates and
+// decisions. Each case is shed after two passes; re-bound to tables
+// again, the shed tree runs as a fresh one, and sheds again to nothing.
+func TestShedTreesHoldNothing(t *testing.T) {
+	c := cat(t)
+	l1, r1, idx1 := reopenTables(t, c, 1, 40)
+	l2, r2, idx2 := reopenTables(t, c, 2, 70)
+	pass := func(op Operator) string {
+		var rows []string
+		if err := Run(op, func(tu rel.Tuple) error { rows = append(rows, tu.String()); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(rows)
+	}
+	for _, tc := range reopenCases() {
+		shed := func(op Operator, when string) {
+			Shed(op)
+			walk(op, func(op Operator) {
+				for _, h := range held(op) {
+					t.Errorf("%s, shed %s: holds %s", tc.name, when, h)
+				}
+			})
+		}
+		op := tc.build(l1, r1, idx1)
+		pass(op)
+		pass(op)
+		shed(op, "after two passes")
+		bindLike(op, tc.build(l2, r2, idx2))
+		if got, want := pass(op), pass(tc.build(l2, r2, idx2)); got != want {
+			t.Errorf("%s, shed and re-bound: %s, fresh %s", tc.name, got, want)
+		}
+		shed(op, "again")
 	}
 }

@@ -48,8 +48,10 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 	m := &maint{d: d, v: v, temps: rtlib.NewTempTables(d), stmts: rtlib.NewStatements(d, v.prog.Schemas),
 		prefix: fmt.Sprintf("mv%d_", viewSeq.Add(1))}
 	// Best-effort: a failed scratch drop leaks a temp table until the
-	// database closes, nothing worse.
+	// database closes, nothing worse. The statements' trees are parked
+	// first.
 	defer m.temps.DropAll() //nolint:errcheck
+	defer m.stmts.Close()
 	if len(del) > 0 {
 		if err := m.dred(del); err != nil {
 			return nil, err
@@ -75,7 +77,7 @@ func (v *View) Maintain(d *db.DB, ev *Event) ([]rel.Tuple, error) {
 // tables it creates (base deltas, pre-state copies, candidate sets, the
 // fixpoint driver's delta tables) are dropped when the run ends,
 // leaving only the view's accumulators, and the statements it prepares
-// go with it.
+// go with it, their trees parked on the statements.
 type maint struct {
 	d      *db.DB
 	v      *View

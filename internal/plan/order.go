@@ -23,6 +23,12 @@ type tableInfo struct {
 	est   float64 // rows left after preds
 	touch float64 // rows the access path reads to produce them
 
+	// built are the leading index columns of the IndexScan or index
+	// join the kept tree reads the table through, nil for a SeqScan or
+	// hash join side: the decision its operator was constructed from,
+	// which re-binding compares and parking keeps.
+	built []int
+
 	// via is the step attaching the table to the tables before it in
 	// the join order; zero for the first.
 	via step

@@ -26,14 +26,19 @@
 //     order wins, each step with its join method.
 //
 // and constructs the operators, predicates and projection bound to the
-// column layout the order produced. Deciding allocates nothing, so an
-// execution whose decisions — join order, access paths, join methods,
-// bound values — are those of the statement's last execution does not
-// construct: (*Prepared).Acquire re-binds the operator tree that
-// execution handed back to the new tables, indexes and estimates, and
-// the tree equals the one (*Analyzed).Build would construct. What
-// Analyze settles is immutable, so any number of Prepared — each an
-// Analyzed with the tree its holder keeps — share one.
+// column layout the order produced. A value parameter is bound as an
+// exec.Param reading the tree's own copy of the execution's values,
+// never the caller's slice. Deciding allocates nothing, so an execution
+// whose decisions — join order, access paths, join methods — are those
+// of the statement's last execution does not construct:
+// (*Prepared).Acquire re-binds the operator tree that execution handed
+// back to the new tables, indexes, estimates and values, and the tree
+// equals the one (*Analyzed).Build would construct. What Analyze
+// settles is immutable, so any number of Prepared — each an Analyzed
+// with the tree its holder keeps — share one, and the trees they keep
+// outlive them through a TreeSlot: Park sheds a tree's working memory
+// and bindings and leaves it there for the next Prepared on the
+// statement.
 //
 // The cost of a join is the rows it must touch, and the join method
 // falls out of the same cost (P is the running prefix, touch(T) the rows
@@ -87,10 +92,15 @@ type Analyzed struct {
 
 // Prepared is an Analyzed with the operator tree its holder keeps
 // between executions through Acquire, which one execution at a time
-// takes under an atomic flag: Build and Acquire are safe for concurrent
-// use. Handles over one Analyzed keep a tree each.
+// takes under an atomic flag: Build, Acquire and Park are safe for
+// concurrent use. Handles over one Analyzed keep a tree each; with a
+// Slot they hand it on from one to the next (Park).
 type Prepared struct {
 	*Analyzed
+	// Slot, when set, is the statement's parked tree: a first kept
+	// execution takes it instead of constructing one, and Park leaves
+	// the tree there.
+	Slot *TreeSlot
 
 	// tree is the operator tree kept between executions through
 	// Acquire; busy is set while one holds it.
@@ -105,8 +115,37 @@ type Tree struct {
 	Root exec.Operator
 
 	blocks []blockTree
-	// vals are the values Root was constructed with (kept trees only).
+	// vals is the tree's own copy of the values bound to ?1..?n, which
+	// Root's exec.Params read: each execution overwrites it in place.
 	vals []rel.Value
+}
+
+// TreeSlot holds at most one parked tree of a statement between the
+// runs that use it. A parked tree is shed (Park): it holds operators,
+// predicates and decisions, and no table, index, probe key, value or
+// working memory. The slot is taken under an atomic flag, as a kept
+// tree is: whoever finds it held goes on as if it were empty.
+type TreeSlot struct {
+	busy atomic.Bool
+	tree Tree
+}
+
+// take moves the parked tree, if any, into t, which is empty.
+func (s *TreeSlot) take(t *Tree) {
+	if s.busy.CompareAndSwap(false, true) {
+		*t, s.tree = s.tree, Tree{}
+		s.busy.Store(false)
+	}
+}
+
+// put parks t unless a tree is parked already; then t is dropped.
+func (s *TreeSlot) put(t Tree) {
+	if s.busy.CompareAndSwap(false, true) {
+		if s.tree.blocks == nil {
+			s.tree = t
+		}
+		s.busy.Store(false)
+	}
 }
 
 // blockTree is one block's part of a Tree: the operators constructed
@@ -273,32 +312,35 @@ func (p *Analyzed) NamesTables() bool {
 // are resolved through cat. A table that is missing or whose schema is
 // not the prepared one is a *BindError. vals[n-1] is the value bound to
 // ?n, of the type Analyze gave it: a literal in every predicate it
-// stands in and, under an equality, in the index probe key.
+// stands in and, under an equality, in the index probe key. The tree
+// reads its own copy of vals.
 func (p *Analyzed) Build(cat TableSource, args []*catalog.Table, vals []rel.Value) (exec.Operator, error) {
 	var t Tree
-	if _, err := p.plan(&t, false, cat, args, vals); err != nil {
+	if _, err := p.plan(&t, cat, args, vals); err != nil {
 		return nil, err
 	}
 	return t.Root, nil
 }
 
 // Acquire plans one execution as Build does, into the tree p keeps
-// between executions. When this execution decides
-// exactly as the last one did — join order, access paths, join methods
-// and the values bound — the tree is not constructed again but re-bound
-// to this execution's tables, indexes and estimates, and reused reports
-// it. The caller drains t.Root and then hands t back with Release, also
-// after an error; the rows it keeps it copies first (exec.CollectOwned),
-// since the next execution that re-binds the tree writes over what its
-// operators read (exec.Operator). An execution that finds the kept
-// tree held by a concurrent one plans a tree of its own, which is not
-// kept.
+// between executions — on its first, the tree parked in p.Slot if there
+// is one. When this execution decides exactly as the tree's last one
+// did — join order, access paths, join methods — the tree is not
+// constructed again but re-bound to this execution's tables, indexes,
+// estimates and values, and reused reports it. The caller drains
+// t.Root and then hands t back with Release, also after an error; the
+// rows it keeps it copies first (exec.CollectOwned), since the next
+// execution that re-binds the tree writes over what its operators read
+// (exec.Operator). An execution that finds the kept tree held by a
+// concurrent one plans a tree of its own, which is not kept.
 func (p *Prepared) Acquire(cat TableSource, args []*catalog.Table, vals []rel.Value) (t *Tree, reused bool, err error) {
 	t = &p.tree
 	if !p.busy.CompareAndSwap(false, true) {
 		t = new(Tree)
+	} else if t.blocks == nil && p.Slot != nil {
+		p.Slot.take(t)
 	}
-	if reused, err = p.plan(t, t == &p.tree, cat, args, vals); err != nil {
+	if reused, err = p.plan(t, cat, args, vals); err != nil {
 		p.Release(t)
 		return nil, false, err
 	}
@@ -313,8 +355,49 @@ func (p *Prepared) Release(t *Tree) {
 	}
 }
 
-// scratch sizes t's per-block scratch to the statement's FROM lists.
+// Park ends p's hold on its kept tree: the tree is shed — its
+// operators let go of their working memory (exec.Shed), and its
+// operators and scratch of the tables, indexes, probe keys and values
+// they were bound to — and left in p.Slot for the next Prepared on the
+// statement, unless a tree is parked there already. A tree held by an
+// execution is left to it. p keeps working: its next execution starts
+// as a first one.
+func (p *Prepared) Park() {
+	if !p.busy.CompareAndSwap(false, true) {
+		return
+	}
+	t := p.tree
+	p.tree = Tree{}
+	p.busy.Store(false)
+	if t.blocks == nil || p.Slot == nil {
+		return
+	}
+	t.shed()
+	p.Slot.put(t)
+}
+
+// shed empties t for parking: see Park.
+func (t *Tree) shed() {
+	if t.Root != nil {
+		exec.Shed(t.Root)
+	}
+	for i := range t.blocks {
+		for j := range t.blocks[i].tabs {
+			tab := &t.blocks[i].tabs[j]
+			key := tab.scanKey[:cap(tab.scanKey)]
+			clear(key)
+			tab.t, tab.scanIndex, tab.scanKey, tab.via.index = nil, nil, key[:0], nil
+		}
+	}
+	clear(t.vals)
+}
+
+// scratch sizes t's per-block scratch to the statement's FROM lists
+// and its value array to the statement's value parameters.
 func (p *Analyzed) scratch(t *Tree) {
+	if len(p.values) > 0 {
+		t.vals = make([]rel.Value, len(p.values))
+	}
 	t.blocks = make([]blockTree, len(p.blocks))
 	for i := range t.blocks {
 		bt := &t.blocks[i]
@@ -326,11 +409,11 @@ func (p *Analyzed) scratch(t *Tree) {
 	}
 }
 
-// plan settles one execution in t, a kept tree when keep is set. Every
-// block decides; when t.Root was constructed from the same decisions,
-// its operators are re-bound and reused is true, otherwise t.Root is
-// constructed anew.
-func (p *Analyzed) plan(t *Tree, keep bool, cat TableSource, args []*catalog.Table, vals []rel.Value) (reused bool, err error) {
+// plan settles one execution in t. vals is copied into t's own value
+// array, which t's operators read. Every block decides; when t.Root was
+// constructed from the same decisions, its operators are re-bound and
+// reused is true, otherwise t.Root is constructed anew.
+func (p *Analyzed) plan(t *Tree, cat TableSource, args []*catalog.Table, vals []rel.Value) (reused bool, err error) {
 	if len(args) != p.params {
 		return false, fmt.Errorf("plan: statement takes %d table parameters, got %d", p.params, len(args))
 	}
@@ -345,7 +428,9 @@ func (p *Analyzed) plan(t *Tree, keep bool, cat TableSource, args []*catalog.Tab
 	if t.blocks == nil {
 		p.scratch(t)
 	}
-	same := t.Root != nil && slices.Equal(t.vals, vals)
+	copy(t.vals, vals)
+	vals = t.vals
+	same := t.Root != nil
 	for i := range p.blocks {
 		bt := &t.blocks[i]
 		if err := p.blocks[i].decide(bt, cat, args, vals); err != nil {
@@ -375,9 +460,6 @@ func (p *Analyzed) plan(t *Tree, keep bool, cat TableSource, args []*catalog.Tab
 	root := t.blocks[0].root
 	for i, kind := range p.setOps {
 		root = &exec.SetOpExec{Kind: kind, Left: root, Right: t.blocks[i+1].root}
-	}
-	if keep {
-		t.vals = append(t.vals[:0], vals...)
 	}
 	t.Root = root
 	return false, nil
@@ -670,9 +752,15 @@ func bindAll(preds []exec.Pred, ps []symPred, m colMap, vals []rel.Value) ([]exe
 	return preds, nil
 }
 
+// bindScalar binds a leaf: a column to its ordinal under m, a literal
+// to an exec.Const, and ?n to an exec.Param reading vals[n-1], the
+// tree's own array.
 func bindScalar(s symScalar, m colMap, vals []rel.Value) (exec.Scalar, error) {
-	if !s.isCol {
-		return exec.Const{Val: s.value(vals)}, nil
+	switch {
+	case s.param > 0:
+		return exec.Param{Val: &vals[s.param-1]}, nil
+	case !s.isCol:
+		return exec.Const{Val: s.val}, nil
 	}
 	ord, ok := m.ord(s.col)
 	if !ok {
@@ -837,7 +925,8 @@ func (b *block) decide(bt *blockTree, cat TableSource, args []*catalog.Table, va
 // position i — at this execution's tables, indexes, probe keys and
 // estimates. It reports false when an operator is not the one bt's
 // decisions construct: another access path or join method, or an index
-// keyed on other columns. The order was compared by the caller.
+// keyed on other columns than the one it was constructed through
+// (tableInfo.built). The order was compared by the caller.
 func (bt *blockTree) rebind(op exec.Operator, i int) bool {
 	if i < 0 {
 		return false
@@ -860,13 +949,13 @@ func (bt *blockTree) rebind(op exec.Operator, i int) bool {
 		o.Table, o.Est = tab.t, tab.touch
 		return true
 	case *exec.IndexScan:
-		if len(o.Key) != len(tab.scanKey) || !sameKey(o.Index, tab.scanIndex, len(o.Key)) {
+		if tab.scanIndex == nil || !slices.Equal(tab.built, tab.scanIndex.Ords[:len(tab.scanKey)]) {
 			return false
 		}
 		o.Table, o.Index, o.Key, o.Est = tab.t, tab.scanIndex, tab.scanKey, tab.touch
 		return true
 	case *exec.IndexNLJoin:
-		if len(o.LeftOrds) != st.keyLen || !sameKey(o.Index, st.index, st.keyLen) {
+		if st.index == nil || len(o.LeftOrds) != st.keyLen || !slices.Equal(tab.built, st.index.Ords[:st.keyLen]) {
 			return false
 		}
 		o.Right, o.Index, o.Est = tab.t, st.index, st.rows
@@ -887,15 +976,9 @@ func (bt *blockTree) rebind(op exec.Operator, i int) bool {
 	return false
 }
 
-// sameKey reports whether indexes a and b, either possibly nil, both
-// exist and lead with the same n columns.
-func sameKey(a, b *catalog.Index, n int) bool {
-	return a != nil && b != nil && (a == b || slices.Equal(a.Ords[:n], b.Ords[:n]))
-}
-
-// construct builds the block's operators from the decisions in bt; lend
-// says the block's consumer copies each row before it asks for the
-// next.
+// construct builds the block's operators from the decisions in bt, its
+// value parameters reading vals, the tree's own array; lend says the
+// block's consumer copies each row before it asks for the next.
 func (b *block) construct(bt *blockTree, vals []rel.Value, lend bool) (exec.Operator, error) {
 	n := len(b.from)
 	// m places the attached tables in cur's output; local is the same
@@ -910,8 +993,10 @@ func (b *block) construct(bt *blockTree, vals []rel.Value, lend bool) (exec.Oper
 		var op exec.Operator
 		if tab.scanIndex != nil {
 			op = &exec.IndexScan{Table: tab.t, Index: tab.scanIndex, Key: tab.scanKey, Est: tab.touch}
+			tab.built = tab.scanIndex.Ords[:len(tab.scanKey)]
 		} else {
 			op = &exec.SeqScan{Table: tab.t, Est: tab.touch}
+			tab.built = nil
 		}
 		if len(preds) == 0 {
 			return op, nil
@@ -960,6 +1045,7 @@ func (b *block) construct(bt *blockTree, vals []rel.Value, lend bool) (exec.Oper
 					return nil, err
 				}
 				cur = &exec.IndexNLJoin{Left: cur, Right: tab.t, Index: st.index, LeftOrds: key, Residual: res, Est: st.rows}
+				tab.built = st.index.Ords[:st.keyLen]
 			} else {
 				right, err := access(ti)
 				if err != nil {

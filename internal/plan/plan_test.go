@@ -341,7 +341,8 @@ func BenchmarkBuildSelect(b *testing.B) {
 // records, and a value of no type would be keyed as an empty string
 // that does not decode. Columns carry their table's type and literals
 // the lexer's; a value parameter in the select list, and a column of
-// no storable type, are refused at Prepare.
+// no storable type, are refused at Prepare. A literal or a bound value
+// parameter compared with a column in a Filter has the column's type.
 func TestProjectionIsTyped(t *testing.T) {
 	c := setup(t)
 	addTable(t, c, "t", 4)
@@ -351,12 +352,48 @@ func TestProjectionIsTyped(t *testing.T) {
 	), false); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{
-		"SELECT a, 7, 'x' FROM t",
-		"SELECT * FROM t x, t y WHERE x.a = y.b",
-		"SELECT t.b, s.n, 'k' AS tag FROM t, s",
-		"SELECT a, 1 FROM t WHERE b = 2 EXCEPT SELECT b, a FROM t",
+	for _, tc := range []struct {
+		q    string
+		vals []rel.Value
+	}{
+		{"SELECT a, 7, 'x' FROM t", nil},
+		{"SELECT * FROM t x, t y WHERE x.a = y.b", nil},
+		{"SELECT t.b, s.n, 'k' AS tag FROM t, s", nil},
+		{"SELECT a, 1 FROM t WHERE b = 2 EXCEPT SELECT b, a FROM t", nil},
+		{"SELECT t.a, s.n FROM t, s WHERE t.b = ?1 AND s.n <> ?2 AND t.a > 0", []rel.Value{rel.NewInt(2), rel.NewString("x")}},
 	} {
+		q, params := tc.q, 0
+		// leaf checks that a literal or parameter has the type of the
+		// column it stands beside.
+		leaf := func(e exec.Scalar, ty rel.Type) {
+			switch k := e.(type) {
+			case exec.Const:
+				if k.Val.Kind != ty {
+					t.Errorf("%s: constant %v under a %v column", q, k.Val, ty)
+				}
+			case exec.Param:
+				params++
+				if k.Val.Kind != ty || k.Type() != ty {
+					t.Errorf("%s: parameter bound to %v under a %v column", q, *k.Val, ty)
+				}
+			}
+		}
+		var pred func(p exec.Pred)
+		pred = func(p exec.Pred) {
+			switch v := p.(type) {
+			case exec.AndP:
+				for _, c := range v.Preds {
+					pred(c)
+				}
+			case exec.Cmp:
+				if col, ok := v.Left.(exec.Col); ok {
+					leaf(v.Right, col.Ty)
+				}
+				if col, ok := v.Right.(exec.Col); ok {
+					leaf(v.Left, col.Ty)
+				}
+			}
+		}
 		var walk func(op exec.Operator)
 		walk = func(op exec.Operator) {
 			switch o := op.(type) {
@@ -366,17 +403,39 @@ func TestProjectionIsTyped(t *testing.T) {
 					if ty != rel.TypeInt && ty != rel.TypeString {
 						t.Errorf("%s: output column %d has type %v", q, i, ty)
 					}
-					if k, ok := e.(exec.Const); ok && k.Val.Kind != ty {
-						t.Errorf("%s: constant %v under a %v column", q, k.Val, ty)
-					}
+					leaf(e, ty)
 				}
 				walk(o.Input)
+			case *exec.Filter:
+				pred(o.Pred)
+				walk(o.Input)
+			case *exec.HashJoin:
+				walk(o.Left)
+				walk(o.Right)
+			case *exec.NLJoin:
+				walk(o.Left)
+				walk(o.Right)
 			case *exec.SetOpExec:
 				walk(o.Left)
 				walk(o.Right)
 			}
 		}
-		walk(build(t, c, q))
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Prepare(c, st.(*sql.Select), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := p.Build(c, nil, tc.vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk(op)
+		if params != len(tc.vals) {
+			t.Errorf("%s: %d parameters in the plan's filters, want %d", q, params, len(tc.vals))
+		}
 	}
 	for _, q := range []string{"SELECT u FROM s", "SELECT n, u FROM s", "SELECT * FROM s x, s y"} {
 		st, err := sql.Parse(q)

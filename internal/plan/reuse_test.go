@@ -17,8 +17,9 @@ import (
 // through Acquire, which constructs the tree it keeps, allocates no
 // more than Build — the kept scratch is the scratch Build allocates
 // anyway — and an execution that decides as the last one did allocates
-// nothing at all. An Acquire while the kept tree is held plans a tree
-// of its own.
+// nothing at all — also when it binds another ?1: the value is copied
+// into the tree's own array, which the tree's parameters read. An
+// Acquire while the kept tree is held plans a tree of its own.
 func TestKeptTreeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -83,6 +84,36 @@ func TestKeptTreeAllocs(t *testing.T) {
 			t.Errorf("%s: a re-bound execution allocates %.0f objects, want 0", q, again)
 		}
 	}
+
+	// Re-bind with another ?1: e.a is unique, so every value reads one
+	// row of e through e_a, and the decisions stay.
+	const q = "SELECT DISTINCT e.a, d.b FROM e, d WHERE e.b = d.a AND e.a = ?1"
+	st, err := sql.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Prepare(c, st.(*sql.Select), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := [][]rel.Value{{rel.NewInt(3)}, {rel.NewInt(7)}}
+	tr, _, err := p.Acquire(c, nil, vals[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(tr)
+	i := 0
+	again := testing.AllocsPerRun(50, func() {
+		i++
+		tr, reused, err := p.Acquire(c, nil, vals[i%2])
+		if err != nil || !reused {
+			t.Fatalf("%s: ?1 = %v: reused=%v, %v", q, vals[i%2][0], reused, err)
+		}
+		p.Release(tr)
+	})
+	if again != 0 {
+		t.Errorf("%s: a re-bind with another ?1 allocates %.0f objects, want 0", q, again)
+	}
 }
 
 // TestKeptTreeExecAllocs pins what a kept tree's execution allocates
@@ -132,5 +163,133 @@ func TestKeptTreeExecAllocs(t *testing.T) {
 	const returnedCopy = 2
 	if got := testing.AllocsPerRun(50, func() { run() }); got != returnedCopy {
 		t.Errorf("a re-bound execution allocates %.0f objects, want %d: the returned copy's slab and row list", got, returnedCopy)
+	}
+}
+
+// TestParkedTreeRebinds: Park sheds the tree a Prepared keeps and
+// leaves it in the statement's slot — holding no table, index, probe
+// key or value, in its operators or in its scratch — and the next
+// Prepared on the statement takes it on its first execution and
+// re-binds it, to other tables' state and another ?1, as the tree Build
+// constructs. The slot holds one tree: a second Park while it is full
+// drops its tree, and a Park of a Prepared that keeps none leaves the
+// slot as it is.
+func TestParkedTreeRebinds(t *testing.T) {
+	c := setup(t)
+	e := addTable(t, c, "e", 500)
+	addTable(t, c, "d", 20)
+	if _, err := c.CreateIndex("e_a", "e", []string{"a"}, false); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sql.Parse("SELECT DISTINCT e.a, d.b FROM e, d WHERE e.a = ?1 AND e.b = d.a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(c, st.(*sql.Select), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := new(TreeSlot)
+	run := func(p *Prepared, v int64) (reused bool, root exec.Operator) {
+		t.Helper()
+		vals := []rel.Value{rel.NewInt(v)}
+		tr, reused, err := p.Acquire(c, nil, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Release(tr)
+		fresh, err := a.Build(c, nil, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := plantest.Render(tr.Root), plantest.Render(fresh); got != want {
+			t.Fatalf("?1 = %d, re-bound=%v: the tree\n%s\nis not the fresh one\n%s", v, reused, got, want)
+		}
+		if _, err := exec.CollectOwned(context.Background(), tr.Root); err != nil {
+			t.Fatal(err)
+		}
+		return reused, tr.Root
+	}
+
+	first := &Prepared{Analyzed: a, Slot: slot}
+	if reused, _ := run(first, 3); reused {
+		t.Fatal("a first execution with no tree parked re-bound one")
+	}
+	first.Park()
+	parked := slot.tree
+	if parked.Root == nil {
+		t.Fatal("Park left no tree in the slot")
+	}
+	var scans int
+	var check func(op exec.Operator)
+	check = func(op exec.Operator) {
+		switch o := op.(type) {
+		case *exec.SeqScan:
+			scans++
+			if o.Table != nil {
+				t.Errorf("a parked SeqScan holds table %s", o.Table.Name)
+			}
+		case *exec.IndexScan:
+			scans++
+			if o.Table != nil || o.Index != nil || o.Key != nil {
+				t.Errorf("a parked IndexScan holds table %v, index %v, key %v", o.Table, o.Index, o.Key)
+			}
+		case *exec.IndexNLJoin:
+			if o.Right != nil || o.Index != nil {
+				t.Errorf("a parked index join holds table %v, index %v", o.Right, o.Index)
+			}
+			check(o.Left)
+		case *exec.HashJoin:
+			check(o.Left)
+			check(o.Right)
+		case *exec.Filter:
+			check(o.Input)
+		case *exec.Project:
+			check(o.Input)
+		case *exec.Distinct:
+			check(o.Input)
+		}
+	}
+	check(parked.Root)
+	if scans != 2 {
+		t.Errorf("checked %d scans of the parked tree, want 2:\n%s", scans, plantest.Render(parked.Root))
+	}
+	for _, bt := range parked.blocks {
+		for _, tab := range bt.tabs {
+			if tab.t != nil || tab.scanIndex != nil || tab.via.index != nil {
+				t.Errorf("the parked scratch holds table %v, index %v, join index %v", tab.t, tab.scanIndex, tab.via.index)
+			}
+			for _, v := range tab.scanKey[:cap(tab.scanKey)] {
+				if v != (rel.Value{}) {
+					t.Errorf("the parked scratch holds probe key value %v", v)
+				}
+			}
+		}
+	}
+	for _, v := range parked.vals {
+		if v.Int != 0 || v.Str != "" {
+			t.Errorf("the parked tree holds value %v", v)
+		}
+	}
+
+	// The next Prepared takes it, over a grown table and with another ?1.
+	for i := 500; i < 600; i++ {
+		if _, err := e.Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewInt(int64(i % 10))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := &Prepared{Analyzed: a, Slot: slot}
+	if reused, root := run(second, 7); !reused || root != parked.Root || slot.tree.blocks != nil {
+		t.Fatalf("the first execution of the next Prepared: re-bound=%v, the parked tree=%v, slot emptied=%v", reused, root == parked.Root, slot.tree.blocks == nil)
+	}
+	third := &Prepared{Analyzed: a, Slot: slot}
+	if reused, _ := run(third, 9); reused {
+		t.Fatal("a first execution re-bound a tree while the slot was empty")
+	}
+	second.Park()
+	third.Park()
+	first.Park()
+	if slot.tree.Root != parked.Root {
+		t.Error("a Park into a full slot, or of a Prepared keeping no tree, replaced the parked tree")
 	}
 }

@@ -172,6 +172,7 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 		stmts:  NewStatements(d, prog.Schemas),
 	}
 	res, err := ev.run()
+	ev.stmts.Close()
 	if err != nil {
 		// Best-effort teardown on failure.
 		ev.temps.DropAll()

@@ -14,27 +14,30 @@ import (
 // the run's rules and its per-predicate copy, count and read
 // statements, with every table position a parameter and every body
 // constant a value parameter. A statement is prepared once per database
-// (db.Prepare keeps its plan, keyed by text and parameter schemas), so
+// (db.Prepare keeps its plan, found by text and parameter schemas), so
 // a run parses nothing that an earlier run — of this program or of any
 // other whose rules read alike, as every magic-set program for
 // ancestor(c, Y) does whatever c is — already prepared. The run holds
 // one handle per distinct statement, however many of its nodes and
 // rules use it, and each handle keeps the operator tree of its last
-// execution, which the next re-binds when the planner decides as
-// before (plan.Prepared.Acquire); so the rounds of the run — and a
-// rule's differentials within a round — rebind one statement instead of
-// rendering and parsing a new one. This is the paper's object program:
-// embedded SQL precompiled once, then driven by the LFP loop. A kept
-// tree also keeps its working memory: the next execution decodes its
-// pages over the last one's blocks and reuses its key tables, sets and
-// slabs, so the rows a tree reads are valid until its next execution,
-// and every row the run is handed (Query's results, INSERT's writes) is
-// a copy. A Statements lives as long as the run that made it and no
-// longer — with it go the handles and their kept trees, each pinning
-// its last execution's tables and the memory that execution used
-// (rel.Outgrown bounds what it keeps beyond that) — and nothing is kept
-// on the compiled program. A Statements is safe for concurrent use, as
-// the statements it hands out are.
+// execution, which the next re-binds — to its tables and its ?n values —
+// when the planner decides as before (plan.Prepared.Acquire); so the
+// rounds of the run — and a rule's differentials within a round —
+// rebind one statement instead of rendering and parsing a new one. This
+// is the paper's object program: embedded SQL precompiled once, then
+// driven by the LFP loop. A kept tree also keeps its working memory: the
+// next execution decodes its pages over the last one's blocks and
+// reuses its key tables, sets and slabs, so the rows a tree reads are
+// valid until its next execution, and every row the run is handed
+// (Query's results, INSERT's writes) is a copy. During the run a tree
+// pins its last execution's tables and the memory that execution used
+// (rel.Outgrown bounds what it keeps beyond that). The handles live as
+// long as the run that made them; the trees outlive it: Close, when the
+// run ends, parks each handle's tree on its statement (db.Stmt.Park),
+// shed of its tables and working memory, and the next run's first
+// execution of the statement re-binds it instead of constructing one.
+// Nothing is kept on the compiled program. A Statements is safe for
+// concurrent use, as the statements it hands out are.
 type Statements struct {
 	d       *db.DB
 	schemas map[string]*rel.Schema
@@ -43,9 +46,9 @@ type Statements struct {
 	// one Statements.
 	mu sync.Mutex
 	// uses maps each use to its handle, and keys each statement's
-	// db.Stmt.Key to the handle every use of it shares.
+	// db.Stmt.ID to the handle every use of it shares.
 	uses map[useKey]*db.Stmt
-	keys map[string]*db.Stmt
+	keys map[db.StmtID]*db.Stmt
 }
 
 // useKey identifies a use of a statement in the run: a rule in one
@@ -59,7 +62,7 @@ type useKey struct {
 // NewStatements returns an empty set over d. schemas holds the derived
 // predicates' schemas; a base predicate has its extensional table's.
 func NewStatements(d *db.DB, schemas map[string]*rel.Schema) *Statements {
-	return &Statements{d: d, schemas: schemas, uses: make(map[useKey]*db.Stmt), keys: make(map[string]*db.Stmt)}
+	return &Statements{d: d, schemas: schemas, uses: make(map[useKey]*db.Stmt), keys: make(map[db.StmtID]*db.Stmt)}
 }
 
 // schema is the schema every relation standing for pred has.
@@ -90,10 +93,10 @@ func (s *Statements) keep(key useKey, st *db.Stmt) *db.Stmt {
 	if have := s.uses[key]; have != nil {
 		return have
 	}
-	if have := s.keys[st.Key()]; have != nil {
+	if have := s.keys[st.ID()]; have != nil {
 		st = have
 	} else {
-		s.keys[st.Key()] = st
+		s.keys[st.ID()] = st
 	}
 	s.uses[key] = st
 	return st
@@ -199,6 +202,18 @@ func (s *Statements) Relation(pred string, role Role) (*db.Stmt, error) {
 		return nil, err
 	}
 	return s.keep(key, st), nil
+}
+
+// Close parks the tree of every statement the run holds (db.Stmt.Park):
+// called when the run ends, after its last execution. A Statements may
+// still be used after Close; its statements then start their trees
+// over.
+func (s *Statements) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, st := range s.keys {
+		st.Park()
+	}
 }
 
 // Tables lists the relation standing at each FROM position of r.

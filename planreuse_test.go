@@ -8,27 +8,37 @@ import (
 )
 
 // TestPlanReusePinned pins how often an evaluation constructs operator
-// trees, on unbound ancestor over a 16-edge chain (17 rounds). The run
-// executes 51 statements: the exit rule's INSERT, the copy into the
-// first delta, 16 rounds of the differentiated rule's INSERT and the
-// termination COUNT(*), 15 promotions (the copy again), the query
-// rule's INSERT and the answer's read. They are five statements, not
-// six: the exit rule ancestor(X, Y) :- parent(X, Y) and the query rule
+// trees, on unbound ancestor over a 16-edge chain (17 rounds), in three
+// runs of one program on one database. Each run executes 51
+// statements: the exit rule's INSERT, the copy into the first delta, 16
+// rounds of the differentiated rule's INSERT and the termination
+// COUNT(*), 15 promotions (the copy again), the query rule's INSERT and
+// the answer's read. They are five statements, not six: the exit rule
+// ancestor(X, Y) :- parent(X, Y) and the query rule
 // query(X, Y) :- ancestor(X, Y) both render as
 //
 //	INSERT INTO $2 SELECT DISTINCT t0.c0, t0.c1 FROM $1 t0 EXCEPT SELECT * FROM $2
 //
 // over parameters of one schema, (c0 CHAR, c1 CHAR), so the run holds
-// one handle for both. Each statement constructs its tree on its first
-// execution and re-binds it on every later one — the query rule
-// re-binds the exit rule's — except when the planner decides
-// otherwise: once here, when the delta (16 rows in round 1, one fewer
-// each round after) drops below the 16 parent rows and the rule's join
-// starts from it, hashing it. So 5 + 1 builds and 51 − 6 = 45 reuses.
-// A traced run constructs a tree for every rule execution — the exit
-// rule, the 16 rounds' rule and the query rule — because tracing
-// rewrites the tree it instruments; its untraced copies, counts and
-// reads still re-bind: 18 + 3 builds, 30 reuses.
+// one handle for both. A run re-binds a statement's tree on every
+// execution after its first — the query rule re-binds the exit rule's —
+// except when the planner decides otherwise: once a run, when the delta
+// (16 rows in round 1, one fewer each round after) drops below the 16
+// parent rows and the rule's join starts from it, hashing it.
+//
+//   - The first run finds no tree parked: each statement constructs its
+//     tree on its first execution, so 5 + 1 builds and 51 − 6 = 45
+//     reuses. When it ends, each tree is parked on its statement.
+//   - A traced run constructs a tree for every rule execution — the
+//     exit rule, the 16 rounds' rule and the query rule — because
+//     tracing rewrites the tree it instruments: 18 builds. Its untraced
+//     copies, counts and read take the trees the first run parked and
+//     re-bind them on every execution, their first included: 16 + 16 +
+//     1 = 33 reuses.
+//   - A second untraced run takes every parked tree. The rule's was
+//     parked hashing the delta, so the planner's one flip is
+//     constructed twice: in round 1, whose delta is as large as parent,
+//     and in round 2, back to hashing the delta. 2 builds, 49 reuses.
 func TestPlanReusePinned(t *testing.T) {
 	tb := NewMemory()
 	defer tb.Close()
@@ -49,7 +59,8 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 		builds, reuses int64
 	}{
 		{false, 5 + 1, 45},
-		{true, 18 + 3, 30},
+		{true, 18, 16 + 16 + 1},
+		{false, 2, 51 - 2},
 	} {
 		opts := &QueryOptions{NoOptimize: true, Trace: tc.trace}
 		compiled, err := tb.Compile(q, opts)
@@ -73,4 +84,51 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 			t.Errorf("trace=%v: %d builds, %d reuses; pinned %d, %d", tc.trace, builds, reuses, tc.builds, tc.reuses)
 		}
 	}
+}
+
+// TestKMReadsRebindTrees: the Knowledge Manager's reads — the
+// extraction of the rules relevant to a predicate and the column
+// dictionaries' reads — are prepared once, with each predicate name a
+// value parameter ?n, and keep their operator trees for the manager's
+// life; an execution with another name re-binds the tree to it. So k
+// compiles over k distinct predicates build each statement's tree at
+// most once, in the first compile, and every later execution re-binds.
+func TestKMReadsRebindTrees(t *testing.T) {
+	tb := NewMemory()
+	defer tb.Close()
+	const k = 8
+	src := "parent(a, b).\nparent(b, c).\n"
+	for i := 0; i < k; i++ {
+		src += fmt.Sprintf("anc%d(X, Y) :- parent(X, Y).\nanc%d(X, Y) :- parent(X, Z), anc%d(Z, Y).\n", i, i, i)
+	}
+	tb.MustLoad(src)
+	if _, err := tb.Update(); err != nil {
+		t.Fatal(err)
+	}
+	var builds, reuses, firstReads int64
+	for i := 0; i < k; i++ {
+		q, err := dlog.ParseQuery(fmt.Sprintf("?- anc%d(X, Y).", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := tb.DB().StatsSnapshot()
+		if _, err := tb.Compile(q, nil); err != nil {
+			t.Fatal(err)
+		}
+		after := tb.DB().StatsSnapshot()
+		b, r, reads := after.Builds-before.Builds, after.Reuses-before.Reuses, after.Selects-before.Selects
+		if b+r != reads || reads == 0 {
+			t.Fatalf("compile %d: %d builds + %d reuses, %d reads", i, b, r, reads)
+		}
+		if i == 0 {
+			firstReads = reads
+		} else if b != 0 {
+			t.Errorf("compile %d, over anc%d: built %d trees, want 0: a read with another predicate re-binds", i, i, b)
+		}
+		builds, reuses = builds+b, reuses+r
+	}
+	if builds > firstReads {
+		t.Errorf("%d compiles built %d trees; the first executes %d reads", k, builds, firstReads)
+	}
+	t.Logf("%d compiles: %d builds, %d reuses", k, builds, reuses)
 }
