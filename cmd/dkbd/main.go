@@ -5,22 +5,27 @@
 //
 // Usage:
 //
-//	dkbd                          # in-memory D/KB on :7407
+//	dkbd                          # in-memory D/KB on :7407, debug HTTP on 127.0.0.1:7408
 //	dkbd -db family.db -addr :9000
 //	dkbd -load family.dl          # preload a program at startup
-//	dkbd -debug-addr 127.0.0.1:7408   # HTTP /metrics /metrics.json /slowlog /healthz /debug/{trace,pprof}
+//	dkbd -debug-addr :9001        # move the debug listener
+//	dkbd -debug-addr ""           # no debug listener
 //	dkbd -log-level debug -log-format json
 //	dkbd -slow-threshold 10ms     # only retain queries at or above 10ms
 //
-// The debug endpoints serve current values; dkbd keeps no history of
-// its metrics. dkbtop takes rates from its own successive polls, and a
+// The query port carries PING, LOAD, QUERY and RETRACT. Telemetry is
+// served by the debug listener alone: /metrics (Prometheus text),
+// /metrics.json, /slowlog, /views, /healthz and /debug/{trace,pprof}.
+// Its endpoints serve current values; dkbd keeps no history of its
+// metrics. dkbtop takes rates from its own successive polls, and a
 // Prometheus scraper of /metrics keeps history across longer spans.
 //
 // dkbd shuts down gracefully on SIGINT/SIGTERM: the listener closes at
 // once, in-flight requests finish and receive their responses, then the
 // debug HTTP server (if any) is drained and the process exits. Connect
 // with `dkbsh -connect HOST:PORT` or the internal/client package; watch
-// a running server with `dkbtop -addr HOST:DEBUGPORT`.
+// a running server with `dkbtop` (its default -addr is dkbd's default
+// -debug-addr).
 package main
 
 import (
@@ -47,7 +52,7 @@ func main() {
 	flag.StringVar(&cfg.load, "load", "", "Horn-clause program to load at startup")
 	flag.IntVar(&cfg.maxConns, "maxconns", server.DefaultMaxConns, "max simultaneous sessions")
 	flag.DurationVar(&cfg.ioTimeout, "iotimeout", server.DefaultIOTimeout, "per-request I/O deadline (negative = no deadline)")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "HTTP debug listen address serving /metrics /metrics.json /debug/trace /slowlog /healthz /debug/pprof (empty = disabled)")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "127.0.0.1:7408", "HTTP debug listen address serving /metrics /metrics.json /debug/trace /slowlog /views /healthz /debug/pprof (empty = disabled)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug|info|warn|error")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format: text|json")
 	flag.IntVar(&cfg.slowSize, "slowlog-size", 0, "slow-query ring capacity (0 = default)")
@@ -129,12 +134,18 @@ func run(cfg config) error {
 	})
 
 	// The debug HTTP server is shut down after the TCP side drains, with
-	// a short deadline: a hung profile download must not wedge exit.
+	// a short deadline: a hung profile download must not wedge exit. Its
+	// port is bound before anything is served, so a taken address stops
+	// dkbd instead of leaving it running without its telemetry.
 	var dbgDone func()
 	if cfg.debugAddr != "" {
-		dbg := &http.Server{Addr: cfg.debugAddr, Handler: srv.DebugHandler()}
+		lis, err := net.Listen("tcp", cfg.debugAddr)
+		if err != nil {
+			return fmt.Errorf("debug listener (-debug-addr \"\" turns it off): %w", err)
+		}
+		dbg := &http.Server{Handler: srv.DebugHandler()}
 		go func() {
-			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := dbg.Serve(lis); err != nil && err != http.ErrServerClosed {
 				logger.Error("debug server failed", "addr", cfg.debugAddr, "err", err)
 			}
 		}()
@@ -145,7 +156,7 @@ func run(cfg config) error {
 				dbg.Close()
 			}
 		}
-		fmt.Printf("dkbd: debug endpoints on http://%s/{metrics,metrics.json,slowlog,healthz,debug/trace,debug/pprof}\n", cfg.debugAddr)
+		fmt.Printf("dkbd: debug endpoints on http://%s/{metrics,metrics.json,slowlog,views,healthz,debug/trace,debug/pprof}\n", cfg.debugAddr)
 	}
 
 	ready := make(chan net.Addr, 1)

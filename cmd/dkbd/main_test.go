@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net"
 	"strings"
 	"testing"
 )
@@ -40,12 +41,19 @@ func TestBuildLogger(t *testing.T) {
 }
 
 // TestRunRejectsBadFlags: flags that name no valid setting stop dkbd
-// before it opens a D/KB or a port.
+// before it opens a D/KB or a port, and a debug address that is taken
+// stops it before it serves queries.
 func TestRunRejectsBadFlags(t *testing.T) {
-	ok := config{logLevel: "info", logFormat: "text"}
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	ok := config{logLevel: "info", logFormat: "text", addr: "127.0.0.1:0"}
 	for name, mod := range map[string]func(*config){
-		"log level":  func(c *config) { c.logLevel = "loud" },
-		"log format": func(c *config) { c.logFormat = "yaml" },
+		"log level":          func(c *config) { c.logLevel = "loud" },
+		"log format":         func(c *config) { c.logFormat = "yaml" },
+		"debug address used": func(c *config) { c.debugAddr = taken.Addr().String() },
 	} {
 		cfg := ok
 		mod(&cfg)

@@ -131,7 +131,7 @@ func (s *shell) handle(line string) error {
 		s.timing = strings.Contains(line, "on")
 		return nil
 	case line == ".slowlog":
-		printSlowlog(s.out, s.slow.Threshold(), s.slow.Capacity(), s.slow.Recorded(), s.slow.Snapshot())
+		printSlowlog(s.out, s.slow)
 		return nil
 	case strings.HasPrefix(line, ".sql "):
 		return s.rawSQL(strings.TrimPrefix(line, ".sql "))

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
 	"dkbms"
 	"dkbms/internal/client"
@@ -76,39 +74,6 @@ func (s *remoteShell) handle(line string) error {
 		}
 		fmt.Fprintf(s.out, "retracted %d facts\n", n)
 		return nil
-	case line == ".stats" || strings.HasPrefix(line, ".stats "):
-		ms, err := s.c.Stats()
-		if err != nil {
-			return err
-		}
-		printMetrics(s.out, ms, strings.TrimSpace(strings.TrimPrefix(line, ".stats")))
-		return nil
-	case line == ".views":
-		vs, err := s.c.Views()
-		if err != nil {
-			return err
-		}
-		if len(vs.Views) == 0 {
-			fmt.Fprintln(s.out, "no maintained views")
-			return nil
-		}
-		for _, v := range vs.Views {
-			fmt.Fprintf(s.out, "%-40q %6d rows, %d maintains",
-				v.Query, v.Rows, v.Maintains)
-			if v.Maintains > 0 {
-				fmt.Fprintf(s.out, " (last: %d delta tuples in %v)",
-					v.LastDeltaTuples, v.LastMaintain)
-			}
-			fmt.Fprintln(s.out)
-		}
-		return nil
-	case line == ".slowlog":
-		sl, err := s.c.Slowlog()
-		if err != nil {
-			return err
-		}
-		printSlowlog(s.out, time.Duration(sl.ThresholdNs), int(sl.Capacity), sl.Recorded, sl.Entries)
-		return nil
 	case strings.HasPrefix(line, ".opts "):
 		return setOpts(s.out, &s.opts, strings.Fields(strings.TrimPrefix(line, ".opts ")))
 	case strings.HasPrefix(line, ".trace "):
@@ -145,29 +110,6 @@ func (s *remoteShell) handle(line string) error {
 	}
 }
 
-// printMetrics prints the server's registry snapshot one metric per
-// line, keeping the names that start with prefix. A value whose name
-// ends in _ns prints as a duration, and a histogram prints its count
-// and its p50 and p99 bucket bounds, the numbers dkbtop shows.
-func printMetrics(w io.Writer, ms []obs.Metric, prefix string) {
-	for _, m := range ms {
-		if !strings.HasPrefix(m.Name, prefix) {
-			continue
-		}
-		v := func(n int64) string {
-			if strings.HasSuffix(m.Name, "_ns") {
-				return time.Duration(n).String()
-			}
-			return strconv.FormatInt(n, 10)
-		}
-		if m.Kind == obs.KindHistogram {
-			fmt.Fprintf(w, "%-36s %d observed, p50 %s, p99 %s\n", m.Name, m.Value, v(m.P50), v(m.P99))
-		} else {
-			fmt.Fprintf(w, "%-36s %s\n", m.Name, v(m.Value))
-		}
-	}
-}
-
 func (s *remoteShell) printResult(res *wire.Result) {
 	if len(res.Vars) > 0 {
 		fmt.Fprintln(s.out, strings.Join(res.Vars, "\t"))
@@ -197,12 +139,11 @@ queries:   ?- ancestor(john, W).
 commands (remote session):
   .load FILE      load a Horn-clause program into the server
   .retract PAT    retract matching base facts, e.g. .retract parent(john, X)
-  .stats [PREFIX] server metrics, one per line (e.g. .stats server.)
-  .slowlog        server slow-query log (slowest first)
-  .views          live maintained materialized views (most recent first)
   .trace [-o FILE] Q   run a query with server-side tracing; print the span
                        tree, or export Chrome/Perfetto trace-event JSON with -o
   .opts WORDS     naive|seminaive  magic|nomagic  parallel|serial
   .quit
+server telemetry is on dkbd's debug listener, not this session:
+  /metrics.json, /slowlog and /views (or watch it with dkbtop)
 `)
 }

@@ -8,10 +8,10 @@ import (
 	"dkbms/internal/obs"
 )
 
-// printSlowlog renders a slow-query snapshot (slowest first), shared by
-// the local shell (its private ring) and the remote shell (the server's
-// ring fetched over SLOWLOG).
-func printSlowlog(w io.Writer, threshold time.Duration, capacity int, recorded int64, entries []obs.SlowQuery) {
+// printSlowlog renders the local shell's slow-query ring, slowest first.
+// A served D/KB's ring is on dkbd's debug listener (/slowlog).
+func printSlowlog(w io.Writer, l *obs.SlowLog) {
+	threshold, capacity, recorded, entries := l.Threshold(), l.Capacity(), l.Recorded(), l.Snapshot()
 	if threshold > 0 {
 		fmt.Fprintf(w, "slow-query log: %d recorded at or above %v (ring of %d)\n",
 			recorded, threshold, capacity)

@@ -1,15 +1,16 @@
 // Command dkbtop is a live terminal monitor for a running dkbd server,
 // in the spirit of top(1): it polls the server's debug HTTP endpoints
-// (/metrics.json and /slowlog, enabled with `dkbd -debug-addr`) and
-// redraws a one-screen dashboard every interval — request throughput
-// and latency percentiles, session and cache activity, sparklines over
-// its recent polls, the busiest tables, and the slowest queries.
+// (/metrics.json and /slowlog on dkbd's debug listener, which dkbd
+// opens on 127.0.0.1:7408 unless -debug-addr moves it) and redraws a
+// one-screen dashboard every interval — request throughput and latency
+// percentiles, session and cache activity, sparklines over its recent
+// polls, the busiest tables, and the slowest queries.
 //
 // Usage:
 //
-//	dkbtop -addr 127.0.0.1:7408            # poll every 2s until interrupted
-//	dkbtop -addr 127.0.0.1:7408 -interval 500ms
-//	dkbtop -addr 127.0.0.1:7408 -n 1       # one snapshot, then exit (scripts)
+//	dkbtop                          # poll 127.0.0.1:7408 every 2s until interrupted
+//	dkbtop -addr 10.0.0.5:9001 -interval 500ms
+//	dkbtop -n 1                     # one snapshot, then exit (scripts)
 //
 // dkbtop is read-only: it touches nothing but the debug endpoints.
 // The server keeps no metric history, so dkbtop keeps its own: the last

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"dkbms/internal/obs"
 	"dkbms/internal/wire"
 )
 
@@ -103,21 +102,4 @@ func (c *Client) Query(src string, opts wire.QueryOpts) (*wire.Result, error) {
 func (c *Client) Retract(pattern string) (int64, error) {
 	r, err := roundTrip(c, wire.MsgRetract, wire.Retract{Pattern: pattern}.Encode(), wire.MsgRetracted, wire.DecodeRetracted)
 	return r.N, err
-}
-
-// Stats fetches the server's metrics-registry snapshot, sorted by name:
-// the same metrics /metrics and /metrics.json serve.
-func (c *Client) Stats() ([]obs.Metric, error) {
-	return roundTrip(c, wire.MsgStats, nil, wire.MsgStatsReply, wire.DecodeMetrics)
-}
-
-// Slowlog fetches the server's slow-query log (slowest first).
-func (c *Client) Slowlog() (wire.Slowlog, error) {
-	return roundTrip(c, wire.MsgSlowlog, nil, wire.MsgSlowlogReply, wire.DecodeSlowlog)
-}
-
-// Views fetches the server's live maintained materialized views, most
-// recently used first.
-func (c *Client) Views() (wire.Views, error) {
-	return roundTrip(c, wire.MsgViews, nil, wire.MsgViewsReply, wire.DecodeViews)
 }

@@ -29,28 +29,24 @@ import (
 )
 
 // Workspace is the memory-resident D/KB the user edits before committing
-// it to the stored D/KB (paper §3.1).
+// it to the stored D/KB (paper §3.1). It holds rules only: a fact goes
+// straight to its extensional table in the stored D/KB when it is
+// loaded.
 type Workspace struct {
 	// rules are the workspace rules in entry order.
 	rules []dlog.Clause
-	// facts are ground facts awaiting Commit, grouped by predicate.
-	facts map[string][]dlog.Clause
-	// factTypes are the inferred column types of fact predicates.
-	factTypes map[string][]rel.Type
 }
 
 // NewWorkspace returns an empty workspace.
-func NewWorkspace() *Workspace {
-	return &Workspace{
-		facts:     make(map[string][]dlog.Clause),
-		factTypes: make(map[string][]rel.Type),
-	}
-}
+func NewWorkspace() *Workspace { return &Workspace{} }
 
-// AddClause inserts a parsed clause (rule or fact) into the workspace.
-// Reserved predicate names (the compiled-query head and magic-set
-// auxiliaries) are rejected.
+// AddClause inserts a parsed rule into the workspace. Facts are
+// refused, as are reserved predicate names (the compiled-query head and
+// magic-set auxiliaries).
 func (w *Workspace) AddClause(c dlog.Clause) error {
+	if c.IsFact() {
+		return fmt.Errorf("core: fact %q: the workspace holds rules only", c.String())
+	}
 	if err := checkUserPred(c.Head.Pred); err != nil {
 		return err
 	}
@@ -62,97 +58,24 @@ func (w *Workspace) AddClause(c dlog.Clause) error {
 	if !c.RangeRestricted() {
 		return fmt.Errorf("core: clause %q is not range-restricted", c.String())
 	}
-	if c.IsFact() {
-		types := make([]rel.Type, c.Head.Arity())
-		for i, t := range c.Head.Args {
-			types[i] = t.Val.Kind
-		}
-		if have, ok := w.factTypes[c.Head.Pred]; ok {
-			if len(have) != len(types) {
-				return fmt.Errorf("core: fact %q has arity %d, earlier facts have %d", c.String(), len(types), len(have))
-			}
-			for i := range have {
-				if have[i] != types[i] {
-					return fmt.Errorf("core: fact %q column %d type differs from earlier facts", c.String(), i+1)
-				}
-			}
-		} else {
-			w.factTypes[c.Head.Pred] = types
-		}
-		w.facts[c.Head.Pred] = append(w.facts[c.Head.Pred], c)
-		return nil
-	}
 	w.rules = append(w.rules, c)
-	return nil
-}
-
-// AddSource parses and adds a program (clauses only; queries in the
-// source are rejected — pose them via Compile).
-func (w *Workspace) AddSource(src string) error {
-	prog, err := dlog.ParseProgram(src)
-	if err != nil {
-		return err
-	}
-	if len(prog.Queries) > 0 {
-		return fmt.Errorf("core: source contains a query; use Query instead")
-	}
-	for _, c := range prog.Clauses {
-		if err := w.AddClause(c); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
 // Rules returns the workspace rules (callers must not mutate).
 func (w *Workspace) Rules() []dlog.Clause { return w.rules }
 
-// Facts returns workspace facts grouped by predicate.
-func (w *Workspace) Facts() map[string][]dlog.Clause { return w.facts }
-
-// FactTypes returns the inferred types of workspace fact predicates.
-func (w *Workspace) FactTypes() map[string][]rel.Type { return w.factTypes }
-
-// RulePreds returns the predicates defined by workspace rules, sorted.
-func (w *Workspace) RulePreds() []string {
-	set := make(map[string]bool)
-	for _, c := range w.rules {
-		set[c.Head.Pred] = true
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Clone returns a workspace whose rule and fact containers are private
-// copies of the receiver's. Clauses themselves are shared — they are
-// immutable everywhere — so a clone is cheap. The snapshot commit path
-// clones before mutating, leaving the original frozen inside published
+// Clone returns a workspace whose rule slice is a private copy of the
+// receiver's. Clauses themselves are shared — they are immutable
+// everywhere — so a clone is cheap. The snapshot commit path clones
+// before mutating, leaving the original frozen inside published
 // snapshots.
 func (w *Workspace) Clone() *Workspace {
-	c := &Workspace{
-		rules:     append([]dlog.Clause(nil), w.rules...),
-		facts:     make(map[string][]dlog.Clause, len(w.facts)),
-		factTypes: make(map[string][]rel.Type, len(w.factTypes)),
-	}
-	for p, cs := range w.facts {
-		c.facts[p] = append([]dlog.Clause(nil), cs...)
-	}
-	for p, ts := range w.factTypes {
-		c.factTypes[p] = append([]rel.Type(nil), ts...)
-	}
-	return c
+	return &Workspace{rules: append([]dlog.Clause(nil), w.rules...)}
 }
 
 // Clear empties the workspace.
-func (w *Workspace) Clear() {
-	w.rules = nil
-	w.facts = make(map[string][]dlog.Clause)
-	w.factTypes = make(map[string][]rel.Type)
-}
+func (w *Workspace) Clear() { w.rules = nil }
 
 func checkUserPred(p string) error {
 	if strings.HasPrefix(p, "_") {
@@ -487,9 +410,8 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 	return &Compiled{Program: prog, Stats: stats, Vars: vars, Optimized: rewrite != "", Rewrite: rewrite}, nil
 }
 
-// collectBaseTypes resolves extensional predicate schemas: workspace
-// fact types first, then the database catalog (and through it the
-// stored D/KB's extensional dictionary).
+// collectBaseTypes resolves extensional predicate schemas: the database
+// catalog first, then the stored D/KB's extensional dictionary.
 func (cp *Compiler) collectBaseTypes(g *pcg.Graph, reach map[string]bool) (map[string][]rel.Type, error) {
 	out := make(map[string][]rel.Type)
 	var missing []string
@@ -497,10 +419,6 @@ func (cp *Compiler) collectBaseTypes(g *pcg.Graph, reach map[string]bool) (map[s
 	// derived ones, which normalizeMixed then splits into rule and fact
 	// halves.
 	for p := range reach {
-		if t, ok := cp.WS.FactTypes()[p]; ok {
-			out[p] = t
-			continue
-		}
 		if cp.DB != nil {
 			// Resolve through the DB (not the raw catalog): a snapshot-
 			// bound view binds the lookup to its frozen table versions.

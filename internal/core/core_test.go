@@ -12,34 +12,24 @@ import (
 	"dkbms/internal/stored"
 )
 
-func ws(t *testing.T, srcs ...string) *Workspace {
-	t.Helper()
+func TestWorkspaceHoldsRulesOnly(t *testing.T) {
 	w := NewWorkspace()
-	for _, s := range srcs {
-		if err := w.AddClause(dlog.MustParseClause(s)); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.AddClause(dlog.MustParseClause("ancestor(X, Y) :- parent(X, Y).")); err != nil {
+		t.Fatal(err)
 	}
-	return w
-}
-
-func TestWorkspaceSeparatesRulesAndFacts(t *testing.T) {
-	w := ws(t,
-		"parent(john, mary).",
-		"ancestor(X, Y) :- parent(X, Y).",
-	)
+	if err := w.AddClause(dlog.MustParseClause("parent(john, mary).")); err == nil {
+		t.Fatal("fact accepted")
+	}
 	if len(w.Rules()) != 1 {
 		t.Fatalf("rules = %d", len(w.Rules()))
 	}
-	if len(w.Facts()["parent"]) != 1 {
-		t.Fatalf("facts = %v", w.Facts())
+	c := w.Clone()
+	w.Clear()
+	if len(w.Rules()) != 0 {
+		t.Fatal("clear incomplete")
 	}
-	ft := w.FactTypes()["parent"]
-	if len(ft) != 2 || ft[0] != rel.TypeString {
-		t.Fatalf("fact types = %v", ft)
-	}
-	if preds := w.RulePreds(); len(preds) != 1 || preds[0] != "ancestor" {
-		t.Fatalf("rule preds = %v", preds)
+	if len(c.Rules()) != 1 {
+		t.Fatal("clearing the original emptied its clone")
 	}
 }
 
@@ -54,31 +44,12 @@ func TestWorkspaceRejections(t *testing.T) {
 	if err := w.AddClause(dlog.MustParseClause("p(X, Y) :- e(X).")); err == nil {
 		t.Fatal("non-range-restricted accepted")
 	}
-	w2 := ws(t, "f(a, 1).")
-	if err := w2.AddClause(dlog.MustParseClause("f(b).")); err == nil {
-		t.Fatal("fact arity conflict accepted")
-	}
-	if err := w2.AddClause(dlog.MustParseClause("f(b, c).")); err == nil {
-		t.Fatal("fact type conflict accepted")
-	}
 }
 
-func TestAddSource(t *testing.T) {
-	w := NewWorkspace()
-	if err := w.AddSource("p(a). q(X) :- p(X)."); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AddSource("?- q(X)."); err == nil {
-		t.Fatal("query accepted by AddSource")
-	}
-	w.Clear()
-	if len(w.Rules()) != 0 || len(w.Facts()) != 0 {
-		t.Fatal("clear incomplete")
-	}
-}
-
-// compileEnv prepares a compiler over an in-memory DB with stored facts.
-func compileEnv(t *testing.T, w *Workspace) *Compiler {
+// compileEnv prepares a compiler over an in-memory DB: each source
+// clause that is a rule goes into the workspace, and each fact into the
+// stored D/KB, the way the facade's Load sends them.
+func compileEnv(t *testing.T, srcs ...string) *Compiler {
 	t.Helper()
 	d := db.OpenMemory()
 	t.Cleanup(func() { d.Close() })
@@ -86,17 +57,20 @@ func compileEnv(t *testing.T, w *Workspace) *Compiler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Materialize workspace facts the way the facade does.
-	for pred, facts := range w.Facts() {
-		var tuples []rel.Tuple
-		for _, f := range facts {
-			tu := make(rel.Tuple, len(f.Head.Args))
-			for i, a := range f.Head.Args {
-				tu[i] = a.Val
+	w := NewWorkspace()
+	for _, src := range srcs {
+		c := dlog.MustParseClause(src)
+		if !c.IsFact() {
+			if err := w.AddClause(c); err != nil {
+				t.Fatal(err)
 			}
-			tuples = append(tuples, tu)
+			continue
 		}
-		if err := st.InsertFacts(pred, tuples); err != nil {
+		tu := make(rel.Tuple, len(c.Head.Args))
+		for i, a := range c.Head.Args {
+			tu[i] = a.Val
+		}
+		if err := st.InsertFact(c.Head.Pred, tu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,12 +87,11 @@ func query(t *testing.T, s string) dlog.Query {
 }
 
 func TestCompileAncestor(t *testing.T) {
-	w := ws(t,
+	cp := compileEnv(t,
 		"parent(john, mary).",
 		"ancestor(X, Y) :- parent(X, Y).",
 		"ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).",
 	)
-	cp := compileEnv(t, w)
 	compiled, err := cp.Compile(query(t, "?- ancestor(john, W)."), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -145,12 +118,11 @@ func TestCompileAncestor(t *testing.T) {
 }
 
 func TestCompileWithMagic(t *testing.T) {
-	w := ws(t,
+	cp := compileEnv(t,
 		"parent(john, mary).",
 		"ancestor(X, Y) :- parent(X, Y).",
 		"ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).",
 	)
-	cp := compileEnv(t, w)
 	compiled, err := cp.Compile(query(t, "?- ancestor(john, W)."), CompileOptions{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +152,11 @@ func TestCompileWithMagic(t *testing.T) {
 // or for the pass-through adornment factoring declines, none for an
 // unbound query.
 func TestRewriteIsVisible(t *testing.T) {
-	w := ws(t,
+	cp := compileEnv(t,
 		"parent(john, mary).",
 		"ancestor(X, Y) :- parent(X, Y).",
 		"ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).",
 	)
-	cp := compileEnv(t, w)
 	for _, tc := range []struct {
 		query string
 		opts  CompileOptions
@@ -219,12 +190,11 @@ func TestRewriteIsVisible(t *testing.T) {
 }
 
 func TestCompileStatsTimings(t *testing.T) {
-	w := ws(t,
+	cp := compileEnv(t,
 		"parent(john, mary).",
 		"ancestor(X, Y) :- parent(X, Y).",
 		"ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).",
 	)
-	cp := compileEnv(t, w)
 	compiled, err := cp.Compile(query(t, "?- ancestor(john, W)."), CompileOptions{Optimize: true})
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +211,7 @@ func TestCompileStatsTimings(t *testing.T) {
 
 func TestCompilePullsStoredRules(t *testing.T) {
 	// Rules live only in the stored D/KB; the workspace is empty.
-	w := NewWorkspace()
-	cp := compileEnv(t, w)
+	cp := compileEnv(t)
 	st := cp.Stored.(*stored.Manager)
 	if err := st.InsertFact("parent", rel.Tuple{rel.NewString("john"), rel.NewString("mary")}); err != nil {
 		t.Fatal(err)
@@ -267,8 +236,7 @@ func TestCompileMixedWorkspaceAndStored(t *testing.T) {
 	// Workspace rule references a stored rule's predicate and vice
 	// versa is exercised by the facade tests; here: workspace on top of
 	// stored.
-	w := ws(t, "named(X) :- ancestor(john, X).")
-	cp := compileEnv(t, w)
+	cp := compileEnv(t, "named(X) :- ancestor(john, X).")
 	st := cp.Stored.(*stored.Manager)
 	st.InsertFact("parent", rel.Tuple{rel.NewString("john"), rel.NewString("mary")})
 	if _, err := st.Update([]dlog.Clause{
@@ -287,8 +255,7 @@ func TestCompileMixedWorkspaceAndStored(t *testing.T) {
 }
 
 func TestCompileErrors(t *testing.T) {
-	w := ws(t, "p(X) :- ghost(X).")
-	cp := compileEnv(t, w)
+	cp := compileEnv(t, "p(X) :- ghost(X).")
 	if _, err := cp.Compile(query(t, "?- p(W)."), CompileOptions{}); err == nil {
 		t.Fatal("undefined predicate accepted")
 	}
@@ -301,12 +268,11 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestNormalizeMixedPredicates(t *testing.T) {
-	w := ws(t,
+	cp := compileEnv(t,
 		"knows(ann, bob).",
 		"friend(ann, carl).",
 		"knows(X, Y) :- friend(X, Y).",
 	)
-	cp := compileEnv(t, w)
 	compiled, err := cp.Compile(query(t, "?- knows(ann, W)."), CompileOptions{})
 	if err != nil {
 		t.Fatal(err)

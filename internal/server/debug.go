@@ -1,10 +1,12 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 
+	"dkbms"
 	"dkbms/internal/obs"
 )
 
@@ -16,12 +18,17 @@ import (
 //	/debug/trace   Chrome/Perfetto trace-event JSON for one retained
 //	               query (?id=q<hex> from a RESULT echo or the slow log)
 //	/slowlog       slow-query ring snapshot (JSON object)
+//	/views         maintained materialized views, most recently used
+//	               first (JSON array)
 //	/healthz       liveness probe ("ok", 200)
 //	/debug/pprof/  Go runtime profiles
 //
-// Both metrics endpoints serve current values only; the server keeps no
-// history of them. A reader takes rates from two polls (dkbtop) or
-// keeps its own history (a Prometheus scraper of /metrics).
+// This listener is the server's only telemetry transport: the query
+// port carries PING, LOAD, QUERY and RETRACT alone, so a monitor never
+// queues behind MaxConns for a session slot. Both metrics endpoints
+// serve current values only; the server keeps no history of them. A
+// reader takes rates from two polls (dkbtop) or keeps its own history
+// (a Prometheus scraper of /metrics).
 //
 // The pprof handlers are registered explicitly on a private mux (not via
 // the net/http/pprof import side effect on DefaultServeMux), so serving
@@ -67,6 +74,18 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/slowlog", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := s.slow.WriteJSON(w); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/views", func(w http.ResponseWriter, _ *http.Request) {
+		views := s.tb.Views()
+		if views == nil {
+			views = []dkbms.MaterializedView{}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(views); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

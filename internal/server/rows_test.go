@@ -61,7 +61,8 @@ func TestRemoteRowsMatchLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	addr, cancel, done := startServer(t, tb, server.Options{})
+	srv := server.New(tb, server.Options{})
+	addr, cancel, done := startServerWith(t, srv)
 	defer func() { cancel(); <-done }()
 	c, err := client.Dial(addr)
 	if err != nil {
@@ -94,7 +95,7 @@ func TestRemoteRowsMatchLocal(t *testing.T) {
 			}
 		}
 	}
-	if got, want := stats(t, c)["plan.result_hits"], int64(2*len(rowsQueries)); got < want {
+	if got, want := stats(t, srv)["plan.result_hits"], int64(2*len(rowsQueries)); got < want {
 		t.Fatalf("%d memo hits, want at least %d", got, want)
 	}
 }

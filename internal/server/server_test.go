@@ -85,7 +85,8 @@ func localRows(res *dkbms.QueryResult) []string {
 func TestServerBasic(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
-	addr, cancel, done := startServer(t, tb, server.Options{})
+	srv := server.New(tb, server.Options{})
+	addr, cancel, done := startServerWith(t, srv)
 	defer func() { cancel(); <-done }()
 
 	c, err := client.Dial(addr)
@@ -159,14 +160,14 @@ func TestServerBasic(t *testing.T) {
 	}
 
 	// Repeated identical QUERYs on a standing D/KB hit the shared plan
-	// cache, and the reply surfaces it along with buffer-pool traffic.
+	// cache, and /metrics.json surfaces it along with buffer-pool traffic.
 	for i := 0; i < 3; i++ {
 		if _, err := c.Query("?- ancestor(c0, X).", wire.QueryOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	st := stats(t, c)
+	st := stats(t, srv)
 	if st["server.requests"] < 8 || st["server.errors"] < 1 || st["server.sessions_active"] != 1 {
 		t.Fatalf("implausible stats: %v", st)
 	}
@@ -181,13 +182,32 @@ func TestServerBasic(t *testing.T) {
 	}
 }
 
-// stats fetches the server's STATS reply as metric values by name.
-func stats(t *testing.T, c *client.Client) map[string]int64 {
+// debugJSON decodes the JSON body of a GET of path from srv's debug
+// handler into v.
+func debugJSON(t *testing.T, srv *server.Server, path string, v any) {
 	t.Helper()
-	ms, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	srv.DebugHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s = %d %s", path, rec.Code, rec.Body)
 	}
+	if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+		t.Fatalf("%s is not JSON: %v\n%s", path, err, rec.Body)
+	}
+}
+
+// metricsJSON fetches /metrics.json.
+func metricsJSON(t *testing.T, srv *server.Server) []obs.Metric {
+	t.Helper()
+	var ms []obs.Metric
+	debugJSON(t, srv, "/metrics.json", &ms)
+	return ms
+}
+
+// stats fetches /metrics.json as metric values by name.
+func stats(t *testing.T, srv *server.Server) map[string]int64 {
+	t.Helper()
+	ms := metricsJSON(t, srv)
 	out := make(map[string]int64, len(ms))
 	for _, m := range ms {
 		out[m.Name] = m.Value
@@ -195,11 +215,19 @@ func stats(t *testing.T, c *client.Client) map[string]int64 {
 	return out
 }
 
-// TestStatsReplyIsTheRegistry: STATS serves the server's metrics
-// registry, so a client sees exactly the names the registry snapshot
-// holds, the engine collectors' per-table and temp-region series
-// included, and the latency histogram with its percentiles.
-func TestStatsReplyIsTheRegistry(t *testing.T) {
+// slowlog fetches /slowlog.
+func slowlog(t *testing.T, srv *server.Server) obs.SlowLogSnapshot {
+	t.Helper()
+	var snap obs.SlowLogSnapshot
+	debugJSON(t, srv, "/slowlog", &snap)
+	return snap
+}
+
+// TestMetricsJSONIsTheRegistry: /metrics.json serves the server's
+// metrics registry, so a reader sees exactly the names the registry
+// snapshot holds, the engine collectors' per-table and temp-region
+// series included, and the latency histogram with its percentiles.
+func TestMetricsJSONIsTheRegistry(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
 	srv := server.New(tb, server.Options{})
@@ -218,11 +246,13 @@ func TestStatsReplyIsTheRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	got, err := c.Stats()
-	if err != nil {
+	// A session counts a request after writing its reply, so the PING's
+	// reply shows that the four requests before it are counted.
+	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
+
+	got := metricsJSON(t, srv)
 	names := func(ms []obs.Metric) []string {
 		out := make([]string, len(ms))
 		for i, m := range ms {
@@ -232,7 +262,7 @@ func TestStatsReplyIsTheRegistry(t *testing.T) {
 	}
 	want := names(srv.Registry().Snapshot())
 	if !slices.Equal(names(got), want) {
-		t.Fatalf("STATS names differ from the registry's:\nSTATS:    %v\nregistry: %v", names(got), want)
+		t.Fatalf("/metrics.json names differ from the registry's:\n/metrics.json: %v\nregistry:      %v", names(got), want)
 	}
 	var table, temp bool
 	for _, m := range got {
@@ -240,24 +270,29 @@ func TestStatsReplyIsTheRegistry(t *testing.T) {
 		temp = temp || m.Name == "pool.temp_pages"
 		if m.Name == "server.request_latency_ns" &&
 			(m.Kind != obs.KindHistogram || m.Value < 4 || m.P50 <= 0 || m.P99 < m.P50 || m.Sum <= 0) {
-			t.Errorf("latency histogram over the wire: %+v", m)
+			t.Errorf("latency histogram in /metrics.json: %+v", m)
 		}
 	}
 	if !table || !temp {
-		t.Fatalf("collector series missing from STATS (table=%v temp=%v)", table, temp)
+		t.Fatalf("collector series missing from /metrics.json (table=%v temp=%v)", table, temp)
 	}
-	if n := stats(t, c)["query.count"]; n != 3 {
-		t.Fatalf("STATS query.count = %d after 3 queries", n)
+	if n := stats(t, srv)["query.count"]; n != 3 {
+		t.Fatalf("/metrics.json query.count = %d after 3 queries", n)
 	}
 }
 
 // TestEveryRequestDispatched sends every request opcode, each with an
 // empty payload. A named opcode must reach its own arm of the dispatch
 // (an answer or a decode error); one with no String name lies past the
-// last request and must get the "unknown request type" error.
+// last request and must get the "unknown request type" error. That
+// covers 5–7, the telemetry opcodes an older client may still send: it
+// fails cleanly, and its session still answers a QUERY afterwards.
 func TestEveryRequestDispatched(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
+	if err := tb.Load(baseProgram); err != nil {
+		t.Fatal(err)
+	}
 	addr, cancel, done := startServer(t, tb, server.Options{})
 	defer func() { cancel(); <-done }()
 	conn, err := net.Dial("tcp", addr)
@@ -288,6 +323,20 @@ func TestEveryRequestDispatched(t *testing.T) {
 			t.Errorf("opcode %d past the last request got %v, not the unknown-type error", op, rt)
 		}
 	}
+	q := append(wire.Frame(nil, wire.MsgQuery), wire.Query{Src: "?- ancestor(c0, X)."}.Encode()...)
+	if _, err := wire.WriteFrame(conn, q); err != nil {
+		t.Fatal(err)
+	}
+	rt, payload, _, err := wire.ReadFrame(conn, nil)
+	if err != nil {
+		t.Fatalf("QUERY after the unknown opcodes: %v", err)
+	}
+	if rt != wire.MsgResult {
+		t.Fatalf("QUERY after the unknown opcodes got %v", rt)
+	}
+	if res, err := wire.DecodeResult(payload); err != nil || len(res.Rows) != 9 {
+		t.Fatalf("QUERY after the unknown opcodes: %v rows, %v", res, err)
+	}
 }
 
 // TestServerStress runs 32 concurrent sessions mixing queries and
@@ -299,7 +348,8 @@ func TestServerStress(t *testing.T) {
 	if err := tb.Load(baseProgram); err != nil {
 		t.Fatal(err)
 	}
-	addr, cancel, done := startServer(t, tb, server.Options{MaxConns: 64})
+	srv := server.New(tb, server.Options{MaxConns: 64})
+	addr, cancel, done := startServerWith(t, srv)
 	defer func() { cancel(); <-done }()
 
 	const (
@@ -388,7 +438,7 @@ func TestServerStress(t *testing.T) {
 		t.Fatalf("final state diverges from single-threaded reference:\nserver:\n%s\nreference:\n%s", got, exp)
 	}
 
-	st := stats(t, c)
+	st := stats(t, srv)
 	if st["server.sessions_total"] < workers {
 		t.Fatalf("server saw %d sessions, want >= %d", st["server.sessions_total"], workers)
 	}
@@ -613,13 +663,16 @@ func TestTypedErrorsOverWire(t *testing.T) {
 	}
 }
 
+// TestSlowlogOverWire: queries sent over the wire land in the server's
+// slow-query ring, which /slowlog serves.
 func TestSlowlogOverWire(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
 	if err := tb.Load(baseProgram); err != nil {
 		t.Fatal(err)
 	}
-	addr, cancel, done := startServer(t, tb, server.Options{})
+	srv := server.New(tb, server.Options{})
+	addr, cancel, done := startServerWith(t, srv)
 	defer func() { cancel(); <-done }()
 
 	c, err := client.Dial(addr)
@@ -643,11 +696,8 @@ func TestSlowlogOverWire(t *testing.T) {
 		t.Fatal("expected unknown-predicate error")
 	}
 
-	sl, err := c.Slowlog()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sl.Capacity != int64(obs.DefaultSlowLogSize) || sl.ThresholdNs != 0 {
+	sl := slowlog(t, srv)
+	if sl.Capacity != obs.DefaultSlowLogSize || sl.ThresholdNs != 0 {
 		t.Fatalf("slowlog settings = %+v", sl)
 	}
 	if sl.Recorded != 4 || len(sl.Entries) != 4 {
@@ -689,15 +739,20 @@ func TestSlowlogOverWire(t *testing.T) {
 func TestDebugEndpoints(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
+	srv := server.New(tb, server.Options{})
+	hs := httptest.NewServer(srv.DebugHandler())
+	defer hs.Close()
+	var views []dkbms.MaterializedView
+	debugJSON(t, srv, "/views", &views)
+	if views == nil || len(views) != 0 {
+		t.Fatalf("/views on a fresh server = %+v, want []", views)
+	}
 	if err := tb.Load(baseProgram); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tb.Query("?- ancestor(c0, W).", nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(tb, server.Options{})
-	hs := httptest.NewServer(srv.DebugHandler())
-	defer hs.Close()
 
 	get := func(path string) (int, string) {
 		t.Helper()
@@ -780,6 +835,35 @@ func TestDebugEndpoints(t *testing.T) {
 	if code, _ := get("/debug/pprof/cmdline"); code != 200 {
 		t.Fatalf("/debug/pprof/cmdline = %d", code)
 	}
+
+	// A fact committed to the cached closure's relation makes its next
+	// run adopt a maintained view, and the commit after that maintains
+	// it; /views lists it as Views() does.
+	const q = "?- ancestor(c0, W)."
+	for _, step := range []string{"parent(c9, c10).", q, "parent(c10, c11)."} {
+		var err error
+		if step == q {
+			_, err = tb.Query(q, nil)
+		} else {
+			err = tb.Load(step)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	code, body = get("/views")
+	if code != 200 {
+		t.Fatalf("/views = %d", code)
+	}
+	if err := json.Unmarshal([]byte(body), &views); err != nil {
+		t.Fatalf("/views is not JSON: %v\n%s", err, body)
+	}
+	if want := tb.Views(); len(views) != 1 || !slices.Equal(views, want) {
+		t.Fatalf("/views = %+v, Views() = %+v", views, want)
+	}
+	if v := views[0]; v.Query != q || v.Rows != 11 || v.Maintains != 1 {
+		t.Fatalf("/views lists %+v, want %q with 11 rows and 1 maintain", v, q)
+	}
 }
 
 func TestSessionStructuredLogging(t *testing.T) {
@@ -827,15 +911,17 @@ func (s *syncBuffer) String() string {
 }
 
 // TestQueryIDOverWire: a client-supplied query ID is echoed in the
-// RESULT and filed in the server's slow-query ring; a server-minted ID
-// (client sends none) is echoed too and matches the ring entry.
+// RESULT and filed in the server's slow-query ring (read from /slowlog);
+// a server-minted ID (client sends none) is echoed too and matches the
+// ring entry.
 func TestQueryIDOverWire(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
 	if err := tb.Load(baseProgram); err != nil {
 		t.Fatal(err)
 	}
-	addr, cancel, done := startServer(t, tb, server.Options{})
+	srv := server.New(tb, server.Options{})
+	addr, cancel, done := startServerWith(t, srv)
 	defer func() { cancel(); <-done }()
 
 	c, err := client.Dial(addr)
@@ -864,21 +950,19 @@ func TestQueryIDOverWire(t *testing.T) {
 	}
 
 	// Both queries are filed in the slow log under their IDs.
-	sl, err := c.Slowlog()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sl := slowlog(t, srv)
 	byID := map[uint64]obs.SlowQuery{}
 	for _, e := range sl.Entries {
 		byID[e.QueryID] = e
 	}
-	for _, want := range []uint64{qid, res2.QueryID} {
-		if _, ok := byID[want]; !ok {
-			t.Fatalf("slowlog has no entry for id %#x (entries: %+v)", want, sl.Entries)
+	for id, query := range map[uint64]string{qid: "?- ancestor(c0, W).", res2.QueryID: "?- parent(c0, W)."} {
+		e, ok := byID[id]
+		if !ok {
+			t.Fatalf("slowlog has no entry for id %#x (entries: %+v)", id, sl.Entries)
 		}
-	}
-	if e := byID[qid]; e.Query != "?- ancestor(c0, W)." {
-		t.Fatalf("slowlog entry for %#x = %+v", qid, e)
+		if e.Query != query {
+			t.Fatalf("slowlog entry for %#x = %+v, want query %q", id, e, query)
+		}
 	}
 }
 

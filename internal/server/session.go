@@ -161,31 +161,6 @@ func (s *session) handle(t wire.MsgType, payload []byte) []byte {
 		}
 		return s.reply(wire.MsgRetracted, wire.Retracted{N: int64(n)}.Encode())
 
-	case wire.MsgStats:
-		return s.reply(wire.MsgStatsReply, wire.Metrics(s.srv.reg.Snapshot()).Encode())
-
-	case wire.MsgSlowlog:
-		return s.reply(wire.MsgSlowlogReply, wire.Slowlog{
-			ThresholdNs: int64(s.srv.slow.Threshold()),
-			Capacity:    int64(s.srv.slow.Capacity()),
-			Recorded:    s.srv.slow.Recorded(),
-			Entries:     s.srv.slow.Snapshot(),
-		}.Encode())
-
-	case wire.MsgViews:
-		views := s.srv.tb.Views()
-		m := wire.Views{Views: make([]wire.ViewInfo, 0, len(views))}
-		for _, v := range views {
-			m.Views = append(m.Views, wire.ViewInfo{
-				Query:           v.Query,
-				Rows:            int64(v.Rows),
-				Maintains:       v.Maintains,
-				LastDeltaTuples: v.LastDeltaTuples,
-				LastMaintain:    v.LastDuration,
-			})
-		}
-		return s.reply(wire.MsgViewsReply, m.Encode())
-
 	default:
 		return s.errReply(fmt.Errorf("server: unknown request type %v", t))
 	}

@@ -59,9 +59,6 @@ var requestCodecs = map[MsgType]roundTrip{
 	MsgLoad:    func(p []byte) ([]byte, error) { m, err := DecodeLoad(p); return m.Encode(), err },
 	MsgQuery:   func(p []byte) ([]byte, error) { m, err := DecodeQuery(p); return m.Encode(), err },
 	MsgRetract: func(p []byte) ([]byte, error) { m, err := DecodeRetract(p); return m.Encode(), err },
-	MsgStats:   nil,
-	MsgSlowlog: nil,
-	MsgViews:   nil,
 }
 
 var replyCodecs = map[MsgType]roundTrip{
@@ -75,10 +72,7 @@ var replyCodecs = map[MsgType]roundTrip{
 		}
 		return m.Encode(), nil
 	},
-	MsgRetracted:    func(p []byte) ([]byte, error) { m, err := DecodeRetracted(p); return m.Encode(), err },
-	MsgStatsReply:   func(p []byte) ([]byte, error) { m, err := DecodeMetrics(p); return m.Encode(), err },
-	MsgSlowlogReply: func(p []byte) ([]byte, error) { m, err := DecodeSlowlog(p); return m.Encode(), err },
-	MsgViewsReply:   func(p []byte) ([]byte, error) { m, err := DecodeViews(p); return m.Encode(), err },
+	MsgRetracted: func(p []byte) ([]byte, error) { m, err := DecodeRetracted(p); return m.Encode(), err },
 }
 
 // TestOpcodeTables: the codec tables cover exactly the opcodes below
@@ -135,11 +129,9 @@ func fuzzCodecs(f *testing.F, codecs map[MsgType]roundTrip) {
 // The seed corpus under testdata/fuzz has one payload per request form.
 func FuzzDecodeRequest(f *testing.F) { fuzzCodecs(f, requestCodecs) }
 
-// FuzzDecodeReply fuzzes the reply decoders (ERROR, RESULT, RETRACTED,
-// STATSREPLY, SLOWLOGREPLY, VIEWSREPLY). The seed corpus under
-// testdata/fuzz has one payload per reply form other than RESULT's,
-// which FuzzDecodeResult seeds; the STATSREPLY seed is a served registry
-// snapshot, engine collectors and histograms included.
+// FuzzDecodeReply fuzzes the reply decoders (ERROR, RESULT, RETRACTED).
+// The seed corpus under testdata/fuzz has one payload per reply form
+// other than RESULT's, which FuzzDecodeResult seeds.
 func FuzzDecodeReply(f *testing.F) { fuzzCodecs(f, replyCodecs) }
 
 // TestFuzzSeedsDecode holds the committed FuzzDecodeRequest and

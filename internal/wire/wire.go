@@ -11,9 +11,11 @@
 // behind its length — which the client decodes a block at a time through
 // rel.BlockDecoder, the decoder heap pages use. The
 // protocol is deliberately small — request types mirroring the
-// testbed's public operations (PING, LOAD, QUERY, RETRACT, STATS,
-// SLOWLOG, VIEWS) and their replies — so that a session
-// is a strict request/response alternation over one TCP connection.
+// testbed's public operations (PING, LOAD, QUERY, RETRACT) and their
+// replies — so that a session is a strict request/response alternation
+// over one TCP connection. Telemetry (metrics, the slow-query log, the
+// maintained views) is not on this protocol: dkbd serves it over HTTP
+// on its debug listener.
 //
 // Each end of a connection builds and reads frames in buffers it owns:
 // Frame begins a frame in one, WriteFrame completes its header and
@@ -27,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"dkbms"
@@ -51,9 +52,6 @@ const (
 	MsgLoad
 	MsgQuery
 	MsgRetract
-	MsgStats
-	MsgSlowlog
-	MsgViews
 	msgRequestEnd
 )
 
@@ -64,9 +62,6 @@ const (
 	MsgError
 	MsgResult
 	MsgRetracted
-	MsgStatsReply
-	MsgSlowlogReply
-	MsgViewsReply
 	msgReplyEnd
 )
 
@@ -81,12 +76,6 @@ func (t MsgType) String() string {
 		return "QUERY"
 	case MsgRetract:
 		return "RETRACT"
-	case MsgStats:
-		return "STATS"
-	case MsgSlowlog:
-		return "SLOWLOG"
-	case MsgViews:
-		return "VIEWS"
 	case MsgPong:
 		return "PONG"
 	case MsgOK:
@@ -97,12 +86,6 @@ func (t MsgType) String() string {
 		return "RESULT"
 	case MsgRetracted:
 		return "RETRACTED"
-	case MsgStatsReply:
-		return "STATSREPLY"
-	case MsgSlowlogReply:
-		return "SLOWLOGREPLY"
-	case MsgViewsReply:
-		return "VIEWSREPLY"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -661,68 +644,6 @@ func DecodeResult(p []byte) (*Result, error) {
 		}
 	}
 	if err := trailing(buf, MsgResult); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Metrics is the STATSREPLY payload: the server's metrics-registry
-// snapshot, sorted by name. Each metric travels as its name, a kind
-// byte and its value; a histogram adds its sum, p50 and p99.
-type Metrics []obs.Metric
-
-// metricKinds numbers the metric kinds on the wire.
-var metricKinds = []obs.Kind{obs.KindCounter, obs.KindGauge, obs.KindHistogram}
-
-// Encode renders the payload. A kind outside metricKinds encodes as
-// 0xff, which DecodeMetrics refuses.
-func (m Metrics) Encode() []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(m)))
-	for _, x := range m {
-		buf = appendString(buf, x.Name)
-		buf = append(buf, byte(slices.Index(metricKinds, x.Kind)))
-		buf = binary.AppendVarint(buf, x.Value)
-		if x.Kind == obs.KindHistogram {
-			buf = binary.AppendVarint(buf, x.Sum)
-			buf = binary.AppendVarint(buf, x.P50)
-			buf = binary.AppendVarint(buf, x.P99)
-		}
-	}
-	return buf
-}
-
-// DecodeMetrics parses a STATSREPLY payload. A metric takes at least
-// three bytes (name length, kind, value), so a count the payload cannot
-// hold is refused before anything is allocated.
-func DecodeMetrics(p []byte) (Metrics, error) {
-	n, buf, err := readUvarint(p)
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(buf))/3 {
-		return nil, fmt.Errorf("wire: corrupt STATSREPLY metric count %d", n)
-	}
-	m := make(Metrics, n)
-	for i := range m {
-		x := &m[i]
-		if x.Name, buf, err = readString(buf); err != nil {
-			return nil, err
-		}
-		if len(buf) < 1 || int(buf[0]) >= len(metricKinds) {
-			return nil, fmt.Errorf("wire: corrupt STATSREPLY metric kind")
-		}
-		x.Kind, buf = metricKinds[buf[0]], buf[1:]
-		fields := []*int64{&x.Value}
-		if x.Kind == obs.KindHistogram {
-			fields = append(fields, &x.Sum, &x.P50, &x.P99)
-		}
-		for _, f := range fields {
-			if *f, buf, err = readVarint(buf); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := trailing(buf, MsgStatsReply); err != nil {
 		return nil, err
 	}
 	return m, nil

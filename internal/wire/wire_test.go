@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -373,54 +372,6 @@ func TestTraceDepthGuard(t *testing.T) {
 	}
 }
 
-// statsSample is a STATSREPLY payload with one metric of each kind,
-// negative and empty values included.
-var statsSample = Metrics{
-	{Name: "", Kind: obs.KindGauge, Value: -3},
-	{Name: "server.request_latency_ns", Kind: obs.KindHistogram, Value: 12, Sum: 1 << 40, P50: 1 << 15, P99: 1 << 22},
-	{Name: "server.requests", Kind: obs.KindCounter, Value: 12345},
-	{Name: "table.f_parent.rows", Kind: obs.KindGauge, Value: 300},
-}
-
-func TestMetricsRoundTrip(t *testing.T) {
-	for _, in := range []Metrics{statsSample, {}} {
-		out, err := DecodeMetrics(in.Encode())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(out, in) {
-			t.Fatalf("got %+v, want %+v", out, in)
-		}
-	}
-}
-
-func TestViewsRoundTrip(t *testing.T) {
-	in := Views{Views: []ViewInfo{
-		{Query: "?- ancestor(c0, X).", Rows: 16,
-			Maintains: 12, LastDeltaTuples: 3, LastMaintain: 480 * time.Microsecond},
-		{Query: "?- same_gen(a, X).", Rows: 1022},
-	}}
-	out, err := DecodeViews(in.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Views) != 2 || out.Views[0] != in.Views[0] || out.Views[1] != in.Views[1] {
-		t.Fatalf("got %+v, want %+v", out, in)
-	}
-	// Empty reply round-trips too.
-	empty, err := DecodeViews(Views{}.Encode())
-	if err != nil || len(empty.Views) != 0 {
-		t.Fatalf("empty reply: %+v, %v", empty, err)
-	}
-	// Truncated payloads are rejected, not panicked on.
-	enc := in.Encode()
-	for _, p := range [][]byte{nil, {0xFF}, enc[:len(enc)-3], enc[:5]} {
-		if _, err := DecodeViews(p); err == nil {
-			t.Errorf("DecodeViews(%v) accepted", p)
-		}
-	}
-}
-
 // decodeErr adapts a decoder to the one shape TestDecodeCorrupt drives.
 func decodeErr[T any](decode func([]byte) (T, error)) func([]byte) error {
 	return func(p []byte) error { _, err := decode(p); return err }
@@ -437,9 +388,6 @@ func TestDecodeCorrupt(t *testing.T) {
 		if _, err := DecodeResult(p); err == nil {
 			t.Errorf("DecodeResult(%v) accepted", p)
 		}
-		if _, err := DecodeMetrics(p); err == nil {
-			t.Errorf("DecodeMetrics(%v) accepted", p)
-		}
 	}
 
 	// Every message carries every field it declares, so each proper
@@ -455,10 +403,6 @@ func TestDecodeCorrupt(t *testing.T) {
 	withTrace, withID, withBoth := res, res, res
 	withTrace.Trace, withID.QueryID = tr, 0xdeadbeef
 	withBoth.Trace, withBoth.QueryID = tr, 0xdeadbeef
-	slow := Slowlog{ThresholdNs: 5, Capacity: 8, Recorded: 2, Entries: []obs.SlowQuery{
-		{Query: "?- a(X).", Latency: time.Millisecond, Cache: "miss", Rows: 3, QueryID: 9, Trace: tr},
-		{Query: "?- b(", Err: "parse error"},
-	}}
 	for _, c := range []struct {
 		name    string
 		payload []byte
@@ -475,9 +419,6 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"RETRACT", Retract{Pattern: "a(1, X)"}.Encode(), decodeErr(DecodeRetract)},
 		{"ERROR", Error{Code: CodeParse, Msg: "boom"}.Encode(), decodeErr(DecodeError)},
 		{"RETRACTED", Retracted{N: -300}.Encode(), decodeErr(DecodeRetracted)},
-		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X).", Rows: 300, LastMaintain: time.Second}}}.Encode(), decodeErr(DecodeViews)},
-		{"SLOWLOG", slow.Encode(), decodeErr(DecodeSlowlog)},
-		{"STATSREPLY", statsSample.Encode(), decodeErr(DecodeMetrics)},
 	} {
 		if err := c.decode(c.payload); err != nil {
 			t.Errorf("%s: the whole payload fails: %v", c.name, err)
@@ -501,22 +442,12 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"RETRACT", Retract{Pattern: "a(1, X)"}.Encode(), decodeErr(DecodeRetract)},
 		{"ERROR", Error{Code: CodeParse, Msg: "boom"}.Encode(), decodeErr(DecodeError)},
 		{"RETRACTED", Retracted{N: 3}.Encode(), decodeErr(DecodeRetracted)},
-		{"VIEWS", Views{Views: []ViewInfo{{Query: "?- a(X)."}}}.Encode(), decodeErr(DecodeViews)},
-		{"SLOWLOG", slow.Encode(), decodeErr(DecodeSlowlog)},
-		{"STATSREPLY", statsSample.Encode(), decodeErr(DecodeMetrics)},
 	} {
 		if c.decode(append(c.payload, 0)) == nil {
 			t.Errorf("%s: accepted a trailing byte", c.name)
 		}
 	}
-	// An option bit no encoder sets, a query ID flagged but 0, a
-	// slow-query trace flag that is neither 0 nor 1, a metric kind byte
-	// past the known kinds, and a metric count no payload can hold (a
-	// decoder that sized its slice by the count would panic on it).
-	badFlag := Slowlog{Entries: []obs.SlowQuery{{Query: "?- a(X)."}}}.Encode()
-	badFlag[len(badFlag)-1] = 2
-	badKind := Metrics{{Name: "x", Kind: obs.KindCounter, Value: 1}}.Encode()
-	badKind[3] = byte(len(metricKinds))
+	// An option bit no encoder sets and a query ID flagged but 0.
 	for _, c := range []struct {
 		name    string
 		payload []byte
@@ -525,104 +456,10 @@ func TestDecodeCorrupt(t *testing.T) {
 		{"QUERY with an unknown option", append([]byte{0x80}, Load{Src: "?- a(X)."}.Encode()...), decodeErr(DecodeQuery)},
 		{"QUERY with the lowest unassigned option", append([]byte{optQueryID << 1}, Load{Src: "?- a(X)."}.Encode()...), decodeErr(DecodeQuery)},
 		{"QUERY flagging a zero query ID", append(append([]byte{optQueryID}, Load{Src: "?- a(X)."}.Encode()...), 0), decodeErr(DecodeQuery)},
-		{"SLOWLOG with a trace flag of 2", badFlag, decodeErr(DecodeSlowlog)},
-		{"STATSREPLY with an unknown metric kind", badKind, decodeErr(DecodeMetrics)},
-		{"STATSREPLY with a kind no encoder numbers", Metrics{{Name: "x", Kind: "summary"}}.Encode(), decodeErr(DecodeMetrics)},
-		{"STATSREPLY counting 2^64-1 metrics", append(binary.AppendUvarint(nil, 1<<64-1), statsSample.Encode()[1:]...), decodeErr(DecodeMetrics)},
 	} {
 		if c.decode(c.payload) == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
-	}
-	// A 64 KiB payload of zeros behind an entry count of 2^16: the bytes
-	// cannot hold that many records or views, so the count is refused
-	// before the entries are allocated.
-	zeros := make([]byte, 64<<10)
-	for _, c := range []struct {
-		name    string
-		payload []byte
-		decode  func([]byte) error
-	}{
-		{"SLOWLOG counting 2^16 entries in 64 KiB", append(binary.AppendUvarint([]byte{0, 0, 0}, 1<<16), zeros...), decodeErr(DecodeSlowlog)},
-		{"VIEWS counting 2^16 views in 64 KiB", append(binary.AppendUvarint(nil, 1<<16), zeros...), decodeErr(DecodeViews)},
-	} {
-		var err error
-		grew := allocated(func() { err = c.decode(c.payload) })
-		if err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
-		if grew >= 64<<10 {
-			t.Errorf("%s: allocated %d bytes before failing", c.name, grew)
-		}
-	}
-}
-
-func TestSlowlogRoundTrip(t *testing.T) {
-	tr := obs.NewTrace("query")
-	sp := tr.Start("lfp")
-	sp.SetInt("iterations", 9)
-	sp.End()
-	tr.Finish()
-	in := Slowlog{
-		ThresholdNs: int64(5 * time.Millisecond),
-		Capacity:    128,
-		Recorded:    2,
-		Entries: []obs.SlowQuery{
-			{
-				Query:      "?- ancestor(X, W).",
-				Start:      time.Unix(0, 1700000000123456789),
-				Latency:    42 * time.Millisecond,
-				Cache:      "plan",
-				Iterations: 9,
-				Rows:       8194,
-				Session:    7,
-				Trace:      tr.Root(),
-			},
-			{Query: "?- broken(", Latency: time.Millisecond, Err: "parse error"},
-		},
-	}
-	out, err := DecodeSlowlog(in.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ThresholdNs != in.ThresholdNs || out.Capacity != 128 || out.Recorded != 2 {
-		t.Fatalf("header fields wrong: %+v", out)
-	}
-	if len(out.Entries) != 2 {
-		t.Fatalf("entries = %d, want 2", len(out.Entries))
-	}
-	e := out.Entries[0]
-	if e.Query != in.Entries[0].Query || e.Latency != in.Entries[0].Latency ||
-		e.Cache != "plan" || e.Iterations != 9 || e.Rows != 8194 || e.Session != 7 {
-		t.Fatalf("entry 0 = %+v", e)
-	}
-	if !e.Start.Equal(in.Entries[0].Start) {
-		t.Fatalf("start = %v, want %v", e.Start, in.Entries[0].Start)
-	}
-	if e.Trace == nil || e.Trace.Find("lfp") == nil {
-		t.Fatal("retained trace lost on the wire")
-	}
-	if v, _ := e.Trace.Find("lfp").Int("iterations"); v != 9 {
-		t.Fatalf("trace attr lost: %d", v)
-	}
-	if out.Entries[1].Trace != nil || out.Entries[1].Err != "parse error" {
-		t.Fatalf("entry 1 = %+v", out.Entries[1])
-	}
-}
-
-func TestDecodeSlowlogCorrupt(t *testing.T) {
-	for _, p := range [][]byte{nil, {}, {0xFF}, {0x00, 0x00, 0x00, 0xFF}} {
-		if _, err := DecodeSlowlog(p); err == nil {
-			t.Errorf("DecodeSlowlog(%v) accepted", p)
-		}
-	}
-	// An entry count larger than the payload must be rejected, not
-	// allocated.
-	var buf []byte
-	buf = append(buf, 0, 0, 0) // threshold, capacity, recorded
-	buf = append(buf, 0xFF, 0xFF, 0x03)
-	if _, err := DecodeSlowlog(buf); err == nil {
-		t.Error("oversized entry count accepted")
 	}
 }
 
@@ -678,16 +515,5 @@ func TestSpanOffsetRoundTrip(t *testing.T) {
 	}
 	if got := out.Trace.Children[0].Offset; got != 0 {
 		t.Fatalf("compile offset = %v", got)
-	}
-}
-
-// TestSlowlogQueryID checks the per-entry query ID survives the wire.
-func TestSlowlogQueryID(t *testing.T) {
-	in := Slowlog{Capacity: 8, Recorded: 1, Entries: []obs.SlowQuery{
-		{Query: "?- a(X).", Latency: time.Millisecond, QueryID: 0xabc},
-	}}
-	out, err := DecodeSlowlog(in.Encode())
-	if err != nil || len(out.Entries) != 1 || out.Entries[0].QueryID != 0xabc {
-		t.Fatalf("slowlog query id: %+v %v", out, err)
 	}
 }

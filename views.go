@@ -7,18 +7,18 @@ import (
 )
 
 // MaterializedView describes one maintained view in the shared plan
-// cache (dkbsh .views and the wire VIEWS reply render these).
+// cache (dkbd's /views debug endpoint serves these as JSON).
 type MaterializedView struct {
 	// Query is the cached query's source text.
-	Query string
+	Query string `json:"query"`
 	// Rows is the current size of the memoized answer.
-	Rows int
+	Rows int `json:"rows"`
 	// Maintains counts commits this view absorbed incrementally.
-	Maintains int64
+	Maintains int64 `json:"maintains"`
 	// LastDeltaTuples is the derived-delta size of the last
 	// maintenance run; LastDuration its wall-clock cost.
-	LastDeltaTuples int64
-	LastDuration    time.Duration
+	LastDeltaTuples int64         `json:"last_delta_tuples"`
+	LastDuration    time.Duration `json:"last_duration_ns"`
 }
 
 // Views lists the maintained materialized views currently in the plan
