@@ -1,0 +1,13 @@
+package dkbms
+
+import "dkbms/internal/sched"
+
+// This file holds the seam: identifiers benchmark/ compiles against
+// whose subject the engine no longer has. Code outside benchmark/ must
+// not use them; TestBenchSeamUnused fails if it does. The seam also
+// includes QueryOptions.Parallel, an ignored field, and package
+// internal/sched.
+
+// SchedStats is kept for benchmark/ only. Evaluation runs on the
+// calling goroutine, so it returns the zero value.
+func (c *ConcurrentTestbed) SchedStats() sched.Stats { return sched.Stats{} }

@@ -7,8 +7,8 @@
 //	lockorder   the global lock-acquisition order is acyclic; no lock is
 //	            held across a blocking call; every lock is released on
 //	            every path (interprocedural)
-//	pinleak     page pins, snapshot pins, scheduler clients and task
-//	            groups are released on all paths (interprocedural)
+//	pinleak     page pins and snapshot pins are released on all paths
+//	            (interprocedural)
 //
 // Usage:
 //

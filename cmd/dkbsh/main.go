@@ -18,7 +18,7 @@
 //	.update                                  commit workspace rules to the stored D/KB
 //	.rules                                   show workspace rules
 //	.stored                                  stored D/KB summary
-//	.opts naive|seminaive|magic|nomagic|parallel|serial   evaluation options
+//	.opts naive|seminaive|magic|nomagic      evaluation options
 //	.timing on|off                           print compile/eval breakdowns
 //	.sql SELECT ...                          raw SQL against the DBMS
 //	.help / .quit
@@ -268,17 +268,13 @@ func setOpts(out io.Writer, o *dkbms.QueryOptions, words []string) error {
 			o.NoOptimize = false
 		case "nomagic":
 			o.NoOptimize = true
-		case "parallel":
-			o.Parallel = true
-		case "serial":
-			o.Parallel = false
 		default:
 			return fmt.Errorf("unknown option %q", w)
 		}
 	}
-	fmt.Fprintf(out, "strategy=%v magic=%v parallel=%v\n",
+	fmt.Fprintf(out, "strategy=%v magic=%v\n",
 		map[bool]string{true: "naive", false: "semi-naive"}[o.Naive],
-		!o.NoOptimize, o.Parallel)
+		!o.NoOptimize)
 	return nil
 }
 
@@ -331,7 +327,7 @@ commands:
   .update         commit workspace rules to the stored D/KB
   .rules          list workspace rules
   .stored         stored D/KB summary
-  .opts WORDS     naive|seminaive  magic|nomagic  parallel|serial
+  .opts WORDS     naive|seminaive  magic|nomagic
   .timing on|off  print compile/eval breakdowns per query
   .explain Q      show the compiled evaluation program for a query
   .trace [-o FILE] Q   run a query traced; print the span tree, or export

@@ -90,53 +90,25 @@ func TestShellOptsAndTiming(t *testing.T) {
 	}
 }
 
-// TestShellParallelUsesTestbedPool: the local shell's parallel queries
-// run on its testbed's own evaluation pool, which nothing has to
-// attach, and only `.opts parallel` sends work there.
-func TestShellParallelUsesTestbedPool(t *testing.T) {
-	sh, buf := newShell(t)
-	drive(t, sh, "parent(a, b).", "parent(b, c).",
-		"anc(X, Y) :- parent(X, Y).", "anc(X, Y) :- parent(X, Z), anc(Z, Y).",
-		"?- anc(X, Y).")
-	if n := sh.tb.SchedStats().Submitted; n != 0 {
-		t.Fatalf("a sequential query submitted %d tasks to the pool", n)
-	}
-	drive(t, sh, ".opts parallel nomagic", ".opts parallel")
-	if !sh.opts.Parallel {
-		t.Fatalf("opts = %+v, want parallel", sh.opts)
-	}
-	buf.Reset()
-	drive(t, sh, "?- anc(X, Y).")
-	if !strings.Contains(buf.String(), "3 row") {
-		t.Fatalf("parallel query output:\n%s", buf.String())
-	}
-	if sh.tb.SchedStats().Submitted == 0 {
-		t.Fatal("parallel query never reached the pool")
-	}
-}
-
-// TestShellNaiveParallel: `.opts naive parallel` keeps both options, and
-// a query over two independent cliques runs naive on the pool.
-func TestShellNaiveParallel(t *testing.T) {
+// TestShellNaive: `.opts naive` selects naive evaluation, and a query
+// over two independent cliques runs naive.
+func TestShellNaive(t *testing.T) {
 	sh, buf := newShell(t)
 	drive(t, sh, "e(p, q).", "e(q, r).", "f(p, q).", "f(q, r).",
 		"a(X, Y) :- e(X, Y).", "a(X, Y) :- e(X, Z), a(Z, Y).",
 		"b(X, Y) :- f(X, Y).", "b(X, Y) :- f(X, Z), b(Z, Y).",
 		"both(X, Y) :- a(X, Y), b(X, Y).",
-		".opts naive parallel")
-	if !sh.opts.Naive || !sh.opts.Parallel {
-		t.Fatalf("opts = %+v, want naive and parallel", sh.opts)
+		".opts naive")
+	if !sh.opts.Naive {
+		t.Fatalf("opts = %+v, want naive", sh.opts)
 	}
-	if !strings.Contains(buf.String(), "strategy=naive magic=true parallel=true") {
+	if !strings.Contains(buf.String(), "strategy=naive magic=true\n") {
 		t.Fatalf(".opts output:\n%s", buf.String())
 	}
 	buf.Reset()
 	drive(t, sh, "?- both(X, Y).")
 	if out := buf.String(); !strings.Contains(out, "3 rows [naive]") {
-		t.Fatalf("naive parallel query output:\n%s", out)
-	}
-	if sh.tb.SchedStats().Submitted == 0 {
-		t.Fatal("naive parallel query never reached the pool")
+		t.Fatalf("naive query output:\n%s", out)
 	}
 }
 

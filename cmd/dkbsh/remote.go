@@ -141,7 +141,7 @@ commands (remote session):
   .retract PAT    retract matching base facts, e.g. .retract parent(john, X)
   .trace [-o FILE] Q   run a query with server-side tracing; print the span
                        tree, or export Chrome/Perfetto trace-event JSON with -o
-  .opts WORDS     naive|seminaive  magic|nomagic  parallel|serial
+  .opts WORDS     naive|seminaive  magic|nomagic
   .quit
 server telemetry is on dkbd's debug listener, not this session:
   /metrics.json, /slowlog and /views (or watch it with dkbtop)

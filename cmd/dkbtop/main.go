@@ -195,11 +195,6 @@ func render(h history) string {
 		h.withRate("snapshot.commits"), cur.get("snapshot.copied_tables"),
 		cur.get("snapshot.reclaim_backlog"), time.Duration(cur.get("snapshot.writer_stall_ns")))
 
-	// Evaluation pool: slots in use, task throughput and inline-steal share.
-	fmt.Fprintf(&b, "sched %d/%d slots running  done %s  stolen %d\n",
-		cur.get("sched.running"), cur.get("sched.slots"),
-		h.withRate("sched.completed"), cur.get("sched.stolen"))
-
 	// Materialized views: maintenance throughput vs forced re-derivations.
 	fmt.Fprintf(&b, "views %d live  maintained %s  rederived %d  delta %d tuples  spent %v\n",
 		cur.get("matview.live"), h.withRate("matview.maintained"),

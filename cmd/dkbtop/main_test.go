@@ -47,10 +47,6 @@ func TestRender(t *testing.T) {
 		{Name: "plan.entries", Kind: "gauge", Value: 12},
 		{Name: "dkb.generation", Kind: "gauge", Value: 4},
 		{Name: "snapshot.commits", Kind: "counter", Value: 9},
-		{Name: "sched.slots", Kind: "gauge", Value: 4},
-		{Name: "sched.running", Kind: "gauge", Value: 2},
-		{Name: "sched.completed", Kind: "counter", Value: 640},
-		{Name: "sched.stolen", Kind: "counter", Value: 33},
 		{Name: "matview.live", Kind: "gauge", Value: 2},
 		{Name: "matview.maintained", Kind: "counter", Value: 90},
 		{Name: "matview.rederives", Kind: "counter", Value: 6},
@@ -73,7 +69,6 @@ func TestRender(t *testing.T) {
 	prev := pollAt(0,
 		obs.Metric{Name: "server.requests", Kind: "counter", Value: 100},
 		obs.Metric{Name: "snapshot.commits", Kind: "counter", Value: 4},
-		obs.Metric{Name: "sched.completed", Kind: "counter", Value: 600},
 		obs.Metric{Name: "matview.maintained", Kind: "counter", Value: 89},
 	)
 	out := render(history{prev, cur})
@@ -81,7 +76,6 @@ func TestRender(t *testing.T) {
 	for _, w := range []string{
 		"requests 150 (5.0/s)",
 		"commits 9 (0.5/s)",
-		"done 640 (4.0/s)",
 		"maintained 90 (0.1/s)",
 		"errors 2",
 		"sessions 3/7 active",
@@ -90,8 +84,6 @@ func TestRender(t *testing.T) {
 		"pool 93% hit",
 		"plan 50% hit",
 		"gen 4",
-		"sched 2/4 slots running",
-		"stolen 33",
 		"views 2 live",
 		"rederived 6",
 		"delta 410 tuples",

@@ -14,7 +14,6 @@ import (
 	"dkbms/internal/matview"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
-	"dkbms/internal/sched"
 	"dkbms/internal/snapshot"
 	"dkbms/internal/storage"
 	"dkbms/internal/stored"
@@ -66,9 +65,7 @@ type ConcurrentTestbed struct {
 
 // NewConcurrent wraps a testbed for concurrent use. The caller must not
 // use the wrapped testbed directly afterwards: a direct mutation
-// bypasses snapshot publication and the plan cache. Every session's
-// parallel work runs on the testbed's evaluation pool, so evaluation
-// goroutines stay bounded however many sessions recurse at once.
+// bypasses snapshot publication and the plan cache.
 func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 	c := &ConcurrentTestbed{
 		tb:    tb,
@@ -77,12 +74,6 @@ func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 	}
 	c.publish(0) // the initial snapshot: the testbed state as wrapped
 	return c
-}
-
-// SchedStats snapshots the counters of the wrapped testbed's
-// evaluation pool.
-func (c *ConcurrentTestbed) SchedStats() sched.Stats {
-	return c.tb.SchedStats()
 }
 
 // Close shuts the testbed down after all in-flight queries drain and

@@ -172,10 +172,6 @@ type Node struct {
 	// ExitRules and RecursiveRules partition the compiled rules.
 	ExitRules      []RuleSQL
 	RecursiveRules []RuleSQL
-	// Deps indexes the earlier Nodes whose relations this node's rules
-	// read (from pcg.Node.Deps). Nodes with no path between them may
-	// evaluate concurrently.
-	Deps []int
 }
 
 // SeedFact is a ground tuple inserted into a derived predicate before
@@ -212,7 +208,6 @@ func Generate(order []*pcg.Node, derivedTypes map[string][]rel.Type, basePreds [
 		node := Node{
 			Preds:     append([]string(nil), n.Preds...),
 			Recursive: n.Recursive,
-			Deps:      append([]int(nil), n.Deps...),
 		}
 		inClique := make(map[string]bool, len(n.Preds))
 		for _, p := range n.Preds {

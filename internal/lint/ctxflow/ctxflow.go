@@ -3,8 +3,8 @@
 // every potentially long-running loop polling its context: a `for {}`
 // loop in rtlib (recursive evaluation), exec (operator cursors) or
 // server (session service loops) that never observes ctx.Done()/
-// ctx.Err() keeps a cancelled query burning CPU — and, under the
-// scheduler, keeps its worker slot — until the loop happens to drain.
+// ctx.Err() keeps a cancelled query burning CPU until the loop happens
+// to drain.
 //
 // The check is interprocedural: a loop observes the context if its body
 // calls context.Context.Done or .Err directly, or calls any module

@@ -1,9 +1,8 @@
 // Package gofanout flags unbounded goroutine fan-out: a `go` statement
 // inside a for/range loop with nothing in the loop limiting how many
 // launches can be in flight at once. One query spawning a goroutine per
-// rule is harmless until 32 sessions each do it; the scheduler work in
-// this module exists precisely because evaluation concurrency must be
-// bounded by a pool, not by input size.
+// rule is harmless until 32 sessions each do it: concurrency must be
+// bounded by a fixed limit, not by input size.
 //
 // A launch counts as bounded when the innermost enclosing loop acquires
 // a slot before the `go` statement:

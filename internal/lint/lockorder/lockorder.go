@@ -14,8 +14,7 @@
 //  2. No blocking operation is reached while a lock is held: file and
 //     network I/O (os / net), connection I/O through wire.WriteFrame and
 //     wire.ReadFrame (whose io.Writer/io.Reader the call graph cannot
-//     follow to the socket), time.Sleep, sync.WaitGroup.Wait,
-//     sched.Group.Wait (which runs queued evaluation tasks inline) and
+//     follow to the socket), time.Sleep, sync.WaitGroup.Wait and
 //     channel operations, found directly in the held region or through
 //     any resolved call chain. sync.Cond.Wait is exempt — it releases
 //     the mutex it waits on.
@@ -432,10 +431,7 @@ func blockingCallee(fn *types.Func) string {
 	case path == "sync" && recv == "WaitGroup" && name == "Wait":
 		return "sync.WaitGroup.Wait"
 	}
-	switch pkg := lintkit.PkgName(fn); {
-	case pkg == "sched" && recv == "Group" && name == "Wait":
-		return "sched.Group.Wait (runs queued evaluation tasks inline)"
-	case pkg == "wire" && (name == "WriteFrame" || name == "ReadFrame"):
+	if lintkit.PkgName(fn) == "wire" && (name == "WriteFrame" || name == "ReadFrame") {
 		return "connection I/O (wire." + name + ")"
 	}
 	return ""

@@ -1,12 +1,10 @@
-// Blocking fixtures: I/O, channel operations and scheduler joins
-// reached while a lock is held, directly and through a call chain.
+// Blocking fixtures: I/O and channel operations reached while a lock
+// is held, directly and through a call chain.
 package blocking
 
 import (
 	"os"
 	"sync"
-
-	"sched"
 )
 
 type S struct {
@@ -41,10 +39,4 @@ func (s *S) Flush() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sync3(s.f) // want "blocking\\.S\\.mu held across file I/O \\(os\\.File\\.Sync\\) \\(via blocking\\.sync3\\)"
-}
-
-func (s *S) Join(g *sched.Group) {
-	s.mu.Lock()
-	g.Wait() // want "blocking\\.S\\.mu held across sched\\.Group\\.Wait"
-	s.mu.Unlock()
 }

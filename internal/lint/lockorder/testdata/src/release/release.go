@@ -6,8 +6,6 @@ package release
 import (
 	"sync"
 	"sync/atomic"
-
-	"sched"
 )
 
 type snap struct {
@@ -91,7 +89,7 @@ func (c *cache) drain() {
 	c.mu.Unlock()
 }
 
-func (c *cache) invalidate(g *sched.Group) {
+func (c *cache) invalidate(wg *sync.WaitGroup) {
 	c.mu.Lock()
 	c.n++
 	c.mu.Unlock()
@@ -101,7 +99,7 @@ func (c *cache) invalidate(g *sched.Group) {
 		c.n--
 	}
 	run()
-	g.Wait()
+	wg.Wait()
 	c.drain()
 }
 

@@ -4,15 +4,13 @@
 //
 //	page      storage.Pager.Fetch/Allocate/AllocateReusable/AllocateTemp → Pager.Unpin(pg)
 //	snapshot  snapshot.Store.Acquire                                     → Snapshot.Release()
-//	group     sched.Pool.Group                                           → Group.Wait()
 //
 // Each acquisition must reach its release on every control-flow path
 // out of the acquiring function — early error returns included — unless
 // ownership demonstrably transfers. A `defer` of the release satisfies
 // all paths, panics included. A leaked page pin wedges a frame in the
 // buffer pool forever; a leaked snapshot pin blocks epoch reclamation and
-// pins every superseded version chain in memory; an un-waited group
-// leaves the tasks no slot took unrun.
+// pins every superseded version chain in memory.
 //
 // Unlike pinpair, the analysis crosses function boundaries:
 //
@@ -49,7 +47,7 @@ import (
 // Analyzer is the pinleak pass.
 var Analyzer = &lintkit.Analyzer{
 	Name:   "pinleak",
-	Doc:    "every page pin, snapshot pin and task group is released on all paths (waive with //dkblint:pinsafe <reason>)",
+	Doc:    "every page pin and snapshot pin is released on all paths (waive with //dkblint:pinsafe <reason>)",
 	Run:    run,
 	Module: true,
 }
@@ -96,13 +94,6 @@ var kinds = []*kind{
 		srcMethods: map[string]bool{"Acquire": true},
 		recvMethod: "Release",
 		resPkg:     "snapshot", resTyp: "Snapshot",
-	},
-	{
-		id: "group", noun: "task group from",
-		srcPkg: "sched", srcTyp: "Pool",
-		srcMethods: map[string]bool{"Group": true},
-		recvMethod: "Wait",
-		resPkg:     "sched", resTyp: "Group",
 	},
 }
 

@@ -3,19 +3,15 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
-	"strconv"
 	"time"
 )
 
 // Chrome trace-event export: renders a span tree as the JSON format
 // ui.perfetto.dev and chrome://tracing load, so a query's compile
 // phases, LFP iterations and operator spans can be inspected on a real
-// timeline instead of the ASCII tree. One query is one "process"; the
-// session timeline is thread 1, and spans that ran on a scheduler
-// worker (they carry the sched.worker attribute) land on a thread per
-// worker, which makes the parallel-LFP fan-out visible as overlapping
-// tracks.
+// timeline instead of the ASCII tree. One query is one "process", and
+// every span lies on its session timeline, thread 1: an evaluation
+// runs on one goroutine.
 
 // traceEvent is one entry of the traceEvents array. Complete events
 // ("X") carry ts/dur in microseconds (floats, so nanosecond precision
@@ -37,12 +33,8 @@ type chromeTrace struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
 }
 
-// Thread ids: the session (root) timeline is tid 1; spans carrying
-// sched.worker w land on tid workerTidBase+w.
-const (
-	sessionTid    = 1
-	workerTidBase = 2
-)
+// sessionTid is the thread id of the session timeline.
+const sessionTid = 1
 
 // WriteChromeTrace renders the span tree rooted at root as Chrome
 // trace-event JSON. queryID (0 = none) names the process so multiple
@@ -59,28 +51,16 @@ func WriteChromeTrace(w io.Writer, root *Span, queryID uint64) error {
 		Name: "process_name", Ph: "M", Pid: pid, Tid: sessionTid,
 		Args: map[string]any{"name": procName},
 	})
-	threads := map[int64]string{}
 	if root != nil {
-		var walk func(s *Span, parentTs float64, parentTid int64)
-		walk = func(s *Span, parentTs float64, parentTid int64) {
+		var walk func(s *Span, parentTs float64)
+		walk = func(s *Span, parentTs float64) {
 			ts := float64(s.Offset) / float64(time.Microsecond)
 			if s.Offset == 0 {
 				// Spans without a recorded offset (old peers) nest at
 				// their parent's start so the tree still renders.
 				ts = parentTs
 			}
-			tid := parentTid
-			if worker, ok := s.Int("sched.worker"); ok {
-				tid = workerTidBase + worker
-			}
-			if _, ok := threads[tid]; !ok {
-				name := "session"
-				if tid != sessionTid {
-					name = "worker"
-				}
-				threads[tid] = name
-			}
-			ev := traceEvent{Name: s.Name, Ph: "X", Ts: ts, Pid: pid, Tid: tid}
+			ev := traceEvent{Name: s.Name, Ph: "X", Ts: ts, Pid: pid, Tid: sessionTid}
 			dur := float64(s.Duration) / float64(time.Microsecond)
 			ev.Dur = &dur
 			if len(s.Attrs) > 0 {
@@ -95,24 +75,13 @@ func WriteChromeTrace(w io.Writer, root *Span, queryID uint64) error {
 			}
 			doc.TraceEvents = append(doc.TraceEvents, ev)
 			for _, c := range s.Children {
-				walk(c, ts, tid)
+				walk(c, ts)
 			}
 		}
-		walk(root, 0, sessionTid)
-	}
-	tids := make([]int64, 0, len(threads))
-	for tid := range threads {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
-		label := threads[tid]
-		if tid != sessionTid {
-			label = "worker " + strconv.FormatInt(tid-workerTidBase, 10)
-		}
+		walk(root, 0)
 		doc.TraceEvents = append(doc.TraceEvents, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-			Args: map[string]any{"name": label},
+			Name: "thread_name", Ph: "M", Pid: pid, Tid: sessionTid,
+			Args: map[string]any{"name": "session"},
 		})
 	}
 	enc := json.NewEncoder(w)

@@ -42,7 +42,6 @@ func TestWriteChromeTrace(t *testing.T) {
 	compile.End()
 	eval := tr.Start("eval")
 	iter := eval.Start("iteration 1")
-	iter.SetInt("sched.worker", 3)
 	iter.SetInt("delta", 42)
 	iter.End()
 	eval.End()
@@ -83,21 +82,18 @@ func TestWriteChromeTrace(t *testing.T) {
 		t.Fatalf("eval ts %v not after compile ts %v", ev["ts"], cm["ts"])
 	}
 
-	// The worker span lands on its own thread, named in metadata.
-	it := findEvent(events, "iteration 1")
-	if it["tid"].(float64) != float64(workerTidBase+3) {
-		t.Fatalf("worker span tid = %v, want %d", it["tid"], workerTidBase+3)
-	}
-	var workerNamed bool
+	// Every span lies on the session thread, named in metadata.
+	var sessionNamed bool
 	for _, e := range events {
-		if e["name"] == "thread_name" && e["tid"].(float64) == float64(workerTidBase+3) {
-			if e["args"].(map[string]any)["name"] == "worker 3" {
-				workerNamed = true
-			}
+		if e["ph"] == "X" && e["tid"].(float64) != sessionTid {
+			t.Fatalf("span %v on tid %v, want %d", e["name"], e["tid"], sessionTid)
+		}
+		if e["name"] == "thread_name" && e["tid"].(float64) == sessionTid {
+			sessionNamed = e["args"].(map[string]any)["name"] == "session"
 		}
 	}
-	if !workerNamed {
-		t.Fatalf("worker thread not named")
+	if !sessionNamed {
+		t.Fatalf("session thread not named")
 	}
 }
 

@@ -64,9 +64,7 @@ type Span struct {
 }
 
 // Trace is one query's span tree. A nil *Trace disables all recording;
-// NewTrace arms it. A Trace is safe for concurrent use by the
-// goroutines of one evaluation (the parallel LFP strategy appends child
-// spans concurrently).
+// NewTrace arms it. A Trace is safe for concurrent use.
 type Trace struct {
 	mu   sync.Mutex
 	root *Span

@@ -124,9 +124,7 @@ type Node struct {
 	// mutually recursive with the head. Empty for non-recursive nodes.
 	RecursiveRules []dlog.Clause
 	// Deps indexes the earlier Order entries this node's rule bodies
-	// read (its predecessors in the evaluation-order DAG). Nodes with
-	// disjoint dependency chains may evaluate concurrently — the
-	// stratum wavefront the run-time library's scheduler exploits.
+	// read (its predecessors in the evaluation-order DAG).
 	Deps []int
 }
 

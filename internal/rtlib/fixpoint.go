@@ -18,8 +18,7 @@ import (
 // is born here, so nothing a run creates can escape its teardown.
 type TempTables struct {
 	d *db.DB
-	// mu guards live: the stratum wavefront evaluates independent nodes
-	// concurrently, and each registers the tables it creates.
+	// mu guards live, so that the registry is safe for concurrent use.
 	mu   sync.Mutex
 	live map[string]bool
 }

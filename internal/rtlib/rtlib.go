@@ -17,8 +17,7 @@
 // round, EXCEPT chains, COUNT(*) termination — configured like the
 // paper's LFP routine by the data structures its caller loads (rules,
 // predicate→relation resolver, promotion target, source of the first
-// delta). Evaluate runs it per clique, in evaluation order or, given
-// an Options.Pool, as a dependency wavefront of independent cliques;
+// delta). Evaluate runs it per clique, in evaluation order;
 // internal/matview runs it to absorb a commit into a maintained answer.
 // One registry, TempTables, creates and tears down every temporary
 // relation, and one Statements per run holds its statements, prepared
@@ -36,7 +35,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,7 +42,6 @@ import (
 	"dkbms/internal/db"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
-	"dkbms/internal/sched"
 )
 
 // Strategy selects the LFP evaluation algorithm.
@@ -70,13 +67,6 @@ type Options struct {
 	// KeepTables, when set, skips the final cleanup so callers can
 	// inspect derived relations; Cleanup must then be called manually.
 	KeepTables bool
-	// Pool, when non-nil, evaluates independent evaluation-order nodes
-	// as a dependency wavefront (runWavefront) on the pool — normally
-	// the testbed's, shared by every evaluation on it, which bounds the
-	// concurrency. Every clique still runs Fixpoint.Run, so the
-	// statements issued and the answer are the sequential loop's. Nil
-	// runs the nodes in evaluation order on the calling goroutine.
-	Pool *sched.Pool
 	// Trace, when non-nil, records an "eval" span tree: one span per
 	// evaluation-order node, per LFP iteration (delta cardinalities,
 	// accumulator sizes, set-difference cost) and per generated SQL
@@ -228,9 +218,8 @@ func (ev *evaluator) run() (*Result, error) {
 	for _, s := range ev.prog.Seeds {
 		seeds[s.Pred] = append(seeds[s.Pred], s.Tuple)
 	}
-	// Every derived relation is named before evaluation starts, so the
-	// wavefront's concurrent nodes only ever read the map; each node
-	// creates its own when it runs. Seed-only predicates (no defining
+	// Every derived relation is named before evaluation starts; each
+	// node creates its own when it runs. Seed-only predicates (no defining
 	// rules, e.g. the magic predicate of a non-recursive bound subgoal)
 	// are materialized up front.
 	for _, n := range ev.prog.Nodes {
@@ -252,18 +241,12 @@ func (ev *evaluator) run() (*Result, error) {
 
 	evalSp := ev.opts.Trace.Start("eval")
 	ev.stats.Nodes = make([]NodeStats, len(ev.prog.Nodes))
-	if ev.opts.Pool != nil && len(ev.prog.Nodes) > 1 {
-		if err := ev.runWavefront(seeds, evalSp); err != nil {
+	for i := range ev.prog.Nodes {
+		if err := checkCtx(ev.opts.Ctx); err != nil {
 			return nil, err
 		}
-	} else {
-		for i := range ev.prog.Nodes {
-			if err := checkCtx(ev.opts.Ctx); err != nil {
-				return nil, err
-			}
-			if err := ev.evalNode(i, seeds, evalSp, -1); err != nil {
-				return nil, err
-			}
+		if err := ev.evalNode(i, seeds, evalSp); err != nil {
+			return nil, err
 		}
 	}
 	for i := range ev.stats.Nodes {
@@ -292,9 +275,8 @@ func (ev *evaluator) run() (*Result, error) {
 }
 
 // evalNode evaluates evaluation-order node i and records its stats at
-// index i. slot is the pool slot running it (-1 when sequential or
-// inline), recorded on the node's span as its worker track.
-func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.Span, slot int) error {
+// index i.
+func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.Span) error {
 	node := &ev.prog.Nodes[i]
 	ns := &ev.stats.Nodes[i]
 	ns.Preds = node.Preds
@@ -304,9 +286,6 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 		sp = evalSp.Start("node " + strings.Join(node.Preds, ","))
 		if node.Recursive {
 			sp.SetString("kind", "recursive")
-		}
-		if slot >= 0 {
-			sp.SetInt("sched.worker", int64(slot))
 		}
 	}
 	nodeStart := time.Now()
@@ -349,67 +328,6 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 	sp.SetInt("tuples", int64(ns.Tuples))
 	sp.End()
 	return nil
-}
-
-// runWavefront evaluates the evaluation-order list as a dependency
-// wavefront on the testbed's pool: a node is forked as soon as every node
-// it reads has finished, so independent cliques — separate recursions
-// with no path between them, or a query over several disjoint rule
-// families — evaluate concurrently. Program.Nodes is topologically
-// ordered (dependencies first), so at least one node is always ready
-// and the forked set grows monotonically toward completion.
-func (ev *evaluator) runWavefront(seeds map[string][]rel.Tuple, evalSp *obs.Span) error {
-	n := len(ev.prog.Nodes)
-	dependents := make([][]int, n)
-	remaining := make([]int, n)
-	for i := range ev.prog.Nodes {
-		deps := ev.prog.Nodes[i].Deps
-		remaining[i] = len(deps)
-		for _, j := range deps {
-			dependents[j] = append(dependents[j], i)
-		}
-	}
-	var mu sync.Mutex // guards remaining and firstErr
-	var firstErr error
-	g := ev.opts.Pool.Group()
-	var launch func(i int)
-	launch = func(i int) {
-		g.Go(func(slot int) {
-			mu.Lock()
-			failed := firstErr != nil
-			mu.Unlock()
-			if failed {
-				return
-			}
-			err := checkCtx(ev.opts.Ctx)
-			if err == nil {
-				err = ev.evalNode(i, seeds, evalSp, slot)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			for _, j := range dependents[i] {
-				remaining[j]--
-				if remaining[j] == 0 {
-					launch(j)
-				}
-			}
-		})
-	}
-	mu.Lock()
-	for i := 0; i < n; i++ {
-		if remaining[i] == 0 {
-			launch(i)
-		}
-	}
-	mu.Unlock()
-	g.Wait()
-	return firstErr
 }
 
 // createPredTable creates a derived predicate's temp table, inserting

@@ -42,8 +42,8 @@ type Statements struct {
 	d       *db.DB
 	schemas map[string]*rel.Schema
 
-	// mu guards the maps: a wavefront's concurrent nodes prepare through
-	// one Statements.
+	// mu guards the maps, so that a Statements is safe for concurrent
+	// use.
 	mu sync.Mutex
 	// uses maps each use to its handle, and keys each statement's
 	// db.Stmt.ID to the handle every use of it shares.
@@ -86,7 +86,7 @@ func (s *Statements) lookup(key useKey) *db.Stmt {
 
 // keep records st as the handle of a use and returns the handle the use
 // has: the one the run holds on st's statement if it holds one, or the
-// one a concurrent node recorded first.
+// one a concurrent caller recorded first.
 func (s *Statements) keep(key useKey, st *db.Stmt) *db.Stmt {
 	s.mu.Lock()
 	defer s.mu.Unlock()

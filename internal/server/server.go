@@ -160,11 +160,6 @@ func (s *Server) initRegistry() {
 	counter("snapshot.copied_tables", func() int64 { return s.tb.SnapshotStats().CopiedTables })
 	counter("snapshot.writer_stall_ns", func() int64 { return int64(s.tb.SnapshotStats().WriterStall) })
 	counter("slowlog.recorded", s.slow.Recorded)
-	gauge("sched.slots", func() int64 { return int64(s.tb.SchedStats().Slots) })
-	gauge("sched.running", func() int64 { return int64(s.tb.SchedStats().Running) })
-	counter("sched.submitted", func() int64 { return s.tb.SchedStats().Submitted })
-	counter("sched.completed", func() int64 { return s.tb.SchedStats().Completed })
-	counter("sched.stolen", func() int64 { return s.tb.SchedStats().Stolen })
 	gauge("matview.live", func() int64 { return s.tb.MatViewStats().Live })
 	counter("matview.maintained", func() int64 { return s.tb.MatViewStats().Maintained })
 	counter("matview.rederives", func() int64 { return s.tb.MatViewStats().Rederives })

@@ -84,18 +84,21 @@ func (s *session) serve(ctx context.Context) {
 		s.in = wire.Reuse(payload)
 		s.srv.inFlight.Add(-1)
 
-		if s.srv.opts.IOTimeout > 0 {
-			s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.IOTimeout))
-		}
+		// Count the request before its reply is written, so a client
+		// that reads the reply and then polls the metrics sees it.
 		respType := wire.MsgType(frame[4])
-		wn, werr := wire.WriteFrame(s.conn, frame)
-		s.out = wire.Reuse(frame)
-		s.srv.bytesOut.Add(int64(wn))
 		s.srv.requests.Inc()
 		if respType == wire.MsgError {
 			s.srv.errors.Inc()
 		}
 		s.srv.latency.ObserveDuration(time.Since(start))
+
+		if s.srv.opts.IOTimeout > 0 {
+			s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.IOTimeout))
+		}
+		wn, werr := wire.WriteFrame(s.conn, frame)
+		s.out = wire.Reuse(frame)
+		s.srv.bytesOut.Add(int64(wn))
 		if werr != nil {
 			s.log.Warn("write failed", "seq", s.seq, "type", t.String(), "err", werr)
 			return

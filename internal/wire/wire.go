@@ -192,20 +192,21 @@ func readVarint(buf []byte) (int64, []byte, error) {
 
 // QueryOpts are the options a QUERY carries: the root API's own
 // struct, whose bools travel as bits of the option byte and whose
-// QueryID trails the source.
+// QueryID trails the source. Parallel, an ignored field, does not
+// travel.
 type QueryOpts = dkbms.QueryOptions
 
 const (
 	optNaive = 1 << iota
 	optNoOptimize
-	optParallel
+	_ // retired: bit 2 once asked for parallel evaluation; a QUERY that sets it is refused
 	optTrace
 	// optQueryID marks a query-ID uvarint trailing the source string. It
 	// is set exactly when the ID is non-zero, so an ID-less QUERY ends at
 	// its source.
 	optQueryID
 
-	optKnown = optNaive | optNoOptimize | optParallel | optTrace | optQueryID
+	optKnown = optNaive | optNoOptimize | optTrace | optQueryID
 )
 
 func encodeOpts(o QueryOpts) byte {
@@ -215,9 +216,6 @@ func encodeOpts(o QueryOpts) byte {
 	}
 	if o.NoOptimize {
 		b |= optNoOptimize
-	}
-	if o.Parallel {
-		b |= optParallel
 	}
 	if o.Trace {
 		b |= optTrace
@@ -232,7 +230,6 @@ func decodeOpts(b byte) QueryOpts {
 	return QueryOpts{
 		Naive:      b&optNaive != 0,
 		NoOptimize: b&optNoOptimize != 0,
-		Parallel:   b&optParallel != 0,
 		Trace:      b&optTrace != 0,
 	}
 }

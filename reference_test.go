@@ -277,14 +277,13 @@ func TestRandomProgramsAgainstReference(t *testing.T) {
 	}
 }
 
-// maintainedAgainstReference runs one random program on a pooled
-// ConcurrentTestbed, Parallel off and on (so independent cliques really
-// run as a wavefront on the pool), cold and re-queried, then loads one
-// random fact and retracts one, both on base relations the query
-// depends on: after each commit both memoized answers must be served as
-// maintained — the fixpoint driver absorbing the insert, then finding
-// the deletion candidates — and equal the reference on the updated fact
-// set.
+// maintainedAgainstReference runs one random program on a
+// ConcurrentTestbed, optimized and not (two plans, each memoized), cold
+// and re-queried, then loads one random fact and retracts one, both on
+// base relations the query depends on: after each commit both memoized
+// answers must be served as maintained — the fixpoint driver absorbing
+// the insert, then finding the deletion candidates — and equal the
+// reference on the updated fact set.
 func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []dlog.Clause, facts map[string][]rel.Tuple, q dlog.Query) {
 	t.Helper()
 	tb := NewMemory()
@@ -328,19 +327,19 @@ func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []d
 	check := func(step string, wantCache string) {
 		t.Helper()
 		want := refAnswer(q, rules, now)
-		for _, par := range []bool{false, true} {
-			res, err := c.Query(q.String(), &QueryOptions{Parallel: par})
+		for _, noOpt := range []bool{false, true} {
+			res, err := c.Query(q.String(), &QueryOptions{NoOptimize: noOpt})
 			if err != nil {
-				t.Fatalf("trial %d %s parallel=%v: %v\nprogram:\n%s\nquery: %s",
-					trial, step, par, err, programText(rules), q.String())
+				t.Fatalf("trial %d %s nooptimize=%v: %v\nprogram:\n%s\nquery: %s",
+					trial, step, noOpt, err, programText(rules), q.String())
 			}
 			if wantCache != "" && res.Cache != wantCache {
-				t.Fatalf("trial %d %s parallel=%v: cache=%q, want %q\nprogram:\n%s\nquery: %s",
-					trial, step, par, res.Cache, wantCache, programText(rules), q.String())
+				t.Fatalf("trial %d %s nooptimize=%v: cache=%q, want %q\nprogram:\n%s\nquery: %s",
+					trial, step, noOpt, res.Cache, wantCache, programText(rules), q.String())
 			}
 			if got := rowSet(res.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
-				t.Fatalf("trial %d %s parallel=%v: engine disagrees with reference\nprogram:\n%s\nquery: %s\n got: %v\nwant: %v",
-					trial, step, par, programText(rules), q.String(), got, want)
+				t.Fatalf("trial %d %s nooptimize=%v: engine disagrees with reference\nprogram:\n%s\nquery: %s\n got: %v\nwant: %v",
+					trial, step, noOpt, programText(rules), q.String(), got, want)
 			}
 		}
 	}
@@ -365,7 +364,7 @@ func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []d
 	for i := range zz {
 		zz[i] = rel.NewString(fmt.Sprintf("zz%d", i+1))
 	}
-	adoptView(t, c, q.String(), atom(bases[0], zz), &QueryOptions{}, &QueryOptions{Parallel: true})
+	adoptView(t, c, q.String(), atom(bases[0], zz), &QueryOptions{}, &QueryOptions{NoOptimize: true})
 
 	consts := []string{"a", "b", "c", "d", "g", "h", "k"}
 	pred := bases[r.Intn(len(bases))]

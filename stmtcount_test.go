@@ -16,12 +16,10 @@ import (
 // experiments measure, whether or not the answers still agree.
 //
 // The three rtlib rows were captured at the commit before the shared
-// fixpoint driver (PR 12) and must not move; the parallel row is pinned
-// to the magic row's constants, because Options.Parallel schedules
-// independent cliques on the pool and changes no statement. They
-// compile with generalized magic sets forced (queryMagic), as the
-// paper's experiments do. The two maintenance rows were re-captured with
-// the driver, because maintenance adopted its per-round delta tables in
+// fixpoint driver and must not move. They compile with generalized
+// magic sets forced (queryMagic), as the paper's experiments do. The
+// two maintenance rows were re-captured with the driver, because
+// maintenance adopted its per-round delta tables in
 // place of its own truncate-and-reuse pair: before, insert {Selects: 37,
 // Inserts: 39, InsertedRows: 25, Deletes: 33, DDL: 14} and retract
 // {Selects: 45, Inserts: 41, InsertedRows: 1048, Deletes: 34, DDL: 22} —
@@ -74,8 +72,6 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 		{"semi-naive", "?- ancestor(X, W).", QueryOptions{NoOptimize: true}, 8194,
 			db.Stats{Selects: 13, Inserts: 20, InsertedRows: 24582, DDL: 24}},
 		{"magic semi-naive", "?- ancestor(t1, W).", QueryOptions{}, 1022,
-			db.Stats{Selects: 23, Inserts: 41, InsertedRows: 19456, DDL: 48}},
-		{"parallel magic semi-naive", "?- ancestor(t1, W).", QueryOptions{Parallel: true}, 1022,
 			db.Stats{Selects: 23, Inserts: 41, InsertedRows: 19456, DDL: 48}},
 	} {
 		opts := tc.opts

@@ -10,14 +10,13 @@ import (
 	"time"
 )
 
-// TestSharedPoolStress is the scheduler's contention test: many
-// sessions run Parallel recursive queries against the testbed's one
-// evaluation pool while a writer streams live updates. Every answer
-// must be the exact closure (the writer only adds edges *into* c0,
-// which never change the closure from c0), no evaluation temp tables
-// may leak, and the total goroutine count must stay bounded by
-// sessions + pool slots — not sessions × rules.
-func TestSharedPoolStress(t *testing.T) {
+// TestConcurrentSessionsStress: many sessions run recursive queries
+// against one ConcurrentTestbed while a writer streams live updates.
+// Every answer must be the exact closure (the writer only adds edges
+// *into* c0, which never change the closure from c0), no evaluation
+// temp tables may leak, and the total goroutine count must stay bounded
+// by the sessions — an evaluation runs on its caller's goroutine.
+func TestConcurrentSessionsStress(t *testing.T) {
 	const (
 		sessions   = 8
 		perSession = 6
@@ -98,13 +97,13 @@ func TestSharedPoolStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSession; i++ {
-				res, err := c.Query(q, &QueryOptions{Parallel: true})
+				res, err := c.Query(q, nil)
 				if err != nil {
 					errs <- err
 					return
 				}
 				if got := rowsKey(res); got != want {
-					errs <- fmt.Errorf("parallel answer drifted:\n got %s\nwant %s", got, want)
+					errs <- fmt.Errorf("answer drifted:\n got %s\nwant %s", got, want)
 					return
 				}
 			}
@@ -138,17 +137,9 @@ func TestSharedPoolStress(t *testing.T) {
 		}
 	}
 
-	// Goroutines: one per session + pool slots + writer + monitor +
-	// runtime slack. Unbounded per-rule fan-out would instead add
-	// sessions × rules on top.
-	st := c.SchedStats()
-	if st.Slots != runtime.GOMAXPROCS(0) {
-		t.Fatalf("pool slots = %d, want GOMAXPROCS = %d", st.Slots, runtime.GOMAXPROCS(0))
-	}
-	if st.Submitted == 0 {
-		t.Fatal("parallel queries never reached the shared pool")
-	}
-	limit := int64(baseGoroutines + sessions + st.Slots + 12)
+	// Goroutines: one per session + writer + monitor + runtime slack.
+	// Per-rule fan-out would instead add sessions × rules on top.
+	limit := int64(baseGoroutines + sessions + 12)
 	if p := peak.Load(); p > limit {
 		t.Fatalf("peak goroutines %d exceeds bound %d (base %d)", p, limit, baseGoroutines)
 	}

@@ -43,7 +43,6 @@ import (
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
 	"dkbms/internal/rtlib"
-	"dkbms/internal/sched"
 	"dkbms/internal/stored"
 )
 
@@ -57,8 +56,7 @@ var ErrClosed = errors.New("dkbms: testbed is closed")
 // A Testbed is not safe for concurrent use; callers running queries
 // from multiple goroutines must serialize access or wrap the testbed in
 // a ConcurrentTestbed, which lets read-only queries run concurrently
-// while serializing updates. (QueryOptions.Parallel is internal
-// parallelism within one evaluation and does not change this.)
+// while serializing updates.
 type Testbed struct {
 	ws *core.Workspace
 	db *db.DB
@@ -67,17 +65,13 @@ type Testbed struct {
 	// plan cache keeps a compiled program while the generation stands
 	// still.
 	ruleGen uint64
-	// pool bounds the testbed's evaluation concurrency: the wavefront of
-	// every QueryOptions.Parallel query. It keeps no goroutines, so it
-	// needs no closing.
-	pool *sched.Pool
 	// closed is set by Close; every later operation returns ErrClosed.
 	closed bool
 }
 
 // newTestbed wraps an open database whose stored D/KB is bootstrapped.
 func newTestbed(d *db.DB, st *stored.Manager) *Testbed {
-	return &Testbed{ws: core.NewWorkspace(), db: d, st: st, pool: sched.NewPool(0)}
+	return &Testbed{ws: core.NewWorkspace(), db: d, st: st}
 }
 
 // NewMemory opens a testbed over an in-memory database.
@@ -124,9 +118,6 @@ func (tb *Testbed) Stored() *stored.Manager { return tb.st }
 
 // Workspace exposes the workspace D/KB.
 func (tb *Testbed) Workspace() *core.Workspace { return tb.ws }
-
-// SchedStats snapshots the counters of the testbed's evaluation pool.
-func (tb *Testbed) SchedStats() sched.Stats { return tb.pool.Stats() }
 
 // --- Write path: each write planned once, then applied ---
 
@@ -381,10 +372,8 @@ type QueryOptions struct {
 	// linear in the answer); every other bound program gets generalized
 	// magic sets.
 	NoOptimize bool
-	// Parallel evaluates independent PCG nodes as a dependency wavefront
-	// on the testbed's evaluation pool (paper conclusion 7a at clique
-	// granularity). Each clique runs the sequential LFP routine, so the
-	// statements and the answer are those of a sequential evaluation.
+	// Parallel is ignored: evaluation is sequential. Kept for benchmark/
+	// only, whose per-layer probe sets it; see benchseam.go.
 	Parallel bool
 	// Trace records the query's execution as a span tree — compilation
 	// phases, evaluation nodes, LFP iterations with delta cardinalities,
@@ -540,14 +529,9 @@ func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compil
 	if opts.Naive {
 		strategy = rtlib.Naive
 	}
-	var pool *sched.Pool
-	if opts.Parallel {
-		pool = tb.pool
-	}
 	res, err := rtlib.Evaluate(d, compiled.Program, rtlib.Options{
 		Strategy:   strategy,
 		KeepTables: keep,
-		Pool:       pool,
 		Trace:      tr,
 		Ctx:        ctx,
 	})

@@ -54,8 +54,6 @@ var allModes = []struct {
 	{"seminaive-plain", QueryOptions{NoOptimize: true}},
 	{"naive-magic", QueryOptions{Naive: true}},
 	{"naive-plain", QueryOptions{Naive: true, NoOptimize: true}},
-	{"parallel-magic", QueryOptions{Parallel: true}},
-	{"parallel-plain", QueryOptions{Parallel: true, NoOptimize: true}},
 }
 
 func TestAncestorAllModes(t *testing.T) {

@@ -50,7 +50,6 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 	}{
 		{"naive", QueryOptions{Naive: true, NoOptimize: true, Trace: true}, 10},
 		{"semi-naive", QueryOptions{NoOptimize: true, Trace: true}, 9},
-		{"parallel", QueryOptions{Parallel: true, NoOptimize: true, Trace: true}, 9},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,7 +146,6 @@ down(X, Y) :- up(Y, X).
 	}{
 		{"naive", QueryOptions{Naive: true, NoOptimize: true, Trace: true}},
 		{"semi-naive", QueryOptions{NoOptimize: true, Trace: true}},
-		{"parallel", QueryOptions{Parallel: true, NoOptimize: true, Trace: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := tc.opts
