@@ -1,9 +1,7 @@
-// Benchmarks: one testing.B benchmark per table and figure of the
-// paper's evaluation (§5.3), each exercising the measured operation at
-// a representative parameter point. The full parameter sweeps — the
-// complete regenerated tables/figures — are produced by cmd/dkbbench
-// (internal/bench); these benches give stable per-operation numbers
-// with -benchmem and feed bench_output.txt.
+// Benchmarks of the end-to-end query path. The paper's tables and
+// figures (§5.3) are regenerated by cmd/dkbbench (internal/bench), and
+// every one of them runs at test scale in internal/bench's
+// TestAllExperimentsRunQuick.
 package dkbms_test
 
 import (
@@ -11,31 +9,8 @@ import (
 	"testing"
 
 	"dkbms"
-	"dkbms/internal/db"
-	"dkbms/internal/dlog"
-	"dkbms/internal/rel"
-	"dkbms/internal/rtlib"
-	"dkbms/internal/stored"
 	"dkbms/internal/workload"
 )
-
-// chainTestbed loads nChains rule chains of the given length into the
-// stored D/KB of a fresh in-memory testbed.
-func chainTestbed(b *testing.B, nChains, length int) (*dkbms.Testbed, []string) {
-	b.Helper()
-	tb := dkbms.NewMemory()
-	b.Cleanup(func() { tb.Close() })
-	rules, heads, bases := workload.RuleChains(nChains, length)
-	for _, base := range bases {
-		if err := tb.AssertTuples(base, workload.ChainFacts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := tb.Stored().Update(rules); err != nil {
-		b.Fatal(err)
-	}
-	return tb, heads
-}
 
 func treeTestbed(b *testing.B, depth int) *dkbms.Testbed {
 	b.Helper()
@@ -54,19 +29,6 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 	return tb
 }
 
-func compileQuery(b *testing.B, tb *dkbms.Testbed, q string, opts *dkbms.QueryOptions) *dkbms.QueryResult {
-	b.Helper()
-	query, err := dlog.ParseQuery(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	compiled, err := tb.Compile(query, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &dkbms.QueryResult{Compile: compiled.Stats}
-}
-
 func runQuery(b *testing.B, tb *dkbms.Testbed, q string, opts *dkbms.QueryOptions) *dkbms.QueryResult {
 	b.Helper()
 	res, err := tb.Query(q, opts)
@@ -74,326 +36,6 @@ func runQuery(b *testing.B, tb *dkbms.Testbed, q string, opts *dkbms.QueryOption
 		b.Fatal(err)
 	}
 	return res
-}
-
-// BenchmarkFig7ExtractVsStoredRules — Test 1 / Fig 7: relevant-rule
-// extraction at R_s=320 stored rules, R_r=7 relevant. The flatness
-// claim itself (extraction time independent of R_s) is shown by the
-// two sub-benchmarks having near-identical ns/op despite 8x R_s.
-func BenchmarkFig7ExtractVsStoredRules(b *testing.B) {
-	for _, rs := range []int{160, 1280} {
-		b.Run(fmt.Sprintf("Rs=%d", rs), func(b *testing.B) {
-			tb, heads := chainTestbed(b, rs/7+1, 7)
-			q := fmt.Sprintf("?- %s(x, W).", heads[0])
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := compileQuery(b, tb, q, &dkbms.QueryOptions{NoOptimize: true})
-				if res.Compile.RelevantRules != 7 {
-					b.Fatalf("R_r = %d", res.Compile.RelevantRules)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig8ExtractVsRelevantRules — Test 1 / Fig 8: extraction cost
-// grows with R_r at fixed R_s.
-func BenchmarkFig8ExtractVsRelevantRules(b *testing.B) {
-	for _, rr := range []int{1, 20} {
-		b.Run(fmt.Sprintf("Rr=%d", rr), func(b *testing.B) {
-			tb, heads := chainTestbed(b, 320/rr, rr)
-			q := fmt.Sprintf("?- %s(x, W).", heads[0])
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				compileQuery(b, tb, q, &dkbms.QueryOptions{NoOptimize: true})
-			}
-		})
-	}
-}
-
-// wideChainTestbed supports the dictionary-read benchmarks.
-func wideChainTestbed(b *testing.B, nChains, length int) *dkbms.Testbed {
-	b.Helper()
-	tb := dkbms.NewMemory()
-	b.Cleanup(func() { tb.Close() })
-	rules, _, bases := workload.WideRuleChains(nChains, length)
-	for _, base := range bases {
-		if err := tb.AssertTuples(base, workload.ChainFacts()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if _, err := tb.Stored().Update(rules); err != nil {
-		b.Fatal(err)
-	}
-	return tb
-}
-
-// BenchmarkFig9ReadDictVsStoredPreds — Test 2 / Fig 9: dictionary reads
-// at P_r=4 with small vs large dictionaries (flat in P_s).
-func BenchmarkFig9ReadDictVsStoredPreds(b *testing.B) {
-	for _, nChains := range []int{8, 64} {
-		b.Run(fmt.Sprintf("Ps=%d", nChains*10), func(b *testing.B) {
-			tb := wideChainTestbed(b, nChains, 10)
-			q := fmt.Sprintf("?- %s(x, W).", workload.ChainPred(0, 6)) // P_r = 4
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				compileQuery(b, tb, q, &dkbms.QueryOptions{NoOptimize: true})
-			}
-		})
-	}
-}
-
-// BenchmarkFig10ReadDictVsRelevantPreds — Test 2 / Fig 10: dictionary
-// reads growing with P_r at fixed P_s.
-func BenchmarkFig10ReadDictVsRelevantPreds(b *testing.B) {
-	tb := wideChainTestbed(b, 16, 20)
-	for _, pr := range []int{1, 10, 20} {
-		b.Run(fmt.Sprintf("Pr=%d", pr), func(b *testing.B) {
-			q := fmt.Sprintf("?- %s(x, W).", workload.ChainPred(0, 20-pr))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				compileQuery(b, tb, q, &dkbms.QueryOptions{NoOptimize: true})
-			}
-		})
-	}
-}
-
-// BenchmarkTable4CompileBreakdown — Test 3 / Table 4: full compilation
-// at R_r=20; component shares are reported as metrics.
-func BenchmarkTable4CompileBreakdown(b *testing.B) {
-	tb, heads := chainTestbed(b, 20, 20)
-	q := fmt.Sprintf("?- %s(x, W).", heads[0])
-	var last dkbms.QueryResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last = *compileQuery(b, tb, q, &dkbms.QueryOptions{NoOptimize: true})
-	}
-	b.StopTimer()
-	s := last.Compile
-	if s.Total > 0 {
-		b.ReportMetric(100*float64(s.Extract)/float64(s.Total), "%extract")
-		b.ReportMetric(100*float64(s.ReadDict)/float64(s.Total), "%readdict")
-		b.ReportMetric(100*float64(s.EvalOrder)/float64(s.Total), "%evalorder")
-	}
-}
-
-// BenchmarkFig11RelevantFraction — Test 4 / Fig 11: unoptimized
-// execution is insensitive to where the query lands in the tree; the
-// two sub-benchmarks (whole tree vs deep subtree) should be close.
-func BenchmarkFig11RelevantFraction(b *testing.B) {
-	tb := treeTestbed(b, 9)
-	for _, level := range []int{1, 5} {
-		b.Run(fmt.Sprintf("level=%d", level), func(b *testing.B) {
-			q := fmt.Sprintf("?- ancestor(%s, W).", workload.TreeNode(1<<(level-1)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runQuery(b, tb, q, &dkbms.QueryOptions{NoOptimize: true})
-			}
-		})
-	}
-}
-
-// BenchmarkFig12NaiveVsSeminaive — Test 5 / Fig 12: the naive/semi-
-// naive gap on tree data.
-func BenchmarkFig12NaiveVsSeminaive(b *testing.B) {
-	tb := treeTestbed(b, 9)
-	q := fmt.Sprintf("?- ancestor(%s, W).", workload.TreeNode(1))
-	for _, naive := range []bool{false, true} {
-		name := "seminaive"
-		if naive {
-			name = "naive"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runQuery(b, tb, q, &dkbms.QueryOptions{Naive: naive, NoOptimize: true})
-			}
-		})
-	}
-}
-
-// BenchmarkTable5LFPBreakdown — Test 6 / Table 5: evaluation-phase
-// shares reported as metrics.
-func BenchmarkTable5LFPBreakdown(b *testing.B) {
-	tb := treeTestbed(b, 9)
-	q := fmt.Sprintf("?- ancestor(%s, W).", workload.TreeNode(1))
-	var last *dkbms.QueryResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last = runQuery(b, tb, q, &dkbms.QueryOptions{NoOptimize: true})
-	}
-	b.StopTimer()
-	s := last.Eval
-	if s.Elapsed > 0 {
-		b.ReportMetric(100*float64(s.Eval)/float64(s.Elapsed), "%ruleeval")
-		b.ReportMetric(100*float64(s.TermCheck)/float64(s.Elapsed), "%termcheck")
-		b.ReportMetric(100*float64(s.TempTable)/float64(s.Elapsed), "%temptables")
-	}
-}
-
-// BenchmarkFig13MagicCrossover — Test 7 / Fig 13: magic on/off at low
-// and at full selectivity; magic should win the former and lose the
-// latter.
-func BenchmarkFig13MagicCrossover(b *testing.B) {
-	tb := treeTestbed(b, 10)
-	cases := []struct {
-		name  string
-		node  string
-		magic bool
-	}{
-		{"lowsel/plain", workload.TreeNode(1 << 7), false},
-		{"lowsel/magic", workload.TreeNode(1 << 7), true},
-		{"fullsel/plain", workload.TreeNode(1), false},
-		{"fullsel/magic", workload.TreeNode(1), true},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			q := fmt.Sprintf("?- ancestor(%s, W).", c.node)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runQuery(b, tb, q, &dkbms.QueryOptions{NoOptimize: !c.magic})
-			}
-		})
-	}
-}
-
-// BenchmarkFig14MagicPhases — Test 7 / Fig 14: magic-rules vs
-// modified-rules phase times as metrics.
-func BenchmarkFig14MagicPhases(b *testing.B) {
-	tb := treeTestbed(b, 10)
-	q := fmt.Sprintf("?- ancestor(%s, W).", workload.TreeNode(4))
-	var last *dkbms.QueryResult
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		last = runQuery(b, tb, q, nil)
-	}
-	b.StopTimer()
-	var magicT, modT float64
-	for _, ns := range last.Eval.Nodes {
-		isMagic := false
-		for _, p := range ns.Preds {
-			if len(p) > 2 && p[:2] == "m_" {
-				isMagic = true
-			}
-		}
-		if isMagic {
-			magicT += float64(ns.Elapsed.Microseconds())
-		} else {
-			modT += float64(ns.Elapsed.Microseconds())
-		}
-	}
-	b.ReportMetric(magicT, "magicphase-us")
-	b.ReportMetric(modT, "modphase-us")
-}
-
-// BenchmarkFig15UpdateVsStoredRules — Test 8 / Fig 15: one-rule update
-// into a 189-rule store, compiled vs source-only rule storage.
-func BenchmarkFig15UpdateVsStoredRules(b *testing.B) {
-	for _, compiled := range []bool{true, false} {
-		name := "compiled"
-		opts := stored.Options{}
-		if !compiled {
-			name = "source-only"
-			opts = stored.Options{NoCompiledRules: true}
-		}
-		b.Run(name, func(b *testing.B) {
-			d := db.OpenMemory()
-			b.Cleanup(func() { d.Close() })
-			m, err := stored.Open(d, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rules, heads, bases := workload.RuleChains(21, 9)
-			for _, base := range bases {
-				if err := m.InsertFacts(base, workload.ChainFacts()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := m.Update(rules); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rule := dlog.MustParseClause(fmt.Sprintf(
-					"bnew%d(X, Y) :- %s(X, Y).", i, heads[0]))
-				if _, err := m.Update([]dlog.Clause{rule}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable8UpdateBreakdown — Test 9 / Table 8: a 36-rule
-// workspace update into a 189-rule store; phase shares as metrics.
-func BenchmarkTable8UpdateBreakdown(b *testing.B) {
-	var last stored.UpdateStats
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d := db.OpenMemory()
-		m, err := stored.Open(d, stored.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rules, heads, bases := workload.RuleChains(21, 9)
-		for _, base := range bases {
-			if err := m.InsertFacts(base, workload.ChainFacts()); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := m.Update(rules); err != nil {
-			b.Fatal(err)
-		}
-		var ws []dlog.Clause
-		for c := 0; c < 9; c++ {
-			for j := 0; j < 4; j++ {
-				body := fmt.Sprintf("w%d_%d", c, j+1)
-				if j == 3 {
-					body = heads[c]
-				}
-				ws = append(ws, dlog.MustParseClause(fmt.Sprintf(
-					"w%d_%d(X, Y) :- %s(X, Y).", c, j, body)))
-			}
-		}
-		b.StartTimer()
-		st, err := m.Update(ws)
-		b.StopTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = st
-		d.Close()
-		b.StartTimer()
-	}
-	b.StopTimer()
-	if last.Total > 0 {
-		b.ReportMetric(100*float64(last.Extract)/float64(last.Total), "%extract")
-		b.ReportMetric(100*float64(last.TC)/float64(last.Total), "%closure")
-		b.ReportMetric(100*float64(last.Store)/float64(last.Total), "%store")
-	}
-}
-
-// BenchmarkAblationTCOperator — paper conclusion 8: the in-DBMS
-// transitive-closure operator vs the SQL-interface LFP loop.
-func BenchmarkAblationTCOperator(b *testing.B) {
-	tb := treeTestbed(b, 10)
-	node := workload.TreeNode(2)
-	b.Run("sql-lfp", func(b *testing.B) {
-		q := fmt.Sprintf("?- ancestor(%s, W).", node)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			runQuery(b, tb, q, nil)
-		}
-	})
-	b.Run("tc-operator", func(b *testing.B) {
-		seed := rel.NewString(node)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rtlib.TC(tb.DB(), "parent", &seed); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkQueryEndToEnd is the headline number: compile + evaluate the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dkbms"
 	"dkbms/internal/workload"
 )
 
@@ -39,13 +40,7 @@ func fig7(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			d, err := measure(cfg.reps(), func() (time.Duration, error) {
-				res, err := compileOnce(tb, fmt.Sprintf("?- %s(x, W).", heads[0]), false)
-				if err != nil {
-					return 0, err
-				}
-				return res.Compile.Extract, nil
-			})
+			d, err := measure(cfg.reps(), func() (time.Duration, error) { return extractTime(tb, heads[0], rr) })
 			tb.Close()
 			if err != nil {
 				return nil, err
@@ -92,13 +87,7 @@ func fig8(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := measure(cfg.reps(), func() (time.Duration, error) {
-			res, err := compileOnce(tb, fmt.Sprintf("?- %s(x, W).", heads[0]), false)
-			if err != nil {
-				return 0, err
-			}
-			return res.Compile.Extract, nil
-		})
+		d, err := measure(cfg.reps(), func() (time.Duration, error) { return extractTime(tb, heads[0], rr) })
 		tb.Close()
 		if err != nil {
 			return nil, err
@@ -106,6 +95,20 @@ func fig8(cfg Config) (*Report, error) {
 		rep.Rows = append(rep.Rows, []string{fmt.Sprint(rr), fmt.Sprint(rs), us(d)})
 	}
 	return rep, nil
+}
+
+// extractTime compiles the query on a chain's head predicate and
+// returns t_extract. It fails unless the compiler extracted exactly the
+// chain's rr rules, the R_r that fig7 and fig8 label the point with.
+func extractTime(tb *dkbms.Testbed, head string, rr int) (time.Duration, error) {
+	res, err := compileOnce(tb, fmt.Sprintf("?- %s(x, W).", head), false)
+	if err != nil {
+		return 0, err
+	}
+	if res.Compile.RelevantRules != rr {
+		return 0, fmt.Errorf("%d relevant rules extracted from a chain of %d", res.Compile.RelevantRules, rr)
+	}
+	return res.Compile.Extract, nil
 }
 
 // fig9 — Test 2: t_readdict versus P_s (total stored predicates) for

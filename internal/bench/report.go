@@ -1,8 +1,8 @@
 // Package bench implements the paper's experiments (§5.3): one runner
 // per table and figure, each regenerating the same rows/series the
 // paper reports, over the testbed's own workload generators. The
-// cmd/dkbbench binary prints the reports; bench_test.go wraps the
-// runners as testing.B benchmarks; EXPERIMENTS.md records paper-vs-
+// cmd/dkbbench binary prints the reports, writes them as JSON and gates
+// them against committed baselines; EXPERIMENTS.md records paper-vs-
 // measured conclusions.
 package bench
 

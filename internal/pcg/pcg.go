@@ -123,9 +123,6 @@ type Node struct {
 	// RecursiveRules are the rules whose body mentions a predicate
 	// mutually recursive with the head. Empty for non-recursive nodes.
 	RecursiveRules []dlog.Clause
-	// Deps indexes the earlier Order entries this node's rule bodies
-	// read (its predecessors in the evaluation-order DAG).
-	Deps []int
 }
 
 // Analysis is the result of analyzing a rule set for a set of root
@@ -189,31 +186,6 @@ func Analyze(g *Graph, roots ...string) (*Analysis, error) {
 		}
 		node.Recursive = len(comp) > 1 || len(node.RecursiveRules) > 0
 		a.Order = append(a.Order, node)
-	}
-	// Wire the evaluation-order DAG: node i depends on the node defining
-	// each derived predicate its rule bodies mention (clique-internal
-	// references excluded — those are the LFP itself, not an ordering
-	// edge). tarjan's emission order guarantees dependencies precede
-	// dependents, so every edge points at an earlier index.
-	nodeOf := make(map[string]int)
-	for i, n := range a.Order {
-		for _, p := range n.Preds {
-			nodeOf[p] = i
-		}
-	}
-	for i, n := range a.Order {
-		seen := make(map[int]bool)
-		for _, rules := range [][]dlog.Clause{n.ExitRules, n.RecursiveRules} {
-			for _, c := range rules {
-				for _, b := range c.Body {
-					if j, ok := nodeOf[b.Pred]; ok && j != i && !seen[j] {
-						seen[j] = true
-						n.Deps = append(n.Deps, j)
-					}
-				}
-			}
-		}
-		sort.Ints(n.Deps)
 	}
 	return a, nil
 }

@@ -265,6 +265,10 @@ func TestDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestNodeDeps: the evaluation order puts every node after the nodes it
+// reads. Each derived predicate a node's rules read is defined by that
+// node or an earlier one, and the {p,q} clique reads p1 and p2 from
+// earlier nodes.
 func TestNodeDeps(t *testing.T) {
 	g := Build(paperRules(t))
 	a, err := Analyze(g, "p")
@@ -277,25 +281,32 @@ func TestNodeDeps(t *testing.T) {
 			pos[p] = i
 		}
 	}
-	deps := func(pred string) []int { return a.Order[pos[pred]].Deps }
-	// p1 and p2 only read base predicates (and themselves): no deps.
-	if len(deps("p1")) != 0 || len(deps("p2")) != 0 {
-		t.Fatalf("leaf cliques have deps: p1=%v p2=%v", deps("p1"), deps("p2"))
-	}
-	// The {p,q} clique reads p1 (R1) and p2 (q's exit rule); its
-	// clique-internal edges (p<->q) must not appear.
-	want := []int{pos["p1"], pos["p2"]}
-	sort.Ints(want)
-	got := deps("p")
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("p,q deps = %v, want %v", got, want)
-	}
-	// Every dep index points strictly earlier in the order.
-	for i, n := range a.Order {
-		for _, d := range n.Deps {
-			if d >= i {
-				t.Fatalf("node %d (%v) depends on %d, not earlier", i, n.Preds, d)
+	// reads maps each derived predicate a node's rules read outside
+	// the node to the position of the node defining it.
+	reads := func(i int) map[string]int {
+		n := a.Order[i]
+		out := map[string]int{}
+		for _, c := range append(append([]dlog.Clause(nil), n.ExitRules...), n.RecursiveRules...) {
+			for _, b := range c.Body {
+				if j, ok := pos[b.Pred]; ok && j != i {
+					out[b.Pred] = j
+				}
 			}
 		}
+		return out
+	}
+	for i, n := range a.Order {
+		for pred, j := range reads(i) {
+			if j > i {
+				t.Errorf("node %d %v reads %s, defined by later node %d", i, n.Preds, pred, j)
+			}
+		}
+	}
+	got := reads(pos["p"])
+	if len(got) != 2 || got["p1"] != pos["p1"] || got["p2"] != pos["p2"] {
+		t.Fatalf("the {p,q} clique reads %v from other nodes, want p1 and p2", got)
+	}
+	if pos["p"] != pos["q"] || pos["p1"] >= pos["p"] || pos["p2"] >= pos["p"] {
+		t.Fatalf("order %v", pos)
 	}
 }

@@ -65,7 +65,8 @@ func (s Strategy) String() string {
 type Options struct {
 	Strategy Strategy
 	// KeepTables, when set, skips the final cleanup so callers can
-	// inspect derived relations; Cleanup must then be called manually.
+	// keep the derived relations: Result.Detach hands them over, and
+	// the caller then drops them.
 	KeepTables bool
 	// Trace, when non-nil, records an "eval" span tree: one span per
 	// evaluation-order node, per LFP iteration (delta cardinalities,
@@ -118,21 +119,11 @@ type Result struct {
 	ev *evaluator
 }
 
-// Cleanup drops any temp tables kept alive by Options.KeepTables.
-func (r *Result) Cleanup() error {
-	if r.ev == nil {
-		return nil
-	}
-	err := r.ev.temps.DropAll()
-	r.ev = nil
-	return err
-}
-
 // Detach transfers ownership of the evaluation's derived relations to
 // the caller: the predicate→temp-table map and the list of tables to
 // drop eventually (the materialized-view layer wraps them and maintains
-// them in place). After Detach, Cleanup is a no-op; both return nil
-// maps unless the evaluation ran with Options.KeepTables. The
+// them in place). It returns nil maps unless the evaluation ran with
+// Options.KeepTables, and on every call after the first. The
 // evaluation is complete by the time a Result exists, so no lock is
 // needed.
 func (r *Result) Detach() (tables map[string]string, created []string) {

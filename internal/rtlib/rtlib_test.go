@@ -203,6 +203,10 @@ func TestNoTempTablesRemain(t *testing.T) {
 	}
 }
 
+// TestKeepTablesAndCleanup: KeepTables leaves the derived relations in
+// the catalog for Detach to hand over; dropping the tables Detach
+// reports as created restores the catalog, and a second Detach hands
+// over nothing.
 func TestKeepTablesAndCleanup(t *testing.T) {
 	d := db.OpenMemory()
 	defer d.Close()
@@ -216,15 +220,20 @@ func TestKeepTablesAndCleanup(t *testing.T) {
 	if len(d.Catalog().Tables()) <= before {
 		t.Fatal("KeepTables did not keep anything")
 	}
-	if err := res.Cleanup(); err != nil {
-		t.Fatal(err)
+	tables, created := res.Detach()
+	if len(tables) == 0 || len(created) == 0 {
+		t.Fatalf("Detach handed over tables %v, created %v", tables, created)
 	}
-	if len(d.Catalog().Tables()) != before {
-		t.Fatal("Cleanup left tables behind")
+	for _, name := range created {
+		if err := d.DropTable(name); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Second cleanup is a no-op.
-	if err := res.Cleanup(); err != nil {
-		t.Fatal(err)
+	if after := len(d.Catalog().Tables()); after != before {
+		t.Fatalf("dropping the created tables left %d tables, want %d (%v)", after, before, d.Catalog().Tables())
+	}
+	if tables, created := res.Detach(); tables != nil || created != nil {
+		t.Fatalf("second Detach handed over tables %v, created %v", tables, created)
 	}
 }
 

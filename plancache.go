@@ -16,20 +16,18 @@ import (
 // it reads stand still, its memoized answer.
 const planCacheEntries = 128
 
-// planKey identifies a cacheable query: its source text plus the
-// compilation/evaluation options (QueryOptions is a comparable struct,
-// so the key is directly usable in a map).
+// planKey identifies a cacheable query by what changes its program or
+// its answer: the source text, Naive and NoOptimize. opts carries only
+// those two options, so runs that differ in the others (Trace, QueryID,
+// the ignored Parallel) share one entry.
 type planKey struct {
 	src  string
 	opts QueryOptions
 }
 
-// newPlanKey keys a request. The trace flag and the per-request query
-// ID do not change the plan, so traced and untraced runs share one.
+// newPlanKey keys a request.
 func newPlanKey(src string, opts *QueryOptions) planKey {
-	key := planKey{src: src, opts: *opts}
-	key.opts.Trace, key.opts.QueryID = false, 0
-	return key
+	return planKey{src: src, opts: QueryOptions{Naive: opts.Naive, NoOptimize: opts.NoOptimize}}
 }
 
 // planEntry is one cached compilation. The compiled program is valid
