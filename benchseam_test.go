@@ -13,10 +13,11 @@ import (
 
 // TestBenchSeamUnused holds the seam to benchmark/: the identifiers kept
 // for benchmark/ only are used nowhere else in the module. Outside
-// benchmark/, testdata, benchseam.go and internal/sched, no file may
-// name SchedStats, select or set a field Parallel (the declaration of
-// QueryOptions.Parallel is a field, not a selector), or import
-// dkbms/internal/sched.
+// benchmark/, testdata, benchseam.go, internal/sched and
+// internal/matview, no file may name SchedStats or MatViewStats, select
+// or set a field Parallel (the declaration of QueryOptions.Parallel is
+// a field, not a selector), or import dkbms/internal/sched or
+// dkbms/internal/matview.
 func TestBenchSeamUnused(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -26,7 +27,8 @@ func TestBenchSeamUnused(t *testing.T) {
 		if d.IsDir() {
 			name := d.Name()
 			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") ||
-				path == "benchmark" || path == filepath.Join("internal", "sched") {
+				path == "benchmark" || path == filepath.Join("internal", "sched") ||
+				path == filepath.Join("internal", "matview") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -57,7 +59,7 @@ type seamUse struct {
 func seamUses(f *ast.File) []seamUse {
 	var uses []seamUse
 	for _, imp := range f.Imports {
-		if p, _ := strconv.Unquote(imp.Path.Value); p == "dkbms/internal/sched" {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == "dkbms/internal/sched" || p == "dkbms/internal/matview" {
 			uses = append(uses, seamUse{imp.Pos(), "an import of " + p})
 		}
 	}
@@ -70,8 +72,8 @@ func seamUses(f *ast.File) []seamUse {
 				called[sel] = true
 			}
 		case *ast.Ident:
-			if n.Name == "SchedStats" {
-				uses = append(uses, seamUse{n.Pos(), "the identifier SchedStats"})
+			if n.Name == "SchedStats" || n.Name == "MatViewStats" {
+				uses = append(uses, seamUse{n.Pos(), "the identifier " + n.Name})
 			}
 		case *ast.SelectorExpr:
 			if n.Sel.Name == "Parallel" && !called[n] {

@@ -15,7 +15,7 @@
 //
 // The query port carries PING, LOAD, QUERY and RETRACT. Telemetry is
 // served by the debug listener alone: /metrics (Prometheus text),
-// /metrics.json, /slowlog, /views, /healthz and /debug/{trace,pprof}.
+// /metrics.json, /slowlog, /healthz and /debug/{trace,pprof}.
 // Its endpoints serve current values; dkbd keeps no history of its
 // metrics. dkbtop takes rates from its own successive polls, and a
 // Prometheus scraper of /metrics keeps history across longer spans.
@@ -52,7 +52,7 @@ func main() {
 	flag.StringVar(&cfg.load, "load", "", "Horn-clause program to load at startup")
 	flag.IntVar(&cfg.maxConns, "maxconns", server.DefaultMaxConns, "max simultaneous sessions")
 	flag.DurationVar(&cfg.ioTimeout, "iotimeout", server.DefaultIOTimeout, "per-request I/O deadline (negative = no deadline)")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "127.0.0.1:7408", "HTTP debug listen address serving /metrics /metrics.json /debug/trace /slowlog /views /healthz /debug/pprof (empty = disabled)")
+	flag.StringVar(&cfg.debugAddr, "debug-addr", "127.0.0.1:7408", "HTTP debug listen address serving /metrics /metrics.json /debug/trace /slowlog /healthz /debug/pprof (empty = disabled)")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "log level: debug|info|warn|error")
 	flag.StringVar(&cfg.logFormat, "log-format", "text", "log format: text|json")
 	flag.IntVar(&cfg.slowSize, "slowlog-size", 0, "slow-query ring capacity (0 = default)")
@@ -156,7 +156,7 @@ func run(cfg config) error {
 				dbg.Close()
 			}
 		}
-		fmt.Printf("dkbd: debug endpoints on http://%s/{metrics,metrics.json,slowlog,views,healthz,debug/trace,debug/pprof}\n", cfg.debugAddr)
+		fmt.Printf("dkbd: debug endpoints on http://%s/{metrics,metrics.json,slowlog,healthz,debug/trace,debug/pprof}\n", cfg.debugAddr)
 	}
 
 	ready := make(chan net.Addr, 1)

@@ -144,6 +144,6 @@ commands (remote session):
   .opts WORDS     naive|seminaive  magic|nomagic
   .quit
 server telemetry is on dkbd's debug listener, not this session:
-  /metrics.json, /slowlog and /views (or watch it with dkbtop)
+  /metrics.json and /slowlog (or watch it with dkbtop)
 `)
 }

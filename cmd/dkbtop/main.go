@@ -195,12 +195,6 @@ func render(h history) string {
 		h.withRate("snapshot.commits"), cur.get("snapshot.copied_tables"),
 		cur.get("snapshot.reclaim_backlog"), time.Duration(cur.get("snapshot.writer_stall_ns")))
 
-	// Materialized views: maintenance throughput vs forced re-derivations.
-	fmt.Fprintf(&b, "views %d live  maintained %s  rederived %d  delta %d tuples  spent %v\n",
-		cur.get("matview.live"), h.withRate("matview.maintained"),
-		cur.get("matview.rederives"), cur.get("matview.delta_tuples"),
-		time.Duration(cur.get("matview.maintain_ns")))
-
 	// Sparklines over the polls so far: throughput shape, cache health
 	// and reclamation lag at a glance.
 	if len(h) > 1 {

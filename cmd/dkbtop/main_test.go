@@ -47,11 +47,6 @@ func TestRender(t *testing.T) {
 		{Name: "plan.entries", Kind: "gauge", Value: 12},
 		{Name: "dkb.generation", Kind: "gauge", Value: 4},
 		{Name: "snapshot.commits", Kind: "counter", Value: 9},
-		{Name: "matview.live", Kind: "gauge", Value: 2},
-		{Name: "matview.maintained", Kind: "counter", Value: 90},
-		{Name: "matview.rederives", Kind: "counter", Value: 6},
-		{Name: "matview.delta_tuples", Kind: "counter", Value: 410},
-		{Name: "matview.maintain_ns", Kind: "counter", Value: int64(3 * time.Millisecond)},
 		{Name: "table.parent_2.rows", Kind: "gauge", Value: 1022},
 		{Name: "table.parent_2.heap_reads", Kind: "counter", Value: 7},
 		{Name: "table.parent_2.heap_recs_scanned", Kind: "counter", Value: 5000},
@@ -69,14 +64,12 @@ func TestRender(t *testing.T) {
 	prev := pollAt(0,
 		obs.Metric{Name: "server.requests", Kind: "counter", Value: 100},
 		obs.Metric{Name: "snapshot.commits", Kind: "counter", Value: 4},
-		obs.Metric{Name: "matview.maintained", Kind: "counter", Value: 89},
 	)
 	out := render(history{prev, cur})
 
 	for _, w := range []string{
 		"requests 150 (5.0/s)",
 		"commits 9 (0.5/s)",
-		"maintained 90 (0.1/s)",
 		"errors 2",
 		"sessions 3/7 active",
 		"p50 2ms",
@@ -84,9 +77,6 @@ func TestRender(t *testing.T) {
 		"pool 93% hit",
 		"plan 50% hit",
 		"gen 4",
-		"views 2 live",
-		"rederived 6",
-		"delta 410 tuples",
 		"trend 2 polls over 10s",
 		"parent_2",
 		"1022",

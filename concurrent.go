@@ -11,7 +11,6 @@ import (
 	"dkbms/internal/core"
 	"dkbms/internal/db"
 	"dkbms/internal/dlog"
-	"dkbms/internal/matview"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
 	"dkbms/internal/snapshot"
@@ -70,7 +69,7 @@ func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 	c := &ConcurrentTestbed{
 		tb:    tb,
 		snaps: snapshot.NewStore(BaseTableName("")),
-		plans: newPlanCache(tb.db),
+		plans: newPlanCache(),
 	}
 	c.publish(0) // the initial snapshot: the testbed state as wrapped
 	return c
@@ -140,22 +139,11 @@ func (c *ConcurrentTestbed) shadow(tables []string) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// publish installs the successor snapshot with no invalidation event:
-// the plan cache treats the commit as an unknown mutation and drops
-// stale memos instead of maintaining them. Failed commit exit paths use
-// this — a partially applied update may have moved tables or
-// generations in ways the intended event no longer describes.
+// publish installs the successor snapshot from the live catalog state
+// (every non-temp table) and the current generations, then drops the
+// plan cache's stale programs and memos. It runs on every commit exit
+// path, failed ones included. Caller holds commitMu.
 func (c *ConcurrentTestbed) publish(buildCost time.Duration) {
-	c.publishEvent(buildCost, nil)
-}
-
-// publishEvent installs the successor snapshot from the live catalog
-// state (every non-temp table) and the current generations, then
-// reconciles the plan cache against the typed invalidation event:
-// memoized answers whose programs read the committed fact deltas are
-// maintained in place (below the cost crossover), everything staler is
-// dropped. It runs on every commit exit path. Caller holds commitMu.
-func (c *ConcurrentTestbed) publishEvent(buildCost time.Duration, ev *matview.Event) {
 	cat := c.tb.db.Catalog()
 	tables := make(map[string]*catalog.Table)
 	for _, name := range cat.Tables() {
@@ -165,18 +153,15 @@ func (c *ConcurrentTestbed) publishEvent(buildCost time.Duration, ev *matview.Ev
 		}
 		tables[name] = t
 	}
-	prev := c.snaps.Current()
-	s := c.snaps.Publish(tables, c.tb.ruleGen, c.tb.ws, buildCost)
-	c.plans.Invalidate(prev, s, ev)
+	c.plans.Invalidate(c.snaps.Publish(tables, c.tb.ruleGen, c.tb.ws, buildCost))
 }
 
 // commit runs one write as a copy-on-write commit. It plans the write
 // under commitMu, so what the plan read still holds when it applies;
 // clones the workspace when rules move; shadows the plan's tables and
-// applies; and publishes the event the plan implies. A plan that mutates
-// nothing publishes nothing. A failed apply publishes with no event: a
-// partial write may have moved tables the planned deltas no longer
-// describe.
+// applies; and publishes. A plan that mutates nothing publishes
+// nothing; a failed apply still publishes, since a partial write may
+// have moved tables.
 func (c *ConcurrentTestbed) commit(plan func() (write, error)) (write, error) {
 	//dkblint:locksafe single-writer commit protocol: writers serialize on commitMu through copy-and-publish I/O; readers never take it
 	c.commitMu.Lock()
@@ -197,16 +182,8 @@ func (c *ConcurrentTestbed) commit(plan func() (write, error)) (write, error) {
 	if err == nil {
 		err = w.apply()
 	}
-	if err != nil {
-		c.publish(cost)
-		return w, err
-	}
-	ev := &matview.Event{Kind: matview.EventCommit, Deltas: w.deltas}
-	if w.rules {
-		ev = &matview.Event{Kind: matview.EventRuleGen}
-	}
-	c.publishEvent(cost, ev)
-	return w, nil
+	c.publish(cost)
+	return w, err
 }
 
 // Load enters a Horn-clause program as one commit: the fact relations
@@ -299,7 +276,7 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
 		tr.Root().SetInt("query_id", int64(qid))
 	}
-	compiled, memo, status, keep := c.plans.lookup(key, s)
+	compiled, memo, status := c.plans.lookup(key, s)
 	if compiled == nil {
 		if compiled, err = c.compile(s, key, tr); err != nil {
 			return nil, err
@@ -313,26 +290,17 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 		}
 		status = "plan" // a traced run re-evaluates the current answer
 	}
-	// An untraced answer keeps its evaluation's derived relations only
-	// once a commit has moved the memo's inputs: the view layer then
-	// refreshes them (and the memo) through later commits. A memo whose
-	// inputs stand still keeps only its rows. Traced runs never publish
-	// answers, so they keep nothing.
-	keep = keep && !trace
 	vdb, _ := c.view(s)
-	res, rres, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr, keep)
+	res, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr)
 	if err != nil {
 		return nil, err
 	}
 	res.Snapshot = s.Gen
-	switch {
-	case trace:
-		c.plans.store(key, s, compiled, nil, nil)
-	case keep:
-		tables, created := rres.Detach()
-		c.plans.store(key, s, compiled, res, matview.New(compiled.Program, tables, created))
-	default:
-		c.plans.store(key, s, compiled, res, nil)
+	if trace {
+		// A traced run shares the plan but never publishes its answer.
+		c.plans.store(key, s, compiled, nil)
+	} else {
+		c.plans.store(key, s, compiled, res)
 	}
 	// The stored answer is query-neutral; the caller's copy carries the ID.
 	out := shareResult(res, shared)

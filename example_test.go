@@ -71,10 +71,9 @@ func ExampleTestbed_Update() {
 
 // ExampleConcurrentTestbed_Query sends one query text four times: the
 // shared plan cache compiles it on the first and answers the second
-// from the memoized result. A fact load moves the memo's input, so the
-// third re-evaluates the kept plan, and keeps its derived relations as
-// a view; after a second load, the fourth is served from the answer
-// view maintenance kept current.
+// from the memoized result. A fact load moves the memo's input and
+// drops it, so the third re-evaluates the kept plan, and so does the
+// fourth after a second load.
 func ExampleConcurrentTestbed_Query() {
 	c := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer c.Close()
@@ -101,5 +100,5 @@ func ExampleConcurrentTestbed_Query() {
 	// miss 1
 	// result 1
 	// plan 2
-	// maintained 3
+	// plan 3
 }

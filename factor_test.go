@@ -159,8 +159,8 @@ func loadProgram(t testing.TB, rules []dlog.Clause, facts map[string][]rel.Tuple
 // generated linear recursion runs in every mode twice — as the
 // Optimizer compiles it (factored where magic.Factor accepts it) and
 // with generalized magic sets forced — and both must equal the
-// reference; then the served path, factored, keeps a maintained view
-// of it equal to the reference through a load and a retract. The
+// reference; then the served path, factored, answers equal to the
+// reference through a load and a retract. The
 // rewrite must accept at least half the trials, so the axis cannot pass
 // without factoring anything.
 func TestFactoredProgramsAgainstReference(t *testing.T) {

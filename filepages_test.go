@@ -43,12 +43,11 @@ func chainSrc(prefix string, from, n int) string {
 
 // TestFileHoldsOnlyStoredPages runs four sessions on one file. Each
 // loads facts, poses bound recursive queries, commits to the relation
-// they read — so the plan cache keeps their memos as maintained views,
-// whose temp tables are alive when the session closes — queries again
-// and closes. The temp tables live in memory, so after every reopen
-// the superblock, the catalog, the stored tables and the free list
-// account for every page of the file, and the file does not grow with
-// the number of sessions.
+// they read twice — each commit dropping the memos, so the queries
+// re-evaluate in temp tables — and closes. The temp tables live in
+// memory, so after every reopen the superblock, the catalog, the stored
+// tables and the free list account for every page of the file, and the
+// file does not grow with the number of sessions.
 func TestFileHoldsOnlyStoredPages(t *testing.T) {
 	const sessions, edges, queries = 4, 30, 4
 	path := filepath.Join(t.TempDir(), "dkb.db")
@@ -79,16 +78,13 @@ func TestFileHoldsOnlyStoredPages(t *testing.T) {
 		for k := 0; k < queries; k++ {
 			query(k, edges, "miss")
 		}
-		for i, cache := range []string{"plan", "maintained"} {
+		for i := 0; i < 2; i++ {
 			if err := c.Load(chainSrc(prefix, edges+i, 1)); err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < queries; k++ {
-				query(k, edges+i+1, cache)
+				query(k, edges+i+1, "plan")
 			}
-		}
-		if st := c.MatViewStats(); st.Live == 0 {
-			t.Fatalf("session %d closes with no live view: nothing holds temp tables", s)
 		}
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
@@ -121,10 +117,12 @@ const churnFileFactor = 2
 // TestChurnFileSizeBounded drives a file-backed ConcurrentTestbed the
 // way serve_churn does: families of facts loaded under the leaves of a
 // small tree and retracted again, a fact now and then into a relation
-// no query reads, and bound closure reads in between, which keep their
-// memos as maintained views. After about 1 000 commits and a clean
-// close, the reopened file holds at most churnFileFactor times the
-// pages its catalog and stored tables own, and nothing it cannot reach.
+// no query reads, and bound closure reads in between, which re-evaluate
+// after each commit that moves their inputs. After about 1 000 commits
+// the catalog holds no temp table — a read keeps no accumulator — and
+// after a clean close, the reopened file holds at most churnFileFactor
+// times the pages its catalog and stored tables own, and nothing it
+// cannot reach.
 func TestChurnFileSizeBounded(t *testing.T) {
 	const commits, depth = 1000, 4
 	path := filepath.Join(t.TempDir(), "churn.db")
@@ -197,6 +195,9 @@ func TestChurnFileSizeBounded(t *testing.T) {
 			read(n)
 		}
 	}
+	if names := tempTables(c); len(names) != 0 {
+		t.Errorf("after %d commits the catalog holds temp tables %v", commits, names)
+	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +215,8 @@ func TestChurnFileSizeBounded(t *testing.T) {
 // TestTempRegionGauges: a recursive query's temp tables take pages of
 // the temp region, which pool.temp_pages reports; when no temp table
 // lives, every one of them is on the temp free list
-// (pool.temp_free_pages). A view kept for maintenance holds temp pages
-// until it is dropped.
+// (pool.temp_free_pages), also after a commit and the re-evaluation it
+// causes.
 func TestTempRegionGauges(t *testing.T) {
 	tb := NewMemory()
 	c := NewConcurrent(tb)
@@ -250,19 +251,13 @@ func TestTempRegionGauges(t *testing.T) {
 		t.Errorf("no temp table lives, yet pool.temp_free_pages is %d of %d", free, pages)
 	}
 
-	// A commit to the chain makes the re-evaluated memo keep a view.
+	// A commit to the chain drops the memo; the re-evaluation frees its
+	// temp pages as the first evaluation did.
 	if err := c.Load(chainSrc("n", 20, 1)); err != nil {
 		t.Fatal(err)
 	}
 	query()
-	if st := c.MatViewStats(); st.Live == 0 {
-		t.Fatal("the re-evaluated memo kept no view")
-	}
-	if pages, free = gauges(); free >= pages {
-		t.Errorf("a live view holds no temp page: pool.temp_free_pages %d of %d", free, pages)
-	}
-	dropViews(t, c)
 	if pages, free = gauges(); free != pages {
-		t.Errorf("after the views are dropped, pool.temp_free_pages is %d of %d", free, pages)
+		t.Errorf("after a re-evaluation, pool.temp_free_pages is %d of %d", free, pages)
 	}
 }

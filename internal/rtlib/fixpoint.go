@@ -14,7 +14,7 @@ import (
 )
 
 // TempTables creates, registers and tears down the temporary relations
-// of one evaluation or maintenance run. Every temp table in the module
+// of one evaluation run. Every temp table in the module
 // is born here, so nothing a run creates can escape its teardown.
 type TempTables struct {
 	d *db.DB
@@ -23,8 +23,8 @@ type TempTables struct {
 	live map[string]bool
 }
 
-// NewTempTables returns an empty registry over d.
-func NewTempTables(d *db.DB) *TempTables {
+// newTempTables returns an empty registry over d.
+func newTempTables(d *db.DB) *TempTables {
 	return &TempTables{d: d, live: make(map[string]bool)}
 }
 
@@ -74,13 +74,10 @@ func (t *TempTables) DropAll() error {
 	return firstErr
 }
 
-// Fixpoint describes one semi-naive least-fixed-point computation: the
-// paper's LFP routine (§3.3), configured by the data structures its
-// caller loads. Run is the only semi-naive round loop in the module;
-// the fields are exactly what differs between its callers — a clique of
-// the evaluation order list (Evaluate), and a materialized view
-// absorbing a commit's insertions or hunting deletion candidates
-// (matview).
+// Fixpoint describes one semi-naive least-fixed-point computation over a
+// clique of the evaluation order list: the paper's LFP routine (§3.3),
+// configured by the data structures Evaluate loads. Run is the only
+// semi-naive round loop in the module.
 type Fixpoint struct {
 	DB    *db.DB
 	Temps *TempTables
@@ -98,16 +95,11 @@ type Fixpoint struct {
 	// position whose predicate has a current delta, that position
 	// reading the delta and the others TableOf.
 	Rules []codegen.RuleSQL
-	// TableOf resolves a predicate at a non-delta FROM position.
+	// TableOf resolves a predicate to its relation: a derived
+	// predicate's accumulator — which its new tuples are deduplicated
+	// against and promoted into — or a base predicate's extensional
+	// table.
 	TableOf func(pred string) string
-	// Into names the relation a head predicate's new tuples are
-	// deduplicated against and promoted into.
-	Into func(pred string) string
-	// First, when non-nil, gives the first delta: it maps predicates (of
-	// Preds or not) to caller-owned relations holding tuples already
-	// present in TableOf. When nil the first delta is computed
-	// ("iteration 0") from the exit rules.
-	First map[string]string
 	// Span, when non-nil, receives one "iteration N" span per round.
 	Span *obs.Span
 	// Stats, when non-nil, accumulates the run's rounds and time split.
@@ -116,13 +108,12 @@ type Fixpoint struct {
 	// fixpoints shares one among them.
 	Stmts *Statements
 
-	// exit rules compute the first delta of a clique: evaluated over
-	// TableOf into Into, whose contents then are the delta.
+	// exit rules compute the first delta of a clique: evaluated into
+	// the accumulators, whose contents then are the delta.
 	exit []codegen.RuleSQL
 	// cur and next map predicates to their current and pending delta
-	// tables; own is false while cur is the caller's First.
+	// tables.
 	cur, next map[string]string
-	own       bool
 }
 
 // differential is one execution of a rule statement: the rule prepared
@@ -181,30 +172,26 @@ func (fp *Fixpoint) Run() error {
 	}
 }
 
-// begin produces the first delta: the caller's First, or — computing
-// one is "iteration 0" — the exit rules evaluated into Into, whose
-// contents (seeds included) are copied into delta_0.
+// begin produces the first delta ("iteration 0"): the exit rules
+// evaluated into the accumulators, whose contents (seeds included) are
+// copied into delta_0.
 func (fp *Fixpoint) begin() error {
-	if fp.First != nil {
-		fp.cur, fp.own = fp.First, false
-		return nil
-	}
 	zero := fp.Span.Start("iteration 0")
 	defer zero.End()
 	for i := range fp.exit {
 		r := &fp.exit[i]
-		if err := fp.insertAll(r, fp.Into(r.Head), zero); err != nil {
+		if err := fp.insertAll(r, fp.TableOf(r.Head), zero); err != nil {
 			return err
 		}
 	}
-	fp.cur, fp.own = make(map[string]string, len(fp.Preds)), true
+	fp.cur = make(map[string]string, len(fp.Preds))
 	for _, p := range fp.Preds {
 		name := fp.Prefix + "delta_" + sanitize(p)
 		if err := fp.createTemp(name, p); err != nil {
 			return err
 		}
 		t0 := time.Now()
-		if err := fp.copyRows(p, name, fp.Into(p)); err != nil {
+		if err := fp.copyRows(p, name, fp.TableOf(p)); err != nil {
 			return err
 		}
 		fp.Stats.TempTable += time.Since(t0)
@@ -259,7 +246,7 @@ func (fp *Fixpoint) round() (done bool, err error) {
 	}
 	for _, j := range jobs {
 		head := j.rule.Head
-		if err := fp.insertRule(j, fp.next[head], fp.Into(head), it); err != nil {
+		if err := fp.insertRule(j, fp.next[head], fp.TableOf(head), it); err != nil {
 			return false, err
 		}
 	}
@@ -279,7 +266,7 @@ func (fp *Fixpoint) round() (done bool, err error) {
 		}
 		if it != nil {
 			it.SetInt("delta("+p+")", n)
-			it.SetInt("acc("+p+")", int64(fp.DB.TableRows(fp.Into(p))))
+			it.SetInt("acc("+p+")", int64(fp.DB.TableRows(fp.TableOf(p))))
 		}
 	}
 	return done, nil
@@ -347,16 +334,16 @@ func (fp *Fixpoint) createTemp(name, pred string) error {
 	return err
 }
 
-// retire drops pred's current delta table, if the run created it.
+// retire drops pred's current delta table, if it has one.
 func (fp *Fixpoint) retire(pred string) error {
-	if t, ok := fp.cur[pred]; ok && fp.own {
+	if t, ok := fp.cur[pred]; ok {
 		return fp.Temps.drop(t)
 	}
 	return nil
 }
 
-// advance promotes each non-empty pending delta into Into and makes the
-// pending deltas current; an empty one is dropped instead.
+// advance promotes each non-empty pending delta into its accumulator and
+// makes the pending deltas current; an empty one is dropped instead.
 func (fp *Fixpoint) advance() error {
 	for _, p := range fp.Preds {
 		t0 := time.Now()
@@ -366,7 +353,7 @@ func (fp *Fixpoint) advance() error {
 					return err
 				}
 				delete(fp.next, p)
-			} else if err := fp.copyRows(p, fp.Into(p), t); err != nil {
+			} else if err := fp.copyRows(p, fp.TableOf(p), t); err != nil {
 				return err
 			}
 		}
@@ -375,7 +362,7 @@ func (fp *Fixpoint) advance() error {
 		}
 		fp.Stats.TempTable += time.Since(t0)
 	}
-	fp.cur, fp.own = fp.next, true
+	fp.cur = fp.next
 	return nil
 }
 

@@ -25,7 +25,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 	if sp != nil {
 		zero := sp.Start("iteration 0")
 		for _, p := range fp.Preds {
-			zero.SetInt("delta("+p+")", int64(d.TableRows(fp.Into(p))))
+			zero.SetInt("delta("+p+")", int64(d.TableRows(fp.TableOf(p))))
 		}
 		zero.End()
 	}
@@ -71,7 +71,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 			if err != nil {
 				return err
 			}
-			diff, err := missing.Query(evalCtx(fp.Ctx), nil, nil, newNames[p], fp.Into(p))
+			diff, err := missing.Query(evalCtx(fp.Ctx), nil, nil, newNames[p], fp.TableOf(p))
 			if err != nil {
 				return err
 			}
@@ -91,7 +91,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 		// part of the measured overhead).
 		for _, p := range fp.Preds {
 			t0 := time.Now()
-			old := fp.Into(p)
+			old := fp.TableOf(p)
 			if err := d.Exec("DELETE FROM " + old); err != nil {
 				return err
 			}

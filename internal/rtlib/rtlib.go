@@ -16,10 +16,8 @@
 // There is one semi-naive round loop, Fixpoint.Run — temp table per
 // round, EXCEPT chains, COUNT(*) termination — configured like the
 // paper's LFP routine by the data structures its caller loads (rules,
-// predicate→relation resolver, promotion target, source of the first
-// delta). Evaluate runs it per clique, in evaluation order;
-// internal/matview runs it to absorb a commit into a maintained answer.
-// One registry, TempTables, creates and tears down every temporary
+// predicate→relation resolver). Evaluate runs it per clique, in
+// evaluation order. One registry, TempTables, creates and tears down every temporary
 // relation, and one Statements per run holds its statements, prepared
 // once per database with tables and body constants as parameters, for
 // every round to rebind (the paper's precompiled embedded SQL).
@@ -64,10 +62,6 @@ func (s Strategy) String() string {
 // Options configure an evaluation run.
 type Options struct {
 	Strategy Strategy
-	// KeepTables, when set, skips the final cleanup so callers can
-	// keep the derived relations: Result.Detach hands them over, and
-	// the caller then drops them.
-	KeepTables bool
 	// Trace, when non-nil, records an "eval" span tree: one span per
 	// evaluation-order node, per LFP iteration (delta cardinalities,
 	// accumulator sizes, set-difference cost) and per generated SQL
@@ -115,24 +109,6 @@ type Result struct {
 	// Schema describes the rows.
 	Schema *rel.Schema
 	Stats  Stats
-
-	ev *evaluator
-}
-
-// Detach transfers ownership of the evaluation's derived relations to
-// the caller: the predicate→temp-table map and the list of tables to
-// drop eventually (the materialized-view layer wraps them and maintains
-// them in place). It returns nil maps unless the evaluation ran with
-// Options.KeepTables, and on every call after the first. The
-// evaluation is complete by the time a Result exists, so no lock is
-// needed.
-func (r *Result) Detach() (tables map[string]string, created []string) {
-	if r.ev == nil {
-		return nil, nil
-	}
-	ev := r.ev
-	r.ev = nil
-	return ev.tables, ev.temps.names()
 }
 
 // runSeq distinguishes concurrent evaluations' temp table names within
@@ -140,7 +116,8 @@ func (r *Result) Detach() (tables map[string]string, created []string) {
 // single DB); evaluations start concurrently.
 var runSeq atomic.Uint64
 
-// Evaluate runs a compiled program against the database.
+// Evaluate runs a compiled program against the database. Every
+// temporary relation it creates is dropped before it returns.
 func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 	seq := runSeq.Add(1)
 	ev := &evaluator{
@@ -149,8 +126,8 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 		opts:   opts,
 		prefix: fmt.Sprintf("dkb%d_", seq),
 		tables: make(map[string]string),
-		temps:  NewTempTables(d),
-		stmts:  NewStatements(d, prog.Schemas),
+		temps:  newTempTables(d),
+		stmts:  newStatements(d, prog.Schemas),
 	}
 	res, err := ev.run()
 	ev.stmts.Close()
@@ -159,12 +136,8 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 		ev.temps.DropAll()
 		return nil, err
 	}
-	if !opts.KeepTables {
-		if err := ev.temps.DropAll(); err != nil {
-			return nil, err
-		}
-	} else {
-		res.ev = ev
+	if err := ev.temps.DropAll(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -288,8 +261,7 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 	fp := &Fixpoint{
 		DB: ev.d, Temps: ev.temps, Ctx: ev.opts.Ctx, Prefix: ev.prefix,
 		Schemas: ev.prog.Schemas, Preds: node.Preds,
-		exit: node.ExitRules, Rules: node.RecursiveRules,
-		TableOf: ev.tableOf, Into: ev.tableOf,
+		exit: node.ExitRules, Rules: node.RecursiveRules, TableOf: ev.tableOf,
 		Span: sp, Stats: ns, Stmts: ev.stmts,
 	}
 	var err error
@@ -298,7 +270,7 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 		// Union of the node's rules, deduplicated.
 		for i := range node.ExitRules {
 			r := &node.ExitRules[i]
-			if err = fp.insertAll(r, fp.Into(r.Head), sp); err != nil {
+			if err = fp.insertAll(r, fp.TableOf(r.Head), sp); err != nil {
 				break
 			}
 		}

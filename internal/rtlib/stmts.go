@@ -10,7 +10,7 @@ import (
 	"dkbms/internal/rel"
 )
 
-// Statements holds the statements of one evaluation or maintenance run:
+// Statements holds the statements of one evaluation run:
 // the run's rules and its per-predicate copy, count and read
 // statements, with every table position a parameter and every body
 // constant a value parameter. A statement is prepared once per database
@@ -59,9 +59,9 @@ type useKey struct {
 	pred string
 }
 
-// NewStatements returns an empty set over d. schemas holds the derived
+// newStatements returns an empty set over d. schemas holds the derived
 // predicates' schemas; a base predicate has its extensional table's.
-func NewStatements(d *db.DB, schemas map[string]*rel.Schema) *Statements {
+func newStatements(d *db.DB, schemas map[string]*rel.Schema) *Statements {
 	return &Statements{d: d, schemas: schemas, uses: make(map[useKey]*db.Stmt), keys: make(map[db.StmtID]*db.Stmt)}
 }
 
@@ -109,13 +109,11 @@ type RuleForm uint8
 
 // The forms. A run uses each of its rules in one of them.
 const (
-	// RuleSelect is the rule body alone.
-	RuleSelect RuleForm = iota
 	// RuleInsert adds to $n+1 the body's tuples it lacks (exit rules,
 	// naive evaluation):
 	//
 	//	INSERT INTO $n+1 <body> EXCEPT SELECT * FROM $n+1
-	RuleInsert
+	RuleInsert RuleForm = iota
 	// RuleInsertNew adds to $n+1 the body's tuples neither it nor $n+2
 	// holds (a differential: pending delta and accumulated relation):
 	//
@@ -140,19 +138,17 @@ func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 	}
 	pos := 0
 	text := r.ParamSQL(func(string) string { pos++; return "$" + strconv.Itoa(pos) })
-	if form != RuleSelect {
-		head, err := s.schema(r.Head)
-		if err != nil {
-			return nil, err
-		}
-		target := "$" + strconv.Itoa(n+1)
-		params = append(params, head)
-		if form == RuleInsertNew {
-			params = append(params, head)
-			text += " EXCEPT SELECT * FROM $" + strconv.Itoa(n+2)
-		}
-		text = "INSERT INTO " + target + " " + text + " EXCEPT SELECT * FROM " + target
+	head, err := s.schema(r.Head)
+	if err != nil {
+		return nil, err
 	}
+	target := "$" + strconv.Itoa(n+1)
+	params = append(params, head)
+	if form == RuleInsertNew {
+		params = append(params, head)
+		text += " EXCEPT SELECT * FROM $" + strconv.Itoa(n+2)
+	}
+	text = "INSERT INTO " + target + " " + text + " EXCEPT SELECT * FROM " + target
 	st, err := s.d.Prepare(text, params...)
 	if err != nil {
 		return nil, fmt.Errorf("rtlib: rule %q: %w", r.Source, err)

@@ -1,12 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
 
-	"dkbms"
 	"dkbms/internal/obs"
 )
 
@@ -18,8 +16,6 @@ import (
 //	/debug/trace   Chrome/Perfetto trace-event JSON for one retained
 //	               query (?id=q<hex> from a RESULT echo or the slow log)
 //	/slowlog       slow-query ring snapshot (JSON object)
-//	/views         maintained materialized views, most recently used
-//	               first (JSON array)
 //	/healthz       liveness probe ("ok", 200)
 //	/debug/pprof/  Go runtime profiles
 //
@@ -74,18 +70,6 @@ func (s *Server) DebugHandler() http.Handler {
 	mux.HandleFunc("/slowlog", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		if err := s.slow.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-	mux.HandleFunc("/views", func(w http.ResponseWriter, _ *http.Request) {
-		views := s.tb.Views()
-		if views == nil {
-			views = []dkbms.MaterializedView{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(views); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})

@@ -3,8 +3,8 @@
 // protocol (internal/wire).
 //
 // Each accepted connection becomes a session goroutine running a strict
-// request/response loop. Read-only traffic (QUERY, STATS, SLOWLOG,
-// VIEWS, PING) runs concurrently across sessions, each query pinned to
+// request/response loop. Read-only traffic (QUERY, PING) runs
+// concurrently across sessions, each query pinned to
 // an immutable engine snapshot and served through the shared plan
 // cache; LOAD and RETRACT serialize on the single-writer commit path
 // and publish new snapshots without blocking readers. A
@@ -160,11 +160,6 @@ func (s *Server) initRegistry() {
 	counter("snapshot.copied_tables", func() int64 { return s.tb.SnapshotStats().CopiedTables })
 	counter("snapshot.writer_stall_ns", func() int64 { return int64(s.tb.SnapshotStats().WriterStall) })
 	counter("slowlog.recorded", s.slow.Recorded)
-	gauge("matview.live", func() int64 { return s.tb.MatViewStats().Live })
-	counter("matview.maintained", func() int64 { return s.tb.MatViewStats().Maintained })
-	counter("matview.rederives", func() int64 { return s.tb.MatViewStats().Rederives })
-	counter("matview.delta_tuples", func() int64 { return s.tb.MatViewStats().DeltaTuples })
-	counter("matview.maintain_ns", func() int64 { return int64(s.tb.MatViewStats().MaintainTime) })
 	// The engine floor — per-table heap traffic, per-index tree shape,
 	// the temp region's pages — is a dynamic metric set following the
 	// live schema, contributed through a collector.

@@ -737,11 +737,6 @@ func TestDebugEndpoints(t *testing.T) {
 	srv := server.New(tb, server.Options{})
 	hs := httptest.NewServer(srv.DebugHandler())
 	defer hs.Close()
-	var views []dkbms.MaterializedView
-	debugJSON(t, srv, "/views", &views)
-	if views == nil || len(views) != 0 {
-		t.Fatalf("/views on a fresh server = %+v, want []", views)
-	}
 	if err := tb.Load(baseProgram); err != nil {
 		t.Fatal(err)
 	}
@@ -831,34 +826,6 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatalf("/debug/pprof/cmdline = %d", code)
 	}
 
-	// A fact committed to the cached closure's relation makes its next
-	// run adopt a maintained view, and the commit after that maintains
-	// it; /views lists it as Views() does.
-	const q = "?- ancestor(c0, W)."
-	for _, step := range []string{"parent(c9, c10).", q, "parent(c10, c11)."} {
-		var err error
-		if step == q {
-			_, err = tb.Query(q, nil)
-		} else {
-			err = tb.Load(step)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-	}
-	code, body = get("/views")
-	if code != 200 {
-		t.Fatalf("/views = %d", code)
-	}
-	if err := json.Unmarshal([]byte(body), &views); err != nil {
-		t.Fatalf("/views is not JSON: %v\n%s", err, body)
-	}
-	if want := tb.Views(); len(views) != 1 || !slices.Equal(views, want) {
-		t.Fatalf("/views = %+v, Views() = %+v", views, want)
-	}
-	if v := views[0]; v.Query != q || v.Rows != 11 || v.Maintains != 1 {
-		t.Fatalf("/views lists %+v, want %q with 11 rows and 1 maintain", v, q)
-	}
 }
 
 func TestSessionStructuredLogging(t *testing.T) {

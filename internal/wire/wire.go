@@ -13,9 +13,8 @@
 // protocol is deliberately small — request types mirroring the
 // testbed's public operations (PING, LOAD, QUERY, RETRACT) and their
 // replies — so that a session is a strict request/response alternation
-// over one TCP connection. Telemetry (metrics, the slow-query log, the
-// maintained views) is not on this protocol: dkbd serves it over HTTP
-// on its debug listener.
+// over one TCP connection. Telemetry (metrics, the slow-query log) is
+// not on this protocol: dkbd serves it over HTTP on its debug listener.
 //
 // Each end of a connection builds and reads frames in buffers it owns:
 // Frame begins a frame in one, WriteFrame completes its header and

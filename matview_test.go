@@ -1,13 +1,14 @@
 package dkbms
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
 
 // coldKey re-derives the query from scratch (a traced query bypasses
 // the memo) and canonicalizes the answer. Used as ground truth against
-// maintained results.
+// served results.
 func coldKey(t *testing.T, c *ConcurrentTestbed, q string) string {
 	t.Helper()
 	res, err := c.Query(q, &QueryOptions{Trace: true})
@@ -17,61 +18,35 @@ func coldKey(t *testing.T, c *ConcurrentTestbed, q string) string {
 	return rowsKey(res)
 }
 
-// dropViews commits a rule. A rule commit outdates every compiled
-// program, so it drops every cached plan, memo and view, and tears the
-// views' tables down.
-func dropViews(t *testing.T, c *ConcurrentTestbed) {
+// rederived checks q's reads after a commit that moved its inputs: the
+// first re-evaluates ("plan") and returns rows answers, exactly what a
+// cold re-derivation produces; a repeat serves the same rows from the
+// memo ("result").
+func rederived(t *testing.T, c *ConcurrentTestbed, q, step string, rows int) {
 	t.Helper()
-	if err := c.Load("child(X, Y) :- parent(Y, X)."); err != nil {
-		t.Fatal(err)
+	res, err := c.Query(q, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if res.Cache != "plan" || len(res.Rows) != rows {
+		t.Fatalf("%s: cache=%q rows=%d, want plan/%d", step, res.Cache, len(res.Rows), rows)
+	}
+	got := rowsKey(res)
+	if want := coldKey(t, c, q); got != want {
+		t.Fatalf("%s: re-evaluated answer diverged from cold re-derivation:\n got %s\nwant %s", step, got, want)
+	}
+	res, err = c.Query(q, nil)
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if res.Cache != "result" || rowsKey(res) != got {
+		t.Fatalf("%s, repeat: cache=%q rows=%s, want result/%s", step, res.Cache, rowsKey(res), got)
 	}
 }
 
-// adoptView makes q's memo keep a maintained view, so that the next
-// commit moving its inputs is maintained rather than re-evaluated. A
-// memo keeps its evaluation's derived relations only once a commit has
-// moved its inputs while it was cached, so adoptView loads fact — a
-// fresh fact of a base predicate q reads — retracts it again, and
-// re-queries: each re-query must re-evaluate ("plan") and return the
-// answer q had before. opts lists the option sets q is cached under
-// (none means the defaults).
-func adoptView(t *testing.T, c *ConcurrentTestbed, q, fact string, opts ...*QueryOptions) {
-	t.Helper()
-	if len(opts) == 0 {
-		opts = []*QueryOptions{nil}
-	}
-	want := make([]string, len(opts))
-	for i, o := range opts {
-		res, err := c.Query(q, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = rowsKey(res)
-	}
-	if err := c.Load(fact + "."); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := c.RetractSrc(fact); err != nil || n != 1 {
-		t.Fatalf("retract %s: %d, %v", fact, n, err)
-	}
-	for i, o := range opts {
-		res, err := c.Query(q, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache != "plan" {
-			t.Fatalf("adopting a view for %s: cache=%q, want \"plan\"", q, res.Cache)
-		}
-		if got := rowsKey(res); got != want[i] {
-			t.Fatalf("adopting a view for %s changed the answer:\n got %s\nwant %s", q, got, want[i])
-		}
-	}
-}
-
-// TestMatViewInsertPropagation: a fact commit below the Auto crossover
-// is folded into the memoized answer by semi-naive delta propagation;
-// the next repeat serves it as "maintained" and the rows are exactly
-// what a cold re-derivation produces.
+// TestMatViewInsertPropagation: a fact commit that extends the chain
+// drops the memoized answer; the next read re-evaluates the cached
+// program and sees the new tuple's consequences.
 func TestMatViewInsertPropagation(t *testing.T) {
 	c := snapshotChain(t)
 	const q = "?- ancestor(c0, X)."
@@ -82,72 +57,35 @@ func TestMatViewInsertPropagation(t *testing.T) {
 	if len(res.Rows) != 15 {
 		t.Fatalf("cold query: %d rows, want 15", len(res.Rows))
 	}
-	adoptView(t, c, q, "parent(zz1, zz2)")
 	if err := c.Load("parent(c15, c16)."); err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != "maintained" {
-		t.Fatalf("insert commit: cache=%q, want \"maintained\"", res.Cache)
-	}
-	got := rowsKey(res)
-	if len(res.Rows) != 16 {
-		t.Fatalf("maintained answer has %d rows, want 16", len(res.Rows))
-	}
-	st := c.MatViewStats()
-	if st.Maintained == 0 || st.Live != 1 {
-		t.Fatalf("maintenance did not run: %+v", st)
-	}
-	if st.DeltaTuples == 0 {
-		t.Fatalf("maintenance propagated no delta tuples: %+v", st)
-	}
-	if want := coldKey(t, c, q); got != want {
-		t.Fatalf("maintained answer diverged from cold re-derivation:\n got %s\nwant %s", got, want)
-	}
+	rederived(t, c, q, "insert commit", 16)
 }
 
-// TestMatViewDeletePropagation: a retract runs Delete-and-Rederive on
-// the view. The chain's last edge removal must delete exactly the
-// tuples that lose all derivations, matching a cold re-derivation.
+// TestMatViewDeletePropagation: a retract of the chain's last edge drops
+// the memoized answer; the re-evaluation loses exactly the tuples that
+// lost all derivations.
 func TestMatViewDeletePropagation(t *testing.T) {
 	c := snapshotChain(t)
 	const q = "?- ancestor(c0, X)."
 	if _, err := c.Query(q, nil); err != nil {
 		t.Fatal(err)
 	}
-	adoptView(t, c, q, "parent(zz1, zz2)")
 	if n, err := c.RetractSrc("parent(c14, c15)"); err != nil || n != 1 {
 		t.Fatalf("retract: %d, %v", n, err)
 	}
-	res, err := c.Query(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cache != "maintained" {
-		t.Fatalf("delete commit: cache=%q, want \"maintained\"", res.Cache)
-	}
-	got := rowsKey(res)
-	if len(res.Rows) != 14 {
-		t.Fatalf("maintained answer has %d rows, want 14", len(res.Rows))
-	}
-	if want := coldKey(t, c, q); got != want {
-		t.Fatalf("DRed answer diverged from cold re-derivation:\n got %s\nwant %s", got, want)
-	}
+	rederived(t, c, q, "delete commit", 14)
 }
 
-// TestMatViewMixedCommit: a single LOAD both extending one branch and
-// (separately) a retract, interleaved, keeps the maintained answer
-// exact through inserts and deletes against the same view.
+// TestMatViewMixedCommit: loads and retracts interleaved against one
+// cached query, each re-evaluated exactly once and memoized again.
 func TestMatViewMixedCommit(t *testing.T) {
 	c := snapshotChain(t)
 	const q = "?- ancestor(c0, X)."
 	if _, err := c.Query(q, nil); err != nil {
 		t.Fatal(err)
 	}
-	adoptView(t, c, q, "parent(zz1, zz2)")
 	steps := []struct {
 		apply func() error
 		rows  int
@@ -161,96 +99,24 @@ func TestMatViewMixedCommit(t *testing.T) {
 		if err := s.apply(); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		res, err := c.Query(q, nil)
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if res.Cache != "maintained" {
-			t.Fatalf("step %d: cache=%q, want \"maintained\"", i, res.Cache)
-		}
-		if len(res.Rows) != s.rows {
-			t.Fatalf("step %d: %d rows, want %d", i, len(res.Rows), s.rows)
-		}
-	}
-	// Ground truth for the final state.
-	res, _ := c.Query(q, nil)
-	got := rowsKey(res)
-	if want := coldKey(t, c, q); got != want {
-		t.Fatalf("final maintained state diverged:\n got %s\nwant %s", got, want)
+		rederived(t, c, q, fmt.Sprintf("step %d", i), s.rows)
 	}
 }
 
-// TestMatViewAutoFallback pins the cost crossover (delta > rows/4,
-// floor 16) on the 15-row chain: a 16-fact commit is maintained, a
-// 17-fact commit drops the memo and re-derives instead of propagating
-// the delta. Either way the answer is the cold re-derivation's.
+// TestMatViewAutoFallback: every fact commit that moves a memo's inputs
+// falls back to re-evaluation, whatever its size: a 16-fact and a
+// 17-fact commit on the 15-row chain both read "plan" next.
 func TestMatViewAutoFallback(t *testing.T) {
 	const q = "?- ancestor(c0, X)."
-	for _, tc := range []struct {
-		facts                 int
-		cache                 string
-		maintained, rederives int64
-	}{{16, "maintained", 1, 0}, {17, "plan", 0, 1}} {
+	for _, facts := range []int{16, 17} {
 		c := snapshotChain(t)
 		if _, err := c.Query(q, nil); err != nil {
 			t.Fatal(err)
 		}
-		adoptView(t, c, q, "parent(zz1, zz2)")
-		if err := c.Load(fanOut("c1", tc.facts)); err != nil {
+		if err := c.Load(fanOut("c1", facts)); err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Query(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache != tc.cache {
-			t.Fatalf("%d-fact commit: cache=%q, want %q", tc.facts, res.Cache, tc.cache)
-		}
-		if len(res.Rows) != 15+tc.facts {
-			t.Fatalf("%d-fact commit: %d rows, want %d", tc.facts, len(res.Rows), 15+tc.facts)
-		}
-		if st := c.MatViewStats(); st.Maintained != tc.maintained || st.Rederives != tc.rederives {
-			t.Fatalf("%d-fact commit counted as %+v", tc.facts, st)
-		}
-		if got, want := rowsKey(res), coldKey(t, c, q); got != want {
-			t.Fatalf("%d-fact commit diverged from cold re-derivation:\n got %s\nwant %s", tc.facts, got, want)
-		}
-	}
-}
-
-// TestMatViewViewsAccessor: Views() reports the live maintained views
-// with their size and maintenance counters.
-func TestMatViewViewsAccessor(t *testing.T) {
-	c := snapshotChain(t)
-	const q = "?- ancestor(c0, X)."
-	if _, err := c.Query(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	adoptView(t, c, q, "parent(zz1, zz2)")
-	if err := c.Load("parent(c15, c16)."); err != nil {
-		t.Fatal(err)
-	}
-	views := c.Views()
-	if len(views) != 1 {
-		t.Fatalf("%d views, want 1", len(views))
-	}
-	v := views[0]
-	if v.Query != q {
-		t.Fatalf("view query %q, want %q", v.Query, q)
-	}
-	if v.Rows != 16 || v.Maintains != 1 {
-		t.Fatalf("view state %+v, want 16 rows / 1 maintain", v)
-	}
-	if v.LastDeltaTuples == 0 {
-		t.Fatalf("view recorded no delta: %+v", v)
-	}
-	// A rule commit drops every view.
-	dropViews(t, c)
-	if views := c.Views(); len(views) != 0 {
-		t.Fatalf("a rule commit left %d views live", len(views))
-	}
-	if st := c.MatViewStats(); st.Live != 0 {
-		t.Fatalf("Live gauge after a rule commit: %+v", st)
+		rederived(t, c, q, fmt.Sprintf("%d-fact commit", facts), 15+facts)
 	}
 }
 
@@ -278,7 +144,7 @@ func TestMatViewDepsReuse(t *testing.T) {
 		return nil, nil
 	}
 	e1, deps1 := grab()
-	// Drop the memo (a fact commit past the crossover), keep plan + deps.
+	// Drop the memo (a fact commit), keep plan + deps.
 	if err := c.Load(fanOut("c1", 17)); err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +162,12 @@ func TestMatViewDepsReuse(t *testing.T) {
 	}
 }
 
-// TestMatViewMaintenanceStorm: readers hammer a maintained view while a
-// writer toggles the chain's last edge. Every answer must be exactly
-// the pre- or post-toggle closure — a maintained memo serving a torn or
-// drifted row set is a correctness bug, not a staleness bug. Run under
-// -race this also exercises the maintain/lookup/store interleavings.
+// TestMatViewMaintenanceStorm: readers hammer a memoized answer while a
+// writer toggles the chain's last edge, each commit dropping the memo.
+// Every answer must be exactly the pre- or post-toggle closure — a memo
+// serving a torn or drifted row set is a correctness bug, not a
+// staleness bug. Run under -race this also exercises the
+// invalidate/lookup/store interleavings.
 func TestMatViewMaintenanceStorm(t *testing.T) {
 	c := snapshotChain(t)
 	const q = "?- ancestor(c0, X)."
@@ -333,32 +200,23 @@ func TestMatViewMaintenanceStorm(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var maintained int64
-	var mu sync.Mutex
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		//dkblint:bounded one goroutine per test reader
 		go func() {
 			defer wg.Done()
-			seen := int64(0)
 			for i := 0; i < perReader; i++ {
 				res, err := c.Query(q, nil)
 				if err != nil {
 					t.Errorf("reader: %v", err)
 					return
 				}
-				if res.Cache == "maintained" {
-					seen++
-				}
 				if key := rowsKey(res); key != closureA && key != closureB {
-					t.Errorf("maintained answer drifted at snapshot %d: %d rows",
+					t.Errorf("answer drifted at snapshot %d: %d rows",
 						res.Snapshot, len(res.Rows))
 					return
 				}
 			}
-			mu.Lock()
-			maintained += seen
-			mu.Unlock()
 		}()
 	}
 	wg.Add(1)
@@ -378,14 +236,8 @@ func TestMatViewMaintenanceStorm(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// The storm must actually have exercised maintenance, and the final
-	// maintained state must equal a cold re-derivation byte for byte.
-	if st := c.MatViewStats(); st.Maintained == 0 {
-		t.Fatalf("storm never maintained a view: %+v", st)
-	}
-	if st := c.MatViewStats(); st.Errors != 0 {
-		t.Fatalf("maintenance errors during storm: %+v", st)
-	}
+	// The final answer must equal a cold re-derivation byte for byte,
+	// and the storm must leave no temp table behind.
 	res, err := c.Query(q, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +247,9 @@ func TestMatViewMaintenanceStorm(t *testing.T) {
 		t.Fatalf("final state is not the pre-toggle closure: %d rows", len(res.Rows))
 	}
 	if want := coldKey(t, c, q); got != want {
-		t.Fatalf("maintained final state diverged from cold re-derivation:\n got %s\nwant %s", got, want)
+		t.Fatalf("final state diverged from cold re-derivation:\n got %s\nwant %s", got, want)
 	}
-	_ = maintained // informational; may be 0 on fast machines where toggles outpace reads
+	if names := tempTables(c); len(names) != 0 {
+		t.Fatalf("the storm left temp tables %v", names)
+	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"dkbms/internal/codegen"
 	"dkbms/internal/core"
-	"dkbms/internal/db"
-	"dkbms/internal/matview"
 	"dkbms/internal/snapshot"
 )
 
@@ -51,17 +49,6 @@ type planEntry struct {
 	// (0 = table absent in that snapshot).
 	result    *QueryResult
 	resultVec map[string]uint64
-	// view, when non-nil, owns the evaluation's derived relations so
-	// commits can maintain result in place instead of dropping it; only
-	// an entry whose inputs have moved (below) adopts one. maintained
-	// marks a result refreshed by maintenance (served as Cache
-	// "maintained" rather than "result").
-	view       *matview.View
-	maintained bool
-	// moved is set when a commit moves a table the cached memo read.
-	// Only then does a re-evaluation keep its derived relations as a
-	// view: a memo whose inputs stand still never needs maintenance.
-	moved bool
 
 	prev, next *planEntry
 }
@@ -69,8 +56,7 @@ type planEntry struct {
 // PlanCacheStats snapshots the shared plan cache's traffic counters.
 type PlanCacheStats struct {
 	// ResultHits counts queries answered entirely from the memoized
-	// result (no compilation, no evaluation) — including answers kept
-	// current by view maintenance.
+	// result (no compilation, no evaluation).
 	ResultHits int64
 	// PlanHits counts queries that reused a compiled program but
 	// re-evaluated it (a base table the program reads had moved).
@@ -87,8 +73,10 @@ type PlanCacheStats struct {
 // planCache is the server-wide compiled-plan and result cache behind
 // ConcurrentTestbed.Query. It is safe for concurrent use; lookups and
 // stores run from many pinned-snapshot readers at once, while
-// Invalidate (view maintenance, condemned-table teardown) runs only
-// from the single writer holding the commit mutex.
+// Invalidate runs only from the single writer holding the commit mutex.
+// An entry holds rows, never tables: a memo that goes stale is dropped,
+// and the next read re-evaluates, as the paper re-derives after every
+// update.
 type planCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -96,23 +84,12 @@ type planCache struct {
 	head     *planEntry // most recently used
 	tail     *planEntry // least recently used
 	stats    PlanCacheStats
-
-	// db is the live database view maintenance runs against.
-	db *db.DB
-	// mv aggregates maintenance telemetry across the cache's views.
-	mv matview.Counters
-	// condemned are views whose entries were replaced or evicted by
-	// readers: readers must not drop tables (the writer may be
-	// maintaining the view at that moment), so teardown is deferred to
-	// the writer, which drains the list at the end of each Invalidate.
-	condemned []*matview.View
 }
 
-func newPlanCache(d *db.DB) *planCache {
+func newPlanCache() *planCache {
 	return &planCache{
 		capacity: planCacheEntries,
 		entries:  make(map[planKey]*planEntry, planCacheEntries),
-		db:       d,
 	}
 }
 
@@ -149,38 +126,31 @@ func assertDeps(deps []string, compiled *core.Compiled) {
 
 // lookup returns the cached compilation for the key as seen from the
 // given snapshot, with the outcome QueryResult.Cache reports: the
-// memoized answer on a full result hit — every base table the program
-// reads is at the generation the answer was computed against —
-// reported "maintained" when view maintenance last refreshed it and
-// "result" otherwise; a nil answer and "plan" when only the program is
-// reusable; nothing and "miss" on a miss. keep reports whether a
-// re-evaluation should keep its derived relations as a view (the
-// entry's inputs have moved while it was cached). Hit counters are
-// updated here; the miss counter is charged in store, so a lookup/store
-// pair counts once.
-func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot) (compiled *core.Compiled, memo *QueryResult, status string, keep bool) {
+// memoized answer and "result" on a full result hit — every base table
+// the program reads is at the generation the answer was computed
+// against; a nil answer and "plan" when only the program is reusable;
+// nothing and "miss" on a miss. Hit counters are updated here; the miss
+// counter is charged in store, so a lookup/store pair counts once.
+func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot) (compiled *core.Compiled, memo *QueryResult, status string) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
 	if !ok {
-		return nil, nil, "miss", false
+		return nil, nil, "miss"
 	}
 	if e.ruleGen != snap.RuleGen {
 		// The rule base moved: the compiled program is stale.
 		pc.dropLocked(e)
 		pc.stats.Invalidations++
-		return nil, nil, "miss", false
+		return nil, nil, "miss"
 	}
 	pc.touch(e)
 	if e.result != nil && vecCurrent(e.resultVec, snap) {
 		pc.stats.ResultHits++
-		if e.maintained {
-			return e.compiled, e.result, "maintained", e.moved
-		}
-		return e.compiled, e.result, "result", e.moved
+		return e.compiled, e.result, "result"
 	}
 	pc.stats.PlanHits++
-	return e.compiled, nil, "plan", e.moved
+	return e.compiled, nil, "plan"
 }
 
 // vecCurrent reports whether every dependency in the vector is at the
@@ -199,16 +169,13 @@ func vecCurrent(vec map[string]uint64, snap *snapshot.Snapshot) bool {
 // store records a compilation and its result as evaluated against the
 // given snapshot, evicting the least recently used entry beyond
 // capacity. A nil result stores the plan without touching any memoized
-// answer or view (traced runs share plans with untraced queries but
-// never publish their answers), and comes with a nil view. A non-nil
-// view transfers ownership of the evaluation's derived relations;
-// whatever view the entry held before is condemned for the writer to
-// tear down.
+// answer (traced runs share plans with untraced queries but never
+// publish their answers).
 //
 // Racing stores for one key (readers pinned to different snapshots)
 // need no ordering: a result stored with an older dependency vector
 // simply fails validation for newer snapshots at lookup time.
-func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.Compiled, result *QueryResult, view *matview.View) {
+func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.Compiled, result *QueryResult) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
@@ -236,16 +203,14 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 		}
 		e.compiled, e.ruleGen, e.deps = compiled, snap.RuleGen, deps
 		if result != nil {
-			e.result, e.resultVec, e.maintained = result, vec, false
-			pc.condemnLocked(e.view)
-			e.view = view
+			e.result, e.resultVec = result, vec
 		}
 		pc.touch(e)
 		return
 	}
 	pc.stats.Misses++
 	e = &planEntry{key: key, compiled: compiled, ruleGen: snap.RuleGen, deps: deps,
-		result: result, resultVec: vec, view: view}
+		result: result, resultVec: vec}
 	pc.entries[key] = e
 	pc.pushFront(e)
 	for len(pc.entries) > pc.capacity {
@@ -253,162 +218,31 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 	}
 }
 
-// dropLocked removes an entry, condemning its view. Caller holds mu.
+// dropLocked removes an entry. Caller holds mu.
 func (pc *planCache) dropLocked(e *planEntry) {
 	pc.unlink(e)
 	delete(pc.entries, e.key)
-	pc.condemnLocked(e.view)
-	e.view = nil
 }
 
-// condemnLocked queues a replaced or evicted view for teardown by the
-// writer. Caller holds mu.
-func (pc *planCache) condemnLocked(v *matview.View) {
-	if v != nil {
-		pc.condemned = append(pc.condemned, v)
-	}
-}
-
-// Invalidate reconciles the cache with one published commit. It runs on
-// the single-writer commit path (caller holds the commit mutex), with
-// prev the snapshot the commit superseded, next the one it published
-// and ev the typed description of what the commit did — nil meaning an
-// unknown mutation (failed commits publish conservatively), which
-// drops stale memos like EventRuleGen does.
-//
-// Entries whose compiled program predates next's rule generation are
-// dropped. Entries whose memo went stale with this commit are flagged
-// as moved, so that their next evaluation keeps a view. Those that own
-// a view already and went stale with exactly this commit (valid against
-// prev, stale against next) are maintained in place when the event
-// carries fact deltas below the cost crossover
-// (matview.AutoIncremental); otherwise the memo is dropped and the plan
-// kept. Maintenance runs view by view on the committing goroutine, after
-// the cache mutex is released — concurrent readers keep hitting the
-// plan — and each refreshed answer installs only if the entry still
-// holds the same view (a racing reader may have replaced it). Condemned
-// views' tables are torn down at the end: only here is it safe, because
-// no maintenance can be running without commitMu.
-func (pc *planCache) Invalidate(prev, next *snapshot.Snapshot, ev *matview.Event) {
-	type job struct {
-		e      *planEntry
-		view   *matview.View
-		result *QueryResult
-	}
-	var jobs []job
-	commit := ev != nil && ev.Kind == matview.EventCommit
+// Invalidate reconciles the cache with one published snapshot. It runs
+// on the single-writer commit path (caller holds the commit mutex), with
+// next the snapshot the commit published. Entries whose compiled program
+// predates next's rule generation are dropped; a memo that is stale
+// against next is dropped and its plan kept, so the next read
+// re-evaluates the program (outcome "plan").
+func (pc *planCache) Invalidate(next *snapshot.Snapshot) {
 	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	for _, e := range pc.entries {
 		if e.ruleGen != next.RuleGen {
 			pc.dropLocked(e)
 			pc.stats.Invalidations++
 			continue
 		}
-		if e.result == nil || vecCurrent(e.resultVec, next) {
-			continue // no memo, or untouched by this commit
-		}
-		e.moved = true
-		// The memo went stale with this commit. Maintain it when the
-		// commit is an exact fact delta, the entry owns a view, and the
-		// delta is below the cost crossover; otherwise drop the memo,
-		// keep the plan.
-		ok := commit && e.view != nil && prev != nil && vecCurrent(e.resultVec, prev) &&
-			matview.AutoIncremental(ev.RelevantSize(e.deps), len(e.result.Rows))
-		if !ok {
-			if e.view != nil {
-				pc.mv.Rederives.Add(1)
-				pc.condemnLocked(e.view)
-				e.view = nil
-			}
-			e.result, e.resultVec, e.maintained = nil, nil, false
-			continue
-		}
-		jobs = append(jobs, job{e, e.view, e.result})
-	}
-	pc.mu.Unlock()
-
-	run := func(j job) {
-		rows, err := j.view.Maintain(pc.db, ev)
-		pc.mu.Lock()
-		defer pc.mu.Unlock()
-		if j.e.view != j.view {
-			// A racing reader replaced the entry (fresh evaluation,
-			// already-current answer) while we maintained: its state
-			// wins, ours was condemned at replacement.
-			return
-		}
-		if err != nil {
-			pc.mv.Errors.Add(1)
-			pc.condemnLocked(j.e.view)
-			j.e.view = nil
-			j.e.result, j.e.resultVec, j.e.maintained = nil, nil, false
-			return
-		}
-		// Refresh onto a copy: the old result struct and row slice are
-		// shared with readers that hit it earlier.
-		nr := *j.result
-		nr.Rows = rows
-		vec := make(map[string]uint64, len(j.e.deps))
-		for _, name := range j.e.deps {
-			vec[name] = next.TableGen(name)
-		}
-		j.e.result, j.e.resultVec, j.e.maintained = &nr, vec, true
-		pc.mv.Maintained.Add(1)
-		pc.mv.DeltaTuples.Add(j.view.LastDeltaTuples())
-		pc.mv.MaintainNs.Add(int64(j.view.LastDuration()))
-	}
-	for _, j := range jobs {
-		run(j)
-	}
-	pc.drainCondemned()
-}
-
-// drainCondemned tears down replaced/evicted views' temp tables. Only
-// the writer calls it (from Invalidate, under the commit mutex), so a
-// condemned view is never mid-maintenance when its tables drop.
-func (pc *planCache) drainCondemned() {
-	pc.mu.Lock()
-	doomed := pc.condemned
-	pc.condemned = nil
-	pc.mu.Unlock()
-	for _, v := range doomed {
-		if err := v.Drop(pc.db); err != nil {
-			pc.mv.Errors.Add(1)
+		if e.result != nil && !vecCurrent(e.resultVec, next) {
+			e.result, e.resultVec = nil, nil
 		}
 	}
-}
-
-// views lists the maintained views, most recently used first.
-func (pc *planCache) views() []MaterializedView {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	var out []MaterializedView
-	for e := pc.head; e != nil; e = e.next {
-		if e.view == nil {
-			continue
-		}
-		out = append(out, MaterializedView{
-			Query:           e.key.src,
-			Rows:            len(e.result.Rows),
-			Maintains:       e.view.Maintains(),
-			LastDeltaTuples: e.view.LastDeltaTuples(),
-			LastDuration:    e.view.LastDuration(),
-		})
-	}
-	return out
-}
-
-// mvStats snapshots the maintenance counters plus the live-view gauge.
-func (pc *planCache) mvStats() matview.Stats {
-	st := pc.mv.Snapshot()
-	pc.mu.Lock()
-	for e := pc.head; e != nil; e = e.next {
-		if e.view != nil {
-			st.Live++
-		}
-	}
-	pc.mu.Unlock()
-	return st
 }
 
 // snapshot returns the counters plus current population.

@@ -9,8 +9,8 @@ import (
 
 // The tests here follow a query text the shared plan cache prepares once
 // (the paper's precompiled query): compiled on its first run, served from
-// the memo or maintained while facts move, recompiled only when the rules
-// change.
+// the memo while facts stand still, re-evaluated when they move,
+// recompiled only when the rules change.
 
 // familyTestbed is a ConcurrentTestbed over the family D/KB.
 func familyTestbed(t *testing.T) *ConcurrentTestbed {
@@ -44,11 +44,10 @@ func TestPreparedSeesNewFacts(t *testing.T) {
 	// program but MUST be visible to the next query.
 	c := familyTestbed(t)
 	queryCache(t, c, familyQuery, "miss", familyAnswer)
-	adoptView(t, c, familyQuery, "parent(zz1, zz2)")
 	if err := c.Load("parent(lea, zoe)."); err != nil {
 		t.Fatal(err)
 	}
-	queryCache(t, c, familyQuery, "maintained", familyAnswer+";zoe")
+	queryCache(t, c, familyQuery, "plan", familyAnswer+";zoe")
 	if st := c.PlanStats(); st.Misses != 1 {
 		t.Fatalf("compilations = %d after a fact append, want 1", st.Misses)
 	}
@@ -170,7 +169,7 @@ func TestConcurrentQueryEvicted(t *testing.T) {
 
 // TestConcurrentQueryStorm has 8 goroutines query one text while a
 // writer loads and retracts edges of the relation it reads. Every
-// answer — memoized, maintained or evaluated — must be the closure at
+// answer — memoized or evaluated — must be the closure at
 // the snapshot it reports; the single writer records that closure
 // commit by commit. Run with -race.
 func TestConcurrentQueryStorm(t *testing.T) {

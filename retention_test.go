@@ -87,20 +87,19 @@ func TestResultsDoNotPinBlocks(t *testing.T) {
 }
 
 // TestRetainedBytesBounded: a served D/KB keeps the answers of its
-// cached queries and, once commits move their inputs, views linear in
-// those answers. A right-linear closure over a chain, queried from 64
-// different bound constants, is factored: a reachability set from the
-// constant and one answer join, each at most the answer's rows plus one
-// (under generalized magic sets the accumulators grew with the square
-// of the chain: 13.54 MiB at 200 edges after one commit, 60.46 MiB at
-// 400, go1.24 linux/amd64).
+// cached queries and nothing of the evaluations that produced them. A
+// right-linear closure over a chain, queried from 64 different bound
+// constants, is factored: a reachability set from the constant and one
+// answer join, each at most the answer's rows plus one (under
+// generalized magic sets the accumulators a memo once kept grew with
+// the square of the chain: 13.54 MiB at 200 edges after one commit,
+// 60.46 MiB at 400, go1.24 linux/amd64).
 //
-// Static half: no commit moves the chain, so no query keeps a view, and
-// the cache retains its answers within 3 MiB. Written half: one commit
-// to the chain has each memo re-evaluated ("plan") and keep a view; with
-// all 64 views the cache still retains within 3 MiB, and the 400-edge
-// chain at most 2.2× what the 200-edge chain does. The commit after that
-// is maintained, against the closure.
+// Static half: no commit moves the chain, and the cache retains its
+// answers within 3 MiB. Written half: one commit to the chain has each
+// memo re-evaluated ("plan"); the cache still retains within 3 MiB, and
+// the 400-edge chain at most 2.2× what the 200-edge chain does. The
+// commit after that is re-evaluated too, against the closure.
 func TestRetainedBytesBounded(t *testing.T) {
 	if raceEnabled {
 		// One goroutine, nothing to race; its 128 closures take long
@@ -185,17 +184,14 @@ func retainedByChain(t *testing.T, edges int) int64 {
 	if static > limit {
 		t.Errorf("%d edges: %d cached queries on a static D/KB retain %d bytes, more than %d", edges, queries, static, limit)
 	}
-	if st := c.MatViewStats(); st.Live != 0 {
-		t.Errorf("%d edges: a static D/KB holds %d materialized views, want 0", edges, st.Live)
-	}
 
 	if err := c.Load(fmt.Sprintf("e(%s, %s).", node(edges), node(edges+1))); err != nil {
 		t.Fatal(err)
 	}
 	rows = queryAll(edges+1, "plan")
 	written := held(base)
-	t.Logf("%d edges: after a commit, %d cached queries with %d views retain %.2f MiB for %d answer rows",
-		edges, queries, c.MatViewStats().Live, float64(written)/(1<<20), rows)
+	t.Logf("%d edges: after a commit, %d cached queries retain %.2f MiB for %d answer rows",
+		edges, queries, float64(written)/(1<<20), rows)
 	if written > limit {
 		t.Errorf("%d edges: after a commit to the chain, %d cached queries retain %d bytes, more than %d", edges, queries, written, limit)
 	}
@@ -207,8 +203,8 @@ func retainedByChain(t *testing.T, edges int) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache != "maintained" {
-		t.Errorf("%d edges, second commit to the chain: cache=%q, want \"maintained\"", edges, res.Cache)
+	if res.Cache != "plan" {
+		t.Errorf("%d edges, second commit to the chain: cache=%q, want \"plan\"", edges, res.Cache)
 	}
 	if got, want := rowsKey(res), closure(0, edges+2); got != want {
 		t.Fatalf("%d edges, second commit to the chain: %d rows, not the chain's closure (%d rows)", edges, len(res.Rows), edges+2)

@@ -7,30 +7,17 @@ import (
 	"dkbms/internal/workload"
 )
 
-// TestStatementCountsPinned pins what the evaluation and maintenance
-// paths *do* to the DBMS, as statement counts, on the EXPERIMENTS.md
-// Test 6 workload (ancestor over the 1022-edge full binary tree). The
-// paper's Tests 5–7 measure exactly this traffic — temp-table DDL,
-// INSERT ... SELECT rule bodies, termination SELECTs — so a refactor of
-// the LFP machinery that changes a constant here has changed what those
-// experiments measure, whether or not the answers still agree.
+// TestStatementCountsPinned pins what the evaluation path *does* to the
+// DBMS, as statement counts, on the EXPERIMENTS.md Test 6 workload
+// (ancestor over the 1022-edge full binary tree). The paper's Tests 5–7
+// measure exactly this traffic — temp-table DDL, INSERT ... SELECT rule
+// bodies, termination SELECTs — so a refactor of the LFP machinery that
+// changes a constant here has changed what those experiments measure,
+// whether or not the answers still agree.
 //
-// The three rtlib rows were captured at the commit before the shared
-// fixpoint driver and must not move. They compile with generalized
-// magic sets forced (queryMagic), as the paper's experiments do. The
-// two maintenance rows were re-captured with the driver, because
-// maintenance adopted its per-round delta tables in
-// place of its own truncate-and-reuse pair: before, insert {Selects: 37,
-// Inserts: 39, InsertedRows: 25, Deletes: 33, DDL: 14} and retract
-// {Selects: 45, Inserts: 41, InsertedRows: 1048, Deletes: 34, DDL: 22} —
-// the same rule firings and promotions, fewer counts, DELETE-truncation
-// traded for CREATE/DROP. They run on the served path, which factors
-// the bound closure since the Optimizer gained factoring, and were
-// re-captured again: before, under generalized magic sets, insert
-// {Selects: 24, Inserts: 39, InsertedRows: 25, DDL: 48} and retract
-// {Selects: 32, Inserts: 41, InsertedRows: 1048, Deletes: 1, DDL: 56}.
-// The factored view keeps the reachable nodes and the answer, not an
-// ancestor tuple per reachable node and descendant.
+// The three rows were captured at the commit before the shared fixpoint
+// driver and must not move. They compile with generalized magic sets
+// forced (queryMagic), as the paper's experiments do.
 func TestStatementCountsPinned(t *testing.T) {
 	const rules = `
 ancestor(X, Y) :- parent(X, Y).
@@ -82,43 +69,4 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 		})
 		check(tc.name, got, tc.want)
 	}
-
-	// One maintained insert and one maintained retract: a fresh leaf
-	// under the tree's last node, through the commit path.
-	mtb := NewMemory()
-	if err := mtb.AssertTuples("parent", workload.FullBinaryTree(10)); err != nil {
-		t.Fatal(err)
-	}
-	mtb.MustLoad(rules)
-	c := NewConcurrent(mtb)
-	defer c.Close()
-	const q = "?- ancestor(t1, W)."
-	if _, err := c.Query(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	adoptView(t, c, q, "parent(zz1, zz2)")
-	maintained := func(rows int) {
-		t.Helper()
-		res, err := c.Query(q, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cache != "maintained" || len(res.Rows) != rows {
-			t.Fatalf("cache=%q rows=%d, want maintained/%d", res.Cache, len(res.Rows), rows)
-		}
-	}
-	got := delta(mtb.DB(), func() {
-		if err := c.Load("parent(t1023, fresh)."); err != nil {
-			t.Fatal(err)
-		}
-	})
-	maintained(1023)
-	check("maintained insert", got, db.Stats{Selects: 6, Inserts: 9, InsertedRows: 7, DDL: 12})
-	got = delta(mtb.DB(), func() {
-		if n, err := c.RetractSrc("parent(t1023, fresh)"); err != nil || n != 1 {
-			t.Fatalf("retract: %d, %v", n, err)
-		}
-	})
-	maintained(1022)
-	check("maintained retract", got, db.Stats{Selects: 13, Inserts: 11, InsertedRows: 1030, Deletes: 1, DDL: 20})
 }

@@ -124,17 +124,9 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	default:
 	}
 
-	// Live maintained views intentionally hold their accumulator temp
-	// tables; drop them (and drain any condemned views) by a rule commit
-	// so the leak check below sees only genuinely leaked evaluation
-	// tables.
-	dropViews(t, c)
-
 	// No evaluation temp tables may survive the storm.
-	for _, name := range tb.DB().Catalog().Tables() {
-		if strings.HasPrefix(name, "dkb") {
-			t.Fatalf("leaked evaluation temp table %q", name)
-		}
+	if names := tempTables(c); len(names) != 0 {
+		t.Fatalf("leaked evaluation temp tables %v", names)
 	}
 
 	// Goroutines: one per session + writer + monitor + runtime slack.

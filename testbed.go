@@ -39,7 +39,6 @@ import (
 	"dkbms/internal/core"
 	"dkbms/internal/db"
 	"dkbms/internal/dlog"
-	"dkbms/internal/matview"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
 	"dkbms/internal/rtlib"
@@ -125,7 +124,7 @@ func (tb *Testbed) Workspace() *core.Workspace { return tb.ws }
 // while no other writer runs: what it will change, read before anything
 // changes, and the function that changes it. A Testbed applies it as
 // planned; ConcurrentTestbed.commit first shadows its tables and clones
-// the workspace, and afterwards publishes the event it implies.
+// the workspace, and afterwards publishes the next snapshot.
 type write struct {
 	// tables are the non-temp tables apply mutates; shadowing skips the
 	// ones that do not exist yet.
@@ -134,9 +133,9 @@ type write struct {
 	// committed, or a fact relation is created (which can change the
 	// mixed rules/facts normalization of compiled programs).
 	rules bool
-	// deltas are the exact fact deltas, one entry per table: the tuples
-	// apply inserts and the rows a retract matched.
-	deltas []matview.TableDelta
+	// matched is the number of rows a retract's pattern matched: the
+	// rows its apply deletes.
+	matched int
 	// apply performs the write; nil when the write mutates nothing.
 	apply func() error
 }
@@ -157,8 +156,8 @@ func run(w write, err error) error {
 // them to the stored D/KB. Queries are not allowed in Load input.
 func (tb *Testbed) Load(src string) error { return run(tb.planLoad(src)) }
 
-// planLoad plans a Load: each fact's tuple is built once, into its
-// relation's delta, and the clauses apply in program order.
+// planLoad plans a Load: each fact's tuple is built once, and the
+// clauses apply in program order.
 func (tb *Testbed) planLoad(src string) (write, error) {
 	if tb.closed {
 		return write{}, ErrClosed
@@ -175,7 +174,7 @@ func (tb *Testbed) planLoad(src string) (write, error) {
 	}
 	var w write
 	facts := make([]rel.Tuple, 0, len(prog.Clauses))
-	delta := make(map[string]int) // table -> 1 + its index in w.deltas
+	seen := make(map[string]bool) // fact tables already in the footprint
 	created := false
 	for _, cl := range prog.Clauses {
 		if !cl.IsFact() {
@@ -188,17 +187,15 @@ func (tb *Testbed) planLoad(src string) (write, error) {
 		}
 		facts = append(facts, tu)
 		table := BaseTableName(cl.Head.Pred)
-		if delta[table] == 0 {
-			w.deltas = append(w.deltas, matview.TableDelta{Table: table})
-			delta[table] = len(w.deltas)
-			if tb.db.HasTable(table) {
-				w.tables = append(w.tables, table)
-			} else {
-				created = true
-			}
+		if seen[table] {
+			continue
 		}
-		d := &w.deltas[delta[table]-1]
-		d.Inserted = append(d.Inserted, tu)
+		seen[table] = true
+		if tb.db.HasTable(table) {
+			w.tables = append(w.tables, table)
+		} else {
+			created = true
+		}
 	}
 	if created {
 		w.rules = true
@@ -261,9 +258,9 @@ func (tb *Testbed) Retract(pattern dlog.Atom) (int, error) {
 	return retracted(w, run(w, err))
 }
 
-// planRetract plans a Retract: the rows the pattern matches are read
-// once, and are both the delta and the count of the DELETE that removes
-// them. A pattern that matches nothing mutates nothing.
+// planRetract plans a Retract: the rows the pattern matches are counted
+// once, and the count is what the DELETE that removes them reports. A
+// pattern that matches nothing mutates nothing.
 func (tb *Testbed) planRetract(pattern dlog.Atom) (write, error) {
 	if tb.closed {
 		return write{}, ErrClosed
@@ -287,24 +284,24 @@ func (tb *Testbed) planRetract(pattern dlog.Atom) (write, error) {
 	if len(where) > 0 {
 		filter = " WHERE " + strings.Join(where, " AND ")
 	}
-	matched, err := tb.db.Query("SELECT * FROM " + table + filter)
-	if err != nil || len(matched.Tuples) == 0 {
+	matched, err := tb.db.QueryCount("SELECT COUNT(*) FROM " + table + filter)
+	if err != nil || matched == 0 {
 		return write{}, err
 	}
 	return write{
-		tables: []string{table},
-		deltas: []matview.TableDelta{{Table: table, Deleted: matched.Tuples}},
-		apply:  func() error { return tb.db.Exec("DELETE FROM " + table + filter) },
+		tables:  []string{table},
+		matched: int(matched),
+		apply:   func() error { return tb.db.Exec("DELETE FROM " + table + filter) },
 	}, nil
 }
 
 // retracted reports how many facts an applied retract removed: the rows
 // its plan matched.
 func retracted(w write, err error) (int, error) {
-	if err != nil || len(w.deltas) == 0 {
+	if err != nil {
 		return 0, err
 	}
-	return len(w.deltas[0].Deleted), nil
+	return w.matched, nil
 }
 
 // RetractSrc is Retract for a source-syntax pattern ("parent(john, X)."
@@ -406,11 +403,8 @@ type QueryResult struct {
 	Trace *obs.Trace
 	// Cache is the plan-cache outcome when the query went through a
 	// ConcurrentTestbed: "result" (answered from the memoized result),
-	// "maintained" (answered from a memoized result that view
-	// maintenance kept current through commits), "plan" (compiled
-	// program reused, re-evaluated — as after the first commit that
-	// moves a memo's inputs, which adopts a view for the next ones) or
-	// "miss" (full compile). Empty on the plain Testbed path, which has
+	// "plan" (compiled program reused, re-evaluated — as after a commit
+	// that moves the memo's inputs) or "miss" (full compile). Empty on the plain Testbed path, which has
 	// no cache.
 	Cache string
 	// Snapshot is the generation of the pinned snapshot the query ran
@@ -459,7 +453,7 @@ func (tb *Testbed) Query(src string, opts *QueryOptions) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := tb.evaluate(context.TODO(), tb.db, compiled, opts, tr, false)
+	res, err := tb.evaluate(context.TODO(), tb.db, compiled, opts, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -502,27 +496,23 @@ func (tb *Testbed) Evaluate(compiled *core.Compiled, opts *QueryOptions) (*Query
 	if opts != nil && opts.Trace {
 		tr = obs.NewTrace("query")
 	}
-	res, _, err := tb.evaluate(context.TODO(), tb.db, compiled, opts, tr, false)
-	return res, err
+	return tb.evaluate(context.TODO(), tb.db, compiled, opts, tr)
 }
 
 // evaluate runs a compiled program against an explicit database: the
 // testbed's own, or a snapshot-bound view, so that the run-time library
 // reads frozen base-table versions while its session-private temp tables
-// still land in the live catalog. With keep set, the rtlib result
-// retains the evaluation's derived relations (Result.Detach hands them
-// to the materialized-view layer) and is returned alongside the query
-// result.
-func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace, keep bool) (*QueryResult, *rtlib.Result, error) {
+// still land in the live catalog, and are dropped when it ends.
+func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace) (*QueryResult, error) {
 	if tb.closed {
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("dkbms: query canceled: %w", err)
+			return nil, fmt.Errorf("dkbms: query canceled: %w", err)
 		}
 	}
 	strategy := rtlib.SemiNaive
@@ -530,13 +520,12 @@ func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compil
 		strategy = rtlib.Naive
 	}
 	res, err := rtlib.Evaluate(d, compiled.Program, rtlib.Options{
-		Strategy:   strategy,
-		KeepTables: keep,
-		Trace:      tr,
-		Ctx:        ctx,
+		Strategy: strategy,
+		Trace:    tr,
+		Ctx:      ctx,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	tr.Finish()
 	return &QueryResult{
@@ -548,7 +537,7 @@ func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compil
 		Strategy:  strategy,
 		Trace:     tr,
 		QueryID:   opts.QueryID,
-	}, res, nil
+	}, nil
 }
 
 // Format renders a query result as an aligned text table (the shell and
