@@ -39,6 +39,9 @@ type Table struct {
 	// rows is a maintained tuple count used by the planner for join
 	// ordering and build-side selection.
 	rows int
+	// bytes is the maintained length of the live records together,
+	// kept beside rows: DecodeAll sizes its character buffer by it.
+	bytes int
 }
 
 // Rows returns the maintained tuple count (exact; updated on every
@@ -141,11 +144,9 @@ func (c *Catalog) load() error {
 			}
 			t.rid = rid
 			t.Heap = storage.OpenHeap(c.pager, t.heapHeadFromRecord)
-			n, err := t.Heap.Count()
-			if err != nil {
+			if err := t.recount(); err != nil {
 				return err
 			}
-			t.rows = n
 			c.tables[t.Name] = t
 			return nil
 		case recIndex:
@@ -420,7 +421,7 @@ func (c *Catalog) ShadowTable(name string) (*Table, error) {
 	if err != nil {
 		return cleanup(err)
 	}
-	nt := &Table{Name: name, Schema: t.Schema, Heap: h, rows: t.rows}
+	nt := &Table{Name: name, Schema: t.Schema, Heap: h, rows: t.rows, bytes: t.bytes}
 	nt.Indexes = make([]*Index, len(t.Indexes))
 	for i, idx := range t.Indexes {
 		// Index catalog records reference the table by name, so the
@@ -573,7 +574,8 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 		}
 	}
 	var buf [128]byte // the heap and the trees copy what they keep
-	rid, err := t.Heap.Insert(tu.Encode(buf[:0]))
+	rec := tu.Encode(buf[:0])
+	rid, err := t.Heap.Insert(rec)
 	if err != nil {
 		return storage.RID{}, err
 	}
@@ -583,6 +585,7 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 		}
 	}
 	t.rows++
+	t.bytes += len(rec)
 	return rid, nil
 }
 
@@ -597,6 +600,7 @@ func (t *Table) InsertRecord(rec []byte) error {
 		return err
 	}
 	t.rows++
+	t.bytes += len(rec)
 	return nil
 }
 
@@ -613,6 +617,7 @@ func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
 		return err
 	}
 	t.rows--
+	t.bytes -= len(tu.Encode(buf[:0]))
 	return nil
 }
 
@@ -625,7 +630,7 @@ func (t *Table) Truncate() error {
 	for _, idx := range t.Indexes {
 		idx.Tree = idx.Tree.Empty()
 	}
-	t.rows = 0
+	t.rows, t.bytes = 0, 0
 	return nil
 }
 
@@ -658,20 +663,20 @@ func (t *Table) DecodeBlocks(dec *rel.BlockDecoder, old []rel.Block) ([]rel.Bloc
 }
 
 // DecodeAll decodes the whole table, in the order DecodeBlocks reads it,
-// into one block of its own: one value slab sized by the maintained row
-// count and one string, as rel.OwnRows leaves rows. It reads the pages
-// DecodeBlocks reads.
+// into one block of its own, as rel.OwnRows leaves rows: one value slab
+// sized by the maintained row count, and one string, the character
+// buffer sized once by the maintained record bytes and handed over
+// (rel.BlockDecoder.FinishLast). It reads the pages DecodeBlocks reads.
 func (t *Table) DecodeAll() (rel.Block, error) {
 	dec := rel.NewBlockDecoder(t.Schema)
-	dec.Begin(t.rows, 0)
+	dec.Begin(t.rows, t.bytes)
 	err := t.Heap.ScanPages(func(pg *storage.Page) error {
-		dec.Grow(recordBytes(pg))
 		return t.decodePage(&dec, pg)
 	})
 	if err != nil {
 		return rel.Block{}, err
 	}
-	return dec.Finish(), nil
+	return dec.FinishLast(), nil
 }
 
 // DecodePage decodes the live records of pg, a page of the table's heap
@@ -702,6 +707,17 @@ func (t *Table) scanPages(dec *rel.BlockDecoder, old []rel.Block, fn func(pg *st
 			return err
 		}
 		return fn(pg, dec.Finish())
+	})
+}
+
+// recount sets the maintained row count and record bytes from the
+// heap: the table's pages read once, at open.
+func (t *Table) recount() error {
+	t.rows, t.bytes = 0, 0
+	return t.Heap.ScanPages(func(pg *storage.Page) error {
+		t.rows += pg.LiveRecords()
+		t.bytes += recordBytes(pg)
+		return nil
 	})
 }
 

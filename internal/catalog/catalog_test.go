@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -503,5 +504,161 @@ func TestCensus(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecordBytesMaintained: random inserts, raw inserts, deletes,
+// truncates, shadow clones and reopens keep a table's maintained record
+// bytes equal to the length of its live records together, and its row
+// count equal to their number; DecodeAll, which sizes its character
+// buffer by the bytes, returns the rows Scan reads.
+func TestRecordBytesMaintained(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bytes.db")
+	var pager *storage.Pager
+	var c *Catalog
+	open := func() {
+		t.Helper()
+		var err error
+		if pager, err = storage.OpenPager(path, 16); err != nil {
+			t.Fatal(err)
+		}
+		if c, err = Open(pager); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open()
+	defer func() { pager.Close() }()
+	schema := rel.MustSchema(rel.Column{Name: "id", Type: rel.TypeInt}, rel.Column{Name: "name", Type: rel.TypeString})
+	if _, err := c.CreateTable("facts", schema, false); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(49))
+	tuple := func() rel.Tuple {
+		// Names of 0 to 299 bytes: a length of 128 or more takes two
+		// bytes.
+		return rel.Tuple{rel.NewInt(r.Int63()), rel.NewString(strings.Repeat("n", r.Intn(300)))}
+	}
+	type rec struct {
+		rid storage.RID
+		tu  rel.Tuple
+	}
+	var live []rec
+	for step := 0; step < 600; step++ {
+		tb := c.Table("facts")
+		op := "insert"
+		switch k := r.Intn(40); {
+		case k < 20:
+			if _, err := tb.Insert(tuple()); err != nil {
+				t.Fatal(err)
+			}
+		case k < 26:
+			op = "raw insert"
+			if err := tb.InsertRecord(tuple().Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+		case k < 36:
+			op = "delete"
+			if len(live) > 0 {
+				d := live[r.Intn(len(live))]
+				if err := tb.DeleteRID(d.rid, d.tu); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case k < 37:
+			op = "truncate"
+			if err := tb.Truncate(); err != nil {
+				t.Fatal(err)
+			}
+		case k < 39:
+			op = "clone"
+			old, err := c.ShadowTable("facts")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Heap.Drop(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			op = "reopen"
+			if err := pager.Close(); err != nil {
+				t.Fatal(err)
+			}
+			open()
+		}
+
+		tb = c.Table("facts")
+		rows, bytes := 0, 0
+		if err := tb.Heap.Scan(func(_ storage.RID, rec []byte) error {
+			rows, bytes = rows+1, bytes+len(rec)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if tb.Rows() != rows || tb.bytes != bytes {
+			t.Fatalf("step %d, after a %s: %d rows of %d bytes maintained, %d of %d stored", step, op, tb.Rows(), tb.bytes, rows, bytes)
+		}
+		live = live[:0]
+		if err := tb.Scan(func(rid storage.RID, tu rel.Tuple) error {
+			live = append(live, rec{rid, tu.Clone()})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		all, err := tb.DecodeAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all.Len() != len(live) {
+			t.Fatalf("step %d: DecodeAll returned %d rows, Scan %d", step, all.Len(), len(live))
+		}
+		for i, l := range live {
+			if rel.CompareTuples(all.Row(i), l.tu) != 0 {
+				t.Fatalf("step %d: DecodeAll row %d = %v, Scan %v", step, i, all.Row(i), l.tu)
+			}
+		}
+	}
+}
+
+// TestDecodeAllAllocs pins DecodeAll on a string table of many pages:
+// it allocates one value slab, sized by the row count, and one
+// character buffer, sized once by the record bytes and handed to the
+// rows as their string — no buffer grown a page at a time, and no copy.
+func TestDecodeAllAllocs(t *testing.T) {
+	c := memCatalog(t)
+	tb, err := c.CreateTable("parent", edgeSchema(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chars := 0
+	for i := 1; i < 2048; i++ {
+		edge := rel.Tuple{rel.NewString(fmt.Sprintf("t%d", i/2)), rel.NewString(fmt.Sprintf("t%d", i))}
+		if _, err := tb.Insert(edge); err != nil {
+			t.Fatal(err)
+		}
+		chars += len(edge[0].Str) + len(edge[1].Str)
+	}
+	pages := 0
+	if err := tb.Heap.ScanPages(func(*storage.Page) error { pages++; return nil }); err != nil || pages < 4 {
+		t.Fatalf("table spans %d pages (%v), want several", pages, err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := tb.DecodeAll(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 2 {
+		t.Errorf("DecodeAll allocates %.1f objects, want 2: the value slab and the character buffer", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b, err := tb.DecodeAll()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each allocation rounds up to its size class: at most an 8 KiB page
+	// over sizes this large.
+	need := b.Len()*2*rel.ValueSize + chars
+	if got := int(after.TotalAlloc - before.TotalAlloc); got > need+2*8192 {
+		t.Errorf("DecodeAll allocated %d bytes for a %d-byte slab and %d bytes of characters", got, b.Len()*2*rel.ValueSize, chars)
 	}
 }

@@ -15,6 +15,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -186,7 +187,11 @@ type SeedFact struct {
 type Program struct {
 	// Nodes in evaluation order (dependencies first).
 	Nodes []Node
-	// QueryPred is the predicate whose relation holds the answer.
+	// QueryPred is the predicate whose relation holds the answer, in
+	// the query's variable order: the query rule's head, or — when
+	// Generate dropped that rule because it only renamed one derived
+	// relation (answerAlias) — the predicate that rule read, whose
+	// relation is then the answer as it was derived.
 	QueryPred string
 	// Schemas maps each derived predicate to its (c0..cn-1) schema.
 	Schemas map[string]*rel.Schema
@@ -198,11 +203,17 @@ type Program struct {
 
 // Generate compiles an analyzed rule set into a Program. derivedTypes
 // must cover every derived predicate in the order (from typeinf.Infer).
+// A last node that only renames a derived relation into the query
+// predicate is not compiled: the program answers from that relation
+// (answerAlias).
 func Generate(order []*pcg.Node, derivedTypes map[string][]rel.Type, basePreds []string, queryPred string) (*Program, error) {
 	prog := &Program{
 		QueryPred: queryPred,
 		Schemas:   make(map[string]*rel.Schema),
 		BasePreds: append([]string(nil), basePreds...),
+	}
+	if p := answerAlias(order, queryPred); p != "" {
+		order, prog.QueryPred = order[:len(order)-1], p
 	}
 	for _, n := range order {
 		node := Node{
@@ -243,6 +254,49 @@ func Generate(order []*pcg.Node, derivedTypes map[string][]rel.Type, basePreds [
 		prog.Nodes = append(prog.Nodes, node)
 	}
 	return prog, nil
+}
+
+// answerAlias returns p when the last node of order is the query
+// predicate's own non-recursive node with the one rule
+//
+//	queryPred(V1, ..., Vn) :- p(V1, ..., Vn).
+//
+// — distinct variables, in the same order — and some earlier node
+// evaluates p; else "". That rule only renames p's relation: every
+// derived relation is a set, as each rule's INSERT adds only the tuples
+// its target lacks (rtlib.RuleInsert), so p's relation already is the
+// deduplicated answer, and copying it into the query predicate's would
+// build a key set of it and write every row once more. A constant, a
+// repeated variable, a projection, a base predicate or a second goal
+// keeps the node: there the rule computes something.
+func answerAlias(order []*pcg.Node, queryPred string) string {
+	if len(order) < 2 {
+		return ""
+	}
+	last := order[len(order)-1]
+	if last.Recursive || len(last.Preds) != 1 || last.Preds[0] != queryPred ||
+		len(last.ExitRules) != 1 || len(last.RecursiveRules) != 0 {
+		return ""
+	}
+	rule := last.ExitRules[0]
+	if len(rule.Body) != 1 || len(rule.Body[0].Args) != len(rule.Head.Args) {
+		return ""
+	}
+	seen := make(map[string]bool, len(rule.Head.Args))
+	for i, h := range rule.Head.Args {
+		b := rule.Body[0].Args[i]
+		if !h.IsVar() || !b.IsVar() || b.Var != h.Var || seen[h.Var] {
+			return ""
+		}
+		seen[h.Var] = true
+	}
+	p := rule.Body[0].Pred
+	for _, n := range order[:len(order)-1] {
+		if slices.Contains(n.Preds, p) {
+			return p
+		}
+	}
+	return ""
 }
 
 // Explain renders the program as text: the evaluation order list with

@@ -133,8 +133,18 @@ func TestCompileWithMagic(t *testing.T) {
 	if len(compiled.Program.Seeds) != 1 {
 		t.Fatalf("seeds = %v", compiled.Program.Seeds)
 	}
-	if !strings.Contains(compiled.Program.QueryPred, "_query") {
+	// Factoring leaves _query(W) :- ancestor__bf(W): the answer is
+	// read from ancestor__bf's relation.
+	if compiled.Program.QueryPred != "ancestor__bf" {
 		t.Fatalf("query pred %s", compiled.Program.QueryPred)
+	}
+	// Magic sets keep the query rule, which binds a constant.
+	forced, err := cp.Compile(query(t, "?- ancestor(john, W)."), CompileOptions{Optimize: true, ForceMagic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forced.Program.QueryPred != "_query__f" {
+		t.Fatalf("forced magic: query pred %s", forced.Program.QueryPred)
 	}
 	// Unbound query falls back to identity.
 	unopt, err := cp.Compile(query(t, "?- ancestor(A, B)."), CompileOptions{Optimize: true})

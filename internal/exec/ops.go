@@ -926,10 +926,11 @@ func (s *tupleSet) records(fn func(rec []byte) error) error {
 }
 
 // live decodes the set's tuples, in insertion order, into one block
-// that belongs to the caller: one value slab and one string, exactly
-// sized, as rel.OwnRows would leave them. A record that does not decode
-// under the set's schema — a tuple added with a value of another type —
-// is an error.
+// that belongs to the caller: one value slab and one string, the
+// decoder's character scratch sized by the records and handed over
+// (rel.BlockDecoder.FinishLast), as rel.OwnRows would leave them. A
+// record that does not decode under the set's schema — a tuple added
+// with a value of another type — is an error.
 func (s *tupleSet) live() ([]rel.Tuple, error) {
 	if s.n == 0 {
 		return nil, nil
@@ -941,7 +942,7 @@ func (s *tupleSet) live() ([]rel.Tuple, error) {
 	if err := s.records(dec.Add); err != nil {
 		return nil, fmt.Errorf("exec: set of %v: %w", s.schema, err)
 	}
-	return blockRows(dec.Finish()), nil
+	return blockRows(dec.FinishLast()), nil
 }
 
 // subtract removes from the set the tuples the rows of op have — or,

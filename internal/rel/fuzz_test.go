@@ -2,6 +2,7 @@ package rel
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -46,17 +47,20 @@ func FuzzDecodeTuple(f *testing.F) {
 }
 
 // FuzzDecodeBlock cuts the input into records at fuzzer-chosen lengths
-// and decodes them twice: one by one through DecodeTuple, and together
-// through a BlockDecoder, in a fresh slab and then over that block's
-// slab. The block has exactly the rows DecodeTuple returns, it fails
-// exactly when one of the records does, it never panics, and each row's
-// capacity is its length, so appending to one row cannot overwrite the
-// next.
+// and decodes them one by one through DecodeTuple, and together through
+// a BlockDecoder: in a fresh slab, then over that block's slab, then
+// into a slab of its own finished with FinishLast, sized by the
+// records, after which the decoder decodes them once more. Each block
+// has exactly the rows DecodeTuple returns, it fails exactly when one
+// of the records does, it never panics, and each row's capacity is its
+// length, so appending to one row cannot overwrite the next; the
+// decoder's next block does not write over FinishLast's.
 func FuzzDecodeBlock(f *testing.F) {
 	two := append(Tuple{NewInt(-5), NewString("hello")}.Encode(nil), Tuple{NewInt(7), NewString("")}.Encode(nil)...)
 	f.Add(uint8(2), two, []byte{14, 9})
 	f.Add(uint8(3), Tuple{NewString("ab"), NewString("c")}.Encode(nil), []byte{5, 0, 0})
 	f.Add(uint8(5), []byte{}, []byte{0, 0, 0})
+	f.Add(uint8(0), []byte{1, 'a', 1, 'b'}, []byte{2, 2})
 	f.Add(uint8(0), []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'x'}, []byte{11})
 	f.Fuzz(func(t *testing.T, which uint8, data, cuts []byte) {
 		schema := fuzzSchemas[int(which)%len(fuzzSchemas)]
@@ -79,21 +83,36 @@ func FuzzDecodeBlock(f *testing.F) {
 			want = append(want, tu)
 		}
 
+		size := 0
+		for _, rec := range recs {
+			size += len(rec)
+		}
 		dec := NewBlockDecoder(schema)
-		decode := func(begin func()) (Block, error) {
+		decode := func(recs [][]byte, begin func(), finish func() Block) (Block, error) {
 			begin()
 			for _, rec := range recs {
 				if err := dec.Add(rec); err != nil {
 					return Block{}, err
 				}
 			}
-			return dec.Finish(), nil
+			return finish(), nil
 		}
-		fresh, err := decode(func() { dec.Begin(len(recs), len(data)) })
-		for pass, b := range []Block{fresh, {}} {
-			if pass == 1 {
+		fresh, err := decode(recs, func() { dec.Begin(len(recs), len(data)) }, dec.Finish)
+		for pass, b := range []Block{fresh, {}, {}} {
+			switch pass {
+			case 1:
 				// The same records over the first block's slab.
-				b, err = decode(func() { dec.BeginOver(fresh) })
+				b, err = decode(recs, func() { dec.BeginOver(fresh) }, dec.Finish)
+			case 2:
+				// A block handed its character scratch, then the decoder's
+				// next block — the records in reverse, other characters
+				// where there are several — which must leave it as it was.
+				b, err = decode(recs, func() { dec.Begin(len(recs), size) }, dec.FinishLast)
+				if err == nil {
+					rev := slices.Clone(recs)
+					slices.Reverse(rev)
+					_, _ = decode(rev, func() { dec.Begin(len(recs), size) }, dec.Finish)
+				}
 			}
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("pass %d: block error %v, DecodeTuple error %v", pass, err, wantErr)

@@ -3,7 +3,6 @@ package rel
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strings"
 	"unsafe"
 )
@@ -255,21 +254,30 @@ func Outgrown(capacity, used int) bool { return capacity > 4*used+1024 }
 // BlockDecoder decodes the records of one schema into Blocks. Begin
 // (or BeginOver, BeginReusing, BeginWithin), then Add per record — typically
 // under the pin of the page holding it; the record is not retained —
-// then Finish. A decoder is reused from block to block and keeps its
-// character scratch buffer.
+// then Finish, or FinishLast for the decoder's last block. A decoder is
+// reused from block to block and keeps its character scratch buffer.
 type BlockDecoder struct {
 	schema  *Schema
 	vals    []Value
 	chars   []byte // scratch: the character data of the block being built
 	rows    int32
 	strings bool // the schema has string columns
+	// fixed is the length every record of the schema has besides its
+	// character data at least: 8 bytes an int column, a length byte a
+	// string column.
+	fixed int
 }
 
 // NewBlockDecoder returns a decoder for records of the schema.
 func NewBlockDecoder(schema *Schema) BlockDecoder {
 	d := BlockDecoder{schema: schema}
 	for _, c := range schema.cols {
-		d.strings = d.strings || c.Type == TypeString
+		if c.Type == TypeString {
+			d.strings = true
+			d.fixed++
+		} else {
+			d.fixed += 8
+		}
 	}
 	return d
 }
@@ -281,7 +289,7 @@ func (d *BlockDecoder) Schema() *Schema { return d.schema }
 // total length of the records to come when the caller knows it (it
 // bounds their character data and sizes the scratch buffer), else 0.
 func (d *BlockDecoder) Begin(rows, size int) {
-	d.reserve(size)
+	d.reserve(rows, size)
 	d.vals, d.rows = make([]Value, 0, rows*d.schema.Len()), 0
 }
 
@@ -316,24 +324,18 @@ func (d *BlockDecoder) BeginWithin(old Block, rows, size int) {
 		return
 	}
 	d.BeginOver(old)
-	d.reserve(size)
+	d.reserve(rows, size)
 }
 
-// reserve empties the character scratch, making room for size bytes.
-func (d *BlockDecoder) reserve(size int) {
-	if d.strings && cap(d.chars) < size {
-		d.chars = make([]byte, 0, size)
+// reserve empties the character scratch, making room for the character
+// data of rows records size bytes long together: size less each
+// record's fixed bytes, which is exactly that data when no string is
+// 128 bytes or longer (a longer one takes more length bytes).
+func (d *BlockDecoder) reserve(rows, size int) {
+	if need := size - rows*d.fixed; d.strings && cap(d.chars) < need {
+		d.chars = make([]byte, 0, need)
 	}
 	d.chars = d.chars[:0]
-}
-
-// Grow makes room in the block being built for size more bytes of
-// records, as Begin's size does for the first: a block of many pages
-// grows its character scratch a page at a time.
-func (d *BlockDecoder) Grow(size int) {
-	if d.strings {
-		d.chars = slices.Grow(d.chars, size)
-	}
 }
 
 // Add decodes one record as the block's next row, under DecodeTuple's
@@ -354,11 +356,28 @@ func (d *BlockDecoder) Add(rec []byte) error {
 // Rows returns the number of rows added since Begin.
 func (d *BlockDecoder) Rows() int { return int(d.rows) }
 
-// Finish returns the block of the rows added since Begin.
-func (d *BlockDecoder) Finish() Block {
+// Finish returns the block of the rows added since Begin, its string a
+// copy of the character scratch, which the decoder keeps for its next
+// block.
+func (d *BlockDecoder) Finish() Block { return d.finish(string(d.chars)) }
+
+// FinishLast is Finish for the decoder's last block: the block's string
+// is the character scratch itself, handed over instead of copied, and
+// the decoder lets go of it — a block begun after this gets a new
+// scratch — so nothing writes to those bytes again. A decoder that
+// sized its scratch to the block (Begin's size) allocates its
+// character data once.
+func (d *BlockDecoder) FinishLast() Block {
+	chars := d.chars
+	d.chars = nil
+	return d.finish(unsafe.String(unsafe.SliceData(chars), len(chars)))
+}
+
+// finish returns the block of the rows added since Begin, its strings
+// bound to s, the character data.
+func (d *BlockDecoder) finish(s string) Block {
 	b := Block{vals: d.vals, width: int32(d.schema.Len()), rows: d.rows}
-	if len(d.chars) > 0 {
-		s := string(d.chars)
+	if len(s) > 0 {
 		for i := range b.vals {
 			b.vals[i].bindString(s)
 		}
@@ -402,10 +421,12 @@ func AppendRows(buf []byte, rows []Tuple) []byte {
 // DecodeRows decodes the block AppendRows wrote at the front of data
 // through one BlockDecoder. It returns the rows — views into one value
 // slab and one string, aliasing nothing of data — and the bytes after the
-// block. The bytes may be untrusted: anything AppendRows would not have
-// written is an error, and a header claiming more rows × columns than
-// data can hold is refused before the slab is allocated, since a record
-// takes at least its length byte and a byte per column.
+// block. It reads the records' lengths first, so that the string is the
+// decoder's character scratch sized to the block (FinishLast). The bytes
+// may be untrusted: anything AppendRows would not have written is an
+// error, and a header claiming more rows × columns than data can hold
+// is refused before the slab is allocated, since a record takes at
+// least its length byte and a byte per column.
 func DecodeRows(data []byte) ([]Tuple, []byte, error) {
 	ncols, data, err := readUvarint(data)
 	if err != nil || ncols > uint64(len(data)) {
@@ -423,19 +444,24 @@ func DecodeRows(data []byte) ([]Tuple, []byte, error) {
 	if err != nil || (nrows == 0 && ncols != 0) || nrows > uint64(len(data))/(ncols+1) {
 		return nil, nil, fmt.Errorf("rel: bad row count in row block of %d columns", ncols)
 	}
-	dec := NewBlockDecoder(schema)
-	dec.Begin(int(nrows), len(data))
+	size, rest := 0, data
 	for i := uint64(0); i < nrows; i++ {
-		n, rest, err := readUvarint(data)
-		if err != nil || n > uint64(len(rest)) {
+		n, r, err := readUvarint(rest)
+		if err != nil || n > uint64(len(r)) {
 			return nil, nil, fmt.Errorf("rel: bad length of record %d in row block", i)
 		}
-		if err := dec.Add(rest[:n]); err != nil {
+		size, rest = size+int(n), r[n:]
+	}
+	dec := NewBlockDecoder(schema)
+	dec.Begin(int(nrows), size)
+	for range nrows {
+		n, rec, _ := readUvarint(data)
+		if err := dec.Add(rec[:n]); err != nil {
 			return nil, nil, err
 		}
-		data = rest[n:]
+		data = rec[n:]
 	}
-	b := dec.Finish()
+	b := dec.FinishLast()
 	rows := make([]Tuple, b.Len())
 	for i := range rows {
 		rows[i] = b.Row(i)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"dkbms/internal/codegen"
@@ -17,9 +16,7 @@ import (
 // of one evaluation run. Every temp table in the module
 // is born here, so nothing a run creates can escape its teardown.
 type TempTables struct {
-	d *db.DB
-	// mu guards live, so that the registry is safe for concurrent use.
-	mu   sync.Mutex
+	d    *db.DB
 	live map[string]bool
 }
 
@@ -36,28 +33,22 @@ func (t *TempTables) Create(name string, schema *rel.Schema) error {
 	if err := t.d.CreateTempTable(name, schema); err != nil {
 		return err
 	}
-	t.mu.Lock()
 	t.live[name] = true
-	t.mu.Unlock()
 	return nil
 }
 
 // drop drops one table and forgets it.
 func (t *TempTables) drop(name string) error {
-	t.mu.Lock()
 	delete(t.live, name)
-	t.mu.Unlock()
 	return t.d.DropTable(name)
 }
 
 // names lists the registered tables, sorted.
 func (t *TempTables) names() []string {
-	t.mu.Lock()
 	names := make([]string, 0, len(t.live))
 	for n := range t.live {
 		names = append(names, n)
 	}
-	t.mu.Unlock()
 	sort.Strings(names)
 	return names
 }

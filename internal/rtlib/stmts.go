@@ -3,7 +3,6 @@ package rtlib
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"dkbms/internal/codegen"
 	"dkbms/internal/db"
@@ -36,15 +35,11 @@ import (
 // run ends, parks each handle's tree on its statement (db.Stmt.Park),
 // shed of its tables and working memory, and the next run's first
 // execution of the statement re-binds it instead of constructing one.
-// Nothing is kept on the compiled program. A Statements is safe for
-// concurrent use, as the statements it hands out are.
+// Nothing is kept on the compiled program.
 type Statements struct {
 	d       *db.DB
 	schemas map[string]*rel.Schema
 
-	// mu guards the maps, so that a Statements is safe for concurrent
-	// use.
-	mu sync.Mutex
 	// uses maps each use to its handle, and keys each statement's
 	// db.Stmt.ID to the handle every use of it shares.
 	uses map[useKey]*db.Stmt
@@ -76,23 +71,9 @@ func (s *Statements) schema(pred string) (*rel.Schema, error) {
 	return nil, fmt.Errorf("rtlib: no relation for predicate %s", pred)
 }
 
-// lookup returns the handle of a use already prepared, or nil.
-func (s *Statements) lookup(key useKey) *db.Stmt {
-	s.mu.Lock()
-	st := s.uses[key]
-	s.mu.Unlock()
-	return st
-}
-
 // keep records st as the handle of a use and returns the handle the use
-// has: the one the run holds on st's statement if it holds one, or the
-// one a concurrent caller recorded first.
+// has: the one the run holds on st's statement if it holds one.
 func (s *Statements) keep(key useKey, st *db.Stmt) *db.Stmt {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if have := s.uses[key]; have != nil {
-		return have
-	}
 	if have := s.keys[st.ID()]; have != nil {
 		st = have
 	} else {
@@ -124,7 +105,7 @@ const (
 // Rule returns r prepared in the given form.
 func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 	key := useKey{form: uint8(form), rule: r}
-	if st := s.lookup(key); st != nil {
+	if st := s.uses[key]; st != nil {
 		return st, nil
 	}
 	n := len(r.From)
@@ -185,7 +166,7 @@ var roleSQL = [...]struct {
 // pred.
 func (s *Statements) Relation(pred string, role Role) (*db.Stmt, error) {
 	key := useKey{form: uint8(role), pred: pred}
-	if st := s.lookup(key); st != nil {
+	if st := s.uses[key]; st != nil {
 		return st, nil
 	}
 	sch, err := s.schema(pred)
@@ -205,8 +186,6 @@ func (s *Statements) Relation(pred string, role Role) (*db.Stmt, error) {
 // still be used after Close; its statements then start their trees
 // over.
 func (s *Statements) Close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, st := range s.keys {
 		st.Park()
 	}

@@ -264,6 +264,10 @@ func TestRandomProgramsAgainstReference(t *testing.T) {
 						trial, mode.name, indexed, err, programText(rules), q.String())
 				}
 				got := rowSet(res.Rows)
+				if dup := firstDuplicate(got); dup != "" {
+					t.Fatalf("trial %d %s indexed=%v: answer %s appears twice: a derived relation is not a set\nprogram:\n%s\nquery: %s",
+						trial, mode.name, indexed, dup, programText(rules), q.String())
+				}
 				if strings.Join(got, "|") != strings.Join(want, "|") {
 					t.Fatalf("trial %d %s indexed=%v: engine disagrees with reference\nprogram:\n%s\nquery: %s\n got: %v\nwant: %v",
 						trial, mode.name, indexed, programText(rules), q.String(), got, want)
@@ -275,6 +279,21 @@ func TestRandomProgramsAgainstReference(t *testing.T) {
 		// before this step existed.
 		maintainedAgainstReference(t, rand.New(rand.NewSource(int64(trial))), trial, rules, facts, q)
 	}
+}
+
+// firstDuplicate returns a row that sorted, the rows rowSet returns,
+// holds twice, or "". Every derived relation is a set — each rule's
+// INSERT adds only the tuples its target lacks — and a query whose rule
+// only renames one is answered from that relation as it is
+// (codegen.Program.QueryPred), so a duplicate answer means a rule
+// INSERT let one through.
+func firstDuplicate(sorted []string) string {
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i] == sorted[i-1] {
+			return sorted[i]
+		}
+	}
+	return ""
 }
 
 // maintainedAgainstReference runs one random program on a
@@ -336,7 +355,12 @@ func maintainedAgainstReference(t *testing.T, r *rand.Rand, trial int, rules []d
 				t.Fatalf("trial %d %s nooptimize=%v: cache=%q, want %q\nprogram:\n%s\nquery: %s",
 					trial, step, noOpt, res.Cache, wantCache, programText(rules), q.String())
 			}
-			if got := rowSet(res.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
+			got := rowSet(res.Rows)
+			if dup := firstDuplicate(got); dup != "" {
+				t.Fatalf("trial %d %s nooptimize=%v: answer %s appears twice: a derived relation is not a set\nprogram:\n%s\nquery: %s",
+					trial, step, noOpt, dup, programText(rules), q.String())
+			}
+			if strings.Join(got, "|") != strings.Join(want, "|") {
 				t.Fatalf("trial %d %s nooptimize=%v: engine disagrees with reference\nprogram:\n%s\nquery: %s\n got: %v\nwant: %v",
 					trial, step, noOpt, programText(rules), q.String(), got, want)
 			}

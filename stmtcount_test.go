@@ -16,8 +16,12 @@ import (
 // whether or not the answers still agree.
 //
 // The three rows were captured at the commit before the shared fixpoint
-// driver and must not move. They compile with generalized magic sets
-// forced (queryMagic), as the paper's experiments do.
+// driver, and the LFP statements in them must not move. They compile
+// with generalized magic sets forced (queryMagic), as the paper's
+// experiments do. The two unbound rows no longer copy the answer into a
+// query relation: the query rule _query(X, W) :- ancestor(X, W) only
+// renames ancestor, so the answer is read where it was derived — one
+// INSERT, 8 194 inserted rows and a CREATE and DROP fewer than captured.
 func TestStatementCountsPinned(t *testing.T) {
 	const rules = `
 ancestor(X, Y) :- parent(X, Y).
@@ -55,9 +59,9 @@ ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 		want        db.Stats
 	}{
 		{"naive", "?- ancestor(X, W).", QueryOptions{Naive: true, NoOptimize: true}, 8194,
-			db.Stats{Selects: 14, Inserts: 31, InsertedRows: 112690, Deletes: 10, DDL: 24}},
+			db.Stats{Selects: 14, Inserts: 30, InsertedRows: 104496, Deletes: 10, DDL: 22}},
 		{"semi-naive", "?- ancestor(X, W).", QueryOptions{NoOptimize: true}, 8194,
-			db.Stats{Selects: 13, Inserts: 20, InsertedRows: 24582, DDL: 24}},
+			db.Stats{Selects: 13, Inserts: 19, InsertedRows: 16388, DDL: 22}},
 		{"magic semi-naive", "?- ancestor(t1, W).", QueryOptions{}, 1022,
 			db.Stats{Selects: 23, Inserts: 41, InsertedRows: 19456, DDL: 48}},
 	} {
