@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"unsafe"
 
 	"dkbms/internal/index"
 	"dkbms/internal/rel"
@@ -47,6 +46,9 @@ type Table struct {
 // Rows returns the maintained tuple count (exact; updated on every
 // insert, delete and truncate, and recounted at open).
 func (t *Table) Rows() int { return t.rows }
+
+// Bytes returns the maintained length of the live records together.
+func (t *Table) Bytes() int { return t.bytes }
 
 // Index is a secondary index over a subset of a table's columns.
 type Index struct {
@@ -201,11 +203,16 @@ func buildIndex(t *Table, idx *Index) error {
 }
 
 // fillIndex inserts every row of t into idx's tree and trims the tree's
-// slabs to what the rows need.
+// slabs to what the rows need. A key is the record's indexed columns,
+// read in place.
 func fillIndex(t *Table, idx *Index) error {
+	var sp rel.Spans
 	var buf [128]byte // the tree copies the key into its leaf
-	err := t.Scan(func(rid storage.RID, tu rel.Tuple) error {
-		return idx.Tree.Insert(tu.AppendKey(buf[:0], idx.Ords), rid)
+	err := t.Heap.Scan(func(rid storage.RID, rec []byte) error {
+		if err := sp.Read(rec, t.Schema); err != nil {
+			return fmt.Errorf("catalog: table %s: %w", t.Name, err)
+		}
+		return idx.Tree.Insert(sp.AppendCols(buf[:0], idx.Ords), rid)
 	})
 	idx.Tree.Trim()
 	return err
@@ -589,15 +596,26 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 	return rid, nil
 }
 
-// InsertRecord adds an already-encoded tuple: a record scanned from a
-// table of the same column types, stored as it is. The table must have
-// no indexes (their keys would need the decoded tuple).
+// InsertRecord adds an already-encoded tuple — a record another
+// table's heap stores, or an operator tree emits — as it is: the record
+// of a tuple of the table's column types, which the caller has checked.
+// An index's key is the record's indexed columns, read in place.
 func (t *Table) InsertRecord(rec []byte) error {
-	if len(t.Indexes) != 0 {
-		return fmt.Errorf("catalog: raw insert into indexed table %s", t.Name)
+	var sp rel.Spans
+	if len(t.Indexes) > 0 {
+		if err := sp.Read(rec, t.Schema); err != nil {
+			return fmt.Errorf("catalog: insert into %s: %w", t.Name, err)
+		}
 	}
-	if _, err := t.Heap.Insert(rec); err != nil {
+	rid, err := t.Heap.Insert(rec)
+	if err != nil {
 		return err
+	}
+	var buf [128]byte // the tree copies the key into its leaf
+	for _, idx := range t.Indexes {
+		if err := idx.Tree.Insert(sp.AppendCols(buf[:0], idx.Ords), rid); err != nil {
+			return err
+		}
 	}
 	t.rows++
 	t.bytes += len(rec)
@@ -634,39 +652,11 @@ func (t *Table) Truncate() error {
 	return nil
 }
 
-// DecodeBlocks decodes the table a page at a time through dec, a
-// decoder of the table's schema, and returns the live rows of each
-// page, in slot order, as one block (rel.Block says what keeping one of
-// its rows keeps alive). old are the blocks a previous call returned,
-// whose rows nobody reads any more: page i is decoded over old[i] when
-// that block's slab fits it (rel.BlockDecoder.BeginReusing), the blocks
-// are returned in old's list, and old's blocks past the table's pages
-// are released, as is a list far longer than the table.
-func (t *Table) DecodeBlocks(dec *rel.BlockDecoder, old []rel.Block) ([]rel.Block, error) {
-	blocks := old[:0]
-	err := t.scanPages(dec, old, func(_ *storage.Page, b rel.Block) error {
-		if cap(blocks) == 0 && b.Len() > 0 {
-			// Pages of one table hold about as many rows each.
-			blocks = make([]rel.Block, 0, t.Rows()/b.Len()+1)
-		}
-		// Page i is written over old[i] after it was decoded over it.
-		blocks = append(blocks, b)
-		return nil
-	})
-	if len(blocks) < len(old) {
-		clear(old[len(blocks):])
-	}
-	if size := int(unsafe.Sizeof(rel.Block{})); rel.Outgrown(cap(blocks)*size, len(blocks)*size) {
-		blocks = slices.Clone(blocks)
-	}
-	return blocks, err
-}
-
-// DecodeAll decodes the whole table, in the order DecodeBlocks reads it,
-// into one block of its own, as rel.OwnRows leaves rows: one value slab
-// sized by the maintained row count, and one string, the character
-// buffer sized once by the maintained record bytes and handed over
-// (rel.BlockDecoder.FinishLast). It reads the pages DecodeBlocks reads.
+// DecodeAll decodes the whole table, in chain order, into one block of
+// its own: one value slab sized by the maintained row count, and one
+// string, the character buffer sized once by the maintained record
+// bytes and handed over (rel.BlockDecoder.FinishLast). It is one scan
+// pass.
 func (t *Table) DecodeAll() (rel.Block, error) {
 	dec := rel.NewBlockDecoder(t.Schema)
 	dec.Begin(t.rows, t.bytes)
@@ -677,37 +667,6 @@ func (t *Table) DecodeAll() (rel.Block, error) {
 		return rel.Block{}, err
 	}
 	return dec.FinishLast(), nil
-}
-
-// DecodePage decodes the live records of pg, a page of the table's heap
-// the caller has pinned, in slot order, through dec into one block:
-// over kept, a block whose rows nobody reads any more, when its slab
-// holds them (rel.BlockDecoder.BeginWithin), else into a block sized to
-// the page.
-func (t *Table) DecodePage(dec *rel.BlockDecoder, kept rel.Block, pg *storage.Page) (rel.Block, error) {
-	dec.BeginWithin(kept, pg.LiveRecords(), recordBytes(pg))
-	if err := t.decodePage(dec, pg); err != nil {
-		return rel.Block{}, err
-	}
-	return dec.Finish(), nil
-}
-
-// scanPages decodes each page through dec into a block, over old[i] for
-// page i where there is one, and passes fn the pinned page with it.
-func (t *Table) scanPages(dec *rel.BlockDecoder, old []rel.Block, fn func(pg *storage.Page, b rel.Block) error) error {
-	i := 0
-	return t.Heap.ScanPages(func(pg *storage.Page) error {
-		var prev rel.Block
-		if i < len(old) {
-			prev = old[i]
-		}
-		i++
-		dec.BeginReusing(prev, pg.LiveRecords(), recordBytes(pg))
-		if err := t.decodePage(dec, pg); err != nil {
-			return err
-		}
-		return fn(pg, dec.Finish())
-	})
 }
 
 // recount sets the maintained row count and record bytes from the
@@ -743,12 +702,16 @@ func (t *Table) decodePage(dec *rel.BlockDecoder, pg *storage.Page) error {
 	return nil
 }
 
-// Scan calls fn with every tuple and the RID it is stored at. The tuple
-// is a row of its page's block.
+// Scan calls fn with every tuple and the RID it is stored at, each
+// page's rows decoded into a block of their own.
 func (t *Table) Scan(fn func(rid storage.RID, tu rel.Tuple) error) error {
 	dec := rel.NewBlockDecoder(t.Schema)
-	return t.scanPages(&dec, nil, func(pg *storage.Page, b rel.Block) error {
-		row := 0
+	return t.Heap.ScanPages(func(pg *storage.Page) error {
+		dec.Begin(pg.LiveRecords(), recordBytes(pg))
+		if err := t.decodePage(&dec, pg); err != nil {
+			return err
+		}
+		b, row := dec.FinishLast(), 0
 		for s := 0; s < pg.SlotCount(); s++ {
 			if pg.Record(s) == nil {
 				continue
@@ -772,18 +735,6 @@ func (t *Table) Get(rid storage.RID) (tu rel.Tuple, err error) {
 		return err
 	})
 	return tu, err
-}
-
-// AddRows decodes the tuples at rids, in order, into the block dec is
-// building: each record is decoded under its page's pin, and the block
-// gives the rows of one index probe one slab and one string.
-func (t *Table) AddRows(dec *rel.BlockDecoder, rids []storage.RID) error {
-	for _, rid := range rids {
-		if err := t.Heap.Read(rid, dec.Add); err != nil {
-			return fmt.Errorf("record %s: %w", rid, err)
-		}
-	}
-	return nil
 }
 
 // IndexOn returns an index of the table whose columns start with the

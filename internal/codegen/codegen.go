@@ -97,8 +97,9 @@ type FromEntry struct {
 type RuleSQL struct {
 	// Head is the defined predicate.
 	Head string
-	// Source is the original clause (diagnostics and EXPLAIN output).
-	Source string
+	// Clause is the original clause; Source renders it, for a span, an
+	// error or EXPLAIN only.
+	Clause dlog.Clause
 	// SelectList is the projection computing the head tuple.
 	SelectList string
 	// From lists the body relations in order.
@@ -113,6 +114,9 @@ type RuleSQL struct {
 	// same clique as Head (the occurrences semi-naive differentiates).
 	CliqueOccs []int
 }
+
+// Source renders the original clause.
+func (r *RuleSQL) Source() string { return r.Clause.String() }
 
 // SQL renders the rule with the given predicate→table mapping, its
 // constants written in as literals: the text EXPLAIN shows, which runs
@@ -325,10 +329,10 @@ func (p *Program) Explain() string {
 		}
 		fmt.Fprintf(&b, "node %d (%s): %s\n", i+1, kind, strings.Join(n.Preds, ", "))
 		for _, r := range n.ExitRules {
-			fmt.Fprintf(&b, "  exit  %s\n        %s\n", r.Source, r.SQL(tableOf))
+			fmt.Fprintf(&b, "  exit  %s\n        %s\n", r.Source(), r.SQL(tableOf))
 		}
 		for _, r := range n.RecursiveRules {
-			fmt.Fprintf(&b, "  rec   %s\n        %s\n", r.Source, r.SQL(tableOf))
+			fmt.Fprintf(&b, "  rec   %s\n        %s\n", r.Source(), r.SQL(tableOf))
 		}
 	}
 	return b.String()
@@ -340,7 +344,7 @@ func CompileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
 	if len(c.Body) == 0 {
 		return RuleSQL{}, fmt.Errorf("codegen: cannot compile bodiless clause %q; facts belong in the extensional database", c.String())
 	}
-	rs := RuleSQL{Head: c.Head.Pred, Source: c.String()}
+	rs := RuleSQL{Head: c.Head.Pred, Clause: c}
 
 	// First occurrence of each variable.
 	type pos struct{ atom, arg int }

@@ -14,120 +14,77 @@ import (
 	"dkbms/internal/sql"
 )
 
-// borrowed reports whether the planner marked op Borrowed.
-func borrowed(op exec.Operator) bool {
-	switch o := op.(type) {
-	case *exec.Project:
-		return o.Borrowed
-	case *exec.HashJoin:
-		return o.Borrowed
-	case *exec.IndexNLJoin:
-		return o.Borrowed
-	case *exec.NLJoin:
-		return o.Borrowed
-	case *exec.SeqScan:
-		return o.Borrowed
-	}
-	return false
-}
-
-// lendable reports whether op, under the Filter of its predicates, is a
-// producer that could lend its rows: a join, which builds them in a
-// buffer, or a table scan, which decodes them into a block.
-func lendable(op exec.Operator) bool {
+// scan reports whether op, under the Filter of its predicates, is a
+// table scan.
+func scan(op exec.Operator) bool {
 	if f, ok := op.(*exec.Filter); ok {
 		op = f.Input
 	}
-	switch op.(type) {
-	case *exec.HashJoin, *exec.IndexNLJoin, *exec.NLJoin, *exec.SeqScan:
-		return true
-	}
-	return false
+	_, ok := op.(*exec.SeqScan)
+	return ok
 }
 
-// lentScan reports whether op, under the Filter of its predicates, is a
-// table scan marked Borrowed.
-func lentScan(op exec.Operator) bool {
-	if f, ok := op.(*exec.Filter); ok {
-		op = f.Input
-	}
-	scan, ok := op.(*exec.SeqScan)
-	return ok && scan.Borrowed
-}
-
-// borrowWalk checks op's tree: a Borrowed producer is allowed only where
-// its consumer copies each row before it asks for the next (copies): a
-// Project's input, a hash join's probe side, a deduplicating set
-// operation's inputs, COUNT(*)'s input. Every consumer that keeps rows
-// passes false: a hash join's build side, an index join's outer input,
-// both inputs of a nested-loop join, UNION ALL's inputs, and the
-// statement's result. It records the consumers it met in seen.
-func borrowWalk(t *testing.T, stmt string, op exec.Operator, copies bool, seen map[string]int) {
-	t.Helper()
-	if borrowed(op) {
-		seen["borrowed"]++
-		if !copies {
-			t.Errorf("%s: %T is Borrowed under a consumer that keeps its rows", stmt, op)
-		}
-	}
+// shapes records in seen the places in op's tree where one operator
+// keeps or passes on another's records: a hash join's build side
+// (copied into its arena) and probe side (read in place), an index
+// join's outer side (read in place while the inner records are read), a
+// nested-loop join's right side (copied), UNION ALL's inputs (passed
+// on), a Project's scan (read in place) and a Project under a
+// deduplicating set operation (copied into the set).
+func shapes(op exec.Operator, seen map[string]int) {
 	switch o := op.(type) {
 	case *exec.Project:
-		if lentScan(o.Input) {
-			seen["lent project input"]++
+		if scan(o.Input) {
+			seen["project input"]++
 		}
-		borrowWalk(t, stmt, o.Input, true, seen)
+		shapes(o.Input, seen)
 	case *exec.Filter:
-		borrowWalk(t, stmt, o.Input, copies, seen)
+		shapes(o.Input, seen)
 	case *exec.Distinct:
-		borrowWalk(t, stmt, o.Input, copies, seen)
+		shapes(o.Input, seen)
 	case *exec.HashJoin:
 		build, probe := o.Right, o.Left
 		if o.BuildLeft {
 			build, probe = probe, build
 		}
-		if lendable(build) {
-			seen["hash build side"]++
+		seen["hash build side"]++
+		if scan(probe) {
+			seen["probe side"]++
 		}
-		if lentScan(probe) {
-			seen["lent probe side"]++
-		}
-		borrowWalk(t, stmt, build, false, seen)
-		borrowWalk(t, stmt, probe, true, seen)
+		shapes(build, seen)
+		shapes(probe, seen)
 	case *exec.IndexNLJoin:
-		if lendable(o.Left) {
-			seen["index join outer side"]++
-		}
-		borrowWalk(t, stmt, o.Left, false, seen)
+		seen["index join outer side"]++
+		shapes(o.Left, seen)
 	case *exec.NLJoin:
 		seen["nested-loop right side"]++
-		borrowWalk(t, stmt, o.Left, false, seen)
-		borrowWalk(t, stmt, o.Right, false, seen)
+		shapes(o.Left, seen)
+		shapes(o.Right, seen)
 	case *exec.SetOpExec:
-		dedup := o.Kind != exec.OpUnionAll
-		if !dedup {
+		if o.Kind == exec.OpUnionAll {
 			seen["union all"]++
+		} else if _, ok := o.Left.(*exec.Project); ok {
+			seen["projected set input"]++
 		}
-		borrowWalk(t, stmt, o.Left, dedup, seen)
-		borrowWalk(t, stmt, o.Right, dedup, seen)
+		shapes(o.Left, seen)
+		shapes(o.Right, seen)
 	case *exec.CountStar:
-		borrowWalk(t, stmt, o.Input, true, seen)
+		shapes(o.Input, seen)
 	}
 }
 
-// TestBorrowedRowsNeverKept: the planner lends a producer's buffer only
-// to a consumer that copies each row before asking for the next. Each
-// statement below has a consumer that keeps rows over a producer that
-// would reuse one buffer if it were marked Borrowed — so every kept row
-// would read as the last one written, or a scan's rows as the last page
-// decoded — and many rows through it, from tables whose rows lie on
-// three heap pages or more. Its plan must mark nothing under that
-// consumer, and its answer, run as text and prepared, must be the
-// brute-force one; so must the answers of the lent scans, a hash join's
-// probe side and a Project's input, whose rows cross page boundaries.
-// The prepared statement then runs a second time, on its kept tree,
-// after rows were added to every table: its answer is the new
-// brute-force one, and the rows the first execution returned still read
-// as the old.
+// TestBorrowedRowsNeverKept: records pass through an operator tree in
+// buffers each operator writes over — a page while it is pinned, a
+// join's or a projection's output record — so whatever an operator or
+// a statement keeps it must copy. Each statement below has a consumer
+// that keeps records over a producer that reuses one buffer — so every
+// kept row would read as the last one written, or a scan's as the last
+// page read — and many rows through it, from tables whose rows lie on
+// three heap pages or more. Its answer, run as text and prepared, must
+// be the brute-force one. The prepared statement then runs a second
+// time, on its kept tree, after rows were added to every table: its
+// answer is the new brute-force one, and the rows the first execution
+// returned still read as the old.
 func TestBorrowedRowsNeverKept(t *testing.T) {
 	type edge struct{ s, d int64 }
 	r := rand.New(rand.NewSource(7))
@@ -215,12 +172,13 @@ func TestBorrowedRowsNeverKept(t *testing.T) {
 				pairs(a, b, func(l, r edge) bool { return l.d == r.s }, func(l, r edge) string { return row(l.s, r.d) }),
 				pairs(a, b, func(l, r edge) bool { return l.s == r.d }, func(l, r edge) string { return row(r.s, l.d) })...)
 		}},
-		// The lending cases. The join copies each probe row, the
-		// projection each input row, the EXCEPT what it reads.
-		{"lent probe side", "SELECT p.s, a.d FROM b p, a WHERE p.d = a.s", func() []string {
+		// Records read in place: the join copies each probe record into
+		// its output, the projection each input record, the EXCEPT what
+		// it reads.
+		{"probe side", "SELECT p.s, a.d FROM b p, a WHERE p.d = a.s", func() []string {
 			return pairs(b, a, func(l, r edge) bool { return l.d == r.s }, func(l, r edge) string { return row(l.s, r.d) })
 		}},
-		{"lent project input", "SELECT d, s FROM x WHERE d > 40", func() []string {
+		{"project input", "SELECT d, s FROM x WHERE d > 40", func() []string {
 			var out []string
 			for _, e := range x {
 				if e.d > 40 {
@@ -229,7 +187,7 @@ func TestBorrowedRowsNeverKept(t *testing.T) {
 			}
 			return out
 		}},
-		{"borrowed", "SELECT a.s, p.d FROM a, b p WHERE a.d = p.s EXCEPT SELECT * FROM a", func() []string {
+		{"projected set input", "SELECT a.s, p.d FROM a, b p WHERE a.d = p.s EXCEPT SELECT * FROM a", func() []string {
 			in := map[string]bool{}
 			for _, e := range a {
 				in[row(e.s, e.d)] = true
@@ -258,7 +216,7 @@ func TestBorrowedRowsNeverKept(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := map[string]int{}
-		borrowWalk(t, tc.stmt, op, false, seen)
+		shapes(op, seen)
 		if seen[tc.shape] == 0 {
 			t.Errorf("%s: the plan has no %s: %v", tc.stmt, tc.shape, seen)
 		}
@@ -319,7 +277,7 @@ func TestSetOfUntypedValueIsAnError(t *testing.T) {
 	if _, err := exec.CollectOwned(context.Background(), set()); err == nil || !strings.Contains(err.Error(), "exec: set of") {
 		t.Errorf("CollectOwned: %v, want the set's decoding error", err)
 	}
-	if err := set().Open(); err == nil {
-		t.Error("Open succeeded over an undecodable set")
+	if err := exec.Run(set(), func(rel.Tuple) error { return nil }); err == nil {
+		t.Error("Run succeeded over an undecodable set")
 	}
 }

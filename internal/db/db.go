@@ -155,9 +155,10 @@ func (d *DB) Close() error { return d.pager.Close() }
 // it for direct bulk loads that bypass SQL parsing).
 func (d *DB) Catalog() *catalog.Catalog { return d.cat }
 
-// Rows is a fully-materialized query result. The tuples own their
-// memory (rel.OwnRows): a caller may keep any of them for as long as it
-// likes without keeping the statement's blocks and slabs alive.
+// Rows is a fully-materialized query result, decoded once into a block
+// of its own (exec.CollectOwned): a caller may keep any of its tuples
+// for as long as it likes without keeping the statement's pages or
+// buffers alive.
 type Rows struct {
 	Schema *rel.Schema
 	Tuples []rel.Tuple
@@ -400,18 +401,18 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 }
 
 // insertSelect is the body of INSERT INTO t SELECT ...: one execution
-// of the prepared SELECT, written to t. Into an index-less table a
-// source that has stored records — a table scan, a deduplicating set
-// operation — hands them over, and each goes to the heap as it is;
-// any other source is materialized and its tuples encoded. reuse is as
+// of the prepared SELECT, its records written to t as they are (an
+// index's key is read from the record; nothing is decoded). reuse is as
 // in operators.
 //
 // The statement reads the state its SELECT starts from, a
-// statement-level snapshot: every row is in hand before the first
-// write, in a set operation's set, in insertRecords' copy of t's own
-// records, or collected below. No scan provides it by itself — a lent
-// one reads a page per Next — so a self-referential INSERT would
-// otherwise read its own writes.
+// statement-level snapshot: a deduplicating set operation has its whole
+// result in hand before the first write, and a bare scan of another
+// table reads none of t's pages, so their records go to t as they
+// come; any other source's records are collected first (rel.Records),
+// since a scan passes records on as it reads them and a
+// self-referential INSERT would otherwise read its own writes. ctx is
+// observed up to the first write: a cancelled INSERT writes nothing.
 func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) error {
 	op, tree, err := d.operators(p, args, vals, sp, reuse)
 	if err != nil {
@@ -423,39 +424,13 @@ func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepare
 			t.Name, op.Schema(), t.Schema)
 	}
 	scan, _ := op.(*exec.SeqScan)
+	set, _ := op.(*exec.SetOpExec)
+	stream := set != nil && set.Kind != exec.OpUnionAll || scan != nil && scan.Table.Heap != t.Heap
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
-	if len(t.Indexes) == 0 {
-		if ok, err := d.insertRecords(ctx, t, op, scan); ok || err != nil {
-			return err
-		}
-	}
-	// Materialize before writing so self-referential inserts
-	// (INSERT INTO t SELECT ... FROM t) read a stable snapshot.
-	tuples, err := exec.CollectCtx(ctx, op)
-	if err != nil {
-		return err
-	}
-	for _, tu := range tuples {
-		if _, err := t.Insert(tu); err != nil {
-			return err
-		}
-		d.stats.insertedRows.Add(1)
-	}
-	return nil
-}
-
-// insertRecords writes the stored records of op (see exec.RecordSource;
-// the types were checked by the caller) into the index-less table t; ok
-// is false, with nothing read, when op has none. A set operation has
-// its whole result in hand before the first record arrives; scan, when
-// op is a bare scan of t itself, would read the pages being written, so
-// its records are copied out first. ctx is observed up to the first
-// write: a cancelled INSERT writes nothing.
-func (d *DB) insertRecords(ctx context.Context, t *catalog.Table, op exec.Operator, scan *exec.SeqScan) (ok bool, err error) {
-	if scan == nil || scan.Table.Heap != t.Heap {
+	if stream {
 		before := t.Rows()
-		return exec.ScanRecords(op, func(rec []byte) error {
+		return op.ScanRecords(func(rec []byte) error {
 			if t.Rows() == before {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -464,32 +439,19 @@ func (d *DB) insertRecords(ctx context.Context, t *catalog.Table, op exec.Operat
 			return d.insertRecord(t, rec)
 		})
 	}
-	n := scan.Table.Rows()
-	ends := make([]int, 0, n)
-	var recs []byte // the records back to back
-	if _, err := exec.ScanRecords(op, func(rec []byte) error {
-		if recs == nil {
-			// Records of one table are about one length: the first,
-			// with an eighth to spare, sizes the buffer for all.
-			recs = make([]byte, 0, n*(len(rec)+len(rec)/8+1))
+	var recs rel.Records
+	if err := op.ScanRecords(func(rec []byte) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		recs = append(recs, rec...)
-		ends = append(ends, len(recs))
-		return ctx.Err()
+		return recs.Add(rec)
 	}); err != nil {
-		return true, err
+		return err
 	}
-	start := 0
-	for _, end := range ends {
-		if err := d.insertRecord(t, recs[start:end]); err != nil {
-			return true, err
-		}
-		start = end
-	}
-	return true, nil
+	return recs.Each(func(rec []byte) error { return d.insertRecord(t, rec) })
 }
 
-// insertRecord writes one record into the index-less table t.
+// insertRecord writes one record into t.
 func (d *DB) insertRecord(t *catalog.Table, rec []byte) error {
 	if err := t.InsertRecord(rec); err != nil {
 		return err
@@ -514,21 +476,23 @@ func (d *DB) execDelete(s sql.Delete, sp *obs.Span) error {
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
 	// Collect the victims, then delete: the scan may be iterating a
-	// posting list that DeleteRID edits.
-	type victim struct {
-		rid storage.RID
-		tu  rel.Tuple
-	}
-	var victims []victim
-	err = exec.ScanRows(op, func(rid storage.RID, tu rel.Tuple) error {
-		victims = append(victims, victim{rid, tu})
-		return nil
+	// posting list that DeleteRID edits. They are decoded once, together,
+	// for the index keys DeleteRID removes.
+	var rids []storage.RID
+	var victims rel.Records
+	err = exec.ScanRows(op, func(rid storage.RID, rec []byte) error {
+		rids = append(rids, rid)
+		return victims.Add(rec)
 	})
 	if err != nil {
 		return err
 	}
-	for _, v := range victims {
-		if err := t.DeleteRID(v.rid, v.tu); err != nil {
+	rows, err := victims.Decode(t.Schema)
+	if err != nil {
+		return err
+	}
+	for i, rid := range rids {
+		if err := t.DeleteRID(rid, rows[i]); err != nil {
 			return err
 		}
 	}

@@ -57,8 +57,8 @@ func checkKept(t *testing.T, d *DB, p *plan.Prepared, args []*catalog.Table, val
 // with every FROM position a parameter runs six times while its tables
 // swap positions and grow, and the rows every execution returned are
 // compared with the fresh tree's only after all six — a returned row
-// the kept tree's later executions wrote over, or a lent scan's page
-// decoded over rows a consumer kept, shows; the same shapes with every
+// the kept tree's later executions wrote over, or a record buffer
+// written over while a consumer still held its record, shows; the same shapes with every
 // literal a value parameter ?n run six times with the values changing
 // (valueRebinds); over a semi-naive LFP run, every statement execution
 // of every round is checked just before it runs — it then re-binds the

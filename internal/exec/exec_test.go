@@ -47,32 +47,27 @@ func collect(t *testing.T, op Operator) []rel.Tuple {
 	return out
 }
 
+// TestSeqScanSnapshot: a scan passes on records as it reads them, so a
+// statement's snapshot is taken at its root — Collect decodes the whole
+// result before returning it. Rows collected before an insert keep
+// their values after it; a consumer that inserts while the scan runs
+// would read its own writes, which is why an INSERT ... SELECT that is
+// not a set operation or a scan of another table collects its records
+// first (internal/db).
 func TestSeqScanSnapshot(t *testing.T) {
 	c := cat(t)
 	tb := newTable(t, c, "e", [][2]int64{{1, 2}, {3, 4}})
 	s := &SeqScan{Table: tb}
-	if err := s.Open(); err != nil {
-		t.Fatal(err)
-	}
-	// Insert after Open: must not be visible in this scan.
+	rows := collect(t, s)
 	if _, err := tb.Insert(rel.Tuple{rel.NewInt(5), rel.NewInt(6)}); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		tu, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tu == nil {
-			break
-		}
-		n++
+	if len(rows) != 2 || rows[0].String() != "(1, 2)" || rows[1].String() != "(3, 4)" {
+		t.Fatalf("snapshot = %v", rows)
 	}
-	if n != 2 {
-		t.Fatalf("snapshot saw %d rows", n)
+	if again := collect(t, s); len(again) != 3 {
+		t.Fatalf("second pass saw %d rows, want 3", len(again))
 	}
-	s.Close()
 }
 
 func TestIndexScan(t *testing.T) {
@@ -257,20 +252,47 @@ func TestCountStarOp(t *testing.T) {
 }
 
 func TestPredicates(t *testing.T) {
-	tu := rel.Tuple{rel.NewInt(5), rel.NewString("x")}
+	schema := rel.MustSchema(rel.Column{Name: "a", Type: rel.TypeInt}, rel.Column{Name: "s", Type: rel.TypeString})
+	var r rel.Spans
+	if err := r.Read(rel.Tuple{rel.NewInt(5), rel.NewString("x")}.Encode(nil), schema); err != nil {
+		t.Fatal(err)
+	}
 	lt := Cmp{Op: sql.CmpLt, Left: Col{Ord: 0, Ty: rel.TypeInt}, Right: Const{Val: rel.NewInt(10)}}
 	eq := Cmp{Op: sql.CmpEq, Left: Col{Ord: 1, Ty: rel.TypeString}, Right: Const{Val: rel.NewString("x")}}
-	if !lt.Holds(tu) || !eq.Holds(tu) {
+	if !lt.Holds(&r) || !eq.Holds(&r) {
 		t.Fatal("basic comparisons")
 	}
-	if !(AndP{Preds: []Pred{lt, eq}}).Holds(tu) {
+	if !(AndP{Preds: []Pred{lt, eq}}).Holds(&r) {
 		t.Fatal("and")
 	}
-	if !(OrP{Left: NotP{Inner: lt}, Right: eq}).Holds(tu) {
+	if !(OrP{Left: NotP{Inner: lt}, Right: eq}).Holds(&r) {
 		t.Fatal("or/not")
 	}
-	if (NotP{Inner: True{}}).Holds(tu) {
+	if (NotP{Inner: True{}}).Holds(&r) {
 		t.Fatal("not true")
+	}
+	// Every operator over columns and values of either side, against
+	// rel.Compare: a column against itself, a constant and a column of
+	// the other type, negative ints, strings of different lengths.
+	vals := []rel.Value{rel.NewInt(-3), rel.NewInt(5), rel.NewInt(1 << 40), rel.NewString(""), rel.NewString("x"), rel.NewString("xa"), rel.NewString("w")}
+	ops := []sql.CmpOp{sql.CmpEq, sql.CmpNe, sql.CmpLt, sql.CmpLe, sql.CmpGt, sql.CmpGe}
+	for _, a := range vals {
+		for _, b := range vals {
+			two := rel.MustSchema(rel.Column{Name: "a", Type: a.Kind}, rel.Column{Name: "b", Type: b.Kind})
+			if err := r.Read(rel.Tuple{a, b}.Encode(nil), two); err != nil {
+				t.Fatal(err)
+			}
+			d := rel.Compare(a, b)
+			want := map[sql.CmpOp]bool{sql.CmpEq: d == 0, sql.CmpNe: d != 0, sql.CmpLt: d < 0, sql.CmpLe: d <= 0, sql.CmpGt: d > 0, sql.CmpGe: d >= 0}
+			ca, cb := Col{Ord: 0, Ty: a.Kind}, Col{Ord: 1, Ty: b.Kind}
+			for _, op := range ops {
+				for _, c := range []Cmp{{op, ca, cb}, {op, ca, Const{Val: b}}, {op, Const{Val: a}, cb}, {op, Const{Val: a}, Param{Val: &b}}} {
+					if got := c.Holds(&r); got != want[op] {
+						t.Errorf("%v %v %v: %v over (%v, %v), want %v", c.Left, op, c.Right, got, a, b, want[op])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 )
 
 // Allocation pins. A row costs no allocation of its own anywhere in the
-// executor: scans decode a page into one block, Project and the joins
-// cut their output from slabs, identity is a byte-keyed table probed
-// with a reused scratch key, and stored records are compared and
-// counted undecoded. Each pin measures the same operator over a small
-// and a ten times larger input and holds the difference, so fixed
+// executor: scans pass heap records on in place, Project and the joins
+// write each output record over the last in one buffer, identity is a
+// byte-keyed table over records, and the root decodes the result once,
+// into one block. Each pin measures the same operator over a small and
+// a ten times larger input and holds the difference, so fixed
 // per-statement costs drop out.
 
 // pairsTable creates name holding (i, i) for i in [from, to).
@@ -65,13 +65,12 @@ func TestExceptAllocsIndependentOfRightSize(t *testing.T) {
 			}
 		}
 	}
-	// The same right side behind a filter arrives as decoded tuples: the
-	// result is the same, the allocations are not.
+	// The same right side behind a filter: the same result.
 	raw := collect(t, &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: left}, Right: &SeqScan{Table: big}})
 	dec := collect(t, &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: left},
 		Right: &Filter{Input: &SeqScan{Table: big}, Pred: True{}}})
 	if len(raw) != 8 || len(dec) != 8 {
-		t.Fatalf("l EXCEPT big: %d rows reading records, %d reading tuples; want 8", len(raw), len(dec))
+		t.Fatalf("l EXCEPT big: %d rows reading the table, %d reading it through a filter; want 8", len(raw), len(dec))
 	}
 }
 
@@ -88,7 +87,7 @@ func manyRows(n int) *Values {
 
 // TestProbeHitAllocatesNothing: a Distinct probe that finds its key
 // allocates nothing, and a HashJoin probe that finds its key allocates
-// only the joined tuple it emits.
+// nothing but the root's copy of the record it emits.
 func TestProbeHitAllocatesNothing(t *testing.T) {
 	distinct := func(n int) func() Operator {
 		in := manyRows(n)
@@ -104,7 +103,7 @@ func TestProbeHitAllocatesNothing(t *testing.T) {
 		}
 	}
 	if a, b := allocsOf(t, join(100)), allocsOf(t, join(1000)); b-a > 900/16 {
-		t.Errorf("hashjoin: %.0f allocations for 100 matching probes, %.0f for 1000; want at most one (a slab chunk) per 16 probes", a, b)
+		t.Errorf("hashjoin: %.0f allocations for 100 matching probes, %.0f for 1000; want at most one (the root's records growing) per 16 probes", a, b)
 	}
 }
 
@@ -129,8 +128,8 @@ func mixedTable(t *testing.T, c *catalog.Catalog, name string, n int) *catalog.T
 
 // TestAllocsIndependentOfRowCount: every row-producing operator run
 // over 1000 rows allocates within a constant of the same over 100 rows
-// — pages and slab chunks, not rows — traced or not. (One allocation
-// per row would make the difference 900 or more.)
+// — arenas and the root's buffers growing, not rows — traced or not.
+// (One allocation per row would make the difference 900 or more.)
 func TestAllocsIndependentOfRowCount(t *testing.T) {
 	const slack = 60
 	c := cat(t)
@@ -306,9 +305,9 @@ func TestUnionChainResolvesSchemasOnce(t *testing.T) {
 }
 
 // TestScanRowsAddressesWhatNextYields: a scan, an index scan and a
-// Filter over either hand ScanRows the tuples Open/Next yield, each
-// with the RID it is stored at, and Instrument's wrapper counts them as
-// rows with the access path's physical I/O.
+// Filter over either hand ScanRows the records a pass yields, each with
+// the RID it is stored at, and Instrument's wrapper counts them as rows
+// with the access path's physical I/O.
 func TestScanRowsAddressesWhatNextYields(t *testing.T) {
 	c := cat(t)
 	tb := newTable(t, c, "e", [][2]int64{{1, 10}, {2, 20}, {3, 30}, {2, 40}, {2, 20}})
@@ -337,13 +336,13 @@ func TestScanRowsAddressesWhatNextYields(t *testing.T) {
 		tr := obs.NewTrace("q")
 		op, flush := Instrument(tc.mk(), tr.Root())
 		seen := map[storage.RID]bool{}
-		err := ScanRows(op, func(rid storage.RID, tu rel.Tuple) error {
+		err := ScanRows(op, func(rid storage.RID, rec []byte) error {
 			stored, err := tb.Get(rid)
-			if err != nil || stored.Key() != tu.Key() || seen[rid] {
-				t.Errorf("%s: %v reported at %s, which holds %v (%v; seen before: %v)", tc.name, tu, rid, stored, err, seen[rid])
+			if err != nil || stored.Key() != string(rec) || seen[rid] {
+				t.Errorf("%s: %x reported at %s, which holds %v (%v; seen before: %v)", tc.name, rec, rid, stored, err, seen[rid])
 			}
 			seen[rid] = true
-			yielded[tu.Key()]--
+			yielded[string(rec)]--
 			return nil
 		})
 		flush()
@@ -352,7 +351,7 @@ func TestScanRowsAddressesWhatNextYields(t *testing.T) {
 		}
 		for k, n := range yielded {
 			if n != 0 {
-				t.Errorf("%s: ScanRows and Next disagree on %q by %d", tc.name, k, n)
+				t.Errorf("%s: ScanRows and a pass disagree on %q by %d", tc.name, k, n)
 			}
 		}
 		sp := tr.Root().Find(tc.span)

@@ -2,171 +2,77 @@ package exec
 
 import (
 	"hash/maphash"
-	"slices"
 	"unsafe"
 
 	"dkbms/internal/rel"
 )
 
 // Tuple memory of the operators (DESIGN.md §3, "Tuple memory in the
-// executor"): scans emit rows of decoded blocks (rel.Block), and the
-// operators that build tuples — Project and the joins — cut them from a
-// slab; identity (set operations, DISTINCT, the hash join's build side)
-// is one byte-keyed hash table, keyTable. Nothing is pooled between
-// trees, but a tree keeps its working memory from one execution to the
-// next: a prepared statement's kept tree, re-opened, decodes its pages
-// over the last execution's blocks, resets its key tables and sets, and
-// rewinds its slabs to their first chunk. So a row read inside a tree
-// is valid until that tree's next execution, and no longer; every row
-// that leaves a statement is copied before it does (CollectOwned, or an
-// INSERT's write to a page). What a closed operator keeps is the memory
-// its last pass used: a buffer Outgrown by that pass (rel.Outgrown,
-// more than four times its use plus 1 KiB) is released at Close. A
-// producer the planner marks Borrowed, whose consumer copies each row
-// before it asks for the next, writes every row into the same peek
-// space of its slab.
+// executor"): rows travel the tree as stored records, each valid for
+// the call that passes it on. A scan passes records in place, under the
+// pin of their page; a projection or a join writes each of its records
+// over the last in one buffer; the records an operator must keep — a
+// hash join's build side, a nested-loop join's right side, a set, a
+// DISTINCT's seen records — it copies into an arena, and identity is
+// one byte-keyed hash table over it, keyTable. Nothing is pooled
+// between trees, but a tree keeps its working memory from one execution
+// to the next: a prepared statement's kept tree resets its key tables,
+// arenas and sets and fills them again. What a pass keeps is the memory
+// it used: a buffer Outgrown by that pass (rel.Outgrown, more than four
+// times its use plus 1 KiB) is released when the pass ends. Rows are
+// decoded once, at the statement's root, into a block of their own
+// (CollectOwned).
 
-// maxChunkRows bounds a slab chunk, and with it what one kept row of a
-// large result can pin.
-const maxChunkRows = 1024
-
-// slab hands out an operator's output tuples from chunks sized by what
-// the operator has emitted so far in the execution: each chunk holds a
-// quarter as many rows as were handed out before it (at least one, at
-// most maxChunkRows). The first rows therefore cost one small
-// allocation each, as a make per row would; from then on the
-// allocations grow with the logarithm of the output, and at most a
-// fifth of what was allocated is never used. The chunks are kept:
-// rewind starts the next execution over the first of them, and only
-// rows beyond what they hold allocate.
-type slab struct {
-	chunks [][]rel.Value
-	free   []rel.Value // the unused rest of the current chunk
-	cut    int32       // chunks[cut] is the next chunk to cut from
-	rows   int32       // tuples handed out this execution, all chunks
-}
-
-// rewind starts a new execution over the slab's first chunk: every
-// tuple it handed out before may be written over.
-func (s *slab) rewind() { s.cut, s.free, s.rows = 0, nil, 0 }
-
-// trim releases the chunks the execution did not reach when they are
-// Outgrown by those it did, and the list of chunks when it is Outgrown
-// by the chunks left.
-func (s *slab) trim() {
-	used, kept := 0, 0
-	for i, c := range s.chunks {
-		if i < int(s.cut) {
-			used += len(c)
-		}
-		kept += len(c)
-	}
-	if rel.Outgrown(kept*rel.ValueSize, used*rel.ValueSize) {
-		clear(s.chunks[s.cut:])
-		s.chunks = s.chunks[:s.cut]
-	}
-	if trim(s.chunks) == nil {
-		s.chunks = slices.Clone(s.chunks)
-	}
-}
-
-// peek returns the tuple of the given width that the next take will
-// hand out, without handing it out: a join writes its candidate there
-// and takes it only if the residual holds, so only emitted rows use
-// slab space. The tuple's capacity is its length.
-func (s *slab) peek(width int) rel.Tuple {
-	if len(s.free) < width {
-		s.refill(width)
-	}
-	return s.free[:width:width]
-}
-
-// refill makes the next kept chunk that holds a row of the width the
-// current one, or a new chunk when none is left.
-func (s *slab) refill(width int) {
-	for _, c := range s.chunks[s.cut:] {
-		s.cut++
-		if len(c) >= width {
-			s.free = c
-			return
-		}
-	}
-	s.free = make([]rel.Value, width*min(max(int(s.rows)/4, 1), maxChunkRows))
-	s.chunks = append(s.chunks, s.free)
-	s.cut++
-}
-
-// take hands out what peek(width) returned.
-func (s *slab) take(width int) rel.Tuple {
-	tu := s.peek(width)
-	s.free = s.free[width:]
-	s.rows++
-	return tu
-}
-
-// next returns the tuple peek(width) returns, handed out unless the
-// producer is borrowed: then the next row is written over it, and one
-// chunk serves the whole execution.
-func (s *slab) next(width int, borrowed bool) rel.Tuple {
-	if borrowed {
-		return s.peek(width)
-	}
-	return s.take(width)
-}
-
-// concat returns left ++ right in the tuple peek would return.
-func (s *slab) concat(left, right rel.Tuple) rel.Tuple {
-	tu := s.peek(len(left) + len(right))
-	copy(tu[copy(tu, left):], right)
-	return tu
-}
-
-// Shed empties a closed tree for parking between the runs of its
-// statement: every operator of it lets go of the working memory it
-// kept (scan blocks, decoders, key tables, sets, slabs, kept rows) and
-// of the tables, indexes and probe keys it was bound to. What remains
-// is the operators, their predicates and their decisions; before the
-// tree is opened again the planner re-binds its tables, indexes and
-// keys, and the next pass allocates its memory as a new tree's first
-// pass does.
+// Shed empties a tree for parking between the runs of its statement:
+// every operator of it lets go of the working memory it kept (key
+// tables, sets, arenas, record buffers) and of the tables, indexes and
+// probe keys it was bound to. What remains is the operators, their
+// predicates and their decisions; before the tree runs again the
+// planner re-binds its tables, indexes and keys, and the next pass
+// allocates its memory as a new tree's first pass does.
 func Shed(op Operator) {
 	switch o := op.(type) {
 	case *SeqScan:
-		o.Table, o.blocks, o.lent, o.dec = nil, nil, nil, rel.BlockDecoder{}
+		o.Table = nil
 	case *IndexScan:
-		o.Table, o.Index, o.Key, o.rows, o.dec = nil, nil, nil, rel.Block{}, rel.BlockDecoder{}
+		o.Table, o.Index, o.Key = nil, nil, nil
 	case *IndexNLJoin:
 		o.Right, o.Index = nil, nil
-		o.batch, o.matches, o.dec, o.out = nil, rel.Block{}, rel.BlockDecoder{}, slab{}
+		o.outer, o.key, o.j = rel.Spans{}, nil, joined{schema: o.j.schema}
 		Shed(o.Left)
 	case *Filter:
+		o.row = rel.Spans{}
 		Shed(o.Input)
 	case *Project:
-		o.out = slab{}
+		o.in, o.out = rel.Spans{}, nil
 		Shed(o.Input)
 	case *NLJoin:
-		o.right, o.cur, o.out = nil, nil, slab{}
+		o.right, o.j = rel.Records{}, joined{schema: o.j.schema}
 		Shed(o.Left)
 		Shed(o.Right)
 	case *HashJoin:
-		o.keys, o.chains, o.rows, o.next, o.key, o.cur, o.out = keyTable{}, nil, nil, nil, nil, nil, slab{}
+		o.arena, o.ends, o.keys, o.chains, o.next = nil, nil, keyTable{}, nil, nil
+		o.side, o.key, o.j = rel.Spans{}, nil, joined{schema: o.j.schema}
 		Shed(o.Left)
 		Shed(o.Right)
 	case *Distinct:
-		o.seen, o.key = keyTable{}, nil
+		o.seen = keyTable{}
 		Shed(o.Input)
 	case *SetOpExec:
-		o.set, o.out = nil, nil
+		o.set = nil
 		Shed(o.Left)
 		Shed(o.Right)
 	case *CountStar:
+		o.rec = nil
 		Shed(o.Input)
+	case *Values:
+		o.rec = nil
 	}
 }
 
 // trim returns buf, which an execution filled to its length, or nil
 // when buf is Outgrown by that: what an operator keeps for its next
-// execution after Close.
+// pass once a pass ends.
 func trim[T any](buf []T) []T {
 	var zero T
 	size := int(unsafe.Sizeof(zero))
@@ -176,7 +82,7 @@ func trim[T any](buf []T) []T {
 	return buf
 }
 
-// keyTable maps byte keys (rel.Tuple.AppendKey) to dense entry numbers
+// keyTable maps byte keys (records, or their key columns) to dense entry numbers
 // in insertion order: 0, 1, 2, … The keys lie back to back in one arena
 // and the table is open-addressed, so a probe allocates nothing and an
 // insert only when the arena or the table grows. It replaces
@@ -209,7 +115,7 @@ func (t *keyTable) reset() {
 
 // trim releases the table, leaving the empty zero keyTable, when any of
 // its parts is Outgrown by the keys it holds: what the table keeps for
-// its next execution after Close. The slots those keys need are at most
+// its next pass once a pass ends. The slots those keys need are at most
 // twice what add's load factor asks.
 func (t *keyTable) trim() {
 	slot := int(unsafe.Sizeof(keySlot{}))

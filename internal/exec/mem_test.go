@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"dkbms/internal/rel"
 )
 
 // TestKeyTableMatchesMap: entry numbers are dense in insertion order and
@@ -37,44 +35,6 @@ func TestKeyTableMatchesMap(t *testing.T) {
 	}
 	if kt.len() != len(model) {
 		t.Fatalf("len = %d, model %d", kt.len(), len(model))
-	}
-}
-
-// TestSlabTuples: tuples from a slab never share memory, their capacity
-// is their length, a peeked tuple that is not taken is handed out again,
-// and the slab allocates at most a quarter more than it hands out (plus
-// the one-row chunks it starts with).
-func TestSlabTuples(t *testing.T) {
-	const width, n = 3, 5000
-	var s slab
-	var out []rel.Tuple
-	for i := 0; i < n; i++ {
-		cand := s.concat(rel.Tuple{rel.NewInt(-1)}, rel.Tuple{rel.NewInt(-1), rel.NewInt(-1)})
-		if i%3 == 0 {
-			continue // a candidate that failed its residual
-		}
-		tu := s.take(width)
-		if &tu[0] != &cand[0] || cap(tu) != width {
-			t.Fatalf("take returned another tuple than peek, or cap %d", cap(tu))
-		}
-		for c := range tu {
-			tu[c] = rel.NewInt(int64(i))
-		}
-		out = append(out, tu)
-	}
-	for _, tu := range out {
-		if tu[0] != tu[width-1] || tu[0].Int%3 == 0 {
-			t.Fatalf("tuple overwritten: %v", tu)
-		}
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		var s slab
-		for i := 0; i < n; i++ {
-			s.take(width)
-		}
-	})
-	if allocs > 50 {
-		t.Errorf("%d tuples took %.0f allocations", n, allocs)
 	}
 }
 

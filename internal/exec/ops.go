@@ -10,158 +10,113 @@ import (
 	"dkbms/internal/storage"
 )
 
-// Operator is a Volcano-style iterator. The contract is Open, then Next
-// until it returns a nil tuple, then Close. An operator is re-openable
-// after Close: Open starts a new pass, over whatever tables the
-// operator names by then — the planner re-binds a kept tree's tables
-// between executions. A pass's rows are valid until the operator's next
-// Open, which may write the next pass's rows over them: a closed
-// operator keeps the working memory its last pass used (scan blocks,
-// key tables, sets, slabs) for the next to reuse, and releases what that
-// pass outgrew (see mem.go). Whoever keeps a row past the statement
-// copies it (CollectOwned).
+// Operator is one node of a statement's operator tree. ScanRecords runs
+// one pass of it: it calls fn with every row the operator emits, in
+// order, as a stored record — rel.Tuple.Encode under the operator's
+// Schema, the form the heap stores — and returns the first error, fn's
+// included. A record is valid only for the call: it aliases a pinned
+// heap page or the operator's own buffer, and fn copies what it keeps.
+// Nothing in the tree decodes a value; the statement's root does, once
+// (CollectOwned), or writes the records as they are (an INSERT).
+//
+// An operator runs any number of passes, over whatever tables it names
+// by then — the planner re-binds a kept tree's tables between
+// executions. Between passes it keeps the working memory its last pass
+// used (key tables, sets, record arenas) for the next to reuse, and
+// releases what that pass outgrew (see mem.go).
 //
 // Scans and joins carry Est, the planner's estimate of the rows the
 // operator emits. Execution ignores it; Instrument reports it beside the
 // actual count.
 type Operator interface {
 	Schema() *rel.Schema
-	Open() error
-	Next() (rel.Tuple, error)
-	Close() error
+	ScanRecords(fn func(rec []byte) error) error
 }
 
-// Run drains an operator, invoking fn per tuple.
+// Run runs one pass of op and calls fn with each of its rows, decoded
+// as Collect decodes them.
 func Run(op Operator, fn func(tu rel.Tuple) error) error {
-	return RunCtx(context.Background(), op, fn)
-}
-
-// RunCtx drains an operator like Run, but polls the context between
-// tuples: cancelling ctx aborts the drain with ctx.Err() at the next
-// tuple boundary. This is the statement-level cancellation point — the
-// operators themselves stay context-free (each Next consumes a bounded
-// amount of its finite, Open-materialized input), so a runaway join or
-// scan is cut off here rather than inside every operator.
-func RunCtx(ctx context.Context, op Operator, fn func(tu rel.Tuple) error) error {
-	if err := op.Open(); err != nil {
-		return err
-	}
-	defer op.Close()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		tu, err := op.Next()
+	rows, err := Collect(op)
+	for _, tu := range rows {
 		if err != nil {
-			return err
+			break
 		}
-		if tu == nil {
-			return nil
-		}
-		if err := fn(tu); err != nil {
-			return err
-		}
+		err = fn(tu)
 	}
+	return err
 }
 
-// Collect drains an operator into a slice.
+// Collect runs one pass of op and returns its rows (CollectOwned).
 func Collect(op Operator) ([]rel.Tuple, error) {
-	return CollectCtx(context.Background(), op)
+	return CollectOwned(context.Background(), op)
 }
 
-// CollectCtx drains an operator into a slice, observing the context
-// between tuples like RunCtx. A set operation, which has its whole
-// result in hand once evaluated, gives it up instead of being drained
-// into a second slice, and a bare table scan decodes its table into one
-// block instead of a block per page.
-func CollectCtx(ctx context.Context, op Operator) ([]rel.Tuple, error) {
-	rows, _, err := drain(ctx, op)
-	return rows, err
-}
-
-// CollectOwned is CollectCtx for a caller that keeps the rows past the
-// statement: they own their memory (rel.OwnRows). A set operation's
-// result and a bare scan's table are decoded into a block of their own
-// and kept as they are; any other result is copied.
+// CollectOwned runs one pass of op, observing ctx between records, and
+// decodes its rows once, into one block of their own (rel.Records.Decode):
+// a caller may keep them past the statement. A set operation's result
+// is decoded from its set, and a bare scan's table in one pass
+// (catalog.Table.DecodeAll), without a copy of their records.
 func CollectOwned(ctx context.Context, op Operator) ([]rel.Tuple, error) {
-	rows, owned, err := drain(ctx, op)
-	if err == nil && !owned {
-		rel.OwnRows(rows)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return rows, err
-}
-
-// drain is CollectCtx; owned reports rows decoded into a block of their
-// own.
-func drain(ctx context.Context, op Operator) (rows []rel.Tuple, owned bool, err error) {
 	if scan, ok := op.(*SeqScan); ok {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
 		b, err := scan.Table.DecodeAll()
-		return blockRows(b), true, err
+		return b.Rows(), err
 	}
 	if src, ok := op.(setSource); ok {
 		if set, err := src.takeSet(); err != nil {
-			return nil, false, err
+			return nil, err
 		} else if set != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, false, err
-			}
 			rows, err := set.live()
 			set.trim()
-			return rows, true, err
+			return rows, err
 		}
 	}
-	err = RunCtx(ctx, op, func(tu rel.Tuple) error {
-		rows = append(rows, tu)
-		return nil
+	var recs rel.Records
+	err := op.ScanRecords(func(rec []byte) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return recs.Add(rec)
 	})
-	return rows, false, err
-}
-
-// RecordSource is the optional interface of operators that can stream
-// their rows as stored records instead of decoded tuples. A consumer
-// that only needs tuple identity — a set operation's right input,
-// COUNT(*), INSERT ... SELECT into an index-less table — asks for it
-// in place of Open/Next/Close: a stored record is the key of the tuple
-// it holds (rel.Tuple.AppendKey), so nothing is decoded. SeqScan and
-// the deduplicating SetOpExec implement it; Instrument's wrapper
-// forwards and counts it, so traced and untraced statements take the
-// same path. Records are encoded under the operator's own Schema: a
-// consumer that compares them with keys built under another schema
-// checks TypesCompatible first.
-type RecordSource interface {
-	// ScanRecords calls fn with every row's record; rec aliases a page
-	// buffer and must not be retained. ok is false, with nothing read,
-	// when the operator has no stored records to offer; the caller then
-	// falls back to Open/Next/Close.
-	ScanRecords(fn func(rec []byte) error) (ok bool, err error)
-}
-
-// ScanRecords streams op's rows through fn as stored records if op is
-// a RecordSource that has them (see there); otherwise ok is false.
-func ScanRecords(op Operator, fn func(rec []byte) error) (ok bool, err error) {
-	if src, isSrc := op.(RecordSource); isSrc {
-		return src.ScanRecords(fn)
+	if err != nil {
+		return nil, err
 	}
-	return false, nil
+	return recs.Decode(op.Schema())
+}
+
+// stage is what an operator that passes its input's records on keeps
+// for a pass: emit, the pass's consumer, let go of when the pass ends,
+// and each, the operator's own method for an input record, made once so
+// that a pass allocates no closure.
+type stage struct {
+	emit, each func([]byte) error
+}
+
+// run runs one pass of in, its records going to each while fn consumes
+// what the operator emits.
+func (s *stage) run(in Operator, fn func([]byte) error) error {
+	s.emit = fn
+	err := in.ScanRecords(s.each)
+	s.emit = nil
+	return err
 }
 
 // RowSource is the optional interface of operators whose rows are the
 // stored tuples of one table — a scan, or a Filter over one — and so
-// have an address. DELETE ... WHERE drains its victims through it in
-// place of Open/Next/Close. Instrument's wrapper forwards and counts it.
+// have an address. DELETE ... WHERE reads its victims through it.
+// Instrument's wrapper forwards and counts it.
 type RowSource interface {
-	// ScanRows calls fn with every row and the RID it is stored at. fn
-	// must not modify the table: an index scan iterates the B+tree's own
-	// posting list.
-	ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error
+	// ScanRows calls fn with every row's record and the RID it is
+	// stored at; rec aliases a pinned page. fn must not modify the
+	// table: an index scan iterates the B+tree's own posting list.
+	ScanRows(fn func(rid storage.RID, rec []byte) error) error
 }
 
 // ScanRows streams op's rows through fn with their RIDs; op must be a
 // RowSource.
-func ScanRows(op Operator, fn func(rid storage.RID, tu rel.Tuple) error) error {
+func ScanRows(op Operator, fn func(rid storage.RID, rec []byte) error) error {
 	src, ok := op.(RowSource)
 	if !ok {
 		return fmt.Errorf("exec: %T has no stored rows to address", op)
@@ -171,401 +126,298 @@ func ScanRows(op Operator, fn func(rid storage.RID, tu rel.Tuple) error) error {
 
 // --- SeqScan ---
 
-// SeqScan reads every tuple of a table, a page at a time. Unlent, Open
-// decodes each heap page into one block and Next walks the blocks; a
-// re-opened scan decodes page i over its last execution's block i. A
-// scan the planner lends (Borrowed) decodes nothing in Open: Next
-// decodes one page at a time, pinned only while it is decoded, into a
-// single block that every page and every execution of the kept tree
-// reuses, so a row is valid until the scan's next Next. Either way the
-// heap counts one scan per execution and each page and its live records
-// as they are read.
+// SeqScan reads every record of a table in one heap pass, a page at a
+// time, each page pinned while its records are passed on. The heap
+// counts one scan per pass and each page and its live records as they
+// are read.
 type SeqScan struct {
 	Table *catalog.Table
 	Est   float64
-	// Borrowed is set by the planner when the consumer finishes with
-	// each row before it asks for the next: a Project's input, a hash
-	// join's probe side, a deduplicating set operation's block.
-	Borrowed bool
-
-	blocks []rel.Block // unlent
-	lent   *lentPass   // lent, from the first Open on
-	block  int32       // blocks[block] is being read
-	row    int32       // next row of it, or of the lent block
-	dec    rel.BlockDecoder
-}
-
-// lentPass is what a lent scan keeps: its pass over the heap and the
-// one block it decodes every page into.
-type lentPass struct {
-	pages storage.PageCursor
-	block rel.Block
 }
 
 // Schema returns the table schema.
 func (s *SeqScan) Schema() *rel.Schema { return s.Table.Schema }
 
-// Open starts a pass over the table: an unlent scan decodes every page
-// now, a lent one leaves its first page to the first Next.
-func (s *SeqScan) Open() error {
-	s.block, s.row = 0, 0
-	decoderFor(&s.dec, s.Table.Schema)
-	if s.Borrowed {
-		if s.lent == nil {
-			s.lent = new(lentPass)
-		}
-		l := s.lent
-		// The block holds the largest page read so far; a table that
-		// leaves it Outgrown lets it go. Its rows are the last
-		// execution's: read as done.
-		if rel.Outgrown(l.block.Cap()*rel.ValueSize, s.Table.Rows()*s.Table.Schema.Len()*rel.ValueSize) {
-			l.block = rel.Block{}
-		}
-		l.pages, s.row = s.Table.Heap.Pages(), int32(l.block.Len())
-		return nil
-	}
-	var err error
-	s.blocks, err = s.Table.DecodeBlocks(&s.dec, s.blocks)
-	return err
+// ScanRecords streams the table's records.
+func (s *SeqScan) ScanRecords(fn func(rec []byte) error) error {
+	return s.Table.Heap.Scan(func(_ storage.RID, rec []byte) error { return fn(rec) })
 }
 
-// decoderFor makes dec a decoder of schema, keeping it when it is one.
-func decoderFor(dec *rel.BlockDecoder, schema *rel.Schema) {
-	if dec.Schema() != schema {
-		*dec = rel.NewBlockDecoder(schema)
-	}
-}
-
-// blockRows returns the rows of b, nil when it has none.
-func blockRows(b rel.Block) []rel.Tuple {
-	if b.Len() == 0 {
-		return nil
-	}
-	rows := make([]rel.Tuple, b.Len())
-	for i := range rows {
-		rows[i] = b.Row(i)
-	}
-	return rows
-}
-
-// Next returns the next tuple or nil.
-func (s *SeqScan) Next() (rel.Tuple, error) {
-	if s.Borrowed {
-		return s.nextLent()
-	}
-	for int(s.block) < len(s.blocks) {
-		if b := s.blocks[s.block]; int(s.row) < b.Len() {
-			s.row++
-			return b.Row(int(s.row) - 1), nil
-		}
-		s.block, s.row = s.block+1, 0
-	}
-	return nil, nil
-}
-
-// nextLent is Next of a lent scan: past the last row of its block it
-// decodes the next page over it.
-func (s *SeqScan) nextLent() (rel.Tuple, error) {
-	for int(s.row) >= s.lent.block.Len() {
-		if more, err := s.lent.pages.Next(s.decodePage); !more || err != nil {
-			return nil, err
-		}
-	}
-	s.row++
-	return s.lent.block.Row(int(s.row) - 1), nil
-}
-
-// decodePage decodes a lent scan's page over its block.
-func (s *SeqScan) decodePage(pg *storage.Page) (err error) {
-	s.lent.block, err = s.Table.DecodePage(&s.dec, s.lent.block, pg)
-	s.row = 0
-	return err
-}
-
-// Close keeps the blocks for the next Open to decode over.
-func (s *SeqScan) Close() error { return nil }
-
-// ScanRecords streams the table's records in one heap pass — the same
-// pages and records Open reads.
-func (s *SeqScan) ScanRecords(fn func(rec []byte) error) (bool, error) {
-	return true, s.Table.Heap.Scan(func(_ storage.RID, rec []byte) error { return fn(rec) })
-}
-
-// ScanRows streams the table's tuples with their RIDs in one heap pass.
-func (s *SeqScan) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
-	return s.Table.Scan(fn)
+// ScanRows streams the table's records with their RIDs.
+func (s *SeqScan) ScanRows(fn func(rid storage.RID, rec []byte) error) error {
+	return s.Table.Heap.Scan(fn)
 }
 
 // --- IndexScan ---
 
-// IndexScan reads tuples whose index key starts with Key (equality on a
-// prefix of the index columns). Open descends the index once and
-// decodes the rows its postings point at into one block, over the last
-// execution's when that fits them.
+// IndexScan reads the records whose index key starts with Key (equality
+// on a prefix of the index columns): one descent of the index, then a
+// heap read per posting.
 type IndexScan struct {
 	Table *catalog.Table
 	Index *catalog.Index
 	Key   rel.Tuple // prefix values for the leading index columns
 	Est   float64
-
-	rows rel.Block
-	pos  int
-	dec  rel.BlockDecoder
 }
 
 // Schema returns the table schema.
 func (s *IndexScan) Schema() *rel.Schema { return s.Table.Schema }
 
-// Open performs the index lookup and reads the matching tuples from the
-// heap.
-func (s *IndexScan) Open() error {
-	_, err := s.read()
-	return err
+// ScanRecords streams the matching records.
+func (s *IndexScan) ScanRecords(fn func(rec []byte) error) error {
+	return s.ScanRows(func(_ storage.RID, rec []byte) error { return fn(rec) })
 }
 
-// read is Open; it also returns where each row is stored.
-func (s *IndexScan) read() ([]storage.RID, error) {
-	rids := indexLookup(s.Index, s.Key)
-	decoderFor(&s.dec, s.Table.Schema)
-	s.dec.BeginReusing(s.rows, len(rids), 0)
-	if err := s.Table.AddRows(&s.dec, rids); err != nil {
-		return nil, fmt.Errorf("exec: index %s points at missing %w", s.Index.Name, err)
-	}
-	s.rows, s.pos = s.dec.Finish(), 0
-	return rids, nil
+// ScanRows streams the matching records with their RIDs.
+func (s *IndexScan) ScanRows(fn func(rid storage.RID, rec []byte) error) error {
+	return s.Index.Tree.PostingsOf(s.Key, func(rids []storage.RID) error {
+		return readAll(s.Table, s.Index, rids, fn)
+	})
 }
 
-// indexLookup descends the index once for the postings of key, a value
-// for each of the index's leading columns.
-func indexLookup(idx *catalog.Index, key rel.Tuple) []storage.RID {
-	if len(key) == len(idx.Ords) {
-		return idx.Tree.Lookup(key)
-	}
-	return idx.Tree.LookupPrefix(key)
-}
-
-// Next returns the next matching tuple.
-func (s *IndexScan) Next() (rel.Tuple, error) {
-	if s.pos >= s.rows.Len() {
-		return nil, nil
-	}
-	s.pos++
-	return s.rows.Row(s.pos - 1), nil
-}
-
-// ScanRows streams the matching tuples with their RIDs: the same descent
-// and heap reads as Open and Next.
-func (s *IndexScan) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
-	rids, err := s.read()
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	for i, rid := range rids {
-		if err := fn(rid, s.rows.Row(i)); err != nil {
-			return err
+// readAll passes fn each record of t that rids, postings of idx, point
+// at, read under its page's pin.
+func readAll(t *catalog.Table, idx *catalog.Index, rids []storage.RID, fn func(rid storage.RID, rec []byte) error) error {
+	for _, rid := range rids {
+		var ferr error
+		err := t.Heap.Read(rid, func(rec []byte) error {
+			ferr = fn(rid, rec)
+			return ferr
+		})
+		if ferr != nil {
+			return ferr
+		}
+		if err != nil {
+			return fmt.Errorf("exec: index %s points at missing record %s: %w", idx.Name, rid, err)
 		}
 	}
 	return nil
 }
 
-// Close keeps the rows' block for the next Open to decode over.
-func (s *IndexScan) Close() error { return nil }
-
 // --- Filter ---
 
-// Filter passes through tuples satisfying the predicate.
+// Filter passes on the records satisfying the predicate.
 type Filter struct {
 	Input Operator
 	Pred  Pred
+
+	row    rel.Spans
+	schema *rel.Schema // the input's, for the pass
+	stage
 }
 
 // Schema returns the input schema.
 func (f *Filter) Schema() *rel.Schema { return f.Input.Schema() }
 
-// Open opens the input.
-func (f *Filter) Open() error { return f.Input.Open() }
-
-// Next returns the next satisfying tuple.
-func (f *Filter) Next() (rel.Tuple, error) {
-	//dkblint:ctxok consumes one tuple of the finite Open-materialized input per iteration; the RunCtx drain observes cancellation
-	for {
-		tu, err := f.Input.Next()
-		if err != nil || tu == nil {
-			return nil, err
-		}
-		if f.Pred.Holds(tu) {
-			return tu, nil
-		}
+// ScanRecords streams the input's satisfying records.
+func (f *Filter) ScanRecords(fn func(rec []byte) error) error {
+	if f.each == nil {
+		f.each = f.record
 	}
+	f.schema = f.Input.Schema()
+	err := f.run(f.Input, fn)
+	f.row.Clear()
+	return err
 }
 
-// Close closes the input.
-func (f *Filter) Close() error { return f.Input.Close() }
+func (f *Filter) record(rec []byte) error {
+	if ok, err := f.holds(rec); !ok || err != nil {
+		return err
+	}
+	return f.emit(rec)
+}
 
-// ScanRows streams the input's satisfying rows with their RIDs.
-func (f *Filter) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
-	return ScanRows(f.Input, func(rid storage.RID, tu rel.Tuple) error {
-		if !f.Pred.Holds(tu) {
-			return nil
+// holds reads rec and evaluates the predicate over it.
+func (f *Filter) holds(rec []byte) (bool, error) {
+	if err := f.row.Read(rec, f.schema); err != nil {
+		return false, err
+	}
+	return f.Pred.Holds(&f.row), nil
+}
+
+// ScanRows streams the input's satisfying records with their RIDs.
+func (f *Filter) ScanRows(fn func(rid storage.RID, rec []byte) error) error {
+	f.schema = f.Input.Schema()
+	err := ScanRows(f.Input, func(rid storage.RID, rec []byte) error {
+		if ok, err := f.holds(rec); !ok || err != nil {
+			return err
 		}
-		return fn(rid, tu)
+		return fn(rid, rec)
 	})
+	f.row.Clear()
+	return err
 }
 
 // --- Project ---
 
-// Project evaluates scalar expressions over each input tuple.
+// Project builds each output record from its input record: the bytes
+// of the columns it selects, and the encodings of its constants and
+// value parameters, back to back.
 type Project struct {
 	Input Operator
 	Exprs []Scalar
 	Out   *rel.Schema
-	// Borrowed is set by the planner when the consumer copies each row
-	// before it asks for the next (a deduplicating set operation): every
-	// row is then written into the same buffer.
-	Borrowed bool
 
-	out slab
+	in     rel.Spans
+	schema *rel.Schema // the input's, for the pass
+	out    []byte
+	stage
 }
 
 // Schema returns the projection's output schema.
 func (p *Project) Schema() *rel.Schema { return p.Out }
 
-// Open opens the input and rewinds the slab.
-func (p *Project) Open() error {
-	p.out.rewind()
-	return p.Input.Open()
+// ScanRecords streams the projected records.
+func (p *Project) ScanRecords(fn func(rec []byte) error) error {
+	if p.each == nil {
+		p.each = p.record
+	}
+	p.schema = p.Input.Schema()
+	err := p.run(p.Input, fn)
+	p.in.Clear()
+	return err
 }
 
-// Next computes the next projected tuple.
-func (p *Project) Next() (rel.Tuple, error) {
-	tu, err := p.Input.Next()
-	if err != nil || tu == nil {
-		return nil, err
+func (p *Project) record(rec []byte) error {
+	if err := p.in.Read(rec, p.schema); err != nil {
+		return err
 	}
-	out := p.out.next(len(p.Exprs), p.Borrowed)
-	for i, e := range p.Exprs {
-		out[i] = e.Eval(tu)
+	out := p.out[:0]
+	for _, e := range p.Exprs {
+		out = e.Append(out, &p.in)
 	}
-	return out, nil
+	p.out = out
+	return p.emit(out)
 }
 
-// Close closes the input and trims the slab.
-func (p *Project) Close() error {
-	p.out.trim()
-	return p.Input.Close()
+// --- joins ---
+
+// joined is a join's output buffer and the residual predicate's reader
+// of it: every joined record is left ++ right, written over the last.
+type joined struct {
+	out    []byte
+	row    rel.Spans
+	schema *rel.Schema
+}
+
+// emit writes left ++ right and passes it to fn if pred holds of it
+// (nil: no predicate).
+func (j *joined) emit(left, right []byte, pred Pred, fn func([]byte) error) error {
+	j.out = append(append(j.out[:0], left...), right...)
+	if pred != nil {
+		if err := j.row.Read(j.out, j.schema); err != nil {
+			return err
+		}
+		if !pred.Holds(&j.row) {
+			return nil
+		}
+	}
+	return fn(j.out)
+}
+
+// residual returns p, nil when it is absent or True.
+func residual(p Pred) Pred {
+	if _, ok := p.(True); ok {
+		return nil
+	}
+	return p
+}
+
+// concat returns the schema of left ++ right, keeping *cached when it
+// is already that.
+func concat(cached **rel.Schema, left, right *rel.Schema) *rel.Schema {
+	if *cached == nil {
+		*cached = left.Concat(right)
+	}
+	return *cached
 }
 
 // --- Nested-loop join (cross product with residual predicate) ---
 
-// NLJoin is a block nested-loop join: the right input is materialized
-// once, then streamed per left tuple. The predicate (possibly True for a
-// pure cross product) is applied to the concatenated tuple.
+// NLJoin is a nested-loop join: the right input's records are copied
+// into one list once a pass, then each left record is paired with every
+// one of them. The predicate (possibly True for a pure cross product)
+// is applied to the joined record.
 type NLJoin struct {
 	Left, Right Operator
 	Pred        Pred
 	Est         float64
-	// Borrowed is set by the planner under a Project: every joined row
-	// is written into the same buffer (see Project.Borrowed).
-	Borrowed bool
 
-	right  []rel.Tuple
-	cur    rel.Tuple
-	rpos   int
-	out    slab
-	schema *rel.Schema
+	right rel.Records
+	j     joined
+	pred  Pred
+	keep  func([]byte) error // right.Add, made once
+	stage
 }
 
 // Schema returns the concatenated schema.
 func (j *NLJoin) Schema() *rel.Schema {
-	if j.schema == nil {
-		j.schema = j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.schema
+	return concat(&j.j.schema, j.Left.Schema(), j.Right.Schema())
 }
 
-// Open opens both inputs and materializes the right side.
-func (j *NLJoin) Open() error {
-	if err := j.Left.Open(); err != nil {
-		return err
+// ScanRecords materializes the right input and streams the joined
+// records.
+func (j *NLJoin) ScanRecords(fn func(rec []byte) error) error {
+	j.Schema()
+	j.pred = residual(j.Pred)
+	armFirst(j.Left)
+	j.right.Reset()
+	if j.keep == nil {
+		j.keep = j.right.Add
 	}
-	j.out.rewind()
-	j.right, j.cur, j.rpos = j.right[:0], nil, 0
-	return Run(j.Right, func(tu rel.Tuple) error {
-		j.right = append(j.right, tu)
-		return nil
-	})
+	if j.each == nil {
+		j.each = j.record
+	}
+	err := j.Right.ScanRecords(j.keep)
+	if err == nil {
+		err = j.run(j.Left, fn)
+	}
+	j.right.Trim()
+	j.j.row.Clear()
+	return err
 }
 
-// Next returns the next joined tuple.
-func (j *NLJoin) Next() (rel.Tuple, error) {
-	//dkblint:ctxok consumes one left tuple or one inner match per iteration over finite inputs; the RunCtx drain observes cancellation
-	for {
-		if j.cur == nil {
-			tu, err := j.Left.Next()
-			if err != nil || tu == nil {
-				return nil, err
-			}
-			j.cur = tu
-			j.rpos = 0
-		}
-		for j.rpos < len(j.right) {
-			joined := j.out.concat(j.cur, j.right[j.rpos])
-			j.rpos++
-			if j.Pred.Holds(joined) {
-				return j.out.next(len(joined), j.Borrowed), nil
-			}
-		}
-		j.cur = nil
-	}
-}
-
-// Close closes the left input (the right is already drained) and trims
-// the right rows' list and the slab.
-func (j *NLJoin) Close() error {
-	j.right = trim(j.right)
-	j.out.trim()
-	return j.Left.Close()
+func (j *NLJoin) record(left []byte) error {
+	return j.right.Each(func(right []byte) error { return j.j.emit(left, right, j.pred, j.emit) })
 }
 
 // --- Hash join ---
 
 // HashJoin is an equijoin on LeftOrds = RightOrds with an optional
-// residual predicate over the concatenated tuple. One input is hashed
-// (the build side: the right one, or the left one when BuildLeft is
-// set) and the other streams past it; output tuples are left ++ right
-// either way.
+// residual predicate over the joined record. One input is hashed (the
+// build side: the right one, or the left one when BuildLeft is set):
+// its records are copied into one arena, keyed by the bytes of their
+// key columns. The other streams past it; output records are left ++
+// right either way.
 type HashJoin struct {
 	Left, Right         Operator
 	LeftOrds, RightOrds []int
 	BuildLeft           bool
 	Residual            Pred // True when absent
 	Est                 float64
-	// Borrowed is set by the planner under a Project: every joined row
-	// is written into the same buffer (see Project.Borrowed).
-	Borrowed bool
 
-	// The build side: its distinct keys, and per key the chain of rows
-	// that have it, in arrival order (chains by key entry, next by row;
-	// -1 ends a chain).
+	// The build side: its records back to back in arena (record i ends
+	// at ends[i]), its distinct keys, and per key the chain of records
+	// that have it, in arrival order (chains by key entry, next by
+	// record; -1 ends a chain).
+	arena  []byte
+	ends   []uint32
 	keys   keyTable
 	chains []struct{ first, last int32 }
-	rows   []rel.Tuple
 	next   []int32
 
-	key    []byte // scratch
-	cur    rel.Tuple
-	match  int32 // next build row to pair with cur, or -1
-	out    slab
-	schema *rel.Schema
+	side     rel.Spans // the build or probe record being keyed
+	key      []byte    // scratch for a key of several columns
+	j        joined
+	pred     Pred
+	bs, ps   *rel.Schema        // the build and probe inputs', for the pass
+	addBuild func([]byte) error // add, made once; each is probe
+	stage
 }
 
 // Schema returns the concatenated schema.
 func (j *HashJoin) Schema() *rel.Schema {
-	if j.schema == nil {
-		j.schema = j.Left.Schema().Concat(j.Right.Schema())
-	}
-	return j.schema
+	return concat(&j.j.schema, j.Left.Schema(), j.Right.Schema())
 }
 
 // sides returns the build and probe inputs with their key ordinals.
@@ -576,124 +428,131 @@ func (j *HashJoin) sides() (build, probe Operator, buildOrds, probeOrds []int) {
 	return j.Right, j.Left, j.RightOrds, j.LeftOrds
 }
 
-// Open opens the probe input and builds the hash table from the other.
-func (j *HashJoin) Open() error {
-	if j.Residual == nil {
-		j.Residual = True{}
-	}
-	build, probe, buildOrds, _ := j.sides()
-	if err := probe.Open(); err != nil {
-		return err
-	}
-	j.out.rewind()
+// ScanRecords builds the hash table from one input and streams the
+// other past it.
+func (j *HashJoin) ScanRecords(fn func(rec []byte) error) error {
+	j.Schema()
+	j.pred = residual(j.Residual)
+	build, probe, _, _ := j.sides()
+	armFirst(probe)
 	j.keys.reset()
-	n := rowsKnown(build)
-	j.chains = j.chains[:0]
-	j.rows, j.next = slices.Grow(j.rows[:0], n), slices.Grow(j.next[:0], n)
-	err := Run(build, func(tu rel.Tuple) error {
-		row := int32(len(j.rows))
-		j.rows, j.next = append(j.rows, tu), append(j.next, -1)
-		j.key = tu.AppendKey(j.key[:0], buildOrds)
-		if k, added := j.keys.add(j.key); added {
-			j.chains = append(j.chains, struct{ first, last int32 }{row, row})
-		} else {
-			j.next[j.chains[k].last], j.chains[k].last = row, row
-		}
-		return nil
-	})
+	n, size := sizeKnown(build)
+	j.arena, j.ends = slices.Grow(j.arena[:0], size), slices.Grow(j.ends[:0], n)
+	j.chains, j.next = j.chains[:0], slices.Grow(j.next[:0], n)
+	if j.addBuild == nil {
+		j.addBuild, j.each = j.add, j.probe
+	}
+	j.bs, j.ps = build.Schema(), probe.Schema()
+	err := build.ScanRecords(j.addBuild)
+	if err == nil {
+		err = j.run(probe, fn)
+	}
+	j.keys.trim()
+	j.arena, j.ends, j.chains, j.next = trim(j.arena), trim(j.ends), trim(j.chains), trim(j.next)
+	j.side.Clear()
+	j.j.row.Clear()
+	return err
+}
+
+// keyOf reads rec, a record of schema, and returns its key: the bytes
+// of its key columns, in place when there is one.
+func (j *HashJoin) keyOf(rec []byte, schema *rel.Schema, ords []int) ([]byte, error) {
+	if err := j.side.Read(rec, schema); err != nil {
+		return nil, err
+	}
+	if len(ords) == 1 {
+		return j.side.Col(ords[0]), nil
+	}
+	j.key = j.side.AppendCols(j.key[:0], ords)
+	return j.key, nil
+}
+
+// add copies a build record into the arena and chains it under its key.
+func (j *HashJoin) add(rec []byte) error {
+	_, _, ords, _ := j.sides()
+	key, err := j.keyOf(rec, j.bs, ords)
 	if err != nil {
 		return err
 	}
-	j.cur, j.match = nil, -1
+	row := int32(len(j.ends))
+	j.arena = append(j.arena, rec...)
+	j.ends, j.next = append(j.ends, uint32(len(j.arena))), append(j.next, -1)
+	if k, added := j.keys.add(key); added {
+		j.chains = append(j.chains, struct{ first, last int32 }{row, row})
+	} else {
+		j.next[j.chains[k].last], j.chains[k].last = row, row
+	}
 	return nil
 }
 
-// Next returns the next joined tuple.
-func (j *HashJoin) Next() (rel.Tuple, error) {
-	_, probe, _, probeOrds := j.sides()
-	//dkblint:ctxok consumes one probe tuple or one bucket match per iteration over finite inputs; the RunCtx drain observes cancellation
-	for {
-		for j.match >= 0 {
-			lt, rt := j.cur, j.rows[j.match]
-			if j.BuildLeft {
-				lt, rt = rt, lt
-			}
-			j.match = j.next[j.match]
-			joined := j.out.concat(lt, rt)
-			if j.Residual.Holds(joined) {
-				return j.out.next(len(joined), j.Borrowed), nil
-			}
+// probe joins a probe record with the build records of its key.
+func (j *HashJoin) probe(rec []byte) error {
+	_, _, _, ords := j.sides()
+	key, err := j.keyOf(rec, j.ps, ords)
+	if err != nil {
+		return err
+	}
+	k := j.keys.find(key)
+	if k < 0 {
+		return nil
+	}
+	for m := j.chains[k].first; m >= 0; m = j.next[m] {
+		start := uint32(0)
+		if m > 0 {
+			start = j.ends[m-1]
 		}
-		tu, err := probe.Next()
-		if err != nil || tu == nil {
-			return nil, err
+		left, right := rec, j.arena[start:j.ends[m]]
+		if j.BuildLeft {
+			left, right = right, left
 		}
-		j.cur = tu
-		j.key = tu.AppendKey(j.key[:0], probeOrds)
-		if k := j.keys.find(j.key); k >= 0 {
-			j.match = j.chains[k].first
+		if err := j.j.emit(left, right, j.pred, j.emit); err != nil {
+			return err
 		}
 	}
+	return nil
 }
 
-// Close closes the probe input and trims the hash table and the slab.
-func (j *HashJoin) Close() error {
-	j.keys.trim()
-	j.chains, j.rows, j.next = trim(j.chains), trim(j.rows), trim(j.next)
-	j.out.trim()
-	_, probe, _, _ := j.sides()
-	return probe.Close()
-}
-
-// rowsKnown returns how many rows op will emit when that is known
-// before it runs — a bare table scan — and 0 otherwise.
-func rowsKnown(op Operator) int {
+// sizeKnown returns how many records op will emit, and their length
+// together, when that is known before it runs — a bare table scan —
+// and 0, 0 otherwise.
+func sizeKnown(op Operator) (rows, bytes int) {
 	switch o := op.(type) {
 	case *SeqScan:
-		return o.Table.Rows()
+		return o.Table.Rows(), o.Table.Bytes()
 	case *countedOp:
-		return rowsKnown(o.inner)
+		return sizeKnown(o.inner)
 	}
-	return 0
+	return 0, 0
 }
 
 // --- Distinct ---
 
-// Distinct removes duplicate tuples (hash-based).
+// Distinct passes on each record the first time it arrives.
 type Distinct struct {
 	Input Operator
 	seen  keyTable
-	key   []byte // scratch
+	stage
 }
 
 // Schema returns the input schema.
 func (d *Distinct) Schema() *rel.Schema { return d.Input.Schema() }
 
-// Open opens the input and resets the seen set.
-func (d *Distinct) Open() error {
-	d.seen.reset()
-	return d.Input.Open()
-}
-
-// Next returns the next previously-unseen tuple.
-func (d *Distinct) Next() (rel.Tuple, error) {
-	//dkblint:ctxok consumes one input tuple per iteration over a finite input; the RunCtx drain observes cancellation
-	for {
-		tu, err := d.Input.Next()
-		if err != nil || tu == nil {
-			return nil, err
-		}
-		d.key = tu.AppendKey(d.key[:0], nil)
-		if _, added := d.seen.add(d.key); added {
-			return tu, nil
-		}
+// ScanRecords streams the input's distinct records.
+func (d *Distinct) ScanRecords(fn func(rec []byte) error) error {
+	if d.each == nil {
+		d.each = d.record
 	}
+	d.seen.reset()
+	err := d.run(d.Input, fn)
+	d.seen.trim()
+	return err
 }
 
-// Close closes the input and trims the seen set.
-func (d *Distinct) Close() error {
-	d.seen.trim()
-	return d.Input.Close()
+func (d *Distinct) record(rec []byte) error {
+	if _, added := d.seen.add(rec); !added {
+		return nil
+	}
+	return d.emit(rec)
 }
 
 // --- Set operations ---
@@ -712,24 +571,20 @@ const (
 
 // SetOpExec evaluates Left OP Right. Inputs must be type-compatible.
 //
-// The deduplicating kinds build a tupleSet from the left input — in the
-// LFP round the few derivations of one rule — and stream the right
-// input past it as keys, raw stored records when the right input is a
-// RecordSource. The right input is read whatever the left holds, so a
-// statement costs the same page reads every round. A chain such as
-// A EXCEPT B EXCEPT C builds once: the outer operation takes over the
-// inner one's set (setSource) instead of re-hashing its output. The
-// set holds stored records, so a deduplicating SetOpExec is itself a
-// RecordSource: INSERT ... EXCEPT writes them to the heap as they are.
-// The set is the operator's own, reset by each execution; whoever reads
-// an execution's result last trims it.
+// The deduplicating kinds build a tupleSet from the left input's
+// records — in the LFP round the few derivations of one rule — and
+// stream the right input's records past it. The right input is read
+// whatever the left holds, so a statement costs the same page reads
+// every round. A chain such as A EXCEPT B EXCEPT C builds once: the
+// outer operation takes over the inner one's set (setSource) instead of
+// re-hashing its output. The set is the operator's own, reset by each
+// pass; whoever reads a pass's result last trims it. UNION ALL streams
+// one input's records, then the other's.
 type SetOpExec struct {
 	Kind        SetOpKind
 	Left, Right Operator
 
 	set    *tupleSet
-	out    []rel.Tuple
-	pos    int
 	schema *rel.Schema
 }
 
@@ -743,45 +598,27 @@ func (s *SetOpExec) Schema() *rel.Schema {
 	return s.schema
 }
 
-// Open fully evaluates the set operation (these operators are blocking).
-func (s *SetOpExec) Open() error {
-	s.pos = 0
+// ScanRecords evaluates the set operation and streams its result: a
+// deduplicating one's set, in the order its records arrived.
+func (s *SetOpExec) ScanRecords(fn func(rec []byte) error) error {
 	set, err := s.takeSet()
 	if err != nil {
 		return err
 	}
-	if set != nil {
-		s.out, err = set.live()
-		set.trim()
-		return err
-	}
-	// UNION ALL: a bag, nothing to hash.
-	s.out = s.out[:0]
-	keep := func(tu rel.Tuple) error { s.out = append(s.out, tu); return nil }
-	if err := Run(s.Left, keep); err != nil {
-		return err
-	}
-	return Run(s.Right, keep)
-}
-
-// ScanRecords evaluates a deduplicating set operation and streams its
-// result as the set's records. UNION ALL has none.
-func (s *SetOpExec) ScanRecords(fn func(rec []byte) error) (bool, error) {
-	if s.Kind == OpUnionAll {
-		return false, nil
-	}
-	set, err := s.takeSet()
-	if err != nil {
-		return true, err
+	if set == nil {
+		// UNION ALL: a bag, nothing to hash.
+		if err := s.Left.ScanRecords(fn); err != nil {
+			return err
+		}
+		return s.Right.ScanRecords(fn)
 	}
 	err = set.records(fn)
 	set.trim()
-	return true, err
+	return err
 }
 
-// takeSet evaluates a deduplicating set operation in place of Open and
-// hands the result over as a set; UNION ALL, whose result is a bag, has
-// none to give.
+// takeSet evaluates a deduplicating set operation and hands the result
+// over as a set; UNION ALL, whose result is a bag, has none to give.
 func (s *SetOpExec) takeSet() (*tupleSet, error) {
 	schema := s.Schema()
 	if !schema.TypesCompatible(s.Right.Schema()) {
@@ -797,7 +634,7 @@ func (s *SetOpExec) takeSet() (*tupleSet, error) {
 	}
 	switch s.Kind {
 	case OpUnion:
-		err = Run(s.Right, set.add)
+		err = s.Right.ScanRecords(set.adder())
 	case OpExcept, OpIntersect:
 		err = set.subtract(s.Right, s.Kind == OpIntersect)
 	default:
@@ -806,24 +643,9 @@ func (s *SetOpExec) takeSet() (*tupleSet, error) {
 	return set, err
 }
 
-// Next returns the next result tuple.
-func (s *SetOpExec) Next() (rel.Tuple, error) {
-	if s.pos >= len(s.out) {
-		return nil, nil
-	}
-	s.pos++
-	return s.out[s.pos-1], nil
-}
-
-// Close trims the materialized result's list.
-func (s *SetOpExec) Close() error {
-	s.out = trim(s.out)
-	return nil
-}
-
 // setSource is implemented by operators whose whole result is a
 // tupleSet they can hand over (SetOpExec, and Instrument's wrapper
-// around one). A nil set means "drain me instead".
+// around one). A nil set means "scan me instead".
 type setSource interface {
 	takeSet() (*tupleSet, error)
 }
@@ -841,29 +663,28 @@ func (s *SetOpExec) setOf(schema *rel.Schema) (*tupleSet, error) {
 		s.set = new(tupleSet)
 	}
 	s.set.reset(schema)
-	return s.set, Run(s.Left, s.set.add)
+	return s.set, s.Left.ScanRecords(s.set.adder())
 }
 
-// tupleSet is an insertion-ordered set of tuples of one schema, held as
-// stored records: entry i of keys is the i-th tuple's key
-// (rel.Tuple.AppendKey), which is the record the heap stores. Adding a
-// tuple copies it into the key arena and nowhere else. Removing one
-// marks its entry, so positions stay valid.
+// tupleSet is an insertion-ordered set of the records of one schema:
+// entry i of keys is the i-th record, which is its tuple's key
+// (rel.Tuple.AppendKey). Adding a record copies it into the key arena
+// and nowhere else. Removing one marks its entry, so positions stay
+// valid.
 type tupleSet struct {
 	schema  *rel.Schema
 	keys    keyTable
 	removed []bool // by entry
 	n       int    // entries not removed
-	key     []byte // scratch
-	// hit marks, by entry, the keys an INTERSECT's right input found
-	// (intersect); probe is the set's probeKey, made once for every
-	// execution.
-	hit       []bool
-	intersect bool
-	probe     func(key []byte) error
+	// hit marks, by entry, the records an INTERSECT's right input found
+	// (intersect). add and probe are the set's own add and probeKey,
+	// made once for every execution.
+	hit        []bool
+	intersect  bool
+	add, probe func(rec []byte) error
 }
 
-// reset empties the set for an execution over tuples of schema,
+// reset empties the set for an execution over records of schema,
 // keeping its memory.
 func (s *tupleSet) reset(schema *rel.Schema) {
 	s.schema = schema
@@ -882,10 +703,17 @@ func (s *tupleSet) trim() {
 	}
 }
 
-// add inserts tu unless the set holds it.
-func (s *tupleSet) add(tu rel.Tuple) error {
-	s.key = tu.AppendKey(s.key[:0], nil)
-	if i, added := s.keys.add(s.key); added {
+// adder returns the set's add.
+func (s *tupleSet) adder() func(rec []byte) error {
+	if s.add == nil {
+		s.add = s.addRecord
+	}
+	return s.add
+}
+
+// addRecord inserts rec unless the set holds it.
+func (s *tupleSet) addRecord(rec []byte) error {
+	if i, added := s.keys.add(rec); added {
 		s.removed = append(s.removed, false)
 		s.n++
 	} else if s.removed[i] {
@@ -895,15 +723,15 @@ func (s *tupleSet) add(tu rel.Tuple) error {
 	return nil
 }
 
-// find returns the position of the tuple with the given key, or -1.
-func (s *tupleSet) find(key []byte) int {
-	if i := s.keys.find(key); i >= 0 && !s.removed[i] {
+// find returns the position of the record, or -1.
+func (s *tupleSet) find(rec []byte) int {
+	if i := s.keys.find(rec); i >= 0 && !s.removed[i] {
 		return i
 	}
 	return -1
 }
 
-// remove removes the tuple at position i.
+// remove removes the record at position i.
 func (s *tupleSet) remove(i int) {
 	if !s.removed[i] {
 		s.removed[i] = true
@@ -911,8 +739,8 @@ func (s *tupleSet) remove(i int) {
 	}
 }
 
-// records calls fn with the record of every tuple the set holds, in
-// insertion order. rec aliases the set's arena.
+// records calls fn with every record the set holds, in insertion
+// order. rec aliases the set's arena.
 func (s *tupleSet) records(fn func(rec []byte) error) error {
 	for i, gone := range s.removed {
 		if gone {
@@ -925,10 +753,10 @@ func (s *tupleSet) records(fn func(rec []byte) error) error {
 	return nil
 }
 
-// live decodes the set's tuples, in insertion order, into one block
+// live decodes the set's records, in insertion order, into one block
 // that belongs to the caller: one value slab and one string, the
-// decoder's character scratch sized by the records and handed over
-// (rel.BlockDecoder.FinishLast), as rel.OwnRows would leave them. A
+// decoder's character buffer sized by the records and handed over
+// (rel.BlockDecoder.FinishLast). A
 // record that does not decode under the set's schema — a tuple added
 // with a value of another type — is an error.
 func (s *tupleSet) live() ([]rel.Tuple, error) {
@@ -942,11 +770,11 @@ func (s *tupleSet) live() ([]rel.Tuple, error) {
 	if err := s.records(dec.Add); err != nil {
 		return nil, fmt.Errorf("exec: set of %v: %w", s.schema, err)
 	}
-	return blockRows(dec.FinishLast()), nil
+	return dec.FinishLast().Rows(), nil
 }
 
-// subtract removes from the set the tuples the rows of op have — or,
-// with intersect, those they do not have — reading op's keys.
+// subtract removes from the set the records op emits — or, with
+// intersect, those it does not.
 func (s *tupleSet) subtract(op Operator, intersect bool) error {
 	if s.probe == nil {
 		s.probe = s.probeKey
@@ -955,7 +783,7 @@ func (s *tupleSet) subtract(op Operator, intersect bool) error {
 	if intersect {
 		s.hit = append(s.hit[:0], make([]bool, s.keys.len())...)
 	}
-	err := s.eachKey(op, s.probe)
+	err := op.ScanRecords(s.probe)
 	if intersect {
 		for i, h := range s.hit {
 			if !h {
@@ -967,10 +795,10 @@ func (s *tupleSet) subtract(op Operator, intersect bool) error {
 	return err
 }
 
-// probeKey is subtract's step per key: remove the tuple the set holds
-// under it, or mark it hit.
-func (s *tupleSet) probeKey(key []byte) error {
-	if i := s.find(key); i >= 0 && s.intersect {
+// probeKey is subtract's step per record: remove the record the set
+// holds, or mark it hit.
+func (s *tupleSet) probeKey(rec []byte) error {
+	if i := s.find(rec); i >= 0 && s.intersect {
 		s.hit[i] = true
 	} else if i >= 0 {
 		s.remove(i)
@@ -978,80 +806,56 @@ func (s *tupleSet) probeKey(key []byte) error {
 	return nil
 }
 
-// eachKey passes the key of every row of op to fn: the stored records
-// themselves when op has them, the encoding of each tuple otherwise.
-func (s *tupleSet) eachKey(op Operator, fn func(key []byte) error) error {
-	raw, err := ScanRecords(op, fn)
-	if raw || err != nil {
-		return err
-	}
-	return Run(op, func(tu rel.Tuple) error {
-		s.key = tu.AppendKey(s.key[:0], nil)
-		return fn(s.key)
-	})
-}
-
 // --- CountStar ---
 
 var countSchema = rel.MustSchema(rel.Column{Name: "count", Type: rel.TypeInt})
 
-// CountStar counts input tuples and emits a single-row result. A
-// RecordSource input is counted record by record, undecoded.
+// CountStar counts its input's records and emits a single-row result.
 type CountStar struct {
 	Input Operator
 	n     int64
-	done  bool
+	rec   []byte
+	count func([]byte) error
 }
 
 // Schema returns the single-column count schema.
 func (c *CountStar) Schema() *rel.Schema { return countSchema }
 
-// Open counts the input.
-func (c *CountStar) Open() error {
-	c.n, c.done = 0, false
-	raw, err := ScanRecords(c.Input, func([]byte) error { c.n++; return nil })
-	if raw || err != nil {
+// ScanRecords counts the input and emits the count.
+func (c *CountStar) ScanRecords(fn func(rec []byte) error) error {
+	if c.count == nil {
+		c.count = c.inc
+	}
+	c.n = 0
+	if err := c.Input.ScanRecords(c.count); err != nil {
 		return err
 	}
-	return Run(c.Input, func(rel.Tuple) error { c.n++; return nil })
+	c.rec = rel.NewInt(c.n).AppendKey(c.rec[:0])
+	return fn(c.rec)
 }
 
-// Next emits the count on first call.
-func (c *CountStar) Next() (rel.Tuple, error) {
-	if c.done {
-		return nil, nil
-	}
-	c.done = true
-	return rel.Tuple{rel.NewInt(c.n)}, nil
-}
-
-// Close is a no-op: Open drained the input.
-func (c *CountStar) Close() error { return nil }
+func (c *CountStar) inc([]byte) error { c.n++; return nil }
 
 // --- Values ---
 
-// Values emits a fixed list of tuples (INSERT ... VALUES source).
+// Values emits a fixed list of tuples (INSERT ... VALUES source), each
+// encoded as it is emitted.
 type Values struct {
 	Rows []rel.Tuple
 	Out  *rel.Schema
-	pos  int
+	rec  []byte
 }
 
 // Schema returns the declared schema.
 func (v *Values) Schema() *rel.Schema { return v.Out }
 
-// Open resets the cursor.
-func (v *Values) Open() error { v.pos = 0; return nil }
-
-// Next returns the next row.
-func (v *Values) Next() (rel.Tuple, error) {
-	if v.pos >= len(v.Rows) {
-		return nil, nil
+// ScanRecords streams the rows' records.
+func (v *Values) ScanRecords(fn func(rec []byte) error) error {
+	for _, tu := range v.Rows {
+		v.rec = tu.Encode(v.rec[:0])
+		if err := fn(v.rec); err != nil {
+			return err
+		}
 	}
-	tu := v.Rows[v.pos]
-	v.pos++
-	return tu, nil
+	return nil
 }
-
-// Close is a no-op.
-func (v *Values) Close() error { return nil }

@@ -3,7 +3,10 @@ package exec
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"dkbms/internal/catalog"
@@ -42,72 +45,25 @@ func rebindTables(op Operator, tabs map[*catalog.Table]*catalog.Table, idxs map[
 	}
 }
 
-// outgrown reports a buffer a closed operator keeps beyond what its
-// last pass used (rel.Outgrown), "" when there is none.
+// outgrown reports a buffer an operator keeps after a pass beyond what
+// that pass used (rel.Outgrown), "" when there is none.
 func outgrown(op Operator) string {
-	values := func(n int) int { return n * rel.ValueSize }
-	chunks := func(s *slab) string {
-		used, kept := 0, 0
-		for i, c := range s.chunks {
-			if i < int(s.cut) {
-				used += len(c)
-			}
-			kept += len(c)
-		}
-		if rel.Outgrown(values(kept), values(used)) || rel.Outgrown(24*cap(s.chunks), 24*len(s.chunks)) {
-			return "slab chunks"
-		}
-		return ""
-	}
 	keys := func(t *keyTable) bool {
 		return rel.Outgrown(cap(t.arena), len(t.arena)) || rel.Outgrown(4*cap(t.ends), 4*len(t.ends)) ||
 			rel.Outgrown(8*len(t.slots), 8*2*len(t.ends)*4/3)
 	}
 	list := func(n, c, size int) bool { return rel.Outgrown(c*size, n*size) }
 	switch o := op.(type) {
-	case *SeqScan:
-		if l := o.lent; l != nil && rel.Outgrown(values(l.block.Cap()), values(o.Table.Rows()*o.Table.Schema.Len())) {
-			return "lent SeqScan block"
-		}
-		for _, b := range o.blocks {
-			if rel.Outgrown(values(b.Cap()), values(b.Len()*o.Table.Schema.Len())) {
-				return "SeqScan block"
-			}
-		}
-		for _, b := range o.blocks[len(o.blocks):cap(o.blocks)] {
-			if b.Cap() > 0 {
-				return "SeqScan block of no page"
-			}
-		}
-	case *IndexScan:
-		if rel.Outgrown(values(o.rows.Cap()), values(o.rows.Len()*o.Table.Schema.Len())) {
-			return "IndexScan rows"
-		}
-	case *IndexNLJoin:
-		if rel.Outgrown(values(o.matches.Cap()), values(o.peak)) {
-			return "IndexNLJoin matches"
-		}
-		return chunks(&o.out)
-	case *Project:
-		return chunks(&o.out)
-	case *NLJoin:
-		if list(len(o.right), cap(o.right), 24) {
-			return "NLJoin right rows"
-		}
-		return chunks(&o.out)
 	case *HashJoin:
-		if keys(&o.keys) || list(len(o.rows), cap(o.rows), 24) || list(len(o.next), cap(o.next), 4) {
+		if keys(&o.keys) || list(len(o.arena), cap(o.arena), 1) || list(len(o.ends), cap(o.ends), 4) ||
+			list(len(o.next), cap(o.next), 4) || list(len(o.chains), cap(o.chains), 8) {
 			return "HashJoin build side"
 		}
-		return chunks(&o.out)
 	case *Distinct:
 		if keys(&o.seen) {
 			return "Distinct keys"
 		}
 	case *SetOpExec:
-		if list(len(o.out), cap(o.out), 24) {
-			return "SetOpExec result list"
-		}
 		if set := o.set; set != nil && (keys(&set.keys) || list(len(set.removed), cap(set.removed), 1) || list(len(set.hit), cap(set.hit), 1)) {
 			return "SetOpExec set"
 		}
@@ -120,68 +76,73 @@ func outgrown(op Operator) string {
 type reopenCase struct {
 	name  string
 	build func(l, r *catalog.Table, idx *catalog.Index) Operator
+	// arenas are fields of the tree (as held names them) that hold the
+	// working memory a pass keeps for the next one.
+	arenas []string
 }
 
 func reopenCases() []reopenCase {
 	one := rel.MustSchema(rel.Column{Name: "b", Type: rel.TypeInt})
 	gt := Cmp{Op: sql.CmpGt, Left: Col{Ord: 0, Ty: rel.TypeInt}, Right: Const{Val: rel.NewInt(1)}}
 	cases := []reopenCase{
-		{"seqscan", func(l, r *catalog.Table, idx *catalog.Index) Operator { return &SeqScan{Table: l} }},
+		{"seqscan", func(l, r *catalog.Table, idx *catalog.Index) Operator { return &SeqScan{Table: l} }, nil},
 		{"indexscan", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &IndexScan{Table: r, Index: idx, Key: rel.Tuple{rel.NewInt(3)}}
-		}},
+		}, nil},
 		{"filter", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &Filter{Input: &SeqScan{Table: l}, Pred: gt}
-		}},
+		}, nil},
 		{"project", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &Project{Input: &SeqScan{Table: l}, Exprs: []Scalar{Col{Ord: 1, Ty: rel.TypeInt}}, Out: one}
-		}},
+		}, []string{"Project.out"}},
 		{"nljoin", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &NLJoin{Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}, Pred: Cmp{Op: sql.CmpLt, Left: Col{Ord: 1, Ty: rel.TypeInt}, Right: Col{Ord: 2, Ty: rel.TypeInt}}}
-		}},
+		}, []string{"NLJoin.right.buf", "NLJoin.right.ends", "NLJoin.j.out"}},
 		{"hashjoin", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &HashJoin{Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}, LeftOrds: []int{1}, RightOrds: []int{0}}
-		}},
+		}, []string{"HashJoin.arena", "HashJoin.ends", "HashJoin.keys.arena", "HashJoin.chains", "HashJoin.next", "HashJoin.j.out"}},
 		{"hashjoin build left", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &HashJoin{Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}, LeftOrds: []int{1}, RightOrds: []int{0}, BuildLeft: true, Residual: gt}
-		}},
+		}, []string{"HashJoin.arena", "HashJoin.keys.arena", "HashJoin.j.out"}},
 		{"idxjoin", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &IndexNLJoin{Left: &SeqScan{Table: l}, Right: r, Index: idx, LeftOrds: []int{1}}
-		}},
+		}, []string{"IndexNLJoin.j.out"}},
 		{"distinct", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &Distinct{Input: &Project{Input: &SeqScan{Table: l}, Exprs: []Scalar{Col{Ord: 1, Ty: rel.TypeInt}}, Out: one}}
-		}},
+		}, []string{"Distinct.seen.arena"}},
 		{"count", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &CountStar{Input: &Filter{Input: &SeqScan{Table: l}, Pred: gt}}
-		}},
+		}, []string{"CountStar.rec"}},
 		{"values", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &Values{Rows: []rel.Tuple{{rel.NewInt(1)}, {rel.NewInt(2)}}, Out: one}
-		}},
-		// Lent scans, as the planner lends them: a page at a time into
-		// one block.
-		{"lent seqscan", func(l, r *catalog.Table, idx *catalog.Index) Operator { return &SeqScan{Table: l, Borrowed: true} }},
-		{"lent project", func(l, r *catalog.Table, idx *catalog.Index) Operator {
-			return &Project{Input: &Filter{Input: &SeqScan{Table: l, Borrowed: true}, Pred: gt}, Exprs: []Scalar{Col{Ord: 1, Ty: rel.TypeInt}}, Out: one}
-		}},
-		{"lent hashjoin probe", func(l, r *catalog.Table, idx *catalog.Index) Operator {
-			return &HashJoin{Left: &SeqScan{Table: l, Borrowed: true}, Right: &SeqScan{Table: r}, LeftOrds: []int{1}, RightOrds: []int{0}}
-		}},
-		{"lent except", func(l, r *catalog.Table, idx *catalog.Index) Operator {
-			return &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: l, Borrowed: true}, Right: &SeqScan{Table: r}}
-		}},
+		}, []string{"Values.rec"}},
+		{"project over filter", func(l, r *catalog.Table, idx *catalog.Index) Operator {
+			return &Project{Input: &Filter{Input: &SeqScan{Table: l}, Pred: gt}, Exprs: []Scalar{Col{Ord: 1, Ty: rel.TypeInt}}, Out: one}
+		}, []string{"Project.out"}},
+		// A projected join under a set operation, as a rule body is.
+		{"except over projected join", func(l, r *catalog.Table, idx *catalog.Index) Operator {
+			two := rel.MustSchema(rel.Column{Name: "a", Type: rel.TypeInt}, rel.Column{Name: "b", Type: rel.TypeInt})
+			join := &HashJoin{Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}, LeftOrds: []int{1}, RightOrds: []int{0}}
+			body := &Project{Input: join, Exprs: []Scalar{Col{Ord: 0, Ty: rel.TypeInt}, Col{Ord: 3, Ty: rel.TypeInt}}, Out: two}
+			return &SetOpExec{Kind: OpExcept, Left: body, Right: &SeqScan{Table: l}}
+		}, []string{"SetOpExec.set", "Project.out", "HashJoin.arena"}},
 	}
 	for _, k := range []struct {
 		kind SetOpKind
 		name string
 	}{{OpUnion, "union"}, {OpUnionAll, "union all"}, {OpExcept, "except"}, {OpIntersect, "intersect"}} {
+		var set []string
+		if k.kind != OpUnionAll {
+			set = []string{"SetOpExec.set"}
+		}
 		cases = append(cases, reopenCase{k.name, func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &SetOpExec{Kind: k.kind, Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}}
-		}})
+		}, set})
 		// A chain: the outer operation takes over the inner one's set.
 		cases = append(cases, reopenCase{k.name + " chained", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			inner := &SetOpExec{Kind: k.kind, Left: &SeqScan{Table: l}, Right: &SeqScan{Table: r}}
 			return &SetOpExec{Kind: OpExcept, Left: inner, Right: &Filter{Input: &SeqScan{Table: r}, Pred: gt}}
-		}})
+		}, []string{"SetOpExec.set"}})
 	}
 	return cases
 }
@@ -230,12 +191,11 @@ func walk(op Operator, fn func(Operator)) {
 	}
 }
 
-// TestOperatorsReopen holds every operator kind to the re-open
-// contract: opened, drained and closed twice, its tables re-bound in
-// between, each pass returns exactly the rows a freshly built operator
-// returns over the same tables, read before the next pass starts (it
-// may write over them); and a closed operator keeps no buffer its last
-// pass outgrew.
+// TestOperatorsReopen holds every operator kind to the re-run
+// contract: run twice, its tables re-bound in between, each pass
+// returns exactly the rows a freshly built operator returns over the
+// same tables; and after a pass an operator keeps no buffer that pass
+// outgrew.
 func TestOperatorsReopen(t *testing.T) {
 	c := cat(t)
 	l1, r1, idx1 := reopenTables(t, c, 1, 40)
@@ -243,8 +203,7 @@ func TestOperatorsReopen(t *testing.T) {
 	tabs := map[*catalog.Table]*catalog.Table{l1: l2, r1: r2}
 	idxs := map[*catalog.Index]*catalog.Index{idx1: idx2}
 
-	// pass drains op through Open/Next/Close and renders its rows as
-	// they come.
+	// pass runs op and renders its rows.
 	pass := func(op Operator) string {
 		var rows []string
 		if err := Run(op, func(tu rel.Tuple) error { rows = append(rows, tu.String()); return nil }); err != nil {
@@ -279,11 +238,11 @@ func TestOperatorsReopen(t *testing.T) {
 // tables of 1 000 rows, is re-bound to tables of 12, and runs again: the
 // heap it then retains must be within that bound of what a tree that
 // only ever ran over the small tables retains, 16 buffers' slack
-// included. Without the release rule the big pass's blocks, key tables,
-// slabs and lists stay, tens of KiB per tree. Each reading measures
-// keptTrees identical trees at once and divides: what a collection
-// frees of the process's own memory is then noise against the bytes the
-// trees hold. The big left table's join column holds 1 000 distinct
+// included. Without the release rule the big pass's key tables, arenas
+// and lists stay, tens of KiB per tree. Each reading measures
+// keptTrees identical trees at once (more, for a tree too small to
+// read that way) and divides: what a collection frees of the process's
+// own memory is then noise against the bytes the trees hold. The big left table's join column holds 1 000 distinct
 // values, so that each join reads 1 000 rows a side but emits about as
 // many rows as it reads, and 200 big passes stay cheap.
 func TestKeptTreeMemoryBounded(t *testing.T) {
@@ -306,22 +265,28 @@ func TestKeptTreeMemoryBounded(t *testing.T) {
 	// retained returns the heap each of keptTrees trees that run returns
 	// keeps alive.
 	retained := func(name string, run func() Operator) int64 {
-		trees := make([]Operator, keptTrees)
-		for i := range trees {
-			trees[i] = run()
+		// A tree that holds next to nothing — a bare scan keeps a table
+		// pointer — is measured over more trees, up to 16 times as many,
+		// until the reading rises above the collection's noise.
+		var held int64
+		for n := keptTrees; n <= 16*keptTrees; n *= 2 {
+			trees := make([]Operator, n)
+			for i := range trees {
+				trees[i] = run()
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			clear(trees)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(trees)
+			if held = int64(before.HeapAlloc) - int64(after.HeapAlloc); held > 0 {
+				return held / int64(n)
+			}
 		}
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		clear(trees)
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(trees)
-		held := int64(before.HeapAlloc) - int64(after.HeapAlloc)
-		if held <= 0 {
-			t.Fatalf("%s: could not measure the heap %d trees retain: the reading came out at %d bytes", name, keptTrees, held)
-		}
-		return held / keptTrees
+		t.Fatalf("%s: could not measure the heap %d trees retain: the reading came out at %d bytes", name, 16*keptTrees, held)
+		return 0
 	}
 	for _, tc := range reopenCases() {
 		kept := retained(tc.name, func() Operator {
@@ -423,10 +388,13 @@ func bindLike(op, ref Operator) {
 
 // TestShedTreesHoldNothing: a tree shed for parking between the runs
 // of its statement (Shed) holds, in every operator of every kind, no
-// buffer — scan block, decoder, key table, set, slab, kept row or list
-// — and no table, index or probe key: only operators, predicates and
-// decisions. Each case is shed after two passes; re-bound to tables
-// again, the shed tree runs as a fresh one, and sheds again to nothing.
+// buffer — key table, set, record arena, record buffer, column reader
+// or list — and no table, index or probe key: only operators,
+// predicates and decisions. Each case is shed after two passes, which
+// leave it holding the arenas it keeps for a next pass — and no
+// column reader still aliasing a record, which would keep a page's
+// bytes alive. Re-bound to tables again, the shed tree runs as a fresh
+// one, and sheds again to nothing.
 func TestShedTreesHoldNothing(t *testing.T) {
 	c := cat(t)
 	l1, r1, idx1 := reopenTables(t, c, 1, 40)
@@ -438,6 +406,7 @@ func TestShedTreesHoldNothing(t *testing.T) {
 		}
 		return fmt.Sprint(rows)
 	}
+	reader := regexp.MustCompile(`\.(row|in|side|outer)\.rec `)
 	for _, tc := range reopenCases() {
 		shed := func(op Operator, when string) {
 			Shed(op)
@@ -450,6 +419,18 @@ func TestShedTreesHoldNothing(t *testing.T) {
 		op := tc.build(l1, r1, idx1)
 		pass(op)
 		pass(op)
+		var kept []string
+		walk(op, func(op Operator) { kept = append(kept, held(op)...) })
+		for _, a := range tc.arenas {
+			if !slices.ContainsFunc(kept, func(h string) bool { return strings.HasPrefix(h, a+" ") }) {
+				t.Errorf("%s: after two passes holds no %s: %v", tc.name, a, kept)
+			}
+		}
+		for _, h := range kept {
+			if reader.MatchString(h) {
+				t.Errorf("%s: after two passes a column reader holds a record: %s", tc.name, h)
+			}
+		}
 		shed(op, "after two passes")
 		bindLike(op, tc.build(l2, r2, idx2))
 		if got, want := pass(op), pass(tc.build(l2, r2, idx2)); got != want {

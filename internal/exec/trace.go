@@ -65,8 +65,8 @@ type ioProbe struct {
 	treeBase index.TreeStats
 }
 
-// arm takes the baseline snapshot. Called on the operator's first Open;
-// re-opens (LFP iterations rebuild cursors) keep the original baseline
+// arm takes the baseline snapshot. Called on the operator's first pass;
+// later passes (a kept tree runs many) keep the original baseline
 // so the emitted delta covers the whole query.
 func (p *ioProbe) arm() {
 	if p == nil || p.armed {
@@ -104,6 +104,26 @@ func (p *ioProbe) emit(sp *obs.Span) {
 	if p.idx != nil {
 		td := p.idx.Stats()
 		sp.SetInt("descents", td.Searches-p.treeBase.Searches)
+	}
+}
+
+// armAll arms the I/O probes of c's subtree.
+func (c *opCount) armAll() {
+	c.io.arm()
+	for _, k := range c.kids {
+		k.armAll()
+	}
+}
+
+// armFirst arms the I/O probes of op's instrumented subtree, as its
+// first pass would. A join calls it on the input it streams before it
+// materializes the other, so that the streamed side's counters start
+// where the join's pass does — before the materialized side's reads —
+// and a trace attributes the same I/O however the join orders its
+// inputs' passes.
+func armFirst(op Operator) {
+	if w, ok := op.(*countedOp); ok {
+		w.c.armAll()
 	}
 }
 
@@ -193,42 +213,23 @@ type countedOp struct {
 // Schema returns the inner operator's schema.
 func (w *countedOp) Schema() *rel.Schema { return w.inner.Schema() }
 
-// Open arms the I/O probe (first open only) and opens the inner
-// operator.
-func (w *countedOp) Open() error {
+// ScanRecords arms the I/O probe (first pass only) and forwards one
+// pass of the inner operator, counting each record as a row.
+func (w *countedOp) ScanRecords(fn func(rec []byte) error) error {
 	w.c.io.arm()
-	return w.inner.Open()
-}
-
-// Next forwards one tuple, counting it.
-func (w *countedOp) Next() (rel.Tuple, error) {
-	tu, err := w.inner.Next()
-	if tu != nil {
-		w.c.rows++
-	}
-	return tu, err
-}
-
-// Close closes the inner operator.
-func (w *countedOp) Close() error { return w.inner.Close() }
-
-// ScanRecords forwards RecordSource, arming the I/O probe as Open would
-// and counting each record as a row.
-func (w *countedOp) ScanRecords(fn func(rec []byte) error) (bool, error) {
-	w.c.io.arm()
-	return ScanRecords(w.inner, func(rec []byte) error {
+	return w.inner.ScanRecords(func(rec []byte) error {
 		w.c.rows++
 		return fn(rec)
 	})
 }
 
-// ScanRows forwards RowSource, arming the I/O probe as Open would and
+// ScanRows forwards RowSource, arming the I/O probe as a pass would and
 // counting each row.
-func (w *countedOp) ScanRows(fn func(rid storage.RID, tu rel.Tuple) error) error {
+func (w *countedOp) ScanRows(fn func(rid storage.RID, rec []byte) error) error {
 	w.c.io.arm()
-	return ScanRows(w.inner, func(rid storage.RID, tu rel.Tuple) error {
+	return ScanRows(w.inner, func(rid storage.RID, rec []byte) error {
 		w.c.rows++
-		return fn(rid, tu)
+		return fn(rid, rec)
 	})
 }
 

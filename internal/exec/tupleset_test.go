@@ -55,7 +55,7 @@ func FuzzTupleSet(f *testing.F) {
 			}
 			switch op % 4 {
 			case 0:
-				if err := set.add(tu); err != nil {
+				if err := set.addRecord(tu.Encode(nil)); err != nil {
 					t.Fatal(err)
 				}
 				if j, ok := at[key]; ok {

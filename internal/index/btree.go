@@ -591,10 +591,44 @@ func (t *BTree) AscendPrefix(prefix rel.Tuple, fn func(key rel.Tuple, rids []sto
 func (t *BTree) eachPrefix(prefix rel.Tuple, fn func(lf *leaf, i int) bool) {
 	var buf [64]byte
 	enc, ok := t.probe(buf[:0], prefix)
-	lf := t.search(enc)
 	if !ok {
+		t.search(nil)
 		return
 	}
+	t.eachEncoded(enc, fn)
+}
+
+// PostingsOf is Postings for a probe of values, key, for the tree's
+// leading columns: LookupPrefix without collecting. A probe whose types
+// are not the columns' matches nothing.
+func (t *BTree) PostingsOf(key rel.Tuple, fn func(rids []storage.RID) error) error {
+	var err error
+	t.eachPrefix(key, func(lf *leaf, i int) bool {
+		err = fn(lf.postings(i))
+		return err == nil
+	})
+	return err
+}
+
+// Postings calls fn with the postings of every key whose leading
+// columns are enc, in key order, until fn returns an error. It is
+// LookupPrefix — and, for a key of every column, Lookup — for a probe
+// already encoded, such as columns of a stored record read in place,
+// and it collects nothing. enc must encode values of the tree's leading
+// column types, as AppendKey does; the caller checks the types. It
+// counts one descent. The postings are the tree's own, as Lookup's.
+func (t *BTree) Postings(enc []byte, fn func(rids []storage.RID) error) error {
+	var err error
+	t.eachEncoded(enc, func(lf *leaf, i int) bool {
+		err = fn(lf.postings(i))
+		return err == nil
+	})
+	return err
+}
+
+// eachEncoded is eachPrefix for a prefix already encoded.
+func (t *BTree) eachEncoded(enc []byte, fn func(lf *leaf, i int) bool) {
+	lf := t.search(enc)
 	i, _ := t.leafPos(lf, enc)
 	for ; lf != nil; lf, i = lf.next, 0 {
 		for ; i < len(lf.ends); i++ {

@@ -19,6 +19,7 @@ package magic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -71,6 +72,12 @@ func MagicName(adornedPred string) string { return MagicPrefix + adornedPred }
 // the rewrite degenerates to the identity; callers should then evaluate
 // the original rules. This is reported via ErrNoBindings.
 func Rewrite(rules []dlog.Clause, queryPred string, isDerived func(string) bool) (*Result, error) {
+	// If the relevant rules carry no constants at all there is nothing
+	// for sideways information passing to restrict: the rewrite would
+	// only add magic bookkeeping. Report identity before building any.
+	if !hasConstants(rules) {
+		return nil, ErrNoBindings
+	}
 	byHead := make(map[string][]dlog.Clause)
 	for _, c := range rules {
 		byHead[c.Head.Pred] = append(byHead[c.Head.Pred], c)
@@ -91,23 +98,6 @@ func Rewrite(rules []dlog.Clause, queryPred string, isDerived func(string) bool)
 	work := []adorned{{pred: queryPred, ad: queryAd}}
 	done := map[adorned]bool{}
 	res.QueryPred = AdornedName(queryPred, queryAd)
-
-	// If the relevant rules carry no constants at all there is nothing
-	// for sideways information passing to restrict: the rewrite would
-	// only add magic bookkeeping. Report identity instead.
-	hasBindings := false
-	for _, c := range rules {
-		for _, a := range append([]dlog.Atom{c.Head}, c.Body...) {
-			for _, t := range a.Args {
-				if !t.IsVar() {
-					hasBindings = true
-				}
-			}
-		}
-	}
-	if !hasBindings {
-		return nil, ErrNoBindings
-	}
 
 	for len(work) > 0 {
 		cur := work[0]
@@ -147,6 +137,24 @@ func Rewrite(rules []dlog.Clause, queryPred string, isDerived func(string) bool)
 	dedupeSeeds(res)
 	return res, nil
 }
+
+// hasConstants reports whether any atom of the rules, head or body, has
+// a constant argument.
+func hasConstants(rules []dlog.Clause) bool {
+	for _, c := range rules {
+		if slices.ContainsFunc(c.Head.Args, isConst) {
+			return true
+		}
+		for _, a := range c.Body {
+			if slices.ContainsFunc(a.Args, isConst) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func isConst(t dlog.Term) bool { return !t.IsVar() }
 
 // ErrNoBindings reports that the query carries no constant bindings, so
 // magic-sets rewriting cannot restrict anything.

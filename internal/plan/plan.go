@@ -329,10 +329,10 @@ func (p *Analyzed) Build(cat TableSource, args []*catalog.Table, vals []rel.Valu
 // constructed again but re-bound to this execution's tables, indexes,
 // estimates and values, and reused reports it. The caller drains
 // t.Root and then hands t back with Release, also after an error; the
-// rows it keeps it copies first (exec.CollectOwned), since the next
-// execution that re-binds the tree writes over what its operators read
-// (exec.Operator). An execution that finds the kept tree held by a
-// concurrent one plans a tree of its own, which is not kept.
+// records it keeps it copies or decodes first (exec.CollectOwned),
+// since they alias the tree's buffers and pinned pages (exec.Operator).
+// An execution that finds the kept tree held by a concurrent one plans
+// a tree of its own, which is not kept.
 func (p *Prepared) Acquire(cat TableSource, args []*catalog.Table, vals []rel.Value) (t *Tree, reused bool, err error) {
 	t = &p.tree
 	if !p.busy.CompareAndSwap(false, true) {
@@ -447,12 +447,9 @@ func (p *Analyzed) plan(t *Tree, cat TableSource, args []*catalog.Table, vals []
 	}
 
 	t.Root = nil
-	// A block feeding a deduplicating set operation lends it its rows:
-	// the set copies each into its key arena before asking for the next.
-	dedup := func(i int) bool { return i < len(p.setOps) && p.setOps[i] != exec.OpUnionAll }
 	for i := range p.blocks {
 		bt := &t.blocks[i]
-		if bt.root, err = p.blocks[i].construct(bt, vals, dedup(max(i-1, 0))); err != nil {
+		if bt.root, err = p.blocks[i].construct(bt, vals); err != nil {
 			return false, err
 		}
 		copy(bt.built(), bt.order())
@@ -463,34 +460,6 @@ func (p *Analyzed) plan(t *Tree, cat TableSource, args []*catalog.Table, vals []
 	}
 	t.Root = root
 	return false, nil
-}
-
-// borrow marks op as Borrowed, its consumer copying each row before it
-// asks for the next (DESIGN.md §3, "Tuple memory in the executor"): a
-// scan or join under a Project or on a hash join's probe side, through
-// the Filter of its predicates, or a Project or scan, through a
-// Distinct, under a deduplicating set operation. A lent scan decodes a
-// page at a time into one block. Producers whose rows a consumer keeps
-// — a hash join's build side, an index join's outer batch, a
-// nested-loop join's right side, UNION ALL's bag, a statement's result
-// — are never passed here.
-func borrow(op exec.Operator) {
-	switch o := op.(type) {
-	case *exec.Filter:
-		borrow(o.Input)
-	case *exec.Distinct:
-		borrow(o.Input)
-	case *exec.SeqScan:
-		o.Borrowed = true
-	case *exec.HashJoin:
-		o.Borrowed = true
-	case *exec.IndexNLJoin:
-		o.Borrowed = true
-	case *exec.NLJoin:
-		o.Borrowed = true
-	case *exec.Project:
-		o.Borrowed = true
-	}
 }
 
 // colID names a column symbolically: table position in FROM, ordinal in
@@ -977,9 +946,8 @@ func (bt *blockTree) rebind(op exec.Operator, i int) bool {
 }
 
 // construct builds the block's operators from the decisions in bt, its
-// value parameters reading vals, the tree's own array; lend says the
-// block's consumer copies each row before it asks for the next.
-func (b *block) construct(bt *blockTree, vals []rel.Value, lend bool) (exec.Operator, error) {
+// value parameters reading vals, the tree's own array.
+func (b *block) construct(bt *blockTree, vals []rel.Value) (exec.Operator, error) {
 	n := len(b.from)
 	// m places the attached tables in cur's output; local is the same
 	// map for one table alone, binding its own predicates below the
@@ -1052,12 +1020,6 @@ func (b *block) construct(bt *blockTree, vals []rel.Value, lend bool) (exec.Oper
 					return nil, err
 				}
 				if len(outer) > 0 {
-					// The probe side: the join copies each row it reads.
-					if st.buildLeft {
-						borrow(right)
-					} else {
-						borrow(cur)
-					}
 					cur = &exec.HashJoin{Left: cur, Right: right, LeftOrds: outer, RightOrds: inner,
 						BuildLeft: st.buildLeft, Est: st.rows}
 				} else {
@@ -1098,14 +1060,10 @@ func (b *block) construct(bt *blockTree, vals []rel.Value, lend bool) (exec.Oper
 			}
 			exprs[i] = phys
 		}
-		borrow(cur) // the scan or join: Project copies what it reads
 		cur = &exec.Project{Input: cur, Exprs: exprs, Out: b.out}
 	}
 	if b.distinct {
 		cur = &exec.Distinct{Input: cur}
-	}
-	if lend {
-		borrow(cur)
 	}
 	return cur, nil
 }

@@ -266,10 +266,10 @@ func TestBuildDelete(t *testing.T) {
 			t.Errorf("%s: access path %T, want indexed=%v", tc.q, unwrap(op), tc.indexed)
 		}
 		n := 0
-		err = exec.ScanRows(op, func(rid storage.RID, tu rel.Tuple) error {
+		err = exec.ScanRows(op, func(rid storage.RID, rec []byte) error {
 			stored, err := tb.Get(rid)
-			if err != nil || stored.Key() != tu.Key() {
-				t.Errorf("%s: row %v reported at %s, which holds %v (%v)", tc.q, tu, rid, stored, err)
+			if err != nil || stored.Key() != string(rec) {
+				t.Errorf("%s: record %x reported at %s, which holds %v (%v)", tc.q, rec, rid, stored, err)
 			}
 			n++
 			return nil

@@ -19,8 +19,8 @@ var fuzzSchemas = []*Schema{
 
 // FuzzDecodeTuple feeds DecodeTuple untrusted bytes: it never panics,
 // and whatever it accepts re-encodes to the same bytes — the property
-// that lets a stored record stand in for its tuple's key
-// (exec.RecordSource). The seed corpus under testdata/fuzz holds the
+// that lets a stored record stand in for its tuple's key (the
+// executor's operators pass records, not tuples). The seed corpus under testdata/fuzz holds the
 // crasher this target was written for (a string length ≥ 2^63).
 func FuzzDecodeTuple(f *testing.F) {
 	f.Add(uint8(2), Tuple{NewInt(-5), NewString("hello")}.Encode(nil))
@@ -48,13 +48,13 @@ func FuzzDecodeTuple(f *testing.F) {
 
 // FuzzDecodeBlock cuts the input into records at fuzzer-chosen lengths
 // and decodes them one by one through DecodeTuple, and together through
-// a BlockDecoder: in a fresh slab, then over that block's slab, then
-// into a slab of its own finished with FinishLast, sized by the
-// records, after which the decoder decodes them once more. Each block
-// has exactly the rows DecodeTuple returns, it fails exactly when one
-// of the records does, it never panics, and each row's capacity is its
-// length, so appending to one row cannot overwrite the next; the
-// decoder's next block does not write over FinishLast's.
+// a BlockDecoder: into a slab sized by Begin's row count alone, then
+// into one sized by the records too, after which the decoder decodes
+// them once more. Each block has exactly the rows DecodeTuple returns,
+// it fails exactly when one of the records does, it never panics, and
+// each row's capacity is its length, so appending to one row cannot
+// overwrite the next; the decoder's next block does not write over the
+// last one's characters.
 func FuzzDecodeBlock(f *testing.F) {
 	two := append(Tuple{NewInt(-5), NewString("hello")}.Encode(nil), Tuple{NewInt(7), NewString("")}.Encode(nil)...)
 	f.Add(uint8(2), two, []byte{14, 9})
@@ -97,21 +97,17 @@ func FuzzDecodeBlock(f *testing.F) {
 			}
 			return finish(), nil
 		}
-		fresh, err := decode(recs, func() { dec.Begin(len(recs), len(data)) }, dec.Finish)
-		for pass, b := range []Block{fresh, {}, {}} {
-			switch pass {
-			case 1:
-				// The same records over the first block's slab.
-				b, err = decode(recs, func() { dec.BeginOver(fresh) }, dec.Finish)
-			case 2:
-				// A block handed its character scratch, then the decoder's
+		unsized, err := decode(recs, func() { dec.Begin(len(recs), 0) }, dec.FinishLast)
+		for pass, b := range []Block{unsized, {}} {
+			if pass == 1 {
+				// A block handed its character buffer, then the decoder's
 				// next block — the records in reverse, other characters
 				// where there are several — which must leave it as it was.
 				b, err = decode(recs, func() { dec.Begin(len(recs), size) }, dec.FinishLast)
 				if err == nil {
 					rev := slices.Clone(recs)
 					slices.Reverse(rev)
-					_, _ = decode(rev, func() { dec.Begin(len(recs), size) }, dec.Finish)
+					_, _ = decode(rev, func() { dec.Begin(len(recs), size) }, dec.FinishLast)
 				}
 			}
 			if (err != nil) != (wantErr != nil) {
@@ -145,6 +141,67 @@ func FuzzDecodeBlock(f *testing.F) {
 					t.Fatalf("pass %d: appending to row 0 overwrote row 1", pass)
 				}
 			}
+		}
+	})
+}
+
+// FuzzRecordSpans feeds Spans untrusted bytes under each schema of
+// fuzzSchemas. It never panics; it accepts exactly what DecodeTuple
+// accepts; and what it accepts it cuts into columns that, back to back,
+// are the record, each column decoding alone — as the record of its
+// column's one-column schema — to DecodeTuple's value for it. Two
+// records' columns compare (CompareSpans, and CompareSpan against the
+// decoded value) as Compare orders the values, and are equal bytes
+// exactly when the values are equal.
+func FuzzRecordSpans(f *testing.F) {
+	f.Add(uint8(2), Tuple{NewInt(-5), NewString("hello")}.Encode(nil), Tuple{NewInt(7), NewString("help")}.Encode(nil))
+	f.Add(uint8(4), Tuple{NewString(""), NewInt(1 << 40), NewString("x")}.Encode(nil), Tuple{NewString("a"), NewInt(-1), NewString("x")}.Encode(nil))
+	f.Add(uint8(1), []byte{0x80, 0, 0, 0, 0, 0, 0, 0}, []byte{0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint8(0), []byte{0x80, 0x01, 'x'}, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'x'})
+	f.Add(uint8(5), []byte{}, []byte{0})
+	f.Fuzz(func(t *testing.T, which uint8, a, b []byte) {
+		schema := fuzzSchemas[int(which)%len(fuzzSchemas)]
+		var sa, sb Spans
+		ta, errA := DecodeTuple(a, schema)
+		if err := sa.Read(a, schema); (err != nil) != (errA != nil) {
+			t.Fatalf("Spans.Read(%x): %v, DecodeTuple: %v under %v", a, err, errA, schema)
+		}
+		tb, errB := DecodeTuple(b, schema)
+		if err := sb.Read(b, schema); (err != nil) != (errB != nil) {
+			t.Fatalf("Spans.Read(%x): %v, DecodeTuple: %v under %v", b, err, errB, schema)
+		}
+		if errA != nil || errB != nil {
+			return
+		}
+		var joined []byte
+		for i := range schema.Len() {
+			joined = append(joined, sa.Col(i)...)
+			col := schema.Project([]int{i})
+			v, err := DecodeTuple(sa.Col(i), col)
+			if err != nil || v[0] != ta[i] {
+				t.Fatalf("column %d of %x decodes alone to %v (%v), in the record to %v", i, a, v, err, ta[i])
+			}
+			ty := schema.Col(i).Type
+			want := Compare(ta[i], tb[i])
+			if got := CompareSpans(sa.Col(i), sb.Col(i), ty); got != want {
+				t.Fatalf("CompareSpans(%x, %x) = %d, Compare(%v, %v) = %d", sa.Col(i), sb.Col(i), got, ta[i], tb[i], want)
+			}
+			if got := CompareSpan(sa.Col(i), ty, tb[i]); got != want {
+				t.Fatalf("CompareSpan(%x, %v) = %d, want %d", sa.Col(i), tb[i], got, want)
+			}
+			if eq := bytes.Equal(sa.Col(i), sb.Col(i)); eq != (want == 0) {
+				t.Fatalf("columns %x and %x: bytes equal %v, values %v and %v", sa.Col(i), sb.Col(i), eq, ta[i], tb[i])
+			}
+		}
+		if !bytes.Equal(joined, a) || !bytes.Equal(sa.Record(), a) {
+			t.Fatalf("columns of %x back to back: %x", a, joined)
+		}
+		ords := []int{}
+		for i := schema.Len() - 1; i >= 0; i-- {
+			ords = append(ords, i)
+		}
+		if got, want := sa.AppendCols(nil, ords), ta.AppendKey(nil, ords); !bytes.Equal(got, want) {
+			t.Fatalf("AppendCols(%v) = %x, AppendKey %x", ords, got, want)
 		}
 	})
 }

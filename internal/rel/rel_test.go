@@ -341,7 +341,7 @@ func TestOwnRowsCopiesExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	block := dec.Finish()
+	block := dec.FinishLast()
 	rows := []Tuple{nil, {}}
 	for i := 0; i < n; i++ {
 		rows = append(rows, block.Row(i))

@@ -35,11 +35,9 @@ func (t Tuple) Clone() Tuple {
 }
 
 // OwnRows replaces every row by a copy, the copies sharing one value
-// slab and one string for their character data, both exactly sized.
-// Tuples an operator emits are views into decoded blocks and output
-// slabs (see Block); whoever keeps rows past their statement calls this
-// first, so the rows pin themselves and nothing larger. Nil rows stay
-// nil.
+// slab and one string for their character data, both exactly sized:
+// rows that were views into a larger block (see Block) then pin
+// themselves and nothing larger. Nil rows stay nil.
 func OwnRows(rows []Tuple) {
 	nvals, nchars := 0, 0
 	for _, t := range rows {
@@ -110,26 +108,14 @@ func CompareTuples(a, b Tuple) int {
 func (t Tuple) AppendKey(buf []byte, ords []int) []byte {
 	if ords == nil {
 		for _, v := range t {
-			buf = v.appendKey(buf)
+			buf = v.AppendKey(buf)
 		}
 		return buf
 	}
 	for _, o := range ords {
-		buf = t[o].appendKey(buf)
+		buf = t[o].AppendKey(buf)
 	}
 	return buf
-}
-
-func (v Value) appendKey(buf []byte) []byte {
-	switch v.Kind {
-	case TypeInt:
-		return binary.BigEndian.AppendUint64(buf, uint64(v.Int))
-	case TypeString:
-		return append(binary.AppendUvarint(buf, uint64(len(v.Str))), v.Str...)
-	default:
-		// Unknown values are never stored; encode as empty string.
-		return binary.AppendUvarint(buf, 0)
-	}
 }
 
 // Key returns AppendKey over all columns as a string, for callers that
@@ -215,14 +201,12 @@ func (v *Value) bindString(s string) {
 	}
 }
 
-// Block is the rows of one heap page — or of one index probe — decoded
-// together: one value slab and one string holding all their character
-// data, instead of a slice per row and a string per value. Row returns
-// views into the slab; a view's capacity is its length, so appending to
-// one row never reaches the next. A row kept beyond its statement keeps
-// the whole block alive, and a kept operator tree decodes its next
-// execution's rows over its blocks (BeginReusing): keepers copy
-// (Tuple.Clone, OwnRows).
+// Block is rows decoded together — a table, a statement's result, a
+// RESULT frame: one value slab and one string holding all their
+// character data, instead of a slice per row and a string per value.
+// Row returns views into the slab; a view's capacity is its length, so
+// appending to one row never reaches the next. A row kept keeps the
+// whole block alive.
 type Block struct {
 	vals  []Value
 	width int32
@@ -238,8 +222,17 @@ func (b Block) Row(i int) Tuple {
 	return b.vals[at : at+w : at+w]
 }
 
-// Cap returns how many values the block's slab holds, used or not.
-func (b Block) Cap() int { return cap(b.vals) }
+// Rows returns the list of the block's rows, nil when it has none.
+func (b Block) Rows() []Tuple {
+	if b.rows == 0 {
+		return nil
+	}
+	rows := make([]Tuple, b.rows)
+	for i := range rows {
+		rows[i] = b.Row(i)
+	}
+	return rows
+}
 
 // ValueSize is the size of a Value in bytes, the unit of a slab.
 const ValueSize = int(unsafe.Sizeof(Value{}))
@@ -251,15 +244,13 @@ const ValueSize = int(unsafe.Sizeof(Value{}))
 // of keeping it (DESIGN.md §3, "Tuple memory in the executor").
 func Outgrown(capacity, used int) bool { return capacity > 4*used+1024 }
 
-// BlockDecoder decodes the records of one schema into Blocks. Begin
-// (or BeginOver, BeginReusing, BeginWithin), then Add per record — typically
-// under the pin of the page holding it; the record is not retained —
-// then Finish, or FinishLast for the decoder's last block. A decoder is
-// reused from block to block and keeps its character scratch buffer.
+// BlockDecoder decodes the records of one schema into a Block: Begin,
+// then Add per record — typically under the pin of the page holding
+// it; the record is not retained — then FinishLast.
 type BlockDecoder struct {
 	schema  *Schema
 	vals    []Value
-	chars   []byte // scratch: the character data of the block being built
+	chars   []byte // the character data of the block being built
 	rows    int32
 	strings bool // the schema has string columns
 	// fixed is the length every record of the schema has besides its
@@ -282,60 +273,18 @@ func NewBlockDecoder(schema *Schema) BlockDecoder {
 	return d
 }
 
-// Schema returns the schema the decoder decodes.
-func (d *BlockDecoder) Schema() *Schema { return d.schema }
-
 // Begin starts a block in a fresh slab sized for rows rows. size is the
 // total length of the records to come when the caller knows it (it
-// bounds their character data and sizes the scratch buffer), else 0.
+// bounds their character data and sizes the character buffer), else 0.
+// The character buffer has room for size less each record's fixed
+// bytes, which is exactly the records' character data when no string
+// is 128 bytes or longer (a longer one takes more length bytes).
 func (d *BlockDecoder) Begin(rows, size int) {
-	d.reserve(rows, size)
-	d.vals, d.rows = make([]Value, 0, rows*d.schema.Len()), 0
-}
-
-// BeginOver starts a block in the slab of old, a block of this schema
-// whose rows nobody reads any more. (Strings are never overwritten;
-// each block has its own.)
-func (d *BlockDecoder) BeginOver(old Block) {
-	d.vals, d.rows, d.chars = old.vals[:0], 0, d.chars[:0]
-}
-
-// BeginReusing starts a block of rows rows whose records are size bytes
-// long: over old (BeginOver) when old's slab holds them and is not
-// Outgrown by them, else in a fresh slab of exactly their size (Begin)
-// rather than growing old's row by row.
-func (d *BlockDecoder) BeginReusing(old Block, rows, size int) {
-	if Outgrown(cap(old.vals)*ValueSize, rows*d.schema.Len()*ValueSize) {
-		d.Begin(rows, size)
-		return
-	}
-	d.BeginWithin(old, rows, size)
-}
-
-// BeginWithin starts a block of rows rows whose records are size bytes
-// long over old (BeginOver) when old's slab holds them, however much
-// larger it is, else in a fresh slab of exactly their size (Begin);
-// the character scratch has room for size bytes either way. A scan
-// that decodes a table a page at a time into one kept block grows that
-// block to the largest page.
-func (d *BlockDecoder) BeginWithin(old Block, rows, size int) {
-	if rows*d.schema.Len() > cap(old.vals) {
-		d.Begin(rows, size)
-		return
-	}
-	d.BeginOver(old)
-	d.reserve(rows, size)
-}
-
-// reserve empties the character scratch, making room for the character
-// data of rows records size bytes long together: size less each
-// record's fixed bytes, which is exactly that data when no string is
-// 128 bytes or longer (a longer one takes more length bytes).
-func (d *BlockDecoder) reserve(rows, size int) {
-	if need := size - rows*d.fixed; d.strings && cap(d.chars) < need {
+	d.chars = nil
+	if need := size - rows*d.fixed; d.strings && need > 0 {
 		d.chars = make([]byte, 0, need)
 	}
-	d.chars = d.chars[:0]
+	d.vals, d.rows = make([]Value, 0, rows*d.schema.Len()), 0
 }
 
 // Add decodes one record as the block's next row, under DecodeTuple's
@@ -353,29 +302,15 @@ func (d *BlockDecoder) Add(rec []byte) error {
 	return err
 }
 
-// Rows returns the number of rows added since Begin.
-func (d *BlockDecoder) Rows() int { return int(d.rows) }
-
-// Finish returns the block of the rows added since Begin, its string a
-// copy of the character scratch, which the decoder keeps for its next
-// block.
-func (d *BlockDecoder) Finish() Block { return d.finish(string(d.chars)) }
-
-// FinishLast is Finish for the decoder's last block: the block's string
-// is the character scratch itself, handed over instead of copied, and
-// the decoder lets go of it — a block begun after this gets a new
-// scratch — so nothing writes to those bytes again. A decoder that
-// sized its scratch to the block (Begin's size) allocates its
-// character data once.
+// FinishLast returns the block of the rows added since Begin. Its
+// string is the character buffer itself, handed over instead of
+// copied, and the decoder lets go of it, so nothing writes to those
+// bytes again: a decoder that sized its buffer to the block (Begin's
+// size) allocates its character data once.
 func (d *BlockDecoder) FinishLast() Block {
 	chars := d.chars
 	d.chars = nil
-	return d.finish(unsafe.String(unsafe.SliceData(chars), len(chars)))
-}
-
-// finish returns the block of the rows added since Begin, its strings
-// bound to s, the character data.
-func (d *BlockDecoder) finish(s string) Block {
+	s := unsafe.String(unsafe.SliceData(chars), len(chars))
 	b := Block{vals: d.vals, width: int32(d.schema.Len()), rows: d.rows}
 	if len(s) > 0 {
 		for i := range b.vals {

@@ -283,7 +283,7 @@ func (fp *Fixpoint) insertRule(j differential, target, acc string, parent *obs.S
 	var sp *obs.Span
 	if parent != nil {
 		sp = parent.Start("rule " + j.rule.Head)
-		sp.SetString("src", j.rule.Source)
+		sp.SetString("src", j.rule.Source())
 	}
 	tables := append(j.tables, target)
 	if acc != "" {
@@ -291,7 +291,7 @@ func (fp *Fixpoint) insertRule(j differential, target, acc string, parent *obs.S
 	}
 	t0 := time.Now()
 	if err := j.stmt.Exec(evalCtx(fp.Ctx), sp, j.rule.Values, tables...); err != nil {
-		return fmt.Errorf("rtlib: rule %q: %w", j.rule.Source, err)
+		return fmt.Errorf("rtlib: rule %q: %w", j.rule.Source(), err)
 	}
 	sp.End()
 	fp.Stats.Eval += time.Since(t0)

@@ -132,7 +132,7 @@ func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 	text = "INSERT INTO " + target + " " + text + " EXCEPT SELECT * FROM " + target
 	st, err := s.d.Prepare(text, params...)
 	if err != nil {
-		return nil, fmt.Errorf("rtlib: rule %q: %w", r.Source, err)
+		return nil, fmt.Errorf("rtlib: rule %q: %w", r.Source(), err)
 	}
 	return s.keep(key, st), nil
 }

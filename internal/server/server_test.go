@@ -485,27 +485,51 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// serverGoroutines counts the goroutines running code of package
+// server or started by it: Serve's own and its sessions'. Goroutines of
+// other packages — the test's, the runtime's, a client's — and those a
+// test before this one left exiting are not Serve's to account for.
+func serverGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "dkbms/internal/server.") {
+			count++
+		}
+	}
+	return count
+}
+
 // TestIdleServeStartsNoGoroutine: Serve runs on the goroutine that
 // calls it and starts none of its own while no client is connected.
 // Each session is one goroutine, and every one is gone once Serve
-// returns.
+// returns. Only goroutines of package server count (serverGoroutines),
+// and the count starts once an earlier test's sessions have exited.
 func TestIdleServeStartsNoGoroutine(t *testing.T) {
 	tb := dkbms.NewConcurrent(dkbms.NewMemory())
 	defer tb.Close()
 	settle := func(want int, what string) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() != want && time.Now().Before(deadline) {
+		for serverGoroutines() != want && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		if n := runtime.NumGoroutine(); n != want {
-			t.Fatalf("%s: %d goroutines, want %d", what, n, want)
+		if n := serverGoroutines(); n != want {
+			t.Fatalf("%s: %d goroutines of package server, want %d", what, n, want)
 		}
 	}
-	base := runtime.NumGoroutine()
+	settle(0, "before Serve")
 	addr, cancel, done := startServer(t, tb, server.Options{})
 	defer cancel()
-	settle(base+1, "idle Serve")
+	settle(1, "idle Serve")
 
 	for i := 1; i <= 3; i++ {
 		c, err := client.Dial(addr)
@@ -516,14 +540,14 @@ func TestIdleServeStartsNoGoroutine(t *testing.T) {
 		if err := c.Ping(); err != nil {
 			t.Fatal(err)
 		}
-		settle(base+1+i, fmt.Sprintf("%d sessions", i))
+		settle(1+i, fmt.Sprintf("%d sessions", i))
 	}
 
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
-	settle(base, "after Serve returned")
+	settle(0, "after Serve returned")
 }
 
 // TestMaxConnsBackpressure checks that over-limit clients queue rather

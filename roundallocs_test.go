@@ -117,17 +117,22 @@ func TestRoundAllocsExcludeParse(t *testing.T) {
 	// statement, the COUNT(*) and the promotion, each run on the
 	// operator tree its statement kept from the round before, re-bound
 	// to this round's tables (no round changes a decision), and in that
-	// tree's working memory: 129.5 objects (the rounds of the deeper run
-	// read more pages). It was 137.75 while every scan decoded its whole
-	// table in Open. By allocation site (MemProfileRate = 1, 4 rounds × 10
-	// runs), 129.5 = 137.75 − 7.5 − 0.5 − 0.25:
+	// tree's working memory: 44.5 objects (the rounds of the deeper run
+	// read more pages). It was 129.5 while the operators decoded rows:
+	// scans decoded each page into a block, an index join its probe
+	// batches, joins and projections cut their rows from slabs, and the
+	// EXCEPT re-encoded every row into its key set. On the record path
+	// nothing between a heap page and the set allocates per page or per
+	// row; what a round still allocates is the sets', key tables' and
+	// build arenas' growth over the accumulating tables, the statements'
+	// and the root's bookkeeping. 129.5 was
+	// 137.75 while every scan decoded its whole table in Open:
 	//   - a lent scan (a Project's input, a hash join's probe side)
-	//     decodes page after page into one block, sized to the largest
-	//     page it has read, which holds the accumulating table's growing
-	//     last page; the block an unlent scan kept for that page took a
-	//     fresh, exact slab whenever the page outgrew it (7.5);
-	//   - a lent scan keeps no list of blocks (0.5);
-	//   - the rest is objects of up to 16 bytes (0.25).
+	//     decoded page after page into one block, sized to the largest
+	//     page it had read; the block an unlent scan kept for that page
+	//     took a fresh, exact slab whenever the page outgrew it (7.5);
+	//   - a lent scan kept no list of blocks (0.5);
+	//   - the rest was objects of up to 16 bytes (0.25).
 	//
 	// 137.75 was 204 while Close dropped what the tree read and built. By
 	// allocation site, 137.75 = 204 − 44.5 − 3.3 − 11 − 3.75 − 0.5 − 3.2:
@@ -158,7 +163,7 @@ func TestRoundAllocsExcludeParse(t *testing.T) {
 	// INSERT collected and re-encoded them (4 more); 397 when each
 	// statement was also rendered, lexed, parsed and bound. The
 	// runtime's own allocations move a run by one or two.
-	const perRound = 129.5
+	const perRound = 44.5
 	if got := (allocs[deep] - allocs[shallow]) / (deep - shallow); math.Abs(got-perRound) > 1 && !raceEnabled {
 		t.Errorf("a round allocates %.2f objects (%.0f over %d rounds, %.0f over %d), pinned %.2f",
 			got, allocs[shallow], rounds[shallow], allocs[deep], rounds[deep], perRound)
