@@ -3,6 +3,8 @@ package main
 import (
 	"go/token"
 	"go/types"
+	"io"
+	"strings"
 	"testing"
 
 	"dkbms/internal/lint/lintkit"
@@ -14,7 +16,9 @@ import (
 // fixtures prove the checks fire; this proves the code obeys them.)
 // It also pins the shape of the module's lock-order graph: a new lock
 // class appearing — or one vanishing — should be a conscious decision,
-// reviewed here, not an accident. It also fails on any call to a
+// reviewed here, not an accident. The waiver count per directive is
+// pinned for the same reason: a new waiver is a reviewed decision, not
+// a way past a finding. It also fails on any call to a
 // package-level sync/atomic function (atomic.AddInt64 and the like): a
 // variable passed to one can be touched plainly elsewhere, while the
 // methods of an atomic type (atomic.Int64, ...) are the only access the
@@ -86,19 +90,52 @@ func TestModuleClean(t *testing.T) {
 	if g.OrderEdges == 0 || g.BlockingSites == 0 {
 		t.Errorf("implausible lock graph: %d order edges, %d blocking sites", g.OrderEdges, g.BlockingSites)
 	}
+
+	// The one bounded waiver is benchmark/main.go's, a directive no
+	// analyzer reads any more.
+	wantWaivers := map[string]int{"locksafe": 20, "pinsafe": 0, "bounded": 1}
+	waivers := map[string]int{}
+	for _, p := range pkgs {
+		if !p.Target {
+			continue
+		}
+		for _, f := range p.Files {
+			for _, d := range lintkit.FileDirectives(fset, f) {
+				waivers[d.Name]++
+			}
+		}
+	}
+	for _, spec := range lintkit.Directives {
+		if waivers[spec.Name] != wantWaivers[spec.Name] {
+			t.Errorf("%d //dkblint:%s waivers in the module, want %d; update this pin when adding or removing a waiver",
+				waivers[spec.Name], spec.Name, wantWaivers[spec.Name])
+		}
+	}
 }
 
 // TestJSONExit exercises the -json path end to end on one clean
 // package.
 func TestJSONExit(t *testing.T) {
-	if code := run([]string{"-json", "dkbms/internal/wire"}); code != 0 {
+	if code := run([]string{"-json", "dkbms/internal/wire"}, io.Discard); code != 0 {
 		t.Fatalf("dkblint -json dkbms/internal/wire: exit %d, want 0", code)
 	}
 }
 
-// TestDirectivesListing exercises the -directives registry listing.
+// TestDirectivesListing checks that -h lists every analyzer and every
+// registered directive, and exits 0.
 func TestDirectivesListing(t *testing.T) {
-	if code := run([]string{"-directives"}); code != 0 {
-		t.Fatalf("dkblint -directives: exit %d, want 0", code)
+	var out strings.Builder
+	if code := run([]string{"-h"}, &out); code != 0 {
+		t.Fatalf("dkblint -h: exit %d, want 0", code)
+	}
+	for _, a := range Analyzers {
+		if !strings.Contains(out.String(), "  "+a.Name+" ") {
+			t.Errorf("dkblint -h does not list analyzer %s:\n%s", a.Name, out.String())
+		}
+	}
+	for _, d := range lintkit.Directives {
+		if !strings.Contains(out.String(), "  "+d.Name+" ") {
+			t.Errorf("dkblint -h does not list directive %s:\n%s", d.Name, out.String())
+		}
 	}
 }

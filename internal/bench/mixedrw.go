@@ -174,7 +174,6 @@ func driveMixed(tb *dkbms.ConcurrentTestbed, nClients, perClient, writePct int, 
 	errs := make(chan error, nClients)
 	for i := range clients {
 		wg.Add(1)
-		//dkblint:bounded one goroutine per configured bench client
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < perClient; j++ {

@@ -127,7 +127,6 @@ func driveClients(tb *dkbms.ConcurrentTestbed, nClients, perClient int) (time.Du
 	start := time.Now()
 	for i := range clients {
 		wg.Add(1)
-		//dkblint:bounded one goroutine per configured bench client
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < perClient; j++ {

@@ -97,9 +97,10 @@ type FromEntry struct {
 type RuleSQL struct {
 	// Head is the defined predicate.
 	Head string
-	// Clause is the original clause; Source renders it, for a span, an
-	// error or EXPLAIN only.
-	Clause dlog.Clause
+	// src is the original clause's source text, for a span, an error or
+	// EXPLAIN: a slice of one string Generate renders per program, so a
+	// cached program keeps its rules' text rather than their clauses.
+	src string
 	// SelectList is the projection computing the head tuple.
 	SelectList string
 	// From lists the body relations in order.
@@ -115,8 +116,8 @@ type RuleSQL struct {
 	CliqueOccs []int
 }
 
-// Source renders the original clause.
-func (r *RuleSQL) Source() string { return r.Clause.String() }
+// Source returns the original clause's source text.
+func (r *RuleSQL) Source() string { return r.src }
 
 // SQL renders the rule with the given predicate→table mapping, its
 // constants written in as literals: the text EXPLAIN shows, which runs
@@ -219,6 +220,10 @@ func Generate(order []*pcg.Node, derivedTypes map[string][]rel.Type, basePreds [
 	if p := answerAlias(order, queryPred); p != "" {
 		order, prog.QueryPred = order[:len(order)-1], p
 	}
+	// Every rule's source, back to back; ends[i] is where the i-th
+	// compiled rule's source ends.
+	var srcBuf [1024]byte
+	src, ends := srcBuf[:0], make([]int, 0, 32)
 	for _, n := range order {
 		node := Node{
 			Preds:     append([]string(nil), n.Preds...),
@@ -242,20 +247,33 @@ func Generate(order []*pcg.Node, derivedTypes map[string][]rel.Type, basePreds [
 			prog.Schemas[p] = schema
 		}
 		for _, c := range n.ExitRules {
-			rs, err := CompileRule(c, inClique)
+			rs, err := compileRule(c, inClique)
 			if err != nil {
 				return nil, err
 			}
 			node.ExitRules = append(node.ExitRules, rs)
+			src = c.Append(src)
+			ends = append(ends, len(src))
 		}
 		for _, c := range n.RecursiveRules {
-			rs, err := CompileRule(c, inClique)
+			rs, err := compileRule(c, inClique)
 			if err != nil {
 				return nil, err
 			}
 			node.RecursiveRules = append(node.RecursiveRules, rs)
+			src = c.Append(src)
+			ends = append(ends, len(src))
 		}
 		prog.Nodes = append(prog.Nodes, node)
+	}
+	text, start := string(src), 0
+	for i := range prog.Nodes {
+		for _, rules := range [2][]RuleSQL{prog.Nodes[i].ExitRules, prog.Nodes[i].RecursiveRules} {
+			for j := range rules {
+				rules[j].src = text[start:ends[0]]
+				start, ends = ends[0], ends[1:]
+			}
+		}
 	}
 	return prog, nil
 }
@@ -341,10 +359,21 @@ func (p *Program) Explain() string {
 // CompileRule translates one clause into its RuleSQL. inClique marks
 // predicates mutually recursive with the head (may be nil).
 func CompileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
+	rs, err := compileRule(c, inClique)
+	if err != nil {
+		return RuleSQL{}, err
+	}
+	rs.src = c.String()
+	return rs, nil
+}
+
+// compileRule is CompileRule without the source text, which Generate
+// renders for a whole program at once.
+func compileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
 	if len(c.Body) == 0 {
 		return RuleSQL{}, fmt.Errorf("codegen: cannot compile bodiless clause %q; facts belong in the extensional database", c.String())
 	}
-	rs := RuleSQL{Head: c.Head.Pred, Clause: c}
+	rs := RuleSQL{Head: c.Head.Pred}
 
 	// First occurrence of each variable.
 	type pos struct{ atom, arg int }

@@ -14,7 +14,7 @@ package dlog
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"dkbms/internal/rel"
 )
@@ -52,21 +52,38 @@ func (t Term) IsVar() bool { return t.Kind == TermVar }
 
 // String renders the term in source syntax.
 func (t Term) String() string {
-	if t.IsVar() {
+	switch {
+	case t.IsVar():
 		return t.Var
+	case t.Val.Kind == rel.TypeString && isPlainConstant(t.Val.Str):
+		return t.Val.Str
+	}
+	var buf [32]byte
+	return string(t.Append(buf[:0]))
+}
+
+// Append appends the term in source syntax to b.
+func (t Term) Append(b []byte) []byte {
+	if t.IsVar() {
+		return append(b, t.Var...)
 	}
 	switch t.Val.Kind {
 	case rel.TypeInt:
-		return t.Val.String()
+		return strconv.AppendInt(b, t.Val.Int, 10)
 	case rel.TypeString:
 		if isPlainConstant(t.Val.Str) {
-			return t.Val.Str
+			return append(b, t.Val.Str...)
 		}
-		escaped := strings.ReplaceAll(t.Val.Str, "\\", "\\\\")
-		escaped = strings.ReplaceAll(escaped, "\"", "\\\"")
-		return "\"" + escaped + "\""
+		b = append(b, '"')
+		for i := 0; i < len(t.Val.Str); i++ {
+			if c := t.Val.Str[i]; c == '\\' || c == '"' {
+				b = append(b, '\\')
+			}
+			b = append(b, t.Val.Str[i])
+		}
+		return append(b, '"')
 	default:
-		return "<?>"
+		return append(b, "<?>"...)
 	}
 }
 
@@ -103,17 +120,20 @@ func (a Atom) Arity() int { return len(a.Args) }
 
 // String renders the atom in source syntax.
 func (a Atom) String() string {
-	var b strings.Builder
-	b.WriteString(a.Pred)
-	b.WriteByte('(')
+	var buf [64]byte
+	return string(a.Append(buf[:0]))
+}
+
+// Append appends the atom in source syntax to b.
+func (a Atom) Append(b []byte) []byte {
+	b = append(append(b, a.Pred...), '(')
 	for i, t := range a.Args {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(t.String())
+		b = t.Append(b)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
 // Vars returns the distinct variable names in order of first occurrence.
@@ -151,20 +171,23 @@ func (c Clause) IsFact() bool { return len(c.Body) == 0 && c.Head.IsGround() }
 
 // String renders the clause in source syntax (with trailing period).
 func (c Clause) String() string {
-	if len(c.Body) == 0 {
-		return c.Head.String() + "."
-	}
-	var b strings.Builder
-	b.WriteString(c.Head.String())
-	b.WriteString(" :- ")
+	var buf [128]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends the clause in source syntax (with trailing period) to
+// b.
+func (c Clause) Append(b []byte) []byte {
+	b = c.Head.Append(b)
 	for i, a := range c.Body {
-		if i > 0 {
-			b.WriteString(", ")
+		if i == 0 {
+			b = append(b, " :- "...)
+		} else {
+			b = append(b, ", "...)
 		}
-		b.WriteString(a.String())
+		b = a.Append(b)
 	}
-	b.WriteByte('.')
-	return b.String()
+	return append(b, '.')
 }
 
 // Vars returns the distinct variables of the clause (head then body) in
@@ -239,16 +262,15 @@ type Query struct {
 
 // String renders the query in source syntax.
 func (q Query) String() string {
-	var b strings.Builder
-	b.WriteString("?- ")
+	var buf [64]byte
+	b := append(buf[:0], "?- "...)
 	for i, a := range q.Goals {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(a.String())
+		b = a.Append(b)
 	}
-	b.WriteByte('.')
-	return b.String()
+	return string(append(b, '.'))
 }
 
 // Vars returns the distinct variables of the query in order of first

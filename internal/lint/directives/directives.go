@@ -5,11 +5,11 @@
 // both a finding, so the directive surface stays closed:
 //
 //   - unknown directive names are rejected, with the registry listed;
-//   - every directive is a waiver (bounded, locksafe, pinsafe, ctxok)
-//     and must carry a justification after the name.
+//   - every directive is a waiver (locksafe, pinsafe, and the retired
+//     bounded) and must carry a justification after the name.
 //
 // The registry lives in lintkit (shared with every analyzer and with
-// `dkblint -directives`), so adding a directive is one table entry.
+// `dkblint -h`), so adding a directive is one table entry.
 package directives
 
 import (
@@ -26,13 +26,18 @@ var Analyzer = &lintkit.Analyzer{
 }
 
 func run(pass *lintkit.Pass) error {
-	for _, file := range pass.Pkg.Files {
-		for _, d := range lintkit.FileDirectives(pass.Fset, file) {
-			switch {
-			case lintkit.DirectiveSpecFor(d.Name) == nil:
-				pass.Reportf(d.Pos, "unknown directive //dkblint:%s (known: %s)", d.Name, knownNames())
-			case d.Arg == "":
-				pass.Reportf(d.Pos, "waiver //dkblint:%s requires a justification (//dkblint:%s <why this is safe>)", d.Name, d.Name)
+	for _, pkg := range pass.All {
+		if !pkg.Target {
+			continue
+		}
+		for _, file := range pkg.Files {
+			for _, d := range lintkit.FileDirectives(pass.Fset, file) {
+				switch {
+				case lintkit.DirectiveSpecFor(d.Name) == nil:
+					pass.Reportf(d.Pos, "unknown directive //dkblint:%s (known: %s)", d.Name, knownNames())
+				case d.Arg == "":
+					pass.Reportf(d.Pos, "waiver //dkblint:%s requires a justification (//dkblint:%s <why this is safe>)", d.Name, d.Name)
+				}
 			}
 		}
 	}

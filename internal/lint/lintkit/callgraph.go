@@ -241,40 +241,3 @@ func WalkSkipFuncLit(n ast.Node, visit func(ast.Node)) {
 		return true
 	})
 }
-
-// Reachable computes, for a seed predicate over nodes, the set of
-// functions from which a seed function is reachable through the graph
-// (callers of seeds, transitively). It is the shared fix-point used by
-// the interprocedural analyzers' "may reach" summaries. The returned
-// map carries, per function, one witness path (callee chain) to the
-// seed for diagnostics.
-func (g *CallGraph) Reachable(seed func(*FuncNode) bool) map[*types.Func][]*types.Func {
-	out := make(map[*types.Func][]*types.Func)
-	for _, n := range g.funcs {
-		if seed(n) {
-			out[n.Fn] = nil
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range g.funcs {
-			if _, done := out[n.Fn]; done {
-				continue
-			}
-			for _, cs := range n.Calls {
-				chain, ok := out[cs.Callee]
-				if !ok {
-					continue
-				}
-				witness := append([]*types.Func{cs.Callee}, chain...)
-				out[n.Fn] = witness
-				changed = true
-				break
-			}
-		}
-	}
-	return out
-}
-
-// PosOf is a small helper for deterministic diagnostics.
-func PosOf(fset *token.FileSet, n ast.Node) token.Position { return fset.Position(n.Pos()) }

@@ -39,9 +39,6 @@ type Block struct {
 	Succs []*Block
 }
 
-// Blocks returns all blocks (diagnostics/tests).
-func (g *CFG) Blocks() []*Block { return g.blocks }
-
 // BuildCFG constructs the graph for a function body.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	g := &CFG{conds: make(map[edge]EdgeCond)}
@@ -63,10 +60,9 @@ func (g *CFG) newBlock() *Block {
 
 // builder tracks the innermost break/continue targets while walking.
 type builder struct {
-	g          *CFG
-	breakDst   []*Block // stack: where `break` jumps (loops and switches)
-	continDst  []*Block // stack: where `continue` jumps (loops only)
-	breakIsFor []bool   // parallel to breakDst: true when the target belongs to a loop
+	g         *CFG
+	breakDst  []*Block // stack: where `break` jumps (loops and switches)
+	continDst []*Block // stack: where `continue` jumps (loops only)
 }
 
 // stmts appends the list to cur, splitting blocks at control flow, and
@@ -253,24 +249,20 @@ func fallsThrough(body []ast.Stmt) bool {
 
 func (b *builder) pushLoop(brk, cont *Block) {
 	b.breakDst = append(b.breakDst, brk)
-	b.breakIsFor = append(b.breakIsFor, true)
 	b.continDst = append(b.continDst, cont)
 }
 
 func (b *builder) popLoop() {
 	b.breakDst = b.breakDst[:len(b.breakDst)-1]
-	b.breakIsFor = b.breakIsFor[:len(b.breakIsFor)-1]
 	b.continDst = b.continDst[:len(b.continDst)-1]
 }
 
 func (b *builder) pushSwitch(brk *Block) {
 	b.breakDst = append(b.breakDst, brk)
-	b.breakIsFor = append(b.breakIsFor, false)
 }
 
 func (b *builder) popSwitch() {
 	b.breakDst = b.breakDst[:len(b.breakDst)-1]
-	b.breakIsFor = b.breakIsFor[:len(b.breakIsFor)-1]
 }
 
 // ReachesExitWithout performs the suite's core flow query: starting

@@ -222,14 +222,13 @@ func loadFixtureTree(fset *token.FileSet, root string) ([]*Package, error) {
 				return err
 			}
 		}
-		typed, info, errs := TypeCheck(fset, fp.path, fp.files, imp, false)
+		typed, info, errs := typeCheck(fset, fp.path, fp.files, imp, false)
 		if len(errs) > 0 {
 			return fmt.Errorf("type-checking fixture %s: %v", fp.path, errs[0])
 		}
 		imp.known[fp.path] = typed
 		out = append(out, &Package{
 			Path:   fp.path,
-			Name:   typed.Name(),
 			Files:  fp.files,
 			Types:  typed,
 			Info:   info,

@@ -24,17 +24,13 @@ import (
 	"go/types"
 )
 
-// Analyzer is one named check. Run inspects pass.Pkg and reports
-// findings through the pass.
+// Analyzer is one named check. Run is invoked once per load, inspects
+// the target packages in Pass.All and reports findings through the
+// pass.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
-	// Module marks a whole-program analyzer: Run is invoked exactly once
-	// per load with Pass.Pkg == nil and Pass.All holding every package.
-	// Analyzers that build global structures (the lock-order graph) use
-	// this instead of a per-package pass.
-	Module bool
 }
 
 // Diagnostic is one finding, positioned in the analyzed source.
@@ -51,8 +47,6 @@ func (d Diagnostic) String() string {
 // Package is one loaded, type-checked package.
 type Package struct {
 	Path  string
-	Name  string
-	Dir   string
 	Files []*ast.File
 	// Types and Info are nil only if type checking failed entirely.
 	Types *types.Package
@@ -60,20 +54,14 @@ type Package struct {
 	// Target marks packages named by the load patterns (as opposed to
 	// dependencies); analyzers run over targets only.
 	Target bool
-	// TypeErrors collects soft type-check errors (analysis proceeds on
-	// the partial information).
-	TypeErrors []error
 }
 
-// Pass carries one analyzer's view of one package (or, for Module
-// analyzers, of the whole load — Pkg is nil then).
+// Pass carries one analyzer's view of the whole load.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Pkg      *Package
-	// All lists every target package of the run, so analyzers that need
-	// module-wide facts (the call graph) can collect them without a
-	// separate facts protocol.
+	// All lists every loaded package, dependencies included; analyzers
+	// report on the Target ones only.
 	All []*Package
 	// Cache is shared by every pass of one Run call: expensive
 	// module-wide structures (the call graph) are built once and reused
@@ -121,8 +109,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run applies each analyzer to each target package and returns the
-// findings in source order.
+// Run applies each analyzer to the load and returns the findings in
+// source order.
 func Run(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunWithCache(fset, pkgs, analyzers, NewCache())
 }
@@ -134,28 +122,9 @@ func RunWithCache(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer, c
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
 	for _, a := range analyzers {
-		if a.Module {
-			pass := &Pass{Analyzer: a, Fset: fset, All: pkgs, Cache: cache, report: report}
-			if err := a.Run(pass); err != nil {
-				return diags, fmt.Errorf("%s: %w", a.Name, err)
-			}
-			continue
-		}
-		for _, pkg := range pkgs {
-			if !pkg.Target || pkg.Types == nil {
-				continue
-			}
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     fset,
-				Pkg:      pkg,
-				All:      pkgs,
-				Cache:    cache,
-				report:   report,
-			}
-			if err := a.Run(pass); err != nil {
-				return diags, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
+		pass := &Pass{Analyzer: a, Fset: fset, All: pkgs, Cache: cache, report: report}
+		if err := a.Run(pass); err != nil {
+			return diags, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
 	sortDiagnostics(diags)
@@ -226,25 +195,4 @@ func PkgName(fn *types.Func) string {
 		return ""
 	}
 	return fn.Pkg().Name()
-}
-
-// IsMethod reports whether call invokes a method with the given name on
-// the named type declared in a package with the given name. Matching is
-// by name, not import path, so fixtures can stand in for the real
-// packages.
-func IsMethod(info *types.Info, call *ast.CallExpr, pkg, typ, method string) bool {
-	fn := Callee(info, call)
-	if fn == nil || fn.Name() != method {
-		return false
-	}
-	return PkgName(fn) == pkg && ReceiverTypeName(fn) == typ
-}
-
-// IsFunc reports whether call invokes the named package-level function.
-func IsFunc(info *types.Info, call *ast.CallExpr, pkg, name string) bool {
-	fn := Callee(info, call)
-	if fn == nil || fn.Name() != name {
-		return false
-	}
-	return PkgName(fn) == pkg && ReceiverTypeName(fn) == ""
 }

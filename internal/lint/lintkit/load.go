@@ -18,13 +18,9 @@ import (
 // listPackage is the subset of `go list -json` output the loader needs.
 type listPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	GoFiles    []string
-	Imports    []string
-	Standard   bool
 	DepOnly    bool
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
@@ -107,8 +103,6 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*Package, erro
 func (l *loader) check(lp *listPackage) (*Package, error) {
 	pkg := &Package{
 		Path:   lp.ImportPath,
-		Name:   lp.Name,
-		Dir:    lp.Dir,
 		Target: !lp.DepOnly,
 	}
 	for _, name := range lp.GoFiles {
@@ -121,19 +115,18 @@ func (l *loader) check(lp *listPackage) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, f)
 	}
-	typed, info, errs := TypeCheck(l.fset, lp.ImportPath, pkg.Files, l, lp.DepOnly)
+	typed, info, errs := typeCheck(l.fset, lp.ImportPath, pkg.Files, l, lp.DepOnly)
 	pkg.Types, pkg.Info = typed, info
-	pkg.TypeErrors = errs
 	if !lp.DepOnly && len(errs) > 0 {
 		return nil, fmt.Errorf("lintkit: type-checking %s: %v", lp.ImportPath, errs[0])
 	}
 	return pkg, nil
 }
 
-// TypeCheck runs go/types over parsed files. Soft errors are collected
+// typeCheck runs go/types over parsed files. Soft errors are collected
 // rather than aborting so dependency packages with platform quirks
 // still surface their exported API.
-func TypeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, depOnly bool) (*types.Package, *types.Info, []error) {
+func typeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, depOnly bool) (*types.Package, *types.Info, []error) {
 	var errs []error
 	conf := types.Config{
 		Importer:         imp,

@@ -60,10 +60,9 @@ const GraphKey = "lockorder.graph"
 
 // Analyzer is the lockorder pass.
 var Analyzer = &lintkit.Analyzer{
-	Name:   "lockorder",
-	Doc:    "the global lock-acquisition order is acyclic, no lock is held across a blocking call (waive with //dkblint:locksafe <reason>), and every lock is released on every path",
-	Run:    run,
-	Module: true,
+	Name: "lockorder",
+	Doc:  "the global lock-acquisition order is acyclic, no lock is held across a blocking call (waive with //dkblint:locksafe <reason>), and every lock is released on every path",
+	Run:  run,
 }
 
 // Graph is the published lock-order graph summary.

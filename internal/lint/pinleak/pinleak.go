@@ -46,10 +46,9 @@ import (
 
 // Analyzer is the pinleak pass.
 var Analyzer = &lintkit.Analyzer{
-	Name:   "pinleak",
-	Doc:    "every page pin and snapshot pin is released on all paths (waive with //dkblint:pinsafe <reason>)",
-	Run:    run,
-	Module: true,
+	Name: "pinleak",
+	Doc:  "every page pin and snapshot pin is released on all paths (waive with //dkblint:pinsafe <reason>)",
+	Run:  run,
 }
 
 // kind describes one counted resource: how it is acquired, how it is

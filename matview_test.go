@@ -202,7 +202,6 @@ func TestMatViewMaintenanceStorm(t *testing.T) {
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		//dkblint:bounded one goroutine per test reader
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perReader; i++ {
@@ -220,7 +219,6 @@ func TestMatViewMaintenanceStorm(t *testing.T) {
 		}()
 	}
 	wg.Add(1)
-	//dkblint:bounded single writer goroutine
 	go func() {
 		defer wg.Done()
 		for i := 0; i < toggles; i++ {

@@ -93,7 +93,6 @@ func TestConcurrentSessionsStress(t *testing.T) {
 	errs := make(chan error, sessions*perSession)
 	for s := 0; s < sessions; s++ {
 		wg.Add(1)
-		//dkblint:bounded one goroutine per test session
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perSession; i++ {
