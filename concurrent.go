@@ -241,33 +241,51 @@ func (c *ConcurrentTestbed) QueryContext(ctx context.Context, src string, opts *
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	return c.read(ctx, newPlanKey(src, opts), opts.Trace, opts.QueryID, false)
+	a, err := c.read(ctx, newPlanKey(src, opts), opts.Trace, opts.QueryID)
+	if err != nil {
+		return nil, err
+	}
+	rows, rest, err := rel.DecodeRows(a.block)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%d bytes after the row block", len(rest))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dkbms: answer block: %w", err)
+	}
+	a.res.Rows = rows
+	return a.res, nil
 }
 
-// QueryShared is QueryContext for a caller that only reads the answer,
-// as a server session encoding it does: the result's Rows are the
-// memoized answer's own slice, shared with every other reader, where
-// QueryContext hands out a copy. The caller must not modify Rows or
-// its tuples.
-func (c *ConcurrentTestbed) QueryShared(ctx context.Context, src string, opts *QueryOptions) (*QueryResult, error) {
+// QueryShared is QueryContext for a caller that only reads the answer
+// as a row block, as a server session copying it into a RESULT frame
+// does. It returns the block — rel.AppendRows's layout: the column
+// types, the row count, each row's stored record behind its length —
+// beside a result whose Rows are nil, where QueryContext decodes the
+// block into Rows of the caller's own. The block is the plan cache's
+// memoized answer itself, shared with every other reader: the caller
+// must not modify it.
+func (c *ConcurrentTestbed) QueryShared(ctx context.Context, src string, opts *QueryOptions) (*QueryResult, []byte, error) {
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	return c.read(ctx, newPlanKey(src, opts), opts.Trace, opts.QueryID, true)
+	a, err := c.read(ctx, newPlanKey(src, opts), opts.Trace, opts.QueryID)
+	return a.res, a.block, err
 }
 
-// read is the read path behind QueryContext: it pins a snapshot, takes
-// the query's program (and a current memoized answer, if there is one)
-// from the plan cache, and otherwise evaluates and publishes the answer
-// for the next reader. qid 0 mints a query ID; shared is as in
-// shareResult.
-func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, qid uint64, shared bool) (*QueryResult, error) {
+// read is the read path behind QueryContext and QueryShared: it pins a
+// snapshot, takes the query's program (and a current memoized answer,
+// if there is one) from the plan cache, and otherwise evaluates and
+// publishes the answer for the next reader. Every evaluation reads its answer as a row block
+// (the memo's form). The caller's answer is the stored one with the
+// result struct copied, so its outcome, snapshot and query ID are its
+// own; the block stays shared. qid 0 mints a query ID.
+func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, qid uint64) (memo, error) {
 	if qid == 0 {
 		qid = obs.NewQueryID()
 	}
 	s, err := c.acquire()
 	if err != nil {
-		return nil, err
+		return memo{}, err
 	}
 	defer s.Release()
 	var tr *obs.Trace
@@ -276,36 +294,37 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
 		tr.Root().SetInt("query_id", int64(qid))
 	}
-	compiled, memo, status := c.plans.lookup(key, s)
+	compiled, m, status := c.plans.lookup(key, s)
 	if compiled == nil {
 		if compiled, err = c.compile(s, key, tr); err != nil {
-			return nil, err
+			return memo{}, err
 		}
 	}
-	if memo != nil {
+	if m.res != nil {
 		if !trace {
-			out := shareResult(memo, shared)
+			out := *m.res
 			out.Cache, out.Snapshot, out.QueryID = status, s.Gen, qid
-			return out, nil
+			return memo{res: &out, block: m.block}, nil
 		}
 		status = "plan" // a traced run re-evaluates the current answer
 	}
 	vdb, _ := c.view(s)
-	res, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr)
+	res, block, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr, true)
 	if err != nil {
-		return nil, err
+		return memo{}, err
 	}
 	res.Snapshot = s.Gen
+	m = memo{res: res, block: block}
 	if trace {
 		// A traced run shares the plan but never publishes its answer.
-		c.plans.store(key, s, compiled, nil)
+		c.plans.store(key, s, compiled, memo{})
 	} else {
-		c.plans.store(key, s, compiled, res)
+		c.plans.store(key, s, compiled, m)
 	}
 	// The stored answer is query-neutral; the caller's copy carries the ID.
-	out := shareResult(res, shared)
+	out := *res
 	out.Cache, out.QueryID = status, qid
-	return out, nil
+	return memo{res: &out, block: block}, nil
 }
 
 // compile parses and compiles key's query text against the pinned
@@ -319,19 +338,6 @@ func (c *ConcurrentTestbed) compile(s *snapshot.Snapshot, key planKey, tr *obs.T
 	}
 	vdb, vst := c.view(s)
 	return c.tb.compile(s.WS(), vdb, vst, q, &key.opts, tr)
-}
-
-// shareResult returns a caller's view of a cached result: the struct is
-// copied, so the caller's outcome, snapshot and query ID are its own,
-// and so is the row slice, so callers may append to or reorder Rows,
-// unless the caller only reads them (shared). The tuples themselves
-// (treated as immutable everywhere) stay shared.
-func shareResult(res *QueryResult, shared bool) *QueryResult {
-	out := *res
-	if !shared {
-		out.Rows = append([]rel.Tuple(nil), res.Rows...)
-	}
-	return &out
 }
 
 // --- Telemetry ---

@@ -669,6 +669,38 @@ func (t *Table) DecodeAll() (rel.Block, error) {
 	return dec.FinishLast(), nil
 }
 
+// AppendRows appends the whole table, in chain order, to buf as one row
+// block (rel.AppendRows's layout): its records as they are stored, none
+// decoded. It is one scan pass. buf grows once, by the maintained row
+// count and record bytes, which is exact when no record is 128 bytes or
+// longer; a longer one takes more length bytes, and when they outgrow
+// that room the block is copied once more, to its length, so a block
+// kept (a memo) holds no slack.
+func (t *Table) AppendRows(buf []byte) ([]byte, error) {
+	var h [16]byte
+	hdr := rel.AppendRowsHeader(h[:0], t.Schema, t.rows)
+	buf = slices.Grow(buf, len(hdr)+t.rows+t.bytes)
+	buf = append(buf, hdr...)
+	room := cap(buf)
+	rows := 0
+	err := t.Heap.ScanPages(func(pg *storage.Page) error {
+		for s := 0; s < pg.SlotCount(); s++ {
+			if rec := pg.Record(s); rec != nil {
+				buf = rel.AppendRecord(buf, rec)
+				rows++
+			}
+		}
+		return nil
+	})
+	if err == nil && rows != t.rows {
+		err = fmt.Errorf("catalog: table %s holds %d records, counted %d", t.Name, rows, t.rows)
+	}
+	if cap(buf) != room {
+		buf = slices.Clone(buf)
+	}
+	return buf, err
+}
+
 // recount sets the maintained row count and record bytes from the
 // heap: the table's pages read once, at open.
 func (t *Table) recount() error {

@@ -312,19 +312,31 @@ func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value
 // runSelect plans and drains one execution of a prepared SELECT; reuse
 // is as in operators.
 func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) (*Rows, error) {
+	var rows *Rows
+	err := d.drainSelect(p, args, vals, sp, reuse, func(op exec.Operator) error {
+		tuples, err := exec.CollectOwned(ctx, op)
+		rows = &Rows{Schema: op.Schema(), Tuples: tuples}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// drainSelect plans one execution of a prepared SELECT, counted as a
+// SELECT, and calls drain with its operator tree, instrumented under sp;
+// reuse is as in operators.
+func (d *DB) drainSelect(p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool, drain func(exec.Operator) error) error {
 	d.stats.selects.Add(1)
 	op, t, err := d.operators(p, args, vals, sp, reuse)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer p.Release(t)
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
-	tuples, err := exec.CollectOwned(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	return &Rows{Schema: op.Schema(), Tuples: tuples}, nil
+	return drain(op)
 }
 
 func (d *DB) execCreateTable(s sql.CreateTable) error {

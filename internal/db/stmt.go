@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"dkbms/internal/catalog"
+	"dkbms/internal/exec"
 	"dkbms/internal/obs"
 	"dkbms/internal/plan"
 	"dkbms/internal/rel"
@@ -185,6 +186,26 @@ func (s *Stmt) Query(ctx context.Context, sp *obs.Span, vals []rel.Value, tables
 		return nil, err
 	}
 	return s.d.runSelect(ctx, s.sel, args, vals, sp, true)
+}
+
+// AppendRows executes a prepared SELECT as Query does and appends its
+// rows to buf as one row block (rel.AppendRows's layout), decoding none
+// (exec.AppendRows): a bare scan's block is its table's records as
+// stored, in chain order.
+func (s *Stmt) AppendRows(ctx context.Context, sp *obs.Span, buf []byte, vals []rel.Value, tables ...string) ([]byte, error) {
+	if s.insert {
+		return nil, fmt.Errorf("db: AppendRows called on a prepared INSERT; use Exec")
+	}
+	var tb [maxStackArgs]*catalog.Table
+	args, err := s.bind(tb[:0], tables)
+	if err != nil {
+		return nil, err
+	}
+	err = s.d.drainSelect(s.sel, args, vals, sp, true, func(op exec.Operator) (err error) {
+		buf, err = exec.AppendRows(ctx, op, buf)
+		return err
+	})
+	return buf, err
 }
 
 // QueryCount executes a prepared SELECT COUNT(*) and returns the count.

@@ -379,3 +379,51 @@ func TestPrepareHitAllocs(t *testing.T) {
 		t.Errorf("the hit is on another statement than the text's for (par, chd), or %d statements are cached, want 2", d.CachedStatements())
 	}
 }
+
+// TestStmtAppendRows: a prepared SELECT's row block is rel.AppendRows of
+// the rows Query returns, byte for byte, for a bare scan (the table's
+// records as stored) and for any other tree (its records collected),
+// traced or not, and is counted as one SELECT.
+func TestStmtAppendRows(t *testing.T) {
+	d := OpenMemory()
+	defer d.Close()
+	mustExec(t, d, "CREATE TABLE parent (par CHAR, chd CHAR)", "CREATE TABLE empty (par CHAR, chd CHAR)")
+	for i := 0; i < 300; i++ {
+		mustExec(t, d, fmt.Sprintf("INSERT INTO parent VALUES ('p%d', 'c%d')", i/3, i))
+	}
+	mustExec(t, d, "INSERT INTO parent VALUES ('long', '"+strings.Repeat("x", 150)+"')")
+	ctx := context.Background()
+	for _, c := range []struct {
+		text  string
+		table string
+	}{
+		{"SELECT * FROM $1", "parent"},
+		{"SELECT * FROM $1", "empty"},
+		{"SELECT chd, par FROM $1 WHERE par = 'p7'", "parent"},
+		{"SELECT * FROM $1 WHERE par = 'none'", "parent"},
+	} {
+		st := mustPrepare(t, d, c.text, parentSchema)
+		rows, err := st.Query(ctx, nil, nil, c.table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rel.AppendRows(nil, rows.Tuples)
+		for _, traced := range []bool{false, true} {
+			var sp *obs.Span
+			if traced {
+				sp = obs.NewTrace("q").Root()
+			}
+			before := d.StatsSnapshot().Selects
+			got, err := st.AppendRows(ctx, sp, []byte("head"), nil, c.table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got[:4]) != "head" || string(got[4:]) != string(want) {
+				t.Fatalf("%s on %s (traced %v): block %x, want head then %x", c.text, c.table, traced, got, want)
+			}
+			if n := d.StatsSnapshot().Selects - before; n != 1 {
+				t.Fatalf("%s: AppendRows counted %d SELECTs, want 1", c.text, n)
+			}
+		}
+	}
+}

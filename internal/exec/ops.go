@@ -86,6 +86,31 @@ func CollectOwned(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 	return recs.Decode(op.Schema())
 }
 
+// AppendRows runs one pass of op, observing ctx between records, and
+// appends its rows to buf as one row block (rel.AppendRows's layout),
+// decoding none: a bare scan's table straight from its pages
+// (catalog.Table.AppendRows), any other operator's records collected
+// first, since the block's header counts them.
+func AppendRows(ctx context.Context, op Operator, buf []byte) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if scan, ok := op.(*SeqScan); ok {
+		return scan.Table.AppendRows(buf)
+	}
+	var recs rel.Records
+	err := op.ScanRecords(func(rec []byte) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return recs.Add(rec)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return recs.AppendRows(buf, op.Schema()), nil
+}
+
 // stage is what an operator that passes its input's records on keeps
 // for a pass: emit, the pass's consumer, let go of when the pass ends,
 // and each, the operator's own method for an input record, made once so

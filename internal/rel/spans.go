@@ -200,6 +200,18 @@ func (r *Records) Each(fn func(rec []byte) error) error {
 	return nil
 }
 
+// AppendRows appends the records, rows of the schema, to buf as one row
+// block (AppendRows's layout).
+func (r *Records) AppendRows(buf []byte, schema *Schema) []byte {
+	buf = AppendRowsHeader(buf, schema, len(r.ends))
+	start := 0
+	for _, end := range r.ends {
+		buf = AppendRecord(buf, r.buf[start:end])
+		start = end
+	}
+	return buf
+}
+
 // Decode decodes the records under schema into one block of their own,
 // exactly sized (BlockDecoder.FinishLast), and returns its rows, nil
 // when there are none.

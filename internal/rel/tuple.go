@@ -322,10 +322,11 @@ func (d *BlockDecoder) FinishLast() Block {
 }
 
 // AppendRows appends rows to buf as one encoded block, the form rows
-// travel in off the heap page (a RESULT frame carries one): the column
-// count and a type byte per column, taken from the first row; the row
-// count; then each row's record (Encode) behind its uvarint length. Every
-// row must have the first row's types, as the rows of one relation do.
+// travel in off the heap page (a RESULT frame carries one, and a
+// memoized answer is one): the column count and a type byte per column,
+// taken from the first row; the row count; then each row's record
+// (Encode) behind its uvarint length (AppendRecord). Every row must have
+// the first row's types, as the rows of one relation do.
 func AppendRows(buf []byte, rows []Tuple) []byte {
 	var first Tuple
 	if len(rows) > 0 {
@@ -337,20 +338,63 @@ func AppendRows(buf []byte, rows []Tuple) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	for _, t := range rows {
-		// Encode behind a one-byte length, and move the record up when,
-		// at 128 bytes or more, its length takes more.
 		at := len(buf)
-		buf = t.Encode(append(buf, 0))
-		n := len(buf) - at - 1
-		var l [binary.MaxVarintLen64]byte
-		k := binary.PutUvarint(l[:], uint64(n))
-		if k > 1 {
-			buf = append(buf, l[1:k]...)
-			copy(buf[at+k:], buf[at+1:at+1+n])
-		}
-		copy(buf[at:], l[:k])
+		buf = prefixLength(t.Encode(append(buf, 0)), at)
 	}
 	return buf
+}
+
+// AppendRowsHeader appends the header of a block of rows rows of the
+// schema's columns, which AppendRecord then appends the records of: the
+// header AppendRows writes for such rows, so a block of no rows has no
+// columns.
+func AppendRowsHeader(buf []byte, schema *Schema, rows int) []byte {
+	if rows == 0 {
+		return append(buf, 0, 0)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(schema.cols)))
+	for _, c := range schema.cols {
+		buf = append(buf, byte(c.Type))
+	}
+	return binary.AppendUvarint(buf, uint64(rows))
+}
+
+// AppendRecord appends one stored record to a row block behind its
+// uvarint length, as AppendRows appends a row's.
+func AppendRecord(buf, rec []byte) []byte {
+	at := len(buf)
+	return prefixLength(append(append(buf, 0), rec...), at)
+}
+
+// prefixLength completes a record appended to buf behind one
+// placeholder byte at buf[at]: the byte becomes the record's uvarint
+// length, and the record moves up when, at 128 bytes or more, its
+// length takes more than one.
+func prefixLength(buf []byte, at int) []byte {
+	n := len(buf) - at - 1
+	var l [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(l[:], uint64(n))
+	if k > 1 {
+		buf = append(buf, l[1:k]...)
+		copy(buf[at+k:], buf[at+1:at+1+n])
+	}
+	copy(buf[at:], l[:k])
+	return buf
+}
+
+// RowCount returns the row count in the header of the block AppendRows
+// wrote at the front of data, without reading its records; 0 when the
+// header does not parse.
+func RowCount(data []byte) int {
+	ncols, data, err := readUvarint(data)
+	if err != nil || ncols > uint64(len(data)) {
+		return 0
+	}
+	nrows, _, err := readUvarint(data[ncols:])
+	if err != nil {
+		return 0
+	}
+	return int(nrows)
 }
 
 // DecodeRows decodes the block AppendRows wrote at the front of data

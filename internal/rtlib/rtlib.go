@@ -104,7 +104,7 @@ type Stats struct {
 
 // Result is a completed evaluation.
 type Result struct {
-	// Rows are the tuples of the query predicate.
+	// Rows are the tuples of the query predicate; nil from EvaluateBlock.
 	Rows []rel.Tuple
 	// Schema describes the rows.
 	Schema *rel.Schema
@@ -119,6 +119,21 @@ var runSeq atomic.Uint64
 // Evaluate runs a compiled program against the database. Every
 // temporary relation it creates is dropped before it returns.
 func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
+	return evaluate(d, prog, opts, nil)
+}
+
+// EvaluateBlock is Evaluate reading the answer as one row block
+// (rel.AppendRows's layout) — the answer relation's records as stored,
+// none decoded — which it returns beside a result whose Rows are nil.
+func EvaluateBlock(d *db.DB, prog *codegen.Program, opts Options) (*Result, []byte, error) {
+	var block []byte
+	res, err := evaluate(d, prog, opts, &block)
+	return res, block, err
+}
+
+// evaluate is Evaluate, reading the answer into *block instead of Rows
+// when block is not nil.
+func evaluate(d *db.DB, prog *codegen.Program, opts Options, block *[]byte) (*Result, error) {
 	seq := runSeq.Add(1)
 	ev := &evaluator{
 		d:      d,
@@ -129,7 +144,7 @@ func Evaluate(d *db.DB, prog *codegen.Program, opts Options) (*Result, error) {
 		temps:  newTempTables(d),
 		stmts:  newStatements(d, prog.Schemas),
 	}
-	res, err := ev.run()
+	res, err := ev.run(block)
 	ev.stmts.Close()
 	if err != nil {
 		// Best-effort teardown on failure.
@@ -166,7 +181,9 @@ func (ev *evaluator) tableOf(pred string) string {
 	return codegen.BaseTable(pred)
 }
 
-func (ev *evaluator) run() (*Result, error) {
+// run evaluates the program, its answer read into *block when block is
+// not nil, else into the result's Rows.
+func (ev *evaluator) run(block *[]byte) (*Result, error) {
 	start := time.Now()
 	// Verify base relations and seeds up front for clean errors.
 	for _, p := range ev.prog.BasePreds {
@@ -228,14 +245,25 @@ func (ev *evaluator) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := answer.Query(evalCtx(ev.opts.Ctx), nil, nil, qt)
+	var rows []rel.Tuple
+	n := 0
+	if block != nil {
+		*block, err = answer.AppendRows(evalCtx(ev.opts.Ctx), nil, nil, nil, qt)
+		n = rel.RowCount(*block)
+	} else {
+		var answerRows *db.Rows
+		if answerRows, err = answer.Query(evalCtx(ev.opts.Ctx), nil, nil, qt); err == nil {
+			rows = answerRows.Tuples
+			n = len(rows)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
 	ev.stats.Elapsed = time.Since(start)
-	evalSp.SetInt("rows", int64(len(rows.Tuples)))
+	evalSp.SetInt("rows", int64(n))
 	evalSp.End()
-	return &Result{Rows: rows.Tuples, Schema: ev.prog.Schemas[ev.prog.QueryPred], Stats: ev.stats}, nil
+	return &Result{Rows: rows, Schema: ev.prog.Schemas[ev.prog.QueryPred], Stats: ev.stats}, nil
 }
 
 // evalNode evaluates evaluation-order node i and records its stats at

@@ -137,6 +137,7 @@ func (s *Server) initRegistry() {
 	counter("plan.hits", func() int64 { return s.tb.PlanStats().PlanHits })
 	counter("plan.misses", func() int64 { return s.tb.PlanStats().Misses })
 	gauge("plan.entries", func() int64 { return s.tb.PlanStats().Entries })
+	gauge("plan.result_bytes", func() int64 { return s.tb.PlanStats().ResultBytes })
 	counter("pool.hits", func() int64 { return s.tb.PagerStats().Hits })
 	counter("pool.misses", func() int64 { return s.tb.PagerStats().Misses })
 	counter("pool.evictions", func() int64 { return s.tb.PagerStats().Evictions })

@@ -174,7 +174,7 @@ func TestServerBasic(t *testing.T) {
 	if st["server.bytes_in"] == 0 || st["server.bytes_out"] == 0 {
 		t.Fatalf("traffic counters empty: %v", st)
 	}
-	if st["plan.result_hits"] < 2 || st["plan.misses"] == 0 {
+	if st["plan.result_hits"] < 2 || st["plan.misses"] == 0 || st["plan.result_bytes"] == 0 {
 		t.Fatalf("plan-cache counters missing from stats: %v", st)
 	}
 	if st["pool.hits"] == 0 {

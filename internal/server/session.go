@@ -10,6 +10,7 @@ import (
 
 	"dkbms"
 	"dkbms/internal/obs"
+	"dkbms/internal/rel"
 	"dkbms/internal/wire"
 )
 
@@ -172,27 +173,28 @@ func (s *session) handle(t wire.MsgType, payload []byte) []byte {
 // runQuery serves one QUERY. It adopts the client's query ID or mints
 // one, so every query is identifiable across the result echo, the
 // structured log and the slow-query ring, and evaluates under the serve
-// context, so shutdown cancels it. The session only encodes the rows,
-// so it reads a memoized answer's own (QueryShared).
+// context, so shutdown cancels it. The session only copies the answer
+// into the frame, so it reads a memoized answer's own row block
+// (QueryShared).
 func (s *session) runQuery(src string, opts *dkbms.QueryOptions) []byte {
 	if opts.QueryID == 0 {
 		opts.QueryID = obs.NewQueryID()
 	}
 	s.srv.queries.Inc()
 	start := time.Now()
-	res, err := s.srv.tb.QueryShared(s.ctx, src, opts)
-	s.recordSlow(src, start, res, err, opts.QueryID)
+	res, block, err := s.srv.tb.QueryShared(s.ctx, src, opts)
+	s.recordSlow(src, start, res, block, err, opts.QueryID)
 	if err != nil {
 		return s.errReply(err)
 	}
-	return s.resultFrame(res)
+	return s.resultFrame(res, block)
 }
 
 // recordSlow enters one query execution into the server's slow-query
 // ring, keyed by the wire-propagated query ID. Failed queries are
 // retained too (with the error text); traces ride along only when the
-// query ran traced.
-func (s *session) recordSlow(src string, start time.Time, res *dkbms.QueryResult, err error, qid uint64) {
+// query ran traced. block is the answer's row block.
+func (s *session) recordSlow(src string, start time.Time, res *dkbms.QueryResult, block []byte, err error, qid uint64) {
 	e := obs.SlowQuery{
 		Query:   src,
 		Start:   start,
@@ -204,7 +206,7 @@ func (s *session) recordSlow(src string, start time.Time, res *dkbms.QueryResult
 		e.Err = err.Error()
 	} else {
 		e.Cache = res.Cache
-		e.Rows = int64(len(res.Rows))
+		e.Rows = int64(rel.RowCount(block))
 		e.Iterations = res.Iterations()
 		e.Trace = res.Trace.Root()
 		e.Snapshot = res.Snapshot
@@ -225,16 +227,15 @@ func (s *session) errReply(err error) []byte {
 	return s.reply(wire.MsgError, wire.Error{Code: wire.CodeFor(err), Msg: err.Error()}.Encode())
 }
 
-// resultFrame encodes a RESULT frame straight into s.out: once the
-// buffer has grown to the answer, a memo hit is encoded without
-// allocating.
-func (s *session) resultFrame(res *dkbms.QueryResult) []byte {
+// resultFrame encodes a RESULT frame straight into s.out, the answer's
+// row block copied as it is: once the buffer has grown to the answer, a
+// memo hit is encoded without allocating.
+func (s *session) resultFrame(res *dkbms.QueryResult, block []byte) []byte {
 	return wire.Result{
 		Vars:      res.Vars,
-		Rows:      res.Rows,
 		Optimized: res.Optimized,
 		Strategy:  res.Strategy.String(),
 		Trace:     res.Trace.Root(),
 		QueryID:   res.QueryID,
-	}.Append(wire.Frame(s.out, wire.MsgResult))
+	}.AppendBlock(wire.Frame(s.out, wire.MsgResult), block)
 }

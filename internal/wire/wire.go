@@ -455,7 +455,12 @@ func (m Result) Encode() []byte { return m.Append(nil) }
 // rows as one rel.AppendRows block, records in the storage encoding
 // under the first row's column types; then the query ID and the trace
 // when the flags say so.
-func (m Result) Append(buf []byte) []byte {
+func (m Result) Append(buf []byte) []byte { return m.AppendBlock(buf, nil) }
+
+// AppendBlock is Append with the rows already encoded: block, one
+// rel.AppendRows block, is copied as it is in place of encoding Rows —
+// a server's memoized answer. A nil block encodes Rows.
+func (m Result) AppendBlock(buf, block []byte) []byte {
 	var flags byte
 	if m.Optimized {
 		flags |= resultOptimized
@@ -471,7 +476,11 @@ func (m Result) Append(buf []byte) []byte {
 	for _, v := range m.Vars {
 		buf = appendString(buf, v)
 	}
-	buf = rel.AppendRows(buf, m.Rows)
+	if block != nil {
+		buf = append(buf, block...)
+	} else {
+		buf = rel.AppendRows(buf, m.Rows)
+	}
 	if m.QueryID != 0 {
 		buf = binary.AppendUvarint(buf, m.QueryID)
 	}

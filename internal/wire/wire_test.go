@@ -131,6 +131,15 @@ func TestResultRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// A frame built from an encoded block is the frame built from its
+	// rows, byte for byte, and so is one of no rows.
+	for _, rows := range [][]rel.Tuple{in.Rows, nil} {
+		withRows, noRows := in, in
+		withRows.Rows, noRows.Rows = rows, nil
+		if got, want := noRows.AppendBlock([]byte("hdr"), rel.AppendRows(nil, rows)), withRows.Append([]byte("hdr")); !bytes.Equal(got, want) {
+			t.Fatalf("AppendBlock of %d rows: %x, want Append's %x", len(rows), got, want)
+		}
+	}
 	// Empty result.
 	empty, err := DecodeResult(Result{Strategy: "naive"}.Encode())
 	if err != nil || len(empty.Rows) != 0 || len(empty.Vars) != 0 {

@@ -44,13 +44,22 @@ type planEntry struct {
 	// deps are the base-table names the compiled program reads
 	// (derived from Program.BasePreds once per program, at store time).
 	deps []string
-	// result is the memoized answer; resultVec maps each dependency to
-	// the table-version generation the answer was computed against
-	// (0 = table absent in that snapshot).
-	result    *QueryResult
+	// result is the memoized answer (its res nil when there is none);
+	// resultVec maps each dependency to the table-version generation the
+	// answer was computed against (0 = table absent in that snapshot).
+	result    memo
 	resultVec map[string]uint64
 
 	prev, next *planEntry
+}
+
+// memo is an answer as the plan cache keeps it: the evaluation's
+// result, its Rows nil, and the answer as one row block in
+// rel.AppendRows's layout — the form a RESULT frame carries, and
+// nothing else.
+type memo struct {
+	res   *QueryResult
+	block []byte
 }
 
 // PlanCacheStats snapshots the shared plan cache's traffic counters.
@@ -68,15 +77,18 @@ type PlanCacheStats struct {
 	Invalidations int64
 	// Entries is the current cache population.
 	Entries int64
+	// ResultBytes is the memoized answers' size: the length of their row
+	// blocks together.
+	ResultBytes int64
 }
 
 // planCache is the server-wide compiled-plan and result cache behind
 // ConcurrentTestbed.Query. It is safe for concurrent use; lookups and
 // stores run from many pinned-snapshot readers at once, while
 // Invalidate runs only from the single writer holding the commit mutex.
-// An entry holds rows, never tables: a memo that goes stale is dropped,
-// and the next read re-evaluates, as the paper re-derives after every
-// update.
+// An entry holds records, never tables: a memo that goes stale is
+// dropped, and the next read re-evaluates, as the paper re-derives
+// after every update.
 type planCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -84,6 +96,8 @@ type planCache struct {
 	head     *planEntry // most recently used
 	tail     *planEntry // least recently used
 	stats    PlanCacheStats
+	// resultBytes is PlanCacheStats.ResultBytes, kept by setResult.
+	resultBytes int64
 }
 
 func newPlanCache() *planCache {
@@ -128,29 +142,29 @@ func assertDeps(deps []string, compiled *core.Compiled) {
 // given snapshot, with the outcome QueryResult.Cache reports: the
 // memoized answer and "result" on a full result hit — every base table
 // the program reads is at the generation the answer was computed
-// against; a nil answer and "plan" when only the program is reusable;
+// against; no memo and "plan" when only the program is reusable;
 // nothing and "miss" on a miss. Hit counters are updated here; the miss
 // counter is charged in store, so a lookup/store pair counts once.
-func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot) (compiled *core.Compiled, memo *QueryResult, status string) {
+func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot) (compiled *core.Compiled, m memo, status string) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
 	if !ok {
-		return nil, nil, "miss"
+		return nil, memo{}, "miss"
 	}
 	if e.ruleGen != snap.RuleGen {
 		// The rule base moved: the compiled program is stale.
 		pc.dropLocked(e)
 		pc.stats.Invalidations++
-		return nil, nil, "miss"
+		return nil, memo{}, "miss"
 	}
 	pc.touch(e)
-	if e.result != nil && vecCurrent(e.resultVec, snap) {
+	if e.result.res != nil && vecCurrent(e.resultVec, snap) {
 		pc.stats.ResultHits++
 		return e.compiled, e.result, "result"
 	}
 	pc.stats.PlanHits++
-	return e.compiled, nil, "plan"
+	return e.compiled, memo{}, "plan"
 }
 
 // vecCurrent reports whether every dependency in the vector is at the
@@ -168,14 +182,14 @@ func vecCurrent(vec map[string]uint64, snap *snapshot.Snapshot) bool {
 
 // store records a compilation and its result as evaluated against the
 // given snapshot, evicting the least recently used entry beyond
-// capacity. A nil result stores the plan without touching any memoized
-// answer (traced runs share plans with untraced queries but never
-// publish their answers).
+// capacity. A result without res stores the plan without touching any
+// memoized answer (traced runs share plans with untraced queries but
+// never publish their answers).
 //
 // Racing stores for one key (readers pinned to different snapshots)
 // need no ordering: a result stored with an older dependency vector
 // simply fails validation for newer snapshots at lookup time.
-func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.Compiled, result *QueryResult) {
+func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.Compiled, result memo) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
@@ -189,7 +203,7 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 		deps = depTables(compiled)
 	}
 	var vec map[string]uint64
-	if result != nil {
+	if result.res != nil {
 		vec = make(map[string]uint64, len(deps))
 		for _, name := range deps {
 			vec[name] = snap.TableGen(name)
@@ -202,15 +216,15 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 			pc.stats.Misses++
 		}
 		e.compiled, e.ruleGen, e.deps = compiled, snap.RuleGen, deps
-		if result != nil {
-			e.result, e.resultVec = result, vec
+		if result.res != nil {
+			pc.setResult(e, result, vec)
 		}
 		pc.touch(e)
 		return
 	}
 	pc.stats.Misses++
-	e = &planEntry{key: key, compiled: compiled, ruleGen: snap.RuleGen, deps: deps,
-		result: result, resultVec: vec}
+	e = &planEntry{key: key, compiled: compiled, ruleGen: snap.RuleGen, deps: deps}
+	pc.setResult(e, result, vec)
 	pc.entries[key] = e
 	pc.pushFront(e)
 	for len(pc.entries) > pc.capacity {
@@ -220,8 +234,16 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 
 // dropLocked removes an entry. Caller holds mu.
 func (pc *planCache) dropLocked(e *planEntry) {
+	pc.setResult(e, memo{}, nil)
 	pc.unlink(e)
 	delete(pc.entries, e.key)
+}
+
+// setResult replaces an entry's memo (an empty one drops it), keeping
+// the memo bytes' account. Caller holds mu.
+func (pc *planCache) setResult(e *planEntry, result memo, vec map[string]uint64) {
+	pc.resultBytes += int64(len(result.block) - len(e.result.block))
+	e.result, e.resultVec = result, vec
 }
 
 // Invalidate reconciles the cache with one published snapshot. It runs
@@ -239,8 +261,8 @@ func (pc *planCache) Invalidate(next *snapshot.Snapshot) {
 			pc.stats.Invalidations++
 			continue
 		}
-		if e.result != nil && !vecCurrent(e.resultVec, next) {
-			e.result, e.resultVec = nil, nil
+		if e.result.res != nil && !vecCurrent(e.resultVec, next) {
+			pc.setResult(e, memo{}, nil)
 		}
 	}
 }
@@ -250,7 +272,7 @@ func (pc *planCache) snapshot() PlanCacheStats {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	out := pc.stats
-	out.Entries = int64(len(pc.entries))
+	out.Entries, out.ResultBytes = int64(len(pc.entries)), pc.resultBytes
 	return out
 }
 

@@ -1,6 +1,7 @@
 package dkbms
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -148,6 +149,71 @@ func TestPlanCacheLoadInvalidates(t *testing.T) {
 	}
 }
 
+// TestPlanCacheResultBytes: the cache accounts for its memos exactly.
+// ResultBytes is the length of every memo's row block together: it
+// rises by the block a store memoizes, stands still on a hit, and falls
+// to 0 when a commit to the table the memos read drops them, their
+// plans kept.
+func TestPlanCacheResultBytes(t *testing.T) {
+	c := newCachedTestbed(t)
+	block := func(q string) int64 {
+		t.Helper()
+		res, block, err := c.QueryShared(context.Background(), q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cache != "result" || res.Rows != nil {
+			t.Fatalf("%s: cache %q with %d rows, want a memo hit carrying only its block", q, res.Cache, len(res.Rows))
+		}
+		return int64(len(block))
+	}
+	bytes := func() int64 { return c.PlanStats().ResultBytes }
+	if got := bytes(); got != 0 {
+		t.Fatalf("an empty cache accounts for %d memo bytes", got)
+	}
+	queryRows(t, c, "?- ancestor(a, X).")
+	first := block("?- ancestor(a, X).")
+	if got := bytes(); got != first || first == 0 {
+		t.Fatalf("after one store: %d memo bytes, want the memo's %d", got, first)
+	}
+	queryRows(t, c, "?- ancestor(a, X).")
+	if got := bytes(); got != first {
+		t.Fatalf("a hit moved the memo bytes: %d, want %d", got, first)
+	}
+	queryRows(t, c, "?- ancestor(X, Y).")
+	second := block("?- ancestor(X, Y).")
+	if got := bytes(); got != first+second || second <= first {
+		t.Fatalf("after two stores: %d memo bytes, want %d + %d", got, first, second)
+	}
+	if err := c.Load("parent(c, d)."); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.PlanStats(); st.ResultBytes != 0 || st.Entries != 2 {
+		t.Fatalf("after a commit to parent: %d memo bytes over %d entries, want 0 over 2", st.ResultBytes, st.Entries)
+	}
+}
+
+// TestMemoHitReportsItsEvaluation: a memo hit carries the stats of the
+// evaluation it memoized, so its Iterations equal the miss's.
+func TestMemoHitReportsItsEvaluation(t *testing.T) {
+	c := newCachedTestbed(t)
+	const q = "?- ancestor(X, Y)."
+	miss, err := c.Query(q, &QueryOptions{NoOptimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := c.Query(q, &QueryOptions{NoOptimize: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Cache != "miss" || hit.Cache != "result" {
+		t.Fatalf("cache outcomes %q then %q, want miss then result", miss.Cache, hit.Cache)
+	}
+	if miss.Iterations() < 2 || hit.Iterations() != miss.Iterations() {
+		t.Fatalf("the miss ran %d LFP iterations and the hit reports %d; want the same, at least 2", miss.Iterations(), hit.Iterations())
+	}
+}
+
 // TestPlanCacheLRUBound: the cache never exceeds its capacity and evicts
 // the least recently used query.
 func TestPlanCacheLRUBound(t *testing.T) {
@@ -173,7 +239,7 @@ func TestPlanCacheLRUBound(t *testing.T) {
 
 // tempTables lists the temp tables in the live catalog. Between
 // operations there are none: an evaluation drops every relation it
-// creates before it returns, and the plan cache holds rows, not tables.
+// creates before it returns, and the plan cache holds records, not tables.
 func tempTables(c *ConcurrentTestbed) []string {
 	cat := c.tb.db.Catalog()
 	var out []string

@@ -1,6 +1,7 @@
 package dkbms
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -104,14 +105,18 @@ func matchBody(body []dlog.Atom, model map[string]map[string]rel.Tuple, binding 
 
 // refAnswer evaluates a query against the reference model.
 func refAnswer(q dlog.Query, rules []dlog.Clause, facts map[string][]rel.Tuple) []string {
-	all := append([]dlog.Clause{q.AsClause()}, rules...)
-	model := refEval(all, facts)
 	var out []string
-	for _, tu := range model[dlog.QueryPred] {
+	for _, tu := range refTuples(q, rules, facts) {
 		out = append(out, tu.String())
 	}
 	sort.Strings(out)
 	return out
+}
+
+// refTuples is the reference answer to a query as tuples, by key.
+func refTuples(q dlog.Query, rules []dlog.Clause, facts map[string][]rel.Tuple) map[string]rel.Tuple {
+	all := append([]dlog.Clause{q.AsClause()}, rules...)
+	return refEval(all, facts)[dlog.QueryPred]
 }
 
 // genProgram builds a random Datalog program over nBase base and nDeriv
@@ -278,6 +283,134 @@ func TestRandomProgramsAgainstReference(t *testing.T) {
 		// Its own source: the programs above stay the ones generated
 		// before this step existed.
 		maintainedAgainstReference(t, rand.New(rand.NewSource(int64(trial))), trial, rules, facts, q)
+	}
+}
+
+// TestMemoBlockIsTheWireBlock holds the plan cache's memoized answers
+// to the reference: over generated programs, on every mode over bare
+// heaps and over indexed ones, a served query's memo is
+// rel.AppendRows of the reference answer byte for byte — its tuples in
+// the order the block holds them — so the block a RESULT frame copies
+// is the one the frame would have encoded, and a cached Query decodes
+// it to the reference answer. Two fixed programs add an empty answer
+// and a record of a string of 200 bytes, whose length takes two bytes.
+func TestMemoBlockIsTheWireBlock(t *testing.T) {
+	r := rand.New(rand.NewSource(19880901))
+	trials := 20
+	if testing.Short() {
+		trials = 5
+	}
+	for trial := 0; trial < trials; trial++ {
+		rules, facts := genProgram(r, 2, 1+r.Intn(3))
+		target := rules[r.Intn(len(rules))].Head.Pred
+		args := []dlog.Term{dlog.V("O1"), dlog.V("O2")}
+		if r.Intn(2) == 0 {
+			args[0] = dlog.CStr("a")
+		}
+		q := dlog.Query{Goals: []dlog.Atom{{Pred: target, Args: args}}}
+		memoAgainstReference(t, fmt.Sprintf("trial %d", trial), rules, facts, q)
+	}
+
+	str := func(s ...string) rel.Tuple {
+		tu := make(rel.Tuple, len(s))
+		for i, v := range s {
+			tu[i] = rel.NewString(v)
+		}
+		return tu
+	}
+	rules := []dlog.Clause{{
+		Head: dlog.Atom{Pred: "p0", Args: []dlog.Term{dlog.V("X"), dlog.V("Y")}},
+		Body: []dlog.Atom{{Pred: "e0", Args: []dlog.Term{dlog.V("X"), dlog.V("Y")}}},
+	}}
+	facts := map[string][]rel.Tuple{"e0": {str("a", strings.Repeat("x", 200)), str("b", "c")}}
+	for _, c := range []struct {
+		name string
+		args []dlog.Term
+		rows int
+	}{
+		{"empty answer", []dlog.Term{dlog.CStr("z"), dlog.V("OUT")}, 0},
+		{"long string", []dlog.Term{dlog.V("O1"), dlog.V("O2")}, 2},
+	} {
+		q := dlog.Query{Goals: []dlog.Atom{{Pred: "p0", Args: c.args}}}
+		if got := len(refTuples(q, rules, facts)); got != c.rows {
+			t.Fatalf("%s: the reference answer has %d rows, want %d", c.name, got, c.rows)
+		}
+		memoAgainstReference(t, c.name, rules, facts, q)
+	}
+}
+
+// memoAgainstReference serves q on a ConcurrentTestbed over the facts
+// and rules, without indexes and then with one on a random column of
+// each base relation: in every mode a miss, then a memo hit, each
+// equal to the reference, and the memo's block byte for byte
+// rel.AppendRows of the reference tuples in the block's row order.
+func memoAgainstReference(t *testing.T, name string, rules []dlog.Clause, facts map[string][]rel.Tuple, q dlog.Query) {
+	t.Helper()
+	ref := refTuples(q, rules, facts)
+	want := refAnswer(q, rules, facts)
+	preds := make([]string, 0, len(facts))
+	for pred := range facts {
+		preds = append(preds, pred)
+	}
+	sort.Strings(preds)
+	ixRng := rand.New(rand.NewSource(int64(len(name))))
+	for _, indexed := range []bool{false, true} {
+		tb := NewMemory()
+		for _, pred := range preds {
+			if err := tb.AssertTuples(pred, facts[pred]); err != nil {
+				t.Fatal(err)
+			}
+			if indexed {
+				if err := tb.CreateFactIndex(pred, ixRng.Intn(len(facts[pred][0]))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, c := range rules {
+			if err := tb.Workspace().AddClause(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := NewConcurrent(tb)
+		for _, mode := range allModes {
+			at := fmt.Sprintf("%s %s indexed=%v", name, mode.name, indexed)
+			opts := mode.opts
+			for _, cache := range []string{"miss", "result"} {
+				res, err := c.Query(q.String(), &opts)
+				if err != nil {
+					t.Fatalf("%s: %v\nprogram:\n%s\nquery: %s", at, err, programText(rules), q.String())
+				}
+				if res.Cache != cache {
+					t.Fatalf("%s: cache %q, want %q", at, res.Cache, cache)
+				}
+				if got := rowSet(res.Rows); strings.Join(got, "|") != strings.Join(want, "|") {
+					t.Fatalf("%s, %s: engine disagrees with reference\nprogram:\n%s\nquery: %s\n got: %v\nwant: %v",
+						at, cache, programText(rules), q.String(), got, want)
+				}
+			}
+			e := c.plans.entries[newPlanKey(q.String(), &opts)]
+			if e == nil || e.result.res == nil {
+				t.Fatalf("%s: no memo after a result hit", at)
+			}
+			block := e.result.block
+			rows, rest, err := rel.DecodeRows(block)
+			if err != nil || len(rest) != 0 || len(rows) != len(ref) {
+				t.Fatalf("%s: the memo decodes to %d rows (%v, %d bytes after), want %d", at, len(rows), err, len(rest), len(ref))
+			}
+			ordered := make([]rel.Tuple, len(rows))
+			for i, tu := range rows {
+				if ordered[i] = ref[tu.Key()]; ordered[i] == nil {
+					t.Fatalf("%s: the memo holds %s, which the reference does not derive", at, tu)
+				}
+			}
+			if enc := rel.AppendRows(nil, ordered); !bytes.Equal(enc, block) {
+				t.Fatalf("%s: the memo's block differs from the reference's encoding\n memo: %x\n  ref: %x", at, block, enc)
+			}
+			if e.result.res.Rows != nil {
+				t.Fatalf("%s: the memo keeps %d decoded rows beside its block", at, len(e.result.res.Rows))
+			}
+		}
+		c.Close()
 	}
 }
 

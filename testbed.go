@@ -389,9 +389,12 @@ type QueryOptions struct {
 type QueryResult struct {
 	// Vars names the answer columns (query variables in order).
 	Vars []string
-	// Rows are the answer tuples.
+	// Rows are the answer tuples; nil from ConcurrentTestbed.QueryShared,
+	// which returns the answer's row block instead.
 	Rows []rel.Tuple
-	// Compile and Evaluate are the paper's t_c and t_e breakdowns.
+	// Compile and Eval are the paper's t_c and t_e breakdowns. A memo
+	// hit (Cache "result") carries those of the evaluation it memoized:
+	// no compilation or evaluation ran for it.
 	Compile core.CompileStats
 	Eval    rtlib.Stats
 	// Optimized reports whether magic sets or factoring was applied.
@@ -402,10 +405,11 @@ type QueryResult struct {
 	// set). Render it with Trace.Format().
 	Trace *obs.Trace
 	// Cache is the plan-cache outcome when the query went through a
-	// ConcurrentTestbed: "result" (answered from the memoized result),
-	// "plan" (compiled program reused, re-evaluated — as after a commit
-	// that moves the memo's inputs) or "miss" (full compile). Empty on the plain Testbed path, which has
-	// no cache.
+	// ConcurrentTestbed: "result" (answered from the memoized result,
+	// whose Compile, Eval and Iterations it reports), "plan" (compiled
+	// program reused, re-evaluated — as after a commit that moves the
+	// memo's inputs) or "miss" (full compile). Empty on the plain Testbed
+	// path, which has no cache.
 	Cache string
 	// Snapshot is the generation of the pinned snapshot the query ran
 	// against when it went through a ConcurrentTestbed (0 on the plain
@@ -417,8 +421,9 @@ type QueryResult struct {
 }
 
 // Iterations returns the total LFP iteration count across the
-// evaluation-order nodes (0 for non-recursive queries and memoized
-// cache hits, which did not evaluate).
+// evaluation-order nodes, a non-recursive node counting one. A memoized
+// hit reports the count of the evaluation it memoized, as it reports
+// that evaluation's Eval.
 func (r *QueryResult) Iterations() int64 {
 	var n int64
 	for _, ns := range r.Eval.Nodes {
@@ -453,7 +458,7 @@ func (tb *Testbed) Query(src string, opts *QueryOptions) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := tb.evaluate(context.TODO(), tb.db, compiled, opts, tr)
+	res, _, err := tb.evaluate(context.TODO(), tb.db, compiled, opts, tr, false)
 	if err != nil {
 		return nil, err
 	}
@@ -496,36 +501,43 @@ func (tb *Testbed) Evaluate(compiled *core.Compiled, opts *QueryOptions) (*Query
 	if opts != nil && opts.Trace {
 		tr = obs.NewTrace("query")
 	}
-	return tb.evaluate(context.TODO(), tb.db, compiled, opts, tr)
+	res, _, err := tb.evaluate(context.TODO(), tb.db, compiled, opts, tr, false)
+	return res, err
 }
 
 // evaluate runs a compiled program against an explicit database: the
 // testbed's own, or a snapshot-bound view, so that the run-time library
 // reads frozen base-table versions while its session-private temp tables
-// still land in the live catalog, and are dropped when it ends.
-func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace) (*QueryResult, error) {
+// still land in the live catalog, and are dropped when it ends. With
+// rowBlock the answer is read as a row block, returned beside a result
+// whose Rows are nil (rtlib.EvaluateBlock).
+func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compiled, opts *QueryOptions, tr *obs.Trace, rowBlock bool) (*QueryResult, []byte, error) {
 	if tb.closed {
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dkbms: query canceled: %w", err)
+			return nil, nil, fmt.Errorf("dkbms: query canceled: %w", err)
 		}
 	}
 	strategy := rtlib.SemiNaive
 	if opts.Naive {
 		strategy = rtlib.Naive
 	}
-	res, err := rtlib.Evaluate(d, compiled.Program, rtlib.Options{
-		Strategy: strategy,
-		Trace:    tr,
-		Ctx:      ctx,
-	})
+	ropts := rtlib.Options{Strategy: strategy, Trace: tr, Ctx: ctx}
+	var res *rtlib.Result
+	var block []byte
+	var err error
+	if rowBlock {
+		res, block, err = rtlib.EvaluateBlock(d, compiled.Program, ropts)
+	} else {
+		res, err = rtlib.Evaluate(d, compiled.Program, ropts)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tr.Finish()
 	return &QueryResult{
@@ -537,7 +549,7 @@ func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compil
 		Strategy:  strategy,
 		Trace:     tr,
 		QueryID:   opts.QueryID,
-	}, nil
+	}, block, nil
 }
 
 // Format renders a query result as an aligned text table (the shell and
