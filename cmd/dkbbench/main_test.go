@@ -129,8 +129,9 @@ func TestOrphanBaselines(t *testing.T) {
 }
 
 // TestGateFailsOnDoctoredBaseline: a copy of table8's committed baseline
-// whose largest gated cell is divided by 10 makes -gate exit non-zero,
-// naming the experiment, the row and the column.
+// whose largest gated cell is cut to 1 of its unit makes -gate exit
+// non-zero, naming the experiment, the row and the column. The cut puts
+// the cell's threshold at the gate's floor, far below any run of it.
 func TestGateFailsOnDoctoredBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an experiment")
@@ -149,10 +150,9 @@ func TestGateFailsOnDoctoredBaseline(t *testing.T) {
 		}
 	}
 	if best < 2*float64(gateFloor) {
-		t.Fatalf("%s's largest gated cell is %.0fns: too small to show a 10x cut over the floor", exp, best)
+		t.Fatalf("%s's largest gated cell is %.0fns: too small to show a cut to the floor", exp, best)
 	}
-	v, _ := strconv.ParseFloat(base.Rows[row][col], 64)
-	base.Rows[row][col] = strconv.FormatFloat(v/10, 'f', -1, 64)
+	base.Rows[row][col] = "1"
 	data, err := json.Marshal(base)
 	if err != nil {
 		t.Fatal(err)

@@ -7,9 +7,10 @@ import (
 
 // TestCommitFootprintPinned pins what each ConcurrentTestbed write does
 // to the snapshot store and the plan cache: how many commits it
-// publishes, how many table versions it copies, how a memoized query on
-// the relation it writes is served next, and that a snapshot pinned
-// before it still reads every table at its pre-write row count.
+// publishes, how many table versions it copies (the ones it writes),
+// how a memoized query on the relation it writes is served next, and
+// that a snapshot pinned before it still reads every table at its
+// pre-write row count. A case's setup runs before the memo is read.
 func TestCommitFootprintPinned(t *testing.T) {
 	const memo = "?- ancestor(a, X)."
 	load := func(src string) func(c *ConcurrentTestbed) error {
@@ -24,31 +25,42 @@ func TestCommitFootprintPinned(t *testing.T) {
 			return err
 		}
 	}
+	update := func(c *ConcurrentTestbed) error { _, err := c.Update(); return err }
 	for _, tc := range []struct {
 		name            string
 		write           func(c *ConcurrentTestbed) error
 		commits, copied int64
 		cache           string
 		wantErr         func(err error) bool
+		setup           []func(c *ConcurrentTestbed) error
 	}{
-		{"append to an existing relation", load("parent(c, d)."), 1, 1, "plan", nil},
-		{"fact creating a relation", load("knows(a, b)."), 1, 2, "miss", nil},
-		{"rules only", load("sib(X, Y) :- parent(Z, X), parent(Z, Y)."), 1, 0, "miss", nil},
-		{"mixed program", load("parent(c, d). knows(a, b). kid(X) :- parent(Y, X)."), 1, 3, "miss", nil},
-		{"empty program", load(""), 0, 0, "result", nil},
-		{"retract matching", retract("parent(b, c)", 1), 1, 1, "plan", nil},
-		{"retract matching nothing", retract("parent(z, X)", 0), 0, 0, "result", nil},
-		{"retract unknown predicate", retract("nosuch(a)", 0), 0, 0, "result", nil},
+		{"append to an existing relation", load("parent(c, d)."), 1, 1, "plan", nil, nil},
+		{"fact creating a relation", load("knows(a, b)."), 1, 2, "miss", nil, nil},
+		{"rules only", load("sib(X, Y) :- parent(Z, X), parent(Z, Y)."), 1, 0, "miss", nil, nil},
+		{"mixed program", load("parent(c, d). knows(a, b). kid(X) :- parent(Y, X)."), 1, 3, "miss", nil, nil},
+		{"empty program", load(""), 0, 0, "result", nil, nil},
+		{"retract matching", retract("parent(b, c)", 1), 1, 1, "plan", nil, nil},
+		{"retract matching nothing", retract("parent(z, X)", 0), 0, 0, "result", nil, nil},
+		{"retract unknown predicate", retract("nosuch(a)", 0), 0, 0, "result", nil, nil},
 		{"retract arity error", retract("parent(a)", 0), 0, 0, "result",
-			func(err error) bool { return errors.Is(err, ErrSemantic) }},
-		{"update", func(c *ConcurrentTestbed) error { _, err := c.Update(); return err }, 1, 4, "miss", nil},
+			func(err error) bool { return errors.Is(err, ErrSemantic) }, nil},
+		{"update", update, 1, 4, "miss", nil, nil},
+		// ancestor is in idbrels already: only rulesource and
+		// reachablepreds are written.
+		{"update adding rules to a predicate already stored", update, 1, 2, "miss", nil,
+			[]func(c *ConcurrentTestbed) error{update, load("ancestor(X, Y) :- parent(Y, X).")}},
 		{"facts disagreeing in type", load("parent(c, d). parent(1, 2)."), 1, 1, "plan",
 			func(err error) bool {
 				return err != nil && err.Error() == "stored: predicate parent column 1 is CHAR, got INTEGER"
-			}},
+			}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newCachedTestbed(t)
+			for _, setup := range tc.setup {
+				if err := setup(c); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for i := 0; i < 2; i++ {
 				queryRows(t, c, memo)
 			}

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"dkbms/internal/catalog"
 	"dkbms/internal/core"
 	"dkbms/internal/db"
 	"dkbms/internal/dlog"
@@ -30,12 +28,12 @@ import (
 //     at one commit boundary. Pinning is an atomic pointer load plus a
 //     reference count — readers never take a lock a writer holds, so a
 //     long LOAD or RETRACT no longer convoys the whole read side;
-//   - Load, Retract and Update serialize on a commit mutex,
-//     copy only the tables they touch (copy-on-write at table
-//     granularity), apply themselves to the copies, and publish the
-//     successor snapshot atomically. In-flight queries keep reading the
-//     versions their snapshot pinned; those versions are reclaimed when
-//     the last reader drains;
+//   - Load, Retract and Update serialize on a commit mutex and write
+//     the live catalog, which copies each published table version on its
+//     first write (copy-on-write at table granularity, Catalog.Writable);
+//     the commit then publishes the successor snapshot atomically.
+//     In-flight queries keep reading the versions their snapshot pinned;
+//     those versions are reclaimed when the last reader drains;
 //   - a query therefore always observes a committed state — entirely
 //     before or entirely after any concurrent update, never between.
 //
@@ -50,9 +48,9 @@ import (
 //
 // The zero value is not usable; wrap an open Testbed with NewConcurrent.
 type ConcurrentTestbed struct {
-	// commitMu serializes the write path (planning, table
-	// copies, the update itself, snapshot publication) and Close. The
-	// read path never takes it.
+	// commitMu serializes the write path (the write with its table
+	// copies, snapshot publication) and Close. The read path never
+	// takes it.
 	commitMu sync.Mutex
 	tb       *Testbed
 	snaps    *snapshot.Store
@@ -71,7 +69,7 @@ func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 		snaps: snapshot.NewStore(BaseTableName("")),
 		plans: newPlanCache(),
 	}
-	c.publish(0) // the initial snapshot: the testbed state as wrapped
+	c.publish() // the initial snapshot: the testbed state as wrapped
 	return c
 }
 
@@ -118,86 +116,53 @@ func (c *ConcurrentTestbed) view(s *snapshot.Snapshot) (*db.DB, *stored.Manager)
 
 // --- Write path: copy-on-write commits ---
 
-// shadow clones each named table that exists in the live catalog
-// (catalog.ShadowTable), so the update about to run mutates fresh
-// copies while every pinned snapshot keeps reading the originals. It
-// returns the time spent copying — the writer-stall cost the snapshot
-// telemetry reports. A failed copy aborts the commit: the catalog is
-// still consistent (fully-copied tables are content-identical) but the
-// update must not run on a half-shadowed footprint.
-func (c *ConcurrentTestbed) shadow(tables []string) (time.Duration, error) {
-	start := time.Now()
+// publish freezes every stored table version (Catalog.Freeze), so the
+// next write to each goes to a copy, and installs them as the successor
+// snapshot with the current workspace and rule generation; then it
+// drops the plan cache's stale programs and memos. The writer stall it
+// reports is the time the catalog spent copying since the last
+// publish. Caller holds commitMu.
+func (c *ConcurrentTestbed) publish() {
 	cat := c.tb.db.Catalog()
-	for _, name := range tables {
-		if cat.Table(name) == nil {
-			continue
-		}
-		if _, err := cat.ShadowTable(name); err != nil {
-			return time.Since(start), fmt.Errorf("dkbms: copy-on-write of %s: %w", name, err)
-		}
-	}
-	return time.Since(start), nil
+	_, copying := cat.Moved()
+	c.tb.published = true
+	c.plans.Invalidate(c.snaps.Publish(cat.Freeze(), c.tb.ruleGen, c.tb.ws, copying))
 }
 
-// publish installs the successor snapshot from the live catalog state
-// (every non-temp table) and the current generations, then drops the
-// plan cache's stale programs and memos. It runs on every commit exit
-// path, failed ones included. Caller holds commitMu.
-func (c *ConcurrentTestbed) publish(buildCost time.Duration) {
-	cat := c.tb.db.Catalog()
-	tables := make(map[string]*catalog.Table)
-	for _, name := range cat.Tables() {
-		t := cat.Table(name)
-		if t == nil || t.Temp {
-			continue
-		}
-		tables[name] = t
-	}
-	c.plans.Invalidate(c.snaps.Publish(tables, c.tb.ruleGen, c.tb.ws, buildCost))
-}
-
-// commit runs one write as a copy-on-write commit. It plans the write
-// under commitMu, so what the plan read still holds when it applies;
-// clones the workspace when rules move; shadows the plan's tables and
-// applies; and publishes. A plan that mutates nothing publishes
-// nothing; a failed apply still publishes, since a partial write may
-// have moved tables.
-func (c *ConcurrentTestbed) commit(plan func() (write, error)) (write, error) {
+// commit runs one testbed write under commitMu and publishes if it
+// moved the rule generation or the catalog copied or created a table —
+// a failed write included, since it may have moved tables. A write
+// that changes nothing publishes nothing.
+func (c *ConcurrentTestbed) commit(write func() error) error {
 	//dkblint:locksafe single-writer commit protocol: writers serialize on commitMu through copy-and-publish I/O; readers never take it
 	c.commitMu.Lock()
 	defer c.commitMu.Unlock()
 	if c.closed.Load() {
-		return write{}, ErrClosed
+		return ErrClosed
 	}
-	w, err := plan()
-	if err != nil || w.apply == nil {
-		return w, err
+	gen := c.tb.ruleGen
+	err := write()
+	if moved, _ := c.tb.db.Catalog().Moved(); moved || c.tb.ruleGen != gen {
+		c.publish()
 	}
-	if w.rules {
-		// Pinned snapshots hold the current workspace; mutate a clone.
-		c.tb.ws = c.tb.ws.Clone()
-		c.tb.ruleGen++
-	}
-	cost, err := c.shadow(w.tables)
-	if err == nil {
-		err = w.apply()
-	}
-	c.publish(cost)
-	return w, err
+	return err
 }
 
 // Load enters a Horn-clause program as one commit: the fact relations
 // it appends to are copied, rules go to a fresh workspace clone, and
 // the result is published as the next snapshot.
 func (c *ConcurrentTestbed) Load(src string) error {
-	_, err := c.commit(func() (write, error) { return c.tb.planLoad(src) })
-	return err
+	return c.commit(func() error { return c.tb.Load(src) })
 }
 
 // Retract deletes matching facts as one commit. A retract that matches
 // nothing copies and publishes nothing, so memoized answers survive it.
-func (c *ConcurrentTestbed) Retract(pattern dlog.Atom) (int, error) {
-	return retracted(c.commit(func() (write, error) { return c.tb.planRetract(pattern) }))
+func (c *ConcurrentTestbed) Retract(pattern dlog.Atom) (n int, err error) {
+	err = c.commit(func() (err error) {
+		n, err = c.tb.Retract(pattern)
+		return err
+	})
+	return n, err
 }
 
 // RetractSrc is Retract for a source-syntax pattern.
@@ -210,11 +175,13 @@ func (c *ConcurrentTestbed) RetractSrc(src string) (int, error) {
 }
 
 // Update commits workspace rules to the stored D/KB as one commit: the
-// rule-storage relations are copied, the workspace is cloned (Update
-// clears it), and the result is published as the next snapshot.
-func (c *ConcurrentTestbed) Update() (stored.UpdateStats, error) {
-	var st stored.UpdateStats
-	_, err := c.commit(func() (write, error) { return c.tb.planUpdate(&st) })
+// rule-storage relations it writes are copied, the workspace is cloned
+// (Update clears it), and the result is published as the next snapshot.
+func (c *ConcurrentTestbed) Update() (st stored.UpdateStats, err error) {
+	err = c.commit(func() (err error) {
+		st, err = c.tb.Update()
+		return err
+	})
 	return st, err
 }
 

@@ -6,15 +6,22 @@
 // The catalog also owns index maintenance: all tuple traffic goes
 // through Table.Insert / Table.DeleteRID, which keep every index of the
 // table synchronized with the heap.
+//
+// And it owns copy-on-write: Freeze makes every stored table version
+// read-only, and Writable, which every write resolves its target
+// through, copies a frozen version on its first write (ShadowTable's
+// step). What a commit copies is therefore what it writes.
 package catalog
 
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"dkbms/internal/index"
 	"dkbms/internal/rel"
@@ -30,6 +37,11 @@ type Table struct {
 	// Temp marks tables that are never written to the catalog heap
 	// (the run-time library's per-iteration temporaries).
 	Temp bool
+
+	// frozen marks a version Freeze made read-only: its mutators refuse,
+	// and Writable copies it. Set by the single writer before the
+	// version is published, and never cleared.
+	frozen bool
 
 	rid storage.RID // location of this table's catalog record
 	// heapHeadFromRecord carries the heap head page ID between record
@@ -96,7 +108,16 @@ type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
 	indexes map[string]*Index
+
+	// moved is set, under ddlMu, when the stored table set changes after
+	// the last Freeze: a frozen version copied, a stored table created or
+	// dropped. copying is the time the copies took.
+	moved   bool
+	copying time.Duration
 }
+
+// ErrFrozen is returned by a mutator of a frozen table version.
+var ErrFrozen = errors.New("catalog: table version is frozen")
 
 // Open loads (or initializes) the catalog of the database in pager.
 func Open(pager *storage.Pager) (*Catalog, error) {
@@ -275,6 +296,7 @@ func (c *Catalog) CreateTable(name string, schema *rel.Schema, temp bool) (*Tabl
 			return nil, err
 		}
 		t.rid = rid
+		c.moved = true
 	}
 	c.mu.Lock()
 	c.tables[name] = t
@@ -302,6 +324,7 @@ func (c *Catalog) DropTable(name string) error {
 		if err := c.heap.Delete(t.rid); err != nil {
 			return err
 		}
+		c.moved = true
 	}
 	c.mu.Lock()
 	delete(c.tables, name)
@@ -328,6 +351,9 @@ func (c *Catalog) CreateIndex(name, table string, cols []string, temp bool) (*In
 	}
 	if !ok {
 		return nil, fmt.Errorf("catalog: no table %s", table)
+	}
+	if t.frozen {
+		return nil, fmt.Errorf("index %s on %s: %w", name, table, ErrFrozen)
 	}
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("catalog: index %s has no columns", name)
@@ -386,35 +412,66 @@ func (c *Catalog) dropIndexDDL(name string) error {
 	return nil
 }
 
-// ShadowTable replaces a table with a physically separate clone — the
-// copy-on-write step of the snapshot commit path. The clone gets a
-// fresh heap holding a raw copy of every live record, copied record by
-// record so dead slots are left behind, and for each index a clone of
-// its tree with every posting moved to where the copy put the record
-// (index.BTree.Clone): nothing is decoded and no key re-derived. Heap
-// and trees count their traffic, the copy's included, in the
-// original's counters, so a table's counters never restart at a commit.
-// The original table object is returned unchanged and
-// stays fully readable (snapshots holding it keep scanning its heap
-// and probing its indexes), but is no longer reachable by name. The
-// caller owns the original's heap pages from here on: they are freed
-// by the snapshot store once no snapshot references the old version.
-//
-// Like all DDL, the clone's I/O runs under ddlMu only; the name maps
-// swap under mu at the end. Temp tables cannot be shadowed.
-func (c *Catalog) ShadowTable(name string) (*Table, error) {
-	//dkblint:locksafe DDL serializes on ddlMu off the query path; heap/index I/O must be atomic with the catalog mutation
+// Freeze makes every stored (non-temp) table version read-only and
+// returns them by name: the table map a snapshot publishes. Each
+// version's next write goes to a copy (Writable). Freeze clears what
+// Moved reports.
+func (c *Catalog) Freeze() map[string]*Table {
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()
 	c.mu.RLock()
-	t, ok := c.tables[name]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("catalog: no table %s", name)
+	defer c.mu.RUnlock()
+	out := make(map[string]*Table, len(c.tables))
+	for name, t := range c.tables {
+		if !t.Temp {
+			t.frozen = true
+			out[name] = t
+		}
 	}
-	if t.Temp {
-		return nil, fmt.Errorf("catalog: cannot shadow temp table %s", name)
+	c.moved, c.copying = false, 0
+	return out
+}
+
+// Moved reports whether the stored table set changed after the last
+// Freeze — a frozen version copied, a stored table created or dropped —
+// and the time the copies took.
+func (c *Catalog) Moved() (bool, time.Duration) {
+	c.ddlMu.Lock()
+	defer c.ddlMu.Unlock()
+	return c.moved, c.copying
+}
+
+// Writable returns the named table for a write, or nil when there is
+// none. A frozen version is first replaced by its copy (shadow), which
+// is returned; the frozen one stays readable by whoever holds it.
+func (c *Catalog) Writable(name string) (*Table, error) {
+	t := c.Table(name)
+	if t == nil || !t.frozen {
+		return t, nil
 	}
+	return c.shadow(t)
+}
+
+// shadow replaces the frozen version t with a physically separate,
+// writable clone — the copy-on-write step. The clone gets a fresh heap
+// holding a raw copy of every live record, copied record by record so
+// dead slots are left behind, and for each index a clone of its tree
+// with every posting moved to where the copy put the record
+// (index.BTree.Clone): nothing is decoded and no key re-derived. Heap
+// and trees count their traffic, the copy's included, in the
+// original's counters, so a table's counters never restart at a copy.
+// The frozen version is unchanged and stays fully readable (snapshots
+// holding it keep scanning its heap and probing its indexes), but is no
+// longer reachable by name; its pages are freed by the snapshot store
+// once no snapshot references it.
+//
+// Like all DDL, the clone's I/O runs under ddlMu only; the name maps
+// swap under mu at the end.
+func (c *Catalog) shadow(t *Table) (*Table, error) {
+	//dkblint:locksafe DDL serializes on ddlMu off the query path; heap/index I/O must be atomic with the catalog mutation
+	c.ddlMu.Lock()
+	defer c.ddlMu.Unlock()
+	start := time.Now()
 	h, err := storage.CreateHeap(c.pager)
 	if err != nil {
 		return nil, err
@@ -428,7 +485,7 @@ func (c *Catalog) ShadowTable(name string) (*Table, error) {
 	if err != nil {
 		return cleanup(err)
 	}
-	nt := &Table{Name: name, Schema: t.Schema, Heap: h, rows: t.rows, bytes: t.bytes}
+	nt := &Table{Name: t.Name, Schema: t.Schema, Heap: h, rows: t.rows, bytes: t.bytes}
 	nt.Indexes = make([]*Index, len(t.Indexes))
 	for i, idx := range t.Indexes {
 		// Index catalog records reference the table by name, so the
@@ -445,12 +502,14 @@ func (c *Catalog) ShadowTable(name string) (*Table, error) {
 	}
 	nt.rid = rid
 	c.mu.Lock()
-	c.tables[name] = nt
+	c.tables[t.Name] = nt
 	for _, ni := range nt.Indexes {
 		c.indexes[ni.Name] = ni
 	}
 	c.mu.Unlock()
-	return t, nil
+	c.moved = true
+	c.copying += time.Since(start)
+	return nt, nil
 }
 
 // ridMap records where copyHeap put each record of the heap it copied:
@@ -570,8 +629,14 @@ func (c *Catalog) Flush() error { return c.pager.Flush() }
 
 // --- Tuple traffic (index-maintaining) ---
 
+// refused is the error of a mutator called on a frozen version.
+func (t *Table) refused() error { return fmt.Errorf("catalog: write to %s: %w", t.Name, ErrFrozen) }
+
 // Insert adds a tuple to the table and all its indexes.
 func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
+	if t.frozen {
+		return storage.RID{}, t.refused()
+	}
 	if len(tu) != t.Schema.Len() {
 		return storage.RID{}, fmt.Errorf("catalog: arity mismatch inserting into %s: got %d, want %d", t.Name, len(tu), t.Schema.Len())
 	}
@@ -601,6 +666,9 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 // of a tuple of the table's column types, which the caller has checked.
 // An index's key is the record's indexed columns, read in place.
 func (t *Table) InsertRecord(rec []byte) error {
+	if t.frozen {
+		return t.refused()
+	}
 	var sp rel.Spans
 	if len(t.Indexes) > 0 {
 		if err := sp.Read(rec, t.Schema); err != nil {
@@ -625,6 +693,9 @@ func (t *Table) InsertRecord(rec []byte) error {
 // DeleteRID removes the tuple at rid from the heap and all indexes. The
 // caller supplies the decoded tuple (executors always have it in hand).
 func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
+	if t.frozen {
+		return t.refused()
+	}
 	var buf [128]byte
 	for _, idx := range t.Indexes {
 		if err := idx.Tree.Delete(tu.AppendKey(buf[:0], idx.Ords), rid); err != nil {
@@ -642,6 +713,9 @@ func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
 // Truncate removes all tuples and clears all indexes; the heap and the
 // indexes' counters run on.
 func (t *Table) Truncate() error {
+	if t.frozen {
+		return t.refused()
+	}
 	if err := t.Heap.Truncate(); err != nil {
 		return err
 	}

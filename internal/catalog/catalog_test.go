@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -146,10 +147,10 @@ func indexAnswers(t *testing.T, tb *Table, idx *Index) map[string][]string {
 	return out
 }
 
-// TestShadowTableClonesIndexes: after a copy-on-write commit's
-// ShadowTable over a table of several pages with dead slots, every
-// index of the new version answers as an index built from scratch over
-// the new heap does, and the old version answers as before.
+// TestShadowTableClonesIndexes: after the copy a first write makes of a
+// frozen table of several pages with dead slots, every index of the new
+// version answers as an index built from scratch over the new heap
+// does, and the old version answers as before.
 func TestShadowTableClonesIndexes(t *testing.T) {
 	c := memCatalog(t)
 	tb, err := c.CreateTable("e", edgeSchema(), false)
@@ -181,10 +182,13 @@ func TestShadowTableClonesIndexes(t *testing.T) {
 		old[idx.Name] = indexAnswers(t, tb, idx)
 	}
 
-	if prev, err := c.ShadowTable("e"); err != nil || prev != tb {
-		t.Fatalf("ShadowTable returned %p, %v; want the old version %p", prev, err, tb)
+	if c.Freeze()["e"] != tb {
+		t.Fatal("Freeze does not return the table")
 	}
-	nt := c.Table("e")
+	nt, err := c.Writable("e")
+	if err != nil || nt != c.Table("e") {
+		t.Fatalf("Writable returned %p, %v; the catalog names %p", nt, err, c.Table("e"))
+	}
 	if nt == tb || nt.Heap.Head() == tb.Heap.Head() || nt.Rows() != tb.Rows() {
 		t.Fatalf("new version %p on page %d with %d rows, old %p on page %d with %d", nt, nt.Heap.Head(), nt.Rows(), tb, tb.Heap.Head(), tb.Rows())
 	}
@@ -208,6 +212,110 @@ func TestShadowTableClonesIndexes(t *testing.T) {
 		if got := indexAnswers(t, tb, idx); fmt.Sprint(got) != fmt.Sprint(old[idx.Name]) {
 			t.Errorf("index %s of the old version answers\n%v\nafter the shadow, was\n%v", idx.Name, got, old[idx.Name])
 		}
+	}
+}
+
+// TestFrozenVersionRefuses: every mutator of a frozen version returns
+// ErrFrozen and leaves its rows, record bytes and index entries as they
+// were.
+func TestFrozenVersionRefuses(t *testing.T) {
+	c := memCatalog(t)
+	tb, err := c.CreateTable("e", edgeSchema(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateIndex("e_src", "e", []string{"src"}, false); err != nil {
+		t.Fatal(err)
+	}
+	row := rel.Tuple{rel.NewString("a"), rel.NewString("b")}
+	rid, err := tb.Insert(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Freeze()["e"] != tb {
+		t.Fatal("Freeze does not return the table")
+	}
+	state := func() string {
+		var recs []string
+		if err := tb.Heap.Scan(func(rid storage.RID, rec []byte) error {
+			recs = append(recs, fmt.Sprintf("%v:%x", rid, rec))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(tb.Rows(), tb.Bytes(), recs, len(tb.Indexes), indexAnswers(t, tb, tb.Indexes[0]))
+	}
+	before := state()
+	for _, m := range []struct {
+		name  string
+		write func() error
+	}{
+		{"Insert", func() error { _, err := tb.Insert(row); return err }},
+		{"InsertRecord", func() error { return tb.InsertRecord(row.Encode(nil)) }},
+		{"DeleteRID", func() error { return tb.DeleteRID(rid, row) }},
+		{"Truncate", tb.Truncate},
+		{"CreateIndex", func() error { _, err := c.CreateIndex("e_dst", "e", []string{"dst"}, false); return err }},
+	} {
+		if err := m.write(); !errors.Is(err, ErrFrozen) {
+			t.Errorf("%s on a frozen version: err = %v, want ErrFrozen", m.name, err)
+		}
+		if got := state(); got != before {
+			t.Errorf("%s on a frozen version changed it:\n%s\nwas\n%s", m.name, got, before)
+		}
+	}
+	if c.Index("e_dst") != nil {
+		t.Error("a refused CreateIndex registered its index")
+	}
+}
+
+// TestWritableCopiesOnce: after a Freeze, the first write's Writable
+// copies the table and the catalog names the copy; a second Writable
+// in the same commit returns that copy and copies nothing; a table not
+// written is not copied. Moved reports the copy until the next Freeze.
+func TestWritableCopiesOnce(t *testing.T) {
+	c := memCatalog(t)
+	for _, name := range []string{"a", "b"} {
+		tb, err := c.CreateTable(name, edgeSchema(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.Insert(rel.Tuple{rel.NewString(name), rel.NewString(name)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	frozen := c.Freeze()
+	if moved, _ := c.Moved(); moved {
+		t.Fatal("Moved after a Freeze")
+	}
+	first, err := c.Writable("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == frozen["a"] || c.Table("a") != first || first.Rows() != 1 {
+		t.Fatalf("first write: Writable returned %p (%d rows), the frozen version is %p, the catalog names %p", first, first.Rows(), frozen["a"], c.Table("a"))
+	}
+	if moved, _ := c.Moved(); !moved {
+		t.Error("a copy is not reported by Moved")
+	}
+	pages := c.pager.PageCount()
+	if _, err := first.Insert(rel.Tuple{rel.NewString("x"), rel.NewString("y")}); err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.Writable("a")
+	if err != nil || second != first {
+		t.Fatalf("second write: Writable returned %p, %v; want the first copy %p", second, err, first)
+	}
+	if c.pager.PageCount() != pages || second.Rows() != 2 || frozen["a"].Rows() != 1 {
+		t.Errorf("second write copied: %d pages, was %d; copy %d rows, frozen %d", c.pager.PageCount(), pages, second.Rows(), frozen["a"].Rows())
+	}
+	if c.Table("b") != frozen["b"] {
+		t.Error("a table not written was copied")
+	}
+	if got := c.Freeze(); got["a"] != first || got["b"] != frozen["b"] {
+		t.Errorf("the next Freeze publishes a=%p b=%p, want the copy %p and the unwritten %p", got["a"], got["b"], first, frozen["b"])
+	}
+	if moved, _ := c.Moved(); moved {
+		t.Error("Moved after the next Freeze")
 	}
 }
 
@@ -572,8 +680,8 @@ func TestRecordBytesMaintained(t *testing.T) {
 			}
 		case k < 39:
 			op = "clone"
-			old, err := c.ShadowTable("facts")
-			if err != nil {
+			old := c.Freeze()["facts"]
+			if _, err := c.Writable("facts"); err != nil {
 				t.Fatal(err)
 			}
 			if err := old.Heap.Drop(); err != nil {

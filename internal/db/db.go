@@ -116,6 +116,19 @@ func (d *DB) Table(name string) *catalog.Table {
 	return d.cat.Table(name)
 }
 
+// writable resolves the target of a write as Table does, except that
+// the live catalog resolves it with Catalog.Writable, which copies a
+// frozen version on its first write. A version a resolver pins stays
+// as it is: frozen, its mutators refuse the write.
+func (d *DB) writable(name string) (*catalog.Table, error) {
+	if d.res != nil {
+		if t, ok := d.res.ResolveTable(name); ok {
+			return t, nil
+		}
+	}
+	return d.cat.Writable(name)
+}
+
 // Open opens (creating if needed) a file-backed database with the
 // default buffer-pool size.
 func Open(path string) (*DB, error) { return OpenWithPool(path, 0) }
@@ -271,7 +284,10 @@ func (d *DB) InsertTuples(table string, tuples []rel.Tuple) error {
 		return nil
 	}
 	d.stats.inserts.Add(1)
-	t := d.Table(table)
+	t, err := d.writable(table)
+	if err != nil {
+		return err
+	}
 	if t == nil {
 		return fmt.Errorf("db: no table %s", table)
 	}
@@ -384,7 +400,10 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 		return fmt.Errorf("db: INSERT INTO $%d: table parameters need Prepare", s.Param)
 	}
 	d.stats.inserts.Add(1)
-	t := d.Table(s.Table)
+	t, err := d.writable(s.Table)
+	if err != nil {
+		return err
+	}
 	if t == nil {
 		return fmt.Errorf("db: no table %s", s.Table)
 	}
@@ -474,7 +493,11 @@ func (d *DB) insertRecord(t *catalog.Table, rec []byte) error {
 
 func (d *DB) execDelete(s sql.Delete, sp *obs.Span) error {
 	d.stats.deletes.Add(1)
-	t := d.Table(s.Table)
+	// Resolved before the victim scan is planned: a copy moves every RID.
+	t, err := d.writable(s.Table)
+	if err != nil {
+		return err
+	}
 	if t == nil {
 		return fmt.Errorf("db: no table %s", s.Table)
 	}

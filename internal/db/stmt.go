@@ -230,14 +230,19 @@ func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, vals []rel.Value, tables 
 	}
 	s.d.stats.inserts.Add(1)
 	name := s.into
-	var t *catalog.Table
 	if s.intoParam > 0 {
-		name, t = tables[s.intoParam-1], args[s.intoParam-1]
-		if want := s.params[s.intoParam-1]; t != nil && t.Schema != want && !t.Schema.Equal(want) {
+		name = tables[s.intoParam-1]
+	}
+	// A FROM entry bound to the target before its first write copied it
+	// reads the frozen version: the state the statement starts from.
+	t, err := s.d.writable(name)
+	if err != nil {
+		return err
+	}
+	if s.intoParam > 0 && t != nil {
+		if want := s.params[s.intoParam-1]; t.Schema != want && !t.Schema.Equal(want) {
 			return &plan.BindError{Ref: fmt.Sprintf("$%d", s.intoParam), Want: want, Got: t.Schema}
 		}
-	} else {
-		t = s.d.Table(name)
 	}
 	if t == nil {
 		return fmt.Errorf("db: no table %s", name)

@@ -24,18 +24,21 @@ import (
 // rounds of the run — and a rule's differentials within a round —
 // rebind one statement instead of rendering and parsing a new one. This
 // is the paper's object program: embedded SQL precompiled once, then
-// driven by the LFP loop. A kept tree also keeps its working memory: the
-// next execution decodes its pages over the last one's blocks and
-// reuses its key tables, sets and slabs, so the rows a tree reads are
-// valid until its next execution, and every row the run is handed
-// (Query's results, INSERT's writes) is a copy. During the run a tree
-// pins its last execution's tables and the memory that execution used
-// (rel.Outgrown bounds what it keeps beyond that). The handles live as
-// long as the run that made them; the trees outlive it: Close, when the
-// run ends, parks each handle's tree on its statement (db.Stmt.Park),
-// shed of its tables and working memory, and the next run's first
-// execution of the statement re-binds it instead of constructing one.
-// Nothing is kept on the compiled program.
+// driven by the LFP loop. A kept tree also keeps its working memory:
+// the record arenas and key tables of its hash joins, nested-loop joins
+// and DISTINCTs, and the sets of its set operations, which the next
+// execution resets and fills again. Records pass through the tree
+// valid only for the call that passes them, and every row the run is
+// handed (Query's results) is decoded once, at the root, into a block
+// of its own; an INSERT writes the records as they come. During the run
+// a tree pins its last execution's tables and the memory that
+// execution used (rel.Outgrown bounds what it keeps beyond that). The
+// handles live as long as the run that made them; the trees outlive
+// it: Close, when the run ends, parks each handle's tree on its
+// statement (db.Stmt.Park), shed of its tables, indexes, probe keys,
+// values and all that working memory (exec.Shed), and the next run's
+// first execution of the statement re-binds it instead of constructing
+// one. Nothing is kept on the compiled program.
 type Statements struct {
 	d       *db.DB
 	schemas map[string]*rel.Schema

@@ -15,11 +15,12 @@
 //   - Readers pin the current snapshot with Store.Acquire — an atomic
 //     pointer load plus a pin-count increment, never a lock shared with
 //     writers — evaluate entirely against it, and Release it when done.
-//   - The single-writer commit path clones only the tables an update
-//     touches (catalog.Catalog.ShadowTable), applies the update to the
-//     clones, and installs the successor snapshot with Store.Publish.
-//     Unchanged tables carry their Version into the new snapshot; a
-//     replaced Version is marked superseded.
+//   - The single-writer commit path publishes the tables
+//     catalog.Catalog.Freeze returns, frozen: the catalog copies each on
+//     its first write after that (Catalog.Writable), so a commit clones
+//     only the tables it writes, and installs the successor snapshot
+//     with Store.Publish. Unchanged tables carry their Version into the
+//     new snapshot; a replaced Version is marked superseded.
 //   - Reclamation is epoch-like: each Version counts the snapshots that
 //     reference it, and a superseded Version frees its heap pages (back
 //     to the pager free list) when the last referencing snapshot drains
@@ -40,9 +41,9 @@ import (
 )
 
 // Version is one immutable published version of a base table. The
-// wrapped *catalog.Table is frozen: the writer never mutates a table
-// after a newer version replaces it in the live catalog, so readers may
-// scan its heap and probe its indexes without coordination.
+// wrapped *catalog.Table is frozen (catalog.Catalog.Freeze): its
+// mutators refuse, and a write goes to a copy, so readers may scan its
+// heap and probe its indexes without coordination.
 type Version struct {
 	// Table is the frozen physical table.
 	Table *catalog.Table
@@ -229,8 +230,8 @@ func (st *Store) Current() *Snapshot { return st.current.Load() }
 // rule generation. Tables whose physical identity is unchanged carry their
 // version forward; replaced or dropped versions are marked superseded
 // and reclaimed once their referencing snapshots drain. buildCost is
-// the writer time spent preparing the commit (table copies), surfaced
-// as the writer-stall telemetry. Single writer only.
+// the writer time the commit spent copying tables, surfaced as the
+// writer-stall telemetry. Single writer only.
 func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen uint64, ws *core.Workspace, buildCost time.Duration) *Snapshot {
 	prev := st.current.Load()
 	gen := uint64(1)

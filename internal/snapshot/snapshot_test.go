@@ -36,17 +36,6 @@ func testCatalog(t *testing.T, names ...string) (*storage.Pager, *catalog.Catalo
 	return p, c
 }
 
-// liveTables collects the catalog's current non-temp tables for Publish.
-func liveTables(c *catalog.Catalog) map[string]*catalog.Table {
-	out := make(map[string]*catalog.Table)
-	for _, name := range c.Tables() {
-		if t := c.Table(name); t != nil && !t.Temp {
-			out[name] = t
-		}
-	}
-	return out
-}
-
 // rowCount scans a frozen table version.
 func rowCount(t *testing.T, tb *catalog.Table) int {
 	t.Helper()
@@ -64,7 +53,7 @@ func rowCount(t *testing.T, tb *catalog.Table) int {
 func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 	p, c := testCatalog(t, "edb_a", "edb_b")
 	st := NewStore("edb_")
-	st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
+	st.Publish(c.Freeze(), 1, core.NewWorkspace(), 0)
 
 	s1 := st.Acquire()
 	oldA, ok := s1.ResolveTable("edb_a")
@@ -72,18 +61,18 @@ func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 		t.Fatal("snapshot does not resolve edb_a")
 	}
 
-	// Writer: copy-on-write edb_a, append a row to the copy, publish.
-	if _, err := c.ShadowTable("edb_a"); err != nil {
+	// Writer: append a row to edb_a, which copies it, and publish.
+	newA, err := c.Writable("edb_a")
+	if err != nil {
 		t.Fatal(err)
 	}
-	newA := c.Table("edb_a")
 	if newA == oldA {
 		t.Fatal("shadow did not replace the physical table")
 	}
 	if _, err := newA.Insert(rel.Tuple{rel.NewInt(7), rel.NewInt(8)}); err != nil {
 		t.Fatal(err)
 	}
-	st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
+	st.Publish(c.Freeze(), 1, core.NewWorkspace(), 0)
 
 	// The pinned snapshot still reads the one-row original.
 	if got := rowCount(t, oldA); got != 1 {
@@ -143,7 +132,7 @@ func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 func TestSnapshotAuthority(t *testing.T) {
 	_, c := testCatalog(t, "edb_a")
 	st := NewStore("edb_")
-	st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
+	st.Publish(c.Freeze(), 1, core.NewWorkspace(), 0)
 	s := st.Acquire()
 	defer s.Release()
 
@@ -168,7 +157,7 @@ func TestSnapshotAuthority(t *testing.T) {
 func TestSnapshotChurnNoLeak(t *testing.T) {
 	_, c := testCatalog(t, "edb_a", "edb_b")
 	st := NewStore("edb_")
-	st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
+	st.Publish(c.Freeze(), 1, core.NewWorkspace(), 0)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -202,13 +191,14 @@ func TestSnapshotChurnNoLeak(t *testing.T) {
 		if i%2 == 1 {
 			name = "edb_b"
 		}
-		if _, err := c.ShadowTable(name); err != nil {
+		tb, err := c.Writable(name)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Table(name).Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewInt(int64(i))}); err != nil {
+		if _, err := tb.Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewInt(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
-		st.Publish(liveTables(c), 1, core.NewWorkspace(), 0)
+		st.Publish(c.Freeze(), 1, core.NewWorkspace(), 0)
 	}
 	close(stop)
 	wg.Wait()
@@ -239,7 +229,7 @@ func TestSnapshotGenerationsMonotonic(t *testing.T) {
 	_, c := testCatalog(t, "edb_a")
 	st := NewStore("edb_")
 	for i := 1; i <= 3; i++ {
-		s := st.Publish(liveTables(c), uint64(i), core.NewWorkspace(), 0)
+		s := st.Publish(c.Freeze(), uint64(i), core.NewWorkspace(), 0)
 		if s.Gen != uint64(i) {
 			t.Fatalf("publish %d got gen %d", i, s.Gen)
 		}

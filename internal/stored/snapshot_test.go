@@ -32,16 +32,12 @@ func pin(d *db.DB) frozen {
 	return f
 }
 
-// commit runs an Update as a copy-on-write commit does: the tables it
-// writes are shadowed first, so every pinned version stays as it was.
+// commit runs an Update as a copy-on-write commit does: every stored
+// table is frozen first, so the Update writes copies and every pinned
+// version stays as it was.
 func commit(t *testing.T, d *db.DB, m *Manager, rules ...dlog.Clause) {
 	t.Helper()
-	for _, name := range UpdateFootprint {
-		if _, err := d.Catalog().ShadowTable(name); err != nil {
-			t.Error(err)
-			return
-		}
-	}
+	d.Catalog().Freeze()
 	if _, err := m.Update(rules); err != nil {
 		t.Error(err)
 	}

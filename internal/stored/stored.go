@@ -286,13 +286,8 @@ func (m *Manager) InsertFacts(pred string, tuples []rel.Tuple) error {
 	return nil
 }
 
-// NewFactFootprint lists the existing relations InsertFacts writes when
-// it creates a predicate's relation: the extensional dictionary. A
-// copy-on-write commit shadows them first.
-var NewFactFootprint = []string{TabEDBRels, TabEDBCols}
-
-// ensureFactTable creates (or fetches) the extensional relation of a
-// predicate and its dictionary rows.
+// ensureFactTable creates (or fetches, for a write) the extensional
+// relation of a predicate and its dictionary rows.
 func (m *Manager) ensureFactTable(pred string, types []rel.Type) (*catalog.Table, error) {
 	name := codegen.BaseTable(pred)
 	if t := m.d.Catalog().Table(name); t != nil {
@@ -305,7 +300,7 @@ func (m *Manager) ensureFactTable(pred string, types []rel.Type) (*catalog.Table
 					pred, i+1, t.Schema.Col(i).Type, types[i])
 			}
 		}
-		return t, nil
+		return m.d.Catalog().Writable(name)
 	}
 	var ddl strings.Builder
 	fmt.Fprintf(&ddl, "CREATE TABLE %s (", name)

@@ -60,10 +60,13 @@ type Testbed struct {
 	ws *core.Workspace
 	db *db.DB
 	st *stored.Manager
-	// ruleGen counts the rule-base changes ConcurrentTestbed commits; its
-	// plan cache keeps a compiled program while the generation stands
-	// still.
+	// ruleGen is the rule-base generation a ConcurrentTestbed publishes:
+	// its plan cache keeps a compiled program while it stands still. A
+	// write moves it once, at its first rule change (changeRules).
 	ruleGen uint64
+	// published is set when a ConcurrentTestbed publishes ws in a
+	// snapshot: the next rule change mutates a clone.
+	published bool
 	// closed is set by Close; every later operation returns ErrClosed.
 	closed bool
 }
@@ -118,106 +121,58 @@ func (tb *Testbed) Stored() *stored.Manager { return tb.st }
 // Workspace exposes the workspace D/KB.
 func (tb *Testbed) Workspace() *core.Workspace { return tb.ws }
 
-// --- Write path: each write planned once, then applied ---
+// --- Write path ---
 
-// write is one planned mutation of the testbed, made from a single parse
-// while no other writer runs: what it will change, read before anything
-// changes, and the function that changes it. A Testbed applies it as
-// planned; ConcurrentTestbed.commit first shadows its tables and clones
-// the workspace, and afterwards publishes the next snapshot.
-type write struct {
-	// tables are the non-temp tables apply mutates; shadowing skips the
-	// ones that do not exist yet.
-	tables []string
-	// rules is set when the rule generation moves: rules are added or
-	// committed, or a fact relation is created (which can change the
-	// mixed rules/facts normalization of compiled programs).
-	rules bool
-	// matched is the number of rows a retract's pattern matched: the
-	// rows its apply deletes.
-	matched int
-	// apply performs the write; nil when the write mutates nothing.
-	apply func() error
-}
-
-// run applies a planned write, if planning succeeded and the write
-// mutates anything.
-func run(w write, err error) error {
-	if err != nil || w.apply == nil {
-		return err
+// changeRules is called before a write changes the rule base: it adds
+// or commits rules, or creates a fact relation (which can change the
+// mixed rules/facts normalization of compiled programs). The first
+// change after a ConcurrentTestbed published the workspace clones it,
+// so pinned snapshots keep theirs, and moves ruleGen.
+func (tb *Testbed) changeRules() {
+	if tb.published {
+		tb.ws = tb.ws.Clone()
+		tb.ruleGen++
+		tb.published = false
 	}
-	return w.apply()
 }
 
 // Load parses a Horn-clause program and enters it into the workspace
-// D/KB. Facts are materialized immediately into extensional relations,
-// the first fact of a predicate creating its relation (and no index —
-// see CreateFactIndex); rules stay in the workspace until Update commits
+// D/KB, clause by clause in program order. Facts are materialized
+// immediately into extensional relations, the first fact of a
+// predicate creating its relation (and no index — see
+// CreateFactIndex); rules stay in the workspace until Update commits
 // them to the stored D/KB. Queries are not allowed in Load input.
-func (tb *Testbed) Load(src string) error { return run(tb.planLoad(src)) }
-
-// planLoad plans a Load: each fact's tuple is built once, and the
-// clauses apply in program order.
-func (tb *Testbed) planLoad(src string) (write, error) {
+func (tb *Testbed) Load(src string) error {
 	if tb.closed {
-		return write{}, ErrClosed
+		return ErrClosed
 	}
 	prog, err := dlog.ParseProgram(src)
 	if err != nil {
-		return write{}, parseErr(err)
+		return parseErr(err)
 	}
 	if len(prog.Queries) > 0 {
-		return write{}, fmt.Errorf("%w: Load input contains a query; use Query", ErrSemantic)
+		return fmt.Errorf("%w: Load input contains a query; use Query", ErrSemantic)
 	}
-	if len(prog.Clauses) == 0 {
-		return write{}, nil
-	}
-	var w write
-	facts := make([]rel.Tuple, 0, len(prog.Clauses))
-	seen := make(map[string]bool) // fact tables already in the footprint
-	created := false
 	for _, cl := range prog.Clauses {
 		if !cl.IsFact() {
-			w.rules = true
+			tb.changeRules()
+			if err := tb.ws.AddClause(cl); err != nil {
+				return semanticErr(err)
+			}
 			continue
+		}
+		if !tb.db.HasTable(BaseTableName(cl.Head.Pred)) {
+			tb.changeRules()
 		}
 		tu := make(rel.Tuple, len(cl.Head.Args))
 		for i, a := range cl.Head.Args {
 			tu[i] = a.Val
 		}
-		facts = append(facts, tu)
-		table := BaseTableName(cl.Head.Pred)
-		if seen[table] {
-			continue
-		}
-		seen[table] = true
-		if tb.db.HasTable(table) {
-			w.tables = append(w.tables, table)
-		} else {
-			created = true
+		if err := tb.st.InsertFacts(cl.Head.Pred, []rel.Tuple{tu}); err != nil {
+			return err
 		}
 	}
-	if created {
-		w.rules = true
-		w.tables = append(w.tables, stored.NewFactFootprint...)
-	}
-	w.apply = func() error {
-		f := facts
-		for _, cl := range prog.Clauses {
-			if !cl.IsFact() {
-				if err := tb.ws.AddClause(cl); err != nil {
-					return semanticErr(err)
-				}
-				continue
-			}
-			if err := tb.st.InsertFacts(cl.Head.Pred, f[:1]); err != nil {
-				return err
-			}
-			f = f[1:]
-		}
-		return nil
-	}
-	return w, nil
+	return nil
 }
 
 // MustLoad is Load panicking on error, for examples and tests.
@@ -229,7 +184,7 @@ func (tb *Testbed) MustLoad(src string) {
 
 // AssertTuples bulk-loads facts for one predicate (the workload
 // generators and the loader use this), creating its relation on first
-// use. Only the plain Testbed has it, so it has no plan to publish.
+// use. Only the plain Testbed has it: no snapshot is published.
 func (tb *Testbed) AssertTuples(pred string, tuples []rel.Tuple) error {
 	if tb.closed {
 		return ErrClosed
@@ -254,24 +209,16 @@ func (tb *Testbed) CreateFactIndex(pred string, cols ...int) error {
 // live in the workspace until committed, and the stored rule base is
 // append-only as in the paper.
 func (tb *Testbed) Retract(pattern dlog.Atom) (int, error) {
-	w, err := tb.planRetract(pattern)
-	return retracted(w, run(w, err))
-}
-
-// planRetract plans a Retract: the rows the pattern matches are counted
-// once, and the count is what the DELETE that removes them reports. A
-// pattern that matches nothing mutates nothing.
-func (tb *Testbed) planRetract(pattern dlog.Atom) (write, error) {
 	if tb.closed {
-		return write{}, ErrClosed
+		return 0, ErrClosed
 	}
 	table := BaseTableName(pattern.Pred)
 	t := tb.db.Catalog().Table(table)
 	if t == nil {
-		return write{}, nil
+		return 0, nil
 	}
 	if t.Schema.Len() != pattern.Arity() {
-		return write{}, fmt.Errorf("%w: retract %s: predicate has arity %d, pattern has %d",
+		return 0, fmt.Errorf("%w: retract %s: predicate has arity %d, pattern has %d",
 			ErrSemantic, pattern.String(), t.Schema.Len(), pattern.Arity())
 	}
 	var where []string
@@ -284,24 +231,16 @@ func (tb *Testbed) planRetract(pattern dlog.Atom) (write, error) {
 	if len(where) > 0 {
 		filter = " WHERE " + strings.Join(where, " AND ")
 	}
+	// The rows matched are counted first: the count is what the DELETE
+	// removes, and a pattern that matches nothing writes nothing.
 	matched, err := tb.db.QueryCount("SELECT COUNT(*) FROM " + table + filter)
 	if err != nil || matched == 0 {
-		return write{}, err
-	}
-	return write{
-		tables:  []string{table},
-		matched: int(matched),
-		apply:   func() error { return tb.db.Exec("DELETE FROM " + table + filter) },
-	}, nil
-}
-
-// retracted reports how many facts an applied retract removed: the rows
-// its plan matched.
-func retracted(w write, err error) (int, error) {
-	if err != nil {
 		return 0, err
 	}
-	return w.matched, nil
+	if err := tb.db.Exec("DELETE FROM " + table + filter); err != nil {
+		return 0, err
+	}
+	return int(matched), nil
 }
 
 // RetractSrc is Retract for a source-syntax pattern ("parent(john, X)."
@@ -335,25 +274,15 @@ func parseRetract(src string) (dlog.Atom, error) {
 // incrementally maintaining the compiled rule storage structures, and
 // clears the workspace. It returns the update-time breakdown.
 func (tb *Testbed) Update() (stored.UpdateStats, error) {
-	var st stored.UpdateStats
-	err := run(tb.planUpdate(&st))
-	return st, err
-}
-
-// planUpdate plans an Update, whose breakdown apply leaves in st. The
-// stored manager declares the tables it writes; the rule generation
-// always moves.
-func (tb *Testbed) planUpdate(st *stored.UpdateStats) (write, error) {
 	if tb.closed {
-		return write{}, ErrClosed
+		return stored.UpdateStats{}, ErrClosed
 	}
-	return write{tables: stored.UpdateFootprint, rules: true, apply: func() error {
-		var err error
-		if *st, err = tb.st.Update(tb.ws.Rules()); err == nil {
-			tb.ws.Clear()
-		}
-		return err
-	}}, nil
+	tb.changeRules()
+	st, err := tb.st.Update(tb.ws.Rules())
+	if err == nil {
+		tb.ws.Clear()
+	}
+	return st, err
 }
 
 // QueryOptions tune query compilation and evaluation.
