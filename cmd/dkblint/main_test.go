@@ -93,7 +93,7 @@ func TestModuleClean(t *testing.T) {
 
 	// The one bounded waiver is benchmark/main.go's, a directive no
 	// analyzer reads any more.
-	wantWaivers := map[string]int{"locksafe": 20, "pinsafe": 0, "bounded": 1}
+	wantWaivers := map[string]int{"locksafe": 18, "pinsafe": 0, "bounded": 1}
 	waivers := map[string]int{}
 	for _, p := range pkgs {
 		if !p.Target {

@@ -29,8 +29,9 @@ import (
 //     reference count — readers never take a lock a writer holds, so a
 //     long LOAD or RETRACT no longer convoys the whole read side;
 //   - Load, Retract and Update serialize on a commit mutex and write
-//     the live catalog, which copies each published table version on its
-//     first write (copy-on-write at table granularity, Catalog.Writable);
+//     the live catalog, which replaces each published table version on
+//     its first write by one that shares its pages and index nodes and
+//     copies only those it writes (Catalog.Writable);
 //     the commit then publishes the successor snapshot atomically.
 //     In-flight queries keep reading the versions their snapshot pinned;
 //     those versions are reclaimed when the last reader drains;
@@ -117,16 +118,17 @@ func (c *ConcurrentTestbed) view(s *snapshot.Snapshot) (*db.DB, *stored.Manager)
 // --- Write path: copy-on-write commits ---
 
 // publish freezes every stored table version (Catalog.Freeze), so the
-// next write to each goes to a copy, and installs them as the successor
-// snapshot with the current workspace and rule generation; then it
-// drops the plan cache's stale programs and memos. The writer stall it
-// reports is the time the catalog spent copying since the last
-// publish. Caller holds commitMu.
+// next write to each goes to a new version that shares its pages, and
+// installs them as the successor snapshot with the current workspace
+// and rule generation; then it drops the plan cache's stale programs
+// and memos. It reports what the writes since the last publish cost
+// the catalog: the pages and index nodes they wrote, and the writer
+// stall of making frozen versions writable. Caller holds commitMu.
 func (c *ConcurrentTestbed) publish() {
 	cat := c.tb.db.Catalog()
-	_, copying := cat.Moved()
+	_, cost := cat.Moved()
 	c.tb.published = true
-	c.plans.Invalidate(c.snaps.Publish(cat.Freeze(), c.tb.ruleGen, c.tb.ws, copying))
+	c.plans.Invalidate(c.snaps.Publish(cat.Freeze(), c.tb.ruleGen, c.tb.ws, cost))
 }
 
 // commit runs one testbed write under commitMu and publishes if it

@@ -9,12 +9,15 @@
 //
 // And it owns copy-on-write: Freeze makes every stored table version
 // read-only, and Writable, which every write resolves its target
-// through, copies a frozen version on its first write (ShadowTable's
-// step). What a commit copies is therefore what it writes.
+// through, replaces a frozen version on its first write by a version
+// that shares its heap pages and index nodes (shadow). The new version
+// copies a page or a node only when it first writes it, so a commit
+// costs what it writes, not the size of the tables it writes to. A
+// stored table's catalog record holds its heap's page directory, and
+// is rewritten whenever the directory changes.
 package catalog
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -44,9 +47,9 @@ type Table struct {
 	frozen bool
 
 	rid storage.RID // location of this table's catalog record
-	// heapHeadFromRecord carries the heap head page ID between record
-	// decode and heap open during catalog load.
-	heapHeadFromRecord storage.PageID
+	// cat holds a stored table's record, which its mutators rewrite when
+	// the heap's directory changes; nil for a temp table.
+	cat *Catalog
 	// rows is a maintained tuple count used by the planner for join
 	// ordering and build-side selection.
 	rows int
@@ -110,10 +113,22 @@ type Catalog struct {
 	indexes map[string]*Index
 
 	// moved is set, under ddlMu, when the stored table set changes after
-	// the last Freeze: a frozen version copied, a stored table created or
-	// dropped. copying is the time the copies took.
+	// the last Freeze: a frozen version replaced, a stored table created
+	// or dropped. touched are the versions made since — the writable
+	// versions and the created tables, whose writes Moved counts — and
+	// copying the time the replacing took.
 	moved   bool
+	touched []*Table
 	copying time.Duration
+}
+
+// Copies is what the writes since the last Freeze cost: the heap pages
+// and index nodes the touched table versions wrote — copies of pages and
+// nodes a frozen version shares, and the pages and nodes they added —
+// and the time spent making frozen versions writable.
+type Copies struct {
+	Pages, Nodes int64
+	Time         time.Duration
 }
 
 // ErrFrozen is returned by a mutator of a frozen table version.
@@ -130,22 +145,67 @@ func Open(pager *storage.Pager) (*Catalog, error) {
 		tables:  make(map[string]*Table),
 		indexes: make(map[string]*Index),
 	}
-	if root == storage.InvalidPageID {
-		h, err := storage.CreateHeap(pager)
-		if err != nil {
+	if root == nil {
+		c.heap = storage.CreateHeap(pager)
+		if err := c.saveRoot(); err != nil {
 			return nil, err
 		}
-		if err := pager.SetRoot(h.Head()); err != nil {
-			return nil, err
-		}
-		c.heap = h
 		return c, nil
 	}
-	c.heap = storage.OpenHeap(pager, root)
+	if c.heap, _, err = storage.LoadHeap(pager, root); err != nil {
+		return nil, err
+	}
 	if err := c.load(); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// saveRoot stores the catalog heap's directory in the superblock when it
+// changed.
+func (c *Catalog) saveRoot() error {
+	if !c.heap.DirChanged() {
+		return nil
+	}
+	var buf [512]byte
+	root, err := c.heap.AppendDir(buf[:0])
+	if err != nil {
+		return err
+	}
+	return c.pager.SetRoot(root)
+}
+
+// insertRecord adds a record to the catalog heap.
+func (c *Catalog) insertRecord(rec []byte) (storage.RID, error) {
+	rid, err := c.heap.Insert(rec)
+	if err != nil {
+		return rid, err
+	}
+	return rid, c.saveRoot()
+}
+
+// writeRecord writes t's catalog record: the record is rewritten in
+// full, since the heap directory it ends with changes length.
+func (c *Catalog) writeRecord(t *Table) error {
+	if err := c.heap.Delete(t.rid); err != nil {
+		return err
+	}
+	var buf [512]byte
+	rec, err := appendTableRecord(buf[:0], t)
+	if err != nil {
+		return err
+	}
+	t.rid, err = c.insertRecord(rec)
+	return err
+}
+
+// saveDir rewrites a stored table's record after a write that changed
+// its heap's directory.
+func (t *Table) saveDir() error {
+	if t.cat == nil || !t.Heap.DirChanged() {
+		return nil
+	}
+	return t.cat.writeRecord(t)
 }
 
 // load replays catalog records and rebuilds index trees.
@@ -161,12 +221,11 @@ func (c *Catalog) load() error {
 		}
 		switch rec[0] {
 		case recTable:
-			t, err := decodeTableRecord(rec)
+			t, err := decodeTableRecord(c.pager, rec)
 			if err != nil {
 				return err
 			}
-			t.rid = rid
-			t.Heap = storage.OpenHeap(c.pager, t.heapHeadFromRecord)
+			t.rid, t.cat = rid, c
 			if err := t.recount(); err != nil {
 				return err
 			}
@@ -280,23 +339,21 @@ func (c *Catalog) CreateTable(name string, schema *rel.Schema, temp bool) (*Tabl
 		// Stable under ddlMu: only DDL adds or removes map entries.
 		return nil, fmt.Errorf("catalog: table %s already exists", name)
 	}
-	create := storage.CreateHeap
+	t := &Table{Name: name, Schema: schema, Temp: temp}
 	if temp {
-		create = storage.CreateTempHeap
-	}
-	h, err := create(c.pager)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Name: name, Schema: schema, Heap: h, Temp: temp}
-	if !temp {
-		rid, err := c.heap.Insert(encodeTableRecord(t))
+		t.Heap = storage.CreateTempHeap(c.pager)
+	} else {
+		t.Heap = storage.CreateHeap(c.pager)
+		rec, err := appendTableRecord(nil, t)
 		if err != nil {
-			t.Heap.Drop() // compensate: don't leak the fresh heap's pages
 			return nil, err
 		}
-		t.rid = rid
+		if t.rid, err = c.insertRecord(rec); err != nil {
+			return nil, err
+		}
+		t.cat = c
 		c.moved = true
+		c.touched = append(c.touched, t)
 	}
 	c.mu.Lock()
 	c.tables[name] = t
@@ -304,7 +361,10 @@ func (c *Catalog) CreateTable(name string, schema *rel.Schema, temp bool) (*Tabl
 	return t, nil
 }
 
-// DropTable removes a table, its indexes, and releases its pages.
+// DropTable removes a table and its indexes, and releases the pages the
+// table's version owns. A frozen version's pages stay: the snapshots
+// that publish it read them, and their store frees them once no reader
+// holds the version (snapshot.Version).
 func (c *Catalog) DropTable(name string) error {
 	//dkblint:locksafe DDL serializes on ddlMu off the query path; heap/index I/O must be atomic with the catalog mutation
 	c.ddlMu.Lock()
@@ -329,6 +389,9 @@ func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	delete(c.tables, name)
 	c.mu.Unlock()
+	if t.frozen {
+		return nil
+	}
 	return t.Heap.Drop()
 }
 
@@ -363,7 +426,7 @@ func (c *Catalog) CreateIndex(name, table string, cols []string, temp bool) (*In
 		return nil, err
 	}
 	if !idx.Temp {
-		rid, err := c.heap.Insert(encodeIndexRecord(idx))
+		rid, err := c.insertRecord(encodeIndexRecord(idx))
 		if err != nil {
 			return nil, err
 		}
@@ -428,17 +491,25 @@ func (c *Catalog) Freeze() map[string]*Table {
 			out[name] = t
 		}
 	}
-	c.moved, c.copying = false, 0
+	clear(c.touched)
+	c.moved, c.touched, c.copying = false, c.touched[:0], 0
 	return out
 }
 
 // Moved reports whether the stored table set changed after the last
-// Freeze — a frozen version copied, a stored table created or dropped —
-// and the time the copies took.
-func (c *Catalog) Moved() (bool, time.Duration) {
+// Freeze — a frozen version replaced, a stored table created or dropped
+// — and what the writes since cost.
+func (c *Catalog) Moved() (bool, Copies) {
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()
-	return c.moved, c.copying
+	cost := Copies{Time: c.copying}
+	for _, t := range c.touched {
+		cost.Pages += int64(t.Heap.Written())
+		for _, idx := range t.Indexes {
+			cost.Nodes += int64(idx.Tree.Written())
+		}
+	}
+	return c.moved, cost
 }
 
 // Writable returns the named table for a write, or nil when there is
@@ -452,55 +523,28 @@ func (c *Catalog) Writable(name string) (*Table, error) {
 	return c.shadow(t)
 }
 
-// shadow replaces the frozen version t with a physically separate,
-// writable clone — the copy-on-write step. The clone gets a fresh heap
-// holding a raw copy of every live record, copied record by record so
-// dead slots are left behind, and for each index a clone of its tree
-// with every posting moved to where the copy put the record
-// (index.BTree.Clone): nothing is decoded and no key re-derived. Heap
-// and trees count their traffic, the copy's included, in the
-// original's counters, so a table's counters never restart at a copy.
-// The frozen version is unchanged and stays fully readable (snapshots
-// holding it keep scanning its heap and probing its indexes), but is no
-// longer reachable by name; its pages are freed by the snapshot store
-// once no snapshot references it.
-//
-// Like all DDL, the clone's I/O runs under ddlMu only; the name maps
-// swap under mu at the end.
+// shadow replaces the frozen version t with a writable version that
+// shares t's heap pages (storage.HeapFile.Fork) and index nodes
+// (index.BTree.Fork): it reads no record and copies no page or node;
+// the new version copies each page and node when it first writes it.
+// Heap and trees count their traffic in the original's counters, so a
+// table's counters never restart at a copy. The frozen version is
+// unchanged and stays fully readable (snapshots holding it keep
+// scanning its heap and probing its indexes), but is no longer reachable
+// by name; the snapshot store frees the pages it holds and its
+// successor does not once no snapshot references it. The two share the
+// catalog record until the new version's directory first changes.
 func (c *Catalog) shadow(t *Table) (*Table, error) {
-	//dkblint:locksafe DDL serializes on ddlMu off the query path; heap/index I/O must be atomic with the catalog mutation
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()
 	start := time.Now()
-	h, err := storage.CreateHeap(c.pager)
-	if err != nil {
-		return nil, err
-	}
-	h.ShareStats(t.Heap)
-	cleanup := func(err error) (*Table, error) {
-		h.Drop() // compensate: don't leak the fresh heap's pages
-		return nil, err
-	}
-	moved, err := copyHeap(h, t)
-	if err != nil {
-		return cleanup(err)
-	}
-	nt := &Table{Name: t.Name, Schema: t.Schema, Heap: h, rows: t.rows, bytes: t.bytes}
+	nt := &Table{Name: t.Name, Schema: t.Schema, Heap: t.Heap.Fork(), rid: t.rid, cat: c, rows: t.rows, bytes: t.bytes}
 	nt.Indexes = make([]*Index, len(t.Indexes))
 	for i, idx := range t.Indexes {
 		// Index catalog records reference the table by name, so the
 		// persisted record (and its rid) carries over unchanged.
-		nt.Indexes[i] = &Index{Name: idx.Name, Table: idx.Table, Cols: idx.Cols, Ords: idx.Ords, Tree: idx.Tree.Clone(moved.to), Temp: idx.Temp, rid: idx.rid}
+		nt.Indexes[i] = &Index{Name: idx.Name, Table: idx.Table, Cols: idx.Cols, Ords: idx.Ords, Tree: idx.Tree.Fork(), Temp: idx.Temp, rid: idx.rid}
 	}
-	// Rewrite the table's catalog record: it embeds the heap head page.
-	if err := c.heap.Delete(t.rid); err != nil {
-		return cleanup(err)
-	}
-	rid, err := c.heap.Insert(encodeTableRecord(nt))
-	if err != nil {
-		return cleanup(err)
-	}
-	nt.rid = rid
 	c.mu.Lock()
 	c.tables[t.Name] = nt
 	for _, ni := range nt.Indexes {
@@ -508,50 +552,9 @@ func (c *Catalog) shadow(t *Table) (*Table, error) {
 	}
 	c.mu.Unlock()
 	c.moved = true
+	c.touched = append(c.touched, nt)
 	c.copying += time.Since(start)
 	return nt, nil
-}
-
-// ridMap records where copyHeap put each record of the heap it copied:
-// the record at slot s of a page that starts at at in rids went to
-// rids[at+s]. A dead slot's entry is the zero RID, which no posting
-// names.
-type ridMap struct {
-	pages []pageAt // by page ID
-	rids  []storage.RID
-}
-
-type pageAt struct {
-	page storage.PageID
-	at   int
-}
-
-// copyHeap inserts every live record of t's heap into h, in chain and
-// slot order, and returns where each went.
-func copyHeap(h *storage.HeapFile, t *Table) (*ridMap, error) {
-	m := &ridMap{rids: make([]storage.RID, 0, t.rows)}
-	err := t.Heap.ScanPages(func(pg *storage.Page) error {
-		m.pages = append(m.pages, pageAt{pg.ID, len(m.rids)})
-		for s := 0; s < pg.SlotCount(); s++ {
-			var rid storage.RID
-			if rec := pg.Record(s); rec != nil {
-				var err error
-				if rid, err = h.Insert(rec); err != nil {
-					return err
-				}
-			}
-			m.rids = append(m.rids, rid)
-		}
-		return nil
-	})
-	slices.SortFunc(m.pages, func(a, b pageAt) int { return cmp.Compare(a.page, b.page) })
-	return m, err
-}
-
-// to returns where the record at rid went.
-func (m *ridMap) to(rid storage.RID) storage.RID {
-	i, _ := slices.BinarySearchFunc(m.pages, rid.Page, func(p pageAt, id storage.PageID) int { return cmp.Compare(p.page, id) })
-	return m.rids[m.pages[i].at+rid.Slot]
 }
 
 // Census counts a database's pages outside the temp region by owner.
@@ -561,8 +564,8 @@ func (m *ridMap) to(rid storage.RID) storage.RID {
 type Census struct {
 	Pages     int // the pages outside the temp region: the file's, on disk
 	Super     int // the superblock
-	Catalog   int // the catalog heap's chain
-	Tables    int // the chains of the stored tables
+	Catalog   int // the catalog heap's pages
+	Tables    int // the stored tables' pages
 	Free      int // the free list
 	Unreached int // the pages none of them reaches
 }
@@ -570,10 +573,11 @@ type Census struct {
 // Owned returns the pages the catalog and the stored tables hold.
 func (cs Census) Owned() int { return cs.Super + cs.Catalog + cs.Tables }
 
-// Census walks the superblock, the catalog chain, every stored table's
-// chain and the free list, and counts the pages each reaches and the
-// pages none reaches. A page reached twice, or a chain that leaves the
-// file, is an error: two owners would overwrite each other.
+// Census walks the superblock, the catalog heap's pages, every stored
+// table's pages (its heap's directory, and the pages the stored
+// directory spills to) and the free list, and counts the pages each
+// reaches and the pages none reaches. A page reached twice, or one
+// outside the file, is an error: two owners would overwrite each other.
 func (c *Catalog) Census() (Census, error) {
 	//dkblint:locksafe DDL serializes on ddlMu off the query path; heap/index I/O must be atomic with the catalog mutation
 	c.ddlMu.Lock()
@@ -605,11 +609,11 @@ func (c *Catalog) Census() (Census, error) {
 	if err := reach("the superblock", &cs.Super)(0); err != nil {
 		return cs, err
 	}
-	if err := c.pager.WalkChain(c.heap.Head(), reach("the catalog", &cs.Catalog)); err != nil {
+	if err := c.heap.EachPage(reach("the catalog", &cs.Catalog)); err != nil {
 		return cs, err
 	}
 	for _, t := range tables {
-		if err := c.pager.WalkChain(t.Heap.Head(), reach("table "+t.Name, &cs.Tables)); err != nil {
+		if err := t.Heap.EachPage(reach("table "+t.Name, &cs.Tables)); err != nil {
 			return cs, err
 		}
 	}
@@ -658,7 +662,7 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 	}
 	t.rows++
 	t.bytes += len(rec)
-	return rid, nil
+	return rid, t.saveDir()
 }
 
 // InsertRecord adds an already-encoded tuple — a record another
@@ -687,7 +691,7 @@ func (t *Table) InsertRecord(rec []byte) error {
 	}
 	t.rows++
 	t.bytes += len(rec)
-	return nil
+	return t.saveDir()
 }
 
 // DeleteRID removes the tuple at rid from the heap and all indexes. The
@@ -707,11 +711,12 @@ func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
 	}
 	t.rows--
 	t.bytes -= len(tu.Encode(buf[:0]))
-	return nil
+	return t.saveDir()
 }
 
 // Truncate removes all tuples and clears all indexes; the heap and the
-// indexes' counters run on.
+// indexes' counters run on. It copies nothing: the pages the version
+// owns are freed, and the ones it shares stay with the frozen version.
 func (t *Table) Truncate() error {
 	if t.frozen {
 		return t.refused()
@@ -723,10 +728,10 @@ func (t *Table) Truncate() error {
 		idx.Tree = idx.Tree.Empty()
 	}
 	t.rows, t.bytes = 0, 0
-	return nil
+	return t.saveDir()
 }
 
-// DecodeAll decodes the whole table, in chain order, into one block of
+// DecodeAll decodes the whole table, in directory order, into one block of
 // its own: one value slab sized by the maintained row count, and one
 // string, the character buffer sized once by the maintained record
 // bytes and handed over (rel.BlockDecoder.FinishLast). It is one scan
@@ -743,7 +748,7 @@ func (t *Table) DecodeAll() (rel.Block, error) {
 	return dec.FinishLast(), nil
 }
 
-// AppendRows appends the whole table, in chain order, to buf as one row
+// AppendRows appends the whole table, in directory order, to buf as one row
 // block (rel.AppendRows's layout): its records as they are stored, none
 // decoded. It is one scan pass. buf grows once, by the maintained row
 // count and record bytes, which is exact when no record is 128 bytes or
@@ -812,7 +817,10 @@ func (t *Table) decodePage(dec *rel.BlockDecoder, pg *storage.Page) error {
 // page's rows decoded into a block of their own.
 func (t *Table) Scan(fn func(rid storage.RID, tu rel.Tuple) error) error {
 	dec := rel.NewBlockDecoder(t.Schema)
+	next := uint32(0) // ScanPages goes in directory order
 	return t.Heap.ScanPages(func(pg *storage.Page) error {
+		pos := next
+		next++
 		dec.Begin(pg.LiveRecords(), recordBytes(pg))
 		if err := t.decodePage(&dec, pg); err != nil {
 			return err
@@ -822,7 +830,7 @@ func (t *Table) Scan(fn func(rid storage.RID, tu rel.Tuple) error) error {
 			if pg.Record(s) == nil {
 				continue
 			}
-			if err := fn(storage.RID{Page: pg.ID, Slot: s}, b.Row(row)); err != nil {
+			if err := fn(storage.RID{Page: pos, Slot: uint16(s)}, b.Row(row)); err != nil {
 				return err
 			}
 			row++
@@ -885,29 +893,27 @@ func readString(buf []byte) (string, []byte, error) {
 	return string(buf[sz : sz+int(n)]), buf[sz+int(n):], nil
 }
 
-func encodeTableRecord(t *Table) []byte {
-	buf := []byte{recTable}
+// appendTableRecord appends t's catalog record to buf: its name, its
+// columns, and its heap's stored directory, which may write the pages
+// the directory spills to (storage.HeapFile.AppendDir).
+func appendTableRecord(buf []byte, t *Table) ([]byte, error) {
+	buf = append(buf, recTable)
 	buf = appendString(buf, t.Name)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(t.Heap.Head()))
 	buf = binary.AppendUvarint(buf, uint64(t.Schema.Len()))
 	for _, col := range t.Schema.Columns() {
 		buf = appendString(buf, col.Name)
 		buf = append(buf, byte(col.Type))
 	}
-	return buf
+	return t.Heap.AppendDir(buf)
 }
 
-func decodeTableRecord(rec []byte) (*Table, error) {
+// decodeTableRecord decodes a table record and opens the table's heap.
+func decodeTableRecord(p *storage.Pager, rec []byte) (*Table, error) {
 	buf := rec[1:]
 	name, buf, err := readString(buf)
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("catalog: truncated table record for %s", name)
-	}
-	head := storage.PageID(binary.BigEndian.Uint32(buf))
-	buf = buf[4:]
 	ncols, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return nil, fmt.Errorf("catalog: truncated table record for %s", name)
@@ -929,9 +935,11 @@ func decodeTableRecord(rec []byte) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{Name: name, Schema: schema}
-	t.heapHeadFromRecord = head
-	return t, nil
+	h, _, err := storage.LoadHeap(p, buf)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: table %s: %w", name, err)
+	}
+	return &Table{Name: name, Schema: schema, Heap: h}, nil
 }
 
 func encodeIndexRecord(idx *Index) []byte {

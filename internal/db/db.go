@@ -117,9 +117,10 @@ func (d *DB) Table(name string) *catalog.Table {
 }
 
 // writable resolves the target of a write as Table does, except that
-// the live catalog resolves it with Catalog.Writable, which copies a
-// frozen version on its first write. A version a resolver pins stays
-// as it is: frozen, its mutators refuse the write.
+// the live catalog resolves it with Catalog.Writable, which replaces a
+// frozen version on its first write by one that shares its pages. A
+// version a resolver pins stays as it is: frozen, its mutators refuse
+// the write.
 func (d *DB) writable(name string) (*catalog.Table, error) {
 	if d.res != nil {
 		if t, ok := d.res.ResolveTable(name); ok {
@@ -493,7 +494,9 @@ func (d *DB) insertRecord(t *catalog.Table, rec []byte) error {
 
 func (d *DB) execDelete(s sql.Delete, sp *obs.Span) error {
 	d.stats.deletes.Add(1)
-	// Resolved before the victim scan is planned: a copy moves every RID.
+	// Resolved before the victim scan is planned, so the scan reads the
+	// version the deletes write. A replaced version keeps every RID, and
+	// an unqualified DELETE of one copies nothing.
 	t, err := d.writable(s.Table)
 	if err != nil {
 		return err

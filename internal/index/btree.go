@@ -17,10 +17,17 @@
 // the RIDs stored under each key, in insertion order — back to back in
 // one RID slab, with a pair of uint32 end offsets per key; an inner node
 // holds its separators as strings. An entry costs its key's bytes, 8
-// bytes of offsets and 16 bytes per posting, plus the slabs' spare
-// capacity: about 80 bytes for a 30-byte key with two postings
+// bytes of offsets and 8 bytes per posting, plus the slabs' spare
+// capacity: about 60 bytes for a 30-byte key with two postings
 // (TestIndexBytesPerEntry in internal/catalog). TreeStats.Bytes is that
-// account, kept as the tree changes. Leaves are chained for range scans.
+// account, kept as the tree changes.
+//
+// The tree is persistent: Fork returns a tree that shares every node,
+// and the first write to a shared node copies the path from the root to
+// it, so each version reads as it did while the other is written. A
+// node records which tree made it, and a tree writes in place only the
+// nodes it made. Leaves are not linked: a range scan climbs back up a
+// stack of the nodes its descent passed.
 //
 // Lookup returns a sub-slice of a leaf's RID slab without copying it. It
 // is valid until the next Insert or Delete on the tree, either of which
@@ -58,6 +65,12 @@ type BTree struct {
 	keys   int   // number of distinct keys
 	bytes  int64 // heap held by the nodes: nodeBytes over all of them
 
+	// own marks the nodes this tree made, the only ones it writes in
+	// place; written counts them since the tree was made (New, Empty or
+	// Fork): the copies of shared nodes and the nodes splits added.
+	own     uint64
+	written int
+
 	stats *counters
 }
 
@@ -65,13 +78,16 @@ type BTree struct {
 // because lookups run concurrently (the server admits parallel readers
 // over one tree); splits only moves under write exclusivity but is
 // atomic too so a metrics snapshot taken mid-write reads cleanly. A tree
-// made by Empty shares its predecessor's, so an index's counters run on
-// across the copy-on-write rebuilds and truncations that replace its
-// tree.
+// made by Empty or Fork shares its predecessor's, so an index's counters
+// run on across the copy-on-write versions and truncations that replace
+// its tree.
 type counters struct {
 	searches atomic.Int64
 	depthSum atomic.Int64
 	splits   atomic.Int64
+	// marks hands out the node marks of the trees that share the
+	// counters, the only trees that can share nodes.
+	marks atomic.Uint64
 }
 
 // TreeStats is a snapshot of a tree's shape and traffic: structural
@@ -110,17 +126,17 @@ type node interface{ isNode() }
 // keys[ends[i-1].key:ends[i].key] and its postings are
 // rids[ends[i-1].rid:ends[i].rid], both starting at 0 for entry 0.
 type leaf struct {
+	own  uint64 // the mark of the tree that made it
 	keys []byte
 	rids []storage.RID
 	ends []end
-	next *leaf
-	prev *leaf
 }
 
 // end is where one leaf entry's key bytes and postings end.
 type end struct{ key, rid uint32 }
 
 type inner struct {
+	own uint64 // the mark of the tree that made it
 	// keys[i] is the smallest key in children[i+1]'s subtree.
 	keys     []string
 	children []node
@@ -178,46 +194,55 @@ func New(kinds []rel.Type) *BTree { return newTree(kinds, new(counters)) }
 // t in its index.
 func (t *BTree) Empty() *BTree { return newTree(t.kinds, t.stats) }
 
-// Clone returns a copy of t, node for node, whose every posting is
-// remap's of t's, in t's order: the tree that replaces t in its index
-// when the table's rows move to other RIDs. It counts its traffic in
-// t's counters, as Empty's tree does, and its leaves' slabs are sized
-// to their contents, as after Trim. t is only read, so readers may
-// probe it meanwhile; separators, which no tree writes, are shared.
-func (t *BTree) Clone(remap func(storage.RID) storage.RID) *BTree {
-	c := &BTree{kinds: t.kinds, height: t.height, size: t.size, keys: t.keys, stats: t.stats}
-	var last *leaf
-	c.root = c.cloneNode(t.root, remap, &last)
-	return c
+// Fork returns a tree that shares every node of t and counts its traffic
+// in t's counters: the tree that replaces t in its index when the
+// table's version is copied. It copies nothing; the first write to a
+// node the two share copies that node and those above it into the tree
+// that writes. t reads as it did; a write to t after the fork copies
+// too, so neither tree ever writes a node the other reads.
+func (t *BTree) Fork() *BTree {
+	f := &BTree{kinds: t.kinds, root: t.root, height: t.height, size: t.size, keys: t.keys, bytes: t.bytes, own: t.stats.marks.Add(1), stats: t.stats}
+	t.own = t.stats.marks.Add(1)
+	return f
 }
 
-// cloneNode copies n into c, chaining the leaves it copies after *last.
-func (c *BTree) cloneNode(n node, remap func(storage.RID) storage.RID, last **leaf) node {
-	if v, ok := n.(*leaf); ok {
-		lf := &leaf{keys: slices.Clone(v.keys), rids: make([]storage.RID, len(v.rids)), ends: slices.Clone(v.ends), prev: *last}
-		for i, rid := range v.rids {
-			lf.rids[i] = remap(rid)
-		}
-		if *last != nil {
-			(*last).next = lf
-		}
-		*last = lf
-		c.bytes += lf.nodeBytes()
-		return lf
-	}
-	v := n.(*inner)
-	in := &inner{keys: slices.Clone(v.keys), children: make([]node, len(v.children))}
-	for i, child := range v.children {
-		in.children[i] = c.cloneNode(child, remap, last)
-	}
-	c.bytes += in.nodeBytes()
-	return in
-}
+// Written returns the nodes the tree made since New, Empty or Fork
+// made it: copies of nodes it shared, and the nodes its splits added.
+func (t *BTree) Written() int { return t.written }
 
 func newTree(kinds []rel.Type, stats *counters) *BTree {
-	root := &leaf{}
-	return &BTree{kinds: kinds, root: root, height: 1, bytes: root.nodeBytes(), stats: stats}
+	own := stats.marks.Add(1)
+	root := &leaf{own: own}
+	return &BTree{kinds: kinds, root: root, height: 1, bytes: root.nodeBytes(), own: own, stats: stats}
 }
+
+// mut returns n for writing: n itself when t made it, else a copy of it,
+// which the caller puts in n's place. A copy has room for one more
+// entry.
+func (t *BTree) mut(n node) node {
+	var cp node
+	switch v := n.(type) {
+	case *leaf:
+		if v.own == t.own {
+			return v
+		}
+		c := &leaf{own: t.own, keys: grown(v.keys, 32), rids: grown(v.rids, 1), ends: grown(v.ends, 1)}
+		t.bytes += c.nodeBytes() - v.nodeBytes()
+		cp = c
+	case *inner:
+		if v.own == t.own {
+			return v
+		}
+		c := &inner{own: t.own, keys: grown(v.keys, 1), children: grown(v.children, 1)}
+		t.bytes += c.nodeBytes() - v.nodeBytes()
+		cp = c
+	}
+	t.written++
+	return cp
+}
+
+// grown returns a copy of s with room for extra more elements.
+func grown[T any](s []T, extra int) []T { return append(make([]T, 0, len(s)+extra), s...) }
 
 // Len returns the number of (key, rid) entries, counting duplicates.
 func (t *BTree) Len() int { return t.size }
@@ -340,6 +365,26 @@ func (t *BTree) search(key []byte) *leaf {
 	}
 }
 
+// searchMut is search for a write: it copies each node on the path that
+// t did not make, and returns the leaf, which t owns.
+func (t *BTree) searchMut(key []byte) *leaf {
+	t.stats.searches.Add(1)
+	t.root = t.mut(t.root)
+	n := t.root
+	for depth := int64(1); ; depth++ {
+		switch v := n.(type) {
+		case *leaf:
+			t.stats.depthSum.Add(depth)
+			return v
+		case *inner:
+			i := t.childFor(v, key)
+			child := t.mut(v.children[i])
+			v.children[i] = child
+			n = child
+		}
+	}
+}
+
 // childFor returns which child of in holds key: the number of
 // separators at or below it.
 func (t *BTree) childFor(in *inner, key []byte) int {
@@ -379,28 +424,33 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	if !t.wellFormed(key) {
 		return fmt.Errorf("index: insert of a key that does not encode %v", t.kinds)
 	}
+	t.root = t.mut(t.root)
 	split, sepKey, err := t.insert(t.root, key, rid)
 	if err != nil {
 		return err
 	}
 	if split != nil {
-		root := &inner{keys: []string{sepKey}, children: []node{t.root, split}}
+		root := &inner{own: t.own, keys: []string{sepKey}, children: []node{t.root, split}}
 		t.root = root
 		t.height++
 		t.bytes += root.nodeBytes()
+		t.written++
 	}
 	return nil
 }
 
-// insert descends into n; if n splits, returns the new right sibling and
-// the separator key.
+// insert descends into n, which t owns, copying the child it descends
+// into unless t owns that too; if n splits, returns the new right
+// sibling and the separator key.
 func (t *BTree) insert(n node, key []byte, rid storage.RID) (node, string, error) {
 	switch v := n.(type) {
 	case *leaf:
 		return t.insertLeaf(v, key, rid)
 	case *inner:
 		i := t.childFor(v, key)
-		split, sepKey, err := t.insert(v.children[i], key, rid)
+		child := t.mut(v.children[i])
+		v.children[i] = child
+		split, sepKey, err := t.insert(child, key, rid)
 		if err != nil || split == nil {
 			return nil, "", err
 		}
@@ -416,12 +466,14 @@ func (t *BTree) insert(n node, key []byte, rid storage.RID) (node, string, error
 		mid := len(v.keys) / 2
 		upKey := v.keys[mid]
 		right := &inner{
+			own:      t.own,
 			keys:     slices.Clone(v.keys[mid+1:]),
 			children: slices.Clone(v.children[mid+1:]),
 		}
 		v.keys = v.keys[:mid]
 		v.children = v.children[:mid+1]
 		t.bytes += v.nodeBytes() - before + right.nodeBytes()
+		t.written++
 		return right, upKey, nil
 	}
 	return nil, "", fmt.Errorf("index: unknown node type %T", n)
@@ -460,42 +512,50 @@ func (t *BTree) insertLeaf(lf *leaf, key []byte, rid storage.RID) (node, string,
 	}
 	t.stats.splits.Add(1)
 	right := lf.split(len(lf.ends) / 2)
+	right.own = t.own
 	t.bytes += lf.nodeBytes() - before + right.nodeBytes()
+	t.written++
 	return right, string(right.key(0)), nil
 }
 
-// split moves entries mid onwards to a new right sibling, chained after
-// lf, and returns it.
+// split moves entries mid onwards to a new right sibling and returns it.
 func (lf *leaf) split(mid int) *leaf {
 	at := lf.ends[mid-1]
 	right := &leaf{
 		keys: slices.Clone(lf.keys[at.key:]),
 		rids: slices.Clone(lf.rids[at.rid:]),
 		ends: slices.Clone(lf.ends[mid:]),
-		next: lf.next,
-		prev: lf,
 	}
 	for j := range right.ends {
 		right.ends[j].key -= at.key
 		right.ends[j].rid -= at.rid
 	}
-	if lf.next != nil {
-		lf.next.prev = right
-	}
-	lf.next = right
 	lf.keys, lf.rids, lf.ends = lf.keys[:at.key], lf.rids[:at.rid], lf.ends[:mid]
 	return right
 }
 
-// Trim reallocates every leaf's slabs to their length, returning the
-// spare capacity the appends of a bulk fill leave behind (up to half of
-// each slab): the catalog calls it once an index is built from its heap.
-// Later inserts grow the slabs again as they need.
-func (t *BTree) Trim() {
-	for lf := t.leftmost(); lf != nil; lf = lf.next {
-		before := lf.nodeBytes()
-		lf.keys, lf.rids, lf.ends = slices.Clone(lf.keys), slices.Clone(lf.rids), slices.Clone(lf.ends)
-		t.bytes += lf.nodeBytes() - before
+// Trim reallocates the slabs of every leaf the tree made to their
+// length, returning the spare capacity the appends of a bulk fill leave
+// behind (up to half of each slab): the catalog calls it once an index
+// is built from its heap. Later inserts grow the slabs again as they
+// need.
+func (t *BTree) Trim() { t.trim(t.root) }
+
+func (t *BTree) trim(n node) {
+	switch v := n.(type) {
+	case *leaf:
+		if v.own == t.own {
+			before := v.nodeBytes()
+			v.keys, v.rids, v.ends = slices.Clone(v.keys), slices.Clone(v.rids), slices.Clone(v.ends)
+			t.bytes += v.nodeBytes() - before
+		}
+	case *inner:
+		// Below a node the tree did not make, it made none.
+		if v.own == t.own {
+			for _, c := range v.children {
+				t.trim(c)
+			}
+		}
 	}
 }
 
@@ -508,7 +568,7 @@ func (t *BTree) Delete(key []byte, rid storage.RID) error {
 	if !t.wellFormed(key) {
 		return fmt.Errorf("index: delete of a key that does not encode %v", t.kinds)
 	}
-	lf := t.search(key)
+	lf := t.searchMut(key)
 	i, found := t.leafPos(lf, key)
 	if !found {
 		return fmt.Errorf("index: delete of absent key %v", t.decode(key))
@@ -628,15 +688,82 @@ func (t *BTree) Postings(enc []byte, fn func(rids []storage.RID) error) error {
 
 // eachEncoded is eachPrefix for a prefix already encoded.
 func (t *BTree) eachEncoded(enc []byte, fn func(lf *leaf, i int) bool) {
-	lf := t.search(enc)
-	i, _ := t.leafPos(lf, enc)
-	for ; lf != nil; lf, i = lf.next, 0 {
-		for ; i < len(lf.ends); i++ {
-			if !bytes.HasPrefix(lf.key(i), enc) || !fn(lf, i) {
+	var c cursor
+	t.seek(&c, enc)
+	i, _ := t.leafPos(c.lf, enc)
+	for ; c.lf != nil; c.next() {
+		for ; i < len(c.lf.ends); i++ {
+			if !bytes.HasPrefix(c.lf.key(i), enc) || !fn(c.lf, i) {
 				return
 			}
 		}
+		i = 0
 	}
+}
+
+// maxHeight bounds a tree's height: a node a split makes holds at least
+// 33 children, and deletes remove no node, so a tree of degree 64 needs
+// more than 2·33^6 leaves, 10^10 keys, to reach it.
+const maxHeight = 8
+
+// cursor is a position in a tree's leaves: the leaf, and the inner
+// nodes above it with the child taken at each, through which it moves
+// on to the next leaf.
+type cursor struct {
+	lf    *leaf // nil past the last leaf
+	path  [maxHeight]step
+	depth int
+}
+
+type step struct {
+	in *inner
+	i  int
+}
+
+// seek descends to the leaf key belongs to, counting one search.
+func (t *BTree) seek(c *cursor, key []byte) {
+	t.stats.searches.Add(1)
+	n := t.root
+	for {
+		in, ok := n.(*inner)
+		if !ok {
+			break
+		}
+		i := t.childFor(in, key)
+		c.path[c.depth] = step{in, i}
+		c.depth++
+		n = in.children[i]
+	}
+	t.stats.depthSum.Add(int64(c.depth + 1))
+	c.lf = n.(*leaf)
+}
+
+// first descends from n to its leftmost leaf.
+func (c *cursor) first(n node) {
+	for {
+		in, ok := n.(*inner)
+		if !ok {
+			c.lf = n.(*leaf)
+			return
+		}
+		c.path[c.depth] = step{in, 0}
+		c.depth++
+		n = in.children[0]
+	}
+}
+
+// next moves to the leaf after the cursor's, or past the last.
+func (c *cursor) next() {
+	for c.depth > 0 {
+		s := &c.path[c.depth-1]
+		if s.i+1 < len(s.in.children) {
+			s.i++
+			c.first(s.in.children[s.i])
+			return
+		}
+		c.depth--
+	}
+	c.lf = nil
 }
 
 // AscendRange visits keys k with lo <= k < hi in order, each decoded
@@ -644,17 +771,17 @@ func (t *BTree) eachEncoded(enc []byte, fn func(lf *leaf, i int) bool) {
 // runs to the end.
 func (t *BTree) AscendRange(lo, hi rel.Tuple, fn func(key rel.Tuple, rids []storage.RID) bool) {
 	var lbuf, hbuf [64]byte
-	var lf *leaf
+	var c cursor
 	var i int
 	if lo == nil {
-		lf = t.leftmost()
+		c.first(t.root)
 	} else {
 		enc, ok := t.probe(lbuf[:0], lo)
-		lf = t.search(enc)
+		t.seek(&c, enc)
 		if !ok {
 			return
 		}
-		i, _ = t.leafPos(lf, enc)
+		i, _ = t.leafPos(c.lf, enc)
 	}
 	var stop []byte
 	if hi != nil {
@@ -663,51 +790,36 @@ func (t *BTree) AscendRange(lo, hi rel.Tuple, fn func(key rel.Tuple, rids []stor
 			return
 		}
 	}
-	for ; lf != nil; lf, i = lf.next, 0 {
-		for ; i < len(lf.ends); i++ {
-			k := lf.key(i)
+	for ; c.lf != nil; c.next() {
+		for ; i < len(c.lf.ends); i++ {
+			k := c.lf.key(i)
 			if hi != nil && compareKeys(t.kinds, k, stop) >= 0 {
 				return
 			}
-			if !fn(t.decode(k), lf.postings(i)) {
+			if !fn(t.decode(k), c.lf.postings(i)) {
 				return
 			}
 		}
-	}
-}
-
-func (t *BTree) leftmost() *leaf {
-	n := t.root
-	for {
-		switch v := n.(type) {
-		case *leaf:
-			return v
-		case *inner:
-			n = v.children[0]
-		}
+		i = 0
 	}
 }
 
 // Validate checks structural invariants (well-formed keys, ordering,
-// separator bounds, leaf offsets and chaining, the counts and the byte
-// account) and returns the first violation found. Test support.
+// separator bounds, leaf offsets, the counts, the byte account, and
+// that a node the tree made hangs only below nodes it made) and returns
+// the first violation found. Test support.
 func (t *BTree) Validate() error {
-	var prevLeaf *leaf
 	var prevKey []byte
 	count, distinct := 0, 0
 	var held int64
-	var walk func(n node, lo, hi []byte) error
-	walk = func(n node, lo, hi []byte) error {
+	var walk func(n node, lo, hi []byte, mine bool) error
+	walk = func(n node, lo, hi []byte, mine bool) error {
 		switch v := n.(type) {
 		case *leaf:
 			held += v.nodeBytes()
-			if v.prev != prevLeaf {
-				return fmt.Errorf("index: broken leaf back-link")
+			if v.own == t.own && !mine {
+				return fmt.Errorf("index: a leaf the tree made below a node it shares")
 			}
-			if prevLeaf != nil && prevLeaf.next != v {
-				return fmt.Errorf("index: broken leaf chain")
-			}
-			prevLeaf = v
 			if len(v.ends) > degree {
 				return fmt.Errorf("index: leaf of %d keys", len(v.ends))
 			}
@@ -739,6 +851,9 @@ func (t *BTree) Validate() error {
 			return nil
 		case *inner:
 			held += v.nodeBytes()
+			if v.own == t.own && !mine {
+				return fmt.Errorf("index: an inner node the tree made below a node it shares")
+			}
 			if len(v.children) != len(v.keys)+1 {
 				return fmt.Errorf("index: inner node with %d keys, %d children", len(v.keys), len(v.children))
 			}
@@ -750,7 +865,7 @@ func (t *BTree) Validate() error {
 				if i < len(v.keys) {
 					ch = sep(v.keys[i])
 				}
-				if err := walk(c, cl, ch); err != nil {
+				if err := walk(c, cl, ch, v.own == t.own); err != nil {
 					return err
 				}
 			}
@@ -758,7 +873,7 @@ func (t *BTree) Validate() error {
 		}
 		return fmt.Errorf("index: unknown node type %T", n)
 	}
-	if err := walk(t.root, nil, nil); err != nil {
+	if err := walk(t.root, nil, nil, true); err != nil {
 		return err
 	}
 	if count != t.size || distinct != t.keys {
@@ -766,9 +881,6 @@ func (t *BTree) Validate() error {
 	}
 	if held != t.bytes {
 		return fmt.Errorf("index: nodes hold %d bytes, account says %d", held, t.bytes)
-	}
-	if prevLeaf != nil && prevLeaf.next != nil {
-		return fmt.Errorf("index: leaf chain extends past rightmost leaf")
 	}
 	return nil
 }

@@ -32,7 +32,7 @@ func ints(n int) []rel.Type {
 func enc(k rel.Tuple) []byte { return k.AppendKey(nil, nil) }
 
 func ridFor(i int) storage.RID {
-	return storage.RID{Page: storage.PageID(i / 100), Slot: i % 100}
+	return storage.RID{Page: uint32(i / 100), Slot: uint16(i % 100)}
 }
 
 func TestBTreeInsertLookup(t *testing.T) {
@@ -319,7 +319,7 @@ func TestTreeStats(t *testing.T) {
 	}
 	// Enough keys to force splits (degree is 64).
 	for i := 0; i < 200; i++ {
-		if err := tr.Insert(enc(rel.Tuple{rel.NewInt(int64(i))}), storage.RID{Page: storage.PageID(i)}); err != nil {
+		if err := tr.Insert(enc(rel.Tuple{rel.NewInt(int64(i))}), storage.RID{Page: uint32(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,16 +369,18 @@ func TestLookupAllocs(t *testing.T) {
 	}
 }
 
-// TestCloneRemaps: a clone of a tree that splits, and lost entries to
-// deletes, is a valid tree whose every key has the source's postings,
-// remapped, in the source's order; and inserts and deletes on the clone
-// leave every answer of the source as it was.
-func TestCloneRemaps(t *testing.T) {
+// TestForkCopiesOnlyThePath: a fork of a tree that split, and lost
+// entries to deletes, shares every node and answers as the source does;
+// a write to it copies the nodes on the path to the leaf it writes and
+// no other, a second write on another path copies only the nodes not
+// copied yet; and inserts and deletes on the fork, and then on the
+// source, leave every answer of the other as it was.
+func TestForkCopiesOnlyThePath(t *testing.T) {
 	tr := New([]rel.Type{rel.TypeInt, rel.TypeString})
 	key := func(i int) []byte {
 		return enc(rel.Tuple{rel.NewInt(int64(i % 300)), rel.NewString(fmt.Sprint("k", i%7))})
 	}
-	rid := func(i int) storage.RID { return storage.RID{Page: storage.PageID(i / 50), Slot: i % 50} }
+	rid := func(i int) storage.RID { return storage.RID{Page: uint32(i / 50), Slot: uint16(i % 50)} }
 	for i := 0; i < 2000; i++ {
 		if err := tr.Insert(key(i), rid(i)); err != nil {
 			t.Fatal(err)
@@ -389,65 +391,87 @@ func TestCloneRemaps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	remap := func(r storage.RID) storage.RID { return storage.RID{Page: 1000 - r.Page, Slot: 2 * r.Slot} }
 	before := tr.Stats()
 	walk := treeWalk(tr, nil, nil)
-	c := tr.Clone(remap)
-	if err := c.Validate(); err != nil {
+	f := tr.Fork()
+	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	got := treeWalk(c, nil, nil)
-	if len(got) != len(walk) || c.Len() != tr.Len() || c.DistinctKeys() != tr.DistinctKeys() || c.Height() != tr.Height() {
-		t.Fatalf("clone holds %d keys, %d entries, height %d; source %d, %d, %d", len(got), c.Len(), c.Height(), len(walk), tr.Len(), tr.Height())
+	if got := treeWalk(f, nil, nil); !sameVisits(got, walk) || f.Len() != tr.Len() || f.Height() != tr.Height() || f.Stats().Bytes != before.Bytes {
+		t.Fatalf("the fork holds %d entries of height %d in %d bytes; source %d, %d, %d", f.Len(), f.Height(), f.Stats().Bytes, tr.Len(), tr.Height(), before.Bytes)
 	}
-	for i, v := range walk {
-		want := make([]storage.RID, len(v.rids))
-		for j, r := range v.rids {
-			want[j] = remap(r)
-		}
-		if got[i].key != v.key || !slices.Equal(got[i].rids, want) {
-			t.Fatalf("clone key %s has %v, want %s with %v", got[i].key, got[i].rids, v.key, want)
-		}
+	if f.Written() != 0 || tr.Height() < 2 {
+		t.Fatalf("a fork wrote %d nodes; the source is %d high, want 2 or more", f.Written(), tr.Height())
 	}
-	if s := c.Stats(); s.Searches != before.Searches || s.Splits != before.Splits {
-		t.Errorf("clone counts %+v, not its source's %+v", s, before)
+	// A new posting under a key the tree holds adds no entry, so no
+	// split: the write copies the root-to-leaf path.
+	if err := f.Insert(key(1), rid(5000)); err != nil {
+		t.Fatal(err)
+	}
+	if f.Written() != f.Height() {
+		t.Fatalf("a write to one leaf copied %d nodes of a tree %d high", f.Written(), f.Height())
+	}
+	if err := f.Delete(key(299), rid(299)); err != nil {
+		t.Fatal(err)
+	}
+	if w := f.Written(); w <= f.Height() || w > 2*f.Height()-1 {
+		t.Fatalf("a write to a second leaf brought the copies to %d in a tree %d high", w, f.Height())
+	}
+	if s := f.Stats(); s.Searches <= before.Searches || s.Splits != before.Splits {
+		t.Errorf("the fork counts %+v, not in its source's %+v", s, before)
 	}
 
-	// Write the clone hard: new keys that split its leaves, then delete
-	// the postings it took over under keys below 150.
+	// Write the fork hard: new keys that split its leaves, then delete
+	// the postings it shares under keys below 150.
 	for i := 2000; i < 3000; i++ {
-		if err := c.Insert(key(i), rid(i)); err != nil {
+		if err := f.Insert(key(i), rid(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 2000; i++ {
-		if i%3 != 0 && i%300 < 150 {
-			if err := c.Delete(key(i), remap(rid(i))); err != nil {
+		if i%3 != 0 && i%300 < 150 && i != 299 {
+			if err := f.Delete(key(i), rid(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := c.Validate(); err != nil {
+	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Validate(); err != nil {
-		t.Fatalf("source after writes to the clone: %v", err)
+		t.Fatalf("source after writes to the fork: %v", err)
 	}
 	if after := treeWalk(tr, nil, nil); !sameVisits(after, walk) {
-		t.Fatal("writes to the clone changed the source's postings")
+		t.Fatal("writes to the fork changed the source's postings")
 	}
-	for i := 0; i < 300; i++ {
-		for s := 0; s < 7; s++ {
-			k := rel.Tuple{rel.NewInt(int64(i)), rel.NewString(fmt.Sprint("k", s))}
-			var want []storage.RID
-			for _, v := range walk {
-				if v.key == k.String() {
-					want = v.rids
+	lookups := func(tree *BTree, walk []visit, what string) {
+		t.Helper()
+		for i := 0; i < 300; i++ {
+			for s := 0; s < 7; s++ {
+				k := rel.Tuple{rel.NewInt(int64(i)), rel.NewString(fmt.Sprint("k", s))}
+				var want []storage.RID
+				for _, v := range walk {
+					if v.key == k.String() {
+						want = v.rids
+					}
 				}
-			}
-			if got := tr.Lookup(k); !slices.Equal(got, want) {
-				t.Fatalf("source Lookup(%v) = %v after writes to the clone, was %v", k, got, want)
+				if got := tree.Lookup(k); !slices.Equal(got, want) {
+					t.Fatalf("%s: Lookup(%v) = %v, want %v", what, k, got, want)
+				}
 			}
 		}
 	}
+	lookups(tr, walk, "the source after writes to the fork")
+
+	// The source, written after the fork, copies too.
+	forked := treeWalk(f, nil, nil)
+	for i := 3000; i < 3500; i++ {
+		if err := tr.Insert(key(i), rid(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	lookups(f, forked, "the fork after writes to the source")
 }

@@ -38,7 +38,7 @@ func fuzzKey(ib, sb byte) rel.Tuple {
 	return rel.Tuple{rel.NewInt(fuzzInt(ib)), rel.NewString(fuzzStrings[int(sb)%len(fuzzStrings)])}
 }
 
-func fuzzRID(b byte) storage.RID { return storage.RID{Page: storage.PageID(b >> 3), Slot: int(b & 7)} }
+func fuzzRID(b byte) storage.RID { return storage.RID{Page: uint32(b >> 3), Slot: uint16(b & 7)} }
 
 // btreeModel is the reference FuzzBTreeOps holds the tree to: each key's
 // postings in insertion order, kept sorted by rel.CompareTuples.
@@ -127,13 +127,13 @@ func sameVisits(a, b []visit) bool {
 }
 
 // FuzzBTreeOps runs a sequence of inserts, deletes, bulk inserts and
-// clones over (int, string) keys against a sorted reference and, after
+// forks over (int, string) keys against a sorted reference and, after
 // every step, checks the structure (Validate), the counts, the probes
 // (Lookup, LookupPrefix, CountPrefix, each one counted search of Height
 // nodes, a probe of the wrong types matching nothing) and the ordered
-// walks (AscendRange, whole and bounded). A clone replaces the tree,
-// its postings remapped, and the steps go on over it; the tree it was
-// cloned from must read as it did, whatever the later steps write.
+// walks (AscendRange, whole and bounded). A fork freezes the tree, and
+// the steps go on over the fork, which shares its nodes; the frozen tree
+// must read as it did, whatever the later steps write.
 // Each step is four bytes: the operation, the int and string of its
 // key, and a RID.
 func FuzzBTreeOps(f *testing.F) {
@@ -144,7 +144,7 @@ func FuzzBTreeOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := New([]rel.Type{rel.TypeInt, rel.TypeString})
 		var m btreeModel
-		// The tree last cloned from, and what it held then.
+		// The tree last forked, frozen, and what it held then.
 		var src *BTree
 		var srcWalk []visit
 		for step := 0; len(data) >= 4; step, data = step+1, data[4:] {
@@ -172,25 +172,17 @@ func FuzzBTreeOps(f *testing.F) {
 						t.Fatalf("step %d: bulk Insert(%v, %s) = %v, model says new = %v", step, kj, rid, err, fresh)
 					}
 				}
-			case 4: // clone-and-continue, under a permutation of the RIDs
-				remap := func(r storage.RID) storage.RID {
-					return storage.RID{Page: r.Page ^ storage.PageID(data[1]&31), Slot: (r.Slot + int(data[3])) & 7}
-				}
+			case 4: // freeze-and-continue: the steps go on over a fork
 				src, srcWalk = tr, treeWalk(tr, nil, nil)
-				tr = tr.Clone(remap)
-				for _, rids := range m.rids {
-					for j := range rids {
-						rids[j] = remap(rids[j])
-					}
-				}
+				tr = tr.Fork()
 			}
 			checkTree(t, step, tr, &m, k)
 			if src != nil {
 				if err := src.Validate(); err != nil {
-					t.Fatalf("step %d: the tree cloned from: %v", step, err)
+					t.Fatalf("step %d: the frozen tree: %v", step, err)
 				}
 				if got := treeWalk(src, nil, nil); !sameVisits(got, srcWalk) {
-					t.Fatalf("step %d: the tree cloned from reads %v, held %v", step, got, srcWalk)
+					t.Fatalf("step %d: the frozen tree reads %v, held %v", step, got, srcWalk)
 				}
 			}
 		}

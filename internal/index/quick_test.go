@@ -18,7 +18,7 @@ func TestQuickInsertedKeysRetrievable(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		inserted := make(map[int64][]storage.RID)
 		for i, k := range keys {
-			rid := storage.RID{Page: storage.PageID(r.Intn(100)), Slot: i}
+			rid := storage.RID{Page: uint32(r.Intn(100)), Slot: uint16(i)}
 			dup := false
 			for _, have := range inserted[k] {
 				if have == rid {

@@ -16,17 +16,20 @@
 //     pointer load plus a pin-count increment, never a lock shared with
 //     writers — evaluate entirely against it, and Release it when done.
 //   - The single-writer commit path publishes the tables
-//     catalog.Catalog.Freeze returns, frozen: the catalog copies each on
-//     its first write after that (Catalog.Writable), so a commit clones
-//     only the tables it writes, and installs the successor snapshot
-//     with Store.Publish. Unchanged tables carry their Version into the
-//     new snapshot; a replaced Version is marked superseded.
+//     catalog.Catalog.Freeze returns, frozen: the catalog replaces each
+//     on its first write after that (Catalog.Writable) by a version that
+//     shares its pages and index nodes and copies those it writes, and
+//     installs the successor snapshot with Store.Publish. Unchanged
+//     tables carry their Version into the new snapshot; a replaced
+//     Version is marked superseded.
 //   - Reclamation is epoch-like: each Version counts the snapshots that
-//     reference it, and a superseded Version frees its heap pages (back
-//     to the pager free list) when the last referencing snapshot drains
-//     to zero reader pins. A pinned snapshot therefore keeps every
-//     table version it can see readable, no matter how many commits
-//     have happened since.
+//     reference it. A superseded Version, once the last referencing
+//     snapshot drains to zero reader pins and every older version of
+//     its table is reclaimed, frees the heap pages it names and its
+//     successor does not (back to the pager free list). An older
+//     version may share those pages, hence the order. A pinned
+//     snapshot therefore keeps every table version it can see readable,
+//     no matter how many commits have happened since.
 package snapshot
 
 import (
@@ -38,6 +41,7 @@ import (
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/core"
+	"dkbms/internal/storage"
 )
 
 // Version is one immutable published version of a base table. The
@@ -54,25 +58,58 @@ type Version struct {
 	// refs counts the snapshots (not readers) referencing this version.
 	refs atomic.Int64
 	// superseded is set by Publish when a newer version replaces this
-	// one; only superseded versions own their heap pages and may free
-	// them on the last unref.
+	// one; only superseded versions free heap pages, on the last unref.
 	superseded atomic.Bool
 	store      *Store
+
+	// Guarded by store.mu. next is the version that replaced this one
+	// under its name (nil when the name was dropped), older the version
+	// it replaced until that one is reclaimed; drained is set when no
+	// snapshot references this version, reclaimed when its reclamation
+	// is claimed.
+	next, older        *Version
+	drained, reclaimed bool
 }
 
 // unref drops one snapshot reference; the last reference of a
-// superseded version returns its heap pages to the pager free list.
+// superseded version reclaims it, or leaves that to the reclamation of
+// the older version it waits for.
 func (v *Version) unref() {
 	if v.refs.Add(-1) == 0 && v.superseded.Load() {
-		v.reclaim()
+		v.store.drain(v)
 	}
 }
 
-func (v *Version) reclaim() {
+// drain marks v drained and reclaims, in order, each version of its
+// table from v on that is drained and no longer waits for an older one.
+func (st *Store) drain(v *Version) {
+	st.mu.Lock()
+	v.drained = true
+	for v != nil && v.drained && v.older == nil && !v.reclaimed {
+		v.reclaimed = true
+		next := v.next
+		if next != nil {
+			next.older = nil
+		}
+		st.mu.Unlock()
+		v.reclaim(next)
+		st.mu.Lock()
+		v = next
+	}
+	st.mu.Unlock()
+}
+
+// reclaim frees the heap pages v names and next, its successor, does
+// not.
+func (v *Version) reclaim(next *Version) {
 	st := v.store
 	st.liveVersions.Add(-1)
 	st.backlog.Add(-1)
-	if err := v.Table.Heap.Drop(); err != nil {
+	var succ *storage.HeapFile
+	if next != nil {
+		succ = next.Table.Heap
+	}
+	if err := v.Table.Heap.Release(succ); err != nil {
 		st.reclaimErrors.Add(1)
 		return
 	}
@@ -192,7 +229,9 @@ type Store struct {
 	reclaimErrors atomic.Int64
 	commits       atomic.Int64
 	copied        atomic.Int64 // table versions replaced across all commits
-	stallNs       atomic.Int64 // cumulative writer time spent building copies
+	pages         atomic.Int64 // heap pages the commits wrote
+	nodes         atomic.Int64 // index nodes the commits wrote
+	stallNs       atomic.Int64 // cumulative writer time spent making versions writable
 }
 
 // NewStore returns an empty store. managedPrefix is the base-table
@@ -229,10 +268,10 @@ func (st *Store) Current() *Snapshot { return st.current.Load() }
 // tables (name → current physical table, as the commit left them) and
 // rule generation. Tables whose physical identity is unchanged carry their
 // version forward; replaced or dropped versions are marked superseded
-// and reclaimed once their referencing snapshots drain. buildCost is
-// the writer time the commit spent copying tables, surfaced as the
-// writer-stall telemetry. Single writer only.
-func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen uint64, ws *core.Workspace, buildCost time.Duration) *Snapshot {
+// and reclaimed once their referencing snapshots drain. cost is what the
+// commit's writes cost the catalog (catalog.Catalog.Moved): its time is
+// the writer-stall telemetry. Single writer only.
+func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen uint64, ws *core.Workspace, cost catalog.Copies) *Snapshot {
 	prev := st.current.Load()
 	gen := uint64(1)
 	if prev != nil {
@@ -246,22 +285,27 @@ func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen uint64, ws *c
 		store:    st,
 	}
 	next.pins.Store(1)
+	st.mu.Lock()
 	for name, t := range tables {
+		var old *Version
 		if prev != nil {
-			if v, ok := prev.versions[name]; ok && v.Table == t {
-				v.refs.Add(1)
-				next.versions[name] = v
-				continue
-			}
-			if _, replaced := prev.versions[name]; replaced {
-				st.copied.Add(1)
-			}
+			old = prev.versions[name]
+		}
+		if old != nil && old.Table == t {
+			old.refs.Add(1)
+			next.versions[name] = old
+			continue
 		}
 		v := &Version{Table: t, Gen: gen, store: st}
+		if old != nil {
+			st.copied.Add(1)
+			v.older, old.next = old, v
+		}
 		v.refs.Store(1)
 		next.versions[name] = v
 		st.liveVersions.Add(1)
 	}
+	st.mu.Unlock()
 	next.names = make([]string, 0, len(next.versions))
 	for name := range next.versions {
 		next.names = append(next.names, name)
@@ -284,7 +328,9 @@ func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen uint64, ws *c
 	}
 	st.current.Store(next)
 	st.commits.Add(1)
-	st.stallNs.Add(int64(buildCost))
+	st.pages.Add(cost.Pages)
+	st.nodes.Add(cost.Nodes)
+	st.stallNs.Add(int64(cost.Time))
 	if prev != nil {
 		prev.unpin() // drop the currentness pin; last reader out finalizes
 	}
@@ -337,11 +383,16 @@ type Stats struct {
 	ReclaimedTables int64
 	ReclaimErrors   int64
 	// Commits counts Publish calls; CopiedTables counts table versions
-	// replaced across them (the copy-on-write write amplification).
+	// replaced across them; PagesWritten and NodesWritten count the heap
+	// pages and index nodes the replacing versions and the created
+	// tables wrote: copies of pages and nodes an older version shares,
+	// and added ones (the copy-on-write write amplification).
 	Commits      int64
 	CopiedTables int64
-	// WriterStall is the cumulative writer time spent building table
-	// copies before publishing.
+	PagesWritten int64
+	NodesWritten int64
+	// WriterStall is the cumulative writer time spent making frozen
+	// table versions writable before publishing.
 	WriterStall time.Duration
 }
 
@@ -355,6 +406,8 @@ func (st *Store) Stats() Stats {
 		ReclaimErrors:   st.reclaimErrors.Load(),
 		Commits:         st.commits.Load(),
 		CopiedTables:    st.copied.Load(),
+		PagesWritten:    st.pages.Load(),
+		NodesWritten:    st.nodes.Load(),
 		WriterStall:     time.Duration(st.stallNs.Load()),
 	}
 	if cur := st.current.Load(); cur != nil {

@@ -288,10 +288,7 @@ func TestTempHeapsConcurrent(t *testing.T) {
 	if _, err := p.EnsureSuperblock(); err != nil {
 		t.Fatal(err)
 	}
-	stored, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stored := CreateHeap(p)
 	filePages := p.PageCount()
 
 	const workers, rounds, recs = 6, 20, 60
@@ -301,11 +298,7 @@ func TestTempHeapsConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				h, err := CreateTempHeap(p)
-				if err != nil {
-					t.Error(err)
-					return
-				}
+				h := CreateTempHeap(p)
 				for i := 0; i < recs; i++ {
 					rec := bytes.Repeat([]byte{byte(w)}, 100+i)
 					if _, err := h.Insert(rec); err != nil {
@@ -313,17 +306,22 @@ func TestTempHeapsConcurrent(t *testing.T) {
 						return
 					}
 				}
-				n := 0
-				err = h.Scan(func(rid RID, rec []byte) error {
-					if rid.Page < TempBase {
-						return fmt.Errorf("temp heap record at file page %d", rid.Page)
+				err := h.EachPage(func(id PageID) error {
+					if id < TempBase {
+						return fmt.Errorf("temp heap holds file page %d", id)
 					}
-					if len(rec) != 100+n || rec[0] != byte(w) {
-						return fmt.Errorf("worker %d round %d: record %d is %d bytes of %d", w, r, n, len(rec), rec[0])
-					}
-					n++
 					return nil
 				})
+				n := 0
+				if err == nil {
+					err = h.Scan(func(rid RID, rec []byte) error {
+						if len(rec) != 100+n || rec[0] != byte(w) {
+							return fmt.Errorf("worker %d round %d: record %d is %d bytes of %d", w, r, n, len(rec), rec[0])
+						}
+						n++
+						return nil
+					})
+				}
 				if err == nil && n != recs {
 					err = fmt.Errorf("worker %d round %d: %d records, want %d", w, r, n, recs)
 				}
@@ -347,7 +345,7 @@ func TestTempHeapsConcurrent(t *testing.T) {
 	if got, want := p.TempFreePages(), p.TempPages(); got != want || want == 0 {
 		t.Errorf("every temp heap dropped, yet %d of %d temp pages are free", got, want)
 	}
-	if got := p.PageCount(); got != filePages+1 {
-		t.Errorf("the file went from %d to %d pages for a second page of file records", filePages, got)
+	if got := p.PageCount(); got != filePages+2 {
+		t.Errorf("the file went from %d to %d pages for two pages of file records", filePages, got)
 	}
 }

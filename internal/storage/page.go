@@ -26,7 +26,7 @@ const InvalidPageID = PageID(0xFFFFFFFF)
 
 // Slotted page layout:
 //
-//	offset 0:  uint32 next page ID (free-list / heap chain link)
+//	offset 0:  uint32 next page ID (the free list's link)
 //	offset 4:  uint16 slot count
 //	offset 6:  uint16 written as pageHdrSize by Init and never read; the
 //	           page's free space is derived from the slot directory and
@@ -150,10 +150,15 @@ func (p *Page) setSlot(i, off, length int) {
 // slot directory if it is not current.
 func (p *Page) spaceInfo() *pageSpace {
 	sp := &p.space
-	if sp.known {
-		return sp
+	if !sp.known {
+		*sp = p.scanSpace()
 	}
-	*sp = pageSpace{known: true, low: PageSize}
+	return sp
+}
+
+// scanSpace derives the free-space cache from the slot directory.
+func (p *Page) scanSpace() pageSpace {
+	sp := pageSpace{known: true, low: PageSize}
 	for i := p.slots() - 1; i >= 0; i-- {
 		off, _ := p.slot(i)
 		switch {
@@ -165,6 +170,16 @@ func (p *Page) spaceInfo() *pageSpace {
 		}
 	}
 	return sp
+}
+
+// fits is HasRoom for a page that other versions share and their
+// readers read: it reads the free-space cache but builds none.
+func (p *Page) fits(n int) bool {
+	sp := p.space
+	if !sp.known {
+		sp = p.scanSpace()
+	}
+	return sp.low-(pageHdrSize+p.SlotCount()*slotSize)-slotSize >= n
 }
 
 // FreeSpace returns the bytes available for a new record including its
@@ -265,27 +280,19 @@ func (p *Page) LiveRecords() int {
 }
 
 // Compact rewrites the record area to squeeze out dead space, preserving
-// slot numbers of live records.
+// slot numbers of live records. It works from a copy of the page on the
+// stack, and allocates nothing.
 func (p *Page) Compact() {
-	type liveRec struct {
-		slot int
-		data []byte
-	}
-	var live []liveRec
+	old := *p.Data
+	top := PageSize
 	for i := 0; i < p.SlotCount(); i++ {
 		off, length := p.slot(i)
 		if off == deadSlotOffset {
 			continue
 		}
-		cp := make([]byte, length)
-		copy(cp, p.Data[off:off+length])
-		live = append(live, liveRec{slot: i, data: cp})
-	}
-	top := PageSize
-	for _, r := range live {
-		top -= len(r.data)
-		copy(p.Data[top:top+len(r.data)], r.data)
-		p.setSlot(r.slot, top, len(r.data))
+		top -= length
+		copy(p.Data[top:top+length], old[off:off+length])
+		p.setSlot(i, top, length)
 	}
 	// Trim trailing dead slots.
 	n := p.SlotCount()

@@ -276,10 +276,7 @@ func FuzzPageOps(f *testing.F) {
 // and then fail in Page.Insert, leaking one page per attempt.
 func TestHeapInsertOversizeLeavesNoPage(t *testing.T) {
 	p := NewMemPager(16)
-	h, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := CreateHeap(p)
 	// Leave too little room on the head page for a large record, so the
 	// old code walked to the end of the chain.
 	for i := 0; i < 3; i++ {
@@ -320,10 +317,7 @@ func BenchmarkHeapInsert(b *testing.B) {
 	for _, size := range []int{16, 200} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
 			p := NewMemPager(4096)
-			h, err := CreateHeap(p)
-			if err != nil {
-				b.Fatal(err)
-			}
+			h := CreateHeap(p)
 			rec := bytes.Repeat([]byte("x"), size)
 			insert := func(n int) time.Duration {
 				start := time.Now()

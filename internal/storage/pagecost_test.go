@@ -98,9 +98,9 @@ func TestInMemoryPageCost(t *testing.T) {
 // FuzzPagerOps runs a byte string as a sequence of (operation, argument)
 // pairs against an in-memory pager and a file-backed one with the same
 // tiny pool: Allocate, AllocateReusable, Fetch, insert or delete a
-// record on a pinned page, Unpin, FreeChain, Flush, and on the temp
-// region AllocateTemp (which may hang the page on the last temp chain),
-// an insert on a pinned temp page and FreeChain of a temp chain. After
+// record on a pinned page, Unpin, Free, Flush, and on the temp region
+// AllocateTemp (which may add the page to the group of the last temp
+// page), an insert on a pinned temp page and Free of a temp group. After
 // every step both report the same PagerStats and temp-region sizes,
 // every pinned page holds the same bytes on both sides — a page
 // written, evicted and fetched again included, which in memory is the
@@ -135,8 +135,9 @@ func FuzzPagerOps(f *testing.F) {
 		type pair struct{ m, f *Page }
 		var (
 			pinned []pair
-			// owned are the heads of the chains allocated and not freed
-			// (never 0, the superblock); chain maps each to its pages.
+			// owned are the first pages of the groups allocated and not
+			// freed (never 0, the superblock); chain maps each to the
+			// group's pages, which one Free frees.
 			owned     []PageID
 			chain     = map[PageID][]PageID{}
 			filePages = PageID(1) // the superblock
@@ -185,7 +186,7 @@ func FuzzPagerOps(f *testing.F) {
 			}
 			return false
 		}
-		// freeable reports whether no page of owned chain k is pinned.
+		// freeable reports whether no page of owned group k is pinned.
 		freeable := func(k int) bool { return !slices.ContainsFunc(chain[owned[k]], isPinned) }
 		insert := func(pp pair, arg int) {
 			rec := bytes.Repeat([]byte{byte(step)}, arg*7%400)
@@ -198,7 +199,7 @@ func FuzzPagerOps(f *testing.F) {
 		}
 		var (
 			temps     []pair // the pinned temp pages, for op 9
-			tempFrees []int  // the freeable owned temp chains, for op 10
+			tempFrees []int  // the freeable owned temp groups, for op 10
 		)
 		for i := 1; i+1 < len(data) && i < 600; i += 2 {
 			// Ops 0–7 act on either region and keep the meaning they had
@@ -216,7 +217,7 @@ func FuzzPagerOps(f *testing.F) {
 					tempFrees = append(tempFrees, k)
 				}
 			}
-			free := -1 // the owned chain ops 6 and 10 free
+			free := -1 // the owned group ops 6 and 10 free
 			switch {
 			case op == 6 && len(owned) > 0 && freeable(arg%len(owned)):
 				free = arg % len(owned)
@@ -259,11 +260,11 @@ func FuzzPagerOps(f *testing.F) {
 				file.Unpin(pinned[k].f)
 				pinned = append(pinned[:k], pinned[k+1:]...)
 			case free >= 0:
-				// Only temp chains have more than one page: op 8 links
-				// them, and Init leaves Next invalid.
+				// Only temp groups have more than one page: op 8 makes
+				// them.
 				id := owned[free]
-				what = fmt.Sprintf("FreeChain %d (%d pages)", id, len(chain[id]))
-				both(func(p *Pager) (*Page, error) { return nil, p.FreeChain(id) })
+				what = fmt.Sprintf("Free %d (%d pages)", id, len(chain[id]))
+				both(func(p *Pager) (*Page, error) { return nil, p.Free(chain[id]) })
 				owned = append(owned[:free], owned[free+1:]...)
 				delete(chain, id)
 			case op == 8:
@@ -273,9 +274,9 @@ func FuzzPagerOps(f *testing.F) {
 					break
 				}
 				pinned = append(pinned, pp)
-				// An odd argument hangs the page on the chain of the temp
+				// An odd argument adds the page to the group of the temp
 				// page allocated last, while that page is pinned and its
-				// chain is owned.
+				// group is owned.
 				head := pp.m.ID
 				if arg%2 == 1 && lastTemp.m != nil && isPinned(lastTemp.m.ID) {
 					for _, h := range owned {
@@ -287,9 +288,7 @@ func FuzzPagerOps(f *testing.F) {
 				if head == pp.m.ID {
 					owned = append(owned, head)
 				} else {
-					what += fmt.Sprintf(" on the chain of %d", head)
-					lastTemp.m.SetNext(pp.m.ID)
-					lastTemp.f.SetNext(pp.f.ID)
+					what += fmt.Sprintf(" in the group of %d", head)
 				}
 				chain[head] = append(chain[head], pp.m.ID)
 				lastTemp = pp

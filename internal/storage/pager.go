@@ -62,7 +62,7 @@ type Pager struct {
 	hasSuper atomic.Bool // page 0 is a superblock (set by EnsureSuperblock)
 
 	// flMu serializes whole free-list transactions (pop in
-	// AllocateReusable, push in FreeChain), which span several page
+	// AllocateReusable, push in Free), which span several page
 	// fetches and so cannot rely on the pool latch alone. Always
 	// acquired before the pool latch. It also guards the temp region's
 	// free list, which lives here rather than on the superblock: tempFree

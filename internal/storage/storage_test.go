@@ -225,10 +225,7 @@ func TestPagerFetchUnallocated(t *testing.T) {
 
 func TestHeapInsertScanDelete(t *testing.T) {
 	p := NewMemPager(32)
-	h, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := CreateHeap(p)
 	const n = 500
 	rids := make([]RID, n)
 	for i := 0; i < n; i++ {
@@ -278,10 +275,7 @@ func TestHeapInsertScanDelete(t *testing.T) {
 
 func TestHeapGetErrors(t *testing.T) {
 	p := NewMemPager(8)
-	h, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := CreateHeap(p)
 	rid, err := h.Insert([]byte("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -296,10 +290,7 @@ func TestHeapGetErrors(t *testing.T) {
 
 func TestHeapTruncate(t *testing.T) {
 	p := NewMemPager(64)
-	h, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := CreateHeap(p)
 	for i := 0; i < 2000; i++ {
 		if _, err := h.Insert([]byte("0123456789abcdef")); err != nil {
 			t.Fatal(err)
@@ -328,15 +319,15 @@ func TestHeapReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	head := h.Head()
+	h := CreateHeap(p)
 	for i := 0; i < 300; i++ {
 		if _, err := h.Insert([]byte(fmt.Sprintf("row%d", i))); err != nil {
 			t.Fatal(err)
 		}
+	}
+	dir, err := h.AppendDir(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -346,7 +337,10 @@ func TestHeapReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	h2 := OpenHeap(p2, head)
+	h2, rest, err := LoadHeap(p2, dir)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("LoadHeap: %v, %d bytes left", err, len(rest))
+	}
 	cnt, err := h2.Count()
 	if err != nil || cnt != 300 {
 		t.Fatalf("count after reopen = %d, %v", cnt, err)
@@ -357,10 +351,7 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 	// Model-based randomized test: the heap must agree with a map model
 	// under a random interleaving of inserts, deletes and lookups.
 	p := NewMemPager(16)
-	h, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := CreateHeap(p)
 	model := make(map[RID]string)
 	var live []RID
 	r := rand.New(rand.NewSource(42))
@@ -428,7 +419,7 @@ func TestPagerStats(t *testing.T) {
 
 func BenchmarkHeapScan(b *testing.B) {
 	p := NewMemPager(4096)
-	h, _ := CreateHeap(p)
+	h := CreateHeap(p)
 	rec := bytes.Repeat([]byte("x"), 32)
 	for i := 0; i < 10000; i++ {
 		h.Insert(rec)
@@ -447,10 +438,7 @@ func BenchmarkHeapScan(b *testing.B) {
 
 func TestHeapStats(t *testing.T) {
 	p := NewMemPager(64)
-	h, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := CreateHeap(p)
 	var rids []RID
 	for i := 0; i < 10; i++ {
 		rid, err := h.Insert([]byte("record"))

@@ -1,64 +1,75 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
 
 // Superblock layout (page 0 of every database file):
 //
-//	offset 0: magic "DKBM"
-//	offset 4: uint32 format version
-//	offset 8: uint32 free-list head page ID
-//	offset 12: uint32 root (catalog heap head) page ID
+//	offset 0:  magic "DKBM"
+//	offset 4:  uint32 format version
+//	offset 8:  uint32 free-list head page ID
+//	offset 12: uint16 length of the root heap's stored directory
+//	offset 14: the root (catalog) heap's stored directory
+//	           (HeapFile.AppendDir)
 //
 // The free list reuses the page-header next field of the freed pages
-// themselves, so freeing a heap chain is O(1) writes per page and
-// allocation pops in O(1).
+// themselves, so freeing a page is O(1) writes and allocation pops in
+// O(1).
 const (
 	superMagic   = "DKBM"
-	superVersion = 1
+	superVersion = 2
 
 	superOffMagic   = 0
 	superOffVersion = 4
 	superOffFree    = 8
-	superOffRoot    = 12
+	superOffRootLen = 12
+	superOffRoot    = 14
 )
 
 // EnsureSuperblock formats page 0 as a superblock on a fresh store, or
-// validates an existing one. It returns the root page ID recorded there
-// (InvalidPageID on a fresh store).
-func (p *Pager) EnsureSuperblock() (PageID, error) {
+// validates an existing one. It returns the root heap's stored directory
+// recorded there (nil on a fresh store).
+func (p *Pager) EnsureSuperblock() ([]byte, error) {
 	if p.PageCount() == 0 {
 		pg, err := p.Allocate()
 		if err != nil {
-			return InvalidPageID, err
+			return nil, err
 		}
 		defer p.Unpin(pg)
 		if pg.ID != 0 {
-			return InvalidPageID, fmt.Errorf("storage: superblock allocated as page %d", pg.ID)
+			return nil, fmt.Errorf("storage: superblock allocated as page %d", pg.ID)
 		}
 		copy(pg.Data[superOffMagic:], superMagic)
 		binary.BigEndian.PutUint32(pg.Data[superOffVersion:], superVersion)
 		binary.BigEndian.PutUint32(pg.Data[superOffFree:], uint32(InvalidPageID))
-		binary.BigEndian.PutUint32(pg.Data[superOffRoot:], uint32(InvalidPageID))
+		binary.BigEndian.PutUint16(pg.Data[superOffRootLen:], 0)
 		pg.Dirty = true
 		p.setHasSuper()
-		return InvalidPageID, nil
+		return nil, nil
 	}
 	pg, err := p.Fetch(0)
 	if err != nil {
-		return InvalidPageID, err
+		return nil, err
 	}
 	defer p.Unpin(pg)
 	if string(pg.Data[superOffMagic:superOffMagic+4]) != superMagic {
-		return InvalidPageID, fmt.Errorf("storage: bad magic — not a dkbms database")
+		return nil, fmt.Errorf("storage: bad magic — not a dkbms database")
 	}
 	if v := binary.BigEndian.Uint32(pg.Data[superOffVersion:]); v != superVersion {
-		return InvalidPageID, fmt.Errorf("storage: format version %d, want %d", v, superVersion)
+		return nil, fmt.Errorf("storage: format version %d, want %d", v, superVersion)
 	}
 	p.setHasSuper()
-	return PageID(binary.BigEndian.Uint32(pg.Data[superOffRoot:])), nil
+	n := int(binary.BigEndian.Uint16(pg.Data[superOffRootLen:]))
+	if n > PageSize-superOffRoot {
+		return nil, fmt.Errorf("storage: superblock root of %d bytes", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	return bytes.Clone(pg.Data[superOffRoot : superOffRoot+n]), nil
 }
 
 func (p *Pager) setHasSuper() {
@@ -69,14 +80,18 @@ func (p *Pager) superblockPresent() bool {
 	return p.hasSuper.Load()
 }
 
-// SetRoot records the catalog heap head in the superblock.
-func (p *Pager) SetRoot(id PageID) error {
+// SetRoot records the root heap's stored directory in the superblock.
+func (p *Pager) SetRoot(root []byte) error {
+	if len(root) > PageSize-superOffRoot {
+		return fmt.Errorf("storage: root of %d bytes does not fit the superblock", len(root))
+	}
 	pg, err := p.Fetch(0)
 	if err != nil {
 		return err
 	}
 	defer p.Unpin(pg)
-	binary.BigEndian.PutUint32(pg.Data[superOffRoot:], uint32(id))
+	binary.BigEndian.PutUint16(pg.Data[superOffRootLen:], uint16(len(root)))
+	copy(pg.Data[superOffRoot:], root)
 	pg.Dirty = true
 	return nil
 }
@@ -135,65 +150,42 @@ func (p *Pager) AllocateReusable() (*Page, error) {
 	return pg, nil
 }
 
-// FreeChain pushes every page of a heap chain onto its region's free
-// list: a temp chain onto the temp region's, in memory, any other onto
-// the file's. On a bare pager (no superblock) a chain outside the temp
-// region simply leaks; only full databases recycle file pages.
-func (p *Pager) FreeChain(head PageID) error {
-	if head == InvalidPageID {
+// Free pushes each of the pages onto its region's free list: a temp
+// page onto the temp region's, in memory, any other onto the file's. On
+// a bare pager (no superblock) a page outside the temp region simply
+// leaks; only full databases recycle file pages.
+func (p *Pager) Free(ids []PageID) error {
+	if len(ids) == 0 {
 		return nil
 	}
-	if head >= TempBase {
-		return p.freeTempChain(head)
-	}
-	if !p.superblockPresent() {
-		return nil
-	}
-	//dkblint:locksafe free-list transactions are multi-page read-modify-writes; flMu must span the chain's page fetches
+	//dkblint:locksafe free-list transactions are multi-page read-modify-writes; flMu must span the pages' fetches
 	p.flMu.Lock()
 	defer p.flMu.Unlock()
-	id := head
-	for id != InvalidPageID {
+	for _, id := range ids {
+		if id < TempBase && !p.superblockPresent() {
+			continue
+		}
 		pg, err := p.Fetch(id)
 		if err != nil {
 			return err
 		}
-		next := pg.Next()
+		pg.Init()
+		if id >= TempBase {
+			pg.SetNext(p.tempFree)
+			p.tempFree = id
+			p.tempFreeN++
+			p.Unpin(pg)
+			continue
+		}
 		fh, err := p.freeHead()
-		if err != nil {
-			p.Unpin(pg)
-			return err
-		}
-		pg.Init()
-		pg.SetNext(fh)
-		if err := p.setFreeHead(id); err != nil {
-			p.Unpin(pg)
-			return err
+		if err == nil {
+			pg.SetNext(fh)
+			err = p.setFreeHead(id)
 		}
 		p.Unpin(pg)
-		id = next
-	}
-	return nil
-}
-
-// freeTempChain pushes every page of a temp chain onto the temp free
-// list.
-func (p *Pager) freeTempChain(head PageID) error {
-	//dkblint:locksafe free-list transactions are multi-page read-modify-writes; flMu must span the chain's page fetches
-	p.flMu.Lock()
-	defer p.flMu.Unlock()
-	for id := head; id != InvalidPageID; {
-		pg, err := p.Fetch(id)
 		if err != nil {
 			return err
 		}
-		next := pg.Next()
-		pg.Init()
-		pg.SetNext(p.tempFree)
-		p.tempFree = id
-		p.tempFreeN++
-		p.Unpin(pg)
-		id = next
 	}
 	return nil
 }
@@ -219,12 +211,6 @@ func (p *Pager) WalkFree(fn func(id PageID) error) error {
 	if err != nil {
 		return err
 	}
-	return p.WalkChain(head, fn)
-}
-
-// WalkChain calls fn with every page of the chain that starts at head,
-// in chain order. An error from fn stops the walk.
-func (p *Pager) WalkChain(head PageID, fn func(id PageID) error) error {
 	for id := head; id != InvalidPageID; {
 		pg, err := p.Fetch(id)
 		if err != nil {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 )
@@ -15,17 +16,18 @@ func TestSuperblockFreshAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root != InvalidPageID {
-		t.Fatalf("fresh root = %d", root)
+	if root != nil {
+		t.Fatalf("fresh root = %x", root)
 	}
-	h, err := CreateHeap(p)
+	h := CreateHeap(p)
+	if _, err := h.Insert([]byte("catalog row")); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := h.AppendDir(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetRoot(h.Head()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Insert([]byte("catalog row")); err != nil {
+	if err := p.SetRoot(dir); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
@@ -41,10 +43,13 @@ func TestSuperblockFreshAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root2 != h.Head() {
-		t.Fatalf("root after reopen = %d, want %d", root2, h.Head())
+	if !bytes.Equal(root2, dir) {
+		t.Fatalf("root after reopen = %x, want %x", root2, dir)
 	}
-	h2 := OpenHeap(p2, root2)
+	h2, _, err := LoadHeap(p2, root2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n, err := h2.Count()
 	if err != nil || n != 1 {
 		t.Fatalf("count = %d, %v", n, err)
@@ -68,10 +73,7 @@ func TestFreeListRecycling(t *testing.T) {
 	if _, err := p.EnsureSuperblock(); err != nil {
 		t.Fatal(err)
 	}
-	h, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := CreateHeap(p)
 	// Fill several pages.
 	for i := 0; i < 3000; i++ {
 		if _, err := h.Insert([]byte("0123456789abcdef")); err != nil {
@@ -90,10 +92,7 @@ func TestFreeListRecycling(t *testing.T) {
 		t.Fatalf("expected >=10 free pages after drop, got %d", free)
 	}
 	// A new heap of the same size must not grow the store.
-	h2, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2 := CreateHeap(p)
 	for i := 0; i < 3000; i++ {
 		if _, err := h2.Insert([]byte("0123456789abcdef")); err != nil {
 			t.Fatal(err)
@@ -109,10 +108,7 @@ func TestTruncateReturnsTailPages(t *testing.T) {
 	if _, err := p.EnsureSuperblock(); err != nil {
 		t.Fatal(err)
 	}
-	h, err := CreateHeap(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := CreateHeap(p)
 	for i := 0; i < 2000; i++ {
 		if _, err := h.Insert([]byte("0123456789abcdef")); err != nil {
 			t.Fatal(err)
@@ -138,13 +134,13 @@ func TestTruncateReturnsTailPages(t *testing.T) {
 	}
 }
 
-func TestFreeChainWithoutSuperblockIsNoop(t *testing.T) {
+func TestFreeWithoutSuperblockIsNoop(t *testing.T) {
 	p := NewMemPager(8)
-	h, err := CreateHeap(p)
-	if err != nil {
+	h := CreateHeap(p)
+	if _, err := h.Insert([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.FreeChain(h.Head()); err != nil {
+	if err := h.EachPage(func(id PageID) error { return p.Free([]PageID{id}) }); err != nil {
 		t.Fatal(err)
 	}
 	free, err := p.FreePages()
