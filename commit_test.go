@@ -71,7 +71,7 @@ func TestCommitFootprintPinned(t *testing.T) {
 			defer s.Release()
 			rows := make(map[string]int)
 			for _, name := range s.Tables() {
-				rows[name] = s.Version(name).Table.Rows()
+				rows[name] = s.Table(name).Rows()
 			}
 			before := c.SnapshotStats()
 
@@ -90,7 +90,7 @@ func TestCommitFootprintPinned(t *testing.T) {
 				t.Errorf("copied tables +%d, want +%d", d, tc.copied)
 			}
 			for _, name := range s.Tables() {
-				if got := s.Version(name).Table.Rows(); got != rows[name] {
+				if got := s.Table(name).Rows(); got != rows[name] {
 					t.Errorf("pinned snapshot: %s has %d rows, had %d", name, got, rows[name])
 				}
 			}

@@ -133,7 +133,7 @@ func TestTruncateCopiesNothing(t *testing.T) {
 	if after := c.SnapshotStats(); cost != (commitCost{}) || after.CopiedTables-before.CopiedTables != 1 {
 		t.Errorf("truncating %d facts wrote %+v and replaced %d tables; want nothing written, one table replaced", n, cost, after.CopiedTables-before.CopiedTables)
 	}
-	pinned := s.Version(BaseTableName("p")).Table
+	pinned := s.Table(BaseTableName("p"))
 	if count, err := pinned.Count(); err != nil || count != n || pinned.Rows() != n {
 		t.Fatalf("the pinned snapshot reads %d facts (%d maintained), %v; want %d", count, pinned.Rows(), err, n)
 	}

@@ -34,7 +34,8 @@ import (
 //     copies only those it writes (Catalog.Writable);
 //     the commit then publishes the successor snapshot atomically.
 //     In-flight queries keep reading the versions their snapshot pinned;
-//     those versions are reclaimed when the last reader drains;
+//     a replaced version is reclaimed, in commit order, once every
+//     snapshot that can reach it has drained;
 //   - a query therefore always observes a committed state — entirely
 //     before or entirely after any concurrent update, never between.
 //
@@ -128,7 +129,7 @@ func (c *ConcurrentTestbed) publish() {
 	cat := c.tb.db.Catalog()
 	_, cost := cat.Moved()
 	c.tb.published = true
-	c.plans.Invalidate(c.snaps.Publish(cat.Freeze(), c.tb.ruleGen, c.tb.ws, cost))
+	c.plans.Invalidate(c.snaps.Publish(cat, c.tb.ruleGen, c.tb.ws, cost))
 }
 
 // commit runs one testbed write under commitMu and publishes if it
@@ -348,7 +349,7 @@ func (c *ConcurrentTestbed) EngineMetrics() []obs.Metric {
 	defer s.Release()
 	var out []obs.Metric
 	for _, name := range s.Tables() {
-		t := s.Version(name).Table
+		t := s.Table(name)
 		hs := t.Heap.Stats()
 		pre := "table." + name + "."
 		out = append(out,

@@ -41,10 +41,11 @@ type Table struct {
 	// (the run-time library's per-iteration temporaries).
 	Temp bool
 
-	// frozen marks a version Freeze made read-only: its mutators refuse,
-	// and Writable copies it. Set by the single writer before the
-	// version is published, and never cleared.
-	frozen bool
+	// gen is the generation that first published this version, stamped
+	// by Freeze, and 0 while the version is writable. A stamped version
+	// is frozen: its mutators refuse, and Writable copies it. Set by the
+	// single writer before the version is published, and never cleared.
+	gen uint64
 
 	rid storage.RID // location of this table's catalog record
 	// cat holds a stored table's record, which its mutators rewrite when
@@ -64,6 +65,10 @@ func (t *Table) Rows() int { return t.rows }
 
 // Bytes returns the maintained length of the live records together.
 func (t *Table) Bytes() int { return t.bytes }
+
+// Gen returns the generation that first published this version, or 0
+// while it is writable.
+func (t *Table) Gen() uint64 { return t.gen }
 
 // Index is a secondary index over a subset of a table's columns.
 type Index struct {
@@ -363,8 +368,8 @@ func (c *Catalog) CreateTable(name string, schema *rel.Schema, temp bool) (*Tabl
 
 // DropTable removes a table and its indexes, and releases the pages the
 // table's version owns. A frozen version's pages stay: the snapshots
-// that publish it read them, and their store frees them once no reader
-// holds the version (snapshot.Version).
+// that publish it read them, and their store frees them once every
+// snapshot that can reach the version has drained (snapshot.Store).
 func (c *Catalog) DropTable(name string) error {
 	//dkblint:locksafe DDL serializes on ddlMu off the query path; heap/index I/O must be atomic with the catalog mutation
 	c.ddlMu.Lock()
@@ -389,7 +394,7 @@ func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	delete(c.tables, name)
 	c.mu.Unlock()
-	if t.frozen {
+	if t.gen != 0 {
 		return nil
 	}
 	return t.Heap.Drop()
@@ -415,7 +420,7 @@ func (c *Catalog) CreateIndex(name, table string, cols []string, temp bool) (*In
 	if !ok {
 		return nil, fmt.Errorf("catalog: no table %s", table)
 	}
-	if t.frozen {
+	if t.gen != 0 {
 		return nil, fmt.Errorf("index %s on %s: %w", name, table, ErrFrozen)
 	}
 	if len(cols) == 0 {
@@ -475,11 +480,12 @@ func (c *Catalog) dropIndexDDL(name string) error {
 	return nil
 }
 
-// Freeze makes every stored (non-temp) table version read-only and
-// returns them by name: the table map a snapshot publishes. Each
-// version's next write goes to a copy (Writable). Freeze clears what
-// Moved reports.
-func (c *Catalog) Freeze() map[string]*Table {
+// Freeze makes every stored (non-temp) table version read-only, stamps
+// each writable one with gen (> 0), the generation that publishes it
+// first, and returns them by name: the table map a snapshot publishes.
+// Each version's next write goes to a copy (Writable). Freeze clears
+// what Moved reports.
+func (c *Catalog) Freeze(gen uint64) map[string]*Table {
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()
 	c.mu.RLock()
@@ -487,7 +493,9 @@ func (c *Catalog) Freeze() map[string]*Table {
 	out := make(map[string]*Table, len(c.tables))
 	for name, t := range c.tables {
 		if !t.Temp {
-			t.frozen = true
+			if t.gen == 0 {
+				t.gen = gen
+			}
 			out[name] = t
 		}
 	}
@@ -517,7 +525,7 @@ func (c *Catalog) Moved() (bool, Copies) {
 // is returned; the frozen one stays readable by whoever holds it.
 func (c *Catalog) Writable(name string) (*Table, error) {
 	t := c.Table(name)
-	if t == nil || !t.frozen {
+	if t == nil || t.gen == 0 {
 		return t, nil
 	}
 	return c.shadow(t)
@@ -638,7 +646,7 @@ func (t *Table) refused() error { return fmt.Errorf("catalog: write to %s: %w", 
 
 // Insert adds a tuple to the table and all its indexes.
 func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
-	if t.frozen {
+	if t.gen != 0 {
 		return storage.RID{}, t.refused()
 	}
 	if len(tu) != t.Schema.Len() {
@@ -670,7 +678,7 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 // of a tuple of the table's column types, which the caller has checked.
 // An index's key is the record's indexed columns, read in place.
 func (t *Table) InsertRecord(rec []byte) error {
-	if t.frozen {
+	if t.gen != 0 {
 		return t.refused()
 	}
 	var sp rel.Spans
@@ -697,7 +705,7 @@ func (t *Table) InsertRecord(rec []byte) error {
 // DeleteRID removes the tuple at rid from the heap and all indexes. The
 // caller supplies the decoded tuple (executors always have it in hand).
 func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
-	if t.frozen {
+	if t.gen != 0 {
 		return t.refused()
 	}
 	var buf [128]byte
@@ -718,7 +726,7 @@ func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
 // indexes' counters run on. It copies nothing: the pages the version
 // owns are freed, and the ones it shares stay with the frozen version.
 func (t *Table) Truncate() error {
-	if t.frozen {
+	if t.gen != 0 {
 		return t.refused()
 	}
 	if err := t.Heap.Truncate(); err != nil {

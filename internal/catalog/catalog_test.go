@@ -185,7 +185,7 @@ func TestShadowTableClonesIndexes(t *testing.T) {
 		old[idx.Name] = indexAnswers(t, tb, idx)
 	}
 
-	if c.Freeze()["e"] != tb {
+	if c.Freeze(1)["e"] != tb {
 		t.Fatal("Freeze does not return the table")
 	}
 	nt, err := c.Writable("e")
@@ -267,7 +267,7 @@ func TestFrozenVersionRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Freeze()["e"] != tb {
+	if c.Freeze(1)["e"] != tb {
 		t.Fatal("Freeze does not return the table")
 	}
 	state := func() string {
@@ -318,7 +318,7 @@ func TestWritableCopiesOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	frozen := c.Freeze()
+	frozen := c.Freeze(1)
 	if moved, _ := c.Moved(); moved {
 		t.Fatal("Moved after a Freeze")
 	}
@@ -346,7 +346,7 @@ func TestWritableCopiesOnce(t *testing.T) {
 	if c.Table("b") != frozen["b"] {
 		t.Error("a table not written was copied")
 	}
-	if got := c.Freeze(); got["a"] != first || got["b"] != frozen["b"] {
+	if got := c.Freeze(2); got["a"] != first || got["b"] != frozen["b"] {
 		t.Errorf("the next Freeze publishes a=%p b=%p, want the copy %p and the unwritten %p", got["a"], got["b"], first, frozen["b"])
 	}
 	if moved, _ := c.Moved(); moved {
@@ -462,6 +462,59 @@ func TestPersistence(t *testing.T) {
 	tu, err := tb2.Get(rids[0])
 	if err != nil || tu[1].Str != "n42" {
 		t.Fatalf("lookup row = %v, %v", tu, err)
+	}
+}
+
+// TestReopenedInsertFetchesTail: the first insert into a relation
+// reopened from its file looks for room at its tail page, so it fetches
+// at most 2 pages, at 10 pages as at 150 (a directory that spills).
+func TestReopenedInsertFetchesTail(t *testing.T) {
+	schema := rel.MustSchema(rel.Column{Name: "id", Type: rel.TypeInt}, rel.Column{Name: "pad", Type: rel.TypeString})
+	row := func(i int) rel.Tuple {
+		return rel.Tuple{rel.NewInt(int64(i)), rel.NewString(strings.Repeat("p", 200))}
+	}
+	for _, pages := range []int{10, 150} {
+		path := filepath.Join(t.TempDir(), "tail.db")
+		pager, err := storage.OpenPager(path, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Open(pager)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := c.CreateTable("facts", schema, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Stop at the first row of the last page, which leaves it room.
+		i := 0
+		for ; tb.Heap.Len() < pages; i++ {
+			if _, err := tb.Insert(row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := pager.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if pager, err = storage.OpenPager(path, 16); err != nil {
+			t.Fatal(err)
+		}
+		if c, err = Open(pager); err != nil {
+			t.Fatal(err)
+		}
+		tb = c.Table("facts")
+		before := pager.Stats()
+		if _, err := tb.Insert(row(i)); err != nil {
+			t.Fatal(err)
+		}
+		after := pager.Stats()
+		if fetches := after.Hits + after.Misses - before.Hits - before.Misses; fetches > 2 || tb.Heap.Len() != pages {
+			t.Errorf("%d pages: one insert after a reopen fetched %d pages and left %d, want at most 2 and %d", pages, fetches, tb.Heap.Len(), pages)
+		}
+		if err := pager.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -719,7 +772,7 @@ func TestRecordBytesMaintained(t *testing.T) {
 			}
 		case k < 39:
 			op = "clone"
-			old := c.Freeze()["facts"]
+			old := c.Freeze(1)["facts"]
 			nt, err := c.Writable("facts")
 			if err != nil {
 				t.Fatal(err)

@@ -159,6 +159,8 @@ func (s *Server) initRegistry() {
 	counter("snapshot.reclaim_errors", func() int64 { return s.tb.SnapshotStats().ReclaimErrors })
 	counter("snapshot.commits", func() int64 { return s.tb.SnapshotStats().Commits })
 	counter("snapshot.copied_tables", func() int64 { return s.tb.SnapshotStats().CopiedTables })
+	counter("snapshot.pages_written", func() int64 { return s.tb.SnapshotStats().PagesWritten })
+	counter("snapshot.nodes_written", func() int64 { return s.tb.SnapshotStats().NodesWritten })
 	counter("snapshot.writer_stall_ns", func() int64 { return int64(s.tb.SnapshotStats().WriterStall) })
 	counter("slowlog.recorded", s.slow.Recorded)
 	// The engine floor — per-table heap traffic, per-index tree shape,

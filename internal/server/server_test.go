@@ -276,6 +276,81 @@ func TestMetricsJSONIsTheRegistry(t *testing.T) {
 	}
 }
 
+// heldCtx holds the query that evaluates under it at its first Err
+// check, with its snapshot pinned: held is closed once the query waits
+// there, and closing release lets it go on.
+type heldCtx struct {
+	context.Context
+	once          sync.Once
+	held, release chan struct{}
+}
+
+func (h *heldCtx) Err() error {
+	h.once.Do(func() { close(h.held); <-h.release })
+	return nil
+}
+
+// TestSnapshotCountersMove: a LOAD into an existing, indexed relation
+// moves the commit counters the registry serves — commits, copied
+// tables, and the heap pages and index nodes the commit wrote — and the
+// version it replaced is reclaimed, moving snapshot.reclaimed_tables,
+// only once a reader that pinned the old snapshot releases it.
+func TestSnapshotCountersMove(t *testing.T) {
+	local := dkbms.NewMemory()
+	if err := local.Load(baseProgram); err != nil {
+		t.Fatal(err)
+	}
+	if err := local.CreateFactIndex("parent", 0); err != nil {
+		t.Fatal(err)
+	}
+	tb := dkbms.NewConcurrent(local)
+	defer tb.Close()
+	srv := server.New(tb, server.Options{})
+	addr, cancel, done := startServerWith(t, srv)
+	defer func() { cancel(); <-done }()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ctx := &heldCtx{Context: context.Background(), held: make(chan struct{}), release: make(chan struct{})}
+	queried := make(chan error, 1)
+	go func() {
+		_, err := tb.QueryContext(ctx, "?- ancestor(c3, X).", nil)
+		queried <- err
+	}()
+	<-ctx.held
+	var once sync.Once
+	release := func() {
+		once.Do(func() {
+			close(ctx.release)
+			if err := <-queried; err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	defer release()
+
+	before := stats(t, srv)
+	if err := c.Load("parent(c9, c10)."); err != nil {
+		t.Fatal(err)
+	}
+	after := stats(t, srv)
+	for _, name := range []string{"snapshot.commits", "snapshot.copied_tables", "snapshot.pages_written", "snapshot.nodes_written"} {
+		if after[name] <= before[name] {
+			t.Errorf("%s read %d before the LOAD and %d after", name, before[name], after[name])
+		}
+	}
+	if after["snapshot.reclaimed_tables"] != before["snapshot.reclaimed_tables"] {
+		t.Errorf("snapshot.reclaimed_tables moved %d → %d while a reader pinned the replaced version", before["snapshot.reclaimed_tables"], after["snapshot.reclaimed_tables"])
+	}
+	release()
+	if got := stats(t, srv)["snapshot.reclaimed_tables"]; got <= after["snapshot.reclaimed_tables"] {
+		t.Errorf("snapshot.reclaimed_tables read %d after the reader released, %d before", got, after["snapshot.reclaimed_tables"])
+	}
+}
+
 // TestEveryRequestDispatched sends every request opcode, each with an
 // empty payload. A named opcode must reach its own arm of the dispatch
 // (an answer or a decode error); one with no String name lies past the

@@ -76,7 +76,7 @@ func TestOldSnapshotOutlivesCommits(t *testing.T) {
 		}
 	}
 	st := NewStore("edb_")
-	st.Publish(c.Freeze(), 1, core.NewWorkspace(), catalog.Copies{})
+	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 
 	type pin struct {
 		s    *Snapshot
@@ -112,7 +112,7 @@ func TestOldSnapshotOutlivesCommits(t *testing.T) {
 		if nt.Heap.Len() != pages+1 || nt.Heap.Written() != 1 {
 			t.Fatalf("commit %d: %d pages, %d written; want %d and 1", k, nt.Heap.Len(), nt.Heap.Written(), pages+1)
 		}
-		st.Publish(c.Freeze(), 1, core.NewWorkspace(), catalog.Copies{})
+		st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 		held = append(held, acquire())
 		for len(held) > 3 {
 			i := r.Intn(len(held))
@@ -159,7 +159,7 @@ func TestDropTableLeavesPublishedPages(t *testing.T) {
 		}
 	}
 	st := NewStore("edb_")
-	st.Publish(d.Catalog().Freeze(), 1, core.NewWorkspace(), catalog.Copies{})
+	st.Publish(d.Catalog(), 1, core.NewWorkspace(), catalog.Copies{})
 	s := st.Acquire()
 	v, _ := s.ResolveTable("edb_a")
 	want := contents(t, v)
@@ -168,7 +168,7 @@ func TestDropTableLeavesPublishedPages(t *testing.T) {
 	if err := d.Exec("DROP TABLE edb_a"); err != nil {
 		t.Fatal(err)
 	}
-	st.Publish(d.Catalog().Freeze(), 1, core.NewWorkspace(), catalog.Copies{})
+	st.Publish(d.Catalog(), 1, core.NewWorkspace(), catalog.Copies{})
 	if cs, err := d.Catalog().Census(); err != nil || cs.Free != before.Free {
 		t.Fatalf("the drop freed pages a pinned snapshot reads: %+v, was %+v, %v", cs, before, err)
 	}
@@ -179,5 +179,137 @@ func TestDropTableLeavesPublishedPages(t *testing.T) {
 	cs := checkCensus(t, d.Catalog())
 	if cs.Free != before.Free+before.Tables || cs.Tables != 0 {
 		t.Fatalf("after the release: %+v; want the table's %d pages free: %+v before", cs, before.Tables, before)
+	}
+}
+
+// TestReclaimInCommitOrderAcrossTables holds the first snapshot while a
+// second table is created, a third dropped and the first rewritten
+// page by page, commit k deleting a row of the page at position k mod
+// 6; the snapshots pinned in between are released in a shuffled order.
+// After every commit each pinned snapshot reads exactly the tables and
+// rows it was published with. Once every pin is released, each
+// superseded version is reclaimed and the census partitions the file.
+func TestReclaimInCommitOrderAcrossTables(t *testing.T) {
+	p, err := storage.OpenPager(filepath.Join(t.TempDir(), "tables.db"), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	c, err := catalog.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := rel.MustSchema(rel.Column{Name: "id", Type: rel.TypeInt}, rel.Column{Name: "pad", Type: rel.TypeString})
+	row := func(id int) rel.Tuple {
+		return rel.Tuple{rel.NewInt(int64(id)), rel.NewString(fmt.Sprintf("row %d %s", id, strings.Repeat("x", 40)))}
+	}
+	fill := func(name string, pages int) {
+		tb, err := c.CreateTable(name, schema, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; tb.Heap.Len() < pages; i++ {
+			if _, err := tb.Insert(row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const pages = 6 // edb_a's full pages, and a tail page the commits leave alone
+	fill("edb_a", pages+1)
+	fill("edb_c", 2)
+	st := NewStore("edb_")
+	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
+
+	// A pin, and every table its snapshot was published with.
+	type pin struct {
+		s    *Snapshot
+		want map[string][]string
+	}
+	acquire := func() pin {
+		s := st.Acquire()
+		want := make(map[string][]string)
+		for _, name := range s.Tables() {
+			want[name] = contents(t, s.Table(name))
+		}
+		return pin{s, want}
+	}
+	old := acquire()
+	var held []pin
+	superseded := 0
+	r := rand.New(rand.NewSource(55))
+	for k := 2; k <= 40; k++ {
+		switch {
+		case k == 2:
+			fill("edb_b", 2)
+		case k == 3:
+			if err := c.DropTable("edb_c"); err != nil {
+				t.Fatal(err)
+			}
+			superseded++
+		default:
+			nt, err := c.Writable("edb_a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var victim storage.RID
+			var victimRow rel.Tuple
+			found := false
+			if err := nt.Scan(func(rid storage.RID, tu rel.Tuple) error {
+				if !found && int(rid.Page) == k%pages {
+					victim, victimRow, found = rid, tu.Clone(), true
+				}
+				return nil
+			}); err != nil || !found {
+				t.Fatalf("commit %d: no row on page %d: %v", k, k%pages, err)
+			}
+			if err := nt.DeleteRID(victim, victimRow); err != nil {
+				t.Fatal(err)
+			}
+			superseded++
+			if k%4 == 0 {
+				nb, err := c.Writable("edb_b")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := nb.Insert(row(1000 + k)); err != nil {
+					t.Fatal(err)
+				}
+				superseded++
+			}
+		}
+		st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
+		held = append(held, acquire())
+		for len(held) > 3 {
+			i := r.Intn(len(held))
+			held[i].s.Release()
+			held = slices.Delete(held, i, i+1)
+		}
+		for _, h := range append(held, old) {
+			if got := h.s.Tables(); len(got) != len(h.want) {
+				t.Fatalf("commit %d: the snapshot of generation %d holds tables %v", k, h.s.Gen, got)
+			}
+			for name, want := range h.want {
+				if got := contents(t, h.s.Table(name)); !slices.Equal(got, want) {
+					t.Fatalf("commit %d: the snapshot of generation %d reads %d rows of %s unlike the %d it was published with", k, h.s.Gen, len(got), name, len(want))
+				}
+			}
+		}
+		if s := st.Stats(); s.OldestPinnedGen != 1 {
+			t.Fatalf("commit %d: oldest pinned generation %d while generation 1 is held", k, s.OldestPinnedGen)
+		}
+	}
+	if s := st.Stats(); s.ReclaimedTables != 0 {
+		t.Fatalf("%d versions reclaimed while the first snapshot is held", s.ReclaimedTables)
+	}
+	for _, h := range append(held, old) {
+		h.s.Release()
+	}
+	st.Shutdown()
+	if s := st.Stats(); s.ReclaimBacklog != 0 || s.ReclaimErrors != 0 || s.RetiredSnapshots != 0 || s.ReclaimedTables != int64(superseded) {
+		t.Fatalf("after the drain: %+v; want no backlog and %d versions reclaimed", s, superseded)
+	}
+	cs := checkCensus(t, c)
+	if want := c.Table("edb_a").Heap.Len() + c.Table("edb_b").Heap.Len(); cs.Tables != want {
+		t.Fatalf("the tables hold %d pages, want %d: %+v", cs.Tables, want, cs)
 	}
 }

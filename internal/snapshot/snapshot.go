@@ -1,33 +1,30 @@
 // Package snapshot is the engine's MVCC-lite read path: immutable,
 // generation-stamped snapshots of the base-table state, published
-// through an atomic pointer and reclaimed by reference counting.
-//
-// The design replaces the reader/writer lock the ConcurrentTestbed
-// originally used (readers convoyed behind every LOAD/RETRACT; see
-// scripts/bench_baseline/BENCH_server_scaling.json) with copy-on-write
-// at table granularity:
+// through an atomic pointer and reclaimed in commit order.
 //
 //   - A Snapshot is a frozen view: the rule generation that keys the
 //     plan cache's compiled programs (RuleGen), the workspace rule set
-//     at commit time, and a per-table version vector mapping base-table
-//     names to immutable *catalog.Table versions, against which memoized
-//     answers are validated.
+//     at commit time, and the map from base-table name to the frozen
+//     *catalog.Table version that catalog.Catalog.Freeze returned. Each
+//     version carries the generation that first published it
+//     (catalog.Table.Gen), against which memoized answers are validated.
 //   - Readers pin the current snapshot with Store.Acquire — an atomic
 //     pointer load plus a pin-count increment, never a lock shared with
 //     writers — evaluate entirely against it, and Release it when done.
-//   - The single-writer commit path publishes the tables
-//     catalog.Catalog.Freeze returns, frozen: the catalog replaces each
-//     on its first write after that (Catalog.Writable) by a version that
-//     shares its pages and index nodes and copies those it writes, and
-//     installs the successor snapshot with Store.Publish. Unchanged
-//     tables carry their Version into the new snapshot; a replaced
-//     Version is marked superseded.
-//   - Reclamation is epoch-like: each Version counts the snapshots that
-//     reference it. A superseded Version, once the last referencing
-//     snapshot drains to zero reader pins and every older version of
-//     its table is reclaimed, frees the heap pages it names and its
-//     successor does not (back to the pager free list). An older
-//     version may share those pages, hence the order. A pinned
+//   - The single-writer commit path calls Store.Publish, which freezes
+//     the catalog's stored tables and installs them as the successor
+//     snapshot. The catalog replaces a frozen version on its first write
+//     after that (Catalog.Writable) by a version that shares its pages
+//     and index nodes and copies those it writes.
+//   - Reclamation follows one rule, LMDB's: a version that commit g
+//     dropped or replaced is unreachable once every snapshot older than
+//     g has drained. Publish records those versions, each with its
+//     successor, on the snapshot it retires, and queues that snapshot.
+//     A drained snapshot is only marked; whoever drains the oldest
+//     queued one pops every drained snapshot at the head of the queue
+//     and frees, for each version they carry, the heap pages it names
+//     and its successor does not (back to the pager free list). An
+//     older version may share those pages, hence the order. A pinned
 //     snapshot therefore keeps every table version it can see readable,
 //     no matter how many commits have happened since.
 package snapshot
@@ -44,78 +41,6 @@ import (
 	"dkbms/internal/storage"
 )
 
-// Version is one immutable published version of a base table. The
-// wrapped *catalog.Table is frozen (catalog.Catalog.Freeze): its
-// mutators refuse, and a write goes to a copy, so readers may scan its
-// heap and probe its indexes without coordination.
-type Version struct {
-	// Table is the frozen physical table.
-	Table *catalog.Table
-	// Gen is the snapshot generation that first published this version;
-	// the plan cache's per-table dependency vectors compare against it.
-	Gen uint64
-
-	// refs counts the snapshots (not readers) referencing this version.
-	refs atomic.Int64
-	// superseded is set by Publish when a newer version replaces this
-	// one; only superseded versions free heap pages, on the last unref.
-	superseded atomic.Bool
-	store      *Store
-
-	// Guarded by store.mu. next is the version that replaced this one
-	// under its name (nil when the name was dropped), older the version
-	// it replaced until that one is reclaimed; drained is set when no
-	// snapshot references this version, reclaimed when its reclamation
-	// is claimed.
-	next, older        *Version
-	drained, reclaimed bool
-}
-
-// unref drops one snapshot reference; the last reference of a
-// superseded version reclaims it, or leaves that to the reclamation of
-// the older version it waits for.
-func (v *Version) unref() {
-	if v.refs.Add(-1) == 0 && v.superseded.Load() {
-		v.store.drain(v)
-	}
-}
-
-// drain marks v drained and reclaims, in order, each version of its
-// table from v on that is drained and no longer waits for an older one.
-func (st *Store) drain(v *Version) {
-	st.mu.Lock()
-	v.drained = true
-	for v != nil && v.drained && v.older == nil && !v.reclaimed {
-		v.reclaimed = true
-		next := v.next
-		if next != nil {
-			next.older = nil
-		}
-		st.mu.Unlock()
-		v.reclaim(next)
-		st.mu.Lock()
-		v = next
-	}
-	st.mu.Unlock()
-}
-
-// reclaim frees the heap pages v names and next, its successor, does
-// not.
-func (v *Version) reclaim(next *Version) {
-	st := v.store
-	st.liveVersions.Add(-1)
-	st.backlog.Add(-1)
-	var succ *storage.HeapFile
-	if next != nil {
-		succ = next.Table.Heap
-	}
-	if err := v.Table.Heap.Release(succ); err != nil {
-		st.reclaimErrors.Add(1)
-		return
-	}
-	st.reclaimed.Add(1)
-}
-
 // Snapshot is one immutable published engine state. All exported fields
 // and maps are frozen at Publish time; a Snapshot is safe for
 // concurrent use by any number of readers holding pins on it.
@@ -127,31 +52,41 @@ type Snapshot struct {
 	// compiled programs (result validity uses the per-table vector).
 	RuleGen uint64
 
-	ws       *core.Workspace
-	versions map[string]*Version
-	names    []string // sorted version-map keys, for deterministic iteration
+	ws     *core.Workspace
+	tables map[string]*catalog.Table
+	names  []string // sorted table-map keys, for deterministic iteration
 
 	// pins starts at 1 — the store's "currentness" reference — and
 	// counts readers on top. Publish drops the currentness pin when the
 	// snapshot is superseded; whoever takes pins to zero finalizes.
 	pins  atomic.Int64
-	done  atomic.Bool
 	store *Store
+
+	// retire holds the versions the successor snapshot dropped or
+	// replaced, written by the Publish that queues this snapshot.
+	retire []superseded
+	// drained is set, under store.mu, once the pins of this retired
+	// snapshot reach zero.
+	drained bool
 }
+
+// superseded is a table version a commit dropped or replaced, and the
+// version that replaced it (nil when the commit dropped it).
+type superseded struct{ version, successor *catalog.Table }
 
 // WS returns the frozen workspace rule set of this snapshot.
 func (s *Snapshot) WS() *core.Workspace { return s.ws }
 
-// ResolveTable resolves a base-table name against the frozen version
-// vector. It reports (table, true) for names the snapshot is
-// authoritative for — every versioned table, plus any name under the
+// ResolveTable resolves a base-table name against the frozen table
+// map. It reports (table, true) for names the snapshot is
+// authoritative for — every published table, plus any name under the
 // store's managed prefix, for which absence is authoritative too (a
 // fact relation created after this snapshot must stay invisible to
 // it). Other names (the run-time library's session-private temp
 // tables) report (nil, false) and fall through to the live catalog.
 func (s *Snapshot) ResolveTable(name string) (*catalog.Table, bool) {
-	if v, ok := s.versions[name]; ok {
-		return v.Table, true
+	if t, ok := s.tables[name]; ok {
+		return t, true
 	}
 	if strings.HasPrefix(name, s.store.prefix) {
 		return nil, true
@@ -164,21 +99,21 @@ func (s *Snapshot) ResolveTable(name string) (*catalog.Table, bool) {
 // (name → TableGen) pairs form an exact validity vector: a memoized
 // result is current while every dependency reports the recorded value.
 func (s *Snapshot) TableGen(name string) uint64 {
-	if v, ok := s.versions[name]; ok {
-		return v.Gen
+	if t, ok := s.tables[name]; ok {
+		return t.Gen()
 	}
 	return 0
 }
 
-// Tables returns the versioned table names in sorted order.
+// Tables returns the published table names in sorted order.
 func (s *Snapshot) Tables() []string { return s.names }
 
-// Version returns the named table's version, or nil.
-func (s *Snapshot) Version(name string) *Version { return s.versions[name] }
+// Table returns the named table's frozen version, or nil.
+func (s *Snapshot) Table(name string) *catalog.Table { return s.tables[name] }
 
-// Release drops a reader's pin. The last pin of a superseded snapshot
-// releases its version references, which reclaims any table version no
-// other snapshot can see.
+// Release drops a reader's pin. The last pin of a retired snapshot
+// marks it drained, which reclaims the versions of every drained
+// snapshot at the head of the queue.
 func (s *Snapshot) Release() {
 	s.unpin()
 	// Decremented after finalization so that Store.Shutdown observing
@@ -193,18 +128,46 @@ func (s *Snapshot) unpin() {
 	}
 }
 
-// finalize runs once, when a superseded snapshot's pins drain to zero:
-// it releases the version references and then unregisters from the
-// retired set. The done flag guards the 0→1→0 pin transient of
-// Acquire's recheck loop, which can reach zero a second time.
+// finalize runs when the pins of a retired snapshot reach zero: it marks
+// the snapshot drained, then pops every drained snapshot at the head of
+// the queue and reclaims the versions each carries, outside mu. The
+// drained flag also guards the 0→1→0 pin transient of Acquire's recheck
+// loop, which can reach zero a second time.
 func (s *Snapshot) finalize() {
-	if !s.done.CompareAndSwap(false, true) {
+	st := s.store
+	st.mu.Lock()
+	if s.drained {
+		st.mu.Unlock()
 		return
 	}
-	for _, v := range s.versions {
-		v.unref()
+	s.drained = true
+	for len(st.queue) > 0 && st.queue[0].drained {
+		head := st.queue[0]
+		st.queue[0] = nil
+		st.queue = st.queue[1:]
+		st.mu.Unlock()
+		for _, v := range head.retire {
+			st.reclaim(v)
+		}
+		st.mu.Lock()
 	}
-	s.store.noteDrained(s)
+	st.mu.Unlock()
+}
+
+// reclaim frees the heap pages v.version names and its successor does
+// not.
+func (st *Store) reclaim(v superseded) {
+	st.liveVersions.Add(-1)
+	st.backlog.Add(-1)
+	var succ *storage.HeapFile
+	if v.successor != nil {
+		succ = v.successor.Heap
+	}
+	if err := v.version.Heap.Release(succ); err != nil {
+		st.reclaimErrors.Add(1)
+		return
+	}
+	st.reclaimed.Add(1)
 }
 
 // Store publishes snapshots. The read path (Acquire/Release) is
@@ -220,8 +183,8 @@ type Store struct {
 	// readers counts queries currently holding a pinned snapshot.
 	readers atomic.Int64
 
-	mu      sync.Mutex
-	retired map[*Snapshot]struct{} // superseded snapshots not yet drained
+	mu    sync.Mutex
+	queue []*Snapshot // retired snapshots not yet reclaimed, oldest first
 
 	liveVersions  atomic.Int64
 	backlog       atomic.Int64 // superseded versions awaiting reclamation
@@ -238,7 +201,7 @@ type Store struct {
 // naming prefix ("edb_") for which snapshots are authoritative even in
 // absence. Publish must run once before the first Acquire.
 func NewStore(managedPrefix string) *Store {
-	return &Store{prefix: managedPrefix, retired: make(map[*Snapshot]struct{})}
+	return &Store{prefix: managedPrefix}
 }
 
 // Acquire pins and returns the current snapshot. The recheck loop
@@ -264,66 +227,45 @@ func (st *Store) Acquire() *Snapshot {
 // Acquire to evaluate against it.
 func (st *Store) Current() *Snapshot { return st.current.Load() }
 
-// Publish installs the successor snapshot built from the given live
-// tables (name → current physical table, as the commit left them) and
-// rule generation. Tables whose physical identity is unchanged carry their
-// version forward; replaced or dropped versions are marked superseded
-// and reclaimed once their referencing snapshots drain. cost is what the
-// commit's writes cost the catalog (catalog.Catalog.Moved): its time is
-// the writer-stall telemetry. Single writer only.
-func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen uint64, ws *core.Workspace, cost catalog.Copies) *Snapshot {
+// Publish freezes the catalog's stored tables, stamping the versions
+// first published now with the new generation (catalog.Catalog.Freeze),
+// and installs them as the successor snapshot with the rule generation
+// and workspace. The versions it drops or replaces are recorded on the
+// retired snapshot and reclaimed once every snapshot up to it has
+// drained. cost is what the commit's writes cost the catalog
+// (catalog.Catalog.Moved): its time is the writer-stall telemetry.
+// Single writer only.
+func (st *Store) Publish(cat *catalog.Catalog, ruleGen uint64, ws *core.Workspace, cost catalog.Copies) *Snapshot {
 	prev := st.current.Load()
 	gen := uint64(1)
 	if prev != nil {
 		gen = prev.Gen + 1
 	}
-	next := &Snapshot{
-		Gen:      gen,
-		RuleGen:  ruleGen,
-		ws:       ws,
-		versions: make(map[string]*Version, len(tables)),
-		store:    st,
-	}
+	next := &Snapshot{Gen: gen, RuleGen: ruleGen, ws: ws, tables: cat.Freeze(gen), store: st}
 	next.pins.Store(1)
-	st.mu.Lock()
-	for name, t := range tables {
-		var old *Version
-		if prev != nil {
-			old = prev.versions[name]
-		}
-		if old != nil && old.Table == t {
-			old.refs.Add(1)
-			next.versions[name] = old
-			continue
-		}
-		v := &Version{Table: t, Gen: gen, store: st}
-		if old != nil {
-			st.copied.Add(1)
-			v.older, old.next = old, v
-		}
-		v.refs.Store(1)
-		next.versions[name] = v
-		st.liveVersions.Add(1)
-	}
-	st.mu.Unlock()
-	next.names = make([]string, 0, len(next.versions))
-	for name := range next.versions {
+	next.names = make([]string, 0, len(next.tables))
+	for name, t := range next.tables {
 		next.names = append(next.names, name)
+		if t.Gen() == gen {
+			st.liveVersions.Add(1)
+		}
 	}
 	sort.Strings(next.names)
 
 	if prev != nil {
-		for name, v := range prev.versions {
-			if next.versions[name] != v {
-				v.superseded.Store(true)
-				st.backlog.Add(1)
+		for name, t := range prev.tables {
+			if nt := next.tables[name]; nt != t {
+				prev.retire = append(prev.retire, superseded{t, nt})
+				if nt != nil {
+					st.copied.Add(1)
+				}
 			}
 		}
-		// Register prev as retired before the swap: a racing reader that
-		// takes prev's pins to zero right after the swap must find it in
-		// the set to unregister.
+		st.backlog.Add(int64(len(prev.retire)))
+		// Queue prev before the swap: a racing reader that takes prev's
+		// pins to zero right after the swap must find it queued.
 		st.mu.Lock()
-		st.retired[prev] = struct{}{}
+		st.queue = append(st.queue, prev)
 		st.mu.Unlock()
 	}
 	st.current.Store(next)
@@ -332,15 +274,9 @@ func (st *Store) Publish(tables map[string]*catalog.Table, ruleGen uint64, ws *c
 	st.nodes.Add(cost.Nodes)
 	st.stallNs.Add(int64(cost.Time))
 	if prev != nil {
-		prev.unpin() // drop the currentness pin; last reader out finalizes
+		prev.unpin() // drop the currentness pin; last reader out drains
 	}
 	return next
-}
-
-func (st *Store) noteDrained(s *Snapshot) {
-	st.mu.Lock()
-	delete(st.retired, s)
-	st.mu.Unlock()
 }
 
 // ActiveReaders returns the number of queries holding a pinned
@@ -353,7 +289,7 @@ func (st *Store) ActiveReaders() int64 { return st.readers.Load() }
 func (st *Store) Shutdown() {
 	for {
 		st.mu.Lock()
-		n := len(st.retired)
+		n := len(st.queue)
 		st.mu.Unlock()
 		if n == 0 && st.readers.Load() == 0 {
 			return
@@ -368,11 +304,11 @@ type Stats struct {
 	Gen     uint64
 	RuleGen uint64
 	// OldestPinnedGen is the generation of the oldest snapshot still
-	// held by a reader (== Gen when no retired snapshot survives).
+	// held by a reader: the head of the queue, or Gen when it is empty.
 	OldestPinnedGen uint64
 	// ActiveReaders counts queries holding a pinned snapshot.
 	ActiveReaders int64
-	// RetiredSnapshots counts superseded snapshots awaiting drain.
+	// RetiredSnapshots counts retired snapshots not yet reclaimed.
 	RetiredSnapshots int64
 	// LiveVersions counts table versions not yet reclaimed (including
 	// the current ones); ReclaimBacklog counts the superseded subset.
@@ -415,11 +351,9 @@ func (st *Store) Stats() Stats {
 		out.OldestPinnedGen = cur.Gen
 	}
 	st.mu.Lock()
-	out.RetiredSnapshots = int64(len(st.retired))
-	for s := range st.retired {
-		if s.Gen < out.OldestPinnedGen {
-			out.OldestPinnedGen = s.Gen
-		}
+	out.RetiredSnapshots = int64(len(st.queue))
+	if len(st.queue) > 0 {
+		out.OldestPinnedGen = st.queue[0].Gen
 	}
 	st.mu.Unlock()
 	return out

@@ -53,7 +53,7 @@ func rowCount(t *testing.T, tb *catalog.Table) int {
 func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 	p, c := testCatalog(t, "edb_a", "edb_b")
 	st := NewStore("edb_")
-	st.Publish(c.Freeze(), 1, core.NewWorkspace(), catalog.Copies{})
+	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 
 	s1 := st.Acquire()
 	oldA, ok := s1.ResolveTable("edb_a")
@@ -72,7 +72,7 @@ func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 	if _, err := newA.Insert(rel.Tuple{rel.NewInt(7), rel.NewInt(8)}); err != nil {
 		t.Fatal(err)
 	}
-	st.Publish(c.Freeze(), 1, core.NewWorkspace(), catalog.Copies{})
+	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 
 	// The pinned snapshot still reads the one-row original.
 	if got := rowCount(t, oldA); got != 1 {
@@ -132,7 +132,7 @@ func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 func TestSnapshotAuthority(t *testing.T) {
 	_, c := testCatalog(t, "edb_a")
 	st := NewStore("edb_")
-	st.Publish(c.Freeze(), 1, core.NewWorkspace(), catalog.Copies{})
+	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 	s := st.Acquire()
 	defer s.Release()
 
@@ -157,7 +157,7 @@ func TestSnapshotAuthority(t *testing.T) {
 func TestSnapshotChurnNoLeak(t *testing.T) {
 	_, c := testCatalog(t, "edb_a", "edb_b")
 	st := NewStore("edb_")
-	st.Publish(c.Freeze(), 1, core.NewWorkspace(), catalog.Copies{})
+	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -198,7 +198,7 @@ func TestSnapshotChurnNoLeak(t *testing.T) {
 		if _, err := tb.Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewInt(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
-		st.Publish(c.Freeze(), 1, core.NewWorkspace(), catalog.Copies{})
+		st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 	}
 	close(stop)
 	wg.Wait()
@@ -229,7 +229,7 @@ func TestSnapshotGenerationsMonotonic(t *testing.T) {
 	_, c := testCatalog(t, "edb_a")
 	st := NewStore("edb_")
 	for i := 1; i <= 3; i++ {
-		s := st.Publish(c.Freeze(), uint64(i), core.NewWorkspace(), catalog.Copies{})
+		s := st.Publish(c, uint64(i), core.NewWorkspace(), catalog.Copies{})
 		if s.Gen != uint64(i) {
 			t.Fatalf("publish %d got gen %d", i, s.Gen)
 		}

@@ -593,6 +593,9 @@ func LoadHeap(p *Pager, stored []byte) (*HeapFile, []byte, error) {
 	}
 	stored = stored[sz:]
 	h := newHeap(p, false)
+	// Inserts fill the pages in order, so the first one after a reopen
+	// looks for room at the tail page, not at every page before it.
+	h.last = uint32(max(n, 1) - 1)
 	ids := func(b []byte, count uint64) ([]PageID, error) {
 		if uint64(len(b)) < 4*count {
 			return nil, corrupt

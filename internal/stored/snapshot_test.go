@@ -37,7 +37,7 @@ func pin(d *db.DB) frozen {
 // version stays as it was.
 func commit(t *testing.T, d *db.DB, m *Manager, rules ...dlog.Clause) {
 	t.Helper()
-	d.Catalog().Freeze()
+	d.Catalog().Freeze(1)
 	if _, err := m.Update(rules); err != nil {
 		t.Error(err)
 	}
