@@ -9,6 +9,7 @@ import (
 	"dkbms/internal/core"
 	"dkbms/internal/db"
 	"dkbms/internal/dlog"
+	"dkbms/internal/exec"
 	"dkbms/internal/obs"
 	"dkbms/internal/rel"
 	"dkbms/internal/snapshot"
@@ -42,11 +43,16 @@ import (
 // Query additionally consults a shared plan cache: compiled evaluation
 // programs are keyed by (query text, options) and reused across sessions
 // while the rule-base generation stands still, and a query's answer is
-// memoized with the set of base-table versions it was computed from —
-// so an update invalidates only the answers that read the tables it
-// touched, and a hot query repeated by many sessions skips the whole
-// parse→typecheck→magic→codegen pipeline (and, when its tables are
-// unchanged, the LFP evaluation too).
+// memoized with the set of base-table versions it was computed from and
+// its read set — so an update invalidates only the answers that read
+// what it wrote, and a hot query repeated by many sessions skips the
+// whole parse→typecheck→magic→codegen pipeline (and, when what it read
+// is unchanged, the LFP evaluation too). Reads are key-scoped where
+// the evaluation reads a table only through index probes of full keys
+// (a bound query's magic-set or factored closure, say): a commit that
+// writes none of the probed keys carries the memo forward. Any other
+// read — a scan, a prefix probe — scopes the memo to the whole table.
+// A read set costs 2 bytes per distinct probed key (readSet).
 //
 // The zero value is not usable; wrap an open Testbed with NewConcurrent.
 type ConcurrentTestbed struct {
@@ -129,7 +135,8 @@ func (c *ConcurrentTestbed) publish() {
 	cat := c.tb.db.Catalog()
 	_, cost := cat.Moved()
 	c.tb.published = true
-	c.plans.Invalidate(c.snaps.Publish(cat, c.tb.ruleGen, c.tb.ws, cost))
+	prev := c.snaps.Current()
+	c.plans.Invalidate(prev, c.snaps.Publish(cat, c.tb.ruleGen, c.tb.ws, cost))
 }
 
 // commit runs one testbed write under commitMu and publishes if it
@@ -242,23 +249,31 @@ func (c *ConcurrentTestbed) QueryShared(ctx context.Context, src string, opts *Q
 	return a.res, a.block, err
 }
 
-// read is the read path behind QueryContext and QueryShared: it pins a
-// snapshot, takes the query's program (and a current memoized answer,
-// if there is one) from the plan cache, and otherwise evaluates and
-// publishes the answer for the next reader. Every evaluation reads its answer as a row block
-// (the memo's form). The caller's answer is the stored one with the
-// result struct copied, so its outcome, snapshot and query ID are its
-// own; the block stays shared. qid 0 mints a query ID.
+// read is the read path behind QueryContext and QueryShared: it pins
+// the current snapshot and reads the answer on it (readAt).
 func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, qid uint64) (memo, error) {
-	if qid == 0 {
-		qid = obs.NewQueryID()
-	}
 	s, err := c.acquire()
 	if err != nil {
 		return memo{}, err
 	}
 	defer s.Release()
+	return c.readAt(ctx, s, key, trace, qid)
+}
+
+// readAt answers key on the pinned snapshot s: it takes the query's
+// program (and a current memoized answer, if there is one) from the
+// plan cache, and otherwise evaluates and publishes the answer for the
+// next reader, with the read set the evaluation recorded. Every
+// evaluation reads its answer as a row block (the memo's form). The
+// caller's answer is the stored one with the result struct copied, so
+// its outcome, snapshot and query ID are its own; the block stays
+// shared. qid 0 mints a query ID.
+func (c *ConcurrentTestbed) readAt(ctx context.Context, s *snapshot.Snapshot, key planKey, trace bool, qid uint64) (memo, error) {
+	if qid == 0 {
+		qid = obs.NewQueryID()
+	}
 	var tr *obs.Trace
+	var err error
 	if trace {
 		tr = obs.NewTrace("query")
 		tr.Root().SetInt("snapshot_gen", int64(s.Gen))
@@ -278,18 +293,26 @@ func (c *ConcurrentTestbed) read(ctx context.Context, key planKey, trace bool, q
 		}
 		status = "plan" // a traced run re-evaluates the current answer
 	}
-	vdb, _ := c.view(s)
-	res, block, err := c.tb.evaluate(ctx, vdb, compiled, &key.opts, tr, true)
+	// An untraced run records what it reads of the snapshot's tables:
+	// the memo's read set.
+	var reads *exec.Reads
+	if !trace {
+		reads = recorders.Get().(*exec.Reads)
+		defer func() {
+			reads.Reset()
+			recorders.Put(reads)
+		}()
+	}
+	res, block, err := c.tb.evaluate(ctx, c.tb.db.Recording(s, reads), compiled, &key.opts, tr, true)
 	if err != nil {
 		return memo{}, err
 	}
 	res.Snapshot = s.Gen
-	m = memo{res: res, block: block}
 	if trace {
 		// A traced run shares the plan but never publishes its answer.
-		c.plans.store(key, s, compiled, memo{})
+		c.plans.store(key, s, compiled, memo{}, readSet{})
 	} else {
-		c.plans.store(key, s, compiled, m)
+		c.plans.store(key, s, compiled, memo{res: res, block: block}, newReadSet(reads))
 	}
 	// The stored answer is query-neutral; the caller's copy carries the ID.
 	out := *res

@@ -47,16 +47,89 @@ type Table struct {
 	// single writer before the version is published, and never cleared.
 	gen uint64
 
-	rid storage.RID // location of this table's catalog record
-	// cat holds a stored table's record, which its mutators rewrite when
-	// the heap's directory changes; nil for a temp table.
-	cat *Catalog
+	// st is what only a stored table keeps; nil for a temp table.
+	st *storedTable
 	// rows is a maintained tuple count used by the planner for join
 	// ordering and build-side selection.
 	rows int
 	// bytes is the maintained length of the live records together,
 	// kept beside rows: DecodeAll sizes its character buffer by it.
 	bytes int
+}
+
+// storedTable is what only a stored table keeps: its catalog record,
+// which its mutators rewrite when the heap's directory changes, and the
+// log of the index keys its writes wrote (Table.Writes).
+type storedTable struct {
+	rid storage.RID // location of the table's catalog record
+	cat *Catalog
+	// keys[i] holds the KeyHash of each key the version's writes wrote
+	// on Indexes[i] since shadow made it writable; logged counts them.
+	// whole is set when the writes may have changed anything: the
+	// version was created or opened rather than shadowed, or it was
+	// truncated, gained or lost an index, or logged maxLoggedKeys keys.
+	keys   [][]uint64
+	logged int
+	whole  bool
+}
+
+// maxLoggedKeys bounds a version's write log: a write beyond it counts
+// as writing everything, and the log is dropped.
+const maxLoggedKeys = 4096
+
+// KeyHash hashes an index key as the tree stores it (rel.Tuple.AppendKey
+// over the index's columns): the hash a version's write log holds for
+// each key its writes wrote, and the one a reader records for each key
+// it probes (exec.Reads). It is FNV-1a finished by splitmix64's mixer, a
+// fixed function, so a run's read sets and their false positives repeat.
+func KeyHash(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	// splitmix64's finalizer: every bit of h moves every bit of the
+	// result, which a Bloom filter's bit positions are cut from.
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// Writes reports what this version's writes changed since it replaced
+// a frozen version (Catalog.Writable): writes[i] holds the KeyHash of
+// every key they inserted or deleted on Indexes[i]. Every row written
+// is logged on every index, so a reader that found a key's postings
+// unchanged on one index read rows no write touched. ok is false when
+// the writes may have changed anything (a temp table's, a created
+// table's, and see storedTable.whole).
+func (t *Table) Writes() (writes [][]uint64, ok bool) {
+	if t.st == nil || t.st.whole {
+		return nil, false
+	}
+	return t.st.keys, true
+}
+
+// logKey logs key, which a write wrote on Indexes[i].
+func (t *Table) logKey(i int, key []byte) {
+	st := t.st
+	if st == nil || st.whole {
+		return
+	}
+	if st.logged == maxLoggedKeys {
+		t.writesAll()
+		return
+	}
+	if st.keys == nil {
+		st.keys = make([][]uint64, len(t.Indexes))
+	}
+	st.keys[i] = append(st.keys[i], KeyHash(key))
+	st.logged++
+}
+
+// writesAll marks the version as having written everything.
+func (t *Table) writesAll() {
+	if t.st != nil {
+		t.st.keys, t.st.logged, t.st.whole = nil, 0, true
+	}
 }
 
 // Rows returns the maintained tuple count (exact; updated on every
@@ -192,7 +265,7 @@ func (c *Catalog) insertRecord(rec []byte) (storage.RID, error) {
 // writeRecord writes t's catalog record: the record is rewritten in
 // full, since the heap directory it ends with changes length.
 func (c *Catalog) writeRecord(t *Table) error {
-	if err := c.heap.Delete(t.rid); err != nil {
+	if err := c.heap.Delete(t.st.rid); err != nil {
 		return err
 	}
 	var buf [512]byte
@@ -200,17 +273,17 @@ func (c *Catalog) writeRecord(t *Table) error {
 	if err != nil {
 		return err
 	}
-	t.rid, err = c.insertRecord(rec)
+	t.st.rid, err = c.insertRecord(rec)
 	return err
 }
 
 // saveDir rewrites a stored table's record after a write that changed
 // its heap's directory.
 func (t *Table) saveDir() error {
-	if t.cat == nil || !t.Heap.DirChanged() {
+	if t.st == nil || !t.Heap.DirChanged() {
 		return nil
 	}
-	return t.cat.writeRecord(t)
+	return t.st.cat.writeRecord(t)
 }
 
 // load replays catalog records and rebuilds index trees.
@@ -230,7 +303,7 @@ func (c *Catalog) load() error {
 			if err != nil {
 				return err
 			}
-			t.rid, t.cat = rid, c
+			t.st = &storedTable{rid: rid, cat: c, whole: true}
 			if err := t.recount(); err != nil {
 				return err
 			}
@@ -353,10 +426,10 @@ func (c *Catalog) CreateTable(name string, schema *rel.Schema, temp bool) (*Tabl
 		if err != nil {
 			return nil, err
 		}
-		if t.rid, err = c.insertRecord(rec); err != nil {
+		t.st = &storedTable{cat: c, whole: true}
+		if t.st.rid, err = c.insertRecord(rec); err != nil {
 			return nil, err
 		}
-		t.cat = c
 		c.moved = true
 		c.touched = append(c.touched, t)
 	}
@@ -386,7 +459,7 @@ func (c *Catalog) DropTable(name string) error {
 		}
 	}
 	if !t.Temp {
-		if err := c.heap.Delete(t.rid); err != nil {
+		if err := c.heap.Delete(t.st.rid); err != nil {
 			return err
 		}
 		c.moved = true
@@ -430,6 +503,7 @@ func (c *Catalog) CreateIndex(name, table string, cols []string, temp bool) (*In
 	if err := buildIndex(t, idx); err != nil {
 		return nil, err
 	}
+	t.writesAll()
 	if !idx.Temp {
 		rid, err := c.insertRecord(encodeIndexRecord(idx))
 		if err != nil {
@@ -468,6 +542,7 @@ func (c *Catalog) dropIndexDDL(name string) error {
 	}
 	c.mu.Lock()
 	if t := c.tables[idx.Table]; t != nil {
+		t.writesAll()
 		for i, ti := range t.Indexes {
 			if ti == idx {
 				t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
@@ -546,7 +621,7 @@ func (c *Catalog) shadow(t *Table) (*Table, error) {
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()
 	start := time.Now()
-	nt := &Table{Name: t.Name, Schema: t.Schema, Heap: t.Heap.Fork(), rid: t.rid, cat: c, rows: t.rows, bytes: t.bytes}
+	nt := &Table{Name: t.Name, Schema: t.Schema, Heap: t.Heap.Fork(), st: &storedTable{rid: t.st.rid, cat: c}, rows: t.rows, bytes: t.bytes}
 	nt.Indexes = make([]*Index, len(t.Indexes))
 	for i, idx := range t.Indexes {
 		// Index catalog records reference the table by name, so the
@@ -663,10 +738,12 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 	if err != nil {
 		return storage.RID{}, err
 	}
-	for _, idx := range t.Indexes {
-		if err := idx.Tree.Insert(tu.AppendKey(buf[:0], idx.Ords), rid); err != nil {
+	for i, idx := range t.Indexes {
+		key := tu.AppendKey(buf[:0], idx.Ords)
+		if err := idx.Tree.Insert(key, rid); err != nil {
 			return storage.RID{}, err
 		}
+		t.logKey(i, key)
 	}
 	t.rows++
 	t.bytes += len(rec)
@@ -692,10 +769,12 @@ func (t *Table) InsertRecord(rec []byte) error {
 		return err
 	}
 	var buf [128]byte // the tree copies the key into its leaf
-	for _, idx := range t.Indexes {
-		if err := idx.Tree.Insert(sp.AppendCols(buf[:0], idx.Ords), rid); err != nil {
+	for i, idx := range t.Indexes {
+		key := sp.AppendCols(buf[:0], idx.Ords)
+		if err := idx.Tree.Insert(key, rid); err != nil {
 			return err
 		}
+		t.logKey(i, key)
 	}
 	t.rows++
 	t.bytes += len(rec)
@@ -709,10 +788,12 @@ func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
 		return t.refused()
 	}
 	var buf [128]byte
-	for _, idx := range t.Indexes {
-		if err := idx.Tree.Delete(tu.AppendKey(buf[:0], idx.Ords), rid); err != nil {
+	for i, idx := range t.Indexes {
+		key := tu.AppendKey(buf[:0], idx.Ords)
+		if err := idx.Tree.Delete(key, rid); err != nil {
 			return err
 		}
+		t.logKey(i, key)
 	}
 	if err := t.Heap.Delete(rid); err != nil {
 		return err
@@ -735,6 +816,7 @@ func (t *Table) Truncate() error {
 	for _, idx := range t.Indexes {
 		idx.Tree = idx.Tree.Empty()
 	}
+	t.writesAll()
 	t.rows, t.bytes = 0, 0
 	return t.saveDir()
 }

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dkbms/internal/rel"
 	"dkbms/internal/storage"
@@ -22,6 +23,99 @@ func memCatalog(t *testing.T) *Catalog {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestTableSizeof pins a table version at 96 bytes, a size class of
+// its own: an evaluation creates a temp table per derived predicate and
+// per delta, and a stored table's catalog record and write log sit
+// behind one pointer (storedTable) that a temp table leaves nil.
+func TestTableSizeof(t *testing.T) {
+	if got := unsafe.Sizeof(Table{}); got > 96 {
+		t.Fatalf("catalog.Table is %d bytes, want at most 96", got)
+	}
+}
+
+// TestWritesLogKeys: a version made writable from a frozen one logs
+// the KeyHash of every key its inserts, record inserts and deletes
+// write, on each index; a created version, a truncate, a new index and
+// a log past maxLoggedKeys count as writing everything.
+func TestWritesLogKeys(t *testing.T) {
+	c := memCatalog(t)
+	tb, err := c.CreateTable("e", edgeSchema(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cols := range [][]string{{"src"}, {"dst"}} {
+		if _, err := c.CreateIndex("e_ix_"+cols[0], "e", cols, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edge := func(src, dst string) rel.Tuple { return rel.Tuple{rel.NewString(src), rel.NewString(dst)} }
+	rid, err := tb.Insert(edge("a", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tb.Writes(); ok {
+		t.Error("a created version logs its writes by key")
+	}
+	c.Freeze(1)
+	w, err := c.Writable("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Insert(edge("c", "d")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.InsertRecord(edge("g", "h").Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.DeleteRID(rid, edge("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	hash := func(v string) uint64 { return KeyHash(rel.Tuple{rel.NewString(v)}.AppendKey(nil, nil)) }
+	writes, ok := w.Writes()
+	want := [][]uint64{{hash("c"), hash("g"), hash("a")}, {hash("d"), hash("h"), hash("b")}}
+	if !ok || fmt.Sprint(writes) != fmt.Sprint(want) {
+		t.Fatalf("writes %v (%v), want %v", writes, ok, want)
+	}
+	if err := w.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := w.Writes(); ok {
+		t.Error("a truncated version logs its writes by key")
+	}
+
+	c.Freeze(2)
+	w, err = c.Writable("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CreateIndex("e_ix_both", "e", []string{"src", "dst"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := w.Writes(); ok {
+		t.Error("a version that gained an index logs its writes by key")
+	}
+
+	c.Freeze(3)
+	w, err = c.Writable("e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxLoggedKeys/3; i++ {
+		if _, err := w.Insert(edge(fmt.Sprint(i), "x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := w.Writes(); !ok {
+		t.Fatalf("%d keys logged, within the bound, counted as everything", maxLoggedKeys/3*3)
+	}
+	if _, err := w.Insert(edge("y", "x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := w.Writes(); ok {
+		t.Errorf("a log past %d keys is kept", maxLoggedKeys)
+	}
 }
 
 func edgeSchema() *rel.Schema {

@@ -39,6 +39,9 @@ type DB struct {
 	pager *storage.Pager
 	cat   *catalog.Catalog
 	res   TableResolver
+	// reads records what the view's statements read of the resolver's
+	// table versions (Recording); nil records nothing.
+	reads *exec.Reads
 
 	// stats counts statement traffic for the measurement harness, and
 	// stmts keeps the statements prepared on the database (Prepare).
@@ -101,6 +104,20 @@ func (d *DB) StatsSnapshot() Stats {
 func (d *DB) WithResolver(r TableResolver) *DB {
 	return &DB{pager: d.pager, cat: d.cat, res: r, stats: d.stats, stmts: d.stmts}
 }
+
+// Recording is WithResolver for a view whose statements also record, in
+// reads, what they read of the published table versions r resolves to
+// (exec.Reads): the plan cache's read set of the answer they compute.
+func (d *DB) Recording(r TableResolver, reads *exec.Reads) *DB {
+	v := d.WithResolver(r)
+	v.reads = reads
+	return v
+}
+
+// Reads returns the view's read recorder, nil when it records nothing;
+// the planner binds it to the operators over published table versions
+// (plan.RecordingSource).
+func (d *DB) Reads() *exec.Reads { return d.reads }
 
 // Table resolves a table name: through the view's resolver when it is
 // authoritative for the name, otherwise in the live catalog. This is

@@ -27,6 +27,8 @@ type IndexNLJoin struct {
 	// aligned with the index's leading columns
 	Residual Pred // nil/True when absent
 	Est      float64
+	// Reads, when set, records every probe (Reads.Probe).
+	Reads *Reads
 
 	outer  rel.Spans   // the outer record being joined
 	ls     *rel.Schema // the outer input's, for the pass
@@ -73,6 +75,9 @@ func (j *IndexNLJoin) probe(rec []byte) error {
 	if len(j.LeftOrds) > 1 {
 		j.key = j.outer.AppendCols(j.key[:0], j.LeftOrds)
 		key = j.key
+	}
+	if j.Reads != nil {
+		j.Reads.Probe(j.Right, j.Index, key, len(j.LeftOrds))
 	}
 	return j.Index.Tree.Postings(key, func(rids []storage.RID) error {
 		return readAll(j.Right, j.Index, rids, j.joinFn)

@@ -25,19 +25,19 @@ import (
 
 // Shed empties a tree for parking between the runs of its statement:
 // every operator of it lets go of the working memory it kept (key
-// tables, sets, arenas, record buffers) and of the tables, indexes and
-// probe keys it was bound to. What remains is the operators, their
-// predicates and their decisions; before the tree runs again the
-// planner re-binds its tables, indexes and keys, and the next pass
-// allocates its memory as a new tree's first pass does.
+// tables, sets, arenas, record buffers) and of the tables, indexes,
+// probe keys and read recorder it was bound to. What remains is the
+// operators, their predicates and their decisions; before the tree runs
+// again the planner re-binds its tables, indexes and keys, and the next
+// pass allocates its memory as a new tree's first pass does.
 func Shed(op Operator) {
 	switch o := op.(type) {
 	case *SeqScan:
-		o.Table = nil
+		o.Table, o.Reads = nil, nil
 	case *IndexScan:
-		o.Table, o.Index, o.Key = nil, nil, nil
+		o.Table, o.Index, o.Key, o.Reads = nil, nil, nil, nil
 	case *IndexNLJoin:
-		o.Right, o.Index = nil, nil
+		o.Right, o.Index, o.Reads = nil, nil, nil
 		o.outer, o.key, o.j = rel.Spans{}, nil, joined{schema: o.j.schema}
 		Shed(o.Left)
 	case *Filter:

@@ -61,7 +61,7 @@ func CollectOwned(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 		return nil, err
 	}
 	if scan, ok := op.(*SeqScan); ok {
-		b, err := scan.Table.DecodeAll()
+		b, err := scan.pass().DecodeAll()
 		return b.Rows(), err
 	}
 	if src, ok := op.(setSource); ok {
@@ -96,7 +96,7 @@ func AppendRows(ctx context.Context, op Operator, buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	if scan, ok := op.(*SeqScan); ok {
-		return scan.Table.AppendRows(buf)
+		return scan.pass().AppendRows(buf)
 	}
 	var recs rel.Records
 	err := op.ScanRecords(func(rec []byte) error {
@@ -158,6 +158,8 @@ func ScanRows(op Operator, fn func(rid storage.RID, rec []byte) error) error {
 type SeqScan struct {
 	Table *catalog.Table
 	Est   float64
+	// Reads, when set, records that the pass read Table whole.
+	Reads *Reads
 }
 
 // Schema returns the table schema.
@@ -165,12 +167,21 @@ func (s *SeqScan) Schema() *rel.Schema { return s.Table.Schema }
 
 // ScanRecords streams the table's records.
 func (s *SeqScan) ScanRecords(fn func(rec []byte) error) error {
-	return s.Table.Heap.Scan(func(_ storage.RID, rec []byte) error { return fn(rec) })
+	return s.pass().Heap.Scan(func(_ storage.RID, rec []byte) error { return fn(rec) })
 }
 
 // ScanRows streams the table's records with their RIDs.
 func (s *SeqScan) ScanRows(fn func(rid storage.RID, rec []byte) error) error {
-	return s.Table.Heap.Scan(fn)
+	return s.pass().Heap.Scan(fn)
+}
+
+// pass returns the table a pass reads, recording that it reads all of
+// it.
+func (s *SeqScan) pass() *catalog.Table {
+	if s.Reads != nil {
+		s.Reads.Whole(s.Table)
+	}
+	return s.Table
 }
 
 // --- IndexScan ---
@@ -183,6 +194,8 @@ type IndexScan struct {
 	Index *catalog.Index
 	Key   rel.Tuple // prefix values for the leading index columns
 	Est   float64
+	// Reads, when set, records the probe (Reads.ProbeValues).
+	Reads *Reads
 }
 
 // Schema returns the table schema.
@@ -195,6 +208,9 @@ func (s *IndexScan) ScanRecords(fn func(rec []byte) error) error {
 
 // ScanRows streams the matching records with their RIDs.
 func (s *IndexScan) ScanRows(fn func(rid storage.RID, rec []byte) error) error {
+	if s.Reads != nil {
+		s.Reads.ProbeValues(s.Table, s.Index, s.Key)
+	}
 	return s.Index.Tree.PostingsOf(s.Key, func(rids []storage.RID) error {
 		return readAll(s.Table, s.Index, rids, fn)
 	})

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"dkbms/internal/catalog"
+	"dkbms/internal/exec"
 	"dkbms/internal/rel"
 	"dkbms/internal/sql"
 )
@@ -13,6 +14,9 @@ import (
 // path implies, and the join that attaches it.
 type tableInfo struct {
 	t *catalog.Table
+	// reads records what this execution reads of t: the source's
+	// recorder when t is a published (frozen) version, else nil.
+	reads *exec.Reads
 
 	// scanIndex/scanKey are the IndexScan serving the table's literal
 	// equalities, with this execution's values; nil means SeqScan.

@@ -75,6 +75,15 @@ type TableSource interface {
 	Table(name string) *catalog.Table
 }
 
+// RecordingSource is a TableSource that records what an execution reads
+// of the published table versions it resolves to: every scan and index
+// join over a frozen version (catalog.Table.Gen > 0) is bound to Reads'
+// recorder, a nil one recording nothing.
+type RecordingSource interface {
+	TableSource
+	Reads() *exec.Reads
+}
+
 // Analyzed is a (possibly compound) SELECT with everything settled that
 // depends only on the schemas of its tables: names resolved, predicates
 // typed and classified, the join graph's edges, the projection and its
@@ -386,7 +395,7 @@ func (t *Tree) shed() {
 			tab := &t.blocks[i].tabs[j]
 			key := tab.scanKey[:cap(tab.scanKey)]
 			clear(key)
-			tab.t, tab.scanIndex, tab.scanKey, tab.via.index = nil, nil, key[:0], nil
+			tab.t, tab.reads, tab.scanIndex, tab.scanKey, tab.via.index = nil, nil, nil, key[:0], nil
 		}
 	}
 	clear(t.vals)
@@ -430,10 +439,14 @@ func (p *Analyzed) plan(t *Tree, cat TableSource, args []*catalog.Table, vals []
 	}
 	copy(t.vals, vals)
 	vals = t.vals
+	var reads *exec.Reads
+	if rs, ok := cat.(RecordingSource); ok {
+		reads = rs.Reads()
+	}
 	same := t.Root != nil
 	for i := range p.blocks {
 		bt := &t.blocks[i]
-		if err := p.blocks[i].decide(bt, cat, args, vals); err != nil {
+		if err := p.blocks[i].decide(bt, cat, args, vals, reads); err != nil {
 			return false, err
 		}
 		same = same && slices.Equal(bt.order(), bt.built())
@@ -856,9 +869,10 @@ func (f *from) table(cat TableSource, args []*catalog.Table) (*catalog.Table, er
 // decide settles one execution of the block in bt: the table at each
 // FROM position, its access path and estimates, the join order, and the
 // step attaching each table after the first — each re-costed against
-// the running prefix to pick its join method. It allocates nothing but
+// the running prefix to pick its join method. A published table's
+// operators will record their reads in reads. It allocates nothing but
 // a *BindError, or a probe key longer than the last execution's.
-func (b *block) decide(bt *blockTree, cat TableSource, args []*catalog.Table, vals []rel.Value) error {
+func (b *block) decide(bt *blockTree, cat TableSource, args []*catalog.Table, vals []rel.Value, reads *exec.Reads) error {
 	g := joinGraph{tabs: bt.tabs, joins: b.joins}
 	order := bt.order()
 	for ti := range b.from {
@@ -867,7 +881,10 @@ func (b *block) decide(bt *blockTree, cat TableSource, args []*catalog.Table, va
 		if err != nil {
 			return err
 		}
-		g.tabs[ti].t = t
+		g.tabs[ti].t, g.tabs[ti].reads = t, nil
+		if reads != nil && t.Gen() != 0 {
+			g.tabs[ti].reads = reads
+		}
 		g.tabs[ti].analyze(f.eqLit, vals)
 	}
 	if n := len(b.from); n > 1 { // a single table skips the search: order is [0]
@@ -915,19 +932,19 @@ func (bt *blockTree) rebind(op exec.Operator, i int) bool {
 		if tab.scanIndex != nil {
 			return false
 		}
-		o.Table, o.Est = tab.t, tab.touch
+		o.Table, o.Est, o.Reads = tab.t, tab.touch, tab.reads
 		return true
 	case *exec.IndexScan:
 		if tab.scanIndex == nil || !slices.Equal(tab.built, tab.scanIndex.Ords[:len(tab.scanKey)]) {
 			return false
 		}
-		o.Table, o.Index, o.Key, o.Est = tab.t, tab.scanIndex, tab.scanKey, tab.touch
+		o.Table, o.Index, o.Key, o.Est, o.Reads = tab.t, tab.scanIndex, tab.scanKey, tab.touch, tab.reads
 		return true
 	case *exec.IndexNLJoin:
 		if st.index == nil || len(o.LeftOrds) != st.keyLen || !slices.Equal(tab.built, st.index.Ords[:st.keyLen]) {
 			return false
 		}
-		o.Right, o.Index, o.Est = tab.t, st.index, st.rows
+		o.Right, o.Index, o.Est, o.Reads = tab.t, st.index, st.rows, tab.reads
 		return bt.rebind(o.Left, i-1)
 	case *exec.HashJoin:
 		if st.index != nil || st.cross || o.BuildLeft != st.buildLeft {
@@ -960,10 +977,10 @@ func (b *block) construct(bt *blockTree, vals []rel.Value) (exec.Operator, error
 		tab, preds := &bt.tabs[ti], b.from[ti].preds
 		var op exec.Operator
 		if tab.scanIndex != nil {
-			op = &exec.IndexScan{Table: tab.t, Index: tab.scanIndex, Key: tab.scanKey, Est: tab.touch}
+			op = &exec.IndexScan{Table: tab.t, Index: tab.scanIndex, Key: tab.scanKey, Est: tab.touch, Reads: tab.reads}
 			tab.built = tab.scanIndex.Ords[:len(tab.scanKey)]
 		} else {
-			op = &exec.SeqScan{Table: tab.t, Est: tab.touch}
+			op = &exec.SeqScan{Table: tab.t, Est: tab.touch, Reads: tab.reads}
 			tab.built = nil
 		}
 		if len(preds) == 0 {
@@ -1012,7 +1029,7 @@ func (b *block) construct(bt *blockTree, vals []rel.Value) (exec.Operator, error
 				if err != nil {
 					return nil, err
 				}
-				cur = &exec.IndexNLJoin{Left: cur, Right: tab.t, Index: st.index, LeftOrds: key, Residual: res, Est: st.rows}
+				cur = &exec.IndexNLJoin{Left: cur, Right: tab.t, Index: st.index, LeftOrds: key, Residual: res, Est: st.rows, Reads: tab.reads}
 				tab.built = st.index.Ords[:st.keyLen]
 			} else {
 				right, err := access(ti)

@@ -138,6 +138,8 @@ func (s *Server) initRegistry() {
 	counter("plan.misses", func() int64 { return s.tb.PlanStats().Misses })
 	gauge("plan.entries", func() int64 { return s.tb.PlanStats().Entries })
 	gauge("plan.result_bytes", func() int64 { return s.tb.PlanStats().ResultBytes })
+	counter("plan.carried", func() int64 { return s.tb.PlanStats().Carried })
+	gauge("plan.readset_bytes", func() int64 { return s.tb.PlanStats().ReadSetBytes })
 	counter("pool.hits", func() int64 { return s.tb.PagerStats().Hits })
 	counter("pool.misses", func() int64 { return s.tb.PagerStats().Misses })
 	counter("pool.evictions", func() int64 { return s.tb.PagerStats().Evictions })

@@ -351,6 +351,52 @@ func TestSnapshotCountersMove(t *testing.T) {
 	}
 }
 
+// TestPlanCarriedCountersMove serves a bound closure over an indexed
+// relation: storing its memo moves plan.readset_bytes, and a LOAD of a
+// fact on a key the closure never probed moves plan.carried and not
+// plan.hits — the next read is a result hit, with the answer as before.
+func TestPlanCarriedCountersMove(t *testing.T) {
+	local := dkbms.NewMemory()
+	if err := local.Load(baseProgram); err != nil {
+		t.Fatal(err)
+	}
+	if err := local.CreateFactIndex("parent", 0); err != nil {
+		t.Fatal(err)
+	}
+	tb := dkbms.NewConcurrent(local)
+	defer tb.Close()
+	srv := server.New(tb, server.Options{})
+	addr, cancel, done := startServerWith(t, srv)
+	defer func() { cancel(); <-done }()
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const q = "?- ancestor(c5, X)."
+	empty := stats(t, srv)
+	rows, err := c.Query(q, wire.QueryOpts{})
+	if err != nil || len(rows.Rows) != 4 {
+		t.Fatalf("cold query: %v, %v", rows, err)
+	}
+	before := stats(t, srv)
+	if before["plan.readset_bytes"] <= empty["plan.readset_bytes"] {
+		t.Errorf("plan.readset_bytes read %d before the memo was stored and %d after", empty["plan.readset_bytes"], before["plan.readset_bytes"])
+	}
+	if err := c.Load("parent(c0, d1)."); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err = c.Query(q, wire.QueryOpts{}); err != nil || len(rows.Rows) != 4 {
+		t.Fatalf("query after the LOAD: %v, %v", rows, err)
+	}
+	after := stats(t, srv)
+	if after["plan.carried"] != before["plan.carried"]+1 || after["plan.hits"] != before["plan.hits"] || after["plan.result_hits"] != before["plan.result_hits"]+1 {
+		t.Errorf("a LOAD on an unprobed key moved plan.carried %d → %d, plan.hits %d → %d, plan.result_hits %d → %d; want one memo carried and a result hit",
+			before["plan.carried"], after["plan.carried"], before["plan.hits"], after["plan.hits"], before["plan.result_hits"], after["plan.result_hits"])
+	}
+}
+
 // TestEveryRequestDispatched sends every request opcode, each with an
 // empty payload. A named opcode must reach its own arm of the dispatch
 // (an answer or a decode error); one with no String name lies past the

@@ -139,6 +139,76 @@ func TestOldSnapshotOutlivesCommits(t *testing.T) {
 	}
 }
 
+// TestLongReaderHoldsItsOwnPages holds the first snapshot while 40
+// commits each delete a row of one page of a seven-page table, so each
+// commit copies the copy the commit before it made. No other reader
+// pins a snapshot, so each copy is free once the commit after it
+// replaces it: the file grows by the page the old snapshot reads and the
+// current copy, not by a page a commit. The old snapshot reads its rows
+// throughout; after its release every version is reclaimed and the
+// census partitions the file.
+func TestLongReaderHoldsItsOwnPages(t *testing.T) {
+	p, err := storage.OpenPager(filepath.Join(t.TempDir(), "long.db"), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	c, err := catalog.Open(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := rel.MustSchema(rel.Column{Name: "id", Type: rel.TypeInt}, rel.Column{Name: "pad", Type: rel.TypeString})
+	tb, err := c.CreateTable("edb_a", schema, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; tb.Heap.Len() < 7; i++ {
+		if _, err := tb.Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewString(strings.Repeat("x", 60))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := NewStore("edb_")
+	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
+	old := st.Acquire()
+	v, _ := old.ResolveTable("edb_a")
+	want := contents(t, v)
+	start := p.PageCount()
+	for k := 1; k <= 40; k++ {
+		nt, err := c.Writable("edb_a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var victim storage.RID
+		var victimRow rel.Tuple
+		if err := nt.Scan(func(rid storage.RID, tu rel.Tuple) error {
+			if victimRow == nil && rid.Page == 2 {
+				victim, victimRow = rid, tu.Clone()
+			}
+			return nil
+		}); err != nil || victimRow == nil {
+			t.Fatalf("commit %d: no row on page 2: %v", k, err)
+		}
+		if err := nt.DeleteRID(victim, victimRow); err != nil {
+			t.Fatal(err)
+		}
+		st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
+		if got := p.PageCount() - start; got > 2 {
+			t.Fatalf("commit %d: the file grew by %d pages while one snapshot was held, want at most 2", k, got)
+		}
+		if got := contents(t, v); !slices.Equal(got, want) {
+			t.Fatalf("commit %d: the held snapshot reads %d rows unlike the %d it was published with", k, len(got), len(want))
+		}
+	}
+	old.Release()
+	st.Shutdown()
+	if s := st.Stats(); s.ReclaimBacklog != 0 || s.ReclaimErrors != 0 || s.ReclaimedTables != 40 {
+		t.Fatalf("after the drain: %+v; want no backlog and 40 versions reclaimed", s)
+	}
+	if cs := checkCensus(t, c); cs.Tables != 7 {
+		t.Fatalf("the table holds %d pages, want 7: %+v", cs.Tables, cs)
+	}
+}
+
 // TestDropTableLeavesPublishedPages: SQL DROP TABLE of a published table
 // on the live database leaves its pages to the store. A snapshot pinned
 // before it still scans the table; after the release the pages are on

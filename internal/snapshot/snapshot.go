@@ -27,6 +27,11 @@
 //     older version may share those pages, hence the order. A pinned
 //     snapshot therefore keeps every table version it can see readable,
 //     no matter how many commits have happened since.
+//   - The pages a retired version wrote itself no older version names:
+//     they are freed as soon as every snapshot that publishes the
+//     version has drained, ahead of the queue (Store.ownDrained). So a
+//     long reader holds the pages its own versions name, not every copy
+//     the commits after it made and replaced.
 package snapshot
 
 import (
@@ -71,8 +76,13 @@ type Snapshot struct {
 }
 
 // superseded is a table version a commit dropped or replaced, and the
-// version that replaced it (nil when the commit dropped it).
-type superseded struct{ version, successor *catalog.Table }
+// version that replaced it (nil when the commit dropped it). own is set,
+// under Store.mu, once the pages the version wrote itself are freed
+// (Snapshot.finalize).
+type superseded struct {
+	version, successor *catalog.Table
+	own                bool
+}
 
 // WS returns the frozen workspace rule set of this snapshot.
 func (s *Snapshot) WS() *core.Workspace { return s.ws }
@@ -129,10 +139,12 @@ func (s *Snapshot) unpin() {
 }
 
 // finalize runs when the pins of a retired snapshot reach zero: it marks
-// the snapshot drained, then pops every drained snapshot at the head of
-// the queue and reclaims the versions each carries, outside mu. The
-// drained flag also guards the 0→1→0 pin transient of Acquire's recheck
-// loop, which can reach zero a second time.
+// the snapshot drained, pops every drained snapshot at the head of the
+// queue, and picks the versions further back whose own pages no reader
+// can reach any more (ownDrained); then it reclaims the popped
+// snapshots' versions, and frees the picked versions' own pages, outside
+// mu. The drained flag also guards the 0→1→0 pin transient of Acquire's
+// recheck loop, which can reach zero a second time.
 func (s *Snapshot) finalize() {
 	st := s.store
 	st.mu.Lock()
@@ -141,33 +153,82 @@ func (s *Snapshot) finalize() {
 		return
 	}
 	s.drained = true
+	var done []*Snapshot
 	for len(st.queue) > 0 && st.queue[0].drained {
-		head := st.queue[0]
+		done = append(done, st.queue[0])
 		st.queue[0] = nil
 		st.queue = st.queue[1:]
-		st.mu.Unlock()
+	}
+	own := st.ownDrained()
+	st.mu.Unlock()
+	for _, head := range done {
 		for _, v := range head.retire {
 			st.reclaim(v)
 		}
-		st.mu.Lock()
 	}
-	st.mu.Unlock()
+	for _, v := range own {
+		st.release(v.version.Heap.ReleaseOwn, v.successor)
+	}
+}
+
+// ownDrained marks and returns the superseded versions in the queue
+// whose own pages — those the version wrote itself, which no older
+// version names — no reader can reach any more: every snapshot that
+// publishes the version, from the one of its generation to the one that
+// retired it, has drained, though an older one may still be held. A
+// long reader then keeps only the pages its own versions name, not
+// every page the commits after it wrote and replaced. Caller holds mu;
+// the queue holds consecutive generations, its head the oldest not
+// reclaimed.
+func (st *Store) ownDrained() []superseded {
+	var out []superseded
+	for i, q := range st.queue {
+		for k := range q.retire {
+			v := &q.retire[k]
+			if v.own {
+				continue
+			}
+			from := max(int(v.version.Gen())-int(st.queue[0].Gen), 0)
+			drained := true
+			for _, r := range st.queue[from : i+1] {
+				drained = drained && r.drained
+			}
+			if drained {
+				v.own = true
+				out = append(out, *v)
+			}
+		}
+	}
+	return out
 }
 
 // reclaim frees the heap pages v.version names and its successor does
-// not.
+// not — those it shares with older versions when its own ones are freed
+// already.
 func (st *Store) reclaim(v superseded) {
 	st.liveVersions.Add(-1)
 	st.backlog.Add(-1)
+	free := v.version.Heap.Release
+	if v.own {
+		free = v.version.Heap.ReleaseShared
+	}
+	if st.release(free, v.successor) {
+		st.reclaimed.Add(1)
+	}
+}
+
+// release calls free with the heap of successor, nil when there is
+// none, counting an error; it reports success.
+func (st *Store) release(free func(next *storage.HeapFile) error, successor *catalog.Table) bool {
 	var succ *storage.HeapFile
-	if v.successor != nil {
-		succ = v.successor.Heap
+	if successor != nil {
+		succ = successor.Heap
 	}
-	if err := v.version.Heap.Release(succ); err != nil {
+	if err := free(succ); err != nil {
 		st.reclaimErrors.Add(1)
-		return
+		return false
 	}
-	st.reclaimed.Add(1)
+	return true
 }
 
 // Store publishes snapshots. The read path (Acquire/Release) is
@@ -255,7 +316,7 @@ func (st *Store) Publish(cat *catalog.Catalog, ruleGen uint64, ws *core.Workspac
 	if prev != nil {
 		for name, t := range prev.tables {
 			if nt := next.tables[name]; nt != t {
-				prev.retire = append(prev.retire, superseded{t, nt})
+				prev.retire = append(prev.retire, superseded{version: t, successor: nt})
 				if nt != nil {
 					st.copied.Add(1)
 				}

@@ -475,14 +475,35 @@ func (h *HeapFile) Drop() error {
 // a heap, so the two directories are compared position by position. The
 // caller makes sure no older version that shares a page with h is
 // still read.
-func (h *HeapFile) Release(next *HeapFile) error {
+func (h *HeapFile) Release(next *HeapFile) error { return h.release(next, true, true) }
+
+// ReleaseOwn frees the pages Release would that the version wrote
+// itself: those it does not share with the version it was forked from.
+// No older version names them, so once no reader holds h they are free,
+// whatever older versions are still read. ReleaseShared frees the rest
+// later: ReleaseOwn and ReleaseShared together are Release.
+func (h *HeapFile) ReleaseOwn(next *HeapFile) error { return h.release(next, true, false) }
+
+// ReleaseShared frees the pages Release would that ReleaseOwn does not.
+func (h *HeapFile) ReleaseShared(next *HeapFile) error { return h.release(next, false, true) }
+
+// release frees the pages h names and next does not, those h wrote
+// itself when own is set and those it shares, and its spill pages, when
+// shared is.
+func (h *HeapFile) release(next *HeapFile, own, shared bool) error {
 	var gone []PageID
 	for pos, id := range h.dir {
-		if next == nil || pos >= len(next.dir) || next.dir[pos] != id {
+		if next != nil && pos < len(next.dir) && next.dir[pos] == id {
+			continue
+		}
+		if h.shared(pos) && shared || !h.shared(pos) && own {
 			gone = append(gone, id)
 		}
 	}
-	return h.pager.Free(append(gone, h.st.spill...))
+	if shared {
+		gone = append(gone, h.st.spill...)
+	}
+	return h.pager.Free(gone)
 }
 
 // EachPage calls fn with every page the file holds: its directory's

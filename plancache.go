@@ -35,8 +35,12 @@ func newPlanKey(src string, opts *QueryOptions) planKey {
 // program reads, each with the version generation it was evaluated
 // against. A result is served only to snapshots in which every
 // dependency reports the recorded generation — so updates to unrelated
-// tables never evict it. Entries form an LRU list under the cache
-// mutex.
+// tables never evict it. Beside the vector the memo keeps its read set
+// (readSet): which dependencies its evaluation read only through
+// full-key index probes, and which keys. A commit that moves such a
+// dependency without writing a probed key leaves the answer as it was,
+// and Invalidate carries the memo forward to the new versions. Entries
+// form an LRU list under the cache mutex.
 type planEntry struct {
 	key      planKey
 	compiled *core.Compiled
@@ -45,12 +49,24 @@ type planEntry struct {
 	// (derived from Program.BasePreds once per program, at store time).
 	deps []string
 	// result is the memoized answer (its res nil when there is none);
-	// resultVec maps each dependency to the table-version generation the
-	// answer was computed against (0 = table absent in that snapshot).
+	// resultVec pairs each dependency with the table-version generation
+	// the answer stands at (0 = table absent in that snapshot): the one
+	// it was computed against, or the one a commit carried it to.
+	// resultGen is the snapshot generation it stands at, the same way,
+	// and reads its read set.
 	result    memo
-	resultVec map[string]uint64
+	resultVec []depGen
+	resultGen uint64
+	reads     readSet
 
 	prev, next *planEntry
+}
+
+// depGen is a table a memo depends on and the generation of the
+// table's version the memo stands at.
+type depGen struct {
+	table string
+	gen   uint64
 }
 
 // memo is an answer as the plan cache keeps it: the evaluation's
@@ -80,15 +96,22 @@ type PlanCacheStats struct {
 	// ResultBytes is the memoized answers' size: the length of their row
 	// blocks together.
 	ResultBytes int64
+	// Carried counts memos a commit left standing although it moved a
+	// table they read: it wrote none of the keys they probed.
+	Carried int64
+	// ReadSetBytes is the memos' read sets' size: their Bloom filters'
+	// words and their lists of probed indexes together (readSet.bytes).
+	ReadSetBytes int64
 }
 
 // planCache is the server-wide compiled-plan and result cache behind
 // ConcurrentTestbed.Query. It is safe for concurrent use; lookups and
 // stores run from many pinned-snapshot readers at once, while
 // Invalidate runs only from the single writer holding the commit mutex.
-// An entry holds records, never tables: a memo that goes stale is
-// dropped, and the next read re-evaluates, as the paper re-derives
-// after every update.
+// An entry holds records, never tables: a memo a commit moved is
+// carried forward when the commit wrote nothing it read, and dropped
+// otherwise, the next read re-evaluating, as the paper re-derives after
+// every update.
 type planCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -96,8 +119,9 @@ type planCache struct {
 	head     *planEntry // most recently used
 	tail     *planEntry // least recently used
 	stats    PlanCacheStats
-	// resultBytes is PlanCacheStats.ResultBytes, kept by setResult.
-	resultBytes int64
+	// resultBytes and readSetBytes are PlanCacheStats.ResultBytes and
+	// ReadSetBytes, kept by setResult.
+	resultBytes, readSetBytes int64
 }
 
 func newPlanCache() *planCache {
@@ -171,28 +195,34 @@ func (pc *planCache) lookup(key planKey, snap *snapshot.Snapshot) (compiled *cor
 // recorded table-version generation in the snapshot. An absent table
 // records generation 0, which stays valid exactly until the table
 // appears (generations start at 1).
-func vecCurrent(vec map[string]uint64, snap *snapshot.Snapshot) bool {
-	for name, gen := range vec {
-		if snap.TableGen(name) != gen {
+func vecCurrent(vec []depGen, snap *snapshot.Snapshot) bool {
+	for _, d := range vec {
+		if snap.TableGen(d.table) != d.gen {
 			return false
 		}
 	}
 	return true
 }
 
-// store records a compilation and its result as evaluated against the
-// given snapshot, evicting the least recently used entry beyond
-// capacity. A result without res stores the plan without touching any
-// memoized answer (traced runs share plans with untraced queries but
-// never publish their answers).
+// store records a compilation and its result, with the result's read
+// set, as evaluated against the given snapshot, evicting the least
+// recently used entry beyond capacity. A result without res stores the
+// plan without touching any memoized answer (traced runs share plans
+// with untraced queries but never publish their answers).
 //
-// Racing stores for one key (readers pinned to different snapshots)
-// need no ordering: a result stored with an older dependency vector
-// simply fails validation for newer snapshots at lookup time.
-func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.Compiled, result memo) {
+// Racing stores for one key come from readers pinned to different
+// snapshots, and the newest state wins: a reader of an older snapshot
+// than the entry's memo (stored, or carried forward by a commit) or
+// than its program's rule generation leaves the entry as it is, so
+// readers of the current snapshot keep hitting it.
+func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.Compiled, result memo, reads readSet) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	e, ok := pc.entries[key]
+	if ok && (e.ruleGen > snap.RuleGen || e.result.res != nil && e.resultGen > snap.Gen) {
+		pc.touch(e)
+		return
+	}
 	var deps []string
 	if ok && e.compiled == compiled {
 		// Same program: the dependency set is a pure function of it, so
@@ -202,11 +232,11 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 	} else {
 		deps = depTables(compiled)
 	}
-	var vec map[string]uint64
+	var vec []depGen
 	if result.res != nil {
-		vec = make(map[string]uint64, len(deps))
-		for _, name := range deps {
-			vec[name] = snap.TableGen(name)
+		vec = make([]depGen, len(deps))
+		for i, name := range deps {
+			vec[i] = depGen{name, snap.TableGen(name)}
 		}
 	}
 	if ok {
@@ -217,14 +247,14 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 		}
 		e.compiled, e.ruleGen, e.deps = compiled, snap.RuleGen, deps
 		if result.res != nil {
-			pc.setResult(e, result, vec)
+			pc.setResult(e, result, vec, snap.Gen, reads)
 		}
 		pc.touch(e)
 		return
 	}
 	pc.stats.Misses++
 	e = &planEntry{key: key, compiled: compiled, ruleGen: snap.RuleGen, deps: deps}
-	pc.setResult(e, result, vec)
+	pc.setResult(e, result, vec, snap.Gen, reads)
 	pc.entries[key] = e
 	pc.pushFront(e)
 	for len(pc.entries) > pc.capacity {
@@ -234,25 +264,31 @@ func (pc *planCache) store(key planKey, snap *snapshot.Snapshot, compiled *core.
 
 // dropLocked removes an entry. Caller holds mu.
 func (pc *planCache) dropLocked(e *planEntry) {
-	pc.setResult(e, memo{}, nil)
+	pc.setResult(e, memo{}, nil, 0, readSet{})
 	pc.unlink(e)
 	delete(pc.entries, e.key)
 }
 
-// setResult replaces an entry's memo (an empty one drops it), keeping
-// the memo bytes' account. Caller holds mu.
-func (pc *planCache) setResult(e *planEntry, result memo, vec map[string]uint64) {
+// setResult replaces an entry's memo (an empty one drops it) with the
+// memo's vector, generation and read set, keeping the account of memo
+// and read-set bytes. Caller holds mu.
+func (pc *planCache) setResult(e *planEntry, result memo, vec []depGen, gen uint64, reads readSet) {
 	pc.resultBytes += int64(len(result.block) - len(e.result.block))
-	e.result, e.resultVec = result, vec
+	pc.readSetBytes += reads.bytes() - e.reads.bytes()
+	e.result, e.resultVec, e.resultGen, e.reads = result, vec, gen, reads
 }
 
 // Invalidate reconciles the cache with one published snapshot. It runs
 // on the single-writer commit path (caller holds the commit mutex), with
-// next the snapshot the commit published. Entries whose compiled program
-// predates next's rule generation are dropped; a memo that is stale
-// against next is dropped and its plan kept, so the next read
-// re-evaluates the program (outcome "plan").
-func (pc *planCache) Invalidate(next *snapshot.Snapshot) {
+// next the snapshot the commit published and prev the one it replaced
+// (nil for the first). Entries whose compiled program predates next's
+// rule generation are dropped. A memo that is stale against next is
+// carried forward — its vector and generation re-stamped at next —
+// when it stood at prev and its read set shows the commit wrote nothing
+// it read (readSet.unwritten); any other stale memo is dropped and its
+// plan kept, so the next read re-evaluates the program (outcome
+// "plan").
+func (pc *planCache) Invalidate(prev, next *snapshot.Snapshot) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	for _, e := range pc.entries {
@@ -261,9 +297,18 @@ func (pc *planCache) Invalidate(next *snapshot.Snapshot) {
 			pc.stats.Invalidations++
 			continue
 		}
-		if e.result.res != nil && !vecCurrent(e.resultVec, next) {
-			pc.setResult(e, memo{}, nil)
+		if e.result.res == nil || vecCurrent(e.resultVec, next) {
+			continue
 		}
+		if prev != nil && vecCurrent(e.resultVec, prev) && e.reads.unwritten(e.resultVec, next) {
+			for i, d := range e.resultVec {
+				e.resultVec[i].gen = next.TableGen(d.table)
+			}
+			e.resultGen = next.Gen
+			pc.stats.Carried++
+			continue
+		}
+		pc.setResult(e, memo{}, nil, 0, readSet{})
 	}
 }
 
@@ -272,7 +317,7 @@ func (pc *planCache) snapshot() PlanCacheStats {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	out := pc.stats
-	out.Entries, out.ResultBytes = int64(len(pc.entries)), pc.resultBytes
+	out.Entries, out.ResultBytes, out.ReadSetBytes = int64(len(pc.entries)), pc.resultBytes, pc.readSetBytes
 	return out
 }
 

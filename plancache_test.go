@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"dkbms/internal/snapshot"
 )
 
 const planCacheProgram = `
@@ -366,4 +368,64 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestPlanCacheStoreKeepsNewest: a reader pinned to an older snapshot
+// stores its answer after the entry got a newer memo — one stored at a
+// newer snapshot, then one a commit carried forward — and the entry
+// keeps the newer memo, so a reader of the current snapshot still hits
+// it, with the current answer.
+func TestPlanCacheStoreKeepsNewest(t *testing.T) {
+	tb := NewMemory()
+	tb.MustLoad(planCacheProgram)
+	if err := tb.CreateFactIndex("parent", 0); err != nil {
+		t.Fatal(err)
+	}
+	c := NewConcurrent(tb)
+	defer c.Close()
+	const q = "?- ancestor(a, X)."
+	key := newPlanKey(q, &QueryOptions{})
+	// oldReader reads q on the pinned snapshot s, as a read of s that
+	// finishes late does: the memo it finds there is stale, so it
+	// evaluates and stores its answer.
+	oldReader := func(s *snapshot.Snapshot) {
+		t.Helper()
+		m, err := c.readAt(context.Background(), s, key, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.res.Cache != "plan" {
+			t.Fatalf("the read of generation %d served %q, want an evaluation", s.Gen, m.res.Cache)
+		}
+	}
+	served := func(step, cache string, rows int) {
+		t.Helper()
+		res, err := c.Query(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cache != cache || len(res.Rows) != rows {
+			t.Fatalf("%s: served %q with %d rows, want %q with %d", step, res.Cache, len(res.Rows), cache, rows)
+		}
+	}
+	served("cold", "miss", 2)
+	first := c.snaps.Acquire()
+	defer first.Release()
+	if err := c.Load("parent(b, d)."); err != nil { // b was probed
+		t.Fatal(err)
+	}
+	second := c.snaps.Acquire()
+	defer second.Release()
+	served("after a LOAD on a probed key", "plan", 3)
+	oldReader(first)
+	served("after a store from the snapshot before", "result", 3)
+
+	if err := c.Load("parent(z, y)."); err != nil { // z was not
+		t.Fatal(err)
+	}
+	if got := c.PlanStats().Carried; got != 1 {
+		t.Fatalf("carried %d memos, want 1", got)
+	}
+	oldReader(second)
+	served("after a store from the snapshot before the carry", "result", 3)
 }
