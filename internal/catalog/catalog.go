@@ -440,9 +440,10 @@ func (c *Catalog) CreateTable(name string, schema *rel.Schema, temp bool) (*Tabl
 }
 
 // DropTable removes a table and its indexes, and releases the pages the
-// table's version owns. A frozen version's pages stay: the snapshots
-// that publish it read them, and their store frees them once every
-// snapshot that can reach the version has drained (snapshot.Store).
+// table's version owns. The version itself is left whole — its Indexes
+// too: a frozen one is read by the snapshots that publish it, and its
+// pages stay until their store frees them, once every snapshot that
+// can reach the version has drained (snapshot.Store).
 func (c *Catalog) DropTable(name string) error {
 	//dkblint:locksafe DDL serializes on ddlMu off the query path; heap/index I/O must be atomic with the catalog mutation
 	c.ddlMu.Lock()
@@ -453,8 +454,8 @@ func (c *Catalog) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("catalog: no table %s", name)
 	}
-	for _, idx := range append([]*Index(nil), t.Indexes...) {
-		if err := c.dropIndexDDL(idx.Name); err != nil {
+	for _, idx := range t.Indexes {
+		if err := c.forgetIndex(idx); err != nil {
 			return err
 		}
 	}
@@ -518,39 +519,56 @@ func (c *Catalog) CreateIndex(name, table string, cols []string, temp bool) (*In
 	return idx, nil
 }
 
-// DropIndex removes an index.
+// DropIndex removes an index. On a frozen table version it first takes
+// the writable copy (Writable), as every write does, and removes the
+// index from the copy: the frozen version keeps its Indexes for the
+// snapshots reading it.
 func (c *Catalog) DropIndex(name string) error {
 	//dkblint:locksafe DDL serializes on ddlMu off the query path; heap/index I/O must be atomic with the catalog mutation
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()
-	return c.dropIndexDDL(name)
-}
-
-// dropIndexDDL is DropIndex with c.ddlMu already held (c.mu must not
-// be: the catalog-record delete is heap I/O).
-func (c *Catalog) dropIndexDDL(name string) error {
 	c.mu.RLock()
 	idx, ok := c.indexes[name]
+	var t *Table
+	if ok {
+		t = c.tables[idx.Table]
+	}
 	c.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("catalog: no index %s", name)
 	}
+	if t != nil && t.gen != 0 {
+		t = c.shadowDDL(t)
+		c.mu.RLock()
+		idx = c.indexes[name]
+		c.mu.RUnlock()
+	}
+	if err := c.forgetIndex(idx); err != nil {
+		return err
+	}
+	if t == nil {
+		return nil
+	}
+	c.mu.Lock()
+	t.writesAll()
+	if i := slices.Index(t.Indexes, idx); i >= 0 {
+		t.Indexes = slices.Delete(t.Indexes, i, i+1)
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+// forgetIndex deletes idx's catalog record and its name; the table
+// version holding it is left as it is. c.ddlMu must be held, c.mu not:
+// the record delete is heap I/O.
+func (c *Catalog) forgetIndex(idx *Index) error {
 	if !idx.Temp {
 		if err := c.heap.Delete(idx.rid); err != nil {
 			return err
 		}
 	}
 	c.mu.Lock()
-	if t := c.tables[idx.Table]; t != nil {
-		t.writesAll()
-		for i, ti := range t.Indexes {
-			if ti == idx {
-				t.Indexes = append(t.Indexes[:i], t.Indexes[i+1:]...)
-				break
-			}
-		}
-	}
-	delete(c.indexes, name)
+	delete(c.indexes, idx.Name)
 	c.mu.Unlock()
 	return nil
 }
@@ -620,6 +638,11 @@ func (c *Catalog) Writable(name string) (*Table, error) {
 func (c *Catalog) shadow(t *Table) (*Table, error) {
 	c.ddlMu.Lock()
 	defer c.ddlMu.Unlock()
+	return c.shadowDDL(t), nil
+}
+
+// shadowDDL is shadow with c.ddlMu held.
+func (c *Catalog) shadowDDL(t *Table) *Table {
 	start := time.Now()
 	nt := &Table{Name: t.Name, Schema: t.Schema, Heap: t.Heap.Fork(), st: &storedTable{rid: t.st.rid, cat: c}, rows: t.rows, bytes: t.bytes}
 	nt.Indexes = make([]*Index, len(t.Indexes))
@@ -637,7 +660,7 @@ func (c *Catalog) shadow(t *Table) (*Table, error) {
 	c.moved = true
 	c.touched = append(c.touched, nt)
 	c.copying += time.Since(start)
-	return nt, nil
+	return nt
 }
 
 // Census counts a database's pages outside the temp region by owner.

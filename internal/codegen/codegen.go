@@ -18,6 +18,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"dkbms/internal/dlog"
 	"dkbms/internal/pcg"
@@ -123,50 +124,60 @@ func (r *RuleSQL) Source() string { return r.src }
 // constants written in as literals: the text EXPLAIN shows, which runs
 // as it reads.
 func (r *RuleSQL) SQL(tableOf func(pred string) string) string {
-	return r.render(tableOf, true)
+	var buf [256]byte
+	return string(r.appendSQL(buf[:0], tableOf, true))
 }
 
 // ParamSQL renders the rule as SQL does but with each body constant its
 // value parameter ?k, to be prepared and executed with Values.
 func (r *RuleSQL) ParamSQL(tableOf func(pred string) string) string {
-	return r.render(tableOf, false)
+	var buf [256]byte
+	return string(r.appendSQL(buf[:0], tableOf, false))
 }
 
-// render writes the rule's text, its constants as literals or as ?k.
-func (r *RuleSQL) render(tableOf func(pred string) string, literals bool) string {
-	var b strings.Builder
-	b.WriteString("SELECT DISTINCT ")
-	b.WriteString(r.SelectList)
-	b.WriteString(" FROM ")
+// AppendParamSQL appends to b the text ParamSQL renders with the k-th
+// FROM relation the table parameter $k: the body a run prepares
+// (rtlib.Statements.Rule).
+func (r *RuleSQL) AppendParamSQL(b []byte) []byte { return r.appendSQL(b, nil, false) }
+
+// appendSQL appends the rule's text, its constants as literals or as
+// ?k, and its k-th relation as tableOf names it or, when tableOf is
+// nil, as $k.
+func (r *RuleSQL) appendSQL(b []byte, tableOf func(pred string) string, literals bool) []byte {
+	b = append(b, "SELECT DISTINCT "...)
+	b = append(b, r.SelectList...)
+	b = append(b, " FROM "...)
 	for i, f := range r.From {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(tableOf(f.Pred))
-		b.WriteByte(' ')
-		b.WriteString(f.Alias)
-	}
-	if r.Where != "" {
-		b.WriteString(" WHERE ")
-		where := r.Where
-		for literals {
-			// Where has a '?' only where a parameter stands.
-			q := strings.IndexByte(where, '?')
-			if q < 0 {
-				break
-			}
-			end := q + 1
-			for end < len(where) && '0' <= where[end] && where[end] <= '9' {
-				end++
-			}
-			k, _ := strconv.Atoi(where[q+1 : end])
-			b.WriteString(where[:q])
-			b.WriteString(r.Values[k-1].SQL())
-			where = where[end:]
+		if tableOf != nil {
+			b = append(b, tableOf(f.Pred)...)
+		} else {
+			b = strconv.AppendInt(append(b, '$'), int64(i+1), 10)
 		}
-		b.WriteString(where)
+		b = append(append(b, ' '), f.Alias...)
 	}
-	return b.String()
+	if r.Where == "" {
+		return b
+	}
+	b = append(b, " WHERE "...)
+	where := r.Where
+	for literals {
+		// Where has a '?' only where a parameter stands.
+		q := strings.IndexByte(where, '?')
+		if q < 0 {
+			break
+		}
+		end := q + 1
+		for end < len(where) && '0' <= where[end] && where[end] <= '9' {
+			end++
+		}
+		k, _ := strconv.Atoi(where[q+1 : end])
+		b = r.Values[k-1].AppendSQL(append(b, where[:q]...))
+		where = where[end:]
+	}
+	return append(b, where...)
 }
 
 // Node mirrors one entry of the evaluation order list.
@@ -211,71 +222,311 @@ type Program struct {
 // A last node that only renames a derived relation into the query
 // predicate is not compiled: the program answers from that relation
 // (answerAlias).
-func Generate(order []*pcg.Node, derivedTypes map[string][]rel.Type, basePreds []string, queryPred string) (*Program, error) {
-	prog := &Program{
-		QueryPred: queryPred,
-		Schemas:   make(map[string]*rel.Schema),
-		BasePreds: append([]string(nil), basePreds...),
-	}
+//
+// A program is allocated whole, not rule by rule: its nodes, its rules,
+// and their FROM entries, constants and clique occurrences each take
+// one array, and every rule's select list, WHERE and source are slices
+// of one string. The node predicates and basePreds are the analysis's,
+// and the schemas Schema's, shared.
+func Generate(order []pcg.Node, derivedTypes map[string][]rel.Type, basePreds []string, queryPred string) (*Program, error) {
+	prog := &Program{QueryPred: queryPred, BasePreds: basePreds}
 	if p := answerAlias(order, queryPred); p != "" {
 		order, prog.QueryPred = order[:len(order)-1], p
 	}
-	// Every rule's source, back to back; ends[i] is where the i-th
-	// compiled rule's source ends.
-	var srcBuf [1024]byte
-	src, ends := srcBuf[:0], make([]int, 0, 32)
-	for _, n := range order {
-		node := Node{
-			Preds:     append([]string(nil), n.Preds...),
-			Recursive: n.Recursive,
+	var nPreds, nRules, nFrom, nVals, nOccs int
+	for i := range order {
+		n := &order[i]
+		nPreds += len(n.Preds)
+		for _, rules := range [2][]dlog.Clause{n.ExitRules, n.RecursiveRules} {
+			nRules += len(rules)
+			for _, c := range rules {
+				nFrom += len(c.Body)
+				for _, a := range c.Body {
+					if inNode(n, a.Pred) {
+						nOccs++
+					}
+					for _, t := range a.Args {
+						if !t.IsVar() {
+							nVals++
+						}
+					}
+				}
+			}
 		}
-		inClique := make(map[string]bool, len(n.Preds))
+	}
+	prog.Nodes = make([]Node, len(order))
+	prog.Schemas = make(map[string]*rel.Schema, nPreds)
+	var w writer
+	w.init(nRules, nFrom, nVals, nOccs)
+	var textBuf [2048]byte
+	var endsBuf [96]int
+	t := text{b: textBuf[:0], ends: endsBuf[:0]}
+	for i := range order {
+		n := &order[i]
+		node := &prog.Nodes[i]
+		node.Preds, node.Recursive = n.Preds, n.Recursive
 		for _, p := range n.Preds {
-			inClique[p] = true
 			types, ok := derivedTypes[p]
 			if !ok {
 				return nil, fmt.Errorf("codegen: no inferred types for %s", p)
 			}
-			cols := make([]rel.Column, len(types))
-			for i, t := range types {
-				cols[i] = rel.Column{Name: fmt.Sprintf("c%d", i), Type: t}
-			}
-			schema, err := rel.NewSchema(cols...)
+			schema, err := Schema(types)
 			if err != nil {
 				return nil, err
 			}
 			prog.Schemas[p] = schema
 		}
-		for _, c := range n.ExitRules {
-			rs, err := compileRule(c, inClique)
-			if err != nil {
-				return nil, err
-			}
-			node.ExitRules = append(node.ExitRules, rs)
-			src = c.Append(src)
-			ends = append(ends, len(src))
+		inClique := func(pred string) bool { return inNode(n, pred) }
+		var err error
+		if node.ExitRules, t, err = w.compile(t, n.ExitRules, inClique); err != nil {
+			return nil, err
 		}
-		for _, c := range n.RecursiveRules {
-			rs, err := compileRule(c, inClique)
-			if err != nil {
-				return nil, err
-			}
-			node.RecursiveRules = append(node.RecursiveRules, rs)
-			src = c.Append(src)
-			ends = append(ends, len(src))
-		}
-		prog.Nodes = append(prog.Nodes, node)
-	}
-	text, start := string(src), 0
-	for i := range prog.Nodes {
-		for _, rules := range [2][]RuleSQL{prog.Nodes[i].ExitRules, prog.Nodes[i].RecursiveRules} {
-			for j := range rules {
-				rules[j].src = text[start:ends[0]]
-				start, ends = ends[0], ends[1:]
-			}
+		if node.RecursiveRules, t, err = w.compile(t, n.RecursiveRules, inClique); err != nil {
+			return nil, err
 		}
 	}
+	w.finish(t)
 	return prog, nil
+}
+
+// inNode reports whether pred is one of n's predicates, which are in
+// name order.
+func inNode(n *pcg.Node, pred string) bool {
+	_, found := slices.BinarySearch(n.Preds, pred)
+	return found
+}
+
+// writer compiles the rules of one program (or one rule) into arrays it
+// slices them from: each compile takes the next rules, FROM entries,
+// constants and clique occurrences, and appends the rules' text to one
+// buffer, which finish turns into the one string their text fields
+// are slices of.
+type writer struct {
+	all    []RuleSQL // the rules, the first next of them compiled
+	next   int
+	from   []FromEntry
+	values []rel.Value
+	occs   []int
+}
+
+// text holds, per compiled rule, its select list, its WHERE and its
+// source, back to back; ends has the three end offsets of each. It is
+// passed along by value, so that a caller's buffer on the stack stays
+// there.
+type text struct {
+	b    []byte
+	ends []int
+}
+
+// init sizes the writer's arrays.
+func (w *writer) init(rules, from, values, occs int) {
+	w.all, w.next = make([]RuleSQL, rules), 0
+	w.from, w.values, w.occs = make([]FromEntry, from), make([]rel.Value, values), make([]int, occs)
+}
+
+// compile compiles clauses into the writer's next len(clauses) rules
+// and returns them, capped. inClique marks predicates mutually
+// recursive with the heads.
+func (w *writer) compile(t text, clauses []dlog.Clause, inClique func(string) bool) ([]RuleSQL, text, error) {
+	if len(clauses) == 0 {
+		return nil, t, nil
+	}
+	out := w.all[w.next : w.next+len(clauses) : w.next+len(clauses)]
+	w.next += len(clauses)
+	for i, c := range clauses {
+		var err error
+		if t, err = w.rule(t, c, inClique, &out[i]); err != nil {
+			return nil, t, err
+		}
+	}
+	return out, t, nil
+}
+
+// take returns the next k elements of *arena, capped; nil when k is 0.
+func take[T any](arena *[]T, k int) []T {
+	if k == 0 {
+		return nil
+	}
+	s := (*arena)[:k:k]
+	*arena = (*arena)[k:]
+	return s
+}
+
+// rule compiles c into rs, appending its text to t; its text fields
+// are set by finish.
+func (w *writer) rule(t text, c dlog.Clause, inClique func(string) bool, rs *RuleSQL) (text, error) {
+	if len(c.Body) == 0 {
+		return t, fmt.Errorf("codegen: cannot compile bodiless clause %q; facts belong in the extensional database", c.String())
+	}
+	rs.Head = c.Head.Pred
+	rs.From = take(&w.from, len(c.Body))
+	nVals, nOccs := 0, 0
+	for ai, a := range c.Body {
+		rs.From[ai] = FromEntry{Pred: a.Pred, Alias: alias(ai)}
+		if inClique(a.Pred) {
+			nOccs++
+		}
+		for _, t := range a.Args {
+			if !t.IsVar() {
+				nVals++
+			}
+		}
+	}
+	rs.Values, rs.CliqueOccs = take(&w.values, nVals), take(&w.occs, nOccs)
+	if nOccs > 0 {
+		k := 0
+		for ai, a := range c.Body {
+			if inClique(a.Pred) {
+				rs.CliqueOccs[k] = ai
+				k++
+			}
+		}
+	}
+
+	// The select list: each head term a column of its variable's first
+	// occurrence, or a literal.
+	b := t.b
+	for i, h := range c.Head.Args {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		if !h.IsVar() {
+			b = h.Val.AppendSQL(b)
+			continue
+		}
+		ai, gi := firstOcc(c.Body, h.Var, len(c.Body), 0)
+		if ai < 0 {
+			return t, fmt.Errorf("codegen: head variable %s unbound in %q (rule not range-restricted)", h.Var, c.String())
+		}
+		b = appendColumn(b, ai, gi)
+	}
+	t.ends = append(t.ends, len(b))
+
+	// The WHERE: a variable met before equals its first occurrence, a
+	// constant its value parameter.
+	conds, k := 0, 0
+	for ai, a := range c.Body {
+		for gi, arg := range a.Args {
+			fa, fg := -1, 0
+			if arg.IsVar() {
+				if fa, fg = firstOcc(c.Body, arg.Var, ai, gi); fa < 0 {
+					continue
+				}
+			}
+			if conds > 0 {
+				b = append(b, " AND "...)
+			}
+			conds++
+			b = append(appendColumn(b, ai, gi), " = "...)
+			if fa >= 0 {
+				b = appendColumn(b, fa, fg)
+				continue
+			}
+			rs.Values[k] = arg.Val
+			k++
+			b = strconv.AppendInt(append(b, '?'), int64(k), 10)
+		}
+	}
+	t.ends = append(t.ends, len(b))
+	b = c.Append(b)
+	t.b, t.ends = b, append(t.ends, len(b))
+	return t, nil
+}
+
+// firstOcc returns the position (atom, argument) of the first
+// occurrence of variable v in body before argument gi of atom ai, or
+// -1 when there is none.
+func firstOcc(body []dlog.Atom, v string, ai, gi int) (int, int) {
+	for aj := 0; aj <= ai && aj < len(body); aj++ {
+		args := body[aj].Args
+		if aj == ai {
+			args = args[:gi]
+		}
+		for gj, t := range args {
+			if t.IsVar() && t.Var == v {
+				return aj, gj
+			}
+		}
+	}
+	return -1, 0
+}
+
+// appendColumn appends t<atom>.c<arg>.
+func appendColumn(b []byte, atom, arg int) []byte {
+	b = append(strconv.AppendInt(append(b, 't'), int64(atom), 10), ".c"...)
+	return strconv.AppendInt(b, int64(arg), 10)
+}
+
+// finish hands the compiled rules their text: the buffer becomes one
+// string, and each rule's fields slices of it.
+func (w *writer) finish(t text) {
+	s, start := string(t.b), 0
+	for i := range w.all[:w.next] {
+		rs, e := &w.all[i], t.ends[3*i:3*i+3]
+		rs.SelectList, rs.Where, rs.src = s[start:e[0]], s[e[0]:e[1]], s[e[1]:e[2]]
+		start = e[2]
+	}
+}
+
+// aliases are the FROM aliases of the first body atoms.
+var aliases = [...]string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10", "t11", "t12", "t13", "t14", "t15"}
+
+// alias returns the FROM alias of the i-th body atom, t<i>.
+func alias(i int) string {
+	if i < len(aliases) {
+		return aliases[i]
+	}
+	return "t" + strconv.Itoa(i)
+}
+
+// maxCanonical is the most columns of a schema Schema shares.
+const maxCanonical = 4
+
+// canonical holds the schemas Schema has made of up to maxCanonical
+// columns of types INTEGER and CHAR: slot 2^n-1+b for n columns, bit i
+// of b set when column i is CHAR. A schema is immutable, so every
+// program shares them; each is made on first use, so only the
+// signatures in use take memory.
+var canonical [1<<(maxCanonical+1) - 1]atomic.Pointer[rel.Schema]
+
+// Schema returns the schema of a predicate relation of the given column
+// types: columns c0, c1, ... One of a few INTEGER and CHAR columns is
+// made once and shared (canonical).
+func Schema(types []rel.Type) (*rel.Schema, error) {
+	slot, shared := canonicalSlot(types)
+	if shared {
+		if s := canonical[slot].Load(); s != nil {
+			return s, nil
+		}
+	}
+	cols := make([]rel.Column, len(types))
+	for i, t := range types {
+		cols[i] = rel.Column{Name: "c" + strconv.Itoa(i), Type: t}
+	}
+	s, err := rel.NewSchema(cols...)
+	if err == nil && shared && !canonical[slot].CompareAndSwap(nil, s) {
+		s = canonical[slot].Load()
+	}
+	return s, err
+}
+
+// canonicalSlot returns the slot of canonical holding the schema of
+// types, if one does.
+func canonicalSlot(types []rel.Type) (int, bool) {
+	if len(types) > maxCanonical {
+		return 0, false
+	}
+	slot := 1<<len(types) - 1
+	for i, t := range types {
+		switch t {
+		case rel.TypeInt:
+		case rel.TypeString:
+			slot += 1 << i
+		default:
+			return 0, false
+		}
+	}
+	return slot, true
 }
 
 // answerAlias returns p when the last node of order is the query
@@ -291,11 +542,11 @@ func Generate(order []*pcg.Node, derivedTypes map[string][]rel.Type, basePreds [
 // build a key set of it and write every row once more. A constant, a
 // repeated variable, a projection, a base predicate or a second goal
 // keeps the node: there the rule computes something.
-func answerAlias(order []*pcg.Node, queryPred string) string {
+func answerAlias(order []pcg.Node, queryPred string) string {
 	if len(order) < 2 {
 		return ""
 	}
-	last := order[len(order)-1]
+	last := &order[len(order)-1]
 	if last.Recursive || len(last.Preds) != 1 || last.Preds[0] != queryPred ||
 		len(last.ExitRules) != 1 || len(last.RecursiveRules) != 0 {
 		return ""
@@ -304,13 +555,16 @@ func answerAlias(order []*pcg.Node, queryPred string) string {
 	if len(rule.Body) != 1 || len(rule.Body[0].Args) != len(rule.Head.Args) {
 		return ""
 	}
-	seen := make(map[string]bool, len(rule.Head.Args))
 	for i, h := range rule.Head.Args {
 		b := rule.Body[0].Args[i]
-		if !h.IsVar() || !b.IsVar() || b.Var != h.Var || seen[h.Var] {
+		if !h.IsVar() || !b.IsVar() || b.Var != h.Var {
 			return ""
 		}
-		seen[h.Var] = true
+		for _, e := range rule.Head.Args[:i] {
+			if e.Var == h.Var {
+				return ""
+			}
+		}
 	}
 	p := rule.Body[0].Pred
 	for _, n := range order[:len(order)-1] {
@@ -359,60 +613,21 @@ func (p *Program) Explain() string {
 // CompileRule translates one clause into its RuleSQL. inClique marks
 // predicates mutually recursive with the head (may be nil).
 func CompileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
-	rs, err := compileRule(c, inClique)
+	vals := 0
+	for _, a := range c.Body {
+		for _, t := range a.Args {
+			if !t.IsVar() {
+				vals++
+			}
+		}
+	}
+	var w writer
+	w.init(1, len(c.Body), vals, len(c.Body))
+	in := func(p string) bool { return inClique[p] }
+	_, t, err := w.compile(text{}, []dlog.Clause{c}, in)
 	if err != nil {
 		return RuleSQL{}, err
 	}
-	rs.src = c.String()
-	return rs, nil
-}
-
-// compileRule is CompileRule without the source text, which Generate
-// renders for a whole program at once.
-func compileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
-	if len(c.Body) == 0 {
-		return RuleSQL{}, fmt.Errorf("codegen: cannot compile bodiless clause %q; facts belong in the extensional database", c.String())
-	}
-	rs := RuleSQL{Head: c.Head.Pred}
-
-	// First occurrence of each variable.
-	type pos struct{ atom, arg int }
-	firstOcc := make(map[string]pos)
-	var conds []string
-	for ai, a := range c.Body {
-		alias := fmt.Sprintf("t%d", ai)
-		rs.From = append(rs.From, FromEntry{Pred: a.Pred, Alias: alias})
-		if inClique != nil && inClique[a.Pred] {
-			rs.CliqueOccs = append(rs.CliqueOccs, ai)
-		}
-		for gi, t := range a.Args {
-			ref := fmt.Sprintf("%s.c%d", alias, gi)
-			if t.IsVar() {
-				if f, seen := firstOcc[t.Var]; seen {
-					conds = append(conds, fmt.Sprintf("%s = t%d.c%d", ref, f.atom, f.arg))
-				} else {
-					firstOcc[t.Var] = pos{ai, gi}
-				}
-			} else {
-				rs.Values = append(rs.Values, t.Val)
-				conds = append(conds, fmt.Sprintf("%s = ?%d", ref, len(rs.Values)))
-			}
-		}
-	}
-	rs.Where = strings.Join(conds, " AND ")
-
-	var sel []string
-	for _, t := range c.Head.Args {
-		if t.IsVar() {
-			f, seen := firstOcc[t.Var]
-			if !seen {
-				return RuleSQL{}, fmt.Errorf("codegen: head variable %s unbound in %q (rule not range-restricted)", t.Var, c.String())
-			}
-			sel = append(sel, fmt.Sprintf("t%d.c%d", f.atom, f.arg))
-		} else {
-			sel = append(sel, t.Val.SQL())
-		}
-	}
-	rs.SelectList = strings.Join(sel, ", ")
-	return rs, nil
+	w.finish(t)
+	return w.all[0], nil
 }

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -280,5 +281,30 @@ func TestExplainWritesLiterals(t *testing.T) {
 	}
 	if got := rel.Tuple(r.Values).String(); got != "(john, 7, o'brien ?1)" {
 		t.Errorf("values %s", got)
+	}
+}
+
+// TestSchemaShared: the schema of a predicate relation of up to four
+// INTEGER and CHAR columns is one value every program shares; a wider
+// one is made for its caller. Both name their columns c0, c1, ...
+func TestSchemaShared(t *testing.T) {
+	for _, tc := range []struct {
+		types  []rel.Type
+		want   string
+		shared bool
+	}{
+		{[]rel.Type{rel.TypeString}, "(c0 CHAR)", true},
+		{[]rel.Type{rel.TypeInt, rel.TypeString}, "(c0 INTEGER, c1 CHAR)", true},
+		{[]rel.Type{rel.TypeString, rel.TypeString, rel.TypeInt, rel.TypeString}, "(c0 CHAR, c1 CHAR, c2 INTEGER, c3 CHAR)", true},
+		{[]rel.Type{rel.TypeInt, rel.TypeInt, rel.TypeInt, rel.TypeInt, rel.TypeString}, "(c0 INTEGER, c1 INTEGER, c2 INTEGER, c3 INTEGER, c4 CHAR)", false},
+	} {
+		a, err := Schema(tc.types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := Schema(slices.Clone(tc.types))
+		if a.String() != tc.want || b.String() != tc.want || (a == b) != tc.shared {
+			t.Errorf("Schema(%v) = %v and %v, shared %v; want %s, shared %v", tc.types, a, b, a == b, tc.want, tc.shared)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -213,8 +214,10 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 	if len(vars) == 0 {
 		return nil, fmt.Errorf("core: boolean (fully ground) queries are not supported; include at least one variable")
 	}
-	rules := append([]dlog.Clause(nil), cp.WS.Rules()...)
-	rules = append(rules, queryRule)
+	ws := cp.WS.Rules()
+	rules := make([]dlog.Clause, len(ws)+1)
+	copy(rules, ws)
+	rules[len(ws)] = queryRule
 	stats.Setup = time.Since(t0)
 
 	// --- Extract relevant stored rules, iterating to a fixpoint
@@ -231,7 +234,9 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 			if err != nil {
 				return nil, err
 			}
-			var added []dlog.Clause
+			// The rules of predicates not yet held, kept in place:
+			// extracted is this call's own.
+			added := extracted[:0]
 			for _, c := range extracted {
 				if !have[c.Head.Pred] {
 					added = append(added, c)
@@ -243,15 +248,16 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 			for _, c := range added {
 				have[c.Head.Pred] = true
 			}
-			// Group added rules by head then append deterministically.
 			rules = append(rules, added...)
-			frontier = nil
-			newPreds := bodyPreds(added)
-			for _, p := range newPreds {
+			frontier = bodyPreds(added)
+			k := 0
+			for _, p := range frontier {
 				if !have[p] {
-					frontier = append(frontier, p)
+					frontier[k] = p
+					k++
 				}
 			}
+			frontier = frontier[:k]
 		}
 	}
 	stats.Extract = time.Since(t0)
@@ -259,10 +265,18 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 	// --- Scope the rules to those reachable from the query.
 	g := pcg.Build(rules)
 	reach := g.Reachable(dlog.QueryPred)
-	var relevant []dlog.Clause
+	relevant, n := rules, 0
 	for _, c := range rules {
-		if reach[c.Head.Pred] {
-			relevant = append(relevant, c)
+		if g.Contains(reach, c.Head.Pred) {
+			n++
+		}
+	}
+	if n < len(rules) {
+		relevant = make([]dlog.Clause, 0, n)
+		for _, c := range rules {
+			if g.Contains(reach, c.Head.Pred) {
+				relevant = append(relevant, c)
+			}
 		}
 	}
 	stats.RelevantRules = len(relevant) - 1 // excluding the query rule
@@ -345,18 +359,12 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 		return nil, err
 	}
 	stats.EvalOrder = time.Since(t0)
-	derivedCount := 0
-	for p := range analysis.Reachable {
-		if g.IsDerived(p) {
-			derivedCount++
-		}
-	}
-	stats.RelevantPreds = derivedCount
+	stats.RelevantPreds = analysis.Derived
 
 	// --- Semantic checks and type inference. Magic seeds hint the
 	// types of seeded magic predicates whose rules alone are circular.
 	t0 = time.Now()
-	if err := typeinf.CheckDefined(g, analysis.Reachable, baseTypes); err != nil {
+	if err := typeinf.CheckDefined(analysis, baseTypes); err != nil {
 		return nil, err
 	}
 	hints := make(map[string][]rel.Type)
@@ -392,11 +400,7 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 		}
 		prog.BasePreds = bases
 		for p, types := range seedOnly {
-			cols := make([]rel.Column, len(types))
-			for i, ty := range types {
-				cols[i] = rel.Column{Name: fmt.Sprintf("c%d", i), Type: ty}
-			}
-			schema, err := rel.NewSchema(cols...)
+			schema, err := codegen.Schema(types)
 			if err != nil {
 				return nil, err
 			}
@@ -412,13 +416,17 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 
 // collectBaseTypes resolves extensional predicate schemas: the database
 // catalog first, then the stored D/KB's extensional dictionary.
-func (cp *Compiler) collectBaseTypes(g *pcg.Graph, reach map[string]bool) (map[string][]rel.Type, error) {
+func (cp *Compiler) collectBaseTypes(g *pcg.Graph, reach []bool) (map[string][]rel.Type, error) {
 	out := make(map[string][]rel.Type)
 	var missing []string
 	// Every reachable predicate is checked for extensional facts — even
 	// derived ones, which normalizeMixed then splits into rule and fact
 	// halves.
-	for p := range reach {
+	for id, in := range reach {
+		if !in {
+			continue
+		}
+		p := g.Name(id)
 		if cp.DB != nil {
 			// Resolve through the DB (not the raw catalog): a snapshot-
 			// bound view binds the lookup to its frozen table versions.
@@ -434,10 +442,9 @@ func (cp *Compiler) collectBaseTypes(g *pcg.Graph, reach map[string]bool) (map[s
 		missing = append(missing, p)
 	}
 	if cp.Stored != nil && len(missing) > 0 {
-		// In name order, not reach's: the dictionary statement keeps its
+		// In name order (ids are): the dictionary statement keeps its
 		// last execution's plan, so the order of its executions decides
 		// which of them re-bind it.
-		sort.Strings(missing)
 		extra, err := cp.Stored.BaseTypes(missing)
 		if err != nil {
 			return nil, err
@@ -488,16 +495,16 @@ func normalizeMixed(relevant []dlog.Clause, g *pcg.Graph, baseTypes map[string][
 // bodyPreds returns the distinct predicates appearing in rule bodies,
 // sorted.
 func bodyPreds(rules []dlog.Clause) []string {
-	set := make(map[string]bool)
+	n := 0
+	for _, c := range rules {
+		n += len(c.Body)
+	}
+	out := make([]string, 0, n)
 	for _, c := range rules {
 		for _, a := range c.Body {
-			set[a.Pred] = true
+			out = append(out, a.Pred)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -530,12 +530,17 @@ func (d *DB) execDelete(s sql.Delete, sp *obs.Span) error {
 	}
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
+	return deleteRows(t, op)
+}
+
+// deleteRows deletes from t the rows op, a scan of t, yields.
+func deleteRows(t *catalog.Table, op exec.Operator) error {
 	// Collect the victims, then delete: the scan may be iterating a
 	// posting list that DeleteRID edits. They are decoded once, together,
 	// for the index keys DeleteRID removes.
 	var rids []storage.RID
 	var victims rel.Records
-	err = exec.ScanRows(op, func(rid storage.RID, rec []byte) error {
+	err := exec.ScanRows(op, func(rid storage.RID, rec []byte) error {
 		rids = append(rids, rid)
 		return victims.Add(rec)
 	})

@@ -55,12 +55,14 @@ type prepared struct {
 	insert    bool
 	into      string
 	intoParam int
+	// del marks DELETE FROM into, its WHERE the SELECT's.
+	del bool
 }
 
-// Prepare parses a SELECT or an INSERT ... SELECT and resolves it
-// against the schemas of its tables: params[n-1] for table parameter
-// $n, the root database's catalog for named tables. Only a statement
-// prepared here takes value parameters.
+// Prepare parses a SELECT, an INSERT ... SELECT or a DELETE with a
+// WHERE and resolves it against the schemas of its tables: params[n-1]
+// for table parameter $n, the root database's catalog for named
+// tables. Only a statement prepared here takes value parameters.
 //
 // A statement all of whose tables are parameters — every statement the
 // run-time library issues — is prepared once per database: the plan is
@@ -125,6 +127,13 @@ func (d *DB) prepare(stmt string, params []*rel.Schema) (p *prepared, cache bool
 	}
 	p = &prepared{params: params}
 	sel, _ := st.(*sql.Select)
+	if del, ok := st.(sql.Delete); ok {
+		if del.Where == nil {
+			return nil, false, fmt.Errorf("db: Prepare takes a DELETE with a WHERE")
+		}
+		p.del, p.into = true, del.Table
+		sel = &sql.Select{From: []sql.TableRef{{Table: del.Table, Alias: del.Table}}, Where: del.Where}
+	}
 	if ins, ok := st.(sql.Insert); ok && ins.Query != nil {
 		if ins.Param > len(params) || ins.Param > 0 && params[ins.Param-1] == nil {
 			return nil, false, fmt.Errorf("db: no schema declared for table parameter $%d", ins.Param)
@@ -133,7 +142,7 @@ func (d *DB) prepare(stmt string, params []*rel.Schema) (p *prepared, cache bool
 		sel = ins.Query
 	}
 	if sel == nil {
-		return nil, false, fmt.Errorf("db: Prepare takes a SELECT or an INSERT ... SELECT, got %T", st)
+		return nil, false, fmt.Errorf("db: Prepare takes a SELECT, an INSERT ... SELECT or a DELETE ... WHERE, got %T", st)
 	}
 	if p.query, err = plan.Analyze(d.cat, sel, params); err != nil {
 		return nil, false, err
@@ -177,8 +186,8 @@ func (s *Stmt) bind(buf []*catalog.Table, tables []string) ([]*catalog.Table, er
 // Query executes a prepared SELECT with vals[m-1] bound to ?m and
 // tables[n-1] to $n. ctx and sp are as in QueryTracedCtx.
 func (s *Stmt) Query(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) (*Rows, error) {
-	if s.insert {
-		return nil, fmt.Errorf("db: Query called on a prepared INSERT; use Exec")
+	if s.insert || s.del {
+		return nil, fmt.Errorf("db: Query called on a prepared INSERT or DELETE; use Exec")
 	}
 	var buf [maxStackArgs]*catalog.Table
 	args, err := s.bind(buf[:0], tables)
@@ -193,8 +202,8 @@ func (s *Stmt) Query(ctx context.Context, sp *obs.Span, vals []rel.Value, tables
 // (exec.AppendRows): a bare scan's block is its table's records as
 // stored, in chain order.
 func (s *Stmt) AppendRows(ctx context.Context, sp *obs.Span, buf []byte, vals []rel.Value, tables ...string) ([]byte, error) {
-	if s.insert {
-		return nil, fmt.Errorf("db: AppendRows called on a prepared INSERT; use Exec")
+	if s.insert || s.del {
+		return nil, fmt.Errorf("db: AppendRows called on a prepared INSERT or DELETE; use Exec")
 	}
 	var tb [maxStackArgs]*catalog.Table
 	args, err := s.bind(tb[:0], tables)
@@ -208,6 +217,27 @@ func (s *Stmt) AppendRows(ctx context.Context, sp *obs.Span, buf []byte, vals []
 	return buf, err
 }
 
+// delete is Exec of a prepared DELETE. Its victim scan runs on the
+// tree the statement kept, re-bound to the version the deletes write.
+func (s *Stmt) delete(vals []rel.Value, sp *obs.Span) error {
+	s.d.stats.deletes.Add(1)
+	t, err := s.d.writable(s.into)
+	if err != nil {
+		return err
+	}
+	if t == nil {
+		return fmt.Errorf("db: no table %s", s.into)
+	}
+	op, tree, err := s.d.operators(s.sel, nil, vals, sp, true)
+	if err != nil {
+		return err
+	}
+	defer s.sel.Release(tree)
+	op, flush := exec.Instrument(op, sp)
+	defer flush()
+	return deleteRows(t, op)
+}
+
 // QueryCount executes a prepared SELECT COUNT(*) and returns the count.
 func (s *Stmt) QueryCount(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) (int64, error) {
 	rows, err := s.Query(ctx, sp, vals, tables...)
@@ -217,9 +247,13 @@ func (s *Stmt) QueryCount(ctx context.Context, sp *obs.Span, vals []rel.Value, t
 	return singleInt(rows)
 }
 
-// Exec executes a prepared INSERT ... SELECT with vals[m-1] bound to ?m
-// and tables[n-1] to $n. ctx and sp are as in ExecTracedCtx.
+// Exec executes a prepared INSERT ... SELECT or DELETE with vals[m-1]
+// bound to ?m and tables[n-1] to $n. ctx and sp are as in
+// ExecTracedCtx.
 func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) error {
+	if s.del {
+		return s.delete(vals, sp)
+	}
 	if !s.insert {
 		return fmt.Errorf("db: Exec called on a prepared SELECT; use Query")
 	}

@@ -427,3 +427,35 @@ func TestStmtAppendRows(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedDelete: a DELETE prepared once, its WHERE value a
+// parameter, deletes at each execution what the ad-hoc DELETE with the
+// value written in deletes, index maintained, and counts as a DELETE.
+// A DELETE without a WHERE is not preparable (TestStmtErrors), and a
+// prepared one is not a query.
+func TestPreparedDelete(t *testing.T) {
+	ctx := context.Background()
+	want, d := family(t), family(t)
+	for _, db := range []*DB{want, d} {
+		mustExec(t, db, "CREATE INDEX parent_par ON parent (par)")
+	}
+	del := mustPrepare(t, d, "DELETE FROM parent WHERE par = ?1")
+	if _, err := del.Query(ctx, nil, []rel.Value{rel.NewString("john")}); err == nil {
+		t.Error("Query ran a prepared DELETE")
+	}
+	for _, par := range []string{"john", "nobody", "mary", "john"} {
+		before := d.StatsSnapshot().Deletes
+		if err := del.Exec(ctx, nil, []rel.Value{rel.NewString(par)}); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, want, "DELETE FROM parent WHERE par = '"+par+"'")
+		if n := d.StatsSnapshot().Deletes - before; n != 1 {
+			t.Errorf("DELETE of %s counted %d deletes", par, n)
+		}
+		for _, q := range []string{"SELECT * FROM parent", "SELECT chd FROM parent WHERE par = 'bob'", "SELECT chd FROM parent WHERE par = '" + par + "'"} {
+			if got, w := rowStrings(mustQuery(t, d, q)), rowStrings(mustQuery(t, want, q)); strings.Join(got, ";") != strings.Join(w, ";") {
+				t.Errorf("after deleting %s, %s: %v, the ad-hoc DELETE leaves %v", par, q, got, w)
+			}
+		}
+	}
+}

@@ -24,7 +24,11 @@ func renderProgram(p *Program) string {
 // client sends in a LOAD or QUERY reaches it unchecked: it never panics,
 // an accepted program's rendering parses to the same rendering, and
 // each rendered clause and query parses alone (ParseClause,
-// ParseQuery) to itself. The seed corpus under testdata/fuzz holds
+// ParseQuery) to itself. In every accepted clause and query each atom's
+// arguments, the clause's body and the query's goals are capped at
+// their length: the parser slices them from shared arrays, and an
+// append to one must copy it rather than write its neighbour's terms.
+// The seed corpus under testdata/fuzz holds
 // facts, rules in both arrow syntaxes, queries, comments, quoted and
 // escaped strings, integers, high-byte identifiers and malformed input.
 func FuzzParseProgram(f *testing.F) {
@@ -33,6 +37,12 @@ func FuzzParseProgram(f *testing.F) {
 		prog, err := ParseProgram(src)
 		if err != nil {
 			return
+		}
+		for _, c := range prog.Clauses {
+			checkCapped(t, c.String(), append([]Atom{c.Head}, c.Body...), c.Body)
+		}
+		for _, q := range prog.Queries {
+			checkCapped(t, q.String(), q.Goals, q.Goals)
 		}
 		text := renderProgram(prog)
 		again, err := ParseProgram(text)
@@ -55,4 +65,18 @@ func FuzzParseProgram(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkCapped fails t unless list and every atom's arguments have
+// capacity equal to their length.
+func checkCapped(t *testing.T, src string, atoms, list []Atom) {
+	t.Helper()
+	if cap(list) != len(list) {
+		t.Fatalf("%q: atom list of length %d has capacity %d", src, len(list), cap(list))
+	}
+	for _, a := range atoms {
+		if cap(a.Args) != len(a.Args) {
+			t.Fatalf("%q: the arguments of %s, %d, have capacity %d", src, a.String(), len(a.Args), cap(a.Args))
+		}
+	}
 }

@@ -136,14 +136,50 @@ func (p *dparser) query() (Query, error) {
 	return q, nil
 }
 
+// atomSpan is an atom being parsed: its predicate and where its
+// arguments lie in the scratch term list.
+type atomSpan struct {
+	pred       string
+	start, end int
+}
+
+// scratch collects a clause's or a query's atoms and their terms as
+// they are parsed, so that each list is allocated once, at its final
+// length. Its buffers are the caller's, on its stack.
+type scratch struct {
+	terms []Term
+	atoms []atomSpan
+}
+
+// build returns the atoms sc holds — with from 1 the first apart, as a
+// clause's head — in one array of atoms and one of all their terms,
+// each atom's arguments capped at their length, so that an append to
+// one never writes its neighbour's.
+func (sc scratch) build(from int) (head Atom, atoms []Atom) {
+	terms := make([]Term, len(sc.terms))
+	copy(terms, sc.terms)
+	mk := func(a atomSpan) Atom { return Atom{Pred: a.pred, Args: terms[a.start:a.end:a.end]} }
+	if from == 1 {
+		head = mk(sc.atoms[0])
+	}
+	if rest := sc.atoms[from:]; len(rest) > 0 {
+		atoms = make([]Atom, len(rest))
+		for i, a := range rest {
+			atoms[i] = mk(a)
+		}
+	}
+	return head, atoms
+}
+
 func (p *dparser) goals() (Query, error) {
-	var q Query
+	var termBuf [16]Term
+	var atomBuf [8]atomSpan
+	sc := scratch{terms: termBuf[:0], atoms: atomBuf[:0]}
 	for {
-		a, err := p.atom()
-		if err != nil {
+		var err error
+		if sc, err = p.atom(sc); err != nil {
 			return Query{}, err
 		}
-		q.Goals = append(q.Goals, a)
 		p.skipSpace()
 		if p.peekStr(",") {
 			continue
@@ -151,24 +187,25 @@ func (p *dparser) goals() (Query, error) {
 		if err := p.expectByte('.'); err != nil {
 			return Query{}, err
 		}
-		return q, nil
+		_, goals := sc.build(0)
+		return Query{Goals: goals}, nil
 	}
 }
 
 func (p *dparser) clause() (Clause, error) {
-	head, err := p.atom()
+	var termBuf [16]Term
+	var atomBuf [8]atomSpan
+	sc := scratch{terms: termBuf[:0], atoms: atomBuf[:0]}
+	sc, err := p.atom(sc)
 	if err != nil {
 		return Clause{}, err
 	}
-	c := Clause{Head: head}
 	p.skipSpace()
 	if p.peekStr(":-") || p.peekStr("<-") {
 		for {
-			a, err := p.atom()
-			if err != nil {
+			if sc, err = p.atom(sc); err != nil {
 				return Clause{}, err
 			}
-			c.Body = append(c.Body, a)
 			if p.peekStr(",") {
 				continue
 			}
@@ -178,37 +215,40 @@ func (p *dparser) clause() (Clause, error) {
 	if err := p.expectByte('.'); err != nil {
 		return Clause{}, err
 	}
-	return c, nil
+	head, body := sc.build(1)
+	return Clause{Head: head, Body: body}, nil
 }
 
-func (p *dparser) atom() (Atom, error) {
+// atom parses one atom into sc.
+func (p *dparser) atom(sc scratch) (scratch, error) {
 	p.skipSpace()
 	name, err := p.identifier()
 	if err != nil {
-		return Atom{}, err
+		return sc, err
 	}
 	if name == "" || !isPredName(name) {
-		return Atom{}, p.errf("predicate name must start with a lower-case letter or '_', got %q", name)
+		return sc, p.errf("predicate name must start with a lower-case letter or '_', got %q", name)
 	}
 	if err := p.expectByte('('); err != nil {
-		return Atom{}, err
+		return sc, err
 	}
-	a := Atom{Pred: name}
+	start := len(sc.terms)
 	for {
 		t, err := p.term()
 		if err != nil {
-			return Atom{}, err
+			return sc, err
 		}
-		a.Args = append(a.Args, t)
+		sc.terms = append(sc.terms, t)
 		if p.peekStr(",") {
 			continue
 		}
 		break
 	}
 	if err := p.expectByte(')'); err != nil {
-		return Atom{}, err
+		return sc, err
 	}
-	return a, nil
+	sc.atoms = append(sc.atoms, atomSpan{pred: name, start: start, end: len(sc.terms)})
+	return sc, nil
 }
 
 func (p *dparser) term() (Term, error) {

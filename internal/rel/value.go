@@ -80,26 +80,29 @@ func (v Value) String() string {
 
 // SQL renders the value as a SQL literal.
 func (v Value) SQL() string {
-	switch v.Kind {
-	case TypeInt:
+	if v.Kind == TypeInt {
 		return strconv.FormatInt(v.Int, 10)
-	case TypeString:
-		return "'" + escapeQuotes(v.Str) + "'"
-	default:
-		return "NULL"
 	}
+	return string(v.AppendSQL(make([]byte, 0, len(v.Str)+2)))
 }
 
-func escapeQuotes(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\'' {
-			out = append(out, '\'', '\'')
-		} else {
-			out = append(out, s[i])
+// AppendSQL appends the value as SQL renders it to b.
+func (v Value) AppendSQL(b []byte) []byte {
+	switch v.Kind {
+	case TypeInt:
+		return strconv.AppendInt(b, v.Int, 10)
+	case TypeString:
+		b = append(b, '\'')
+		for i := 0; i < len(v.Str); i++ {
+			if v.Str[i] == '\'' {
+				b = append(b, '\'')
+			}
+			b = append(b, v.Str[i])
 		}
+		return append(b, '\'')
+	default:
+		return append(b, "NULL"...)
 	}
-	return string(out)
 }
 
 // Compare returns -1, 0 or +1 as a sorts before, equal to, or after b.

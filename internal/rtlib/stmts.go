@@ -120,20 +120,22 @@ func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 		}
 		params[i] = sch
 	}
-	pos := 0
-	text := r.ParamSQL(func(string) string { pos++; return "$" + strconv.Itoa(pos) })
 	head, err := s.schema(r.Head)
 	if err != nil {
 		return nil, err
 	}
-	target := "$" + strconv.Itoa(n+1)
 	params = append(params, head)
+	// The text is rendered on the stack, then copied once into a string
+	// of its length.
+	var buf [512]byte
+	text := strconv.AppendInt(append(buf[:0], "INSERT INTO $"...), int64(n+1), 10)
+	text = r.AppendParamSQL(append(text, ' '))
 	if form == RuleInsertNew {
 		params = append(params, head)
-		text += " EXCEPT SELECT * FROM $" + strconv.Itoa(n+2)
+		text = strconv.AppendInt(append(text, " EXCEPT SELECT * FROM $"...), int64(n+2), 10)
 	}
-	text = "INSERT INTO " + target + " " + text + " EXCEPT SELECT * FROM " + target
-	st, err := s.d.Prepare(text, params...)
+	text = strconv.AppendInt(append(text, " EXCEPT SELECT * FROM $"...), int64(n+1), 10)
+	st, err := s.d.Prepare(string(text), params...)
 	if err != nil {
 		return nil, fmt.Errorf("rtlib: rule %q: %w", r.Source(), err)
 	}

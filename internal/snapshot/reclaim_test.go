@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -249,6 +250,106 @@ func TestDropTableLeavesPublishedPages(t *testing.T) {
 	cs := checkCensus(t, d.Catalog())
 	if cs.Free != before.Free+before.Tables || cs.Tables != 0 {
 		t.Fatalf("after the release: %+v; want the table's %d pages free: %+v before", cs, before.Tables, before)
+	}
+}
+
+// TestDropLeavesPinnedIndexes: DROP INDEX and DROP TABLE of a published
+// table leave the version a pinned snapshot reads as it was — its
+// Indexes the same indexes, in order, each still answering every key —
+// while a goroutine reads that list throughout. DROP INDEX writes the
+// table's next version, a copy; DROP TABLE leaves the version to the
+// snapshots.
+func TestDropLeavesPinnedIndexes(t *testing.T) {
+	d, err := db.Open(filepath.Join(t.TempDir(), "dropidx.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, stmt := range []string{
+		"CREATE TABLE edb_a (c0 INT, c1 CHAR)",
+		"CREATE INDEX edb_a_c0 ON edb_a (c0)",
+		"CREATE INDEX edb_a_c1 ON edb_a (c1)",
+		"CREATE INDEX edb_a_both ON edb_a (c1, c0)",
+	} {
+		if err := d.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := d.Catalog().Table("edb_a").Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewString(fmt.Sprintf("v%d", i%7))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := NewStore("edb_")
+	st.Publish(d.Catalog(), 1, core.NewWorkspace(), catalog.Copies{})
+	s := st.Acquire()
+	defer s.Release()
+	v, _ := s.ResolveTable("edb_a")
+	// state renders a version's index list and what each index holds:
+	// its keys, each with its number of rows, in key order.
+	state := func(tb *catalog.Table) string {
+		var b strings.Builder
+		for _, idx := range tb.Indexes {
+			h := fnv.New64a()
+			idx.Tree.AscendPrefix(nil, func(key rel.Tuple, rids []storage.RID) bool {
+				fmt.Fprintf(h, "%s×%d ", key, len(rids))
+				return true
+			})
+			fmt.Fprintf(&b, "%s%v: %d rows under %d keys, digest %x\n", idx.Name, idx.Cols, idx.Tree.Len(), idx.Tree.DistinctKeys(), h.Sum64())
+		}
+		return b.String()
+	}
+	want, wantList := state(v), slices.Clone(v.Indexes)
+
+	stop := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		reads := 0
+		for {
+			select {
+			case <-stop:
+				done <- reads
+				return
+			default:
+			}
+			for _, idx := range v.Indexes {
+				if idx.Name == "" {
+					panic("an index with no name")
+				}
+			}
+			reads++
+		}
+	}()
+
+	if err := d.Exec("DROP INDEX edb_a_c1"); err != nil {
+		t.Fatal(err)
+	}
+	st.Publish(d.Catalog(), 2, core.NewWorkspace(), catalog.Copies{})
+	live := d.Catalog().Table("edb_a")
+	if live == v || len(live.Indexes) != 2 || d.Catalog().Index("edb_a_c1") != nil {
+		t.Errorf("after DROP INDEX the catalog names version %p with %d indexes (the pinned one is %p), index edb_a_c1 %v", live, len(live.Indexes), v, d.Catalog().Index("edb_a_c1"))
+	}
+	s2 := st.Acquire()
+	defer s2.Release()
+	v2, _ := s2.ResolveTable("edb_a")
+	want2 := state(v2)
+
+	if err := d.Exec("DROP TABLE edb_a"); err != nil {
+		t.Fatal(err)
+	}
+	st.Publish(d.Catalog(), 3, core.NewWorkspace(), catalog.Copies{})
+	close(stop)
+	if <-done == 0 {
+		t.Log("the reader goroutine never ran a pass")
+	}
+	if !slices.Equal(v.Indexes, wantList) {
+		t.Errorf("the pinned version's Indexes changed: %v, was %v", v.Indexes, wantList)
+	}
+	if got := state(v); got != want {
+		t.Errorf("the pinned version's indexes read\n%s\nwas\n%s", got, want)
+	}
+	if got := state(v2); got != want2 {
+		t.Errorf("the version pinned after DROP INDEX reads\n%s\nwas\n%s", got, want2)
 	}
 }
 

@@ -103,8 +103,12 @@ type statements struct {
 
 	// extract[n-1] extracts the rules relevant to n predicates,
 	// prepared on first use; compiles on concurrent views share it.
+	// unreach deletes the rows of one predicate from reachablepreds,
+	// prepared by the first Update: a manager that is only read holds
+	// no write statement.
 	mu      sync.Mutex
 	extract [memoWidth]*db.Stmt
+	unreach *db.Stmt
 }
 
 // memoWidth is the widest extraction statement the memo keeps; a wider
@@ -166,6 +170,21 @@ func (s *statements) extraction(n int) (*db.Stmt, error) {
 		s.extract[n-1] = st
 	}
 	return st, err
+}
+
+// unreachStmt returns the statement deleting one predicate's
+// reachablepreds rows, ?1 its name.
+func (s *statements) unreachStmt() (*db.Stmt, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.unreach == nil {
+		st, err := s.d.Prepare("DELETE FROM reachablepreds WHERE frompredname = ?1")
+		if err != nil {
+			return nil, err
+		}
+		s.unreach = st
+	}
+	return s.unreach, nil
 }
 
 // counters are the live manager counters behind Stats; views share them
@@ -375,8 +394,10 @@ func (m *Manager) readDict(cols *db.Stmt, preds []string) (map[string][]rel.Type
 	m.stats.readDictCalls.Add(1)
 	out := make(map[string][]rel.Type)
 	cols = cols.On(m.d)
+	vals := make([]rel.Value, 1)
 	for _, p := range preds {
-		rows, err := cols.Query(context.Background(), nil, []rel.Value{rel.NewString(p)})
+		vals[0] = rel.NewString(p)
+		rows, err := cols.Query(context.Background(), nil, vals)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package stored
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -129,7 +130,7 @@ func (m *Manager) Update(rules []dlog.Clause) (UpdateStats, error) {
 		return st, err
 	}
 
-	// --- Step 4: write dictionaries and rule storage.
+	// --- Step 4: write dictionaries and rule storage, as tuples.
 	// 4a. idbrels/idbcols for newly-defined predicates.
 	t0 = time.Now()
 	var newPreds []string
@@ -137,6 +138,7 @@ func (m *Manager) Update(rules []dlog.Clause) (UpdateStats, error) {
 		newPreds = append(newPreds, h)
 	}
 	sort.Strings(newPreds)
+	var relRows, colRows []rel.Tuple
 	for _, p := range newPreds {
 		types := derivedTypes[p]
 		known, err := m.DerivedTypes([]string{p})
@@ -155,31 +157,32 @@ func (m *Manager) Update(rules []dlog.Clause) (UpdateStats, error) {
 			}
 			continue
 		}
-		if err := m.d.Exec(fmt.Sprintf("INSERT INTO idbrels VALUES ('%s', %d)", sqlEscape(p), len(types))); err != nil {
-			return st, err
-		}
+		relRows = append(relRows, rel.Tuple{rel.NewString(p), rel.NewInt(int64(len(types)))})
 		for i, ty := range types {
-			if err := m.d.Exec(fmt.Sprintf("INSERT INTO idbcols VALUES ('%s', %d, '%s')",
-				sqlEscape(p), i, ty.String())); err != nil {
-				return st, err
-			}
+			colRows = append(colRows, rel.Tuple{rel.NewString(p), rel.NewInt(int64(i)), rel.NewString(ty.String())})
 		}
 	}
+	if err := m.d.InsertTuples(TabIDBRels, relRows); err != nil {
+		return st, err
+	}
+	if err := m.d.InsertTuples(TabIDBCols, colRows); err != nil {
+		return st, err
+	}
 	// 4b. rulesource rows for the new rules.
-	for _, c := range rules {
-		stmt := fmt.Sprintf("INSERT INTO rulesource VALUES ('%s', %d, '%s')",
-			sqlEscape(c.Head.Pred), m.nextRuleID, sqlEscape(c.String()))
+	src := make([]rel.Tuple, len(rules))
+	for i, c := range rules {
+		src[i] = rel.Tuple{rel.NewString(c.Head.Pred), rel.NewInt(m.nextRuleID), rel.NewString(c.String())}
 		m.nextRuleID++
-		if err := m.d.Exec(stmt); err != nil {
-			return st, err
-		}
+	}
+	if err := m.d.InsertTuples(TabRuleSource, src); err != nil {
+		return st, err
 	}
 	st.Store = time.Since(t0)
 
 	// 4c. incremental reachablepreds maintenance.
 	if !m.opts.NoCompiledRules {
 		t0 = time.Now()
-		if err := m.refreshReachability(heads, tc); err != nil {
+		if err := m.refreshReachability(heads, g, tc); err != nil {
 			return st, err
 		}
 		st.TC = time.Since(t0)
@@ -197,13 +200,11 @@ func (m *Manager) Update(rules []dlog.Clause) (UpdateStats, error) {
 // update: the updated heads themselves, plus every stored predicate
 // that could already reach one of them (found through the compiled
 // closure — the "incremental" part: untouched regions of the rule base
-// are never visited).
-func (m *Manager) refreshReachability(heads map[string]bool, tc map[string]map[string]bool) error {
-	// New reachability of each updated head, from the composite TC.
-	headReach := make(map[string]map[string]bool)
-	for h := range heads {
-		headReach[h] = tc[h]
-	}
+// are never visited). tc is g's closure, the composite rule set's.
+func (m *Manager) refreshReachability(heads map[string]bool, g *pcg.Graph, tc [][]int32) error {
+	// headReach returns the new reachability of an updated head, from
+	// the composite closure: ids, in name order.
+	headReach := func(h string) []int32 { return tc[g.ID(h)] }
 
 	// Upstream predicates: frompred rows pointing at any updated head.
 	upstream := make(map[string]bool)
@@ -226,12 +227,20 @@ func (m *Manager) refreshReachability(heads map[string]bool, tc map[string]map[s
 		hs = append(hs, h)
 	}
 	sort.Strings(hs)
+	unreach, err := m.stmts.unreachStmt()
+	if err != nil {
+		return err
+	}
 	for _, h := range hs {
-		if err := m.d.Exec(fmt.Sprintf(
-			"DELETE FROM reachablepreds WHERE frompredname = '%s'", sqlEscape(h))); err != nil {
+		if err := unreach.Exec(context.Background(), nil, []rel.Value{rel.NewString(h)}); err != nil {
 			return err
 		}
-		if err := m.insertReach(h, headReach[h]); err != nil {
+		to := headReach(h)
+		names := make([]string, len(to))
+		for i, q := range to {
+			names[i] = g.Name(int(q))
+		}
+		if err := m.insertReach(h, names); err != nil {
 			return err
 		}
 	}
@@ -253,39 +262,40 @@ func (m *Manager) refreshReachability(heads map[string]bool, tc map[string]map[s
 			old[tu[0].Str] = true
 		}
 		add := make(map[string]bool)
+		pid := g.ID(p)
 		for h := range heads {
 			if !old[h] {
 				continue
 			}
-			for q := range headReach[h] {
-				if !old[q] && q != p {
-					add[q] = true
+			for _, q := range headReach(h) {
+				if name := g.Name(int(q)); !old[name] && name != p {
+					add[name] = true
 				}
 			}
 			// A head on a new cycle through p could even reach p; keep
 			// the self edge out (reachablepreds stores proper closure
 			// including self only via cycles, mirroring pcg semantics).
-			if headReach[h][p] {
+			if _, found := slices.BinarySearch(headReach(h), int32(pid)); pid >= 0 && found {
 				add[p] = true
 			}
 		}
-		if err := m.insertReach(p, add); err != nil {
+		to := make([]string, 0, len(add))
+		for q := range add {
+			to = append(to, q)
+		}
+		sort.Strings(to)
+		if err := m.insertReach(p, to); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// insertReach writes the closure edges from one predicate as one bulk
-// insert.
-func (m *Manager) insertReach(from string, to map[string]bool) error {
-	ts := make([]string, 0, len(to))
-	for q := range to {
-		ts = append(ts, q)
-	}
-	sort.Strings(ts)
-	rows := make([]rel.Tuple, len(ts))
-	for i, q := range ts {
+// insertReach writes the closure edges from one predicate, to the
+// predicates to in name order, as one bulk insert.
+func (m *Manager) insertReach(from string, to []string) error {
+	rows := make([]rel.Tuple, len(to))
+	for i, q := range to {
 		rows[i] = rel.Tuple{rel.NewString(from), rel.NewString(q)}
 	}
 	return m.d.InsertTuples(TabReachablePreds, rows)

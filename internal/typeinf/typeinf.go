@@ -21,12 +21,10 @@ import (
 var ErrUndefined = errors.New("undefined predicate")
 
 // CheckDefined verifies that every reachable predicate is either derived
-// (has rules) or a base relation with a known schema.
-func CheckDefined(g *pcg.Graph, reachable map[string]bool, baseTypes map[string][]rel.Type) error {
-	for p := range reachable {
-		if g.IsDerived(p) {
-			continue
-		}
+// (has rules) or a base relation with a known schema: that each of the
+// analysis's base predicates has one.
+func CheckDefined(a *pcg.Analysis, baseTypes map[string][]rel.Type) error {
+	for _, p := range a.BasePreds {
 		if _, ok := baseTypes[p]; !ok {
 			return fmt.Errorf("typeinf: %w %s: it has no defining rules and is not a base relation", ErrUndefined, p)
 		}
@@ -43,7 +41,7 @@ func CheckDefined(g *pcg.Graph, reachable map[string]bool, baseTypes map[string]
 // conflict (two rules or two body occurrences forcing different types on
 // the same column or variable) is an error, as is a column whose type
 // remains unknown once the clique stabilizes.
-func Infer(order []*pcg.Node, baseTypes map[string][]rel.Type) (map[string][]rel.Type, error) {
+func Infer(order []pcg.Node, baseTypes map[string][]rel.Type) (map[string][]rel.Type, error) {
 	return InferHinted(order, baseTypes, nil)
 }
 
@@ -51,8 +49,31 @@ func Infer(order []*pcg.Node, baseTypes map[string][]rel.Type) (map[string][]rel
 // Magic-set seed facts provide such hints: a magic predicate defined
 // only by recursive magic rules plus a ground seed gets its column
 // types from the seed, which pure rule-driven inference cannot see.
-func InferHinted(order []*pcg.Node, baseTypes map[string][]rel.Type, hints map[string][]rel.Type) (map[string][]rel.Type, error) {
-	derived := make(map[string][]rel.Type)
+//
+// The signatures share one array, each capped at its arity.
+func InferHinted(order []pcg.Node, baseTypes map[string][]rel.Type, hints map[string][]rel.Type) (map[string][]rel.Type, error) {
+	// A predicate's arity is that of the last rule defining it; a rule
+	// of another arity is refused by inferRule.
+	arity := func(node *pcg.Node, p string) int {
+		n := -1
+		for _, rules := range [2][]dlog.Clause{node.ExitRules, node.RecursiveRules} {
+			for i := range rules {
+				if rules[i].Head.Pred == p {
+					n = rules[i].Head.Arity()
+				}
+			}
+		}
+		return n
+	}
+	preds, cols := 0, 0
+	for i := range order {
+		for _, p := range order[i].Preds {
+			preds++
+			cols += max(arity(&order[i], p), 0)
+		}
+	}
+	derived := make(map[string][]rel.Type, preds)
+	sigs := make([]rel.Type, cols)
 	typeOf := func(pred string) []rel.Type {
 		if t, ok := baseTypes[pred]; ok {
 			return t
@@ -60,25 +81,16 @@ func InferHinted(order []*pcg.Node, baseTypes map[string][]rel.Type, hints map[s
 		return derived[pred]
 	}
 
-	for _, node := range order {
+	for i := range order {
+		node := &order[i]
 		// Initialize unknown signatures for the node's predicates using
 		// head arities.
-		arity := make(map[string]int)
-		noteArity := func(a dlog.Atom) {
-			arity[a.Pred] = a.Arity()
-		}
-		for _, c := range node.ExitRules {
-			noteArity(c.Head)
-		}
-		for _, c := range node.RecursiveRules {
-			noteArity(c.Head)
-		}
 		for _, p := range node.Preds {
-			n, ok := arity[p]
-			if !ok {
+			n := arity(node, p)
+			if n < 0 {
 				return nil, fmt.Errorf("typeinf: clique predicate %s has no rules", p)
 			}
-			derived[p] = make([]rel.Type, n)
+			derived[p], sigs = sigs[:n:n], sigs[n:]
 			if hint, ok := hints[p]; ok {
 				if len(hint) != n {
 					return nil, fmt.Errorf("typeinf: hint for %s has arity %d, rules have %d", p, len(hint), n)
@@ -87,15 +99,16 @@ func InferHinted(order []*pcg.Node, baseTypes map[string][]rel.Type, hints map[s
 			}
 		}
 
-		rules := append(append([]dlog.Clause(nil), node.ExitRules...), node.RecursiveRules...)
 		for changed := true; changed; {
 			changed = false
-			for _, c := range rules {
-				ch, err := inferRule(c, typeOf, derived)
-				if err != nil {
-					return nil, err
+			for _, rules := range [2][]dlog.Clause{node.ExitRules, node.RecursiveRules} {
+				for _, c := range rules {
+					ch, err := inferRule(c, typeOf, derived)
+					if err != nil {
+						return nil, err
+					}
+					changed = changed || ch
 				}
-				changed = changed || ch
 			}
 		}
 		for _, p := range node.Preds {

@@ -157,18 +157,18 @@ func TestSwappedColumnsInRecursion(t *testing.T) {
 }
 
 func TestCheckDefined(t *testing.T) {
-	g, a := analyze(t, "anc",
+	_, a := analyze(t, "anc",
 		"anc(X, Y) :- parent(X, Y).",
 		"anc(X, Y) :- parent(X, Z), anc(Z, Y).",
 	)
-	if err := CheckDefined(g, a.Reachable, familyBase); err != nil {
+	if err := CheckDefined(a, familyBase); err != nil {
 		t.Fatal(err)
 	}
 	// Now with a body predicate that is neither derived nor base.
-	g2, a2 := analyze(t, "x",
+	_, a2 := analyze(t, "x",
 		"x(A) :- ghost(A).",
 	)
-	if err := CheckDefined(g2, a2.Reachable, familyBase); err == nil {
+	if err := CheckDefined(a2, familyBase); err == nil {
 		t.Fatal("undefined predicate accepted")
 	}
 }
