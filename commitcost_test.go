@@ -137,7 +137,7 @@ func TestTruncateCopiesNothing(t *testing.T) {
 	if count, err := pinned.Count(); err != nil || count != n || pinned.Rows() != n {
 		t.Fatalf("the pinned snapshot reads %d facts (%d maintained), %v; want %d", count, pinned.Rows(), err, n)
 	}
-	if got := len(pinned.Indexes[0].Tree.LookupPrefix(nil)); got != n {
+	if got := pinned.Indexes[0].Tree.CountPrefix(nil); got != n {
 		t.Fatalf("the pinned snapshot's index holds %d postings, want %d", got, n)
 	}
 	if live := c.tb.db.Catalog().Table(BaseTableName("p")); live.Rows() != 0 || live.Heap.Len() != 0 {

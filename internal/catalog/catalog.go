@@ -4,8 +4,9 @@
 // trees are memory-resident and rebuilt from table heaps at open time.
 //
 // The catalog also owns index maintenance: all tuple traffic goes
-// through Table.Insert / Table.DeleteRID, which keep every index of the
-// table synchronized with the heap.
+// through Table.Insert, InsertRecord and DeleteRID, which keep every
+// index of the table synchronized with the heap, each index's key read
+// from the stored record in place.
 //
 // And it owns copy-on-write: Freeze makes every stored table version
 // read-only, and Writable, which every write resolves its target
@@ -77,11 +78,12 @@ type storedTable struct {
 // as writing everything, and the log is dropped.
 const maxLoggedKeys = 4096
 
-// KeyHash hashes an index key as the tree stores it (rel.Tuple.AppendKey
-// over the index's columns): the hash a version's write log holds for
-// each key its writes wrote, and the one a reader records for each key
-// it probes (exec.Reads). It is FNV-1a finished by splitmix64's mixer, a
-// fixed function, so a run's read sets and their false positives repeat.
+// KeyHash hashes an index key as the tree stores it (a record's indexed
+// columns, as rel.Spans.AppendCols reads them): the hash a version's
+// write log holds for each key its writes wrote, and the one a reader
+// records for each key it probes (exec.Reads). It is FNV-1a finished by
+// splitmix64's mixer, a fixed function, so a run's read sets and their
+// false positives repeat.
 func KeyHash(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, b := range key {
@@ -149,13 +151,19 @@ type Index struct {
 	Table string
 	Cols  []string
 	Ords  []int // column ordinals in the table schema
-	// Tree maps the AppendKey encoding of a row's Ords columns to the
-	// RIDs it is stored at. Table.Insert, DeleteRID and Truncate keep
-	// it in step with the heap; readers probe it with tuples.
+	// Tree maps a record's Ords columns, as the record encodes them, to
+	// the RIDs it is stored at. Table.Insert, InsertRecord, DeleteRID
+	// and Truncate keep it in step with the heap; readers probe it with
+	// keys encoded the same way.
 	Tree *index.BTree
 	Temp bool
 
 	rid storage.RID
+	// rec and row are the scratch entry reads the index's keys with: a
+	// copy of the record written, so that a writer's record may stay on
+	// its stack, and its columns.
+	rec []byte
+	row rel.Spans
 }
 
 // Stats snapshots the index tree's shape (height, keys, entries, bytes)
@@ -360,20 +368,34 @@ func buildIndex(t *Table, idx *Index) error {
 	return fillIndex(t, idx)
 }
 
-// fillIndex inserts every row of t into idx's tree and trims the tree's
-// slabs to what the rows need. A key is the record's indexed columns,
-// read in place.
+// fillIndex inserts every row of t into idx's tree (entry) and trims the
+// tree's slabs to what the rows need.
 func fillIndex(t *Table, idx *Index) error {
-	var sp rel.Spans
 	var buf [128]byte // the tree copies the key into its leaf
 	err := t.Heap.Scan(func(rid storage.RID, rec []byte) error {
-		if err := sp.Read(rec, t.Schema); err != nil {
-			return fmt.Errorf("catalog: table %s: %w", t.Name, err)
-		}
-		return idx.Tree.Insert(sp.AppendCols(buf[:0], idx.Ords), rid)
+		_, err := idx.entry(t, rec, buf[:0], rid, false)
+		return err
 	})
 	idx.Tree.Trim()
 	return err
+}
+
+// entry inserts, or with del deletes, idx's entry for rec, a record of
+// t stored at rid, and returns its key: the record's indexed columns,
+// read in place into buf. It is the one way an index key is made from a
+// row — Insert, InsertRecord, DeleteRID and index builds all go through
+// it — and it allocates only when rec is longer than every record the
+// index wrote before.
+func (idx *Index) entry(t *Table, rec, buf []byte, rid storage.RID, del bool) ([]byte, error) {
+	idx.rec = append(idx.rec[:0], rec...)
+	if err := idx.row.Read(idx.rec, t.Schema); err != nil {
+		return nil, fmt.Errorf("catalog: table %s: %w", t.Name, err)
+	}
+	key := idx.row.AppendCols(buf, idx.Ords)
+	if del {
+		return key, idx.Tree.Delete(key, rid)
+	}
+	return key, idx.Tree.Insert(key, rid)
 }
 
 // Table returns the named table, or nil.
@@ -742,11 +764,10 @@ func (c *Catalog) Flush() error { return c.pager.Flush() }
 // refused is the error of a mutator called on a frozen version.
 func (t *Table) refused() error { return fmt.Errorf("catalog: write to %s: %w", t.Name, ErrFrozen) }
 
-// Insert adds a tuple to the table and all its indexes.
+// Insert adds a tuple to the table and all its indexes. It is where
+// rows from outside the engine enter it, so it checks the tuple's arity
+// and types, then inserts the tuple's record (InsertRecord).
 func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
-	if t.gen != 0 {
-		return storage.RID{}, t.refused()
-	}
 	if len(tu) != t.Schema.Len() {
 		return storage.RID{}, fmt.Errorf("catalog: arity mismatch inserting into %s: got %d, want %d", t.Name, len(tu), t.Schema.Len())
 	}
@@ -755,75 +776,66 @@ func (t *Table) Insert(tu rel.Tuple) (storage.RID, error) {
 			return storage.RID{}, fmt.Errorf("catalog: type mismatch in %s column %s: %v", t.Name, t.Schema.Col(i).Name, tu[i])
 		}
 	}
-	var buf [128]byte // the heap and the trees copy what they keep
-	rec := tu.Encode(buf[:0])
+	var buf [128]byte // the heap copies the record
+	return t.insert(tu.Encode(buf[:0]))
+}
+
+// InsertRecord adds an already-encoded tuple — a record another
+// table's heap stores, or an operator tree emits — as it is: the record
+// of a tuple of the table's column types, which the caller has checked.
+func (t *Table) InsertRecord(rec []byte) error {
+	_, err := t.insert(rec)
+	return err
+}
+
+// insert adds rec to the heap, then its entries to every index.
+func (t *Table) insert(rec []byte) (storage.RID, error) {
+	if t.gen != 0 {
+		return storage.RID{}, t.refused()
+	}
 	rid, err := t.Heap.Insert(rec)
+	if err == nil {
+		err = t.entries(rec, rid, false)
+	}
 	if err != nil {
 		return storage.RID{}, err
-	}
-	for i, idx := range t.Indexes {
-		key := tu.AppendKey(buf[:0], idx.Ords)
-		if err := idx.Tree.Insert(key, rid); err != nil {
-			return storage.RID{}, err
-		}
-		t.logKey(i, key)
 	}
 	t.rows++
 	t.bytes += len(rec)
 	return rid, t.saveDir()
 }
 
-// InsertRecord adds an already-encoded tuple — a record another
-// table's heap stores, or an operator tree emits — as it is: the record
-// of a tuple of the table's column types, which the caller has checked.
-// An index's key is the record's indexed columns, read in place.
-func (t *Table) InsertRecord(rec []byte) error {
+// DeleteRID removes rec, the record stored at rid, from all indexes and
+// the heap. The keys are read from rec, which the caller has in hand
+// from the scan that found it: nothing is decoded.
+func (t *Table) DeleteRID(rid storage.RID, rec []byte) error {
 	if t.gen != 0 {
 		return t.refused()
 	}
-	var sp rel.Spans
-	if len(t.Indexes) > 0 {
-		if err := sp.Read(rec, t.Schema); err != nil {
-			return fmt.Errorf("catalog: insert into %s: %w", t.Name, err)
-		}
+	err := t.entries(rec, rid, true)
+	if err == nil {
+		err = t.Heap.Delete(rid)
 	}
-	rid, err := t.Heap.Insert(rec)
 	if err != nil {
 		return err
 	}
-	var buf [128]byte // the tree copies the key into its leaf
-	for i, idx := range t.Indexes {
-		key := sp.AppendCols(buf[:0], idx.Ords)
-		if err := idx.Tree.Insert(key, rid); err != nil {
-			return err
-		}
-		t.logKey(i, key)
-	}
-	t.rows++
-	t.bytes += len(rec)
+	t.rows--
+	t.bytes -= len(rec)
 	return t.saveDir()
 }
 
-// DeleteRID removes the tuple at rid from the heap and all indexes. The
-// caller supplies the decoded tuple (executors always have it in hand).
-func (t *Table) DeleteRID(rid storage.RID, tu rel.Tuple) error {
-	if t.gen != 0 {
-		return t.refused()
-	}
-	var buf [128]byte
+// entries inserts, or with del deletes, the entry of rec, stored at rid,
+// in every index (Index.entry), and logs each key (logKey).
+func (t *Table) entries(rec []byte, rid storage.RID, del bool) error {
+	var buf [128]byte // the trees copy the key into a leaf
 	for i, idx := range t.Indexes {
-		key := tu.AppendKey(buf[:0], idx.Ords)
-		if err := idx.Tree.Delete(key, rid); err != nil {
+		key, err := idx.entry(t, rec, buf[:0], rid, del)
+		if err != nil {
 			return err
 		}
 		t.logKey(i, key)
 	}
-	if err := t.Heap.Delete(rid); err != nil {
-		return err
-	}
-	t.rows--
-	t.bytes -= len(tu.Encode(buf[:0]))
-	return t.saveDir()
+	return nil
 }
 
 // Truncate removes all tuples and clears all indexes; the heap and the

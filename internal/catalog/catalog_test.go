@@ -35,6 +35,77 @@ func TestTableSizeof(t *testing.T) {
 	}
 }
 
+// TestIndexKeysAllocateNothing: on a table of two CHAR columns with an
+// index on each, Insert, InsertRecord and DeleteRID read every index's
+// key from the row's record in place and allocate nothing a row — the
+// heap pages and tree nodes they add come to less than one object a row.
+func TestIndexKeysAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c := memCatalog(t)
+	tb, err := c.CreateTable("e", edgeSchema(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"src", "dst"} {
+		if _, err := c.CreateIndex("e_"+col, "e", []string{col}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 200 // AllocsPerRun calls its function runs+1 times
+	var rows []rel.Tuple
+	var recs [][]byte
+	for i := 0; i < 2*(runs+1); i++ {
+		rows = append(rows, rel.Tuple{rel.NewString(fmt.Sprint("person_", i%37)), rel.NewString(fmt.Sprint("person_", i))})
+		recs = append(recs, rows[i].Encode(nil))
+	}
+	var rids []storage.RID
+	next := 0
+	insert := func() {
+		rid, err := tb.Insert(rows[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids, next = append(rids, rid), next+1
+	}
+	insertRecord := func() {
+		if err := tb.InsertRecord(recs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	rids = make([]storage.RID, 0, runs+1)
+	if n := testing.AllocsPerRun(runs, insert); n != 0 {
+		t.Errorf("Insert allocates %.2f objects a row, want 0", n)
+	}
+	if n := testing.AllocsPerRun(runs, insertRecord); n != 0 {
+		t.Errorf("InsertRecord allocates %.2f objects a row, want 0", n)
+	}
+	next = 0
+	deleteRID := func() {
+		if err := tb.DeleteRID(rids[next], recs[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if n := testing.AllocsPerRun(runs, deleteRID); n != 0 {
+		t.Errorf("DeleteRID allocates %.2f objects a row, want 0", n)
+	}
+	if got := tb.Rows(); got != runs+1 {
+		t.Fatalf("the table holds %d rows, want %d", got, runs+1)
+	}
+	for _, idx := range tb.Indexes {
+		n := 0
+		for _, rows := range indexAnswers(t, tb, idx) {
+			n += len(rows)
+		}
+		if n != runs+1 || idx.Tree.Len() != n {
+			t.Errorf("index %s answers %d rows in %d entries, want %d", idx.Name, n, idx.Tree.Len(), runs+1)
+		}
+	}
+}
+
 // TestWritesLogKeys: a version made writable from a frozen one logs
 // the KeyHash of every key its inserts, record inserts and deletes
 // write, on each index; a created version, a truncate, a new index and
@@ -69,7 +140,7 @@ func TestWritesLogKeys(t *testing.T) {
 	if err := w.InsertRecord(edge("g", "h").Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.DeleteRID(rid, edge("a", "b")); err != nil {
+	if err := w.DeleteRID(rid, edge("a", "b").Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	hash := func(v string) uint64 { return KeyHash(rel.Tuple{rel.NewString(v)}.AppendKey(nil, nil)) }
@@ -194,49 +265,55 @@ func TestIndexMaintenance(t *testing.T) {
 	if idx == nil {
 		t.Fatal("index not registered")
 	}
-	got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")})
+	got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")}.Encode(nil))
 	if len(got) != 5 {
 		t.Fatalf("index lookup found %d, want 5", len(got))
 	}
 	// Delete updates the index.
-	if err := tb.DeleteRID(rids[3], tuples[3]); err != nil { // p3,c3
+	if err := tb.DeleteRID(rids[3], tuples[3].Encode(nil)); err != nil { // p3,c3
 		t.Fatal(err)
 	}
-	if got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")}); len(got) != 4 {
+	if got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")}.Encode(nil)); len(got) != 4 {
 		t.Fatalf("after delete, index has %d, want 4", len(got))
 	}
 	// Truncate clears the index.
 	if err := tb.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")}); len(got) != 0 {
+	if got := idx.Tree.Lookup(rel.Tuple{rel.NewString("p3")}.Encode(nil)); len(got) != 0 {
 		t.Fatalf("after truncate, index has %d entries", len(got))
 	}
 }
 
 // indexAnswers returns every key of idx with the rows its postings
 // point at in t's heap, each key's rows sorted: what the index answers,
-// whatever order its postings are in.
+// whatever order its postings are in. Each row must be filed under its
+// own key.
 func indexAnswers(t *testing.T, tb *Table, idx *Index) map[string][]string {
 	t.Helper()
 	if err := idx.Tree.Validate(); err != nil {
 		t.Fatalf("index %s: %v", idx.Name, err)
 	}
 	out := make(map[string][]string)
-	var err error
-	idx.Tree.AscendPrefix(nil, func(key rel.Tuple, rids []storage.RID) bool {
+	err := idx.Tree.Postings(nil, func(rids []storage.RID) error {
 		for _, rid := range rids {
-			var tu rel.Tuple
-			if tu, err = tb.Get(rid); err != nil {
-				return false
+			tu, err := tb.Get(rid)
+			if err != nil {
+				return err
 			}
-			out[key.String()] = append(out[key.String()], tu.String())
+			key := tu.AppendKey(nil, idx.Ords)
+			if !slices.Contains(idx.Tree.Lookup(key), rid) {
+				return fmt.Errorf("%s is not filed under its key %x", rid, key)
+			}
+			out[string(key)] = append(out[string(key)], tu.String())
 		}
-		slices.Sort(out[key.String()])
-		return true
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("index %s: %v", idx.Name, err)
+	}
+	for _, rows := range out {
+		slices.Sort(rows)
 	}
 	return out
 }
@@ -270,7 +347,7 @@ func TestShadowTableClonesIndexes(t *testing.T) {
 		rids, rows = append(rids, rid), append(rows, tu)
 	}
 	for i := 0; i < len(rids); i += 3 {
-		if err := tb.DeleteRID(rids[i], rows[i]); err != nil {
+		if err := tb.DeleteRID(rids[i], rows[i].Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,7 +381,7 @@ func TestShadowTableClonesIndexes(t *testing.T) {
 		t.Fatalf("new version %p on pages %v with %d rows, %d pages and %d nodes written; old %p on %v with %d",
 			nt, pages(nt), nt.Rows(), nt.Heap.Written(), written(), tb, oldPages, tb.Rows())
 	}
-	if err := nt.DeleteRID(rids[1], rows[1]); err != nil {
+	if err := nt.DeleteRID(rids[1], rows[1].Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	newPages, height := pages(nt), 0
@@ -381,7 +458,7 @@ func TestFrozenVersionRefuses(t *testing.T) {
 	}{
 		{"Insert", func() error { _, err := tb.Insert(row); return err }},
 		{"InsertRecord", func() error { return tb.InsertRecord(row.Encode(nil)) }},
-		{"DeleteRID", func() error { return tb.DeleteRID(rid, row) }},
+		{"DeleteRID", func() error { return tb.DeleteRID(rid, row.Encode(nil)) }},
 		{"Truncate", tb.Truncate},
 		{"CreateIndex", func() error { _, err := c.CreateIndex("e_dst", "e", []string{"dst"}, false); return err }},
 	} {
@@ -549,7 +626,7 @@ func TestPersistence(t *testing.T) {
 	if idx == nil {
 		t.Fatal("index lost across reopen")
 	}
-	rids := idx.Tree.Lookup(rel.Tuple{rel.NewInt(42)})
+	rids := idx.Tree.Lookup(rel.Tuple{rel.NewInt(42)}.Encode(nil))
 	if len(rids) != 1 {
 		t.Fatalf("rebuilt index lookup = %v", rids)
 	}
@@ -855,7 +932,7 @@ func TestRecordBytesMaintained(t *testing.T) {
 			op = "delete"
 			if len(live) > 0 {
 				d := live[r.Intn(len(live))]
-				if err := tb.DeleteRID(d.rid, d.tu); err != nil {
+				if err := tb.DeleteRID(d.rid, d.tu.Encode(nil)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -1001,7 +1078,7 @@ func TestAppendRowsIsTheWireBlock(t *testing.T) {
 	if err := tb.Heap.ScanPages(func(*storage.Page) error { pages++; return nil }); err != nil || pages < 2 {
 		t.Fatalf("table spans %d pages (%v), want several", pages, err)
 	}
-	if err := tb.DeleteRID(victim, victimRow); err != nil {
+	if err := tb.DeleteRID(victim, victimRow.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	same("many pages, one dead slot")

@@ -112,9 +112,6 @@ type RuleSQL struct {
 	Where string
 	// Values[k-1] is the body constant ?k stands for.
 	Values []rel.Value
-	// CliqueOccs indexes From entries whose predicate belongs to the
-	// same clique as Head (the occurrences semi-naive differentiates).
-	CliqueOccs []int
 }
 
 // Source returns the original clause's source text.
@@ -224,16 +221,16 @@ type Program struct {
 // (answerAlias).
 //
 // A program is allocated whole, not rule by rule: its nodes, its rules,
-// and their FROM entries, constants and clique occurrences each take
-// one array, and every rule's select list, WHERE and source are slices
-// of one string. The node predicates and basePreds are the analysis's,
-// and the schemas Schema's, shared.
+// and their FROM entries and constants each take one array, and every
+// rule's select list, WHERE and source are slices of one string. The
+// node predicates and basePreds are the analysis's, and the schemas
+// Schema's, shared.
 func Generate(order []pcg.Node, derivedTypes map[string][]rel.Type, basePreds []string, queryPred string) (*Program, error) {
 	prog := &Program{QueryPred: queryPred, BasePreds: basePreds}
 	if p := answerAlias(order, queryPred); p != "" {
 		order, prog.QueryPred = order[:len(order)-1], p
 	}
-	var nPreds, nRules, nFrom, nVals, nOccs int
+	var nPreds, nRules, nFrom, nVals int
 	for i := range order {
 		n := &order[i]
 		nPreds += len(n.Preds)
@@ -242,9 +239,6 @@ func Generate(order []pcg.Node, derivedTypes map[string][]rel.Type, basePreds []
 			for _, c := range rules {
 				nFrom += len(c.Body)
 				for _, a := range c.Body {
-					if inNode(n, a.Pred) {
-						nOccs++
-					}
 					for _, t := range a.Args {
 						if !t.IsVar() {
 							nVals++
@@ -257,7 +251,7 @@ func Generate(order []pcg.Node, derivedTypes map[string][]rel.Type, basePreds []
 	prog.Nodes = make([]Node, len(order))
 	prog.Schemas = make(map[string]*rel.Schema, nPreds)
 	var w writer
-	w.init(nRules, nFrom, nVals, nOccs)
+	w.init(nRules, nFrom, nVals)
 	var textBuf [2048]byte
 	var endsBuf [96]int
 	t := text{b: textBuf[:0], ends: endsBuf[:0]}
@@ -276,12 +270,11 @@ func Generate(order []pcg.Node, derivedTypes map[string][]rel.Type, basePreds []
 			}
 			prog.Schemas[p] = schema
 		}
-		inClique := func(pred string) bool { return inNode(n, pred) }
 		var err error
-		if node.ExitRules, t, err = w.compile(t, n.ExitRules, inClique); err != nil {
+		if node.ExitRules, t, err = w.compile(t, n.ExitRules); err != nil {
 			return nil, err
 		}
-		if node.RecursiveRules, t, err = w.compile(t, n.RecursiveRules, inClique); err != nil {
+		if node.RecursiveRules, t, err = w.compile(t, n.RecursiveRules); err != nil {
 			return nil, err
 		}
 	}
@@ -289,24 +282,15 @@ func Generate(order []pcg.Node, derivedTypes map[string][]rel.Type, basePreds []
 	return prog, nil
 }
 
-// inNode reports whether pred is one of n's predicates, which are in
-// name order.
-func inNode(n *pcg.Node, pred string) bool {
-	_, found := slices.BinarySearch(n.Preds, pred)
-	return found
-}
-
 // writer compiles the rules of one program (or one rule) into arrays it
-// slices them from: each compile takes the next rules, FROM entries,
-// constants and clique occurrences, and appends the rules' text to one
-// buffer, which finish turns into the one string their text fields
-// are slices of.
+// slices them from: each compile takes the next rules, FROM entries
+// and constants, and appends the rules' text to one buffer, which
+// finish turns into the one string their text fields are slices of.
 type writer struct {
 	all    []RuleSQL // the rules, the first next of them compiled
 	next   int
 	from   []FromEntry
 	values []rel.Value
-	occs   []int
 }
 
 // text holds, per compiled rule, its select list, its WHERE and its
@@ -319,15 +303,14 @@ type text struct {
 }
 
 // init sizes the writer's arrays.
-func (w *writer) init(rules, from, values, occs int) {
+func (w *writer) init(rules, from, values int) {
 	w.all, w.next = make([]RuleSQL, rules), 0
-	w.from, w.values, w.occs = make([]FromEntry, from), make([]rel.Value, values), make([]int, occs)
+	w.from, w.values = make([]FromEntry, from), make([]rel.Value, values)
 }
 
 // compile compiles clauses into the writer's next len(clauses) rules
-// and returns them, capped. inClique marks predicates mutually
-// recursive with the heads.
-func (w *writer) compile(t text, clauses []dlog.Clause, inClique func(string) bool) ([]RuleSQL, text, error) {
+// and returns them, capped.
+func (w *writer) compile(t text, clauses []dlog.Clause) ([]RuleSQL, text, error) {
 	if len(clauses) == 0 {
 		return nil, t, nil
 	}
@@ -335,7 +318,7 @@ func (w *writer) compile(t text, clauses []dlog.Clause, inClique func(string) bo
 	w.next += len(clauses)
 	for i, c := range clauses {
 		var err error
-		if t, err = w.rule(t, c, inClique, &out[i]); err != nil {
+		if t, err = w.rule(t, c, &out[i]); err != nil {
 			return nil, t, err
 		}
 	}
@@ -354,34 +337,22 @@ func take[T any](arena *[]T, k int) []T {
 
 // rule compiles c into rs, appending its text to t; its text fields
 // are set by finish.
-func (w *writer) rule(t text, c dlog.Clause, inClique func(string) bool, rs *RuleSQL) (text, error) {
+func (w *writer) rule(t text, c dlog.Clause, rs *RuleSQL) (text, error) {
 	if len(c.Body) == 0 {
 		return t, fmt.Errorf("codegen: cannot compile bodiless clause %q; facts belong in the extensional database", c.String())
 	}
 	rs.Head = c.Head.Pred
 	rs.From = take(&w.from, len(c.Body))
-	nVals, nOccs := 0, 0
+	nVals := 0
 	for ai, a := range c.Body {
 		rs.From[ai] = FromEntry{Pred: a.Pred, Alias: alias(ai)}
-		if inClique(a.Pred) {
-			nOccs++
-		}
 		for _, t := range a.Args {
 			if !t.IsVar() {
 				nVals++
 			}
 		}
 	}
-	rs.Values, rs.CliqueOccs = take(&w.values, nVals), take(&w.occs, nOccs)
-	if nOccs > 0 {
-		k := 0
-		for ai, a := range c.Body {
-			if inClique(a.Pred) {
-				rs.CliqueOccs[k] = ai
-				k++
-			}
-		}
-	}
+	rs.Values = take(&w.values, nVals)
 
 	// The select list: each head term a column of its variable's first
 	// occurrence, or a literal.
@@ -610,9 +581,8 @@ func (p *Program) Explain() string {
 	return b.String()
 }
 
-// CompileRule translates one clause into its RuleSQL. inClique marks
-// predicates mutually recursive with the head (may be nil).
-func CompileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
+// CompileRule translates one clause into its RuleSQL.
+func CompileRule(c dlog.Clause) (RuleSQL, error) {
 	vals := 0
 	for _, a := range c.Body {
 		for _, t := range a.Args {
@@ -622,9 +592,8 @@ func CompileRule(c dlog.Clause, inClique map[string]bool) (RuleSQL, error) {
 		}
 	}
 	var w writer
-	w.init(1, len(c.Body), vals, len(c.Body))
-	in := func(p string) bool { return inClique[p] }
-	_, t, err := w.compile(text{}, []dlog.Clause{c}, in)
+	w.init(1, len(c.Body), vals)
+	_, t, err := w.compile(text{}, []dlog.Clause{c})
 	if err != nil {
 		return RuleSQL{}, err
 	}

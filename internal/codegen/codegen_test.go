@@ -14,7 +14,7 @@ func ident(pred string) string { return pred }
 
 func TestCompileSimpleRule(t *testing.T) {
 	c := dlog.MustParseClause("gp(X, Y) :- parent(X, Z), parent(Z, Y).")
-	rs, err := CompileRule(c, nil)
+	rs, err := CompileRule(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestCompileSimpleRule(t *testing.T) {
 
 func TestCompileConstants(t *testing.T) {
 	c := dlog.MustParseClause(`tag(X, "root", 7) :- node(john, X).`)
-	rs, err := CompileRule(c, nil)
+	rs, err := CompileRule(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCompileConstants(t *testing.T) {
 
 func TestCompileRepeatedVariableInOneAtom(t *testing.T) {
 	c := dlog.MustParseClause("loop(X) :- e(X, X).")
-	rs, err := CompileRule(c, nil)
+	rs, err := CompileRule(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,29 +54,12 @@ func TestCompileRepeatedVariableInOneAtom(t *testing.T) {
 
 func TestCompileQuotedConstant(t *testing.T) {
 	c := dlog.MustParseClause(`p(X) :- e(X, "o'brien").`)
-	rs, err := CompileRule(c, nil)
+	rs, err := CompileRule(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(rs.SQL(ident), "'o''brien'") {
 		t.Fatalf("quote escaping: %q", rs.SQL(ident))
-	}
-}
-
-func TestCompileCliqueOccurrences(t *testing.T) {
-	c := dlog.MustParseClause("anc(X, Y) :- parent(X, Z), anc(Z, Y).")
-	rs, err := CompileRule(c, map[string]bool{"anc": true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.CliqueOccs) != 1 || rs.CliqueOccs[0] != 1 {
-		t.Fatalf("clique occs = %v", rs.CliqueOccs)
-	}
-	// Nonlinear rule: two occurrences.
-	c2 := dlog.MustParseClause("anc(X, Y) :- anc(X, Z), anc(Z, Y).")
-	rs2, _ := CompileRule(c2, map[string]bool{"anc": true})
-	if len(rs2.CliqueOccs) != 2 {
-		t.Fatalf("nonlinear occs = %v", rs2.CliqueOccs)
 	}
 }
 
@@ -134,7 +117,7 @@ func TestIdent(t *testing.T) {
 
 func TestCompileFactRejected(t *testing.T) {
 	c := dlog.MustParseClause("p(a).")
-	if _, err := CompileRule(c, nil); err == nil {
+	if _, err := CompileRule(c); err == nil {
 		t.Fatal("fact compiled as rule")
 	}
 }
@@ -203,7 +186,7 @@ func TestUnsafeRuleRejected(t *testing.T) {
 		Head: dlog.NewAtom("p", dlog.V("X"), dlog.V("Y")),
 		Body: []dlog.Atom{dlog.NewAtom("e", dlog.V("X"))},
 	}
-	if _, err := CompileRule(c, nil); err == nil {
+	if _, err := CompileRule(c); err == nil {
 		t.Fatal("unsafe rule compiled")
 	}
 }

@@ -55,7 +55,7 @@ func TestParamSQLMatchesLiterals(t *testing.T) {
 		`odd(X) :- parent(X, "o'brien ?1").`,
 		"none(X) :- parent(X, nobody).",
 	} {
-		r, err := codegen.CompileRule(dlog.MustParseClause(src), nil)
+		r, err := codegen.CompileRule(dlog.MustParseClause(src))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,6 +48,10 @@ type DB struct {
 	// They are pointers so resolver views share them.
 	stats *counters
 	stmts *stmtCache
+
+	// victims is the database's DELETE scratch (deleteRows): deletes
+	// run one at a time, under the writer, and a view has its own.
+	victims victims
 }
 
 // counters are the live statement counters behind Stats. Read-only
@@ -197,20 +201,15 @@ type Rows struct {
 
 // Exec parses and executes a statement that returns no rows (DDL, DML).
 // Executing a SELECT through Exec is an error; use Query.
-func (d *DB) Exec(stmt string) error { return d.ExecTraced(stmt, nil) }
+func (d *DB) Exec(stmt string) error { return d.ExecTracedCtx(context.Background(), stmt, nil) }
 
-// ExecTraced is Exec with optional operator-level tracing: when sp is
-// non-nil, an INSERT ... SELECT or DELETE ... WHERE statement records
-// its operator tree (rows emitted per scan/join/filter) as child spans
-// of sp. A nil sp costs one nil check over Exec.
-func (d *DB) ExecTraced(stmt string, sp *obs.Span) error {
-	return d.ExecTracedCtx(context.Background(), stmt, sp)
-}
-
-// ExecTracedCtx is ExecTraced with statement cancellation: an
-// INSERT ... SELECT observes ctx between source tuples and aborts with
-// ctx.Err() when it is cancelled. Other statement forms do bounded work
-// and ignore ctx.
+// ExecTracedCtx is Exec with operator-level tracing and statement
+// cancellation. When sp is non-nil, an INSERT ... SELECT or DELETE ...
+// WHERE statement records its operator tree (rows emitted per
+// scan/join/filter) as child spans of sp; a nil sp costs one nil check.
+// An INSERT ... SELECT observes ctx between source tuples and aborts
+// with ctx.Err() when it is cancelled. Other statement forms do bounded
+// work and ignore ctx.
 func (d *DB) ExecTracedCtx(ctx context.Context, stmt string, sp *obs.Span) error {
 	st, err := d.parse(stmt)
 	if err != nil {
@@ -238,19 +237,16 @@ func (d *DB) ExecTracedCtx(ctx context.Context, stmt string, sp *obs.Span) error
 }
 
 // Query parses, plans and fully evaluates a SELECT.
-func (d *DB) Query(stmt string) (*Rows, error) { return d.QueryTraced(stmt, nil) }
-
-// QueryTraced is Query with optional operator-level tracing: when sp is
-// non-nil the SELECT's operator tree (rows emitted per operator) is
-// recorded as child spans of sp. A nil sp costs one nil check.
-func (d *DB) QueryTraced(stmt string, sp *obs.Span) (*Rows, error) {
-	return d.QueryTracedCtx(context.Background(), stmt, sp)
+func (d *DB) Query(stmt string) (*Rows, error) {
+	return d.QueryTracedCtx(context.Background(), stmt, nil)
 }
 
-// QueryTracedCtx is QueryTraced with statement cancellation: the drain
-// observes ctx between result tuples and aborts with ctx.Err() when it
-// is cancelled, so a long scan or join stops mid-statement instead of
-// running to completion.
+// QueryTracedCtx is Query with operator-level tracing and statement
+// cancellation. When sp is non-nil the SELECT's operator tree (rows
+// emitted per operator) is recorded as child spans of sp; a nil sp
+// costs one nil check. The drain observes ctx between result tuples
+// and aborts with ctx.Err() when it is cancelled, so a long scan or
+// join stops mid-statement instead of running to completion.
 func (d *DB) QueryTracedCtx(ctx context.Context, stmt string, sp *obs.Span) (*Rows, error) {
 	st, err := d.parse(stmt)
 	if err != nil {
@@ -530,33 +526,42 @@ func (d *DB) execDelete(s sql.Delete, sp *obs.Span) error {
 	}
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
-	return deleteRows(t, op)
+	return d.deleteRows(t, op)
 }
 
-// deleteRows deletes from t the rows op, a scan of t, yields.
-func deleteRows(t *catalog.Table, op exec.Operator) error {
-	// Collect the victims, then delete: the scan may be iterating a
-	// posting list that DeleteRID edits. They are decoded once, together,
-	// for the index keys DeleteRID removes.
-	var rids []storage.RID
-	var victims rel.Records
+// victims are the rows a DELETE's scan found, collected before any is
+// deleted: their RIDs and, back to back, their records.
+type victims struct {
+	rids []storage.RID
+	recs rel.Records
+}
+
+// deleteRows deletes from t the rows op, a scan of t, yields. The scan
+// runs to the end before the first delete, since it may be iterating a
+// posting list that DeleteRID edits; DeleteRID reads the index keys it
+// removes from the victims' records, none decoded. The victims' memory
+// is kept for the next DELETE unless this one outgrew it (rel.Outgrown),
+// so a repeated DELETE allocates the same at any number of victims.
+func (d *DB) deleteRows(t *catalog.Table, op exec.Operator) error {
+	v := &d.victims
 	err := exec.ScanRows(op, func(rid storage.RID, rec []byte) error {
-		rids = append(rids, rid)
-		return victims.Add(rec)
+		v.rids = append(v.rids, rid)
+		return v.recs.Add(rec)
 	})
-	if err != nil {
-		return err
+	i := 0
+	if err == nil {
+		err = v.recs.Each(func(rec []byte) error {
+			i++
+			return t.DeleteRID(v.rids[i-1], rec)
+		})
 	}
-	rows, err := victims.Decode(t.Schema)
-	if err != nil {
-		return err
+	v.recs.Trim()
+	v.recs.Reset()
+	if rel.Outgrown(8*cap(v.rids), 8*len(v.rids)) { // a RID is 8 bytes
+		v.rids = nil
 	}
-	for i, rid := range rids {
-		if err := t.DeleteRID(rid, rows[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	v.rids = v.rids[:0]
+	return err
 }
 
 // TableRows returns the maintained row count of a table (0 if absent).

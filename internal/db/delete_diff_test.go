@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -236,7 +237,7 @@ func checkDelTable(t *testing.T, ctx string, d *DB, pre, survivors []delRow) {
 		}
 		for _, r := range pre {
 			key := keyOf(r)
-			rids := idx.Tree.Lookup(key)
+			rids := idx.Tree.Lookup(key.Encode(nil))
 			if len(rids) != carry[key.Key()] {
 				t.Fatalf("%s: index %s key %v: %d postings, %d surviving rows carry it", ctx, idx.Name, key, len(rids), carry[key.Key()])
 			}
@@ -292,7 +293,7 @@ func TestDeleteAgainstModel(t *testing.T) {
 				sp = tr.Root()
 			}
 			before := d.StatsSnapshot()
-			if err := d.ExecTraced(stmt, sp); err != nil {
+			if err := d.ExecTracedCtx(context.Background(), stmt, sp); err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
 			if after := d.StatsSnapshot(); after.Deletes != before.Deletes+1 || after.Selects != before.Selects {

@@ -144,3 +144,64 @@ func TestRuleInsertDecodesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestDeleteDecodesNothing pins the DELETE path on records: a prepared
+// DELETE ... WHERE over a relation of strings, whose victims an index
+// scan finds and whose two indexes lose an entry a victim, collects the
+// victims' records and deletes each from its record — its keys read in
+// place — so it allocates nothing under a BlockDecoder, and keeps its
+// victim buffers, so an execution allocates the same at 1 200 victims as
+// at 300.
+func TestDeleteDecodesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	run := func(n int) (allocs uint64, decoded int64) {
+		d := OpenMemory()
+		mustExec(t, d,
+			"CREATE TABLE r (s CHAR, d CHAR)",
+			"CREATE INDEX r_s ON r (s)",
+			"CREATE INDEX r_d ON r (d)")
+		tab := d.Table("r")
+		// n victims under s = "v", loaded before each DELETE, and n
+		// survivors beside them.
+		fill := func(s string) {
+			for i := 0; i < n; i++ {
+				if _, err := tab.Insert(rel.Tuple{rel.NewString(s), rel.NewString(fmt.Sprint("row_", i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fill("w")
+		load := func() { fill("v") }
+		st := mustPrepare(t, d, "DELETE FROM r WHERE s = ?1")
+		del := func() {
+			if err := st.Exec(context.Background(), nil, []rel.Value{rel.NewString("v")}); err != nil {
+				t.Fatal(err)
+			}
+			if got := d.TableRows("r"); got != n {
+				t.Fatalf("at %d victims: r holds %d rows after the DELETE, want %d", n, got, n)
+			}
+		}
+		load()
+		del()
+		load()
+		decoded = allocsUnder("dkbms/internal/rel.(*BlockDecoder)", del)
+		var before, after runtime.MemStats
+		for k := 0; k < 3; k++ {
+			load()
+			runtime.ReadMemStats(&before)
+			del()
+			runtime.ReadMemStats(&after)
+		}
+		return after.Mallocs - before.Mallocs, decoded
+	}
+	small, decSmall := run(300)
+	big, decBig := run(1200)
+	if decSmall != 0 || decBig != 0 {
+		t.Errorf("%d objects allocated under a BlockDecoder at 300 victims, %d at 1200; want none", decSmall, decBig)
+	}
+	if small != big {
+		t.Errorf("a DELETE allocates %d objects over 300 victims, %d over 1200; want the same", small, big)
+	}
+}

@@ -235,7 +235,7 @@ func (s *Stmt) delete(vals []rel.Value, sp *obs.Span) error {
 	defer s.sel.Release(tree)
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
-	return deleteRows(t, op)
+	return s.d.deleteRows(t, op)
 }
 
 // QueryCount executes a prepared SELECT COUNT(*) and returns the count.

@@ -77,7 +77,7 @@ func TestIndexScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := collect(t, &IndexScan{Table: c.Table("e"), Index: idx, Key: rel.Tuple{rel.NewInt(1)}})
+	rows := collect(t, &IndexScan{Table: c.Table("e"), Index: idx, Key: rel.Tuple{rel.NewInt(1)}.Encode(nil), Cols: 1})
 	if len(rows) != 2 {
 		t.Fatalf("index scan found %d", len(rows))
 	}
@@ -403,7 +403,7 @@ func TestInstrumentAttachesIO(t *testing.T) {
 
 	// Index-driven access reports descents and point reads.
 	tr2 := obs.NewTrace("query")
-	op2, flush2 := Instrument(&IndexScan{Table: tb, Index: idx, Key: rel.Tuple{rel.NewInt(2)}}, tr2.Root())
+	op2, flush2 := Instrument(&IndexScan{Table: tb, Index: idx, Key: rel.Tuple{rel.NewInt(2)}.Encode(nil), Cols: 1}, tr2.Root())
 	if got := len(collect(t, op2)); got != 2 {
 		t.Fatalf("idxscan rows = %d", got)
 	}

@@ -171,7 +171,7 @@ func TestAllocsIndependentOfRowCount(t *testing.T) {
 		}, func(n int) int { return n }},
 		{"idxscan", func(tb *catalog.Table) Operator {
 			// Every row of the indexed twin: a prefix scan with an empty key.
-			return &IndexScan{Table: inner[tb], Index: idx[inner[tb]], Key: rel.Tuple{}}
+			return &IndexScan{Table: inner[tb], Index: idx[inner[tb]]}
 		}, func(n int) int { return n }},
 		{"except", func(tb *catalog.Table) Operator {
 			return &SetOpExec{Kind: OpExcept, Left: &SeqScan{Table: tb},
@@ -323,10 +323,12 @@ func TestScanRowsAddressesWhatNextYields(t *testing.T) {
 		want int
 	}{
 		{"scan", func() Operator { return &SeqScan{Table: tb} }, "scan(e)", 5},
-		{"idxscan", func() Operator { return &IndexScan{Table: tb, Index: idx, Key: rel.Tuple{rel.NewInt(2)}} }, "idxscan(e.e_a)", 3},
+		{"idxscan", func() Operator {
+			return &IndexScan{Table: tb, Index: idx, Key: rel.Tuple{rel.NewInt(2)}.Encode(nil), Cols: 1}
+		}, "idxscan(e.e_a)", 3},
 		{"filter(scan)", func() Operator { return &Filter{Input: &SeqScan{Table: tb}, Pred: bIs20} }, "filter", 2},
 		{"filter(idxscan)", func() Operator {
-			return &Filter{Input: &IndexScan{Table: tb, Index: idx, Key: rel.Tuple{rel.NewInt(2)}}, Pred: bIs20}
+			return &Filter{Input: &IndexScan{Table: tb, Index: idx, Key: rel.Tuple{rel.NewInt(2)}.Encode(nil), Cols: 1}, Pred: bIs20}
 		}, "filter", 2},
 	} {
 		yielded := map[string]int{}

@@ -188,13 +188,17 @@ func (s *SeqScan) pass() *catalog.Table {
 
 // IndexScan reads the records whose index key starts with Key (equality
 // on a prefix of the index columns): one descent of the index, then a
-// heap read per posting.
+// heap read per posting. It probes and records its probe as an
+// IndexNLJoin does, with the key encoded.
 type IndexScan struct {
 	Table *catalog.Table
 	Index *catalog.Index
-	Key   rel.Tuple // prefix values for the leading index columns
-	Est   float64
-	// Reads, when set, records the probe (Reads.ProbeValues).
+	// Key encodes values for the Cols leading index columns, as a
+	// stored record encodes them.
+	Key  []byte
+	Cols int
+	Est  float64
+	// Reads, when set, records the probe (Reads.Probe).
 	Reads *Reads
 }
 
@@ -209,9 +213,9 @@ func (s *IndexScan) ScanRecords(fn func(rec []byte) error) error {
 // ScanRows streams the matching records with their RIDs.
 func (s *IndexScan) ScanRows(fn func(rid storage.RID, rec []byte) error) error {
 	if s.Reads != nil {
-		s.Reads.ProbeValues(s.Table, s.Index, s.Key)
+		s.Reads.Probe(s.Table, s.Index, s.Key, s.Cols)
 	}
-	return s.Index.Tree.PostingsOf(s.Key, func(rids []storage.RID) error {
+	return s.Index.Tree.Postings(s.Key, func(rids []storage.RID) error {
 		return readAll(s.Table, s.Index, rids, fn)
 	})
 }

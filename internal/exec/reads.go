@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"dkbms/internal/catalog"
-	"dkbms/internal/rel"
 )
 
 // Reads records what an evaluation reads of the published table
@@ -24,8 +23,7 @@ import (
 // A Reads is used by one evaluation at a time, which is sequential.
 type Reads struct {
 	tables []TableReads
-	last   int    // position in tables of the table recorded last
-	buf    []byte // scratch for an IndexScan's key encoding
+	last   int // position in tables of the table recorded last
 }
 
 // TableReads is what an evaluation read of one table version: the
@@ -122,10 +120,4 @@ func (r *Reads) Probe(t *catalog.Table, idx *catalog.Index, enc []byte, cols int
 		tr.last, tr.salt = idx, KeySalt(idx.Name)
 	}
 	tr.Keys = append(tr.Keys, catalog.KeyHash(enc)^tr.salt)
-}
-
-// ProbeValues is Probe for a key of values, as an IndexScan holds it.
-func (r *Reads) ProbeValues(t *catalog.Table, idx *catalog.Index, key rel.Tuple) {
-	r.buf = key.AppendKey(r.buf[:0], nil)
-	r.Probe(t, idx, r.buf, len(key))
 }

@@ -34,7 +34,7 @@ func TestReadsRecordProbes(t *testing.T) {
 	}
 	var reads Reads
 	collect(t, &IndexNLJoin{Left: &SeqScan{Table: l}, Right: r, Index: idx, LeftOrds: []int{0}, Reads: &reads})
-	collect(t, &IndexScan{Table: r, Index: both, Key: rel.Tuple{rel.NewInt(3), rel.NewInt(30)}, Reads: &reads})
+	collect(t, &IndexScan{Table: r, Index: both, Key: rel.Tuple{rel.NewInt(3), rel.NewInt(30)}.Encode(nil), Cols: 2, Reads: &reads})
 	tables := reads.Tables()
 	if len(tables) != 1 || tables[0].Table != r || tables[0].Whole {
 		t.Fatalf("recorded %+v, want r read through probes alone", tables)
@@ -46,7 +46,7 @@ func TestReadsRecordProbes(t *testing.T) {
 		t.Errorf("keys %x, want %x", tables[0].Keys, want)
 	}
 
-	collect(t, &IndexScan{Table: r, Index: both, Key: rel.Tuple{rel.NewInt(3)}, Reads: &reads})
+	collect(t, &IndexScan{Table: r, Index: both, Key: rel.Tuple{rel.NewInt(3)}.Encode(nil), Cols: 1, Reads: &reads})
 	if tables := reads.Tables(); !tables[0].Whole || len(tables[0].Keys) != 0 || len(tables[0].Indexes) != 0 {
 		t.Errorf("a prefix probe left %+v, want r read whole", tables[0])
 	}

@@ -87,7 +87,7 @@ func reopenCases() []reopenCase {
 	cases := []reopenCase{
 		{"seqscan", func(l, r *catalog.Table, idx *catalog.Index) Operator { return &SeqScan{Table: l} }, nil},
 		{"indexscan", func(l, r *catalog.Table, idx *catalog.Index) Operator {
-			return &IndexScan{Table: r, Index: idx, Key: rel.Tuple{rel.NewInt(3)}}
+			return &IndexScan{Table: r, Index: idx, Key: rel.Tuple{rel.NewInt(3)}.Encode(nil), Cols: 1}
 		}, nil},
 		{"filter", func(l, r *catalog.Table, idx *catalog.Index) Operator {
 			return &Filter{Input: &SeqScan{Table: l}, Pred: gt}
@@ -361,7 +361,7 @@ func bindLike(op, ref Operator) {
 		o.Table = ref.(*SeqScan).Table
 	case *IndexScan:
 		r := ref.(*IndexScan)
-		o.Table, o.Index, o.Key = r.Table, r.Index, r.Key
+		o.Table, o.Index, o.Key, o.Cols = r.Table, r.Index, r.Key, r.Cols
 	case *IndexNLJoin:
 		r := ref.(*IndexNLJoin)
 		o.Right, o.Index = r.Right, r.Index

@@ -5,13 +5,14 @@
 // stored predicates (Fig 9) both come from indexes on the join columns of
 // the system relations — so the index is a first-class substrate here.
 //
-// A key is the rel.Tuple.AppendKey encoding of a row's indexed columns:
-// an int column is its big-endian int64, a string column a uvarint
-// length and its bytes. The tree orders keys column by column under the
-// column types New is given, which is the order rel.CompareTuples gives
-// the decoded keys; a probe is a tuple of values for the leading columns,
-// encoded the same way, and a probe whose types are not the columns'
-// matches nothing.
+// A key is a row's indexed columns as its stored record encodes them
+// (rel.Spans.AppendCols, rel.Tuple.AppendKey): an int column is its
+// big-endian int64, a string column a uvarint length and its bytes. The
+// tree orders keys column by column under the column types New is
+// given, which is the order rel.CompareTuples gives the decoded keys.
+// The tree is read with encoded keys only: Lookup an exact key, and
+// Postings and CountPrefix every key whose leading columns a probe
+// encodes, whose types the caller has checked.
 //
 // A leaf holds its keys back to back in one byte slab and its postings —
 // the RIDs stored under each key, in insertion order — back to back in
@@ -26,7 +27,7 @@
 // and the first write to a shared node copies the path from the root to
 // it, so each version reads as it did while the other is written. A
 // node records which tree made it, and a tree writes in place only the
-// nodes it made. Leaves are not linked: a range scan climbs back up a
+// nodes it made. Leaves are not linked: a prefix probe climbs back up a
 // stack of the nodes its descent passed.
 //
 // Lookup returns a sub-slice of a leaf's RID slab without copying it. It
@@ -333,23 +334,6 @@ func (t *BTree) decode(key []byte) rel.Tuple {
 	return tu
 }
 
-// probe appends the encoding of key, values for the tree's leading
-// columns, to buf. ok is false, and the probe nil, when key has more
-// values than the tree has columns or a value's type is not its
-// column's: such a probe matches nothing, and descends (counted, as
-// every probe is) to the leftmost leaf.
-func (t *BTree) probe(buf []byte, key rel.Tuple) (enc []byte, ok bool) {
-	if len(key) > len(t.kinds) {
-		return nil, false
-	}
-	for i, v := range key {
-		if v.Kind != t.kinds[i] {
-			return nil, false
-		}
-	}
-	return key.AppendKey(buf, nil), true
-}
-
 // search finds the leaf that key belongs to.
 func (t *BTree) search(key []byte) *leaf {
 	t.stats.searches.Add(1)
@@ -595,16 +579,11 @@ func (t *BTree) Delete(key []byte, rid storage.RID) error {
 	return nil
 }
 
-// Lookup returns the postings for an exact key match (nil if absent).
-// The slice is the tree's own: the caller reads it before the next
-// Insert or Delete and does not modify it.
-func (t *BTree) Lookup(key rel.Tuple) []storage.RID {
-	var buf [64]byte
-	enc, ok := t.probe(buf[:0], key)
+// Lookup returns the postings of the key enc encodes, as Insert takes
+// it, nil if absent. The slice is the tree's own: the caller reads it
+// before the next Insert or Delete and does not modify it.
+func (t *BTree) Lookup(enc []byte) []storage.RID {
 	lf := t.search(enc)
-	if !ok {
-		return nil
-	}
 	i, found := t.leafPos(lf, enc)
 	if !found {
 		return nil
@@ -612,82 +591,37 @@ func (t *BTree) Lookup(key rel.Tuple) []storage.RID {
 	return lf.postings(i)
 }
 
-// LookupPrefix returns the postings for every key whose leading columns
-// equal prefix, in a slice of its own. Used for indexes queried on a
-// prefix of their columns.
-func (t *BTree) LookupPrefix(prefix rel.Tuple) []storage.RID {
-	var out []storage.RID
-	t.eachPrefix(prefix, func(lf *leaf, i int) bool {
-		out = append(out, lf.postings(i)...)
-		return true
-	})
-	return out
-}
-
-// CountPrefix returns how many postings LookupPrefix(prefix) returns,
-// without collecting them.
-func (t *BTree) CountPrefix(prefix rel.Tuple) int {
+// CountPrefix returns how many postings Postings(enc) passes, without
+// reading them: the planner's estimate of an index scan.
+func (t *BTree) CountPrefix(enc []byte) int {
 	n := 0
-	t.eachPrefix(prefix, func(lf *leaf, i int) bool {
+	t.eachPrefix(enc, func(lf *leaf, i int) bool {
 		n += len(lf.postings(i))
 		return true
 	})
 	return n
 }
 
-// AscendPrefix visits keys with the given prefix in order, each decoded
-// into a tuple of its own. fn returning false stops the iteration. An
-// empty prefix visits all keys.
-func (t *BTree) AscendPrefix(prefix rel.Tuple, fn func(key rel.Tuple, rids []storage.RID) bool) {
-	t.eachPrefix(prefix, func(lf *leaf, i int) bool {
-		return fn(t.decode(lf.key(i)), lf.postings(i))
+// Postings calls fn with the postings of every key whose leading
+// columns are enc, in key order, until fn returns an error: an empty
+// enc passes every key's. enc must encode values of the tree's leading
+// column types, as a stored record's columns do; the caller checks the
+// types. It counts one descent and collects nothing. The postings are
+// the tree's own, as Lookup's.
+func (t *BTree) Postings(enc []byte, fn func(rids []storage.RID) error) error {
+	var err error
+	t.eachPrefix(enc, func(lf *leaf, i int) bool {
+		err = fn(lf.postings(i))
+		return err == nil
 	})
+	return err
 }
 
 // eachPrefix calls fn with the leaf and position of every entry whose
-// key starts with prefix, in key order, until fn returns false. Encoded
+// key starts with enc, in key order, until fn returns false. Encoded
 // keys are self-delimiting and canonical, so a key's leading columns
-// equal prefix exactly when its bytes start with prefix's.
-func (t *BTree) eachPrefix(prefix rel.Tuple, fn func(lf *leaf, i int) bool) {
-	var buf [64]byte
-	enc, ok := t.probe(buf[:0], prefix)
-	if !ok {
-		t.search(nil)
-		return
-	}
-	t.eachEncoded(enc, fn)
-}
-
-// PostingsOf is Postings for a probe of values, key, for the tree's
-// leading columns: LookupPrefix without collecting. A probe whose types
-// are not the columns' matches nothing.
-func (t *BTree) PostingsOf(key rel.Tuple, fn func(rids []storage.RID) error) error {
-	var err error
-	t.eachPrefix(key, func(lf *leaf, i int) bool {
-		err = fn(lf.postings(i))
-		return err == nil
-	})
-	return err
-}
-
-// Postings calls fn with the postings of every key whose leading
-// columns are enc, in key order, until fn returns an error. It is
-// LookupPrefix — and, for a key of every column, Lookup — for a probe
-// already encoded, such as columns of a stored record read in place,
-// and it collects nothing. enc must encode values of the tree's leading
-// column types, as AppendKey does; the caller checks the types. It
-// counts one descent. The postings are the tree's own, as Lookup's.
-func (t *BTree) Postings(enc []byte, fn func(rids []storage.RID) error) error {
-	var err error
-	t.eachEncoded(enc, func(lf *leaf, i int) bool {
-		err = fn(lf.postings(i))
-		return err == nil
-	})
-	return err
-}
-
-// eachEncoded is eachPrefix for a prefix already encoded.
-func (t *BTree) eachEncoded(enc []byte, fn func(lf *leaf, i int) bool) {
+// equal enc's exactly when its bytes start with enc.
+func (t *BTree) eachPrefix(enc []byte, fn func(lf *leaf, i int) bool) {
 	var c cursor
 	t.seek(&c, enc)
 	i, _ := t.leafPos(c.lf, enc)
@@ -764,44 +698,6 @@ func (c *cursor) next() {
 		c.depth--
 	}
 	c.lf = nil
-}
-
-// AscendRange visits keys k with lo <= k < hi in order, each decoded
-// into a tuple of its own. A nil lo starts at the smallest key; a nil hi
-// runs to the end.
-func (t *BTree) AscendRange(lo, hi rel.Tuple, fn func(key rel.Tuple, rids []storage.RID) bool) {
-	var lbuf, hbuf [64]byte
-	var c cursor
-	var i int
-	if lo == nil {
-		c.first(t.root)
-	} else {
-		enc, ok := t.probe(lbuf[:0], lo)
-		t.seek(&c, enc)
-		if !ok {
-			return
-		}
-		i, _ = t.leafPos(c.lf, enc)
-	}
-	var stop []byte
-	if hi != nil {
-		var ok bool
-		if stop, ok = t.probe(hbuf[:0], hi); !ok {
-			return
-		}
-	}
-	for ; c.lf != nil; c.next() {
-		for ; i < len(c.lf.ends); i++ {
-			k := c.lf.key(i)
-			if hi != nil && compareKeys(t.kinds, k, stop) >= 0 {
-				return
-			}
-			if !fn(t.decode(k), c.lf.postings(i)) {
-				return
-			}
-		}
-		i = 0
-	}
 }
 
 // Validate checks structural invariants (well-formed keys, ordering,

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -52,12 +53,12 @@ func TestBTreeInsertLookup(t *testing.T) {
 		t.Fatal("expected splits at 1000 keys")
 	}
 	for i := 0; i < 1000; i += 17 {
-		rids := tr.Lookup(intKey(int64(i)))
+		rids := tr.Lookup(enc(intKey(int64(i))))
 		if len(rids) != 1 || rids[0] != ridFor(i) {
 			t.Fatalf("lookup %d = %v", i, rids)
 		}
 	}
-	if tr.Lookup(intKey(5000)) != nil {
+	if tr.Lookup(enc(intKey(5000))) != nil {
 		t.Fatal("lookup of absent key returned postings")
 	}
 }
@@ -73,7 +74,7 @@ func TestBTreeDuplicatePostings(t *testing.T) {
 	if tr.Len() != 50 || tr.DistinctKeys() != 1 {
 		t.Fatalf("len=%d keys=%d", tr.Len(), tr.DistinctKeys())
 	}
-	if got := tr.Lookup(key); len(got) != 50 {
+	if got := tr.Lookup(enc(key)); len(got) != 50 {
 		t.Fatalf("postings = %d", len(got))
 	}
 	// Exact duplicate (key, rid) rejected.
@@ -119,56 +120,37 @@ func TestBTreeCompositePrefix(t *testing.T) {
 			n++
 		}
 	}
-	rids := tr.LookupPrefix(intKey(3))
-	if len(rids) != 20 {
-		t.Fatalf("prefix lookup found %d, want 20", len(rids))
+	if n := tr.CountPrefix(enc(intKey(3))); n != 20 {
+		t.Fatalf("prefix count %d, want 20", n)
 	}
-	var keys []rel.Tuple
-	tr.AscendPrefix(intKey(7), func(k rel.Tuple, _ []storage.RID) bool {
-		keys = append(keys, k)
-		return true
-	})
-	if len(keys) != 20 {
-		t.Fatalf("AscendPrefix visited %d, want 20", len(keys))
-	}
-	for i, k := range keys {
-		if k[0].Int != 7 || k[1].Int != int64(i) {
-			t.Fatalf("prefix visit %d got key %v", i, k)
-		}
+	// (7, b) is stored at ridFor(7*20 + b): the postings come in key order.
+	if got, want := postings(tr, enc(intKey(7))), ridRange(140, 160); !slices.Equal(got, want) {
+		t.Fatalf("prefix postings %v, want %v", got, want)
 	}
 	// Full lookup on composite key.
-	if got := tr.Lookup(intKey(7, 5)); len(got) != 1 {
+	if got := tr.Lookup(enc(intKey(7, 5))); len(got) != 1 {
 		t.Fatalf("composite lookup = %v", got)
 	}
 }
 
-func TestBTreeAscendRange(t *testing.T) {
-	tr := New(ints(1))
-	for i := 0; i < 100; i++ {
-		if err := tr.Insert(enc(intKey(int64(i))), ridFor(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var seen []int64
-	tr.AscendRange(intKey(25), intKey(75), func(k rel.Tuple, _ []storage.RID) bool {
-		seen = append(seen, k[0].Int)
-		return true
+// postings returns the postings Postings(prefix) passes, in order, in
+// a slice of their own.
+func postings(tr *BTree, prefix []byte) []storage.RID {
+	var out []storage.RID
+	tr.Postings(prefix, func(rids []storage.RID) error {
+		out = append(out, rids...)
+		return nil
 	})
-	if len(seen) != 50 || seen[0] != 25 || seen[len(seen)-1] != 74 {
-		t.Fatalf("range scan wrong: %d items, first %d, last %d", len(seen), seen[0], seen[len(seen)-1])
+	return out
+}
+
+// ridRange returns ridFor(i) for i in [lo, hi).
+func ridRange(lo, hi int) []storage.RID {
+	var out []storage.RID
+	for i := lo; i < hi; i++ {
+		out = append(out, ridFor(i))
 	}
-	// Open-ended scans.
-	count := 0
-	tr.AscendRange(nil, nil, func(rel.Tuple, []storage.RID) bool { count++; return true })
-	if count != 100 {
-		t.Fatalf("full scan saw %d", count)
-	}
-	// Early stop.
-	count = 0
-	tr.AscendRange(nil, nil, func(rel.Tuple, []storage.RID) bool { count++; return count < 10 })
-	if count != 10 {
-		t.Fatalf("early-stop scan saw %d", count)
-	}
+	return out
 }
 
 func TestBTreeStringKeys(t *testing.T) {
@@ -179,11 +161,11 @@ func TestBTreeStringKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// words[i] is stored at ridFor(i): a whole walk yields them in order.
 	var got []string
-	tr.AscendRange(nil, nil, func(k rel.Tuple, _ []storage.RID) bool {
-		got = append(got, k[0].Str)
-		return true
-	})
+	for _, rid := range postings(tr, nil) {
+		got = append(got, words[int(rid.Slot)])
+	}
 	want := append([]string(nil), words...)
 	sort.Strings(want)
 	for i := range want {
@@ -242,7 +224,7 @@ func TestBTreeRandomizedAgainstModel(t *testing.T) {
 		t.Fatalf("distinct keys %d, model %d", tr.DistinctKeys(), len(model))
 	}
 	for ks, want := range model {
-		got := tr.Lookup(keyOf[ks])
+		got := tr.Lookup(enc(keyOf[ks]))
 		if len(got) != len(want) {
 			t.Fatalf("key %s: %d postings, want %d", ks, len(got), len(want))
 		}
@@ -268,16 +250,8 @@ func TestBTreeDescendingInsertOrder(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	prev := int64(-1)
-	tr.AscendRange(nil, nil, func(k rel.Tuple, _ []storage.RID) bool {
-		if k[0].Int <= prev {
-			t.Fatalf("out of order: %d after %d", k[0].Int, prev)
-		}
-		prev = k[0].Int
-		return true
-	})
-	if prev != 999 {
-		t.Fatalf("last key %d", prev)
+	if got, want := postings(tr, nil), ridRange(0, 1000); !slices.Equal(got, want) {
+		t.Fatalf("a whole walk yields %v, want key i's ridFor(i) in key order", got)
 	}
 }
 
@@ -296,8 +270,9 @@ func BenchmarkBTreeLookup(b *testing.B) {
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
+	var key [8]byte
 	for i := 0; i < b.N; i++ {
-		_ = tr.Lookup(intKey(int64(i % 100000)))
+		_ = tr.Lookup(intKey(int64(i%100000)).AppendKey(key[:0], nil))
 	}
 }
 
@@ -305,11 +280,14 @@ func ExampleBTree() {
 	tr := New([]rel.Type{rel.TypeString, rel.TypeInt})
 	_ = tr.Insert(enc(rel.Tuple{rel.NewString("ann"), rel.NewInt(1)}), storage.RID{Page: 0, Slot: 0})
 	_ = tr.Insert(enc(rel.Tuple{rel.NewString("bob"), rel.NewInt(2)}), storage.RID{Page: 0, Slot: 1})
-	tr.AscendPrefix(rel.Tuple{rel.NewString("ann")}, func(k rel.Tuple, rids []storage.RID) bool {
-		fmt.Println(k, len(rids))
-		return true
+	tr.Postings(enc(rel.Tuple{rel.NewString("ann")}), func(rids []storage.RID) error {
+		fmt.Println(rids)
+		return nil
 	})
-	// Output: (ann, 1) 1
+	fmt.Println(tr.CountPrefix(nil), tr.Lookup(enc(rel.Tuple{rel.NewString("bob"), rel.NewInt(2)})))
+	// Output:
+	// [0:0]
+	// 2 [0:1]
 }
 
 func TestTreeStats(t *testing.T) {
@@ -330,8 +308,8 @@ func TestTreeStats(t *testing.T) {
 	if base.Splits == 0 {
 		t.Fatal("200 inserts at degree 64 must split at least once")
 	}
-	tr.Lookup(rel.Tuple{rel.NewInt(7)})
-	tr.Lookup(rel.Tuple{rel.NewInt(8)})
+	tr.Lookup(enc(rel.Tuple{rel.NewInt(7)}))
+	tr.Lookup(enc(rel.Tuple{rel.NewInt(8)}))
 	st := tr.Stats()
 	if got := st.Searches - base.Searches; got != 2 {
 		t.Fatalf("searches delta = %d, want 2", got)
@@ -342,9 +320,9 @@ func TestTreeStats(t *testing.T) {
 	}
 }
 
-// TestLookupAllocs pins the probes at no allocation: Lookup returns the
-// leaf's own postings and encodes its probe on the stack, and
-// CountPrefix reads the slabs in place.
+// TestLookupAllocs pins the encoded probes at no allocation: Lookup
+// returns the leaf's own postings, and CountPrefix and Postings read the
+// slabs in place.
 func TestLookupAllocs(t *testing.T) {
 	tr := New([]rel.Type{rel.TypeString, rel.TypeInt})
 	for i := 0; i < 1000; i++ {
@@ -353,19 +331,27 @@ func TestLookupAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	key := rel.Tuple{rel.NewString("genealogy_person_17"), rel.NewInt(317)}
-	prefix := key[:1]
+	tu := rel.Tuple{rel.NewString("genealogy_person_17"), rel.NewInt(317)}
+	key, prefix := enc(tu), enc(tu[:1])
 	if got := tr.Lookup(key); len(got) != 1 || got[0] != ridFor(317) {
-		t.Fatalf("Lookup(%v) = %v", key, got)
+		t.Fatalf("Lookup(%v) = %v", tu, got)
 	}
 	if got := tr.CountPrefix(prefix); got != 4 {
-		t.Fatalf("CountPrefix(%v) = %d, want 4", prefix, got)
+		t.Fatalf("CountPrefix(%v) = %d, want 4", tu[:1], got)
+	}
+	n := 0
+	count := func(rids []storage.RID) error { n += len(rids); return nil }
+	if tr.Postings(prefix, count); n != 4 {
+		t.Fatalf("Postings(%v) passed %d, want 4", tu[:1], n)
 	}
 	if n := testing.AllocsPerRun(100, func() { tr.Lookup(key) }); n != 0 {
 		t.Errorf("Lookup allocates %.1f objects, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { tr.CountPrefix(prefix) }); n != 0 {
 		t.Errorf("CountPrefix allocates %.1f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.Postings(prefix, count) }); n != 0 {
+		t.Errorf("Postings allocates %.1f objects, want 0", n)
 	}
 }
 
@@ -392,12 +378,12 @@ func TestForkCopiesOnlyThePath(t *testing.T) {
 		}
 	}
 	before := tr.Stats()
-	walk := treeWalk(tr, nil, nil)
+	walk, held := treeWalk(tr), lookups(tr)
 	f := tr.Fork()
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := treeWalk(f, nil, nil); !sameVisits(got, walk) || f.Len() != tr.Len() || f.Height() != tr.Height() || f.Stats().Bytes != before.Bytes {
+	if got := treeWalk(f); !sameWalks(got, walk) || f.Len() != tr.Len() || f.Height() != tr.Height() || f.Stats().Bytes != before.Bytes {
 		t.Fatalf("the fork holds %d entries of height %d in %d bytes; source %d, %d, %d", f.Len(), f.Height(), f.Stats().Bytes, tr.Len(), tr.Height(), before.Bytes)
 	}
 	if f.Written() != 0 || tr.Height() < 2 {
@@ -441,30 +427,15 @@ func TestForkCopiesOnlyThePath(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("source after writes to the fork: %v", err)
 	}
-	if after := treeWalk(tr, nil, nil); !sameVisits(after, walk) {
+	if after := treeWalk(tr); !sameWalks(after, walk) {
 		t.Fatal("writes to the fork changed the source's postings")
 	}
-	lookups := func(tree *BTree, walk []visit, what string) {
-		t.Helper()
-		for i := 0; i < 300; i++ {
-			for s := 0; s < 7; s++ {
-				k := rel.Tuple{rel.NewInt(int64(i)), rel.NewString(fmt.Sprint("k", s))}
-				var want []storage.RID
-				for _, v := range walk {
-					if v.key == k.String() {
-						want = v.rids
-					}
-				}
-				if got := tree.Lookup(k); !slices.Equal(got, want) {
-					t.Fatalf("%s: Lookup(%v) = %v, want %v", what, k, got, want)
-				}
-			}
-		}
+	if got := lookups(tr); !maps.EqualFunc(got, held, slices.Equal) {
+		t.Fatal("writes to the fork changed the source's lookups")
 	}
-	lookups(tr, walk, "the source after writes to the fork")
 
 	// The source, written after the fork, copies too.
-	forked := treeWalk(f, nil, nil)
+	forked := lookups(f)
 	for i := 3000; i < 3500; i++ {
 		if err := tr.Insert(key(i), rid(i)); err != nil {
 			t.Fatal(err)
@@ -473,5 +444,20 @@ func TestForkCopiesOnlyThePath(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	lookups(f, forked, "the fork after writes to the source")
+	if got := lookups(f); !maps.EqualFunc(got, forked, slices.Equal) {
+		t.Fatal("writes to the source changed the fork's lookups")
+	}
+}
+
+// lookups returns Lookup of every key TestForkCopiesOnlyThePath writes,
+// by key, each in a slice of its own.
+func lookups(tr *BTree) map[string][]storage.RID {
+	out := make(map[string][]storage.RID)
+	for i := 0; i < 300; i++ {
+		for s := 0; s < 7; s++ {
+			k := rel.Tuple{rel.NewInt(int64(i)), rel.NewString(fmt.Sprint("k", s))}
+			out[k.String()] = slices.Clone(tr.Lookup(enc(k)))
+		}
+	}
+	return out
 }

@@ -85,24 +85,7 @@ func (m *btreeModel) delete(k rel.Tuple, rid storage.RID) bool {
 	return true
 }
 
-// visit is one key and its postings as an ordered walk yields them.
-type visit struct {
-	key  string
-	rids []storage.RID
-}
-
-// walk is the model's AscendRange(lo, hi).
-func (m *btreeModel) walk(lo, hi rel.Tuple) []visit {
-	var out []visit
-	for i, k := range m.keys {
-		if (lo == nil || rel.CompareTuples(k, lo) >= 0) && (hi == nil || rel.CompareTuples(k, hi) < 0) {
-			out = append(out, visit{k.String(), m.rids[i]})
-		}
-	}
-	return out
-}
-
-// prefix is the model's LookupPrefix.
+// prefix is the model's Postings(p), collected.
 func (m *btreeModel) prefix(p rel.Tuple) []storage.RID {
 	var out []storage.RID
 	for i, k := range m.keys {
@@ -113,27 +96,28 @@ func (m *btreeModel) prefix(p rel.Tuple) []storage.RID {
 	return out
 }
 
-func treeWalk(tr *BTree, lo, hi rel.Tuple) []visit {
-	var out []visit
-	tr.AscendRange(lo, hi, func(k rel.Tuple, rids []storage.RID) bool {
-		out = append(out, visit{k.String(), slices.Clone(rids)})
-		return true
+// treeWalk returns what Postings(nil, …) passes: each key's postings,
+// in key order, each in a slice of its own.
+func treeWalk(tr *BTree) [][]storage.RID {
+	var out [][]storage.RID
+	tr.Postings(nil, func(rids []storage.RID) error {
+		out = append(out, slices.Clone(rids))
+		return nil
 	})
 	return out
 }
 
-func sameVisits(a, b []visit) bool {
-	return slices.EqualFunc(a, b, func(x, y visit) bool { return x.key == y.key && slices.Equal(x.rids, y.rids) })
-}
+func sameWalks(a, b [][]storage.RID) bool { return slices.EqualFunc(a, b, slices.Equal[[]storage.RID]) }
 
 // FuzzBTreeOps runs a sequence of inserts, deletes, bulk inserts and
 // forks over (int, string) keys against a sorted reference and, after
-// every step, checks the structure (Validate), the counts, the probes
-// (Lookup, LookupPrefix, CountPrefix, each one counted search of Height
-// nodes, a probe of the wrong types matching nothing) and the ordered
-// walks (AscendRange, whole and bounded). A fork freezes the tree, and
-// the steps go on over the fork, which shares its nodes; the frozen tree
-// must read as it did, whatever the later steps write.
+// every step, checks the structure (Validate), the counts, the encoded
+// probes (Lookup of a full key and of one too long, Postings and
+// CountPrefix of a full key and of a one-column prefix, each one counted
+// search of Height nodes) and the whole-tree walk (Postings(nil, …),
+// whose postings come key by key in key order). A fork freezes the
+// tree, and the steps go on over the fork, which shares its nodes; the
+// frozen tree must read as it did, whatever the later steps write.
 // Each step is four bytes: the operation, the int and string of its
 // key, and a RID.
 func FuzzBTreeOps(f *testing.F) {
@@ -146,7 +130,7 @@ func FuzzBTreeOps(f *testing.F) {
 		var m btreeModel
 		// The tree last forked, frozen, and what it held then.
 		var src *BTree
-		var srcWalk []visit
+		var srcWalk [][]storage.RID
 		for step := 0; len(data) >= 4; step, data = step+1, data[4:] {
 			op, k, rid := data[0]%5, fuzzKey(data[1], data[2]), fuzzRID(data[3])
 			switch op {
@@ -173,7 +157,7 @@ func FuzzBTreeOps(f *testing.F) {
 					}
 				}
 			case 4: // freeze-and-continue: the steps go on over a fork
-				src, srcWalk = tr, treeWalk(tr, nil, nil)
+				src, srcWalk = tr, treeWalk(tr)
 				tr = tr.Fork()
 			}
 			checkTree(t, step, tr, &m, k)
@@ -181,7 +165,7 @@ func FuzzBTreeOps(f *testing.F) {
 				if err := src.Validate(); err != nil {
 					t.Fatalf("step %d: the frozen tree: %v", step, err)
 				}
-				if got := treeWalk(src, nil, nil); !sameVisits(got, srcWalk) {
+				if got := treeWalk(src); !sameWalks(got, srcWalk) {
 					t.Fatalf("step %d: the frozen tree reads %v, held %v", step, got, srcWalk)
 				}
 			}
@@ -202,18 +186,18 @@ func checkTree(t *testing.T, step int, tr *BTree, m *btreeModel, k rel.Tuple) {
 	if i, ok := m.find(k); ok {
 		want = m.rids[i]
 	}
+	key, prefix := enc(k), enc(k[:1])
 	probes := []struct {
 		name string
 		got  func() any
 		want any
 	}{
-		{"Lookup", func() any { return slices.Clone(tr.Lookup(k)) }, want},
-		{"LookupPrefix", func() any { return tr.LookupPrefix(k[:1]) }, m.prefix(k[:1])},
-		{"CountPrefix(1)", func() any { return tr.CountPrefix(k[:1]) }, len(m.prefix(k[:1]))},
-		{"CountPrefix(2)", func() any { return tr.CountPrefix(k) }, len(want)},
-		{"Lookup(wrong types)", func() any { return tr.Lookup(rel.Tuple{k[1], k[0]}) }, []storage.RID(nil)},
-		{"CountPrefix(wrong type)", func() any { return tr.CountPrefix(k[1:]) }, 0},
-		{"Lookup(too long)", func() any { return tr.Lookup(append(slices.Clone(k), k[0])) }, []storage.RID(nil)},
+		{"Lookup", func() any { return slices.Clone(tr.Lookup(key)) }, want},
+		{"Lookup(too long)", func() any { return tr.Lookup(append(slices.Clone(key), prefix...)) }, []storage.RID(nil)},
+		{"Postings(1)", func() any { return postings(tr, prefix) }, m.prefix(k[:1])},
+		{"Postings(2)", func() any { return postings(tr, key) }, slices.Clone(want)},
+		{"CountPrefix(1)", func() any { return tr.CountPrefix(prefix) }, len(m.prefix(k[:1]))},
+		{"CountPrefix(2)", func() any { return tr.CountPrefix(key) }, len(want)},
 	}
 	for _, p := range probes {
 		before := tr.Stats()
@@ -227,17 +211,9 @@ func checkTree(t *testing.T, step int, tr *BTree, m *btreeModel, k rel.Tuple) {
 				after.Searches-before.Searches, after.DepthTotal-before.DepthTotal, after.Height)
 		}
 	}
-	if got, want := treeWalk(tr, nil, nil), m.walk(nil, nil); !sameVisits(got, want) {
-		t.Fatalf("step %d: AscendRange(nil, nil) = %v, want %v", step, got, want)
-	}
-	// From k to the key that follows k's string at k's int, and from
-	// k's int alone to the end.
-	hi := rel.Tuple{k[0], rel.NewString(k[1].Str + "\x00")}
-	if got, want := treeWalk(tr, k, hi), m.walk(k, hi); !sameVisits(got, want) {
-		t.Fatalf("step %d: AscendRange(%v, %v) = %v, want %v", step, k, hi, got, want)
-	}
-	if got, want := treeWalk(tr, k[:1], nil), m.walk(k[:1], nil); !sameVisits(got, want) {
-		t.Fatalf("step %d: AscendRange(%v, nil) = %v, want %v", step, k[:1], got, want)
+	// The model's rids are each key's postings, in key order.
+	if got := treeWalk(tr); !sameWalks(got, m.rids) {
+		t.Fatalf("step %d: Postings(nil) = %v, want %v", step, got, m.rids)
 	}
 }
 

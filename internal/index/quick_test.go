@@ -1,22 +1,23 @@
 package index
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"dkbms/internal/rel"
 	"dkbms/internal/storage"
 )
 
 // TestQuickInsertedKeysRetrievable: any batch of distinct (key, rid)
 // pairs inserted into a fresh tree is fully retrievable, the tree
-// validates, and iteration yields keys in sorted order.
+// validates, and a whole walk yields keys in sorted order.
 func TestQuickInsertedKeysRetrievable(t *testing.T) {
 	f := func(keys []int64, seed int64) bool {
 		tr := New(ints(1))
 		r := rand.New(rand.NewSource(seed))
 		inserted := make(map[int64][]storage.RID)
+		keyOf := make(map[storage.RID]int64)
 		for i, k := range keys {
 			rid := storage.RID{Page: uint32(r.Intn(100)), Slot: uint16(i)}
 			dup := false
@@ -32,30 +33,33 @@ func TestQuickInsertedKeysRetrievable(t *testing.T) {
 				return false
 			}
 			inserted[k] = append(inserted[k], rid)
+			keyOf[rid] = k
 		}
 		if err := tr.Validate(); err != nil {
 			return false
 		}
 		for k, rids := range inserted {
-			got := tr.Lookup(intKey(k))
+			got := tr.Lookup(enc(intKey(k)))
 			if len(got) != len(rids) {
 				return false
 			}
 		}
-		// Sorted iteration.
-		prev := int64(0)
-		first := true
-		ok := true
-		tr.AscendRange(nil, nil, func(key rel.Tuple, _ []storage.RID) bool {
-			if !first && key[0].Int <= prev {
-				ok = false
-				return false
+		// Sorted iteration: each key's postings, keys ascending.
+		n, prev := 0, int64(0)
+		ok := tr.Postings(nil, func(rids []storage.RID) error {
+			k := keyOf[rids[0]]
+			for _, rid := range rids {
+				if keyOf[rid] != k {
+					return errors.New("postings of two keys under one")
+				}
 			}
-			prev = key[0].Int
-			first = false
-			return true
-		})
-		return ok
+			if n > 0 && k <= prev {
+				return errors.New("keys out of order")
+			}
+			prev, n = k, n+1
+			return nil
+		}) == nil
+		return ok && n == len(inserted)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -92,36 +96,29 @@ func TestQuickDeleteRestoresAbsence(t *testing.T) {
 	}
 }
 
-// TestQuickRangeMatchesFilter: AscendRange(lo, hi) returns exactly the
-// inserted keys within [lo, hi).
-func TestQuickRangeMatchesFilter(t *testing.T) {
-	f := func(keys []int16, lo, hi int16) bool {
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		tr := New(ints(1))
+// TestQuickPrefixMatchesFilter: on two-column keys, Postings and
+// CountPrefix of a one-column prefix find exactly the inserted keys
+// with that first column.
+func TestQuickPrefixMatchesFilter(t *testing.T) {
+	f := func(keys []int16, p int16) bool {
+		p %= 8
+		tr := New(ints(2))
 		seen := map[int16]bool{}
+		want := 0
 		for i, k := range keys {
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
-			if err := tr.Insert(enc(intKey(int64(k))), ridFor(i)); err != nil {
+			if err := tr.Insert(enc(intKey(int64(k%8), int64(k))), ridFor(i)); err != nil {
 				return false
 			}
-		}
-		want := 0
-		for k := range seen {
-			if k >= lo && k < hi {
+			if k%8 == p {
 				want++
 			}
 		}
-		got := 0
-		tr.AscendRange(intKey(int64(lo)), intKey(int64(hi)), func(rel.Tuple, []storage.RID) bool {
-			got++
-			return true
-		})
-		return got == want
+		prefix := enc(intKey(int64(p)))
+		return len(postings(tr, prefix)) == want && tr.CountPrefix(prefix) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

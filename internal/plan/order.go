@@ -19,10 +19,12 @@ type tableInfo struct {
 	reads *exec.Reads
 
 	// scanIndex/scanKey are the IndexScan serving the table's literal
-	// equalities, with this execution's values; nil means SeqScan.
-	// scanKey's array is reused by the next execution's analyze.
+	// equalities, with this execution's values encoded for its scanCols
+	// leading columns; nil means SeqScan. scanKey's array is reused by
+	// the next execution's analyze.
 	scanIndex *catalog.Index
-	scanKey   rel.Tuple
+	scanKey   []byte
+	scanCols  int
 
 	est   float64 // rows left after preds
 	touch float64 // rows the access path reads to produce them
@@ -42,24 +44,21 @@ type tableInfo struct {
 // its cardinality after the local predicates, eqLit being the column =
 // literal ones among them and vals the values of their parameters.
 // When an index covers the literal key the estimate is the exact posting
-// count. It allocates only when the probe key outgrows the array the
-// last execution left.
+// count. The key is encoded once, here; it allocates only when it
+// outgrows the array the last execution left.
 func (tab *tableInfo) analyze(eqLit []litEq, vals []rel.Value) {
 	t := tab.t
 	tab.est = float64(t.Rows())
 	tab.touch = tab.est
-	tab.scanIndex, tab.scanKey = nil, tab.scanKey[:0]
+	tab.scanIndex, tab.scanKey, tab.scanCols = nil, tab.scanKey[:0], 0
 	if len(eqLit) == 0 {
 		return
 	}
 	if idx, n := pickIndex(t, eqLit); idx != nil {
-		if cap(tab.scanKey) < n {
-			tab.scanKey = make(rel.Tuple, 0, n)
-		}
 		for _, o := range idx.Ords[:n] {
-			tab.scanKey = append(tab.scanKey, eqLit[litFor(eqLit, o)].lit.value(vals))
+			tab.scanKey = eqLit[litFor(eqLit, o)].lit.value(vals).AppendKey(tab.scanKey)
 		}
-		tab.scanIndex = idx
+		tab.scanIndex, tab.scanCols = idx, n
 		tab.est = float64(idx.Tree.CountPrefix(tab.scanKey))
 		tab.touch = tab.est
 	} else {

@@ -393,9 +393,7 @@ func (t *Tree) shed() {
 	for i := range t.blocks {
 		for j := range t.blocks[i].tabs {
 			tab := &t.blocks[i].tabs[j]
-			key := tab.scanKey[:cap(tab.scanKey)]
-			clear(key)
-			tab.t, tab.reads, tab.scanIndex, tab.scanKey, tab.via.index = nil, nil, nil, key[:0], nil
+			tab.t, tab.reads, tab.scanIndex, tab.scanKey, tab.via.index = nil, nil, nil, tab.scanKey[:0], nil
 		}
 	}
 	clear(t.vals)
@@ -935,10 +933,10 @@ func (bt *blockTree) rebind(op exec.Operator, i int) bool {
 		o.Table, o.Est, o.Reads = tab.t, tab.touch, tab.reads
 		return true
 	case *exec.IndexScan:
-		if tab.scanIndex == nil || !slices.Equal(tab.built, tab.scanIndex.Ords[:len(tab.scanKey)]) {
+		if tab.scanIndex == nil || !slices.Equal(tab.built, tab.scanIndex.Ords[:tab.scanCols]) {
 			return false
 		}
-		o.Table, o.Index, o.Key, o.Est, o.Reads = tab.t, tab.scanIndex, tab.scanKey, tab.touch, tab.reads
+		o.Table, o.Index, o.Key, o.Cols, o.Est, o.Reads = tab.t, tab.scanIndex, tab.scanKey, tab.scanCols, tab.touch, tab.reads
 		return true
 	case *exec.IndexNLJoin:
 		if st.index == nil || len(o.LeftOrds) != st.keyLen || !slices.Equal(tab.built, st.index.Ords[:st.keyLen]) {
@@ -977,8 +975,8 @@ func (b *block) construct(bt *blockTree, vals []rel.Value) (exec.Operator, error
 		tab, preds := &bt.tabs[ti], b.from[ti].preds
 		var op exec.Operator
 		if tab.scanIndex != nil {
-			op = &exec.IndexScan{Table: tab.t, Index: tab.scanIndex, Key: tab.scanKey, Est: tab.touch, Reads: tab.reads}
-			tab.built = tab.scanIndex.Ords[:len(tab.scanKey)]
+			op = &exec.IndexScan{Table: tab.t, Index: tab.scanIndex, Key: tab.scanKey, Cols: tab.scanCols, Est: tab.touch, Reads: tab.reads}
+			tab.built = tab.scanIndex.Ords[:tab.scanCols]
 		} else {
 			op = &exec.SeqScan{Table: tab.t, Est: tab.touch, Reads: tab.reads}
 			tab.built = nil

@@ -88,7 +88,7 @@ func (sh Shape) Create(t testing.TB, c *catalog.Catalog) {
 			}
 		}
 		for _, rid := range fillers {
-			if err := tb.DeleteRID(rid, filler); err != nil {
+			if err := tb.DeleteRID(rid, filler.Encode(nil)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -116,7 +116,12 @@ func Render(op exec.Operator) string {
 	case *exec.SeqScan:
 		return fmt.Sprintf("seq %s est=%g", v.Table.Name, v.Est)
 	case *exec.IndexScan:
-		return fmt.Sprintf("index %s[%s] key=%v est=%g", v.Table.Name, v.Index.Name, v.Key, v.Est)
+		// The key renders as the values it encodes.
+		key, err := rel.DecodeTuple(v.Key, v.Table.Schema.Project(v.Index.Ords[:v.Cols]))
+		if err != nil {
+			return fmt.Sprintf("index %s[%s] key: %v", v.Table.Name, v.Index.Name, err)
+		}
+		return fmt.Sprintf("index %s[%s] key=%v est=%g", v.Table.Name, v.Index.Name, key, v.Est)
 	case *exec.HashJoin:
 		return fmt.Sprintf("hash%v%v left=%v est=%g(%s, %s)", v.LeftOrds, v.RightOrds, v.BuildLeft, v.Est, Render(v.Left), Render(v.Right))
 	case *exec.NLJoin:

@@ -259,10 +259,8 @@ func TestParkedTreeRebinds(t *testing.T) {
 			if tab.t != nil || tab.scanIndex != nil || tab.via.index != nil {
 				t.Errorf("the parked scratch holds table %v, index %v, join index %v", tab.t, tab.scanIndex, tab.via.index)
 			}
-			for _, v := range tab.scanKey[:cap(tab.scanKey)] {
-				if v != (rel.Value{}) {
-					t.Errorf("the parked scratch holds probe key value %v", v)
-				}
+			if len(tab.scanKey) != 0 {
+				t.Errorf("the parked scratch holds probe key %x", tab.scanKey)
 			}
 		}
 	}

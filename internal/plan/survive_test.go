@@ -95,7 +95,7 @@ func churn(t *testing.T, tb *catalog.Table, round int) {
 		t.Fatal(err)
 	}
 	for _, r := range rows[:min(2, len(rows))] {
-		if err := tb.DeleteRID(r.rid, r.tu); err != nil {
+		if err := tb.DeleteRID(r.rid, r.tu.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -107,7 +107,7 @@ func TestOldSnapshotOutlivesCommits(t *testing.T) {
 		}); err != nil || !found {
 			t.Fatalf("commit %d: no row on page %d: %v", k, k%pages, err)
 		}
-		if err := nt.DeleteRID(victim, victimRow); err != nil {
+		if err := nt.DeleteRID(victim, victimRow.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 		if nt.Heap.Len() != pages+1 || nt.Heap.Written() != 1 {
@@ -189,7 +189,7 @@ func TestLongReaderHoldsItsOwnPages(t *testing.T) {
 		}); err != nil || victimRow == nil {
 			t.Fatalf("commit %d: no row on page 2: %v", k, err)
 		}
-		if err := nt.DeleteRID(victim, victimRow); err != nil {
+		if err := nt.DeleteRID(victim, victimRow.Encode(nil)); err != nil {
 			t.Fatal(err)
 		}
 		st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
@@ -286,14 +286,14 @@ func TestDropLeavesPinnedIndexes(t *testing.T) {
 	defer s.Release()
 	v, _ := s.ResolveTable("edb_a")
 	// state renders a version's index list and what each index holds:
-	// its keys, each with its number of rows, in key order.
+	// its postings, key by key, in key order.
 	state := func(tb *catalog.Table) string {
 		var b strings.Builder
 		for _, idx := range tb.Indexes {
 			h := fnv.New64a()
-			idx.Tree.AscendPrefix(nil, func(key rel.Tuple, rids []storage.RID) bool {
-				fmt.Fprintf(h, "%s×%d ", key, len(rids))
-				return true
+			idx.Tree.Postings(nil, func(rids []storage.RID) error {
+				fmt.Fprintf(h, "%v ", rids)
+				return nil
 			})
 			fmt.Fprintf(&b, "%s%v: %d rows under %d keys, digest %x\n", idx.Name, idx.Cols, idx.Tree.Len(), idx.Tree.DistinctKeys(), h.Sum64())
 		}
@@ -433,7 +433,7 @@ func TestReclaimInCommitOrderAcrossTables(t *testing.T) {
 			}); err != nil || !found {
 				t.Fatalf("commit %d: no row on page %d: %v", k, k%pages, err)
 			}
-			if err := nt.DeleteRID(victim, victimRow); err != nil {
+			if err := nt.DeleteRID(victim, victimRow.Encode(nil)); err != nil {
 				t.Fatal(err)
 			}
 			superseded++
