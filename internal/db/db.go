@@ -260,7 +260,7 @@ func (d *DB) QueryTracedCtx(ctx context.Context, stmt string, sp *obs.Span) (*Ro
 	if err != nil {
 		return nil, err
 	}
-	return d.runSelect(ctx, p, nil, nil, sp, false)
+	return d.runSelect(ctx, p, nil, nil, sp)
 }
 
 // parse parses one statement text, counted.
@@ -314,14 +314,13 @@ func (d *DB) InsertTuples(table string, tuples []rel.Tuple) error {
 	return nil
 }
 
-// operators plans one execution of p. A prepared statement's untraced
-// execution (reuse) takes the tree its last execution kept, re-bound
-// when the planner decides as it did then; hand t back with p.Release
-// after the drain. A traced execution, whose tree Instrument rewrites,
-// and an ad-hoc statement, which runs once, construct theirs, and t is
-// nil.
-func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) (op exec.Operator, t *plan.Tree, err error) {
-	if !reuse || sp != nil {
+// operators plans one execution of p. An untraced one takes the tree p
+// keeps, re-bound when the planner decides as it did the last time —
+// an ad-hoc statement's p is new, so its tree is constructed — and t is
+// handed back with p.Release after the drain. A traced execution, whose
+// tree Instrument rewrites, constructs its own, and t is nil.
+func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) (op exec.Operator, t *plan.Tree, err error) {
+	if sp != nil {
 		if op, err = p.Build(d, args, vals); err == nil {
 			d.stats.builds.Add(1)
 		}
@@ -339,11 +338,10 @@ func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value
 	return t.Root, t, nil
 }
 
-// runSelect plans and drains one execution of a prepared SELECT; reuse
-// is as in operators.
-func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) (*Rows, error) {
+// runSelect plans and drains one execution of a prepared SELECT.
+func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) (*Rows, error) {
 	var rows *Rows
-	err := d.drainSelect(p, args, vals, sp, reuse, func(op exec.Operator) error {
+	err := d.drainSelect(p, args, vals, sp, func(op exec.Operator) error {
 		tuples, err := exec.CollectOwned(ctx, op)
 		rows = &Rows{Schema: op.Schema(), Tuples: tuples}
 		return err
@@ -355,11 +353,11 @@ func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Ta
 }
 
 // drainSelect plans one execution of a prepared SELECT, counted as a
-// SELECT, and calls drain with its operator tree, instrumented under sp;
-// reuse is as in operators.
-func (d *DB) drainSelect(p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool, drain func(exec.Operator) error) error {
+// SELECT, and calls drain with its operator tree, instrumented under
+// sp.
+func (d *DB) drainSelect(p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, drain func(exec.Operator) error) error {
 	d.stats.selects.Add(1)
-	op, t, err := d.operators(p, args, vals, sp, reuse)
+	op, t, err := d.operators(p, args, vals, sp)
 	if err != nil {
 		return err
 	}
@@ -426,7 +424,7 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 		if err != nil {
 			return err
 		}
-		return d.insertSelect(ctx, t, p, nil, nil, sp, false)
+		return d.insertSelect(ctx, t, p, nil, nil, sp)
 	}
 	for _, row := range s.Rows {
 		tu := make(rel.Tuple, len(row))
@@ -447,8 +445,7 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 
 // insertSelect is the body of INSERT INTO t SELECT ...: one execution
 // of the prepared SELECT, its records written to t as they are (an
-// index's key is read from the record; nothing is decoded). reuse is as
-// in operators.
+// index's key is read from the record; nothing is decoded).
 //
 // The statement reads the state its SELECT starts from, a
 // statement-level snapshot: a deduplicating set operation has its whole
@@ -458,8 +455,8 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 // since a scan passes records on as it reads them and a
 // self-referential INSERT would otherwise read its own writes. ctx is
 // observed up to the first write: a cancelled INSERT writes nothing.
-func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span, reuse bool) error {
-	op, tree, err := d.operators(p, args, vals, sp, reuse)
+func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) error {
+	op, tree, err := d.operators(p, args, vals, sp)
 	if err != nil {
 		return err
 	}

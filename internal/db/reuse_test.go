@@ -251,7 +251,7 @@ func lfpRebinds(t *testing.T, indexed bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkKept(t, d, st.sel, args, nil, false, strings.Join(tables, ", "))
+		checkKept(t, d, &st.sel, args, nil, false, strings.Join(tables, ", "))
 		if st.insert {
 			err = st.Exec(ctx, nil, nil, tables...)
 		} else {

@@ -15,38 +15,33 @@ import (
 // Stmt is a handle on a prepared SELECT or INSERT ... SELECT: parsed
 // and bound to schemas once, planned per execution against the tables'
 // state of that moment — the testbed's analog of the paper's
-// precompiled embedded SQL. An untraced execution whose planning decides
-// as the last one's did re-binds that execution's operator tree — to
-// its tables and its ?n values — instead of constructing one
-// (plan.Prepared.Acquire). The handle holds the tree while it is in
-// use; the statement owns it: a handle's first execution takes the tree
-// parked on the statement by a handle before it, and Park leaves it
-// there again, shed of its tables and working memory, for the next (see
-// Prepare). Table positions (FROM
+// precompiled embedded SQL. The statement keeps one operator tree,
+// which every handle on it and every view On them executes through: an
+// untraced execution whose planning decides as the tree's last one did
+// re-binds that tree — to its tables and its ?n values — instead of
+// constructing one, and an execution that finds the tree held by a
+// concurrent one constructs a tree of its own, which is not kept
+// (plan.Prepared.Acquire). Shed empties the tree of its tables and
+// working memory between the runs that use it. Table positions (FROM
 // entries, the INSERT target) may be parameters $1..$n, each with a
 // declared schema; an execution names the table standing at each.
 // Literals compared with a column may be value parameters ?1..?m, typed
 // by that column; an execution supplies their values. A Stmt is safe
-// for concurrent use, also across the views On returns, which share its
-// plan and its kept tree; executions are counted and traced exactly as
-// the same statement run through Exec or Query with the values written
-// in as literals.
+// for concurrent use; executions are counted and traced exactly as the
+// same statement run through Exec or Query with the values written in
+// as literals.
 type Stmt struct {
 	d *DB
 	*prepared
-	// sel is the SELECT with the operator tree the handle keeps.
-	sel *plan.Prepared
 }
 
 // prepared is what Prepare settles for one statement text and parameter
-// schemas, shared by every handle on it and immutable but for the
-// parked tree.
+// schemas, shared by every handle on it and immutable but for the kept
+// tree.
 type prepared struct {
 	params []*rel.Schema
-	query  *plan.Analyzed
-	// slot is where handles park the statement's operator tree between
-	// runs (Stmt.Park).
-	slot plan.TreeSlot
+	// sel is the SELECT with the statement's kept operator tree.
+	sel plan.Prepared
 	// next is the cached entry of the same text with other parameter
 	// schemas (stmtCache).
 	next *prepared
@@ -69,14 +64,14 @@ type prepared struct {
 // kept, found by the text and the parameters' schemas compared by
 // structure, and a later Prepare of the same returns a new handle on it
 // without parsing or rendering a key. The cache keeps no table and no
-// view, only schemas, the plan and the statement's parked operator tree
-// (shed of every table, Stmt.Park), and holds at most MaxCachedStmts
-// statements, emptied when full. A statement naming a table is
-// prepared anew each time: the table a name stands for may be dropped
-// and created with another schema.
+// view, only schemas, the plan and the statement's operator tree (shed
+// of every table between runs, Stmt.Shed), and holds at most
+// MaxCachedStmts statements, emptied when full. A statement naming a
+// table is prepared anew each time: the table a name stands for may be
+// dropped and created with another schema.
 func (d *DB) Prepare(stmt string, params ...*rel.Schema) (*Stmt, error) {
 	if p := d.stmts.load(stmt, params); p != nil {
-		return d.handle(p), nil
+		return &Stmt{d: d, prepared: p}, nil
 	}
 	p, cache, err := d.prepare(stmt, params)
 	if err != nil {
@@ -85,38 +80,16 @@ func (d *DB) Prepare(stmt string, params ...*rel.Schema) (*Stmt, error) {
 	if cache {
 		p = d.stmts.store(stmt, p)
 	}
-	return d.handle(p), nil
+	return &Stmt{d: d, prepared: p}, nil
 }
 
-// StmtID identifies a prepared statement: handles with one StmtID are
-// on one statement, prepared once, and share its parked tree.
-type StmtID struct{ p *prepared }
-
-// ID identifies the statement s is a handle on. Prepares of one text
-// with parameter schemas equal by structure return handles with one ID
-// while the statement is cached.
-func (s *Stmt) ID() StmtID { return StmtID{s.prepared} }
-
-// handle returns a new handle on p, with no tree kept yet: its first
-// execution takes the one parked on p, if any. The handle and the
-// plan.Prepared it keeps the tree in are one allocation.
-func (d *DB) handle(p *prepared) *Stmt {
-	h := &struct {
-		Stmt
-		sel plan.Prepared
-	}{Stmt: Stmt{d: d, prepared: p}, sel: plan.Prepared{Analyzed: p.query, Slot: &p.slot}}
-	h.Stmt.sel = &h.sel
-	return &h.Stmt
-}
-
-// Park ends the handle's hold on the statement's operator tree: shed of
-// its tables, indexes, probe keys, values and working memory
-// (plan.Prepared.Park), the tree is parked on the statement for the
-// next handle's first execution, unless one is parked there already. A
-// caller parks a handle when it is done with it — the run-time library
-// when a run ends — and may still use it: its next execution then
-// starts as a first one. Views On s share the tree and park it with s.
-func (s *Stmt) Park() { s.sel.Park() }
+// Shed empties the statement's operator tree of its tables, indexes,
+// probe keys, values and working memory (plan.Prepared.Shed), unless
+// an execution holds it. A caller sheds a statement when it is done
+// with it for now — the run-time library when a run ends — and may
+// still use it: its next execution re-binds the shed tree. Every
+// handle on the statement shares the tree, so one sheds it for all.
+func (s *Stmt) Shed() { s.sel.Shed() }
 
 // prepare parses and analyzes stmt on the root database; cache reports
 // that every table of it is a parameter.
@@ -144,10 +117,10 @@ func (d *DB) prepare(stmt string, params []*rel.Schema) (p *prepared, cache bool
 	if sel == nil {
 		return nil, false, fmt.Errorf("db: Prepare takes a SELECT, an INSERT ... SELECT or a DELETE ... WHERE, got %T", st)
 	}
-	if p.query, err = plan.Analyze(d.cat, sel, params); err != nil {
+	if p.sel.Analyzed, err = plan.Analyze(d.cat, sel, params); err != nil {
 		return nil, false, err
 	}
-	return p, !p.query.NamesTables() && (!p.insert || p.intoParam > 0), nil
+	return p, !p.sel.NamesTables() && (!p.insert || p.intoParam > 0), nil
 }
 
 // On returns the statement executing on v, which is the database s was
@@ -194,7 +167,7 @@ func (s *Stmt) Query(ctx context.Context, sp *obs.Span, vals []rel.Value, tables
 	if err != nil {
 		return nil, err
 	}
-	return s.d.runSelect(ctx, s.sel, args, vals, sp, true)
+	return s.d.runSelect(ctx, &s.sel, args, vals, sp)
 }
 
 // AppendRows executes a prepared SELECT as Query does and appends its
@@ -210,7 +183,7 @@ func (s *Stmt) AppendRows(ctx context.Context, sp *obs.Span, buf []byte, vals []
 	if err != nil {
 		return nil, err
 	}
-	err = s.d.drainSelect(s.sel, args, vals, sp, true, func(op exec.Operator) (err error) {
+	err = s.d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) (err error) {
 		buf, err = exec.AppendRows(ctx, op, buf)
 		return err
 	})
@@ -228,7 +201,7 @@ func (s *Stmt) delete(vals []rel.Value, sp *obs.Span) error {
 	if t == nil {
 		return fmt.Errorf("db: no table %s", s.into)
 	}
-	op, tree, err := s.d.operators(s.sel, nil, vals, sp, true)
+	op, tree, err := s.d.operators(&s.sel, nil, vals, sp)
 	if err != nil {
 		return err
 	}
@@ -281,5 +254,5 @@ func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, vals []rel.Value, tables 
 	if t == nil {
 		return fmt.Errorf("db: no table %s", name)
 	}
-	return s.d.insertSelect(ctx, t, s.sel, args, vals, sp, true)
+	return s.d.insertSelect(ctx, t, &s.sel, args, vals, sp)
 }

@@ -346,10 +346,9 @@ func TestTypedDDL(t *testing.T) {
 // TestPrepareHitAllocs: a Prepare the statement cache answers renders
 // no key — it finds the entry by text and compares the parameter
 // schemas by structure — and allocates only the handle it returns, one
-// object holding the Stmt and the plan.Prepared its tree is kept in.
-// The text is cached under two lists of parameter schemas, and the
-// hit's schemas are equal to the cached ones without being the same
-// objects.
+// object of two words: the database and the statement. The text is
+// cached under two lists of parameter schemas, and the hit's schemas
+// are equal to the cached ones without being the same objects.
 func TestPrepareHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -375,7 +374,7 @@ func TestPrepareHitAllocs(t *testing.T) {
 	if n := d.StatsSnapshot().Parses - parses; n != 0 {
 		t.Errorf("cached Prepares parsed %d statements", n)
 	}
-	if want := mustPrepare(t, d, text, parentSchema, parentSchema, parentSchema); st.ID() != want.ID() || d.CachedStatements() != 2 {
+	if want := mustPrepare(t, d, text, parentSchema, parentSchema, parentSchema); st.prepared != want.prepared || d.CachedStatements() != 2 {
 		t.Errorf("the hit is on another statement than the text's for (par, chd), or %d statements are cached, want 2", d.CachedStatements())
 	}
 }

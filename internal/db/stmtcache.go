@@ -9,8 +9,8 @@ import (
 
 // MaxCachedStmts bounds the statements a database keeps prepared. The
 // plan of a two-table differential — INSERT, join, two EXCEPTs — holds
-// about 2 KiB, and the shed operator tree parked with it (Stmt.Park)
-// 1–2 KiB more, so a cache full of them holds about 1 MiB. An
+// about 2 KiB, and the operator tree kept with it, shed between runs
+// (Stmt.Shed), 1–2 KiB more, so a cache full of them holds about 1 MiB. An
 // evaluation prepares a handful of distinct statements and the
 // run-time library's forms repeat across programs, so a workload fills
 // the cache only by compiling that many distinct rule shapes.

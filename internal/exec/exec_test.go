@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -40,7 +41,7 @@ func cat(t *testing.T) *catalog.Catalog {
 
 func collect(t *testing.T, op Operator) []rel.Tuple {
 	t.Helper()
-	out, err := Collect(op)
+	out, err := CollectOwned(context.Background(), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +49,8 @@ func collect(t *testing.T, op Operator) []rel.Tuple {
 }
 
 // TestSeqScanSnapshot: a scan passes on records as it reads them, so a
-// statement's snapshot is taken at its root — Collect decodes the whole
-// result before returning it. Rows collected before an insert keep
+// statement's snapshot is taken at its root — CollectOwned decodes the
+// whole result before returning it. Rows collected before an insert keep
 // their values after it; a consumer that inserts while the scan runs
 // would read its own writes, which is why an INSERT ... SELECT that is
 // not a set operation or a scan of another table collects its records
@@ -344,7 +345,7 @@ func BenchmarkHashJoinVsIndexJoin(b *testing.B) {
 	b.Run("hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := &HashJoin{Left: &SeqScan{Table: small}, Right: &SeqScan{Table: big}, LeftOrds: []int{1}, RightOrds: []int{0}}
-			if _, err := Collect(j); err != nil {
+			if _, err := CollectOwned(context.Background(), j); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -352,21 +353,21 @@ func BenchmarkHashJoinVsIndexJoin(b *testing.B) {
 	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := &IndexNLJoin{Left: &SeqScan{Table: small}, Right: big, Index: idx, LeftOrds: []int{1}}
-			if _, err := Collect(j); err != nil {
+			if _, err := CollectOwned(context.Background(), j); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-func ExampleRun() {
+func ExampleCollectOwned() {
 	c, _ := catalog.Open(storage.NewMemPager(64))
 	tb, _ := c.CreateTable("e", rel.MustSchema(rel.Column{Name: "a", Type: rel.TypeInt}), false)
 	tb.Insert(rel.Tuple{rel.NewInt(7)})
-	_ = Run(&SeqScan{Table: tb}, func(tu rel.Tuple) error {
+	rows, _ := CollectOwned(context.Background(), &SeqScan{Table: tb})
+	for _, tu := range rows {
 		fmt.Println(tu)
-		return nil
-	})
+	}
 	// Output: (7)
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -32,7 +33,7 @@ func pairsTable(t *testing.T, c *catalog.Catalog, name string, from, to int64) *
 func allocsOf(t *testing.T, mk func() Operator) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(20, func() {
-		if err := Run(mk(), func(rel.Tuple) error { return nil }); err != nil {
+		if _, err := CollectOwned(context.Background(), mk()); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -16,14 +16,15 @@ import (
 // DISTINCT's seen records — it copies into an arena, and identity is
 // one byte-keyed hash table over it, keyTable. Nothing is pooled
 // between trees, but a tree keeps its working memory from one execution
-// to the next: a prepared statement's kept tree resets its key tables,
-// arenas and sets and fills them again. What a pass keeps is the memory
-// it used: a buffer Outgrown by that pass (rel.Outgrown, more than four
-// times its use plus 1 KiB) is released when the pass ends. Rows are
-// decoded once, at the statement's root, into a block of their own
-// (CollectOwned).
+// to the next: the one tree a prepared statement keeps resets its key
+// tables, arenas and sets and fills them again, whichever caller
+// executes it, until the runs using the statement end and shed it
+// (Shed). What a pass keeps is the memory it used: a buffer Outgrown by
+// that pass (rel.Outgrown, more than four times its use plus 1 KiB) is
+// released when the pass ends. Rows are decoded once, at the
+// statement's root, into a block of their own (CollectOwned).
 
-// Shed empties a tree for parking between the runs of its statement:
+// Shed empties a tree between the runs of its statement:
 // every operator of it lets go of the working memory it kept (key
 // tables, sets, arenas, record buffers) and of the tables, indexes,
 // probe keys and read recorder it was bound to. What remains is the

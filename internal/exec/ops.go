@@ -33,24 +33,6 @@ type Operator interface {
 	ScanRecords(fn func(rec []byte) error) error
 }
 
-// Run runs one pass of op and calls fn with each of its rows, decoded
-// as Collect decodes them.
-func Run(op Operator, fn func(tu rel.Tuple) error) error {
-	rows, err := Collect(op)
-	for _, tu := range rows {
-		if err != nil {
-			break
-		}
-		err = fn(tu)
-	}
-	return err
-}
-
-// Collect runs one pass of op and returns its rows (CollectOwned).
-func Collect(op Operator) ([]rel.Tuple, error) {
-	return CollectOwned(context.Background(), op)
-}
-
 // CollectOwned runs one pass of op, observing ctx between records, and
 // decodes its rows once, into one block of their own (rel.Records.Decode):
 // a caller may keep them past the statement. A set operation's result

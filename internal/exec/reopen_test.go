@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"regexp"
@@ -205,8 +206,8 @@ func TestOperatorsReopen(t *testing.T) {
 
 	// pass runs op and renders its rows.
 	pass := func(op Operator) string {
-		var rows []string
-		if err := Run(op, func(tu rel.Tuple) error { rows = append(rows, tu.String()); return nil }); err != nil {
+		rows, err := CollectOwned(context.Background(), op)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprint(rows)
@@ -258,7 +259,7 @@ func TestKeptTreeMemoryBounded(t *testing.T) {
 	tabs := map[*catalog.Table]*catalog.Table{lBig: l, rBig: r}
 	idxs := map[*catalog.Index]*catalog.Index{idxBig: idx}
 	run := func(op Operator) {
-		if _, err := Collect(op); err != nil {
+		if _, err := CollectOwned(context.Background(), op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,7 +355,7 @@ func held(op Operator) []string {
 
 // bindLike points every table, index and probe key of op at those of
 // ref, a tree of the same shape: what the planner's re-bind does for a
-// parked tree.
+// shed tree.
 func bindLike(op, ref Operator) {
 	switch o := op.(type) {
 	case *SeqScan:
@@ -386,8 +387,8 @@ func bindLike(op, ref Operator) {
 	}
 }
 
-// TestShedTreesHoldNothing: a tree shed for parking between the runs
-// of its statement (Shed) holds, in every operator of every kind, no
+// TestShedTreesHoldNothing: a tree shed between the runs of its
+// statement (Shed) holds, in every operator of every kind, no
 // buffer — key table, set, record arena, record buffer, column reader
 // or list — and no table, index or probe key: only operators,
 // predicates and decisions. Each case is shed after two passes, which
@@ -400,8 +401,8 @@ func TestShedTreesHoldNothing(t *testing.T) {
 	l1, r1, idx1 := reopenTables(t, c, 1, 40)
 	l2, r2, idx2 := reopenTables(t, c, 2, 70)
 	pass := func(op Operator) string {
-		var rows []string
-		if err := Run(op, func(tu rel.Tuple) error { rows = append(rows, tu.String()); return nil }); err != nil {
+		rows, err := CollectOwned(context.Background(), op)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprint(rows)

@@ -32,7 +32,7 @@ type tableInfo struct {
 	// built are the leading index columns of the IndexScan or index
 	// join the kept tree reads the table through, nil for a SeqScan or
 	// hash join side: the decision its operator was constructed from,
-	// which re-binding compares and parking keeps.
+	// which re-binding compares and shedding keeps.
 	built []int
 
 	// via is the step attaching the table to the tables before it in

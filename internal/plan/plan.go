@@ -33,12 +33,10 @@
 // of the statement's last execution does not construct:
 // (*Prepared).Acquire re-binds the operator tree that execution handed
 // back to the new tables, indexes, estimates and values, and the tree
-// equals the one (*Analyzed).Build would construct. What Analyze
-// settles is immutable, so any number of Prepared — each an Analyzed
-// with the tree its holder keeps — share one, and the trees they keep
-// outlive them through a TreeSlot: Park sheds a tree's working memory
-// and bindings and leaves it there for the next Prepared on the
-// statement.
+// equals the one (*Analyzed).Build would construct. A Prepared keeps
+// one tree for all its callers, and Shed empties it of its tables,
+// values and working memory between the runs that use it: the
+// operators and decisions stay for the next execution to re-bind.
 //
 // The cost of a join is the rows it must touch, and the join method
 // falls out of the same cost (P is the running prefix, touch(T) the rows
@@ -99,20 +97,16 @@ type Analyzed struct {
 	values []rel.Type
 }
 
-// Prepared is an Analyzed with the operator tree its holder keeps
-// between executions through Acquire, which one execution at a time
-// takes under an atomic flag: Build, Acquire and Park are safe for
-// concurrent use. Handles over one Analyzed keep a tree each; with a
-// Slot they hand it on from one to the next (Park).
+// Prepared is an Analyzed with the operator tree kept between its
+// executions, which one execution at a time takes under an atomic flag
+// (Acquire); an execution that finds it held plans a tree of its own,
+// which is not kept. Build, Acquire and Shed are safe for concurrent
+// use.
 type Prepared struct {
 	*Analyzed
-	// Slot, when set, is the statement's parked tree: a first kept
-	// execution takes it instead of constructing one, and Park leaves
-	// the tree there.
-	Slot *TreeSlot
 
-	// tree is the operator tree kept between executions through
-	// Acquire; busy is set while one holds it.
+	// tree is the operator tree kept between executions; busy is set
+	// while one holds it.
 	busy atomic.Bool
 	tree Tree
 }
@@ -127,34 +121,6 @@ type Tree struct {
 	// vals is the tree's own copy of the values bound to ?1..?n, which
 	// Root's exec.Params read: each execution overwrites it in place.
 	vals []rel.Value
-}
-
-// TreeSlot holds at most one parked tree of a statement between the
-// runs that use it. A parked tree is shed (Park): it holds operators,
-// predicates and decisions, and no table, index, probe key, value or
-// working memory. The slot is taken under an atomic flag, as a kept
-// tree is: whoever finds it held goes on as if it were empty.
-type TreeSlot struct {
-	busy atomic.Bool
-	tree Tree
-}
-
-// take moves the parked tree, if any, into t, which is empty.
-func (s *TreeSlot) take(t *Tree) {
-	if s.busy.CompareAndSwap(false, true) {
-		*t, s.tree = s.tree, Tree{}
-		s.busy.Store(false)
-	}
-}
-
-// put parks t unless a tree is parked already; then t is dropped.
-func (s *TreeSlot) put(t Tree) {
-	if s.busy.CompareAndSwap(false, true) {
-		if s.tree.blocks == nil {
-			s.tree = t
-		}
-		s.busy.Store(false)
-	}
 }
 
 // blockTree is one block's part of a Tree: the operators constructed
@@ -332,22 +298,19 @@ func (p *Analyzed) Build(cat TableSource, args []*catalog.Table, vals []rel.Valu
 }
 
 // Acquire plans one execution as Build does, into the tree p keeps
-// between executions — on its first, the tree parked in p.Slot if there
-// is one. When this execution decides exactly as the tree's last one
-// did — join order, access paths, join methods — the tree is not
-// constructed again but re-bound to this execution's tables, indexes,
-// estimates and values, and reused reports it. The caller drains
-// t.Root and then hands t back with Release, also after an error; the
-// records it keeps it copies or decodes first (exec.CollectOwned),
-// since they alias the tree's buffers and pinned pages (exec.Operator).
-// An execution that finds the kept tree held by a concurrent one plans
-// a tree of its own, which is not kept.
+// between executions. When this execution decides exactly as the
+// tree's last one did — join order, access paths, join methods — the
+// tree is not constructed again but re-bound to this execution's
+// tables, indexes, estimates and values, and reused reports it. The
+// caller drains t.Root and then hands t back with Release, also after
+// an error; the records it keeps it copies or decodes first
+// (exec.CollectOwned), since they alias the tree's buffers and pinned
+// pages (exec.Operator). An execution that finds the kept tree held by
+// a concurrent one plans a tree of its own, which is not kept.
 func (p *Prepared) Acquire(cat TableSource, args []*catalog.Table, vals []rel.Value) (t *Tree, reused bool, err error) {
 	t = &p.tree
 	if !p.busy.CompareAndSwap(false, true) {
 		t = new(Tree)
-	} else if t.blocks == nil && p.Slot != nil {
-		p.Slot.take(t)
 	}
 	if reused, err = p.plan(t, cat, args, vals); err != nil {
 		p.Release(t)
@@ -364,28 +327,20 @@ func (p *Prepared) Release(t *Tree) {
 	}
 }
 
-// Park ends p's hold on its kept tree: the tree is shed — its
-// operators let go of their working memory (exec.Shed), and its
-// operators and scratch of the tables, indexes, probe keys and values
-// they were bound to — and left in p.Slot for the next Prepared on the
-// statement, unless a tree is parked there already. A tree held by an
-// execution is left to it. p keeps working: its next execution starts
-// as a first one.
-func (p *Prepared) Park() {
-	if !p.busy.CompareAndSwap(false, true) {
-		return
+// Shed empties p's kept tree: its operators let go of their working
+// memory (exec.Shed), and its operators and scratch of the tables,
+// indexes, probe keys and values they were bound to. A tree held by an
+// execution is left to it. p keeps working: its next execution
+// re-binds the shed tree when it decides as the tree's last execution
+// did.
+func (p *Prepared) Shed() {
+	if p.busy.CompareAndSwap(false, true) {
+		p.tree.shed()
+		p.busy.Store(false)
 	}
-	t := p.tree
-	p.tree = Tree{}
-	p.busy.Store(false)
-	if t.blocks == nil || p.Slot == nil {
-		return
-	}
-	t.shed()
-	p.Slot.put(t)
 }
 
-// shed empties t for parking: see Park.
+// shed empties t: see Shed.
 func (t *Tree) shed() {
 	if t.Root != nil {
 		exec.Shed(t.Root)

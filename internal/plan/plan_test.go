@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -212,7 +213,7 @@ func TestPlanResultsIdenticalAcrossJoinStrategies(t *testing.T) {
 			}
 		}
 		op := build(t, c, "SELECT s.a, g.b FROM small s, big g WHERE s.a = g.a")
-		rows, err := exec.Collect(op)
+		rows, err := exec.CollectOwned(context.Background(), op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +295,7 @@ func TestPlanManyTablesChain(t *testing.T) {
 		addTable(t, c, fmt.Sprintf("t%d", i), 30+10*i)
 	}
 	q := "SELECT t0.a FROM t0, t1, t2, t3, t4 WHERE t0.b = t1.b AND t1.b = t2.b AND t2.b = t3.b AND t3.b = t4.b AND t0.a = 3"
-	rows, err := exec.Collect(build(t, c, q))
+	rows, err := exec.CollectOwned(context.Background(), build(t, c, q))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,7 +19,7 @@ import (
 // sortedRows runs a built plan and renders its rows, sorted.
 func sortedRows(t *testing.T, op exec.Operator, sh any) []string {
 	t.Helper()
-	rows, err := exec.Collect(op)
+	rows, err := exec.CollectOwned(context.Background(), op)
 	if err != nil {
 		t.Fatalf("run: %v\n%v", err, sh)
 	}
@@ -242,7 +243,7 @@ func TestPreparedConcurrentBuild(t *testing.T) {
 		if err != nil {
 			return 0, err
 		}
-		rows, err := exec.Collect(op)
+		rows, err := exec.CollectOwned(context.Background(), op)
 		return len(rows), err
 	}
 	bindings := [][]*catalog.Table{{small, big}, {big, small}}

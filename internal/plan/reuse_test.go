@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -166,15 +167,13 @@ func TestKeptTreeExecAllocs(t *testing.T) {
 	}
 }
 
-// TestParkedTreeRebinds: Park sheds the tree a Prepared keeps and
-// leaves it in the statement's slot — holding no table, index, probe
-// key or value, in its operators or in its scratch — and the next
-// Prepared on the statement takes it on its first execution and
-// re-binds it, to other tables' state and another ?1, as the tree Build
-// constructs. The slot holds one tree: a second Park while it is full
-// drops its tree, and a Park of a Prepared that keeps none leaves the
-// slot as it is.
-func TestParkedTreeRebinds(t *testing.T) {
+// TestShedTreeRebinds: Shed empties the tree a Prepared keeps — it
+// holds no table, index, probe key or value, in its operators or in its
+// scratch — and the next execution re-binds it, to other tables' state
+// and another ?1, as the tree Build constructs. A Shed while an
+// execution holds the tree leaves that tree alone, and a Shed of a
+// Prepared that keeps no tree does nothing.
+func TestShedTreeRebinds(t *testing.T) {
 	c := setup(t)
 	e := addTable(t, c, "e", 500)
 	addTable(t, c, "d", 20)
@@ -189,36 +188,66 @@ func TestParkedTreeRebinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slot := new(TreeSlot)
-	run := func(p *Prepared, v int64) (reused bool, root exec.Operator) {
+	(&Prepared{Analyzed: a}).Shed()
+	p := &Prepared{Analyzed: a}
+	// acquire takes p's tree for ?1 = v and checks it renders as the
+	// tree Build constructs; the caller drains and releases it.
+	acquire := func(v int64) (tr *Tree, reused bool, fresh exec.Operator) {
 		t.Helper()
 		vals := []rel.Value{rel.NewInt(v)}
 		tr, reused, err := p.Acquire(c, nil, vals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Release(tr)
-		fresh, err := a.Build(c, nil, vals)
-		if err != nil {
+		if fresh, err = a.Build(c, nil, vals); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := plantest.Render(tr.Root), plantest.Render(fresh); got != want {
 			t.Fatalf("?1 = %d, re-bound=%v: the tree\n%s\nis not the fresh one\n%s", v, reused, got, want)
 		}
+		return tr, reused, fresh
+	}
+	run := func(v int64) (reused bool, root exec.Operator) {
+		t.Helper()
+		tr, reused, _ := acquire(v)
+		defer p.Release(tr)
 		if _, err := exec.CollectOwned(context.Background(), tr.Root); err != nil {
 			t.Fatal(err)
 		}
 		return reused, tr.Root
 	}
 
-	first := &Prepared{Analyzed: a, Slot: slot}
-	if reused, _ := run(first, 3); reused {
-		t.Fatal("a first execution with no tree parked re-bound one")
+	if reused, _ := run(3); reused {
+		t.Fatal("a first execution re-bound a tree")
 	}
-	first.Park()
-	parked := slot.tree
-	if parked.Root == nil {
-		t.Fatal("Park left no tree in the slot")
+
+	// A Shed while an execution holds the tree leaves the tree bound.
+	tr, _, fresh := acquire(5)
+	p.Shed()
+	for _, bt := range tr.blocks {
+		for _, tab := range bt.tabs {
+			if tab.t == nil {
+				t.Error("a Shed while an execution held the tree unbound a table")
+			}
+		}
+	}
+	got, err := exec.CollectOwned(context.Background(), tr.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exec.CollectOwned(context.Background(), fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("the held tree drained %v after a Shed, the fresh one %v", got, want)
+	}
+	p.Release(tr)
+
+	p.Shed()
+	shed := p.tree.Root
+	if shed == nil {
+		t.Fatal("Shed dropped the tree")
 	}
 	var scans int
 	var check func(op exec.Operator)
@@ -227,16 +256,16 @@ func TestParkedTreeRebinds(t *testing.T) {
 		case *exec.SeqScan:
 			scans++
 			if o.Table != nil {
-				t.Errorf("a parked SeqScan holds table %s", o.Table.Name)
+				t.Errorf("a shed SeqScan holds table %s", o.Table.Name)
 			}
 		case *exec.IndexScan:
 			scans++
 			if o.Table != nil || o.Index != nil || o.Key != nil {
-				t.Errorf("a parked IndexScan holds table %v, index %v, key %v", o.Table, o.Index, o.Key)
+				t.Errorf("a shed IndexScan holds table %v, index %v, key %v", o.Table, o.Index, o.Key)
 			}
 		case *exec.IndexNLJoin:
 			if o.Right != nil || o.Index != nil {
-				t.Errorf("a parked index join holds table %v, index %v", o.Right, o.Index)
+				t.Errorf("a shed index join holds table %v, index %v", o.Right, o.Index)
 			}
 			check(o.Left)
 		case *exec.HashJoin:
@@ -250,44 +279,34 @@ func TestParkedTreeRebinds(t *testing.T) {
 			check(o.Input)
 		}
 	}
-	check(parked.Root)
+	check(shed)
 	if scans != 2 {
-		t.Errorf("checked %d scans of the parked tree, want 2:\n%s", scans, plantest.Render(parked.Root))
+		t.Errorf("checked %d scans of the shed tree, want 2:\n%s", scans, plantest.Render(shed))
 	}
-	for _, bt := range parked.blocks {
+	for _, bt := range p.tree.blocks {
 		for _, tab := range bt.tabs {
 			if tab.t != nil || tab.scanIndex != nil || tab.via.index != nil {
-				t.Errorf("the parked scratch holds table %v, index %v, join index %v", tab.t, tab.scanIndex, tab.via.index)
+				t.Errorf("the shed scratch holds table %v, index %v, join index %v", tab.t, tab.scanIndex, tab.via.index)
 			}
 			if len(tab.scanKey) != 0 {
-				t.Errorf("the parked scratch holds probe key %x", tab.scanKey)
+				t.Errorf("the shed scratch holds probe key %x", tab.scanKey)
 			}
 		}
 	}
-	for _, v := range parked.vals {
+	for _, v := range p.tree.vals {
 		if v.Int != 0 || v.Str != "" {
-			t.Errorf("the parked tree holds value %v", v)
+			t.Errorf("the shed tree holds value %v", v)
 		}
 	}
 
-	// The next Prepared takes it, over a grown table and with another ?1.
+	// The next execution re-binds it, over a grown table and with
+	// another ?1.
 	for i := 500; i < 600; i++ {
 		if _, err := e.Insert(rel.Tuple{rel.NewInt(int64(i)), rel.NewInt(int64(i % 10))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	second := &Prepared{Analyzed: a, Slot: slot}
-	if reused, root := run(second, 7); !reused || root != parked.Root || slot.tree.blocks != nil {
-		t.Fatalf("the first execution of the next Prepared: re-bound=%v, the parked tree=%v, slot emptied=%v", reused, root == parked.Root, slot.tree.blocks == nil)
-	}
-	third := &Prepared{Analyzed: a, Slot: slot}
-	if reused, _ := run(third, 9); reused {
-		t.Fatal("a first execution re-bound a tree while the slot was empty")
-	}
-	second.Park()
-	third.Park()
-	first.Park()
-	if slot.tree.Root != parked.Root {
-		t.Error("a Park into a full slot, or of a Prepared keeping no tree, replaced the parked tree")
+	if reused, root := run(7); !reused || root != shed {
+		t.Fatalf("the execution after Shed: re-bound=%v, the shed tree=%v", reused, root == shed)
 	}
 }

@@ -16,37 +16,34 @@ import (
 // (db.Prepare keeps its plan, found by text and parameter schemas), so
 // a run parses nothing that an earlier run — of this program or of any
 // other whose rules read alike, as every magic-set program for
-// ancestor(c, Y) does whatever c is — already prepared. The run holds
-// one handle per distinct statement, however many of its nodes and
-// rules use it, and each handle keeps the operator tree of its last
-// execution, which the next re-binds — to its tables and its ?n values —
-// when the planner decides as before (plan.Prepared.Acquire); so the
-// rounds of the run — and a rule's differentials within a round —
-// rebind one statement instead of rendering and parsing a new one. This
-// is the paper's object program: embedded SQL precompiled once, then
-// driven by the LFP loop. A kept tree also keeps its working memory:
-// the record arenas and key tables of its hash joins, nested-loop joins
-// and DISTINCTs, and the sets of its set operations, which the next
-// execution resets and fills again. Records pass through the tree
-// valid only for the call that passes them, and every row the run is
-// handed (Query's results) is decoded once, at the root, into a block
-// of its own; an INSERT writes the records as they come. During the run
-// a tree pins its last execution's tables and the memory that
-// execution used (rel.Outgrown bounds what it keeps beyond that). The
-// handles live as long as the run that made them; the trees outlive
-// it: Close, when the run ends, parks each handle's tree on its
-// statement (db.Stmt.Park), shed of its tables, indexes, probe keys,
-// values and all that working memory (exec.Shed), and the next run's
-// first execution of the statement re-binds it instead of constructing
-// one. Nothing is kept on the compiled program.
+// ancestor(c, Y) does whatever c is — already prepared. Each statement
+// keeps the operator tree of its last execution, which the next
+// re-binds — to its tables and its ?n values — when the planner decides
+// as before (plan.Prepared.Acquire), whichever of the run's nodes and
+// rules, or of concurrent runs, executes it; so the rounds of the run —
+// and a rule's differentials within a round — rebind one statement
+// instead of rendering and parsing a new one. This is the paper's
+// object program: embedded SQL precompiled once, then driven by the LFP
+// loop. A kept tree also keeps its working memory: the record arenas
+// and key tables of its hash joins, nested-loop joins and DISTINCTs,
+// and the sets of its set operations, which the next execution resets
+// and fills again. Records pass through the tree valid only for the
+// call that passes them, and every row the run is handed (Query's
+// results) is decoded once, at the root, into a block of its own; an
+// INSERT writes the records as they come. During the run a tree pins
+// its last execution's tables and the memory that execution used
+// (rel.Outgrown bounds what it keeps beyond that). Close, when the run
+// ends, sheds each statement the run used (db.Stmt.Shed) of its tables,
+// indexes, probe keys, values and all that working memory (exec.Shed),
+// and the next run's first execution of the statement re-binds the shed
+// tree instead of constructing one. Nothing is kept on the compiled
+// program.
 type Statements struct {
 	d       *db.DB
 	schemas map[string]*rel.Schema
 
-	// uses maps each use to its handle, and keys each statement's
-	// db.Stmt.ID to the handle every use of it shares.
+	// uses maps each use to its statement.
 	uses map[useKey]*db.Stmt
-	keys map[db.StmtID]*db.Stmt
 }
 
 // useKey identifies a use of a statement in the run: a rule in one
@@ -60,7 +57,7 @@ type useKey struct {
 // newStatements returns an empty set over d. schemas holds the derived
 // predicates' schemas; a base predicate has its extensional table's.
 func newStatements(d *db.DB, schemas map[string]*rel.Schema) *Statements {
-	return &Statements{d: d, schemas: schemas, uses: make(map[useKey]*db.Stmt), keys: make(map[db.StmtID]*db.Stmt)}
+	return &Statements{d: d, schemas: schemas, uses: make(map[useKey]*db.Stmt)}
 }
 
 // schema is the schema every relation standing for pred has.
@@ -72,18 +69,6 @@ func (s *Statements) schema(pred string) (*rel.Schema, error) {
 		return t.Schema, nil
 	}
 	return nil, fmt.Errorf("rtlib: no relation for predicate %s", pred)
-}
-
-// keep records st as the handle of a use and returns the handle the use
-// has: the one the run holds on st's statement if it holds one.
-func (s *Statements) keep(key useKey, st *db.Stmt) *db.Stmt {
-	if have := s.keys[st.ID()]; have != nil {
-		st = have
-	} else {
-		s.keys[st.ID()] = st
-	}
-	s.uses[key] = st
-	return st
 }
 
 // RuleForm is the statement a compiled rule is prepared as. With n FROM
@@ -139,7 +124,8 @@ func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rtlib: rule %q: %w", r.Source(), err)
 	}
-	return s.keep(key, st), nil
+	s.uses[key] = st
+	return st, nil
 }
 
 // Role is what a statement over a predicate's relations does.
@@ -183,16 +169,16 @@ func (s *Statements) Relation(pred string, role Role) (*db.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.keep(key, st), nil
+	s.uses[key] = st
+	return st, nil
 }
 
-// Close parks the tree of every statement the run holds (db.Stmt.Park):
-// called when the run ends, after its last execution. A Statements may
-// still be used after Close; its statements then start their trees
-// over.
+// Close sheds every statement the run used (db.Stmt.Shed): called when
+// the run ends, after its last execution. A Statements may still be
+// used after Close; its statements then re-bind their shed trees.
 func (s *Statements) Close() {
-	for _, st := range s.keys {
-		st.Park()
+	for _, st := range s.uses {
+		st.Shed()
 	}
 }
 

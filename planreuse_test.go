@@ -2,9 +2,15 @@ package dkbms
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dkbms/internal/dlog"
+	"dkbms/internal/rel"
 )
 
 // TestPlanReusePinned pins how often an evaluation constructs operator
@@ -21,16 +27,16 @@ import (
 // each round after) drops below the 16 parent rows and the rule's join
 // starts from it, hashing it.
 //
-//   - The first run finds no tree parked: each statement constructs its
+//   - The first run finds no tree kept: each statement constructs its
 //     tree on its first execution, so 5 + 1 builds and 50 − 6 = 44
-//     reuses. When it ends, each tree is parked on its statement.
+//     reuses. When it ends, each statement's tree is shed.
 //   - A traced run constructs a tree for every rule execution — the
 //     exit rule and the 16 rounds' rule — because tracing rewrites the
 //     tree it instruments: 17 builds. Its untraced copies, counts and
-//     read take the trees the first run parked and re-bind them on
-//     every execution, their first included: 16 + 16 + 1 = 33 reuses.
-//   - A second untraced run takes every parked tree. The rule's was
-//     parked hashing the delta, so the planner's one flip is
+//     read re-bind the trees the first run shed on every execution,
+//     their first included: 16 + 16 + 1 = 33 reuses.
+//   - A second untraced run re-binds every shed tree. The rule's was
+//     shed hashing the delta, so the planner's one flip is
 //     constructed twice: in round 1, whose delta is as large as parent,
 //     and in round 2, back to hashing the delta. 2 builds, 48 reuses.
 func TestPlanReusePinned(t *testing.T) {
@@ -125,4 +131,152 @@ func TestKMReadsRebindTrees(t *testing.T) {
 		t.Errorf("%d compiles built %d trees; the first executes %d reads", k, builds, firstReads)
 	}
 	t.Logf("%d compiles: %d builds, %d reuses", k, builds, reuses)
+}
+
+// TestConcurrentRunsShareStatementTrees: two goroutines evaluate the
+// unbound ancestor program and a bound (factored) one in turn on a
+// ConcurrentTestbed while a third commits LOADs and RETRACTs of parent
+// facts. Every query text is new — its variables are numbered — so
+// every query is compiled and evaluated, not served from a memo. The
+// programs' statements are cached on the database, each keeping one
+// operator tree, so the two runs bind their own snapshot versions and
+// temp tables to one statement's tree in turn, and one run's
+// end-of-run Shed falls between the other's executions. Every answer
+// must equal a fresh plain Testbed's over the facts of the generation
+// it was evaluated at, and more executions must re-bind a kept tree
+// than construct one: a tree never handed back would be constructed
+// again at every execution.
+func TestConcurrentRunsShareStatementTrees(t *testing.T) {
+	const rules = `
+ancestor(X, Y) :- parent(X, Y).
+ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
+`
+	const chain = 12
+	var base []rel.Tuple
+	for i := 0; i < chain; i++ {
+		base = append(base, edgeTuple(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1)))
+	}
+	tb := NewMemory()
+	if err := tb.AssertTuples("parent", base); err != nil {
+		t.Fatal(err)
+	}
+	tb.MustLoad(rules)
+	c := NewConcurrent(tb)
+	defer c.Close()
+	// Prepare both programs' statements before counting.
+	for _, text := range []string{"?- ancestor(X, Y).", "?- ancestor(n0, Y)."} {
+		if _, err := c.Query(text, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := tb.DB().StatsSnapshot()
+
+	var mu sync.Mutex
+	published := map[uint64][]rel.Tuple{c.snaps.Current().Gen: base}
+	type served struct {
+		ref  string // the query as the reference asks it
+		gen  uint64
+		rows []string
+	}
+	var got []served
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	done := make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				text := fmt.Sprintf("?- ancestor(X%d%d, Y%d%d).", g, i, g, i)
+				ref := "?- ancestor(X, Y)."
+				if i%2 == 1 {
+					n := (g + i) % chain
+					text = fmt.Sprintf("?- ancestor(n%d, Y%d%d).", n, g, i)
+					ref = fmt.Sprintf("?- ancestor(n%d, Y).", n)
+				}
+				res, err := c.Query(text, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				got = append(got, served{ref, res.Snapshot, rowSet(res.Rows)})
+				mu.Unlock()
+				reads.Add(1)
+			}
+		}(g)
+	}
+	// settle lets the readers evaluate a few queries before the next
+	// commit.
+	settle := func() {
+		for n := reads.Load() + 4; reads.Load() < n; {
+			runtime.Gosched()
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	facts := base
+	for i := 0; i < 12; i++ {
+		settle()
+		leaf := fmt.Sprintf("n%d", r.Intn(chain))
+		if err := c.Load(fmt.Sprintf("parent(%s, f%d).", leaf, i)); err != nil {
+			t.Fatal(err)
+		}
+		facts = append(slices.Clip(facts), edgeTuple(leaf, fmt.Sprintf("f%d", i)))
+		mu.Lock()
+		published[c.snaps.Current().Gen] = facts
+		mu.Unlock()
+		settle()
+		if i%3 == 2 {
+			if _, err := c.RetractSrc(fmt.Sprintf("parent(%s, f%d)", leaf, i)); err != nil {
+				t.Fatal(err)
+			}
+			facts = facts[:len(facts)-1]
+			mu.Lock()
+			published[c.snaps.Current().Gen] = facts
+			mu.Unlock()
+		}
+	}
+	settle()
+	close(done)
+	wg.Wait()
+	after := tb.DB().StatsSnapshot()
+
+	refs := map[uint64]*Testbed{}
+	defer func() {
+		for _, ref := range refs {
+			ref.Close()
+		}
+	}()
+	for _, s := range got {
+		ref := refs[s.gen]
+		if ref == nil {
+			facts, ok := published[s.gen]
+			if !ok {
+				t.Fatalf("%s: no generation %d was published", s.ref, s.gen)
+			}
+			ref = NewMemory()
+			refs[s.gen] = ref
+			if err := ref.AssertTuples("parent", facts); err != nil {
+				t.Fatal(err)
+			}
+			ref.MustLoad(rules)
+		}
+		res, err := ref.Query(s.ref, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := rowSet(res.Rows); !slices.Equal(s.rows, want) {
+			t.Fatalf("%s at generation %d: %v, a fresh Testbed's %v", s.ref, s.gen, s.rows, want)
+		}
+	}
+	builds, reuses := after.Builds-before.Builds, after.Reuses-before.Reuses
+	if reuses <= builds {
+		t.Errorf("%d evaluations: %d executions re-bound a kept tree, %d constructed one", len(got), reuses, builds)
+	}
+	t.Logf("%d evaluations over %d generations: %d re-bound, %d constructed", len(got), len(refs), reuses, builds)
 }
