@@ -424,7 +424,7 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 		if err != nil {
 			return err
 		}
-		return d.insertSelect(ctx, t, p, nil, nil, sp)
+		return d.insertSelect(ctx, t, p, nil, nil, nil, sp)
 	}
 	for _, row := range s.Rows {
 		tu := make(rel.Tuple, len(row))
@@ -455,7 +455,9 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 // since a scan passes records on as it reads them and a
 // self-referential INSERT would otherwise read its own writes. ctx is
 // observed up to the first write: a cancelled INSERT writes nothing.
-func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) error {
+// kept, when not nil, is the inserter of p's kept tree, which streams
+// an execution on that tree without a closure of its own.
+func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepared, kept *inserter, args []*catalog.Table, vals []rel.Value, sp *obs.Span) error {
 	op, tree, err := d.operators(p, args, vals, sp)
 	if err != nil {
 		return err
@@ -471,15 +473,11 @@ func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepare
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
 	if stream {
-		before := t.Rows()
-		return op.ScanRecords(func(rec []byte) error {
-			if t.Rows() == before {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			return d.insertRecord(t, rec)
-		})
+		w := kept
+		if w == nil || !p.Kept(tree) {
+			w = new(inserter)
+		}
+		return w.stream(ctx, d, t, op)
 	}
 	var recs rel.Records
 	if err := op.ScanRecords(func(rec []byte) error {
@@ -491,6 +489,40 @@ func (d *DB) insertSelect(ctx context.Context, t *catalog.Table, p *plan.Prepare
 		return err
 	}
 	return recs.Each(func(rec []byte) error { return d.insertRecord(t, rec) })
+}
+
+// inserter writes the records of an INSERT's pass to its target as
+// they come. Its put method is the pass's consumer, made once per
+// inserter, so an execution on a kept tree, whose inserter is kept
+// beside it, makes no closure.
+type inserter struct {
+	d      *DB
+	ctx    context.Context
+	t      *catalog.Table
+	before int
+	put    func(rec []byte) error
+}
+
+// stream runs one pass of op, writing its records into t; ctx is
+// observed until the first write.
+func (w *inserter) stream(ctx context.Context, d *DB, t *catalog.Table, op exec.Operator) error {
+	if w.put == nil {
+		w.put = w.write
+	}
+	w.d, w.ctx, w.t, w.before = d, ctx, t, t.Rows()
+	err := op.ScanRecords(w.put)
+	w.d, w.ctx, w.t = nil, nil, nil
+	return err
+}
+
+// write is put: one record into the target.
+func (w *inserter) write(rec []byte) error {
+	if w.t.Rows() == w.before {
+		if err := w.ctx.Err(); err != nil {
+			return err
+		}
+	}
+	return w.d.insertRecord(w.t, rec)
 }
 
 // insertRecord writes one record into t.

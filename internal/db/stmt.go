@@ -3,6 +3,7 @@ package db
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/exec"
@@ -52,6 +53,9 @@ type prepared struct {
 	intoParam int
 	// del marks DELETE FROM into, its WHERE the SELECT's.
 	del bool
+	// ins writes the records of an INSERT executed on the kept tree,
+	// and is the execution's while it holds the tree.
+	ins inserter
 }
 
 // Prepare parses a SELECT, an INSERT ... SELECT or a DELETE with a
@@ -98,7 +102,9 @@ func (d *DB) prepare(stmt string, params []*rel.Schema) (p *prepared, cache bool
 	if err != nil {
 		return nil, false, err
 	}
-	p = &prepared{params: params}
+	// The caller's parameter list is copied, so a hit in the cache
+	// (Prepare) lets none escape.
+	p = &prepared{params: slices.Clone(params)}
 	sel, _ := st.(*sql.Select)
 	if del, ok := st.(sql.Delete); ok {
 		if del.Where == nil {
@@ -108,7 +114,7 @@ func (d *DB) prepare(stmt string, params []*rel.Schema) (p *prepared, cache bool
 		sel = &sql.Select{From: []sql.TableRef{{Table: del.Table, Alias: del.Table}}, Where: del.Where}
 	}
 	if ins, ok := st.(sql.Insert); ok && ins.Query != nil {
-		if ins.Param > len(params) || ins.Param > 0 && params[ins.Param-1] == nil {
+		if ins.Param > len(p.params) || ins.Param > 0 && p.params[ins.Param-1] == nil {
 			return nil, false, fmt.Errorf("db: no schema declared for table parameter $%d", ins.Param)
 		}
 		p.insert, p.into, p.intoParam = true, ins.Table, ins.Param
@@ -117,7 +123,7 @@ func (d *DB) prepare(stmt string, params []*rel.Schema) (p *prepared, cache bool
 	if sel == nil {
 		return nil, false, fmt.Errorf("db: Prepare takes a SELECT, an INSERT ... SELECT or a DELETE ... WHERE, got %T", st)
 	}
-	if p.sel.Analyzed, err = plan.Analyze(d.cat, sel, params); err != nil {
+	if p.sel.Analyzed, err = plan.Analyze(d.cat, sel, p.params); err != nil {
 		return nil, false, err
 	}
 	return p, !p.sel.NamesTables() && (!p.insert || p.intoParam > 0), nil
@@ -211,13 +217,25 @@ func (s *Stmt) delete(vals []rel.Value, sp *obs.Span) error {
 	return s.d.deleteRows(t, op)
 }
 
-// QueryCount executes a prepared SELECT COUNT(*) and returns the count.
-func (s *Stmt) QueryCount(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) (int64, error) {
-	rows, err := s.Query(ctx, sp, vals, tables...)
+// QueryCount executes a prepared SELECT COUNT(*) as Query does and
+// returns the count, read from the tree's COUNT(*) operator after a
+// counting pass that emits no record (exec.Count): it builds no row
+// set and, on a kept tree, allocates nothing. It is counted as one
+// SELECT, and traced as Query traces it.
+func (s *Stmt) QueryCount(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) (n int64, err error) {
+	if s.insert || s.del {
+		return 0, fmt.Errorf("db: QueryCount called on a prepared INSERT or DELETE; use Exec")
+	}
+	var buf [maxStackArgs]*catalog.Table
+	args, err := s.bind(buf[:0], tables)
 	if err != nil {
 		return 0, err
 	}
-	return singleInt(rows)
+	err = s.d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) (err error) {
+		n, err = exec.Count(ctx, op)
+		return err
+	})
+	return n, err
 }
 
 // Exec executes a prepared INSERT ... SELECT or DELETE with vals[m-1]
@@ -254,5 +272,5 @@ func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, vals []rel.Value, tables 
 	if t == nil {
 		return fmt.Errorf("db: no table %s", name)
 	}
-	return s.d.insertSelect(ctx, t, &s.sel, args, vals, sp)
+	return s.d.insertSelect(ctx, t, &s.sel, &s.ins, args, vals, sp)
 }

@@ -458,3 +458,49 @@ func TestPreparedDelete(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryCountAllocatesNothing: a warm prepared SELECT COUNT(*) over
+// a temp table reads its count from the COUNT(*) operator after a
+// counting pass of the kept tree, so it allocates nothing — at 10 rows
+// as at 1 000 — returns the table's row count and is one SELECT.
+func TestQueryCountAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ctx := context.Background()
+	d := OpenMemory()
+	defer d.Close()
+	count := mustPrepare(t, d, "SELECT COUNT(*) FROM $1", parentSchema)
+	for _, rows := range []int{10, 1000} {
+		name := fmt.Sprintf("delta%d", rows)
+		if err := d.CreateTempTable(name, parentSchema); err != nil {
+			t.Fatal(err)
+		}
+		tuples := make([]rel.Tuple, rows)
+		for i := range tuples {
+			tuples[i] = rel.Tuple{rel.NewString(fmt.Sprintf("p%d", i)), rel.NewString(fmt.Sprintf("c%d", i))}
+		}
+		if err := d.InsertTuples(name, tuples); err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		run := func() {
+			var err error
+			if n, err = count.QueryCount(ctx, nil, nil, name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // binds the kept tree to the table
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("%d rows: a warm QueryCount allocates %.2f objects, want 0", rows, allocs)
+		}
+		if n != int64(d.TableRows(name)) || n != int64(rows) {
+			t.Errorf("%d rows: COUNT(*) = %d, TableRows = %d", rows, n, d.TableRows(name))
+		}
+		before := d.StatsSnapshot().Selects
+		run()
+		if got := d.StatsSnapshot().Selects - before; got != 1 {
+			t.Errorf("%d rows: one QueryCount counted %d SELECTs, want 1", rows, got)
+		}
+	}
+}

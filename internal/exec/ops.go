@@ -68,6 +68,30 @@ func CollectOwned(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 	return recs.Decode(op.Schema())
 }
 
+// Count runs one pass of op, a COUNT(*) or Instrument's wrapper of
+// one, and returns the count: the pass counts the input's records and
+// emits none, so the count is never encoded or decoded. A wrapped
+// COUNT(*) is traced as the one row it would have emitted.
+func Count(ctx context.Context, op Operator) (int64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	c, _ := op.(*CountStar)
+	w, _ := op.(*countedOp)
+	if w != nil {
+		c, _ = w.inner.(*CountStar)
+	}
+	if c == nil {
+		return 0, fmt.Errorf("exec: %T is not a COUNT(*)", op)
+	}
+	if w != nil {
+		w.c.io.arm()
+		w.c.rows++
+	}
+	err := c.pass()
+	return c.n, err
+}
+
 // AppendRows runs one pass of op, observing ctx between records, and
 // appends its rows to buf as one row block (rel.AppendRows's layout),
 // decoding none: a bare scan's table straight from its pages
@@ -850,15 +874,20 @@ func (c *CountStar) Schema() *rel.Schema { return countSchema }
 
 // ScanRecords counts the input and emits the count.
 func (c *CountStar) ScanRecords(fn func(rec []byte) error) error {
-	if c.count == nil {
-		c.count = c.inc
-	}
-	c.n = 0
-	if err := c.Input.ScanRecords(c.count); err != nil {
+	if err := c.pass(); err != nil {
 		return err
 	}
 	c.rec = rel.NewInt(c.n).AppendKey(c.rec[:0])
 	return fn(c.rec)
+}
+
+// pass counts the input's records into c.n.
+func (c *CountStar) pass() error {
+	if c.count == nil {
+		c.count = c.inc
+	}
+	c.n = 0
+	return c.Input.ScanRecords(c.count)
 }
 
 func (c *CountStar) inc([]byte) error { c.n++; return nil }

@@ -327,6 +327,10 @@ func (p *Prepared) Release(t *Tree) {
 	}
 }
 
+// Kept reports whether t is p's kept tree: what a caller keeps beside
+// that tree is the execution's own while it holds the tree.
+func (p *Prepared) Kept(t *Tree) bool { return t == &p.tree }
+
 // Shed empties p's kept tree: its operators let go of their working
 // memory (exec.Shed), and its operators and scratch of the tables,
 // indexes, probe keys and values they were bound to. A tree held by an

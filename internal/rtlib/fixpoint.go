@@ -89,7 +89,7 @@ type Fixpoint struct {
 	// TableOf resolves a predicate to its relation: a derived
 	// predicate's accumulator — which its new tuples are deduplicated
 	// against and promoted into — or a base predicate's extensional
-	// table.
+	// table. It resolves each predicate alike for the whole run.
 	TableOf func(pred string) string
 	// Span, when non-nil, receives one "iteration N" span per round.
 	Span *obs.Span
@@ -102,18 +102,51 @@ type Fixpoint struct {
 	// exit rules compute the first delta of a clique: evaluated into
 	// the accumulators, whose contents then are the delta.
 	exit []codegen.RuleSQL
-	// cur and next map predicates to their current and pending delta
-	// tables.
-	cur, next map[string]string
+
+	// The bookkeeping of Run, set up once per fixpoint by bind and
+	// reused by every round: deltas holds each predicate's, by position
+	// in Preds, and diffs the differentials of Rules, bound to their
+	// statements and relations.
+	deltas []delta
+	diffs  []differential
+}
+
+// delta is one predicate's part of a Fixpoint: the names of its delta
+// tables, which of them exist, and the relation and statements its
+// deltas are counted and promoted with.
+type delta struct {
+	// first names the delta begin copies the accumulator into; pending
+	// names a round's pending delta, by round parity. Only the current
+	// delta and the pending one exist together, and they are of
+	// consecutive rounds, so two names alternate.
+	first   string
+	pending [2]string
+	// cur and next are the current and the pending delta table, "" when
+	// the predicate has none.
+	cur, next string
+	// acc is TableOf(pred).
+	acc string
+	// heads is set while binding a round when a differential that fires
+	// writes the predicate.
+	heads bool
+	// count is the predicate's COUNT(*), copy its CopyInto.
+	count, copy *db.Stmt
 }
 
 // differential is one execution of a rule statement: the rule prepared
 // in one form and the relation bound to each FROM position — for a
 // round's differentials, one of them a delta.
 type differential struct {
-	rule   *codegen.RuleSQL
-	stmt   *db.Stmt
+	rule *codegen.RuleSQL
+	stmt *db.Stmt
+	// tables holds the relation at each FROM position, with room for
+	// the target and the accumulator insertRule appends.
 	tables []string
+	// occ is the FROM position reading the delta of deltas[from];
+	// head indexes deltas by the rule's head. A round fires the
+	// differential when deltas[from] has a current delta.
+	occ, from, head int
+	fires           bool
 }
 
 // job binds r, prepared in the given form, to the relations TableOf
@@ -123,7 +156,11 @@ func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm) (differential, error)
 	if err != nil {
 		return differential{}, err
 	}
-	return differential{r, stmt, Tables(r, fp.TableOf)}, nil
+	tables := make([]string, len(r.From), len(r.From)+2)
+	for i, f := range r.From {
+		tables[i] = fp.TableOf(f.Pred)
+	}
+	return differential{rule: r, stmt: stmt, tables: tables}, nil
 }
 
 // Run iterates to the fixpoint: the paper's routine, statement for
@@ -139,9 +176,18 @@ func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm) (differential, error)
 // the paper routine's statements one for one; where a predicate runs
 // dry early (a mutual recursion, or a commit's few tuples spread over a
 // whole program) the statements over its empty delta are not issued.
+//
+// What the statements do not need is paid once per fixpoint, not per
+// round: each predicate's delta tables are named up front — begin's,
+// and two a round's pending delta alternates between by round parity —
+// and each differential is bound to its statement and its relations
+// once, a round re-binding only the position that reads the delta.
 func (fp *Fixpoint) Run() error {
 	if fp.Stats == nil {
 		fp.Stats = new(NodeStats)
+	}
+	if err := fp.bind(); err != nil {
+		return err
 	}
 	if err := fp.begin(); err != nil {
 		return err
@@ -163,9 +209,52 @@ func (fp *Fixpoint) Run() error {
 	}
 }
 
+// bind sets up the fixpoint's bookkeeping: every predicate's delta
+// names, relation and statements, and one differential per rule and
+// FROM position reading a predicate of Preds.
+func (fp *Fixpoint) bind() error {
+	fp.deltas = make([]delta, len(fp.Preds))
+	pos := make(map[string]int, len(fp.Preds))
+	for i, p := range fp.Preds {
+		pos[p] = i
+		var err error
+		dl := &fp.deltas[i]
+		if dl.count, err = fp.Stmts.Relation(p, CountAll); err != nil {
+			return err
+		}
+		if dl.copy, err = fp.Stmts.Relation(p, CopyInto); err != nil {
+			return err
+		}
+		s := sanitize(p)
+		dl.first = fp.Prefix + "delta_" + s
+		dl.pending = [2]string{fp.Prefix + "ndelta0_" + s, fp.Prefix + "ndelta1_" + s}
+		dl.acc = fp.TableOf(p)
+	}
+	for i := range fp.Rules {
+		r := &fp.Rules[i]
+		head, ok := pos[r.Head]
+		if !ok {
+			return fmt.Errorf("rtlib: rule %q: head %s is not a predicate of the fixpoint", r.Source(), r.Head)
+		}
+		for occ, f := range r.From {
+			from, ok := pos[f.Pred]
+			if !ok {
+				continue
+			}
+			j, err := fp.job(r, RuleInsertNew)
+			if err != nil {
+				return err
+			}
+			j.occ, j.from, j.head = occ, from, head
+			fp.diffs = append(fp.diffs, j)
+		}
+	}
+	return nil
+}
+
 // begin produces the first delta ("iteration 0"): the exit rules
 // evaluated into the accumulators, whose contents (seeds included) are
-// copied into delta_0.
+// copied into each predicate's first delta table.
 func (fp *Fixpoint) begin() error {
 	zero := fp.Span.Start("iteration 0")
 	defer zero.End()
@@ -175,20 +264,19 @@ func (fp *Fixpoint) begin() error {
 			return err
 		}
 	}
-	fp.cur = make(map[string]string, len(fp.Preds))
-	for _, p := range fp.Preds {
-		name := fp.Prefix + "delta_" + sanitize(p)
-		if err := fp.createTemp(name, p); err != nil {
+	for i, p := range fp.Preds {
+		dl := &fp.deltas[i]
+		if err := fp.createTemp(dl.first, p); err != nil {
 			return err
 		}
 		t0 := time.Now()
-		if err := fp.copyRows(p, name, fp.TableOf(p)); err != nil {
+		if err := dl.copy.Exec(evalCtx(fp.Ctx), nil, nil, dl.first, dl.acc); err != nil {
 			return err
 		}
 		fp.Stats.TempTable += time.Since(t0)
-		fp.cur[p] = name
+		dl.cur = dl.first
 		if zero != nil {
-			zero.SetInt("delta("+p+")", int64(fp.DB.TableRows(name)))
+			zero.SetInt("delta("+p+")", int64(fp.DB.TableRows(dl.first)))
 		}
 	}
 	return nil
@@ -204,40 +292,35 @@ func (fp *Fixpoint) round() (done bool, err error) {
 		it = fp.Span.Start(fmt.Sprintf("iteration %d", ns.Iterations))
 		defer it.End()
 	}
-	// One differential per rule and FROM position with a current delta,
-	// that position reading the delta.
-	var jobs []differential
-	heads := make(map[string]bool, len(fp.Preds))
-	for i := range fp.Rules {
-		r := &fp.Rules[i]
-		for occ := range r.From {
-			d, ok := fp.cur[r.From[occ].Pred]
-			if !ok {
-				continue
-			}
-			j, err := fp.job(r, RuleInsertNew)
-			if err != nil {
-				return false, err
-			}
-			j.tables[occ] = d
-			jobs = append(jobs, j)
-			heads[r.Head] = true
+	// A differential fires when the predicate at its delta position has
+	// a current delta, that position reading it.
+	for i := range fp.diffs {
+		j := &fp.diffs[i]
+		d := fp.deltas[j.from].cur
+		if j.fires = d != ""; j.fires {
+			j.tables[j.occ] = d
+			fp.deltas[j.head].heads = true
 		}
 	}
-	fp.next = make(map[string]string, len(fp.Preds))
-	for _, p := range fp.Preds {
-		if !heads[p] {
+	for i, p := range fp.Preds {
+		dl := &fp.deltas[i]
+		if !dl.heads {
 			continue
 		}
-		name := fmt.Sprintf("%sndelta%d_%s", fp.Prefix, ns.Iterations, sanitize(p))
+		dl.heads = false
+		name := dl.pending[ns.Iterations%2]
 		if err := fp.createTemp(name, p); err != nil {
 			return false, err
 		}
-		fp.next[p] = name
+		dl.next = name
 	}
-	for _, j := range jobs {
-		head := j.rule.Head
-		if err := fp.insertRule(j, fp.next[head], fp.TableOf(head), it); err != nil {
+	for i := range fp.diffs {
+		j := &fp.diffs[i]
+		if !j.fires {
+			continue
+		}
+		head := &fp.deltas[j.head]
+		if err := fp.insertRule(j, head.next, head.acc, it); err != nil {
 			return false, err
 		}
 	}
@@ -245,11 +328,14 @@ func (fp *Fixpoint) round() (done bool, err error) {
 	done = true
 	tc := it.Start("termcheck")
 	defer tc.End()
-	for _, p := range fp.Preds {
+	for i, p := range fp.Preds {
+		dl := &fp.deltas[i]
 		t0 := time.Now()
-		n, err := fp.pending(p)
-		if err != nil {
-			return false, err
+		var n int64
+		if dl.next != "" {
+			if n, err = dl.count.QueryCount(evalCtx(fp.Ctx), nil, nil, dl.next); err != nil {
+				return false, err
+			}
 		}
 		ns.TermCheck += time.Since(t0)
 		if n > 0 {
@@ -257,29 +343,16 @@ func (fp *Fixpoint) round() (done bool, err error) {
 		}
 		if it != nil {
 			it.SetInt("delta("+p+")", n)
-			it.SetInt("acc("+p+")", int64(fp.DB.TableRows(fp.TableOf(p))))
+			it.SetInt("acc("+p+")", int64(fp.DB.TableRows(dl.acc)))
 		}
 	}
 	return done, nil
 }
 
-// pending sizes pred's pending delta with a COUNT(*).
-func (fp *Fixpoint) pending(pred string) (int64, error) {
-	t, ok := fp.next[pred]
-	if !ok {
-		return 0, nil
-	}
-	stmt, err := fp.Stmts.Relation(pred, CountAll)
-	if err != nil {
-		return 0, err
-	}
-	return stmt.QueryCount(evalCtx(fp.Ctx), nil, nil, t)
-}
-
 // insertRule executes one rule statement under a "rule <head>" span:
 // j is prepared as RuleInsertNew when acc is given and as RuleInsert
 // when it is "", so target gains only tuples neither it nor acc holds.
-func (fp *Fixpoint) insertRule(j differential, target, acc string, parent *obs.Span) error {
+func (fp *Fixpoint) insertRule(j *differential, target, acc string, parent *obs.Span) error {
 	var sp *obs.Span
 	if parent != nil {
 		sp = parent.Start("rule " + j.rule.Head)
@@ -299,22 +372,13 @@ func (fp *Fixpoint) insertRule(j differential, target, acc string, parent *obs.S
 }
 
 // insertAll evaluates r over TableOf into target: an exit rule into its
-// head's relation, or any rule in a naive round.
+// head's relation, or a non-recursive node's rule.
 func (fp *Fixpoint) insertAll(r *codegen.RuleSQL, target string, parent *obs.Span) error {
 	j, err := fp.job(r, RuleInsert)
 	if err != nil {
 		return err
 	}
-	return fp.insertRule(j, target, "", parent)
-}
-
-// copyRows appends from's rows to into, both relations of pred.
-func (fp *Fixpoint) copyRows(pred, into, from string) error {
-	stmt, err := fp.Stmts.Relation(pred, CopyInto)
-	if err != nil {
-		return err
-	}
-	return stmt.Exec(evalCtx(fp.Ctx), nil, nil, into, from)
+	return fp.insertRule(&j, target, "", parent)
 }
 
 // createTemp creates a temp table on the run's registry, timed.
@@ -325,50 +389,47 @@ func (fp *Fixpoint) createTemp(name, pred string) error {
 	return err
 }
 
-// retire drops pred's current delta table, if it has one.
-func (fp *Fixpoint) retire(pred string) error {
-	if t, ok := fp.cur[pred]; ok {
-		return fp.Temps.drop(t)
-	}
-	return nil
-}
-
 // advance promotes each non-empty pending delta into its accumulator and
 // makes the pending deltas current; an empty one is dropped instead.
 func (fp *Fixpoint) advance() error {
-	for _, p := range fp.Preds {
+	for i := range fp.deltas {
+		dl := &fp.deltas[i]
 		t0 := time.Now()
-		if t, ok := fp.next[p]; ok {
-			if fp.DB.TableRows(t) == 0 {
-				if err := fp.Temps.drop(t); err != nil {
+		if dl.next != "" {
+			if fp.DB.TableRows(dl.next) == 0 {
+				if err := fp.Temps.drop(dl.next); err != nil {
 					return err
 				}
-				delete(fp.next, p)
-			} else if err := fp.copyRows(p, fp.TableOf(p), t); err != nil {
+				dl.next = ""
+			} else if err := dl.copy.Exec(evalCtx(fp.Ctx), nil, nil, dl.acc, dl.next); err != nil {
 				return err
 			}
 		}
-		if err := fp.retire(p); err != nil {
-			return err
+		if dl.cur != "" {
+			if err := fp.Temps.drop(dl.cur); err != nil {
+				return err
+			}
 		}
+		dl.cur, dl.next = dl.next, ""
 		fp.Stats.TempTable += time.Since(t0)
 	}
-	fp.cur = fp.next
 	return nil
 }
 
 // finish drops the delta tables once the fixpoint is reached.
 func (fp *Fixpoint) finish() error {
-	for _, p := range fp.Preds {
+	for i := range fp.deltas {
+		dl := &fp.deltas[i]
 		t0 := time.Now()
-		if t, ok := fp.next[p]; ok {
+		for _, t := range [2]string{dl.next, dl.cur} {
+			if t == "" {
+				continue
+			}
 			if err := fp.Temps.drop(t); err != nil {
 				return err
 			}
 		}
-		if err := fp.retire(p); err != nil {
-			return err
-		}
+		dl.cur, dl.next = "", ""
 		fp.Stats.TempTable += time.Since(t0)
 	}
 	return nil

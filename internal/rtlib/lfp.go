@@ -95,7 +95,11 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 			if err := d.Exec("DELETE FROM " + old); err != nil {
 				return err
 			}
-			if err := fp.copyRows(p, old, newNames[p]); err != nil {
+			copyInto, err := fp.Stmts.Relation(p, CopyInto)
+			if err != nil {
+				return err
+			}
+			if err := copyInto.Exec(evalCtx(fp.Ctx), nil, nil, old, newNames[p]); err != nil {
 				return err
 			}
 			if err := fp.Temps.drop(newNames[p]); err != nil {

@@ -17,7 +17,13 @@
 // round, EXCEPT chains, COUNT(*) termination — configured like the
 // paper's LFP routine by the data structures its caller loads (rules,
 // predicate→relation resolver). Evaluate runs it per clique, in
-// evaluation order. One registry, TempTables, creates and tears down every temporary
+// evaluation order. What the loop keeps beside the paper's statements
+// it sets up once per fixpoint, not per round: a predicate's delta
+// tables are named up front, a round's pending delta by the round's
+// parity, and each differential is bound to its statement and its
+// relations once, a round re-binding only the position that reads the
+// delta; base relations are named once per run. So a round allocates
+// only what its statements do. One registry, TempTables, creates and tears down every temporary
 // relation, and one Statements per run holds its statements, prepared
 // once per database with tables and body constants as parameters, for
 // every round to rebind (the paper's precompiled embedded SQL).
@@ -141,6 +147,7 @@ func evaluate(d *db.DB, prog *codegen.Program, opts Options, block *[]byte) (*Re
 		opts:   opts,
 		prefix: fmt.Sprintf("dkb%d_", seq),
 		tables: make(map[string]string),
+		base:   make(map[string]string, len(prog.BasePreds)),
 		temps:  newTempTables(d),
 		stmts:  newStatements(d, prog.Schemas),
 	}
@@ -162,11 +169,11 @@ type evaluator struct {
 	prog   *codegen.Program
 	opts   Options
 	prefix string
-	// tables maps derived predicates to their temp table names (base
-	// predicates resolve to their extensional tables); read-only once
-	// evaluation starts.
-	tables map[string]string
-	temps  *TempTables
+	// tables maps derived predicates to their temp table names, and
+	// base maps the program's base predicates to their extensional
+	// tables; both are read-only once evaluation starts.
+	tables, base map[string]string
+	temps        *TempTables
 	// stmts is the run's statements, shared by all its nodes.
 	stmts *Statements
 	stats Stats
@@ -178,6 +185,9 @@ func (ev *evaluator) tableOf(pred string) string {
 	if t, ok := ev.tables[pred]; ok {
 		return t
 	}
+	if t, ok := ev.base[pred]; ok {
+		return t
+	}
 	return codegen.BaseTable(pred)
 }
 
@@ -187,10 +197,11 @@ func (ev *evaluator) run(block *[]byte) (*Result, error) {
 	start := time.Now()
 	// Verify base relations and seeds up front for clean errors.
 	for _, p := range ev.prog.BasePreds {
-		if !ev.d.HasTable(codegen.BaseTable(p)) {
-			return nil, fmt.Errorf("rtlib: extensional relation %s (for predicate %s) does not exist",
-				codegen.BaseTable(p), p)
+		t := codegen.BaseTable(p)
+		if !ev.d.HasTable(t) {
+			return nil, fmt.Errorf("rtlib: extensional relation %s (for predicate %s) does not exist", t, p)
 		}
+		ev.base[p] = t
 	}
 	if err := seedTuplesValid(ev.prog); err != nil {
 		return nil, err

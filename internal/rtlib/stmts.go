@@ -97,13 +97,16 @@ func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 		return st, nil
 	}
 	n := len(r.From)
-	params := make([]*rel.Schema, n, n+2)
-	for i, f := range r.From {
+	// The parameter schemas are listed on the stack too: Prepare keeps
+	// a copy when it prepares the statement, and none on a hit.
+	var pbuf [8]*rel.Schema
+	params := pbuf[:0]
+	for _, f := range r.From {
 		sch, err := s.schema(f.Pred)
 		if err != nil {
 			return nil, err
 		}
-		params[i] = sch
+		params = append(params, sch)
 	}
 	head, err := s.schema(r.Head)
 	if err != nil {
@@ -180,13 +183,4 @@ func (s *Statements) Close() {
 	for _, st := range s.uses {
 		st.Shed()
 	}
-}
-
-// Tables lists the relation standing at each FROM position of r.
-func Tables(r *codegen.RuleSQL, tableOf func(pred string) string) []string {
-	tables := make([]string, len(r.From), len(r.From)+2)
-	for i, f := range r.From {
-		tables[i] = tableOf(f.Pred)
-	}
-	return tables
 }

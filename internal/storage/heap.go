@@ -35,12 +35,14 @@ func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 type HeapFile struct {
 	pager *Pager
 	dir   []PageID
+	// inline holds a small directory, so a heap of a few pages (a temp
+	// table's, typically) needs no allocation beyond itself. Three
+	// entries and last fill 16 bytes, which keeps the struct at 112, a
+	// size class below 128.
+	inline [3]PageID
 	// last is the position that last took an insert or lost a record,
 	// where the next insert looks for room first.
 	last uint32
-	// inline holds a small directory, so a heap of a few pages (a temp
-	// table's, typically) needs no allocation beyond itself.
-	inline [4]PageID
 
 	// stats counts physical traffic on this file: own, or the counters
 	// of the file it replaces (Fork). The fields are atomics because
