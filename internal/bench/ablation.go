@@ -6,7 +6,6 @@ import (
 
 	"dkbms"
 	"dkbms/internal/rel"
-	"dkbms/internal/rtlib"
 	"dkbms/internal/stored"
 	"dkbms/internal/workload"
 )
@@ -119,7 +118,7 @@ func ablationTCOp(cfg Config) (*Report, error) {
 		var tcRows []rel.Tuple
 		tcTime, err := measure(cfg.reps(), func() (time.Duration, error) {
 			t0 := time.Now()
-			rows, err := rtlib.TC(tb.DB(), "parent", &seed)
+			rows, err := tcOp(tb.DB(), "parent", &seed)
 			if err != nil {
 				return 0, err
 			}

@@ -1,4 +1,4 @@
-package rtlib
+package bench
 
 import (
 	"fmt"
@@ -9,24 +9,25 @@ import (
 	"dkbms/internal/storage"
 )
 
-// TC is the specialized transitive-closure operator the paper's
-// conclusions call for (items 6 and 8): a least-fixed-point computation
+// tcOp is the specialized transitive-closure operator the paper's
+// conclusions call for (items 6 and 8), which ablation-tcop times
+// against the run-time library: a least-fixed-point computation
 // executed inside the DBMS rather than as an application program over
 // the SQL interface. It avoids every overhead the paper measures in
 // Tests 5–6 — no temporary tables, no table copies, and a termination
 // check that is a hash probe instead of a set difference.
 //
-// TC computes the transitive closure of the binary extensional relation
+// tcOp computes the transitive closure of the binary extensional relation
 // of pred. A non-nil seed restricts the computation to pairs reachable
 // from that single source value (the equivalent of the magic-restricted
 // evaluation for a bound-first query), returning (seed, y) pairs.
-func TC(d *db.DB, pred string, seed *rel.Value) ([]rel.Tuple, error) {
+func tcOp(d *db.DB, pred string, seed *rel.Value) ([]rel.Tuple, error) {
 	t := d.Table(codegen.BaseTable(pred))
 	if t == nil {
-		return nil, fmt.Errorf("rtlib: no extensional relation for %s", pred)
+		return nil, fmt.Errorf("bench: no extensional relation for %s", pred)
 	}
 	if t.Schema.Len() != 2 {
-		return nil, fmt.Errorf("rtlib: TC requires a binary relation; %s has %d columns", pred, t.Schema.Len())
+		return nil, fmt.Errorf("bench: the TC operator requires a binary relation; %s has %d columns", pred, t.Schema.Len())
 	}
 	// Build the adjacency map in one scan (a rel.Value is its own map
 	// key: comparable, and equal exactly when type and payload are).

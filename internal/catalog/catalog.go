@@ -405,6 +405,14 @@ func (c *Catalog) Table(name string) *Table {
 	return c.tables[name]
 }
 
+// TableBytes is Table for a name held in bytes, which it does not
+// keep: the lookup builds no string.
+func (c *Catalog) TableBytes(name []byte) *Table {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.tables[string(name)]
+}
+
 // Index returns the named index, or nil.
 func (c *Catalog) Index(name string) *Index {
 	c.mu.RLock()

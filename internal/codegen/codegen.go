@@ -40,6 +40,12 @@ func BaseTable(pred string) string {
 	return "edb_" + Ident(strings.TrimPrefix(pred, BridgePrefix))
 }
 
+// AppendBaseTable appends BaseTable(pred) to buf: a name to look the
+// table up with (db.DB.TableBytes) that no string is built for.
+func AppendBaseTable(buf []byte, pred string) []byte {
+	return AppendIdent(append(buf, "edb_"...), strings.TrimPrefix(pred, BridgePrefix))
+}
+
 // Ident spells a predicate name as the body of an SQL identifier. SQL
 // text folds identifiers to lower case and admits only [a-z0-9_], while
 // predicate names are case-sensitive, so the spelling must not lean on
@@ -50,17 +56,28 @@ func BaseTable(pred string) string {
 // other byte as '_' and three decimal digits. parentOf is
 // 0parent_of; the spelling is injective.
 func Ident(pred string) string {
-	plain := true
-	for i := 0; i < len(pred); i++ {
-		if c := pred[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_') {
-			plain = false
-			break
-		}
-	}
-	if plain {
+	if plainIdent(pred) {
 		return pred
 	}
-	b := make([]byte, 0, len(pred)+8)
+	return string(AppendIdent(make([]byte, 0, len(pred)+8), pred))
+}
+
+// plainIdent reports whether pred is within [a-z0-9_], its own
+// spelling.
+func plainIdent(pred string) bool {
+	for i := 0; i < len(pred); i++ {
+		if c := pred[i]; !('a' <= c && c <= 'z' || '0' <= c && c <= '9' || c == '_') {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendIdent appends Ident(pred) to b.
+func AppendIdent(b []byte, pred string) []byte {
+	if plainIdent(pred) {
+		return append(b, pred...)
+	}
 	b = append(b, '0')
 	for i := 0; i < len(pred); i++ {
 		switch c := pred[i]; {
@@ -74,7 +91,7 @@ func Ident(pred string) string {
 			b = append(b, '_', '0'+c/100, '0'+c/10%10, '0'+c%10)
 		}
 	}
-	return string(b)
+	return b
 }
 
 // FromEntry is one relation in a compiled rule's FROM list. Pred is the

@@ -418,10 +418,11 @@ func (cp *Compiler) Compile(q dlog.Query, opts CompileOptions) (*Compiled, error
 // catalog first, then the stored D/KB's extensional dictionary.
 func (cp *Compiler) collectBaseTypes(g *pcg.Graph, reach []bool) (map[string][]rel.Type, error) {
 	out := make(map[string][]rel.Type)
-	var missing []string
+	missing := make([]string, 0, len(reach))
 	// Every reachable predicate is checked for extensional facts — even
 	// derived ones, which normalizeMixed then splits into rule and fact
-	// halves.
+	// halves. A table is looked up by a name built here, not kept.
+	var name [64]byte
 	for id, in := range reach {
 		if !in {
 			continue
@@ -430,7 +431,7 @@ func (cp *Compiler) collectBaseTypes(g *pcg.Graph, reach []bool) (map[string][]r
 		if cp.DB != nil {
 			// Resolve through the DB (not the raw catalog): a snapshot-
 			// bound view binds the lookup to its frozen table versions.
-			if tb := cp.DB.Table(codegen.BaseTable(p)); tb != nil {
+			if tb := cp.DB.TableBytes(codegen.AppendBaseTable(name[:0], p)); tb != nil {
 				types := make([]rel.Type, tb.Schema.Len())
 				for i := 0; i < tb.Schema.Len(); i++ {
 					types[i] = tb.Schema.Col(i).Type

@@ -277,6 +277,21 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsRepeatedDictColumn: a predicate whose extensional
+// dictionary rows number one column twice — here its two rows both
+// column 0, inserted through SQL — is dictionary corruption, which
+// fails the compile instead of leaving column 1 untyped.
+func TestCompileRejectsRepeatedDictColumn(t *testing.T) {
+	cp := compileEnv(t, "p(X, Y) :- ghost(X, Y).")
+	if err := cp.DB.Exec("INSERT INTO edbcols VALUES ('ghost', 0, 'CHAR'), ('ghost', 0, 'CHAR')"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := cp.Compile(query(t, "?- p(X, Y)."), CompileOptions{})
+	if err == nil || !strings.Contains(err.Error(), "dictionary corruption for ghost") {
+		t.Fatalf("a compile over a column numbered twice: %v, want dictionary corruption", err)
+	}
+}
+
 func TestNormalizeMixedPredicates(t *testing.T) {
 	cp := compileEnv(t,
 		"knows(ann, bob).",

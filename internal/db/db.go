@@ -137,6 +137,16 @@ func (d *DB) Table(name string) *catalog.Table {
 	return d.cat.Table(name)
 }
 
+// TableBytes is Table for a name held in bytes — one built on the
+// caller's stack — which it does not keep. The root database looks it
+// up without a string; a view's resolver takes one.
+func (d *DB) TableBytes(name []byte) *catalog.Table {
+	if d.res != nil {
+		return d.Table(string(name))
+	}
+	return d.cat.TableBytes(name)
+}
+
 // writable resolves the target of a write as Table does, except that
 // the live catalog resolves it with Catalog.Writable, which replaces a
 // frozen version on its first write by one that shares its pages. A
@@ -168,7 +178,7 @@ func OpenWithPool(path string, poolPages int) (*DB, error) {
 		pager.Close()
 		return nil, err
 	}
-	return &DB{pager: pager, cat: cat, stats: new(counters), stmts: newStmtCache()}, nil
+	return newDB(pager, cat), nil
 }
 
 // OpenMemory opens a fresh in-memory database.
@@ -180,7 +190,14 @@ func OpenMemory() *DB {
 		// programming error.
 		panic(fmt.Sprintf("db: init memory database: %v", err))
 	}
-	return &DB{pager: pager, cat: cat, stats: new(counters), stmts: newStmtCache()}
+	return newDB(pager, cat)
+}
+
+// newDB returns the root database over pager and cat.
+func newDB(pager *storage.Pager, cat *catalog.Catalog) *DB {
+	d := &DB{pager: pager, cat: cat, stats: new(counters)}
+	d.stmts = newStmtCache(d)
+	return d
 }
 
 // Close flushes and closes the database.

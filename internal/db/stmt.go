@@ -56,6 +56,9 @@ type prepared struct {
 	// ins writes the records of an INSERT executed on the kept tree,
 	// and is the execution's while it holds the tree.
 	ins inserter
+	// own is the statement's handle on the root database, which
+	// Prepare on that database returns.
+	own Stmt
 }
 
 // Prepare parses a SELECT, an INSERT ... SELECT or a DELETE with a
@@ -67,22 +70,28 @@ type prepared struct {
 // run-time library issues — is prepared once per database: the plan is
 // kept, found by the text and the parameters' schemas compared by
 // structure, and a later Prepare of the same returns a new handle on it
-// without parsing or rendering a key. The cache keeps no table and no
-// view, only schemas, the plan and the statement's operator tree (shed
-// of every table between runs, Stmt.Shed), and holds at most
-// MaxCachedStmts statements, emptied when full. A statement naming a
-// table is prepared anew each time: the table a name stands for may be
-// dropped and created with another schema.
+// without parsing or rendering a key: on the root database the
+// statement's own handle, allocating nothing, and on a view a handle
+// of two words. The cache keeps no table and no view, only schemas, the
+// plan and the statement's operator tree (shed of every table between
+// runs, Stmt.Shed), and holds at most MaxCachedStmts statements,
+// emptied when full. A statement naming a table is prepared anew each
+// time: the table a name stands for may be dropped and created with
+// another schema.
 func (d *DB) Prepare(stmt string, params ...*rel.Schema) (*Stmt, error) {
-	if p := d.stmts.load(stmt, params); p != nil {
-		return &Stmt{d: d, prepared: p}, nil
+	p := d.stmts.load(stmt, params)
+	if p == nil {
+		var cache bool
+		var err error
+		if p, cache, err = d.prepare(stmt, params); err != nil {
+			return nil, err
+		}
+		if cache {
+			p = d.stmts.store(stmt, p)
+		}
 	}
-	p, cache, err := d.prepare(stmt, params)
-	if err != nil {
-		return nil, err
-	}
-	if cache {
-		p = d.stmts.store(stmt, p)
+	if d == p.own.d {
+		return &p.own, nil
 	}
 	return &Stmt{d: d, prepared: p}, nil
 }
@@ -105,6 +114,7 @@ func (d *DB) prepare(stmt string, params []*rel.Schema) (p *prepared, cache bool
 	// The caller's parameter list is copied, so a hit in the cache
 	// (Prepare) lets none escape.
 	p = &prepared{params: slices.Clone(params)}
+	p.own = Stmt{d: d.stmts.root, prepared: p}
 	sel, _ := st.(*sql.Select)
 	if del, ok := st.(sql.Delete); ok {
 		if del.Where == nil {
@@ -236,6 +246,29 @@ func (s *Stmt) QueryCount(ctx context.Context, sp *obs.Span, vals []rel.Value, t
 		return err
 	})
 	return n, err
+}
+
+// Scan executes a prepared SELECT as Query does and calls fn with each
+// record of its result, in Query's row order: fn reads the record's
+// columns in place (rel.Spans, under the result's column types), and
+// the record is valid only during the call. It builds no row set and,
+// on a kept tree, allocates nothing. It is counted as one SELECT, and
+// traced as Query traces it. ctx is observed before the pass.
+func (s *Stmt) Scan(ctx context.Context, sp *obs.Span, vals []rel.Value, fn func(rec []byte) error, tables ...string) error {
+	if s.insert || s.del {
+		return fmt.Errorf("db: Scan called on a prepared INSERT or DELETE; use Exec")
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var buf [maxStackArgs]*catalog.Table
+	args, err := s.bind(buf[:0], tables)
+	if err != nil {
+		return err
+	}
+	return s.d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) error {
+		return op.ScanRecords(fn)
+	})
 }
 
 // Exec executes a prepared INSERT ... SELECT or DELETE with vals[m-1]

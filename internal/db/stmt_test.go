@@ -345,10 +345,16 @@ func TestTypedDDL(t *testing.T) {
 
 // TestPrepareHitAllocs: a Prepare the statement cache answers renders
 // no key — it finds the entry by text and compares the parameter
-// schemas by structure — and allocates only the handle it returns, one
-// object of two words: the database and the statement. The text is
-// cached under two lists of parameter schemas, and the hit's schemas
-// are equal to the cached ones without being the same objects.
+// schemas by structure — and on the database that prepared it returns
+// the statement's own handle, allocating nothing; on a view it
+// allocates only the handle it returns, one object of two words: the
+// view and the statement. The text is cached under two lists of
+// parameter schemas, and the hit's schemas are equal to the cached ones
+// without being the same objects.
+//
+// Pinned 1 on the root database while every hit allocated its handle;
+// the run-time library prepares each statement of a run once per use,
+// about one hit per evaluated node.
 func TestPrepareHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -361,21 +367,31 @@ func TestPrepareHitAllocs(t *testing.T) {
 	same := rel.MustSchema(rel.Column{Name: "par", Type: rel.TypeString}, rel.Column{Name: "chd", Type: rel.TypeString})
 	params := []*rel.Schema{same, same, same}
 	parses := d.StatsSnapshot().Parses
-	var st *Stmt
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		if st, err = d.Prepare(text, params...); err != nil {
-			t.Fatal(err)
+	view := d.WithResolver(pinned{})
+	for _, c := range []struct {
+		on   *DB
+		name string
+		want float64
+	}{{d, "the root database", 0}, {view, "a view", 1}} {
+		var st *Stmt
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if st, err = c.on.Prepare(text, params...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != c.want {
+			t.Errorf("a cached Prepare on %s allocates %.0f objects, want %.0f", c.name, allocs, c.want)
 		}
-	})
-	if allocs != 1 {
-		t.Errorf("a cached Prepare allocates %.0f objects, want 1: its handle", allocs)
+		if want := mustPrepare(t, d, text, parentSchema, parentSchema, parentSchema); st.prepared != want.prepared || st.d != c.on {
+			t.Errorf("the hit on %s is on another statement than the text's for (par, chd), or on another database", c.name)
+		}
 	}
 	if n := d.StatsSnapshot().Parses - parses; n != 0 {
 		t.Errorf("cached Prepares parsed %d statements", n)
 	}
-	if want := mustPrepare(t, d, text, parentSchema, parentSchema, parentSchema); st.prepared != want.prepared || d.CachedStatements() != 2 {
-		t.Errorf("the hit is on another statement than the text's for (par, chd), or %d statements are cached, want 2", d.CachedStatements())
+	if d.CachedStatements() != 2 {
+		t.Errorf("%d statements are cached, want 2", d.CachedStatements())
 	}
 }
 
@@ -501,6 +517,124 @@ func TestQueryCountAllocatesNothing(t *testing.T) {
 		run()
 		if got := d.StatsSnapshot().Selects - before; got != 1 {
 			t.Errorf("%d rows: one QueryCount counted %d SELECTs, want 1", rows, got)
+		}
+	}
+}
+
+// TestStmtScan: a prepared SELECT's streamed records are the rows Query
+// returns, in order — a scan, a filtered scan, a join and the Knowledge
+// Manager's reads, its extraction's UNION among them, over the system
+// relations with and without their indexes — each Scan is one SELECT,
+// and a traced Scan records the operator tree a traced Query does.
+func TestStmtScan(t *testing.T) {
+	ctx := context.Background()
+	for _, noIndexes := range []bool{false, true} {
+		d := OpenMemory()
+		mustExec(t, d, "CREATE TABLE parent (par CHAR, chd CHAR)",
+			"INSERT INTO parent VALUES ('john', 'mary'), ('mary', 'sue'), ('john', 'bob'), ('bob', 'ann')")
+		managerTables(t, d, noIndexes)
+		three := []string{"anc", "sib", "cousin"}
+		for _, c := range []struct {
+			text   string
+			tables []string
+			vals   []rel.Value
+		}{
+			{"SELECT * FROM $1", []string{"parent"}, nil},
+			{"SELECT chd FROM $1 WHERE par = ?1", []string{"parent"}, []rel.Value{rel.NewString("john")}},
+			{"SELECT DISTINCT p.par, c.chd FROM $1 p, $1 c WHERE p.chd = c.par", []string{"parent"}, nil},
+			{"SELECT colno, coltype FROM edbcols WHERE predname = ?1", nil, []rel.Value{rel.NewString("parent")}},
+			{"SELECT topredname FROM reachablepreds WHERE frompredname = ?1", nil, []rel.Value{rel.NewString("cousin")}},
+			{extraction(three, func(k int) string { return fmt.Sprintf("?%d", k+1) }), nil,
+				[]rel.Value{rel.NewString("anc"), rel.NewString("sib"), rel.NewString("cousin")}},
+		} {
+			params := make([]*rel.Schema, len(c.tables))
+			for i := range params {
+				params[i] = parentSchema
+			}
+			st := mustPrepare(t, d, c.text, params...)
+			for _, traced := range []bool{false, true} {
+				var qsp, ssp *obs.Span
+				if traced {
+					qsp, ssp = obs.NewTrace("q").Root(), obs.NewTrace("q").Root()
+				}
+				rows, err := st.Query(ctx, qsp, c.vals, c.tables...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var recs rel.Records
+				before := d.StatsSnapshot().Selects
+				if err := st.Scan(ctx, ssp, c.vals, recs.Add, c.tables...); err != nil {
+					t.Fatal(err)
+				}
+				if n := d.StatsSnapshot().Selects - before; n != 1 {
+					t.Errorf("%s: Scan counted %d SELECTs, want 1", c.text, n)
+				}
+				got, err := recs.Decode(rows.Schema)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := fmt.Sprint(got), fmt.Sprint(rows.Tuples); g != w {
+					t.Errorf("%s (indexes %v, traced %v): Scan passes %v, Query returns %v", c.text, !noIndexes, traced, g, w)
+				}
+				if traced {
+					var qs, ss strings.Builder
+					spanShape(qsp, 0, &qs)
+					spanShape(ssp, 0, &ss)
+					if qs.String() != ss.String() {
+						t.Errorf("%s: a traced Scan records\n%s\na traced Query\n%s", c.text, ss.String(), qs.String())
+					}
+				}
+			}
+		}
+		d.Close()
+	}
+}
+
+// TestStmtScanAllocatesNothing: a warm prepared SELECT streams its
+// records from the kept tree and allocates nothing — a filtered scan
+// and a UNION, at 10 rows as at 1 000.
+func TestStmtScanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ctx := context.Background()
+	d := OpenMemory()
+	defer d.Close()
+	var n int
+	count := func([]byte) error { n++; return nil }
+	vals := []rel.Value{rel.NewString("p")}
+	for _, text := range []string{
+		"SELECT chd FROM $1 WHERE par = ?1",
+		"SELECT chd FROM $1 WHERE par = ?1 UNION SELECT par FROM $1 WHERE par = ?1",
+	} {
+		st := mustPrepare(t, d, text, parentSchema)
+		for _, rows := range []int{10, 1000} {
+			name := fmt.Sprintf("t%d", rows)
+			if d.Table(name) == nil {
+				if err := d.CreateTempTable(name, parentSchema); err != nil {
+					t.Fatal(err)
+				}
+				tuples := make([]rel.Tuple, rows)
+				for i := range tuples {
+					tuples[i] = rel.Tuple{rel.NewString("p"), rel.NewString(fmt.Sprintf("c%d", i))}
+				}
+				if err := d.InsertTuples(name, tuples); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run := func() {
+				n = 0
+				if err := st.Scan(ctx, nil, vals, count, name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // binds the kept tree to the table
+			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+				t.Errorf("%s over %d rows: a warm Scan allocates %.2f objects, want 0", text, rows, allocs)
+			}
+			if n < rows {
+				t.Errorf("%s over %d rows: Scan passed %d records", text, rows, n)
+			}
 		}
 	}
 }

@@ -21,6 +21,9 @@ const MaxCachedStmts = 256
 // empty one when full. Handles already taken keep the plans they hold.
 type stmtCache struct {
 	gen atomic.Pointer[stmtGen]
+	// root is the database the views share the cache with: a cached
+	// statement's own handle is on it.
+	root *DB
 }
 
 // stmtGen is one generation: statement text → the *prepared entries of
@@ -31,8 +34,8 @@ type stmtGen struct {
 	n atomic.Int64
 }
 
-func newStmtCache() *stmtCache {
-	c := new(stmtCache)
+func newStmtCache(root *DB) *stmtCache {
+	c := &stmtCache{root: root}
 	c.gen.Store(new(stmtGen))
 	return c
 }

@@ -98,6 +98,13 @@ func (s *Spans) Col(i int) []byte {
 	return s.rec[start:s.ends[i]:s.ends[i]]
 }
 
+// Int returns the value of column i, an int column.
+func (s *Spans) Int(i int) int64 { return spanInt(s.Col(i)) }
+
+// Chars returns the characters of column i, a string column: they
+// alias the record.
+func (s *Spans) Chars(i int) []byte { return spanChars(s.Col(i)) }
+
 // AppendCols appends the columns at ords to buf: the key AppendKey
 // writes over ords for the decoded tuple.
 func (s *Spans) AppendCols(buf []byte, ords []int) []byte {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"dkbms/internal/codegen"
@@ -20,9 +21,10 @@ type TempTables struct {
 	live map[string]bool
 }
 
-// newTempTables returns an empty registry over d.
-func newTempTables(d *db.DB) *TempTables {
-	return &TempTables{d: d, live: make(map[string]bool)}
+// newTempTables returns an empty registry over d, with room for n
+// tables.
+func newTempTables(d *db.DB, n int) *TempTables {
+	return &TempTables{d: d, live: make(map[string]bool, n)}
 }
 
 // Create creates and registers a temp table.
@@ -150,15 +152,16 @@ type differential struct {
 }
 
 // job binds r, prepared in the given form, to the relations TableOf
-// resolves.
-func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm) (differential, error) {
+// resolves, listed in tables, which has room for them and for the two
+// relations insertRule appends.
+func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm, tables []string) (differential, error) {
 	stmt, err := fp.Stmts.Rule(r, form)
 	if err != nil {
 		return differential{}, err
 	}
-	tables := make([]string, len(r.From), len(r.From)+2)
-	for i, f := range r.From {
-		tables[i] = fp.TableOf(f.Pred)
+	tables = tables[:0]
+	for _, f := range r.From {
+		tables = append(tables, fp.TableOf(f.Pred))
 	}
 	return differential{rule: r, stmt: stmt, tables: tables}, nil
 }
@@ -211,10 +214,27 @@ func (fp *Fixpoint) Run() error {
 
 // bind sets up the fixpoint's bookkeeping: every predicate's delta
 // names, relation and statements, and one differential per rule and
-// FROM position reading a predicate of Preds.
+// FROM position reading a predicate of Preds. The delta names are cut
+// from one string, and the differentials' relation lists from one
+// slice; the arrays of an earlier fixpoint on fp are reused.
 func (fp *Fixpoint) bind() error {
-	fp.deltas = make([]delta, len(fp.Preds))
+	fp.deltas = append(fp.deltas[:0], make([]delta, len(fp.Preds))...)
+	fp.diffs = fp.diffs[:0]
 	pos := make(map[string]int, len(fp.Preds))
+	// The names are written into one buffer sized up front and handed
+	// over as their string, not copied (strings.Builder).
+	roles := [...]string{"delta_p", "ndelta0_p", "ndelta1_p"}
+	var b strings.Builder
+	size := 0
+	for _, p := range fp.Preds {
+		for _, role := range roles {
+			size += len(fp.Prefix) + len(role) + len(p)
+		}
+	}
+	b.Grow(size)
+	var ibuf [64]byte
+	var ebuf [24]int
+	ends := ebuf[:0]
 	for i, p := range fp.Preds {
 		pos[p] = i
 		var err error
@@ -225,11 +245,31 @@ func (fp *Fixpoint) bind() error {
 		if dl.copy, err = fp.Stmts.Relation(p, CopyInto); err != nil {
 			return err
 		}
-		s := sanitize(p)
-		dl.first = fp.Prefix + "delta_" + s
-		dl.pending = [2]string{fp.Prefix + "ndelta0_" + s, fp.Prefix + "ndelta1_" + s}
 		dl.acc = fp.TableOf(p)
+		for _, role := range roles {
+			b.WriteString(fp.Prefix)
+			b.WriteString(role)
+			b.Write(codegen.AppendIdent(ibuf[:0], p))
+			ends = append(ends, b.Len())
+		}
 	}
+	names, start := b.String(), 0
+	for i := range fp.deltas {
+		dl := &fp.deltas[i]
+		dl.first = names[start:ends[3*i]]
+		dl.pending = [2]string{names[ends[3*i]:ends[3*i+1]], names[ends[3*i+1]:ends[3*i+2]]}
+		start = ends[3*i+2]
+	}
+	n := 0
+	for i := range fp.Rules {
+		r := &fp.Rules[i]
+		for _, f := range r.From {
+			if _, ok := pos[f.Pred]; ok {
+				n += len(r.From) + 2
+			}
+		}
+	}
+	tables := make([]string, n)
 	for i := range fp.Rules {
 		r := &fp.Rules[i]
 		head, ok := pos[r.Head]
@@ -241,10 +281,11 @@ func (fp *Fixpoint) bind() error {
 			if !ok {
 				continue
 			}
-			j, err := fp.job(r, RuleInsertNew)
+			j, err := fp.job(r, RuleInsertNew, tables[:0:len(r.From)+2])
 			if err != nil {
 				return err
 			}
+			tables = tables[len(r.From)+2:]
 			j.occ, j.from, j.head = occ, from, head
 			fp.diffs = append(fp.diffs, j)
 		}
@@ -374,12 +415,17 @@ func (fp *Fixpoint) insertRule(j *differential, target, acc string, parent *obs.
 // insertAll evaluates r over TableOf into target: an exit rule into its
 // head's relation, or a non-recursive node's rule.
 func (fp *Fixpoint) insertAll(r *codegen.RuleSQL, target string, parent *obs.Span) error {
-	j, err := fp.job(r, RuleInsert)
+	var tables [maxStackTables]string
+	j, err := fp.job(r, RuleInsert, tables[:])
 	if err != nil {
 		return err
 	}
 	return fp.insertRule(&j, target, "", parent)
 }
+
+// maxStackTables is how many relations insertAll lists on its stack:
+// the FROM positions of a rule, its target and its accumulator.
+const maxStackTables = 8
 
 // createTemp creates a temp table on the run's registry, timed.
 func (fp *Fixpoint) createTemp(name, pred string) error {

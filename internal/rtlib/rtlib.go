@@ -38,6 +38,7 @@ package rtlib
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -140,18 +141,21 @@ func EvaluateBlock(d *db.DB, prog *codegen.Program, opts Options) (*Result, []by
 // evaluate is Evaluate, reading the answer into *block instead of Rows
 // when block is not nil.
 func evaluate(d *db.DB, prog *codegen.Program, opts Options, block *[]byte) (*Result, error) {
-	seq := runSeq.Add(1)
+	derived := 0
+	for _, n := range prog.Nodes {
+		derived += len(n.Preds)
+	}
 	ev := &evaluator{
 		d:      d,
 		prog:   prog,
 		opts:   opts,
-		prefix: fmt.Sprintf("dkb%d_", seq),
-		tables: make(map[string]string),
+		tables: make(map[string]string, derived),
 		base:   make(map[string]string, len(prog.BasePreds)),
-		temps:  newTempTables(d),
+		temps:  newTempTables(d, derived),
 		stmts:  newStatements(d, prog.Schemas),
 	}
-	res, err := ev.run(block)
+	ev.fp.TableOf = ev.tableOf
+	res, err := ev.run(runSeq.Add(1), block)
 	ev.stmts.Close()
 	if err != nil {
 		// Best-effort teardown on failure.
@@ -176,6 +180,8 @@ type evaluator struct {
 	temps        *TempTables
 	// stmts is the run's statements, shared by all its nodes.
 	stmts *Statements
+	// fp is the fixpoint of the node evaluated, set up again by each.
+	fp    Fixpoint
 	stats Stats
 }
 
@@ -191,17 +197,20 @@ func (ev *evaluator) tableOf(pred string) string {
 	return codegen.BaseTable(pred)
 }
 
-// run evaluates the program, its answer read into *block when block is
-// not nil, else into the result's Rows.
-func (ev *evaluator) run(block *[]byte) (*Result, error) {
+// run evaluates the program as run number seq, its answer read into
+// *block when block is not nil, else into the result's Rows.
+func (ev *evaluator) run(seq uint64, block *[]byte) (*Result, error) {
 	start := time.Now()
-	// Verify base relations and seeds up front for clean errors.
+	// Every relation is named before evaluation starts; each node
+	// creates its own when it runs. Base relations and seeds are
+	// verified up front for clean errors. Seed-only predicates (no
+	// defining rules, e.g. the magic predicate of a non-recursive bound
+	// subgoal) are materialized up front.
+	seedOnly := ev.name(seq)
 	for _, p := range ev.prog.BasePreds {
-		t := codegen.BaseTable(p)
-		if !ev.d.HasTable(t) {
+		if t := ev.base[p]; !ev.d.HasTable(t) {
 			return nil, fmt.Errorf("rtlib: extensional relation %s (for predicate %s) does not exist", t, p)
 		}
-		ev.base[p] = t
 	}
 	if err := seedTuplesValid(ev.prog); err != nil {
 		return nil, err
@@ -210,22 +219,9 @@ func (ev *evaluator) run(block *[]byte) (*Result, error) {
 	for _, s := range ev.prog.Seeds {
 		seeds[s.Pred] = append(seeds[s.Pred], s.Tuple)
 	}
-	// Every derived relation is named before evaluation starts; each
-	// node creates its own when it runs. Seed-only predicates (no defining
-	// rules, e.g. the magic predicate of a non-recursive bound subgoal)
-	// are materialized up front.
-	for _, n := range ev.prog.Nodes {
-		for _, p := range n.Preds {
-			ev.tables[p] = ev.prefix + sanitize(p)
-		}
-	}
 	var preStats NodeStats
-	for _, s := range ev.prog.Seeds {
-		if _, named := ev.tables[s.Pred]; named {
-			continue
-		}
-		ev.tables[s.Pred] = ev.prefix + sanitize(s.Pred)
-		if err := ev.createPredTable(s.Pred, seeds, &preStats); err != nil {
+	for _, p := range seedOnly {
+		if err := ev.createPredTable(p, seeds, &preStats); err != nil {
 			return nil, err
 		}
 	}
@@ -277,6 +273,78 @@ func (ev *evaluator) run(block *[]byte) (*Result, error) {
 	return &Result{Rows: rows, Schema: ev.prog.Schemas[ev.prog.QueryPred], Stats: ev.stats}, nil
 }
 
+// name names every relation of run seq, each name cut from one
+// string: the prefix of the run's temp tables, each derived
+// predicate's temp table — the nodes' predicates', then the seed-only
+// predicates', which it returns — and each base predicate's extensional
+// table.
+func (ev *evaluator) name(seq uint64) (seedOnly []string) {
+	prog := ev.prog
+	for _, n := range prog.Nodes {
+		for _, p := range n.Preds {
+			ev.tables[p] = ""
+		}
+	}
+	for _, s := range prog.Seeds {
+		if _, named := ev.tables[s.Pred]; !named {
+			ev.tables[s.Pred] = ""
+			seedOnly = append(seedOnly, s.Pred)
+		}
+	}
+	// The names are written into one buffer sized up front and handed
+	// over as their string, not copied (strings.Builder).
+	var pbuf, ibuf [64]byte
+	prefix := append(strconv.AppendUint(append(pbuf[:0], "dkb"...), seq, 10), '_')
+	size := len(prefix)
+	for p := range ev.tables {
+		size += len(prefix) + 1 + len(p)
+	}
+	for _, p := range prog.BasePreds {
+		size += 4 + len(p)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.Write(prefix)
+	ends := make([]int, 0, len(ev.tables)+len(prog.BasePreds))
+	temp := func(p string) {
+		b.Write(prefix)
+		b.WriteByte('p')
+		b.Write(codegen.AppendIdent(ibuf[:0], p))
+		ends = append(ends, b.Len())
+	}
+	for _, n := range prog.Nodes {
+		for _, p := range n.Preds {
+			temp(p)
+		}
+	}
+	for _, p := range seedOnly {
+		temp(p)
+	}
+	for _, p := range prog.BasePreds {
+		b.Write(codegen.AppendBaseTable(ibuf[:0], p))
+		ends = append(ends, b.Len())
+	}
+	all, start := b.String(), len(prefix)
+	ev.prefix = all[:start]
+	next := func() string {
+		name := all[start:ends[0]]
+		start, ends = ends[0], ends[1:]
+		return name
+	}
+	for _, n := range prog.Nodes {
+		for _, p := range n.Preds {
+			ev.tables[p] = next()
+		}
+	}
+	for _, p := range seedOnly {
+		ev.tables[p] = next()
+	}
+	for _, p := range prog.BasePreds {
+		ev.base[p] = next()
+	}
+	return seedOnly
+}
+
 // evalNode evaluates evaluation-order node i and records its stats at
 // index i.
 func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.Span) error {
@@ -297,12 +365,10 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 			return err
 		}
 	}
-	fp := &Fixpoint{
-		DB: ev.d, Temps: ev.temps, Ctx: ev.opts.Ctx, Prefix: ev.prefix,
-		Schemas: ev.prog.Schemas, Preds: node.Preds,
-		exit: node.ExitRules, Rules: node.RecursiveRules, TableOf: ev.tableOf,
-		Span: sp, Stats: ns, Stmts: ev.stmts,
-	}
+	fp := &ev.fp
+	fp.DB, fp.Temps, fp.Ctx, fp.Prefix = ev.d, ev.temps, ev.opts.Ctx, ev.prefix
+	fp.Schemas, fp.Preds, fp.exit, fp.Rules = ev.prog.Schemas, node.Preds, node.ExitRules, node.RecursiveRules
+	fp.Span, fp.Stats, fp.Stmts = sp, ns, ev.stmts
 	var err error
 	switch {
 	case !node.Recursive:

@@ -65,7 +65,8 @@ func (s *Statements) schema(pred string) (*rel.Schema, error) {
 	if sch := s.schemas[pred]; sch != nil {
 		return sch, nil
 	}
-	if t := s.d.Table(codegen.BaseTable(pred)); t != nil {
+	var name [64]byte
+	if t := s.d.TableBytes(codegen.AppendBaseTable(name[:0], pred)); t != nil {
 		return t.Schema, nil
 	}
 	return nil, fmt.Errorf("rtlib: no relation for predicate %s", pred)

@@ -27,9 +27,10 @@
 package stored
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -388,38 +389,51 @@ func (m *Manager) DerivedTypes(preds []string) (map[string][]rel.Type, error) {
 }
 
 // readDict reads the column types of preds with one of the two column
-// dictionaries' statements, an execution per predicate; predicates
-// without entries are left out.
+// dictionaries' statements, an execution per predicate, each streaming
+// its rows into one state for the call; predicates without entries are
+// left out. A predicate's n rows must number its columns 0..n-1, each
+// once.
 func (m *Manager) readDict(cols *db.Stmt, preds []string) (map[string][]rel.Type, error) {
 	m.stats.readDictCalls.Add(1)
 	out := make(map[string][]rel.Type)
 	cols = cols.On(m.d)
+	r := getTextRead(intChars)
+	defer r.put()
 	vals := make([]rel.Value, 1)
 	for _, p := range preds {
+		r.reset()
 		vals[0] = rel.NewString(p)
-		rows, err := cols.Query(context.Background(), nil, vals)
-		if err != nil {
-			return nil, err
+		if err := cols.Scan(context.Background(), nil, vals, r.fn); err != nil {
+			return nil, fmt.Errorf("stored: reading the dictionary for %s: %w", p, err)
 		}
-		if len(rows.Tuples) == 0 {
+		if len(r.rows) == 0 {
 			continue
 		}
-		types := make([]rel.Type, len(rows.Tuples))
-		for _, tu := range rows.Tuples {
-			colno := int(tu[0].Int)
-			ty, err := rel.ParseType(tu[1].Str)
+		types := make([]rel.Type, len(r.rows))
+		for i, c := range r.rows {
+			ty, err := rel.ParseType(r.text(i))
 			if err != nil {
 				return nil, fmt.Errorf("stored: dictionary corruption for %s: %w", p, err)
 			}
-			if colno < 0 || colno >= len(types) {
-				return nil, fmt.Errorf("stored: dictionary corruption for %s: column %d", p, colno)
+			// ParseType returns no TypeUnknown, so a column already set
+			// is one numbered twice.
+			if c.id < 0 || c.id >= int64(len(types)) || types[c.id] != rel.TypeUnknown {
+				return nil, fmt.Errorf("stored: dictionary corruption for %s: column %d", p, c.id)
 			}
-			types[colno] = ty
+			types[c.id] = ty
 		}
 		out[p] = types
 	}
 	return out, nil
 }
+
+// Record schemas of the manager's streamed reads, by column types: a
+// dictionary row (colno, coltype) and an extracted rule (ruleid,
+// ruletext) are an INTEGER and a CHAR, a reachability row one CHAR.
+var (
+	intChars = rel.MustSchema(rel.Column{Name: "n", Type: rel.TypeInt}, rel.Column{Name: "s", Type: rel.TypeString})
+	chars    = rel.MustSchema(rel.Column{Name: "s", Type: rel.TypeString})
+)
 
 // --- Intensional database: extraction ---
 
@@ -434,7 +448,8 @@ func (m *Manager) ExtractRelevant(preds []string) ([]dlog.Clause, error) {
 	if len(preds) == 0 {
 		return nil, nil
 	}
-	var tuples []rel.Tuple
+	x := getTextRead(intChars)
+	defer x.put()
 	vals := make([]rel.Value, min(len(preds), sql.MaxParam))
 	for rest := preds; len(rest) > 0; {
 		chunk := rest[:min(len(rest), sql.MaxParam)]
@@ -446,33 +461,97 @@ func (m *Manager) ExtractRelevant(preds []string) ([]dlog.Clause, error) {
 		for i, p := range chunk {
 			vals[i] = rel.NewString(p)
 		}
-		rows, err := st.On(m.d).Query(context.Background(), nil, vals[:len(chunk)])
-		if err != nil {
+		if err := st.On(m.d).Scan(context.Background(), nil, vals[:len(chunk)], x.fn); err != nil {
 			return nil, err
-		}
-		if tuples == nil {
-			tuples = rows.Tuples
-		} else {
-			tuples = append(tuples, rows.Tuples...)
 		}
 	}
 	// Deterministic order by rule id; a rule relevant to two chunks is
 	// kept once.
-	sort.Slice(tuples, func(i, j int) bool { return tuples[i][0].Int < tuples[j][0].Int })
-	out := make([]dlog.Clause, 0, len(tuples))
-	for i, tu := range tuples {
-		if i > 0 && tu[0].Int == tuples[i-1][0].Int {
+	slices.SortFunc(x.rows, func(a, b textRow) int { return cmp.Compare(a.id, b.id) })
+	out := make([]dlog.Clause, 0, len(x.rows))
+	for i, r := range x.rows {
+		if i > 0 && r.id == x.rows[i-1].id {
 			continue
 		}
-		c, err := dlog.ParseClause(tu[1].Str)
+		c, err := dlog.ParseClause(x.text(i))
 		if err != nil {
-			return nil, fmt.Errorf("stored: corrupt rule %d: %w", tu[0].Int, err)
+			return nil, fmt.Errorf("stored: corrupt rule %d: %w", r.id, err)
 		}
 		out = append(out, c)
 	}
 	m.stats.extractedRules.Add(int64(len(out)))
 	return out, nil
 }
+
+// textRead is the state of one call's streamed reads of records that
+// end in a CHAR column — a dictionary row (colno, coltype), an
+// extracted rule (ruleid, ruletext), a predicate name of
+// reachablepreds: each record's leading INTEGER, when it has one, and
+// its text, the texts back to back in one buffer that is handed over
+// as their string (strings.Builder), not copied. States are recycled
+// (textReads), so a compile's few reads allocate no state; a text
+// returned stays valid, since a state lets go of its buffer when it is
+// reset.
+type textRead struct {
+	schema *rel.Schema // intChars or chars
+	spans  rel.Spans
+	texts  strings.Builder
+	rows   []textRow
+	// fn is row, the consumer a Scan is given, made once per state.
+	fn func(rec []byte) error
+}
+
+var textReads = sync.Pool{New: func() any {
+	r := new(textRead)
+	r.fn = r.row
+	return r
+}}
+
+// getTextRead returns an empty state for records of schema.
+func getTextRead(schema *rel.Schema) *textRead {
+	r := textReads.Get().(*textRead)
+	r.schema = schema
+	return r
+}
+
+// put empties r, letting go of its texts and of the record it read
+// last, and recycles it.
+func (r *textRead) put() {
+	r.reset()
+	r.spans.Clear()
+	textReads.Put(r)
+}
+
+// textRow is one record read: its id and where its text is.
+type textRow struct {
+	id         int64
+	start, end int
+}
+
+// row reads one record.
+func (r *textRead) row(rec []byte) error {
+	if err := r.spans.Read(rec, r.schema); err != nil {
+		return fmt.Errorf("stored: corrupt system relation row: %w", err)
+	}
+	text := r.schema.Len() - 1
+	var id int64
+	if text > 0 {
+		id = r.spans.Int(0)
+	}
+	start := r.texts.Len()
+	r.texts.Write(r.spans.Chars(text))
+	r.rows = append(r.rows, textRow{id, start, r.texts.Len()})
+	return nil
+}
+
+// text returns the text of rows[i].
+func (r *textRead) text(i int) string {
+	return r.texts.String()[r.rows[i].start:r.rows[i].end]
+}
+
+// reset forgets the records read, leaving the texts already returned
+// as they are.
+func (r *textRead) reset() { r.texts.Reset(); r.rows = r.rows[:0] }
 
 // RuleCount returns the number of stored rules.
 func (m *Manager) RuleCount() int { return m.d.TableRows(TabRuleSource) }

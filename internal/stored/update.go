@@ -207,17 +207,19 @@ func (m *Manager) refreshReachability(heads map[string]bool, g *pcg.Graph, tc []
 	headReach := func(h string) []int32 { return tc[g.ID(h)] }
 
 	// Upstream predicates: frompred rows pointing at any updated head.
-	upstream := make(map[string]bool)
+	r := getTextRead(chars)
+	defer r.put()
+	vals := make([]rel.Value, 1)
 	for h := range heads {
-		rows, err := m.stmts.reachTo.Query(context.Background(), nil, []rel.Value{rel.NewString(h)})
-		if err != nil {
+		vals[0] = rel.NewString(h)
+		if err := m.stmts.reachTo.Scan(context.Background(), nil, vals, r.fn); err != nil {
 			return err
 		}
-		for _, tu := range rows.Tuples {
-			p := tu[0].Str
-			if !heads[p] {
-				upstream[p] = true
-			}
+	}
+	upstream := make(map[string]bool)
+	for i := range r.rows {
+		if p := r.text(i); !heads[p] {
+			upstream[p] = true
 		}
 	}
 
@@ -232,7 +234,8 @@ func (m *Manager) refreshReachability(heads map[string]bool, g *pcg.Graph, tc []
 		return err
 	}
 	for _, h := range hs {
-		if err := unreach.Exec(context.Background(), nil, []rel.Value{rel.NewString(h)}); err != nil {
+		vals[0] = rel.NewString(h)
+		if err := unreach.Exec(context.Background(), nil, vals); err != nil {
 			return err
 		}
 		to := headReach(h)
@@ -253,13 +256,14 @@ func (m *Manager) refreshReachability(heads map[string]bool, g *pcg.Graph, tc []
 	}
 	sort.Strings(ups)
 	for _, p := range ups {
-		rows, err := m.stmts.reachFrom.Query(context.Background(), nil, []rel.Value{rel.NewString(p)})
-		if err != nil {
+		r.reset()
+		vals[0] = rel.NewString(p)
+		if err := m.stmts.reachFrom.Scan(context.Background(), nil, vals, r.fn); err != nil {
 			return err
 		}
-		old := make(map[string]bool, len(rows.Tuples))
-		for _, tu := range rows.Tuples {
-			old[tu[0].Str] = true
+		old := make(map[string]bool, len(r.rows))
+		for i := range r.rows {
+			old[r.text(i)] = true
 		}
 		add := make(map[string]bool)
 		pid := g.ID(p)
