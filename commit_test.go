@@ -70,8 +70,8 @@ func TestCommitFootprintPinned(t *testing.T) {
 			}
 			defer s.Release()
 			rows := make(map[string]int)
-			for _, name := range s.Tables() {
-				rows[name] = s.Table(name).Rows()
+			for name, v := range s.Tables() {
+				rows[name] = v.Rows()
 			}
 			before := c.SnapshotStats()
 
@@ -89,8 +89,8 @@ func TestCommitFootprintPinned(t *testing.T) {
 			if d := after.CopiedTables - before.CopiedTables; d != tc.copied {
 				t.Errorf("copied tables +%d, want +%d", d, tc.copied)
 			}
-			for _, name := range s.Tables() {
-				if got := s.Table(name).Rows(); got != rows[name] {
+			for name, v := range s.Tables() {
+				if got := v.Rows(); got != rows[name] {
 					t.Errorf("pinned snapshot: %s has %d rows, had %d", name, got, rows[name])
 				}
 			}

@@ -74,7 +74,7 @@ type ConcurrentTestbed struct {
 func NewConcurrent(tb *Testbed) *ConcurrentTestbed {
 	c := &ConcurrentTestbed{
 		tb:    tb,
-		snaps: snapshot.NewStore(BaseTableName("")),
+		snaps: snapshot.NewStore(),
 		plans: newPlanCache(),
 	}
 	c.publish() // the initial snapshot: the testbed state as wrapped
@@ -113,12 +113,12 @@ func (c *ConcurrentTestbed) acquire() (*snapshot.Snapshot, error) {
 	return s, nil
 }
 
-// view returns database and stored-manager views bound to the pinned
-// snapshot: every base-table resolution inside them lands on the
-// snapshot's frozen versions, while session-private temp tables fall
-// through to the live catalog.
+// view returns database and stored-manager views of the pinned
+// snapshot's table map, by the view rule (db.DB.View): a stored table
+// resolves in the map, where absent means absent, and a temp table —
+// the run-time library's session-private ones — in the live catalog.
 func (c *ConcurrentTestbed) view(s *snapshot.Snapshot) (*db.DB, *stored.Manager) {
-	vdb := c.tb.db.WithResolver(s)
+	vdb := c.tb.db.View(s.Tables(), nil)
 	return vdb, c.tb.st.WithDB(vdb)
 }
 
@@ -303,7 +303,7 @@ func (c *ConcurrentTestbed) readAt(ctx context.Context, s *snapshot.Snapshot, ke
 			recorders.Put(reads)
 		}()
 	}
-	res, block, err := c.tb.evaluate(ctx, c.tb.db.Recording(s, reads), compiled, &key.opts, tr, true)
+	res, block, err := c.tb.evaluate(ctx, c.tb.db.View(s.Tables(), reads), compiled, &key.opts, tr, true)
 	if err != nil {
 		return memo{}, err
 	}
@@ -371,8 +371,7 @@ func (c *ConcurrentTestbed) EngineMetrics() []obs.Metric {
 	}
 	defer s.Release()
 	var out []obs.Metric
-	for _, name := range s.Tables() {
-		t := s.Table(name)
+	for name, t := range s.Tables() {
 		hs := t.Heap.Stats()
 		pre := "table." + name + "."
 		out = append(out,

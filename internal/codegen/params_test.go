@@ -76,12 +76,17 @@ func TestParamSQLMatchesLiterals(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: prepare %q: %v", src, text, err)
 				}
-				res, err = st.Query(ctx, tr.Root(), r.Values, tables...)
+				res, err = st.Query(ctx, d, tr.Root(), r.Values, tables...)
 				if err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				res, err = d.QueryTracedCtx(ctx, r.SQL(codegen.BaseTable), tr.Root())
+				text := r.SQL(codegen.BaseTable)
+				st, err := d.Prepare(text)
+				if err != nil {
+					t.Fatalf("%s: prepare %q: %v", src, text, err)
+				}
+				res, err = st.Query(ctx, d, tr.Root(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -222,7 +222,7 @@ func TestBorrowedRowsNeverKept(t *testing.T) {
 		}
 		text := rowStrings(mustQuery(t, d, tc.stmt))
 		stmt := mustPrepare(t, d, tc.stmt)
-		first, err := stmt.Query(context.Background(), nil, nil)
+		first, err := stmt.Query(context.Background(), d, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestBorrowedRowsNeverKept(t *testing.T) {
 		want2 := tc.want()
 		sort.Strings(want2)
 		reuses := d.StatsSnapshot().Reuses
-		second, err := stmt.Query(context.Background(), nil, nil)
+		second, err := stmt.Query(context.Background(), d, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,12 +3,24 @@
 // database with an embedded-SQL interface. It ties together the SQL
 // front-end, the planner, the executor and the storage engine behind a
 // small Exec/Query API.
+//
+// A statement runs one way: prepared (Prepare), then executed on the
+// database or on a view of it by the *Stmt's methods. Exec, Query and
+// QueryCount prepare a SELECT, INSERT ... SELECT or DELETE ... WHERE for
+// one execution and run it through those same methods.
+//
+// A view (View) is the database as a snapshot published it: the
+// snapshot's frozen table map. Its one rule is that a stored table
+// resolves in the map, where absent means absent, and a temp table
+// resolves in the live catalog; a write through a view to a version of
+// its map is refused (catalog.ErrFrozen).
 package db
 
 import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/exec"
@@ -19,33 +31,23 @@ import (
 	"dkbms/internal/storage"
 )
 
-// TableResolver resolves base-table names to pinned physical table
-// versions. A snapshot implements it; a DB view carrying one binds
-// every statement it executes to that snapshot's state.
-//
-// ResolveTable reports the table (possibly nil) and whether the
-// resolver is authoritative for the name. Non-authoritative names fall
-// through to the live catalog — that is how session-private temp
-// tables, which are created during evaluation and are never
-// snapshotted, keep resolving.
-type TableResolver interface {
-	ResolveTable(name string) (t *catalog.Table, authoritative bool)
-}
-
-// DB is one open database, or a resolver-bound view of one (see
-// WithResolver). Views share the pager, catalog and statement counters
-// with their parent; only name resolution differs.
+// DB is one open database, or a view of one (View): the database as a
+// snapshot published it. A view shares the pager, catalog, statement
+// counters and prepared statements with the database; only table
+// resolution differs, by the view rule (Table).
 type DB struct {
 	pager *storage.Pager
 	cat   *catalog.Catalog
-	res   TableResolver
-	// reads records what the view's statements read of the resolver's
-	// table versions (Recording); nil records nothing.
+	// frozen is a view's table map, a snapshot's frozen version of each
+	// stored table; nil on the database itself.
+	frozen map[string]*catalog.Table
+	// reads records what the view's statements read of the map's
+	// versions; nil records nothing.
 	reads *exec.Reads
 
 	// stats counts statement traffic for the measurement harness, and
 	// stmts keeps the statements prepared on the database (Prepare).
-	// They are pointers so resolver views share them.
+	// They are pointers so views share them.
 	stats *counters
 	stmts *stmtCache
 
@@ -100,22 +102,15 @@ func (d *DB) StatsSnapshot() Stats {
 	}
 }
 
-// WithResolver returns a view of the database whose base-table name
-// resolution goes through r first. The view shares everything else —
-// pager, catalog, counters, prepared statements — with the receiver;
-// it is how a query evaluates against a pinned snapshot while the live
-// catalog moves.
-func (d *DB) WithResolver(r TableResolver) *DB {
-	return &DB{pager: d.pager, cat: d.cat, res: r, stats: d.stats, stmts: d.stmts}
-}
-
-// Recording is WithResolver for a view whose statements also record, in
-// reads, what they read of the published table versions r resolves to
-// (exec.Reads): the plan cache's read set of the answer they compute.
-func (d *DB) Recording(r TableResolver, reads *exec.Reads) *DB {
-	v := d.WithResolver(r)
-	v.reads = reads
-	return v
+// View returns the database as a snapshot published it: tables is the
+// snapshot's frozen table map, which must not be nil, and reads, when
+// not nil, records what the view's statements read of the map's
+// versions (exec.Reads), the plan cache's read set of the answer they
+// compute. The view shares everything else — pager, catalog, counters,
+// prepared statements — with the receiver; it is how a query evaluates
+// against a pinned snapshot while the live catalog moves.
+func (d *DB) View(tables map[string]*catalog.Table, reads *exec.Reads) *DB {
+	return &DB{pager: d.pager, cat: d.cat, frozen: tables, reads: reads, stats: d.stats, stmts: d.stmts}
 }
 
 // Reads returns the view's read recorder, nil when it records nothing;
@@ -123,40 +118,43 @@ func (d *DB) Recording(r TableResolver, reads *exec.Reads) *DB {
 // (plan.RecordingSource).
 func (d *DB) Reads() *exec.Reads { return d.reads }
 
-// Table resolves a table name: through the view's resolver when it is
-// authoritative for the name, otherwise in the live catalog. This is
-// the single binding point between statement execution and physical
-// tables — the planner, DML executors and row-count probes all pass
-// through it.
+// Table resolves a table name. On the database itself it is the live
+// catalog's table. On a view it follows the view rule: a stored table
+// resolves in the snapshot's map, where absent means absent — a table
+// created after the snapshot stays invisible, whatever its name — and a
+// temp table, which no snapshot holds, resolves in the live catalog.
+// This is the single binding point between statement execution and
+// physical tables: the planner, DML executors and row-count probes all
+// pass through it.
 func (d *DB) Table(name string) *catalog.Table {
-	if d.res != nil {
-		if t, ok := d.res.ResolveTable(name); ok {
-			return t
-		}
-	}
-	return d.cat.Table(name)
+	// TableBytes reads the name's bytes and never writes them.
+	return d.TableBytes(unsafe.Slice(unsafe.StringData(name), len(name)))
 }
 
 // TableBytes is Table for a name held in bytes — one built on the
-// caller's stack — which it does not keep. The root database looks it
-// up without a string; a view's resolver takes one.
+// caller's stack — which it does not keep: the one lookup of Table and
+// writable, which builds no string.
 func (d *DB) TableBytes(name []byte) *catalog.Table {
-	if d.res != nil {
-		return d.Table(string(name))
+	if d.frozen != nil {
+		if t, ok := d.frozen[string(name)]; ok {
+			return t
+		}
 	}
-	return d.cat.TableBytes(name)
+	t := d.cat.TableBytes(name)
+	if t != nil && d.frozen != nil && !t.Temp {
+		return nil
+	}
+	return t
 }
 
 // writable resolves the target of a write as Table does, except that
-// the live catalog resolves it with Catalog.Writable, which replaces a
-// frozen version on its first write by one that shares its pages. A
-// version a resolver pins stays as it is: frozen, its mutators refuse
-// the write.
+// on the database itself it resolves it with Catalog.Writable, which
+// replaces a frozen version on its first write by one that shares its
+// pages. A view's map version stays as it is: frozen, its mutators
+// refuse the write (catalog.ErrFrozen).
 func (d *DB) writable(name string) (*catalog.Table, error) {
-	if d.res != nil {
-		if t, ok := d.res.ResolveTable(name); ok {
-			return t, nil
-		}
+	if d.frozen != nil {
+		return d.Table(name), nil
 	}
 	return d.cat.Writable(name)
 }
@@ -195,9 +193,7 @@ func OpenMemory() *DB {
 
 // newDB returns the root database over pager and cat.
 func newDB(pager *storage.Pager, cat *catalog.Catalog) *DB {
-	d := &DB{pager: pager, cat: cat, stats: new(counters)}
-	d.stmts = newStmtCache(d)
-	return d
+	return &DB{pager: pager, cat: cat, stats: new(counters), stmts: newStmtCache()}
 }
 
 // Close flushes and closes the database.
@@ -217,17 +213,11 @@ type Rows struct {
 }
 
 // Exec parses and executes a statement that returns no rows (DDL, DML).
-// Executing a SELECT through Exec is an error; use Query.
-func (d *DB) Exec(stmt string) error { return d.ExecTracedCtx(context.Background(), stmt, nil) }
-
-// ExecTracedCtx is Exec with operator-level tracing and statement
-// cancellation. When sp is non-nil, an INSERT ... SELECT or DELETE ...
-// WHERE statement records its operator tree (rows emitted per
-// scan/join/filter) as child spans of sp; a nil sp costs one nil check.
-// An INSERT ... SELECT observes ctx between source tuples and aborts
-// with ctx.Err() when it is cancelled. Other statement forms do bounded
-// work and ignore ctx.
-func (d *DB) ExecTracedCtx(ctx context.Context, stmt string, sp *obs.Span) error {
+// An INSERT ... SELECT and a DELETE ... WHERE run as a statement
+// prepared for this one execution (Stmt.Exec); DDL, INSERT ... VALUES
+// and an unqualified DELETE run directly. Executing a SELECT through
+// Exec is an error; use Query.
+func (d *DB) Exec(stmt string) error {
 	st, err := d.parse(stmt)
 	if err != nil {
 		return err
@@ -245,62 +235,62 @@ func (d *DB) ExecTracedCtx(ctx context.Context, stmt string, sp *obs.Span) error
 		d.stats.ddl.Add(1)
 		return d.cat.DropIndex(s.Name)
 	case sql.Insert:
-		return d.execInsert(ctx, s, sp)
+		if s.Query == nil {
+			return d.execValues(s)
+		}
 	case sql.Delete:
-		return d.execDelete(s, sp)
+		if s.Where == nil {
+			return d.truncate(s.Table)
+		}
 	default:
 		return fmt.Errorf("db: unhandled statement %T", st)
 	}
+	// An INSERT ... SELECT or a DELETE ... WHERE.
+	p, err := d.prepare(st, nil)
+	if err != nil {
+		return err
+	}
+	return p.Exec(context.Background(), d, nil, nil)
 }
 
-// Query parses, plans and fully evaluates a SELECT.
+// Query parses, plans and fully evaluates a SELECT, as a statement
+// prepared for this one execution (Stmt.Query).
 func (d *DB) Query(stmt string) (*Rows, error) {
-	return d.QueryTracedCtx(context.Background(), stmt, nil)
+	p, err := d.prepareSelect(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return p.Query(context.Background(), d, nil, nil)
 }
 
-// QueryTracedCtx is Query with operator-level tracing and statement
-// cancellation. When sp is non-nil the SELECT's operator tree (rows
-// emitted per operator) is recorded as child spans of sp; a nil sp
-// costs one nil check. The drain observes ctx between result tuples
-// and aborts with ctx.Err() when it is cancelled, so a long scan or
-// join stops mid-statement instead of running to completion.
-func (d *DB) QueryTracedCtx(ctx context.Context, stmt string, sp *obs.Span) (*Rows, error) {
+// QueryCount evaluates a SELECT COUNT(*) and returns the count, read off
+// the COUNT(*) operator (Stmt.QueryCount) as a statement prepared for
+// this one execution. Any other SELECT is an error.
+func (d *DB) QueryCount(stmt string) (int64, error) {
+	p, err := d.prepareSelect(stmt)
+	if err != nil {
+		return 0, err
+	}
+	return p.QueryCount(context.Background(), d, nil, nil)
+}
+
+// prepareSelect parses and prepares the SELECT text of Query and
+// QueryCount.
+func (d *DB) prepareSelect(stmt string) (*Stmt, error) {
 	st, err := d.parse(stmt)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*sql.Select)
-	if !ok {
+	if _, ok := st.(*sql.Select); !ok {
 		return nil, fmt.Errorf("db: Query called with a non-SELECT %T; use Exec", st)
 	}
-	p, err := plan.Prepare(d, sel, nil)
-	if err != nil {
-		return nil, err
-	}
-	return d.runSelect(ctx, p, nil, nil, sp)
+	return d.prepare(st, nil)
 }
 
 // parse parses one statement text, counted.
 func (d *DB) parse(stmt string) (sql.Statement, error) {
 	d.stats.parses.Add(1)
 	return sql.Parse(stmt)
-}
-
-// QueryCount evaluates a SELECT COUNT(*) (or any single-int-row query)
-// and returns the count.
-func (d *DB) QueryCount(stmt string) (int64, error) {
-	rows, err := d.Query(stmt)
-	if err != nil {
-		return 0, err
-	}
-	return singleInt(rows)
-}
-
-func singleInt(rows *Rows) (int64, error) {
-	if len(rows.Tuples) != 1 || len(rows.Tuples[0]) != 1 || rows.Tuples[0][0].Kind != rel.TypeInt {
-		return 0, fmt.Errorf("db: QueryCount: result is not a single integer")
-	}
-	return rows.Tuples[0][0].Int, nil
 }
 
 // InsertTuples appends tuples to a table directly, bypassing SQL text.
@@ -333,7 +323,8 @@ func (d *DB) InsertTuples(table string, tuples []rel.Tuple) error {
 
 // operators plans one execution of p. An untraced one takes the tree p
 // keeps, re-bound when the planner decides as it did the last time —
-// an ad-hoc statement's p is new, so its tree is constructed — and t is
+// a statement prepared for one execution has no tree yet, so its tree is
+// constructed — and t is
 // handed back with p.Release after the drain. A traced execution, whose
 // tree Instrument rewrites, constructs its own, and t is nil.
 func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) (op exec.Operator, t *plan.Tree, err error) {
@@ -353,20 +344,6 @@ func (d *DB) operators(p *plan.Prepared, args []*catalog.Table, vals []rel.Value
 		d.stats.builds.Add(1)
 	}
 	return t.Root, t, nil
-}
-
-// runSelect plans and drains one execution of a prepared SELECT.
-func (d *DB) runSelect(ctx context.Context, p *plan.Prepared, args []*catalog.Table, vals []rel.Value, sp *obs.Span) (*Rows, error) {
-	var rows *Rows
-	err := d.drainSelect(p, args, vals, sp, func(op exec.Operator) error {
-		tuples, err := exec.CollectOwned(ctx, op)
-		rows = &Rows{Schema: op.Schema(), Tuples: tuples}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // drainSelect plans one execution of a prepared SELECT, counted as a
@@ -424,7 +401,9 @@ func (d *DB) execCreateIndex(s sql.CreateIndex) error {
 	return err
 }
 
-func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
+// execValues is INSERT INTO t VALUES ...: each row's literals written
+// to t.
+func (d *DB) execValues(s sql.Insert) error {
 	if s.Param != 0 {
 		return fmt.Errorf("db: INSERT INTO $%d: table parameters need Prepare", s.Param)
 	}
@@ -435,13 +414,6 @@ func (d *DB) execInsert(ctx context.Context, s sql.Insert, sp *obs.Span) error {
 	}
 	if t == nil {
 		return fmt.Errorf("db: no table %s", s.Table)
-	}
-	if s.Query != nil {
-		p, err := plan.Prepare(d, s.Query, nil)
-		if err != nil {
-			return err
-		}
-		return d.insertSelect(ctx, t, p, nil, nil, nil, sp)
 	}
 	for _, row := range s.Rows {
 		tu := make(rel.Tuple, len(row))
@@ -551,28 +523,19 @@ func (d *DB) insertRecord(t *catalog.Table, rec []byte) error {
 	return nil
 }
 
-func (d *DB) execDelete(s sql.Delete, sp *obs.Span) error {
+// truncate is DELETE FROM t without a WHERE. A frozen version is
+// replaced by one that shares its pages, and emptying that copies
+// nothing.
+func (d *DB) truncate(name string) error {
 	d.stats.deletes.Add(1)
-	// Resolved before the victim scan is planned, so the scan reads the
-	// version the deletes write. A replaced version keeps every RID, and
-	// an unqualified DELETE of one copies nothing.
-	t, err := d.writable(s.Table)
+	t, err := d.writable(name)
 	if err != nil {
 		return err
 	}
 	if t == nil {
-		return fmt.Errorf("db: no table %s", s.Table)
+		return fmt.Errorf("db: no table %s", name)
 	}
-	if s.Where == nil {
-		return t.Truncate()
-	}
-	op, err := plan.BuildDelete(d, s)
-	if err != nil {
-		return err
-	}
-	op, flush := exec.Instrument(op, sp)
-	defer flush()
-	return d.deleteRows(t, op)
+	return t.Truncate()
 }
 
 // victims are the rows a DELETE's scan found, collected before any is

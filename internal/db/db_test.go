@@ -476,7 +476,8 @@ func TestQueryCancellation(t *testing.T) {
 	d := family(t)
 	ctx, cancel := context.WithCancel(context.Background())
 
-	rows, err := d.QueryTracedCtx(ctx, "SELECT * FROM parent", nil)
+	sel := mustPrepare(t, d, "SELECT * FROM parent")
+	rows, err := sel.Query(ctx, d, nil, nil)
 	if err != nil {
 		t.Fatalf("live ctx: %v", err)
 	}
@@ -485,11 +486,11 @@ func TestQueryCancellation(t *testing.T) {
 	}
 
 	cancel()
-	if _, err := d.QueryTracedCtx(ctx, "SELECT * FROM parent", nil); !errors.Is(err, context.Canceled) {
+	if _, err := sel.Query(ctx, d, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled SELECT: got %v, want context.Canceled", err)
 	}
 	mustExec(t, d, "CREATE TABLE copy2 (par CHAR, chd CHAR)")
-	if err := d.ExecTracedCtx(ctx, "INSERT INTO copy2 SELECT * FROM parent", nil); !errors.Is(err, context.Canceled) {
+	if err := mustPrepare(t, d, "INSERT INTO copy2 SELECT * FROM parent").Exec(ctx, d, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled INSERT ... SELECT: got %v, want context.Canceled", err)
 	}
 	if n := d.TableRows("copy2"); n != 0 {
@@ -534,5 +535,25 @@ func TestInsertSelectThroughOwnIndex(t *testing.T) {
 	}
 	if len(want) < 400 {
 		t.Fatalf("only %d rows: the statements wrote too little to move the slabs", len(want))
+	}
+}
+
+// TestQueryCountTakesCountStar: QueryCount reads its count off a
+// COUNT(*) operator; any other SELECT — one row of one integer
+// included — is an error, not a number.
+func TestQueryCountTakesCountStar(t *testing.T) {
+	d := family(t)
+	mustExec(t, d, "CREATE TABLE nums (n INTEGER)", "INSERT INTO nums VALUES (7)")
+	for _, q := range []string{
+		"SELECT n FROM nums",
+		"SELECT * FROM parent",
+		"SELECT par FROM parent WHERE chd = 'ann'",
+	} {
+		if n, err := d.QueryCount(q); err == nil {
+			t.Errorf("QueryCount(%q) = %d, want an error", q, n)
+		}
+	}
+	if _, err := d.QueryCount("DELETE FROM nums WHERE n = 7"); err == nil || d.TableRows("nums") != 1 {
+		t.Errorf("QueryCount ran a DELETE: %v", err)
 	}
 }

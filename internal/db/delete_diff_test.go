@@ -292,8 +292,18 @@ func TestDeleteAgainstModel(t *testing.T) {
 				tr = obs.NewTrace("stmt")
 				sp = tr.Root()
 			}
+			var st *Stmt
+			if traced {
+				st = mustPrepare(t, d, stmt)
+			}
 			before := d.StatsSnapshot()
-			if err := d.ExecTracedCtx(context.Background(), stmt, sp); err != nil {
+			var err error
+			if traced {
+				err = st.Exec(context.Background(), d, sp, nil)
+			} else {
+				err = d.Exec(stmt)
+			}
+			if err != nil {
 				t.Fatalf("%s: %v", ctx, err)
 			}
 			if after := d.StatsSnapshot(); after.Deletes != before.Deletes+1 || after.Selects != before.Selects {
@@ -350,4 +360,50 @@ func TestDeleteRejectsBadPredicates(t *testing.T) {
 	checkDelTable(t, "after rejected statements", d, rows, rows)
 	mustExec(t, d, "DELETE FROM t WHERE t.a = 1")
 	checkDelTable(t, "qualified column", d, rows, rows[1:])
+}
+
+// TestDeleteAccessPath: a DELETE run through Exec finds its victims
+// through the access path SELECT * FROM t WHERE p would take — an
+// IndexScan when literal equalities bind an index prefix, which reads
+// no heap page in order, a SeqScan otherwise — and re-checks the whole
+// predicate on every candidate, so it deletes exactly the rows p holds
+// for.
+func TestDeleteAccessPath(t *testing.T) {
+	for _, tc := range []struct {
+		stmt    string
+		indexed bool
+		victims int
+	}{
+		{"DELETE FROM e WHERE a >= 3 AND b <> 1", false, 88},
+		{"DELETE FROM e WHERE b = 4 AND a < 50", true, 5},
+		{"DELETE FROM e WHERE 4 = e.b", true, 10},
+		{"DELETE FROM e WHERE b = 4 OR a = 1", false, 11},
+	} {
+		d := OpenMemory()
+		mustExec(t, d, "CREATE TABLE e (a INTEGER, b INTEGER)")
+		for i := 0; i < 100; i++ {
+			mustExec(t, d, fmt.Sprintf("INSERT INTO e VALUES (%d, %d)", i, i%10))
+		}
+		mustExec(t, d, "CREATE INDEX e_b ON e (b)")
+		heap := d.Table("e").Heap
+		before := heap.Stats()
+		mustExec(t, d, tc.stmt)
+		if scans := heap.Stats().Sub(before).Scans; (scans == 0) != tc.indexed {
+			t.Errorf("%s: %d heap scans, want indexed=%v", tc.stmt, scans, tc.indexed)
+		}
+		if n := 100 - d.TableRows("e"); n != tc.victims {
+			t.Errorf("%s: %d victims, want %d", tc.stmt, n, tc.victims)
+		}
+		rest, err := d.QueryCount("SELECT COUNT(*) FROM e WHERE " + strings.TrimPrefix(tc.stmt, "DELETE FROM e WHERE "))
+		if err != nil || rest != 0 {
+			t.Errorf("%s: %d rows it holds for survive (%v)", tc.stmt, rest, err)
+		}
+	}
+	d := OpenMemory()
+	mustExec(t, d, "CREATE TABLE e (a INTEGER, b INTEGER)")
+	for _, stmt := range []string{"DELETE FROM e WHERE zz = 3", "DELETE FROM nosuch WHERE a = 3"} {
+		if err := d.Exec(stmt); err == nil {
+			t.Errorf("%s: accepted", stmt)
+		}
+	}
 }

@@ -122,7 +122,7 @@ func TestRuleInsertDecodesNothing(t *testing.T) {
 			}
 			s := mustPrepare(t, d, stmt)
 			exec := func() {
-				if err := s.Exec(context.Background(), nil, nil); err != nil {
+				if err := s.Exec(context.Background(), d, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -176,7 +176,7 @@ func TestDeleteDecodesNothing(t *testing.T) {
 		load := func() { fill("v") }
 		st := mustPrepare(t, d, "DELETE FROM r WHERE s = ?1")
 		del := func() {
-			if err := st.Exec(context.Background(), nil, []rel.Value{rel.NewString("v")}); err != nil {
+			if err := st.Exec(context.Background(), d, nil, []rel.Value{rel.NewString("v")}); err != nil {
 				t.Fatal(err)
 			}
 			if got := d.TableRows("r"); got != n {

@@ -247,15 +247,15 @@ func lfpRebinds(t *testing.T, indexed bool) {
 	run := func(st *Stmt, tables ...string) {
 		t.Helper()
 		var buf [maxStackArgs]*catalog.Table
-		args, err := st.bind(buf[:0], tables)
+		args, err := st.bind(d, buf[:0], tables)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkKept(t, d, &st.sel, args, nil, false, strings.Join(tables, ", "))
 		if st.insert {
-			err = st.Exec(ctx, nil, nil, tables...)
+			err = st.Exec(ctx, d, nil, nil, tables...)
 		} else {
-			_, err = st.Query(ctx, nil, nil, tables...)
+			_, err = st.Query(ctx, d, nil, nil, tables...)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -314,17 +314,12 @@ func heapPages(t *testing.T, tab *catalog.Table) int {
 	return int(tab.Heap.Stats().Sub(before).PagesScanned)
 }
 
-// pinned is a TableResolver binding base-table names to fixed table
-// versions, as a snapshot does.
+// pinned is a view's table map, binding stored-table names to fixed
+// table versions, as a snapshot's does.
 type pinned map[string]*catalog.Table
 
-func (p pinned) ResolveTable(name string) (*catalog.Table, bool) {
-	t, ok := p[name]
-	return t, ok
-}
-
 // TestStmtOnViewsConcurrent executes one prepared statement from 8
-// goroutines On two views that bind its named table to different
+// goroutines on two views that bind its named table to different
 // tables (run under -race): the views share the statement's plan and
 // its kept tree, and every answer is the one the view's own ad-hoc
 // query gives.
@@ -337,8 +332,8 @@ func TestStmtOnViewsConcurrent(t *testing.T) {
 	}
 	const q = "SELECT DISTINCT p.par, c.chd FROM parent p, parent c WHERE p.chd = c.par"
 	views := []*DB{
-		d.WithResolver(pinned{"parent": d.Table("parent")}),
-		d.WithResolver(pinned{"parent": d.Table("parent2")}),
+		d.View(pinned{"parent": d.Table("parent")}, nil),
+		d.View(pinned{"parent": d.Table("parent2")}, nil),
 	}
 	var want [2]string
 	for i, v := range views {
@@ -356,7 +351,7 @@ func TestStmtOnViewsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				k := (g + i) % 2
-				rows, err := st.On(views[k]).Query(ctx, nil, nil)
+				rows, err := st.Query(ctx, views[k], nil, nil)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

@@ -229,7 +229,7 @@ func TestSetOpsAgainstModel(t *testing.T) {
 				t.Fatalf("seed %d: %s\n got %v\nwant %v\ntables %v", seed, stmt, got, want, tabs)
 			}
 			tr := obs.NewTrace("query")
-			rows, err := d.QueryTracedCtx(context.Background(), stmt, tr.Root())
+			rows, err := mustPrepare(t, d, stmt).Query(context.Background(), d, tr.Root(), nil)
 			if err != nil {
 				t.Fatalf("seed %d: traced %s: %v", seed, stmt, err)
 			}
@@ -289,7 +289,7 @@ func TestSelfReferentialInsertAgainstModel(t *testing.T) {
 					sp = tr.Root()
 				}
 				before := d.StatsSnapshot().InsertedRows
-				if err := d.ExecTracedCtx(context.Background(), stmt, sp); err != nil {
+				if err := mustPrepare(t, d, stmt).Exec(context.Background(), d, sp, nil); err != nil {
 					t.Fatalf("seed %d: %s: %v", seed, stmt, err)
 				}
 				if got := d.StatsSnapshot().InsertedRows - before; got != int64(len(added)) {
@@ -311,7 +311,7 @@ func TestSelfReferentialInsertAgainstModel(t *testing.T) {
 					tr = obs.NewTrace("stmt")
 					sp = tr.Root()
 				}
-				rows, err := d.QueryTracedCtx(context.Background(), "SELECT COUNT(*) FROM t", sp)
+				rows, err := mustPrepare(t, d, "SELECT COUNT(*) FROM t").Query(context.Background(), d, sp, nil)
 				if err != nil || len(rows.Tuples) != 1 || rows.Tuples[0][0].Int != int64(len(want)) {
 					t.Fatalf("seed %d: COUNT(*) = %v, %v; want %d", seed, rows, err, len(want))
 				}
@@ -325,7 +325,7 @@ func TestSelfReferentialInsertAgainstModel(t *testing.T) {
 						tr = obs.NewTrace("stmt")
 						sp = tr.Root()
 					}
-					if err := d.ExecTracedCtx(context.Background(), "INSERT INTO "+into+" SELECT * FROM t", sp); err != nil {
+					if err := mustPrepare(t, d, "INSERT INTO "+into+" SELECT * FROM t").Exec(context.Background(), d, sp, nil); err != nil {
 						t.Fatal(err)
 					}
 					if traced {

@@ -13,15 +13,18 @@ import (
 	"dkbms/internal/sql"
 )
 
-// Stmt is a handle on a prepared SELECT or INSERT ... SELECT: parsed
-// and bound to schemas once, planned per execution against the tables'
-// state of that moment — the testbed's analog of the paper's
-// precompiled embedded SQL. The statement keeps one operator tree,
-// which every handle on it and every view On them executes through: an
-// untraced execution whose planning decides as the tree's last one did
-// re-binds that tree — to its tables and its ?n values — instead of
-// constructing one, and an execution that finds the tree held by a
-// concurrent one constructs a tree of its own, which is not kept
+// Stmt is a prepared SELECT, INSERT ... SELECT or DELETE ... WHERE:
+// parsed and bound to schemas once, planned per execution against the
+// tables' state of that moment — the testbed's analog of the paper's
+// precompiled embedded SQL. Every execution method takes the database it
+// runs on: the database the statement was prepared on or a view of it
+// (DB.View), whose tables the execution then reads, so a statement
+// prepared once reads any snapshot. The statement keeps one operator
+// tree, which every execution on any of them goes through: an untraced
+// execution whose planning decides as the tree's last one did re-binds
+// that tree — to its tables and its ?n values — instead of constructing
+// one, and an execution that finds the tree held by a concurrent one
+// constructs a tree of its own, which is not kept
 // (plan.Prepared.Acquire). Shed empties the tree of its tables and
 // working memory between the runs that use it. Table positions (FROM
 // entries, the INSERT target) may be parameters $1..$n, each with a
@@ -30,22 +33,14 @@ import (
 // by that column; an execution supplies their values. A Stmt is safe
 // for concurrent use; executions are counted and traced exactly as the
 // same statement run through Exec or Query with the values written in
-// as literals.
+// as literals — those run it as a statement prepared for one execution.
 type Stmt struct {
-	d *DB
-	*prepared
-}
-
-// prepared is what Prepare settles for one statement text and parameter
-// schemas, shared by every handle on it and immutable but for the kept
-// tree.
-type prepared struct {
 	params []*rel.Schema
 	// sel is the SELECT with the statement's kept operator tree.
 	sel plan.Prepared
-	// next is the cached entry of the same text with other parameter
+	// next is the cached statement of the same text with other parameter
 	// schemas (stmtCache).
-	next *prepared
+	next *Stmt
 	// insert marks INSERT ... SELECT; the target is into, or parameter
 	// $intoParam when that is positive.
 	insert    bool
@@ -54,194 +49,190 @@ type prepared struct {
 	// del marks DELETE FROM into, its WHERE the SELECT's.
 	del bool
 	// ins writes the records of an INSERT executed on the kept tree,
-	// and is the execution's while it holds the tree.
-	ins inserter
-	// own is the statement's handle on the root database, which
-	// Prepare on that database returns.
-	own Stmt
+	// and is the execution's while it holds the tree. It is an object of
+	// its own: its consumer refers to it, which keeps it on the heap, and
+	// embedded it would move the caller's memory holding the statement
+	// there too — a run's table list off its stack (TestEvalAllocsPerNode).
+	ins *inserter
 }
 
 // Prepare parses a SELECT, an INSERT ... SELECT or a DELETE with a
 // WHERE and resolves it against the schemas of its tables: params[n-1]
-// for table parameter $n, the root database's catalog for named
-// tables. Only a statement prepared here takes value parameters.
+// for table parameter $n, the receiver's Table for named tables. Only a
+// statement prepared here takes value parameters.
 //
 // A statement all of whose tables are parameters — every statement the
-// run-time library issues — is prepared once per database: the plan is
-// kept, found by the text and the parameters' schemas compared by
-// structure, and a later Prepare of the same returns a new handle on it
-// without parsing or rendering a key: on the root database the
-// statement's own handle, allocating nothing, and on a view a handle
-// of two words. The cache keeps no table and no view, only schemas, the
-// plan and the statement's operator tree (shed of every table between
-// runs, Stmt.Shed), and holds at most MaxCachedStmts statements,
-// emptied when full. A statement naming a table is prepared anew each
-// time: the table a name stands for may be dropped and created with
-// another schema.
+// run-time library issues — is prepared once per database and its
+// views: the statement is kept, found by the text and the parameters'
+// schemas compared by structure, and a later Prepare of the same on the
+// database or any view of it returns the same *Stmt without parsing,
+// rendering a key or allocating. The cache keeps no table and no view,
+// only schemas, the plan and the statement's operator tree (shed of
+// every table between runs, Stmt.Shed), and holds at most
+// MaxCachedStmts statements, emptied when full. A statement naming a
+// table is prepared anew each time: the table a name stands for may be
+// dropped and created with another schema.
 func (d *DB) Prepare(stmt string, params ...*rel.Schema) (*Stmt, error) {
-	p := d.stmts.load(stmt, params)
-	if p == nil {
-		var cache bool
-		var err error
-		if p, cache, err = d.prepare(stmt, params); err != nil {
-			return nil, err
-		}
-		if cache {
-			p = d.stmts.store(stmt, p)
-		}
+	if s := d.stmts.load(stmt, params); s != nil {
+		return s, nil
 	}
-	if d == p.own.d {
-		return &p.own, nil
+	st, err := d.parse(stmt)
+	if err != nil {
+		return nil, err
 	}
-	return &Stmt{d: d, prepared: p}, nil
+	s, err := d.prepare(st, params)
+	if err != nil {
+		return nil, err
+	}
+	if !s.sel.NamesTables() && (!s.insert || s.intoParam > 0) {
+		s = d.stmts.store(stmt, s)
+	}
+	return s, nil
 }
 
 // Shed empties the statement's operator tree of its tables, indexes,
 // probe keys, values and working memory (plan.Prepared.Shed), unless
 // an execution holds it. A caller sheds a statement when it is done
 // with it for now — the run-time library when a run ends — and may
-// still use it: its next execution re-binds the shed tree. Every
-// handle on the statement shares the tree, so one sheds it for all.
+// still use it: its next execution re-binds the shed tree.
 func (s *Stmt) Shed() { s.sel.Shed() }
 
-// prepare parses and analyzes stmt on the root database; cache reports
-// that every table of it is a parameter.
-func (d *DB) prepare(stmt string, params []*rel.Schema) (p *prepared, cache bool, err error) {
-	st, err := d.parse(stmt)
-	if err != nil {
-		return nil, false, err
-	}
+// prepare analyzes a parsed statement on d.
+func (d *DB) prepare(st sql.Statement, params []*rel.Schema) (*Stmt, error) {
 	// The caller's parameter list is copied, so a hit in the cache
 	// (Prepare) lets none escape.
-	p = &prepared{params: slices.Clone(params)}
-	p.own = Stmt{d: d.stmts.root, prepared: p}
+	s := &Stmt{params: slices.Clone(params)}
 	sel, _ := st.(*sql.Select)
 	if del, ok := st.(sql.Delete); ok {
 		if del.Where == nil {
-			return nil, false, fmt.Errorf("db: Prepare takes a DELETE with a WHERE")
+			return nil, fmt.Errorf("db: Prepare takes a DELETE with a WHERE")
 		}
-		p.del, p.into = true, del.Table
+		s.del, s.into = true, del.Table
 		sel = &sql.Select{From: []sql.TableRef{{Table: del.Table, Alias: del.Table}}, Where: del.Where}
 	}
 	if ins, ok := st.(sql.Insert); ok && ins.Query != nil {
-		if ins.Param > len(p.params) || ins.Param > 0 && p.params[ins.Param-1] == nil {
-			return nil, false, fmt.Errorf("db: no schema declared for table parameter $%d", ins.Param)
+		if ins.Param > len(s.params) || ins.Param > 0 && s.params[ins.Param-1] == nil {
+			return nil, fmt.Errorf("db: no schema declared for table parameter $%d", ins.Param)
 		}
-		p.insert, p.into, p.intoParam = true, ins.Table, ins.Param
+		s.insert, s.into, s.intoParam, s.ins = true, ins.Table, ins.Param, new(inserter)
 		sel = ins.Query
 	}
 	if sel == nil {
-		return nil, false, fmt.Errorf("db: Prepare takes a SELECT, an INSERT ... SELECT or a DELETE ... WHERE, got %T", st)
+		return nil, fmt.Errorf("db: Prepare takes a SELECT, an INSERT ... SELECT or a DELETE ... WHERE, got %T", st)
 	}
-	if p.sel.Analyzed, err = plan.Analyze(d.cat, sel, p.params); err != nil {
-		return nil, false, err
+	var err error
+	if s.sel.Analyzed, err = plan.Analyze(d, sel, s.params); err != nil {
+		return nil, err
 	}
-	return p, !p.sel.NamesTables() && (!p.insert || p.intoParam > 0), nil
-}
-
-// On returns the statement executing on v, which is the database s was
-// prepared on or a WithResolver view of it: its named tables then
-// resolve through v, so a statement prepared once on a database reads
-// any snapshot a view binds. On panics if v is another database.
-func (s *Stmt) On(v *DB) *Stmt {
-	if v == s.d {
-		return s
-	}
-	if v.cat != s.d.cat {
-		panic("db: Stmt.On: a view of another database")
-	}
-	on := *s
-	on.d = v
-	return &on
+	return s, nil
 }
 
 // maxStackArgs is how many bound tables an execution keeps on its stack;
 // rule bodies have a handful of literals.
 const maxStackArgs = 8
 
-// bind resolves an execution's table names, one per declared parameter,
-// into buf. A name without a table binds nil, which the plan reports as
-// the missing table it is.
-func (s *Stmt) bind(buf []*catalog.Table, tables []string) ([]*catalog.Table, error) {
+// bind resolves an execution's table names on d, one per declared
+// parameter, into buf. A name without a table binds nil, which the plan
+// reports as the missing table it is.
+func (s *Stmt) bind(d *DB, buf []*catalog.Table, tables []string) ([]*catalog.Table, error) {
 	if len(tables) != len(s.params) {
 		return nil, fmt.Errorf("db: statement takes %d table parameters, got %d", len(s.params), len(tables))
 	}
 	for _, name := range tables {
-		buf = append(buf, s.d.Table(name))
+		buf = append(buf, d.Table(name))
 	}
 	return buf, nil
 }
 
-// Query executes a prepared SELECT with vals[m-1] bound to ?m and
-// tables[n-1] to $n. ctx and sp are as in QueryTracedCtx.
-func (s *Stmt) Query(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) (*Rows, error) {
+// Query executes a prepared SELECT on d with vals[m-1] bound to ?m and
+// tables[n-1] to $n, and returns its rows. When sp is non-nil the
+// SELECT's operator tree (rows emitted per operator) is recorded as
+// child spans of sp; a nil sp costs one nil check. The drain observes
+// ctx between result tuples and aborts with ctx.Err() when it is
+// cancelled, so a long scan or join stops mid-statement instead of
+// running to completion.
+func (s *Stmt) Query(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, tables ...string) (*Rows, error) {
 	if s.insert || s.del {
 		return nil, fmt.Errorf("db: Query called on a prepared INSERT or DELETE; use Exec")
 	}
 	var buf [maxStackArgs]*catalog.Table
-	args, err := s.bind(buf[:0], tables)
+	args, err := s.bind(d, buf[:0], tables)
 	if err != nil {
 		return nil, err
 	}
-	return s.d.runSelect(ctx, &s.sel, args, vals, sp)
+	var rows *Rows
+	err = d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) error {
+		tuples, err := exec.CollectOwned(ctx, op)
+		rows = &Rows{Schema: op.Schema(), Tuples: tuples}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // AppendRows executes a prepared SELECT as Query does and appends its
 // rows to buf as one row block (rel.AppendRows's layout), decoding none
 // (exec.AppendRows): a bare scan's block is its table's records as
 // stored, in chain order.
-func (s *Stmt) AppendRows(ctx context.Context, sp *obs.Span, buf []byte, vals []rel.Value, tables ...string) ([]byte, error) {
+func (s *Stmt) AppendRows(ctx context.Context, d *DB, sp *obs.Span, buf []byte, vals []rel.Value, tables ...string) ([]byte, error) {
 	if s.insert || s.del {
 		return nil, fmt.Errorf("db: AppendRows called on a prepared INSERT or DELETE; use Exec")
 	}
 	var tb [maxStackArgs]*catalog.Table
-	args, err := s.bind(tb[:0], tables)
+	args, err := s.bind(d, tb[:0], tables)
 	if err != nil {
 		return nil, err
 	}
-	err = s.d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) (err error) {
+	err = d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) (err error) {
 		buf, err = exec.AppendRows(ctx, op, buf)
 		return err
 	})
 	return buf, err
 }
 
-// delete is Exec of a prepared DELETE. Its victim scan runs on the
-// tree the statement kept, re-bound to the version the deletes write.
-func (s *Stmt) delete(vals []rel.Value, sp *obs.Span) error {
-	s.d.stats.deletes.Add(1)
-	t, err := s.d.writable(s.into)
+// delete is Exec of a prepared DELETE: its victims come from the scan
+// SELECT * FROM t WHERE p reads t through — an IndexScan when literal
+// equalities bind an index prefix, a SeqScan otherwise, the whole
+// predicate re-checked above it — run on the tree the statement kept,
+// re-bound to the version the deletes write. That version is resolved
+// before the scan is planned, so the scan reads it: a replaced version
+// keeps every RID.
+func (s *Stmt) delete(d *DB, vals []rel.Value, sp *obs.Span) error {
+	d.stats.deletes.Add(1)
+	t, err := d.writable(s.into)
 	if err != nil {
 		return err
 	}
 	if t == nil {
 		return fmt.Errorf("db: no table %s", s.into)
 	}
-	op, tree, err := s.d.operators(&s.sel, nil, vals, sp)
+	op, tree, err := d.operators(&s.sel, nil, vals, sp)
 	if err != nil {
 		return err
 	}
 	defer s.sel.Release(tree)
 	op, flush := exec.Instrument(op, sp)
 	defer flush()
-	return s.d.deleteRows(t, op)
+	return d.deleteRows(t, op)
 }
 
 // QueryCount executes a prepared SELECT COUNT(*) as Query does and
 // returns the count, read from the tree's COUNT(*) operator after a
 // counting pass that emits no record (exec.Count): it builds no row
-// set and, on a kept tree, allocates nothing. It is counted as one
-// SELECT, and traced as Query traces it.
-func (s *Stmt) QueryCount(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) (n int64, err error) {
+// set and, on a kept tree, allocates nothing. Any other SELECT is an
+// error. It is counted as one SELECT, and traced as Query traces it.
+func (s *Stmt) QueryCount(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, tables ...string) (n int64, err error) {
 	if s.insert || s.del {
 		return 0, fmt.Errorf("db: QueryCount called on a prepared INSERT or DELETE; use Exec")
 	}
 	var buf [maxStackArgs]*catalog.Table
-	args, err := s.bind(buf[:0], tables)
+	args, err := s.bind(d, buf[:0], tables)
 	if err != nil {
 		return 0, err
 	}
-	err = s.d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) (err error) {
+	err = d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) (err error) {
 		n, err = exec.Count(ctx, op)
 		return err
 	})
@@ -254,7 +245,7 @@ func (s *Stmt) QueryCount(ctx context.Context, sp *obs.Span, vals []rel.Value, t
 // the record is valid only during the call. It builds no row set and,
 // on a kept tree, allocates nothing. It is counted as one SELECT, and
 // traced as Query traces it. ctx is observed before the pass.
-func (s *Stmt) Scan(ctx context.Context, sp *obs.Span, vals []rel.Value, fn func(rec []byte) error, tables ...string) error {
+func (s *Stmt) Scan(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, fn func(rec []byte) error, tables ...string) error {
 	if s.insert || s.del {
 		return fmt.Errorf("db: Scan called on a prepared INSERT or DELETE; use Exec")
 	}
@@ -262,38 +253,41 @@ func (s *Stmt) Scan(ctx context.Context, sp *obs.Span, vals []rel.Value, fn func
 		return err
 	}
 	var buf [maxStackArgs]*catalog.Table
-	args, err := s.bind(buf[:0], tables)
+	args, err := s.bind(d, buf[:0], tables)
 	if err != nil {
 		return err
 	}
-	return s.d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) error {
+	return d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) error {
 		return op.ScanRecords(fn)
 	})
 }
 
-// Exec executes a prepared INSERT ... SELECT or DELETE with vals[m-1]
-// bound to ?m and tables[n-1] to $n. ctx and sp are as in
-// ExecTracedCtx.
-func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, vals []rel.Value, tables ...string) error {
+// Exec executes a prepared INSERT ... SELECT or DELETE on d with
+// vals[m-1] bound to ?m and tables[n-1] to $n. When sp is non-nil the
+// statement records its operator tree (rows emitted per scan, join and
+// filter) as child spans of sp. An INSERT observes ctx up to its first
+// write and aborts with ctx.Err() when it is cancelled; a DELETE does
+// bounded work and ignores ctx.
+func (s *Stmt) Exec(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, tables ...string) error {
 	if s.del {
-		return s.delete(vals, sp)
+		return s.delete(d, vals, sp)
 	}
 	if !s.insert {
 		return fmt.Errorf("db: Exec called on a prepared SELECT; use Query")
 	}
 	var buf [maxStackArgs]*catalog.Table
-	args, err := s.bind(buf[:0], tables)
+	args, err := s.bind(d, buf[:0], tables)
 	if err != nil {
 		return err
 	}
-	s.d.stats.inserts.Add(1)
+	d.stats.inserts.Add(1)
 	name := s.into
 	if s.intoParam > 0 {
 		name = tables[s.intoParam-1]
 	}
 	// A FROM entry bound to the target before its first write copied it
 	// reads the frozen version: the state the statement starts from.
-	t, err := s.d.writable(name)
+	t, err := d.writable(name)
 	if err != nil {
 		return err
 	}
@@ -305,5 +299,5 @@ func (s *Stmt) Exec(ctx context.Context, sp *obs.Span, vals []rel.Value, tables 
 	if t == nil {
 		return fmt.Errorf("db: no table %s", name)
 	}
-	return s.d.insertSelect(ctx, t, &s.sel, &s.ins, args, vals, sp)
+	return d.insertSelect(ctx, t, &s.sel, s.ins, args, vals, sp)
 }

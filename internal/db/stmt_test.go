@@ -132,27 +132,24 @@ func TestStmtMatchesTextPath(t *testing.T) {
 			mustExec(t, d, "CREATE TABLE known (par CHAR, chd CHAR)", "CREATE TABLE seen (par CHAR, chd CHAR)",
 				"INSERT INTO known VALUES ('john','ann')")
 			managerTables(t, d, noIndexes)
-			var st *Stmt
+			text, tables, vals := tc.text, []string(nil), []rel.Value(nil)
+			var params []*rel.Schema
 			if prepared {
-				params := make([]*rel.Schema, len(tc.tables))
+				text, tables, vals = tc.prepared, tc.tables, tc.vals
+				params = make([]*rel.Schema, len(tc.tables))
 				for i := range params {
 					params[i] = parentSchema
 				}
-				st = mustPrepare(t, d, tc.prepared, params...)
 			}
+			st := mustPrepare(t, d, text, params...)
 			before := d.StatsSnapshot()
 			tr := obs.NewTrace("stmt")
 			var res *Rows
 			var err error
-			switch insert := strings.HasPrefix(tc.text, "INSERT"); {
-			case insert && prepared:
-				err = st.Exec(ctx, tr.Root(), nil, tc.tables...)
-			case insert:
-				err = d.ExecTracedCtx(ctx, tc.text, tr.Root())
-			case prepared:
-				res, err = st.Query(ctx, tr.Root(), tc.vals, tc.tables...)
-			default:
-				res, err = d.QueryTracedCtx(ctx, tc.text, tr.Root())
+			if strings.HasPrefix(tc.text, "INSERT") {
+				err = st.Exec(ctx, d, tr.Root(), vals, tables...)
+			} else {
+				res, err = st.Query(ctx, d, tr.Root(), vals, tables...)
 			}
 			if err != nil {
 				t.Fatalf("%s (prepared=%v): %v", tc.text, prepared, err)
@@ -203,18 +200,18 @@ func TestStmtRebinds(t *testing.T) {
 		table string
 		want  int64
 	}{{"parent", 5}, {"other", 1}} {
-		if n, err := count.QueryCount(ctx, nil, nil, tc.table); err != nil || n != tc.want {
+		if n, err := count.QueryCount(ctx, d, nil, nil, tc.table); err != nil || n != tc.want {
 			t.Fatalf("COUNT(%s) = %d, %v; want %d", tc.table, n, err, tc.want)
 		}
 	}
 	mustExec(t, d, "INSERT INTO other VALUES ('y','z')")
-	if n, err := count.QueryCount(ctx, nil, nil, "other"); err != nil || n != 2 {
+	if n, err := count.QueryCount(ctx, d, nil, nil, "other"); err != nil || n != 2 {
 		t.Fatalf("after insert: %d, %v", n, err)
 	}
 	// A named table is re-resolved per execution too.
 	named := mustPrepare(t, d, "SELECT * FROM other")
 	mustExec(t, d, "DROP TABLE other", "CREATE TABLE other (par CHAR, chd CHAR)")
-	if rows, err := named.Query(ctx, nil, nil); err != nil || len(rows.Tuples) != 0 {
+	if rows, err := named.Query(ctx, d, nil, nil); err != nil || len(rows.Tuples) != 0 {
 		t.Fatalf("re-created table: %v, %v", rows, err)
 	}
 }
@@ -259,26 +256,26 @@ func TestStmtErrors(t *testing.T) {
 
 	sel := mustPrepare(t, d, "SELECT chd FROM $1 WHERE par = 'john'", parentSchema)
 	ins := mustPrepare(t, d, "INSERT INTO $1 SELECT * FROM $2", parentSchema, parentSchema)
-	if err := sel.Exec(ctx, nil, nil, "parent"); err == nil {
+	if err := sel.Exec(ctx, d, nil, nil, "parent"); err == nil {
 		t.Error("Exec ran a prepared SELECT")
 	}
-	if _, err := ins.Query(ctx, nil, nil, "parent", "parent"); err == nil {
+	if _, err := ins.Query(ctx, d, nil, nil, "parent", "parent"); err == nil {
 		t.Error("Query ran a prepared INSERT")
 	}
-	if _, err := sel.Query(ctx, nil, nil); err == nil {
+	if _, err := sel.Query(ctx, d, nil, nil); err == nil {
 		t.Error("Query ran with a parameter unbound")
 	}
 	var be *plan.BindError
-	if _, err := sel.Query(ctx, nil, nil, "ghost"); !errors.As(err, &be) || be.Got != nil || be.Ref != "$1" {
+	if _, err := sel.Query(ctx, d, nil, nil, "ghost"); !errors.As(err, &be) || be.Got != nil || be.Ref != "$1" {
 		t.Errorf("missing table: %v", err)
 	}
-	if _, err := sel.Query(ctx, nil, nil, "nums"); !errors.As(err, &be) || be.Got == nil {
+	if _, err := sel.Query(ctx, d, nil, nil, "nums"); !errors.As(err, &be) || be.Got == nil {
 		t.Errorf("wrong schema: %v", err)
 	}
-	if err := ins.Exec(ctx, nil, nil, "nums", "parent"); !errors.As(err, &be) || be.Ref != "$1" {
+	if err := ins.Exec(ctx, d, nil, nil, "nums", "parent"); !errors.As(err, &be) || be.Ref != "$1" {
 		t.Errorf("wrong target schema: %v", err)
 	}
-	if err := ins.Exec(ctx, nil, nil, "ghost", "parent"); err == nil {
+	if err := ins.Exec(ctx, d, nil, nil, "ghost", "parent"); err == nil {
 		t.Error("insert into a missing table succeeded")
 	}
 	if n := d.TableRows("nums"); n != 0 {
@@ -301,7 +298,7 @@ func TestStmtConcurrent(t *testing.T) {
 			defer wg.Done()
 			second := []string{"parent", "other"}[g%2]
 			for i := 0; i < 100; i++ {
-				rows, err := st.Query(ctx, nil, nil, "parent", second)
+				rows, err := st.Query(ctx, d, nil, nil, "parent", second)
 				if err != nil || len(rows.Tuples) != want[second] {
 					t.Errorf("goroutine %d: %v, %v", g, rows, err)
 					return
@@ -345,16 +342,16 @@ func TestTypedDDL(t *testing.T) {
 
 // TestPrepareHitAllocs: a Prepare the statement cache answers renders
 // no key — it finds the entry by text and compares the parameter
-// schemas by structure — and on the database that prepared it returns
-// the statement's own handle, allocating nothing; on a view it
-// allocates only the handle it returns, one object of two words: the
-// view and the statement. The text is cached under two lists of
-// parameter schemas, and the hit's schemas are equal to the cached ones
-// without being the same objects.
+// schemas by structure — and returns the cached statement itself,
+// allocating nothing, on the database that prepared it and on a view
+// of it alike: a hit on a view is the root's *Stmt. The text is cached
+// under two lists of parameter schemas, and the hit's schemas are equal
+// to the cached ones without being the same objects.
 //
-// Pinned 1 on the root database while every hit allocated its handle;
-// the run-time library prepares each statement of a run once per use,
-// about one hit per evaluated node.
+// Pinned 1 on a view while a hit there allocated a handle of two words
+// (the view and the statement), and 1 on the root database while every
+// hit did; the run-time library prepares each statement of a run once
+// per use, about one hit per evaluated node.
 func TestPrepareHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -367,12 +364,11 @@ func TestPrepareHitAllocs(t *testing.T) {
 	same := rel.MustSchema(rel.Column{Name: "par", Type: rel.TypeString}, rel.Column{Name: "chd", Type: rel.TypeString})
 	params := []*rel.Schema{same, same, same}
 	parses := d.StatsSnapshot().Parses
-	view := d.WithResolver(pinned{})
+	view := d.View(pinned{}, nil)
 	for _, c := range []struct {
 		on   *DB
 		name string
-		want float64
-	}{{d, "the root database", 0}, {view, "a view", 1}} {
+	}{{d, "the root database"}, {view, "a view"}} {
 		var st *Stmt
 		allocs := testing.AllocsPerRun(100, func() {
 			var err error
@@ -380,11 +376,11 @@ func TestPrepareHitAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs != c.want {
-			t.Errorf("a cached Prepare on %s allocates %.0f objects, want %.0f", c.name, allocs, c.want)
+		if allocs != 0 {
+			t.Errorf("a cached Prepare on %s allocates %.0f objects, want 0", c.name, allocs)
 		}
-		if want := mustPrepare(t, d, text, parentSchema, parentSchema, parentSchema); st.prepared != want.prepared || st.d != c.on {
-			t.Errorf("the hit on %s is on another statement than the text's for (par, chd), or on another database", c.name)
+		if want := mustPrepare(t, d, text, parentSchema, parentSchema, parentSchema); st != want {
+			t.Errorf("the hit on %s is not the root's statement for (par, chd)", c.name)
 		}
 	}
 	if n := d.StatsSnapshot().Parses - parses; n != 0 {
@@ -418,7 +414,7 @@ func TestStmtAppendRows(t *testing.T) {
 		{"SELECT * FROM $1 WHERE par = 'none'", "parent"},
 	} {
 		st := mustPrepare(t, d, c.text, parentSchema)
-		rows, err := st.Query(ctx, nil, nil, c.table)
+		rows, err := st.Query(ctx, d, nil, nil, c.table)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +425,7 @@ func TestStmtAppendRows(t *testing.T) {
 				sp = obs.NewTrace("q").Root()
 			}
 			before := d.StatsSnapshot().Selects
-			got, err := st.AppendRows(ctx, sp, []byte("head"), nil, c.table)
+			got, err := st.AppendRows(ctx, d, sp, []byte("head"), nil, c.table)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -455,12 +451,12 @@ func TestPreparedDelete(t *testing.T) {
 		mustExec(t, db, "CREATE INDEX parent_par ON parent (par)")
 	}
 	del := mustPrepare(t, d, "DELETE FROM parent WHERE par = ?1")
-	if _, err := del.Query(ctx, nil, []rel.Value{rel.NewString("john")}); err == nil {
+	if _, err := del.Query(ctx, d, nil, []rel.Value{rel.NewString("john")}); err == nil {
 		t.Error("Query ran a prepared DELETE")
 	}
 	for _, par := range []string{"john", "nobody", "mary", "john"} {
 		before := d.StatsSnapshot().Deletes
-		if err := del.Exec(ctx, nil, []rel.Value{rel.NewString(par)}); err != nil {
+		if err := del.Exec(ctx, d, nil, []rel.Value{rel.NewString(par)}); err != nil {
 			t.Fatal(err)
 		}
 		mustExec(t, want, "DELETE FROM parent WHERE par = '"+par+"'")
@@ -502,7 +498,7 @@ func TestQueryCountAllocatesNothing(t *testing.T) {
 		var n int64
 		run := func() {
 			var err error
-			if n, err = count.QueryCount(ctx, nil, nil, name); err != nil {
+			if n, err = count.QueryCount(ctx, d, nil, nil, name); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -557,13 +553,13 @@ func TestStmtScan(t *testing.T) {
 				if traced {
 					qsp, ssp = obs.NewTrace("q").Root(), obs.NewTrace("q").Root()
 				}
-				rows, err := st.Query(ctx, qsp, c.vals, c.tables...)
+				rows, err := st.Query(ctx, d, qsp, c.vals, c.tables...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var recs rel.Records
 				before := d.StatsSnapshot().Selects
-				if err := st.Scan(ctx, ssp, c.vals, recs.Add, c.tables...); err != nil {
+				if err := st.Scan(ctx, d, ssp, c.vals, recs.Add, c.tables...); err != nil {
 					t.Fatal(err)
 				}
 				if n := d.StatsSnapshot().Selects - before; n != 1 {
@@ -624,7 +620,7 @@ func TestStmtScanAllocatesNothing(t *testing.T) {
 			}
 			run := func() {
 				n = 0
-				if err := st.Scan(ctx, nil, vals, count, name); err != nil {
+				if err := st.Scan(ctx, d, nil, vals, count, name); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -18,15 +18,12 @@ const MaxCachedStmts = 256
 
 // stmtCache is the statements prepared on one database, shared by its
 // views: a generation of at most MaxCachedStmts entries, replaced by an
-// empty one when full. Handles already taken keep the plans they hold.
+// empty one when full. Statements already taken stay usable.
 type stmtCache struct {
 	gen atomic.Pointer[stmtGen]
-	// root is the database the views share the cache with: a cached
-	// statement's own handle is on it.
-	root *DB
 }
 
-// stmtGen is one generation: statement text → the *prepared entries of
+// stmtGen is one generation: statement text → the *Stmt entries of
 // that text, one per list of parameter schemas, chained through next;
 // and how many entries have been admitted to it.
 type stmtGen struct {
@@ -34,8 +31,8 @@ type stmtGen struct {
 	n atomic.Int64
 }
 
-func newStmtCache(root *DB) *stmtCache {
-	c := &stmtCache{root: root}
+func newStmtCache() *stmtCache {
+	c := new(stmtCache)
 	c.gen.Store(new(stmtGen))
 	return c
 }
@@ -43,17 +40,17 @@ func newStmtCache(root *DB) *stmtCache {
 // load returns the statement cached for text and params, or nil. It
 // renders nothing: the entry is found by text, and its parameter
 // schemas are compared by structure.
-func (c *stmtCache) load(text string, params []*rel.Schema) *prepared {
+func (c *stmtCache) load(text string, params []*rel.Schema) *Stmt {
 	v, ok := c.gen.Load().m.Load(text)
 	if !ok {
 		return nil
 	}
-	return find(v.(*prepared), params)
+	return find(v.(*Stmt), params)
 }
 
 // find returns the entry of the chain at head whose parameter schemas
 // are params by structure, or nil.
-func find(head *prepared, params []*rel.Schema) *prepared {
+func find(head *Stmt, params []*rel.Schema) *Stmt {
 	for p := head; p != nil; p = p.next {
 		if sameSchemas(p.params, params) {
 			return p
@@ -79,7 +76,7 @@ func sameSchemas(a, b []*rel.Schema) bool {
 // text and parameter schemas: p, or the one a concurrent Prepare stored
 // first. A generation admits MaxCachedStmts entries; the store that
 // finds it full starts the next.
-func (c *stmtCache) store(text string, p *prepared) *prepared {
+func (c *stmtCache) store(text string, p *Stmt) *Stmt {
 	for {
 		g := c.gen.Load()
 		if g.n.Add(1) > MaxCachedStmts {
@@ -91,7 +88,7 @@ func (c *stmtCache) store(text string, p *prepared) *prepared {
 			if !loaded {
 				return p
 			}
-			head := v.(*prepared)
+			head := v.(*Stmt)
 			if have := find(head, p.params); have != nil {
 				return have
 			}
@@ -108,7 +105,7 @@ func (c *stmtCache) store(text string, p *prepared) *prepared {
 func (d *DB) CachedStatements() int {
 	n := 0
 	d.stmts.gen.Load().m.Range(func(_, v any) bool {
-		for p := v.(*prepared); p != nil; p = p.next {
+		for p := v.(*Stmt); p != nil; p = p.next {
 			n++
 		}
 		return true

@@ -10,7 +10,7 @@ import (
 // versions its operators are bound to, for the plan cache to decide
 // which commits leave a memoized answer standing. The planner binds it
 // to every scan and index join over a frozen version when the statement
-// runs on a recording view (db.DB.Recording); an operator without one
+// runs on a view that records (db.DB.View); an operator without one
 // pays a nil check.
 //
 //   - An IndexNLJoin probe, or an IndexScan, whose key covers every

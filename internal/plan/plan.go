@@ -66,9 +66,9 @@ import (
 )
 
 // TableSource resolves FROM-clause names to physical tables. The live
-// catalog implements it directly; a snapshot-bound db.DB view resolves
-// base-table names to frozen table versions instead, which is how the
-// planner binds a whole query to one consistent engine state.
+// catalog implements it directly; a db.DB view of a snapshot resolves
+// stored tables to the snapshot's frozen versions instead, which is how
+// the planner binds a whole query to one consistent engine state.
 type TableSource interface {
 	Table(name string) *catalog.Table
 }
@@ -201,18 +201,6 @@ func BuildSelect(cat TableSource, s *sql.Select) (exec.Operator, error) {
 		return nil, err
 	}
 	return p.Build(cat, nil, nil)
-}
-
-// BuildDelete plans the scan that finds the victims of DELETE FROM t
-// WHERE p: the access path SELECT * FROM t WHERE p reads t through (an
-// IndexScan when literal equalities bind an index prefix, a SeqScan
-// otherwise, the whole predicate re-checked in a Filter above it). The
-// result is an exec.RowSource.
-func BuildDelete(cat TableSource, s sql.Delete) (exec.Operator, error) {
-	return BuildSelect(cat, &sql.Select{
-		From:  []sql.TableRef{{Table: s.Table, Alias: s.Table}},
-		Where: s.Where,
-	})
 }
 
 // Prepare is Analyze with a tree kept for Acquire.

@@ -234,59 +234,6 @@ func TestPlanResultsIdenticalAcrossJoinStrategies(t *testing.T) {
 	}
 }
 
-// TestBuildDelete pins that DELETE's victims are found through the
-// access path SELECT would pick, with their RIDs.
-func TestBuildDelete(t *testing.T) {
-	c := setup(t)
-	tb := addTable(t, c, "e", 100)
-	if _, err := c.CreateIndex("e_b", "e", []string{"b"}, false); err != nil {
-		t.Fatal(err)
-	}
-	plan := func(q string) (exec.Operator, error) {
-		st, err := sql.Parse(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return BuildDelete(c, st.(sql.Delete))
-	}
-	for _, tc := range []struct {
-		q       string
-		indexed bool
-		want    int
-	}{
-		{"DELETE FROM e WHERE a >= 3 AND b <> 1", false, 88},
-		{"DELETE FROM e WHERE b = 4 AND a < 50", true, 5},
-		{"DELETE FROM e WHERE 4 = e.b", true, 10},
-		{"DELETE FROM e WHERE b = 4 OR a = 1", false, 11},
-	} {
-		op, err := plan(tc.q)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.q, err)
-		}
-		if _, ok := unwrap(op).(*exec.IndexScan); ok != tc.indexed {
-			t.Errorf("%s: access path %T, want indexed=%v", tc.q, unwrap(op), tc.indexed)
-		}
-		n := 0
-		err = exec.ScanRows(op, func(rid storage.RID, rec []byte) error {
-			stored, err := tb.Get(rid)
-			if err != nil || stored.Key() != string(rec) {
-				t.Errorf("%s: record %x reported at %s, which holds %v (%v)", tc.q, rec, rid, stored, err)
-			}
-			n++
-			return nil
-		})
-		if err != nil || n != tc.want {
-			t.Errorf("%s: %d victims (%v), want %d", tc.q, n, err, tc.want)
-		}
-	}
-	if _, err := plan("DELETE FROM e WHERE zz = 3"); err == nil {
-		t.Error("unknown column accepted")
-	}
-	if _, err := plan("DELETE FROM nosuch WHERE a = 3"); err == nil {
-		t.Error("unknown table accepted")
-	}
-}
-
 func TestPlanManyTablesChain(t *testing.T) {
 	// A 5-way chain join must produce a correct plan whatever order the
 	// cost model picks.

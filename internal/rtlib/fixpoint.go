@@ -311,7 +311,7 @@ func (fp *Fixpoint) begin() error {
 			return err
 		}
 		t0 := time.Now()
-		if err := dl.copy.Exec(evalCtx(fp.Ctx), nil, nil, dl.first, dl.acc); err != nil {
+		if err := dl.copy.Exec(evalCtx(fp.Ctx), fp.DB, nil, nil, dl.first, dl.acc); err != nil {
 			return err
 		}
 		fp.Stats.TempTable += time.Since(t0)
@@ -374,7 +374,7 @@ func (fp *Fixpoint) round() (done bool, err error) {
 		t0 := time.Now()
 		var n int64
 		if dl.next != "" {
-			if n, err = dl.count.QueryCount(evalCtx(fp.Ctx), nil, nil, dl.next); err != nil {
+			if n, err = dl.count.QueryCount(evalCtx(fp.Ctx), fp.DB, nil, nil, dl.next); err != nil {
 				return false, err
 			}
 		}
@@ -404,7 +404,7 @@ func (fp *Fixpoint) insertRule(j *differential, target, acc string, parent *obs.
 		tables = append(tables, acc)
 	}
 	t0 := time.Now()
-	if err := j.stmt.Exec(evalCtx(fp.Ctx), sp, j.rule.Values, tables...); err != nil {
+	if err := j.stmt.Exec(evalCtx(fp.Ctx), fp.DB, sp, j.rule.Values, tables...); err != nil {
 		return fmt.Errorf("rtlib: rule %q: %w", j.rule.Source(), err)
 	}
 	sp.End()
@@ -447,7 +447,7 @@ func (fp *Fixpoint) advance() error {
 					return err
 				}
 				dl.next = ""
-			} else if err := dl.copy.Exec(evalCtx(fp.Ctx), nil, nil, dl.acc, dl.next); err != nil {
+			} else if err := dl.copy.Exec(evalCtx(fp.Ctx), fp.DB, nil, nil, dl.acc, dl.next); err != nil {
 				return err
 			}
 		}

@@ -71,7 +71,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 			if err != nil {
 				return err
 			}
-			diff, err := missing.Query(evalCtx(fp.Ctx), nil, nil, newNames[p], fp.TableOf(p))
+			diff, err := missing.Query(evalCtx(fp.Ctx), d, nil, nil, newNames[p], fp.TableOf(p))
 			if err != nil {
 				return err
 			}
@@ -99,7 +99,7 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 			if err != nil {
 				return err
 			}
-			if err := copyInto.Exec(evalCtx(fp.Ctx), nil, nil, old, newNames[p]); err != nil {
+			if err := copyInto.Exec(evalCtx(fp.Ctx), d, nil, nil, old, newNames[p]); err != nil {
 				return err
 			}
 			if err := fp.Temps.drop(newNames[p]); err != nil {

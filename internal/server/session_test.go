@@ -68,7 +68,7 @@ func TestResultFrameAllocs(t *testing.T) {
 // lookup to the encoded RESULT frame: the session copies the memo's row
 // block into the frame (ConcurrentTestbed.QueryShared), decoding and
 // encoding no row, so a hit allocates the same on a 4-row answer as on
-// a 440-row one.
+// a 440-row one: at most 2 objects.
 func TestSessionHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

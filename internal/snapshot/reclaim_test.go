@@ -76,7 +76,7 @@ func TestOldSnapshotOutlivesCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := NewStore("edb_")
+	st := NewStore()
 	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 
 	type pin struct {
@@ -85,7 +85,7 @@ func TestOldSnapshotOutlivesCommits(t *testing.T) {
 	}
 	acquire := func() pin {
 		s := st.Acquire()
-		v, _ := s.ResolveTable("edb_a")
+		v := s.Table("edb_a")
 		return pin{s, contents(t, v)}
 	}
 	old := acquire()
@@ -121,7 +121,7 @@ func TestOldSnapshotOutlivesCommits(t *testing.T) {
 			held = slices.Delete(held, i, i+1)
 		}
 		for _, h := range append(held, old) {
-			v, _ := h.s.ResolveTable("edb_a")
+			v := h.s.Table("edb_a")
 			if got := contents(t, v); !slices.Equal(got, h.want) {
 				t.Fatalf("commit %d: the snapshot of generation %d reads %d rows unlike the %d it was published with", k, h.s.Gen, len(got), len(h.want))
 			}
@@ -168,10 +168,10 @@ func TestLongReaderHoldsItsOwnPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := NewStore("edb_")
+	st := NewStore()
 	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 	old := st.Acquire()
-	v, _ := old.ResolveTable("edb_a")
+	v := old.Table("edb_a")
 	want := contents(t, v)
 	start := p.PageCount()
 	for k := 1; k <= 40; k++ {
@@ -229,10 +229,10 @@ func TestDropTableLeavesPublishedPages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := NewStore("edb_")
+	st := NewStore()
 	st.Publish(d.Catalog(), 1, core.NewWorkspace(), catalog.Copies{})
 	s := st.Acquire()
-	v, _ := s.ResolveTable("edb_a")
+	v := s.Table("edb_a")
 	want := contents(t, v)
 	before := checkCensus(t, d.Catalog())
 
@@ -280,11 +280,11 @@ func TestDropLeavesPinnedIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := NewStore("edb_")
+	st := NewStore()
 	st.Publish(d.Catalog(), 1, core.NewWorkspace(), catalog.Copies{})
 	s := st.Acquire()
 	defer s.Release()
-	v, _ := s.ResolveTable("edb_a")
+	v := s.Table("edb_a")
 	// state renders a version's index list and what each index holds:
 	// its postings, key by key, in key order.
 	state := func(tb *catalog.Table) string {
@@ -331,7 +331,7 @@ func TestDropLeavesPinnedIndexes(t *testing.T) {
 	}
 	s2 := st.Acquire()
 	defer s2.Release()
-	v2, _ := s2.ResolveTable("edb_a")
+	v2 := s2.Table("edb_a")
 	want2 := state(v2)
 
 	if err := d.Exec("DROP TABLE edb_a"); err != nil {
@@ -388,7 +388,7 @@ func TestReclaimInCommitOrderAcrossTables(t *testing.T) {
 	const pages = 6 // edb_a's full pages, and a tail page the commits leave alone
 	fill("edb_a", pages+1)
 	fill("edb_c", 2)
-	st := NewStore("edb_")
+	st := NewStore()
 	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 
 	// A pin, and every table its snapshot was published with.
@@ -399,8 +399,8 @@ func TestReclaimInCommitOrderAcrossTables(t *testing.T) {
 	acquire := func() pin {
 		s := st.Acquire()
 		want := make(map[string][]string)
-		for _, name := range s.Tables() {
-			want[name] = contents(t, s.Table(name))
+		for name, v := range s.Tables() {
+			want[name] = contents(t, v)
 		}
 		return pin{s, want}
 	}

@@ -8,6 +8,11 @@
 //     *catalog.Table version that catalog.Catalog.Freeze returned. Each
 //     version carries the generation that first published it
 //     (catalog.Table.Gen), against which memoized answers are validated.
+//   - A query reads a snapshot through a view of the database bound to
+//     its table map (db.DB.View), by the view rule: a stored table
+//     resolves in the map, where absent means absent — a table created
+//     after the snapshot stays invisible, whatever its name — and a temp
+//     table, which no snapshot holds, resolves in the live catalog.
 //   - Readers pin the current snapshot with Store.Acquire — an atomic
 //     pointer load plus a pin-count increment, never a lock shared with
 //     writers — evaluate entirely against it, and Release it when done.
@@ -35,8 +40,6 @@
 package snapshot
 
 import (
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,7 +62,6 @@ type Snapshot struct {
 
 	ws     *core.Workspace
 	tables map[string]*catalog.Table
-	names  []string // sorted table-map keys, for deterministic iteration
 
 	// pins starts at 1 — the store's "currentness" reference — and
 	// counts readers on top. Publish drops the currentness pin when the
@@ -87,23 +89,6 @@ type superseded struct {
 // WS returns the frozen workspace rule set of this snapshot.
 func (s *Snapshot) WS() *core.Workspace { return s.ws }
 
-// ResolveTable resolves a base-table name against the frozen table
-// map. It reports (table, true) for names the snapshot is
-// authoritative for — every published table, plus any name under the
-// store's managed prefix, for which absence is authoritative too (a
-// fact relation created after this snapshot must stay invisible to
-// it). Other names (the run-time library's session-private temp
-// tables) report (nil, false) and fall through to the live catalog.
-func (s *Snapshot) ResolveTable(name string) (*catalog.Table, bool) {
-	if t, ok := s.tables[name]; ok {
-		return t, true
-	}
-	if strings.HasPrefix(name, s.store.prefix) {
-		return nil, true
-	}
-	return nil, false
-}
-
 // TableGen returns the generation of the named table's version, or 0
 // when the snapshot has no such table. Since generations start at 1,
 // (name → TableGen) pairs form an exact validity vector: a memoized
@@ -115,8 +100,10 @@ func (s *Snapshot) TableGen(name string) uint64 {
 	return 0
 }
 
-// Tables returns the published table names in sorted order.
-func (s *Snapshot) Tables() []string { return s.names }
+// Tables returns the frozen table map: every stored table's version, by
+// name. A view of the database reads it (db.DB.View); no one may modify
+// it.
+func (s *Snapshot) Tables() map[string]*catalog.Table { return s.tables }
 
 // Table returns the named table's frozen version, or nil.
 func (s *Snapshot) Table(name string) *catalog.Table { return s.tables[name] }
@@ -239,7 +226,6 @@ type Store struct {
 	// Publish swaps it. This pointer is the only rendezvous between
 	// readers and the writer.
 	current atomic.Pointer[Snapshot]
-	prefix  string
 
 	// readers counts queries currently holding a pinned snapshot.
 	readers atomic.Int64
@@ -258,12 +244,9 @@ type Store struct {
 	stallNs       atomic.Int64 // cumulative writer time spent making versions writable
 }
 
-// NewStore returns an empty store. managedPrefix is the base-table
-// naming prefix ("edb_") for which snapshots are authoritative even in
-// absence. Publish must run once before the first Acquire.
-func NewStore(managedPrefix string) *Store {
-	return &Store{prefix: managedPrefix}
-}
+// NewStore returns an empty store. Publish must run once before the
+// first Acquire.
+func NewStore() *Store { return new(Store) }
 
 // Acquire pins and returns the current snapshot. The recheck loop
 // closes the load/pin race with a concurrent Publish: a pin landing on
@@ -304,14 +287,11 @@ func (st *Store) Publish(cat *catalog.Catalog, ruleGen uint64, ws *core.Workspac
 	}
 	next := &Snapshot{Gen: gen, RuleGen: ruleGen, ws: ws, tables: cat.Freeze(gen), store: st}
 	next.pins.Store(1)
-	next.names = make([]string, 0, len(next.tables))
-	for name, t := range next.tables {
-		next.names = append(next.names, name)
+	for _, t := range next.tables {
 		if t.Gen() == gen {
 			st.liveVersions.Add(1)
 		}
 	}
-	sort.Strings(next.names)
 
 	if prev != nil {
 		for name, t := range prev.tables {

@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -52,12 +51,12 @@ func rowCount(t *testing.T, tb *catalog.Table) int {
 // when the pin drains.
 func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 	p, c := testCatalog(t, "edb_a", "edb_b")
-	st := NewStore("edb_")
+	st := NewStore()
 	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 
 	s1 := st.Acquire()
-	oldA, ok := s1.ResolveTable("edb_a")
-	if !ok || oldA == nil {
+	oldA := s1.Table("edb_a")
+	if oldA == nil {
 		t.Fatal("snapshot does not resolve edb_a")
 	}
 
@@ -89,11 +88,11 @@ func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 	// A fresh reader sees the two-row successor; the shared edb_b
 	// version carries the same physical table across generations.
 	s2 := st.Acquire()
-	curA, _ := s2.ResolveTable("edb_a")
+	curA := s2.Table("edb_a")
 	if got := rowCount(t, curA); got != 2 {
 		t.Fatalf("current version has %d rows, want 2", got)
 	}
-	if b1, _ := s1.ResolveTable("edb_b"); b1 != c.Table("edb_b") {
+	if s1.Table("edb_b") != c.Table("edb_b") {
 		t.Fatal("unchanged table was not shared across snapshots")
 	}
 	if s1.TableGen("edb_a") == s2.TableGen("edb_a") {
@@ -126,24 +125,25 @@ func TestSnapshotPinKeepsSupersededVersion(t *testing.T) {
 	}
 }
 
-// TestSnapshotAuthority: a snapshot is authoritative for its versioned
-// tables and for absent names under the managed prefix, and defers on
-// everything else (session temp tables).
+// TestSnapshotAuthority: a snapshot's table map holds the tables it
+// published and no table created after it, whatever the name. Which
+// names a view of it resolves elsewhere is the view rule's, in package
+// db (TestViewRule).
 func TestSnapshotAuthority(t *testing.T) {
 	_, c := testCatalog(t, "edb_a")
-	st := NewStore("edb_")
+	st := NewStore()
 	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 	s := st.Acquire()
 	defer s.Release()
+	if _, err := c.CreateTable("edb_created_later", rel.MustSchema(rel.Column{Name: "a", Type: rel.TypeInt}), false); err != nil {
+		t.Fatal(err)
+	}
 
-	if tb, ok := s.ResolveTable("edb_a"); !ok || tb == nil {
-		t.Fatal("versioned table not authoritative")
+	if s.Table("edb_a") == nil || s.Tables()["edb_a"] != s.Table("edb_a") {
+		t.Fatal("published table missing from the map")
 	}
-	if tb, ok := s.ResolveTable("edb_created_later"); !ok || tb != nil {
-		t.Fatal("absent managed name must be authoritatively invisible")
-	}
-	if _, ok := s.ResolveTable("dkb1_tmp"); ok {
-		t.Fatal("temp-table name must fall through to the live catalog")
+	if s.Table("edb_created_later") != nil || len(s.Tables()) != 1 {
+		t.Fatalf("a table created after the snapshot is in its map: %v", s.Tables())
 	}
 	if g := s.TableGen("edb_created_later"); g != 0 {
 		t.Fatalf("absent table generation %d, want 0", g)
@@ -156,7 +156,7 @@ func TestSnapshotAuthority(t *testing.T) {
 // retired list empties.
 func TestSnapshotChurnNoLeak(t *testing.T) {
 	_, c := testCatalog(t, "edb_a", "edb_b")
-	st := NewStore("edb_")
+	st := NewStore()
 	st.Publish(c, 1, core.NewWorkspace(), catalog.Copies{})
 
 	stop := make(chan struct{})
@@ -172,7 +172,7 @@ func TestSnapshotChurnNoLeak(t *testing.T) {
 				default:
 				}
 				s := st.Acquire()
-				if tb, ok := s.ResolveTable("edb_a"); !ok || tb == nil {
+				if tb := s.Table("edb_a"); tb == nil {
 					t.Error("lost edb_a")
 					s.Release()
 					return
@@ -227,7 +227,7 @@ func TestSnapshotChurnNoLeak(t *testing.T) {
 // and stamps fresh versions with the publishing generation.
 func TestSnapshotGenerationsMonotonic(t *testing.T) {
 	_, c := testCatalog(t, "edb_a")
-	st := NewStore("edb_")
+	st := NewStore()
 	for i := 1; i <= 3; i++ {
 		s := st.Publish(c, uint64(i), core.NewWorkspace(), catalog.Copies{})
 		if s.Gen != uint64(i) {
@@ -244,7 +244,7 @@ func TestSnapshotGenerationsMonotonic(t *testing.T) {
 	if g := s.TableGen("edb_a"); g != 1 {
 		t.Fatalf("unchanged table at gen %d, want 1", g)
 	}
-	if fmt.Sprintf("%v", s.Tables()) != "[edb_a]" {
-		t.Fatalf("tables %v", s.Tables())
+	if tables := s.Tables(); len(tables) != 1 || tables["edb_a"] == nil {
+		t.Fatalf("tables %v", tables)
 	}
 }

@@ -13,14 +13,9 @@ import (
 	"dkbms/internal/rel"
 )
 
-// frozen is a pinned snapshot of a database as the snapshot store keeps
+// frozen is a pinned snapshot's table map, as the snapshot store keeps
 // one: every non-temp table at the version current when it was pinned.
 type frozen map[string]*catalog.Table
-
-func (f frozen) ResolveTable(name string) (*catalog.Table, bool) {
-	t, ok := f[name]
-	return t, ok
-}
 
 func pin(d *db.DB) frozen {
 	f := frozen{}
@@ -48,7 +43,7 @@ func commit(t *testing.T, d *db.DB, m *Manager, rules ...dlog.Clause) {
 // through the same view and the number of rules the compile found
 // relevant.
 func compileThrough(m *Manager, snap frozen) (string, int, error) {
-	vdb := m.DB().WithResolver(snap)
+	vdb := m.DB().View(snap, nil)
 	view := m.WithDB(vdb)
 	q, err := dlog.ParseQuery("?- top(a, Y).")
 	if err != nil {
@@ -109,7 +104,7 @@ func TestViewReadsItsSnapshot(t *testing.T) {
 		if want := rulesUpTo(tc.gen); rules != want || relevant != 2*tc.gen {
 			t.Errorf("%s: extracted\n%s\n(%d relevant to the compile), want\n%s", tc.name, rules, relevant, want)
 		}
-		types, err := m.WithDB(d.WithResolver(tc.snap)).DerivedTypes([]string{"l2"})
+		types, err := m.WithDB(d.View(tc.snap, nil)).DerivedTypes([]string{"l2"})
 		if _, found := types["l2"]; err != nil || found != (tc.gen == 2) {
 			t.Errorf("%s: l2's dictionary entry %v, %v", tc.name, types, err)
 		}

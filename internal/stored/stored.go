@@ -67,7 +67,7 @@ type Options struct {
 }
 
 // Manager is the stored-D/KB manager bound to one database (or, via
-// WithDB, to a resolver-bound view of one).
+// WithDB, to a view of one).
 type Manager struct {
 	d    *db.DB
 	opts Options
@@ -212,9 +212,9 @@ func (m *Manager) StatsSnapshot() Stats {
 	}
 }
 
-// WithDB returns a read-only view of the manager bound to d — a
-// WithResolver view of the manager's database, normally snapshot-bound
-// — for the compile path (ExtractRelevant, BaseTypes, DerivedTypes).
+// WithDB returns a read-only view of the manager bound to d — a view of
+// the manager's database, normally a snapshot's (db.DB.View) — for the
+// compile path (ExtractRelevant, BaseTypes, DerivedTypes).
 // The view shares the traffic counters and the prepared statements with
 // the original and runs the statements on d; the rule-id allocator
 // stays behind (views never update).
@@ -396,14 +396,13 @@ func (m *Manager) DerivedTypes(preds []string) (map[string][]rel.Type, error) {
 func (m *Manager) readDict(cols *db.Stmt, preds []string) (map[string][]rel.Type, error) {
 	m.stats.readDictCalls.Add(1)
 	out := make(map[string][]rel.Type)
-	cols = cols.On(m.d)
 	r := getTextRead(intChars)
 	defer r.put()
 	vals := make([]rel.Value, 1)
 	for _, p := range preds {
 		r.reset()
 		vals[0] = rel.NewString(p)
-		if err := cols.Scan(context.Background(), nil, vals, r.fn); err != nil {
+		if err := cols.Scan(context.Background(), m.d, nil, vals, r.fn); err != nil {
 			return nil, fmt.Errorf("stored: reading the dictionary for %s: %w", p, err)
 		}
 		if len(r.rows) == 0 {
@@ -461,7 +460,7 @@ func (m *Manager) ExtractRelevant(preds []string) ([]dlog.Clause, error) {
 		for i, p := range chunk {
 			vals[i] = rel.NewString(p)
 		}
-		if err := st.On(m.d).Scan(context.Background(), nil, vals[:len(chunk)], x.fn); err != nil {
+		if err := st.Scan(context.Background(), m.d, nil, vals[:len(chunk)], x.fn); err != nil {
 			return nil, err
 		}
 	}

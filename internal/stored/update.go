@@ -212,7 +212,7 @@ func (m *Manager) refreshReachability(heads map[string]bool, g *pcg.Graph, tc []
 	vals := make([]rel.Value, 1)
 	for h := range heads {
 		vals[0] = rel.NewString(h)
-		if err := m.stmts.reachTo.Scan(context.Background(), nil, vals, r.fn); err != nil {
+		if err := m.stmts.reachTo.Scan(context.Background(), m.d, nil, vals, r.fn); err != nil {
 			return err
 		}
 	}
@@ -235,7 +235,7 @@ func (m *Manager) refreshReachability(heads map[string]bool, g *pcg.Graph, tc []
 	}
 	for _, h := range hs {
 		vals[0] = rel.NewString(h)
-		if err := unreach.Exec(context.Background(), nil, vals); err != nil {
+		if err := unreach.Exec(context.Background(), m.d, nil, vals); err != nil {
 			return err
 		}
 		to := headReach(h)
@@ -258,7 +258,7 @@ func (m *Manager) refreshReachability(heads map[string]bool, g *pcg.Graph, tc []
 	for _, p := range ups {
 		r.reset()
 		vals[0] = rel.NewString(p)
-		if err := m.stmts.reachFrom.Scan(context.Background(), nil, vals, r.fn); err != nil {
+		if err := m.stmts.reachFrom.Scan(context.Background(), m.d, nil, vals, r.fn); err != nil {
 			return err
 		}
 		old := make(map[string]bool, len(r.rows))

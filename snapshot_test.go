@@ -45,7 +45,9 @@ func rowsKey(res *QueryResult) string {
 // last edge with LOAD and RETRACT. Under snapshot isolation every
 // answer must equal, exactly, the closure before the toggle or the
 // closure after it — never a torn in-between state — and the writer's
-// versions must all be reclaimed once the storm drains.
+// versions must all be reclaimed once the storm drains. The readers
+// probe index nodes and scan heap pages that the writer's new table
+// version shares until it copies them (run under -race).
 func TestSnapshotIsolationUnderUpdateStorm(t *testing.T) {
 	c := snapshotChain(t)
 	const q = "?- ancestor(c0, X)."

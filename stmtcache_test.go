@@ -206,9 +206,8 @@ func TestCachedStmtPinsNoSnapshot(t *testing.T) {
 // ancestor(c, Y) for 56 constants c from 8 goroutines on a
 // ConcurrentTestbed (run under -race): distinct programs, each
 // evaluated on its own pinned snapshot, all executing the statements
-// one warm-up query prepared — each run through handles and trees of
-// its own — so none parses a statement, and every answer is the
-// subtree under c.
+// one warm-up query prepared — the same *db.Stmt on every run's view —
+// so none parses a statement, and every answer is the subtree under c.
 func TestSharedPlanConcurrentPrograms(t *testing.T) {
 	const depth = 6
 	tb := NewMemory()

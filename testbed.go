@@ -404,8 +404,8 @@ func (tb *Testbed) Compile(q dlog.Query, opts *QueryOptions) (*core.Compiled, er
 
 // compile runs the Knowledge Manager pipeline against an explicit
 // workspace, database and rule source: the testbed's own, or — from a
-// ConcurrentTestbed — a pinned snapshot's frozen workspace and
-// resolver-bound views, so that rule extraction, dictionary reads and
+// ConcurrentTestbed — a pinned snapshot's frozen workspace and views
+// of its table map (db.DB.View), so that rule extraction, dictionary reads and
 // schema lookups all see one consistent engine state.
 func (tb *Testbed) compile(ws *core.Workspace, d *db.DB, st *stored.Manager, q dlog.Query, opts *QueryOptions, tr *obs.Trace) (*core.Compiled, error) {
 	if tb.closed {
