@@ -54,7 +54,8 @@ type Table struct {
 	// ordering and build-side selection.
 	rows int
 	// bytes is the maintained length of the live records together,
-	// kept beside rows: DecodeAll sizes its character buffer by it.
+	// kept beside rows: a reader of the whole table sizes its buffer by
+	// it.
 	bytes int
 }
 
@@ -862,55 +863,6 @@ func (t *Table) Truncate() error {
 	t.writesAll()
 	t.rows, t.bytes = 0, 0
 	return t.saveDir()
-}
-
-// DecodeAll decodes the whole table, in directory order, into one block of
-// its own: one value slab sized by the maintained row count, and one
-// string, the character buffer sized once by the maintained record
-// bytes and handed over (rel.BlockDecoder.FinishLast). It is one scan
-// pass.
-func (t *Table) DecodeAll() (rel.Block, error) {
-	dec := rel.NewBlockDecoder(t.Schema)
-	dec.Begin(t.rows, t.bytes)
-	err := t.Heap.ScanPages(func(pg *storage.Page) error {
-		return t.decodePage(&dec, pg)
-	})
-	if err != nil {
-		return rel.Block{}, err
-	}
-	return dec.FinishLast(), nil
-}
-
-// AppendRows appends the whole table, in directory order, to buf as one row
-// block (rel.AppendRows's layout): its records as they are stored, none
-// decoded. It is one scan pass. buf grows once, by the maintained row
-// count and record bytes, which is exact when no record is 128 bytes or
-// longer; a longer one takes more length bytes, and when they outgrow
-// that room the block is copied once more, to its length, so a block
-// kept (a memo) holds no slack.
-func (t *Table) AppendRows(buf []byte) ([]byte, error) {
-	var h [16]byte
-	hdr := rel.AppendRowsHeader(h[:0], t.Schema, t.rows)
-	buf = slices.Grow(buf, len(hdr)+t.rows+t.bytes)
-	buf = append(buf, hdr...)
-	room := cap(buf)
-	rows := 0
-	err := t.Heap.ScanPages(func(pg *storage.Page) error {
-		for s := 0; s < pg.SlotCount(); s++ {
-			if rec := pg.Record(s); rec != nil {
-				buf = rel.AppendRecord(buf, rec)
-				rows++
-			}
-		}
-		return nil
-	})
-	if err == nil && rows != t.rows {
-		err = fmt.Errorf("catalog: table %s holds %d records, counted %d", t.Name, rows, t.rows)
-	}
-	if cap(buf) != room {
-		buf = slices.Clone(buf)
-	}
-	return buf, err
 }
 
 // recount sets the maintained row count and record bytes from the

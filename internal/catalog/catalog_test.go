@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -882,8 +881,7 @@ func TestCensus(t *testing.T) {
 // TestRecordBytesMaintained: random inserts, raw inserts, deletes,
 // truncates, shadow clones and reopens keep a table's maintained record
 // bytes equal to the length of its live records together, and its row
-// count equal to their number; DecodeAll, which sizes its character
-// buffer by the bytes, returns the rows Scan reads.
+// count equal to their number.
 func TestRecordBytesMaintained(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bytes.db")
 	var pager *storage.Pager
@@ -977,152 +975,5 @@ func TestRecordBytesMaintained(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		all, err := tb.DecodeAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if all.Len() != len(live) {
-			t.Fatalf("step %d: DecodeAll returned %d rows, Scan %d", step, all.Len(), len(live))
-		}
-		for i, l := range live {
-			if rel.CompareTuples(all.Row(i), l.tu) != 0 {
-				t.Fatalf("step %d: DecodeAll row %d = %v, Scan %v", step, i, all.Row(i), l.tu)
-			}
-		}
-	}
-}
-
-// TestDecodeAllAllocs pins DecodeAll on a string table of many pages:
-// it allocates one value slab, sized by the row count, and one
-// character buffer, sized once by the record bytes and handed to the
-// rows as their string — no buffer grown a page at a time, and no copy.
-func TestDecodeAllAllocs(t *testing.T) {
-	c := memCatalog(t)
-	tb, err := c.CreateTable("parent", edgeSchema(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chars := 0
-	for i := 1; i < 2048; i++ {
-		edge := rel.Tuple{rel.NewString(fmt.Sprintf("t%d", i/2)), rel.NewString(fmt.Sprintf("t%d", i))}
-		if _, err := tb.Insert(edge); err != nil {
-			t.Fatal(err)
-		}
-		chars += len(edge[0].Str) + len(edge[1].Str)
-	}
-	pages := 0
-	if err := tb.Heap.ScanPages(func(*storage.Page) error { pages++; return nil }); err != nil || pages < 4 {
-		t.Fatalf("table spans %d pages (%v), want several", pages, err)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := tb.DecodeAll(); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 2 {
-		t.Errorf("DecodeAll allocates %.1f objects, want 2: the value slab and the character buffer", n)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b, err := tb.DecodeAll()
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each allocation rounds up to its size class: at most an 8 KiB page
-	// over sizes this large.
-	need := b.Len()*2*rel.ValueSize + chars
-	if got := int(after.TotalAlloc - before.TotalAlloc); got > need+2*8192 {
-		t.Errorf("DecodeAll allocated %d bytes for a %d-byte slab and %d bytes of characters", got, b.Len()*2*rel.ValueSize, chars)
-	}
-}
-
-// TestAppendRowsIsTheWireBlock: a table's row block is rel.AppendRows of
-// its decoded rows, byte for byte — the records in chain order, a dead
-// slot skipped, a record of 128 bytes or more behind a two-byte length,
-// no rows as no columns — and, without such a record, one allocation
-// sized by the maintained counts.
-func TestAppendRowsIsTheWireBlock(t *testing.T) {
-	c := memCatalog(t)
-	tb, err := c.CreateTable("parent", edgeSchema(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := func(step string) {
-		t.Helper()
-		got, err := tb.AppendRows(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := tb.DecodeAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := rel.AppendRows(nil, b.Rows()); !bytes.Equal(got, want) {
-			t.Fatalf("%s: the table's block differs from rel.AppendRows of its rows\n got: %x\nwant: %x", step, got, want)
-		}
-	}
-	same("empty")
-	var victim storage.RID
-	var victimRow rel.Tuple
-	for i := 1; i < 1024; i++ {
-		edge := rel.Tuple{rel.NewString(fmt.Sprintf("t%d", i/2)), rel.NewString(fmt.Sprintf("t%d", i))}
-		rid, err := tb.Insert(edge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 500 {
-			victim, victimRow = rid, edge
-		}
-	}
-	pages := 0
-	if err := tb.Heap.ScanPages(func(*storage.Page) error { pages++; return nil }); err != nil || pages < 2 {
-		t.Fatalf("table spans %d pages (%v), want several", pages, err)
-	}
-	if err := tb.DeleteRID(victim, victimRow.Encode(nil)); err != nil {
-		t.Fatal(err)
-	}
-	same("many pages, one dead slot")
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := tb.AppendRows(nil); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 && !raceEnabled {
-		t.Errorf("AppendRows allocates %.1f objects, want 1: the block, sized once", n)
-	}
-	if _, err := tb.Insert(rel.Tuple{rel.NewString("long"), rel.NewString(strings.Repeat("x", 200))}); err != nil {
-		t.Fatal(err)
-	}
-	same("a 200-byte string")
-	if err := tb.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := tb.AppendRows(nil); err != nil || !bytes.Equal(got, rel.AppendRows(nil, nil)) {
-		t.Fatalf("a truncated table's block is %x (%v), want rel.AppendRows(nil, nil)", got, err)
-	}
-}
-
-// TestAppendRowsKeepsNoSlack: when records of 128 bytes or more outgrow
-// the room the maintained counts size (one length byte a record), the
-// block is copied to its length: its capacity is what a copy of it
-// gets, not what growing it left.
-func TestAppendRowsKeepsNoSlack(t *testing.T) {
-	c := memCatalog(t)
-	tb, err := c.CreateTable("long", edgeSchema(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 20 000 extra length bytes: more than the 8 KiB a large allocation
-	// is rounded up by, so the room is outgrown.
-	for i := 0; i < 20000; i++ {
-		if _, err := tb.Insert(rel.Tuple{rel.NewString(fmt.Sprint(i)), rel.NewString(strings.Repeat("x", 130))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := tb.AppendRows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := cap(slices.Clone(got)); cap(got) > c {
-		t.Fatalf("a block of %d bytes keeps %d bytes of capacity, a copy %d", len(got), cap(got), c)
 	}
 }

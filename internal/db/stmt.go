@@ -172,26 +172,6 @@ func (s *Stmt) Query(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value,
 	return rows, nil
 }
 
-// AppendRows executes a prepared SELECT as Query does and appends its
-// rows to buf as one row block (rel.AppendRows's layout), decoding none
-// (exec.AppendRows): a bare scan's block is its table's records as
-// stored, in chain order.
-func (s *Stmt) AppendRows(ctx context.Context, d *DB, sp *obs.Span, buf []byte, vals []rel.Value, tables ...string) ([]byte, error) {
-	if s.insert || s.del {
-		return nil, fmt.Errorf("db: AppendRows called on a prepared INSERT or DELETE; use Exec")
-	}
-	var tb [maxStackArgs]*catalog.Table
-	args, err := s.bind(d, tb[:0], tables)
-	if err != nil {
-		return nil, err
-	}
-	err = d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) (err error) {
-		buf, err = exec.AppendRows(ctx, op, buf)
-		return err
-	})
-	return buf, err
-}
-
 // delete is Exec of a prepared DELETE: its victims come from the scan
 // SELECT * FROM t WHERE p reads t through — an IndexScan when literal
 // equalities bind an index prefix, a SeqScan otherwise, the whole
@@ -244,7 +224,10 @@ func (s *Stmt) QueryCount(ctx context.Context, d *DB, sp *obs.Span, vals []rel.V
 // columns in place (rel.Spans, under the result's column types), and
 // the record is valid only during the call. It builds no row set and,
 // on a kept tree, allocates nothing. It is counted as one SELECT, and
-// traced as Query traces it. ctx is observed before the pass.
+// traced as Query traces it. ctx is observed before the pass; a reader
+// that must stop within it observes ctx in fn, between records. Scan is
+// how the engine reads a SELECT's result: fn is the reader's own sink,
+// which counts the records, decodes them or copies them as it needs.
 func (s *Stmt) Scan(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, fn func(rec []byte) error, tables ...string) error {
 	if s.insert || s.del {
 		return fmt.Errorf("db: Scan called on a prepared INSERT or DELETE; use Exec")

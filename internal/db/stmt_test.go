@@ -391,54 +391,6 @@ func TestPrepareHitAllocs(t *testing.T) {
 	}
 }
 
-// TestStmtAppendRows: a prepared SELECT's row block is rel.AppendRows of
-// the rows Query returns, byte for byte, for a bare scan (the table's
-// records as stored) and for any other tree (its records collected),
-// traced or not, and is counted as one SELECT.
-func TestStmtAppendRows(t *testing.T) {
-	d := OpenMemory()
-	defer d.Close()
-	mustExec(t, d, "CREATE TABLE parent (par CHAR, chd CHAR)", "CREATE TABLE empty (par CHAR, chd CHAR)")
-	for i := 0; i < 300; i++ {
-		mustExec(t, d, fmt.Sprintf("INSERT INTO parent VALUES ('p%d', 'c%d')", i/3, i))
-	}
-	mustExec(t, d, "INSERT INTO parent VALUES ('long', '"+strings.Repeat("x", 150)+"')")
-	ctx := context.Background()
-	for _, c := range []struct {
-		text  string
-		table string
-	}{
-		{"SELECT * FROM $1", "parent"},
-		{"SELECT * FROM $1", "empty"},
-		{"SELECT chd, par FROM $1 WHERE par = 'p7'", "parent"},
-		{"SELECT * FROM $1 WHERE par = 'none'", "parent"},
-	} {
-		st := mustPrepare(t, d, c.text, parentSchema)
-		rows, err := st.Query(ctx, d, nil, nil, c.table)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := rel.AppendRows(nil, rows.Tuples)
-		for _, traced := range []bool{false, true} {
-			var sp *obs.Span
-			if traced {
-				sp = obs.NewTrace("q").Root()
-			}
-			before := d.StatsSnapshot().Selects
-			got, err := st.AppendRows(ctx, d, sp, []byte("head"), nil, c.table)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(got[:4]) != "head" || string(got[4:]) != string(want) {
-				t.Fatalf("%s on %s (traced %v): block %x, want head then %x", c.text, c.table, traced, got, want)
-			}
-			if n := d.StatsSnapshot().Selects - before; n != 1 {
-				t.Fatalf("%s: AppendRows counted %d SELECTs, want 1", c.text, n)
-			}
-		}
-	}
-}
-
 // TestPreparedDelete: a DELETE prepared once, its WHERE value a
 // parameter, deletes at each execution what the ad-hoc DELETE with the
 // value written in deletes, index maintained, and counts as a DELETE.
@@ -557,17 +509,18 @@ func TestStmtScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var recs rel.Records
+				var got []rel.Tuple
+				decode := func(rec []byte) error {
+					tu, err := rel.DecodeTuple(rec, rows.Schema)
+					got = append(got, tu)
+					return err
+				}
 				before := d.StatsSnapshot().Selects
-				if err := st.Scan(ctx, d, ssp, c.vals, recs.Add, c.tables...); err != nil {
+				if err := st.Scan(ctx, d, ssp, c.vals, decode, c.tables...); err != nil {
 					t.Fatal(err)
 				}
 				if n := d.StatsSnapshot().Selects - before; n != 1 {
 					t.Errorf("%s: Scan counted %d SELECTs, want 1", c.text, n)
-				}
-				got, err := recs.Decode(rows.Schema)
-				if err != nil {
-					t.Fatal(err)
 				}
 				if g, w := fmt.Sprint(got), fmt.Sprint(rows.Tuples); g != w {
 					t.Errorf("%s (indexes %v, traced %v): Scan passes %v, Query returns %v", c.text, !noIndexes, traced, g, w)

@@ -7,9 +7,10 @@
 // operator above reads the columns it touches in place (rel.Spans) —
 // a filter compares their bytes, a projection and a join concatenate
 // them, a hash join and a set key on them. Nothing between a heap page
-// and a set's key table decodes a value. The statement's root decodes
-// its rows once, into a block of their own (CollectOwned), or an
-// INSERT writes the records to the heap as they are.
+// and a set's key table decodes a value. The statement's root passes
+// its records to the statement's reader, which reads them in place or
+// decodes them once, into a block of its own (db.Stmt.Scan,
+// CollectOwned), or an INSERT writes them to the heap as they are.
 package exec
 
 import (

@@ -21,8 +21,9 @@ import (
 // executes it, until the runs using the statement end and shed it
 // (Shed). What a pass keeps is the memory it used: a buffer Outgrown by
 // that pass (rel.Outgrown, more than four times its use plus 1 KiB) is
-// released when the pass ends. Rows are decoded once, at the
-// statement's root, into a block of their own (CollectOwned).
+// released when the pass ends. Rows are decoded at most once, by the
+// statement's reader, into a block of its own (db.Stmt.Scan,
+// CollectOwned).
 
 // Shed empties a tree between the runs of its statement:
 // every operator of it lets go of the working memory it kept (key

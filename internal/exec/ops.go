@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/rel"
@@ -16,8 +17,9 @@ import (
 // Schema, the form the heap stores — and returns the first error, fn's
 // included. A record is valid only for the call: it aliases a pinned
 // heap page or the operator's own buffer, and fn copies what it keeps.
-// Nothing in the tree decodes a value; the statement's root does, once
-// (CollectOwned), or writes the records as they are (an INSERT).
+// Nothing in the tree decodes a value; the statement's reader does, at
+// most once (db.Stmt.Scan, CollectOwned), or the root writes the
+// records as they are (an INSERT).
 //
 // An operator runs any number of passes, over whatever tables it names
 // by then — the planner re-binds a kept tree's tables between
@@ -34,38 +36,69 @@ type Operator interface {
 }
 
 // CollectOwned runs one pass of op, observing ctx between records, and
-// decodes its rows once, into one block of their own (rel.Records.Decode):
-// a caller may keep them past the statement. A set operation's result
-// is decoded from its set, and a bare scan's table in one pass
-// (catalog.Table.DecodeAll), without a copy of their records.
+// decodes its rows once, into one block of their own: one value slab
+// and one string, both sized by the records the pass emitted
+// (rel.BlockDecoder.FinishLast). A caller may keep them past the
+// statement. A record that does not decode under op's schema is an
+// error naming the result set's schema.
 func CollectOwned(ctx context.Context, op Operator) ([]rel.Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if scan, ok := op.(*SeqScan); ok {
-		b, err := scan.pass().DecodeAll()
-		return b.Rows(), err
+	c := spare.Swap(nil)
+	if c == nil {
+		c = newCollector()
 	}
-	if src, ok := op.(setSource); ok {
-		if set, err := src.takeSet(); err != nil {
-			return nil, err
-		} else if set != nil {
-			rows, err := set.live()
-			set.trim()
-			return rows, err
-		}
-	}
-	var recs rel.Records
-	err := op.ScanRecords(func(rec []byte) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return recs.Add(rec)
-	})
-	if err != nil {
+	defer c.release()
+	c.ctx = ctx
+	if err := op.ScanRecords(c.add); err != nil || c.n == 0 {
 		return nil, err
 	}
-	return recs.Decode(op.Schema())
+	dec := rel.NewBlockDecoder(op.Schema())
+	dec.Begin(c.n, c.size)
+	if err := c.recs.Each(dec.Add); err != nil {
+		return nil, fmt.Errorf("exec: set of %v: %w", op.Schema(), err)
+	}
+	return dec.FinishLast().Rows(), nil
+}
+
+// collector is CollectOwned's copy of one pass's records, taken so the
+// rows can be sized before they are decoded, and the context the pass
+// observes.
+type collector struct {
+	ctx     context.Context
+	recs    rel.Records
+	n, size int
+	add     func(rec []byte) error
+}
+
+// spare is the collector CollectOwned keeps between collections, with
+// its add step and the memory its records last used: a collection takes
+// it, or makes one while a concurrent collection holds it, so a
+// collection allocates only the rows it returns. It is one collector,
+// not a sync.Pool, so that what a collection allocates does not depend
+// on which of its objects the pool drops.
+var spare atomic.Pointer[collector]
+
+func newCollector() *collector {
+	c := new(collector)
+	c.add = func(rec []byte) error {
+		if err := c.ctx.Err(); err != nil {
+			return err
+		}
+		c.n, c.size = c.n+1, c.size+len(rec)
+		return c.recs.Add(rec)
+	}
+	return c
+}
+
+// release empties the collector, keeping the memory its records used
+// unless that is Outgrown (rel.Records.Trim), and makes it the spare.
+func (c *collector) release() {
+	c.recs.Trim()
+	c.recs.Reset()
+	c.ctx, c.n, c.size = nil, 0, 0
+	spare.Store(c)
 }
 
 // Count runs one pass of op, a COUNT(*) or Instrument's wrapper of
@@ -90,31 +123,6 @@ func Count(ctx context.Context, op Operator) (int64, error) {
 	}
 	err := c.pass()
 	return c.n, err
-}
-
-// AppendRows runs one pass of op, observing ctx between records, and
-// appends its rows to buf as one row block (rel.AppendRows's layout),
-// decoding none: a bare scan's table straight from its pages
-// (catalog.Table.AppendRows), any other operator's records collected
-// first, since the block's header counts them.
-func AppendRows(ctx context.Context, op Operator, buf []byte) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if scan, ok := op.(*SeqScan); ok {
-		return scan.pass().AppendRows(buf)
-	}
-	var recs rel.Records
-	err := op.ScanRecords(func(rec []byte) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return recs.Add(rec)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return recs.AppendRows(buf, op.Schema()), nil
 }
 
 // stage is what an operator that passes its input's records on keeps
@@ -802,26 +810,6 @@ func (s *tupleSet) records(fn func(rec []byte) error) error {
 		}
 	}
 	return nil
-}
-
-// live decodes the set's records, in insertion order, into one block
-// that belongs to the caller: one value slab and one string, the
-// decoder's character buffer sized by the records and handed over
-// (rel.BlockDecoder.FinishLast). A
-// record that does not decode under the set's schema — a tuple added
-// with a value of another type — is an error.
-func (s *tupleSet) live() ([]rel.Tuple, error) {
-	if s.n == 0 {
-		return nil, nil
-	}
-	size := 0
-	s.records(func(rec []byte) error { size += len(rec); return nil })
-	dec := rel.NewBlockDecoder(s.schema)
-	dec.Begin(s.n, size)
-	if err := s.records(dec.Add); err != nil {
-		return nil, fmt.Errorf("exec: set of %v: %w", s.schema, err)
-	}
-	return dec.FinishLast().Rows(), nil
 }
 
 // subtract removes from the set the records op emits — or, with

@@ -16,8 +16,8 @@ import (
 // a small int and a string — empty, short, or of 128 bytes and more,
 // whose length takes two bytes to encode — so sequences revisit tuples.
 // After every operation the set finds what the reference holds, and a
-// read returns, in insertion order, exactly the surviving tuples from
-// live() and their keys from records(). Then the reuse pass: the same
+// read returns, in insertion order, exactly the surviving tuples' keys
+// from records(), each decoding to its tuple. Then the reuse pass: the same
 // set is trimmed and reset, as a kept operator tree's next execution
 // does, and replays a second sequence — the program's second half
 // first — against a fresh reference.
@@ -85,21 +85,22 @@ func FuzzTupleSet(f *testing.F) {
 				if set.n != len(wantRows) {
 					t.Fatalf("op %d: set holds %d tuples, want %d", i/2, set.n, len(wantRows))
 				}
-				rows, err := set.live()
-				if err != nil {
-					t.Fatalf("op %d: live: %v", i/2, err)
+				var rows []rel.Tuple
+				var recs []string
+				if err := set.records(func(rec []byte) error {
+					tu, err := rel.DecodeTuple(rec, set.schema)
+					rows, recs = append(rows, tu), append(recs, string(rec))
+					return err
+				}); err != nil {
+					t.Fatalf("op %d: records: %v", i/2, err)
 				}
 				if len(rows) != len(wantRows) {
-					t.Fatalf("op %d: live returned %d tuples, want %d", i/2, len(rows), len(wantRows))
+					t.Fatalf("op %d: records passed %d tuples, want %d", i/2, len(rows), len(wantRows))
 				}
 				for j := range rows {
 					if rel.CompareTuples(rows[j], wantRows[j]) != 0 {
-						t.Fatalf("op %d: live()[%d] = %v, want %v", i/2, j, rows[j], wantRows[j])
+						t.Fatalf("op %d: record %d decodes to %v, want %v", i/2, j, rows[j], wantRows[j])
 					}
-				}
-				var recs []string
-				if err := set.records(func(rec []byte) error { recs = append(recs, string(rec)); return nil }); err != nil {
-					t.Fatal(err)
 				}
 				if !slices.Equal(recs, wantRecs) {
 					t.Fatalf("op %d: records %q, want %q", i/2, recs, wantRecs)

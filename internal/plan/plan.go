@@ -291,10 +291,11 @@ func (p *Analyzed) Build(cat TableSource, args []*catalog.Table, vals []rel.Valu
 // tree is not constructed again but re-bound to this execution's
 // tables, indexes, estimates and values, and reused reports it. The
 // caller drains t.Root and then hands t back with Release, also after
-// an error; the records it keeps it copies or decodes first
-// (exec.CollectOwned), since they alias the tree's buffers and pinned
-// pages (exec.Operator). An execution that finds the kept tree held by
-// a concurrent one plans a tree of its own, which is not kept.
+// an error; what its reader keeps of the records it copies or decodes
+// first (a db.Stmt.Scan sink, exec.CollectOwned), since they alias the
+// tree's buffers and pinned pages (exec.Operator). An execution that
+// finds the kept tree held by a concurrent one plans a tree of its own,
+// which is not kept.
 func (p *Prepared) Acquire(cat TableSource, args []*catalog.Table, vals []rel.Value) (t *Tree, reused bool, err error) {
 	t = &p.tree
 	if !p.busy.CompareAndSwap(false, true) {

@@ -369,10 +369,10 @@ func TestOwnRowsCopiesExactly(t *testing.T) {
 }
 
 // TestRowBlockWriters: a block written a record at a time — the header
-// from the schema, then each stored record (AppendRecord), directly or
-// from a Records list — is the block AppendRows writes from the rows,
-// byte for byte, and RowCount reads its row count: no rows as no
-// columns, and records of 128 bytes or more behind a multi-byte length.
+// from the schema, then each stored record (AppendRecord) — is the
+// block AppendRows writes from the rows, byte for byte, and RowCount
+// reads its row count: no rows as no columns, and records of 128 bytes
+// or more behind a multi-byte length.
 func TestRowBlockWriters(t *testing.T) {
 	schema := MustSchema(Column{Name: "n", Type: TypeInt}, Column{Name: "s", Type: TypeString})
 	for _, rows := range [][]Tuple{
@@ -383,17 +383,11 @@ func TestRowBlockWriters(t *testing.T) {
 	} {
 		want := AppendRows([]byte("head"), rows)
 		direct := AppendRowsHeader([]byte("head"), schema, len(rows))
-		var recs Records
 		for _, tu := range rows {
-			rec := tu.Encode(nil)
-			direct = AppendRecord(direct, rec)
-			recs.Add(rec)
+			direct = AppendRecord(direct, tu.Encode(nil))
 		}
 		if !bytes.Equal(direct, want) {
 			t.Fatalf("%d rows: header and records %x, want AppendRows' %x", len(rows), direct, want)
-		}
-		if got := recs.AppendRows([]byte("head"), schema); !bytes.Equal(got, want) {
-			t.Fatalf("%d rows: Records.AppendRows %x, want AppendRows' %x", len(rows), got, want)
 		}
 		if n := RowCount(want[4:]); n != len(rows) {
 			t.Fatalf("RowCount = %d, want %d", n, len(rows))

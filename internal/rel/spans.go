@@ -171,7 +171,7 @@ func spanChars(span []byte) []byte {
 // Records is a list of records back to back in one buffer. A statement
 // collects what its operator tree emits into one before it writes any
 // of it — an INSERT's snapshot of what it reads, a DELETE's victims —
-// or decodes it, once, into rows of their own (Decode).
+// or decodes it, once, into rows of their own (exec.CollectOwned).
 type Records struct {
 	buf  []byte
 	ends []int
@@ -205,31 +205,4 @@ func (r *Records) Each(fn func(rec []byte) error) error {
 		start = end
 	}
 	return nil
-}
-
-// AppendRows appends the records, rows of the schema, to buf as one row
-// block (AppendRows's layout).
-func (r *Records) AppendRows(buf []byte, schema *Schema) []byte {
-	buf = AppendRowsHeader(buf, schema, len(r.ends))
-	start := 0
-	for _, end := range r.ends {
-		buf = AppendRecord(buf, r.buf[start:end])
-		start = end
-	}
-	return buf
-}
-
-// Decode decodes the records under schema into one block of their own,
-// exactly sized (BlockDecoder.FinishLast), and returns its rows, nil
-// when there are none.
-func (r *Records) Decode(schema *Schema) ([]Tuple, error) {
-	if len(r.ends) == 0 {
-		return nil, nil
-	}
-	dec := NewBlockDecoder(schema)
-	dec.Begin(len(r.ends), len(r.buf))
-	if err := r.Each(dec.Add); err != nil {
-		return nil, err
-	}
-	return dec.FinishLast().Rows(), nil
 }

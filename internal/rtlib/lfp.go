@@ -71,16 +71,16 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 			if err != nil {
 				return err
 			}
-			diff, err := missing.Query(evalCtx(fp.Ctx), d, nil, nil, newNames[p], fp.TableOf(p))
+			diff, err := countRows(evalCtx(fp.Ctx), d, missing, newNames[p], fp.TableOf(p))
 			if err != nil {
 				return err
 			}
 			ns.TermCheck += time.Since(t0)
-			if len(diff.Tuples) > 0 {
+			if diff > 0 {
 				grew = true
 			}
 			if itSp != nil {
-				itSp.SetInt("delta("+p+")", int64(len(diff.Tuples)))
+				itSp.SetInt("delta("+p+")", int64(diff))
 				itSp.SetInt("acc("+p+")", int64(d.TableRows(newNames[p])))
 			}
 		}

@@ -255,14 +255,11 @@ func (ev *evaluator) run(seq uint64, block *[]byte) (*Result, error) {
 	var rows []rel.Tuple
 	n := 0
 	if block != nil {
-		*block, err = answer.AppendRows(evalCtx(ev.opts.Ctx), ev.d, nil, nil, nil, qt)
+		*block, err = readBlock(evalCtx(ev.opts.Ctx), ev.d, answer, qt)
 		n = rel.RowCount(*block)
 	} else {
-		var answerRows *db.Rows
-		if answerRows, err = answer.Query(evalCtx(ev.opts.Ctx), ev.d, nil, nil, qt); err == nil {
-			rows = answerRows.Tuples
-			n = len(rows)
-		}
+		rows, err = readRows(evalCtx(ev.opts.Ctx), ev.d, answer, qt)
+		n = len(rows)
 	}
 	if err != nil {
 		return nil, err

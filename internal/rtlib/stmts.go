@@ -28,11 +28,12 @@ import (
 // and key tables of its hash joins, nested-loop joins and DISTINCTs,
 // and the sets of its set operations, which the next execution resets
 // and fills again. Records pass through the tree valid only for the
-// call that passes them, and every row the run is handed (Query's
-// results) is decoded once, at the root, into a block of its own; an
-// INSERT writes the records as they come. During the run a tree pins
-// its last execution's tables and the memory that execution used
-// (rel.Outgrown bounds what it keeps beyond that). Close, when the run
+// call that passes them: a read streams them (db.Stmt.Scan) into a
+// sink of the run's own, which counts them or decodes the answer once,
+// into a block of its own (countRows, readRows, readBlock); an INSERT
+// writes the records as they come. During the run a tree pins its last
+// execution's tables and the memory that execution used (rel.Outgrown
+// bounds what it keeps beyond that). Close, when the run
 // ends, sheds each statement the run used (db.Stmt.Shed) of its tables,
 // indexes, probe keys, values and all that working memory (exec.Shed),
 // and the next run's first execution of the statement re-binds the shed

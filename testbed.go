@@ -374,15 +374,7 @@ func (tb *Testbed) Query(src string, opts *QueryOptions) (*QueryResult, error) {
 	if opts == nil {
 		opts = &QueryOptions{}
 	}
-	qid := opts.QueryID
-	if qid == 0 {
-		qid = obs.NewQueryID()
-	}
-	var tr *obs.Trace
-	if opts.Trace {
-		tr = obs.NewTrace("query")
-		tr.Root().SetInt("query_id", int64(qid))
-	}
+	qid, tr := queryTrace(opts)
 	compiled, err := tb.compile(tb.ws, tb.db, tb.st, q, opts, tr)
 	if err != nil {
 		return nil, err
@@ -393,6 +385,22 @@ func (tb *Testbed) Query(src string, opts *QueryOptions) (*QueryResult, error) {
 	}
 	res.QueryID = qid
 	return res, nil
+}
+
+// queryTrace returns the ID a query runs under — opts.QueryID, or a
+// minted one when that is 0 — and, when opts.Trace is set, the query's
+// trace, its root tagged with the ID.
+func queryTrace(opts *QueryOptions) (uint64, *obs.Trace) {
+	qid := opts.QueryID
+	if qid == 0 {
+		qid = obs.NewQueryID()
+	}
+	var tr *obs.Trace
+	if opts.Trace {
+		tr = obs.NewTrace("query")
+		tr.Root().SetInt("query_id", int64(qid))
+	}
+	return qid, tr
 }
 
 // Compile runs only the Knowledge Manager pipeline, returning the
@@ -422,16 +430,21 @@ func (tb *Testbed) compile(ws *core.Workspace, d *db.DB, st *stored.Manager, q d
 	return compiled, nil
 }
 
-// Evaluate runs a compiled program. When opts.Trace is set the result
-// carries an evaluation-only trace (compilation happened elsewhere —
-// e.g. in Compile).
+// Evaluate runs a compiled program under opts.QueryID, or a minted ID,
+// as Query does. When opts.Trace is set the result carries an
+// evaluation-only trace (compilation happened elsewhere — e.g. in
+// Compile), its root tagged with the ID.
 func (tb *Testbed) Evaluate(compiled *core.Compiled, opts *QueryOptions) (*QueryResult, error) {
-	var tr *obs.Trace
-	if opts != nil && opts.Trace {
-		tr = obs.NewTrace("query")
+	if opts == nil {
+		opts = &QueryOptions{}
 	}
+	qid, tr := queryTrace(opts)
 	res, _, err := tb.evaluate(context.TODO(), tb.db, compiled, opts, tr, false)
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	res.QueryID = qid
+	return res, nil
 }
 
 // evaluate runs a compiled program against an explicit database: the
@@ -477,7 +490,6 @@ func (tb *Testbed) evaluate(ctx context.Context, d *db.DB, compiled *core.Compil
 		Optimized: compiled.Optimized,
 		Strategy:  strategy,
 		Trace:     tr,
-		QueryID:   opts.QueryID,
 	}, block, nil
 }
 

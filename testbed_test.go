@@ -305,6 +305,44 @@ func TestEvalStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestEvaluateQueryID: Evaluate runs under the caller's query ID or a
+// minted one, as Query does — a non-zero ID, distinct across calls,
+// the caller's echoed — and its trace root carries the ID.
+func TestEvaluateQueryID(t *testing.T) {
+	tb := familyTB(t)
+	q, err := dlog.ParseQuery("?- ancestor(john, W).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := tb.Compile(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var minted [2]uint64
+	for i := range minted {
+		res, err := tb.Evaluate(compiled, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		minted[i] = res.QueryID
+	}
+	if minted[0] == 0 || minted[0] == minted[1] {
+		t.Errorf("two Evaluates ran under IDs %#x and %#x, want two distinct non-zero IDs", minted[0], minted[1])
+	}
+	for _, want := range []uint64{0, 0x5eed} {
+		res, err := tb.Evaluate(compiled, &QueryOptions{QueryID: want, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != 0 && res.QueryID != want {
+			t.Errorf("Evaluate echoed ID %#x, want the caller's %#x", res.QueryID, want)
+		}
+		if id, ok := res.Trace.Root().Int("query_id"); !ok || uint64(id) != res.QueryID || id == 0 {
+			t.Errorf("trace root query_id = %#x (%v), want the result's %#x", id, ok, res.QueryID)
+		}
+	}
+}
+
 func TestSemanticErrors(t *testing.T) {
 	tb := NewMemory()
 	defer tb.Close()
