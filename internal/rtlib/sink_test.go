@@ -107,20 +107,7 @@ func TestReadBlockIsTheWireBlock(t *testing.T) {
 	ctx := context.Background()
 	same := func(step string) {
 		t.Helper()
-		got, err := readBlock(ctx, d, all, "ans")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := d.Query("SELECT * FROM ans")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w := rel.AppendRows(nil, want.Tuples); !bytes.Equal(got, w) {
-			t.Fatalf("%s: the answer's block differs from rel.AppendRows of its rows\n got: %x\nwant: %x", step, got, w)
-		}
-		if cap(got) != len(got) {
-			t.Fatalf("%s: a block of %d bytes has capacity %d", step, len(got), cap(got))
-		}
+		sameBlock(t, d, all, step)
 	}
 	same("empty")
 	if err := d.InsertTuples("ans", edges(1024)); err != nil {
@@ -150,20 +137,46 @@ func TestReadBlockIsTheWireBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("a 200-byte string")
+	if err := d.Exec("DELETE FROM ans"); err != nil {
+		t.Fatal(err)
+	}
+	same("truncated")
+}
+
+// sameBlock fails t unless the block sink's read of ans is rel.AppendRows
+// of the rows DB.Query returns, byte for byte, in a block whose capacity
+// is its length.
+func sameBlock(t *testing.T, d *db.DB, all *db.Stmt, step string) {
+	t.Helper()
+	got, err := readBlock(context.Background(), d, all, "ans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.Query("SELECT * FROM ans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := rel.AppendRows(nil, want.Tuples); !bytes.Equal(got, w) {
+		t.Fatalf("%s: the answer's block differs from rel.AppendRows of its rows\n got: %x\nwant: %x", step, got, w)
+	}
+	if cap(got) != len(got) {
+		t.Fatalf("%s: a block of %d bytes has capacity %d", step, len(got), cap(got))
+	}
+}
+
+// TestReadBlockKeepsNoSlack: when records of 128 bytes or more outgrow
+// the room the maintained counts size (one length byte a record), the
+// block sink copies the block to its length, so a memo of it holds no
+// slack.
+func TestReadBlockKeepsNoSlack(t *testing.T) {
 	// 20 000 extra length bytes: more than the 8 KiB a large allocation
 	// is rounded up by, so the room the counts size is outgrown.
 	long := make([]rel.Tuple, 20000)
 	for i := range long {
 		long[i] = rel.Tuple{rel.NewString(fmt.Sprint(i)), rel.NewString(strings.Repeat("x", 130))}
 	}
-	if err := d.InsertTuples("ans", long); err != nil {
-		t.Fatal(err)
-	}
-	same("20 000 records of 130 bytes and more")
-	if err := d.Exec("DELETE FROM ans"); err != nil {
-		t.Fatal(err)
-	}
-	same("truncated")
+	d, all := answerRelation(t, long)
+	sameBlock(t, d, all, "20 000 records of 130 bytes and more")
 }
 
 // countdown is a context whose Err reports cancellation from its
