@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"dkbms/internal/storage"
 )
 
 // servedRelation returns a served testbed whose relation p holds the n
@@ -134,7 +136,8 @@ func TestTruncateCopiesNothing(t *testing.T) {
 		t.Errorf("truncating %d facts wrote %+v and replaced %d tables; want nothing written, one table replaced", n, cost, after.CopiedTables-before.CopiedTables)
 	}
 	pinned := s.Table(BaseTableName("p"))
-	if count, err := pinned.Count(); err != nil || count != n || pinned.Rows() != n {
+	count := 0
+	if err := pinned.Heap.Scan(func(storage.RID, []byte) error { count++; return nil }); err != nil || count != n || pinned.Rows() != n {
 		t.Fatalf("the pinned snapshot reads %d facts (%d maintained), %v; want %d", count, pinned.Rows(), err, n)
 	}
 	if got := pinned.Indexes[0].Tree.CountPrefix(nil); got != n {

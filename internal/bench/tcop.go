@@ -32,7 +32,11 @@ func tcOp(d *db.DB, pred string, seed *rel.Value) ([]rel.Tuple, error) {
 	// Build the adjacency map in one scan (a rel.Value is its own map
 	// key: comparable, and equal exactly when type and payload are).
 	adj := make(map[rel.Value][]rel.Value)
-	if err := t.Scan(func(_ storage.RID, tu rel.Tuple) error {
+	if err := t.Heap.Scan(func(_ storage.RID, rec []byte) error {
+		tu, err := rel.DecodeTuple(rec, t.Schema)
+		if err != nil {
+			return err
+		}
 		adj[tu[0]] = append(adj[tu[0]], tu[1])
 		return nil
 	}); err != nil {

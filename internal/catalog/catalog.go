@@ -885,57 +885,6 @@ func recordBytes(pg *storage.Page) int {
 	return size
 }
 
-// decodePage adds the page's live records, in slot order, to the block
-// dec is building.
-func (t *Table) decodePage(dec *rel.BlockDecoder, pg *storage.Page) error {
-	for s := 0; s < pg.SlotCount(); s++ {
-		if rec := pg.Record(s); rec != nil {
-			if err := dec.Add(rec); err != nil {
-				return fmt.Errorf("catalog: table %s: %w", t.Name, err)
-			}
-		}
-	}
-	return nil
-}
-
-// Scan calls fn with every tuple and the RID it is stored at, each
-// page's rows decoded into a block of their own.
-func (t *Table) Scan(fn func(rid storage.RID, tu rel.Tuple) error) error {
-	dec := rel.NewBlockDecoder(t.Schema)
-	next := uint32(0) // ScanPages goes in directory order
-	return t.Heap.ScanPages(func(pg *storage.Page) error {
-		pos := next
-		next++
-		dec.Begin(pg.LiveRecords(), recordBytes(pg))
-		if err := t.decodePage(&dec, pg); err != nil {
-			return err
-		}
-		b, row := dec.FinishLast(), 0
-		for s := 0; s < pg.SlotCount(); s++ {
-			if pg.Record(s) == nil {
-				continue
-			}
-			if err := fn(storage.RID{Page: pos, Slot: uint16(s)}, b.Row(row)); err != nil {
-				return err
-			}
-			row++
-		}
-		return nil
-	})
-}
-
-// Count returns the number of tuples.
-func (t *Table) Count() (int, error) { return t.Heap.Count() }
-
-// Get decodes the tuple at rid.
-func (t *Table) Get(rid storage.RID) (tu rel.Tuple, err error) {
-	err = t.Heap.Read(rid, func(rec []byte) error {
-		tu, err = rel.DecodeTuple(rec, t.Schema)
-		return err
-	})
-	return tu, err
-}
-
 // IndexOn returns an index of the table whose columns start with the
 // given ordinals (exact prefix match), or nil. The planner uses this to
 // pick access paths.

@@ -15,6 +15,33 @@ import (
 	"dkbms/internal/storage"
 )
 
+// scanTuples calls fn with every row of tb, decoded, and the RID it is
+// stored at.
+func scanTuples(tb *Table, fn func(rid storage.RID, tu rel.Tuple) error) error {
+	return tb.Heap.Scan(func(rid storage.RID, rec []byte) error {
+		tu, err := rel.DecodeTuple(rec, tb.Schema)
+		if err != nil {
+			return err
+		}
+		return fn(rid, tu)
+	})
+}
+
+// getTuple decodes the row of tb stored at rid.
+func getTuple(tb *Table, rid storage.RID) (tu rel.Tuple, err error) {
+	err = tb.Heap.Read(rid, func(rec []byte) error {
+		tu, err = rel.DecodeTuple(rec, tb.Schema)
+		return err
+	})
+	return tu, err
+}
+
+// countTuples counts the rows of tb in one scan.
+func countTuples(tb *Table) (n int, err error) {
+	err = tb.Heap.Scan(func(storage.RID, []byte) error { n++; return nil })
+	return n, err
+}
+
 func memCatalog(t *testing.T) *Catalog {
 	t.Helper()
 	c, err := Open(storage.NewMemPager(512))
@@ -227,7 +254,7 @@ func TestInsertScanTyped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := tb.Count()
+	n, err := countTuples(tb)
 	if err != nil || n != 100 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
@@ -296,7 +323,7 @@ func indexAnswers(t *testing.T, tb *Table, idx *Index) map[string][]string {
 	out := make(map[string][]string)
 	err := idx.Tree.Postings(nil, func(rids []storage.RID) error {
 		for _, rid := range rids {
-			tu, err := tb.Get(rid)
+			tu, err := getTuple(tb, rid)
 			if err != nil {
 				return err
 			}
@@ -616,7 +643,7 @@ func TestPersistence(t *testing.T) {
 	if !tb2.Schema.Equal(tb.Schema) {
 		t.Fatalf("schema lost: %v", tb2.Schema)
 	}
-	n, err := tb2.Count()
+	n, err := countTuples(tb2)
 	if err != nil || n != 200 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
@@ -629,7 +656,7 @@ func TestPersistence(t *testing.T) {
 	if len(rids) != 1 {
 		t.Fatalf("rebuilt index lookup = %v", rids)
 	}
-	tu, err := tb2.Get(rids[0])
+	tu, err := getTuple(tb2, rids[0])
 	if err != nil || tu[1].Str != "n42" {
 		t.Fatalf("lookup row = %v, %v", tu, err)
 	}
@@ -969,7 +996,7 @@ func TestRecordBytesMaintained(t *testing.T) {
 			t.Fatalf("step %d, after a %s: %d rows of %d bytes maintained, %d of %d stored", step, op, tb.Rows(), tb.bytes, rows, bytes)
 		}
 		live = live[:0]
-		if err := tb.Scan(func(rid storage.RID, tu rel.Tuple) error {
+		if err := scanTuples(tb, func(rid storage.RID, tu rel.Tuple) error {
 			live = append(live, rec{rid, tu.Clone()})
 			return nil
 		}); err != nil {

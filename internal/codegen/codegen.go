@@ -151,7 +151,7 @@ func (r *RuleSQL) ParamSQL(tableOf func(pred string) string) string {
 
 // AppendParamSQL appends to b the text ParamSQL renders with the k-th
 // FROM relation the table parameter $k: the body a run prepares
-// (rtlib.Statements.Rule).
+// (rtlib's statements.rule).
 func (r *RuleSQL) AppendParamSQL(b []byte) []byte { return r.appendSQL(b, nil, false) }
 
 // appendSQL appends the rule's text, its constants as literals or as
@@ -525,7 +525,7 @@ func canonicalSlot(types []rel.Type) (int, bool) {
 // — distinct variables, in the same order — and some earlier node
 // evaluates p; else "". That rule only renames p's relation: every
 // derived relation is a set, as each rule's INSERT adds only the tuples
-// its target lacks (rtlib.RuleInsert), so p's relation already is the
+// its target lacks (rtlib's ruleInsert form), so p's relation already is the
 // deduplicated answer, and copying it into the query predicate's would
 // build a key set of it and write every row once more. A constant, a
 // repeated variable, a projection, a base predicate or a second goal

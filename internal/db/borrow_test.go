@@ -266,15 +266,16 @@ func TestBorrowedRowsNeverKept(t *testing.T) {
 // value of no type is keyed as an empty string, which does not decode
 // under the column's type. Reading the set back is then a typed error
 // from the statement, never a panic. No planned statement can produce
-// one (TestProjectionIsTyped in internal/plan); this feeds it directly.
+// one (TestProjectionIsTyped in internal/plan); this stores one
+// directly, for a UNION to read into its set.
 func TestSetOfUntypedValueIsAnError(t *testing.T) {
-	ints := rel.MustSchema(rel.Column{Name: "a", Type: rel.TypeInt})
-	set := func() exec.Operator {
-		return &exec.SetOpExec{Kind: exec.OpUnion,
-			Left:  &exec.Values{Rows: []rel.Tuple{{rel.NewInt(1)}, {rel.Value{}}}, Out: ints},
-			Right: &exec.Values{Out: ints}}
+	d := OpenMemory()
+	mustExec(t, d, "CREATE TABLE u (a INTEGER)", "CREATE TABLE v (a INTEGER)", "INSERT INTO u VALUES (1)")
+	if err := d.Table("u").InsertRecord(rel.Tuple{rel.Value{}}.Encode(nil)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := exec.CollectOwned(context.Background(), set()); err == nil || !strings.Contains(err.Error(), "exec: set of") {
-		t.Errorf("CollectOwned: %v, want the set's decoding error", err)
+	_, err := mustPrepare(t, d, "SELECT * FROM u UNION SELECT * FROM v").Query(context.Background(), d, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "db: result set of") {
+		t.Errorf("Query: %v, want the set's decoding error", err)
 	}
 }

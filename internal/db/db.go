@@ -204,8 +204,8 @@ func (d *DB) Close() error { return d.pager.Close() }
 func (d *DB) Catalog() *catalog.Catalog { return d.cat }
 
 // Rows is a fully-materialized query result, DB.Query's and
-// Stmt.Query's, decoded once into a block of its own
-// (exec.CollectOwned): a caller may keep any of its tuples for as long
+// Stmt.Query's, decoded once into a block of its own as its records
+// arrive: a caller may keep any of its tuples for as long
 // as it likes without keeping the statement's pages or buffers alive.
 // The engine reads its own statements' results through Stmt.Scan.
 type Rows struct {

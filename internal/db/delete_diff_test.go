@@ -216,7 +216,8 @@ func checkDelTable(t *testing.T, ctx string, d *DB, pre, survivors []delRow) {
 	if tab.Rows() != len(survivors) {
 		t.Fatalf("%s: maintained row count %d, model %d", ctx, tab.Rows(), len(survivors))
 	}
-	if n, err := tab.Heap.Count(); err != nil || n != len(survivors) {
+	n := 0
+	if err := tab.Heap.Scan(func(storage.RID, []byte) error { n++; return nil }); err != nil || n != len(survivors) {
 		t.Fatalf("%s: heap holds %d records (%v), model %d", ctx, n, err, len(survivors))
 	}
 	for _, idx := range tab.Indexes {
@@ -243,7 +244,11 @@ func checkDelTable(t *testing.T, ctx string, d *DB, pre, survivors []delRow) {
 			}
 			seen := map[storage.RID]bool{}
 			for _, rid := range rids {
-				tu, err := tab.Get(rid)
+				var tu rel.Tuple
+				err := tab.Heap.Read(rid, func(rec []byte) (err error) {
+					tu, err = rel.DecodeTuple(rec, tab.Schema)
+					return err
+				})
 				if err != nil || seen[rid] {
 					t.Fatalf("%s: index %s key %v: posting %s: %v (duplicate: %v)", ctx, idx.Name, key, rid, err, seen[rid])
 				}

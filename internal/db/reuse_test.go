@@ -11,11 +11,11 @@ import (
 	"testing"
 
 	"dkbms/internal/catalog"
-	"dkbms/internal/exec"
 	"dkbms/internal/plan"
 	"dkbms/internal/plan/plantest"
 	"dkbms/internal/rel"
 	"dkbms/internal/sql"
+	"dkbms/internal/storage"
 )
 
 // checkKept acquires the tree p's next execution over args and vals
@@ -40,12 +40,15 @@ func checkKept(t *testing.T, d *DB, p *plan.Prepared, args []*catalog.Table, val
 		t.Fatalf("re-bound=%v: the kept tree\n%s\nis not the fresh one\n%s\n%s", reused, got, want, what)
 	}
 	if rows {
-		if got, err = exec.CollectOwned(context.Background(), tr.Root); err != nil {
+		kept, err := collect(context.Background(), tr.Root)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if want, err = exec.CollectOwned(context.Background(), fresh); err != nil {
+		built, err := collect(context.Background(), fresh)
+		if err != nil {
 			t.Fatal(err)
 		}
+		got, want = kept.Tuples, built.Tuples
 	}
 	return reused, got, want
 }
@@ -308,7 +311,7 @@ func lfpRebinds(t *testing.T, indexed bool) {
 func heapPages(t *testing.T, tab *catalog.Table) int {
 	t.Helper()
 	before := tab.Heap.Stats()
-	if _, err := tab.Heap.Count(); err != nil {
+	if err := tab.Heap.ScanPages(func(*storage.Page) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return int(tab.Heap.Stats().Sub(before).PagesScanned)

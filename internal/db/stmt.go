@@ -145,31 +145,41 @@ func (s *Stmt) bind(d *DB, buf []*catalog.Table, tables []string) ([]*catalog.Ta
 }
 
 // Query executes a prepared SELECT on d with vals[m-1] bound to ?m and
-// tables[n-1] to $n, and returns its rows. When sp is non-nil the
-// SELECT's operator tree (rows emitted per operator) is recorded as
-// child spans of sp; a nil sp costs one nil check. The drain observes
-// ctx between result tuples and aborts with ctx.Err() when it is
-// cancelled, so a long scan or join stops mid-statement instead of
-// running to completion.
-func (s *Stmt) Query(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, tables ...string) (*Rows, error) {
-	if s.insert || s.del {
-		return nil, fmt.Errorf("db: Query called on a prepared INSERT or DELETE; use Exec")
-	}
-	var buf [maxStackArgs]*catalog.Table
-	args, err := s.bind(d, buf[:0], tables)
-	if err != nil {
-		return nil, err
-	}
-	var rows *Rows
-	err = d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) error {
-		tuples, err := exec.CollectOwned(ctx, op)
-		rows = &Rows{Schema: op.Schema(), Tuples: tuples}
+// tables[n-1] to $n, and returns its rows: a Scan pass into a sink that
+// decodes them (collect). When sp is non-nil the SELECT's operator tree
+// (rows emitted per operator) is recorded as child spans of sp; a nil
+// sp costs one nil check.
+func (s *Stmt) Query(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, tables ...string) (rows *Rows, err error) {
+	err = s.run(ctx, d, sp, vals, tables, func(op exec.Operator) (err error) {
+		rows, err = collect(ctx, op)
 		return err
+	})
+	return rows, err
+}
+
+// collect runs one pass of op and decodes each record as it arrives
+// into one block of the rows' own (rel.BlockDecoder.FinishLast), which
+// a caller may keep past the statement. It observes ctx between
+// records and aborts with ctx.Err() when it is cancelled, so a long
+// scan or join stops mid-statement instead of running to completion. A
+// record that does not decode under op's schema is an error naming
+// that schema.
+func collect(ctx context.Context, op exec.Operator) (*Rows, error) {
+	dec := rel.NewBlockDecoder(op.Schema())
+	dec.Begin(0, 0)
+	err := op.ScanRecords(func(rec []byte) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := dec.Add(rec); err != nil {
+			return fmt.Errorf("db: result set of %v: %w", op.Schema(), err)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return rows, nil
+	return &Rows{Schema: op.Schema(), Tuples: dec.FinishLast().Rows()}, nil
 }
 
 // delete is Exec of a prepared DELETE: its victims come from the scan
@@ -204,15 +214,7 @@ func (s *Stmt) delete(d *DB, vals []rel.Value, sp *obs.Span) error {
 // set and, on a kept tree, allocates nothing. Any other SELECT is an
 // error. It is counted as one SELECT, and traced as Query traces it.
 func (s *Stmt) QueryCount(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, tables ...string) (n int64, err error) {
-	if s.insert || s.del {
-		return 0, fmt.Errorf("db: QueryCount called on a prepared INSERT or DELETE; use Exec")
-	}
-	var buf [maxStackArgs]*catalog.Table
-	args, err := s.bind(d, buf[:0], tables)
-	if err != nil {
-		return 0, err
-	}
-	err = d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) (err error) {
+	err = s.run(ctx, d, sp, vals, tables, func(op exec.Operator) (err error) {
 		n, err = exec.Count(ctx, op)
 		return err
 	})
@@ -229,8 +231,17 @@ func (s *Stmt) QueryCount(ctx context.Context, d *DB, sp *obs.Span, vals []rel.V
 // how the engine reads a SELECT's result: fn is the reader's own sink,
 // which counts the records, decodes them or copies them as it needs.
 func (s *Stmt) Scan(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, fn func(rec []byte) error, tables ...string) error {
+	return s.run(ctx, d, sp, vals, tables, func(op exec.Operator) error {
+		return op.ScanRecords(fn)
+	})
+}
+
+// run executes the prepared SELECT on d, once ctx is checked and its
+// tables bound, and hands drain the root of the operator tree that
+// executes it (DB.drainSelect).
+func (s *Stmt) run(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, tables []string, drain func(exec.Operator) error) error {
 	if s.insert || s.del {
-		return fmt.Errorf("db: Scan called on a prepared INSERT or DELETE; use Exec")
+		return fmt.Errorf("db: a prepared INSERT or DELETE executes through Exec")
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -240,9 +251,7 @@ func (s *Stmt) Scan(ctx context.Context, d *DB, sp *obs.Span, vals []rel.Value, 
 	if err != nil {
 		return err
 	}
-	return d.drainSelect(&s.sel, args, vals, sp, func(op exec.Operator) error {
-		return op.ScanRecords(fn)
-	})
+	return d.drainSelect(&s.sel, args, vals, sp, drain)
 }
 
 // Exec executes a prepared INSERT ... SELECT or DELETE on d with

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -39,17 +38,20 @@ func cat(t *testing.T) *catalog.Catalog {
 	return c
 }
 
+// collect runs one pass of op and decodes its records, as they arrive,
+// into rows of their own: what db.Stmt.Query's sink does.
 func collect(t *testing.T, op Operator) []rel.Tuple {
 	t.Helper()
-	out, err := CollectOwned(context.Background(), op)
-	if err != nil {
+	dec := rel.NewBlockDecoder(op.Schema())
+	dec.Begin(0, 0)
+	if err := op.ScanRecords(dec.Add); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return dec.FinishLast().Rows()
 }
 
 // TestSeqScanSnapshot: a scan passes on records as it reads them, so a
-// statement's snapshot is taken at its root — CollectOwned decodes the
+// statement's snapshot is taken at its root — collect decodes the
 // whole result before returning it. Rows collected before an insert keep
 // their values after it; a consumer that inserts while the scan runs
 // would read its own writes, which is why an INSERT ... SELECT that is
@@ -345,7 +347,7 @@ func BenchmarkHashJoinVsIndexJoin(b *testing.B) {
 	b.Run("hash", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := &HashJoin{Left: &SeqScan{Table: small}, Right: &SeqScan{Table: big}, LeftOrds: []int{1}, RightOrds: []int{0}}
-			if _, err := CollectOwned(context.Background(), j); err != nil {
+			if err := j.ScanRecords(discard); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -353,21 +355,23 @@ func BenchmarkHashJoinVsIndexJoin(b *testing.B) {
 	b.Run("index", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := &IndexNLJoin{Left: &SeqScan{Table: small}, Right: big, Index: idx, LeftOrds: []int{1}}
-			if _, err := CollectOwned(context.Background(), j); err != nil {
+			if err := j.ScanRecords(discard); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-func ExampleCollectOwned() {
+func ExampleSeqScan() {
 	c, _ := catalog.Open(storage.NewMemPager(64))
 	tb, _ := c.CreateTable("e", rel.MustSchema(rel.Column{Name: "a", Type: rel.TypeInt}), false)
 	tb.Insert(rel.Tuple{rel.NewInt(7)})
-	rows, _ := CollectOwned(context.Background(), &SeqScan{Table: tb})
-	for _, tu := range rows {
+	scan := &SeqScan{Table: tb}
+	scan.ScanRecords(func(rec []byte) error {
+		tu, err := rel.DecodeTuple(rec, scan.Schema())
 		fmt.Println(tu)
-	}
+		return err
+	})
 	// Output: (7)
 }
 

@@ -10,7 +10,7 @@
 // and a set's key table decodes a value. The statement's root passes
 // its records to the statement's reader, which reads them in place or
 // decodes them once, into a block of its own (db.Stmt.Scan,
-// CollectOwned), or an INSERT writes them to the heap as they are.
+// db.Stmt.Query), or an INSERT writes them to the heap as they are.
 package exec
 
 import (

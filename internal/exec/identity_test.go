@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"context"
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -30,10 +30,15 @@ func pairsTable(t *testing.T, c *catalog.Catalog, name string, from, to int64) *
 	return newTable(t, c, name, pairs)
 }
 
+// discard is a sink that keeps nothing of the records it is passed.
+func discard([]byte) error { return nil }
+
+// allocsOf is what one pass of mk's operator allocates, the operator
+// included, into a sink that allocates nothing.
 func allocsOf(t *testing.T, mk func() Operator) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(20, func() {
-		if _, err := CollectOwned(context.Background(), mk()); err != nil {
+		if err := mk().ScanRecords(discard); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -340,9 +345,10 @@ func TestScanRowsAddressesWhatNextYields(t *testing.T) {
 		op, flush := Instrument(tc.mk(), tr.Root())
 		seen := map[storage.RID]bool{}
 		err := ScanRows(op, func(rid storage.RID, rec []byte) error {
-			stored, err := tb.Get(rid)
-			if err != nil || stored.Key() != string(rec) || seen[rid] {
-				t.Errorf("%s: %x reported at %s, which holds %v (%v; seen before: %v)", tc.name, rec, rid, stored, err, seen[rid])
+			var stored []byte
+			err := tb.Heap.Read(rid, func(r []byte) error { stored = bytes.Clone(r); return nil })
+			if err != nil || string(stored) != string(rec) || seen[rid] {
+				t.Errorf("%s: %x reported at %s, which holds %x (%v; seen before: %v)", tc.name, rec, rid, stored, err, seen[rid])
 			}
 			seen[rid] = true
 			yielded[string(rec)]--

@@ -23,7 +23,7 @@ import (
 // that pass (rel.Outgrown, more than four times its use plus 1 KiB) is
 // released when the pass ends. Rows are decoded at most once, by the
 // statement's reader, into a block of its own (db.Stmt.Scan,
-// CollectOwned).
+// db.Stmt.Query).
 
 // Shed empties a tree between the runs of its statement:
 // every operator of it lets go of the working memory it kept (key

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"dkbms/internal/catalog"
 	"dkbms/internal/rel"
@@ -18,7 +17,7 @@ import (
 // included. A record is valid only for the call: it aliases a pinned
 // heap page or the operator's own buffer, and fn copies what it keeps.
 // Nothing in the tree decodes a value; the statement's reader does, at
-// most once (db.Stmt.Scan, CollectOwned), or the root writes the
+// most once (db.Stmt.Scan, db.Stmt.Query), or the root writes the
 // records as they are (an INSERT).
 //
 // An operator runs any number of passes, over whatever tables it names
@@ -33,72 +32,6 @@ import (
 type Operator interface {
 	Schema() *rel.Schema
 	ScanRecords(fn func(rec []byte) error) error
-}
-
-// CollectOwned runs one pass of op, observing ctx between records, and
-// decodes its rows once, into one block of their own: one value slab
-// and one string, both sized by the records the pass emitted
-// (rel.BlockDecoder.FinishLast). A caller may keep them past the
-// statement. A record that does not decode under op's schema is an
-// error naming the result set's schema.
-func CollectOwned(ctx context.Context, op Operator) ([]rel.Tuple, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c := spare.Swap(nil)
-	if c == nil {
-		c = newCollector()
-	}
-	defer c.release()
-	c.ctx = ctx
-	if err := op.ScanRecords(c.add); err != nil || c.n == 0 {
-		return nil, err
-	}
-	dec := rel.NewBlockDecoder(op.Schema())
-	dec.Begin(c.n, c.size)
-	if err := c.recs.Each(dec.Add); err != nil {
-		return nil, fmt.Errorf("exec: set of %v: %w", op.Schema(), err)
-	}
-	return dec.FinishLast().Rows(), nil
-}
-
-// collector is CollectOwned's copy of one pass's records, taken so the
-// rows can be sized before they are decoded, and the context the pass
-// observes.
-type collector struct {
-	ctx     context.Context
-	recs    rel.Records
-	n, size int
-	add     func(rec []byte) error
-}
-
-// spare is the collector CollectOwned keeps between collections, with
-// its add step and the memory its records last used: a collection takes
-// it, or makes one while a concurrent collection holds it, so a
-// collection allocates only the rows it returns. It is one collector,
-// not a sync.Pool, so that what a collection allocates does not depend
-// on which of its objects the pool drops.
-var spare atomic.Pointer[collector]
-
-func newCollector() *collector {
-	c := new(collector)
-	c.add = func(rec []byte) error {
-		if err := c.ctx.Err(); err != nil {
-			return err
-		}
-		c.n, c.size = c.n+1, c.size+len(rec)
-		return c.recs.Add(rec)
-	}
-	return c
-}
-
-// release empties the collector, keeping the memory its records used
-// unless that is Outgrown (rel.Records.Trim), and makes it the spare.
-func (c *collector) release() {
-	c.recs.Trim()
-	c.recs.Reset()
-	c.ctx, c.n, c.size = nil, 0, 0
-	spare.Store(c)
 }
 
 // Count runs one pass of op, a COUNT(*) or Instrument's wrapper of

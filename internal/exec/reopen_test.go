@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"regexp"
@@ -205,13 +204,7 @@ func TestOperatorsReopen(t *testing.T) {
 	idxs := map[*catalog.Index]*catalog.Index{idx1: idx2}
 
 	// pass runs op and renders its rows.
-	pass := func(op Operator) string {
-		rows, err := CollectOwned(context.Background(), op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprint(rows)
-	}
+	pass := func(op Operator) string { return fmt.Sprint(collect(t, op)) }
 	for _, tc := range reopenCases() {
 		check := func(op Operator) {
 			walk(op, func(op Operator) {
@@ -259,7 +252,7 @@ func TestKeptTreeMemoryBounded(t *testing.T) {
 	tabs := map[*catalog.Table]*catalog.Table{lBig: l, rBig: r}
 	idxs := map[*catalog.Index]*catalog.Index{idxBig: idx}
 	run := func(op Operator) {
-		if _, err := CollectOwned(context.Background(), op); err != nil {
+		if err := op.ScanRecords(discard); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,13 +393,7 @@ func TestShedTreesHoldNothing(t *testing.T) {
 	c := cat(t)
 	l1, r1, idx1 := reopenTables(t, c, 1, 40)
 	l2, r2, idx2 := reopenTables(t, c, 2, 70)
-	pass := func(op Operator) string {
-		rows, err := CollectOwned(context.Background(), op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprint(rows)
-	}
+	pass := func(op Operator) string { return fmt.Sprint(collect(t, op)) }
 	reader := regexp.MustCompile(`\.(row|in|side|outer)\.rec `)
 	for _, tc := range reopenCases() {
 		shed := func(op Operator, when string) {

@@ -110,7 +110,9 @@ func treeWalk(tr *BTree) [][]storage.RID {
 func sameWalks(a, b [][]storage.RID) bool { return slices.EqualFunc(a, b, slices.Equal[[]storage.RID]) }
 
 // FuzzBTreeOps runs a sequence of inserts, deletes, bulk inserts and
-// forks over (int, string) keys against a sorted reference and, after
+// forks over (int, string) keys — the int64 extremes, and empty, prefix
+// and two-byte-length strings among them (fuzzInts, fuzzStrings) —
+// against a sorted reference and, after
 // every step, checks the structure (Validate), the counts, the encoded
 // probes (Lookup of a full key and of one too long, Postings and
 // CountPrefix of a full key and of a one-column prefix, each one counted

@@ -69,7 +69,8 @@ func clauseTexts(cs []dlog.Clause) []string {
 }
 
 // FuzzPCG holds the numbered graph to the map-based reference model on
-// generated rule sets of up to 40 predicates: the same reachable set,
+// generated rule sets of up to 40 predicates, with self-loops, mutual
+// recursion and unreachable parts: the same reachable set,
 // base predicates, node sequence (each node's predicates, kind and
 // exit/recursive rule split, in order) and transitive closure, and the
 // same refusal of an undefined root.

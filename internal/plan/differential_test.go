@@ -114,7 +114,7 @@ func bruteForce(t *testing.T, c *catalog.Catalog, sel *sql.Select) []string {
 	for i, tr := range sel.From {
 		tb := c.Table(tr.Table)
 		schemas[i] = tb.Schema
-		if err := tb.Scan(func(_ storage.RID, tu rel.Tuple) error {
+		if err := scanTuples(tb, func(_ storage.RID, tu rel.Tuple) error {
 			tables[i] = append(tables[i], tu)
 			return nil
 		}); err != nil {

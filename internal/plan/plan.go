@@ -292,7 +292,7 @@ func (p *Analyzed) Build(cat TableSource, args []*catalog.Table, vals []rel.Valu
 // tables, indexes, estimates and values, and reused reports it. The
 // caller drains t.Root and then hands t back with Release, also after
 // an error; what its reader keeps of the records it copies or decodes
-// first (a db.Stmt.Scan sink, exec.CollectOwned), since they alias the
+// first (a db.Stmt.Scan sink, db.Stmt.Query), since they alias the
 // tree's buffers and pinned pages (exec.Operator). An execution that
 // finds the kept tree held by a concurrent one plans a tree of its own,
 // which is not kept.

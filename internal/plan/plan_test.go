@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -213,7 +212,7 @@ func TestPlanResultsIdenticalAcrossJoinStrategies(t *testing.T) {
 			}
 		}
 		op := build(t, c, "SELECT s.a, g.b FROM small s, big g WHERE s.a = g.a")
-		rows, err := exec.CollectOwned(context.Background(), op)
+		rows, err := collectOwned(op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +241,7 @@ func TestPlanManyTablesChain(t *testing.T) {
 		addTable(t, c, fmt.Sprintf("t%d", i), 30+10*i)
 	}
 	q := "SELECT t0.a FROM t0, t1, t2, t3, t4 WHERE t0.b = t1.b AND t1.b = t2.b AND t2.b = t3.b AND t3.b = t4.b AND t0.a = 3"
-	rows, err := exec.CollectOwned(context.Background(), build(t, c, q))
+	rows, err := collectOwned(build(t, c, q))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,12 +13,34 @@ import (
 	"dkbms/internal/plan/plantest"
 	"dkbms/internal/rel"
 	"dkbms/internal/sql"
+	"dkbms/internal/storage"
 )
+
+// collectOwned runs one pass of op and decodes its records, as they
+// arrive, into rows of their own: what db.Stmt.Query's sink does.
+func collectOwned(op exec.Operator) ([]rel.Tuple, error) {
+	dec := rel.NewBlockDecoder(op.Schema())
+	dec.Begin(0, 0)
+	err := op.ScanRecords(dec.Add)
+	return dec.FinishLast().Rows(), err
+}
+
+// scanTuples calls fn with every row of tb, decoded, and the RID it is
+// stored at.
+func scanTuples(tb *catalog.Table, fn func(rid storage.RID, tu rel.Tuple) error) error {
+	return tb.Heap.Scan(func(rid storage.RID, rec []byte) error {
+		tu, err := rel.DecodeTuple(rec, tb.Schema)
+		if err != nil {
+			return err
+		}
+		return fn(rid, tu)
+	})
+}
 
 // sortedRows runs a built plan and renders its rows, sorted.
 func sortedRows(t *testing.T, op exec.Operator, sh any) []string {
 	t.Helper()
-	rows, err := exec.CollectOwned(context.Background(), op)
+	rows, err := collectOwned(op)
 	if err != nil {
 		t.Fatalf("run: %v\n%v", err, sh)
 	}
@@ -243,7 +264,7 @@ func TestPreparedConcurrentBuild(t *testing.T) {
 		if err != nil {
 			return 0, err
 		}
-		rows, err := exec.CollectOwned(context.Background(), op)
+		rows, err := collectOwned(op)
 		return len(rows), err
 	}
 	bindings := [][]*catalog.Table{{small, big}, {big, small}}

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -121,9 +120,10 @@ func TestKeptTreeAllocs(t *testing.T) {
 // once its working memory is kept: re-bound over unchanged tables, a
 // two-table hash join feeding an EXCEPT decodes its pages over the last
 // execution's blocks, resets its build side and set, rewinds its slab,
-// and allocates only the copy it returns — the set's survivors decoded
-// into one value slab (integer columns: no string) and the list of
-// their rows, 2 objects.
+// and allocates only the copy its reader returns — the set's survivors
+// decoded into one value slab (integer columns: no string), sized by
+// the first execution's row count, and the list of their rows, 2
+// objects.
 func TestKeptTreeExecAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -140,20 +140,25 @@ func TestKeptTreeExecAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const want = 470
+	// The reader's sink is made once: a decoder sized for want rows.
+	var dec rel.BlockDecoder
+	add := func(rec []byte) error { return dec.Add(rec) }
 	run := func() []rel.Tuple {
 		tr, _, err := p.Acquire(c, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.Release(tr)
-		rows, err := exec.CollectOwned(context.Background(), tr.Root)
-		if err != nil {
+		dec = rel.NewBlockDecoder(tr.Root.Schema())
+		dec.Begin(want, 0)
+		if err := tr.Root.ScanRecords(add); err != nil {
 			t.Fatal(err)
 		}
-		return rows
+		return dec.FinishLast().Rows()
 	}
 	first := run()
-	if len(first) != 470 {
+	if len(first) != want {
 		t.Fatalf("%d rows, want the 500 pairs less the 30 of m", len(first))
 	}
 	tr, reused, _ := p.Acquire(c, nil, nil)
@@ -211,7 +216,7 @@ func TestShedTreeRebinds(t *testing.T) {
 		t.Helper()
 		tr, reused, _ := acquire(v)
 		defer p.Release(tr)
-		if _, err := exec.CollectOwned(context.Background(), tr.Root); err != nil {
+		if _, err := collectOwned(tr.Root); err != nil {
 			t.Fatal(err)
 		}
 		return reused, tr.Root
@@ -231,11 +236,11 @@ func TestShedTreeRebinds(t *testing.T) {
 			}
 		}
 	}
-	got, err := exec.CollectOwned(context.Background(), tr.Root)
+	got, err := collectOwned(tr.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.CollectOwned(context.Background(), fresh)
+	want, err := collectOwned(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}

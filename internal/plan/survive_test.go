@@ -1,21 +1,19 @@
 package plan
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"dkbms/internal/catalog"
-	"dkbms/internal/exec"
 	"dkbms/internal/rel"
 	"dkbms/internal/sql"
 	"dkbms/internal/storage"
 )
 
 // TestTuplesSurviveTheStatement: the rows a statement returns own their
-// memory (exec.CollectOwned, as db returns every result), while the
+// memory (collectOwned, as db.Stmt.Query returns every result), while the
 // rows read inside its kept operator tree are written over by the
 // tree's next execution. Every shape of the differential tests (SELECT
 // * over joins, projections, DISTINCT, COUNT) is prepared and run
@@ -49,7 +47,7 @@ func TestTuplesSurviveTheStatement(t *testing.T) {
 				t.Fatalf("plan: %v\n%s", err, sh.shape)
 			}
 			defer p.Release(tr)
-			rows, err := exec.CollectOwned(context.Background(), tr.Root)
+			rows, err := collectOwned(tr.Root)
 			if err != nil {
 				t.Fatalf("run: %v\n%s", err, sh.shape)
 			}
@@ -88,7 +86,7 @@ func churn(t *testing.T, tb *catalog.Table, round int) {
 		tu  rel.Tuple
 	}
 	var rows []stored
-	if err := tb.Scan(func(rid storage.RID, tu rel.Tuple) error {
+	if err := scanTuples(tb, func(rid storage.RID, tu rel.Tuple) error {
 		rows = append(rows, stored{rid, tu})
 		return nil
 	}); err != nil {

@@ -53,8 +53,9 @@ func FuzzDecodeTuple(f *testing.F) {
 // them once more. Each block has exactly the rows DecodeTuple returns,
 // it fails exactly when one of the records does, it never panics, and
 // each row's capacity is its length, so appending to one row cannot
-// overwrite the next; the decoder's next block does not write over the
-// last one's characters.
+// overwrite the next; FinishLast hands the block its character buffer,
+// and the decoder's next block does not write over the last one's
+// characters.
 func FuzzDecodeBlock(f *testing.F) {
 	two := append(Tuple{NewInt(-5), NewString("hello")}.Encode(nil), Tuple{NewInt(7), NewString("")}.Encode(nil)...)
 	f.Add(uint8(2), two, []byte{14, 9})

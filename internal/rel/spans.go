@@ -171,7 +171,7 @@ func spanChars(span []byte) []byte {
 // Records is a list of records back to back in one buffer. A statement
 // collects what its operator tree emits into one before it writes any
 // of it — an INSERT's snapshot of what it reads, a DELETE's victims —
-// or decodes it, once, into rows of their own (exec.CollectOwned).
+// and a nested-loop join its right input.
 type Records struct {
 	buf  []byte
 	ends []int

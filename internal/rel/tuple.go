@@ -136,7 +136,7 @@ func (t Tuple) Encode(buf []byte) []byte { return t.AppendKey(buf, nil) }
 // bytes may be untrusted: anything Encode would not have written for
 // this schema is an error, never a panic. The tuple owns its memory
 // (its strings share one allocation). It is the single-record entry
-// point; a scan decodes a page at a time through BlockDecoder.
+// point; a result set decodes into one block through BlockDecoder.
 func DecodeTuple(data []byte, schema *Schema) (Tuple, error) {
 	t := make(Tuple, schema.Len())
 	var buf [64]byte

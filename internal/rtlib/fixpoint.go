@@ -13,22 +13,22 @@ import (
 	"dkbms/internal/rel"
 )
 
-// TempTables creates, registers and tears down the temporary relations
+// tempTables creates, registers and tears down the temporary relations
 // of one evaluation run. Every temp table in the module
 // is born here, so nothing a run creates can escape its teardown.
-type TempTables struct {
+type tempTables struct {
 	d    *db.DB
 	live map[string]bool
 }
 
 // newTempTables returns an empty registry over d, with room for n
 // tables.
-func newTempTables(d *db.DB, n int) *TempTables {
-	return &TempTables{d: d, live: make(map[string]bool, n)}
+func newTempTables(d *db.DB, n int) *tempTables {
+	return &tempTables{d: d, live: make(map[string]bool, n)}
 }
 
-// Create creates and registers a temp table.
-func (t *TempTables) Create(name string, schema *rel.Schema) error {
+// create creates and registers a temp table.
+func (t *tempTables) create(name string, schema *rel.Schema) error {
 	if schema == nil {
 		return fmt.Errorf("rtlib: no schema for temp table %s", name)
 	}
@@ -40,13 +40,13 @@ func (t *TempTables) Create(name string, schema *rel.Schema) error {
 }
 
 // drop drops one table and forgets it.
-func (t *TempTables) drop(name string) error {
+func (t *tempTables) drop(name string) error {
 	delete(t.live, name)
 	return t.d.DropTable(name)
 }
 
 // names lists the registered tables, sorted.
-func (t *TempTables) names() []string {
+func (t *tempTables) names() []string {
 	names := make([]string, 0, len(t.live))
 	for n := range t.live {
 		names = append(names, n)
@@ -55,9 +55,9 @@ func (t *TempTables) names() []string {
 	return names
 }
 
-// DropAll drops every table still registered (in name order, so page
+// dropAll drops every table still registered (in name order, so page
 // reuse does not depend on map iteration) and returns the first error.
-func (t *TempTables) DropAll() error {
+func (t *tempTables) dropAll() error {
 	var firstErr error
 	for _, n := range t.names() {
 		if err := t.drop(n); err != nil && firstErr == nil {
@@ -67,15 +67,15 @@ func (t *TempTables) DropAll() error {
 	return firstErr
 }
 
-// Fixpoint describes one semi-naive least-fixed-point computation over a
+// fixpoint describes one semi-naive least-fixed-point computation over a
 // clique of the evaluation order list: the paper's LFP routine (§3.3),
-// configured by the data structures Evaluate loads. Run is the only
+// configured by the data structures Evaluate loads. run is the only
 // semi-naive round loop in the module.
-type Fixpoint struct {
+type fixpoint struct {
 	DB    *db.DB
-	Temps *TempTables
-	// Ctx, when non-nil, is polled at every round boundary and observed
-	// between tuples by every rule statement.
+	Temps *tempTables
+	// Ctx is polled at every round boundary and observed between
+	// tuples by every rule statement.
 	Ctx context.Context
 	// Prefix starts the name of every delta table the run creates.
 	Prefix string
@@ -95,17 +95,17 @@ type Fixpoint struct {
 	TableOf func(pred string) string
 	// Span, when non-nil, receives one "iteration N" span per round.
 	Span *obs.Span
-	// Stats, when non-nil, accumulates the run's rounds and time split.
+	// Stats accumulates the run's rounds and time split.
 	Stats *NodeStats
-	// Stmts holds the run's statements; a caller running several
-	// fixpoints shares one among them.
-	Stmts *Statements
+	// Stmts holds the run's statements, which every fixpoint of the
+	// run shares.
+	Stmts *statements
 
 	// exit rules compute the first delta of a clique: evaluated into
 	// the accumulators, whose contents then are the delta.
 	exit []codegen.RuleSQL
 
-	// The bookkeeping of Run, set up once per fixpoint by bind and
+	// The bookkeeping of run, set up once per fixpoint by bind and
 	// reused by every round: deltas holds each predicate's, by position
 	// in Preds, and diffs the differentials of Rules, bound to their
 	// statements and relations.
@@ -113,7 +113,7 @@ type Fixpoint struct {
 	diffs  []differential
 }
 
-// delta is one predicate's part of a Fixpoint: the names of its delta
+// delta is one predicate's part of a fixpoint: the names of its delta
 // tables, which of them exist, and the relation and statements its
 // deltas are counted and promoted with.
 type delta struct {
@@ -131,7 +131,7 @@ type delta struct {
 	// heads is set while binding a round when a differential that fires
 	// writes the predicate.
 	heads bool
-	// count is the predicate's COUNT(*), copy its CopyInto.
+	// count is the predicate's COUNT(*), copy its copyInto.
 	count, copy *db.Stmt
 }
 
@@ -154,8 +154,8 @@ type differential struct {
 // job binds r, prepared in the given form, to the relations TableOf
 // resolves, listed in tables, which has room for them and for the two
 // relations insertRule appends.
-func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm, tables []string) (differential, error) {
-	stmt, err := fp.Stmts.Rule(r, form)
+func (fp *fixpoint) job(r *codegen.RuleSQL, form ruleForm, tables []string) (differential, error) {
+	stmt, err := fp.Stmts.rule(r, form)
 	if err != nil {
 		return differential{}, err
 	}
@@ -166,7 +166,7 @@ func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm, tables []string) (dif
 	return differential{rule: r, stmt: stmt, tables: tables}, nil
 }
 
-// Run iterates to the fixpoint: the paper's routine, statement for
+// run iterates to the fixpoint: the paper's routine, statement for
 // statement what Tests 5–7 measure. The delta is a temp table per
 // predicate and round, new tuples are found by EXCEPT chains inside
 // each rule's INSERT, and termination is a COUNT(*) per predicate.
@@ -185,10 +185,7 @@ func (fp *Fixpoint) job(r *codegen.RuleSQL, form RuleForm, tables []string) (dif
 // and two a round's pending delta alternates between by round parity —
 // and each differential is bound to its statement and its relations
 // once, a round re-binding only the position that reads the delta.
-func (fp *Fixpoint) Run() error {
-	if fp.Stats == nil {
-		fp.Stats = new(NodeStats)
-	}
+func (fp *fixpoint) run() error {
 	if err := fp.bind(); err != nil {
 		return err
 	}
@@ -217,7 +214,7 @@ func (fp *Fixpoint) Run() error {
 // FROM position reading a predicate of Preds. The delta names are cut
 // from one string, and the differentials' relation lists from one
 // slice; the arrays of an earlier fixpoint on fp are reused.
-func (fp *Fixpoint) bind() error {
+func (fp *fixpoint) bind() error {
 	fp.deltas = append(fp.deltas[:0], make([]delta, len(fp.Preds))...)
 	fp.diffs = fp.diffs[:0]
 	pos := make(map[string]int, len(fp.Preds))
@@ -239,10 +236,10 @@ func (fp *Fixpoint) bind() error {
 		pos[p] = i
 		var err error
 		dl := &fp.deltas[i]
-		if dl.count, err = fp.Stmts.Relation(p, CountAll); err != nil {
+		if dl.count, err = fp.Stmts.relation(p, countAll); err != nil {
 			return err
 		}
-		if dl.copy, err = fp.Stmts.Relation(p, CopyInto); err != nil {
+		if dl.copy, err = fp.Stmts.relation(p, copyInto); err != nil {
 			return err
 		}
 		dl.acc = fp.TableOf(p)
@@ -281,7 +278,7 @@ func (fp *Fixpoint) bind() error {
 			if !ok {
 				continue
 			}
-			j, err := fp.job(r, RuleInsertNew, tables[:0:len(r.From)+2])
+			j, err := fp.job(r, ruleInsertNew, tables[:0:len(r.From)+2])
 			if err != nil {
 				return err
 			}
@@ -296,7 +293,7 @@ func (fp *Fixpoint) bind() error {
 // begin produces the first delta ("iteration 0"): the exit rules
 // evaluated into the accumulators, whose contents (seeds included) are
 // copied into each predicate's first delta table.
-func (fp *Fixpoint) begin() error {
+func (fp *fixpoint) begin() error {
 	zero := fp.Span.Start("iteration 0")
 	defer zero.End()
 	for i := range fp.exit {
@@ -311,7 +308,7 @@ func (fp *Fixpoint) begin() error {
 			return err
 		}
 		t0 := time.Now()
-		if err := dl.copy.Exec(evalCtx(fp.Ctx), fp.DB, nil, nil, dl.first, dl.acc); err != nil {
+		if err := dl.copy.Exec(fp.Ctx, fp.DB, nil, nil, dl.first, dl.acc); err != nil {
 			return err
 		}
 		fp.Stats.TempTable += time.Since(t0)
@@ -325,7 +322,7 @@ func (fp *Fixpoint) begin() error {
 
 // round fires one round's differentials into fresh pending delta tables
 // and reports whether every pending delta came out empty.
-func (fp *Fixpoint) round() (done bool, err error) {
+func (fp *fixpoint) round() (done bool, err error) {
 	ns := fp.Stats
 	ns.Iterations++
 	var it *obs.Span
@@ -374,7 +371,7 @@ func (fp *Fixpoint) round() (done bool, err error) {
 		t0 := time.Now()
 		var n int64
 		if dl.next != "" {
-			if n, err = dl.count.QueryCount(evalCtx(fp.Ctx), fp.DB, nil, nil, dl.next); err != nil {
+			if n, err = dl.count.QueryCount(fp.Ctx, fp.DB, nil, nil, dl.next); err != nil {
 				return false, err
 			}
 		}
@@ -391,9 +388,9 @@ func (fp *Fixpoint) round() (done bool, err error) {
 }
 
 // insertRule executes one rule statement under a "rule <head>" span:
-// j is prepared as RuleInsertNew when acc is given and as RuleInsert
+// j is prepared as ruleInsertNew when acc is given and as ruleInsert
 // when it is "", so target gains only tuples neither it nor acc holds.
-func (fp *Fixpoint) insertRule(j *differential, target, acc string, parent *obs.Span) error {
+func (fp *fixpoint) insertRule(j *differential, target, acc string, parent *obs.Span) error {
 	var sp *obs.Span
 	if parent != nil {
 		sp = parent.Start("rule " + j.rule.Head)
@@ -404,7 +401,7 @@ func (fp *Fixpoint) insertRule(j *differential, target, acc string, parent *obs.
 		tables = append(tables, acc)
 	}
 	t0 := time.Now()
-	if err := j.stmt.Exec(evalCtx(fp.Ctx), fp.DB, sp, j.rule.Values, tables...); err != nil {
+	if err := j.stmt.Exec(fp.Ctx, fp.DB, sp, j.rule.Values, tables...); err != nil {
 		return fmt.Errorf("rtlib: rule %q: %w", j.rule.Source(), err)
 	}
 	sp.End()
@@ -414,9 +411,9 @@ func (fp *Fixpoint) insertRule(j *differential, target, acc string, parent *obs.
 
 // insertAll evaluates r over TableOf into target: an exit rule into its
 // head's relation, or a non-recursive node's rule.
-func (fp *Fixpoint) insertAll(r *codegen.RuleSQL, target string, parent *obs.Span) error {
+func (fp *fixpoint) insertAll(r *codegen.RuleSQL, target string, parent *obs.Span) error {
 	var tables [maxStackTables]string
-	j, err := fp.job(r, RuleInsert, tables[:])
+	j, err := fp.job(r, ruleInsert, tables[:])
 	if err != nil {
 		return err
 	}
@@ -428,16 +425,16 @@ func (fp *Fixpoint) insertAll(r *codegen.RuleSQL, target string, parent *obs.Spa
 const maxStackTables = 8
 
 // createTemp creates a temp table on the run's registry, timed.
-func (fp *Fixpoint) createTemp(name, pred string) error {
+func (fp *fixpoint) createTemp(name, pred string) error {
 	t0 := time.Now()
-	err := fp.Temps.Create(name, fp.Schemas[pred])
+	err := fp.Temps.create(name, fp.Schemas[pred])
 	fp.Stats.TempTable += time.Since(t0)
 	return err
 }
 
 // advance promotes each non-empty pending delta into its accumulator and
 // makes the pending deltas current; an empty one is dropped instead.
-func (fp *Fixpoint) advance() error {
+func (fp *fixpoint) advance() error {
 	for i := range fp.deltas {
 		dl := &fp.deltas[i]
 		t0 := time.Now()
@@ -447,7 +444,7 @@ func (fp *Fixpoint) advance() error {
 					return err
 				}
 				dl.next = ""
-			} else if err := dl.copy.Exec(evalCtx(fp.Ctx), fp.DB, nil, nil, dl.acc, dl.next); err != nil {
+			} else if err := dl.copy.Exec(fp.Ctx, fp.DB, nil, nil, dl.acc, dl.next); err != nil {
 				return err
 			}
 		}
@@ -463,7 +460,7 @@ func (fp *Fixpoint) advance() error {
 }
 
 // finish drops the delta tables once the fixpoint is reached.
-func (fp *Fixpoint) finish() error {
+func (fp *fixpoint) finish() error {
 	for i := range fp.deltas {
 		dl := &fp.deltas[i]
 		t0 := time.Now()
@@ -481,25 +478,13 @@ func (fp *Fixpoint) finish() error {
 	return nil
 }
 
-// checkCtx polls a run's context (nil = never canceled): the node- and
-// round-boundary cancellation point.
+// checkCtx polls a run's context: the node- and round-boundary
+// cancellation point.
 func checkCtx(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("rtlib: evaluation canceled: %w", err)
 	}
 	return nil
-}
-
-// evalCtx is the context rule statements observe between tuples:
-// the run's, or Background when it has none.
-func evalCtx(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
 }
 
 // sanitize maps predicate names injectively onto SQL identifier bodies:

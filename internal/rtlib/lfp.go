@@ -12,13 +12,13 @@ import (
 // evalCliqueNaive computes the least fixed point of a clique by naive
 // iteration: R_{k+1} = f(R_k) recomputed from scratch each round,
 // terminating when f adds nothing new. It is a different algorithm from
-// the semi-naive driver (Fixpoint.Run) and the paper's comparison
+// the semi-naive driver (fixpoint.run) and the paper's comparison
 // baseline, so it keeps its own loop; it follows the paper's
 // embedded-SQL realization: fresh temporary tables per iteration, a
 // set-difference termination check, and a full table copy to install
 // each round's result. fp carries the clique (exit and Rules are both
 // part of f) and its accumulators, already created and seeded.
-func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
+func evalCliqueNaive(fp *fixpoint, seeds map[string][]rel.Tuple) error {
 	ns, sp, d := fp.Stats, fp.Span, fp.DB
 	// Iteration 0 records the seed contents so per-iteration delta
 	// cardinalities sum to the node's final tuple count.
@@ -67,11 +67,11 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 		tcSp := itSp.Start("termcheck")
 		for _, p := range fp.Preds {
 			t0 := time.Now()
-			missing, err := fp.Stmts.Relation(p, readMissing)
+			missing, err := fp.Stmts.relation(p, readMissing)
 			if err != nil {
 				return err
 			}
-			diff, err := countRows(evalCtx(fp.Ctx), d, missing, newNames[p], fp.TableOf(p))
+			diff, err := countRows(fp.Ctx, d, missing, newNames[p], fp.TableOf(p))
 			if err != nil {
 				return err
 			}
@@ -95,11 +95,11 @@ func evalCliqueNaive(fp *Fixpoint, seeds map[string][]rel.Tuple) error {
 			if err := d.Exec("DELETE FROM " + old); err != nil {
 				return err
 			}
-			copyInto, err := fp.Stmts.Relation(p, CopyInto)
+			copyStmt, err := fp.Stmts.relation(p, copyInto)
 			if err != nil {
 				return err
 			}
-			if err := copyInto.Exec(evalCtx(fp.Ctx), d, nil, nil, old, newNames[p]); err != nil {
+			if err := copyStmt.Exec(fp.Ctx, d, nil, nil, old, newNames[p]); err != nil {
 				return err
 			}
 			if err := fp.Temps.drop(newNames[p]); err != nil {

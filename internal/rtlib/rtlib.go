@@ -8,12 +8,12 @@
 //   - naive evaluation (evalCliqueNaive): each iteration recomputes f(R)
 //     from scratch into a fresh table and terminates when no new tuple
 //     appeared;
-//   - semi-naive evaluation (Fixpoint.Run): the differential approach —
+//   - semi-naive evaluation (fixpoint.run): the differential approach —
 //     each recursive rule is evaluated once per clique occurrence with
 //     that occurrence reading the delta relation, and only genuinely
 //     new tuples extend the result.
 //
-// There is one semi-naive round loop, Fixpoint.Run — temp table per
+// There is one semi-naive round loop, fixpoint.run — temp table per
 // round, EXCEPT chains, COUNT(*) termination — configured like the
 // paper's LFP routine by the data structures its caller loads (rules,
 // predicate→relation resolver). Evaluate runs it per clique, in
@@ -23,10 +23,11 @@
 // parity, and each differential is bound to its statement and its
 // relations once, a round re-binding only the position that reads the
 // delta; base relations are named once per run. So a round allocates
-// only what its statements do. One registry, TempTables, creates and tears down every temporary
-// relation, and one Statements per run holds its statements, prepared
-// once per database with tables and body constants as parameters, for
-// every round to rebind (the paper's precompiled embedded SQL).
+// only what its statements do. One registry, tempTables, creates and
+// tears down every temporary relation, and one statements set per run
+// holds its statements, prepared once per database with tables and
+// body constants as parameters, for every round to rebind (the paper's
+// precompiled embedded SQL).
 //
 // Exactly as the paper laments, every path runs over plain SQL:
 // temp tables are created and dropped per iteration, termination checks
@@ -75,9 +76,10 @@ type Options struct {
 	// statement's operator tree. Nil disables all recording at the cost
 	// of a nil check.
 	Trace *obs.Trace
-	// Ctx, when non-nil, is polled at LFP iteration boundaries (and
-	// between nodes); cancellation aborts the evaluation with an error
-	// wrapping ctx.Err().
+	// Ctx is polled at LFP iteration boundaries (and between nodes),
+	// and observed between tuples by every statement; cancellation
+	// aborts the evaluation with an error wrapping ctx.Err(). Nil is
+	// context.Background().
 	Ctx context.Context
 }
 
@@ -141,6 +143,9 @@ func EvaluateBlock(d *db.DB, prog *codegen.Program, opts Options) (*Result, []by
 // evaluate is Evaluate, reading the answer into *block instead of Rows
 // when block is not nil.
 func evaluate(d *db.DB, prog *codegen.Program, opts Options, block *[]byte) (*Result, error) {
+	if opts.Ctx == nil {
+		opts.Ctx = context.Background()
+	}
 	derived := 0
 	for _, n := range prog.Nodes {
 		derived += len(n.Preds)
@@ -156,13 +161,13 @@ func evaluate(d *db.DB, prog *codegen.Program, opts Options, block *[]byte) (*Re
 	}
 	ev.fp.TableOf = ev.tableOf
 	res, err := ev.run(runSeq.Add(1), block)
-	ev.stmts.Close()
+	ev.stmts.close()
 	if err != nil {
 		// Best-effort teardown on failure.
-		ev.temps.DropAll()
+		ev.temps.dropAll()
 		return nil, err
 	}
-	if err := ev.temps.DropAll(); err != nil {
+	if err := ev.temps.dropAll(); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -177,11 +182,11 @@ type evaluator struct {
 	// base maps the program's base predicates to their extensional
 	// tables; both are read-only once evaluation starts.
 	tables, base map[string]string
-	temps        *TempTables
+	temps        *tempTables
 	// stmts is the run's statements, shared by all its nodes.
-	stmts *Statements
+	stmts *statements
 	// fp is the fixpoint of the node evaluated, set up again by each.
-	fp    Fixpoint
+	fp    fixpoint
 	stats Stats
 }
 
@@ -248,17 +253,17 @@ func (ev *evaluator) run(seq uint64, block *[]byte) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("rtlib: query predicate %s was not evaluated", ev.prog.QueryPred)
 	}
-	answer, err := ev.stmts.Relation(ev.prog.QueryPred, ReadAll)
+	answer, err := ev.stmts.relation(ev.prog.QueryPred, readAll)
 	if err != nil {
 		return nil, err
 	}
 	var rows []rel.Tuple
 	n := 0
 	if block != nil {
-		*block, err = readBlock(evalCtx(ev.opts.Ctx), ev.d, answer, qt)
+		*block, err = readBlock(ev.opts.Ctx, ev.d, answer, qt)
 		n = rel.RowCount(*block)
 	} else {
-		rows, err = readRows(evalCtx(ev.opts.Ctx), ev.d, answer, qt)
+		rows, err = readRows(ev.opts.Ctx, ev.d, answer, qt)
 		n = len(rows)
 	}
 	if err != nil {
@@ -380,7 +385,7 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 	case ev.opts.Strategy == Naive:
 		err = evalCliqueNaive(fp, seeds)
 	default:
-		err = fp.Run()
+		err = fp.run()
 	}
 	if err != nil {
 		return err
@@ -400,7 +405,7 @@ func (ev *evaluator) evalNode(i int, seeds map[string][]rel.Tuple, evalSp *obs.S
 func (ev *evaluator) createPredTable(pred string, seeds map[string][]rel.Tuple, ns *NodeStats) error {
 	name := ev.tables[pred]
 	t0 := time.Now()
-	if err := ev.temps.Create(name, ev.prog.Schemas[pred]); err != nil {
+	if err := ev.temps.create(name, ev.prog.Schemas[pred]); err != nil {
 		return err
 	}
 	ns.TempTable += time.Since(t0)

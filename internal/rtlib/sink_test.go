@@ -27,7 +27,7 @@ func answerRelation(t *testing.T, rows []rel.Tuple) (*db.DB, *db.Stmt) {
 	if err := d.InsertTuples("ans", rows); err != nil {
 		t.Fatal(err)
 	}
-	all, err := newStatements(d, map[string]*rel.Schema{"p": pairSchema}).Relation("p", ReadAll)
+	all, err := newStatements(d, map[string]*rel.Schema{"p": pairSchema}).relation("p", readAll)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"dkbms/internal/rel"
 )
 
-// Statements holds the statements of one evaluation run:
+// statements holds the statements of one evaluation run:
 // the run's rules and its per-predicate copy, count and read
 // statements, with every table position a parameter and every body
 // constant a value parameter. A statement is prepared once per database
@@ -39,7 +39,7 @@ import (
 // and the next run's first execution of the statement re-binds the shed
 // tree instead of constructing one. Nothing is kept on the compiled
 // program.
-type Statements struct {
+type statements struct {
 	d       *db.DB
 	schemas map[string]*rel.Schema
 
@@ -57,12 +57,12 @@ type useKey struct {
 
 // newStatements returns an empty set over d. schemas holds the derived
 // predicates' schemas; a base predicate has its extensional table's.
-func newStatements(d *db.DB, schemas map[string]*rel.Schema) *Statements {
-	return &Statements{d: d, schemas: schemas, uses: make(map[useKey]*db.Stmt)}
+func newStatements(d *db.DB, schemas map[string]*rel.Schema) *statements {
+	return &statements{d: d, schemas: schemas, uses: make(map[useKey]*db.Stmt)}
 }
 
 // schema is the schema every relation standing for pred has.
-func (s *Statements) schema(pred string) (*rel.Schema, error) {
+func (s *statements) schema(pred string) (*rel.Schema, error) {
 	if sch := s.schemas[pred]; sch != nil {
 		return sch, nil
 	}
@@ -73,27 +73,27 @@ func (s *Statements) schema(pred string) (*rel.Schema, error) {
 	return nil, fmt.Errorf("rtlib: no relation for predicate %s", pred)
 }
 
-// RuleForm is the statement a compiled rule is prepared as. With n FROM
+// ruleForm is the statement a compiled rule is prepared as. With n FROM
 // positions, $1..$n are those positions in order, and the rule's body
 // constants are its value parameters (codegen.RuleSQL.Values).
-type RuleForm uint8
+type ruleForm uint8
 
 // The forms. A run uses each of its rules in one of them.
 const (
-	// RuleInsert adds to $n+1 the body's tuples it lacks (exit rules,
+	// ruleInsert adds to $n+1 the body's tuples it lacks (exit rules,
 	// naive evaluation):
 	//
 	//	INSERT INTO $n+1 <body> EXCEPT SELECT * FROM $n+1
-	RuleInsert RuleForm = iota
-	// RuleInsertNew adds to $n+1 the body's tuples neither it nor $n+2
+	ruleInsert ruleForm = iota
+	// ruleInsertNew adds to $n+1 the body's tuples neither it nor $n+2
 	// holds (a differential: pending delta and accumulated relation):
 	//
 	//	INSERT INTO $n+1 <body> EXCEPT SELECT * FROM $n+2 EXCEPT SELECT * FROM $n+1
-	RuleInsertNew
+	ruleInsertNew
 )
 
 // Rule returns r prepared in the given form.
-func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
+func (s *statements) rule(r *codegen.RuleSQL, form ruleForm) (*db.Stmt, error) {
 	key := useKey{form: uint8(form), rule: r}
 	if st := s.uses[key]; st != nil {
 		return st, nil
@@ -120,7 +120,7 @@ func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 	var buf [512]byte
 	text := strconv.AppendInt(append(buf[:0], "INSERT INTO $"...), int64(n+1), 10)
 	text = r.AppendParamSQL(append(text, ' '))
-	if form == RuleInsertNew {
+	if form == ruleInsertNew {
 		params = append(params, head)
 		text = strconv.AppendInt(append(text, " EXCEPT SELECT * FROM $"...), int64(n+2), 10)
 	}
@@ -133,17 +133,17 @@ func (s *Statements) Rule(r *codegen.RuleSQL, form RuleForm) (*db.Stmt, error) {
 	return st, nil
 }
 
-// Role is what a statement over a predicate's relations does.
-type Role uint8
+// relRole is what a statement over a predicate's relations does.
+type relRole uint8
 
 // The roles; every parameter has the predicate's schema.
 const (
-	// ReadAll is SELECT * FROM $1.
-	ReadAll Role = iota
-	// CountAll is SELECT COUNT(*) FROM $1.
-	CountAll
-	// CopyInto is INSERT INTO $1 SELECT * FROM $2.
-	CopyInto
+	// readAll is SELECT * FROM $1.
+	readAll relRole = iota
+	// countAll is SELECT COUNT(*) FROM $1.
+	countAll
+	// copyInto is INSERT INTO $1 SELECT * FROM $2.
+	copyInto
 	// readMissing is SELECT * FROM $1 EXCEPT SELECT * FROM $2.
 	readMissing
 )
@@ -152,15 +152,15 @@ var roleSQL = [...]struct {
 	text   string
 	params int
 }{
-	ReadAll:     {"SELECT * FROM $1", 1},
-	CountAll:    {"SELECT COUNT(*) FROM $1", 1},
-	CopyInto:    {"INSERT INTO $1 SELECT * FROM $2", 2},
+	readAll:     {"SELECT * FROM $1", 1},
+	countAll:    {"SELECT COUNT(*) FROM $1", 1},
+	copyInto:    {"INSERT INTO $1 SELECT * FROM $2", 2},
 	readMissing: {"SELECT * FROM $1 EXCEPT SELECT * FROM $2", 2},
 }
 
 // Relation returns the statement of the given role over relations of
 // pred.
-func (s *Statements) Relation(pred string, role Role) (*db.Stmt, error) {
+func (s *statements) relation(pred string, role relRole) (*db.Stmt, error) {
 	key := useKey{form: uint8(role), pred: pred}
 	if st := s.uses[key]; st != nil {
 		return st, nil
@@ -179,9 +179,9 @@ func (s *Statements) Relation(pred string, role Role) (*db.Stmt, error) {
 }
 
 // Close sheds every statement the run used (db.Stmt.Shed): called when
-// the run ends, after its last execution. A Statements may still be
+// the run ends, after its last execution. A statements may still be
 // used after Close; its statements then re-bind their shed trees.
-func (s *Statements) Close() {
+func (s *statements) close() {
 	for _, st := range s.uses {
 		st.Shed()
 	}

@@ -20,7 +20,7 @@ import (
 func contents(t *testing.T, tb *catalog.Table) []string {
 	t.Helper()
 	var rows []string
-	if err := tb.Scan(func(_ storage.RID, tu rel.Tuple) error {
+	if err := scanTuples(tb, func(_ storage.RID, tu rel.Tuple) error {
 		rows = append(rows, tu.String())
 		return nil
 	}); err != nil {
@@ -99,7 +99,7 @@ func TestOldSnapshotOutlivesCommits(t *testing.T) {
 		var victim storage.RID
 		var victimRow rel.Tuple
 		found := false
-		if err := nt.Scan(func(rid storage.RID, tu rel.Tuple) error {
+		if err := scanTuples(nt, func(rid storage.RID, tu rel.Tuple) error {
 			if !found && int(rid.Page) == k%pages {
 				victim, victimRow, found = rid, tu.Clone(), true
 			}
@@ -181,7 +181,7 @@ func TestLongReaderHoldsItsOwnPages(t *testing.T) {
 		}
 		var victim storage.RID
 		var victimRow rel.Tuple
-		if err := nt.Scan(func(rid storage.RID, tu rel.Tuple) error {
+		if err := scanTuples(nt, func(rid storage.RID, tu rel.Tuple) error {
 			if victimRow == nil && rid.Page == 2 {
 				victim, victimRow = rid, tu.Clone()
 			}
@@ -425,7 +425,7 @@ func TestReclaimInCommitOrderAcrossTables(t *testing.T) {
 			var victim storage.RID
 			var victimRow rel.Tuple
 			found := false
-			if err := nt.Scan(func(rid storage.RID, tu rel.Tuple) error {
+			if err := scanTuples(nt, func(rid storage.RID, tu rel.Tuple) error {
 				if !found && int(rid.Page) == k%pages {
 					victim, victimRow, found = rid, tu.Clone(), true
 				}

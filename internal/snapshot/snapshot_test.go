@@ -35,11 +35,23 @@ func testCatalog(t *testing.T, names ...string) (*storage.Pager, *catalog.Catalo
 	return p, c
 }
 
+// scanTuples calls fn with every row of tb, decoded, and the RID it is
+// stored at.
+func scanTuples(tb *catalog.Table, fn func(rid storage.RID, tu rel.Tuple) error) error {
+	return tb.Heap.Scan(func(rid storage.RID, rec []byte) error {
+		tu, err := rel.DecodeTuple(rec, tb.Schema)
+		if err != nil {
+			return err
+		}
+		return fn(rid, tu)
+	})
+}
+
 // rowCount scans a frozen table version.
 func rowCount(t *testing.T, tb *catalog.Table) int {
 	t.Helper()
 	n := 0
-	if err := tb.Scan(func(_ storage.RID, _ rel.Tuple) error { n++; return nil }); err != nil {
+	if err := scanTuples(tb, func(storage.RID, rel.Tuple) error { n++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	return n

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -313,16 +312,6 @@ func (h *HeapFile) Read(rid RID, fn func(rec []byte) error) error {
 	return fn(rec)
 }
 
-// Get returns a copy of the record at rid.
-func (h *HeapFile) Get(rid RID) ([]byte, error) {
-	var out []byte
-	err := h.Read(rid, func(rec []byte) error {
-		out = bytes.Clone(rec)
-		return nil
-	})
-	return out, err
-}
-
 // Delete removes the record at rid and compacts the page when more than
 // half its slots are dead.
 func (h *HeapFile) Delete(rid RID) error {
@@ -352,58 +341,27 @@ func (h *HeapFile) Delete(rid RID) error {
 }
 
 // ScanPages calls fn with every page of the file in directory order,
-// each pinned for the duration of the call: one pass of a PageCursor. fn
-// reads the page's records through Record; what it takes from them it
-// copies or decodes before it returns. Returning a non-nil error from
-// fn stops the scan.
+// each pinned for the duration of the call. The pass counts one scan,
+// then each page and its live records as it reads them. fn reads the
+// page's records through Record; what it takes from them it copies or
+// decodes before it returns. Returning a non-nil error from fn stops
+// the scan.
 func (h *HeapFile) ScanPages(fn func(pg *Page) error) error {
-	c := h.Pages()
-	for {
-		if more, err := c.Next(fn); !more || err != nil {
+	h.stats.scans.Add(1)
+	for pos := 0; pos < len(h.dir); pos++ {
+		pg, err := h.pager.Fetch(h.dir[pos])
+		if err != nil {
+			return err
+		}
+		h.stats.pagesScanned.Add(1)
+		h.stats.recsScanned.Add(int64(pg.LiveRecords()))
+		err = fn(pg)
+		h.pager.Unpin(pg)
+		if err != nil {
 			return err
 		}
 	}
-}
-
-// PageCursor reads a heap file's pages one at a time, on demand: a scan
-// pass whose consumer asks for each page once it is done with the last.
-// It counts one scan when it is made, then each page and its live
-// records as it reads them, and pins a page only for the call that
-// reads it.
-type PageCursor struct {
-	h   *HeapFile
-	pos int
-}
-
-// Pages starts a scan pass over the file.
-func (h *HeapFile) Pages() PageCursor {
-	h.stats.scans.Add(1)
-	return PageCursor{h: h}
-}
-
-// Next calls fn with the pass's next page, pinned for the duration of
-// the call, and moves past it. more is false, and fn not called, once
-// the directory is done; after an error the pass is over.
-func (c *PageCursor) Next(fn func(pg *Page) error) (more bool, err error) {
-	h := c.h
-	if c.pos >= len(h.dir) {
-		return false, nil
-	}
-	pg, err := h.pager.Fetch(h.dir[c.pos])
-	if err != nil {
-		c.pos = len(h.dir)
-		return false, err
-	}
-	h.stats.pagesScanned.Add(1)
-	h.stats.recsScanned.Add(int64(pg.LiveRecords()))
-	err = fn(pg)
-	h.pager.Unpin(pg)
-	if err != nil {
-		c.pos = len(h.dir)
-		return false, err
-	}
-	c.pos++
-	return true, nil
+	return nil
 }
 
 // Scan calls fn for every live record in the file, in directory and
@@ -423,13 +381,6 @@ func (h *HeapFile) Scan(fn func(rid RID, rec []byte) error) error {
 		pos++
 		return nil
 	})
-}
-
-// Count returns the number of live records (full scan).
-func (h *HeapFile) Count() (int, error) {
-	n := 0
-	err := h.Scan(func(RID, []byte) error { n++; return nil })
-	return n, err
 }
 
 // Truncate deletes every record and empties the directory: the pages

@@ -9,6 +9,24 @@ import (
 	"testing"
 )
 
+// Get returns a copy of the record at rid, which Read reads: a helper
+// of this package's tests, which keep what they read.
+func (h *HeapFile) Get(rid RID) ([]byte, error) {
+	var out []byte
+	err := h.Read(rid, func(rec []byte) error {
+		out = bytes.Clone(rec)
+		return nil
+	})
+	return out, err
+}
+
+// Count returns the number of live records, counted in one Scan: a
+// helper of this package's tests.
+func (h *HeapFile) Count() (n int, err error) {
+	err = h.Scan(func(RID, []byte) error { n++; return nil })
+	return n, err
+}
+
 func TestPageInsertGetDelete(t *testing.T) {
 	var p Page
 	p.Init()

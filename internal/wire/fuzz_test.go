@@ -125,12 +125,15 @@ func fuzzCodecs(f *testing.F, codecs map[MsgType]roundTrip) {
 	})
 }
 
-// FuzzDecodeRequest fuzzes the request decoders (LOAD, QUERY, RETRACT).
-// The seed corpus under testdata/fuzz has one payload per request form.
+// FuzzDecodeRequest fuzzes the request decoders (LOAD, QUERY, RETRACT)
+// as fuzzCodecs does: none panics, and what one accepts re-encodes to
+// the same bytes. The seed corpus under testdata/fuzz has one payload per request form.
 func FuzzDecodeRequest(f *testing.F) { fuzzCodecs(f, requestCodecs) }
 
-// FuzzDecodeReply fuzzes the reply decoders (ERROR, RESULT, RETRACTED).
-// The seed corpus under testdata/fuzz has one payload per reply form
+// FuzzDecodeReply fuzzes the reply decoders (ERROR, RESULT, RETRACTED)
+// as fuzzCodecs does: none panics, what one accepts re-encodes to the
+// same bytes, and what one allocates is bounded by the payload. The
+// seed corpus under testdata/fuzz has one payload per reply form
 // other than RESULT's, which FuzzDecodeResult seeds.
 func FuzzDecodeReply(f *testing.F) { fuzzCodecs(f, replyCodecs) }
 

@@ -9,7 +9,7 @@
 // integers. A RESULT's rows travel as one rel.AppendRows block — the
 // column types once, then each row's record in the storage encoding
 // behind its length — which the client decodes a block at a time through
-// rel.BlockDecoder, the decoder heap pages use. The
+// rel.BlockDecoder, the decoder a statement's result uses. The
 // protocol is deliberately small — request types mirroring the
 // testbed's public operations (PING, LOAD, QUERY, RETRACT) and their
 // replies — so that a session is a strict request/response alternation

@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"dkbms/internal/codegen"
@@ -201,9 +202,12 @@ func (tb *Testbed) CreateFactIndex(pred string, cols ...int) error {
 	return tb.st.CreateFactIndex(pred, cols)
 }
 
-// Retract deletes stored facts matching the pattern atom: constant
-// arguments must match exactly, variable arguments match anything
-// (retract(parent(john, X)) removes every parent fact about john). It
+// Retract deletes the stored facts the pattern atom matches, which are
+// the facts the same atom answers as a query: constant arguments must
+// match exactly, a variable matches anything at its first occurrence
+// and the value there at every later one (retract(parent(john, X))
+// removes every parent fact about john, retract(p(X, X)) every p fact
+// whose columns are equal; `_` is a variable like any other). It
 // returns the number of facts removed; retracting from a predicate with
 // no fact relation removes nothing. Rules are not retractable — they
 // live in the workspace until committed, and the stored rule base is
@@ -223,8 +227,13 @@ func (tb *Testbed) Retract(pattern dlog.Atom) (int, error) {
 	}
 	var where []string
 	for i, a := range pattern.Args {
-		if !a.IsVar() {
+		// j is the variable's first column, if this is not it.
+		j := slices.IndexFunc(pattern.Args[:i], func(b dlog.Term) bool { return b.IsVar() && b.Var == a.Var })
+		switch {
+		case !a.IsVar():
 			where = append(where, fmt.Sprintf("c%d = %s", i, a.Val.SQL()))
+		case j >= 0:
+			where = append(where, fmt.Sprintf("c%d = c%d", i, j))
 		}
 	}
 	filter := ""

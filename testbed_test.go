@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -550,6 +551,61 @@ reachfrom(X, Y) :- parentof(X, Y).
 		}
 		sameRows(t, res.Rows, "(mary)", "(ann)")
 	})
+}
+
+// TestRetractMatchesQuery: a retract pattern deletes exactly the facts
+// the same pattern answers as a query — a variable that occurs twice,
+// `_` among them, requires its columns equal — and leaves the rest.
+func TestRetractMatchesQuery(t *testing.T) {
+	const facts = `p(a, a). p(a, b). p(b, b). p(c, d).
+q(a, b, a). q(a, b, b). q(c, c, c). q(d, c, d). q(a, a, b).`
+	all := map[string]string{"p": "?- p(X, Y).", "q": "?- q(X, Y, Z)."}
+	for _, src := range []string{"p(X, X)", "p(_, _)", "p(X, Y)", "p(a, X)", "p(X, b)",
+		"q(X, Y, X)", "q(X, X, X)", "q(X, c, X)", "q(X, X, Y)", "q(_, b, _)", "q(X, Y, Z)"} {
+		pattern, err := parseRetract(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb := NewMemory()
+		tb.MustLoad(facts)
+		rows := func(query string) []rel.Tuple {
+			t.Helper()
+			res, err := tb.Query(query, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", query, err)
+			}
+			if query != "?- "+src+"." {
+				return res.Rows
+			}
+			// The facts the pattern matches: each answer bound into it.
+			matched := make([]rel.Tuple, len(res.Rows))
+			for i, row := range res.Rows {
+				for _, a := range pattern.Args {
+					v := a.Val
+					if a.IsVar() {
+						v = row[slices.Index(res.Vars, a.Var)]
+					}
+					matched[i] = append(matched[i], v)
+				}
+			}
+			return matched
+		}
+		before, matched := rows(all[pattern.Pred]), rows("?- "+src+".")
+		n, err := tb.RetractSrc(src)
+		if err != nil || n != len(matched) {
+			t.Errorf("retract %s: %d facts, %v; the query answers %d", src, n, err, len(matched))
+		}
+		var want []string
+		for _, f := range rowSet(before) {
+			if !slices.Contains(rowSet(matched), f) {
+				want = append(want, f)
+			}
+		}
+		if got := rowSet(rows(all[pattern.Pred])); !slices.Equal(got, want) {
+			t.Errorf("after retract %s: %v survive, want %v", src, got, want)
+		}
+		tb.Close()
+	}
 }
 
 // TestDefaultMagicDecision: by default magic sets apply exactly when a
